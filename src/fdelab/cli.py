@@ -34,12 +34,7 @@ from .matching import (
     find_epsilon_bounds,
 )
 from .outer import OuterProfileSet, branch_variant
-from .params import (
-    default_thresholds,
-    load_config,
-    params_to_dict,
-    validate_params,
-)
+from .params import load_config, params_to_dict, validate_params
 from .pde import PhysicalBarrierPair, comparison_sandwich, weak_corner_term
 from .reporting import (
     base_report,
@@ -63,7 +58,7 @@ def _add_common(sp: argparse.ArgumentParser, need_config: bool = True):
                     help="JSON config with model parameters and options")
     sp.add_argument("--out", default="runs", help="artifact directory")
     sp.add_argument("--force", action="store_true",
-                    help="overwrite / skip gating preconditions")
+                    help="skip gating preconditions")
     sp.add_argument("--dry-run", action="store_true",
                     help="print the plan without computing or writing")
 
@@ -74,8 +69,6 @@ def _load(args):
     else:
         raise errors.InvalidParameter("--config is required")
     d = validate_params(p)
-    if cfg is None:
-        cfg = default_thresholds(p, d)
     overrides = {}
     if getattr(args, "grid_eta", None):
         overrides["grid_eta"] = args.grid_eta

@@ -26,7 +26,7 @@ class OutOfDomain(FdelabError):
 
 
 class NonConvergent(FdelabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """An iterative or summed quantity produced no usable value."""
 
 
 class NonFinite(FdelabError):
@@ -47,10 +47,6 @@ class StepUnderflow(FdelabError):
 
 class PositivityUnattained(FdelabError):
     """Doubling search for a positivity constant exhausted its budget."""
-
-
-class RecurrenceUnderdetermined(FdelabError):
-    """Coefficient recurrence could not be resolved from the given seeds."""
 
 
 class TargetBelowRange(FdelabError):
@@ -95,14 +91,6 @@ class PositivityLost(FdelabError):
 
 class NotBetweenBarriers(FdelabError):
     """Initial data fails the barrier ordering precondition."""
-
-
-class SandwichViolated(FdelabError):
-    """Numerical solution left the barrier sandwich; carries first frame."""
-
-    def __init__(self, message, frame_index=None):
-        super().__init__(message)
-        self.frame_index = frame_index
 
 
 class InsufficientDecades(FdelabError):

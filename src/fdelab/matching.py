@@ -301,21 +301,3 @@ def find_epsilon_bounds(
         return lo
 
     return largest(corner_ok), largest(ordering_ok)
-
-
-def dump_matching_csv(solver: MatchingSolver, xi1: float, eps: float, taus, path: str):
-    """CSV rows (tau, C_plus, C_minus, left/right slopes per sign)."""
-    rows = []
-    for tau in np.atleast_1d(taus):
-        tau = float(tau)
-        row = [tau]
-        for sign in ("+", "-"):
-            bar = GluedBarrier(solver, sign, eps, xi1)
-            rep = bar.corner_jump(tau)
-            row.extend([bar.C(tau), rep.left_slope, rep.right_slope])
-        rows.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("tau,C_plus,left_slope_plus,right_slope_plus,"
-                 "C_minus,left_slope_minus,right_slope_minus\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

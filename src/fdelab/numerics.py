@@ -1,4 +1,4 @@
-"""Quadrature, root finding, ODE wrappers, and finite differences.
+"""Root finding and the ODE wrapper.
 
 Thin contracts over numpy/scipy with the error taxonomy of this package.
 All routines are deterministic for fixed inputs.
@@ -6,7 +6,6 @@ All routines are deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,31 +15,7 @@ import scipy.optimize
 
 from . import errors
 
-__all__ = [
-    "QuadratureSpec",
-    "OdeSpec",
-    "integrate",
-    "integrate_panels",
-    "find_root_monotone",
-    "solve_ode",
-    "fd_derivative",
-    "extrapolate_geometric",
-]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive quadrature tolerances.
-
-    endpoint_singularity = "left-algebraic-log" maps (a, b] through
-    rho = a + e^y so integrable algebraic/log blowup at a becomes a smooth
-    decaying integrand on (-inf, log(b-a)].
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 200
-    endpoint_singularity: str = "none"
+__all__ = ["OdeSpec", "find_root_monotone", "solve_ode"]
 
 
 @dataclass(frozen=True)
@@ -51,107 +26,6 @@ class OdeSpec:
     abs_tol: float = 1e-12
     max_step: float = np.inf
     blowup_guard: float = 1e12
-
-
-def _checked(f: Callable[[float], float]) -> Callable[[float], float]:
-    def g(x: float) -> float:
-        y = f(x)
-        if not np.isfinite(y):
-            raise errors.NonFinite(f"integrand returned {y} at x = {x}")
-        return y
-
-    return g
-
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """Adaptive quadrature of f over (a, b); b may be +inf.
-
-    Returns (value, error_estimate).  Raises NonConvergent when the
-    estimated error exceeds the requested tolerance by a factor 10, and
-    NonFinite if the integrand evaluates to nan/inf inside the domain.
-    """
-    spec = spec or QuadratureSpec()
-    if spec.endpoint_singularity == "left-algebraic-log":
-        if not np.isfinite(b):
-            raise errors.InvalidParameter(
-                "singular-left quadrature requires a finite right endpoint"
-            )
-        top = math.log(b - a)
-        fa = _checked(f)
-
-        def substituted(y: float) -> float:
-            # e^y underflow would probe f at the singular endpoint itself;
-            # the weight e^y makes that region's contribution zero anyway
-            w = math.exp(y)
-            if w == 0.0:
-                return 0.0
-            return fa(a + w) * w
-
-        val, err = scipy.integrate.quad(
-            substituted,
-            -np.inf,
-            top,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-        )
-    elif spec.endpoint_singularity == "none":
-        val, err = scipy.integrate.quad(
-            _checked(f),
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-        )
-    else:
-        raise errors.InvalidParameter(
-            f"unknown endpoint_singularity {spec.endpoint_singularity!r}"
-        )
-    if not np.isfinite(val):
-        raise errors.NonFinite(f"quadrature over ({a}, {b}) returned {val}")
-    tol = max(spec.abs_tol, spec.rel_tol * abs(val))
-    if err > 10.0 * max(tol, 1e-300):
-        raise errors.NonConvergent(
-            f"quadrature error {err:.3e} exceeds tolerance {tol:.3e} "
-            f"on ({a}, {b})"
-        )
-    return val, err
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def integrate_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    order: int = 24,
-) -> np.ndarray:
-    """Composite Gauss-Legendre integrals over consecutive [edges[i], edges[i+1]].
-
-    f must accept an ndarray.  Returns the per-panel integral array.
-    Fixed nodes, fully vectorized; used for dense cached integral tables
-    where the integrand is smooth on each panel.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise errors.InvalidParameter("edges must be a 1-d array of length >= 2")
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    nodes, weights = _GL_CACHE[order]
-    lo = edges[:-1]
-    width = np.diff(edges)
-    # map to panels: shape (panels, order)
-    x = lo[:, None] + (nodes[None, :] + 1.0) * (width[:, None] / 2.0)
-    vals = f(x.ravel()).reshape(x.shape)
-    if not np.all(np.isfinite(vals)):
-        raise errors.NonFinite("panel integrand returned non-finite values")
-    return (vals @ weights) * (width / 2.0)
 
 
 def find_root_monotone(
@@ -242,51 +116,3 @@ def solve_ode(
             f"|y| reached {spec.blowup_guard:g} at t = {sol.t_events[0][0]:.6g}"
         )
     return sol
-
-
-def fd_derivative(
-    f: Callable[[float], float],
-    x: float,
-    order: int = 1,
-    scale: float = 1.0,
-) -> float:
-    """4th-order central finite difference of order 1 or 2 at x.
-
-    First derivative uses h = 1e-5*scale.  Second derivative uses
-    h = 1e-3*scale: the second difference has a roundoff floor of about
-    30*eps/h^2, so h = 1e-5 could never certify 1e-6 agreement; 1e-3
-    balances roundoff (~3e-10) against the h^4 truncation term.
-    """
-    if order == 1:
-        h = 1e-5 * scale
-        return (
-            -f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)
-        ) / (12.0 * h)
-    if order == 2:
-        h = 1e-3 * scale
-        return (
-            -f(x + 2 * h)
-            + 16.0 * f(x + h)
-            - 30.0 * f(x)
-            + 16.0 * f(x - h)
-            - f(x - 2 * h)
-        ) / (12.0 * h * h)
-    raise errors.InvalidParameter(f"order must be 1 or 2, got {order}")
-
-
-def extrapolate_geometric(values: Sequence[float], ratio: float = 10.0) -> float:
-    """Richardson extrapolation for errors C1*g + C2*g^2 + ... on a
-    geometric gap sequence g, g/ratio, g/ratio^2, ... (values in that order).
-    """
-    vals = [float(v) for v in values]
-    if len(vals) < 2:
-        raise errors.InvalidParameter("need at least two values to extrapolate")
-    level = 1
-    while len(vals) > 1:
-        factor = ratio ** level
-        vals = [
-            (factor * vals[i + 1] - vals[i]) / (factor - 1.0)
-            for i in range(len(vals) - 1)
-        ]
-        level += 1
-    return vals[0]

@@ -12,10 +12,17 @@ x = (A/eta)^(1/gamma) the primitives are
     phi4 = phi3 + C10 eta^(-1-1/gamma) log eta
     h    = phi1 + theta1 phi2
 
-I is computed by composite quadrature on a panel decomposition in
-y = log(eta - A); below a gap of 1e-8 the cached value is continued with
-the exact antiderivative of the singular part.  psi evaluators assemble
-the tau-weighted sums with analytic eta and tau derivatives.
+The substitution l = log(rho/A)/gamma, so x = e^(-l) and drho/rho = gamma dl,
+turns rho^{-1} (1-x)^{-1} drho into gamma d log(e^l - 1), and
+rho^(-1-1/gamma) (1-x)^(-2) drho into gamma A^(-1/gamma) d(-1/(1-x)).  Hence,
+with l = log1p(gap/A)/gamma and l0 its value at eta0,
+
+    I(eta) = gamma [log expm1(l) - log expm1(l0)]
+    C2 = b2q int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho
+       = b2q gamma eta0^(-1/gamma) / (1 - x0),
+
+exact at every gap.  psi evaluators assemble the tau-weighted sums with
+analytic eta and tau derivatives.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, numerics
+from . import errors
 from .params import (
     ModelParams,
     ThresholdConfig,
@@ -37,8 +44,6 @@ from .params import (
 __all__ = ["OuterProfileSet", "branch_variant", "VARIANTS"]
 
 VARIANTS = ("psi1", "psi2", "psi3", "psi4")
-
-_GAP_SWITCH = 1e-8  # below this gap, I(eta) uses the extracted singular part
 
 
 def branch_variant(gamma: float) -> str:
@@ -80,17 +85,11 @@ class OuterProfileSet:
     correction coefficient tables per (variant, sign).
     """
 
-    def __init__(
-        self,
-        p: ModelParams,
-        cfg: ThresholdConfig | None = None,
-        quad_spec: numerics.QuadratureSpec | None = None,
-    ):
+    def __init__(self, p: ModelParams, cfg: ThresholdConfig | None = None):
         self.p = p
         self.d = validate_params(p)
         self.cfg = cfg or default_thresholds(p, self.d)
         self.cfg.validated(p, self.d)
-        self.quad_spec = quad_spec or numerics.QuadratureSpec()
 
         n, gamma, A = p.n, p.gamma, p.A
         self._p1 = 2.0 + 1.0 / gamma
@@ -101,85 +100,36 @@ class OuterProfileSet:
         self._kap2 = (n - 1) * A ** (2.0 / gamma) / gamma ** 2
         self._b2q = (n - 1) * A ** (2.0 / gamma) / gamma ** 3
 
-        self._g0 = self.cfg.eta0 - A
-        if self._g0 <= 0.0:
+        g0 = self.cfg.eta0 - A
+        if g0 <= 0.0:
             raise errors.InvalidParameter("eta0 must exceed A")
-        # singular continuation reference at the switch gap
-        self._lg_switch = math.log1p(_GAP_SWITCH / A) / gamma
-        self._I_switch: float | None = None  # filled lazily
-
-        self.C2, self.C2_error = self._compute_C2()
+        # closed forms of I and C2 from the module docstring
+        lg0 = math.log1p(g0 / A) / gamma
+        self._lexp0 = math.log(math.expm1(lg0))
+        self.C2 = self._b2q * gamma * self.cfg.eta0 ** (-1.0 / gamma) / -math.expm1(-lg0)
         self._C10: float | None = (
             float(self.cfg.C10) if self.cfg.C10 is not None else None
         )
         self._coeff_cache: dict[tuple[str, str], dict] = {}
-        self._farfit_cache: dict[str, tuple[float, float]] = {}
 
     # -- primitive layer -------------------------------------------------
-
-    def _xparts(self, gap: np.ndarray):
-        """x and 1-x from the gap, exact for gaps down to ~1e-300."""
-        A, gamma = self.p.A, self.p.gamma
-        lg = np.log1p(gap / A) / gamma
-        x = np.exp(-lg)
-        omx = -np.expm1(-lg)
-        logeta = math.log(A) + np.log1p(gap / A)
-        return x, omx, logeta
-
-    def _I_integrand_y(self, y: np.ndarray) -> np.ndarray:
-        # integrand of I in y = log(gap): gap / (eta * (1 - x)), smooth on R
-        g = np.exp(y)
-        _, omx, _ = self._xparts(g)
-        return g / ((self.p.A + g) * omx)
-
-    def _I_quad(self, gaps: np.ndarray) -> np.ndarray:
-        """Composite Gauss-Legendre values of I at the given gaps (>= switch)."""
-        pts = np.unique(np.concatenate([gaps.ravel(), [self._g0]]))
-        if pts.size == 1:
-            return np.zeros(gaps.shape)
-        ys = np.log(pts)
-        # subdivide consecutive spans to panel width <= 0.25 in y
-        edges = [ys[0]]
-        for y0, y1 in zip(ys[:-1], ys[1:]):
-            k = max(1, int(math.ceil((y1 - y0) / 0.25)))
-            edges.extend(np.linspace(y0, y1, k + 1)[1:])
-        edges = np.asarray(edges)
-        panel = numerics.integrate_panels(self._I_integrand_y, edges, order=24)
-        cum = np.concatenate([[0.0], np.cumsum(panel)])
-        # values of the running integral at the original pts
-        idx = np.searchsorted(edges, ys)
-        vals = cum[idx]
-        anchor = vals[np.searchsorted(pts, self._g0)]
-        vals = vals - anchor
-        lookup = dict(zip(pts.tolist(), vals.tolist()))
-        return np.array([lookup[g] for g in gaps.ravel()]).reshape(gaps.shape)
-
-    def _I_values(self, gap: np.ndarray) -> np.ndarray:
-        gap = np.asarray(gap, dtype=float)
-        out = np.empty_like(gap)
-        small = gap < _GAP_SWITCH
-        if np.any(small):
-            if self._I_switch is None:
-                self._I_switch = float(self._I_quad(np.array([_GAP_SWITCH]))[0])
-            lg = np.log1p(gap[small] / self.p.A) / self.p.gamma
-            # exact antiderivative of the singular part:
-            # I(g) - I(switch) = gamma * [log(expm1(lg)) - log(expm1(lg_switch))]
-            out[small] = self._I_switch + self.p.gamma * (
-                np.log(np.expm1(lg)) - math.log(math.expm1(self._lg_switch))
-            )
-        if np.any(~small):
-            out[~small] = self._I_quad(gap[~small])
-        return out
 
     def _prims(self, gap) -> _Primitives:
         gap = np.asarray(gap, dtype=float)
         if np.any(gap <= 0.0):
             raise errors.OutOfDomain("eta must exceed A (gap > 0)")
-        x, omx, logeta = self._xparts(gap)
+        A, gamma = self.p.A, self.p.gamma
+        # x and 1-x from the gap, exact for gaps down to ~1e-300
+        l1p = np.log1p(gap / A)
+        lg = l1p / gamma
+        x = np.exp(-lg)
+        omx = -np.expm1(-lg)
+        logeta = math.log(A) + l1p
         eta = np.exp(logeta)
-        I = self._I_values(gap)
+        # expm1 overflows only beyond gap/A ~ e^(709 gamma), far past any grid
+        I = gamma * (np.log(np.expm1(lg)) - self._lexp0)
         I1 = 1.0 / (eta * omx)
-        I2 = -(1.0 / omx + x / (self.p.gamma * omx ** 2)) / eta ** 2
+        I2 = -(1.0 / omx + x / (gamma * omx ** 2)) / eta ** 2
         return _Primitives(gap=gap, logeta=logeta, eta=eta, x=x, omx=omx, I=I, I1=I1, I2=I2)
 
     # -- elementary profiles ----------------------------------------------
@@ -328,30 +278,6 @@ class OuterProfileSet:
 
     # -- distinguished constants -------------------------------------------
 
-    def _compute_C2(self) -> tuple[float, float]:
-        """C2 = b2q * int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho.
-
-        Quadrature to a finite cut plus the geometric tail, which sums in
-        closed form: int_c^inf = gamma c^(-1/gamma) / (1 - x(c)).
-        """
-        gamma, A = self.p.gamma, self.p.A
-        cut = max(1e6, 1e4 * A)
-
-        # substitute y = log rho: the integrand decays exponentially in y,
-        # which keeps the quadrature error estimate honest on a wide range
-        def integrand(y):
-            rho = math.exp(y)
-            g = rho - A
-            _, omx, _ = self._xparts(np.asarray(g))
-            return math.exp(-y / gamma) / float(omx) ** 2
-
-        val, err = numerics.integrate(
-            integrand, math.log(self.cfg.eta0), math.log(cut), self.quad_spec
-        )
-        xc, omxc, _ = self._xparts(np.asarray(cut - A))
-        tail = gamma * cut ** (-1.0 / gamma) / float(omxc)
-        return self._b2q * (val + tail), self._b2q * err
-
     @property
     def C10(self) -> float:
         """Positivity constant of phi4, searched by doubling when unset."""
@@ -374,46 +300,23 @@ class OuterProfileSet:
             f"no C10 up to {c:g} makes phi4 dominate its log envelope"
         )
 
-    # -- far-field fits and coefficient tables ------------------------------
+    # -- far-field seeds and coefficient tables -----------------------------
 
-    def _farfield_fit(self, which: str) -> tuple[float, float]:
-        """Fit profile * eta^p ~ c1 * log(eta) + c0 far afield.
+    def _farfield(self, which: str) -> tuple[float, float]:
+        """(c1, c0) with profile * eta^p = c1 log(eta) + c0 + O(x) far afield.
 
-        which = "h-part" fits phi1 (the eta^(-2-1/gamma) block of h);
-        which = "p-part" fits phi3.  Basis {L, 1, xL, x, x^2} on
-        eta in [1e4, 1e6], scaled least squares.  The leading slope c1 must
-        reproduce the closed coefficient bq to 1e-6 relative, otherwise the
-        fit is declared underdetermined.
+        which = "h-part" gives phi1 (the eta^(-2-1/gamma) block of h);
+        which = "p-part" gives phi3.  For profile = eta^(-p) (C + bq I),
+        I = log(eta) - log(A) - gamma log expm1(l0) + gamma log(1 - x), and
+        gamma log(1 - x) = O(x).
         """
-        if which in self._farfit_cache:
-            return self._farfit_cache[which]
-        eta = np.geomspace(1e4, 1e6, 160)
-        pr = self._prims(eta - self.p.A)
         if which == "h-part":
-            prof = self._phi1_prims(pr, 0)
-            pexp, bq = self._p1, self._bq1
+            C, bq = self.cfg.homog_C1, self._bq1
         elif which == "p-part":
-            prof = self._phi3_prims(pr, 0)
-            pexp, bq = self._p3, self._bq3
+            C, bq = self.cfg.homog_C3, self._bq3
         else:
-            raise errors.InvalidParameter(f"unknown far-field fit {which!r}")
-        y = prof * np.exp(pexp * pr.logeta)
-        L = pr.logeta
-        cols = np.column_stack([L, np.ones_like(L), pr.x * L, pr.x, pr.x ** 2])
-        scale = np.max(np.abs(cols), axis=0)
-        coef, _, rank, _ = np.linalg.lstsq(cols / scale, y, rcond=None)
-        coef = coef / scale
-        if rank < cols.shape[1]:
-            raise errors.RecurrenceUnderdetermined(
-                f"far-field fit for {which} is rank deficient"
-            )
-        c1, c0 = float(coef[0]), float(coef[1])
-        if abs(c1 - bq) > 1e-6 * max(1.0, abs(bq)):
-            raise errors.RecurrenceUnderdetermined(
-                f"far-field slope fit {c1} disagrees with closed value {bq}"
-            )
-        self._farfit_cache[which] = (c1, c0)
-        return c1, c0
+            raise errors.InvalidParameter(f"unknown far-field part {which!r}")
+        return bq, C - bq * (math.log(self.p.A) + self.p.gamma * self._lexp0)
 
     @staticmethod
     def _d2coeff(row: dict, P: float, i: int) -> float:
@@ -443,8 +346,8 @@ class OuterProfileSet:
         th2 = theta(self.p, 2, sign)
         seeds = dict(self.cfg.seed_constants)
 
-        c1h, c0h = self._farfield_fit("h-part")
-        c1p, c0p = self._farfield_fit("p-part")
+        c1h, c0h = self._farfield("h-part")
+        c1p, c0p = self._farfield("p-part")
         if _phi_variant(variant) == "phi4":
             # phi4 adds C10 * eta^(-1-1/gamma) L to the odd seed profile
             c1p = c1p + self.C10
@@ -558,31 +461,6 @@ class OuterProfileSet:
                 vals[3] = vals[3] + (-k * gamma) * w * t_val
         shape = np.broadcast(pr.gap, tau).shape
         return tuple(np.broadcast_to(v, shape).copy() for v in vals)
-
-    # -- quadrature cross-route for phi2 (used by tests) --------------------
-
-    def phi2_quadrature_route(self, eta):
-        """phi2 via eta^(-2-1/gamma) (C2 - b2q * J(eta)) with J by panels."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        gamma, A = self.p.gamma, self.p.A
-
-        def integrand(y):
-            g = np.exp(y)
-            rho = A + g
-            _, omx, _ = self._xparts(g)
-            return g * rho ** (-1.0 - 1.0 / gamma) / omx ** 2
-
-        out = np.empty_like(eta)
-        for idx, e in enumerate(eta):
-            lo, hi = sorted((self._g0, e - A))
-            ylo, yhi = math.log(lo), math.log(hi)
-            k = max(2, int(math.ceil((yhi - ylo) / 0.2)))
-            edges = np.linspace(ylo, yhi, k + 1)
-            J = float(np.sum(numerics.integrate_panels(integrand, edges, order=32)))
-            if e - A < self._g0:
-                J = -J
-            out[idx] = e ** (-self._p1) * (self.C2 - self._b2q * J)
-        return out if out.size > 1 else float(out[0])
 
     # -- table dump ----------------------------------------------------------
 

@@ -27,6 +27,7 @@ import scipy.linalg
 from . import errors
 from .matching import GluedBarrier
 from .params import DerivedConstants, ModelParams
+from .reporting import write_csv
 
 __all__ = [
     "PhysicalBarrierPair",
@@ -144,24 +145,19 @@ class Trajectory:
     def to_csv(self, path: str, stride: int = 10, xi_stride: int = 8):
         """Rows (t, s, xi, w, u, log10_u) on a strided subgrid."""
         p = self.p
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,s,xi,w,u,log10_u\n")
-            for k in range(0, len(self.deltas), stride):
-                delta = self.deltas[k]
-                t = p.T - delta
-                shift = p.A * delta ** (-p.gamma)
-                for j in range(0, len(self.xi), xi_stride):
-                    xi = self.xi[j]
-                    w = self.W[k, j]
-                    s = xi + shift
-                    log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
-                    u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
-                    fh.write(
-                        ",".join(
-                            repr(float(v)) for v in (t, s, xi, w, u, log10_u)
-                        )
-                        + "\n"
-                    )
+        rows = []
+        for k in range(0, len(self.deltas), stride):
+            delta = self.deltas[k]
+            t = p.T - delta
+            shift = p.A * delta ** (-p.gamma)
+            for j in range(0, len(self.xi), xi_stride):
+                xi = self.xi[j]
+                w = self.W[k, j]
+                s = xi + shift
+                log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
+                u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
+                rows.append((t, s, xi, w, u, log10_u))
+        write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
 
 
 def _rhs_and_jac(W, dxi, sigma, p, d, source_vals, want_jac):

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import errors, numerics
 from .params import DerivedConstants, ModelParams, validate_params
+from .reporting import atomic_write
 
 __all__ = ["SelfSimilarProfile", "shoot_v0", "verify_tail_asymptotics", "save_profile"]
 
@@ -271,8 +272,6 @@ def save_profile(profile: SelfSimilarProfile, path: str, n_points: int = 2001):
     s = np.linspace(profile.s_min, profile.s_max, n_points)
     v = profile.phibar0(s)
     dv = profile.phibar0(s, deriv=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        fh.write("s,phibar0,dphibar0\n")
-        for row in zip(s, v, dv):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    lines = ["# " + json.dumps(header, sort_keys=True), "s,phibar0,dphibar0"]
+    lines.extend(",".join(repr(float(x)) for x in row) for row in zip(s, v, dv))
+    atomic_write(path, "\n".join(lines) + "\n")

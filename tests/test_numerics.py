@@ -1,57 +1,11 @@
-"""Quadrature, root finding, ODE wrapper, FD derivatives, extrapolation."""
+"""Root finding, ODE wrapper, and the finite-difference test helper."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fdelab import errors, numerics
-
-
-def test_integrate_smooth_exact():
-    val, err = numerics.integrate(math.sin, 0.0, math.pi)
-    assert val == pytest.approx(2.0, abs=1e-12)
-    assert err < 1e-10
-
-
-@given(c=st.lists(st.floats(-3, 3), min_size=3, max_size=3))
-@settings(max_examples=40, deadline=None)
-def test_integrate_polynomial_exact(c):
-    poly = lambda x: c[0] + c[1] * x + c[2] * x * x
-    exact = 2.0 * c[0] + 2.0 * c[1] + 8.0 * c[2] / 3.0
-    val, _ = numerics.integrate(poly, 0.0, 2.0)
-    assert val == pytest.approx(exact, abs=1e-10)
-
-
-def test_integrate_infinite_tail():
-    val, _ = numerics.integrate(lambda x: math.exp(-x), 0.0, math.inf)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
-def test_integrate_left_singularity():
-    spec = numerics.QuadratureSpec(endpoint_singularity="left-algebraic-log")
-    val, _ = numerics.integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, spec)
-    assert val == pytest.approx(2.0, rel=1e-9)
-    # log singularity handled by the same substitution
-    val2, _ = numerics.integrate(lambda x: math.log(x), 0.0, 1.0, spec)
-    assert val2 == pytest.approx(-1.0, rel=1e-9)
-
-
-def test_integrate_rejects_nan():
-    with pytest.raises(errors.NonFinite):
-        numerics.integrate(lambda x: math.nan, 0.0, 1.0)
-
-
-def test_integrate_panels_matches_adaptive():
-    edges = np.array([0.0, 0.5, 1.5, 3.0])
-    vals = numerics.integrate_panels(lambda x: np.exp(-x) * np.sin(x), edges)
-    assert vals.shape == (3,)
-    for k in range(3):
-        ref, _ = numerics.integrate(
-            lambda x: math.exp(-x) * math.sin(x), edges[k], edges[k + 1])
-        assert vals[k] == pytest.approx(ref, abs=1e-12)
+from numdiff import fd_derivative
 
 
 def test_find_root_monotone_basic():
@@ -84,14 +38,7 @@ def test_solve_ode_blowup_guard():
 
 def test_fd_derivative_orders():
     f = math.sin
-    d1 = numerics.fd_derivative(f, 1.0, order=1)
-    d2 = numerics.fd_derivative(f, 1.0, order=2)
+    d1 = fd_derivative(f, 1.0, order=1)
+    d2 = fd_derivative(f, 1.0, order=2)
     assert d1 == pytest.approx(math.cos(1.0), abs=1e-9)
     assert d2 == pytest.approx(-math.sin(1.0), abs=1e-6)
-
-
-def test_extrapolate_geometric():
-    L, c, q = 0.7, 0.3, 0.1
-    vals = [L + c * q ** k for k in range(3)]
-    assert numerics.extrapolate_geometric(vals, ratio=10.0) == pytest.approx(
-        L, abs=1e-12)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fdelab import errors
-from fdelab.numerics import fd_derivative
 from fdelab.outer import OuterProfileSet
 from fdelab.params import make_params
+from numdiff import fd_derivative
 
 # Distinguished constants at the reference parameters, frozen from the
 # closed forms b1q = (n-1)(gamma+1)A^(1/gamma)/gamma^3 and
@@ -54,6 +55,45 @@ def _xparts(p, gaps):
     return np.exp(-t), -np.expm1(-t)
 
 
+def _quad_gap(f, g_lo, g_hi):
+    """Signed int_{g_lo}^{g_hi} f(gap) dgap by adaptive quadrature in log(gap).
+
+    The substitution keeps integrands that are singular like 1/gap at the
+    corner smooth and bounded.
+    """
+    val, _ = quad(lambda y: f(math.exp(y)) * math.exp(y), math.log(g_lo),
+                  math.log(g_hi), epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+def _b2q(p):
+    return (p.n - 1) * p.A ** (2.0 / p.gamma) / p.gamma**3
+
+
+def _c2_density(p):
+    """rho^(-1-1/gamma) (1-x)^(-2) as a function of the gap rho - A."""
+
+    def f(g):
+        _, omx = _xparts(p, g)
+        return (p.A + g) ** (-1.0 - 1.0 / p.gamma) / omx**2
+
+    return f
+
+
+def _c2_quad(out):
+    # C2 = b2q int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho; the
+    # integrand decays like rho^(-1-1/gamma), so beyond a gap of 1e60 the
+    # tail is below 1e-19 of the total for gamma <= 3
+    p = out.p
+    return _b2q(p) * _quad_gap(_c2_density(p), out.cfg.eta0 - p.A, 1e60)
+
+
+@pytest.fixture(scope="module", params=[0.5, 1.5, 3.0])
+def outer_gamma(request):
+    """Outer profile set at gamma in {0.5, 1.5, 3} (N = 2, 1, 1)."""
+    return OuterProfileSet(make_params(3, 0.1, request.param, 2.0))
+
+
 def test_quotient_constants_reference(p_ref):
     b1q, b3q = _quotients(p_ref)
     assert math.isclose(b1q, B1Q_REF, rel_tol=1e-12)
@@ -62,7 +102,29 @@ def test_quotient_constants_reference(p_ref):
 
 def test_c2_constant(outer_ref):
     assert math.isclose(outer_ref.C2, C2_REF, rel_tol=1e-9)
-    assert outer_ref.C2_error < 1e-9
+
+
+def test_c2_matches_quadrature(outer_gamma):
+    assert math.isclose(outer_gamma.C2, _c2_quad(outer_gamma), rel_tol=1e-9)
+
+
+# from deep in the corner, where I ~ gamma log(gap), out to the far field
+I_GAPS = np.logspace(-12.0, 6.0, 19)
+
+
+def test_corrector_integral_matches_quadrature(outer_gamma):
+    # I(eta) = int_{eta0}^eta rho^-1 (1-x)^-1 drho
+    out = outer_gamma
+    p = out.p
+
+    def integrand(g):
+        _, omx = _xparts(p, g)
+        return 1.0 / ((p.A + g) * omx)
+
+    got = out._prims(I_GAPS).I
+    for g, val in zip(I_GAPS, got):
+        want = _quad_gap(integrand, out.cfg.eta0 - p.A, g)
+        assert val == pytest.approx(want, rel=1e-9, abs=1e-12), g
 
 
 # -- corrector ODEs ---------------------------------------------------------
@@ -170,10 +232,15 @@ def test_vkj_rejects_bad_orders(outer_ref):
 # -- cross-route and composition identities ---------------------------------
 
 def test_phi2_quadrature_route_matches_closed_form(outer_all):
+    # phi2 = eta^(-2-1/gamma) (C2 - b2q J(eta)) with
+    # J(eta) = int_{eta0}^eta rho^(-1-1/gamma) (1-x)^(-2) drho
     out = outer_all
-    for eta in (out.p.A + 0.5, 2.0 * out.p.A, 10.0 * out.p.A, 100.0 * out.p.A):
-        qr = float(out.phi2_quadrature_route(eta))
-        cl = float(out.phi_correction(2, gap=eta - out.p.A))
+    p = out.p
+    c2 = _c2_quad(out)
+    for eta in (p.A + 0.5, 2.0 * p.A, 10.0 * p.A, 100.0 * p.A):
+        J = _quad_gap(_c2_density(p), out.cfg.eta0 - p.A, eta - p.A)
+        qr = eta ** (-2.0 - 1.0 / p.gamma) * (c2 - _b2q(p) * J)
+        cl = float(out.phi_correction(2, gap=eta - p.A))
         assert math.isclose(qr, cl, rel_tol=1e-9)
 
 
@@ -212,11 +279,14 @@ def test_phi4_positive(outer_all):
 
 # -- correction tables -------------------------------------------------------
 
-def test_reference_tables_empty(outer_ref):
-    # N = 1 at the reference parameters: no correction rows at all
+@pytest.mark.parametrize("gamma", [1.5, 3.0])
+def test_reference_tables_empty(gamma):
+    # N = 1 for gamma > 1: no correction rows at all
+    out = OuterProfileSet(make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0))
+    assert out.d.N == 1
     for var in VARIANTS:
         for sign in ("+", "-"):
-            assert outer_ref.correction_coeffs(var, sign) == {}
+            assert out.correction_coeffs(var, sign) == {}
 
 
 def test_low_gamma_psi2_table(outer_low):
@@ -346,6 +416,26 @@ def test_phi3_far_field_laws(outer_all):
         y = out.phi_correction(3, gap=etas - p.A, deriv=deriv) * etas**deriv
         coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
         assert coef[0] == pytest.approx(want, rel=2e-2)
+
+
+def test_far_field_seeds(outer_gamma):
+    # profile * eta^p - (c1 log eta + c0) = bq gamma log(1 - x) -> 0 for
+    # the seeds of the correction recurrence; the bound allows for rounding
+    out = outer_gamma
+    p = out.p
+    b1q, b3q = _quotients(p)
+    etas = np.logspace(4.0, 24.0, 6)
+    x, _ = _xparts(p, etas - p.A)
+    L = np.log(etas)
+    for which, i, pexp, bq in (
+        ("h-part", 1, 2.0 + 1.0 / p.gamma, b1q),
+        ("p-part", 3, 1.0 + 1.0 / p.gamma, b3q),
+    ):
+        c1, c0 = out._farfield(which)
+        assert c1 == pytest.approx(bq, rel=1e-14)
+        resid = out.phi_correction(i, gap=etas - p.A) * etas**pexp - (c1 * L + c0)
+        bound = 2.0 * p.gamma * abs(bq) * x + 1e-12 * (abs(c1) * L + abs(c0))
+        assert np.all(np.abs(resid) <= bound), which
 
 
 def test_phi4_far_field_limit(outer_all):

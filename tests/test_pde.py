@@ -67,6 +67,14 @@ def test_trajectory_csv_layout(uniform_traj, tmp_path):
     assert path.read_bytes() == first
 
 
+def test_trajectory_csv_creates_missing_directory(uniform_traj, tmp_path):
+    # a fresh --out directory must not lose the artifact after the solve
+    path = tmp_path / "fresh" / "traj.csv"
+    uniform_traj.to_csv(str(path))
+    uniform_traj.to_csv(str(tmp_path / "traj.csv"))
+    assert path.read_bytes() == (tmp_path / "traj.csv").read_bytes()
+
+
 def test_manufactured_convergence_second_order(p_ref, d_ref):
     """Halving h with dtau/4 shrinks the manufactured error ~4x."""
     W_exact, bind = make_manufactured(p_ref, d_ref)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fdelab import errors
-from fdelab.numerics import fd_derivative
 from fdelab.selfsim import save_profile, shoot_v0, verify_tail_asymptotics
+from numdiff import fd_derivative
 
 # Frozen from the first converged shoot at each parameter set.  The tail
 # slope limit a0/(gamma A) and log power -b2/gamma are closed forms; the
@@ -127,3 +127,10 @@ def test_save_profile_deterministic(profile_ref, tmp_path):
     assert lines[0].startswith("# {")
     assert lines[1] == "s,phibar0,dphibar0"
     assert len(lines) == 2003
+
+
+def test_save_profile_creates_missing_directory(profile_ref, tmp_path):
+    path = tmp_path / "fresh" / "selfsim.csv"
+    save_profile(profile_ref, path, n_points=11)
+    save_profile(profile_ref, tmp_path / "selfsim.csv", n_points=11)
+    assert path.read_bytes() == (tmp_path / "selfsim.csv").read_bytes()
