@@ -68,8 +68,11 @@ class MatchingSolver:
         key = (sign, round(float(eps), 15), float(xi1), round(float(tau) * 1e12))
         if key in self._memo:
             return self._memo[key]
-        edge_value, _ = self.outer_edge(sign, xi1, tau)
-        target = (1.0 + _SIGN_FACTOR[sign] * eps) * edge_value
+        gamma = self.outer.p.gamma
+        psi = self.outer.psi_outer(
+            self.variant, sign, tau=tau, gap=np.asarray(xi1 * math.exp(-gamma * tau))
+        )
+        target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(np.exp(gamma * tau) * psi)
         if not np.isfinite(target) or target <= 0.0:
             raise errors.TargetBelowRange(
                 f"matching target {target} not positive at tau={tau} "
@@ -197,18 +200,20 @@ class GluedBarrier:
                 raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
         if np.any(~left):
             gap = xi[~left] * math.exp(-gamma * tau)
-            psi, dpsi, _, dtau_psi = self.outer.psi_bundle(
-                self.solver.variant, self.sign, tau, gap=gap
-            )
             egt = math.exp(gamma * tau)
+            variant = self.solver.variant
             if deriv == "value":
-                out[~left] = egt * psi
-            elif deriv == "dxi":
-                out[~left] = dpsi
-            elif deriv == "dtau":
-                out[~left] = gamma * egt * psi - gamma * xi[~left] * dpsi + egt * dtau_psi
+                out[~left] = egt * self.outer.psi_outer(variant, self.sign, tau=tau, gap=gap)
             else:
-                raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
+                psi, dpsi, _, dtau_psi = self.outer.psi_bundle(
+                    variant, self.sign, tau, gap=gap
+                )
+                if deriv == "dxi":
+                    out[~left] = dpsi
+                elif deriv == "dtau":
+                    out[~left] = gamma * egt * psi - gamma * xi[~left] * dpsi + egt * dtau_psi
+                else:
+                    raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
         return float(out[0]) if scalar else out
 
     def continuity_mismatch(self, tau: float) -> float:

@@ -78,11 +78,9 @@ def solve_ode(
     t_span: tuple[float, float],
     y0: Sequence[float],
     spec: OdeSpec | None = None,
-    method: str = "LSODA",
-    dense_output: bool = True,
-    events=None,
 ):
-    """scipy solve_ivp with a terminal blowup guard on max|y|.
+    """LSODA through scipy solve_ivp, with dense output and a terminal
+    blowup guard on max|y|.
 
     Raises BlowupGuardTripped if the guard event fires and StepUnderflow
     when the stepper reports failure.
@@ -94,20 +92,17 @@ def solve_ode(
 
     guard.terminal = True
     guard.direction = -1
-    ev = [guard]
-    if events is not None:
-        ev.extend(events if isinstance(events, (list, tuple)) else [events])
 
     sol = scipy.integrate.solve_ivp(
         rhs,
         t_span,
         np.asarray(y0, dtype=float),
-        method=method,
+        method="LSODA",
         rtol=spec.rel_tol,
         atol=spec.abs_tol,
         max_step=spec.max_step,
-        dense_output=dense_output,
-        events=ev,
+        dense_output=True,
+        events=[guard],
     )
     if sol.status == -1:
         raise errors.StepUnderflow(f"ODE solver failed: {sol.message}")

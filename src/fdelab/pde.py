@@ -14,6 +14,9 @@ uniform xi grid with central second-order differences; steps are implicit
 (theta = 1/2 after a short backward-Euler warmup that damps the stiff
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
+Each Newton system goes straight to LAPACK gtsv (Gaussian elimination with
+partial pivoting on the three diagonals); a singular matrix counts as a
+diverged Newton step, which halves the time step.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv as _gtsv
 
 from . import errors
 from .matching import GluedBarrier
@@ -184,6 +187,20 @@ def _rhs_and_jac(W, dxi, sigma, p, d, source_vals, want_jac):
     return F, dF_dm, dF_d0, dF_dp
 
 
+def _tridiagonal_solve(dl, d, du, b):
+    """LAPACK gtsv solve of the tridiagonal system (dl, d, du) x = b.
+
+    The inputs are overwritten.  A zero pivot raises NewtonDiverged, so
+    the caller's step halving applies.
+    """
+    _, _, _, x, info = _gtsv(
+        dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+    )
+    if info != 0:
+        raise errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
+    return x
+
+
 def _implicit_step(
     W_old, delta_old, delta_new, theta_w, dxi, p, d, bc, source, newton_max
 ):
@@ -224,13 +241,14 @@ def _implicit_step(
                 f"(tol {tol:.3e}) at delta = {delta_new:.6e}"
             )
         it += 1
-        # banded Jacobian of G: I - dt*theta*J_F on interior, identity at ends
-        ab = np.zeros((3, M))
-        ab[0, 2:] = -dt * theta_w * dp  # superdiagonal (column-indexed)
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[1, 1:-1] = 1.0 - dt * theta_w * d0
-        ab[2, :-2] = -dt * theta_w * dm  # subdiagonal
-        step = scipy.linalg.solve_banded((1, 1), ab, -G)
+        # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
+        dl = np.zeros(M - 1)
+        dl[:-1] = -dt * theta_w * dm
+        diag = np.ones(M)
+        diag[1:-1] = 1.0 - dt * theta_w * d0
+        du = np.zeros(M - 1)
+        du[1:] = -dt * theta_w * dp
+        step = _tridiagonal_solve(dl, diag, du, -G)
         lam = 1.0
         G_norm = np.max(np.abs(G))
         while True:
@@ -472,28 +490,17 @@ def comparison_sandwich(
             "initial data leaves the barrier sandwich at tau0"
         )
 
+    ends = xi[[0, -1]]
+
     def bc_for(kind: str):
-        if kind == "lower":
-            return lambda delta: (
-                float(_barrier_W(pair.minus, xi[:1], delta, p)[0]),
-                float(_barrier_W(pair.minus, xi[-1:], delta, p)[0]),
-            )
-        if kind == "upper":
-            return lambda delta: (
-                float(_barrier_W(pair.plus, xi[:1], delta, p)[0]),
-                float(_barrier_W(pair.plus, xi[-1:], delta, p)[0]),
-            )
+        if kind in ("lower", "upper"):
+            bar = pair.minus if kind == "lower" else pair.plus
+            return lambda delta: tuple(_barrier_W(bar, ends, delta, p).tolist())
 
         def bc_mid(delta):
-            lo = math.sqrt(
-                float(_barrier_W(pair.plus, xi[:1], delta, p)[0])
-                * float(_barrier_W(pair.minus, xi[:1], delta, p)[0])
-            )
-            hi = math.sqrt(
-                float(_barrier_W(pair.plus, xi[-1:], delta, p)[0])
-                * float(_barrier_W(pair.minus, xi[-1:], delta, p)[0])
-            )
-            return lo, hi
+            wp = _barrier_W(pair.plus, ends, delta, p)
+            wm = _barrier_W(pair.minus, ends, delta, p)
+            return tuple(np.sqrt(wp * wm).tolist())
 
         return bc_mid
 

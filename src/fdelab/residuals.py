@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .matching import GluedBarrier, MatchingSolver
+from .matching import GluedBarrier
 from .outer import OuterProfileSet
 from .params import theta
 

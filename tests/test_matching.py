@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fdelab import errors
-from fdelab.matching import GluedBarrier, check_ordering, find_epsilon_bounds
+from fdelab import errors, numerics
+from fdelab.matching import (
+    GluedBarrier,
+    MatchingSolver,
+    check_ordering,
+    find_epsilon_bounds,
+)
 from fdelab.outer import branch_variant
 
 XI1 = 10.0
@@ -179,3 +184,36 @@ def test_outer_edge_consistent_with_corner(solver_ref):
     assert val == pytest.approx(
         GluedBarrier(solver_ref, "+", 0.0, XI1).wbar(XI1 + 1e-12, 16.0), rel=1e-9
     )
+
+
+# (solver fixture, tau) per variant: psi3 on ref, psi4 with correction rows
+# on low, where the matching target turns positive only at later tau
+VALUE_ROUTE_CASES = [("solver_ref", 12.0), ("solver_low", 17.0)]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_wbar_value_equals_psi_bundle(request, solver_name, tau, sign):
+    solver = request.getfixturevalue(solver_name)
+    bar = GluedBarrier(solver, sign, 0.01, XI1)
+    xi = np.linspace(XI1 + 1e-3, 5.0 * XI1, 41)
+    gamma = solver.outer.p.gamma
+    psi = solver.outer.psi_bundle(
+        solver.variant, sign, tau, gap=xi * math.exp(-gamma * tau)
+    )[0]
+    assert np.all(bar.wbar(xi, tau) == math.exp(gamma * tau) * psi)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign):
+    shared = request.getfixturevalue(solver_name)
+    solver = MatchingSolver(shared.profile, shared.outer, shared.variant)
+    eps = 0.01
+    edge_value, _ = solver.outer_edge(sign, XI1, tau)
+    target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
+    want = numerics.find_root_monotone(
+        lambda C: solver.profile.phibar0(XI1 + C) - target,
+        -60.0, 380.0, tol=solver.root_tol,
+    )
+    assert solver.solve_matching(sign, eps, XI1, tau) == want

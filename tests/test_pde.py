@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fdelab import errors
+from fdelab import errors, pde
 from fdelab.matching import GluedBarrier
 from fdelab.pde import (
     PhysicalBarrierPair,
@@ -246,3 +246,34 @@ def test_extinction_rate_guards():
         extinction_rate(deltas[:10], amps[:10])
     with pytest.raises(errors.NonPositiveInput):
         extinction_rate(deltas, 0.0 * amps)
+
+
+def test_tridiagonal_solve_zero_pivot_is_newton_divergence():
+    from fdelab.pde import _tridiagonal_solve
+
+    x = _tridiagonal_solve(
+        np.array([1.0]), np.array([2.0, 2.0]), np.array([1.0]), np.array([3.0, 3.0])
+    )
+    assert x == pytest.approx([1.0, 1.0], rel=1e-15)
+    # [[1, 1], [1, 1]] eliminates to a zero second pivot
+    with pytest.raises(errors.NewtonDiverged):
+        _tridiagonal_solve(
+            np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 2.0])
+        )
+
+
+def test_singular_newton_matrix_rejects_the_step(p_ref, d_ref, monkeypatch):
+    # Jacobian with d0 = 1/(dt theta) and no off-diagonals: every interior
+    # row of I - dt theta J_F is exactly zero
+    def singular_jac(W, dxi, sigma, p, d, source_vals, want_jac):
+        F = np.ones(len(W) - 2)
+        if not want_jac:
+            return F, None, None, None
+        return F, np.zeros_like(F), np.full_like(F, 2.0), np.zeros_like(F)
+
+    monkeypatch.setattr(pde, "_rhs_and_jac", singular_jac)
+    W = np.ones(9)
+    with pytest.raises(errors.NewtonDiverged):
+        pde._implicit_step(
+            W, 1.0, 0.5, 1.0, 0.1, p_ref, d_ref, lambda delta: (1.0, 1.0), None, 12
+        )

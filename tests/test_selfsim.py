@@ -6,8 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from fdelab import errors
-from fdelab.selfsim import save_profile, shoot_v0, verify_tail_asymptotics
+from fdelab import errors, numerics
+from fdelab.selfsim import (
+    nordsieck_table,
+    save_profile,
+    shoot_v0,
+    verify_tail_asymptotics,
+)
 from numdiff import fd_derivative
 
 # Frozen from the first converged shoot at each parameter set.  The tail
@@ -134,3 +139,31 @@ def test_save_profile_creates_missing_directory(profile_ref, tmp_path):
     save_profile(profile_ref, path, n_points=11)
     save_profile(profile_ref, tmp_path / "selfsim.csv", n_points=11)
     assert path.read_bytes() == (tmp_path / "selfsim.csv").read_bytes()
+
+
+def test_nordsieck_table_matches_dense_output():
+    # y = (e^-t, 1/(1+t)): both components stay away from zero, so the
+    # comparison is relative everywhere
+    sol = numerics.solve_ode(lambda t, y: [-y[0], -y[1] * y[1]], (0.0, 20.0), [1.0, 1.0])
+    tab = nordsieck_table(sol.sol)
+    assert tab.ts[0] == 0.0 and tab.ts[-1] == 20.0
+    rng = np.random.default_rng(7)
+    s = np.concatenate([rng.uniform(0.0, 20.0, 10000), tab.ts])
+    want = sol.sol(s)
+    got = tab(s)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    assert tab(3.0) == pytest.approx(sol.sol(3.0), rel=1e-14)
+
+
+def test_scalar_route_matches_array_route(profile_ref):
+    tab = profile_ref._table
+    assert tab.ts[0] == profile_ref.s_min and tab.ts[-1] == profile_ref.s_max
+    rng = np.random.default_rng(3)
+    s = np.concatenate(
+        [rng.uniform(profile_ref.s_min, profile_ref.s_max, 2000), tab.ts[::10]]
+    )
+    want = profile_ref.phibar0(s)
+    got = np.array([profile_ref.phibar0(float(x)) for x in s])
+    assert np.max(np.abs(got - want) / want) <= 4e-16
+    assert type(profile_ref.phibar0(1.0)) is float
