@@ -13,6 +13,10 @@ class InvalidParameter(FdelabError):
     """A model parameter violates its validity inequality."""
 
 
+class EmptyRegion(InvalidParameter):
+    """A sampling region has no points, e.g. an empty band at some tau."""
+
+
 class NonPositiveInput(FdelabError):
     """An input required to be strictly positive was not."""
 

@@ -11,9 +11,10 @@ Inner operator (xi, tau variables; profile wbar):
             - (n-1) { w_xx/w + b1 w_x^2/w^2 + b2 w_x/w } + a0 - gamma A w_x
 
 A supersolution has residual >= 0, a subsolution <= 0.  Verification
-samples a region grid, compares against a pointwise atol proportional to
-the local operator scale, and reports strict violations and the
-inconclusive fraction separately.
+samples a region grid of shape (n_tau, n_space), one row per tau, in one
+evaluator call, compares against a pointwise atol proportional to the local
+operator scale, and reports strict violations and the inconclusive fraction
+separately.
 """
 
 from __future__ import annotations
@@ -107,11 +108,22 @@ def outer_as_inner_evaluator(outer: OuterProfileSet, variant: str, sign: str):
 
 def glued_evaluator(barrier: GluedBarrier):
     """Adapter: a glued barrier as an L1 evaluator (second xi-derivative
-    by the piecewise analytic formulas on each side of xi1)."""
+    by the piecewise analytic formulas on each side of xi1).
+
+    tau is a scalar, or an (n_tau, 1) column with xi of shape
+    (n_tau, n_space); the column form evaluates one row per tau, since
+    C(tau) is a root find at one tau.
+    """
     outer = barrier.outer
     g = outer.p.gamma
 
     def ev(xi, tau):
+        if np.ndim(tau):
+            rows = [ev_row(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
+            return tuple(np.stack(part) for part in zip(*rows))
+        return ev_row(xi, tau)
+
+    def ev_row(xi, tau):
         xi = np.asarray(xi, dtype=float)
         w = barrier.wbar(xi, tau)
         wx = barrier.wbar(xi, tau, deriv="dxi")
@@ -176,7 +188,10 @@ def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
     meaningful after rescaling by e^{gamma tau}.
 
     Returns an evaluator(gap, tau) -> (residual, scale) where scale is the
-    sum of the magnitudes of the individual terms.
+    sum of the magnitudes of the individual terms.  tau is a scalar, or an
+    (n_tau, 1) column against a gap grid of shape (n_tau, n_space); the
+    decay factors come from math.exp one tau at a time (see _math_exp), so
+    a column gives the same bits as one call per tau.
     """
     p, d = outer.p, outer.d
     n1, g = p.n - 1, p.gamma
@@ -202,7 +217,7 @@ def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
         pieces = [-th2 * f3, -n1 * d.b2 * rat]
         if phi4_like and th2 != 0.0:
             pieces.append(-th2 * C10 * g * eta ** (-1.0 - 1.0 / g))
-        e1 = math.exp(-g * tau)
+        e1 = _math_exp(-g, tau)
         pieces.append(-e1 * (f1 + th1 * f2))
         pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
         for k in ks:
@@ -211,7 +226,7 @@ def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
                 c = table.get((k, j), 0.0)
                 if c != 0.0:
                     sk = sk + (g * j * c) * outer.vkj(k, j - 1, gap=gap)
-            pieces.append(-math.exp(-(k - 1) * g * tau) * sk)
+            pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
         res = np.zeros_like(gap)
         scale = np.zeros_like(gap)
         for piece in pieces:
@@ -220,6 +235,16 @@ def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
         return res, scale
 
     return ev
+
+
+def _math_exp(rate: float, tau):
+    """e^(rate tau) by math.exp, for a scalar tau or elementwise over a
+    tau column.  np.exp can differ from math.exp in the last bit, which
+    would move report fields that sit at roundoff level."""
+    if np.ndim(tau) == 0:
+        return math.exp(rate * tau)
+    tau = np.asarray(tau)
+    return np.array([math.exp(rate * t) for t in tau.ravel()]).reshape(tau.shape)
 
 
 def l1_terms_evaluator(evaluator, p, d):
@@ -299,6 +324,9 @@ class Region:
     xi_lo: float = -7.0
 
 
+_OUTER_KINDS = ("near_A", "far_field", "glued")
+
+
 @dataclass
 class ResidualReport:
     operator: str
@@ -331,25 +359,38 @@ class ResidualReport:
         return out
 
 
-def _space_grid(region: Region, tau: float, n_space: int, gamma: float):
+def _space_grid(region: Region, taus, n_space: int, gamma: float):
+    """Space grid of shape (len(taus), n_space); row i belongs to taus[i].
+
+    Kinds that do not depend on tau repeat one row.  Raises EmptyRegion
+    when a band or the corner-masked row has no points.
+    """
+    taus = np.asarray(taus, dtype=float)
     if region.kind in ("near_A", "glued"):
-        lo = region.xi0 * math.exp(-gamma * tau)
+        lo = np.array([region.xi0 * math.exp(-gamma * float(t)) for t in taus])
         hi = region.delta0 if region.kind == "near_A" else region.far_cut
-        if lo >= hi:
-            raise errors.InvalidParameter(
+        empty = lo >= hi
+        if np.any(empty):
+            tau = float(taus[np.argmax(empty)])
+            raise errors.EmptyRegion(
                 f"{region.kind} region empty at tau={tau}: "
                 "xi0 e^(-gamma tau) >= upper bound"
             )
-        return np.geomspace(lo, hi, n_space)
+        return np.geomspace(lo, hi, n_space, axis=1)
     if region.kind == "far_field":
-        return np.geomspace(region.delta0, region.far_cut, n_space)
-    if region.kind == "inner":
-        return np.linspace(region.xi_lo, region.xi1, n_space)
-    if region.kind == "inner_glued":
-        grid = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
-        keep = np.abs(grid - region.xi1) > 1e-9
-        return grid[keep]
-    raise errors.InvalidParameter(f"unknown region kind {region.kind!r}")
+        row = np.geomspace(region.delta0, region.far_cut, n_space)
+    elif region.kind == "inner":
+        row = np.linspace(region.xi_lo, region.xi1, n_space)
+    elif region.kind == "inner_glued":
+        row = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
+        row = row[np.abs(row - region.xi1) > 1e-9]
+        if row.size == 0:
+            raise errors.EmptyRegion(
+                "inner_glued region empty: every point sits on the corner xi1"
+            )
+    else:
+        raise errors.InvalidParameter(f"unknown region kind {region.kind!r}")
+    return np.tile(row, (taus.size, 1))
 
 
 def verify_sign_region(
@@ -370,40 +411,52 @@ def verify_sign_region(
     operator is a report label ("L0" or "L1"; the region kind already
     fixes the space variable).  terms_fn(space, tau) -> (residual, scale)
     supplies the residual together with its local term-magnitude scale;
-    use outer_terms_evaluator (rescaled L0) or l1_terms_evaluator.
+    use outer_terms_evaluator (rescaled L0) or l1_terms_evaluator.  It is
+    called once, with space the whole grid of shape (n_tau, n_space) and
+    tau an (n_tau, 1) column (row i of space belongs to tau[i, 0]), and
+    must return arrays of the grid's shape.
 
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
     atol = atol_factor * scale in the forbidden direction, inconclusive
     when |residual| <= atol.  Passing requires zero violations and an
-    inconclusive fraction at most inconclusive_frac.  With raise_on_fail,
-    a failing verdict raises VerdictViolated carrying the worst point.
+    inconclusive fraction at most inconclusive_frac.  The worst point is
+    the first minimum of signed residual / atol in tau order, then in
+    space order.  A grid with no points raises InvalidParameter.  With
+    raise_on_fail, a failing verdict raises VerdictViolated carrying the
+    worst point.
     """
     if want not in ("+", "-"):
         raise errors.InvalidParameter(f"want must be '+' or '-', got {want!r}")
-    report = ResidualReport(operator=operator, region=region, want=want)
+    if n_space < 1 or n_tau < 1:
+        raise errors.InvalidParameter(
+            f"sampling grid has no points: n_space={n_space}, n_tau={n_tau}"
+        )
     taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
-    worst = None
-    for tau in taus:
-        space = _space_grid(region, float(tau), n_space, p.gamma)
-        res, scale = terms_fn(space, float(tau))
-        res = np.atleast_1d(np.asarray(res, dtype=float))
-        atol = atol_factor * np.atleast_1d(np.asarray(scale, dtype=float))
-        signed = res if want == "+" else -res
-        viol = signed < -atol
-        inconcl = np.abs(res) <= atol
-        report.n_points += res.size
-        report.n_violations += int(np.count_nonzero(viol))
-        report.n_inconclusive += int(np.count_nonzero(inconcl))
-        mn, mx = float(np.min(res)), float(np.max(res))
-        report.min_residual = min(report.min_residual, mn)
-        report.max_residual = max(report.max_residual, mx)
-        bad = signed / np.maximum(atol, 1e-300)
-        i = int(np.argmin(bad))
-        if worst is None or bad[i] < worst[0]:
-            worst = (float(bad[i]), float(space[i]), float(tau), float(res[i]))
-    report.worst_point = worst[1:] if worst else ()
-    report.inconclusive_frac = report.n_inconclusive / max(report.n_points, 1)
+    space = _space_grid(region, taus, n_space, p.gamma)
+    res, scale = terms_fn(space, taus[:, None])
+    res = np.asarray(res, dtype=float)
+    atol = atol_factor * np.asarray(scale, dtype=float)
+    if res.shape != space.shape or atol.shape != space.shape:
+        raise errors.InvalidParameter(
+            f"terms_fn returned shapes {res.shape} and {atol.shape} "
+            f"for a grid of shape {space.shape}"
+        )
+    signed = res if want == "+" else -res
+    bad = signed / np.maximum(atol, 1e-300)
+    i, j = np.unravel_index(int(np.argmin(bad)), bad.shape)
+    report = ResidualReport(
+        operator=operator,
+        region=region,
+        want=want,
+        n_points=res.size,
+        n_violations=int(np.count_nonzero(signed < -atol)),
+        n_inconclusive=int(np.count_nonzero(np.abs(res) <= atol)),
+        min_residual=float(np.min(res)),
+        max_residual=float(np.max(res)),
+        worst_point=(float(space[i, j]), float(taus[i]), float(res[i, j])),
+    )
+    report.inconclusive_frac = report.n_inconclusive / report.n_points
     report.passed = (
         report.n_violations == 0
         and report.inconclusive_frac <= inconclusive_frac
@@ -436,13 +489,21 @@ def find_thresholds(
     halves delta0 (preferring small tau, then small xi0, then few delta
     halvings) until every requested region verdict passes; the first
     passing tuple is re-verified at tau_start + 5 (the verdict must be
-    tau-monotone) and recorded.  Raises ThresholdSearchExhausted when the
-    ladder is exhausted.  The starting xi0 respects the lower bound
-    sqrt((n-1)|theta1|/a0).
+    tau-monotone) and recorded.  Only an empty band (EmptyRegion) or a
+    non-positive profile makes a rung infeasible; a bad want or region
+    kind raises InvalidParameter before the ladder starts.  Raises
+    ThresholdSearchExhausted when the ladder is exhausted.  The starting
+    xi0 respects the lower bound sqrt((n-1)|theta1|/a0).
     """
     p, d, cfg = outer.p, outer.d, outer.cfg
     if want is None:
         want = sign  # supersolution for +, subsolution for -
+    if want not in ("+", "-"):
+        raise errors.InvalidParameter(f"want must be '+' or '-', got {want!r}")
+    if not regions or any(kind not in _OUTER_KINDS for kind in regions):
+        raise errors.InvalidParameter(
+            f"regions must be outer kinds from {_OUTER_KINDS}, got {regions!r}"
+        )
     ev = outer_terms_evaluator(outer, variant, sign)
     th1 = theta(p, 1, sign)
     xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / d.a0))
@@ -466,7 +527,7 @@ def find_thresholds(
                     atol_factor=cfg.sign_atol_factor,
                     inconclusive_frac=cfg.inconclusive_frac,
                 )
-            except (errors.InvalidParameter, errors.NonPositiveProfile):
+            except (errors.EmptyRegion, errors.NonPositiveProfile):
                 # infeasible tuple (empty band / profile not yet positive)
                 return False, reports
             reports[kind] = rep

@@ -75,3 +75,28 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+VERIFY_CHECKS = [
+    "selfsim-tail", "outer-thresholds-plus", "outer-thresholds-minus",
+    "epsilon-window", "matching-order", "matching-limits",
+    "corner-plus", "corner-minus", "barrier-ordering", "inner-signs",
+    "weak-corner-plus", "weak-corner-minus",
+]
+
+
+@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
+def test_verify_end_to_end_is_reproducible(smoke_config, tmp_path):
+    # small grids keep the whole checklist quick; a rerun rewrites the same bytes
+    out = tmp_path / "runs"
+    argv = ["verify", "--config", smoke_config, "--out", str(out),
+            "--grid-eta", "16", "--grid-tau", "4"]
+    rc = main(argv)
+    assert rc in (0, 1)
+    (path,) = out.glob("verify-*.json")
+    first = path.read_bytes()
+    report = json.loads(first)
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+    assert report["all_passed"] == (rc == 0)
+    assert main(argv) == rc
+    assert path.read_bytes() == first

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fdelab import errors
+from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier
 from fdelab.outer import OuterProfileSet
 from fdelab.params import make_params
@@ -13,6 +13,8 @@ from fdelab.residuals import (
     L0_residual,
     L1_residual,
     Region,
+    ResidualReport,
+    _space_grid,
     find_thresholds,
     glued_evaluator,
     inner_residual_closed,
@@ -175,7 +177,7 @@ def test_verdict_passes_on_clean_sign(p_ref, d_ref):
 def test_verdict_counts_violations(p_ref, d_ref):
     def terms(space, tau):
         r = np.ones_like(space)
-        r[3] = -1e-3
+        r[..., 3] = -1e-3
         return r, np.ones_like(space)
 
     rep = verify_sign_region(
@@ -256,6 +258,125 @@ def test_unknown_region_kind_rejected(p_ref, d_ref):
         verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref, d_ref)
 
 
+def test_empty_band_is_empty_region(p_ref, d_ref):
+    region = Region(kind="glued", tau_lo=-20.0, tau_hi=1.0, xi0=1.0, far_cut=2e4)
+    with pytest.raises(errors.EmptyRegion, match="tau=-20.0"):
+        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref, d_ref)
+    assert issubclass(errors.EmptyRegion, errors.InvalidParameter)
+
+
+@pytest.mark.parametrize("n_space,n_tau", [(50, 0), (0, 4), (-1, 4), (50, -2)])
+def test_grid_without_points_rejected(p_ref, d_ref, n_space, n_tau):
+    # a verdict over no points must not pass, whatever the residual
+    with pytest.raises(errors.InvalidParameter, match="no points"):
+        verify_sign_region("L1", _const_terms(-1.0), "+", REGION, p_ref, d_ref,
+                           n_space=n_space, n_tau=n_tau)
+
+
+def test_corner_masked_row_without_points_rejected(p_ref, d_ref):
+    # one sample, and it sits on the corner xi1 that inner_glued skips
+    region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
+                    xi1=10.0, delta1=20.0, xi_lo=10.0)
+    with pytest.raises(errors.EmptyRegion):
+        verify_sign_region("L1", _const_terms(1.0), "+", region, p_ref, d_ref,
+                           n_space=1, n_tau=4)
+
+
+def test_terms_fn_of_wrong_shape_rejected(p_ref, d_ref):
+    def one_row(space, tau):
+        return np.ones(space.shape[-1]), np.ones(space.shape[-1])
+
+    with pytest.raises(errors.InvalidParameter, match="shape"):
+        verify_sign_region("L1", one_row, "+", REGION, p_ref, d_ref,
+                           n_space=10, n_tau=3)
+
+
+# -- batched sweep against the per-tau loop -----------------------------------
+
+def _space_row(region, tau, n_space, gamma):
+    """One tau row of the sampling grid, built on its own."""
+    if region.kind in ("near_A", "glued"):
+        lo = region.xi0 * math.exp(-gamma * tau)
+        hi = region.delta0 if region.kind == "near_A" else region.far_cut
+        return np.geomspace(lo, hi, n_space)
+    if region.kind == "far_field":
+        return np.geomspace(region.delta0, region.far_cut, n_space)
+    if region.kind == "inner":
+        return np.linspace(region.xi_lo, region.xi1, n_space)
+    grid = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
+    return grid[np.abs(grid - region.xi1) > 1e-9]
+
+
+def _verify_per_tau(operator, terms_fn, want, region, p, n_space, n_tau,
+                    atol_factor=1e-9, inconclusive_frac=1e-3):
+    """Reference sweep: one terms_fn call per tau row with a scalar tau."""
+    report = ResidualReport(operator=operator, region=region, want=want)
+    taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
+    worst = None
+    for tau in taus:
+        space = _space_row(region, float(tau), n_space, p.gamma)
+        res, scale = terms_fn(space, float(tau))
+        res = np.atleast_1d(np.asarray(res, dtype=float))
+        atol = atol_factor * np.atleast_1d(np.asarray(scale, dtype=float))
+        signed = res if want == "+" else -res
+        report.n_points += res.size
+        report.n_violations += int(np.count_nonzero(signed < -atol))
+        report.n_inconclusive += int(np.count_nonzero(np.abs(res) <= atol))
+        report.min_residual = min(report.min_residual, float(np.min(res)))
+        report.max_residual = max(report.max_residual, float(np.max(res)))
+        bad = signed / np.maximum(atol, 1e-300)
+        i = int(np.argmin(bad))
+        if worst is None or bad[i] < worst[0]:
+            worst = (float(bad[i]), float(space[i]), float(tau), float(res[i]))
+    report.worst_point = worst[1:]
+    report.inconclusive_frac = report.n_inconclusive / report.n_points
+    report.passed = (
+        report.n_violations == 0
+        and report.inconclusive_frac <= inconclusive_frac
+    )
+    return report
+
+
+@pytest.mark.parametrize("kind", ["near_A", "far_field", "glued", "inner", "inner_glued"])
+@pytest.mark.parametrize("gamma,tau_lo,n_space", [(1.5, 10.0, 200), (0.5, 11.15, 100),
+                                                  (0.3, 3.0, 37)])
+def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
+    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0,
+                    delta0=0.25 if gamma > 1.0 else 4.0)
+    taus = np.linspace(region.tau_lo, region.tau_hi, 40)
+    grid = _space_grid(region, taus, n_space, gamma)
+    for tau, row in zip(taus, grid):
+        assert np.array_equal(row, _space_row(region, float(tau), n_space, gamma))
+
+
+@pytest.mark.parametrize("setup", ["ref", "low"])
+@pytest.mark.parametrize("kind", ["near_A", "far_field", "glued"])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
+    # psi3 on ref; psi4 on low carries the correction rows k = 3, 4
+    outer = request.getfixturevalue(f"outer_{setup}")
+    variant = "psi3" if setup == "ref" else "psi4"
+    tau_lo = outer.cfg.tau_start
+    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0)
+    ev = outer_terms_evaluator(outer, variant, sign)
+    got = verify_sign_region("L0", ev, sign, region, outer.p, outer.d,
+                             n_space=120, n_tau=12)
+    want = _verify_per_tau("L0", ev, sign, region, outer.p, 120, 12)
+    assert got == want
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
+    bar = GluedBarrier(solver_ref, sign, 0.01, 10.0)
+    p, d = bar.outer.p, bar.outer.d
+    ev = l1_terms_evaluator(glued_evaluator(bar), p, d)
+    region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0, xi1=10.0,
+                    delta1=20.0)
+    got = verify_sign_region("L1", ev, sign, region, p, d, n_space=81, n_tau=5)
+    want = _verify_per_tau("L1", ev, sign, region, p, 81, 5)
+    assert got == want
+
+
 # -- threshold search ---------------------------------------------------------
 
 def test_minus_thresholds_reference(thresholds_minus_ref):
@@ -295,6 +416,37 @@ def test_plus_far_field_exhausts_ladder(outer_ref):
             outer_ref, "psi3", "+",
             tau_doublings=1, xi_doublings=1, delta_halvings=1,
         )
+
+
+def test_threshold_arguments_checked_before_the_ladder(outer_ref):
+    # argument errors must not be reported as an exhausted ladder
+    with pytest.raises(errors.InvalidParameter, match="want"):
+        find_thresholds(outer_ref, "psi3", "-", want="up")
+    for regions in (("nearA",), ("near_A", "inner"), ()):
+        with pytest.raises(errors.InvalidParameter, match="regions"):
+            find_thresholds(outer_ref, "psi3", "-", regions=regions)
+    with pytest.raises(errors.InvalidParameter) as exc:
+        find_thresholds(outer_ref, "psi9", "-", regions=("near_A",))
+    assert not isinstance(exc.value, errors.ThresholdSearchExhausted)
+
+
+def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
+    # at low gamma the large-xi0 rungs leave no near-A band; those rungs are
+    # skipped and the search still ends in ThresholdSearchExhausted
+    empty = []
+    grid = residuals._space_grid
+
+    def counting_grid(*args):
+        try:
+            return grid(*args)
+        except errors.EmptyRegion:
+            empty.append(args[0])
+            raise
+
+    monkeypatch.setattr(residuals, "_space_grid", counting_grid)
+    with pytest.raises(errors.ThresholdSearchExhausted):
+        find_thresholds(outer_low, "psi4", "+", tau_doublings=0)
+    assert empty and all(region.kind == "near_A" for region in empty)
 
 
 def test_xi0_lower_bound_respected():
