@@ -14,9 +14,22 @@ uniform xi grid with central second-order differences; steps are implicit
 (theta = 1/2 after a short backward-Euler warmup that damps the stiff
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
-Each Newton system goes straight to LAPACK gtsv (Gaussian elimination with
-partial pivoting on the three diagonals); a singular matrix counts as a
-diverged Newton step, which halves the time step.
+The Jacobian bands are built from the residual's difference stencil only
+for iterates that take a Newton solve.  Each Newton system goes straight
+to LAPACK gtsv (Gaussian elimination with partial pivoting on the three
+diagonals); a singular matrix counts as a diverged Newton step, which
+halves the time step.
+
+Independent runs on one grid are stepped together as the rows of one
+(runs, points) array: each round every unfinished row tries one step from
+its own delta, with its own step size, theta, tolerance, Newton count and
+damping, and a rejected row halves its own step while the others go on.
+The array arithmetic is elementwise and each row keeps its own gtsv call
+(a batched sweep without pivoting would change the bits), so a run gives
+the same bits alone or beside others.  A row that fails records its error
+and stops alone; comparison_sandwich solves its manufactured calibration
+run and its lower, upper and mid runs as four rows and raises their errors
+in that order, with NotBetweenBarriers after the calibration's.
 """
 
 from __future__ import annotations
@@ -135,7 +148,9 @@ class Trajectory:
     xi: np.ndarray
     deltas: np.ndarray
     W: np.ndarray  # shape (frames, len(xi))
-    newton_iters_max: int = 0
+    newton_iters_max: int = 0  # most Newton iterations of one accepted step
+    newton_iters: int = 0  # Newton iterations summed over accepted steps
+    step_rejections: int = 0  # rejected step attempts, each halving the step
 
     @property
     def taus(self) -> np.ndarray:
@@ -163,28 +178,40 @@ class Trajectory:
         write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
 
 
-def _rhs_and_jac(W, dxi, sigma, p, d, source_vals, want_jac):
-    """F(W) + sigma W_xi (+ source) on interior points, and the Jacobian bands."""
+def _rhs(W, dxi, sigma, p, d):
+    """F(W) + sigma W_xi on the interior points of each row of W.
+
+    sigma is a column of per-row drift speeds.  Returns F with the
+    difference stencil (D1, D2) that the Jacobian bands are built from.
+    """
     n1 = p.n - 1
-    Wm = W[:-2]
-    W0 = W[1:-1]
-    Wp = W[2:]
+    Wm = W[:, :-2]
+    W0 = W[:, 1:-1]
+    Wp = W[:, 2:]
     D1 = (Wp - Wm) / (2.0 * dxi)
     D2 = (Wp - 2.0 * W0 + Wm) / (dxi * dxi)
     F = n1 * (D2 / W0 + d.b1 * (D1 / W0) ** 2 + d.b2 * D1 / W0) - d.a0 + sigma * D1
-    if source_vals is not None:
-        F = F + source_vals[1:-1]
-    if not want_jac:
-        return F, None, None, None
-    dF_dp = n1 * (1.0 / (dxi * dxi * W0) + d.b1 * D1 / (dxi * W0 * W0) + d.b2 / (2.0 * dxi * W0)) + sigma / (2.0 * dxi)
-    dF_dm = n1 * (1.0 / (dxi * dxi * W0) - d.b1 * D1 / (dxi * W0 * W0) - d.b2 / (2.0 * dxi * W0)) - sigma / (2.0 * dxi)
+    return F, D1, D2
+
+
+def _jac_bands(W0, D1, D2, dxi, sigma, p, d):
+    """Bands (dF/dW_{j-1}, dF/dW_j, dF/dW_{j+1}) of _rhs from its stencil."""
+    n1 = p.n - 1
+    h2W = dxi * dxi * W0
+    W0sq = W0 * W0
+    curv = 1.0 / h2W
+    grad = d.b1 * D1 / (dxi * W0 * W0)
+    drift = d.b2 / (2.0 * dxi * W0)
+    adv = sigma / (2.0 * dxi)
+    dF_dp = n1 * (curv + grad + drift) + adv
+    dF_dm = n1 * (curv - grad - drift) - adv
     dF_d0 = n1 * (
-        -2.0 / (dxi * dxi * W0)
-        - D2 / (W0 * W0)
+        -2.0 / h2W
+        - D2 / W0sq
         - 2.0 * d.b1 * D1 * D1 / (W0 ** 3)
-        - d.b2 * D1 / (W0 * W0)
+        - d.b2 * D1 / W0sq
     )
-    return F, dF_dm, dF_d0, dF_dp
+    return dF_dm, dF_d0, dF_dp
 
 
 def _tridiagonal_solve(dl, d, du, b):
@@ -201,69 +228,282 @@ def _tridiagonal_solve(dl, d, du, b):
     return x
 
 
-def _implicit_step(
-    W_old, delta_old, delta_new, theta_w, dxi, p, d, bc, source, newton_max
-):
-    """One theta-weighted implicit step; returns (W_new, iterations)."""
-    dt = delta_old - delta_new
-    sigma_old = p.A * p.gamma * delta_old ** (-p.gamma - 1.0)
-    sigma_new = p.A * p.gamma * delta_new ** (-p.gamma - 1.0)
-    src_old = source(W_old, delta_old) if source else None
-    F_old, _, _, _ = _rhs_and_jac(W_old, dxi, sigma_old, p, d, src_old, False)
-    lo, hi = bc(delta_new)
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
 
-    X = W_old.copy()
-    X[0], X[-1] = lo, hi
-    M = len(W_old)
+
+def _take(a, rows, n):
+    """a[rows] for an ascending list of rows out of n; a itself when rows
+    is every row, which saves the copy."""
+    return a if len(rows) == n else a[rows]
+
+
+def _step_rows(
+    W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources, newton_max
+):
+    """One theta-weighted implicit step for every row of W_old.
+
+    Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
+    Dirichlet values ends[i] = (W_lo, W_hi) at delta_new[i] and the optional
+    extra right-hand side sources[i].  Every per-row scalar (step, drift
+    speed, tolerance, damping) is a Python float computed as for a lone
+    run, and the Newton systems go one row at a time to gtsv, so each row's
+    arithmetic does not depend on the other rows.  Returns per row
+    (W_new, iterations), or the NewtonDiverged or PositivityLost that
+    rejected its step.
+    """
+    k, M = W_old.shape
+    out = [None] * k
+    dt = [a - b for a, b in zip(delta_old, delta_new)]
+    sigma_old = [p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_old]
+    sigma_new = _column([p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_new])
+    F_old, _, _ = _rhs(W_old, dxi, _column(sigma_old), p, d)
+    for i, source in enumerate(sources):
+        if source is not None:
+            F_old[i] += source(W_old[i], delta_old[i])[1:-1]
+    lo = np.array([e[0] for e in ends], dtype=float)
+    hi = np.array([e[1] for e in ends], dtype=float)
+    dt_col = _column(dt)
+    theta_col = _column(theta)
+    # the Newton matrix I - dt*theta*J_F takes these per-row factors
+    jac_neg = _column([-h * t for h, t in zip(dt, theta)])
+    jac_pos = _column([h * t for h, t in zip(dt, theta)])
+    # F_old enters every residual of the step through the same product
+    F_old_part = _column([1.0 - t for t in theta]) * F_old
+    W_old_in = W_old[:, 1:-1]
+
     # the achievable residual is bounded below by rounding of the bracket
     # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|
-    w_scale = float(np.max(W_old))
-    f_scale = d.a0 + float(np.max(np.abs(F_old)))
-    tol = max(5e-14 * w_scale, 150.0 * 2.3e-16 * (w_scale + dt * f_scale))
+    w_scale = W_old.max(axis=1).tolist()
+    f_scale = [d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
+    tol = [
+        max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f))
+        for w, h, f in zip(w_scale, dt, f_scale)
+    ]
 
-    def G_of(X):
-        src = source(X, delta_new) if source else None
-        F_new, dm, d0, dp = _rhs_and_jac(X, dxi, sigma_new, p, d, src, True)
-        G = np.empty(M)
-        G[0] = X[0] - lo
-        G[-1] = X[-1] - hi
-        G[1:-1] = X[1:-1] - W_old[1:-1] - dt * (
-            theta_w * F_new + (1.0 - theta_w) * F_old
+    def residual(rows, X):
+        F_new, D1, D2 = _rhs(X, dxi, _take(sigma_new, rows, k), p, d)
+        for j, i in enumerate(rows):
+            if sources[i] is not None:
+                F_new[j] += sources[i](X[j], delta_new[i])[1:-1]
+        G = np.empty_like(X)
+        G[:, 0] = X[:, 0] - _take(lo, rows, k)
+        G[:, -1] = X[:, -1] - _take(hi, rows, k)
+        G[:, 1:-1] = X[:, 1:-1] - _take(W_old_in, rows, k) - _take(dt_col, rows, k) * (
+            _take(theta_col, rows, k) * F_new + _take(F_old_part, rows, k)
         )
-        return G, dm, d0, dp
+        return G, D1, D2
 
-    G, dm, d0, dp = G_of(X)
-    it = 0
-    while np.max(np.abs(G)) > tol:
-        if it >= newton_max:
-            raise errors.NewtonDiverged(
-                f"Newton stalled at |G| = {np.max(np.abs(G)):.3e} "
-                f"(tol {tol:.3e}) at delta = {delta_new:.6e}"
-            )
-        it += 1
-        # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
-        dl = np.zeros(M - 1)
-        dl[:-1] = -dt * theta_w * dm
-        diag = np.ones(M)
-        diag[1:-1] = 1.0 - dt * theta_w * d0
-        du = np.zeros(M - 1)
-        du[1:] = -dt * theta_w * dp
-        step = _tridiagonal_solve(dl, diag, du, -G)
-        lam = 1.0
-        G_norm = np.max(np.abs(G))
-        while True:
-            X_try = X + lam * step
-            if np.all(X_try > 0.0):
-                G_try, dm_t, d0_t, dp_t = G_of(X_try)
-                if np.max(np.abs(G_try)) < G_norm or lam < 0.1:
-                    X, G, dm, d0, dp = X_try, G_try, dm_t, d0_t, dp_t
-                    break
-            lam *= 0.5
-            if lam < 1e-4:
-                raise errors.PositivityLost(
-                    f"no positive damped Newton step at delta = {delta_new:.6e}"
+    X = W_old.copy()
+    X[:, 0], X[:, -1] = lo, hi
+    G, D1, D2 = residual(range(k), X)
+    G_norm = np.abs(G).max(axis=1).tolist()
+    its = [0] * k
+    active = list(range(k))
+    while active:
+        rows = []
+        for i in active:
+            if G_norm[i] <= tol[i]:  # a NaN residual iterates on and is rejected
+                out[i] = (X[i], its[i])
+            elif its[i] >= newton_max:
+                out[i] = errors.NewtonDiverged(
+                    f"Newton stalled at |G| = {G_norm[i]:.3e} "
+                    f"(tol {tol[i]:.3e}) at delta = {delta_new[i]:.6e}"
                 )
-    return X, it
+            else:
+                its[i] += 1
+                rows.append(i)
+        if not rows:
+            break
+        # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
+        n = len(rows)
+        dm, d0, dp = _jac_bands(
+            _take(X, rows, k)[:, 1:-1], _take(D1, rows, k), _take(D2, rows, k),
+            dxi, _take(sigma_new, rows, k), p, d,
+        )
+        c_neg = _take(jac_neg, rows, k)
+        dl = np.zeros((n, M - 1))
+        dl[:, :-1] = c_neg * dm
+        diag = np.ones((n, M))
+        diag[:, 1:-1] = 1.0 - _take(jac_pos, rows, k) * d0
+        du = np.zeros((n, M - 1))
+        du[:, 1:] = c_neg * dp
+        step = -_take(G, rows, k)
+        solved = []
+        for j, i in enumerate(rows):
+            try:
+                step[j] = _tridiagonal_solve(dl[j], diag[j], du[j], step[j])
+            except errors.NewtonDiverged as exc:
+                out[i] = exc
+            else:
+                solved.append(j)
+
+        # damped line search, each row with its own lambda
+        pending = solved
+        lam = [1.0] * n
+        while pending:
+            trial = [rows[j] for j in pending]
+            X_try = _take(X, trial, k) + _column([lam[j] for j in pending]) * _take(
+                step, pending, n
+            )
+            positive = (X_try > 0.0).all(axis=1).tolist()
+            tried = [q for q, ok in enumerate(positive) if ok]
+            if tried:
+                X_try = _take(X_try, tried, len(trial))
+                G_try, D1_try, D2_try = residual([trial[q] for q in tried], X_try)
+                G_try_norm = np.abs(G_try).max(axis=1).tolist()
+            taken, taken_at, still = [], [], []
+            t = 0
+            for q, j in enumerate(pending):
+                i = rows[j]
+                if positive[q]:
+                    t += 1
+                    if G_try_norm[t - 1] < G_norm[i] or lam[j] < 0.1:
+                        taken.append(i)
+                        taken_at.append(t - 1)
+                        G_norm[i] = G_try_norm[t - 1]
+                        continue
+                lam[j] *= 0.5
+                if lam[j] < 1e-4:
+                    out[i] = errors.PositivityLost(
+                        f"no positive damped Newton step at delta = {delta_new[i]:.6e}"
+                    )
+                else:
+                    still.append(j)
+            if len(taken) == k:
+                # every row moved: the trial arrays become the iterate (rows
+                # already returned keep their views of the old X)
+                X, G, D1, D2 = X_try, G_try, D1_try, D2_try
+            elif taken:
+                X[taken] = _take(X_try, taken_at, t)
+                G[taken] = _take(G_try, taken_at, t)
+                D1[taken] = _take(D1_try, taken_at, t)
+                D2[taken] = _take(D2_try, taken_at, t)
+            pending = still
+        active = [i for i in rows if out[i] is None]
+    return out
+
+
+@dataclass
+class _Run:
+    """One row of a joint solve: initial data on the grid, bc(delta) ->
+    (W_lo, W_hi), and an optional extra right-hand side source(W, delta)."""
+
+    w0: np.ndarray
+    bc: object
+    source: object = None
+
+
+_STEP_BUDGET = 200000
+
+
+def _step_plan(step_idx, delta, delta_end, dtau, warmup_steps):
+    """(fraction of delta, theta) of the next step: backward Euler at half
+    the step during the warmup, trapezoidal afterwards, and the final step
+    lands exactly on delta_end."""
+    if step_idx < warmup_steps:
+        frac, theta = 0.5 * dtau, 1.0
+    else:
+        frac, theta = dtau, 0.5
+    return min(frac, 1.0 - delta_end / delta), theta
+
+
+def _frames_without_rejection(delta_start, delta_end, dtau, warmup_steps) -> int:
+    n, delta = 1, delta_start
+    while delta > delta_end * (1.0 + 1e-12) and n <= _STEP_BUDGET:
+        delta *= 1.0 - _step_plan(n - 1, delta, delta_end, dtau, warmup_steps)[0]
+        n += 1
+    return n
+
+
+def _solve_rows(
+    p, d, xi, runs, *, delta_start, delta_end, dtau, warmup_steps=4, newton_max=12
+) -> list:
+    """Step every run from delta_start down to delta_end as one row of a
+    shared implicit solve; returns per run its Trajectory or the
+    FdelabError that stopped it.
+
+    Each round, every unfinished row tries one step from its own delta.
+    A row whose step is rejected halves its own step and retries in the
+    next round while the other rows go on; it stops with the rejection
+    once the step falls below 1e-6 of delta, with StepUnderflow once the
+    step budget is spent, or with any FdelabError its bc raises.  Frames
+    go straight into one array per row, sized for a run without rejections
+    and extended when a row needs more.
+    """
+    if not (0.0 < delta_end < delta_start):
+        raise errors.InvalidParameter("need 0 < delta_end < delta_start")
+    dxi = xi[1] - xi[0]
+    R, M = len(runs), len(xi)
+    out = [None] * R
+    capacity = _frames_without_rejection(delta_start, delta_end, dtau, warmup_steps)
+    frames = [None] * R
+    for i, run in enumerate(runs):
+        w0 = np.asarray(run.w0, dtype=float)
+        if w0.shape != xi.shape:
+            out[i] = errors.InvalidParameter("w0 must return one value per grid point")
+        elif np.any(w0 <= 0.0):
+            out[i] = errors.PositivityLost("initial data not strictly positive")
+        else:
+            frames[i] = np.empty((capacity, M))
+            frames[i][0] = w0
+    deltas = [[delta_start] for _ in range(R)]
+    delta, delta_new = [delta_start] * R, [0.0] * R
+    ends = [None] * R
+    step_idx = [0] * R
+    attempt = [None] * R  # None: the row starts a new step
+    theta = [0.0] * R
+    iters_max, iters, rejections = [0] * R, [0] * R, [0] * R
+    live = [i for i in range(R) if out[i] is None]
+    while True:
+        for i in live:
+            if attempt[i] is None:
+                if not delta[i] > delta_end * (1.0 + 1e-12):
+                    out[i] = Trajectory(
+                        p=p, d=d, xi=xi, deltas=np.asarray(deltas[i]),
+                        W=frames[i][: step_idx[i] + 1], newton_iters_max=iters_max[i],
+                        newton_iters=iters[i], step_rejections=rejections[i],
+                    )
+                    continue
+                attempt[i], theta[i] = _step_plan(
+                    step_idx[i], delta[i], delta_end, dtau, warmup_steps
+                )
+            delta_new[i] = delta[i] * (1.0 - attempt[i])
+            try:
+                ends[i] = runs[i].bc(delta_new[i])
+            except errors.FdelabError as exc:
+                out[i] = exc
+        live = [i for i in live if out[i] is None]
+        if not live:
+            return out
+        results = _step_rows(
+            np.stack([frames[i][step_idx[i]] for i in live]),
+            [delta[i] for i in live], [delta_new[i] for i in live],
+            [theta[i] for i in live], [ends[i] for i in live], dxi, p, d,
+            [runs[i].source for i in live], newton_max,
+        )
+        for i, res in zip(live, results):
+            if isinstance(res, errors.FdelabError):
+                rejections[i] += 1
+                attempt[i] *= 0.5
+                if attempt[i] < 1e-6:
+                    out[i] = res
+                continue
+            W_new, its = res
+            delta[i] = delta_new[i]
+            attempt[i] = None
+            iters_max[i] = max(iters_max[i], its)
+            iters[i] += its
+            step_idx[i] += 1
+            if step_idx[i] == len(frames[i]):
+                grown = np.empty((step_idx[i] + step_idx[i] // 8 + 16, M))
+                grown[: step_idx[i]] = frames[i]
+                frames[i] = grown
+            frames[i][step_idx[i]] = W_new
+            deltas[i].append(delta[i])
+            if step_idx[i] > _STEP_BUDGET:
+                out[i] = errors.StepUnderflow("step budget exhausted")
+        live = [i for i in live if out[i] is None]
 
 
 def solve_radial_fde(
@@ -287,54 +527,20 @@ def solve_radial_fde(
     values, source(W, delta) an optional extra right-hand side on the grid.
     The first warmup_steps use backward Euler at half the step to damp the
     non-equilibrium transient; afterwards the scheme is trapezoidal.
-    Positivity failures reject and halve the step before giving up.
+    Newton and positivity failures reject and halve the step before giving
+    up.  This is the one-row case of the joint solve that
+    comparison_sandwich uses, so a run gives the same bits alone or as a
+    row beside others.
     """
-    if not (0.0 < delta_end < delta_start):
-        raise errors.InvalidParameter("need 0 < delta_end < delta_start")
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
-    dxi = xi[1] - xi[0]
-    W = np.asarray(w0(xi), dtype=float).copy()
-    if W.shape != xi.shape:
-        raise errors.InvalidParameter("w0 must return one value per grid point")
-    if np.any(W <= 0.0):
-        raise errors.PositivityLost("initial data not strictly positive")
-
-    frames = [W.copy()]
-    deltas = [delta_start]
-    delta = delta_start
-    max_iters = 0
-    step_idx = 0
-    while delta > delta_end * (1.0 + 1e-12):
-        if step_idx < warmup_steps:
-            frac, theta_w = 0.5 * dtau, 1.0
-        else:
-            frac, theta_w = dtau, 0.5
-        # land exactly on delta_end at the final step
-        frac = min(frac, 1.0 - delta_end / delta)
-        attempt = frac
-        while True:
-            delta_new = delta * (1.0 - attempt)
-            try:
-                W_new, its = _implicit_step(
-                    W, delta, delta_new, theta_w, dxi, p, d, bc, source, newton_max
-                )
-                break
-            except (errors.NewtonDiverged, errors.PositivityLost):
-                attempt *= 0.5
-                if attempt < 1e-6:
-                    raise
-        W = W_new
-        delta = delta_new
-        max_iters = max(max_iters, its)
-        frames.append(W.copy())
-        deltas.append(delta)
-        step_idx += 1
-        if step_idx > 200000:
-            raise errors.StepUnderflow("step budget exhausted")
-    return Trajectory(
-        p=p, d=d, xi=xi, deltas=np.asarray(deltas), W=np.vstack(frames),
-        newton_iters_max=max_iters,
+    (res,) = _solve_rows(
+        p, d, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
+        delta_end=delta_end, dtau=dtau, warmup_steps=warmup_steps,
+        newton_max=newton_max,
     )
+    if isinstance(res, errors.FdelabError):
+        raise res
+    return res
 
 
 # -- manufactured solution and tolerance calibration ---------------------------
@@ -376,6 +582,33 @@ def make_manufactured(p: ModelParams, d: DerivedConstants, c1: float = 2.0,
     return W_exact, bind
 
 
+def _manufactured_row(p: ModelParams, d: DerivedConstants, xi, delta_start: float):
+    """The manufactured calibration run on grid xi as a row, and the
+    reduction of its trajectory to the normalized error max |W_num -
+    W_true| / delta^{1+gamma} over all frames."""
+    W_exact, bind = make_manufactured(p, d)
+    run = _Run(
+        w0=W_exact(xi, delta_start),
+        bc=lambda delta: (
+            float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
+        ),
+        source=bind(xi),
+    )
+
+    def error(traj: Trajectory) -> float:
+        err = 0.0
+        for idx in range(len(traj.deltas)):
+            delta = traj.deltas[idx]
+            scale = delta ** (1.0 + p.gamma)
+            err = max(err, float(np.max(np.abs(traj.W[idx] - W_exact(xi, delta)))) / scale)
+        return err
+
+    return run, error
+
+
+_SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
+
+
 def calibrate_tolerance(
     p: ModelParams,
     d: DerivedConstants,
@@ -385,32 +618,24 @@ def calibrate_tolerance(
     delta_start: float,
     delta_end: float,
     dtau: float,
-    safety: float = 5.0,
+    safety: float = _SAFETY,
 ) -> float:
     """Normalized discretization error from a manufactured run.
 
     Returns tol_rel with the property that |W_num - W_true| <= tol_rel *
     delta^{1+gamma} held on the manufactured problem, scaled by `safety`.
-    This is the grid tolerance used by the sandwich checks.
+    This is the grid tolerance used by the sandwich checks;
+    comparison_sandwich computes it from the same manufactured row, solved
+    beside its own runs.
     """
-    W_exact, bind = make_manufactured(p, d)
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
-    S = bind(xi)
-    traj = solve_radial_fde(
-        p, d, xi_window=xi_window, n_cells=n_cells,
-        delta_start=delta_start, delta_end=delta_end,
-        w0=lambda x: W_exact(x, delta_start),
-        bc=lambda delta: (
-            float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
-        ),
-        source=S, dtau=dtau,
+    run, error = _manufactured_row(p, d, xi, delta_start)
+    (traj,) = _solve_rows(
+        p, d, xi, [run], delta_start=delta_start, delta_end=delta_end, dtau=dtau
     )
-    err = 0.0
-    for idx in range(len(traj.deltas)):
-        delta = traj.deltas[idx]
-        scale = delta ** (1.0 + p.gamma)
-        err = max(err, float(np.max(np.abs(traj.W[idx] - W_exact(xi, delta)))) / scale)
-    return safety * err
+    if isinstance(traj, errors.FdelabError):
+        raise traj
+    return safety * error(traj)
 
 
 # -- sandwich runs -------------------------------------------------------------
@@ -441,6 +666,42 @@ def _barrier_W(bar: GluedBarrier, xi: np.ndarray, delta: float, p: ModelParams):
     return delta ** (1.0 + p.gamma) * bar.wbar(xi, tau)
 
 
+_RUN_KINDS = ("lower", "upper", "mid")
+
+
+def _sandwich_rows(pair: PhysicalBarrierPair, xi, delta_start: float) -> dict:
+    """The lower, upper and mid runs as rows: data and Dirichlet values on
+    the lower barrier, on the upper barrier, and on their pointwise
+    geometric mean.
+
+    The bc closures share each barrier's last end values, so rows that ask
+    for the same barrier at the same delta in one round (upper and mid
+    always, lower until its first rejection) evaluate it once.
+    """
+    p = pair.p
+    Wp0 = _barrier_W(pair.plus, xi, delta_start, p)
+    Wm0 = _barrier_W(pair.minus, xi, delta_start, p)
+    ends = xi[[0, -1]]
+    last = {}
+
+    def ends_at(bar, delta):
+        hit = last.get(bar.sign)
+        if hit is None or hit[0] != delta:
+            hit = last[bar.sign] = (delta, _barrier_W(bar, ends, delta, p))
+        return hit[1]
+
+    def bc_mid(delta):
+        wp = ends_at(pair.plus, delta)
+        wm = ends_at(pair.minus, delta)
+        return tuple(np.sqrt(wp * wm).tolist())
+
+    return {
+        "lower": _Run(Wm0, lambda delta: tuple(ends_at(pair.minus, delta).tolist())),
+        "upper": _Run(Wp0, lambda delta: tuple(ends_at(pair.plus, delta).tolist())),
+        "mid": _Run(np.sqrt(Wp0 * Wm0), bc_mid),
+    }
+
+
 def comparison_sandwich(
     pair: PhysicalBarrierPair,
     *,
@@ -458,85 +719,85 @@ def comparison_sandwich(
     data outside the barriers is rejected (this covers the doubled-data
     precondition check).  Violations are measured against the calibrated
     grid tolerance in units of delta^{1+gamma}.
+
+    The manufactured calibration run and the three runs are solved as four
+    rows of one joint solve.  A row that fails does not stop the others;
+    the errors are raised in the order of the old sequential runs: the
+    calibration's, then NotBetweenBarriers (it needs tol_rel), then the
+    lower, upper and mid runs'.  An unknown `initial` raises
+    InvalidParameter before any solve.
     """
+    if initial not in _RUN_KINDS:
+        raise errors.InvalidParameter(f"unknown run kind {initial!r}")
     p, d = pair.p, pair.plus.outer.d
     xi1 = pair.plus.xi1
     window = xi_span or (-xi1, 4.0 * xi1)
     delta_start = math.exp(-pair.tau0)
     delta_end = math.exp(-tau_end)
 
-    tol_rel = calibrate_tolerance(
-        p, d, xi_window=window, n_cells=n_cells,
-        delta_start=delta_start, delta_end=delta_end, dtau=dtau,
-    )
-
     xi = np.linspace(window[0], window[1], n_cells + 1)
-    Wp0 = _barrier_W(pair.plus, xi, delta_start, p)
-    Wm0 = _barrier_W(pair.minus, xi, delta_start, p)
+    calibration, error = _manufactured_row(p, d, xi, delta_start)
+    rows = _sandwich_rows(pair, xi, delta_start)
+    calib, *solved = _solve_rows(
+        p, d, xi, [calibration, *rows.values()], delta_start=delta_start,
+        delta_end=delta_end, dtau=dtau,
+    )
+    if isinstance(calib, errors.FdelabError):
+        raise calib
+    tol_rel = _SAFETY * error(calib)
+    del calib  # its frames are not needed for the barrier pass
 
-    def data_for(kind: str):
-        if kind == "lower":
-            return Wm0.copy()
-        if kind == "upper":
-            return Wp0.copy()
-        if kind == "mid":
-            return np.sqrt(Wp0 * Wm0)
-        raise errors.InvalidParameter(f"unknown run kind {kind!r}")
-
-    W0 = data_for(initial)
+    W0 = rows[initial].w0
+    Wm0, Wp0 = rows["lower"].w0, rows["upper"].w0
     slack = tol_rel * delta_start ** (1.0 + p.gamma)
     if np.any(W0 < Wm0 - slack) or np.any(W0 > Wp0 + slack):
         raise errors.NotBetweenBarriers(
             "initial data leaves the barrier sandwich at tau0"
         )
+    for res in solved:
+        if isinstance(res, errors.FdelabError):
+            raise res
+    trajs = dict(zip(rows, solved))
 
-    ends = xi[[0, -1]]
-
-    def bc_for(kind: str):
-        if kind in ("lower", "upper"):
-            bar = pair.minus if kind == "lower" else pair.plus
-            return lambda delta: tuple(_barrier_W(bar, ends, delta, p).tolist())
-
-        def bc_mid(delta):
-            wp = _barrier_W(pair.plus, ends, delta, p)
-            wm = _barrier_W(pair.minus, ends, delta, p)
-            return tuple(np.sqrt(wp * wm).tolist())
-
-        return bc_mid
-
+    # one pass over the mid run's frames evaluates both barriers once per
+    # delta for the extinction fits and for every check frame at that
+    # delta; check frames at other deltas (the lower run after a
+    # rejection) get their own evaluation.  No frame of barrier values is
+    # kept beyond its delta.
     report = SandwichReport(tol_rel=tol_rel)
-    trajs = {}
-    for kind in ("lower", "upper", "mid"):
-        traj = solve_radial_fde(
-            p, d, xi_window=window, n_cells=n_cells,
-            delta_start=delta_start, delta_end=delta_end,
-            w0=lambda x, kind=kind: data_for(kind),
-            bc=bc_for(kind), dtau=dtau,
-        )
-        trajs[kind] = traj
+    waiting = {}
+    for kind, traj in trajs.items():
         for idx in range(0, len(traj.deltas), check_stride):
-            delta = traj.deltas[idx]
-            scale = delta ** (1.0 + p.gamma)
-            Wp = _barrier_W(pair.plus, xi, delta, p)
-            Wm = _barrier_W(pair.minus, xi, delta, p)
-            under = float(np.max((Wm - traj.W[idx]) / scale))
-            over = float(np.max((traj.W[idx] - Wp) / scale))
+            waiting.setdefault(traj.deltas[idx], []).append(traj.W[idx])
+
+    def check_frames(delta, Wp, Wm):
+        scale = delta ** (1.0 + p.gamma)
+        for W in waiting.pop(delta, ()):
+            under = float(np.max((Wm - W) / scale))
+            over = float(np.max((W - Wp) / scale))
             report.max_undershoot = max(report.max_undershoot, under)
             report.max_overshoot = max(report.max_overshoot, over)
+
+    mid = trajs["mid"]
+    peaks = {"upper_barrier": [], "lower_barrier": []}
+    for delta in mid.deltas:
+        Wp = _barrier_W(pair.plus, xi, float(delta), p)
+        Wm = _barrier_W(pair.minus, xi, float(delta), p)
+        peaks["upper_barrier"].append(np.max(Wp) ** (1.0 / (1.0 - p.m)))
+        peaks["lower_barrier"].append(np.max(Wm) ** (1.0 / (1.0 - p.m)))
+        check_frames(delta, Wp, Wm)
+    for delta in list(waiting):
+        check_frames(
+            delta, _barrier_W(pair.plus, xi, delta, p), _barrier_W(pair.minus, xi, delta, p)
+        )
     report.passed = (
         report.max_undershoot <= tol_rel and report.max_overshoot <= tol_rel
     )
     report.runs = trajs
 
     # extinction fits: barriers from their formulas on the same frames
-    mid = trajs["mid"]
-    amp_sol = mid.amplitude()
-    amps = {"solution": amp_sol}
-    for name, bar in (("upper_barrier", pair.plus), ("lower_barrier", pair.minus)):
-        vals = []
-        for delta in mid.deltas:
-            Wb = _barrier_W(bar, xi, float(delta), p)
-            vals.append(np.max(Wb) ** (1.0 / (1.0 - p.m)))
+    amps = {"solution": mid.amplitude()}
+    for name, vals in peaks.items():
         amps[name] = np.asarray(vals)
     span = math.log10(float(mid.deltas.max() / mid.deltas.min()))
     for name, amp in amps.items():

@@ -419,10 +419,11 @@ def verify_sign_region(
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
     atol = atol_factor * scale in the forbidden direction, inconclusive
-    when |residual| <= atol.  Passing requires zero violations and an
+    when |residual| <= atol.  A point whose residual or scale is not
+    finite counts as a violation.  Passing requires zero violations and an
     inconclusive fraction at most inconclusive_frac.  The worst point is
-    the first minimum of signed residual / atol in tau order, then in
-    space order.  A grid with no points raises InvalidParameter.  With
+    the first non-finite point if there is one, else the first minimum of
+    signed residual / atol, in tau order, then in space order.  A grid with no points raises InvalidParameter.  With
     raise_on_fail, a failing verdict raises VerdictViolated carrying the
     worst point.
     """
@@ -443,15 +444,19 @@ def verify_sign_region(
             f"for a grid of shape {space.shape}"
         )
     signed = res if want == "+" else -res
-    bad = signed / np.maximum(atol, 1e-300)
-    i, j = np.unravel_index(int(np.argmin(bad)), bad.shape)
+    broken = ~(np.isfinite(res) & np.isfinite(atol))
+    if broken.any():
+        worst = int(np.argmax(broken))
+    else:
+        worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
+    i, j = np.unravel_index(worst, res.shape)
     report = ResidualReport(
         operator=operator,
         region=region,
         want=want,
         n_points=res.size,
-        n_violations=int(np.count_nonzero(signed < -atol)),
-        n_inconclusive=int(np.count_nonzero(np.abs(res) <= atol)),
+        n_violations=int(np.count_nonzero((signed < -atol) | broken)),
+        n_inconclusive=int(np.count_nonzero((np.abs(res) <= atol) & ~broken)),
         min_residual=float(np.min(res)),
         max_residual=float(np.max(res)),
         worst_point=(float(space[i, j]), float(taus[i]), float(res[i, j])),

@@ -100,3 +100,26 @@ def test_verify_end_to_end_is_reproducible(smoke_config, tmp_path):
     assert report["all_passed"] == (rc == 0)
     assert main(argv) == rc
     assert path.read_bytes() == first
+
+
+@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
+def test_simulate_end_to_end_is_reproducible(tmp_path):
+    # a 0.6-tau window passes the sandwich but spans too few decades for
+    # the extinction-rate fit; a rerun rewrites the same bytes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        SMOKE, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,
+    )))
+    out = tmp_path / "runs"
+    argv = ["simulate", "--force", "--config", str(config), "--out", str(out)]
+    assert main(argv) == 1
+    (report_path,) = out.glob("simulate-*.json")
+    (csv_path,) = out.glob("trajectory-*.csv")
+    first = report_path.read_bytes(), csv_path.read_bytes()
+    report = json.loads(first[0])
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("sandwich", True), ("extinction-rate", False),
+    ]
+    assert report["all_passed"] is False
+    assert main(argv) == 1
+    assert (report_path.read_bytes(), csv_path.read_bytes()) == first

@@ -213,12 +213,21 @@ def test_sandwich_smoke(barrier_pair):
         assert fit["n_points"] == 0
         assert fit["decades"] == pytest.approx(0.6 / math.log(10.0), rel=1e-12)
     assert report.to_dict()["runs"] == {}
+    # solver counters per run: (Newton iterations, most in one step, rejections)
+    counters = {
+        kind: (run.newton_iters, run.newton_iters_max, run.step_rejections)
+        for kind, run in report.runs.items()
+    }
+    assert counters == {"lower": (260, 6, 0), "upper": (246, 5, 0), "mid": (252, 8, 0)}
 
 
-def test_sandwich_rejects_unknown_initial(barrier_pair):
+def test_sandwich_rejects_unknown_initial(barrier_pair, monkeypatch):
+    solves = []
+    monkeypatch.setattr(pde, "_solve_rows", lambda *a, **k: solves.append(a))
     with pytest.raises(errors.InvalidParameter):
         comparison_sandwich(barrier_pair, tau_end=10.2, n_cells=40,
                             dtau=0.02, initial="bogus")
+    assert solves == []
 
 
 def test_extinction_rate_recovers_power_law():
@@ -263,17 +272,168 @@ def test_tridiagonal_solve_zero_pivot_is_newton_divergence():
 
 
 def test_singular_newton_matrix_rejects_the_step(p_ref, d_ref, monkeypatch):
-    # Jacobian with d0 = 1/(dt theta) and no off-diagonals: every interior
+    # bands with d0 = 1/(dt theta) and no off-diagonals: every interior
     # row of I - dt theta J_F is exactly zero
-    def singular_jac(W, dxi, sigma, p, d, source_vals, want_jac):
-        F = np.ones(len(W) - 2)
-        if not want_jac:
-            return F, None, None, None
-        return F, np.zeros_like(F), np.full_like(F, 2.0), np.zeros_like(F)
+    def flat_rhs(W, dxi, sigma, p, d):
+        F = np.ones((W.shape[0], W.shape[1] - 2))
+        return F, np.zeros_like(F), np.zeros_like(F)
 
-    monkeypatch.setattr(pde, "_rhs_and_jac", singular_jac)
-    W = np.ones(9)
-    with pytest.raises(errors.NewtonDiverged):
-        pde._implicit_step(
-            W, 1.0, 0.5, 1.0, 0.1, p_ref, d_ref, lambda delta: (1.0, 1.0), None, 12
+    def singular_bands(W0, D1, D2, dxi, sigma, p, d):
+        return np.zeros_like(W0), np.full_like(W0, 2.0), np.zeros_like(W0)
+
+    monkeypatch.setattr(pde, "_rhs", flat_rhs)
+    monkeypatch.setattr(pde, "_jac_bands", singular_bands)
+    (res,) = pde._step_rows(
+        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, d_ref,
+        [None], 12,
+    )
+    assert isinstance(res, errors.NewtonDiverged)
+
+
+# -- runs as rows of one joint solve -------------------------------------------
+
+def _assert_same_runs(together, alone):
+    assert len(together) == len(alone)
+    for a, b in zip(together, alone):
+        assert isinstance(a, pde.Trajectory) and isinstance(b, pde.Trajectory)
+        assert np.array_equal(a.W, b.W)
+        assert np.array_equal(a.deltas, b.deltas)
+        assert a.newton_iters_max == b.newton_iters_max
+        assert a.newton_iters == b.newton_iters
+        assert a.step_rejections == b.step_rejections
+
+
+def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref, d_ref):
+    """Calibration, lower, upper and mid solved together give each lone run's bits."""
+    ds, de = math.exp(-TAU0), math.exp(-10.6)
+    xi = np.linspace(-10.0, 40.0, 201)
+
+    def runs():
+        calibration, _ = pde._manufactured_row(p_ref, d_ref, xi, ds)
+        return [calibration, *pde._sandwich_rows(barrier_pair, xi, ds).values()]
+
+    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
+    together = pde._solve_rows(p_ref, d_ref, xi, runs(), **kw)
+    alone = [pde._solve_rows(p_ref, d_ref, xi, [run], **kw)[0] for run in runs()]
+    _assert_same_runs(together, alone)
+    assert len(together[0].deltas) == 63
+
+
+def _uniform_run(a0, ds, bc):
+    return pde._Run(a0 * ds * np.ones(101), bc)
+
+
+def _bc_failing_at(a0, calls, n_bad):
+    # the uniform solution's end values, except a negative left end on the
+    # calls whose 1-based number is in n_bad
+    def bc(delta):
+        calls.append(delta)
+        lo = -a0 * delta if len(calls) in n_bad else a0 * delta
+        return lo, a0 * delta
+
+    return bc
+
+
+def test_rejected_row_keeps_its_own_steps(p_ref, d_ref):
+    """One PositivityLost rejection in a row changes only that row's deltas."""
+    ds, de = math.exp(-10.0), math.exp(-12.0)
+    a0 = d_ref.a0
+    xi = np.linspace(-10.0, 30.0, 101)
+    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
+    good = lambda delta: (a0 * delta, a0 * delta)
+    calls_together, calls_alone = [], []
+    together = pde._solve_rows(p_ref, d_ref, xi, [
+        _uniform_run(a0, ds, good),
+        _uniform_run(a0, ds, _bc_failing_at(a0, calls_together, {3})),
+    ], **kw)
+    alone = [
+        pde._solve_rows(p_ref, d_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
+        pde._solve_rows(p_ref, d_ref, xi, [
+            _uniform_run(a0, ds, _bc_failing_at(a0, calls_alone, {3}))
+        ], **kw)[0],
+    ]
+    _assert_same_runs(together, alone)
+    steady, flaky = together
+    assert steady.step_rejections == 0
+    assert flaky.step_rejections == 1
+    assert len(steady.deltas) - 1 == 202
+    # one bc call per accepted step plus the rejected one
+    assert len(calls_together) == len(flaky.deltas) == len(calls_alone)
+    assert not np.array_equal(flaky.deltas, steady.deltas)
+    assert flaky.deltas[-1] == steady.deltas[-1]
+
+
+def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
+    """A NaN end value is a rejected step, never a NaN frame."""
+    ds, de = math.exp(-10.0), math.exp(-10.5)
+    a0 = d_ref.a0
+    calls = []
+
+    def bc(delta):
+        calls.append(delta)
+        return (math.nan if len(calls) == 3 else a0 * delta), a0 * delta
+
+    traj = solve_radial_fde(
+        p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+        delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
+    )
+    assert traj.step_rejections == 1
+    assert np.all(np.isfinite(traj.W))
+    assert len(calls) == len(traj.deltas)
+
+
+def test_failed_row_stops_alone(p_ref, d_ref):
+    """A row that keeps failing records its error; the other row finishes."""
+    ds, de = math.exp(-10.0), math.exp(-10.5)
+    a0 = d_ref.a0
+    xi = np.linspace(-10.0, 30.0, 101)
+    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
+    good = lambda delta: (a0 * delta, a0 * delta)
+    calls = []
+    steady, failed = pde._solve_rows(p_ref, d_ref, xi, [
+        _uniform_run(a0, ds, good),
+        _uniform_run(a0, ds, _bc_failing_at(a0, calls, range(2, 10 ** 6))),
+    ], **kw)
+    assert isinstance(failed, errors.PositivityLost)
+    # one accepted step, then 13 rejections halve the warmup step 0.005
+    # below 1e-6
+    assert len(calls) == 1 + 13
+    (lone,) = pde._solve_rows(p_ref, d_ref, xi, [_uniform_run(a0, ds, good)], **kw)
+    _assert_same_runs([steady], [lone])
+    with pytest.raises(errors.PositivityLost):
+        solve_radial_fde(
+            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+            delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x),
+            bc=_bc_failing_at(a0, [], range(2, 10 ** 6)),
         )
+
+
+@pytest.mark.parametrize("late, early", [(0, 2), (1, 3), (2, 3)])
+def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, early):
+    """Rows 0..3 are calibration, lower, upper, mid: the earlier row's error
+    wins even when a later row failed first."""
+    names = ["calibration", "lower", "upper", "mid"]
+    solve_rows = pde._solve_rows
+
+    def failing(bc, name, n_call):
+        calls = []
+
+        def wrapped(delta):
+            calls.append(delta)
+            if len(calls) >= n_call:
+                raise errors.TargetBelowRange(f"{name} bc failed")
+            return bc(delta)
+
+        return wrapped
+
+    def patched(p, d, xi, runs, **kw):
+        runs = list(runs)
+        for row, n_call in ((late, 12), (early, 2)):
+            runs[row] = pde._Run(
+                runs[row].w0, failing(runs[row].bc, names[row], n_call), runs[row].source
+            )
+        return solve_rows(p, d, xi, runs, **kw)
+
+    monkeypatch.setattr(pde, "_solve_rows", patched)
+    with pytest.raises(errors.TargetBelowRange, match=f"^{names[late]} bc failed$"):
+        comparison_sandwich(barrier_pair, tau_end=10.2, n_cells=200, dtau=0.01)

@@ -193,6 +193,38 @@ def test_verdict_counts_violations(p_ref, d_ref):
         )
 
 
+@pytest.mark.parametrize("want", ["+", "-"])
+def test_verdict_fails_on_nan_everywhere(p_ref, d_ref, want):
+    # NaN is neither below -atol nor within atol: it must still fail
+    rep = verify_sign_region(
+        "L1", _const_terms(math.nan), want, REGION, p_ref, d_ref, n_space=10, n_tau=3
+    )
+    assert not rep.passed
+    assert rep.n_violations == rep.n_points == 30
+    assert rep.n_inconclusive == 0
+    assert math.isnan(rep.worst_point[2])
+
+
+def test_verdict_worst_point_is_first_non_finite(p_ref, d_ref):
+    def terms(space, tau):
+        r = np.ones_like(space)
+        r[0, 7] = -1.0  # a finite violation before the broken point
+        r[1, 4] = math.nan
+        scale = np.ones_like(space)
+        scale[2, 2] = math.inf  # a non-finite scale also counts
+        return r, scale
+
+    rep = verify_sign_region(
+        "L1", terms, "+", REGION, p_ref, d_ref, n_space=10, n_tau=3
+    )
+    assert not rep.passed
+    assert rep.n_violations == 3
+    assert rep.n_inconclusive == 0
+    taus = np.linspace(REGION.tau_lo, REGION.tau_hi, 3)
+    assert rep.worst_point[1] == taus[1]
+    assert math.isnan(rep.worst_point[2])
+
+
 def test_verdict_counts_inconclusive(p_ref, d_ref):
     rep = verify_sign_region(
         "L1", _const_terms(0.0), "+", REGION, p_ref, d_ref, n_space=50, n_tau=2
