@@ -24,27 +24,16 @@ from .params import (
     load_config,
     make_params,
     theta,
-    to_inner,
-    to_log_radial,
-    to_outer,
     validate_params,
 )
 from .pde import (
-    PhysicalBarrierPair,
     Trajectory,
-    assemble_u_barriers,
     comparison_sandwich,
     extinction_rate,
     solve_radial_fde,
     weak_corner_term,
 )
-from .residuals import (
-    L0_residual,
-    L1_residual,
-    Region,
-    find_thresholds,
-    verify_sign_region,
-)
+from .residuals import Region, find_thresholds, verify_sign_region
 from .selfsim import (
     SelfSimilarProfile,
     save_profile,
@@ -63,9 +52,6 @@ __all__ = [
     "load_config",
     "make_params",
     "theta",
-    "to_inner",
-    "to_log_radial",
-    "to_outer",
     "validate_params",
     "OuterProfileSet",
     "branch_variant",
@@ -77,14 +63,10 @@ __all__ = [
     "GluedBarrier",
     "check_ordering",
     "find_epsilon_bounds",
-    "L0_residual",
-    "L1_residual",
     "Region",
     "verify_sign_region",
     "find_thresholds",
-    "PhysicalBarrierPair",
     "Trajectory",
-    "assemble_u_barriers",
     "comparison_sandwich",
     "extinction_rate",
     "solve_radial_fde",

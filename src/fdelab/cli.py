@@ -35,7 +35,7 @@ from .matching import (
 )
 from .outer import OuterProfileSet, branch_variant
 from .params import load_config, params_to_dict, validate_params
-from .pde import PhysicalBarrierPair, comparison_sandwich, weak_corner_term
+from .pde import comparison_sandwich, weak_corner_term
 from .reporting import (
     base_report,
     config_hash,
@@ -53,8 +53,8 @@ __all__ = ["main"]
 # -- plumbing ------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, need_config: bool = True):
-    sp.add_argument("--config", required=need_config,
+def _add_common(sp: argparse.ArgumentParser):
+    sp.add_argument("--config", required=True,
                     help="JSON config with model parameters and options")
     sp.add_argument("--out", default="runs", help="artifact directory")
     sp.add_argument("--force", action="store_true",
@@ -64,10 +64,7 @@ def _add_common(sp: argparse.ArgumentParser, need_config: bool = True):
 
 
 def _load(args):
-    if args.config:
-        p, cfg, extras = load_config(args.config)
-    else:
-        raise errors.InvalidParameter("--config is required")
+    p, cfg, extras = load_config(args.config)
     d = validate_params(p)
     overrides = {}
     if getattr(args, "grid_eta", None):
@@ -85,11 +82,6 @@ def _artifact(args, stem: str, h: str, ext: str) -> str:
     return os.path.join(args.out, f"{stem}-{h}.{ext}")
 
 
-def _announce(lines):
-    for line in lines:
-        print(line)
-
-
 # -- profile -------------------------------------------------------------------
 
 
@@ -101,7 +93,8 @@ def cmd_profile(args) -> int:
         "derived": _artifact(args, "derived", h, "json"),
     }
     if args.dry_run:
-        _announce([f"profile {h}: would write {v}" for v in paths.values()])
+        for v in paths.values():
+            print(f"profile {h}: would write {v}")
         return 0
 
     variant = branch_variant(p.gamma)
@@ -124,20 +117,20 @@ def cmd_profile(args) -> int:
     if variant in ("psi3", "psi4"):
         payload["C10"] = outer.C10
     write_json(paths["derived"], payload)
-    _announce([f"profile {h}: wrote {v}" for v in paths.values()])
+    for v in paths.values():
+        print(f"profile {h}: wrote {v}")
     return 0
 
 
 # -- verify --------------------------------------------------------------------
 
 
-def _search_inner_start(solver, eps: float, xi1: float, tau_lo: float,
-                        p, d, cfg, budget: int = 8):
-    """Smallest tau (stepping by 2 from tau_lo) where both glued barriers
+def _search_inner_start(solver, eps: float, xi1: float, tau_lo: float, p, d, cfg):
+    """Smallest tau (8 steps of 2 from tau_lo) where both glued barriers
     pass the inner sign verdict; returns (tau, reports) or (None, reports)."""
     tau = tau_lo
     reports = {}
-    for _ in range(budget):
+    for _ in range(8):
         ok = True
         reports = {}
         for sign in ("+", "-"):
@@ -163,7 +156,7 @@ def cmd_verify(args) -> int:
     p, d, cfg, extras, h = _load(args)
     out_json = _artifact(args, "verify", h, "json")
     if args.dry_run:
-        _announce([f"verify {h}: would write {out_json}"])
+        print(f"verify {h}: would write {out_json}")
         return 0
 
     report = base_report(p, d, cfg)
@@ -309,9 +302,9 @@ def cmd_simulate(args) -> int:
     verify_path = _artifact(args, "verify", h, "json")
 
     if args.dry_run:
-        _announce([f"simulate {h}: would read {verify_path}",
-                   f"simulate {h}: would write {out_json}",
-                   f"simulate {h}: would write {out_csv}"])
+        print(f"simulate {h}: would read {verify_path}")
+        for path in (out_json, out_csv):
+            print(f"simulate {h}: would write {path}")
         return 0
 
     recommended = {}
@@ -340,10 +333,8 @@ def cmd_simulate(args) -> int:
     solver = MatchingSolver(profile, outer, variant)
     plus = GluedBarrier(solver, "+", eps, cfg.xi1)
     minus = GluedBarrier(solver, "-", eps, cfg.xi1)
-    pair = PhysicalBarrierPair(plus, minus, tau0)
-
     sandwich = comparison_sandwich(
-        pair, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
+        plus, minus, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
     )
     sandwich.runs["mid"].to_csv(out_csv)
 
@@ -386,7 +377,7 @@ def cmd_report(args) -> int:
     p, d, cfg, extras, h = _load(args)
     out_json = _artifact(args, "report", h, "json")
     if args.dry_run:
-        _announce([f"report {h}: would write {out_json}"])
+        print(f"report {h}: would write {out_json}")
         return 0
 
     merged = {"config_hash": h, "params": dataclasses.asdict(p)}

@@ -21,10 +21,6 @@ class NonPositiveInput(FdelabError):
     """An input required to be strictly positive was not."""
 
 
-class TimeBeyondExtinction(FdelabError):
-    """A time value t >= T was passed to a transform that needs t < T."""
-
-
 class OutOfDomain(FdelabError):
     """Evaluation requested outside a profile's domain."""
 
@@ -69,20 +65,12 @@ class NonPositiveProfile(FdelabError):
     """Operator evaluation hit a profile value <= 0."""
 
 
-class VerdictViolated(FdelabError):
-    """A sign verdict failed; carries the worst offending point."""
-
-    def __init__(self, message, worst_point=None):
-        super().__init__(message)
-        self.worst_point = worst_point
-
-
 class ThresholdSearchExhausted(FdelabError):
     """Threshold doubling search ran out of budget before a verdict passed."""
 
 
 class EpsilonOutOfRange(FdelabError):
-    """Requested epsilon is outside the admissible (0, min(eps1, eps2)) range."""
+    """Requested epsilon is outside the admissible range [0, 1/4)."""
 
 
 class NewtonDiverged(FdelabError):

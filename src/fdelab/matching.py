@@ -34,22 +34,16 @@ __all__ = [
 ]
 
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
+_ROOT_TOL = 1e-10  # xtol of the shift-constant root find
 
 
 class MatchingSolver:
     """Shift-constant solver with tau-memoization (tau rounded to 1e-12)."""
 
-    def __init__(
-        self,
-        profile: SelfSimilarProfile,
-        outer_set: OuterProfileSet,
-        variant: str,
-        root_tol: float = 1e-10,
-    ):
+    def __init__(self, profile: SelfSimilarProfile, outer_set: OuterProfileSet, variant: str):
         self.profile = profile
         self.outer = outer_set
         self.variant = variant
-        self.root_tol = root_tol
         self._memo: dict = {}
 
     def outer_edge(self, sign: str, xi1: float, tau: float):
@@ -82,19 +76,22 @@ class MatchingSolver:
         def g(C):
             return self.profile.phibar0(xi1 + C) - target
 
-        C = numerics.find_root_monotone(g, -60.0, 380.0, tol=self.root_tol)
+        C = numerics.find_root_monotone(g, -60.0, 380.0, tol=_ROOT_TOL)
         self._memo[key] = C
         return C
 
-    def C_prime(self, sign: str, eps: float, xi1: float, tau: float, h: float = 1e-4) -> float:
+    def C_prime(self, sign: str, eps: float, xi1: float, tau: float) -> float:
+        """dC/dtau by a central difference of step 1e-4."""
+        h = 1e-4
         cp = self.solve_matching(sign, eps, xi1, tau + h)
         cm = self.solve_matching(sign, eps, xi1, tau - h)
         return (cp - cm) / (2.0 * h)
 
     # -- quantitative matching limits ---------------------------------------
 
-    def matching_limits(self, xi1: float, tau_ref: float = 40.0) -> dict:
-        """Edge-value and edge-slope limits at large tau for both signs.
+    def matching_limits(self, xi1: float) -> dict:
+        """Edge-value and edge-slope limits at large tau (tau_ref = 40) for
+        both signs.
 
         plus : the edge value grows linearly in tau; its increment slope
                tends to (n-1) theta2_plus / A.
@@ -106,6 +103,7 @@ class MatchingSolver:
         p, d = self.outer.p, self.outer.d
         gamma, A, n = p.gamma, p.A, p.n
         out = {}
+        tau_ref = 40.0
         taus = np.array([tau_ref - 10.0, tau_ref - 5.0, tau_ref])
 
         # plus edge value: increment slope over consecutive tau samples
@@ -153,7 +151,12 @@ class CornerReport:
 
 
 class GluedBarrier:
-    """One glued barrier (sign, eps) built on a matching solver."""
+    """One glued barrier (sign, eps) built on a matching solver.
+
+    wbar gives values only (the radial solver calls it at every step);
+    bundle gives the values with their xi and tau derivatives, and is the
+    one derivative route for the glued profile.
+    """
 
     def __init__(self, solver: MatchingSolver, sign: str, eps: float, xi1: float):
         if not (0.0 <= eps < 0.25):
@@ -178,8 +181,8 @@ class GluedBarrier:
     def C_prime(self, tau: float) -> float:
         return self.solver.C_prime(self.sign, self.eps, self.xi1, tau)
 
-    def wbar(self, xi, tau: float, deriv: str = "value"):
-        """Glued profile in inner variables; deriv in value/dxi/dtau."""
+    def wbar(self, xi, tau: float):
+        """Glued profile value in inner variables (see the module docstring)."""
         xi = np.asarray(xi, dtype=float)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
@@ -187,34 +190,44 @@ class GluedBarrier:
         gamma = self.outer.p.gamma
         left = xi <= self.xi1
         if np.any(left):
-            arg = xi[left] + self.C(tau)
-            if deriv == "value":
-                out[left] = self.profile.phibar0(arg) / self.factor
-            elif deriv == "dxi":
-                out[left] = self.profile.phibar0(arg, deriv=1) / self.factor
-            elif deriv == "dtau":
-                out[left] = (
-                    self.profile.phibar0(arg, deriv=1) * self.C_prime(tau) / self.factor
-                )
-            else:
-                raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
+            out[left] = self.profile.phibar0(xi[left] + self.C(tau)) / self.factor
         if np.any(~left):
             gap = xi[~left] * math.exp(-gamma * tau)
-            egt = math.exp(gamma * tau)
-            variant = self.solver.variant
-            if deriv == "value":
-                out[~left] = egt * self.outer.psi_outer(variant, self.sign, tau=tau, gap=gap)
-            else:
-                psi, dpsi, _, dtau_psi = self.outer.psi_bundle(
-                    variant, self.sign, tau, gap=gap
-                )
-                if deriv == "dxi":
-                    out[~left] = dpsi
-                elif deriv == "dtau":
-                    out[~left] = gamma * egt * psi - gamma * xi[~left] * dpsi + egt * dtau_psi
-                else:
-                    raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
+            out[~left] = math.exp(gamma * tau) * self.outer.psi_outer(
+                self.solver.variant, self.sign, tau, gap=gap
+            )
         return float(out[0]) if scalar else out
+
+    def bundle(self, xi, tau: float):
+        """(w, w_xi, w_xixi, w_tau) of the glued profile on a 1-D xi array.
+
+        Left of xi1: phibar0 and its first two derivatives at xi + C(tau),
+        with w_tau = phibar0' C'(tau).  Right of xi1: one psi_bundle call,
+        mapped to inner variables by w = e^{gamma tau} psi.  w equals wbar
+        bit for bit.
+        """
+        xi = np.asarray(xi, dtype=float)
+        w, wx, wxx, wt = (np.empty_like(xi) for _ in range(4))
+        gamma = self.outer.p.gamma
+        left = xi <= self.xi1
+        if np.any(left):
+            arg = xi[left] + self.C(tau)
+            d1 = self.profile.phibar0(arg, deriv=1)
+            w[left] = self.profile.phibar0(arg) / self.factor
+            wx[left] = d1 / self.factor
+            wxx[left] = self.profile.phibar0(arg, deriv=2) / self.factor
+            wt[left] = d1 * self.C_prime(tau) / self.factor
+        if np.any(~left):
+            right = xi[~left]
+            egt = math.exp(gamma * tau)
+            psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(
+                self.solver.variant, self.sign, tau, gap=right * math.exp(-gamma * tau)
+            )
+            w[~left] = egt * psi
+            wx[~left] = dpsi
+            wxx[~left] = math.exp(-gamma * tau) * d2psi
+            wt[~left] = gamma * egt * psi - gamma * right * dpsi + egt * dtau_psi
+        return w, wx, wxx, wt
 
     def continuity_mismatch(self, tau: float) -> float:
         lv = self.profile.phibar0(self.xi1 + self.C(tau)) / self.factor
@@ -236,16 +249,10 @@ class GluedBarrier:
         return CornerReport(tau=tau, left_slope=float(left), right_slope=float(right), holds=bool(holds))
 
 
-def check_ordering(
-    plus: GluedBarrier,
-    minus: GluedBarrier,
-    taus,
-    xi_margin: float = 20.0,
-    n_xi: int = 200,
-) -> dict:
-    """Strict ordering psi+ > psi- > 0 on the glued window for each tau."""
-    xi1 = plus.xi1
-    xi = np.linspace(-xi_margin, xi1 + xi_margin, n_xi)
+def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:
+    """Strict ordering psi+ > psi- > 0 for each tau, on 200 points of the
+    glued window [-20, xi1 + 20]."""
+    xi = np.linspace(-20.0, plus.xi1 + 20.0, 200)
     worst_gapc = np.inf
     worst_floor = np.inf
     for tau in np.atleast_1d(taus):
@@ -260,16 +267,11 @@ def check_ordering(
     }
 
 
-def find_epsilon_bounds(
-    solver: MatchingSolver,
-    xi1: float,
-    tau_grid,
-    tol: float = 1e-3,
-) -> tuple[float, float]:
+def find_epsilon_bounds(solver: MatchingSolver, xi1: float, tau_grid) -> tuple[float, float]:
     """(eps1, eps2): largest corner-preserving and ordering-preserving weights.
 
     eps1 is joint over both signs: the corner verdict must hold for the plus
-    and the minus barrier at every tau in tau_grid.  Bisection to tol; the
+    and the minus barrier at every tau in tau_grid.  Bisection to 1e-3; the
     admissible range is capped at 1/4.  Raises NoAdmissibleEpsilon when even
     eps = 0 fails (xi1 too small).
     """
@@ -297,7 +299,7 @@ def find_epsilon_bounds(
         if pred(hi):
             return 0.25
         lo = 0.0
-        while hi - lo > tol:
+        while hi - lo > 1e-3:
             mid = 0.5 * (lo + hi)
             if pred(mid):
                 lo = mid

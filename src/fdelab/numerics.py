@@ -24,7 +24,6 @@ class OdeSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     blowup_guard: float = 1e12
 
 
@@ -100,7 +99,6 @@ def solve_ode(
         method="LSODA",
         rtol=spec.rel_tol,
         atol=spec.abs_tol,
-        max_step=spec.max_step,
         dense_output=True,
         events=[guard],
     )

@@ -1,7 +1,7 @@
 """Outer-region profiles phi0..phi4, corrector sums, and psi evaluators.
 
-Everything is parametrized by the gap eta - A > 0 so that evaluation stays
-accurate down to gaps of order exp(-gamma*tau) for large tau.  With
+Everything takes the gap eta - A > 0, never eta itself, so that evaluation
+stays accurate down to gaps of order exp(-gamma*tau) for large tau.  With
 x = (A/eta)^(1/gamma) the primitives are
 
     phi0 = a0 (1 - x)
@@ -21,8 +21,9 @@ with l = log1p(gap/A)/gamma and l0 its value at eta0,
     C2 = b2q int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho
        = b2q gamma eta0^(-1/gamma) / (1 - x0),
 
-exact at every gap.  psi evaluators assemble the tau-weighted sums with
-analytic eta and tau derivatives.
+exact at every gap.  psi_bundle assembles the tau-weighted sum with its
+analytic eta and tau derivatives in one pass and is the one derivative
+route for psi; psi_outer gives the value alone with the same bits.
 """
 
 from __future__ import annotations
@@ -221,23 +222,12 @@ class OuterProfileSet:
 
     # -- public profile API -----------------------------------------------
 
-    def _resolve_gap(self, eta, gap):
-        if gap is not None:
-            if eta is not None:
-                raise errors.InvalidParameter("pass eta or gap, not both")
-            return np.asarray(gap, dtype=float)
-        if eta is None:
-            raise errors.InvalidParameter("pass eta or gap")
-        eta = np.asarray(eta, dtype=float)
-        return eta - self.p.A
+    def phi0(self, gap, deriv: int = 0):
+        return self._phi0_prims(self._prims(gap), deriv)
 
-    def phi0(self, eta=None, deriv: int = 0, *, gap=None):
-        pr = self._prims(self._resolve_gap(eta, gap))
-        return self._phi0_prims(pr, deriv)
-
-    def f_sources(self, eta=None, *, gap=None):
+    def f_sources(self, gap):
         """Source terms (f1, f2, f3) of the corrector ODEs."""
-        pr = self._prims(self._resolve_gap(eta, gap))
+        pr = self._prims(gap)
         n, gamma = self.p.n, self.p.gamma
         r = pr.x / (pr.eta * pr.omx)
         f1 = (n - 1) * (gamma + 1.0) / gamma ** 2 * r / pr.eta
@@ -245,32 +235,21 @@ class OuterProfileSet:
         f3 = -(n - 1) / gamma * r
         return f1, f2, f3
 
-    def phi_correction(self, i: int, eta=None, deriv: int = 0, *, gap=None):
-        pr = self._prims(self._resolve_gap(eta, gap))
-        if i == 1:
-            return self._phi1_prims(pr, deriv)
-        if i == 2:
-            return self._phi2_prims(pr, deriv)
-        if i == 3:
-            return self._phi3_prims(pr, deriv)
-        raise errors.InvalidParameter(f"i must be 1, 2, or 3, got {i}")
+    def phi4(self, gap, deriv: int = 0):
+        return self._phi4_prims(self._prims(gap), deriv)
 
-    def phi4(self, eta=None, deriv: int = 0, *, gap=None):
-        pr = self._prims(self._resolve_gap(eta, gap))
-        return self._phi4_prims(pr, deriv)
-
-    def h(self, eta=None, sign: str = "+", deriv: int = 0, *, gap=None):
-        pr = self._prims(self._resolve_gap(eta, gap))
+    def h(self, gap, sign: str, deriv: int = 0):
+        pr = self._prims(gap)
         th1 = theta(self.p, 1, sign)
         return self._phi1_prims(pr, deriv) + th1 * self._phi2_prims(pr, deriv)
 
-    def vkj(self, k: int, j: int, eta=None, deriv: int = 0, *, gap=None):
+    def vkj(self, k: int, j: int, gap, deriv: int = 0):
         """Correction basis eta^(-k-1/gamma) (log eta)^j for k >= 3."""
         if k < 3:
             raise errors.InvalidParameter(f"vkj requires k >= 3, got {k}")
         if j > k:
             raise errors.InvalidParameter(f"vkj requires j <= k, got j={j}, k={k}")
-        gap = self._resolve_gap(eta, gap)
+        gap = np.asarray(gap, dtype=float)
         if np.any(self.p.A + gap <= 1.0):
             raise errors.OutOfDomain("vkj requires eta > 1")
         pr = self._prims(gap)
@@ -408,46 +387,28 @@ class OuterProfileSet:
                 terms.append((row_k, make_row(row_k, by_k[row_k])))
         return terms
 
-    def psi_outer(
-        self,
-        variant: str,
-        sign: str,
-        eta=None,
-        tau=0.0,
-        deriv: str = "value",
-        *,
-        gap=None,
-    ):
-        """Outer barrier profile psi and derivatives.
+    def psi_outer(self, variant: str, sign: str, tau, *, gap):
+        """Outer barrier profile psi; gap and tau broadcast together.
 
-        deriv in {"value", "deta", "detaeta", "dtau"}.  eta (or gap) and tau
-        broadcast together.  tau derivatives are analytic: each term carries
-        weight e^(-k gamma tau).
+        The value alone, summed term by term in the order psi_bundle
+        uses, so both give the same bits; derivatives come from psi_bundle.
         """
-        pr = self._prims(self._resolve_gap(eta, gap))
+        pr = self._prims(gap)
         tau = np.asarray(tau, dtype=float)
-        dmap = {"value": 0, "deta": 1, "detaeta": 2}
         gamma = self.p.gamma
-        if deriv in dmap:
-            order = dmap[deriv]
-            acc = 0.0
-            for k, term in self._psi_terms(variant, sign):
-                w = np.exp(-k * gamma * tau) if k else 1.0
-                acc = acc + w * term(pr, order)
-            return acc
-        if deriv == "dtau":
-            acc = 0.0
-            for k, term in self._psi_terms(variant, sign):
-                if k == 0:
-                    continue
-                acc = acc + (-k * gamma) * np.exp(-k * gamma * tau) * term(pr, 0)
-            shape = np.broadcast(pr.gap, tau).shape
-            return np.broadcast_to(np.asarray(acc, dtype=float), shape).copy()
-        raise errors.InvalidParameter(f"unknown deriv {deriv!r}")
+        acc = 0.0
+        for k, term in self._psi_terms(variant, sign):
+            w = np.exp(-k * gamma * tau) if k else 1.0
+            acc = acc + w * term(pr, 0)
+        return acc
 
     def psi_bundle(self, variant: str, sign: str, tau, *, gap):
-        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms."""
-        pr = self._prims(np.asarray(gap, dtype=float))
+        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms.
+
+        The only derivative route for psi: tau derivatives are analytic,
+        since each term carries the weight e^(-k gamma tau).
+        """
+        pr = self._prims(gap)
         tau = np.asarray(tau, dtype=float)
         gamma = self.p.gamma
         vals = [0.0, 0.0, 0.0, 0.0]
@@ -467,17 +428,18 @@ class OuterProfileSet:
     def profile_rows(self, eta_grid, tau: float, variant: str, sign: str):
         """Rows (eta, phi0..phi4, h+, h-, psi, psi_eta, psi_etaeta) for CSV."""
         eta_grid = np.asarray(eta_grid, dtype=float)
-        pr = self._prims(eta_grid - self.p.A)
-        psi, dpsi, d2psi, _ = self.psi_bundle(variant, sign, tau, gap=pr.gap)
+        gap = eta_grid - self.p.A
+        pr = self._prims(gap)
+        psi, dpsi, d2psi, _ = self.psi_bundle(variant, sign, tau, gap=gap)
         cols = [
             eta_grid,
-            self._phi0_prims(pr, 0),
+            self.phi0(gap),
             self._phi1_prims(pr, 0),
             self._phi2_prims(pr, 0),
             self._phi3_prims(pr, 0),
-            self._phi4_prims(pr, 0),
-            self._phi1_prims(pr, 0) + self.p.theta1_plus * self._phi2_prims(pr, 0),
-            self._phi1_prims(pr, 0) + self.p.theta1_minus * self._phi2_prims(pr, 0),
+            self.phi4(gap),
+            self.h(gap, "+"),
+            self.h(gap, "-"),
             psi,
             dpsi,
             d2psi,

@@ -1,4 +1,4 @@
-"""Model parameters, derived constants, and exact coordinate transforms.
+"""Model parameters, derived constants, thresholds and config loading.
 
 Parameter conventions match the fast diffusion setting
     u_t = ((n-1)/m) Delta u^m,  n >= 3,  0 < m < (n-2)/(n+2),
@@ -24,9 +24,6 @@ __all__ = [
     "make_params",
     "validate_params",
     "default_thresholds",
-    "to_log_radial",
-    "to_outer",
-    "to_inner",
     "load_config",
     "params_to_dict",
 ]
@@ -84,23 +81,22 @@ def make_params(
     T: float = 1.0,
     lam: float = 1.0,
     epsilon: float = 0.0,
-    theta_margin: float = 1.0,
     **theta_overrides: float,
 ) -> ModelParams:
     """Build a ModelParams with default corrector weights.
 
-    Defaults: theta1_minus = b1 - margin, theta1_plus = max(0, b1) + margin,
-    theta2_minus = 0, theta2_plus = b2 + margin.  Any of the four can be
-    overridden by keyword.
+    Defaults: theta1_minus = b1 - 1, theta1_plus = max(0, b1) + 1,
+    theta2_minus = 0, theta2_plus = b2 + 1 (a margin of 1 on each strict
+    inequality).  Any of the four can be overridden by keyword.
     """
     if not (gamma > 0.0):
         raise errors.InvalidParameter(f"gamma must be positive, got {gamma}")
     d = _derived(n, m, gamma)
     thetas = {
-        "theta1_minus": d.b1 - theta_margin,
-        "theta1_plus": max(0.0, d.b1) + theta_margin,
+        "theta1_minus": d.b1 - 1.0,
+        "theta1_plus": max(0.0, d.b1) + 1.0,
         "theta2_minus": 0.0,
-        "theta2_plus": d.b2 + theta_margin,
+        "theta2_plus": d.b2 + 1.0,
     }
     for key, val in theta_overrides.items():
         if key not in thetas:
@@ -233,80 +229,6 @@ def default_thresholds(p: ModelParams, d: DerivedConstants) -> ThresholdConfig:
     return cfg.validated(p, d)
 
 
-# -- exact coordinate transforms ---------------------------------------------
-
-def _check_time(t, T):
-    t = np.asarray(t, dtype=float)
-    if np.any(t >= T):
-        raise errors.TimeBeyondExtinction(f"need t < T = {T}")
-    return t
-
-
-def to_log_radial(value, r, p: ModelParams, direction: str = "forward"):
-    """forward: (u, r) -> (w, s) with w = r^2 u^(1-m), s = log r.
-    inverse: (w, r) -> u = (w / r^2)^(1/(1-m)).
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise errors.NonPositiveInput("r must be positive")
-    value = np.asarray(value, dtype=float)
-    if direction == "forward":
-        if np.any(value < 0.0):
-            raise errors.NonPositiveInput("u must be nonnegative")
-        w = r ** 2 * value ** (1.0 - p.m)
-        s = np.log(r)
-        return w, s
-    if direction == "inverse":
-        if np.any(value < 0.0):
-            raise errors.NonPositiveInput("w must be nonnegative")
-        return (value / r ** 2) ** (1.0 / (1.0 - p.m))
-    raise errors.InvalidParameter(f"direction must be forward/inverse, got {direction!r}")
-
-
-def to_outer(a, b, c, p: ModelParams, direction: str = "forward"):
-    """forward: (w, s, t) -> (what, eta, tau) with
-    what = w/(T-t), eta = (T-t)^gamma * s, tau = -log(T-t).
-    inverse: (what, eta, tau) -> (w, s, t).
-    """
-    if direction == "forward":
-        w, s, t = np.asarray(a, float), np.asarray(b, float), _check_time(c, p.T)
-        delta = p.T - t
-        what = w / delta
-        eta = delta ** p.gamma * s
-        tau = -np.log(delta)
-        return what, eta, tau
-    if direction == "inverse":
-        what, eta, tau = (np.asarray(x, float) for x in (a, b, c))
-        delta = np.exp(-tau)
-        w = delta * what
-        s = eta * delta ** (-p.gamma)
-        t = p.T - delta
-        return w, s, t
-    raise errors.InvalidParameter(f"direction must be forward/inverse, got {direction!r}")
-
-
-def to_inner(a, b, c, p: ModelParams, direction: str = "forward"):
-    """forward: (w, s, t) -> (wbar, xi, tau) with
-    wbar = (T-t)^(-(1+gamma)) * w, xi = s - A*(T-t)^(-gamma), tau = -log(T-t).
-    inverse: (wbar, xi, tau) -> (w, s, t).
-    """
-    if direction == "forward":
-        w, s, t = np.asarray(a, float), np.asarray(b, float), _check_time(c, p.T)
-        delta = p.T - t
-        tau = -np.log(delta)
-        wbar = w * delta ** (-(1.0 + p.gamma))
-        xi = s - p.A * delta ** (-p.gamma)
-        return wbar, xi, tau
-    if direction == "inverse":
-        wbar, xi, tau = (np.asarray(x, float) for x in (a, b, c))
-        delta = np.exp(-tau)
-        w = wbar * delta ** (1.0 + p.gamma)
-        s = xi + p.A * delta ** (-p.gamma)
-        t = p.T - delta
-        return w, s, t
-    raise errors.InvalidParameter(f"direction must be forward/inverse, got {direction!r}")
-
-
 # -- config I/O ---------------------------------------------------------------
 
 _PARAM_KEYS = {
@@ -352,9 +274,5 @@ def load_config(path: str):
     return p, cfg, extras
 
 
-def params_to_dict(p: ModelParams, d: DerivedConstants | None = None) -> dict:
-    out = {"params": asdict(p)}
-    if d is None:
-        d = validate_params(p)
-    out["derived"] = asdict(d)
-    return out
+def params_to_dict(p: ModelParams, d: DerivedConstants) -> dict:
+    return {"params": asdict(p), "derived": asdict(d)}

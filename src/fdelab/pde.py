@@ -1,4 +1,4 @@
-"""Radial PDE laboratory: comoving solver, physical barriers, sandwich runs.
+"""Radial PDE laboratory: comoving solver, sandwich runs, corner term.
 
 The evolution is posed for W(xi, t) = w(s, t) in the comoving frame
 xi = s - A (T-t)^(-gamma), where the w-equation gains a drift:
@@ -46,94 +46,13 @@ from .params import DerivedConstants, ModelParams
 from .reporting import write_csv
 
 __all__ = [
-    "PhysicalBarrierPair",
-    "assemble_u_barriers",
     "Trajectory",
     "solve_radial_fde",
     "make_manufactured",
-    "calibrate_tolerance",
     "comparison_sandwich",
     "extinction_rate",
     "weak_corner_term",
 ]
-
-
-# -- physical-space barriers ---------------------------------------------------
-
-
-class PhysicalBarrierPair:
-    """u-space barrier pair evaluated through logarithms.
-
-    All radial positions enter as log r; values are returned as log u so
-    that radii of order exp(A e^{gamma tau}) and the attendant underflows
-    are handled exactly.
-    """
-
-    def __init__(self, plus: GluedBarrier, minus: GluedBarrier, tau0: float):
-        if plus.sign != "+" or minus.sign != "-":
-            raise errors.InvalidParameter("pass (plus, minus) barriers in order")
-        self.plus = plus
-        self.minus = minus
-        self.tau0 = float(tau0)
-        self.p = plus.outer.p
-        self.t0 = self.p.T - math.exp(-tau0)
-
-    def _bar(self, sign: str) -> GluedBarrier:
-        return self.plus if sign == "+" else self.minus
-
-    def log_r1(self, t: float) -> float:
-        delta = self.p.T - t
-        return self.plus.xi1 + self.p.A * delta ** (-self.p.gamma)
-
-    def log_u(self, sign: str, log_r, t: float):
-        """log u^{sign}(r, t) for log r given; handles the r = 0 limit
-        via the core law of the inner profile."""
-        p = self.p
-        delta = p.T - t
-        if delta <= 0.0:
-            raise errors.TimeBeyondExtinction(f"need t < T = {p.T}")
-        tau = -math.log(delta)
-        log_r = np.asarray(log_r, dtype=float)
-        xi = log_r - p.A * delta ** (-p.gamma)
-        wbar = self._bar(sign).wbar(xi, tau)
-        log_w = (1.0 + p.gamma) * math.log(delta) + np.log(wbar)
-        return (log_w - 2.0 * log_r) / (1.0 - p.m)
-
-    def log_u_origin(self, sign: str, t: float):
-        """log u^{sign}(0, t): the r -> 0 limit, finite for all t < T."""
-        p = self.p
-        bar = self._bar(sign)
-        delta = p.T - t
-        if delta <= 0.0:
-            raise errors.TimeBeyondExtinction(f"need t < T = {p.T}")
-        tau = -math.log(delta)
-        C = bar.C(tau)
-        val = (
-            (1.0 + p.gamma) * math.log(delta)
-            + 2.0 * (C - p.A * delta ** (-p.gamma))
-            - math.log(bar.factor)
-        )
-        return math.log(p.lam) + val / (1.0 - p.m)
-
-    def wbar_pair(self, xi, tau: float):
-        return self.plus.wbar(xi, tau), self.minus.wbar(xi, tau)
-
-
-def assemble_u_barriers(
-    plus: GluedBarrier,
-    minus: GluedBarrier,
-    tau0: float,
-    eps_bounds: tuple[float, float] | None = None,
-) -> PhysicalBarrierPair:
-    """Barrier pair for the physical equation, guarding the epsilon range."""
-    if eps_bounds is not None:
-        cap = min(eps_bounds)
-        for bar in (plus, minus):
-            if bar.eps >= cap:
-                raise errors.EpsilonOutOfRange(
-                    f"eps = {bar.eps} not below min(eps1, eps2) = {cap}"
-                )
-    return PhysicalBarrierPair(plus, minus, tau0)
 
 
 # -- solver --------------------------------------------------------------------
@@ -160,15 +79,16 @@ class Trajectory:
         """sup_xi W^{1/(1-m)} per frame (the weighted amplitude observable)."""
         return np.max(self.W, axis=1) ** (1.0 / (1.0 - self.p.m))
 
-    def to_csv(self, path: str, stride: int = 10, xi_stride: int = 8):
-        """Rows (t, s, xi, w, u, log10_u) on a strided subgrid."""
+    def to_csv(self, path: str):
+        """Rows (t, s, xi, w, u, log10_u) on every 10th frame and every 8th
+        grid point."""
         p = self.p
         rows = []
-        for k in range(0, len(self.deltas), stride):
+        for k in range(0, len(self.deltas), 10):
             delta = self.deltas[k]
             t = p.T - delta
             shift = p.A * delta ** (-p.gamma)
-            for j in range(0, len(self.xi), xi_stride):
+            for j in range(0, len(self.xi), 8):
                 xi = self.xi[j]
                 w = self.W[k, j]
                 s = xi + shift
@@ -238,9 +158,10 @@ def _take(a, rows, n):
     return a if len(rows) == n else a[rows]
 
 
-def _step_rows(
-    W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources, newton_max
-):
+_NEWTON_MAX = 12  # Newton iterations before a step is rejected
+
+
+def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     """One theta-weighted implicit step for every row of W_old.
 
     Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
@@ -305,7 +226,7 @@ def _step_rows(
         for i in active:
             if G_norm[i] <= tol[i]:  # a NaN residual iterates on and is rejected
                 out[i] = (X[i], its[i])
-            elif its[i] >= newton_max:
+            elif its[i] >= _NEWTON_MAX:
                 out[i] = errors.NewtonDiverged(
                     f"Newton stalled at |G| = {G_norm[i]:.3e} "
                     f"(tol {tol[i]:.3e}) at delta = {delta_new[i]:.6e}"
@@ -395,30 +316,29 @@ class _Run:
 
 
 _STEP_BUDGET = 200000
+_WARMUP_STEPS = 4  # backward-Euler steps that damp the initial transient
 
 
-def _step_plan(step_idx, delta, delta_end, dtau, warmup_steps):
+def _step_plan(step_idx, delta, delta_end, dtau):
     """(fraction of delta, theta) of the next step: backward Euler at half
     the step during the warmup, trapezoidal afterwards, and the final step
     lands exactly on delta_end."""
-    if step_idx < warmup_steps:
+    if step_idx < _WARMUP_STEPS:
         frac, theta = 0.5 * dtau, 1.0
     else:
         frac, theta = dtau, 0.5
     return min(frac, 1.0 - delta_end / delta), theta
 
 
-def _frames_without_rejection(delta_start, delta_end, dtau, warmup_steps) -> int:
+def _frames_without_rejection(delta_start, delta_end, dtau) -> int:
     n, delta = 1, delta_start
     while delta > delta_end * (1.0 + 1e-12) and n <= _STEP_BUDGET:
-        delta *= 1.0 - _step_plan(n - 1, delta, delta_end, dtau, warmup_steps)[0]
+        delta *= 1.0 - _step_plan(n - 1, delta, delta_end, dtau)[0]
         n += 1
     return n
 
 
-def _solve_rows(
-    p, d, xi, runs, *, delta_start, delta_end, dtau, warmup_steps=4, newton_max=12
-) -> list:
+def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
     """Step every run from delta_start down to delta_end as one row of a
     shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
@@ -436,7 +356,7 @@ def _solve_rows(
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    capacity = _frames_without_rejection(delta_start, delta_end, dtau, warmup_steps)
+    capacity = _frames_without_rejection(delta_start, delta_end, dtau)
     frames = [None] * R
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
@@ -465,9 +385,7 @@ def _solve_rows(
                         newton_iters=iters[i], step_rejections=rejections[i],
                     )
                     continue
-                attempt[i], theta[i] = _step_plan(
-                    step_idx[i], delta[i], delta_end, dtau, warmup_steps
-                )
+                attempt[i], theta[i] = _step_plan(step_idx[i], delta[i], delta_end, dtau)
             delta_new[i] = delta[i] * (1.0 - attempt[i])
             try:
                 ends[i] = runs[i].bc(delta_new[i])
@@ -480,7 +398,7 @@ def _solve_rows(
             np.stack([frames[i][step_idx[i]] for i in live]),
             [delta[i] for i in live], [delta_new[i] for i in live],
             [theta[i] for i in live], [ends[i] for i in live], dxi, p, d,
-            [runs[i].source for i in live], newton_max,
+            [runs[i].source for i in live],
         )
         for i, res in zip(live, results):
             if isinstance(res, errors.FdelabError):
@@ -518,25 +436,22 @@ def solve_radial_fde(
     bc,
     source=None,
     dtau: float = 0.01,
-    warmup_steps: int = 4,
-    newton_max: int = 12,
 ) -> Trajectory:
     """Integrate the comoving equation from delta_start down to delta_end.
 
     w0(xi) gives initial data, bc(delta) -> (W_lo, W_hi) the Dirichlet
     values, source(W, delta) an optional extra right-hand side on the grid.
-    The first warmup_steps use backward Euler at half the step to damp the
+    The first four steps use backward Euler at half the step to damp the
     non-equilibrium transient; afterwards the scheme is trapezoidal.
-    Newton and positivity failures reject and halve the step before giving
-    up.  This is the one-row case of the joint solve that
-    comparison_sandwich uses, so a run gives the same bits alone or as a
-    row beside others.
+    Newton failures (no convergence in 12 iterations) and positivity
+    failures reject and halve the step before giving up.  This is the
+    one-row case of the joint solve that comparison_sandwich uses, so a run
+    gives the same bits alone or as a row beside others.
     """
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
     (res,) = _solve_rows(
         p, d, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
-        delta_end=delta_end, dtau=dtau, warmup_steps=warmup_steps,
-        newton_max=newton_max,
+        delta_end=delta_end, dtau=dtau,
     )
     if isinstance(res, errors.FdelabError):
         raise res
@@ -609,35 +524,6 @@ def _manufactured_row(p: ModelParams, d: DerivedConstants, xi, delta_start: floa
 _SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
 
 
-def calibrate_tolerance(
-    p: ModelParams,
-    d: DerivedConstants,
-    *,
-    xi_window: tuple[float, float],
-    n_cells: int,
-    delta_start: float,
-    delta_end: float,
-    dtau: float,
-    safety: float = _SAFETY,
-) -> float:
-    """Normalized discretization error from a manufactured run.
-
-    Returns tol_rel with the property that |W_num - W_true| <= tol_rel *
-    delta^{1+gamma} held on the manufactured problem, scaled by `safety`.
-    This is the grid tolerance used by the sandwich checks;
-    comparison_sandwich computes it from the same manufactured row, solved
-    beside its own runs.
-    """
-    xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
-    run, error = _manufactured_row(p, d, xi, delta_start)
-    (traj,) = _solve_rows(
-        p, d, xi, [run], delta_start=delta_start, delta_end=delta_end, dtau=dtau
-    )
-    if isinstance(traj, errors.FdelabError):
-        raise traj
-    return safety * error(traj)
-
-
 # -- sandwich runs -------------------------------------------------------------
 
 
@@ -666,10 +552,7 @@ def _barrier_W(bar: GluedBarrier, xi: np.ndarray, delta: float, p: ModelParams):
     return delta ** (1.0 + p.gamma) * bar.wbar(xi, tau)
 
 
-_RUN_KINDS = ("lower", "upper", "mid")
-
-
-def _sandwich_rows(pair: PhysicalBarrierPair, xi, delta_start: float) -> dict:
+def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, delta_start: float) -> dict:
     """The lower, upper and mid runs as rows: data and Dirichlet values on
     the lower barrier, on the upper barrier, and on their pointwise
     geometric mean.
@@ -678,9 +561,9 @@ def _sandwich_rows(pair: PhysicalBarrierPair, xi, delta_start: float) -> dict:
     for the same barrier at the same delta in one round (upper and mid
     always, lower until its first rejection) evaluate it once.
     """
-    p = pair.p
-    Wp0 = _barrier_W(pair.plus, xi, delta_start, p)
-    Wm0 = _barrier_W(pair.minus, xi, delta_start, p)
+    p = plus.outer.p
+    Wp0 = _barrier_W(plus, xi, delta_start, p)
+    Wm0 = _barrier_W(minus, xi, delta_start, p)
     ends = xi[[0, -1]]
     last = {}
 
@@ -691,53 +574,53 @@ def _sandwich_rows(pair: PhysicalBarrierPair, xi, delta_start: float) -> dict:
         return hit[1]
 
     def bc_mid(delta):
-        wp = ends_at(pair.plus, delta)
-        wm = ends_at(pair.minus, delta)
+        wp = ends_at(plus, delta)
+        wm = ends_at(minus, delta)
         return tuple(np.sqrt(wp * wm).tolist())
 
     return {
-        "lower": _Run(Wm0, lambda delta: tuple(ends_at(pair.minus, delta).tolist())),
-        "upper": _Run(Wp0, lambda delta: tuple(ends_at(pair.plus, delta).tolist())),
+        "lower": _Run(Wm0, lambda delta: tuple(ends_at(minus, delta).tolist())),
+        "upper": _Run(Wp0, lambda delta: tuple(ends_at(plus, delta).tolist())),
         "mid": _Run(np.sqrt(Wp0 * Wm0), bc_mid),
     }
 
 
 def comparison_sandwich(
-    pair: PhysicalBarrierPair,
+    plus: GluedBarrier,
+    minus: GluedBarrier,
     *,
+    tau0: float,
     tau_end: float,
     n_cells: int = 400,
     dtau: float = 0.01,
-    xi_span: tuple[float, float] | None = None,
-    check_stride: int = 5,
-    initial: str = "mid",
 ) -> SandwichReport:
-    """Evolve data between the barriers and verify it stays sandwiched.
+    """Evolve data between the barriers from tau0 to tau_end and verify it
+    stays sandwiched.
 
+    The pair must come in sign order (plus, minus); anything else raises
+    InvalidParameter before any solve.  The grid is xi in [-xi1, 4 xi1].
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
     the pointwise geometric mean ("mid", the reported solution).  Initial
     data outside the barriers is rejected (this covers the doubled-data
-    precondition check).  Violations are measured against the calibrated
-    grid tolerance in units of delta^{1+gamma}.
+    precondition check).  Every 5th frame of each run is checked against
+    the calibrated grid tolerance in units of delta^{1+gamma}.
 
     The manufactured calibration run and the three runs are solved as four
     rows of one joint solve.  A row that fails does not stop the others;
     the errors are raised in the order of the old sequential runs: the
     calibration's, then NotBetweenBarriers (it needs tol_rel), then the
-    lower, upper and mid runs'.  An unknown `initial` raises
-    InvalidParameter before any solve.
+    lower, upper and mid runs'.
     """
-    if initial not in _RUN_KINDS:
-        raise errors.InvalidParameter(f"unknown run kind {initial!r}")
-    p, d = pair.p, pair.plus.outer.d
-    xi1 = pair.plus.xi1
-    window = xi_span or (-xi1, 4.0 * xi1)
-    delta_start = math.exp(-pair.tau0)
+    if plus.sign != "+" or minus.sign != "-":
+        raise errors.InvalidParameter("pass (plus, minus) barriers in order")
+    p, d = plus.outer.p, plus.outer.d
+    xi1 = plus.xi1
+    delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)
 
-    xi = np.linspace(window[0], window[1], n_cells + 1)
+    xi = np.linspace(-xi1, 4.0 * xi1, n_cells + 1)
     calibration, error = _manufactured_row(p, d, xi, delta_start)
-    rows = _sandwich_rows(pair, xi, delta_start)
+    rows = _sandwich_rows(plus, minus, xi, delta_start)
     calib, *solved = _solve_rows(
         p, d, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
@@ -747,7 +630,7 @@ def comparison_sandwich(
     tol_rel = _SAFETY * error(calib)
     del calib  # its frames are not needed for the barrier pass
 
-    W0 = rows[initial].w0
+    W0 = rows["mid"].w0
     Wm0, Wp0 = rows["lower"].w0, rows["upper"].w0
     slack = tol_rel * delta_start ** (1.0 + p.gamma)
     if np.any(W0 < Wm0 - slack) or np.any(W0 > Wp0 + slack):
@@ -767,7 +650,7 @@ def comparison_sandwich(
     report = SandwichReport(tol_rel=tol_rel)
     waiting = {}
     for kind, traj in trajs.items():
-        for idx in range(0, len(traj.deltas), check_stride):
+        for idx in range(0, len(traj.deltas), 5):
             waiting.setdefault(traj.deltas[idx], []).append(traj.W[idx])
 
     def check_frames(delta, Wp, Wm):
@@ -781,14 +664,14 @@ def comparison_sandwich(
     mid = trajs["mid"]
     peaks = {"upper_barrier": [], "lower_barrier": []}
     for delta in mid.deltas:
-        Wp = _barrier_W(pair.plus, xi, float(delta), p)
-        Wm = _barrier_W(pair.minus, xi, float(delta), p)
+        Wp = _barrier_W(plus, xi, float(delta), p)
+        Wm = _barrier_W(minus, xi, float(delta), p)
         peaks["upper_barrier"].append(np.max(Wp) ** (1.0 / (1.0 - p.m)))
         peaks["lower_barrier"].append(np.max(Wm) ** (1.0 / (1.0 - p.m)))
         check_frames(delta, Wp, Wm)
     for delta in list(waiting):
         check_frames(
-            delta, _barrier_W(pair.plus, xi, delta, p), _barrier_W(pair.minus, xi, delta, p)
+            delta, _barrier_W(plus, xi, delta, p), _barrier_W(minus, xi, delta, p)
         )
     report.passed = (
         report.max_undershoot <= tol_rel and report.max_overshoot <= tol_rel
@@ -854,12 +737,9 @@ def _softplus(q: float) -> float:
     return math.log1p(math.exp(q))
 
 
-def weak_corner_term(
-    bar: GluedBarrier,
-    tau_window: tuple[float, float],
-    n_tau: int = 48,
-) -> dict:
-    """Sign and log10-magnitude of the corner boundary term J1.
+def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict:
+    """Sign and log10-magnitude of the corner boundary term J1, from 48
+    samples over tau_window.
 
     The integrand lives on the moving interface r1(t) = exp(xi1 + A
     (T-t)^(-gamma)); every factor is assembled in logarithms because r1 is
@@ -875,7 +755,7 @@ def weak_corner_term(
     c_m = (1.0 + gamma) * m / (1.0 - m)
     b1 = (2.0 * m - 1.0) / (1.0 - m)
 
-    taus = np.linspace(tau_window[0], tau_window[1], n_tau)
+    taus = np.linspace(tau_window[0], tau_window[1], 48)
     log_terms = []
     signs = []
     for tau in taus:

@@ -56,11 +56,11 @@ def canonical_json(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
 
 
-def config_hash(p: ModelParams, cfg: ThresholdConfig, extras: dict | None = None) -> str:
+def config_hash(p: ModelParams, cfg: ThresholdConfig, extras: dict) -> str:
     payload = {
         "params": dataclasses.asdict(p),
         "thresholds": dataclasses.asdict(cfg),
-        "extras": extras or {},
+        "extras": extras,
     }
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
     return digest[:12]
@@ -91,8 +91,8 @@ def write_csv(path: str, header: list[str], rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def make_check(name: str, passed: bool, details: dict | None = None) -> dict:
-    return {"name": name, "passed": bool(passed), "details": _sanitize(details or {})}
+def make_check(name: str, passed: bool, details: dict) -> dict:
+    return {"name": name, "passed": bool(passed), "details": _sanitize(details)}
 
 
 def base_report(p: ModelParams, d: DerivedConstants, cfg: ThresholdConfig) -> dict:

@@ -30,14 +30,9 @@ from .outer import OuterProfileSet
 from .params import theta
 
 __all__ = [
-    "L0_residual",
-    "L1_residual",
-    "outer_psi_evaluator",
-    "outer_as_inner_evaluator",
+    "glued_evaluator",
     "outer_terms_evaluator",
     "l1_terms_evaluator",
-    "psi1_residual_decomposed",
-    "inner_residual_closed",
     "Region",
     "ResidualReport",
     "verify_sign_region",
@@ -45,130 +40,21 @@ __all__ = [
 ]
 
 
-def L0_residual(evaluator, gap, tau, p, d):
-    """L0 residual from an evaluator(gap, tau) -> (w, w_eta, w_etaeta, w_tau)."""
-    gap = np.asarray(gap, dtype=float)
-    w, we, wee, wt = evaluator(gap, tau)
-    if np.any(w <= 0.0):
-        raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
-    eta = p.A + gap
-    g = p.gamma
-    visc = np.exp(-2.0 * g * tau) * (wee / w + d.b1 * (we / w) ** 2)
-    drift = d.b2 * np.exp(-g * tau) * we / w
-    return wt - (p.n - 1) * (visc + drift) - (g * eta * we + w - d.a0)
-
-
-def L1_residual(evaluator, xi, tau, p, d):
-    """L1 residual from an evaluator(xi, tau) -> (w, w_xi, w_xixi, w_tau)."""
-    xi = np.asarray(xi, dtype=float)
-    w, wx, wxx, wt = evaluator(xi, tau)
-    if np.any(w <= 0.0):
-        raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
-    g = p.gamma
-    return (
-        np.exp(-g * tau) * (wt - (1.0 + g) * w)
-        - (p.n - 1) * (wxx / w + d.b1 * (wx / w) ** 2 + d.b2 * wx / w)
-        + d.a0
-        - g * p.A * wx
-    )
-
-
-def outer_psi_evaluator(outer: OuterProfileSet, variant: str, sign: str):
-    """Adapter: psi as an L0 evaluator keyed on the gap."""
-
-    def ev(gap, tau):
-        return outer.psi_bundle(variant, sign, tau, gap=gap)
-
-    return ev
-
-
-def outer_as_inner_evaluator(outer: OuterProfileSet, variant: str, sign: str):
-    """Adapter: Psi = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau) for L1.
-
-    Realizes the change of variables tying the two operators together:
-    L1 of this evaluator equals L0(psi) at the mapped point.
-    """
-    g = outer.p.gamma
-
-    def ev(xi, tau):
-        xi = np.asarray(xi, dtype=float)
-        gap = xi * math.exp(-g * tau)
-        if np.any(gap <= 0.0):
-            raise errors.OutOfDomain("mapped evaluator needs xi > 0")
-        psi, dpsi, d2psi, dtau = outer.psi_bundle(variant, sign, tau, gap=gap)
-        egt = math.exp(g * tau)
-        w = egt * psi
-        wx = dpsi
-        wxx = math.exp(-g * tau) * d2psi
-        wt = g * egt * psi - g * xi * dpsi + egt * dtau
-        return w, wx, wxx, wt
-
-    return ev
-
-
 def glued_evaluator(barrier: GluedBarrier):
-    """Adapter: a glued barrier as an L1 evaluator (second xi-derivative
-    by the piecewise analytic formulas on each side of xi1).
+    """Adapter: a glued barrier as an L1 evaluator through barrier.bundle.
 
-    tau is a scalar, or an (n_tau, 1) column with xi of shape
+    tau is a scalar with a 1-D xi, or an (n_tau, 1) column with xi of shape
     (n_tau, n_space); the column form evaluates one row per tau, since
     C(tau) is a root find at one tau.
     """
-    outer = barrier.outer
-    g = outer.p.gamma
 
     def ev(xi, tau):
         if np.ndim(tau):
-            rows = [ev_row(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
+            rows = [barrier.bundle(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
             return tuple(np.stack(part) for part in zip(*rows))
-        return ev_row(xi, tau)
-
-    def ev_row(xi, tau):
-        xi = np.asarray(xi, dtype=float)
-        w = barrier.wbar(xi, tau)
-        wx = barrier.wbar(xi, tau, deriv="dxi")
-        wt = barrier.wbar(xi, tau, deriv="dtau")
-        wxx = np.empty_like(np.atleast_1d(w), dtype=float)
-        xiarr = np.atleast_1d(xi)
-        left = xiarr <= barrier.xi1
-        if np.any(left):
-            arg = xiarr[left] + barrier.C(tau)
-            wxx[left] = barrier.profile.phibar0(arg, deriv=2) / barrier.factor
-        if np.any(~left):
-            gap = xiarr[~left] * math.exp(-g * tau)
-            _, _, d2psi, _ = outer.psi_bundle(
-                barrier.solver.variant, barrier.sign, tau, gap=gap
-            )
-            wxx[~left] = math.exp(-g * tau) * d2psi
-        if np.ndim(xi) == 0:
-            return w, wx, float(wxx[0]), wt
-        return w, wx, wxx, wt
+        return barrier.bundle(xi, tau)
 
     return ev
-
-
-def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
-    """Exact decomposition L0(psi1) = (n-1)(e^{-2gt} I1 + e^{-gt} I2).
-
-    I1 = (phi0''/phi0 + theta1 phi0'^2/phi0^2) - (psi''/psi + b1 psi'^2/psi^2)
-    I2 = theta2 phi0'/phi0 - b2 psi'/psi
-    Valid for the row-free variant psi1 at every (eta, tau); serves as the
-    independent second route for the L0 implementation.
-    """
-    p, d = outer.p, outer.d
-    gap = np.asarray(gap, dtype=float)
-    th1 = theta(p, 1, sign)
-    th2 = theta(p, 2, sign)
-    phi0 = outer.phi0(gap=gap)
-    dphi0 = outer.phi0(gap=gap, deriv=1)
-    d2phi0 = outer.phi0(gap=gap, deriv=2)
-    psi, dpsi, d2psi, _ = outer.psi_bundle("psi1", sign, tau, gap=gap)
-    I1 = (d2phi0 / phi0 + th1 * (dphi0 / phi0) ** 2) - (
-        d2psi / psi + d.b1 * (dpsi / psi) ** 2
-    )
-    I2 = th2 * dphi0 / phi0 - d.b2 * dpsi / psi
-    g = p.gamma
-    return (p.n - 1) * (np.exp(-2.0 * g * tau) * I1 + np.exp(-g * tau) * I2)
 
 
 def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
@@ -268,27 +154,6 @@ def l1_terms_evaluator(evaluator, p, d):
         return res, scale
 
     return ev
-
-
-def inner_residual_closed(barrier: GluedBarrier, xi, tau: float):
-    """Closed form of L1 on the inner piece of a glued barrier:
-
-    L1 = [ e^{-gt} (phibar0' C' - (1+gamma) phibar0) +/- eps gamma A phibar0' ]
-         / (1 +/- eps),   evaluated at xi + C(tau).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi > barrier.xi1):
-        raise errors.OutOfDomain("closed inner residual only applies at xi <= xi1")
-    p = barrier.outer.p
-    arg = xi + barrier.C(tau)
-    pb = barrier.profile.phibar0(arg)
-    dpb = barrier.profile.phibar0(arg, deriv=1)
-    cp = barrier.C_prime(tau)
-    s = 1.0 if barrier.sign == "+" else -1.0
-    num = np.exp(-p.gamma * tau) * (dpb * cp - (1.0 + p.gamma) * pb) + (
-        s * barrier.eps * p.gamma * p.A * dpb
-    )
-    return num / barrier.factor
 
 
 # -- region sweeps -------------------------------------------------------------
@@ -404,7 +269,6 @@ def verify_sign_region(
     n_tau: int = 40,
     atol_factor: float = 1e-9,
     inconclusive_frac: float = 1e-3,
-    raise_on_fail: bool = False,
 ) -> ResidualReport:
     """Sample the residual over the region and classify the sign verdict.
 
@@ -423,9 +287,8 @@ def verify_sign_region(
     finite counts as a violation.  Passing requires zero violations and an
     inconclusive fraction at most inconclusive_frac.  The worst point is
     the first non-finite point if there is one, else the first minimum of
-    signed residual / atol, in tau order, then in space order.  A grid with no points raises InvalidParameter.  With
-    raise_on_fail, a failing verdict raises VerdictViolated carrying the
-    worst point.
+    signed residual / atol, in tau order, then in space order.  A grid
+    with no points raises InvalidParameter.
     """
     if want not in ("+", "-"):
         raise errors.InvalidParameter(f"want must be '+' or '-', got {want!r}")
@@ -466,13 +329,6 @@ def verify_sign_region(
         report.n_violations == 0
         and report.inconclusive_frac <= inconclusive_frac
     )
-    if raise_on_fail and not report.passed:
-        raise errors.VerdictViolated(
-            f"{operator} {want} verdict failed on {region.kind}: "
-            f"{report.n_violations} violations, "
-            f"{report.inconclusive_frac:.2%} inconclusive; worst point "
-            f"(space, tau, residual) = {report.worst_point}"
-        )
     return report
 
 
@@ -485,16 +341,16 @@ def find_thresholds(
     tau_doublings: int = 3,
     xi_doublings: int = 6,
     delta_halvings: int = 3,
-    tau_span: float = 20.0,
 ) -> dict:
     """Search thresholds making the outer sign verdicts pass.
 
     Realizes the existential constants: starting from the configured
     (tau_start, xi0, delta0), the ladder doubles tau_start and xi0 and
     halves delta0 (preferring small tau, then small xi0, then few delta
-    halvings) until every requested region verdict passes; the first
-    passing tuple is re-verified at tau_start + 5 (the verdict must be
-    tau-monotone) and recorded.  Only an empty band (EmptyRegion) or a
+    halvings) until every requested region verdict passes over the tau
+    window [tau_start, tau_start + 20]; the first passing tuple is
+    re-verified at tau_start + 5 (the verdict must be tau-monotone) and
+    recorded.  Only an empty band (EmptyRegion) or a
     non-positive profile makes a rung infeasible; a bad want or region
     kind raises InvalidParameter before the ladder starts.  Raises
     ThresholdSearchExhausted when the ladder is exhausted.  The starting
@@ -519,7 +375,7 @@ def find_thresholds(
             region = Region(
                 kind=kind,
                 tau_lo=tau_start,
-                tau_hi=tau_start + tau_span,
+                tau_hi=tau_start + 20.0,
                 xi0=xi0,
                 xi1=cfg.xi1,
                 delta0=delta0,

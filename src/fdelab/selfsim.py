@@ -211,18 +211,6 @@ class SelfSimilarProfile:
                 raise errors.InvalidParameter(f"deriv must be 0..2, got {deriv}")
         return float(out[0]) if scalar else out
 
-    def log_v0(self, log_r):
-        """log v0(r) from log r; stays finite where v0 underflows."""
-        log_r = np.asarray(log_r, dtype=float)
-        pb = self.phibar0(log_r)
-        return (np.log(pb) - 2.0 * log_r) / (1.0 - self.p.m)
-
-    def v0(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
-            raise errors.NonPositiveInput("r must be positive")
-        return np.exp(self.log_v0(np.log(r)))
-
     def stationary_residual(self, s):
         """Residual of the stationary inner equation at s (should be ~0)."""
         s = np.asarray(s, dtype=float)
@@ -237,13 +225,9 @@ class SelfSimilarProfile:
         )
 
 
-def shoot_v0(
-    p: ModelParams,
-    s_max: float = 400.0,
-    r0: float = 1e-6,
-    ode_spec: numerics.OdeSpec | None = None,
-) -> SelfSimilarProfile:
-    """Integrate the profile ODE from a series start at r0 out to s_max.
+def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:
+    """Integrate the profile ODE from a series start at r0 = 1e-6 out to
+    s_max = 400.
 
     The quadratic series v0 = lambda + v2 r^2 + O(r^4) with
     v2 = -gamma A lambda^(2-m) / (n (n-1) (1-m)) seeds (Z, P) at s0 = log r0.
@@ -254,6 +238,7 @@ def shoot_v0(
     d = validate_params(p)
     spec = ode_spec or numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)
     n, m, gamma, A, lam = p.n, p.m, p.gamma, p.A, p.lam
+    r0, s_max = 1e-6, 400.0
     v2 = -gamma * A * lam ** (2.0 - m) / (n * (n - 1) * (1.0 - m))
     s0 = math.log(r0)
     vcore = lam + v2 * r0 ** 2
@@ -281,16 +266,12 @@ def shoot_v0(
     return prof
 
 
-def verify_tail_asymptotics(
-    profile: SelfSimilarProfile,
-    refine: bool = True,
-    n_residual: int = 200,
-) -> dict:
+def verify_tail_asymptotics(profile: SelfSimilarProfile) -> dict:
     """Quantitative checks of the linear-growth tail law.
 
     Returns a dict with relative errors of the fitted slope and log
     coefficient, K1 stability under a window shift, monotonicity, the
-    stationary residual sweep, and (optionally) a tolerance-refinement
+    stationary residual on 200 points, and a tolerance-refinement
     comparison of the shoot itself.
     """
     p = profile.p
@@ -304,7 +285,7 @@ def verify_tail_asymptotics(
     s_grid = np.linspace(max(profile.s_min, 0.0) + 1e-3, profile.s_max, 2000)
     mono = bool(np.all(profile.phibar0(s_grid, deriv=1) > 0.0))
 
-    s_res = np.linspace(1.0, profile.s_max, n_residual)
+    s_res = np.linspace(1.0, profile.s_max, 200)
     res = profile.stationary_residual(s_res)
     res_max = float(np.max(np.abs(res)))
 
@@ -320,15 +301,14 @@ def verify_tail_asymptotics(
         "monotone": mono,
         "stationary_residual_max": res_max,
     }
-    if refine:
-        spec = numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", errors.SlopeNotConverged)
-            fine = shoot_v0(p, s_max=profile.s_max, ode_spec=spec)
-        s_chk = np.array([1.0, 10.0, 100.0, profile.s_max])
-        a = profile.phibar0(s_chk)
-        b = fine.phibar0(s_chk)
-        out["refinement_rel_diff"] = float(np.max(np.abs(a - b) / np.abs(b)))
+    spec = numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", errors.SlopeNotConverged)
+        fine = shoot_v0(p, ode_spec=spec)
+    s_chk = np.array([1.0, 10.0, 100.0, profile.s_max])
+    a = profile.phibar0(s_chk)
+    b = fine.phibar0(s_chk)
+    out["refinement_rel_diff"] = float(np.max(np.abs(a - b) / np.abs(b)))
     return out
 
 

@@ -1,6 +1,8 @@
-"""Source hygiene: every import in the package is used."""
+"""Source hygiene: every import is used, every definition has a caller,
+and every error class is raised."""
 
 import ast
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import fdelab
@@ -54,3 +56,145 @@ def test_package_has_no_unused_imports():
         for name, line in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+# -- definitions without a caller ----------------------------------------------
+
+# the command-line entry point, and the single-run solver that the package
+# exports and the tests use as the lone-run reference for the row solver
+ENTRY_POINTS = {"cli.main", "pde.solve_radial_fde"}
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+@dataclass(eq=False)
+class _Scope:
+    """A def or class (or a module body, with name None) and the names it
+    reads: Name ids and attribute names in its own body, nested
+    definitions' bodies excluded.  Reading a name bound by `import x as y`
+    reads x."""
+
+    qualname: str
+    name: str | None
+    parent: "_Scope | None"
+    reads: set = field(default_factory=set)
+    calls: set = field(default_factory=set)  # names called, or passed to warn
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _scopes(module: str, source: str) -> list[_Scope]:
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, _DEFS):
+            for part in (*node.decorator_list, *getattr(node, "bases", ())):
+                visit(part, scope)
+            if not isinstance(node, ast.ClassDef):
+                for part in (*node.args.defaults, *node.args.kw_defaults):
+                    if part is not None:
+                        visit(part, scope)
+            inner = _Scope(f"{scope.qualname}.{node.name}", node.name, scope)
+            out.append(inner)
+            for child in node.body:
+                visit(child, inner)
+            return
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases.update((a.asname, a.name) for a in node.names if a.asname)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            scope.reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            scope.reads.add(node.attr)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            scope.calls.add(called)
+            if called == "warn":
+                for arg in node.args[1:]:
+                    scope.calls.add(getattr(arg, "attr", getattr(arg, "id", None)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    root = _Scope(module, None, None)
+    aliases = {}
+    out.append(root)
+    visit(ast.parse(source), root)
+    for scope in out:
+        scope.reads |= {aliases[name] for name in scope.reads if name in aliases}
+    return out
+
+
+def live_scopes(sources: dict, entry_points=()) -> tuple[list, list]:
+    """(live, dead) scopes of a package given as {module: source}.
+
+    Module bodies and entry points are live; a definition becomes live when
+    a live scope reads its name, and a dunder method when its class is
+    live.  Reads from dead code keep nothing alive.
+    """
+    scopes = [s for module, src in sources.items() for s in _scopes(module, src)]
+    live = [s for s in scopes if s.name is None or s.qualname in entry_points]
+    reads = set().union(*(s.reads for s in live))
+    dead = [s for s in scopes if s not in live]
+    grew = True
+    while grew:
+        grew = False
+        for s in list(dead):
+            dunder_of_live = _is_dunder(s.name) and s.parent in live
+            if s.name in reads or dunder_of_live:
+                live.append(s)
+                dead.remove(s)
+                reads |= s.reads
+                grew = True
+    return live, dead
+
+
+def _package_sources():
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_definition_scanner():
+    sources = {"a": (
+        "import b\nfrom c import f as g\n"
+        "def used():\n    helper()\n    raise b.E1('boom')\n"
+        "def helper():\n    pass\n"
+        "def dead():\n    only_from_dead()\n    raise b.E2('never')\n"
+        "def only_from_dead():\n    pass\n"
+        "def entry():\n    pass\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.m()\n"
+        "    def m(self):\n        def inner():\n            pass\n        return inner\n"
+        "    def unused(self):\n        pass\n"
+        "class Q:\n    def __init__(self):\n        kept_by_dead_class()\n"
+        "def kept_by_dead_class():\n    pass\n"
+        "used()\nK()\ng()\n"
+    ), "b": "class E1(Exception):\n    pass\nclass E2(Exception):\n    pass\n",
+       "c": "def f():\n    pass\n"}
+    live, dead = live_scopes(sources, entry_points={"a.entry"})
+    assert sorted(s.qualname for s in dead) == [
+        "a.K.unused", "a.Q", "a.Q.__init__", "a.dead", "a.kept_by_dead_class",
+        "a.only_from_dead", "b.E2",
+    ]
+    calls = set().union(*(s.calls for s in live))
+    assert {"E1", "helper", "used", "K", "m"} <= calls
+    assert "E2" not in calls
+
+
+def test_every_definition_has_a_caller():
+    _, dead = live_scopes(_package_sources(), ENTRY_POINTS)
+    found = [s.qualname for s in dead if not _is_dunder(s.name)]
+    assert found == []
+
+
+def test_every_error_class_is_raised():
+    # an error counts when live code outside errors.py constructs it (to
+    # raise it, or to store it for the caller to raise) or warns with it
+    sources = _package_sources()
+    live, _ = live_scopes(sources, ENTRY_POINTS)
+    raised = set().union(*(s.calls for s in live if not s.qualname.startswith("errors")))
+    classes = [
+        node.name for node in ast.parse(sources["errors"]).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    exempt = {"FdelabError", "SlopeNotConverged"}
+    assert [name for name in classes if name not in raised | exempt] == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fdelab import errors, numerics
+from fdelab import errors, matching, numerics
 from fdelab.matching import (
     GluedBarrier,
     MatchingSolver,
@@ -13,6 +13,7 @@ from fdelab.matching import (
     find_epsilon_bounds,
 )
 from fdelab.outer import branch_variant
+from numdiff import fd_derivative
 
 XI1 = 10.0
 
@@ -214,6 +215,37 @@ def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign
     target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
     want = numerics.find_root_monotone(
         lambda C: solver.profile.phibar0(XI1 + C) - target,
-        -60.0, 380.0, tol=solver.root_tol,
+        -60.0, 380.0, tol=matching._ROOT_TOL,
     )
     assert solver.solve_matching(sign, eps, XI1, tau) == want
+
+
+# points left of the corner, on it, and right of it
+BUNDLE_XI = np.array([-5.0, 0.0, 9.0, XI1, 11.0, 20.0, 40.0])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_bundle_value_equals_wbar(request, solver_name, tau, sign):
+    bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01, XI1)
+    w = bar.bundle(BUNDLE_XI, tau)[0]
+    assert np.all(w == bar.wbar(BUNDLE_XI, tau))
+    assert w[3] == bar.wbar(XI1, tau)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_bundle_derivatives_match_fd(request, solver_name, tau, sign):
+    # differences of wbar stay on one side of xi1 at every point off the
+    # corner; the bounds are relative to w, since w_tau of the minus
+    # barrier is tiny left of the corner
+    bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01, XI1)
+    off_corner = BUNDLE_XI[BUNDLE_XI != XI1]
+    w, wx, wxx, wt = bar.bundle(off_corner, tau)
+    for k, x in enumerate(off_corner):
+        fx = fd_derivative(lambda z: bar.wbar(z, tau), x)
+        fxx = fd_derivative(lambda z: bar.wbar(z, tau), x, order=2)
+        ft = fd_derivative(lambda t: bar.wbar(x, t), tau)
+        assert abs(wx[k] - fx) <= 1e-7 * w[k], x
+        assert abs(wxx[k] - fxx) <= 1e-5 * w[k], x
+        assert abs(wt[k] - ft) <= 1e-7 * w[k], x

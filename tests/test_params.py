@@ -1,11 +1,9 @@
-"""Parameter validation, derived constants, transforms, config loading."""
+"""Parameter validation, derived constants, config loading."""
 
 import json
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fdelab import errors
 from fdelab.params import (
@@ -14,14 +12,8 @@ from fdelab.params import (
     load_config,
     make_params,
     params_to_dict,
-    to_inner,
-    to_log_radial,
-    to_outer,
     validate_params,
 )
-
-finite_pos = st.floats(min_value=1e-6, max_value=1e6,
-                       allow_nan=False, allow_infinity=False)
 
 
 def test_reference_derived_constants(p_ref, d_ref):
@@ -78,54 +70,6 @@ def test_default_thresholds_shape(p_ref, d_ref, cfg_ref):
     cfg_big = default_thresholds(big, validate_params(big))
     assert cfg_big.xi0 == pytest.approx(
         math.sqrt(2.0 * 30.0 / validate_params(big).a0))
-
-
-@given(u=finite_pos, r=finite_pos)
-@settings(max_examples=60, deadline=None)
-def test_log_radial_round_trip(u, r, p_ref):
-    w, s = to_log_radial(u, r, p_ref)
-    assert s == pytest.approx(math.log(r), rel=1e-12)
-    u_back = to_log_radial(w, r, p_ref, direction="inverse")
-    assert u_back == pytest.approx(u, rel=1e-9)
-
-
-@given(w=finite_pos, s=st.floats(-50, 50), dt=st.floats(1e-6, 0.999))
-@settings(max_examples=60, deadline=None)
-def test_outer_transform_round_trip(w, s, dt, p_ref):
-    t = p_ref.T - dt
-    delta = p_ref.T - t  # the rounded gap the transform actually sees
-    what, eta, tau = to_outer(w, s, t, p_ref)
-    assert what == pytest.approx(w / delta, rel=1e-12)
-    assert tau == pytest.approx(-math.log(delta), rel=1e-12, abs=1e-12)
-    w2, s2, t2 = to_outer(what, eta, tau, p_ref, direction="inverse")
-    assert w2 == pytest.approx(w, rel=1e-9)
-    assert s2 == pytest.approx(s, rel=1e-9, abs=1e-9)
-    assert t2 == pytest.approx(t, rel=1e-9)
-
-
-@given(w=finite_pos, s=st.floats(-50, 50), dt=st.floats(1e-6, 0.999))
-@settings(max_examples=60, deadline=None)
-def test_inner_transform_round_trip(w, s, dt, p_ref):
-    t = p_ref.T - dt
-    wbar, xi, tau = to_inner(w, s, t, p_ref)
-    w2, s2, t2 = to_inner(wbar, xi, tau, p_ref, direction="inverse")
-    # s is recovered up to rounding of the comoving shift A (T-t)^(-gamma),
-    # which dwarfs s itself for small T-t
-    shift = p_ref.A * (p_ref.T - t) ** (-p_ref.gamma)
-    assert w2 == pytest.approx(w, rel=1e-9)
-    assert s2 == pytest.approx(s, abs=1e-12 * max(1.0, shift))
-    assert t2 == pytest.approx(t, rel=1e-9)
-
-
-def test_inner_outer_consistency(p_ref):
-    # the two changes of variables agree on w and t
-    w, s, t = 0.37, 5.0, 0.99
-    what, eta, tau = to_outer(w, s, t, p_ref)
-    wbar, xi, tau2 = to_inner(w, s, t, p_ref)
-    assert tau == pytest.approx(tau2)
-    dt = p_ref.T - t
-    assert wbar == pytest.approx(w * dt ** (-1.0 - p_ref.gamma), rel=1e-12)
-    assert xi == pytest.approx(s - p_ref.A * dt ** (-p_ref.gamma), rel=1e-12)
 
 
 def test_load_config_round_trip(tmp_path):

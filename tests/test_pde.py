@@ -1,4 +1,4 @@
-"""Physical-scale solver, barrier assembly, sandwich run, extinction fits."""
+"""Comoving solver, sandwich run, extinction fits, corner term."""
 
 import math
 
@@ -8,9 +8,6 @@ import pytest
 from fdelab import errors, pde
 from fdelab.matching import GluedBarrier
 from fdelab.pde import (
-    PhysicalBarrierPair,
-    assemble_u_barriers,
-    calibrate_tolerance,
     comparison_sandwich,
     extinction_rate,
     make_manufactured,
@@ -26,7 +23,7 @@ EPS_SMOKE = 0.018  # below the admissible ceiling eps1 ~ 0.036 at xi1 = 10
 def barrier_pair(solver_ref):
     plus = GluedBarrier(solver_ref, "+", EPS_SMOKE, 10.0)
     minus = GluedBarrier(solver_ref, "-", EPS_SMOKE, 10.0)
-    return assemble_u_barriers(plus, minus, TAU0)
+    return plus, minus
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +99,20 @@ def test_manufactured_convergence_second_order(p_ref, d_ref):
     assert 3.5 <= e_coarse / e_fine <= 4.5
 
 
-def test_calibrated_tolerance_scales_with_safety(p_ref, d_ref):
-    kw = dict(
-        xi_window=(-5.0, 5.0), n_cells=40,
-        delta_start=math.exp(-10.0), delta_end=math.exp(-11.0), dtau=0.02,
+def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref, d_ref):
+    """The sandwich tolerance is the safety factor 5 times the normalized
+    error of the manufactured calibration run on the sandwich grid."""
+    report = comparison_sandwich(
+        *barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=200, dtau=0.01
     )
-    c1 = calibrate_tolerance(p_ref, d_ref, safety=1.0, **kw)
-    c5 = calibrate_tolerance(p_ref, d_ref, safety=5.0, **kw)
-    assert c1 > 0.0
-    assert c5 / c1 == pytest.approx(5.0, rel=1e-12)
+    ds = math.exp(-TAU0)
+    xi = np.linspace(-10.0, 40.0, 201)
+    run, error = pde._manufactured_row(p_ref, d_ref, xi, ds)
+    (traj,) = pde._solve_rows(
+        p_ref, d_ref, xi, [run], delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01
+    )
+    assert error(traj) > 0.0
+    assert report.tol_rel == 5.0 * error(traj)
 
 
 def test_manufactured_rejects_sign_changing_data(p_ref, d_ref):
@@ -149,59 +151,38 @@ def test_weak_corner_term_signs(solver_ref):
     assert jm["log10_abs"] < -1000.0
 
 
-def test_pair_requires_sign_order(solver_ref):
-    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE, 10.0)
-    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE, 10.0)
-    with pytest.raises(errors.InvalidParameter):
-        PhysicalBarrierPair(minus, plus, TAU0)
-
-
-def test_assemble_checks_epsilon_ceiling(solver_ref):
-    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE, 10.0)
-    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE, 10.0)
-    with pytest.raises(errors.EpsilonOutOfRange):
-        assemble_u_barriers(plus, minus, TAU0, eps_bounds=(0.017, 0.25))
-
-
-def test_pair_corner_radius(barrier_pair, p_ref):
-    t = p_ref.T - math.exp(-TAU0)
-    shift = p_ref.A * math.exp(-TAU0) ** (-p_ref.gamma)
-    assert barrier_pair.log_r1(t) == pytest.approx(10.0 + shift, rel=1e-12)
-
-
-def test_pair_wbar_matches_barriers(barrier_pair):
-    xi = np.linspace(-4.0, 12.0, 9)
-    wp, wm = barrier_pair.wbar_pair(xi, 11.0)
-    np.testing.assert_allclose(wp, barrier_pair.plus.wbar(xi, 11.0), rtol=1e-13)
-    np.testing.assert_allclose(wm, barrier_pair.minus.wbar(xi, 11.0), rtol=1e-13)
-    assert np.all(wp > wm)
+def test_pair_requires_sign_order(barrier_pair, monkeypatch):
+    """The sandwich rejects barriers out of (plus, minus) order before any solve."""
+    plus, minus = barrier_pair
+    solves = []
+    monkeypatch.setattr(pde, "_solve_rows", lambda *a, **k: solves.append(a))
+    for pair in ((minus, plus), (plus, plus), (minus, minus)):
+        with pytest.raises(errors.InvalidParameter, match="in order"):
+            comparison_sandwich(*pair, tau0=TAU0, tau_end=10.2, n_cells=40, dtau=0.02)
+    assert solves == []
 
 
 def test_log_u_core_limit(barrier_pair, p_ref):
-    """log u at r -> 0 approaches the closed-form origin value."""
-    t = p_ref.T - math.exp(-TAU0)
-    shift = p_ref.A * math.exp(-TAU0) ** (-p_ref.gamma)
-    for sign in "+-":
-        origin = barrier_pair.log_u_origin(sign, t)
-        d10 = float(barrier_pair.log_u(sign, shift - 10.0, t)) - origin
-        d20 = float(barrier_pair.log_u(sign, shift - 20.0, t)) - origin
-        assert abs(d20) < 1e-4
-        assert abs(d20) <= abs(d10)
-    # the minus corner constant is near the core already: bitwise-level match
-    assert abs(float(barrier_pair.log_u("-", shift - 20.0, t))
-               - barrier_pair.log_u_origin("-", t)) < 1e-12
+    """Deep in the core wbar follows the law lam^(1-m) e^{2(xi + C(tau))},
+    reached through the shift constant C(tau)."""
 
+    def core_law_error(bar, xi):
+        law = p_ref.lam ** (1.0 - p_ref.m) * math.exp(2.0 * (xi + bar.C(TAU0)))
+        return abs(bar.wbar(xi, TAU0) * bar.factor / law - 1.0)
 
-def test_log_u_beyond_extinction(barrier_pair, p_ref):
-    with pytest.raises(errors.TimeBeyondExtinction):
-        barrier_pair.log_u("+", 1.0, p_ref.T)
-    with pytest.raises(errors.TimeBeyondExtinction):
-        barrier_pair.log_u_origin("-", p_ref.T + 0.5)
+    for bar in barrier_pair:
+        assert core_law_error(bar, -20.0) < 1e-4
+        assert core_law_error(bar, -20.0) <= core_law_error(bar, -10.0)
+    # the minus shift constant puts xi = -20 inside the core already
+    _, minus = barrier_pair
+    assert core_law_error(minus, -20.0) < 1e-12
 
 
 def test_sandwich_smoke(barrier_pair):
     """Short window: ordering holds; fits degrade to NaN below two decades."""
-    report = comparison_sandwich(barrier_pair, tau_end=10.6, n_cells=400, dtau=0.01)
+    report = comparison_sandwich(
+        *barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01
+    )
     assert report.passed
     assert report.tol_rel > 0.0
     assert report.max_overshoot <= report.tol_rel
@@ -219,15 +200,6 @@ def test_sandwich_smoke(barrier_pair):
         for kind, run in report.runs.items()
     }
     assert counters == {"lower": (260, 6, 0), "upper": (246, 5, 0), "mid": (252, 8, 0)}
-
-
-def test_sandwich_rejects_unknown_initial(barrier_pair, monkeypatch):
-    solves = []
-    monkeypatch.setattr(pde, "_solve_rows", lambda *a, **k: solves.append(a))
-    with pytest.raises(errors.InvalidParameter):
-        comparison_sandwich(barrier_pair, tau_end=10.2, n_cells=40,
-                            dtau=0.02, initial="bogus")
-    assert solves == []
 
 
 def test_extinction_rate_recovers_power_law():
@@ -284,8 +256,7 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, d_ref, monkeypatch):
     monkeypatch.setattr(pde, "_rhs", flat_rhs)
     monkeypatch.setattr(pde, "_jac_bands", singular_bands)
     (res,) = pde._step_rows(
-        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, d_ref,
-        [None], 12,
+        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, d_ref, [None],
     )
     assert isinstance(res, errors.NewtonDiverged)
 
@@ -310,7 +281,7 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref, d_ref):
 
     def runs():
         calibration, _ = pde._manufactured_row(p_ref, d_ref, xi, ds)
-        return [calibration, *pde._sandwich_rows(barrier_pair, xi, ds).values()]
+        return [calibration, *pde._sandwich_rows(*barrier_pair, xi, ds).values()]
 
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     together = pde._solve_rows(p_ref, d_ref, xi, runs(), **kw)
@@ -436,4 +407,6 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
 
     monkeypatch.setattr(pde, "_solve_rows", patched)
     with pytest.raises(errors.TargetBelowRange, match=f"^{names[late]} bc failed$"):
-        comparison_sandwich(barrier_pair, tau_end=10.2, n_cells=200, dtau=0.01)
+        comparison_sandwich(
+            *barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=200, dtau=0.01
+        )

@@ -80,19 +80,12 @@ def test_flat_core_limit(profile_all):
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_v0_and_log_v0_consistent(profile_ref):
-    for r in (0.5, 1.0, 3.0):
-        direct = profile_ref.v0(r)
-        via_log = math.exp(profile_ref.log_v0(math.log(r)))
-        assert via_log == pytest.approx(direct, rel=1e-12)
-    assert profile_ref.v0(1.0) == pytest.approx(0.6453049837181274, rel=1e-8)
-
-
-def test_v0_rejects_nonpositive_radius(profile_ref):
-    with pytest.raises(errors.NonPositiveInput):
-        profile_ref.v0(0.0)
-    with pytest.raises(errors.NonPositiveInput):
-        profile_ref.v0(-1.0)
+def test_v0_pin_through_phibar0(profile_ref):
+    # phibar0(0) = v0(1)^(1-m): the profile value at unit radius
+    p = profile_ref.p
+    assert profile_ref.phibar0(0.0) == pytest.approx(
+        0.6453049837181274 ** (1.0 - p.m), rel=1e-8
+    )
 
 
 def test_phibar0_derivative_matches_fd(profile_ref):
