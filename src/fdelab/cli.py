@@ -66,13 +66,6 @@ def _add_common(sp: argparse.ArgumentParser):
 def _load(args):
     p, cfg, extras = load_config(args.config)
     d = validate_params(p)
-    overrides = {}
-    if getattr(args, "grid_eta", None):
-        overrides["grid_eta"] = args.grid_eta
-    if getattr(args, "grid_tau", None):
-        overrides["grid_tau"] = args.grid_tau
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
     cfg = cfg.validated(p, d)
     h = config_hash(p, cfg, extras)
     return p, d, cfg, extras, h
@@ -99,7 +92,7 @@ def cmd_profile(args) -> int:
 
     variant = branch_variant(p.gamma)
     outer = OuterProfileSet(p, cfg)
-    n_eta = args.grid_eta or max(cfg.grid_eta, 400)
+    n_eta = max(cfg.grid_eta, 400)
     gaps = np.geomspace(1e-6, 2e4, n_eta)
     rows = outer.profile_rows(p.A + gaps, cfg.tau_start, variant, "+")
     write_csv(paths["profiles"],
@@ -411,13 +404,10 @@ def main(argv=None) -> int:
 
     sp = sub.add_parser("profile", help="tabulate profiles to CSV")
     _add_common(sp)
-    sp.add_argument("--grid-eta", type=int, default=None)
     sp.set_defaults(func=cmd_profile)
 
     sv = sub.add_parser("verify", help="run the verification checklist")
     _add_common(sv)
-    sv.add_argument("--grid-eta", type=int, default=None)
-    sv.add_argument("--grid-tau", type=int, default=None)
     sv.set_defaults(func=cmd_verify)
 
     ss = sub.add_parser("simulate", help="evolve data between the barriers")

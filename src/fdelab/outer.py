@@ -21,9 +21,33 @@ with l = log1p(gap/A)/gamma and l0 its value at eta0,
     C2 = b2q int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho
        = b2q gamma eta0^(-1/gamma) / (1 - x0),
 
-exact at every gap.  psi_bundle assembles the tau-weighted sum with its
-analytic eta and tau derivatives in one pass and is the one derivative
-route for psi; psi_outer gives the value alone with the same bits.
+exact at every gap.
+
+psi = sum_k e^(-k gamma tau) T_k with T_0 = phi0, T_1 = theta2 phi3 (phi4
+for psi3/psi4), T_2 = h and, for psi2/psi4, the correction rows
+T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma) (log eta)^j, k >= 3.
+Each term returns its value, or its value with both eta derivatives, from
+one evaluation; psi_outer and psi_bundle share one summation over the terms.
+
+l0_terms evaluates the outer operator L0 of residuals.py on psi.  Dropping
+the identically-zero phi0 group and folding each corrector through its
+defining ODE leaves
+
+    e^{gamma tau} L0(psi) = -F1 - (n-1) b2 psi'/psi
+        - e^{-gamma tau} [ F2 + (n-1)(psi''/psi + b1 (psi'/psi)^2) ]
+        - sum_{k>=3} e^{-(k-1) gamma tau} S_k
+
+with f1, f2, f3 the corrector sources (r = x / (eta (1-x)))
+
+    f1 = (n-1)(gamma+1) gamma^-2 r / eta,  f2 = -(n-1) gamma^-2 r^2,
+    f3 = -(n-1) gamma^-1 r,
+
+F1 = theta2 (f3 [+ C10 gamma eta^{-1-1/gamma} for phi4 variants]),
+F2 = f1 + theta1 f2 and S_k = gamma sum_j j c_kj v_{k,j-1}.  Every term
+carries its own decay factor, so the roundoff floor tracks the local term
+scale instead of eps * a0; this is what makes sign verdicts meaningful after
+rescaling by e^{gamma tau}.  The scale returned beside the residual is the
+sum of the magnitudes of these terms.
 """
 
 from __future__ import annotations
@@ -134,75 +158,62 @@ class OuterProfileSet:
         return _Primitives(gap=gap, logeta=logeta, eta=eta, x=x, omx=omx, I=I, I1=I1, I2=I2)
 
     # -- elementary profiles ----------------------------------------------
+    #
+    # Each term function returns (value,) or, with derivs, (value, d/deta,
+    # d2/deta2) from one evaluation.
 
-    @staticmethod
-    def _pack(value, d1, d2, deriv):
-        if deriv == 0:
-            return value
-        if deriv == 1:
-            return d1
-        if deriv == 2:
-            return d2
-        raise errors.InvalidParameter(f"deriv must be 0, 1, or 2, got {deriv}")
-
-    def _phi0_prims(self, pr: _Primitives, deriv: int):
+    def _phi0_prims(self, pr: _Primitives, derivs: bool):
         a0, gamma = self.d.a0, self.p.gamma
         value = a0 * pr.omx
+        if not derivs:
+            return (value,)
         d1 = a0 * pr.x / (gamma * pr.eta)
         d2 = -a0 * pr.x * (1.0 + gamma) / (gamma ** 2 * pr.eta ** 2)
-        return self._pack(value, d1, d2, deriv)
+        return value, d1, d2
 
-    def _profile_CI(self, pexp: float, C: float, b: float, pr: _Primitives, deriv: int):
+    def _profile_CI(self, pexp: float, C: float, b: float, pr: _Primitives, derivs: bool):
         E = np.exp(-pexp * pr.logeta)
         value = E * (C + b * pr.I)
-        if deriv == 0:
-            return value
+        if not derivs:
+            return (value,)
         d1 = -pexp * value / pr.eta + b * E * pr.I1
-        if deriv == 1:
-            return d1
         d2 = (
             pexp * (pexp + 1.0) * value / pr.eta ** 2
             - 2.0 * pexp * b * E * pr.I1 / pr.eta
             + b * E * pr.I2
         )
-        return self._pack(value, d1, d2, deriv)
+        return value, d1, d2
 
-    def _phi1_prims(self, pr, deriv):
-        return self._profile_CI(self._p1, self.cfg.homog_C1, self._bq1, pr, deriv)
+    def _phi1_prims(self, pr, derivs):
+        return self._profile_CI(self._p1, self.cfg.homog_C1, self._bq1, pr, derivs)
 
-    def _phi3_prims(self, pr, deriv):
-        return self._profile_CI(self._p3, self.cfg.homog_C3, self._bq3, pr, deriv)
+    def _phi3_prims(self, pr, derivs):
+        return self._profile_CI(self._p3, self.cfg.homog_C3, self._bq3, pr, derivs)
 
-    def _phi2_prims(self, pr, deriv):
+    def _phi2_prims(self, pr, derivs):
         gamma = self.p.gamma
         u = 1.0 / pr.omx
         value = self._kap2 * np.exp(-self._p2 * pr.logeta) * u
-        if deriv == 0:
-            return value
+        if not derivs:
+            return (value,)
         lam = -(self._p2 + pr.x * u / gamma) / pr.eta
         d1 = value * lam
-        if deriv == 1:
-            return d1
         lamp = (self._p2 + pr.x * u / gamma) / pr.eta ** 2 + pr.x * u * (
             1.0 + pr.x * u
         ) / (gamma ** 2 * pr.eta ** 2)
         d2 = value * (lam ** 2 + lamp)
-        return d2
+        return value, d1, d2
 
-    def _powlog_prims(self, pexp: float, j: int, pr: _Primitives, deriv: int):
-        """eta^(-pexp) * (log eta)^j and derivatives; j < 0 gives 0."""
-        if j < 0:
-            return np.zeros_like(pr.gap)
+    def _powlog_prims(self, pexp: float, j: int, pr: _Primitives, derivs: bool):
+        """eta^(-pexp) * (log eta)^j for j >= 0, the correction-row basis."""
         L = pr.logeta
         E = np.exp(-pexp * L)
         Lj = L ** j
         value = E * Lj
-        if deriv == 0:
-            return value
+        if not derivs:
+            return (value,)
         Ljm1 = L ** (j - 1) if j >= 1 else np.zeros_like(L)
         d1 = E / pr.eta * (-pexp * Lj + j * Ljm1)
-        if deriv == 1:
-            return d1
         Ljm2 = L ** (j - 2) if j >= 2 else np.zeros_like(L)
         d2 = (
             E
@@ -213,21 +224,20 @@ class OuterProfileSet:
                 + j * (j - 1.0) * Ljm2
             )
         )
-        return d2
+        return value, d1, d2
 
-    def _phi4_prims(self, pr, deriv):
-        return self._phi3_prims(pr, deriv) + self.C10 * self._powlog_prims(
-            self._p3, 1, pr, deriv
+    def _phi4_prims(self, pr, derivs):
+        return _plus(
+            self._phi3_prims(pr, derivs), self.C10, self._powlog_prims(self._p3, 1, pr, derivs)
         )
 
-    # -- public profile API -----------------------------------------------
+    def _h_prims(self, pr, sign: str, derivs: bool):
+        return _plus(
+            self._phi1_prims(pr, derivs), theta(self.p, 1, sign), self._phi2_prims(pr, derivs)
+        )
 
-    def phi0(self, gap, deriv: int = 0):
-        return self._phi0_prims(self._prims(gap), deriv)
-
-    def f_sources(self, gap):
+    def _f_sources(self, pr: _Primitives):
         """Source terms (f1, f2, f3) of the corrector ODEs."""
-        pr = self._prims(gap)
         n, gamma = self.p.n, self.p.gamma
         r = pr.x / (pr.eta * pr.omx)
         f1 = (n - 1) * (gamma + 1.0) / gamma ** 2 * r / pr.eta
@@ -235,25 +245,22 @@ class OuterProfileSet:
         f3 = -(n - 1) / gamma * r
         return f1, f2, f3
 
+    # -- public profile API -----------------------------------------------
+
+    @staticmethod
+    def _order(parts, deriv: int):
+        if deriv not in (0, 1, 2):
+            raise errors.InvalidParameter(f"deriv must be 0, 1, or 2, got {deriv}")
+        return parts[deriv]
+
+    def phi0(self, gap, deriv: int = 0):
+        return self._order(self._phi0_prims(self._prims(gap), deriv != 0), deriv)
+
     def phi4(self, gap, deriv: int = 0):
-        return self._phi4_prims(self._prims(gap), deriv)
+        return self._order(self._phi4_prims(self._prims(gap), deriv != 0), deriv)
 
     def h(self, gap, sign: str, deriv: int = 0):
-        pr = self._prims(gap)
-        th1 = theta(self.p, 1, sign)
-        return self._phi1_prims(pr, deriv) + th1 * self._phi2_prims(pr, deriv)
-
-    def vkj(self, k: int, j: int, gap, deriv: int = 0):
-        """Correction basis eta^(-k-1/gamma) (log eta)^j for k >= 3."""
-        if k < 3:
-            raise errors.InvalidParameter(f"vkj requires k >= 3, got {k}")
-        if j > k:
-            raise errors.InvalidParameter(f"vkj requires j <= k, got j={j}, k={k}")
-        gap = np.asarray(gap, dtype=float)
-        if np.any(self.p.A + gap <= 1.0):
-            raise errors.OutOfDomain("vkj requires eta > 1")
-        pr = self._prims(gap)
-        return self._powlog_prims(k + 1.0 / self.p.gamma, j, pr, deriv)
+        return self._order(self._h_prims(self._prims(gap), sign, deriv != 0), deriv)
 
     # -- distinguished constants -------------------------------------------
 
@@ -267,8 +274,8 @@ class OuterProfileSet:
     def _search_C10(self) -> float:
         gaps = np.geomspace(1e-6, 1e4 * self.p.A - self.p.A, 400)
         pr = self._prims(gaps)
-        phi3 = self._phi3_prims(pr, 0)
-        v = self._powlog_prims(self._p3, 1, pr, 0)
+        (phi3,) = self._phi3_prims(pr, False)
+        (v,) = self._powlog_prims(self._p3, 1, pr, False)
         c = 1.0
         for _ in range(self.cfg.max_doublings):
             # phi4 >= (c/2) v  <=>  phi3 >= -(c/2) v on the grid
@@ -349,79 +356,110 @@ class OuterProfileSet:
 
     # -- psi assembly --------------------------------------------------------
 
+    def _rows(self, variant: str, sign: str) -> dict[int, dict[int, float]]:
+        """Nonzero correction coefficients {k: {j: c_kj}}, sorted by k then j."""
+        if not _has_rows(variant):
+            return {}
+        rows: dict[int, dict[int, float]] = {}
+        for (k, j), c in sorted(self.correction_coeffs(variant, sign).items()):
+            if c != 0.0:
+                rows.setdefault(k, {})[j] = c
+        return rows
+
     def _psi_terms(self, variant: str, sign: str):
-        """List of (k, eval(pr, deriv)) pairs: psi = sum_k e^(-k gamma tau) T_k."""
-        th1 = theta(self.p, 1, sign)
+        """List of (k, term(pr, derivs)) pairs: psi = sum_k e^(-k gamma tau) T_k."""
         th2 = theta(self.p, 2, sign)
-        phivar = _phi_variant(variant)
+        phi = self._phi3_prims if _phi_variant(variant) == "phi3" else self._phi4_prims
+        terms = [
+            (0, self._phi0_prims),
+            (1, lambda pr, derivs: tuple(th2 * b for b in phi(pr, derivs))),
+            (2, lambda pr, derivs: self._h_prims(pr, sign, derivs)),
+        ]
 
-        def t0(pr, deriv):
-            return self._phi0_prims(pr, deriv)
+        def make_row(k, row):
+            pexp = k + 1.0 / self.p.gamma
 
-        def t1(pr, deriv):
-            base = self._phi3_prims(pr, deriv) if phivar == "phi3" else self._phi4_prims(pr, deriv)
-            return th2 * base
+            def trow(pr, derivs):
+                acc = (np.zeros_like(pr.gap),) * (3 if derivs else 1)
+                for j, c in row.items():
+                    acc = _plus(acc, c, self._powlog_prims(pexp, j, pr, derivs))
+                return acc
 
-        def t2(pr, deriv):
-            return self._phi1_prims(pr, deriv) + th1 * self._phi2_prims(pr, deriv)
+            return trow
 
-        terms = [(0, t0), (1, t1), (2, t2)]
-        if _has_rows(variant):
-            table = self.correction_coeffs(variant, sign)
-            by_k: dict[int, dict] = {}
-            for (k, j), c in table.items():
-                if c != 0.0:
-                    by_k.setdefault(k, {})[j] = c
-
-            def make_row(row_k, row_c):
-                def trow(pr, deriv):
-                    acc = np.zeros_like(pr.gap)
-                    pexp = row_k + 1.0 / self.p.gamma
-                    for j, c in sorted(row_c.items()):
-                        acc = acc + c * self._powlog_prims(pexp, j, pr, deriv)
-                    return acc
-
-                return trow
-
-            for row_k in sorted(by_k):
-                terms.append((row_k, make_row(row_k, by_k[row_k])))
+        terms.extend((k, make_row(k, row)) for k, row in self._rows(variant, sign).items())
         return terms
+
+    def _psi_sum(self, variant: str, sign: str, tau, pr: _Primitives, derivs: bool):
+        """(psi,) or, with derivs, (psi, psi_eta, psi_etaeta, psi_tau): one
+        call per term, each weighted by e^(-k gamma tau), so the tau
+        derivative is analytic."""
+        tau = np.asarray(tau, dtype=float)
+        gamma = self.p.gamma
+        acc, dtau = (0.0,) * (3 if derivs else 1), 0.0
+        for k, term in self._psi_terms(variant, sign):
+            w = np.exp(-k * gamma * tau) if k else 1.0
+            parts = term(pr, derivs)
+            acc = _plus(acc, w, parts)
+            if derivs and k:
+                dtau = dtau + (-k * gamma) * w * parts[0]
+        return (*acc, dtau) if derivs else acc
 
     def psi_outer(self, variant: str, sign: str, tau, *, gap):
         """Outer barrier profile psi; gap and tau broadcast together.
 
-        The value alone, summed term by term in the order psi_bundle
-        uses, so both give the same bits; derivatives come from psi_bundle.
+        The value alone, summed as psi_bundle sums it, so both give the
+        same bits; derivatives come from psi_bundle.
         """
-        pr = self._prims(gap)
-        tau = np.asarray(tau, dtype=float)
-        gamma = self.p.gamma
-        acc = 0.0
-        for k, term in self._psi_terms(variant, sign):
-            w = np.exp(-k * gamma * tau) if k else 1.0
-            acc = acc + w * term(pr, 0)
-        return acc
+        return self._psi_sum(variant, sign, tau, self._prims(gap), False)[0]
 
     def psi_bundle(self, variant: str, sign: str, tau, *, gap):
-        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms.
+        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms;
+        the derivative route for psi outside l0_terms."""
+        pr = self._prims(gap)
+        vals = self._psi_sum(variant, sign, tau, pr, True)
+        shape = np.broadcast(pr.gap, np.asarray(tau, dtype=float)).shape
+        return tuple(np.broadcast_to(v, shape).copy() for v in vals)
 
-        The only derivative route for psi: tau derivatives are analytic,
-        since each term carries the weight e^(-k gamma tau).
+    def l0_terms(self, variant: str, sign: str, tau, *, gap):
+        """(e^{gamma tau} L0(psi), sum of its term magnitudes) in the folded
+        form of the module docstring, all from one _prims build.
+
+        tau is a scalar, or an (n_tau, 1) column against a gap grid of shape
+        (n_tau, n_space); the decay factors come from math.exp one tau at a
+        time (see _math_exp), so a column gives the same bits as one call
+        per tau.
         """
         pr = self._prims(gap)
-        tau = np.asarray(tau, dtype=float)
-        gamma = self.p.gamma
-        vals = [0.0, 0.0, 0.0, 0.0]
-        for k, term in self._psi_terms(variant, sign):
-            w = np.exp(-k * gamma * tau) if k else 1.0
-            t_val = term(pr, 0)
-            vals[0] = vals[0] + w * t_val
-            vals[1] = vals[1] + w * term(pr, 1)
-            vals[2] = vals[2] + w * term(pr, 2)
-            if k:
-                vals[3] = vals[3] + (-k * gamma) * w * t_val
-        shape = np.broadcast(pr.gap, tau).shape
-        return tuple(np.broadcast_to(v, shape).copy() for v in vals)
+        p, d = self.p, self.d
+        n1, g = p.n - 1, p.gamma
+        th1 = theta(p, 1, sign)
+        th2 = theta(p, 2, sign)
+        f1, f2, f3 = self._f_sources(pr)
+        psi, dpsi, d2psi, _ = self._psi_sum(variant, sign, tau, pr, True)
+        if np.any(psi <= 0.0):
+            raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
+        rat = dpsi / psi
+        pieces = [-th2 * f3, -n1 * d.b2 * rat]
+        if _phi_variant(variant) == "phi4" and th2 != 0.0:
+            # eta as A + gap, which can differ from pr.eta in the last bit
+            pieces.append(-th2 * self.C10 * g * (p.A + pr.gap) ** (-1.0 - 1.0 / g))
+        e1 = _math_exp(-g, tau)
+        pieces.append(-e1 * (f1 + th1 * f2))
+        pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
+        for k, row in self._rows(variant, sign).items():
+            pexp = k + 1.0 / g
+            sk = np.zeros_like(pr.gap)
+            for j, c in row.items():
+                if j:
+                    sk = sk + (g * j * c) * self._powlog_prims(pexp, j - 1, pr, False)[0]
+            pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
+        res = np.zeros_like(pr.gap)
+        scale = np.zeros_like(pr.gap)
+        for piece in pieces:
+            res = res + piece
+            scale = scale + np.abs(piece)
+        return res, scale
 
     # -- table dump ----------------------------------------------------------
 
@@ -434,9 +472,9 @@ class OuterProfileSet:
         cols = [
             eta_grid,
             self.phi0(gap),
-            self._phi1_prims(pr, 0),
-            self._phi2_prims(pr, 0),
-            self._phi3_prims(pr, 0),
+            self._phi1_prims(pr, False)[0],
+            self._phi2_prims(pr, False)[0],
+            self._phi3_prims(pr, False)[0],
             self.phi4(gap),
             self.h(gap, "+"),
             self.h(gap, "-"),
@@ -445,3 +483,18 @@ class OuterProfileSet:
             d2psi,
         ]
         return np.column_stack(cols)
+
+
+def _plus(a_parts, c, b_parts):
+    """a + c b, part by part."""
+    return tuple(a + c * b for a, b in zip(a_parts, b_parts))
+
+
+def _math_exp(rate: float, tau):
+    """e^(rate tau) by math.exp, for a scalar tau or elementwise over a
+    tau column.  np.exp can differ from math.exp in the last bit, which
+    would move report fields that sit at roundoff level."""
+    if np.ndim(tau) == 0:
+        return math.exp(rate * tau)
+    tau = np.asarray(tau)
+    return np.array([math.exp(rate * t) for t in tau.ravel()]).reshape(tau.shape)

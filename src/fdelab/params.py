@@ -247,7 +247,7 @@ def load_config(path: str):
 
     Accepts "lambda" as an alias for lam.  Threshold keys not present fall
     back to defaults derived from the parameters.  Unknown keys are returned
-    in extras (the CLI uses them for grid and variant overrides).
+    in extras (the CLI reads the simulate window from them).
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)

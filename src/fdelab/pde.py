@@ -394,13 +394,25 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
         live = [i for i in live if out[i] is None]
         if not live:
             return out
-        results = _step_rows(
-            np.stack([frames[i][step_idx[i]] for i in live]),
-            [delta[i] for i in live], [delta_new[i] for i in live],
-            [theta[i] for i in live], [ends[i] for i in live], dxi, p, d,
-            [runs[i].source for i in live],
-        )
-        for i, res in zip(live, results):
+        # an end value that is not a finite positive number rejects the
+        # step before Newton, which could leave a nearby positive value
+        results = {
+            i: errors.PositivityLost(
+                f"end values {ends[i]} not finite and positive at delta = {delta_new[i]:.6e}"
+            )
+            for i in live
+            if not all(0.0 < e < math.inf for e in ends[i])
+        }
+        stepped = [i for i in live if i not in results]
+        if stepped:
+            results.update(zip(stepped, _step_rows(
+                np.stack([frames[i][step_idx[i]] for i in stepped]),
+                [delta[i] for i in stepped], [delta_new[i] for i in stepped],
+                [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p, d,
+                [runs[i].source for i in stepped],
+            )))
+        for i in live:
+            res = results[i]
             if isinstance(res, errors.FdelabError):
                 rejections[i] += 1
                 attempt[i] *= 0.5
@@ -424,6 +436,15 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
         live = [i for i in live if out[i] is None]
 
 
+def _check_window(n_cells, dtau):
+    """InvalidParameter unless the grid has at least two cells and dtau is
+    a finite step > 0; checked before any grid is built."""
+    if not n_cells >= 2:
+        raise errors.InvalidParameter(f"need n_cells >= 2, got {n_cells}")
+    if not 0.0 < dtau < math.inf:
+        raise errors.InvalidParameter(f"need a finite dtau > 0, got {dtau}")
+
+
 def solve_radial_fde(
     p: ModelParams,
     d: DerivedConstants,
@@ -444,10 +465,14 @@ def solve_radial_fde(
     The first four steps use backward Euler at half the step to damp the
     non-equilibrium transient; afterwards the scheme is trapezoidal.
     Newton failures (no convergence in 12 iterations) and positivity
-    failures reject and halve the step before giving up.  This is the
-    one-row case of the joint solve that comparison_sandwich uses, so a run
-    gives the same bits alone or as a row beside others.
+    failures reject and halve the step before giving up; so does an end
+    value that is not finite and > 0, before any Newton iteration.
+    n_cells < 2 or a dtau that is not a finite step > 0 raises
+    InvalidParameter before the grid is built.  This is the one-row case
+    of the joint solve that comparison_sandwich uses, so a run gives the
+    same bits alone or as a row beside others.
     """
+    _check_window(n_cells, dtau)
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
     (res,) = _solve_rows(
         p, d, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
@@ -597,8 +622,9 @@ def comparison_sandwich(
     """Evolve data between the barriers from tau0 to tau_end and verify it
     stays sandwiched.
 
-    The pair must come in sign order (plus, minus); anything else raises
-    InvalidParameter before any solve.  The grid is xi in [-xi1, 4 xi1].
+    The pair must come in sign order (plus, minus), n_cells >= 2 and dtau a
+    finite step > 0; anything else raises InvalidParameter before any
+    solve.  The grid is xi in [-xi1, 4 xi1].
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
     the pointwise geometric mean ("mid", the reported solution).  Initial
     data outside the barriers is rejected (this covers the doubled-data
@@ -613,6 +639,7 @@ def comparison_sandwich(
     """
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
+    _check_window(n_cells, dtau)
     p, d = plus.outer.p, plus.outer.d
     xi1 = plus.xi1
     delta_start = math.exp(-float(tau0))

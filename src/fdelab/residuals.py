@@ -14,7 +14,9 @@ A supersolution has residual >= 0, a subsolution <= 0.  Verification
 samples a region grid of shape (n_tau, n_space), one row per tau, in one
 evaluator call, compares against a pointwise atol proportional to the local
 operator scale, and reports strict violations and the inconclusive fraction
-separately.
+separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
+cancellation-free form derived in the outer module; the L1 evaluator is
+l1_terms_evaluator over a glued barrier.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .params import theta
 
 __all__ = [
     "glued_evaluator",
-    "outer_terms_evaluator",
     "l1_terms_evaluator",
     "Region",
     "ResidualReport",
@@ -55,82 +56,6 @@ def glued_evaluator(barrier: GluedBarrier):
         return barrier.bundle(xi, tau)
 
     return ev
-
-
-def outer_terms_evaluator(outer: OuterProfileSet, variant: str, sign: str):
-    """Rescaled cancellation-free L0 terms for any psi variant.
-
-    Dropping the identically-zero phi0 group and folding each corrector
-    through its defining ODE leaves
-
-        e^{gamma tau} L0(psi) = -F1 - (n-1) b2 psi'/psi
-            - e^{-gamma tau} [ F2 + (n-1)(psi''/psi + b1 (psi'/psi)^2) ]
-            - sum_{k>=3} e^{-(k-1) gamma tau} S_k
-
-    with F1 = theta2 (f3 [+ C10 gamma eta^{-1-1/gamma} for phi4 variants]),
-    F2 = f1 + theta1 f2 and S_k = gamma sum_j j c_kj v_{k,j-1}.  Every term
-    carries its own decay factor, so the roundoff floor tracks the local
-    term scale instead of eps * a0; this is what makes sign verdicts
-    meaningful after rescaling by e^{gamma tau}.
-
-    Returns an evaluator(gap, tau) -> (residual, scale) where scale is the
-    sum of the magnitudes of the individual terms.  tau is a scalar, or an
-    (n_tau, 1) column against a gap grid of shape (n_tau, n_space); the
-    decay factors come from math.exp one tau at a time (see _math_exp), so
-    a column gives the same bits as one call per tau.
-    """
-    p, d = outer.p, outer.d
-    n1, g = p.n - 1, p.gamma
-    th1 = theta(p, 1, sign)
-    th2 = theta(p, 2, sign)
-    phi4_like = variant in ("psi3", "psi4")
-    has_rows = variant in ("psi2", "psi4")
-    C10 = outer.C10 if phi4_like else 0.0
-    if has_rows:
-        table = outer.correction_coeffs(variant, sign)
-        ks = sorted({k for (k, _) in table})
-    else:
-        table, ks = {}, []
-
-    def ev(gap, tau):
-        gap = np.asarray(gap, dtype=float)
-        eta = p.A + gap
-        f1, f2, f3 = outer.f_sources(gap=gap)
-        psi, dpsi, d2psi, _ = outer.psi_bundle(variant, sign, tau, gap=gap)
-        if np.any(psi <= 0.0):
-            raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
-        rat = dpsi / psi
-        pieces = [-th2 * f3, -n1 * d.b2 * rat]
-        if phi4_like and th2 != 0.0:
-            pieces.append(-th2 * C10 * g * eta ** (-1.0 - 1.0 / g))
-        e1 = _math_exp(-g, tau)
-        pieces.append(-e1 * (f1 + th1 * f2))
-        pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
-        for k in ks:
-            sk = np.zeros_like(gap)
-            for j in range(1, k + 1):
-                c = table.get((k, j), 0.0)
-                if c != 0.0:
-                    sk = sk + (g * j * c) * outer.vkj(k, j - 1, gap=gap)
-            pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
-        res = np.zeros_like(gap)
-        scale = np.zeros_like(gap)
-        for piece in pieces:
-            res = res + piece
-            scale = scale + np.abs(piece)
-        return res, scale
-
-    return ev
-
-
-def _math_exp(rate: float, tau):
-    """e^(rate tau) by math.exp, for a scalar tau or elementwise over a
-    tau column.  np.exp can differ from math.exp in the last bit, which
-    would move report fields that sit at roundoff level."""
-    if np.ndim(tau) == 0:
-        return math.exp(rate * tau)
-    tau = np.asarray(tau)
-    return np.array([math.exp(rate * t) for t in tau.ravel()]).reshape(tau.shape)
 
 
 def l1_terms_evaluator(evaluator, p, d):
@@ -275,10 +200,11 @@ def verify_sign_region(
     operator is a report label ("L0" or "L1"; the region kind already
     fixes the space variable).  terms_fn(space, tau) -> (residual, scale)
     supplies the residual together with its local term-magnitude scale;
-    use outer_terms_evaluator (rescaled L0) or l1_terms_evaluator.  It is
-    called once, with space the whole grid of shape (n_tau, n_space) and
-    tau an (n_tau, 1) column (row i of space belongs to tau[i, 0]), and
-    must return arrays of the grid's shape.
+    use OuterProfileSet.l0_terms (rescaled L0, as find_thresholds binds
+    it) or l1_terms_evaluator.  It is called once, with space the whole
+    grid of shape (n_tau, n_space) and tau an (n_tau, 1) column (row i of
+    space belongs to tau[i, 0]), and must return arrays of the grid's
+    shape.
 
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
@@ -365,7 +291,10 @@ def find_thresholds(
         raise errors.InvalidParameter(
             f"regions must be outer kinds from {_OUTER_KINDS}, got {regions!r}"
         )
-    ev = outer_terms_evaluator(outer, variant, sign)
+
+    def ev(gap, tau):
+        return outer.l0_terms(variant, sign, tau, gap=gap)
+
     th1 = theta(p, 1, sign)
     xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / d.a0))
 

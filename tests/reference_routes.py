@@ -1,7 +1,7 @@
 """Independent reference routes for the barrier operators and profiles.
 
 The package evaluates the operators through the rescaled term evaluators
-(outer_terms_evaluator, l1_terms_evaluator); the raw residuals, the mapped
+(OuterProfileSet.l0_terms, l1_terms_evaluator); the raw residuals, the mapped
 outer evaluator, the exact decompositions and the single corrector profiles
 here are second routes that the tests compare those against.
 """
@@ -20,11 +20,11 @@ def phi_correction(outer: OuterProfileSet, i: int, gap, deriv: int = 0):
     """Corrector profile phi_i (i = 1, 2, 3) or its first/second derivative."""
     pr = outer._prims(gap)
     if i == 1:
-        return outer._phi1_prims(pr, deriv)
+        return outer._phi1_prims(pr, True)[deriv]
     if i == 2:
-        return outer._phi2_prims(pr, deriv)
+        return outer._phi2_prims(pr, True)[deriv]
     if i == 3:
-        return outer._phi3_prims(pr, deriv)
+        return outer._phi3_prims(pr, True)[deriv]
     raise errors.InvalidParameter(f"i must be 1, 2, or 3, got {i}")
 
 

@@ -1,6 +1,9 @@
 """Command-line plumbing: dry runs, gating, and error exits."""
 
 import json
+import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -85,27 +88,69 @@ VERIFY_CHECKS = [
 ]
 
 
+GOLDEN = Path(__file__).parent / "data"
+REL_TOL = 1e-9
+
+
+def assert_matches(got, want, where="report"):
+    """bool/int/str/None fields equal, floats within REL_TOL relative."""
+    if isinstance(want, float) and isinstance(got, float):
+        same = got == want or (math.isnan(got) and math.isnan(want))
+        assert same or abs(got - want) <= REL_TOL * max(abs(got), abs(want)), (
+            f"{where}: {got!r} != {want!r}"
+        )
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys differ"
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: lengths differ"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+def assert_report_matches(path, out, golden: str):
+    """Compare a JSON report with its golden, artifact paths taken relative
+    to the --out directory."""
+    report = json.loads(path.read_text())
+    report["artifacts"] = [os.path.relpath(a, out) for a in report["artifacts"]]
+    assert_matches(report, json.loads((GOLDEN / golden).read_text()))
+
+
+def _csv_cells(text: str):
+    header, *rows = text.splitlines()
+    return [header.split(",")] + [[float(v) for v in row.split(",")] for row in rows]
+
+
 @pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
-def test_verify_end_to_end_is_reproducible(smoke_config, tmp_path):
-    # small grids keep the whole checklist quick; a rerun rewrites the same bytes
-    out = tmp_path / "runs"
-    argv = ["verify", "--config", smoke_config, "--out", str(out),
-            "--grid-eta", "16", "--grid-tau", "4"]
-    rc = main(argv)
-    assert rc in (0, 1)
-    (path,) = out.glob("verify-*.json")
-    first = path.read_bytes()
-    report = json.loads(first)
-    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
-    assert report["all_passed"] == (rc == 0)
-    assert main(argv) == rc
-    assert path.read_bytes() == first
+def test_verify_end_to_end_is_reproducible(tmp_path):
+    # small grids keep the whole checklist quick; a rerun rewrites the same
+    # bytes, and both reports match the goldens (ref: psi3; low: gamma 0.5,
+    # psi4 with its correction rows)
+    for name, gamma in (("ref", 1.5), ("low", 0.5)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(dict(SMOKE, gamma=gamma, grid_eta=16, grid_tau=4)))
+        out = tmp_path / f"runs-{name}"
+        argv = ["verify", "--config", str(config), "--out", str(out)]
+        rc = main(argv)
+        assert rc in (0, 1)
+        (path,) = out.glob("verify-*.json")
+        first = path.read_bytes()
+        report = json.loads(first)
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+        assert report["all_passed"] == (rc == 0)
+        assert main(argv) == rc
+        assert path.read_bytes() == first
+        assert_report_matches(path, out, f"verify-{name}-16x4.json")
 
 
 @pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
 def test_simulate_end_to_end_is_reproducible(tmp_path):
     # a 0.6-tau window passes the sandwich but spans too few decades for
-    # the extinction-rate fit; a rerun rewrites the same bytes
+    # the extinction-rate fit; a rerun rewrites the same bytes, and the
+    # report and trajectory match the goldens
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(
         SMOKE, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,
@@ -123,3 +168,9 @@ def test_simulate_end_to_end_is_reproducible(tmp_path):
     assert report["all_passed"] is False
     assert main(argv) == 1
     assert (report_path.read_bytes(), csv_path.read_bytes()) == first
+    assert_report_matches(report_path, out, "simulate-smoke.json")
+    assert_matches(
+        _csv_cells(csv_path.read_text()),
+        _csv_cells((GOLDEN / "trajectory-smoke.csv").read_text()),
+        "trajectory",
+    )

@@ -1,5 +1,6 @@
 """Outer-region profiles: corrector ODEs, correction tables, asymptotic laws."""
 
+import collections
 import math
 
 import numpy as np
@@ -209,25 +210,19 @@ def test_phi4_ode(outer_all):
     lg=st.floats(min_value=-10.0, max_value=10.0),
 )
 def test_vkj_recurrence_identity(outer_ref, k, j, lg):
-    # gamma*eta*v' + (1 + k*gamma)*v = gamma*j*v_{k,j-1}
+    # the row basis v_{k,j} = eta^(-k-1/gamma) (log eta)^j behind the row
+    # sums S_k of l0_terms: gamma*eta*v' + (1 + k*gamma)*v = gamma*j*v_{k,j-1}
     assume(j <= k)
     out = outer_ref
     ga, A = out.p.gamma, out.p.A
     g = 10.0**lg
     eta = A + g
-    v = out.vkj(k, j, gap=g)
-    v1 = out.vkj(k, j, gap=g, deriv=1)
-    rhs = ga * j * out.vkj(k, j - 1, gap=g) if j >= 1 else 0.0
+    pr = out._prims(g)
+    v, v1, _ = out._powlog_prims(k + 1.0 / ga, j, pr, True)
+    rhs = ga * j * out._powlog_prims(k + 1.0 / ga, j - 1, pr, False)[0] if j >= 1 else 0.0
     lhs = ga * eta * v1 + (1.0 + k * ga) * v
     scale = abs(ga * eta * v1) + abs((1.0 + k * ga) * v) + abs(rhs)
     assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-def test_vkj_rejects_bad_orders(outer_ref):
-    with pytest.raises(errors.InvalidParameter):
-        outer_ref.vkj(2, 0, gap=1.0)
-    with pytest.raises(errors.InvalidParameter):
-        outer_ref.vkj(3, 4, gap=1.0)
 
 
 # -- cross-route and composition identities ---------------------------------
@@ -488,6 +483,27 @@ def test_psi_bundle_matches_psi_outer(outer_ref, outer_low):
                 for tau in (9.0, np.array([[9.0], [12.0]])):
                     psi = out.psi_bundle(variant, sign, tau, gap=gaps)[0]
                     assert np.array_equal(psi, out.psi_outer(variant, sign, tau, gap=gaps))
+
+
+def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
+    """l0_terms builds the primitives once for the sources, psi and the row
+    sums S_k; each psi term is evaluated once for all derivative orders."""
+    outer_low.C10  # the lazy C10 search builds primitives of its own
+    calls = collections.Counter()
+    for name in ("_prims", "_profile_CI"):
+        def counted(*args, _f=getattr(OuterProfileSet, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(OuterProfileSet, name, counted)
+    gaps = np.geomspace(1e-3, 1e3, 50)
+    # psi4 at gamma = 0.5 carries the rows k = 3, 4; phi1 and phi3 are the
+    # two _profile_CI terms
+    outer_low.l0_terms("psi4", "+", 12.0, gap=gaps)
+    assert calls == {"_prims": 1, "_profile_CI": 2}
+    calls.clear()
+    outer_low.psi_bundle("psi4", "+", 12.0, gap=gaps)
+    assert calls == {"_prims": 1, "_profile_CI": 2}
 
 
 # -- derivative evaluators vs finite differences -----------------------------

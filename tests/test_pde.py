@@ -379,6 +379,54 @@ def test_failed_row_stops_alone(p_ref, d_ref):
         )
 
 
+def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
+    """An end value of 0.0 rejects the step without a Newton solve, like
+    any other rejection, until the step underflows."""
+    ds, de = math.exp(-10.0), math.exp(-10.5)
+    a0 = d_ref.a0
+    calls, solves = [], []
+    step_rows = pde._step_rows
+
+    def counted(*args):
+        solves.append(args[1])
+        return step_rows(*args)
+
+    def bc(delta):
+        calls.append(delta)
+        return (0.0 if len(calls) >= 2 else a0 * delta), a0 * delta
+
+    monkeypatch.setattr(pde, "_step_rows", counted)
+    with pytest.raises(errors.PositivityLost, match="end values"):
+        solve_radial_fde(
+            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+            delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
+        )
+    # one accepted step, then 13 rejections halve the warmup step 0.005
+    # below 1e-6; only the accepted step reached Newton
+    assert len(calls) == 1 + 13
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("n_cells, dtau", [
+    (-1, 0.01), (0, 0.01), (1, 0.01), (40, 0.0), (40, -0.01), (40, math.nan),
+])
+def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, d_ref, monkeypatch,
+                                                 n_cells, dtau):
+    """Too few cells or a step that is not finite and > 0 raise before any solve."""
+    solves = []
+    monkeypatch.setattr(pde, "_solve_rows", lambda *a, **k: solves.append(a))
+    with pytest.raises(errors.InvalidParameter):
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2,
+                            n_cells=n_cells, dtau=dtau)
+    with pytest.raises(errors.InvalidParameter):
+        solve_radial_fde(
+            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=n_cells,
+            delta_start=math.exp(-10.0), delta_end=math.exp(-10.5),
+            w0=np.ones_like, bc=lambda delta: (1.0, 1.0), dtau=dtau,
+        )
+    assert solves == []
+
+
 @pytest.mark.parametrize("late, early", [(0, 2), (1, 3), (2, 3)])
 def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, early):
     """Rows 0..3 are calibration, lower, upper, mid: the earlier row's error

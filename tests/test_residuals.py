@@ -16,7 +16,6 @@ from fdelab.residuals import (
     find_thresholds,
     glued_evaluator,
     l1_terms_evaluator,
-    outer_terms_evaluator,
     verify_sign_region,
 )
 from reference_routes import (
@@ -79,7 +78,7 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     for sign in ("+", "-"):
         lo = max(1e-3, 2.0 * xi0b * math.exp(-gamma * tau)) if sign == "-" else 1e-3
         gaps = np.geomspace(lo, 1e3, 60)
-        res, _ = outer_terms_evaluator(out, variant, sign)(gaps, tau)
+        res, _ = out.l0_terms(variant, sign, tau, gap=gaps)
         raw = L0_residual(outer_psi_evaluator(out, variant, sign), gaps, tau, p, d)
         w, we, wee, wt = out.psi_bundle(variant, sign, tau, gap=gaps)
         eta = p.A + gaps
@@ -387,7 +386,10 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     variant = "psi3" if setup == "ref" else "psi4"
     tau_lo = outer.cfg.tau_start
     region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0)
-    ev = outer_terms_evaluator(outer, variant, sign)
+
+    def ev(gap, tau):
+        return outer.l0_terms(variant, sign, tau, gap=gap)
+
     got = verify_sign_region("L0", ev, sign, region, outer.p, outer.d,
                              n_space=120, n_tau=12)
     want = _verify_per_tau("L0", ev, sign, region, outer.p, 120, 12)
