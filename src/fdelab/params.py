@@ -20,6 +20,7 @@ from . import errors
 __all__ = [
     "ModelParams",
     "DerivedConstants",
+    "radial_diffusion",
     "ThresholdConfig",
     "make_params",
     "validate_params",
@@ -71,6 +72,13 @@ def _derived(n: int, m: float, gamma: float) -> DerivedConstants:
     N = int(math.floor(half)) + 1
     rate = (1.0 + gamma) / one_m
     return DerivedConstants(a0=a0, b1=b1, b2=b2, N=N, exponent_rate=rate)
+
+
+def radial_diffusion(p: ModelParams, d: DerivedConstants, w, w1, w2):
+    """(n-1) [w''/w + b1 (w'/w)^2 + b2 w'/w] from w and its first two
+    derivatives in the logarithmic radius, the diffusion term of every
+    w-equation (inner profile, L1 residual, comoving PDE)."""
+    return (p.n - 1) * (w2 / w + d.b1 * (w1 / w) ** 2 + d.b2 * w1 / w)
 
 
 def make_params(

@@ -24,12 +24,15 @@ Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
 its own delta, with its own step size, theta, tolerance, Newton count and
 damping, and a rejected row halves its own step while the others go on.
-The array arithmetic is elementwise and each row keeps its own gtsv call
-(a batched sweep without pivoting would change the bits), so a run gives
-the same bits alone or beside others.  A row that fails records its error
-and stops alone; comparison_sandwich solves its manufactured calibration
-run and its lower, upper and mid runs as four rows and raises their errors
-in that order, with NotBetweenBarriers after the calibration's.
+Every array stage of a Newton iteration runs elementwise on the whole
+array under a row mask, rows that are not iterating sit still with a zero
+step, and each row keeps its own gtsv call (a batched sweep without
+pivoting would change the bits), so a run gives the same bits alone or
+beside others.  Frames go into per-row buffers that grow as they fill.  A
+row that fails records its error and stops alone; comparison_sandwich
+solves its manufactured calibration run and its lower, upper and mid runs
+as four rows and raises their errors in that order, with
+NotBetweenBarriers after the calibration's.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from scipy.linalg.lapack import dgtsv as _gtsv
 
 from . import errors
 from .matching import GluedBarrier
-from .params import DerivedConstants, ModelParams
+from .params import DerivedConstants, ModelParams, radial_diffusion
 from .reporting import write_csv
 
 __all__ = [
@@ -70,10 +73,6 @@ class Trajectory:
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
     step_rejections: int = 0  # rejected step attempts, each halving the step
-
-    @property
-    def taus(self) -> np.ndarray:
-        return -np.log(self.deltas)
 
     def amplitude(self) -> np.ndarray:
         """sup_xi W^{1/(1-m)} per frame (the weighted amplitude observable)."""
@@ -104,13 +103,12 @@ def _rhs(W, dxi, sigma, p, d):
     sigma is a column of per-row drift speeds.  Returns F with the
     difference stencil (D1, D2) that the Jacobian bands are built from.
     """
-    n1 = p.n - 1
     Wm = W[:, :-2]
     W0 = W[:, 1:-1]
     Wp = W[:, 2:]
     D1 = (Wp - Wm) / (2.0 * dxi)
     D2 = (Wp - 2.0 * W0 + Wm) / (dxi * dxi)
-    F = n1 * (D2 / W0 + d.b1 * (D1 / W0) ** 2 + d.b2 * D1 / W0) - d.a0 + sigma * D1
+    F = radial_diffusion(p, d, W0, D1, D2) - d.a0 + sigma * D1
     return F, D1, D2
 
 
@@ -152,12 +150,6 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
 
-def _take(a, rows, n):
-    """a[rows] for an ascending list of rows out of n; a itself when rows
-    is every row, which saves the copy."""
-    return a if len(rows) == n else a[rows]
-
-
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
@@ -168,10 +160,15 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     Dirichlet values ends[i] = (W_lo, W_hi) at delta_new[i] and the optional
     extra right-hand side sources[i].  Every per-row scalar (step, drift
     speed, tolerance, damping) is a Python float computed as for a lone
-    run, and the Newton systems go one row at a time to gtsv, so each row's
-    arithmetic does not depend on the other rows.  Returns per row
-    (W_new, iterations), or the NewtonDiverged or PositivityLost that
-    rejected its step.
+    run.  The array stages (residual, Jacobian bands, trial iterate) run on
+    the whole array and each update writes only the rows it selects: a row
+    that is not being tried keeps its positive iterate (damping 0, zero
+    step), a trial row that is not positive falls back to its iterate
+    before the residual, and a row's source is called only when that row
+    is tried.  The Newton systems go one row at a time to gtsv, so a row's
+    bits do not depend on the other rows.  Returns per row (W_new,
+    iterations), or the NewtonDiverged or PositivityLost that rejected its
+    step.
     """
     k, M = W_old.shape
     out = [None] * k
@@ -184,8 +181,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
             F_old[i] += source(W_old[i], delta_old[i])[1:-1]
     lo = np.array([e[0] for e in ends], dtype=float)
     hi = np.array([e[1] for e in ends], dtype=float)
-    dt_col = _column(dt)
-    theta_col = _column(theta)
+    dt_col, theta_col = _column(dt), _column(theta)
     # the Newton matrix I - dt*theta*J_F takes these per-row factors
     jac_neg = _column([-h * t for h, t in zip(dt, theta)])
     jac_pos = _column([h * t for h, t in zip(dt, theta)])
@@ -197,33 +193,32 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|
     w_scale = W_old.max(axis=1).tolist()
     f_scale = [d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
-    tol = [
-        max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f))
-        for w, h, f in zip(w_scale, dt, f_scale)
-    ]
+    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f))
+           for w, h, f in zip(w_scale, dt, f_scale)]
 
-    def residual(rows, X):
-        F_new, D1, D2 = _rhs(X, dxi, _take(sigma_new, rows, k), p, d)
-        for j, i in enumerate(rows):
-            if sources[i] is not None:
-                F_new[j] += sources[i](X[j], delta_new[i])[1:-1]
+    def residual(X, tried):
+        """G of every row of X and its stencil (D1, D2); sources on tried rows."""
+        F_new, D1, D2 = _rhs(X, dxi, sigma_new, p, d)
+        for i, source in enumerate(sources):
+            if source is not None and tried[i]:
+                F_new[i] += source(X[i], delta_new[i])[1:-1]
         G = np.empty_like(X)
-        G[:, 0] = X[:, 0] - _take(lo, rows, k)
-        G[:, -1] = X[:, -1] - _take(hi, rows, k)
-        G[:, 1:-1] = X[:, 1:-1] - _take(W_old_in, rows, k) - _take(dt_col, rows, k) * (
-            _take(theta_col, rows, k) * F_new + _take(F_old_part, rows, k)
-        )
+        G[:, 0] = X[:, 0] - lo
+        G[:, -1] = X[:, -1] - hi
+        G[:, 1:-1] = X[:, 1:-1] - W_old_in - dt_col * (theta_col * F_new + F_old_part)
         return G, D1, D2
 
     X = W_old.copy()
     X[:, 0], X[:, -1] = lo, hi
-    G, D1, D2 = residual(range(k), X)
+    G, D1, D2 = residual(X, [True] * k)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
-    active = list(range(k))
-    while active:
-        rows = []
-        for i in active:
+    step = np.zeros_like(X)  # nonzero only on rows in a line search
+    while True:
+        lam = [0.0] * k  # line-search damping; 0 on rows that sit still
+        for i in range(k):
+            if out[i] is not None:
+                continue
             if G_norm[i] <= tol[i]:  # a NaN residual iterates on and is rejected
                 out[i] = (X[i], its[i])
             elif its[i] >= _NEWTON_MAX:
@@ -233,76 +228,54 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
                 )
             else:
                 its[i] += 1
-                rows.append(i)
-        if not rows:
-            break
+                lam[i] = 1.0
+        if not any(lam):
+            return out
         # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
-        n = len(rows)
-        dm, d0, dp = _jac_bands(
-            _take(X, rows, k)[:, 1:-1], _take(D1, rows, k), _take(D2, rows, k),
-            dxi, _take(sigma_new, rows, k), p, d,
-        )
-        c_neg = _take(jac_neg, rows, k)
-        dl = np.zeros((n, M - 1))
-        dl[:, :-1] = c_neg * dm
-        diag = np.ones((n, M))
-        diag[:, 1:-1] = 1.0 - _take(jac_pos, rows, k) * d0
-        du = np.zeros((n, M - 1))
-        du[:, 1:] = c_neg * dp
-        step = -_take(G, rows, k)
-        solved = []
-        for j, i in enumerate(rows):
-            try:
-                step[j] = _tridiagonal_solve(dl[j], diag[j], du[j], step[j])
-            except errors.NewtonDiverged as exc:
-                out[i] = exc
-            else:
-                solved.append(j)
+        dm, d0, dp = _jac_bands(X[:, 1:-1], D1, D2, dxi, sigma_new, p, d)
+        dl = np.zeros((k, M - 1))
+        dl[:, :-1] = jac_neg * dm
+        diag = np.ones((k, M))
+        diag[:, 1:-1] = 1.0 - jac_pos * d0
+        du = np.zeros((k, M - 1))
+        du[:, 1:] = jac_neg * dp
+        for i in range(k):
+            if lam[i]:
+                try:
+                    step[i] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i])
+                except errors.NewtonDiverged as exc:
+                    out[i], lam[i] = exc, 0.0
 
         # damped line search, each row with its own lambda
-        pending = solved
-        lam = [1.0] * n
-        while pending:
-            trial = [rows[j] for j in pending]
-            X_try = _take(X, trial, k) + _column([lam[j] for j in pending]) * _take(
-                step, pending, n
-            )
+        while any(lam):
+            X_try = X + _column(lam) * step
             positive = (X_try > 0.0).all(axis=1).tolist()
-            tried = [q for q, ok in enumerate(positive) if ok]
-            if tried:
-                X_try = _take(X_try, tried, len(trial))
-                G_try, D1_try, D2_try = residual([trial[q] for q in tried], X_try)
+            if not all(positive):  # only trial rows can leave positivity
+                np.copyto(X_try, X, where=~np.array(positive)[:, None])
+            tried = [ok and t > 0.0 for ok, t in zip(positive, lam)]
+            if any(tried):
+                G_try, D1_try, D2_try = residual(X_try, tried)
                 G_try_norm = np.abs(G_try).max(axis=1).tolist()
-            taken, taken_at, still = [], [], []
-            t = 0
-            for q, j in enumerate(pending):
-                i = rows[j]
-                if positive[q]:
-                    t += 1
-                    if G_try_norm[t - 1] < G_norm[i] or lam[j] < 0.1:
-                        taken.append(i)
-                        taken_at.append(t - 1)
-                        G_norm[i] = G_try_norm[t - 1]
-                        continue
-                lam[j] *= 0.5
-                if lam[j] < 1e-4:
-                    out[i] = errors.PositivityLost(
-                        f"no positive damped Newton step at delta = {delta_new[i]:.6e}"
-                    )
+            taken = [False] * k
+            for i in range(k):
+                if not lam[i]:
+                    continue
+                if tried[i] and (G_try_norm[i] < G_norm[i] or lam[i] < 0.1):
+                    taken[i], G_norm[i], lam[i] = True, G_try_norm[i], 0.0
                 else:
-                    still.append(j)
-            if len(taken) == k:
-                # every row moved: the trial arrays become the iterate (rows
-                # already returned keep their views of the old X)
+                    lam[i] *= 0.5
+                    if lam[i] >= 1e-4:
+                        continue
+                    out[i], lam[i] = errors.PositivityLost(
+                        f"no positive damped Newton step at delta = {delta_new[i]:.6e}"
+                    ), 0.0
+                step[i] = 0.0  # the row leaves the line search
+            if all(taken):  # no row has finished, so no result views the old X
                 X, G, D1, D2 = X_try, G_try, D1_try, D2_try
-            elif taken:
-                X[taken] = _take(X_try, taken_at, t)
-                G[taken] = _take(G_try, taken_at, t)
-                D1[taken] = _take(D1_try, taken_at, t)
-                D2[taken] = _take(D2_try, taken_at, t)
-            pending = still
-        active = [i for i in rows if out[i] is None]
-    return out
+            elif any(taken):
+                taken = np.array(taken)[:, None]
+                for a, a_try in ((X, X_try), (G, G_try), (D1, D1_try), (D2, D2_try)):
+                    np.copyto(a, a_try, where=taken)
 
 
 @dataclass
@@ -330,14 +303,6 @@ def _step_plan(step_idx, delta, delta_end, dtau):
     return min(frac, 1.0 - delta_end / delta), theta
 
 
-def _frames_without_rejection(delta_start, delta_end, dtau) -> int:
-    n, delta = 1, delta_start
-    while delta > delta_end * (1.0 + 1e-12) and n <= _STEP_BUDGET:
-        delta *= 1.0 - _step_plan(n - 1, delta, delta_end, dtau)[0]
-        n += 1
-    return n
-
-
 def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
     """Step every run from delta_start down to delta_end as one row of a
     shared implicit solve; returns per run its Trajectory or the
@@ -348,15 +313,14 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
     next round while the other rows go on; it stops with the rejection
     once the step falls below 1e-6 of delta, with StepUnderflow once the
     step budget is spent, or with any FdelabError its bc raises.  Frames
-    go straight into one array per row, sized for a run without rejections
-    and extended when a row needs more.
+    go straight into one buffer per row, which starts at 16 frames and
+    grows by an eighth plus 16 whenever it is full.
     """
     if not (0.0 < delta_end < delta_start):
         raise errors.InvalidParameter("need 0 < delta_end < delta_start")
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    capacity = _frames_without_rejection(delta_start, delta_end, dtau)
     frames = [None] * R
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
@@ -365,28 +329,28 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
         elif np.any(w0 <= 0.0):
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
-            frames[i] = np.empty((capacity, M))
+            frames[i] = np.empty((16, M))
             frames[i][0] = w0
+    # row i stands at deltas[i][-1] with its latest frame at len(deltas[i]) - 1
     deltas = [[delta_start] for _ in range(R)]
-    delta, delta_new = [delta_start] * R, [0.0] * R
-    ends = [None] * R
-    step_idx = [0] * R
+    delta_new, ends = [0.0] * R, [None] * R
     attempt = [None] * R  # None: the row starts a new step
     theta = [0.0] * R
     iters_max, iters, rejections = [0] * R, [0] * R, [0] * R
     live = [i for i in range(R) if out[i] is None]
     while True:
         for i in live:
+            delta, n = deltas[i][-1], len(deltas[i])
             if attempt[i] is None:
-                if not delta[i] > delta_end * (1.0 + 1e-12):
+                if not delta > delta_end * (1.0 + 1e-12):
                     out[i] = Trajectory(
-                        p=p, d=d, xi=xi, deltas=np.asarray(deltas[i]),
-                        W=frames[i][: step_idx[i] + 1], newton_iters_max=iters_max[i],
-                        newton_iters=iters[i], step_rejections=rejections[i],
+                        p=p, d=d, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
+                        newton_iters_max=iters_max[i], newton_iters=iters[i],
+                        step_rejections=rejections[i],
                     )
                     continue
-                attempt[i], theta[i] = _step_plan(step_idx[i], delta[i], delta_end, dtau)
-            delta_new[i] = delta[i] * (1.0 - attempt[i])
+                attempt[i], theta[i] = _step_plan(n - 1, delta, delta_end, dtau)
+            delta_new[i] = delta * (1.0 - attempt[i])
             try:
                 ends[i] = runs[i].bc(delta_new[i])
             except errors.FdelabError as exc:
@@ -406,8 +370,8 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
         stepped = [i for i in live if i not in results]
         if stepped:
             results.update(zip(stepped, _step_rows(
-                np.stack([frames[i][step_idx[i]] for i in stepped]),
-                [delta[i] for i in stepped], [delta_new[i] for i in stepped],
+                np.stack([frames[i][len(deltas[i]) - 1] for i in stepped]),
+                [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
                 [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p, d,
                 [runs[i].source for i in stepped],
             )))
@@ -420,18 +384,17 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
                     out[i] = res
                 continue
             W_new, its = res
-            delta[i] = delta_new[i]
             attempt[i] = None
             iters_max[i] = max(iters_max[i], its)
             iters[i] += its
-            step_idx[i] += 1
-            if step_idx[i] == len(frames[i]):
-                grown = np.empty((step_idx[i] + step_idx[i] // 8 + 16, M))
-                grown[: step_idx[i]] = frames[i]
+            n = len(deltas[i])  # the new frame's index
+            if n == len(frames[i]):
+                grown = np.empty((n + n // 8 + 16, M))
+                grown[:n] = frames[i]
                 frames[i] = grown
-            frames[i][step_idx[i]] = W_new
-            deltas[i].append(delta[i])
-            if step_idx[i] > _STEP_BUDGET:
+            frames[i][n] = W_new
+            deltas[i].append(delta_new[i])
+            if n > _STEP_BUDGET:
                 out[i] = errors.StepUnderflow("step budget exhausted")
         live = [i for i in live if out[i] is None]
 
@@ -486,16 +449,16 @@ def solve_radial_fde(
 # -- manufactured solution and tolerance calibration ---------------------------
 
 
-def make_manufactured(p: ModelParams, d: DerivedConstants, c1: float = 2.0,
-                      c2: float = 0.5, k: float = 0.7):
+_MANUFACTURED = (2.0, 0.5, 0.7)  # (c1, c2, k) with |c2| < |c1|: W stays positive
+
+
+def make_manufactured(p: ModelParams, d: DerivedConstants):
     """Exact solution W = delta^{1+gamma} (c1 + c2 sin(k xi)) and its source.
 
     The source S = W_t - F(W) - sigma W_xi is analytic; feeding it to the
     solver makes W an exact solution for convergence studies.
     """
-    if abs(c2) >= abs(c1):
-        raise errors.InvalidParameter("need |c2| < |c1| for positivity")
-    n1 = p.n - 1
+    c1, c2, k = _MANUFACTURED
 
     def W_exact(xi, delta):
         return delta ** (1.0 + p.gamma) * (c1 + c2 * np.sin(k * xi))
@@ -514,7 +477,7 @@ def make_manufactured(p: ModelParams, d: DerivedConstants, c1: float = 2.0,
             Wxx = amp * d2prof
             Wt = -(1.0 + p.gamma) * delta ** p.gamma * prof
             sigma = p.A * p.gamma * delta ** (-p.gamma - 1.0)
-            F = n1 * (Wxx / W + d.b1 * (Wx / W) ** 2 + d.b2 * Wx / W) - d.a0
+            F = radial_diffusion(p, d, W, Wx, Wxx) - d.a0
             return Wt - F - sigma * Wx
 
         return S

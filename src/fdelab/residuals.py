@@ -29,7 +29,7 @@ import numpy as np
 from . import errors
 from .matching import GluedBarrier
 from .outer import OuterProfileSet
-from .params import theta
+from .params import radial_diffusion, theta
 
 __all__ = [
     "glued_evaluator",
@@ -60,7 +60,7 @@ def glued_evaluator(barrier: GluedBarrier):
 
 def l1_terms_evaluator(evaluator, p, d):
     """Wrap an L1 bundle evaluator into (residual, term-magnitude scale)."""
-    n1, g = p.n - 1, p.gamma
+    g = p.gamma
 
     def ev(xi, tau):
         xi = np.asarray(xi, dtype=float)
@@ -70,7 +70,7 @@ def l1_terms_evaluator(evaluator, p, d):
         e1 = np.exp(-g * tau)
         terms = (
             e1 * (wt - (1.0 + g) * w),
-            -n1 * (wxx / w + d.b1 * (wx / w) ** 2 + d.b2 * wx / w),
+            -radial_diffusion(p, d, w, wx, wxx),
             np.full_like(np.atleast_1d(w), d.a0, dtype=float),
             -g * p.A * wx,
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, numerics
-from .params import DerivedConstants, ModelParams, validate_params
+from .params import DerivedConstants, ModelParams, radial_diffusion, validate_params
 from .reporting import atomic_write
 
 __all__ = [
@@ -220,9 +220,7 @@ class SelfSimilarProfile:
         if np.any(v <= 0.0):
             raise errors.NonPositiveProfile("phibar0 <= 0 in residual evaluation")
         d, p = self.d, self.p
-        return (p.n - 1) * (v2 / v + d.b1 * (v1 / v) ** 2 + d.b2 * v1 / v) - (
-            d.a0 - p.gamma * p.A * v1
-        )
+        return radial_diffusion(p, d, v, v1, v2) - (d.a0 - p.gamma * p.A * v1)
 
 
 def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:

@@ -69,14 +69,16 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 @dataclass(eq=False)
 class _Scope:
     """A def or class (or a module body, with name None) and the names it
-    reads: Name ids and attribute names in its own body, nested
-    definitions' bodies excluded.  Reading a name bound by `import x as y`
-    reads x."""
+    reads in its own body, nested definitions' bodies excluded: Name ids in
+    reads, attribute names (obj.name) in attrs.  Reading a name bound by
+    `import x as y` reads x."""
 
     qualname: str
     name: str | None
     parent: "_Scope | None"
+    is_class: bool = False
     reads: set = field(default_factory=set)
+    attrs: set = field(default_factory=set)
     calls: set = field(default_factory=set)  # names called, or passed to warn
 
 
@@ -95,7 +97,10 @@ def _scopes(module: str, source: str) -> list[_Scope]:
                 for part in (*node.args.defaults, *node.args.kw_defaults):
                     if part is not None:
                         visit(part, scope)
-            inner = _Scope(f"{scope.qualname}.{node.name}", node.name, scope)
+            inner = _Scope(
+                f"{scope.qualname}.{node.name}", node.name, scope,
+                is_class=isinstance(node, ast.ClassDef),
+            )
             out.append(inner)
             for child in node.body:
                 visit(child, inner)
@@ -105,7 +110,7 @@ def _scopes(module: str, source: str) -> list[_Scope]:
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             scope.reads.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            scope.reads.add(node.attr)
+            scope.attrs.add(node.attr)
         elif isinstance(node, ast.Call):
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -129,22 +134,27 @@ def live_scopes(sources: dict, entry_points=()) -> tuple[list, list]:
     """(live, dead) scopes of a package given as {module: source}.
 
     Module bodies and entry points are live; a definition becomes live when
-    a live scope reads its name, and a dunder method when its class is
-    live.  Reads from dead code keep nothing alive.
+    a live scope reads its name, a definition directly in a class body only
+    through an attribute read (obj.name), and a dunder method also when its
+    class is live.  Reads from dead code keep nothing alive.
     """
     scopes = [s for module, src in sources.items() for s in _scopes(module, src)]
     live = [s for s in scopes if s.name is None or s.qualname in entry_points]
     reads = set().union(*(s.reads for s in live))
+    attrs = set().union(*(s.attrs for s in live))
     dead = [s for s in scopes if s not in live]
     grew = True
     while grew:
         grew = False
         for s in list(dead):
-            dunder_of_live = _is_dunder(s.name) and s.parent in live
-            if s.name in reads or dunder_of_live:
+            dunder = _is_dunder(s.name)
+            member = s.parent.is_class and not dunder
+            read = s.name in attrs or (not member and s.name in reads)
+            if read or (dunder and s.parent in live):
                 live.append(s)
                 dead.remove(s)
                 reads |= s.reads
+                attrs |= s.attrs
                 grew = True
     return live, dead
 
@@ -156,7 +166,8 @@ def _package_sources():
 def test_definition_scanner():
     sources = {"a": (
         "import b\nfrom c import f as g\n"
-        "def used():\n    helper()\n    raise b.E1('boom')\n"
+        "def used():\n    shadowed = helper()\n    print(shadowed)\n"
+        "    raise b.E1('boom')\n"
         "def helper():\n    pass\n"
         "def dead():\n    only_from_dead()\n    raise b.E2('never')\n"
         "def only_from_dead():\n    pass\n"
@@ -165,15 +176,17 @@ def test_definition_scanner():
         "    def __init__(self):\n        self.m()\n"
         "    def m(self):\n        def inner():\n            pass\n        return inner\n"
         "    def unused(self):\n        pass\n"
+        "    def shadowed(self):\n        pass\n"
         "class Q:\n    def __init__(self):\n        kept_by_dead_class()\n"
         "def kept_by_dead_class():\n    pass\n"
         "used()\nK()\ng()\n"
     ), "b": "class E1(Exception):\n    pass\nclass E2(Exception):\n    pass\n",
        "c": "def f():\n    pass\n"}
     live, dead = live_scopes(sources, entry_points={"a.entry"})
+    # K.shadowed is dead: its name is read only as the bare local in used()
     assert sorted(s.qualname for s in dead) == [
-        "a.K.unused", "a.Q", "a.Q.__init__", "a.dead", "a.kept_by_dead_class",
-        "a.only_from_dead", "b.E2",
+        "a.K.shadowed", "a.K.unused", "a.Q", "a.Q.__init__", "a.dead",
+        "a.kept_by_dead_class", "a.only_from_dead", "b.E2",
     ]
     calls = set().union(*(s.calls for s in live))
     assert {"E1", "helper", "used", "K", "m"} <= calls
