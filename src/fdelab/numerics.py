@@ -1,17 +1,19 @@
 """Root finding and the ODE wrapper.
 
 Thin contracts over numpy/scipy with the error taxonomy of this package.
-All routines are deterministic for fixed inputs.
+All routines are deterministic for fixed inputs.  The root polish is a
+Python port of scipy's C brentq (Brent's zeroin, Brent 1973, ch. 4) that
+gives the same bits, without importing scipy.optimize.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
-import scipy.optimize
 
 from . import errors
 
@@ -69,7 +71,72 @@ def find_root_monotone(
         return lo
     if ghi == 0.0:
         return hi
-    return scipy.optimize.brentq(g, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps)
+    return brentq(g, lo, hi, xtol=tol)
+
+
+_EPS = 2.220446049250313e-16  # float64 machine epsilon
+_BRENT_RTOL = 4.0 * _EPS  # scipy's default and least relative tolerance
+_BRENT_MAXITER = 100  # scipy's default
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Zero of f in [a, b] by Brent's method: scipy.optimize.brentq(f, a,
+    b, xtol) with its default rtol and maxiter, step for step and bit for
+    bit.
+
+    f(a) and f(b) must not have the same sign.  A NaN value of f raises
+    NonFinite, and no convergence within 100 iterations raises
+    NonConvergent.
+    """
+
+    def fx(x):
+        y = float(f(x))
+        if y != y:
+            raise errors.NonFinite(f"root finder: f({x:.6g}) is NaN")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise errors.NoBracket(f"f has the same sign at {a!r} and {b!r}")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = fx(xcur)
+    raise errors.NonConvergent(f"root finder: no convergence in {_BRENT_MAXITER} iterations")
 
 
 def solve_ode(

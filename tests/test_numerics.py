@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.optimize
 
 from fdelab import errors, numerics
 from numdiff import fd_derivative
@@ -23,6 +25,49 @@ def test_find_root_monotone_no_bracket():
     with pytest.raises(errors.NoBracket):
         numerics.find_root_monotone(lambda x: 1.0 + x * x, 0.0, 1.0,
                                     expand_budget=8)
+
+
+def test_find_root_monotone_nan_inside_bracket():
+    # finite at both ends, NaN where the polish lands
+    def g(x):
+        return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+    with pytest.raises(errors.NonFinite):
+        numerics.find_root_monotone(g, 0.0, 1.0)
+
+
+def test_find_root_monotone_nonconvergent():
+    # a jump at 0, where the relative tolerance vanishes, and an absolute
+    # tolerance that 100 halvings of the bracket do not reach
+    with pytest.raises(errors.NonConvergent):
+        numerics.find_root_monotone(lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 2.0,
+                                    tol=1e-300)
+
+
+def _bracketed_cases(rng, count):
+    """(f, a, b, xtol) with the one root c of f inside [a, b]."""
+    families = [
+        lambda c: (lambda x: x ** 3 - c ** 3),
+        lambda c: (lambda x: math.exp(x) - math.exp(c)),
+        lambda c: (lambda x: math.tanh(4.0 * (x - c))),
+        lambda c: (lambda x: math.log1p(x * x) * (x - c) + 1e-3 * (x - c)),
+    ]
+    for k in range(count):
+        c = float(rng.uniform(-2.0, 2.0))
+        a = c - float(rng.uniform(1e-3, 5.0))
+        b = c + float(rng.uniform(1e-3, 5.0))
+        xtol = (1e-12, 2e-12, 1e-6, 1e-3)[k % 4]
+        yield families[k % len(families)](c), a, b, xtol
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = list(_bracketed_cases(rng, 1200))
+    same = sum(
+        numerics.brentq(f, a, b, xtol=xtol) == scipy.optimize.brentq(f, a, b, xtol=xtol)
+        for f, a, b, xtol in cases
+    )
+    assert same == len(cases)
 
 
 def test_solve_ode_exponential():
