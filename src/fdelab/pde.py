@@ -18,7 +18,9 @@ The Jacobian bands are built from the residual's difference stencil only
 for iterates that take a Newton solve.  Each Newton system goes straight
 to LAPACK gtsv (Gaussian elimination with partial pivoting on the three
 diagonals); a singular matrix counts as a diverged Newton step, which
-halves the time step.
+halves the time step.  scipy.linalg is imported on the first solve, so a
+process that never steps the PDE does not load it.  A Newton residual
+that is not finite rejects the step at once with NonFinite.
 
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
@@ -41,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _gtsv
 
 from . import errors
 from .matching import GluedBarrier
@@ -136,9 +137,12 @@ def _tridiagonal_solve(dl, d, du, b):
     """LAPACK gtsv solve of the tridiagonal system (dl, d, du) x = b.
 
     The inputs are overwritten.  A zero pivot raises NewtonDiverged, so
-    the caller's step halving applies.
+    the caller's step halving applies.  LAPACK is imported on the first
+    solve, so only a PDE run loads scipy.linalg.
     """
-    _, _, _, x, info = _gtsv(
+    from scipy.linalg.lapack import dgtsv
+
+    _, _, _, x, info = dgtsv(
         dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
     )
     if info != 0:
@@ -166,9 +170,10 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     step), a trial row that is not positive falls back to its iterate
     before the residual, and a row's source is called only when that row
     is tried.  The Newton systems go one row at a time to gtsv, so a row's
-    bits do not depend on the other rows.  Returns per row (W_new,
-    iterations), or the NewtonDiverged or PositivityLost that rejected its
-    step.
+    bits do not depend on the other rows.  A row whose residual is not
+    finite stops with NonFinite before its next solve.  Returns per row
+    (W_new, iterations), or the NewtonDiverged, PositivityLost or
+    NonFinite that rejected its step.
     """
     k, M = W_old.shape
     out = [None] * k
@@ -219,8 +224,12 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
         for i in range(k):
             if out[i] is not None:
                 continue
-            if G_norm[i] <= tol[i]:  # a NaN residual iterates on and is rejected
+            if G_norm[i] <= tol[i]:
                 out[i] = (X[i], its[i])
+            elif not math.isfinite(G_norm[i]):
+                out[i] = errors.NonFinite(
+                    f"Newton residual not finite at delta = {delta_new[i]:.6e}"
+                )
             elif its[i] >= _NEWTON_MAX:
                 out[i] = errors.NewtonDiverged(
                     f"Newton stalled at |G| = {G_norm[i]:.3e} "

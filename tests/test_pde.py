@@ -263,7 +263,8 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     """A healthy row, a NaN source, a singular Newton system and a full
     Newton step that leaves positivity, stepped in one call: each row ends
     as it does alone, its source is called as often, only finite positive
-    iterates reach the shared array stages, and no warning escapes."""
+    iterates reach the shared array stages, the NaN row stops with
+    NonFinite before any solve, and no warning escapes."""
     a0, ds = d_ref.a0, math.exp(-10.0)
     dn = ds * (1.0 - 0.005)
     uniform = a0 * ds * np.ones(101)
@@ -292,16 +293,14 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
             )
 
     # gtsv raises on the first Newton system of row 2 alone, and after
-    # that on exactly that system; the NaN row gets a -inf step, which
-    # warns in any product with the zero damping of a finished row
+    # that on exactly that system; the NaN row stops before any solve
     solve, calls, singular = pde._tridiagonal_solve, [], []
 
     def spy(dl, d, du, b):
+        assert np.all(np.isfinite(b))
         calls.append([a.copy() for a in (dl, d, du, b)])
         if not singular or all(map(np.array_equal, calls[-1], singular)):
             raise errors.NewtonDiverged("singular by construction")
-        if np.isnan(b).any():
-            return np.full_like(b, -math.inf)
         return solve(dl, d, du, b)
 
     rhs, bands = pde._rhs, pde._jac_bands
@@ -329,7 +328,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     together = step(rows)
 
     assert [type(r).__name__ for r in alone] == [
-        "tuple", "PositivityLost", "NewtonDiverged", "tuple",
+        "tuple", "NonFinite", "NewtonDiverged", "tuple",
     ]
     for a, b in zip(together, alone):
         if isinstance(b, errors.FdelabError):
