@@ -1,9 +1,12 @@
-"""Root finding and the ODE wrapper.
+"""Root finding and the ODE stepper, on Python floats.
 
-Thin contracts over numpy/scipy with the error taxonomy of this package.
-All routines are deterministic for fixed inputs.  The root polish is a
-Python port of scipy's C brentq (Brent's zeroin, Brent 1973, ch. 4) that
-gives the same bits, without importing scipy.optimize.
+Both are ports that load no scipy module.  The root polish is scipy's C
+brentq (Brent's zeroin, Brent 1973, ch. 4), step for step and bit for bit.
+The ODE stepper is Radau IIA of order 5 for a system of two states
+(Hairer & Wanner, Solving ODEs II, sec. IV.8), with scipy's error
+estimate, initial step and step controller; it returns the step table of
+the solution.  All routines are deterministic for fixed inputs and raise
+the error taxonomy of this package.
 """
 
 from __future__ import annotations
@@ -13,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from . import errors
 
-__all__ = ["OdeSpec", "find_root_monotone", "solve_ode"]
+__all__ = ["OdeSpec", "StepTable", "find_root_monotone", "solve_ode"]
 
 
 @dataclass(frozen=True)
@@ -139,40 +141,305 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     raise errors.NonConvergent(f"root finder: no convergence in {_BRENT_MAXITER} iterations")
 
 
+# -- Radau IIA of order 5 on two states ------------------------------------------
+#
+# Hairer & Wanner, Solving ODEs II, sec. IV.8, with the constants, Newton
+# iteration, error estimate, initial step and step controller of scipy's
+# Radau solver (scipy/integrate/_ivp/radau.py).  The eigenvectors T of the
+# Butcher matrix split each three-stage Newton system into one real and one
+# complex 2x2 system, and each is solved by its closed-form inverse.
+
+_S6 = 6.0 ** 0.5
+_C = ((4.0 - _S6) / 10.0, (4.0 + _S6) / 10.0, 1.0)  # stage nodes
+_E = ((-13.0 - 7.0 * _S6) / 3.0, (-13.0 + 7.0 * _S6) / 3.0, -1.0 / 3.0)
+_MU_REAL = 3.0 + 3.0 ** (2.0 / 3.0) - 3.0 ** (1.0 / 3.0)
+_MU_COMPLEX = complex(
+    3.0 + 0.5 * (3.0 ** (1.0 / 3.0) - 3.0 ** (2.0 / 3.0)),
+    -0.5 * (3.0 ** (5.0 / 6.0) + 3.0 ** (7.0 / 6.0)),
+)
+_T = (
+    (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+    (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+    (1.0, 1.0, 0.0),
+)
+_TI = (
+    (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+    (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+    (0.50287263494578682, -2.57192694985560522, 0.59603920482822492),
+)
+_TI_COMPLEX = tuple(complex(a, b) for a, b in zip(_TI[1], _TI[2]))
+# the dense output of a step is y_old + Q [x, x^2, x^3] with Q = Z^T P
+_P = (
+    (13.0 / 3.0 + 7.0 * _S6 / 3.0, -23.0 / 3.0 - 22.0 * _S6 / 3.0, 10.0 / 3.0 + 5.0 * _S6),
+    (13.0 / 3.0 - 7.0 * _S6 / 3.0, -23.0 / 3.0 + 22.0 * _S6 / 3.0, 10.0 / 3.0 - 5.0 * _S6),
+    (1.0 / 3.0, -8.0 / 3.0, 10.0 / 3.0),
+)
+_NEWTON_MAXITER = 6
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
+_ODE_STEP_BUDGET = 100000  # accepted steps before StepUnderflow
+
+
+@dataclass(frozen=True)
+class StepTable:
+    """The steps of an ascending ODE solution, stacked.
+
+    Step i covers [ts[i], ts[i+1]] (a breakpoint belongs to the lower
+    step, as in scipy's OdeSolution) and there y = sum_k coef[i, :, k] x^k
+    with x = (t - ts[i]) / h[i]: coef[i, :, 0] is the state at ts[i] and
+    coef[i, :, 1:] the collocation polynomial Q of the step.
+    """
+
+    ts: np.ndarray  # (steps + 1,) breakpoints
+    h: np.ndarray  # (steps,) ts[i+1] - ts[i]
+    coef: np.ndarray  # (steps, states, 4)
+
+    def __call__(self, t) -> np.ndarray:
+        """States at t, shape (states,) + t.shape, like OdeSolution."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        x = ((t - self.ts[i]) / self.h[i])[..., None]
+        c = self.coef[i]
+        y = c[..., -1]
+        for k in range(c.shape[-1] - 2, -1, -1):
+            y = y * x + c[..., k]
+        return np.moveaxis(y, -1, 0)
+
+
+def _rms(a: float, b: float) -> float:
+    """Root mean square of two values."""
+    return math.sqrt(a * a + b * b) / 2.0 ** 0.5
+
+
+def _inverse(mu, J):
+    """(mu - a, b, c, mu - d, det) for the inverse of mu I - J with
+    J = (a, b, c, d) row by row; None when the matrix is singular."""
+    a, b, c, d = J
+    p, s = mu - a, mu - d
+    det = p * s - b * c
+    return (p, b, c, s, det) if det != 0.0 else None
+
+
+def _solve2(inv, r0, r1):
+    p, b, c, s, det = inv
+    return (s * r0 + b * r1) / det, (c * r0 + p * r1) / det
+
+
+def _collocation(rhs, t, y, h, Z, scale, tol, inv_real, inv_complex):
+    """Simplified Newton iteration for the stage increments Z (3 x 2) of
+    one step; returns (converged, iterations, Z, rate).  A stage value
+    that is not finite, or an OverflowError in rhs, ends it unconverged."""
+    y0, y1 = y
+    s0, s1 = scale
+    m_real = _MU_REAL / h
+    m_complex = _MU_COMPLEX / h
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _TI
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = _T
+    g0, g1, g2 = _TI_COMPLEX
+    (z00, z01), (z10, z11), (z20, z21) = Z
+    # W = TI Z: the stage increments in the eigenbasis of the Butcher matrix
+    w00, w01 = a0 * z00 + a1 * z10 + a2 * z20, a0 * z01 + a1 * z11 + a2 * z21
+    w10, w11 = b0 * z00 + b1 * z10 + b2 * z20, b0 * z01 + b1 * z11 + b2 * z21
+    w20, w21 = c0 * z00 + c1 * z10 + c2 * z20, c0 * z01 + c1 * z11 + c2 * z21
+    t0, t1, t2 = t + h * _C[0], t + h * _C[1], t + h * _C[2]
+    dW_norm_old = rate = None
+    converged = False
+    for k in range(_NEWTON_MAXITER):
+        try:
+            f00, f01 = rhs(t0, y0 + z00, y1 + z01)
+            f10, f11 = rhs(t1, y0 + z10, y1 + z11)
+            f20, f21 = rhs(t2, y0 + z20, y1 + z21)
+        except OverflowError:  # math.exp past the float range
+            break
+        if not all(map(math.isfinite, (f00, f01, f10, f11, f20, f21))):
+            break
+        dr0, dr1 = _solve2(
+            inv_real,
+            f00 * a0 + f10 * a1 + f20 * a2 - m_real * w00,
+            f01 * a0 + f11 * a1 + f21 * a2 - m_real * w01,
+        )
+        dc0, dc1 = _solve2(
+            inv_complex,
+            f00 * g0 + f10 * g1 + f20 * g2 - m_complex * complex(w10, w20),
+            f01 * g0 + f11 * g1 + f21 * g2 - m_complex * complex(w11, w21),
+        )
+        e0, e1, e2 = dr0 / s0, dr1 / s1, dc0.real / s0
+        e3, e4, e5 = dc1.real / s1, dc0.imag / s0, dc1.imag / s1
+        dW_norm = math.sqrt(e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4 + e5 * e5) / _S6
+        if dW_norm_old is not None:
+            rate = dW_norm / dW_norm_old
+        if rate is not None and (
+            rate >= 1.0 or rate ** (_NEWTON_MAXITER - k) / (1.0 - rate) * dW_norm > tol
+        ):
+            break
+        w00, w01 = w00 + dr0, w01 + dr1
+        w10, w11 = w10 + dc0.real, w11 + dc1.real
+        w20, w21 = w20 + dc0.imag, w21 + dc1.imag
+        # Z = T W
+        z00, z01 = p0 * w00 + p1 * w10 + p2 * w20, p0 * w01 + p1 * w11 + p2 * w21
+        z10, z11 = q0 * w00 + q1 * w10 + q2 * w20, q0 * w01 + q1 * w11 + q2 * w21
+        z20, z21 = r0 * w00 + r1 * w10 + r2 * w20, r0 * w01 + r1 * w11 + r2 * w21
+        if dW_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dW_norm < tol:
+            converged = True
+            break
+        dW_norm_old = dW_norm
+    return converged, k + 1, ((z00, z01), (z10, z11), (z20, z21)), rate
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
+    """Step factor of the predictive (Gustafsson) controller."""
+    if error_norm == 0.0:
+        return math.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1.0
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1.0, multiplier) * error_norm ** -0.25
+
+
+def _initial_step(rhs, t0, y, t_bound, f0, rtol, atol) -> float:
+    """Initial step for an error estimate of order 3 (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.4), as scipy selects it."""
+    interval = t_bound - t0
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms(y[0] / scale[0], y[1] / scale[1])
+    d1 = _rms(f0[0] / scale[0], f0[1] / scale[1])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0, y[0] + h0 * f0[0], y[1] + h0 * f0[1])
+    d2 = _rms((f1[0] - f0[0]) / scale[0], (f1[1] - f0[1]) / scale[1]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.25
+    return min(100.0 * h0, h1, interval)
+
+
 def solve_ode(
     rhs: Callable,
+    jac: Callable,
     t_span: tuple[float, float],
     y0: Sequence[float],
     spec: OdeSpec | None = None,
-):
-    """LSODA through scipy solve_ivp, with dense output and a terminal
-    blowup guard on max|y|.
+) -> StepTable:
+    """Radau IIA of order 5 for a system of two states on an ascending
+    t_span, on Python floats; returns the StepTable of its steps.
 
-    Raises BlowupGuardTripped if the guard event fires and StepUnderflow
-    when the stepper reports failure.
+    rhs(t, u, v) returns the derivatives (u', v') and jac(t, u, v) the
+    Jacobian (du'/du, du'/dv, dv'/du, dv'/dv), all as floats.  A stage
+    value that is not finite or an OverflowError in rhs fails the Newton
+    iteration: it is retried once with a fresh Jacobian, then the step is
+    halved.  A singular Newton matrix fails it the same way, and an
+    OverflowError in jac or in the evaluations that close a step halves
+    the step at once.  Raises
+    StepUnderflow when the step falls below ten spacings of t or the step
+    budget is spent, BlowupGuardTripped when a state reaches the blowup
+    guard, and NonFinite when rhs or jac is not finite at the start.
     """
     spec = spec or OdeSpec()
+    rtol, atol, guard = spec.rel_tol, spec.abs_tol, spec.blowup_guard
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if not t < t_bound:
+        raise errors.InvalidParameter(f"need an ascending t_span, got {t_span}")
+    y = (float(y0[0]), float(y0[1]))
+    try:
+        f = rhs(t, *y)
+        J = jac(t, *y)
+        h_next = _initial_step(rhs, t, y, t_bound, f, rtol, atol)
+    except OverflowError as exc:
+        raise errors.NonFinite(f"ODE right-hand side overflows at t = {t:.6g}") from exc
+    if not all(math.isfinite(v) for v in (*f, *J)):
+        raise errors.NonFinite(f"ODE right-hand side not finite at t = {t:.6g}")
+    newton_tol = max(10.0 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    h_abs_old = error_norm_old = None
+    current_jac = True
+    inv_real = inv_complex = None
+    ts, rows = [t], []  # rows[i][j] = (y_j at ts[i], Q[j, 0], Q[j, 1], Q[j, 2])
+    while t < t_bound:
+        if len(rows) >= _ODE_STEP_BUDGET:
+            raise errors.StepUnderflow(f"ODE step budget exhausted at t = {t:.6g}")
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if h_next < min_step:
+            h_abs, h_ref, err_ref = min_step, None, None
+        else:
+            h_abs, h_ref, err_ref = h_next, h_abs_old, error_norm_old
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise errors.StepUnderflow(f"ODE step below {min_step:.3g} at t = {t:.6g}")
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            if rows:  # the last step's cubic predicts the stage values
+                x_of = [(t + h * c - ts[-2]) / h_last for c in _C]
+                Z0 = [[q1 * x + q2 * (x * x) + q3 * (x * x * x) + q0 - v
+                       for (q0, q1, q2, q3), v in zip(rows[-1], y)] for x in x_of]
+            else:
+                Z0 = [[0.0, 0.0] for _ in range(3)]
+            scale = [atol + abs(v) * rtol for v in y]
+            while True:
+                if inv_real is None or inv_complex is None:
+                    inv_real, inv_complex = _inverse(_MU_REAL / h, J), _inverse(_MU_COMPLEX / h, J)
+                converged = inv_real is not None and inv_complex is not None
+                if converged:
+                    converged, n_iter, Z, rate = _collocation(
+                        rhs, t, y, h, Z0, scale, newton_tol, inv_real, inv_complex
+                    )
+                if converged or current_jac:
+                    break
+                try:
+                    J = jac(t, *y)
+                except OverflowError:
+                    break
+                current_jac = True
+                inv_real = inv_complex = None
+            if not converged:
+                h_abs *= 0.5
+                inv_real = inv_complex = None
+                continue
+            y_new = (y[0] + Z[2][0], y[1] + Z[2][1])
+            ZE = [(Z[0][j] * _E[0] + Z[1][j] * _E[1] + Z[2][j] * _E[2]) / h for j in (0, 1)]
+            error = _solve2(inv_real, f[0] + ZE[0], f[1] + ZE[1])
+            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            error_norm = _rms(error[0] / scale[0], error[1] / scale[1])
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            recompute_jac = n_iter > 2 and rate > 1e-3
+            try:
+                if rejected and error_norm > 1.0:
+                    fe = rhs(t, y[0] + error[0], y[1] + error[1])
+                    error = _solve2(inv_real, fe[0] + ZE[0], fe[1] + ZE[1])
+                    error_norm = _rms(error[0] / scale[0], error[1] / scale[1])
+                if error_norm <= 1.0:
+                    f_new = rhs(t_new, *y_new)
+                    J_new = jac(t_new, *y_new) if recompute_jac else J
+                    if all(math.isfinite(v) for v in (*f_new, *J_new)):
+                        break
+                    error_norm = math.nan
+            except OverflowError:
+                error_norm = math.nan
+            if math.isnan(error_norm):  # an overflow fails the step like Newton
+                h_abs *= 0.5
+                inv_real = inv_complex = None
+                continue
+            factor = _predict_factor(h_abs, h_ref, error_norm, err_ref)
+            h_abs *= max(_MIN_FACTOR, safety * factor)
+            inv_real = inv_complex = None
+            rejected = True
 
-    def guard(t, y):
-        return spec.blowup_guard - float(np.max(np.abs(y)))
-
-    guard.terminal = True
-    guard.direction = -1
-
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        t_span,
-        np.asarray(y0, dtype=float),
-        method="LSODA",
-        rtol=spec.rel_tol,
-        atol=spec.abs_tol,
-        dense_output=True,
-        events=[guard],
-    )
-    if sol.status == -1:
-        raise errors.StepUnderflow(f"ODE solver failed: {sol.message}")
-    if sol.status == 1 and len(sol.t_events[0]) > 0:
-        raise errors.BlowupGuardTripped(
-            f"|y| reached {spec.blowup_guard:g} at t = {sol.t_events[0][0]:.6g}"
-        )
-    return sol
+        factor = min(_MAX_FACTOR, safety * _predict_factor(h_abs, h_ref, error_norm, err_ref))
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        else:
+            inv_real = inv_complex = None
+        J, current_jac = J_new, recompute_jac
+        h_abs_old, error_norm_old = h_next, error_norm
+        h_next = h_abs * factor
+        rows.append([
+            (y[j], *(Z[0][j] * _P[0][k] + Z[1][j] * _P[1][k] + Z[2][j] * _P[2][k] for k in range(3)))
+            for j in (0, 1)
+        ])
+        h_last = h
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        if not (abs(y[0]) < guard and abs(y[1]) < guard):
+            raise errors.BlowupGuardTripped(f"|y| reached {guard:g} at t = {t:.6g}")
+    ts = np.array(ts)
+    return StepTable(ts=ts, h=ts[1:] - ts[:-1], coef=np.array(rows))

@@ -7,14 +7,14 @@ equation
 
 with v0 smooth at the origin, v0(0) = lambda.  Shooting integrates the
 log-state (Z, P) = (log V, (log V)') of V = v0^m in s = log r, which keeps
-every exponent O(s) and the system LSODA-friendly; the stiff relaxation
-onto the slow manifold makes explicit methods impractical past s ~ 50.
+every exponent O(s).  The stiff relaxation onto the slow manifold makes
+explicit methods impractical past s ~ 50, so the shoot takes implicit
+Radau IIA steps with the analytic Jacobian of (Z, P).
 
-Evaluation reads one stacked Nordsieck table: every LSODA step i on
-[ts[i], ts[i+1]] contributes the polynomial y(s) = sum_k yh[i,k] x^k in
-x = (s - t[i]) / h[i], zero-padded to the largest order.  A point costs one
-sorted search and one Horner sum; these are the polynomials of scipy's
-dense output, so values agree with it to rounding.
+Evaluation reads the step table of that solution: step i on
+[ts[i], ts[i+1]] contributes the cubic y(s) = sum_k coef[i,k] x^k in
+x = (s - ts[i]) / h[i], the state at ts[i] plus the step's collocation
+polynomial.  A point costs one sorted search and one Horner sum.
 
 Far field: phibar0(s) = (a0/(gamma*A)) s + c_log log s + K1 + o(1) with
 c_log = -(n-1) b2 / (gamma*A); the fitted (slope, c_log, K1) triple is the
@@ -36,56 +36,11 @@ from .params import DerivedConstants, ModelParams, radial_diffusion, validate_pa
 from .reporting import atomic_write
 
 __all__ = [
-    "NordsieckTable",
-    "nordsieck_table",
     "SelfSimilarProfile",
     "shoot_v0",
     "verify_tail_asymptotics",
     "save_profile",
 ]
-
-
-@dataclass(frozen=True)
-class NordsieckTable:
-    """All steps of an ascending LSODA solution, stacked.
-
-    Step i covers [ts[i], ts[i+1]] (a breakpoint belongs to the lower
-    step, as in scipy's OdeSolution) and there y = sum_k yh[i, :, k] x^k
-    with x = (s - t[i]) / h[i].
-    """
-
-    ts: np.ndarray  # (steps + 1,) breakpoints
-    t: np.ndarray  # (steps,) expansion point of each step
-    h: np.ndarray  # (steps,) Nordsieck scale of each step
-    yh: np.ndarray  # (steps, states, order + 1), zero-padded
-
-    def __call__(self, s) -> np.ndarray:
-        """States at s, shape (states,) + s.shape, like OdeSolution."""
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, s, side="left") - 1, 0, len(self.t) - 1)
-        x = ((s - self.t[i]) / self.h[i])[..., None]
-        c = self.yh[i]
-        y = c[..., -1]
-        for k in range(c.shape[-1] - 2, -1, -1):
-            y = y * x + c[..., k]
-        return np.moveaxis(y, -1, 0)
-
-
-def nordsieck_table(sol) -> NordsieckTable:
-    """Stack the LsodaDenseOutput steps of an ascending OdeSolution."""
-    if not sol.ascending:
-        raise errors.InvalidParameter("Nordsieck table needs an ascending solution")
-    steps = sol.interpolants
-    order = max(st.yh.shape[1] for st in steps)
-    yh = np.zeros((len(steps), steps[0].yh.shape[0], order))
-    for i, st in enumerate(steps):
-        yh[i, :, : st.yh.shape[1]] = st.yh
-    return NordsieckTable(
-        ts=np.array(sol.ts_sorted, dtype=float),
-        t=np.array([st.t for st in steps], dtype=float),
-        h=np.array([st.h for st in steps], dtype=float),
-        yh=yh,
-    )
 
 
 @dataclass
@@ -97,31 +52,25 @@ class TailFit:
 
 
 class SelfSimilarProfile:
-    """Shot profile on a Nordsieck table, with core and tail extensions.
+    """Shot profile on a step table, with core and tail extensions.
 
     Evaluation branches:
       s < s_min          : core law  phibar0 = lambda^(1-m) e^{2s}
-      s_min <= s <= s_max: Horner sums of the stacked LSODA steps
+      s_min <= s <= s_max: Horner sums of the shoot's steps
       s > s_max          : fitted tail slope*s + c_log*log(s) + K1
 
     A float s in [s_min, s_max] with deriv=0 takes the same table through
     Python floats (bisect and Horner), which is what root finders call.
     """
 
-    def __init__(self, p: ModelParams, sol, s_min: float, s_max: float):
+    def __init__(self, p: ModelParams, table: numerics.StepTable, s_min: float, s_max: float):
         self.p = p
         self.d: DerivedConstants = validate_params(p)
-        self._table = nordsieck_table(sol.sol)
-        # scalar route: Z rows highest power first, padding dropped
-        tab = self._table
-        self._ts = tab.ts.tolist()
-        self._t = tab.t.tolist()
-        self._h = tab.h.tolist()
-        self._zrows = []
-        for row in tab.yh[:, 0, ::-1].tolist():
-            while len(row) > 1 and row[0] == 0.0:
-                row.pop(0)
-            self._zrows.append(row)
+        self._table = table
+        # scalar route: Z rows highest power first
+        self._ts = table.ts.tolist()
+        self._h = table.h.tolist()
+        self._zrows = table.coef[:, 0, ::-1].tolist()
         self._c = (1.0 - p.m) / p.m
         self.s_min = float(s_min)
         self.s_max = float(s_max)
@@ -164,8 +113,8 @@ class SelfSimilarProfile:
     def phibar0(self, s, deriv: int = 0):
         """phibar0(s) or its first/second s-derivative, any real s."""
         if deriv == 0 and isinstance(s, float) and self.s_min <= s <= self.s_max:
-            i = min(max(bisect_left(self._ts, s) - 1, 0), len(self._t) - 1)
-            x = (s - self._t[i]) / self._h[i]
+            i = min(max(bisect_left(self._ts, s) - 1, 0), len(self._h) - 1)
+            x = (s - self._ts[i]) / self._h[i]
             Z = 0.0
             for coef in self._zrows[i]:
                 Z = Z * x + coef
@@ -246,14 +195,19 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
     P0 = m * (2.0 * v2 * r0 ** 2) / vcore
     c1 = 2.0 * gamma * A / (1.0 - m)
     c2 = gamma * A / m
+    k = m / (n - 1)
+    q = 1.0 / m - 1.0
 
-    def rhs(s, y):
-        Z, P = y
-        E = math.exp(2.0 * s + (1.0 / m - 1.0) * Z)
-        return [P, -P * P - (n - 2) * P - (m / (n - 1)) * E * (c1 + c2 * P)]
+    def rhs(s, Z, P):
+        E = math.exp(2.0 * s + q * Z)
+        return P, -P * P - (n - 2) * P - k * E * (c1 + c2 * P)
 
-    sol = numerics.solve_ode(rhs, (s0, s_max), [Z0, P0], spec)
-    prof = SelfSimilarProfile(p, sol, s_min=s0, s_max=s_max)
+    def jac(s, Z, P):
+        kE = k * math.exp(2.0 * s + q * Z)
+        return 0.0, 1.0, -kE * q * (c1 + c2 * P), -2.0 * P - (n - 2) - kE * c2
+
+    table = numerics.solve_ode(rhs, jac, (s0, s_max), [Z0, P0], spec)
+    prof = SelfSimilarProfile(p, table, s_min=s0, s_max=s_max)
     if not prof.slope_converged:
         dev = abs(prof.phibar0(s_max, deriv=1) - prof.slope_limit)
         warnings.warn(

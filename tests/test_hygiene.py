@@ -1,7 +1,12 @@
 """Source hygiene: every import is used, every definition has a caller,
-and every error class is raised."""
+every error class is raised, and the commands load only the scipy modules
+they need."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,3 +216,50 @@ def test_every_error_class_is_raised():
     ]
     exempt = {"FdelabError", "SlopeNotConverged"}
     assert [name for name in classes if name not in raised | exempt] == []
+
+
+# -- import graph -----------------------------------------------------------------
+
+_IMPORT_PROBE = """
+import json, sys, warnings
+from fdelab import errors
+from fdelab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+warnings.simplefilter("ignore", errors.SlopeNotConverged)
+loaded = [scipy_modules()]
+main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
+loaded.append(scipy_modules())
+main(["simulate", "--force", "--config", sys.argv[2], "--out", sys.argv[3]])
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
+    # a fresh process: importing the CLI and a 16x4 verify load no scipy
+    # module at all; the simulate smoke run loads LAPACK for its Newton
+    # solves, but neither scipy.integrate nor scipy.optimize
+    base = {"n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0, "T": 1.0, "lambda": 1.0,
+            "theta1_minus": -1.0}
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps(dict(base, grid_eta=16, grid_tau=4)))
+    simulate = tmp_path / "simulate.json"
+    simulate.write_text(json.dumps(dict(
+        base, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,
+    )))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(verify), str(simulate), str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_verify, after_simulate = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == []
+    assert after_verify == []
+    assert after_simulate
+    assert [m for m in after_simulate
+            if m.startswith(("scipy.integrate", "scipy.optimize"))] == []

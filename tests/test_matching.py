@@ -19,13 +19,13 @@ XI1 = 10.0
 
 # Frozen matching constants at the reference set (xi1 = 10, eps = 0).
 C_PLUS_REF = {
-    8.0: 10.84903493859973,
-    10.0: 13.894176944558952,
-    16.0: 23.001622564416284,
-    40.0: 59.256156518788785,
+    8.0: 10.849035963515531,
+    10.0: 13.894178403042151,
+    16.0: 23.001624579361014,
+    40.0: 59.2561600567407,
 }
-C_MINUS_REF_16 = -0.4530757156372284
-C_MINUS_REF_40 = -0.4530757135968604
+C_MINUS_REF_16 = -0.4530757400619458
+C_MINUS_REF_40 = -0.45307573802160883
 
 EPS1_REF = 0.03613281235546875
 EPS1_LOW = 0.028320312386718748

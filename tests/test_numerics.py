@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 
 from fdelab import errors, numerics
@@ -70,15 +71,96 @@ def test_brentq_port_matches_scipy_bit_for_bit():
     assert same == len(cases)
 
 
+def _linear(t, u, v):
+    # u = e^-t, v = e^-t - e^-2t from (1, 0)
+    return -u, u - 2.0 * v
+
+
+def _linear_jac(t, u, v):
+    return -1.0, 0.0, 1.0, -2.0
+
+
 def test_solve_ode_exponential():
-    sol = numerics.solve_ode(lambda t, y: -y, (0.0, 5.0), [1.0])
-    assert float(sol.sol(5.0)[0]) == pytest.approx(math.exp(-5.0), rel=1e-7)
+    tab = numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0])
+    ref = scipy.integrate.solve_ivp(
+        lambda t, y: _linear(t, *y), (0.0, 5.0), [1.0, 0.0], method="Radau",
+        jac=lambda t, y: np.reshape(_linear_jac(t, *y), (2, 2)),
+        rtol=1e-10, atol=1e-12, dense_output=True,
+    )
+    assert len(tab.ts) == len(ref.t) and tab.ts[-1] == 5.0
+    s = np.linspace(0.0, 5.0, 1001)
+    assert np.max(np.abs(tab(s) - ref.sol(s))) < 1e-14
+    u, v = tab(5.0)
+    assert u == pytest.approx(math.exp(-5.0), rel=1e-9)
+    assert v == pytest.approx(math.exp(-5.0) - math.exp(-10.0), rel=1e-9)
 
 
 def test_solve_ode_blowup_guard():
+    # u = 1/(1 - t) blows up at t = 1
     spec = numerics.OdeSpec(blowup_guard=1e6)
     with pytest.raises(errors.BlowupGuardTripped):
-        numerics.solve_ode(lambda t, y: y * y, (0.0, 2.0), [1.0], spec=spec)
+        numerics.solve_ode(lambda t, u, v: (u * u, u), lambda t, u, v: (2.0 * u, 0.0, 1.0, 0.0),
+                           (0.0, 2.0), [1.0, 0.0], spec=spec)
+
+
+def _decay(t, u, v):
+    # u = e^-t, v = 1/(1+t) from (1, 1)
+    return -u, -v * v
+
+
+def _decay_jac(t, u, v):
+    return -1.0, 0.0, 0.0, -2.0 * v
+
+
+@pytest.mark.parametrize("where,times", [("rhs", 2), ("jac", 1)])
+def test_solve_ode_overflow_halves_the_step(where, times):
+    # the first calls past t = 1 overflow: a failed Newton iteration is
+    # retried once with a fresh Jacobian, then the step is halved; a
+    # Jacobian that overflows fails the step at once; the solution is
+    # unharmed
+    overflowed = []
+
+    def overflow(t):
+        if t > 1.0 and len(overflowed) < times:
+            overflowed.append(t)
+            raise OverflowError("math range error")
+
+    def rhs(t, u, v):
+        if where == "rhs":
+            overflow(t)
+        return _decay(t, u, v)
+
+    def jac(t, u, v):
+        if where == "jac":
+            overflow(t)
+        return _decay_jac(t, u, v)
+
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0])
+    assert len(overflowed) == times
+    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0])
+    k = int(np.searchsorted(clean.ts, overflowed[0])) - 1  # the step that failed
+    assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
+    assert tab.h[k] <= 0.5 * clean.h[k]
+    s = np.linspace(0.0, 20.0, 1001)
+    assert np.all(np.abs(tab(s) - clean(s)) <= 1e-8 * clean(s) + 1e-11)  # abs_tol 1e-12
+
+
+def test_solve_ode_step_underflow():
+    # every evaluation past t = 1 overflows, so the steps shrink onto t = 1
+    def rhs(t, u, v):
+        if t > 1.0:
+            raise OverflowError("math range error")
+        return _linear(t, u, v)
+
+    with pytest.raises(errors.StepUnderflow):
+        numerics.solve_ode(rhs, _linear_jac, (0.0, 2.0), [1.0, 0.0])
+
+
+def test_solve_ode_step_budget(monkeypatch):
+    # the linear system takes 646 steps on [0, 5]
+    monkeypatch.setattr(numerics, "_ODE_STEP_BUDGET", 10)
+    with pytest.raises(errors.StepUnderflow, match="budget"):
+        numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0])
 
 
 def test_fd_derivative_orders():

@@ -195,7 +195,7 @@ def test_sandwich_smoke(barrier_pair):
         kind: (run.newton_iters, run.newton_iters_max, run.step_rejections)
         for kind, run in report.runs.items()
     }
-    assert counters == {"lower": (260, 6, 0), "upper": (246, 5, 0), "mid": (252, 8, 0)}
+    assert counters == {"lower": (256, 6, 0), "upper": (246, 5, 0), "mid": (252, 8, 0)}
 
 
 def test_extinction_rate_recovers_power_law():

@@ -5,23 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from fdelab import errors, numerics
-from fdelab.selfsim import (
-    nordsieck_table,
-    save_profile,
-    shoot_v0,
-    verify_tail_asymptotics,
-)
+from fdelab.selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 from numdiff import fd_derivative
+from shoot_sweep import shoot_or_error, sweep_params
 
 # Frozen from the first converged shoot at each parameter set.  The tail
 # slope limit a0/(gamma A) and log power -b2/gamma are closed forms; the
 # fitted values carry the finite-window truncation of the fit.
-REF_SLOPE_FIT = 1.0369970861873008
-REF_K1 = 1.2597049440544046
-LOW_SLOPE_FIT = 3.111024178156926
-LOW_K1 = 2.119677314892524
+REF_SLOPE_FIT = 1.0369970662341002
+REF_K1 = 1.2597151915030282
+LOW_SLOPE_FIT = 3.1110242519169926
+LOW_K1 = 2.1197401677658836
 
 
 def test_reference_tail_fit_frozen(profile_ref):
@@ -134,19 +131,35 @@ def test_save_profile_creates_missing_directory(profile_ref, tmp_path):
     assert path.read_bytes() == (tmp_path / "selfsim.csv").read_bytes()
 
 
-def test_nordsieck_table_matches_dense_output():
+def test_step_table_matches_scipy_radau_dense_output():
     # y = (e^-t, 1/(1+t)): both components stay away from zero, so the
-    # comparison is relative everywhere
-    sol = numerics.solve_ode(lambda t, y: [-y[0], -y[1] * y[1]], (0.0, 20.0), [1.0, 1.0])
-    tab = nordsieck_table(sol.sol)
+    # comparison is relative everywhere; the port takes scipy's steps, and
+    # the two dense outputs differ by rounding, far below the tolerances
+    def rhs(t, u, v):
+        return -u, -v * v
+
+    def jac(t, u, v):
+        return -1.0, 0.0, 0.0, -2.0 * v
+
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0])
+    ref = scipy.integrate.solve_ivp(
+        lambda t, y: rhs(t, *y), (0.0, 20.0), [1.0, 1.0], method="Radau",
+        jac=lambda t, y: np.reshape(jac(t, *y), (2, 2)), rtol=1e-10, atol=1e-12,
+        dense_output=True,
+    )
     assert tab.ts[0] == 0.0 and tab.ts[-1] == 20.0
+    assert len(tab.ts) == len(ref.t)
+    assert np.all(tab.h == np.diff(tab.ts))
     rng = np.random.default_rng(7)
     s = np.concatenate([rng.uniform(0.0, 20.0, 10000), tab.ts])
-    want = sol.sol(s)
+    want = ref.sol(s)
     got = tab(s)
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
-    assert tab(3.0) == pytest.approx(sol.sol(3.0), rel=1e-14)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-11
+    # a breakpoint belongs to the lower step, which ends on the next state
+    start = tab.coef[1:, :, 0].T
+    assert np.max(np.abs(tab(tab.ts[1:-1]) - start) / np.abs(start)) < 1e-14
+    assert tab(3.0) == pytest.approx(ref.sol(3.0), rel=1e-11)
 
 
 def test_scalar_route_matches_array_route(profile_ref):
@@ -160,3 +173,40 @@ def test_scalar_route_matches_array_route(profile_ref):
     got = np.array([profile_ref.phibar0(float(x)) for x in s])
     assert np.max(np.abs(got - want) / want) <= 4e-16
     assert type(profile_ref.phibar0(1.0)) is float
+
+
+def _lsoda_phibar0(profile, s):
+    """phibar0 at s from scipy's LSODA at rtol 1e-13, started from the
+    shoot's own initial state: a tight reference, within about 2e-10 of
+    scipy's Radau at the same tolerance."""
+    p = profile.p
+    n, m, gamma, A = p.n, p.m, p.gamma, p.A
+
+    def rhs(t, y):
+        Z, P = y
+        E = math.exp(2.0 * t + (1.0 / m - 1.0) * Z)
+        return [P, -P * P - (n - 2) * P
+                - (m / (n - 1)) * E * (2.0 * gamma * A / (1.0 - m) + gamma * A / m * P)]
+
+    tab = profile._table
+    sol = scipy.integrate.solve_ivp(
+        rhs, (tab.ts[0], tab.ts[-1]), tab.coef[0, :, 0], method="LSODA",
+        rtol=1e-13, atol=1e-15, dense_output=True,
+    )
+    return np.exp(2.0 * s + (1.0 - m) / m * sol.sol(s)[0])
+
+
+# every 16th case of the 81-case sweep: n 3, 4 and 6, all three m
+# fractions, gamma 0.3 and 3, A 1.05, 2 and 5
+SWEEP_SUBSET = list(sweep_params())[::16]
+
+
+@pytest.mark.parametrize(
+    "p", SWEEP_SUBSET, ids=[f"n{p.n}-m{p.m:.3f}-g{p.gamma:g}-A{p.A:g}" for p in SWEEP_SUBSET]
+)
+def test_shoot_sweep_subset_matches_tight_reference(p):
+    prof = shoot_or_error(p)
+    assert not isinstance(prof, errors.FdelabError), prof
+    s = np.linspace(prof.s_min, prof.s_max, 2001)
+    want = _lsoda_phibar0(prof, s)
+    assert np.max(np.abs(prof.phibar0(s) - want) / want) < 1e-8
