@@ -146,6 +146,37 @@ def test_verify_end_to_end_is_reproducible(tmp_path):
         assert_report_matches(path, out, f"verify-{name}-16x4.json")
 
 
+def profile_summary(out) -> dict:
+    """The parts of a `profile` run pinned by the goldens: the derived
+    constants, the header and every 20th row of the profile table, and the
+    two header lines of the self-similar table."""
+    (derived,) = out.glob("derived-*.json")
+    (profiles,) = out.glob("profiles-*.csv")
+    (selfsim,) = out.glob("selfsim-*.csv")
+    header, *rows = _csv_cells(profiles.read_text())
+    comment, columns = selfsim.read_text().splitlines()[:2]
+    assert comment.startswith("# ")
+    return {
+        "derived": json.loads(derived.read_text()),
+        "profiles_header": header,
+        "profiles_rows": rows[::20],
+        "selfsim_header": json.loads(comment[2:]),
+        "selfsim_columns": columns,
+    }
+
+
+@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
+@pytest.mark.parametrize("name, gamma", [("ref", 1.5), ("low", 0.5)])
+def test_profile_matches_golden(name, gamma, tmp_path):
+    # ref tabulates psi3, low psi4 with its correction rows
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, gamma=gamma)))
+    out = tmp_path / "runs"
+    assert main(["profile", "--config", str(config), "--out", str(out)]) == 0
+    want = json.loads((GOLDEN / f"profile-{name}.json").read_text())
+    assert_matches(profile_summary(out), want, f"profile-{name}")
+
+
 @pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
 def test_simulate_end_to_end_is_reproducible(tmp_path):
     # a 0.6-tau window passes the sandwich but spans too few decades for
