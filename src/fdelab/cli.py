@@ -66,7 +66,7 @@ def _add_common(sp: argparse.ArgumentParser):
 def _load(args):
     p, cfg, extras = load_config(args.config)
     d = validate_params(p)
-    cfg = cfg.validated(p, d)
+    cfg = cfg.validated(p)
     h = config_hash(p, cfg, extras)
     return p, d, cfg, extras, h
 
@@ -90,11 +90,10 @@ def cmd_profile(args) -> int:
             print(f"profile {h}: would write {v}")
         return 0
 
-    variant = branch_variant(p.gamma)
     outer = OuterProfileSet(p, cfg)
     n_eta = max(cfg.grid_eta, 400)
     gaps = np.geomspace(1e-6, 2e4, n_eta)
-    rows = outer.profile_rows(p.A + gaps, cfg.tau_start, variant, "+")
+    rows = outer.profile_rows(p.A + gaps, cfg.tau_start, "+")
     write_csv(paths["profiles"],
               ["eta", "phi0", "phi1", "phi2", "phi3", "phi4",
                "h_plus", "h_minus", "psi", "psi_eta", "psi_etaeta"],
@@ -104,11 +103,10 @@ def cmd_profile(args) -> int:
     save_profile(profile, paths["selfsim"])
 
     payload = params_to_dict(p, d)
-    payload["variant"] = variant
+    payload["variant"] = branch_variant(p.gamma)
     payload["tau_snapshot"] = cfg.tau_start
     payload["C2"] = outer.C2
-    if variant in ("psi3", "psi4"):
-        payload["C10"] = outer.C10
+    payload["C10"] = outer.C10
     write_json(paths["derived"], payload)
     for v in paths.values():
         print(f"profile {h}: wrote {v}")
@@ -118,21 +116,22 @@ def cmd_profile(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _search_inner_start(solver, eps: float, xi1: float, tau_lo: float, p, d, cfg):
+def _search_inner_start(solver, eps: float, tau_lo: float):
     """Smallest tau (8 steps of 2 from tau_lo) where both glued barriers
     pass the inner sign verdict; returns (tau, reports) or (None, reports)."""
+    p, d, cfg = solver.outer.p, solver.outer.d, solver.outer.cfg
     tau = tau_lo
     reports = {}
     for _ in range(8):
         ok = True
         reports = {}
         for sign in ("+", "-"):
-            bar = GluedBarrier(solver, sign, eps, xi1)
+            bar = GluedBarrier(solver, sign, eps)
             region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0,
-                            xi1=xi1, delta1=cfg.delta1)
+                            xi1=solver.xi1, delta1=cfg.delta1)
             rep = verify_sign_region(
                 "L1", l1_terms_evaluator(glued_evaluator(bar), p, d),
-                sign, region, p, d,
+                sign, region, p,
                 n_space=cfg.grid_eta, n_tau=cfg.grid_tau,
                 atol_factor=cfg.sign_atol_factor,
                 inconclusive_frac=cfg.inconclusive_frac,
@@ -160,7 +159,6 @@ def cmd_verify(args) -> int:
     outer = OuterProfileSet(p, cfg)
     profile = shoot_v0(p)
     solver = MatchingSolver(profile, outer, variant)
-    xi1 = cfg.xi1
 
     # 1. self-similar tail asymptotics
     tail = verify_tail_asymptotics(profile)
@@ -178,15 +176,14 @@ def cmd_verify(args) -> int:
     thresholds = {}
     for sign in ("+", "-"):
         try:
-            th = search_thresholds(outer, variant, sign)
+            th = search_thresholds(outer, sign)
             ok = True
         except errors.ThresholdSearchExhausted as exc:
             th = {"error": str(exc)}
             ok = False
             # report which half of the region is actually attainable
             try:
-                near = search_thresholds(outer, variant, sign,
-                                         regions=("near_A",))
+                near = search_thresholds(outer, sign, regions=("near_A",))
                 th["near_A_only"] = {k: v for k, v in near.items()
                                      if k != "reports"}
             except errors.ThresholdSearchExhausted as exc2:
@@ -207,7 +204,7 @@ def cmd_verify(args) -> int:
     for _ in range(7):
         taus = [tau_match, tau_match + 2.0, tau_match + 5.0]
         try:
-            eps1, eps2 = find_epsilon_bounds(solver, xi1, taus)
+            eps1, eps2 = find_epsilon_bounds(solver, taus)
             eps_use = 0.5 * min(eps1, eps2)
             eps_detail = {"eps1": eps1, "eps2": eps2, "eps_use": eps_use,
                           "tau_match": tau_match}
@@ -219,13 +216,13 @@ def cmd_verify(args) -> int:
     taus = [tau_match, tau_match + 2.0, tau_match + 5.0]
 
     # 4. matching invariants at the working tau window
-    c_plus = [solver.solve_matching("+", 0.0, xi1, t) for t in taus]
-    c_minus = [solver.solve_matching("-", 0.0, xi1, t) for t in taus]
+    c_plus = [solver.solve_matching("+", 0.0, t) for t in taus]
+    c_minus = [solver.solve_matching("-", 0.0, t) for t in taus]
     order_ok = all(cp > cm for cp, cm in zip(c_plus, c_minus))
     checks.append(make_check("matching-order", order_ok, {
         "taus": taus, "C_plus": c_plus, "C_minus": c_minus,
     }))
-    limits = solver.matching_limits(xi1)
+    limits = solver.matching_limits()
     lim_ok = (
         limits["plus_increment_rel_err"] < 5e-2
         and limits["minus_edge_rel_err"] < 1e-6
@@ -236,7 +233,7 @@ def cmd_verify(args) -> int:
 
     # 5. corner verdicts and continuity at the working epsilon
     for sign, label in (("+", "plus"), ("-", "minus")):
-        bar = GluedBarrier(solver, sign, eps_use, xi1)
+        bar = GluedBarrier(solver, sign, eps_use)
         jumps = [bar.corner_jump(t) for t in taus]
         cont = max(bar.continuity_mismatch(t) for t in taus)
         ok = all(j.holds for j in jumps) and cont < 1e-9
@@ -246,13 +243,13 @@ def cmd_verify(args) -> int:
         }))
 
     # 6. strict ordering of the glued pair
-    bp = GluedBarrier(solver, "+", eps_use, xi1)
-    bm = GluedBarrier(solver, "-", eps_use, xi1)
+    bp = GluedBarrier(solver, "+", eps_use)
+    bm = GluedBarrier(solver, "-", eps_use)
     ordering = check_ordering(bp, bm, taus)
     checks.append(make_check("barrier-ordering", ordering["ordered"], ordering))
 
     # 7. inner sign verdicts on the glued barriers
-    tau3, inner_reports = _search_inner_start(solver, eps_use, xi1, tau_match, p, d, cfg)
+    tau3, inner_reports = _search_inner_start(solver, eps_use, tau_match)
     inner_ok = tau3 is not None
     checks.append(make_check("inner-signs", inner_ok, {
         "tau3": tau3,
@@ -262,7 +259,7 @@ def cmd_verify(args) -> int:
 
     # 8. weak corner boundary term: sign must match the comparison direction
     for sign, label, want in (("+", "plus", -1.0), ("-", "minus", 1.0)):
-        bar = GluedBarrier(solver, sign, eps_use, xi1)
+        bar = GluedBarrier(solver, sign, eps_use)
         try:
             wct = weak_corner_term(bar, (tau0, tau0 + 6.0))
             ok = wct["sign_consistent"] and wct["sign"] == want
@@ -324,8 +321,8 @@ def cmd_simulate(args) -> int:
     outer = OuterProfileSet(p, cfg)
     profile = shoot_v0(p)
     solver = MatchingSolver(profile, outer, variant)
-    plus = GluedBarrier(solver, "+", eps, cfg.xi1)
-    minus = GluedBarrier(solver, "-", eps, cfg.xi1)
+    plus = GluedBarrier(solver, "+", eps)
+    minus = GluedBarrier(solver, "-", eps)
     sandwich = comparison_sandwich(
         plus, minus, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
     )

@@ -9,9 +9,11 @@ so the glued profile
     wbar(xi, tau) = phibar0(xi + C(tau)) / (1 +/- eps)   for xi <= xi1
                   = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)  for xi > xi1
 
-is continuous at xi1.  The corner verdict compares one-sided slopes there;
-epsilon bounds are the largest weights keeping the corner verdicts (eps1)
-and the strict ordering psi+ > psi- > 0 (eps2).
+is continuous at xi1.  The matching radius xi1 is the config's
+(outer.cfg.xi1), read once by MatchingSolver; the glued barriers and the
+epsilon search take it from their solver.  The corner verdict compares
+one-sided slopes there; epsilon bounds are the largest weights keeping the
+corner verdicts (eps1) and the strict ordering psi+ > psi- > 0 (eps2).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, numerics
-from .outer import OuterProfileSet
+from .outer import OuterProfileSet, branch_variant
 from .params import theta
 from .selfsim import SelfSimilarProfile
 
@@ -38,34 +40,44 @@ _ROOT_TOL = 1e-10  # xtol of the shift-constant root find
 
 
 class MatchingSolver:
-    """Shift-constant solver with tau-memoization (tau rounded to 1e-12)."""
+    """Shift-constant solver at the config's matching radius xi1, with
+    tau-memoization (tau rounded to 1e-12).
+
+    variant declares the outer profile the caller expects; it must be
+    branch_variant(gamma), the label of the one profile the outer set
+    builds, and nothing is kept from it.
+    """
 
     def __init__(self, profile: SelfSimilarProfile, outer_set: OuterProfileSet, variant: str):
+        label = branch_variant(outer_set.p.gamma)
+        if variant != label:
+            raise errors.InvalidParameter(
+                f"variant {variant!r} does not match the outer profile {label} "
+                f"at gamma = {outer_set.p.gamma}"
+            )
         self.profile = profile
         self.outer = outer_set
-        self.variant = variant
+        self.xi1 = outer_set.cfg.xi1
         self._memo: dict = {}
 
-    def outer_edge(self, sign: str, xi1: float, tau: float):
+    def outer_edge(self, sign: str, tau: float):
         """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
         gamma = self.outer.p.gamma
-        gap = xi1 * math.exp(-gamma * tau)
-        psi, dpsi, _, _ = self.outer.psi_bundle(self.variant, sign, tau, gap=np.asarray(gap))
+        gap = self.xi1 * math.exp(-gamma * tau)
+        psi, dpsi, _, _ = self.outer.psi_bundle(sign, tau, gap=np.asarray(gap))
         return float(np.exp(gamma * tau) * psi), float(dpsi)
 
-    def solve_matching(self, sign: str, eps: float, xi1: float, tau: float) -> float:
+    def solve_matching(self, sign: str, eps: float, tau: float) -> float:
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value."""
         if sign not in _SIGN_FACTOR:
             raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
         if not (0.0 <= eps < 0.25):
             raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
-        key = (sign, round(float(eps), 15), float(xi1), round(float(tau) * 1e12))
+        key = (sign, round(float(eps), 15), round(float(tau) * 1e12))
         if key in self._memo:
             return self._memo[key]
-        gamma = self.outer.p.gamma
-        psi = self.outer.psi_outer(
-            self.variant, sign, tau=tau, gap=np.asarray(xi1 * math.exp(-gamma * tau))
-        )
+        gamma, xi1 = self.outer.p.gamma, self.xi1
+        psi = self.outer.psi_outer(sign, tau=tau, gap=np.asarray(xi1 * math.exp(-gamma * tau)))
         target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(np.exp(gamma * tau) * psi)
         if not np.isfinite(target) or target <= 0.0:
             raise errors.TargetBelowRange(
@@ -80,16 +92,16 @@ class MatchingSolver:
         self._memo[key] = C
         return C
 
-    def C_prime(self, sign: str, eps: float, xi1: float, tau: float) -> float:
+    def C_prime(self, sign: str, eps: float, tau: float) -> float:
         """dC/dtau by a central difference of step 1e-4."""
         h = 1e-4
-        cp = self.solve_matching(sign, eps, xi1, tau + h)
-        cm = self.solve_matching(sign, eps, xi1, tau - h)
+        cp = self.solve_matching(sign, eps, tau + h)
+        cm = self.solve_matching(sign, eps, tau - h)
         return (cp - cm) / (2.0 * h)
 
     # -- quantitative matching limits ---------------------------------------
 
-    def matching_limits(self, xi1: float) -> dict:
+    def matching_limits(self) -> dict:
         """Edge-value and edge-slope limits at large tau (tau_ref = 40) for
         both signs.
 
@@ -100,14 +112,14 @@ class MatchingSolver:
         both : the edge slope psi_eta tends to
                a0/(gamma A) - (n-1) theta2/(gamma A xi1) - (n-1) theta1/(gamma A xi1^2).
         """
-        p, d = self.outer.p, self.outer.d
+        p, d, xi1 = self.outer.p, self.outer.d, self.xi1
         gamma, A, n = p.gamma, p.A, p.n
         out = {}
         tau_ref = 40.0
         taus = np.array([tau_ref - 10.0, tau_ref - 5.0, tau_ref])
 
         # plus edge value: increment slope over consecutive tau samples
-        vals = [self.outer_edge("+", xi1, t)[0] for t in taus]
+        vals = [self.outer_edge("+", t)[0] for t in taus]
         inc = np.diff(vals) / np.diff(taus)
         limit_plus = (n - 1) * p.theta2_plus / A
         if abs(inc[-1] - inc[0]) > 0.05 * abs(limit_plus):
@@ -119,7 +131,7 @@ class MatchingSolver:
         out["plus_increment_rel_err"] = float(abs(inc[-1] - limit_plus) / abs(limit_plus))
 
         # minus edge value converges outright
-        vminus = self.outer_edge("-", xi1, tau_ref)[0]
+        vminus = self.outer_edge("-", tau_ref)[0]
         limit_minus = d.a0 * xi1 / (gamma * A) + (n - 1) * p.theta1_minus / (gamma * A * xi1)
         out["minus_edge_value"] = float(vminus)
         out["minus_edge_limit"] = limit_minus
@@ -129,7 +141,7 @@ class MatchingSolver:
         for sign in ("+", "-"):
             th1 = theta(p, 1, sign)
             th2 = theta(p, 2, sign)
-            slope = self.outer_edge(sign, xi1, tau_ref)[1]
+            slope = self.outer_edge(sign, tau_ref)[1]
             limit = (
                 d.a0 / (gamma * A)
                 - (n - 1) * th2 / (gamma * A * xi1)
@@ -151,20 +163,21 @@ class CornerReport:
 
 
 class GluedBarrier:
-    """One glued barrier (sign, eps) built on a matching solver.
+    """One glued barrier (sign, eps) built on a matching solver, glued at
+    the solver's xi1.
 
     wbar gives values only (the radial solver calls it at every step);
     bundle gives the values with their xi and tau derivatives, and is the
     one derivative route for the glued profile.
     """
 
-    def __init__(self, solver: MatchingSolver, sign: str, eps: float, xi1: float):
+    def __init__(self, solver: MatchingSolver, sign: str, eps: float):
         if not (0.0 <= eps < 0.25):
             raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
         self.solver = solver
         self.sign = sign
         self.eps = float(eps)
-        self.xi1 = float(xi1)
+        self.xi1 = float(solver.xi1)
         self.factor = 1.0 + _SIGN_FACTOR[sign] * self.eps
 
     @property
@@ -176,10 +189,10 @@ class GluedBarrier:
         return self.solver.outer
 
     def C(self, tau: float) -> float:
-        return self.solver.solve_matching(self.sign, self.eps, self.xi1, tau)
+        return self.solver.solve_matching(self.sign, self.eps, tau)
 
     def C_prime(self, tau: float) -> float:
-        return self.solver.C_prime(self.sign, self.eps, self.xi1, tau)
+        return self.solver.C_prime(self.sign, self.eps, tau)
 
     def wbar(self, xi, tau: float):
         """Glued profile value in inner variables (see the module docstring)."""
@@ -193,9 +206,7 @@ class GluedBarrier:
             out[left] = self.profile.phibar0(xi[left] + self.C(tau)) / self.factor
         if np.any(~left):
             gap = xi[~left] * math.exp(-gamma * tau)
-            out[~left] = math.exp(gamma * tau) * self.outer.psi_outer(
-                self.solver.variant, self.sign, tau, gap=gap
-            )
+            out[~left] = math.exp(gamma * tau) * self.outer.psi_outer(self.sign, tau, gap=gap)
         return float(out[0]) if scalar else out
 
     def bundle(self, xi, tau: float):
@@ -221,7 +232,7 @@ class GluedBarrier:
             right = xi[~left]
             egt = math.exp(gamma * tau)
             psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(
-                self.solver.variant, self.sign, tau, gap=right * math.exp(-gamma * tau)
+                self.sign, tau, gap=right * math.exp(-gamma * tau)
             )
             w[~left] = egt * psi
             wx[~left] = dpsi
@@ -241,7 +252,7 @@ class GluedBarrier:
         needs left <= right.
         """
         left = self.profile.phibar0(self.xi1 + self.C(tau), deriv=1) / self.factor
-        _, right = self.solver.outer_edge(self.sign, self.xi1, tau)
+        _, right = self.solver.outer_edge(self.sign, tau)
         if self.sign == "+":
             holds = left >= right
         else:
@@ -267,7 +278,7 @@ def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:
     }
 
 
-def find_epsilon_bounds(solver: MatchingSolver, xi1: float, tau_grid) -> tuple[float, float]:
+def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]:
     """(eps1, eps2): largest corner-preserving and ordering-preserving weights.
 
     eps1 is joint over both signs: the corner verdict must hold for the plus
@@ -279,21 +290,21 @@ def find_epsilon_bounds(solver: MatchingSolver, xi1: float, tau_grid) -> tuple[f
 
     def corner_ok(eps: float) -> bool:
         for sign in ("+", "-"):
-            bar = GluedBarrier(solver, sign, eps, xi1)
+            bar = GluedBarrier(solver, sign, eps)
             for tau in taus:
                 if not bar.corner_jump(float(tau)).holds:
                     return False
         return True
 
     def ordering_ok(eps: float) -> bool:
-        bp = GluedBarrier(solver, "+", eps, xi1)
-        bm = GluedBarrier(solver, "-", eps, xi1)
+        bp = GluedBarrier(solver, "+", eps)
+        bm = GluedBarrier(solver, "-", eps)
         return check_ordering(bp, bm, taus)["ordered"]
 
     def largest(pred) -> float:
         if not pred(0.0):
             raise errors.NoAdmissibleEpsilon(
-                f"verdict fails already at eps = 0 for xi1 = {xi1}"
+                f"verdict fails already at eps = 0 for xi1 = {solver.xi1}"
             )
         hi = 0.25 - 1e-9
         if pred(hi):

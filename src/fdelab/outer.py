@@ -23,9 +23,12 @@ with l = log1p(gap/A)/gamma and l0 its value at eta0,
 
 exact at every gap.
 
-psi = sum_k e^(-k gamma tau) T_k with T_0 = phi0, T_1 = theta2 phi3 (phi4
-for psi3/psi4), T_2 = h and, for psi2/psi4, the correction rows
-T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma) (log eta)^j, k >= 3.
+psi = sum_k e^(-k gamma tau) T_k with T_0 = phi0, T_1 = theta2 phi4, T_2 = h
+and the correction rows T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma)
+(log eta)^j, 3 <= k <= 2N.  Rows exist exactly when 2N >= 3, that is when
+gamma <= 1; branch_variant labels the profile psi4 then and psi3 otherwise.
+The paper's psi1/psi2 are psi3/psi4 at C10 = 0 (phi4 = phi3 + 0 v, bit for
+bit), so a config with C10 = 0 gives them without a second profile path.
 Each term returns its value, or its value with both eta derivatives, from
 one evaluation; psi_outer and psi_bundle share one summation over the terms.
 
@@ -42,7 +45,7 @@ with f1, f2, f3 the corrector sources (r = x / (eta (1-x)))
     f1 = (n-1)(gamma+1) gamma^-2 r / eta,  f2 = -(n-1) gamma^-2 r^2,
     f3 = -(n-1) gamma^-1 r,
 
-F1 = theta2 (f3 [+ C10 gamma eta^{-1-1/gamma} for phi4 variants]),
+F1 = theta2 (f3 + C10 gamma eta^{-1-1/gamma}),
 F2 = f1 + theta1 f2 and S_k = gamma sum_j j c_kj v_{k,j-1}.  Every term
 carries its own decay factor, so the roundoff floor tracks the local term
 scale instead of eps * a0; this is what makes sign verdicts meaningful after
@@ -66,26 +69,13 @@ from .params import (
     validate_params,
 )
 
-__all__ = ["OuterProfileSet", "branch_variant", "VARIANTS"]
-
-VARIANTS = ("psi1", "psi2", "psi3", "psi4")
+__all__ = ["OuterProfileSet", "branch_variant"]
 
 
 def branch_variant(gamma: float) -> str:
-    """Variant selection rule: psi3 for gamma > 1, else psi4."""
+    """Report label of the outer profile: psi3 for gamma > 1, else psi4,
+    the profile with correction rows (2N >= 3 exactly when gamma <= 1)."""
     return "psi3" if gamma > 1.0 else "psi4"
-
-
-def _phi_variant(variant: str) -> str:
-    if variant in ("psi1", "psi2"):
-        return "phi3"
-    if variant in ("psi3", "psi4"):
-        return "phi4"
-    raise errors.InvalidParameter(f"unknown variant {variant!r}")
-
-
-def _has_rows(variant: str) -> bool:
-    return variant in ("psi2", "psi4")
 
 
 @dataclass
@@ -105,16 +95,18 @@ class _Primitives:
 class OuterProfileSet:
     """Profile family for one parameter set.
 
-    Holds the distinguished constant C2, the positivity constant C10
-    (searched by doubling when the config leaves it None), and the
-    correction coefficient tables per (variant, sign).
+    Fixes at construction the distinguished constant C2, the positivity
+    constant C10 (the configured value, else searched by doubling) and the
+    nonzero correction rows of each sign, which exist exactly when
+    2N >= 3 (gamma <= 1).  The profile psi of each sign is thereby one
+    expression; the configs with C10 = 0 give the paper's psi1/psi2.
     """
 
     def __init__(self, p: ModelParams, cfg: ThresholdConfig | None = None):
         self.p = p
         self.d = validate_params(p)
         self.cfg = cfg or default_thresholds(p, self.d)
-        self.cfg.validated(p, self.d)
+        self.cfg.validated(p)
 
         n, gamma, A = p.n, p.gamma, p.A
         self._p1 = 2.0 + 1.0 / gamma
@@ -132,10 +124,8 @@ class OuterProfileSet:
         lg0 = math.log1p(g0 / A) / gamma
         self._lexp0 = math.log(math.expm1(lg0))
         self.C2 = self._b2q * gamma * self.cfg.eta0 ** (-1.0 / gamma) / -math.expm1(-lg0)
-        self._C10: float | None = (
-            float(self.cfg.C10) if self.cfg.C10 is not None else None
-        )
-        self._coeff_cache: dict[tuple[str, str], dict] = {}
+        self.C10 = float(self.cfg.C10) if self.cfg.C10 is not None else self._search_C10()
+        self._rows = {sign: _nonzero_rows(self.correction_coeffs(sign)) for sign in ("+", "-")}
 
     # -- primitive layer -------------------------------------------------
 
@@ -264,14 +254,8 @@ class OuterProfileSet:
 
     # -- distinguished constants -------------------------------------------
 
-    @property
-    def C10(self) -> float:
-        """Positivity constant of phi4, searched by doubling when unset."""
-        if self._C10 is None:
-            self._C10 = self._search_C10()
-        return self._C10
-
     def _search_C10(self) -> float:
+        """Positivity constant of phi4 by doubling, for a config without C10."""
         gaps = np.geomspace(1e-6, 1e4 * self.p.A - self.p.A, 400)
         pr = self._prims(gaps)
         (phi3,) = self._phi3_prims(pr, False)
@@ -313,19 +297,15 @@ class OuterProfileSet:
             + (i + 1.0) * (i + 2.0) * row.get(i + 2, 0.0)
         )
 
-    def correction_coeffs(self, variant: str, sign: str) -> dict:
-        """Coefficient table {(k, j): c_kj} for 3 <= k <= 2N.
+    def correction_coeffs(self, sign: str) -> dict:
+        """Coefficient table {(k, j): c_kj} for 3 <= k <= 2N, empty for
+        N = 1 (gamma > 1).
 
         Rows are generated by the far-field cancellation recurrence along
         each parity chain; the chain is seeded by the far-field expansions
-        of h (even) and theta2 * Phi (odd).  Seeds c_{k,0} come from the
+        of h (even) and theta2 * phi4 (odd).  Seeds c_{k,0} come from the
         config; absent seeds are zero.
         """
-        key = (variant, sign)
-        if key in self._coeff_cache:
-            return dict(self._coeff_cache[key])
-        if variant not in VARIANTS:
-            raise errors.InvalidParameter(f"unknown variant {variant!r}")
         n, gamma = self.p.n, self.p.gamma
         a0 = self.d.a0
         N = self.d.N
@@ -334,9 +314,8 @@ class OuterProfileSet:
 
         c1h, c0h = self._farfield("h-part")
         c1p, c0p = self._farfield("p-part")
-        if _phi_variant(variant) == "phi4":
-            # phi4 adds C10 * eta^(-1-1/gamma) L to the odd seed profile
-            c1p = c1p + self.C10
+        # phi4 adds C10 * eta^(-1-1/gamma) L to the odd seed profile
+        c1p = c1p + self.C10
         rows: dict[int, dict] = {2: {0: c0h, 1: c1h}, 1: {0: th2 * c0p, 1: th2 * c1p}}
 
         table: dict[tuple[int, int], float] = {}
@@ -351,28 +330,16 @@ class OuterProfileSet:
             rows[k] = row
             for j in range(0, jmax + 1):
                 table[(k, j)] = row.get(j, 0.0)
-        self._coeff_cache[key] = table
-        return dict(table)
+        return table
 
     # -- psi assembly --------------------------------------------------------
 
-    def _rows(self, variant: str, sign: str) -> dict[int, dict[int, float]]:
-        """Nonzero correction coefficients {k: {j: c_kj}}, sorted by k then j."""
-        if not _has_rows(variant):
-            return {}
-        rows: dict[int, dict[int, float]] = {}
-        for (k, j), c in sorted(self.correction_coeffs(variant, sign).items()):
-            if c != 0.0:
-                rows.setdefault(k, {})[j] = c
-        return rows
-
-    def _psi_terms(self, variant: str, sign: str):
+    def _psi_terms(self, sign: str):
         """List of (k, term(pr, derivs)) pairs: psi = sum_k e^(-k gamma tau) T_k."""
         th2 = theta(self.p, 2, sign)
-        phi = self._phi3_prims if _phi_variant(variant) == "phi3" else self._phi4_prims
         terms = [
             (0, self._phi0_prims),
-            (1, lambda pr, derivs: tuple(th2 * b for b in phi(pr, derivs))),
+            (1, lambda pr, derivs: tuple(th2 * b for b in self._phi4_prims(pr, derivs))),
             (2, lambda pr, derivs: self._h_prims(pr, sign, derivs)),
         ]
 
@@ -387,17 +354,17 @@ class OuterProfileSet:
 
             return trow
 
-        terms.extend((k, make_row(k, row)) for k, row in self._rows(variant, sign).items())
+        terms.extend((k, make_row(k, row)) for k, row in self._rows[sign].items())
         return terms
 
-    def _psi_sum(self, variant: str, sign: str, tau, pr: _Primitives, derivs: bool):
+    def _psi_sum(self, sign: str, tau, pr: _Primitives, derivs: bool):
         """(psi,) or, with derivs, (psi, psi_eta, psi_etaeta, psi_tau): one
         call per term, each weighted by e^(-k gamma tau), so the tau
         derivative is analytic."""
         tau = np.asarray(tau, dtype=float)
         gamma = self.p.gamma
         acc, dtau = (0.0,) * (3 if derivs else 1), 0.0
-        for k, term in self._psi_terms(variant, sign):
+        for k, term in self._psi_terms(sign):
             w = np.exp(-k * gamma * tau) if k else 1.0
             parts = term(pr, derivs)
             acc = _plus(acc, w, parts)
@@ -405,23 +372,23 @@ class OuterProfileSet:
                 dtau = dtau + (-k * gamma) * w * parts[0]
         return (*acc, dtau) if derivs else acc
 
-    def psi_outer(self, variant: str, sign: str, tau, *, gap):
+    def psi_outer(self, sign: str, tau, *, gap):
         """Outer barrier profile psi; gap and tau broadcast together.
 
         The value alone, summed as psi_bundle sums it, so both give the
         same bits; derivatives come from psi_bundle.
         """
-        return self._psi_sum(variant, sign, tau, self._prims(gap), False)[0]
+        return self._psi_sum(sign, tau, self._prims(gap), False)[0]
 
-    def psi_bundle(self, variant: str, sign: str, tau, *, gap):
+    def psi_bundle(self, sign: str, tau, *, gap):
         """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms;
         the derivative route for psi outside l0_terms."""
         pr = self._prims(gap)
-        vals = self._psi_sum(variant, sign, tau, pr, True)
+        vals = self._psi_sum(sign, tau, pr, True)
         shape = np.broadcast(pr.gap, np.asarray(tau, dtype=float)).shape
         return tuple(np.broadcast_to(v, shape).copy() for v in vals)
 
-    def l0_terms(self, variant: str, sign: str, tau, *, gap):
+    def l0_terms(self, sign: str, tau, *, gap):
         """(e^{gamma tau} L0(psi), sum of its term magnitudes) in the folded
         form of the module docstring, all from one _prims build.
 
@@ -436,18 +403,18 @@ class OuterProfileSet:
         th1 = theta(p, 1, sign)
         th2 = theta(p, 2, sign)
         f1, f2, f3 = self._f_sources(pr)
-        psi, dpsi, d2psi, _ = self._psi_sum(variant, sign, tau, pr, True)
+        psi, dpsi, d2psi, _ = self._psi_sum(sign, tau, pr, True)
         if np.any(psi <= 0.0):
             raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
         rat = dpsi / psi
         pieces = [-th2 * f3, -n1 * d.b2 * rat]
-        if _phi_variant(variant) == "phi4" and th2 != 0.0:
+        if th2 != 0.0:
             # eta as A + gap, which can differ from pr.eta in the last bit
             pieces.append(-th2 * self.C10 * g * (p.A + pr.gap) ** (-1.0 - 1.0 / g))
         e1 = _math_exp(-g, tau)
         pieces.append(-e1 * (f1 + th1 * f2))
         pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
-        for k, row in self._rows(variant, sign).items():
+        for k, row in self._rows[sign].items():
             pexp = k + 1.0 / g
             sk = np.zeros_like(pr.gap)
             for j, c in row.items():
@@ -463,12 +430,12 @@ class OuterProfileSet:
 
     # -- table dump ----------------------------------------------------------
 
-    def profile_rows(self, eta_grid, tau: float, variant: str, sign: str):
+    def profile_rows(self, eta_grid, tau: float, sign: str):
         """Rows (eta, phi0..phi4, h+, h-, psi, psi_eta, psi_etaeta) for CSV."""
         eta_grid = np.asarray(eta_grid, dtype=float)
         gap = eta_grid - self.p.A
         pr = self._prims(gap)
-        psi, dpsi, d2psi, _ = self.psi_bundle(variant, sign, tau, gap=gap)
+        psi, dpsi, d2psi, _ = self.psi_bundle(sign, tau, gap=gap)
         cols = [
             eta_grid,
             self.phi0(gap),
@@ -483,6 +450,16 @@ class OuterProfileSet:
             d2psi,
         ]
         return np.column_stack(cols)
+
+
+def _nonzero_rows(table: dict) -> dict[int, dict[int, float]]:
+    """Nonzero coefficients {k: {j: c_kj}} of a correction table, sorted by
+    k then j."""
+    rows: dict[int, dict[int, float]] = {}
+    for (k, j), c in sorted(table.items()):
+        if c != 0.0:
+            rows.setdefault(k, {})[j] = c
+    return rows
 
 
 def _plus(a_parts, c, b_parts):

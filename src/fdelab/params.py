@@ -185,7 +185,9 @@ def theta(p: ModelParams, which: int, sign: str) -> float:
 class ThresholdConfig:
     """Tunable thresholds and search controls.
 
-    C10 = None means: determine by doubling at profile construction.
+    C10 = None means: determine by doubling when OuterProfileSet is
+    constructed, which fixes C10 for the life of the set.  C10 = 0 gives
+    the paper's psi1/psi2 (phi4 = phi3).
     seed_constants holds (k, value) pairs seeding the homogeneous part
     c_{k,0} of the correction coefficient rows.
     """
@@ -206,7 +208,7 @@ class ThresholdConfig:
     inconclusive_frac: float = 1e-3
     seed_constants: tuple = ()
 
-    def validated(self, p: ModelParams, d: DerivedConstants) -> "ThresholdConfig":
+    def validated(self, p: ModelParams) -> "ThresholdConfig":
         if not (self.eta0 > p.A):
             raise errors.InvalidParameter(
                 f"eta0 must exceed A = {p.A}, got {self.eta0}"
@@ -234,7 +236,7 @@ def default_thresholds(p: ModelParams, d: DerivedConstants) -> ThresholdConfig:
     xi0 = max(1.0, math.sqrt((p.n - 1) * abs(p.theta1_minus) / d.a0))
     tau0 = max(10.0, (1.0 / p.gamma) * math.log(4.0 * 10.0 / 0.25) + 1.0)
     cfg = ThresholdConfig(eta0=p.A + 1.0, xi0=xi0, xi1=10.0, tau_start=tau0)
-    return cfg.validated(p, d)
+    return cfg.validated(p)
 
 
 # -- config I/O ---------------------------------------------------------------
@@ -276,7 +278,7 @@ def load_config(path: str):
     if "seed_constants" in tkw:
         tkw["seed_constants"] = tuple(tuple(pair) for pair in tkw["seed_constants"])
     base = default_thresholds(p, d)
-    cfg = replace(base, **tkw).validated(p, d) if tkw else base
+    cfg = replace(base, **tkw).validated(p) if tkw else base
 
     extras = {k: raw[k] for k in raw if k not in _PARAM_KEYS | _THRESHOLD_KEYS}
     return p, cfg, extras

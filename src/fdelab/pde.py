@@ -479,7 +479,7 @@ def make_manufactured(p: ModelParams, d: DerivedConstants):
         dprof = c2 * k * cos
         d2prof = -c2 * k * k * sin
 
-        def S(W_unused, delta):
+        def S(_W, delta):
             amp = delta ** (1.0 + p.gamma)
             W = amp * prof
             Wx = amp * dprof
@@ -769,7 +769,7 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
         # log E = log r1 + softplus(log(4 g^2 A^2) + (2g+2) tau + 2 log r1)/2
         q = math.log(4.0 * gamma * gamma * A * A) + (2.0 * gamma + 2.0) * tau + 2.0 * log_r1
         log_E = log_r1 + 0.5 * _softplus(q)
-        edge_value, _ = bar.solver.outer_edge(bar.sign, xi1, tau)
+        edge_value, _ = bar.solver.outer_edge(bar.sign, tau)
         log_psi = math.log(edge_value) - gamma * tau  # log of psi at the edge
         lt = (
             math.log(n - 1)

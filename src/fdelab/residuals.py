@@ -28,7 +28,7 @@ import numpy as np
 
 from . import errors
 from .matching import GluedBarrier
-from .outer import OuterProfileSet
+from .outer import OuterProfileSet, branch_variant
 from .params import radial_diffusion, theta
 
 __all__ = [
@@ -189,7 +189,6 @@ def verify_sign_region(
     want: str,
     region: Region,
     p,
-    d,
     n_space: int = 200,
     n_tau: int = 40,
     atol_factor: float = 1e-9,
@@ -258,44 +257,45 @@ def verify_sign_region(
     return report
 
 
+# rungs of the threshold ladder: doublings of tau_start and xi0, halvings
+# of delta0
+_TAU_DOUBLINGS = 3
+_XI_DOUBLINGS = 6
+_DELTA_HALVINGS = 3
+
+
 def find_thresholds(
     outer: OuterProfileSet,
-    variant: str,
     sign: str,
-    want: str | None = None,
     regions: tuple = ("near_A", "far_field"),
-    tau_doublings: int = 3,
-    xi_doublings: int = 6,
-    delta_halvings: int = 3,
 ) -> dict:
-    """Search thresholds making the outer sign verdicts pass.
+    """Search thresholds making the outer sign verdicts of psi^sign pass.
 
-    Realizes the existential constants: starting from the configured
-    (tau_start, xi0, delta0), the ladder doubles tau_start and xi0 and
-    halves delta0 (preferring small tau, then small xi0, then few delta
-    halvings) until every requested region verdict passes over the tau
-    window [tau_start, tau_start + 20]; the first passing tuple is
-    re-verified at tau_start + 5 (the verdict must be tau-monotone) and
-    recorded.  Only an empty band (EmptyRegion) or a
-    non-positive profile makes a rung infeasible; a bad want or region
+    The verdict wanted is the sign itself: a supersolution for "+", a
+    subsolution for "-".  Realizes the existential constants: starting
+    from the configured (tau_start, xi0, delta0), the ladder doubles
+    tau_start and xi0 and halves delta0 (preferring small tau, then small
+    xi0, then few delta halvings) until every requested region verdict
+    passes over the tau window [tau_start, tau_start + 20]; the first
+    passing tuple is re-verified at tau_start + 5 (the verdict must be
+    tau-monotone) and recorded.  Only an empty band (EmptyRegion) or a
+    non-positive profile makes a rung infeasible; a bad sign or region
     kind raises InvalidParameter before the ladder starts.  Raises
     ThresholdSearchExhausted when the ladder is exhausted.  The starting
     xi0 respects the lower bound sqrt((n-1)|theta1|/a0).
     """
     p, d, cfg = outer.p, outer.d, outer.cfg
-    if want is None:
-        want = sign  # supersolution for +, subsolution for -
-    if want not in ("+", "-"):
-        raise errors.InvalidParameter(f"want must be '+' or '-', got {want!r}")
     if not regions or any(kind not in _OUTER_KINDS for kind in regions):
         raise errors.InvalidParameter(
             f"regions must be outer kinds from {_OUTER_KINDS}, got {regions!r}"
         )
 
-    def ev(gap, tau):
-        return outer.l0_terms(variant, sign, tau, gap=gap)
-
     th1 = theta(p, 1, sign)
+    variant = branch_variant(p.gamma)
+
+    def ev(gap, tau):
+        return outer.l0_terms(sign, tau, gap=gap)
+
     xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / d.a0))
 
     def regions_pass(tau_start, xi0, delta0):
@@ -312,7 +312,7 @@ def find_thresholds(
             )
             try:
                 rep = verify_sign_region(
-                    "L0", ev, want, region, p, d,
+                    "L0", ev, sign, region, p,
                     n_space=cfg.grid_eta, n_tau=cfg.grid_tau,
                     atol_factor=cfg.sign_atol_factor,
                     inconclusive_frac=cfg.inconclusive_frac,
@@ -326,11 +326,11 @@ def find_thresholds(
         return True, reports
 
     steps = 0
-    for k_tau in range(tau_doublings + 1):
+    for k_tau in range(_TAU_DOUBLINGS + 1):
         tau_start = cfg.tau_start * 2.0 ** k_tau
-        for k_xi in range(xi_doublings + 1):
+        for k_xi in range(_XI_DOUBLINGS + 1):
             xi0 = xi0_base * 2.0 ** k_xi
-            for k_delta in range(delta_halvings + 1):
+            for k_delta in range(_DELTA_HALVINGS + 1):
                 delta0 = cfg.delta0 / 2.0 ** k_delta
                 steps += 1
                 ok, reports = regions_pass(tau_start, xi0, delta0)
@@ -351,7 +351,7 @@ def find_thresholds(
     raise errors.ThresholdSearchExhausted(
         f"no passing thresholds for {variant}{sign} on {'/'.join(regions)} "
         f"after {steps} ladder steps (tau_start up to "
-        f"{cfg.tau_start * 2.0 ** tau_doublings:g}, xi0 up to "
-        f"{xi0_base * 2.0 ** xi_doublings:g}, delta0 down to "
-        f"{cfg.delta0 / 2.0 ** delta_halvings:g})"
+        f"{cfg.tau_start * 2.0 ** _TAU_DOUBLINGS:g}, xi0 up to "
+        f"{xi0_base * 2.0 ** _XI_DOUBLINGS:g}, delta0 down to "
+        f"{cfg.delta0 / 2.0 ** _DELTA_HALVINGS:g})"
     )

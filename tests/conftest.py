@@ -85,17 +85,17 @@ def solver_low(profile_low, outer_low, p_low):
 @pytest.fixture(scope="session")
 def eps_ref(solver_ref):
     """(eps1, eps2) for the reference set on the CLI's tau window."""
-    return find_epsilon_bounds(solver_ref, 10.0, [10.0, 12.0, 15.0])
+    return find_epsilon_bounds(solver_ref, [10.0, 12.0, 15.0])
 
 
 @pytest.fixture(scope="session")
 def thresholds_minus_ref(outer_ref):
-    return find_thresholds(outer_ref, "psi3", "-")
+    return find_thresholds(outer_ref, "-")
 
 
 @pytest.fixture(scope="session")
 def thresholds_minus_low(outer_low):
-    return find_thresholds(outer_low, "psi4", "-")
+    return find_thresholds(outer_low, "-")
 
 
 @pytest.fixture(scope="session", params=["ref", "low"])

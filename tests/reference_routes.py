@@ -6,6 +6,7 @@ outer evaluator, the exact decompositions and the single corrector profiles
 here are second routes that the tests compare those against.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,16 +57,22 @@ def L1_residual(evaluator, xi, tau, p, d):
     )
 
 
-def outer_psi_evaluator(outer: OuterProfileSet, variant: str, sign: str):
+def at_C10_zero(outer: OuterProfileSet) -> OuterProfileSet:
+    """The same profile family at C10 = 0: the paper's psi1 (gamma > 1) or
+    psi2 (gamma <= 1), since phi4 = phi3 + C10 v."""
+    return OuterProfileSet(outer.p, dataclasses.replace(outer.cfg, C10=0.0))
+
+
+def outer_psi_evaluator(outer: OuterProfileSet, sign: str):
     """Adapter: psi as an L0 evaluator keyed on the gap."""
 
     def ev(gap, tau):
-        return outer.psi_bundle(variant, sign, tau, gap=gap)
+        return outer.psi_bundle(sign, tau, gap=gap)
 
     return ev
 
 
-def outer_as_inner_evaluator(outer: OuterProfileSet, variant: str, sign: str):
+def outer_as_inner_evaluator(outer: OuterProfileSet, sign: str):
     """Adapter: Psi = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau) for L1.
 
     Realizes the change of variables tying the two operators together:
@@ -78,7 +85,7 @@ def outer_as_inner_evaluator(outer: OuterProfileSet, variant: str, sign: str):
         gap = xi * math.exp(-g * tau)
         if np.any(gap <= 0.0):
             raise errors.OutOfDomain("mapped evaluator needs xi > 0")
-        psi, dpsi, d2psi, dtau = outer.psi_bundle(variant, sign, tau, gap=gap)
+        psi, dpsi, d2psi, dtau = outer.psi_bundle(sign, tau, gap=gap)
         egt = math.exp(g * tau)
         w = egt * psi
         wx = dpsi
@@ -94,17 +101,20 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
 
     I1 = (phi0''/phi0 + theta1 phi0'^2/phi0^2) - (psi''/psi + b1 psi'^2/psi^2)
     I2 = theta2 phi0'/phi0 - b2 psi'/psi
-    Valid for the row-free variant psi1 at every (eta, tau); serves as the
-    independent second route for the L0 implementation.
+    Valid for psi1 (gamma > 1, so no correction rows, and C10 = 0; see
+    at_C10_zero) at every (eta, tau); serves as the independent second
+    route for the L0 implementation.
     """
     p, d = outer.p, outer.d
+    if outer.C10 != 0.0 or outer.correction_coeffs(sign):
+        raise errors.InvalidParameter("psi1 needs gamma > 1 and C10 = 0")
     gap = np.asarray(gap, dtype=float)
     th1 = theta(p, 1, sign)
     th2 = theta(p, 2, sign)
     phi0 = outer.phi0(gap)
     dphi0 = outer.phi0(gap, deriv=1)
     d2phi0 = outer.phi0(gap, deriv=2)
-    psi, dpsi, d2psi, _ = outer.psi_bundle("psi1", sign, tau, gap=gap)
+    psi, dpsi, d2psi, _ = outer.psi_bundle(sign, tau, gap=gap)
     I1 = (d2phi0 / phi0 + th1 * (dphi0 / phi0) ** 2) - (
         d2psi / psi + d.b1 * (dpsi / psi) ** 2
     )

@@ -63,6 +63,56 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+# -- parameters never read -------------------------------------------------------
+
+
+def unused_parameters(source: str) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for each parameter of a def or lambda
+    that its body never reads, nested functions included.  self, cls and
+    names with a leading underscore are exempt: an underscore marks a slot
+    that an interface fills positionally."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {n.id for part in body for n in ast.walk(part)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found.extend(
+            (name, a.arg, a.lineno) for a in params
+            if a is not None and a.arg not in reads and a.arg not in ("self", "cls")
+            and not a.arg.startswith("_")
+        )
+    return found
+
+
+def test_unused_parameter_detector():
+    src = (
+        "def f(a, b, *args, c=1, _slot=None, **kw):\n"
+        "    def g(x):\n        return a + x\n"
+        "    return g\n"
+        "class K:\n"
+        "    def m(self, used, unused):\n        return used\n"
+        "h = lambda p, q: p\n"
+    )
+    assert unused_parameters(src) == [
+        ("f", "b", 1), ("f", "args", 1), ("f", "c", 1), ("f", "kw", 1),
+        ("m", "unused", 6), ("<lambda>", "q", 8),
+    ]
+
+
+def test_package_has_no_unused_parameters():
+    found = [
+        f"{path.name}:{line} {func}({name})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, name, line in unused_parameters(path.read_text())
+    ]
+    assert found == []
+
+
 # -- definitions without a caller ----------------------------------------------
 
 # the command-line entry point, and the single-run solver that the package

@@ -13,7 +13,7 @@ from fdelab import errors
 from fdelab.outer import OuterProfileSet
 from fdelab.params import make_params
 from numdiff import fd_derivative
-from reference_routes import phi_correction
+from reference_routes import at_C10_zero, phi_correction
 
 # Distinguished constants at the reference parameters, frozen from the
 # closed forms b1q = (n-1)(gamma+1)A^(1/gamma)/gamma^3 and
@@ -24,6 +24,7 @@ C2_REF = 4.546251210146356
 
 # Correction tables of the low-gamma regime (N = 2), frozen from a
 # run of the recurrence at gamma = 0.5.  Row 4 is theta2-independent.
+# psi2 is psi4 at C10 = 0.
 LOW_PSI2_PLUS = {
     (3, 0): 0.0,
     (3, 1): -1066.0241583746804,
@@ -41,7 +42,6 @@ LOW_PSI4_PLUS = {
     (4, 2): -8640.0 / 7.0,
 }
 
-VARIANTS = ("psi1", "psi2", "psi3", "psi4")
 
 
 def _quotients(p):
@@ -280,20 +280,20 @@ def test_reference_tables_empty(gamma):
     # N = 1 for gamma > 1: no correction rows at all
     out = OuterProfileSet(make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0))
     assert out.d.N == 1
-    for var in VARIANTS:
+    for each in (out, at_C10_zero(out)):
         for sign in ("+", "-"):
-            assert out.correction_coeffs(var, sign) == {}
+            assert each.correction_coeffs(sign) == {}
 
 
 def test_low_gamma_psi2_table(outer_low):
-    table = outer_low.correction_coeffs("psi2", "+")
+    table = at_C10_zero(outer_low).correction_coeffs("+")
     assert set(table) == set(LOW_PSI2_PLUS)
     for key, want in LOW_PSI2_PLUS.items():
         assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_low_gamma_psi4_table(outer_low):
-    table = outer_low.correction_coeffs("psi4", "+")
+    table = outer_low.correction_coeffs("+")
     assert set(table) == set(LOW_PSI4_PLUS)
     for key, want in LOW_PSI4_PLUS.items():
         assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -301,8 +301,8 @@ def test_low_gamma_psi4_table(outer_low):
 
 def test_low_gamma_minus_row3_vanishes(outer_low):
     # theta2^- = 0 kills the third-order source on the subsolution side
-    for var in ("psi2", "psi4"):
-        table = outer_low.correction_coeffs(var, "-")
+    for out in (at_C10_zero(outer_low), outer_low):
+        table = out.correction_coeffs("-")
         for (k, j), val in table.items():
             if k == 3:
                 assert val == 0.0
@@ -311,13 +311,13 @@ def test_low_gamma_minus_row3_vanishes(outer_low):
 def test_low_gamma_row4_shared(outer_low):
     ref_row = {
         key: val
-        for key, val in outer_low.correction_coeffs("psi2", "+").items()
+        for key, val in at_C10_zero(outer_low).correction_coeffs("+").items()
         if key[0] == 4
     }
     assert ref_row
-    for var in ("psi2", "psi4"):
+    for out in (at_C10_zero(outer_low), outer_low):
         for sign in ("+", "-"):
-            table = outer_low.correction_coeffs(var, sign)
+            table = out.correction_coeffs(sign)
             for key, want in ref_row.items():
                 assert table[key] == pytest.approx(want, rel=1e-12)
 
@@ -327,7 +327,7 @@ def test_gamma_03_table_shape():
     p = make_params(3, 0.1, 0.3, 2.0)
     out = OuterProfileSet(p)
     assert out.d.N == 3
-    table = out.correction_coeffs("psi4", "+")
+    table = out.correction_coeffs("+")
     assert set(table) == {
         (3, 0), (3, 1), (3, 2),
         (4, 0), (4, 1), (4, 2),
@@ -455,12 +455,11 @@ def test_phi4_far_field_limit(outer_all):
 # -- assembled ansatz --------------------------------------------------------
 
 def test_psi_outer_decays_to_phi0(outer_all):
-    out = outer_all
-    tau = 40.0 if out.p.gamma > 1.0 else 80.0
-    ph0 = float(out.phi0(gap=1.0))
-    for var in VARIANTS:
+    tau = 40.0 if outer_all.p.gamma > 1.0 else 80.0
+    ph0 = float(outer_all.phi0(gap=1.0))
+    for out in (outer_all, at_C10_zero(outer_all)):
         for sign in ("+", "-"):
-            ps = float(out.psi_outer(var, sign, tau, gap=1.0))
+            ps = float(out.psi_outer(sign, tau, gap=1.0))
             assert abs(ps - ph0) <= 1e-10
 
 
@@ -469,26 +468,26 @@ def test_psi_outer_decay_rate(outer_ref):
     out = outer_ref
     ga = out.p.gamma
     ph0 = float(out.phi0(gap=1.0))
-    r6 = abs(float(out.psi_outer("psi3", "+", 6.0, gap=1.0)) - ph0)
-    r8 = abs(float(out.psi_outer("psi3", "+", 8.0, gap=1.0)) - ph0)
+    r6 = abs(float(out.psi_outer("+", 6.0, gap=1.0)) - ph0)
+    r8 = abs(float(out.psi_outer("+", 8.0, gap=1.0)) - ph0)
     assert r8 / r6 == pytest.approx(math.exp(-2.0 * ga), rel=0.1)
 
 
 def test_psi_bundle_matches_psi_outer(outer_ref, outer_low):
     # the value route sums the same terms in the same order: equal bits
+    # (psi3 and psi1 on ref, psi4 and psi2 on low)
     gaps = np.array([1e-4, 0.5, 2.0, 10.0, 1e3])
-    for out in (outer_ref, outer_low):
-        for variant in VARIANTS:
+    for base in (outer_ref, outer_low):
+        for out in (base, at_C10_zero(base)):
             for sign in ("+", "-"):
                 for tau in (9.0, np.array([[9.0], [12.0]])):
-                    psi = out.psi_bundle(variant, sign, tau, gap=gaps)[0]
-                    assert np.array_equal(psi, out.psi_outer(variant, sign, tau, gap=gaps))
+                    psi = out.psi_bundle(sign, tau, gap=gaps)[0]
+                    assert np.array_equal(psi, out.psi_outer(sign, tau, gap=gaps))
 
 
 def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
     """l0_terms builds the primitives once for the sources, psi and the row
     sums S_k; each psi term is evaluated once for all derivative orders."""
-    outer_low.C10  # the lazy C10 search builds primitives of its own
     calls = collections.Counter()
     for name in ("_prims", "_profile_CI"):
         def counted(*args, _f=getattr(OuterProfileSet, name), _name=name):
@@ -499,10 +498,10 @@ def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
     gaps = np.geomspace(1e-3, 1e3, 50)
     # psi4 at gamma = 0.5 carries the rows k = 3, 4; phi1 and phi3 are the
     # two _profile_CI terms
-    outer_low.l0_terms("psi4", "+", 12.0, gap=gaps)
+    outer_low.l0_terms("+", 12.0, gap=gaps)
     assert calls == {"_prims": 1, "_profile_CI": 2}
     calls.clear()
-    outer_low.psi_bundle("psi4", "+", 12.0, gap=gaps)
+    outer_low.psi_bundle("+", 12.0, gap=gaps)
     assert calls == {"_prims": 1, "_profile_CI": 2}
 
 
@@ -544,18 +543,18 @@ def test_psi_outer_derivatives_match_fd(outer_ref):
     # psi_bundle's derivatives against differences of the psi_outer value
     out = outer_ref
     g0, tau0 = 2.0, 8.0
-    _, d_eta, d_etaeta, d_tau = out.psi_bundle("psi3", "+", tau0, gap=g0)
+    _, d_eta, d_etaeta, d_tau = out.psi_bundle("+", tau0, gap=g0)
     assert float(d_eta) == pytest.approx(
-        fd_derivative(lambda g: float(out.psi_outer("psi3", "+", tau0, gap=g)), g0),
+        fd_derivative(lambda g: float(out.psi_outer("+", tau0, gap=g)), g0),
         rel=1e-6,
     )
     assert float(d_etaeta) == pytest.approx(
-        fd_derivative(lambda g: float(out.psi_outer("psi3", "+", tau0, gap=g)), g0,
+        fd_derivative(lambda g: float(out.psi_outer("+", tau0, gap=g)), g0,
                       order=2),
         rel=1e-6,
     )
     assert float(d_tau) == pytest.approx(
-        fd_derivative(lambda t: float(out.psi_outer("psi3", "+", t, gap=g0)), tau0),
+        fd_derivative(lambda t: float(out.psi_outer("+", t, gap=g0)), tau0),
         rel=1e-6,
     )
 
@@ -569,16 +568,11 @@ def test_domain_violations_raise(outer_ref):
         outer_ref.phi0(gap=0.0)
 
 
-def test_unknown_variant_rejected(outer_ref):
-    with pytest.raises(errors.InvalidParameter):
-        outer_ref.psi_outer("psi9", "+", 8.0, gap=1.0)
-
-
 # -- tabulation --------------------------------------------------------------
 
 def test_profile_rows_shape(outer_ref):
     etas = np.array([3.0, 4.0, 10.0])
-    rows = outer_ref.profile_rows(etas, 8.0, "psi3", "+")
+    rows = outer_ref.profile_rows(etas, 8.0, "+")
     assert rows.shape[0] == 3
     assert np.allclose(rows[:, 0], etas)
     assert np.allclose(rows[:, 1], outer_ref.phi0(gap=etas - outer_ref.p.A))

@@ -97,9 +97,9 @@ def test_load_config_missing_keys(tmp_path):
         load_config(str(cfgfile))
 
 
-def test_threshold_config_validation(p_ref, d_ref, cfg_ref):
+def test_threshold_config_validation(p_ref, cfg_ref):
     import dataclasses
-    assert cfg_ref.validated(p_ref, d_ref) is cfg_ref
+    assert cfg_ref.validated(p_ref) is cfg_ref
     bad = dataclasses.replace(cfg_ref, eta0=p_ref.A)
     with pytest.raises(errors.InvalidParameter):
-        bad.validated(p_ref, d_ref)
+        bad.validated(p_ref)

@@ -22,8 +22,8 @@ EPS_SMOKE = 0.018  # below the admissible ceiling eps1 ~ 0.036 at xi1 = 10
 
 @pytest.fixture(scope="module")
 def barrier_pair(solver_ref):
-    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE, 10.0)
-    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE, 10.0)
+    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE)
+    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE)
     return plus, minus
 
 
@@ -134,8 +134,8 @@ def test_solver_input_guards(p_ref, d_ref):
 
 def test_weak_corner_term_signs(solver_ref):
     """Corner slope jump: concave kink for the plus glue, convex for minus."""
-    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE, 10.0)
-    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE, 10.0)
+    plus = GluedBarrier(solver_ref, "+", EPS_SMOKE)
+    minus = GluedBarrier(solver_ref, "-", EPS_SMOKE)
     jp = weak_corner_term(plus, (10.0, 12.0))
     jm = weak_corner_term(minus, (10.0, 12.0))
     assert jp["sign"] == -1.0

@@ -7,7 +7,7 @@ import pytest
 
 from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier
-from fdelab.outer import OuterProfileSet
+from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import make_params
 from fdelab.residuals import (
     Region,
@@ -21,6 +21,7 @@ from fdelab.residuals import (
 from reference_routes import (
     L0_residual,
     L1_residual,
+    at_C10_zero,
     inner_residual_closed,
     outer_as_inner_evaluator,
     outer_psi_evaluator,
@@ -37,13 +38,13 @@ INNER_DEFECT_XI5 = -4.062183213897597e-06
 
 def test_psi1_two_route_residual(outer_ref):
     # raw L0 against the exact decomposition; agreement is limited only by
-    # roundoff in the raw route
-    out = outer_ref
+    # roundoff in the raw route (psi1 is the ref profile at C10 = 0)
+    out = at_C10_zero(outer_ref)
     gaps = np.logspace(-3, 3, 60)
     for sign in ("+", "-"):
         for tau in (6.0, 10.0):
             raw = L0_residual(
-                outer_psi_evaluator(out, "psi1", sign), gaps, tau, out.p, out.d
+                outer_psi_evaluator(out, sign), gaps, tau, out.p, out.d
             )
             dec = psi1_residual_decomposed(out, sign, gaps, tau)
             assert np.max(np.abs(raw - dec)) < 1e-12
@@ -56,10 +57,10 @@ def test_inner_outer_transform_identity(outer_ref):
     tau = 8.0
     gaps = xis * math.exp(-out.p.gamma * tau)
     l1 = L1_residual(
-        outer_as_inner_evaluator(out, "psi3", "+"), xis, tau, out.p, out.d
+        outer_as_inner_evaluator(out, "+"), xis, tau, out.p, out.d
     )
     l0 = L0_residual(
-        outer_psi_evaluator(out, "psi3", "+"), gaps, tau, out.p, out.d
+        outer_psi_evaluator(out, "+"), gaps, tau, out.p, out.d
     )
     assert np.allclose(l1, l0, rtol=1e-12, atol=1e-12)
 
@@ -72,15 +73,16 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     # e^{-gamma tau} times the rescaled decomposition must equal raw L0 to
     # roundoff in the raw term sum, at every recurrence depth (N = 1, 2, 3)
     p = make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
+    assert branch_variant(gamma) == variant
     out = OuterProfileSet(p)
     d = out.d
     xi0b = math.sqrt((p.n - 1) / d.a0)
     for sign in ("+", "-"):
         lo = max(1e-3, 2.0 * xi0b * math.exp(-gamma * tau)) if sign == "-" else 1e-3
         gaps = np.geomspace(lo, 1e3, 60)
-        res, _ = out.l0_terms(variant, sign, tau, gap=gaps)
-        raw = L0_residual(outer_psi_evaluator(out, variant, sign), gaps, tau, p, d)
-        w, we, wee, wt = out.psi_bundle(variant, sign, tau, gap=gaps)
+        res, _ = out.l0_terms(sign, tau, gap=gaps)
+        raw = L0_residual(outer_psi_evaluator(out, sign), gaps, tau, p, d)
+        w, we, wee, wt = out.psi_bundle(sign, tau, gap=gaps)
         eta = p.A + gaps
         visc = math.exp(-2.0 * gamma * tau) * (wee / w + d.b1 * (we / w) ** 2)
         drift = d.b2 * math.exp(-gamma * tau) * we / w
@@ -96,7 +98,7 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
 
 
 def test_inner_closed_form_matches_numeric_l1(solver_ref):
-    bar = GluedBarrier(solver_ref, "-", 0.01, 10.0)
+    bar = GluedBarrier(solver_ref, "-", 0.01)
     xis = np.linspace(-5.0, 9.5, 30)
     num = L1_residual(glued_evaluator(bar), xis, 12.0, bar.outer.p, bar.outer.d)
     closed = inner_residual_closed(bar, xis, 12.0)
@@ -106,7 +108,7 @@ def test_inner_closed_form_matches_numeric_l1(solver_ref):
 def test_inner_defect_frozen(solver_ref):
     # eps = 0 leaves the pure e^{-gamma tau} transport defect; negative is
     # the correct direction for the subsolution
-    bar = GluedBarrier(solver_ref, "-", 0.0, 10.0)
+    bar = GluedBarrier(solver_ref, "-", 0.0)
     d0 = float(inner_residual_closed(bar, 0.0, 10.0))
     d5 = float(inner_residual_closed(bar, 5.0, 10.0))
     assert d0 == pytest.approx(INNER_DEFECT_XI0, rel=1e-6)
@@ -115,7 +117,7 @@ def test_inner_defect_frozen(solver_ref):
 
 
 def test_l1_terms_evaluator_consistent(solver_ref):
-    bar = GluedBarrier(solver_ref, "-", 0.01, 10.0)
+    bar = GluedBarrier(solver_ref, "-", 0.01)
     ev = l1_terms_evaluator(glued_evaluator(bar), bar.outer.p, bar.outer.d)
     xis = np.linspace(-3.0, 8.0, 20)
     res, scale = ev(xis, 12.0)
@@ -136,13 +138,13 @@ def test_nonpositive_profile_rejected(p_ref, d_ref):
 
 
 def test_mapped_evaluator_needs_positive_xi(outer_ref):
-    ev = outer_as_inner_evaluator(outer_ref, "psi3", "+")
+    ev = outer_as_inner_evaluator(outer_ref, "+")
     with pytest.raises(errors.OutOfDomain):
         ev(np.array([-1.0]), 8.0)
 
 
 def test_inner_closed_form_domain(solver_ref):
-    bar = GluedBarrier(solver_ref, "-", 0.0, 10.0)
+    bar = GluedBarrier(solver_ref, "-", 0.0)
     with pytest.raises(errors.OutOfDomain):
         inner_residual_closed(bar, 10.5, 10.0)
 
@@ -160,9 +162,9 @@ def _const_terms(value):
     return terms
 
 
-def test_verdict_passes_on_clean_sign(p_ref, d_ref):
+def test_verdict_passes_on_clean_sign(p_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(1.0), "+", REGION, p_ref, d_ref, n_space=50, n_tau=4
+        "L1", _const_terms(1.0), "+", REGION, p_ref, n_space=50, n_tau=4
     )
     assert rep.passed
     assert rep.n_points == 200
@@ -170,19 +172,19 @@ def test_verdict_passes_on_clean_sign(p_ref, d_ref):
     assert rep.n_inconclusive == 0
     assert rep.min_residual == rep.max_residual == 1.0
     rep_minus = verify_sign_region(
-        "L1", _const_terms(-1.0), "-", REGION, p_ref, d_ref, n_space=50, n_tau=4
+        "L1", _const_terms(-1.0), "-", REGION, p_ref, n_space=50, n_tau=4
     )
     assert rep_minus.passed
 
 
-def test_verdict_counts_violations(p_ref, d_ref):
+def test_verdict_counts_violations(p_ref):
     def terms(space, tau):
         r = np.ones_like(space)
         r[..., 3] = -1e-3
         return r, np.ones_like(space)
 
     rep = verify_sign_region(
-        "L1", terms, "+", REGION, p_ref, d_ref, n_space=50, n_tau=2
+        "L1", terms, "+", REGION, p_ref, n_space=50, n_tau=2
     )
     assert not rep.passed
     assert rep.n_violations == 2
@@ -190,10 +192,10 @@ def test_verdict_counts_violations(p_ref, d_ref):
 
 
 @pytest.mark.parametrize("want", ["+", "-"])
-def test_verdict_fails_on_nan_everywhere(p_ref, d_ref, want):
+def test_verdict_fails_on_nan_everywhere(p_ref, want):
     # NaN is neither below -atol nor within atol: it must still fail
     rep = verify_sign_region(
-        "L1", _const_terms(math.nan), want, REGION, p_ref, d_ref, n_space=10, n_tau=3
+        "L1", _const_terms(math.nan), want, REGION, p_ref, n_space=10, n_tau=3
     )
     assert not rep.passed
     assert rep.n_violations == rep.n_points == 30
@@ -201,7 +203,7 @@ def test_verdict_fails_on_nan_everywhere(p_ref, d_ref, want):
     assert math.isnan(rep.worst_point[2])
 
 
-def test_verdict_worst_point_is_first_non_finite(p_ref, d_ref):
+def test_verdict_worst_point_is_first_non_finite(p_ref):
     def terms(space, tau):
         r = np.ones_like(space)
         r[0, 7] = -1.0  # a finite violation before the broken point
@@ -211,7 +213,7 @@ def test_verdict_worst_point_is_first_non_finite(p_ref, d_ref):
         return r, scale
 
     rep = verify_sign_region(
-        "L1", terms, "+", REGION, p_ref, d_ref, n_space=10, n_tau=3
+        "L1", terms, "+", REGION, p_ref, n_space=10, n_tau=3
     )
     assert not rep.passed
     assert rep.n_violations == 3
@@ -221,9 +223,9 @@ def test_verdict_worst_point_is_first_non_finite(p_ref, d_ref):
     assert math.isnan(rep.worst_point[2])
 
 
-def test_verdict_counts_inconclusive(p_ref, d_ref):
+def test_verdict_counts_inconclusive(p_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(0.0), "+", REGION, p_ref, d_ref, n_space=50, n_tau=2
+        "L1", _const_terms(0.0), "+", REGION, p_ref, n_space=50, n_tau=2
     )
     assert not rep.passed
     assert rep.n_inconclusive == rep.n_points == 100
@@ -231,14 +233,14 @@ def test_verdict_counts_inconclusive(p_ref, d_ref):
     assert rep.n_violations == 0
 
 
-def test_verdict_rejects_bad_want(p_ref, d_ref):
+def test_verdict_rejects_bad_want(p_ref):
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L1", _const_terms(1.0), "up", REGION, p_ref, d_ref)
+        verify_sign_region("L1", _const_terms(1.0), "up", REGION, p_ref)
 
 
-def test_report_to_dict_keys(p_ref, d_ref):
+def test_report_to_dict_keys(p_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(1.0), "+", REGION, p_ref, d_ref, n_space=10, n_tau=2
+        "L1", _const_terms(1.0), "+", REGION, p_ref, n_space=10, n_tau=2
     )
     out = rep.to_dict()
     for key in ("operator", "kind", "want", "tau_window", "n_points",
@@ -256,7 +258,7 @@ def test_region_defaults():
     assert region.far_cut == 2e4
 
 
-def test_region_grid_construction(p_ref, d_ref):
+def test_region_grid_construction(p_ref):
     seen = {}
 
     def record(space, tau):
@@ -265,7 +267,7 @@ def test_region_grid_construction(p_ref, d_ref):
 
     glued = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
                    xi1=10.0, delta1=20.0, xi_lo=-7.0)
-    verify_sign_region("L1", record, "+", glued, p_ref, d_ref,
+    verify_sign_region("L1", record, "+", glued, p_ref,
                        n_space=101, n_tau=2)
     for grid in seen["grids"]:
         assert grid.min() >= -7.0
@@ -273,49 +275,49 @@ def test_region_grid_construction(p_ref, d_ref):
         assert np.all(np.abs(grid - 10.0) > 1e-10)  # corner excluded
 
 
-def test_empty_near_a_band_rejected(p_ref, d_ref):
+def test_empty_near_a_band_rejected(p_ref):
     # xi0 e^{-gamma tau} above delta0 leaves no band to sample
     region = Region(kind="near_A", tau_lo=0.0, tau_hi=1.0, xi0=1.0, delta0=0.25)
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref, d_ref)
+        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
 
 
-def test_unknown_region_kind_rejected(p_ref, d_ref):
+def test_unknown_region_kind_rejected(p_ref):
     region = Region(kind="everywhere", tau_lo=1.0, tau_hi=2.0)
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref, d_ref)
+        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
 
 
-def test_empty_band_is_empty_region(p_ref, d_ref):
+def test_empty_band_is_empty_region(p_ref):
     region = Region(kind="glued", tau_lo=-20.0, tau_hi=1.0, xi0=1.0, far_cut=2e4)
     with pytest.raises(errors.EmptyRegion, match="tau=-20.0"):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref, d_ref)
+        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
     assert issubclass(errors.EmptyRegion, errors.InvalidParameter)
 
 
 @pytest.mark.parametrize("n_space,n_tau", [(50, 0), (0, 4), (-1, 4), (50, -2)])
-def test_grid_without_points_rejected(p_ref, d_ref, n_space, n_tau):
+def test_grid_without_points_rejected(p_ref, n_space, n_tau):
     # a verdict over no points must not pass, whatever the residual
     with pytest.raises(errors.InvalidParameter, match="no points"):
-        verify_sign_region("L1", _const_terms(-1.0), "+", REGION, p_ref, d_ref,
+        verify_sign_region("L1", _const_terms(-1.0), "+", REGION, p_ref,
                            n_space=n_space, n_tau=n_tau)
 
 
-def test_corner_masked_row_without_points_rejected(p_ref, d_ref):
+def test_corner_masked_row_without_points_rejected(p_ref):
     # one sample, and it sits on the corner xi1 that inner_glued skips
     region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
                     xi1=10.0, delta1=20.0, xi_lo=10.0)
     with pytest.raises(errors.EmptyRegion):
-        verify_sign_region("L1", _const_terms(1.0), "+", region, p_ref, d_ref,
+        verify_sign_region("L1", _const_terms(1.0), "+", region, p_ref,
                            n_space=1, n_tau=4)
 
 
-def test_terms_fn_of_wrong_shape_rejected(p_ref, d_ref):
+def test_terms_fn_of_wrong_shape_rejected(p_ref):
     def one_row(space, tau):
         return np.ones(space.shape[-1]), np.ones(space.shape[-1])
 
     with pytest.raises(errors.InvalidParameter, match="shape"):
-        verify_sign_region("L1", one_row, "+", REGION, p_ref, d_ref,
+        verify_sign_region("L1", one_row, "+", REGION, p_ref,
                            n_space=10, n_tau=3)
 
 
@@ -383,14 +385,13 @@ def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
 def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     # psi3 on ref; psi4 on low carries the correction rows k = 3, 4
     outer = request.getfixturevalue(f"outer_{setup}")
-    variant = "psi3" if setup == "ref" else "psi4"
     tau_lo = outer.cfg.tau_start
     region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0)
 
     def ev(gap, tau):
-        return outer.l0_terms(variant, sign, tau, gap=gap)
+        return outer.l0_terms(sign, tau, gap=gap)
 
-    got = verify_sign_region("L0", ev, sign, region, outer.p, outer.d,
+    got = verify_sign_region("L0", ev, sign, region, outer.p,
                              n_space=120, n_tau=12)
     want = _verify_per_tau("L0", ev, sign, region, outer.p, 120, 12)
     assert got == want
@@ -398,12 +399,12 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
-    bar = GluedBarrier(solver_ref, sign, 0.01, 10.0)
+    bar = GluedBarrier(solver_ref, sign, 0.01)
     p, d = bar.outer.p, bar.outer.d
     ev = l1_terms_evaluator(glued_evaluator(bar), p, d)
     region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0, xi1=10.0,
                     delta1=20.0)
-    got = verify_sign_region("L1", ev, sign, region, p, d, n_space=81, n_tau=5)
+    got = verify_sign_region("L1", ev, sign, region, p, n_space=81, n_tau=5)
     want = _verify_per_tau("L1", ev, sign, region, p, 81, 5)
     assert got == want
 
@@ -432,33 +433,29 @@ def test_minus_thresholds_low_gamma(thresholds_minus_low):
 
 
 def test_plus_near_corner_passes_at_base_rung(outer_ref):
-    th = find_thresholds(outer_ref, "psi3", "+", regions=("near_A",))
+    th = find_thresholds(outer_ref, "+", regions=("near_A",))
     assert th["tau_start"] == 10.0
     assert th["xi0"] == 1.0
     assert th["delta0"] == 0.25
     assert th["ladder_steps"] == 1
 
 
-def test_plus_far_field_exhausts_ladder(outer_ref):
+def test_plus_far_field_exhausts_ladder(outer_ref, monkeypatch):
     # the supersolution verdict cannot hold in the far field; the ladder
     # must exhaust instead of reporting a spurious pass
+    for name in ("_TAU_DOUBLINGS", "_XI_DOUBLINGS", "_DELTA_HALVINGS"):
+        monkeypatch.setattr(residuals, name, 1)
     with pytest.raises(errors.ThresholdSearchExhausted):
-        find_thresholds(
-            outer_ref, "psi3", "+",
-            tau_doublings=1, xi_doublings=1, delta_halvings=1,
-        )
+        find_thresholds(outer_ref, "+")
 
 
 def test_threshold_arguments_checked_before_the_ladder(outer_ref):
     # argument errors must not be reported as an exhausted ladder
-    with pytest.raises(errors.InvalidParameter, match="want"):
-        find_thresholds(outer_ref, "psi3", "-", want="up")
+    with pytest.raises(errors.InvalidParameter, match="sign"):
+        find_thresholds(outer_ref, "up")
     for regions in (("nearA",), ("near_A", "inner"), ()):
         with pytest.raises(errors.InvalidParameter, match="regions"):
-            find_thresholds(outer_ref, "psi3", "-", regions=regions)
-    with pytest.raises(errors.InvalidParameter) as exc:
-        find_thresholds(outer_ref, "psi9", "-", regions=("near_A",))
-    assert not isinstance(exc.value, errors.ThresholdSearchExhausted)
+            find_thresholds(outer_ref, "-", regions=regions)
 
 
 def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
@@ -475,8 +472,9 @@ def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
             raise
 
     monkeypatch.setattr(residuals, "_space_grid", counting_grid)
+    monkeypatch.setattr(residuals, "_TAU_DOUBLINGS", 0)
     with pytest.raises(errors.ThresholdSearchExhausted):
-        find_thresholds(outer_low, "psi4", "+", tau_doublings=0)
+        find_thresholds(outer_low, "+")
     assert empty and all(region.kind == "near_A" for region in empty)
 
 
@@ -485,6 +483,6 @@ def test_xi0_lower_bound_respected():
     p = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
     out = OuterProfileSet(p)
     bound = math.sqrt((p.n - 1) * 30.0 / out.d.a0)
-    th = find_thresholds(out, "psi3", "-", regions=("near_A",))
+    th = find_thresholds(out, "-", regions=("near_A",))
     assert th["xi0"] >= bound
     assert th["xi0"] == pytest.approx(2.0 * bound, rel=1e-12)
