@@ -67,12 +67,21 @@ def config_hash(p: ModelParams, cfg: ThresholdConfig, extras: dict) -> str:
 
 
 def atomic_write(path: str, text: str):
+    """Write text to path through a temp file and a rename.
+
+    mkstemp creates the temp file with mode 0600, which the rename would
+    keep; the file gets the mode a plain open() would give it instead,
+    0666 less the process umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
