@@ -34,7 +34,7 @@ from .matching import (
     find_epsilon_bounds,
 )
 from .outer import OuterProfileSet, branch_variant
-from .params import load_config, params_to_dict, validate_params
+from .params import config_value, load_config, params_to_dict
 from .pde import comparison_sandwich, weak_corner_term
 from .reporting import (
     base_report,
@@ -43,7 +43,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .residuals import Region, glued_evaluator, l1_terms_evaluator, verify_sign_region
+from .residuals import Region, l1_terms_evaluator, verify_sign_region
 from .residuals import find_thresholds as search_thresholds
 from .selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 
@@ -65,10 +65,8 @@ def _add_common(sp: argparse.ArgumentParser):
 
 def _load(args):
     p, cfg, extras = load_config(args.config)
-    d = validate_params(p)
-    cfg = cfg.validated(p)
     h = config_hash(p, cfg, extras)
-    return p, d, cfg, extras, h
+    return p, cfg, extras, h
 
 
 def _artifact(args, stem: str, h: str, ext: str) -> str:
@@ -79,7 +77,7 @@ def _artifact(args, stem: str, h: str, ext: str) -> str:
 
 
 def cmd_profile(args) -> int:
-    p, d, cfg, extras, h = _load(args)
+    p, cfg, extras, h = _load(args)
     paths = {
         "profiles": _artifact(args, "profiles", h, "csv"),
         "selfsim": _artifact(args, "selfsim", h, "csv"),
@@ -102,7 +100,7 @@ def cmd_profile(args) -> int:
     profile = shoot_v0(p)
     save_profile(profile, paths["selfsim"])
 
-    payload = params_to_dict(p, d)
+    payload = params_to_dict(p)
     payload["variant"] = branch_variant(p.gamma)
     payload["tau_snapshot"] = cfg.tau_start
     payload["C2"] = outer.C2
@@ -119,7 +117,7 @@ def cmd_profile(args) -> int:
 def _search_inner_start(solver, eps: float, tau_lo: float):
     """Smallest tau (8 steps of 2 from tau_lo) where both glued barriers
     pass the inner sign verdict; returns (tau, reports) or (None, reports)."""
-    p, d, cfg = solver.outer.p, solver.outer.d, solver.outer.cfg
+    p, cfg = solver.outer.p, solver.outer.cfg
     tau = tau_lo
     reports = {}
     for _ in range(8):
@@ -129,13 +127,7 @@ def _search_inner_start(solver, eps: float, tau_lo: float):
             bar = GluedBarrier(solver, sign, eps)
             region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0,
                             xi1=solver.xi1, delta1=cfg.delta1)
-            rep = verify_sign_region(
-                "L1", l1_terms_evaluator(glued_evaluator(bar), p, d),
-                sign, region, p,
-                n_space=cfg.grid_eta, n_tau=cfg.grid_tau,
-                atol_factor=cfg.sign_atol_factor,
-                inconclusive_frac=cfg.inconclusive_frac,
-            )
+            rep = verify_sign_region(l1_terms_evaluator(bar), sign, region, p, cfg)
             reports[sign] = rep
             ok = ok and rep.passed
         if ok:
@@ -145,13 +137,13 @@ def _search_inner_start(solver, eps: float, tau_lo: float):
 
 
 def cmd_verify(args) -> int:
-    p, d, cfg, extras, h = _load(args)
+    p, cfg, extras, h = _load(args)
     out_json = _artifact(args, "verify", h, "json")
     if args.dry_run:
         print(f"verify {h}: would write {out_json}")
         return 0
 
-    report = base_report(p, d, cfg)
+    report = base_report(p, cfg)
     checks = report["checks"]
     variant = branch_variant(p.gamma)
     report["variant"] = variant
@@ -286,7 +278,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    p, d, cfg, extras, h = _load(args)
+    p, cfg, extras, h = _load(args)
     out_json = _artifact(args, "simulate", h, "json")
     out_csv = _artifact(args, "trajectory", h, "csv")
     verify_path = _artifact(args, "verify", h, "json")
@@ -311,11 +303,11 @@ def cmd_simulate(args) -> int:
               "run verify first or pass --force", file=sys.stderr)
         return 2
 
-    tau0 = float(extras.get("tau0", recommended.get("tau0", cfg.tau_start)))
-    eps = float(extras.get("eps", recommended.get("eps", p.epsilon)))
-    tau_end = float(extras.get("tau_end", tau0 + 2.2 * math.log(10.0)))
-    n_cells = int(extras.get("n_cells", 400))
-    dtau = float(extras.get("dtau", 0.01))
+    tau0 = float(config_value("tau0", extras.get("tau0", recommended.get("tau0", cfg.tau_start))))
+    eps = float(config_value("eps", extras.get("eps", recommended.get("eps", p.epsilon))))
+    tau_end = float(config_value("tau_end", extras.get("tau_end", tau0 + 2.2 * math.log(10.0))))
+    n_cells = config_value("n_cells", extras.get("n_cells", 400))
+    dtau = float(config_value("dtau", extras.get("dtau", 0.01)))
 
     variant = branch_variant(p.gamma)
     outer = OuterProfileSet(p, cfg)
@@ -328,7 +320,7 @@ def cmd_simulate(args) -> int:
     )
     sandwich.runs["mid"].to_csv(out_csv)
 
-    payload = base_report(p, d, cfg)
+    payload = base_report(p, cfg)
     payload["variant"] = variant
     payload["window"] = {"tau0": tau0, "tau_end": tau_end,
                          "n_cells": n_cells, "dtau": dtau, "eps": eps}
@@ -338,7 +330,7 @@ def cmd_simulate(args) -> int:
     rate_ok = (
         isinstance(exponent, float)
         and math.isfinite(exponent)
-        and abs(exponent / d.exponent_rate - 1.0) <= 0.03
+        and abs(exponent / p.d.exponent_rate - 1.0) <= 0.03
     )
     payload["checks"] = [
         make_check("sandwich", sandwich.passed, {
@@ -347,7 +339,7 @@ def cmd_simulate(args) -> int:
             "tol_rel": sandwich.tol_rel,
         }),
         make_check("extinction-rate", rate_ok, {
-            "fit": rate_fit, "expected": d.exponent_rate,
+            "fit": rate_fit, "expected": p.d.exponent_rate,
         }),
     ]
     payload["all_passed"] = all(c["passed"] for c in payload["checks"])
@@ -364,7 +356,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    p, d, cfg, extras, h = _load(args)
+    p, cfg, extras, h = _load(args)
     out_json = _artifact(args, "report", h, "json")
     if args.dry_run:
         print(f"report {h}: would write {out_json}")

@@ -112,7 +112,8 @@ class MatchingSolver:
         both : the edge slope psi_eta tends to
                a0/(gamma A) - (n-1) theta2/(gamma A xi1) - (n-1) theta1/(gamma A xi1^2).
         """
-        p, d, xi1 = self.outer.p, self.outer.d, self.xi1
+        p, xi1 = self.outer.p, self.xi1
+        d = p.d
         gamma, A, n = p.gamma, p.A, p.n
         out = {}
         tau_ref = 40.0

@@ -61,13 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .params import (
-    ModelParams,
-    ThresholdConfig,
-    default_thresholds,
-    theta,
-    validate_params,
-)
+from .params import ModelParams, ThresholdConfig, default_thresholds, theta
 
 __all__ = ["OuterProfileSet", "branch_variant"]
 
@@ -104,8 +98,7 @@ class OuterProfileSet:
 
     def __init__(self, p: ModelParams, cfg: ThresholdConfig | None = None):
         self.p = p
-        self.d = validate_params(p)
-        self.cfg = cfg or default_thresholds(p, self.d)
+        self.cfg = cfg or default_thresholds(p)
         self.cfg.validated(p)
 
         n, gamma, A = p.n, p.gamma, p.A
@@ -117,9 +110,7 @@ class OuterProfileSet:
         self._kap2 = (n - 1) * A ** (2.0 / gamma) / gamma ** 2
         self._b2q = (n - 1) * A ** (2.0 / gamma) / gamma ** 3
 
-        g0 = self.cfg.eta0 - A
-        if g0 <= 0.0:
-            raise errors.InvalidParameter("eta0 must exceed A")
+        g0 = self.cfg.eta0 - A  # > 0: the config is checked
         # closed forms of I and C2 from the module docstring
         lg0 = math.log1p(g0 / A) / gamma
         self._lexp0 = math.log(math.expm1(lg0))
@@ -153,7 +144,7 @@ class OuterProfileSet:
     # d2/deta2) from one evaluation.
 
     def _phi0_prims(self, pr: _Primitives, derivs: bool):
-        a0, gamma = self.d.a0, self.p.gamma
+        a0, gamma = self.p.d.a0, self.p.gamma
         value = a0 * pr.omx
         if not derivs:
             return (value,)
@@ -307,8 +298,8 @@ class OuterProfileSet:
         config; absent seeds are zero.
         """
         n, gamma = self.p.n, self.p.gamma
-        a0 = self.d.a0
-        N = self.d.N
+        a0 = self.p.d.a0
+        N = self.p.d.N
         th2 = theta(self.p, 2, sign)
         seeds = dict(self.cfg.seed_constants)
 
@@ -398,7 +389,7 @@ class OuterProfileSet:
         per tau.
         """
         pr = self._prims(gap)
-        p, d = self.p, self.d
+        p, d = self.p, self.p.d
         n1, g = p.n - 1, p.gamma
         th1 = theta(p, 1, sign)
         th2 = theta(p, 2, sign)

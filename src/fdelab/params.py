@@ -3,8 +3,11 @@
 Parameter conventions match the fast diffusion setting
     u_t = ((n-1)/m) Delta u^m,  n >= 3,  0 < m < (n-2)/(n+2),
 with extinction time T, anisotropy amplitude A, rate parameter gamma,
-and corrector weights theta1/theta2 per sign.  All derived constants are
-computed once and passed around explicitly.
+and corrector weights theta1/theta2 per sign.  A ModelParams checks
+itself when it is built (validate_params) and holds its derived constants
+as the attribute d, so every parameter set in the package is admissible
+and carries its own a0, b1, b2, N and exponent rate.  Config values are
+type-checked where they enter (config_value).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "DerivedConstants",
     "radial_diffusion",
     "ThresholdConfig",
+    "config_value",
     "make_params",
     "validate_params",
     "default_thresholds",
@@ -32,10 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable model parameter set.
+    """Immutable model parameter set, admissible by construction.
 
-    theta2_minus must equal 0; the remaining theta fields obey strict
-    inequalities against b1, b2 (see validate_params).
+    Building one (dataclasses.replace included) runs validate_params and
+    raises InvalidParameter on the first violated condition: theta2_minus
+    must equal 0 and the remaining theta fields obey strict inequalities
+    against b1, b2.  The derived constants are the attribute d, which is
+    not a field: asdict, ==, hash and repr see the eleven fields only.
     """
 
     n: int
@@ -49,6 +56,9 @@ class ModelParams:
     theta2_minus: float = 0.0
     theta2_plus: float = 0.0
     epsilon: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", validate_params(self))
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,11 @@ def _derived(n: int, m: float, gamma: float) -> DerivedConstants:
     return DerivedConstants(a0=a0, b1=b1, b2=b2, N=N, exponent_rate=rate)
 
 
-def radial_diffusion(p: ModelParams, d: DerivedConstants, w, w1, w2):
+def radial_diffusion(p: ModelParams, w, w1, w2):
     """(n-1) [w''/w + b1 (w'/w)^2 + b2 w'/w] from w and its first two
     derivatives in the logarithmic radius, the diffusion term of every
     w-equation (inner profile, L1 residual, comoving PDE)."""
+    d = p.d
     return (p.n - 1) * (w2 / w + d.b1 * (w1 / w) ** 2 + d.b2 * w1 / w)
 
 
@@ -95,10 +106,15 @@ def make_params(
 
     Defaults: theta1_minus = b1 - 1, theta1_plus = max(0, b1) + 1,
     theta2_minus = 0, theta2_plus = b2 + 1 (a margin of 1 on each strict
-    inequality).  Any of the four can be overridden by keyword.
+    inequality).  Any of the four can be overridden by keyword.  n is
+    passed on as given, so a non-integer n is rejected.
     """
+    # the default thetas need b1 and b2 before ModelParams checks the set,
+    # and _derived divides by gamma and by 1 - m
     if not (gamma > 0.0):
         raise errors.InvalidParameter(f"gamma must be positive, got {gamma}")
+    if not (m < 1.0):
+        raise errors.InvalidParameter(f"m must satisfy m < (n-2)/(n+2) < 1, got {m}")
     d = _derived(n, m, gamma)
     thetas = {
         "theta1_minus": d.b1 - 1.0,
@@ -110,18 +126,18 @@ def make_params(
         if key not in thetas:
             raise TypeError(f"unknown parameter {key!r}")
         thetas[key] = float(val)
-    p = ModelParams(
-        n=int(n), m=float(m), gamma=float(gamma), A=float(A), T=float(T),
+    return ModelParams(
+        n=n, m=float(m), gamma=float(gamma), A=float(A), T=float(T),
         lam=float(lam), epsilon=float(epsilon), **thetas,
     )
-    validate_params(p)
-    return p
 
 
 def validate_params(p: ModelParams) -> DerivedConstants:
     """Check every parameter inequality; return the derived constants.
 
-    Raises InvalidParameter naming the violated condition.
+    ModelParams runs this when it is built and keeps the result as p.d;
+    the package calls it nowhere else.  Raises InvalidParameter naming the
+    violated condition.
     """
     if not isinstance(p.n, (int, np.integer)) or p.n < 3:
         raise errors.InvalidParameter(f"n must be an integer >= 3, got {p.n}")
@@ -231,12 +247,15 @@ class ThresholdConfig:
         return self
 
 
-def default_thresholds(p: ModelParams, d: DerivedConstants) -> ThresholdConfig:
-    """Starting thresholds; searches may enlarge tau_start and xi0."""
-    xi0 = max(1.0, math.sqrt((p.n - 1) * abs(p.theta1_minus) / d.a0))
+def default_thresholds(p: ModelParams) -> ThresholdConfig:
+    """Starting thresholds; searches may enlarge tau_start and xi0.
+
+    Not checked here: load_config and OuterProfileSet check the config
+    they use, so a config keyword can repair a default that fails.
+    """
+    xi0 = max(1.0, math.sqrt((p.n - 1) * abs(p.theta1_minus) / p.d.a0))
     tau0 = max(10.0, (1.0 / p.gamma) * math.log(4.0 * 10.0 / 0.25) + 1.0)
-    cfg = ThresholdConfig(eta0=p.A + 1.0, xi0=xi0, xi1=10.0, tau_start=tau0)
-    return cfg.validated(p)
+    return ThresholdConfig(eta0=p.A + 1.0, xi0=xi0, xi1=10.0, tau_start=tau0)
 
 
 # -- config I/O ---------------------------------------------------------------
@@ -250,21 +269,69 @@ _THRESHOLD_KEYS = {
     "homog_C1", "homog_C3", "C10", "max_doublings", "grid_eta", "grid_tau",
     "sign_atol_factor", "inconclusive_frac", "seed_constants",
 }
+# n_cells is the simulate window's, which the CLI checks where it reads it
+_INTEGER_KEYS = {"n", "max_doublings", "grid_eta", "grid_tau", "n_cells"}
+
+
+def _finite(value) -> bool:
+    """True for an int or float, not a bool, with a finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def config_value(key: str, value):
+    """A config value after the type check of its key.
+
+    An integer key takes an integral number and gives an int; C10 also
+    takes null; seed_constants takes a list of [k, value] pairs of an
+    integral k and a finite number and gives a tuple of pairs; every other
+    key takes a finite number, returned as given.  Anything else raises
+    InvalidParameter naming the key.
+    """
+    if key == "C10" and value is None:
+        return None
+    if key == "seed_constants":
+        if isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and _finite(pair[0]) and float(pair[0]).is_integer() and _finite(pair[1])
+            for pair in value
+        ):
+            return tuple(tuple(pair) for pair in value)
+        raise errors.InvalidParameter(
+            f"seed_constants must be a list of [k, value] pairs with an integer k "
+            f"and a finite value, got {value!r}"
+        )
+    if not _finite(value):
+        raise errors.InvalidParameter(f"{key} must be a finite number, got {value!r}")
+    if key in _INTEGER_KEYS:
+        if not float(value).is_integer():
+            raise errors.InvalidParameter(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return value
 
 
 def load_config(path: str):
     """Read a JSON config into (ModelParams, ThresholdConfig, extras).
 
-    Accepts "lambda" as an alias for lam.  Threshold keys not present fall
-    back to defaults derived from the parameters.  Unknown keys are returned
-    in extras (the CLI reads the simulate window from them).
+    Accepts "lambda" as an alias for lam.  Every parameter and threshold
+    key is type-checked by config_value before use.  Threshold keys not
+    present fall back to defaults derived from the parameters.  Unknown
+    keys are returned in extras unchecked (the CLI reads the simulate
+    window from them).
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise errors.InvalidParameter(f"config must be a JSON object, got {raw!r}")
     if "lambda" in raw:
         raw.setdefault("lam", raw.pop("lambda"))
+    known = {k: config_value(k, v) for k, v in raw.items() if k in _PARAM_KEYS | _THRESHOLD_KEYS}
 
-    pkw = {k: raw[k] for k in list(raw) if k in _PARAM_KEYS}
+    pkw = {k: v for k, v in known.items() if k in _PARAM_KEYS}
     theta_overrides = {
         k: pkw.pop(k) for k in list(pkw) if k.startswith("theta")
     }
@@ -272,17 +339,13 @@ def load_config(path: str):
     if missing:
         raise errors.InvalidParameter(f"config missing required keys: {sorted(missing)}")
     p = make_params(**pkw, **theta_overrides)
-    d = validate_params(p)
 
-    tkw = {k: raw[k] for k in raw if k in _THRESHOLD_KEYS}
-    if "seed_constants" in tkw:
-        tkw["seed_constants"] = tuple(tuple(pair) for pair in tkw["seed_constants"])
-    base = default_thresholds(p, d)
-    cfg = replace(base, **tkw).validated(p) if tkw else base
+    tkw = {k: v for k, v in known.items() if k in _THRESHOLD_KEYS}
+    cfg = replace(default_thresholds(p), **tkw).validated(p)
 
     extras = {k: raw[k] for k in raw if k not in _PARAM_KEYS | _THRESHOLD_KEYS}
     return p, cfg, extras
 
 
-def params_to_dict(p: ModelParams, d: DerivedConstants) -> dict:
-    return {"params": asdict(p), "derived": asdict(d)}
+def params_to_dict(p: ModelParams) -> dict:
+    return {"params": asdict(p), "derived": asdict(p.d)}

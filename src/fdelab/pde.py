@@ -46,7 +46,7 @@ import numpy as np
 
 from . import errors
 from .matching import GluedBarrier
-from .params import DerivedConstants, ModelParams, radial_diffusion
+from .params import ModelParams, radial_diffusion
 from .reporting import write_csv
 
 __all__ = [
@@ -67,7 +67,6 @@ class Trajectory:
     """Saved frames of a comoving run."""
 
     p: ModelParams
-    d: DerivedConstants
     xi: np.ndarray
     deltas: np.ndarray
     W: np.ndarray  # shape (frames, len(xi))
@@ -98,7 +97,7 @@ class Trajectory:
         write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
 
 
-def _rhs(W, dxi, sigma, p, d):
+def _rhs(W, dxi, sigma, p):
     """F(W) + sigma W_xi on the interior points of each row of W.
 
     sigma is a column of per-row drift speeds.  Returns F with the
@@ -109,12 +108,13 @@ def _rhs(W, dxi, sigma, p, d):
     Wp = W[:, 2:]
     D1 = (Wp - Wm) / (2.0 * dxi)
     D2 = (Wp - 2.0 * W0 + Wm) / (dxi * dxi)
-    F = radial_diffusion(p, d, W0, D1, D2) - d.a0 + sigma * D1
+    F = radial_diffusion(p, W0, D1, D2) - p.d.a0 + sigma * D1
     return F, D1, D2
 
 
-def _jac_bands(W0, D1, D2, dxi, sigma, p, d):
+def _jac_bands(W0, D1, D2, dxi, sigma, p):
     """Bands (dF/dW_{j-1}, dF/dW_j, dF/dW_{j+1}) of _rhs from its stencil."""
+    d = p.d
     n1 = p.n - 1
     h2W = dxi * dxi * W0
     W0sq = W0 * W0
@@ -157,7 +157,7 @@ def _column(values) -> np.ndarray:
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
-def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
+def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources):
     """One theta-weighted implicit step for every row of W_old.
 
     Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
@@ -180,7 +180,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     dt = [a - b for a, b in zip(delta_old, delta_new)]
     sigma_old = [p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_old]
     sigma_new = _column([p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_new])
-    F_old, _, _ = _rhs(W_old, dxi, _column(sigma_old), p, d)
+    F_old, _, _ = _rhs(W_old, dxi, _column(sigma_old), p)
     for i, source in enumerate(sources):
         if source is not None:
             F_old[i] += source(W_old[i], delta_old[i])[1:-1]
@@ -197,13 +197,13 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
     # the achievable residual is bounded below by rounding of the bracket
     # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|
     w_scale = W_old.max(axis=1).tolist()
-    f_scale = [d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
+    f_scale = [p.d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
     tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f))
            for w, h, f in zip(w_scale, dt, f_scale)]
 
     def residual(X, tried):
         """G of every row of X and its stencil (D1, D2); sources on tried rows."""
-        F_new, D1, D2 = _rhs(X, dxi, sigma_new, p, d)
+        F_new, D1, D2 = _rhs(X, dxi, sigma_new, p)
         for i, source in enumerate(sources):
             if source is not None and tried[i]:
                 F_new[i] += source(X[i], delta_new[i])[1:-1]
@@ -241,7 +241,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, d, sources):
         if not any(lam):
             return out
         # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
-        dm, d0, dp = _jac_bands(X[:, 1:-1], D1, D2, dxi, sigma_new, p, d)
+        dm, d0, dp = _jac_bands(X[:, 1:-1], D1, D2, dxi, sigma_new, p)
         dl = np.zeros((k, M - 1))
         dl[:, :-1] = jac_neg * dm
         diag = np.ones((k, M))
@@ -312,7 +312,7 @@ def _step_plan(step_idx, delta, delta_end, dtau):
     return min(frac, 1.0 - delta_end / delta), theta
 
 
-def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
+def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     """Step every run from delta_start down to delta_end as one row of a
     shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
@@ -353,7 +353,7 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
             if attempt[i] is None:
                 if not delta > delta_end * (1.0 + 1e-12):
                     out[i] = Trajectory(
-                        p=p, d=d, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
+                        p=p, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
                         newton_iters_max=iters_max[i], newton_iters=iters[i],
                         step_rejections=rejections[i],
                     )
@@ -381,7 +381,7 @@ def _solve_rows(p, d, xi, runs, *, delta_start, delta_end, dtau) -> list:
             results.update(zip(stepped, _step_rows(
                 np.stack([frames[i][len(deltas[i]) - 1] for i in stepped]),
                 [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
-                [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p, d,
+                [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
                 [runs[i].source for i in stepped],
             )))
         for i in live:
@@ -419,7 +419,6 @@ def _check_window(n_cells, dtau):
 
 def solve_radial_fde(
     p: ModelParams,
-    d: DerivedConstants,
     *,
     xi_window: tuple[float, float],
     n_cells: int,
@@ -447,7 +446,7 @@ def solve_radial_fde(
     _check_window(n_cells, dtau)
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
     (res,) = _solve_rows(
-        p, d, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
+        p, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
     )
     if isinstance(res, errors.FdelabError):
@@ -461,7 +460,7 @@ def solve_radial_fde(
 _MANUFACTURED = (2.0, 0.5, 0.7)  # (c1, c2, k) with |c2| < |c1|: W stays positive
 
 
-def make_manufactured(p: ModelParams, d: DerivedConstants):
+def make_manufactured(p: ModelParams):
     """Exact solution W = delta^{1+gamma} (c1 + c2 sin(k xi)) and its source.
 
     The source S = W_t - F(W) - sigma W_xi is analytic; feeding it to the
@@ -486,7 +485,7 @@ def make_manufactured(p: ModelParams, d: DerivedConstants):
             Wxx = amp * d2prof
             Wt = -(1.0 + p.gamma) * delta ** p.gamma * prof
             sigma = p.A * p.gamma * delta ** (-p.gamma - 1.0)
-            F = radial_diffusion(p, d, W, Wx, Wxx) - d.a0
+            F = radial_diffusion(p, W, Wx, Wxx) - p.d.a0
             return Wt - F - sigma * Wx
 
         return S
@@ -494,11 +493,11 @@ def make_manufactured(p: ModelParams, d: DerivedConstants):
     return W_exact, bind
 
 
-def _manufactured_row(p: ModelParams, d: DerivedConstants, xi, delta_start: float):
+def _manufactured_row(p: ModelParams, xi, delta_start: float):
     """The manufactured calibration run on grid xi as a row, and the
     reduction of its trajectory to the normalized error max |W_num -
     W_true| / delta^{1+gamma} over all frames."""
-    W_exact, bind = make_manufactured(p, d)
+    W_exact, bind = make_manufactured(p)
     run = _Run(
         w0=W_exact(xi, delta_start),
         bc=lambda delta: (
@@ -612,16 +611,16 @@ def comparison_sandwich(
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
     _check_window(n_cells, dtau)
-    p, d = plus.outer.p, plus.outer.d
+    p = plus.outer.p
     xi1 = plus.xi1
     delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)
 
     xi = np.linspace(-xi1, 4.0 * xi1, n_cells + 1)
-    calibration, error = _manufactured_row(p, d, xi, delta_start)
+    calibration, error = _manufactured_row(p, xi, delta_start)
     rows = _sandwich_rows(plus, minus, xi, delta_start)
     calib, *solved = _solve_rows(
-        p, d, xi, [calibration, *rows.values()], delta_start=delta_start,
+        p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
     )
     if isinstance(calib, errors.FdelabError):

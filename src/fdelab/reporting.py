@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 
-from .params import DerivedConstants, ModelParams, ThresholdConfig
+from .params import ModelParams, ThresholdConfig, params_to_dict
 
 __all__ = [
     "canonical_json",
@@ -104,10 +104,9 @@ def make_check(name: str, passed: bool, details: dict) -> dict:
     return {"name": name, "passed": bool(passed), "details": _sanitize(details)}
 
 
-def base_report(p: ModelParams, d: DerivedConstants, cfg: ThresholdConfig) -> dict:
+def base_report(p: ModelParams, cfg: ThresholdConfig) -> dict:
     return {
-        "params": dataclasses.asdict(p),
-        "derived": dataclasses.asdict(d),
+        **params_to_dict(p),
         "thresholds": dataclasses.asdict(cfg),
         "checks": [],
         "artifacts": [],

@@ -16,7 +16,8 @@ evaluator call, compares against a pointwise atol proportional to the local
 operator scale, and reports strict violations and the inconclusive fraction
 separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
 cancellation-free form derived in the outer module; the L1 evaluator is
-l1_terms_evaluator over a glued barrier.
+l1_terms_evaluator over a glued barrier.  Three region kinds are sampled:
+near_A and far_field for L0, inner_glued for L1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .outer import OuterProfileSet, branch_variant
 from .params import radial_diffusion, theta
 
 __all__ = [
-    "glued_evaluator",
     "l1_terms_evaluator",
     "Region",
     "ResidualReport",
@@ -41,37 +41,27 @@ __all__ = [
 ]
 
 
-def glued_evaluator(barrier: GluedBarrier):
-    """Adapter: a glued barrier as an L1 evaluator through barrier.bundle.
+def l1_terms_evaluator(barrier: GluedBarrier):
+    """The L1 residual of a glued barrier with its term-magnitude scale, as
+    a terms_fn for verify_sign_region.
 
-    tau is a scalar with a 1-D xi, or an (n_tau, 1) column with xi of shape
-    (n_tau, n_space); the column form evaluates one row per tau, since
-    C(tau) is a root find at one tau.
+    It takes xi of shape (n_tau, n_space) and the (n_tau, 1) tau column and
+    evaluates one barrier.bundle call per row, since C(tau) is a root find
+    at one tau.
     """
+    p = barrier.outer.p
+    d, g = p.d, p.gamma
 
     def ev(xi, tau):
-        if np.ndim(tau):
-            rows = [barrier.bundle(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
-            return tuple(np.stack(part) for part in zip(*rows))
-        return barrier.bundle(xi, tau)
-
-    return ev
-
-
-def l1_terms_evaluator(evaluator, p, d):
-    """Wrap an L1 bundle evaluator into (residual, term-magnitude scale)."""
-    g = p.gamma
-
-    def ev(xi, tau):
-        xi = np.asarray(xi, dtype=float)
-        w, wx, wxx, wt = evaluator(xi, tau)
+        rows = [barrier.bundle(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
+        w, wx, wxx, wt = (np.stack(part) for part in zip(*rows))
         if np.any(w <= 0.0):
             raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
         e1 = np.exp(-g * tau)
         terms = (
             e1 * (wt - (1.0 + g) * w),
-            -radial_diffusion(p, d, w, wx, wxx),
-            np.full_like(np.atleast_1d(w), d.a0, dtype=float),
+            -radial_diffusion(p, w, wx, wxx),
+            np.full_like(w, d.a0),
             -g * p.A * wx,
         )
         res = terms[0] + terms[1] + terms[2] + terms[3]
@@ -88,13 +78,11 @@ def l1_terms_evaluator(evaluator, p, d):
 class Region:
     """Sampling region descriptor.
 
-    Outer regions (space variable = gap = eta - A, log-spaced):
+    Outer regions of the L0 verdicts (space variable = gap = eta - A,
+    log-spaced):
       kind = "near_A":    gap in [xi0 e^{-gamma tau}, delta0], per tau.
       kind = "far_field": gap in [delta0, far_cut], tau-independent.
-      kind = "glued":     gap in [xi0 e^{-gamma tau}, far_cut], per tau
-                          (the union region eta >= A + xi0 e^{-gamma tau}).
-    Inner regions (space variable = xi, linear):
-      kind = "inner":       xi in [xi_lo, xi1].
+    Inner region of the L1 verdict (space variable = xi, linear):
       kind = "inner_glued": xi in [xi_lo, xi1 + delta1], corner skipped.
 
     The default xi_lo respects the verdict resolution: the "-" barrier's
@@ -114,7 +102,7 @@ class Region:
     xi_lo: float = -7.0
 
 
-_OUTER_KINDS = ("near_A", "far_field", "glued")
+_OUTER_KINDS = ("near_A", "far_field")
 
 
 @dataclass
@@ -156,21 +144,17 @@ def _space_grid(region: Region, taus, n_space: int, gamma: float):
     when a band or the corner-masked row has no points.
     """
     taus = np.asarray(taus, dtype=float)
-    if region.kind in ("near_A", "glued"):
+    if region.kind == "near_A":
         lo = np.array([region.xi0 * math.exp(-gamma * float(t)) for t in taus])
-        hi = region.delta0 if region.kind == "near_A" else region.far_cut
-        empty = lo >= hi
+        empty = lo >= region.delta0
         if np.any(empty):
             tau = float(taus[np.argmax(empty)])
             raise errors.EmptyRegion(
-                f"{region.kind} region empty at tau={tau}: "
-                "xi0 e^(-gamma tau) >= upper bound"
+                f"near_A region empty at tau={tau}: xi0 e^(-gamma tau) >= delta0"
             )
-        return np.geomspace(lo, hi, n_space, axis=1)
+        return np.geomspace(lo, region.delta0, n_space, axis=1)
     if region.kind == "far_field":
         row = np.geomspace(region.delta0, region.far_cut, n_space)
-    elif region.kind == "inner":
-        row = np.linspace(region.xi_lo, region.xi1, n_space)
     elif region.kind == "inner_glued":
         row = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
         row = row[np.abs(row - region.xi1) > 1e-9]
@@ -183,38 +167,30 @@ def _space_grid(region: Region, taus, n_space: int, gamma: float):
     return np.tile(row, (taus.size, 1))
 
 
-def verify_sign_region(
-    operator: str,
-    terms_fn,
-    want: str,
-    region: Region,
-    p,
-    n_space: int = 200,
-    n_tau: int = 40,
-    atol_factor: float = 1e-9,
-    inconclusive_frac: float = 1e-3,
-) -> ResidualReport:
+def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualReport:
     """Sample the residual over the region and classify the sign verdict.
 
-    operator is a report label ("L0" or "L1"; the region kind already
-    fixes the space variable).  terms_fn(space, tau) -> (residual, scale)
-    supplies the residual together with its local term-magnitude scale;
-    use OuterProfileSet.l0_terms (rescaled L0, as find_thresholds binds
-    it) or l1_terms_evaluator.  It is called once, with space the whole
-    grid of shape (n_tau, n_space) and tau an (n_tau, 1) column (row i of
-    space belongs to tau[i, 0]), and must return arrays of the grid's
-    shape.
+    The grid has cfg.grid_eta points in space and cfg.grid_tau in tau; the
+    region kind fixes the space variable and the report's operator label
+    (L0 for near_A and far_field, L1 for inner_glued).  terms_fn(space,
+    tau) -> (residual, scale) supplies the residual together with its
+    local term-magnitude scale; use OuterProfileSet.l0_terms (rescaled L0,
+    as find_thresholds binds it) or l1_terms_evaluator.  It is called
+    once, with space the whole grid of shape (n_tau, n_space) and tau an
+    (n_tau, 1) column (row i of space belongs to tau[i, 0]), and must
+    return arrays of the grid's shape.
 
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
-    atol = atol_factor * scale in the forbidden direction, inconclusive
-    when |residual| <= atol.  A point whose residual or scale is not
-    finite counts as a violation.  Passing requires zero violations and an
-    inconclusive fraction at most inconclusive_frac.  The worst point is
-    the first non-finite point if there is one, else the first minimum of
-    signed residual / atol, in tau order, then in space order.  A grid
-    with no points raises InvalidParameter.
+    atol = cfg.sign_atol_factor * scale in the forbidden direction,
+    inconclusive when |residual| <= atol.  A point whose residual or scale
+    is not finite counts as a violation.  Passing requires zero violations
+    and an inconclusive fraction at most cfg.inconclusive_frac.  The worst
+    point is the first non-finite point if there is one, else the first
+    minimum of signed residual / atol, in tau order, then in space order.
+    A grid with no points raises InvalidParameter.
     """
+    n_space, n_tau = cfg.grid_eta, cfg.grid_tau
     if want not in ("+", "-"):
         raise errors.InvalidParameter(f"want must be '+' or '-', got {want!r}")
     if n_space < 1 or n_tau < 1:
@@ -225,7 +201,7 @@ def verify_sign_region(
     space = _space_grid(region, taus, n_space, p.gamma)
     res, scale = terms_fn(space, taus[:, None])
     res = np.asarray(res, dtype=float)
-    atol = atol_factor * np.asarray(scale, dtype=float)
+    atol = cfg.sign_atol_factor * np.asarray(scale, dtype=float)
     if res.shape != space.shape or atol.shape != space.shape:
         raise errors.InvalidParameter(
             f"terms_fn returned shapes {res.shape} and {atol.shape} "
@@ -239,7 +215,7 @@ def verify_sign_region(
         worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
     i, j = np.unravel_index(worst, res.shape)
     report = ResidualReport(
-        operator=operator,
+        operator="L0" if region.kind in _OUTER_KINDS else "L1",
         region=region,
         want=want,
         n_points=res.size,
@@ -252,7 +228,7 @@ def verify_sign_region(
     report.inconclusive_frac = report.n_inconclusive / report.n_points
     report.passed = (
         report.n_violations == 0
-        and report.inconclusive_frac <= inconclusive_frac
+        and report.inconclusive_frac <= cfg.inconclusive_frac
     )
     return report
 
@@ -284,7 +260,7 @@ def find_thresholds(
     ThresholdSearchExhausted when the ladder is exhausted.  The starting
     xi0 respects the lower bound sqrt((n-1)|theta1|/a0).
     """
-    p, d, cfg = outer.p, outer.d, outer.cfg
+    p, cfg = outer.p, outer.cfg
     if not regions or any(kind not in _OUTER_KINDS for kind in regions):
         raise errors.InvalidParameter(
             f"regions must be outer kinds from {_OUTER_KINDS}, got {regions!r}"
@@ -296,7 +272,7 @@ def find_thresholds(
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
-    xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / d.a0))
+    xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / p.d.a0))
 
     def regions_pass(tau_start, xi0, delta0):
         reports = {}
@@ -311,12 +287,7 @@ def find_thresholds(
                 delta1=cfg.delta1,
             )
             try:
-                rep = verify_sign_region(
-                    "L0", ev, sign, region, p,
-                    n_space=cfg.grid_eta, n_tau=cfg.grid_tau,
-                    atol_factor=cfg.sign_atol_factor,
-                    inconclusive_frac=cfg.inconclusive_frac,
-                )
+                rep = verify_sign_region(ev, sign, region, p, cfg)
             except (errors.EmptyRegion, errors.NonPositiveProfile):
                 # infeasible tuple (empty band / profile not yet positive)
                 return False, reports

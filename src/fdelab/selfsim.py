@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, numerics
-from .params import DerivedConstants, ModelParams, radial_diffusion, validate_params
+from .params import ModelParams, radial_diffusion
 from .reporting import atomic_write
 
 __all__ = [
@@ -65,7 +65,6 @@ class SelfSimilarProfile:
 
     def __init__(self, p: ModelParams, table: numerics.StepTable, s_min: float, s_max: float):
         self.p = p
-        self.d: DerivedConstants = validate_params(p)
         self._table = table
         # scalar route: Z rows highest power first
         self._ts = table.ts.tolist()
@@ -74,8 +73,8 @@ class SelfSimilarProfile:
         self._c = (1.0 - p.m) / p.m
         self.s_min = float(s_min)
         self.s_max = float(s_max)
-        self.slope_limit = self.d.a0 / (p.gamma * p.A)
-        self.c_log_exact = -(p.n - 1) * self.d.b2 / (p.gamma * p.A)
+        self.slope_limit = p.d.a0 / (p.gamma * p.A)
+        self.c_log_exact = -(p.n - 1) * p.d.b2 / (p.gamma * p.A)
         self.fit = self._fit_tail((s_max / 10.0, s_max))
         self.slope_converged = (
             abs(self.phibar0(s_max, deriv=1) - self.slope_limit)
@@ -168,8 +167,8 @@ class SelfSimilarProfile:
         v2 = self.phibar0(s, deriv=2)
         if np.any(v <= 0.0):
             raise errors.NonPositiveProfile("phibar0 <= 0 in residual evaluation")
-        d, p = self.d, self.p
-        return radial_diffusion(p, d, v, v1, v2) - (d.a0 - p.gamma * p.A * v1)
+        p = self.p
+        return radial_diffusion(p, v, v1, v2) - (p.d.a0 - p.gamma * p.A * v1)
 
 
 def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:
@@ -182,7 +181,6 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
     within 1e-6 of the limit slope (it approaches like c_log/s, so this
     warning is expected at practical s_max; use the fitted slope instead).
     """
-    d = validate_params(p)
     spec = ode_spec or numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)
     n, m, gamma, A, lam = p.n, p.m, p.gamma, p.A, p.lam
     r0, s_max = 1e-6, 400.0

@@ -13,7 +13,7 @@ import pytest
 from fdelab import errors
 from fdelab.matching import MatchingSolver, find_epsilon_bounds
 from fdelab.outer import OuterProfileSet, branch_variant
-from fdelab.params import default_thresholds, make_params, validate_params
+from fdelab.params import default_thresholds, make_params
 from fdelab.residuals import find_thresholds
 from fdelab.selfsim import shoot_v0
 
@@ -25,12 +25,12 @@ def p_ref():
 
 @pytest.fixture(scope="session")
 def d_ref(p_ref):
-    return validate_params(p_ref)
+    return p_ref.d
 
 
 @pytest.fixture(scope="session")
-def cfg_ref(p_ref, d_ref):
-    return default_thresholds(p_ref, d_ref)
+def cfg_ref(p_ref):
+    return default_thresholds(p_ref)
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +40,12 @@ def p_low():
 
 @pytest.fixture(scope="session")
 def d_low(p_low):
-    return validate_params(p_low)
+    return p_low.d
 
 
 @pytest.fixture(scope="session")
-def cfg_low(p_low, d_low):
-    return default_thresholds(p_low, d_low)
+def cfg_low(p_low):
+    return default_thresholds(p_low)
 
 
 @pytest.fixture(scope="session")

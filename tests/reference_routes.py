@@ -29,26 +29,26 @@ def phi_correction(outer: OuterProfileSet, i: int, gap, deriv: int = 0):
     raise errors.InvalidParameter(f"i must be 1, 2, or 3, got {i}")
 
 
-def L0_residual(evaluator, gap, tau, p, d):
+def L0_residual(evaluator, gap, tau, p):
     """L0 residual from an evaluator(gap, tau) -> (w, w_eta, w_etaeta, w_tau)."""
     gap = np.asarray(gap, dtype=float)
     w, we, wee, wt = evaluator(gap, tau)
     if np.any(w <= 0.0):
         raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
     eta = p.A + gap
-    g = p.gamma
+    d, g = p.d, p.gamma
     visc = np.exp(-2.0 * g * tau) * (wee / w + d.b1 * (we / w) ** 2)
     drift = d.b2 * np.exp(-g * tau) * we / w
     return wt - (p.n - 1) * (visc + drift) - (g * eta * we + w - d.a0)
 
 
-def L1_residual(evaluator, xi, tau, p, d):
+def L1_residual(evaluator, xi, tau, p):
     """L1 residual from an evaluator(xi, tau) -> (w, w_xi, w_xixi, w_tau)."""
     xi = np.asarray(xi, dtype=float)
     w, wx, wxx, wt = evaluator(xi, tau)
     if np.any(w <= 0.0):
         raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
-    g = p.gamma
+    d, g = p.d, p.gamma
     return (
         np.exp(-g * tau) * (wt - (1.0 + g) * w)
         - (p.n - 1) * (wxx / w + d.b1 * (wx / w) ** 2 + d.b2 * wx / w)
@@ -105,7 +105,7 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
     at_C10_zero) at every (eta, tau); serves as the independent second
     route for the L0 implementation.
     """
-    p, d = outer.p, outer.d
+    p, d = outer.p, outer.p.d
     if outer.C10 != 0.0 or outer.correction_coeffs(sign):
         raise errors.InvalidParameter("psi1 needs gamma > 1 and C10 = 0")
     gap = np.asarray(gap, dtype=float)

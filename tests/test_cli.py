@@ -74,6 +74,39 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     assert "missing required keys" in capsys.readouterr().err
 
 
+# each of these ended in a bare TypeError, ValueError or numpy error
+# traceback, ran n = 3.5 as n = 3, or (m = 1) divided by zero
+@pytest.mark.parametrize("command, config", [
+    ("simulate", dict(SMOKE, n_cells="x")),
+    ("simulate", dict(SMOKE, n_cells=400.5)),
+    ("simulate", dict(SMOKE, dtau=None)),
+    ("simulate", dict(SMOKE, tau0=[1])),
+    ("simulate", dict(SMOKE, eps="0.01")),
+    ("verify", dict(SMOKE, tau_start=math.nan)),
+    ("verify", dict(SMOKE, seed_constants=[[3]])),
+    ("verify", dict(SMOKE, seed_constants=[[3.5, 1.0]])),
+    ("verify", dict(SMOKE, grid_eta=50.5)),
+    ("verify", dict(SMOKE, max_doublings=True)),
+    ("verify", dict(SMOKE, eta0=None)),
+    ("verify", dict(SMOKE, sign_atol_factor="1e-9")),
+    ("verify", dict(SMOKE, C10="0.5")),
+    ("verify", dict(SMOKE, n=3.5)),
+    ("verify", dict(SMOKE, m=1.0)),
+    ("verify", dict(SMOKE, gamma="1.5")),
+    ("verify", dict(SMOKE, T=math.inf)),
+    ("verify", dict(SMOKE, epsilon=None)),
+    ("verify", dict(SMOKE, theta1_minus=[-1.0])),
+    ("verify", [SMOKE]),
+])
+def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    rc = main([command, "--force", "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

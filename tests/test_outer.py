@@ -146,7 +146,7 @@ def test_phi0_ode(outer_all):
     eta = p.A + GAPS
     f = out.phi0(gap=GAPS)
     f1 = out.phi0(gap=GAPS, deriv=1)
-    r = _ode_residual([ga * eta * f1, f, -out.d.a0 * np.ones_like(f)])
+    r = _ode_residual([ga * eta * f1, f, -out.p.d.a0 * np.ones_like(f)])
     assert r < 1e-12
 
 
@@ -279,7 +279,7 @@ def test_phi4_positive(outer_all):
 def test_reference_tables_empty(gamma):
     # N = 1 for gamma > 1: no correction rows at all
     out = OuterProfileSet(make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0))
-    assert out.d.N == 1
+    assert out.p.d.N == 1
     for each in (out, at_C10_zero(out)):
         for sign in ("+", "-"):
             assert each.correction_coeffs(sign) == {}
@@ -326,7 +326,7 @@ def test_gamma_03_table_shape():
     # N = 3 regime: rows k = 3..6 with log powers up to 3
     p = make_params(3, 0.1, 0.3, 2.0)
     out = OuterProfileSet(p)
-    assert out.d.N == 3
+    assert out.p.d.N == 3
     table = out.correction_coeffs("+")
     assert set(table) == {
         (3, 0), (3, 1), (3, 2),
@@ -379,7 +379,7 @@ def test_phi3_near_corner_log_law(outer_all):
 def test_phi0_linear_at_corner(outer_all):
     out = outer_all
     g = 1e-120
-    want = out.d.a0 * g / (out.p.gamma * out.p.A)
+    want = out.p.d.a0 * g / (out.p.gamma * out.p.A)
     assert float(out.phi0(gap=g)) == pytest.approx(want, rel=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Parameter validation, derived constants, config loading."""
 
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,6 @@ from fdelab.params import (
     load_config,
     make_params,
     params_to_dict,
-    validate_params,
 )
 
 
@@ -29,7 +29,7 @@ def test_branch_count_by_gamma(p_low, d_low):
     # N = floor((1 + 1/gamma)/2) + 1
     assert d_low.N == 2
     p3 = make_params(3, 0.1, 0.3, 2.0)
-    assert validate_params(p3).N == 3
+    assert p3.d.N == 3
 
 
 def test_theta_defaults(d_ref):
@@ -54,22 +54,23 @@ def test_theta_overrides_pass_through():
     dict(n=3, m=0.1, gamma=0.0, A=2.0),
     dict(n=3, m=0.1, gamma=1.5, A=0.0),
     dict(n=3, m=0.1, gamma=1.5, A=2.0, T=0.0),
+    dict(n=3.5, m=0.1, gamma=1.5, A=2.0),    # not truncated to 3
+    dict(n=3, m=1.0, gamma=1.5, A=2.0),      # 1 - m divides b1 and b2
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(errors.InvalidParameter):
         make_params(**bad)
 
 
-def test_default_thresholds_shape(p_ref, d_ref, cfg_ref):
+def test_default_thresholds_shape(p_ref, cfg_ref):
     assert cfg_ref.eta0 == pytest.approx(p_ref.A + 1.0)
     # xi0 = max(1, sqrt((n-1)|theta1-|/a0)) = 1 at the reference thetas
     assert cfg_ref.xi0 == pytest.approx(1.0)
     assert cfg_ref.xi1 == pytest.approx(10.0)
     assert cfg_ref.tau_start >= 0.0
     big = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
-    cfg_big = default_thresholds(big, validate_params(big))
-    assert cfg_big.xi0 == pytest.approx(
-        math.sqrt(2.0 * 30.0 / validate_params(big).a0))
+    cfg_big = default_thresholds(big)
+    assert cfg_big.xi0 == pytest.approx(math.sqrt(2.0 * 30.0 / big.d.a0))
 
 
 def test_load_config_round_trip(tmp_path):
@@ -80,14 +81,13 @@ def test_load_config_round_trip(tmp_path):
         "xi1": 12.0, "tau0": 16.0,
     }))
     p, cfg, extras = load_config(str(cfgfile))
-    d = validate_params(p)
     assert p.lam == 2.0
     assert p.theta1_minus == -1.0
     assert cfg.xi1 == 12.0
     assert extras == {"tau0": 16.0}
-    blob = params_to_dict(p, d)
+    blob = params_to_dict(p)
     assert blob["params"]["m"] == 0.1
-    assert blob["derived"]["a0"] == pytest.approx(d.a0)
+    assert blob["derived"]["a0"] == pytest.approx(p.d.a0)
 
 
 def test_load_config_missing_keys(tmp_path):
@@ -98,8 +98,20 @@ def test_load_config_missing_keys(tmp_path):
 
 
 def test_threshold_config_validation(p_ref, cfg_ref):
-    import dataclasses
     assert cfg_ref.validated(p_ref) is cfg_ref
     bad = dataclasses.replace(cfg_ref, eta0=p_ref.A)
     with pytest.raises(errors.InvalidParameter):
         bad.validated(p_ref)
+
+
+def test_params_check_themselves(p_ref):
+    # every ModelParams is admissible: replace re-runs the checks, and the
+    # derived constants ride along without being a field
+    with pytest.raises(errors.InvalidParameter, match="m must satisfy"):
+        dataclasses.replace(p_ref, m=0.5)
+    with pytest.raises(errors.InvalidParameter, match="theta2_minus"):
+        dataclasses.replace(p_ref, theta2_minus=0.1)
+    same = dataclasses.replace(p_ref)
+    assert same == p_ref and hash(same) == hash(p_ref)
+    assert same.d == p_ref.d
+    assert len(dataclasses.asdict(p_ref)) == 11 and "d" not in dataclasses.asdict(p_ref)

@@ -33,7 +33,7 @@ def uniform_traj(p_ref, d_ref):
     ds, de = math.exp(-10.0), math.exp(-12.0)
     a0 = d_ref.a0
     return solve_radial_fde(
-        p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+        p_ref, xi_window=(-10.0, 30.0), n_cells=100,
         delta_start=ds, delta_end=de,
         w0=lambda x: a0 * ds * np.ones_like(x),
         bc=lambda delta: (a0 * delta, a0 * delta),
@@ -73,15 +73,15 @@ def test_trajectory_csv_creates_missing_directory(uniform_traj, tmp_path):
     assert path.read_bytes() == (tmp_path / "traj.csv").read_bytes()
 
 
-def test_manufactured_convergence_second_order(p_ref, d_ref):
+def test_manufactured_convergence_second_order(p_ref):
     """Halving h with dtau/4 shrinks the manufactured error ~4x."""
-    W_exact, bind = make_manufactured(p_ref, d_ref)
+    W_exact, bind = make_manufactured(p_ref)
     ds = math.exp(-10.0)
 
     def run(n_cells, dtau):
         xi = np.linspace(-5.0, 5.0, n_cells + 1)
         traj = solve_radial_fde(
-            p_ref, d_ref, xi_window=(-5.0, 5.0), n_cells=n_cells,
+            p_ref, xi_window=(-5.0, 5.0), n_cells=n_cells,
             delta_start=ds, delta_end=ds * math.exp(-1.0),
             w0=lambda x: W_exact(x, ds),
             bc=lambda delta: (
@@ -100,7 +100,7 @@ def test_manufactured_convergence_second_order(p_ref, d_ref):
     assert 3.5 <= e_coarse / e_fine <= 4.5
 
 
-def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref, d_ref):
+def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     """The sandwich tolerance is the safety factor 5 times the normalized
     error of the manufactured calibration run on the sandwich grid."""
     report = comparison_sandwich(
@@ -108,26 +108,26 @@ def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref, d_ref):
     )
     ds = math.exp(-TAU0)
     xi = np.linspace(-10.0, 40.0, 201)
-    run, error = pde._manufactured_row(p_ref, d_ref, xi, ds)
+    run, error = pde._manufactured_row(p_ref, xi, ds)
     (traj,) = pde._solve_rows(
-        p_ref, d_ref, xi, [run], delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01
+        p_ref, xi, [run], delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01
     )
     assert error(traj) > 0.0
     assert report.tol_rel == 5.0 * error(traj)
 
 
-def test_solver_input_guards(p_ref, d_ref):
+def test_solver_input_guards(p_ref):
     bc = lambda delta: (1.0, 1.0)
     with pytest.raises(errors.InvalidParameter):
-        solve_radial_fde(p_ref, d_ref, xi_window=(-5.0, 5.0), n_cells=10,
+        solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
                          delta_start=1e-5, delta_end=1e-4,
                          w0=lambda x: np.ones_like(x), bc=bc)
     with pytest.raises(errors.InvalidParameter):
-        solve_radial_fde(p_ref, d_ref, xi_window=(-5.0, 5.0), n_cells=10,
+        solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
                          delta_start=1e-4, delta_end=1e-5,
                          w0=lambda x: np.ones(3), bc=bc)
     with pytest.raises(errors.PositivityLost):
-        solve_radial_fde(p_ref, d_ref, xi_window=(-5.0, 5.0), n_cells=10,
+        solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
                          delta_start=1e-4, delta_end=1e-5,
                          w0=lambda x: -np.ones_like(x), bc=bc)
 
@@ -239,20 +239,20 @@ def test_tridiagonal_solve_zero_pivot_is_newton_divergence():
         )
 
 
-def test_singular_newton_matrix_rejects_the_step(p_ref, d_ref, monkeypatch):
+def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
     # bands with d0 = 1/(dt theta) and no off-diagonals: every interior
     # row of I - dt theta J_F is exactly zero
-    def flat_rhs(W, dxi, sigma, p, d):
+    def flat_rhs(W, dxi, sigma, p):
         F = np.ones((W.shape[0], W.shape[1] - 2))
         return F, np.zeros_like(F), np.zeros_like(F)
 
-    def singular_bands(W0, D1, D2, dxi, sigma, p, d):
+    def singular_bands(W0, D1, D2, dxi, sigma, p):
         return np.zeros_like(W0), np.full_like(W0, 2.0), np.zeros_like(W0)
 
     monkeypatch.setattr(pde, "_rhs", flat_rhs)
     monkeypatch.setattr(pde, "_jac_bands", singular_bands)
     (res,) = pde._step_rows(
-        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, d_ref, [None],
+        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, [None],
     )
     assert isinstance(res, errors.NewtonDiverged)
 
@@ -289,7 +289,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
             warnings.simplefilter("error")
             return pde._step_rows(
                 np.stack([r[0] for r in rows]), [ds] * n, [dn] * n, [1.0] * n,
-                [r[1] for r in rows], 0.4, p_ref, d_ref, [r[2] for r in rows],
+                [r[1] for r in rows], 0.4, p_ref, [r[2] for r in rows],
             )
 
     # gtsv raises on the first Newton system of row 2 alone, and after
@@ -349,18 +349,18 @@ def _assert_same_runs(together, alone):
         assert a.step_rejections == b.step_rejections
 
 
-def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref, d_ref):
+def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
     """Calibration, lower, upper and mid solved together give each lone run's bits."""
     ds, de = math.exp(-TAU0), math.exp(-10.6)
     xi = np.linspace(-10.0, 40.0, 201)
 
     def runs():
-        calibration, _ = pde._manufactured_row(p_ref, d_ref, xi, ds)
+        calibration, _ = pde._manufactured_row(p_ref, xi, ds)
         return [calibration, *pde._sandwich_rows(*barrier_pair, xi, ds).values()]
 
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
-    together = pde._solve_rows(p_ref, d_ref, xi, runs(), **kw)
-    alone = [pde._solve_rows(p_ref, d_ref, xi, [run], **kw)[0] for run in runs()]
+    together = pde._solve_rows(p_ref, xi, runs(), **kw)
+    alone = [pde._solve_rows(p_ref, xi, [run], **kw)[0] for run in runs()]
     _assert_same_runs(together, alone)
     assert len(together[0].deltas) == 63
 
@@ -388,13 +388,13 @@ def test_rejected_row_keeps_its_own_steps(p_ref, d_ref):
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls_together, calls_alone = [], []
-    together = pde._solve_rows(p_ref, d_ref, xi, [
+    together = pde._solve_rows(p_ref, xi, [
         _uniform_run(a0, ds, good),
         _uniform_run(a0, ds, _bc_failing_at(a0, calls_together, {3})),
     ], **kw)
     alone = [
-        pde._solve_rows(p_ref, d_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
-        pde._solve_rows(p_ref, d_ref, xi, [
+        pde._solve_rows(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
+        pde._solve_rows(p_ref, xi, [
             _uniform_run(a0, ds, _bc_failing_at(a0, calls_alone, {3}))
         ], **kw)[0],
     ]
@@ -420,7 +420,7 @@ def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
         return (math.nan if len(calls) == 3 else a0 * delta), a0 * delta
 
     traj = solve_radial_fde(
-        p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+        p_ref, xi_window=(-10.0, 30.0), n_cells=100,
         delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
     )
     assert traj.step_rejections == 1
@@ -436,7 +436,7 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls = []
-    steady, failed = pde._solve_rows(p_ref, d_ref, xi, [
+    steady, failed = pde._solve_rows(p_ref, xi, [
         _uniform_run(a0, ds, good),
         _uniform_run(a0, ds, _bc_failing_at(a0, calls, range(2, 10 ** 6))),
     ], **kw)
@@ -444,11 +444,11 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     # one accepted step, then 13 rejections halve the warmup step 0.005
     # below 1e-6
     assert len(calls) == 1 + 13
-    (lone,) = pde._solve_rows(p_ref, d_ref, xi, [_uniform_run(a0, ds, good)], **kw)
+    (lone,) = pde._solve_rows(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)
     _assert_same_runs([steady], [lone])
     with pytest.raises(errors.PositivityLost):
         solve_radial_fde(
-            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+            p_ref, xi_window=(-10.0, 30.0), n_cells=100,
             delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x),
             bc=_bc_failing_at(a0, [], range(2, 10 ** 6)),
         )
@@ -473,7 +473,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
     monkeypatch.setattr(pde, "_step_rows", counted)
     with pytest.raises(errors.PositivityLost, match="end values"):
         solve_radial_fde(
-            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=100,
+            p_ref, xi_window=(-10.0, 30.0), n_cells=100,
             delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
         )
     # one accepted step, then 13 rejections halve the warmup step 0.005
@@ -485,7 +485,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
 @pytest.mark.parametrize("n_cells, dtau", [
     (-1, 0.01), (0, 0.01), (1, 0.01), (40, 0.0), (40, -0.01), (40, math.nan),
 ])
-def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, d_ref, monkeypatch,
+def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, monkeypatch,
                                                  n_cells, dtau):
     """Too few cells or a step that is not finite and > 0 raise before any solve."""
     solves = []
@@ -495,7 +495,7 @@ def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, d_ref, monk
                             n_cells=n_cells, dtau=dtau)
     with pytest.raises(errors.InvalidParameter):
         solve_radial_fde(
-            p_ref, d_ref, xi_window=(-10.0, 30.0), n_cells=n_cells,
+            p_ref, xi_window=(-10.0, 30.0), n_cells=n_cells,
             delta_start=math.exp(-10.0), delta_end=math.exp(-10.5),
             w0=np.ones_like, bc=lambda delta: (1.0, 1.0), dtau=dtau,
         )
@@ -520,13 +520,13 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
 
         return wrapped
 
-    def patched(p, d, xi, runs, **kw):
+    def patched(p, xi, runs, **kw):
         runs = list(runs)
         for row, n_call in ((late, 12), (early, 2)):
             runs[row] = pde._Run(
                 runs[row].w0, failing(runs[row].bc, names[row], n_call), runs[row].source
             )
-        return solve_rows(p, d, xi, runs, **kw)
+        return solve_rows(p, xi, runs, **kw)
 
     monkeypatch.setattr(pde, "_solve_rows", patched)
     with pytest.raises(errors.TargetBelowRange, match=f"^{names[late]} bc failed$"):

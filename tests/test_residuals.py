@@ -1,5 +1,6 @@
 """Residual operators: two-route identities, sign verdicts, threshold search."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from fdelab.residuals import (
     ResidualReport,
     _space_grid,
     find_thresholds,
-    glued_evaluator,
     l1_terms_evaluator,
     verify_sign_region,
 )
@@ -44,7 +44,7 @@ def test_psi1_two_route_residual(outer_ref):
     for sign in ("+", "-"):
         for tau in (6.0, 10.0):
             raw = L0_residual(
-                outer_psi_evaluator(out, sign), gaps, tau, out.p, out.d
+                outer_psi_evaluator(out, sign), gaps, tau, out.p
             )
             dec = psi1_residual_decomposed(out, sign, gaps, tau)
             assert np.max(np.abs(raw - dec)) < 1e-12
@@ -57,10 +57,10 @@ def test_inner_outer_transform_identity(outer_ref):
     tau = 8.0
     gaps = xis * math.exp(-out.p.gamma * tau)
     l1 = L1_residual(
-        outer_as_inner_evaluator(out, "+"), xis, tau, out.p, out.d
+        outer_as_inner_evaluator(out, "+"), xis, tau, out.p
     )
     l0 = L0_residual(
-        outer_psi_evaluator(out, "+"), gaps, tau, out.p, out.d
+        outer_psi_evaluator(out, "+"), gaps, tau, out.p
     )
     assert np.allclose(l1, l0, rtol=1e-12, atol=1e-12)
 
@@ -75,13 +75,13 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     p = make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
     assert branch_variant(gamma) == variant
     out = OuterProfileSet(p)
-    d = out.d
+    d = p.d
     xi0b = math.sqrt((p.n - 1) / d.a0)
     for sign in ("+", "-"):
         lo = max(1e-3, 2.0 * xi0b * math.exp(-gamma * tau)) if sign == "-" else 1e-3
         gaps = np.geomspace(lo, 1e3, 60)
         res, _ = out.l0_terms(sign, tau, gap=gaps)
-        raw = L0_residual(outer_psi_evaluator(out, sign), gaps, tau, p, d)
+        raw = L0_residual(outer_psi_evaluator(out, sign), gaps, tau, p)
         w, we, wee, wt = out.psi_bundle(sign, tau, gap=gaps)
         eta = p.A + gaps
         visc = math.exp(-2.0 * gamma * tau) * (wee / w + d.b1 * (we / w) ** 2)
@@ -100,7 +100,7 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
 def test_inner_closed_form_matches_numeric_l1(solver_ref):
     bar = GluedBarrier(solver_ref, "-", 0.01)
     xis = np.linspace(-5.0, 9.5, 30)
-    num = L1_residual(glued_evaluator(bar), xis, 12.0, bar.outer.p, bar.outer.d)
+    num = L1_residual(bar.bundle, xis, 12.0, bar.outer.p)
     closed = inner_residual_closed(bar, xis, 12.0)
     assert np.max(np.abs(num - closed)) < 1e-12
 
@@ -117,24 +117,26 @@ def test_inner_defect_frozen(solver_ref):
 
 
 def test_l1_terms_evaluator_consistent(solver_ref):
+    # one row per tau of the column, each against the raw residual
     bar = GluedBarrier(solver_ref, "-", 0.01)
-    ev = l1_terms_evaluator(glued_evaluator(bar), bar.outer.p, bar.outer.d)
+    ev = l1_terms_evaluator(bar)
     xis = np.linspace(-3.0, 8.0, 20)
-    res, scale = ev(xis, 12.0)
-    want = L1_residual(glued_evaluator(bar), xis, 12.0, bar.outer.p, bar.outer.d)
-    assert np.allclose(res, want, rtol=1e-10, atol=1e-14)
+    res, scale = ev(np.stack([xis, xis + 0.5]), np.array([[12.0], [14.0]]))
+    for row, x, tau in zip(res, (xis, xis + 0.5), (12.0, 14.0)):
+        want = L1_residual(bar.bundle, x, tau, bar.outer.p)
+        assert np.allclose(row, want, rtol=1e-10, atol=1e-14)
     assert np.all(scale > 0.0)
 
 
 # -- domain guards ------------------------------------------------------------
 
-def test_nonpositive_profile_rejected(p_ref, d_ref):
+def test_nonpositive_profile_rejected(p_ref):
     def bad(gap, tau):
         z = np.zeros_like(np.asarray(gap, dtype=float))
         return z - 1.0, z, z, z
 
     with pytest.raises(errors.NonPositiveProfile):
-        L0_residual(bad, np.array([1.0]), 8.0, p_ref, d_ref)
+        L0_residual(bad, np.array([1.0]), 8.0, p_ref)
 
 
 def test_mapped_evaluator_needs_positive_xi(outer_ref):
@@ -151,7 +153,13 @@ def test_inner_closed_form_domain(solver_ref):
 
 # -- verdict classification ---------------------------------------------------
 
-REGION = Region(kind="inner", tau_lo=1.0, tau_hi=2.0, xi1=5.0, xi_lo=-5.0)
+# no grid point of the verdict tests falls on the skipped corner xi1
+REGION = Region(kind="inner_glued", tau_lo=1.0, tau_hi=2.0, xi1=5.0, xi_lo=-5.0,
+                delta1=2.5)
+
+
+def _grid(cfg, n_space, n_tau):
+    return dataclasses.replace(cfg, grid_eta=n_space, grid_tau=n_tau)
 
 
 def _const_terms(value):
@@ -162,9 +170,9 @@ def _const_terms(value):
     return terms
 
 
-def test_verdict_passes_on_clean_sign(p_ref):
+def test_verdict_passes_on_clean_sign(p_ref, cfg_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(1.0), "+", REGION, p_ref, n_space=50, n_tau=4
+        _const_terms(1.0), "+", REGION, p_ref, _grid(cfg_ref, 50, 4)
     )
     assert rep.passed
     assert rep.n_points == 200
@@ -172,19 +180,19 @@ def test_verdict_passes_on_clean_sign(p_ref):
     assert rep.n_inconclusive == 0
     assert rep.min_residual == rep.max_residual == 1.0
     rep_minus = verify_sign_region(
-        "L1", _const_terms(-1.0), "-", REGION, p_ref, n_space=50, n_tau=4
+        _const_terms(-1.0), "-", REGION, p_ref, _grid(cfg_ref, 50, 4)
     )
     assert rep_minus.passed
 
 
-def test_verdict_counts_violations(p_ref):
+def test_verdict_counts_violations(p_ref, cfg_ref):
     def terms(space, tau):
         r = np.ones_like(space)
         r[..., 3] = -1e-3
         return r, np.ones_like(space)
 
     rep = verify_sign_region(
-        "L1", terms, "+", REGION, p_ref, n_space=50, n_tau=2
+        terms, "+", REGION, p_ref, _grid(cfg_ref, 50, 2)
     )
     assert not rep.passed
     assert rep.n_violations == 2
@@ -192,10 +200,10 @@ def test_verdict_counts_violations(p_ref):
 
 
 @pytest.mark.parametrize("want", ["+", "-"])
-def test_verdict_fails_on_nan_everywhere(p_ref, want):
+def test_verdict_fails_on_nan_everywhere(p_ref, want, cfg_ref):
     # NaN is neither below -atol nor within atol: it must still fail
     rep = verify_sign_region(
-        "L1", _const_terms(math.nan), want, REGION, p_ref, n_space=10, n_tau=3
+        _const_terms(math.nan), want, REGION, p_ref, _grid(cfg_ref, 10, 3)
     )
     assert not rep.passed
     assert rep.n_violations == rep.n_points == 30
@@ -203,7 +211,7 @@ def test_verdict_fails_on_nan_everywhere(p_ref, want):
     assert math.isnan(rep.worst_point[2])
 
 
-def test_verdict_worst_point_is_first_non_finite(p_ref):
+def test_verdict_worst_point_is_first_non_finite(p_ref, cfg_ref):
     def terms(space, tau):
         r = np.ones_like(space)
         r[0, 7] = -1.0  # a finite violation before the broken point
@@ -213,7 +221,7 @@ def test_verdict_worst_point_is_first_non_finite(p_ref):
         return r, scale
 
     rep = verify_sign_region(
-        "L1", terms, "+", REGION, p_ref, n_space=10, n_tau=3
+        terms, "+", REGION, p_ref, _grid(cfg_ref, 10, 3)
     )
     assert not rep.passed
     assert rep.n_violations == 3
@@ -223,9 +231,9 @@ def test_verdict_worst_point_is_first_non_finite(p_ref):
     assert math.isnan(rep.worst_point[2])
 
 
-def test_verdict_counts_inconclusive(p_ref):
+def test_verdict_counts_inconclusive(p_ref, cfg_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(0.0), "+", REGION, p_ref, n_space=50, n_tau=2
+        _const_terms(0.0), "+", REGION, p_ref, _grid(cfg_ref, 50, 2)
     )
     assert not rep.passed
     assert rep.n_inconclusive == rep.n_points == 100
@@ -233,24 +241,30 @@ def test_verdict_counts_inconclusive(p_ref):
     assert rep.n_violations == 0
 
 
-def test_verdict_rejects_bad_want(p_ref):
+def test_verdict_rejects_bad_want(p_ref, cfg_ref):
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L1", _const_terms(1.0), "up", REGION, p_ref)
+        verify_sign_region(_const_terms(1.0), "up", REGION, p_ref, cfg_ref)
 
 
-def test_report_to_dict_keys(p_ref):
+def test_report_to_dict_keys(p_ref, cfg_ref):
     rep = verify_sign_region(
-        "L1", _const_terms(1.0), "+", REGION, p_ref, n_space=10, n_tau=2
+        _const_terms(1.0), "+", REGION, p_ref, _grid(cfg_ref, 10, 2)
     )
     out = rep.to_dict()
     for key in ("operator", "kind", "want", "tau_window", "n_points",
                 "n_violations", "n_inconclusive", "inconclusive_frac",
                 "min_residual", "max_residual", "worst_point", "passed"):
         assert key in out
+    # the region kind names the operator
+    assert out["operator"] == "L1"
+    far = Region(kind="far_field", tau_lo=1.0, tau_hi=2.0)
+    assert verify_sign_region(
+        _const_terms(1.0), "+", far, p_ref, _grid(cfg_ref, 10, 2)
+    ).operator == "L0"
 
 
 def test_region_defaults():
-    region = Region(kind="inner", tau_lo=8.0, tau_hi=20.0)
+    region = Region(kind="inner_glued", tau_lo=8.0, tau_hi=20.0)
     assert region.xi_lo == -7.0
     assert region.xi1 == 10.0
     assert region.delta0 == 0.25
@@ -258,7 +272,7 @@ def test_region_defaults():
     assert region.far_cut == 2e4
 
 
-def test_region_grid_construction(p_ref):
+def test_region_grid_construction(p_ref, cfg_ref):
     seen = {}
 
     def record(space, tau):
@@ -267,72 +281,65 @@ def test_region_grid_construction(p_ref):
 
     glued = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
                    xi1=10.0, delta1=20.0, xi_lo=-7.0)
-    verify_sign_region("L1", record, "+", glued, p_ref,
-                       n_space=101, n_tau=2)
+    verify_sign_region(record, "+", glued, p_ref, _grid(cfg_ref, 101, 2))
     for grid in seen["grids"]:
         assert grid.min() >= -7.0
         assert grid.max() <= 30.0
         assert np.all(np.abs(grid - 10.0) > 1e-10)  # corner excluded
 
 
-def test_empty_near_a_band_rejected(p_ref):
+def test_empty_near_a_band_rejected(p_ref, cfg_ref):
     # xi0 e^{-gamma tau} above delta0 leaves no band to sample
     region = Region(kind="near_A", tau_lo=0.0, tau_hi=1.0, xi0=1.0, delta0=0.25)
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
+        verify_sign_region(_const_terms(1.0), "+", region, p_ref, cfg_ref)
 
 
-def test_unknown_region_kind_rejected(p_ref):
+def test_unknown_region_kind_rejected(p_ref, cfg_ref):
     region = Region(kind="everywhere", tau_lo=1.0, tau_hi=2.0)
     with pytest.raises(errors.InvalidParameter):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
+        verify_sign_region(_const_terms(1.0), "+", region, p_ref, cfg_ref)
 
 
-def test_empty_band_is_empty_region(p_ref):
-    region = Region(kind="glued", tau_lo=-20.0, tau_hi=1.0, xi0=1.0, far_cut=2e4)
+def test_empty_band_is_empty_region(p_ref, cfg_ref):
+    region = Region(kind="near_A", tau_lo=-20.0, tau_hi=1.0, xi0=1.0, delta0=0.25)
     with pytest.raises(errors.EmptyRegion, match="tau=-20.0"):
-        verify_sign_region("L0", _const_terms(1.0), "+", region, p_ref)
+        verify_sign_region(_const_terms(1.0), "+", region, p_ref, cfg_ref)
     assert issubclass(errors.EmptyRegion, errors.InvalidParameter)
 
 
 @pytest.mark.parametrize("n_space,n_tau", [(50, 0), (0, 4), (-1, 4), (50, -2)])
-def test_grid_without_points_rejected(p_ref, n_space, n_tau):
+def test_grid_without_points_rejected(p_ref, n_space, n_tau, cfg_ref):
     # a verdict over no points must not pass, whatever the residual
     with pytest.raises(errors.InvalidParameter, match="no points"):
-        verify_sign_region("L1", _const_terms(-1.0), "+", REGION, p_ref,
-                           n_space=n_space, n_tau=n_tau)
+        verify_sign_region(_const_terms(-1.0), "+", REGION, p_ref,
+                           _grid(cfg_ref, n_space, n_tau))
 
 
-def test_corner_masked_row_without_points_rejected(p_ref):
+def test_corner_masked_row_without_points_rejected(p_ref, cfg_ref):
     # one sample, and it sits on the corner xi1 that inner_glued skips
     region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
                     xi1=10.0, delta1=20.0, xi_lo=10.0)
     with pytest.raises(errors.EmptyRegion):
-        verify_sign_region("L1", _const_terms(1.0), "+", region, p_ref,
-                           n_space=1, n_tau=4)
+        verify_sign_region(_const_terms(1.0), "+", region, p_ref, _grid(cfg_ref, 1, 4))
 
 
-def test_terms_fn_of_wrong_shape_rejected(p_ref):
+def test_terms_fn_of_wrong_shape_rejected(p_ref, cfg_ref):
     def one_row(space, tau):
         return np.ones(space.shape[-1]), np.ones(space.shape[-1])
 
     with pytest.raises(errors.InvalidParameter, match="shape"):
-        verify_sign_region("L1", one_row, "+", REGION, p_ref,
-                           n_space=10, n_tau=3)
+        verify_sign_region(one_row, "+", REGION, p_ref, _grid(cfg_ref, 10, 3))
 
 
 # -- batched sweep against the per-tau loop -----------------------------------
 
 def _space_row(region, tau, n_space, gamma):
     """One tau row of the sampling grid, built on its own."""
-    if region.kind in ("near_A", "glued"):
-        lo = region.xi0 * math.exp(-gamma * tau)
-        hi = region.delta0 if region.kind == "near_A" else region.far_cut
-        return np.geomspace(lo, hi, n_space)
+    if region.kind == "near_A":
+        return np.geomspace(region.xi0 * math.exp(-gamma * tau), region.delta0, n_space)
     if region.kind == "far_field":
         return np.geomspace(region.delta0, region.far_cut, n_space)
-    if region.kind == "inner":
-        return np.linspace(region.xi_lo, region.xi1, n_space)
     grid = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
     return grid[np.abs(grid - region.xi1) > 1e-9]
 
@@ -367,7 +374,7 @@ def _verify_per_tau(operator, terms_fn, want, region, p, n_space, n_tau,
     return report
 
 
-@pytest.mark.parametrize("kind", ["near_A", "far_field", "glued", "inner", "inner_glued"])
+@pytest.mark.parametrize("kind", ["near_A", "far_field", "inner_glued"])
 @pytest.mark.parametrize("gamma,tau_lo,n_space", [(1.5, 10.0, 200), (0.5, 11.15, 100),
                                                   (0.3, 3.0, 37)])
 def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
@@ -380,7 +387,7 @@ def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
 
 
 @pytest.mark.parametrize("setup", ["ref", "low"])
-@pytest.mark.parametrize("kind", ["near_A", "far_field", "glued"])
+@pytest.mark.parametrize("kind", ["near_A", "far_field"])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     # psi3 on ref; psi4 on low carries the correction rows k = 3, 4
@@ -391,8 +398,7 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
-    got = verify_sign_region("L0", ev, sign, region, outer.p,
-                             n_space=120, n_tau=12)
+    got = verify_sign_region(ev, sign, region, outer.p, _grid(outer.cfg, 120, 12))
     want = _verify_per_tau("L0", ev, sign, region, outer.p, 120, 12)
     assert got == want
 
@@ -400,12 +406,17 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
     bar = GluedBarrier(solver_ref, sign, 0.01)
-    p, d = bar.outer.p, bar.outer.d
-    ev = l1_terms_evaluator(glued_evaluator(bar), p, d)
+    p = bar.outer.p
+    ev = l1_terms_evaluator(bar)
     region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0, xi1=10.0,
                     delta1=20.0)
-    got = verify_sign_region("L1", ev, sign, region, p, n_space=81, n_tau=5)
-    want = _verify_per_tau("L1", ev, sign, region, p, 81, 5)
+
+    def one_tau(xi, tau):
+        res, scale = ev(xi[None, :], np.array([[tau]]))
+        return res[0], scale[0]
+
+    got = verify_sign_region(ev, sign, region, p, _grid(bar.outer.cfg, 81, 5))
+    want = _verify_per_tau("L1", one_tau, sign, region, p, 81, 5)
     assert got == want
 
 
@@ -482,7 +493,7 @@ def test_xi0_lower_bound_respected():
     # strong theta1 forces the corner margin out to sqrt((n-1)|theta1|/a0)
     p = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
     out = OuterProfileSet(p)
-    bound = math.sqrt((p.n - 1) * 30.0 / out.d.a0)
+    bound = math.sqrt((p.n - 1) * 30.0 / p.d.a0)
     th = find_thresholds(out, "-", regions=("near_A",))
     assert th["xi0"] >= bound
     assert th["xi0"] == pytest.approx(2.0 * bound, rel=1e-12)

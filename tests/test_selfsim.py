@@ -34,7 +34,7 @@ def test_low_gamma_tail_fit_frozen(profile_low):
 
 def test_slope_limit_closed_form(profile_ref, profile_low):
     for prof in (profile_ref, profile_low):
-        p, d = prof.p, prof.d
+        p, d = prof.p, prof.p.d
         assert prof.slope_limit == pytest.approx(d.a0 / (p.gamma * p.A), rel=1e-12)
     assert profile_ref.slope_limit == pytest.approx(28.0 / 27.0, rel=1e-12)
 
@@ -43,7 +43,7 @@ def test_log_power_closed_form(profile_ref, profile_low):
     # tail phibar0 ~ K1 e^(slope s) s^(-b2/gamma)
     for prof in (profile_ref, profile_low):
         assert prof.c_log_exact == pytest.approx(
-            -prof.d.b2 / prof.p.gamma, rel=1e-12
+            -prof.p.d.b2 / prof.p.gamma, rel=1e-12
         )
 
 
