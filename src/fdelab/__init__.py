@@ -22,7 +22,6 @@ from .params import (
     ThresholdConfig,
     default_thresholds,
     load_config,
-    make_params,
     theta,
     validate_params,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "ThresholdConfig",
     "default_thresholds",
     "load_config",
-    "make_params",
     "theta",
     "validate_params",
     "OuterProfileSet",

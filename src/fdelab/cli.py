@@ -125,8 +125,7 @@ def _search_inner_start(solver, eps: float, tau_lo: float):
         reports = {}
         for sign in ("+", "-"):
             bar = GluedBarrier(solver, sign, eps)
-            region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0,
-                            xi1=solver.xi1, delta1=cfg.delta1)
+            region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0)
             rep = verify_sign_region(l1_terms_evaluator(bar), sign, region, p, cfg)
             reports[sign] = rep
             ok = ok and rep.passed

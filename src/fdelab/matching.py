@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
-_ROOT_TOL = 1e-10  # xtol of the shift-constant root find
 
 
 class MatchingSolver:
@@ -88,7 +87,7 @@ class MatchingSolver:
         def g(C):
             return self.profile.phibar0(xi1 + C) - target
 
-        C = numerics.find_root_monotone(g, -60.0, 380.0, tol=_ROOT_TOL)
+        C = numerics.find_root_monotone(g, -60.0, 380.0)
         self._memo[key] = C
         return C
 

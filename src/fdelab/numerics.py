@@ -24,37 +24,34 @@ __all__ = ["OdeSpec", "StepTable", "find_root_monotone", "solve_ode"]
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """ODE integration tolerances and the state-magnitude blowup guard."""
+    """Tolerances of solve_ode, set by its caller (shoot_v0 the shoot's)."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    blowup_guard: float = 1e12
+    rel_tol: float
+    abs_tol: float
 
 
-def find_root_monotone(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    expand_budget: int = 60,
-) -> float:
+_EXPAND_BUDGET = 60  # bracket expansions before NoBracket
+_ROOT_XTOL = 1e-10  # absolute tolerance of the brentq polish
+
+
+def find_root_monotone(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of a monotone scalar function, expanding the bracket if needed.
 
     The initial bracket [lo, hi] grows geometrically (factor 2 on width,
-    both directions as signs dictate) until g changes sign, then brentq
-    polishes to xtol = tol.
+    both directions as signs dictate) until g changes sign, at most
+    _EXPAND_BUDGET times, then brentq polishes to xtol = _ROOT_XTOL.
     """
     if not (lo < hi):
         raise errors.InvalidParameter(f"need lo < hi, got [{lo}, {hi}]")
     glo, ghi = g(lo), g(hi)
     if not (np.isfinite(glo) and np.isfinite(ghi)):
         raise errors.NonFinite("bracket endpoint evaluation not finite")
-    budget = expand_budget
+    budget = _EXPAND_BUDGET
     width = hi - lo
     while glo * ghi > 0.0:
         if budget <= 0:
             raise errors.NoBracket(
-                f"no sign change in [{lo}, {hi}] after {expand_budget} expansions"
+                f"no sign change in [{lo}, {hi}] after {_EXPAND_BUDGET} expansions"
             )
         budget -= 1
         width *= 2.0
@@ -73,7 +70,7 @@ def find_root_monotone(
         return lo
     if ghi == 0.0:
         return hi
-    return brentq(g, lo, hi, xtol=tol)
+    return brentq(g, lo, hi, xtol=_ROOT_XTOL)
 
 
 _EPS = 2.220446049250313e-16  # float64 machine epsilon
@@ -177,6 +174,7 @@ _P = (
 _NEWTON_MAXITER = 6
 _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 _ODE_STEP_BUDGET = 100000  # accepted steps before StepUnderflow
+_BLOWUP_GUARD = 1e12  # state magnitude that raises BlowupGuardTripped
 
 
 @dataclass(frozen=True)
@@ -319,10 +317,10 @@ def solve_ode(
     jac: Callable,
     t_span: tuple[float, float],
     y0: Sequence[float],
-    spec: OdeSpec | None = None,
+    spec: OdeSpec,
 ) -> StepTable:
-    """Radau IIA of order 5 for a system of two states on an ascending
-    t_span, on Python floats; returns the StepTable of its steps.
+    """Radau IIA of order 5 to the tolerances of spec for a system of two
+    states on an ascending t_span, on Python floats; returns the StepTable.
 
     rhs(t, u, v) returns the derivatives (u', v') and jac(t, u, v) the
     Jacobian (du'/du, du'/dv, dv'/du, dv'/dv), all as floats.  A stage
@@ -332,11 +330,10 @@ def solve_ode(
     OverflowError in jac or in the evaluations that close a step halves
     the step at once.  Raises
     StepUnderflow when the step falls below ten spacings of t or the step
-    budget is spent, BlowupGuardTripped when a state reaches the blowup
-    guard, and NonFinite when rhs or jac is not finite at the start.
+    budget is spent, BlowupGuardTripped when a state reaches _BLOWUP_GUARD,
+    and NonFinite when rhs or jac is not finite at the start.
     """
-    spec = spec or OdeSpec()
-    rtol, atol, guard = spec.rel_tol, spec.abs_tol, spec.blowup_guard
+    rtol, atol = spec.rel_tol, spec.abs_tol
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
         raise errors.InvalidParameter(f"need an ascending t_span, got {t_span}")
@@ -439,7 +436,7 @@ def solve_ode(
         h_last = h
         t, y, f = t_new, y_new, f_new
         ts.append(t)
-        if not (abs(y[0]) < guard and abs(y[1]) < guard):
-            raise errors.BlowupGuardTripped(f"|y| reached {guard:g} at t = {t:.6g}")
+        if not (abs(y[0]) < _BLOWUP_GUARD and abs(y[1]) < _BLOWUP_GUARD):
+            raise errors.BlowupGuardTripped(f"|y| reached {_BLOWUP_GUARD:g} at t = {t:.6g}")
     ts = np.array(ts)
     return StepTable(ts=ts, h=ts[1:] - ts[:-1], coef=np.array(rows))

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .params import ModelParams, ThresholdConfig, default_thresholds, theta
+from .params import ModelParams, ThresholdConfig, theta
 
 __all__ = ["OuterProfileSet", "branch_variant"]
 
@@ -94,26 +94,32 @@ class OuterProfileSet:
     nonzero correction rows of each sign, which exist exactly when
     2N >= 3 (gamma <= 1).  The profile psi of each sign is thereby one
     expression; the configs with C10 = 0 give the paper's psi1/psi2.
+    cfg is checked against p; a constant beyond the float range raises
+    NonFinite naming gamma, A and eta0.
     """
 
-    def __init__(self, p: ModelParams, cfg: ThresholdConfig | None = None):
+    def __init__(self, p: ModelParams, cfg: ThresholdConfig):
         self.p = p
-        self.cfg = cfg or default_thresholds(p)
-        self.cfg.validated(p)
+        self.cfg = cfg.validated(p)
 
         n, gamma, A = p.n, p.gamma, p.A
         self._p1 = 2.0 + 1.0 / gamma
         self._p2 = 2.0 + 2.0 / gamma
         self._p3 = 1.0 + 1.0 / gamma
-        self._bq1 = (n - 1) * (gamma + 1.0) * A ** (1.0 / gamma) / gamma ** 3
-        self._bq3 = -(n - 1) * A ** (1.0 / gamma) / gamma ** 2
-        self._kap2 = (n - 1) * A ** (2.0 / gamma) / gamma ** 2
-        self._b2q = (n - 1) * A ** (2.0 / gamma) / gamma ** 3
-
         g0 = self.cfg.eta0 - A  # > 0: the config is checked
-        # closed forms of I and C2 from the module docstring
-        lg0 = math.log1p(g0 / A) / gamma
-        self._lexp0 = math.log(math.expm1(lg0))
+        try:
+            self._bq1 = (n - 1) * (gamma + 1.0) * A ** (1.0 / gamma) / gamma ** 3
+            self._bq3 = -(n - 1) * A ** (1.0 / gamma) / gamma ** 2
+            self._kap2 = (n - 1) * A ** (2.0 / gamma) / gamma ** 2
+            self._b2q = (n - 1) * A ** (2.0 / gamma) / gamma ** 3
+            # closed forms of I and C2 from the module docstring
+            lg0 = math.log1p(g0 / A) / gamma
+            self._lexp0 = math.log(math.expm1(lg0))
+        except OverflowError as exc:
+            raise errors.NonFinite(
+                f"outer profile constants overflow at gamma = {gamma:g}, "
+                f"A = {A:g}, eta0 = {self.cfg.eta0:g}"
+            ) from exc
         self.C2 = self._b2q * gamma * self.cfg.eta0 ** (-1.0 / gamma) / -math.expm1(-lg0)
         self.C10 = float(self.cfg.C10) if self.cfg.C10 is not None else self._search_C10()
         self._rows = {sign: _nonzero_rows(self.correction_coeffs(sign)) for sign in ("+", "-")}

@@ -3,18 +3,22 @@
 Parameter conventions match the fast diffusion setting
     u_t = ((n-1)/m) Delta u^m,  n >= 3,  0 < m < (n-2)/(n+2),
 with extinction time T, anisotropy amplitude A, rate parameter gamma,
-and corrector weights theta1/theta2 per sign.  A ModelParams checks
+and corrector weights theta1/theta2 per sign.  The weights obey strict
+inequalities against b1 and b2; a weight left unset takes the margin of 1
+on its inequality (theta1_minus = b1 - 1, theta1_plus = max(0, b1) + 1,
+theta2_plus = b2 + 1), and theta2_minus is 0.  A ModelParams checks
 itself when it is built (validate_params) and holds its derived constants
 as the attribute d, so every parameter set in the package is admissible
 and carries its own a0, b1, b2, N and exponent rate.  Config values are
-type-checked where they enter (config_value).
+type-checked where they enter (config_value), and a config key that
+nothing reads is rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -26,7 +30,6 @@ __all__ = [
     "radial_diffusion",
     "ThresholdConfig",
     "config_value",
-    "make_params",
     "validate_params",
     "default_thresholds",
     "load_config",
@@ -38,11 +41,11 @@ __all__ = [
 class ModelParams:
     """Immutable model parameter set, admissible by construction.
 
-    Building one (dataclasses.replace included) runs validate_params and
-    raises InvalidParameter on the first violated condition: theta2_minus
-    must equal 0 and the remaining theta fields obey strict inequalities
-    against b1, b2.  The derived constants are the attribute d, which is
-    not a field: asdict, ==, hash and repr see the eleven fields only.
+    Building one (dataclasses.replace included) stores every field but n
+    as a float and runs validate_params, which gives a theta left as None
+    its margin default and raises InvalidParameter on the first violated
+    condition.  The derived constants are the attribute d, which is not a
+    field: asdict, ==, hash and repr see the eleven fields only.
     """
 
     n: int
@@ -51,13 +54,17 @@ class ModelParams:
     A: float
     T: float = 1.0
     lam: float = 1.0
-    theta1_minus: float = 0.0
-    theta1_plus: float = 0.0
+    theta1_minus: float | None = None
+    theta1_plus: float | None = None
     theta2_minus: float = 0.0
-    theta2_plus: float = 0.0
+    theta2_plus: float | None = None
     epsilon: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self)[1:]:  # every field after n is real
+            value = getattr(self, f.name)
+            if value is not None:
+                object.__setattr__(self, f.name, float(value))
         object.__setattr__(self, "d", validate_params(self))
 
 
@@ -92,52 +99,13 @@ def radial_diffusion(p: ModelParams, w, w1, w2):
     return (p.n - 1) * (w2 / w + d.b1 * (w1 / w) ** 2 + d.b2 * w1 / w)
 
 
-def make_params(
-    n: int,
-    m: float,
-    gamma: float,
-    A: float,
-    T: float = 1.0,
-    lam: float = 1.0,
-    epsilon: float = 0.0,
-    **theta_overrides: float,
-) -> ModelParams:
-    """Build a ModelParams with default corrector weights.
-
-    Defaults: theta1_minus = b1 - 1, theta1_plus = max(0, b1) + 1,
-    theta2_minus = 0, theta2_plus = b2 + 1 (a margin of 1 on each strict
-    inequality).  Any of the four can be overridden by keyword.  n is
-    passed on as given, so a non-integer n is rejected.
-    """
-    # the default thetas need b1 and b2 before ModelParams checks the set,
-    # and _derived divides by gamma and by 1 - m
-    if not (gamma > 0.0):
-        raise errors.InvalidParameter(f"gamma must be positive, got {gamma}")
-    if not (m < 1.0):
-        raise errors.InvalidParameter(f"m must satisfy m < (n-2)/(n+2) < 1, got {m}")
-    d = _derived(n, m, gamma)
-    thetas = {
-        "theta1_minus": d.b1 - 1.0,
-        "theta1_plus": max(0.0, d.b1) + 1.0,
-        "theta2_minus": 0.0,
-        "theta2_plus": d.b2 + 1.0,
-    }
-    for key, val in theta_overrides.items():
-        if key not in thetas:
-            raise TypeError(f"unknown parameter {key!r}")
-        thetas[key] = float(val)
-    return ModelParams(
-        n=n, m=float(m), gamma=float(gamma), A=float(A), T=float(T),
-        lam=float(lam), epsilon=float(epsilon), **thetas,
-    )
-
-
 def validate_params(p: ModelParams) -> DerivedConstants:
     """Check every parameter inequality; return the derived constants.
 
     ModelParams runs this when it is built and keeps the result as p.d;
-    the package calls it nowhere else.  Raises InvalidParameter naming the
-    violated condition.
+    the package calls it nowhere else.  Once b1 and b2 are known, a theta
+    left as None takes its margin default, and then the theta inequalities
+    are checked.  Raises InvalidParameter naming the violated condition.
     """
     if not isinstance(p.n, (int, np.integer)) or p.n < 3:
         raise errors.InvalidParameter(f"n must be an integer >= 3, got {p.n}")
@@ -166,6 +134,14 @@ def validate_params(p: ModelParams) -> DerivedConstants:
             f"epsilon must lie in [0, 1/4), got {p.epsilon}"
         )
     d = _derived(p.n, p.m, p.gamma)
+    margins = {
+        "theta1_minus": d.b1 - 1.0,
+        "theta1_plus": max(0.0, d.b1) + 1.0,
+        "theta2_plus": d.b2 + 1.0,
+    }
+    for name, margin in margins.items():
+        if getattr(p, name) is None:
+            object.__setattr__(p, name, margin)
     if p.theta2_minus != 0.0:
         raise errors.InvalidParameter(
             f"theta2_minus must equal 0, got {p.theta2_minus}"
@@ -269,7 +245,8 @@ _THRESHOLD_KEYS = {
     "homog_C1", "homog_C3", "C10", "max_doublings", "grid_eta", "grid_tau",
     "sign_atol_factor", "inconclusive_frac", "seed_constants",
 }
-# n_cells is the simulate window's, which the CLI checks where it reads it
+# the simulate window, which the CLI checks where it reads it from extras
+_WINDOW_KEYS = {"tau0", "eps", "tau_end", "n_cells", "dtau"}
 _INTEGER_KEYS = {"n", "max_doublings", "grid_eta", "grid_tau", "n_cells"}
 
 
@@ -319,9 +296,10 @@ def load_config(path: str):
 
     Accepts "lambda" as an alias for lam.  Every parameter and threshold
     key is type-checked by config_value before use.  Threshold keys not
-    present fall back to defaults derived from the parameters.  Unknown
-    keys are returned in extras unchecked (the CLI reads the simulate
-    window from them).
+    present fall back to defaults derived from the parameters, and
+    parameters not present to the ModelParams defaults.  The simulate
+    window keys are returned in extras unchecked (the CLI checks them where
+    it reads them); any other key raises InvalidParameter naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -329,21 +307,21 @@ def load_config(path: str):
         raise errors.InvalidParameter(f"config must be a JSON object, got {raw!r}")
     if "lambda" in raw:
         raw.setdefault("lam", raw.pop("lambda"))
+    unknown = set(raw) - _PARAM_KEYS - _THRESHOLD_KEYS - _WINDOW_KEYS
+    if unknown:
+        raise errors.InvalidParameter(f"unknown config keys: {sorted(unknown)}")
     known = {k: config_value(k, v) for k, v in raw.items() if k in _PARAM_KEYS | _THRESHOLD_KEYS}
 
     pkw = {k: v for k, v in known.items() if k in _PARAM_KEYS}
-    theta_overrides = {
-        k: pkw.pop(k) for k in list(pkw) if k.startswith("theta")
-    }
     missing = {"n", "m", "gamma", "A"} - set(pkw)
     if missing:
         raise errors.InvalidParameter(f"config missing required keys: {sorted(missing)}")
-    p = make_params(**pkw, **theta_overrides)
+    p = ModelParams(**pkw)
 
     tkw = {k: v for k, v in known.items() if k in _THRESHOLD_KEYS}
     cfg = replace(default_thresholds(p), **tkw).validated(p)
 
-    extras = {k: raw[k] for k in raw if k not in _PARAM_KEYS | _THRESHOLD_KEYS}
+    extras = {k: raw[k] for k in raw if k in _WINDOW_KEYS}
     return p, cfg, extras
 
 

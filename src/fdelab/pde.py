@@ -20,7 +20,8 @@ to LAPACK gtsv (Gaussian elimination with partial pivoting on the three
 diagonals); a singular matrix counts as a diverged Newton step, which
 halves the time step.  scipy.linalg is imported on the first solve, so a
 process that never steps the PDE does not load it.  A Newton residual
-that is not finite rejects the step at once with NonFinite.
+that is not finite stops the run at once with NonFinite, without halving
+the step.
 
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
@@ -95,6 +96,11 @@ class Trajectory:
                 u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
                 rows.append((t, s, xi, w, u, log10_u))
         write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
+
+
+def _drift_speed(p: ModelParams, delta: float) -> float:
+    """sigma = A gamma delta^(-gamma-1), the speed of the comoving frame."""
+    return p.A * p.gamma * delta ** (-p.gamma - 1.0)
 
 
 def _rhs(W, dxi, sigma, p):
@@ -178,8 +184,8 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources):
     k, M = W_old.shape
     out = [None] * k
     dt = [a - b for a, b in zip(delta_old, delta_new)]
-    sigma_old = [p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_old]
-    sigma_new = _column([p.A * p.gamma * x ** (-p.gamma - 1.0) for x in delta_new])
+    sigma_old = [_drift_speed(p, x) for x in delta_old]
+    sigma_new = _column([_drift_speed(p, x) for x in delta_new])
     F_old, _, _ = _rhs(W_old, dxi, _column(sigma_old), p)
     for i, source in enumerate(sources):
         if source is not None:
@@ -321,9 +327,10 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     A row whose step is rejected halves its own step and retries in the
     next round while the other rows go on; it stops with the rejection
     once the step falls below 1e-6 of delta, with StepUnderflow once the
-    step budget is spent, or with any FdelabError its bc raises.  Frames
-    go straight into one buffer per row, which starts at 16 frames and
-    grows by an eighth plus 16 whenever it is full.
+    step budget is spent, with any FdelabError its bc raises, or at once
+    with a NonFinite step result.  Frames go straight into one buffer per
+    row, which starts at 16 frames and grows by an eighth plus 16 whenever
+    it is full.
     """
     if not (0.0 < delta_end < delta_start):
         raise errors.InvalidParameter("need 0 < delta_end < delta_start")
@@ -389,7 +396,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             if isinstance(res, errors.FdelabError):
                 rejections[i] += 1
                 attempt[i] *= 0.5
-                if attempt[i] < 1e-6:
+                if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
             W_new, its = res
@@ -424,10 +431,10 @@ def solve_radial_fde(
     n_cells: int,
     delta_start: float,
     delta_end: float,
+    dtau: float,
     w0,
     bc,
     source=None,
-    dtau: float = 0.01,
 ) -> Trajectory:
     """Integrate the comoving equation from delta_start down to delta_end.
 
@@ -437,7 +444,8 @@ def solve_radial_fde(
     non-equilibrium transient; afterwards the scheme is trapezoidal.
     Newton failures (no convergence in 12 iterations) and positivity
     failures reject and halve the step before giving up; so does an end
-    value that is not finite and > 0, before any Newton iteration.
+    value that is not finite and > 0, before any Newton iteration.  A
+    Newton residual that is not finite raises NonFinite at once.
     n_cells < 2 or a dtau that is not a finite step > 0 raises
     InvalidParameter before the grid is built.  This is the one-row case
     of the joint solve that comparison_sandwich uses, so a run gives the
@@ -484,7 +492,7 @@ def make_manufactured(p: ModelParams):
             Wx = amp * dprof
             Wxx = amp * d2prof
             Wt = -(1.0 + p.gamma) * delta ** p.gamma * prof
-            sigma = p.A * p.gamma * delta ** (-p.gamma - 1.0)
+            sigma = _drift_speed(p, delta)
             F = radial_diffusion(p, W, Wx, Wxx) - p.d.a0
             return Wt - F - sigma * Wx
 
@@ -518,6 +526,7 @@ def _manufactured_row(p: ModelParams, xi, delta_start: float):
 
 
 _SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
+_FIT_DECADES = 2.0  # decades of T - t that the extinction fit spans
 
 
 # -- sandwich runs -------------------------------------------------------------
@@ -587,15 +596,16 @@ def comparison_sandwich(
     *,
     tau0: float,
     tau_end: float,
-    n_cells: int = 400,
-    dtau: float = 0.01,
+    n_cells: int,
+    dtau: float,
 ) -> SandwichReport:
     """Evolve data between the barriers from tau0 to tau_end and verify it
     stays sandwiched.
 
     The pair must come in sign order (plus, minus), n_cells >= 2 and dtau a
     finite step > 0; anything else raises InvalidParameter before any
-    solve.  The grid is xi in [-xi1, 4 xi1].
+    solve.  The grid is xi in [-xi1, 4 xi1] with n_cells cells, and dtau
+    is the step as a fraction of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
     the pointwise geometric mean ("mid", the reported solution).  Initial
     data outside the barriers is rejected (this covers the doubled-data
@@ -695,18 +705,19 @@ def comparison_sandwich(
     return report
 
 
-def extinction_rate(deltas, amplitudes, fit_decades: float = 2.0) -> dict:
-    """Least-squares exponent of amplitude ~ delta^rate over the final decades."""
+def extinction_rate(deltas, amplitudes) -> dict:
+    """Least-squares exponent of amplitude ~ delta^rate over the final
+    _FIT_DECADES decades."""
     deltas = np.asarray(deltas, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
     if np.any(amps <= 0.0) or np.any(deltas <= 0.0):
         raise errors.NonPositiveInput("extinction fit needs positive series")
     span = math.log10(deltas.max() / deltas.min())
-    if span < fit_decades:
+    if span < _FIT_DECADES:
         raise errors.InsufficientDecades(
-            f"trajectory spans {span:.2f} decades of T - t, need {fit_decades}"
+            f"trajectory spans {span:.2f} decades of T - t, need {_FIT_DECADES}"
         )
-    cut = deltas.min() * 10.0 ** fit_decades
+    cut = deltas.min() * 10.0 ** _FIT_DECADES
     mask = deltas <= cut
     x = np.log(deltas[mask])
     y = np.log(amps[mask])
@@ -751,7 +762,7 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
     xi1 = bar.xi1
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     c_m = (1.0 + gamma) * m / (1.0 - m)
-    b1 = (2.0 * m - 1.0) / (1.0 - m)
+    b1 = p.d.b1
 
     taus = np.linspace(tau_window[0], tau_window[1], 48)
     log_terms = []

@@ -16,14 +16,17 @@ evaluator call, compares against a pointwise atol proportional to the local
 operator scale, and reports strict violations and the inconclusive fraction
 separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
 cancellation-free form derived in the outer module; the L1 evaluator is
-l1_terms_evaluator over a glued barrier.  Three region kinds are sampled:
-near_A and far_field for L0, inner_glued for L1.
+l1_terms_evaluator over a glued barrier.  A region is a kind plus a tau
+window; three kinds are sampled, near_A and far_field for L0 and
+inner_glued for L1, and the ends of each band come from the threshold
+config (xi0, xi1, delta0, delta1) or, where no config value applies, from
+the module constants _FAR_CUT and _XI_LO.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,32 +77,31 @@ def l1_terms_evaluator(barrier: GluedBarrier):
 # -- region sweeps -------------------------------------------------------------
 
 
+# Ends of the bands that the config does not set.  The far-field band is
+# cut at gap 2e4.  The inner band starts at xi = -7 to respect the verdict
+# resolution: the "-" barrier's inner margin decays like e^{2(xi + C2)}
+# with C2 bounded, so below xi ~ -8 it falls under atol = 1e-9 * a0 at
+# every tau and the points can only ever be inconclusive.
+_FAR_CUT = 2e4
+_XI_LO = -7.0
+
+
 @dataclass(frozen=True)
 class Region:
-    """Sampling region descriptor.
+    """Sampling region: a kind and a tau window.  The band ends come from
+    the config passed to verify_sign_region and the constants above.
 
     Outer regions of the L0 verdicts (space variable = gap = eta - A,
     log-spaced):
       kind = "near_A":    gap in [xi0 e^{-gamma tau}, delta0], per tau.
-      kind = "far_field": gap in [delta0, far_cut], tau-independent.
+      kind = "far_field": gap in [delta0, _FAR_CUT], tau-independent.
     Inner region of the L1 verdict (space variable = xi, linear):
-      kind = "inner_glued": xi in [xi_lo, xi1 + delta1], corner skipped.
-
-    The default xi_lo respects the verdict resolution: the "-" barrier's
-    inner margin decays like e^{2(xi + C2)} with C2 bounded, so below
-    xi ~ -8 it falls under atol = 1e-9 * a0 at every tau and the points
-    can only ever be inconclusive.
+      kind = "inner_glued": xi in [_XI_LO, xi1 + delta1], corner skipped.
     """
 
     kind: str
     tau_lo: float
     tau_hi: float
-    xi0: float = 1.0
-    xi1: float = 10.0
-    delta0: float = 0.25
-    delta1: float = 20.0
-    far_cut: float = 2e4
-    xi_lo: float = -7.0
 
 
 _OUTER_KINDS = ("near_A", "far_field")
@@ -137,27 +139,36 @@ class ResidualReport:
         return out
 
 
-def _space_grid(region: Region, taus, n_space: int, gamma: float):
-    """Space grid of shape (len(taus), n_space); row i belongs to taus[i].
+def _space_grid(region: Region, taus, cfg, gamma: float):
+    """Space grid of shape (len(taus), cfg.grid_eta); row i belongs to
+    taus[i], and the band ends come from cfg.
 
     Kinds that do not depend on tau repeat one row.  Raises EmptyRegion
-    when a band or the corner-masked row has no points.
+    when a band or the corner-masked row has no points, or when the lower
+    end of a near_A row underflows to 0.
     """
     taus = np.asarray(taus, dtype=float)
+    n_space = cfg.grid_eta
     if region.kind == "near_A":
-        lo = np.array([region.xi0 * math.exp(-gamma * float(t)) for t in taus])
-        empty = lo >= region.delta0
+        lo = np.array([cfg.xi0 * math.exp(-gamma * float(t)) for t in taus])
+        empty = lo >= cfg.delta0
         if np.any(empty):
             tau = float(taus[np.argmax(empty)])
             raise errors.EmptyRegion(
                 f"near_A region empty at tau={tau}: xi0 e^(-gamma tau) >= delta0"
             )
-        return np.geomspace(lo, region.delta0, n_space, axis=1)
+        if np.any(lo == 0.0):
+            tau = float(taus[np.argmax(lo == 0.0)])
+            raise errors.EmptyRegion(
+                f"near_A region unresolvable at tau={tau}: xi0 e^(-gamma tau) "
+                "underflows to 0"
+            )
+        return np.geomspace(lo, cfg.delta0, n_space, axis=1)
     if region.kind == "far_field":
-        row = np.geomspace(region.delta0, region.far_cut, n_space)
+        row = np.geomspace(cfg.delta0, _FAR_CUT, n_space)
     elif region.kind == "inner_glued":
-        row = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
-        row = row[np.abs(row - region.xi1) > 1e-9]
+        row = np.linspace(_XI_LO, cfg.xi1 + cfg.delta1, n_space)
+        row = row[np.abs(row - cfg.xi1) > 1e-9]
         if row.size == 0:
             raise errors.EmptyRegion(
                 "inner_glued region empty: every point sits on the corner xi1"
@@ -172,10 +183,11 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
 
     The grid has cfg.grid_eta points in space and cfg.grid_tau in tau; the
     region kind fixes the space variable and the report's operator label
-    (L0 for near_A and far_field, L1 for inner_glued).  terms_fn(space,
-    tau) -> (residual, scale) supplies the residual together with its
-    local term-magnitude scale; use OuterProfileSet.l0_terms (rescaled L0,
-    as find_thresholds binds it) or l1_terms_evaluator.  It is called
+    (L0 for near_A and far_field, L1 for inner_glued), and cfg the band
+    ends (see _space_grid).  terms_fn(space, tau) -> (residual, scale)
+    supplies the residual together with its local term-magnitude scale;
+    use OuterProfileSet.l0_terms (rescaled L0, as find_thresholds binds
+    it) or l1_terms_evaluator.  It is called
     once, with space the whole grid of shape (n_tau, n_space) and tau an
     (n_tau, 1) column (row i of space belongs to tau[i, 0]), and must
     return arrays of the grid's shape.
@@ -198,7 +210,7 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
             f"sampling grid has no points: n_space={n_space}, n_tau={n_tau}"
         )
     taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
-    space = _space_grid(region, taus, n_space, p.gamma)
+    space = _space_grid(region, taus, cfg, p.gamma)
     res, scale = terms_fn(space, taus[:, None])
     res = np.asarray(res, dtype=float)
     atol = cfg.sign_atol_factor * np.asarray(scale, dtype=float)
@@ -276,18 +288,11 @@ def find_thresholds(
 
     def regions_pass(tau_start, xi0, delta0):
         reports = {}
+        rung = replace(cfg, xi0=xi0, delta0=delta0)
         for kind in regions:
-            region = Region(
-                kind=kind,
-                tau_lo=tau_start,
-                tau_hi=tau_start + 20.0,
-                xi0=xi0,
-                xi1=cfg.xi1,
-                delta0=delta0,
-                delta1=cfg.delta1,
-            )
+            region = Region(kind=kind, tau_lo=tau_start, tau_hi=tau_start + 20.0)
             try:
-                rep = verify_sign_region(ev, sign, region, p, cfg)
+                rep = verify_sign_region(ev, sign, region, p, rung)
             except (errors.EmptyRegion, errors.NonPositiveProfile):
                 # infeasible tuple (empty band / profile not yet positive)
                 return False, reports

@@ -84,11 +84,9 @@ class SelfSimilarProfile:
     # -- internals ---------------------------------------------------------
 
     def _rhs_P(self, s: np.ndarray, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        p = self.p
-        c1 = 2.0 * p.gamma * p.A / (1.0 - p.m)
-        c2 = p.gamma * p.A / p.m
-        E = np.exp(2.0 * s + (1.0 / p.m - 1.0) * Z)
-        return -P * P - (p.n - 2) * P - (p.m / (p.n - 1)) * E * (c1 + c2 * P)
+        c1, c2, k, q = _p_equation(self.p)
+        E = np.exp(2.0 * s + q * Z)
+        return -P * P - (self.p.n - 2) * P - k * E * (c1 + c2 * P)
 
     def _fit_tail(self, window: tuple[float, float]) -> TailFit:
         lo, hi = window
@@ -171,12 +169,21 @@ class SelfSimilarProfile:
         return radial_diffusion(p, v, v1, v2) - (p.d.a0 - p.gamma * p.A * v1)
 
 
+def _p_equation(p: ModelParams):
+    """Constants (c1, c2, k, q) of the shoot's P-equation
+    P' = -P^2 - (n-2) P - k e^{2s + q Z} (c1 + c2 P)."""
+    c1 = 2.0 * p.gamma * p.A / (1.0 - p.m)
+    c2 = p.gamma * p.A / p.m
+    return c1, c2, p.m / (p.n - 1), 1.0 / p.m - 1.0
+
+
 def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:
     """Integrate the profile ODE from a series start at r0 = 1e-6 out to
-    s_max = 400.
+    s_max = 400, to ode_spec (default: rel_tol 1e-10, abs_tol 1e-12).
 
     The quadratic series v0 = lambda + v2 r^2 + O(r^4) with
-    v2 = -gamma A lambda^(2-m) / (n (n-1) (1-m)) seeds (Z, P) at s0 = log r0.
+    v2 = -gamma A lambda^(2-m) / (n (n-1) (1-m)) seeds (Z, P) at s0 = log r0;
+    a lambda^(2-m) beyond the float range raises NonFinite.
     Emits the SlopeNotConverged warning when the endpoint derivative is not
     within 1e-6 of the limit slope (it approaches like c_log/s, so this
     warning is expected at practical s_max; use the fitted slope instead).
@@ -184,17 +191,19 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
     spec = ode_spec or numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)
     n, m, gamma, A, lam = p.n, p.m, p.gamma, p.A, p.lam
     r0, s_max = 1e-6, 400.0
-    v2 = -gamma * A * lam ** (2.0 - m) / (n * (n - 1) * (1.0 - m))
+    try:
+        v2 = -gamma * A * lam ** (2.0 - m) / (n * (n - 1) * (1.0 - m))
+    except OverflowError as exc:
+        raise errors.NonFinite(
+            f"series start of the shoot overflows at lambda = {lam:g}"
+        ) from exc
     s0 = math.log(r0)
     vcore = lam + v2 * r0 ** 2
     if vcore <= 0.0:
         raise errors.NonPositiveInput("series start radius too large")
     Z0 = m * math.log(vcore)
     P0 = m * (2.0 * v2 * r0 ** 2) / vcore
-    c1 = 2.0 * gamma * A / (1.0 - m)
-    c2 = gamma * A / m
-    k = m / (n - 1)
-    q = 1.0 / m - 1.0
+    c1, c2, k, q = _p_equation(p)
 
     def rhs(s, Z, P):
         E = math.exp(2.0 * s + q * Z)
@@ -262,8 +271,8 @@ def verify_tail_asymptotics(profile: SelfSimilarProfile) -> dict:
     return out
 
 
-def save_profile(profile: SelfSimilarProfile, path: str, n_points: int = 2001):
-    """CSV dump (s, phibar0, dphibar0) with a JSON comment header."""
+def save_profile(profile: SelfSimilarProfile, path: str):
+    """CSV dump (s, phibar0, dphibar0) on 2001 points with a JSON comment header."""
     header = {
         "s_min": profile.s_min,
         "s_max": profile.s_max,
@@ -272,7 +281,7 @@ def save_profile(profile: SelfSimilarProfile, path: str, n_points: int = 2001):
         "fit_c_log": profile.fit.c_log,
         "fit_K1": profile.fit.K1,
     }
-    s = np.linspace(profile.s_min, profile.s_max, n_points)
+    s = np.linspace(profile.s_min, profile.s_max, 2001)
     v = profile.phibar0(s)
     dv = profile.phibar0(s, deriv=1)
     lines = ["# " + json.dumps(header, sort_keys=True), "s,phibar0,dphibar0"]

@@ -13,14 +13,14 @@ import pytest
 from fdelab import errors
 from fdelab.matching import MatchingSolver, find_epsilon_bounds
 from fdelab.outer import OuterProfileSet, branch_variant
-from fdelab.params import default_thresholds, make_params
+from fdelab.params import ModelParams, default_thresholds
 from fdelab.residuals import find_thresholds
 from fdelab.selfsim import shoot_v0
 
 
 @pytest.fixture(scope="session")
 def p_ref():
-    return make_params(3, 0.1, 1.5, 2.0, theta1_minus=-1.0)
+    return ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-1.0)
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def cfg_ref(p_ref):
 
 @pytest.fixture(scope="session")
 def p_low():
-    return make_params(3, 0.1, 0.5, 2.0, theta1_minus=-1.0)
+    return ModelParams(3, 0.1, 0.5, 2.0, theta1_minus=-1.0)
 
 
 @pytest.fixture(scope="session")

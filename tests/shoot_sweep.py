@@ -14,7 +14,7 @@ import time
 import warnings
 
 from fdelab import errors
-from fdelab.params import make_params
+from fdelab.params import ModelParams
 from fdelab.selfsim import shoot_v0
 
 N_VALUES = (3, 4, 6)
@@ -26,7 +26,7 @@ AS = (1.05, 2.0, 5.0)
 def sweep_params():
     """The 81 parameter sets of the sweep, in a fixed order."""
     for n, frac, gamma, A in itertools.product(N_VALUES, M_FRACTIONS, GAMMAS, AS):
-        yield make_params(n, frac * (n - 2) / (n + 2), gamma, A)
+        yield ModelParams(n, frac * (n - 2) / (n + 2), gamma, A)
 
 
 def shoot_or_error(p):

@@ -12,12 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BENCH = ROOT / "perfbench"
-
-REF = {"n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0, "T": 1.0, "lambda": 1.0,
-       "theta1_minus": -1.0}
 
 # layers of spans.LAYERS that no longer exist in the package; the traced
 # run reports them at 0 calls, and no other layer may join them
@@ -37,9 +36,31 @@ def _run(args):
                           text=True, timeout=300)
 
 
-def test_probe_builds_the_reference_workload(tmp_path):
-    config = tmp_path / "ref.json"
-    config.write_text(json.dumps(REF))
+_WORKLOADS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from run import WORKLOADS
+print(json.dumps({name: w.config for name, w in WORKLOADS.items()}))
+"""
+
+
+def _workload_configs() -> dict:
+    """The config of every workload in perfbench/run.py, read from the
+    driver in a fresh process."""
+    proc = _run(["-c", _WORKLOADS, str(BENCH)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+WORKLOAD_CONFIGS = _workload_configs()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_probe_builds_every_benchmark_workload(name, tmp_path):
+    # the benchmark loads each of these configs; a key the loader rejects
+    # or a parameter set it cannot build would stop the benchmark
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(WORKLOAD_CONFIGS[name], sort_keys=True))
     proc = _run([str(BENCH / "probe.py"), str(config), str(SRC)])
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()

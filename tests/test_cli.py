@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,66 @@ def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "runs").exists()
+
+
+def test_misspelt_config_key_is_rejected(tmp_path, capsys):
+    # a misspelt key used to run the default grids under a new config hash
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(dict(SMOKE, grid_etaa=50)))
+    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid_etaa" in err
+    assert not (tmp_path / "runs").exists()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_cli(args):
+    """The CLI in a fresh process, so a traceback shows on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fdelab.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("extra, rc", [
+    # the ladder doubles tau_start to 800, where xi0 e^(-gamma tau) is 0:
+    # those rungs are infeasible and the verify report is written
+    ({"tau_start": 100.0}, 1),
+    # the near-A band underflows on every rung; the matching edge then
+    # stands at gap 0
+    ({"gamma": 50.0}, 2),
+])
+def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, grid_eta=16, grid_tau=4, **extra)))
+    out = tmp_path / "runs"
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == rc, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if rc == 1:
+        (report,) = out.glob("verify-*.json")
+        assert json.loads(report.read_text())["all_passed"] is False
+    else:
+        assert "\nerror: eta must exceed A" in "\n" + proc.stderr
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"gamma": 1e-300}, "gamma"),  # A^(1/gamma)
+    ({"gamma": 1e300}, "gamma"),  # gamma^3
+    ({"lambda": 1e300}, "lambda"),  # lambda^(2-m) in the series start
+    ({"gamma": 1e-6, "A": 1.0001}, "gamma"),  # expm1 in the closed form of I
+])
+def test_overflowing_parameters_exit_2(extra, name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, grid_eta=16, grid_tau=4, **extra)))
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(tmp_path / "runs")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
+    assert f"{name} = " in proc.stderr
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -13,7 +13,7 @@ from fdelab.matching import (
     find_epsilon_bounds,
 )
 from fdelab.outer import OuterProfileSet, branch_variant
-from fdelab.params import make_params
+from fdelab.params import ModelParams, default_thresholds
 from numdiff import fd_derivative
 
 XI1 = 10.0  # the matching radius of the default config
@@ -44,7 +44,8 @@ def test_branch_variant_selection():
 def test_correction_rows_exist_exactly_under_the_psi4_label(gamma, profile_ref):
     # rows k = 3..2N exist iff 2N >= 3 iff gamma <= 1, the psi4 label, also
     # at the ulp neighbours of 1; the solver accepts only that label
-    out = OuterProfileSet(make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0))
+    p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
+    out = OuterProfileSet(p, default_thresholds(p))
     label = branch_variant(gamma)
     for sign in ("+", "-"):
         has_rows = any(c != 0.0 for c in out.correction_coeffs(sign).values())
@@ -232,8 +233,7 @@ def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign
     edge_value, _ = solver.outer_edge(sign, tau)
     target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
     want = numerics.find_root_monotone(
-        lambda C: solver.profile.phibar0(XI1 + C) - target,
-        -60.0, 380.0, tol=matching._ROOT_TOL,
+        lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0
     )
     assert solver.solve_matching(sign, eps, tau) == want
 

@@ -10,6 +10,8 @@ import scipy.optimize
 from fdelab import errors, numerics
 from numdiff import fd_derivative
 
+SPEC = numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)  # the shoot's tolerances
+
 
 def test_find_root_monotone_basic():
     r = numerics.find_root_monotone(lambda x: x * x - 2.0, 0.0, 1.0)
@@ -22,10 +24,10 @@ def test_find_root_monotone_expands_bracket():
     assert r == pytest.approx(1000.0, abs=1e-8)
 
 
-def test_find_root_monotone_no_bracket():
-    with pytest.raises(errors.NoBracket):
-        numerics.find_root_monotone(lambda x: 1.0 + x * x, 0.0, 1.0,
-                                    expand_budget=8)
+def test_find_root_monotone_no_bracket(monkeypatch):
+    monkeypatch.setattr(numerics, "_EXPAND_BUDGET", 8)
+    with pytest.raises(errors.NoBracket, match="after 8 expansions"):
+        numerics.find_root_monotone(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
 def test_find_root_monotone_nan_inside_bracket():
@@ -37,12 +39,12 @@ def test_find_root_monotone_nan_inside_bracket():
         numerics.find_root_monotone(g, 0.0, 1.0)
 
 
-def test_find_root_monotone_nonconvergent():
+def test_find_root_monotone_nonconvergent(monkeypatch):
     # a jump at 0, where the relative tolerance vanishes, and an absolute
     # tolerance that 100 halvings of the bracket do not reach
+    monkeypatch.setattr(numerics, "_ROOT_XTOL", 1e-300)
     with pytest.raises(errors.NonConvergent):
-        numerics.find_root_monotone(lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 2.0,
-                                    tol=1e-300)
+        numerics.find_root_monotone(lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 2.0)
 
 
 def _bracketed_cases(rng, count):
@@ -81,7 +83,7 @@ def _linear_jac(t, u, v):
 
 
 def test_solve_ode_exponential():
-    tab = numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0])
+    tab = numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], SPEC)
     ref = scipy.integrate.solve_ivp(
         lambda t, y: _linear(t, *y), (0.0, 5.0), [1.0, 0.0], method="Radau",
         jac=lambda t, y: np.reshape(_linear_jac(t, *y), (2, 2)),
@@ -95,12 +97,12 @@ def test_solve_ode_exponential():
     assert v == pytest.approx(math.exp(-5.0) - math.exp(-10.0), rel=1e-9)
 
 
-def test_solve_ode_blowup_guard():
+def test_solve_ode_blowup_guard(monkeypatch):
     # u = 1/(1 - t) blows up at t = 1
-    spec = numerics.OdeSpec(blowup_guard=1e6)
-    with pytest.raises(errors.BlowupGuardTripped):
+    monkeypatch.setattr(numerics, "_BLOWUP_GUARD", 1e6)
+    with pytest.raises(errors.BlowupGuardTripped, match="1e\\+06"):
         numerics.solve_ode(lambda t, u, v: (u * u, u), lambda t, u, v: (2.0 * u, 0.0, 1.0, 0.0),
-                           (0.0, 2.0), [1.0, 0.0], spec=spec)
+                           (0.0, 2.0), [1.0, 0.0], SPEC)
 
 
 def _decay(t, u, v):
@@ -135,9 +137,9 @@ def test_solve_ode_overflow_halves_the_step(where, times):
             overflow(t)
         return _decay_jac(t, u, v)
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0])
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
     assert len(overflowed) == times
-    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0])
+    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], SPEC)
     k = int(np.searchsorted(clean.ts, overflowed[0])) - 1  # the step that failed
     assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
     assert tab.h[k] <= 0.5 * clean.h[k]
@@ -153,14 +155,14 @@ def test_solve_ode_step_underflow():
         return _linear(t, u, v)
 
     with pytest.raises(errors.StepUnderflow):
-        numerics.solve_ode(rhs, _linear_jac, (0.0, 2.0), [1.0, 0.0])
+        numerics.solve_ode(rhs, _linear_jac, (0.0, 2.0), [1.0, 0.0], SPEC)
 
 
 def test_solve_ode_step_budget(monkeypatch):
     # the linear system takes 646 steps on [0, 5]
     monkeypatch.setattr(numerics, "_ODE_STEP_BUDGET", 10)
     with pytest.raises(errors.StepUnderflow, match="budget"):
-        numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0])
+        numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], SPEC)
 
 
 def test_fd_derivative_orders():

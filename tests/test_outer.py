@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from fdelab import errors
 from fdelab.outer import OuterProfileSet
-from fdelab.params import make_params
+from fdelab.params import ModelParams, default_thresholds
 from numdiff import fd_derivative
 from reference_routes import at_C10_zero, phi_correction
 
@@ -93,7 +93,8 @@ def _c2_quad(out):
 @pytest.fixture(scope="module", params=[0.5, 1.5, 3.0])
 def outer_gamma(request):
     """Outer profile set at gamma in {0.5, 1.5, 3} (N = 2, 1, 1)."""
-    return OuterProfileSet(make_params(3, 0.1, request.param, 2.0))
+    p = ModelParams(3, 0.1, request.param, 2.0)
+    return OuterProfileSet(p, default_thresholds(p))
 
 
 def test_quotient_constants_reference(p_ref):
@@ -278,7 +279,8 @@ def test_phi4_positive(outer_all):
 @pytest.mark.parametrize("gamma", [1.5, 3.0])
 def test_reference_tables_empty(gamma):
     # N = 1 for gamma > 1: no correction rows at all
-    out = OuterProfileSet(make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0))
+    p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
+    out = OuterProfileSet(p, default_thresholds(p))
     assert out.p.d.N == 1
     for each in (out, at_C10_zero(out)):
         for sign in ("+", "-"):
@@ -324,8 +326,8 @@ def test_low_gamma_row4_shared(outer_low):
 
 def test_gamma_03_table_shape():
     # N = 3 regime: rows k = 3..6 with log powers up to 3
-    p = make_params(3, 0.1, 0.3, 2.0)
-    out = OuterProfileSet(p)
+    p = ModelParams(3, 0.1, 0.3, 2.0)
+    out = OuterProfileSet(p, default_thresholds(p))
     assert out.p.d.N == 3
     table = out.correction_coeffs("+")
     assert set(table) == {

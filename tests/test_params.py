@@ -8,10 +8,10 @@ import pytest
 
 from fdelab import errors
 from fdelab.params import (
+    ModelParams,
     ThresholdConfig,
     default_thresholds,
     load_config,
-    make_params,
     params_to_dict,
 )
 
@@ -28,22 +28,41 @@ def test_reference_derived_constants(p_ref, d_ref):
 def test_branch_count_by_gamma(p_low, d_low):
     # N = floor((1 + 1/gamma)/2) + 1
     assert d_low.N == 2
-    p3 = make_params(3, 0.1, 0.3, 2.0)
+    p3 = ModelParams(3, 0.1, 0.3, 2.0)
     assert p3.d.N == 3
 
 
-def test_theta_defaults(d_ref):
-    p = make_params(3, 0.1, 1.5, 2.0)
-    assert p.theta1_minus == pytest.approx(d_ref.b1 - 1.0)
-    assert p.theta1_plus == pytest.approx(1.0)  # max(0, b1) + 1
+def test_theta_defaults():
+    # b1 = 0.5 > 0 at n = 10, m = 0.6, so theta1_plus = max(0, b1) + 1 = b1 + 1
+    p = ModelParams(10, 0.6, 1.5, 2.0)
+    assert p.d.b1 == pytest.approx(0.5) and p.d.b2 == pytest.approx(2.0)
+    assert p.theta1_minus == pytest.approx(-0.5)
+    assert p.theta1_plus == pytest.approx(1.5)
     assert p.theta2_minus == 0.0
-    assert p.theta2_plus == pytest.approx(d_ref.b2 + 1.0)
+    assert p.theta2_plus == pytest.approx(3.0)
 
 
 def test_theta_overrides_pass_through():
-    p = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-1.0, theta2_plus=2.0)
+    p = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-1.0, theta2_plus=2.0)
     assert p.theta1_minus == -1.0
     assert p.theta2_plus == 2.0
+
+
+def test_model_params_fill_default_weights():
+    # a weight left out takes a margin of 1 on its strict inequality, and
+    # every real field is stored as a float, so an int A hashes as 2.0
+    p = ModelParams(3, 0.1, 1.5, 2.0)
+    d = p.d
+    assert (p.theta1_minus, p.theta1_plus, p.theta2_minus, p.theta2_plus) == (
+        d.b1 - 1.0, max(0.0, d.b1) + 1.0, 0.0, d.b2 + 1.0
+    )
+    same = ModelParams(3, 0.1, 1.5, 2)
+    assert type(same.A) is float and same == p and hash(same) == hash(p)
+    # an explicit None is the margin too; a weight that breaks its
+    # inequality still raises
+    assert ModelParams(3, 0.1, 1.5, 2.0, theta2_plus=None) == p
+    with pytest.raises(errors.InvalidParameter, match="theta1_plus"):
+        ModelParams(3, 0.1, 1.5, 2.0, theta1_plus=0.0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -59,7 +78,7 @@ def test_theta_overrides_pass_through():
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(errors.InvalidParameter):
-        make_params(**bad)
+        ModelParams(**bad)
 
 
 def test_default_thresholds_shape(p_ref, cfg_ref):
@@ -68,7 +87,7 @@ def test_default_thresholds_shape(p_ref, cfg_ref):
     assert cfg_ref.xi0 == pytest.approx(1.0)
     assert cfg_ref.xi1 == pytest.approx(10.0)
     assert cfg_ref.tau_start >= 0.0
-    big = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
+    big = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
     cfg_big = default_thresholds(big)
     assert cfg_big.xi0 == pytest.approx(math.sqrt(2.0 * 30.0 / big.d.a0))
 

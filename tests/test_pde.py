@@ -34,7 +34,7 @@ def uniform_traj(p_ref, d_ref):
     a0 = d_ref.a0
     return solve_radial_fde(
         p_ref, xi_window=(-10.0, 30.0), n_cells=100,
-        delta_start=ds, delta_end=de,
+        delta_start=ds, delta_end=de, dtau=0.01,
         w0=lambda x: a0 * ds * np.ones_like(x),
         bc=lambda delta: (a0 * delta, a0 * delta),
     )
@@ -120,15 +120,15 @@ def test_solver_input_guards(p_ref):
     bc = lambda delta: (1.0, 1.0)
     with pytest.raises(errors.InvalidParameter):
         solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
-                         delta_start=1e-5, delta_end=1e-4,
+                         delta_start=1e-5, delta_end=1e-4, dtau=0.01,
                          w0=lambda x: np.ones_like(x), bc=bc)
     with pytest.raises(errors.InvalidParameter):
         solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
-                         delta_start=1e-4, delta_end=1e-5,
+                         delta_start=1e-4, delta_end=1e-5, dtau=0.01,
                          w0=lambda x: np.ones(3), bc=bc)
     with pytest.raises(errors.PositivityLost):
         solve_radial_fde(p_ref, xi_window=(-5.0, 5.0), n_cells=10,
-                         delta_start=1e-4, delta_end=1e-5,
+                         delta_start=1e-4, delta_end=1e-5, dtau=0.01,
                          w0=lambda x: -np.ones_like(x), bc=bc)
 
 
@@ -209,10 +209,11 @@ def test_extinction_rate_recovers_power_law():
     assert fit["decades"] == pytest.approx(6.0 / math.log(10.0), rel=1e-12)
 
 
-def test_extinction_rate_window_override():
+def test_extinction_rate_window_override(monkeypatch):
+    monkeypatch.setattr(pde, "_FIT_DECADES", 1.0)
     deltas = np.exp(-np.linspace(4.0, 10.0, 60))
     amps = 3.7 * deltas ** 2.5
-    fit = extinction_rate(deltas, amps, fit_decades=1.0)
+    fit = extinction_rate(deltas, amps)
     assert fit["n_points"] == 23
 
 
@@ -421,7 +422,7 @@ def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
 
     traj = solve_radial_fde(
         p_ref, xi_window=(-10.0, 30.0), n_cells=100,
-        delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
+        delta_start=ds, delta_end=de, dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
     )
     assert traj.step_rejections == 1
     assert np.all(np.isfinite(traj.W))
@@ -449,9 +450,39 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     with pytest.raises(errors.PositivityLost):
         solve_radial_fde(
             p_ref, xi_window=(-10.0, 30.0), n_cells=100,
-            delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x),
+            delta_start=ds, delta_end=de, dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
             bc=_bc_failing_at(a0, [], range(2, 10 ** 6)),
         )
+
+
+def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
+    """A source that is NaN at every delta makes the first step's residual
+    non-finite; a smaller step cannot repair that, so the run stops after
+    one attempt instead of halving the step 12 more times."""
+    ds, de = math.exp(-10.0), math.exp(-10.5)
+    a0 = d_ref.a0
+    sources, attempts = [], []
+    step_rows = pde._step_rows
+
+    def counted(*args):
+        attempts.append(args[2])
+        return step_rows(*args)
+
+    def nan_source(W, delta):
+        sources.append(delta)
+        return np.full_like(W, math.nan)
+
+    monkeypatch.setattr(pde, "_step_rows", counted)
+    with pytest.raises(errors.NonFinite, match="not finite"):
+        solve_radial_fde(
+            p_ref, xi_window=(-10.0, 30.0), n_cells=100, delta_start=ds, delta_end=de,
+            dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
+            bc=lambda delta: (a0 * delta, a0 * delta), source=nan_source,
+        )
+    # one attempt, at the warmup step 0.005: the source at the old delta
+    # and at the new one
+    assert attempts == [[ds * (1.0 - 0.005)]]
+    assert sources == [ds, ds * (1.0 - 0.005)]
 
 
 def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
@@ -474,7 +505,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
     with pytest.raises(errors.PositivityLost, match="end values"):
         solve_radial_fde(
             p_ref, xi_window=(-10.0, 30.0), n_cells=100,
-            delta_start=ds, delta_end=de, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
+            delta_start=ds, delta_end=de, dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
         )
     # one accepted step, then 13 rejections halve the warmup step 0.005
     # below 1e-6; only the accepted step reached Newton

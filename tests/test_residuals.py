@@ -9,7 +9,7 @@ import pytest
 from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier
 from fdelab.outer import OuterProfileSet, branch_variant
-from fdelab.params import make_params
+from fdelab.params import ModelParams, ThresholdConfig, default_thresholds
 from fdelab.residuals import (
     Region,
     ResidualReport,
@@ -72,9 +72,9 @@ def test_inner_outer_transform_identity(outer_ref):
 def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     # e^{-gamma tau} times the rescaled decomposition must equal raw L0 to
     # roundoff in the raw term sum, at every recurrence depth (N = 1, 2, 3)
-    p = make_params(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
+    p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
     assert branch_variant(gamma) == variant
-    out = OuterProfileSet(p)
+    out = OuterProfileSet(p, default_thresholds(p))
     d = p.d
     xi0b = math.sqrt((p.n - 1) / d.a0)
     for sign in ("+", "-"):
@@ -153,9 +153,9 @@ def test_inner_closed_form_domain(solver_ref):
 
 # -- verdict classification ---------------------------------------------------
 
-# no grid point of the verdict tests falls on the skipped corner xi1
-REGION = Region(kind="inner_glued", tau_lo=1.0, tau_hi=2.0, xi1=5.0, xi_lo=-5.0,
-                delta1=2.5)
+# on the config's band [-7, xi1 + delta1] = [-7, 30], no grid point of the
+# verdict tests falls on the skipped corner xi1 = 10
+REGION = Region(kind="inner_glued", tau_lo=1.0, tau_hi=2.0)
 
 
 def _grid(cfg, n_space, n_tau):
@@ -263,13 +263,20 @@ def test_report_to_dict_keys(p_ref, cfg_ref):
     ).operator == "L0"
 
 
-def test_region_defaults():
-    region = Region(kind="inner_glued", tau_lo=8.0, tau_hi=20.0)
-    assert region.xi_lo == -7.0
-    assert region.xi1 == 10.0
-    assert region.delta0 == 0.25
-    assert region.delta1 == 20.0
-    assert region.far_cut == 2e4
+def test_region_is_a_kind_and_a_tau_window(p_ref, cfg_ref):
+    # the band ends come from the config, or from the module constants
+    # where the config has none
+    assert [f.name for f in dataclasses.fields(Region)] == ["kind", "tau_lo", "tau_hi"]
+    assert (residuals._XI_LO, residuals._FAR_CUT) == (-7.0, 2e4)
+    cfg = dataclasses.replace(cfg_ref, xi0=0.5, xi1=4.0, delta0=0.125, delta1=2.0, grid_eta=9)
+    taus = np.array([10.0, 11.0])
+    near = _space_grid(Region("near_A", 10.0, 11.0), taus, cfg, p_ref.gamma)
+    assert near[:, 0].tolist() == [0.5 * math.exp(-1.5 * t) for t in taus]
+    assert np.all(near[:, -1] == 0.125)
+    far = _space_grid(Region("far_field", 10.0, 11.0), taus, cfg, p_ref.gamma)
+    assert far[0, 0] == 0.125 and far[0, -1] == pytest.approx(2e4, rel=1e-15)
+    inner = _space_grid(Region("inner_glued", 10.0, 11.0), taus, cfg, p_ref.gamma)
+    assert inner[0, 0] == -7.0 and inner[0, -1] == 6.0
 
 
 def test_region_grid_construction(p_ref, cfg_ref):
@@ -279,8 +286,7 @@ def test_region_grid_construction(p_ref, cfg_ref):
         seen.setdefault("grids", []).append(np.asarray(space))
         return np.ones_like(space), np.ones_like(space)
 
-    glued = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
-                   xi1=10.0, delta1=20.0, xi_lo=-7.0)
+    glued = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0)
     verify_sign_region(record, "+", glued, p_ref, _grid(cfg_ref, 101, 2))
     for grid in seen["grids"]:
         assert grid.min() >= -7.0
@@ -290,7 +296,8 @@ def test_region_grid_construction(p_ref, cfg_ref):
 
 def test_empty_near_a_band_rejected(p_ref, cfg_ref):
     # xi0 e^{-gamma tau} above delta0 leaves no band to sample
-    region = Region(kind="near_A", tau_lo=0.0, tau_hi=1.0, xi0=1.0, delta0=0.25)
+    region = Region(kind="near_A", tau_lo=0.0, tau_hi=1.0)
+    assert (cfg_ref.xi0, cfg_ref.delta0) == (1.0, 0.25)
     with pytest.raises(errors.InvalidParameter):
         verify_sign_region(_const_terms(1.0), "+", region, p_ref, cfg_ref)
 
@@ -302,7 +309,7 @@ def test_unknown_region_kind_rejected(p_ref, cfg_ref):
 
 
 def test_empty_band_is_empty_region(p_ref, cfg_ref):
-    region = Region(kind="near_A", tau_lo=-20.0, tau_hi=1.0, xi0=1.0, delta0=0.25)
+    region = Region(kind="near_A", tau_lo=-20.0, tau_hi=1.0)
     with pytest.raises(errors.EmptyRegion, match="tau=-20.0"):
         verify_sign_region(_const_terms(1.0), "+", region, p_ref, cfg_ref)
     assert issubclass(errors.EmptyRegion, errors.InvalidParameter)
@@ -316,10 +323,10 @@ def test_grid_without_points_rejected(p_ref, n_space, n_tau, cfg_ref):
                            _grid(cfg_ref, n_space, n_tau))
 
 
-def test_corner_masked_row_without_points_rejected(p_ref, cfg_ref):
+def test_corner_masked_row_without_points_rejected(p_ref, cfg_ref, monkeypatch):
     # one sample, and it sits on the corner xi1 that inner_glued skips
-    region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0,
-                    xi1=10.0, delta1=20.0, xi_lo=10.0)
+    monkeypatch.setattr(residuals, "_XI_LO", cfg_ref.xi1)
+    region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0)
     with pytest.raises(errors.EmptyRegion):
         verify_sign_region(_const_terms(1.0), "+", region, p_ref, _grid(cfg_ref, 1, 4))
 
@@ -334,24 +341,25 @@ def test_terms_fn_of_wrong_shape_rejected(p_ref, cfg_ref):
 
 # -- batched sweep against the per-tau loop -----------------------------------
 
-def _space_row(region, tau, n_space, gamma):
+def _space_row(region, cfg, tau, gamma):
     """One tau row of the sampling grid, built on its own."""
+    n_space = cfg.grid_eta
     if region.kind == "near_A":
-        return np.geomspace(region.xi0 * math.exp(-gamma * tau), region.delta0, n_space)
+        return np.geomspace(cfg.xi0 * math.exp(-gamma * tau), cfg.delta0, n_space)
     if region.kind == "far_field":
-        return np.geomspace(region.delta0, region.far_cut, n_space)
-    grid = np.linspace(region.xi_lo, region.xi1 + region.delta1, n_space)
-    return grid[np.abs(grid - region.xi1) > 1e-9]
+        return np.geomspace(cfg.delta0, residuals._FAR_CUT, n_space)
+    grid = np.linspace(residuals._XI_LO, cfg.xi1 + cfg.delta1, n_space)
+    return grid[np.abs(grid - cfg.xi1) > 1e-9]
 
 
-def _verify_per_tau(operator, terms_fn, want, region, p, n_space, n_tau,
+def _verify_per_tau(operator, terms_fn, want, region, p, cfg,
                     atol_factor=1e-9, inconclusive_frac=1e-3):
     """Reference sweep: one terms_fn call per tau row with a scalar tau."""
     report = ResidualReport(operator=operator, region=region, want=want)
-    taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
+    taus = np.linspace(region.tau_lo, region.tau_hi, cfg.grid_tau)
     worst = None
     for tau in taus:
-        space = _space_row(region, float(tau), n_space, p.gamma)
+        space = _space_row(region, cfg, float(tau), p.gamma)
         res, scale = terms_fn(space, float(tau))
         res = np.atleast_1d(np.asarray(res, dtype=float))
         atol = atol_factor * np.atleast_1d(np.asarray(scale, dtype=float))
@@ -378,12 +386,13 @@ def _verify_per_tau(operator, terms_fn, want, region, p, n_space, n_tau,
 @pytest.mark.parametrize("gamma,tau_lo,n_space", [(1.5, 10.0, 200), (0.5, 11.15, 100),
                                                   (0.3, 3.0, 37)])
 def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
-    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0,
-                    delta0=0.25 if gamma > 1.0 else 4.0)
+    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0)
+    cfg = ThresholdConfig(eta0=3.0, xi0=2.0, xi1=10.0, tau_start=tau_lo,
+                          delta0=0.25 if gamma > 1.0 else 4.0, grid_eta=n_space)
     taus = np.linspace(region.tau_lo, region.tau_hi, 40)
-    grid = _space_grid(region, taus, n_space, gamma)
+    grid = _space_grid(region, taus, cfg, gamma)
     for tau, row in zip(taus, grid):
-        assert np.array_equal(row, _space_row(region, float(tau), n_space, gamma))
+        assert np.array_equal(row, _space_row(region, cfg, float(tau), gamma))
 
 
 @pytest.mark.parametrize("setup", ["ref", "low"])
@@ -393,13 +402,14 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     # psi3 on ref; psi4 on low carries the correction rows k = 3, 4
     outer = request.getfixturevalue(f"outer_{setup}")
     tau_lo = outer.cfg.tau_start
-    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0, xi0=2.0)
+    region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0)
+    cfg = dataclasses.replace(_grid(outer.cfg, 120, 12), xi0=2.0)
 
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
-    got = verify_sign_region(ev, sign, region, outer.p, _grid(outer.cfg, 120, 12))
-    want = _verify_per_tau("L0", ev, sign, region, outer.p, 120, 12)
+    got = verify_sign_region(ev, sign, region, outer.p, cfg)
+    want = _verify_per_tau("L0", ev, sign, region, outer.p, cfg)
     assert got == want
 
 
@@ -408,15 +418,15 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
     bar = GluedBarrier(solver_ref, sign, 0.01)
     p = bar.outer.p
     ev = l1_terms_evaluator(bar)
-    region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0, xi1=10.0,
-                    delta1=20.0)
+    region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0)
+    cfg = _grid(bar.outer.cfg, 81, 5)
 
     def one_tau(xi, tau):
         res, scale = ev(xi[None, :], np.array([[tau]]))
         return res[0], scale[0]
 
-    got = verify_sign_region(ev, sign, region, p, _grid(bar.outer.cfg, 81, 5))
-    want = _verify_per_tau("L1", one_tau, sign, region, p, 81, 5)
+    got = verify_sign_region(ev, sign, region, p, cfg)
+    want = _verify_per_tau("L1", one_tau, sign, region, p, cfg)
     assert got == want
 
 
@@ -491,8 +501,8 @@ def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
 
 def test_xi0_lower_bound_respected():
     # strong theta1 forces the corner margin out to sqrt((n-1)|theta1|/a0)
-    p = make_params(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
-    out = OuterProfileSet(p)
+    p = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
+    out = OuterProfileSet(p, default_thresholds(p))
     bound = math.sqrt((p.n - 1) * 30.0 / p.d.a0)
     th = find_thresholds(out, "-", regions=("near_A",))
     assert th["xi0"] >= bound

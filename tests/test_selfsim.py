@@ -126,8 +126,8 @@ def test_save_profile_deterministic(profile_ref, tmp_path):
 
 def test_save_profile_creates_missing_directory(profile_ref, tmp_path):
     path = tmp_path / "fresh" / "selfsim.csv"
-    save_profile(profile_ref, path, n_points=11)
-    save_profile(profile_ref, tmp_path / "selfsim.csv", n_points=11)
+    save_profile(profile_ref, path)
+    save_profile(profile_ref, tmp_path / "selfsim.csv")
     assert path.read_bytes() == (tmp_path / "selfsim.csv").read_bytes()
 
 
@@ -141,7 +141,8 @@ def test_step_table_matches_scipy_radau_dense_output():
     def jac(t, u, v):
         return -1.0, 0.0, 0.0, -2.0 * v
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0])
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0],
+                             numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12))
     ref = scipy.integrate.solve_ivp(
         lambda t, y: rhs(t, *y), (0.0, 20.0), [1.0, 1.0], method="Radau",
         jac=lambda t, y: np.reshape(jac(t, *y), (2, 2)), rtol=1e-10, atol=1e-12,
