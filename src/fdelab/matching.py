@@ -11,9 +11,15 @@ so the glued profile
 
 is continuous at xi1.  The matching radius xi1 is the config's
 (outer.cfg.xi1), read once by MatchingSolver; the glued barriers and the
-epsilon search take it from their solver.  The corner verdict compares
-one-sided slopes there; epsilon bounds are the largest weights keeping the
-corner verdicts (eps1) and the strict ordering psi+ > psi- > 0 (eps2).
+epsilon search take it from their solver.  C is read from the profile's
+step table (SelfSimilarProfile.inverse of the target), so it depends on the
+target alone, and C'(tau) is closed-form by implicit differentiation:
+phibar0'(xi1 + C) C' = (1 +/- eps) w_tau(xi1+), the tau-derivative of the
+outer side at fixed xi.  A matching edge gap xi1 e^{-gamma tau} that
+underflows to 0 raises OutOfDomain naming gamma*tau.  The corner verdict
+compares one-sided slopes there; epsilon bounds are the largest weights
+keeping the corner verdicts (eps1) and the strict ordering
+psi+ > psi- > 0 (eps2).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, numerics
+from . import errors
 from .outer import OuterProfileSet, branch_variant
 from .params import theta
 from .selfsim import SelfSimilarProfile
@@ -36,6 +42,13 @@ __all__ = [
 ]
 
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
+
+
+def _outer_w_tau(gamma: float, tau: float, xi, psi, dpsi, dtau_psi):
+    """d/dtau of the outer side w = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)
+    at fixed xi, from psi, psi_eta and psi_tau at the gap xi e^{-gamma tau}."""
+    egt = math.exp(gamma * tau)
+    return gamma * egt * psi - gamma * xi * dpsi + egt * dtau_psi
 
 
 class MatchingSolver:
@@ -59,15 +72,27 @@ class MatchingSolver:
         self.xi1 = outer_set.cfg.xi1
         self._memo: dict = {}
 
+    def _edge_gap(self, tau: float) -> float:
+        """The matching edge gap xi1 e^{-gamma tau}; OutOfDomain once it
+        underflows to 0."""
+        gamma = self.outer.p.gamma
+        gap = self.xi1 * math.exp(-gamma * tau)
+        if gap == 0.0:
+            raise errors.OutOfDomain(
+                f"matching edge gap xi1 e^(-gamma tau) underflows to 0 at "
+                f"gamma tau = {gamma * tau:.6g}"
+            )
+        return gap
+
     def outer_edge(self, sign: str, tau: float):
         """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
         gamma = self.outer.p.gamma
-        gap = self.xi1 * math.exp(-gamma * tau)
-        psi, dpsi, _, _ = self.outer.psi_bundle(sign, tau, gap=np.asarray(gap))
+        psi, dpsi, _, _ = self.outer.psi_bundle(sign, tau, gap=np.asarray(self._edge_gap(tau)))
         return float(np.exp(gamma * tau) * psi), float(dpsi)
 
     def solve_matching(self, sign: str, eps: float, tau: float) -> float:
-        """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value."""
+        """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
+        read from the profile's inverse."""
         if sign not in _SIGN_FACTOR:
             raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
         if not (0.0 <= eps < 0.25):
@@ -75,28 +100,29 @@ class MatchingSolver:
         key = (sign, round(float(eps), 15), round(float(tau) * 1e12))
         if key in self._memo:
             return self._memo[key]
-        gamma, xi1 = self.outer.p.gamma, self.xi1
-        psi = self.outer.psi_outer(sign, tau=tau, gap=np.asarray(xi1 * math.exp(-gamma * tau)))
+        gamma = self.outer.p.gamma
+        psi = self.outer.psi_outer(sign, tau=tau, gap=np.asarray(self._edge_gap(tau)))
         target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(np.exp(gamma * tau) * psi)
         if not np.isfinite(target) or target <= 0.0:
             raise errors.TargetBelowRange(
                 f"matching target {target} not positive at tau={tau} "
                 f"(outer profile not yet positive near A; increase tau)"
             )
-
-        def g(C):
-            return self.profile.phibar0(xi1 + C) - target
-
-        C = numerics.find_root_monotone(g, -60.0, 380.0)
+        C = self.profile.inverse(target) - self.xi1
         self._memo[key] = C
         return C
 
     def C_prime(self, sign: str, eps: float, tau: float) -> float:
-        """dC/dtau by a central difference of step 1e-4."""
-        h = 1e-4
-        cp = self.solve_matching(sign, eps, tau + h)
-        cm = self.solve_matching(sign, eps, tau - h)
-        return (cp - cm) / (2.0 * h)
+        """dC/dtau = (1 +/- eps) w_tau(xi1+) / phibar0'(xi1 + C), the
+        implicit derivative of the matching equation; w_tau is the outer
+        side's tau-derivative at fixed xi (GluedBarrier.bundle's)."""
+        C = self.solve_matching(sign, eps, tau)
+        psi, dpsi, _, dtau_psi = self.outer.psi_bundle(
+            sign, tau, gap=np.asarray(self._edge_gap(tau))
+        )
+        wt = _outer_w_tau(self.outer.p.gamma, tau, self.xi1, psi, dpsi, dtau_psi)
+        factor = 1.0 + _SIGN_FACTOR[sign] * eps
+        return float(factor * wt / self.profile.phibar0(self.xi1 + C, deriv=1))
 
     # -- quantitative matching limits ---------------------------------------
 
@@ -237,7 +263,7 @@ class GluedBarrier:
             w[~left] = egt * psi
             wx[~left] = dpsi
             wxx[~left] = math.exp(-gamma * tau) * d2psi
-            wt[~left] = gamma * egt * psi - gamma * right * dpsi + egt * dtau_psi
+            wt[~left] = _outer_w_tau(gamma, tau, right, psi, dpsi, dtau_psi)
         return w, wx, wxx, wt
 
     def continuity_mismatch(self, tau: float) -> float:

@@ -14,14 +14,19 @@ uniform xi grid with central second-order differences; steps are implicit
 (theta = 1/2 after a short backward-Euler warmup that damps the stiff
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
-The Jacobian bands are built from the residual's difference stencil only
-for iterates that take a Newton solve.  Each Newton system goes straight
-to LAPACK gtsv (Gaussian elimination with partial pivoting on the three
-diagonals); a singular matrix counts as a diverged Newton step, which
-halves the time step.  scipy.linalg is imported on the first solve, so a
-process that never steps the PDE does not load it.  A Newton residual
-that is not finite stops the run at once with NonFinite, without halving
-the step.
+Newton starts from the geometric predictor W_n (W_n / W_{n-1})^r,
+r = log(delta_new / delta_n) / log(delta_n / delta_{n-1}), of the last two
+frames.  A run's first step starts cold from W_n, and so does the retry
+of a step whose predicted start was rejected; only a rejected cold start
+halves the time step.  The Jacobian bands are built from the residual's
+difference stencil only for iterates that take a Newton solve.  Each
+Newton system covers the interior points, so the Dirichlet ends keep
+their values exactly, and goes straight to LAPACK gtsv (Gaussian
+elimination with partial pivoting on the three diagonals); a singular
+matrix counts as a diverged Newton step.  scipy.linalg is imported on the
+first solve, so a process that never steps the PDE does not load it.  A
+Newton residual that is not finite stops the run at once with NonFinite,
+without halving the step.
 
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
@@ -35,7 +40,9 @@ beside others.  Frames go into per-row buffers that grow as they fill.  A
 row that fails records its error and stops alone; comparison_sandwich
 solves its manufactured calibration run and its lower, upper and mid runs
 as four rows and raises their errors in that order, with
-NotBetweenBarriers after the calibration's.
+NotBetweenBarriers after the calibration's.  The barrier rows share each
+barrier's end values at its last few deltas, so a row that falls a round
+behind another still reads values the other evaluated.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ class Trajectory:
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
     step_rejections: int = 0  # rejected step attempts, each halving the step
+    cold_retries: int = 0  # predicted starts rejected and retried from the last frame
 
     def amplitude(self) -> np.ndarray:
         """sup_xi W^{1/(1-m)} per frame (the weighted amplitude observable)."""
@@ -148,6 +156,9 @@ def _tridiagonal_solve(dl, d, du, b):
     """
     from scipy.linalg.lapack import dgtsv
 
+    if len(d) == 1:  # the wrapper wants bands of at least one entry
+        dl, du = np.zeros(1), np.zeros(1)
+
     _, _, _, x, info = dgtsv(
         dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
     )
@@ -163,21 +174,24 @@ def _column(values) -> np.ndarray:
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
-def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources):
+def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start):
     """One theta-weighted implicit step for every row of W_old.
 
     Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
     Dirichlet values ends[i] = (W_lo, W_hi) at delta_new[i] and the optional
-    extra right-hand side sources[i].  Every per-row scalar (step, drift
-    speed, tolerance, damping) is a Python float computed as for a lone
-    run.  The array stages (residual, Jacobian bands, trial iterate) run on
-    the whole array and each update writes only the rows it selects: a row
-    that is not being tried keeps its positive iterate (damping 0, zero
-    step), a trial row that is not positive falls back to its iterate
-    before the residual, and a row's source is called only when that row
-    is tried.  The Newton systems go one row at a time to gtsv, so a row's
-    bits do not depend on the other rows.  A row whose residual is not
-    finite stops with NonFinite before its next solve.  Returns per row
+    extra right-hand side sources[i].  Its Newton iteration starts from the
+    positive row start[i] with the Dirichlet values put at its ends, and
+    each Newton system covers the interior points only, so the ends keep
+    those values exactly.  Every per-row scalar (step, drift speed,
+    tolerance, damping) is a Python float computed as for a lone run.  The
+    array stages (residual, Jacobian bands, trial iterate) run on the whole
+    array and each update writes only the rows it selects: a row that is
+    not being tried keeps its positive iterate (damping 0, zero step), a
+    trial row that is not positive falls back to its iterate before the
+    residual, and a row's source is called only when that row is tried.
+    The Newton systems go one row at a time to gtsv, so a row's bits do
+    not depend on the other rows.  A row whose residual is not finite
+    stops with NonFinite before its next solve.  Returns per row
     (W_new, iterations), or the NewtonDiverged, PositivityLost or
     NonFinite that rejected its step.
     """
@@ -219,7 +233,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources):
         G[:, 1:-1] = X[:, 1:-1] - W_old_in - dt_col * (theta_col * F_new + F_old_part)
         return G, D1, D2
 
-    X = W_old.copy()
+    X = np.array(start, dtype=float)
     X[:, 0], X[:, -1] = lo, hi
     G, D1, D2 = residual(X, [True] * k)
     G_norm = np.abs(G).max(axis=1).tolist()
@@ -246,18 +260,16 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources):
                 lam[i] = 1.0
         if not any(lam):
             return out
-        # tridiagonal Jacobian of G: I - dt*theta*J_F on interior, identity at ends
+        # the Newton system I - dt*theta*J_F on the interior points; the
+        # ends keep their Dirichlet values, so their step is exactly 0
         dm, d0, dp = _jac_bands(X[:, 1:-1], D1, D2, dxi, sigma_new, p)
-        dl = np.zeros((k, M - 1))
-        dl[:, :-1] = jac_neg * dm
-        diag = np.ones((k, M))
-        diag[:, 1:-1] = 1.0 - jac_pos * d0
-        du = np.zeros((k, M - 1))
-        du[:, 1:] = jac_neg * dp
+        dl = jac_neg * dm[:, 1:]
+        diag = 1.0 - jac_pos * d0
+        du = jac_neg * dp[:, :-1]
         for i in range(k):
             if lam[i]:
                 try:
-                    step[i] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i])
+                    step[i, 1:-1] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i, 1:-1])
                 except errors.NewtonDiverged as exc:
                     out[i], lam[i] = exc, 0.0
 
@@ -318,14 +330,28 @@ def _step_plan(step_idx, delta, delta_end, dtau):
     return min(frac, 1.0 - delta_end / delta), theta
 
 
+def _predicted(W, W_prev, delta, delta_prev, delta_new):
+    """The geometric predictor W (W / W_prev)^r of the row at delta_new,
+    r = log(delta_new / delta) / log(delta / delta_prev), or W itself where
+    that is not finite and positive."""
+    r = math.log(delta_new / delta) / math.log(delta / delta_prev)
+    with np.errstate(over="ignore"):
+        guess = W * (W / W_prev) ** r
+    return guess if np.all((guess > 0.0) & (guess < math.inf)) else W
+
+
 def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     """Step every run from delta_start down to delta_end as one row of a
     shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
 
     Each round, every unfinished row tries one step from its own delta.
-    A row whose step is rejected halves its own step and retries in the
-    next round while the other rows go on; it stops with the rejection
+    Newton starts from the geometric predictor of the row's last two
+    frames; the row's first step, and the retry after a predicted start
+    is rejected, start cold from the last frame.  A row whose cold step is
+    rejected halves its own step and retries in the next round while the
+    other rows go on; so does a row whose end values are not finite and
+    positive, since no start changes those.  It stops with the rejection
     once the step falls below 1e-6 of delta, with StepUnderflow once the
     step budget is spent, with any FdelabError its bc raises, or at once
     with a NonFinite step result.  Frames go straight into one buffer per
@@ -351,8 +377,9 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     deltas = [[delta_start] for _ in range(R)]
     delta_new, ends = [0.0] * R, [None] * R
     attempt = [None] * R  # None: the row starts a new step
+    cold = [True] * R  # the row's next attempt starts from its last frame
     theta = [0.0] * R
-    iters_max, iters, rejections = [0] * R, [0] * R, [0] * R
+    iters_max, iters, rejections, retries = [0] * R, [0] * R, [0] * R, [0] * R
     live = [i for i in range(R) if out[i] is None]
     while True:
         for i in live:
@@ -362,7 +389,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
                     out[i] = Trajectory(
                         p=p, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
                         newton_iters_max=iters_max[i], newton_iters=iters[i],
-                        step_rejections=rejections[i],
+                        step_rejections=rejections[i], cold_retries=retries[i],
                     )
                     continue
                 attempt[i], theta[i] = _step_plan(n - 1, delta, delta_end, dtau)
@@ -383,24 +410,38 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             for i in live
             if not all(0.0 < e < math.inf for e in ends[i])
         }
+        bad_ends = set(results)
         stepped = [i for i in live if i not in results]
         if stepped:
+            # copies, so no view keeps a frame buffer alive once it grows
+            last = np.stack([frames[i][len(deltas[i]) - 1] for i in stepped])
+            start = np.stack([
+                W if cold[i] else _predicted(
+                    W, frames[i][len(deltas[i]) - 2], deltas[i][-1], deltas[i][-2],
+                    delta_new[i],
+                )
+                for i, W in zip(stepped, last)
+            ])
             results.update(zip(stepped, _step_rows(
-                np.stack([frames[i][len(deltas[i]) - 1] for i in stepped]),
-                [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
+                last, [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
                 [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
-                [runs[i].source for i in stepped],
+                [runs[i].source for i in stepped], start,
             )))
         for i in live:
             res = results[i]
             if isinstance(res, errors.FdelabError):
+                if not (cold[i] or i in bad_ends or isinstance(res, errors.NonFinite)):
+                    cold[i] = True  # the same step again, from the last frame
+                    retries[i] += 1
+                    continue
                 rejections[i] += 1
                 attempt[i] *= 0.5
+                cold[i] = len(deltas[i]) == 1
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
             W_new, its = res
-            attempt[i] = None
+            attempt[i], cold[i] = None, False
             iters_max[i] = max(iters_max[i], its)
             iters[i] += its
             n = len(deltas[i])  # the new frame's index
@@ -442,9 +483,11 @@ def solve_radial_fde(
     values, source(W, delta) an optional extra right-hand side on the grid.
     The first four steps use backward Euler at half the step to damp the
     non-equilibrium transient; afterwards the scheme is trapezoidal.
-    Newton failures (no convergence in 12 iterations) and positivity
-    failures reject and halve the step before giving up; so does an end
-    value that is not finite and > 0, before any Newton iteration.  A
+    Newton starts from the predictor of the last two frames.  Newton
+    failures (no convergence in 12 iterations) and positivity failures of
+    a predicted start retry the step cold from the last frame; those of a
+    cold start halve the step before giving up, and so does an end value
+    that is not finite and > 0, before any Newton iteration.  A
     Newton residual that is not finite raises NonFinite at once.
     n_cells < 2 or a dtau that is not a finite step > 0 raises
     InvalidParameter before the grid is built.  This is the one-row case
@@ -557,26 +600,32 @@ def _barrier_W(bar: GluedBarrier, xi: np.ndarray, delta: float, p: ModelParams):
     return delta ** (1.0 + p.gamma) * bar.wbar(xi, tau)
 
 
+_END_CACHE = 4  # deltas whose barrier end values the sandwich rows share
+
+
 def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, delta_start: float) -> dict:
     """The lower, upper and mid runs as rows: data and Dirichlet values on
     the lower barrier, on the upper barrier, and on their pointwise
     geometric mean.
 
-    The bc closures share each barrier's last end values, so rows that ask
-    for the same barrier at the same delta in one round (upper and mid
-    always, lower until its first rejection) evaluate it once.
+    The bc closures share each barrier's end values at its last
+    _END_CACHE deltas, so rows that ask for the same barrier at the same
+    delta evaluate it once, also when one row has fallen a few rounds
+    behind another after a retry or a rejection.
     """
     p = plus.outer.p
     Wp0 = _barrier_W(plus, xi, delta_start, p)
     Wm0 = _barrier_W(minus, xi, delta_start, p)
     ends = xi[[0, -1]]
-    last = {}
+    seen = {plus.sign: {}, minus.sign: {}}  # delta -> end values, oldest first
 
     def ends_at(bar, delta):
-        hit = last.get(bar.sign)
-        if hit is None or hit[0] != delta:
-            hit = last[bar.sign] = (delta, _barrier_W(bar, ends, delta, p))
-        return hit[1]
+        cache = seen[bar.sign]
+        if delta not in cache:
+            if len(cache) == _END_CACHE:
+                del cache[next(iter(cache))]
+            cache[delta] = _barrier_W(bar, ends, delta, p)
+        return cache[delta]
 
     def bc_mid(delta):
         wp = ends_at(plus, delta)

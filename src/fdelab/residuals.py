@@ -49,8 +49,8 @@ def l1_terms_evaluator(barrier: GluedBarrier):
     a terms_fn for verify_sign_region.
 
     It takes xi of shape (n_tau, n_space) and the (n_tau, 1) tau column and
-    evaluates one barrier.bundle call per row, since C(tau) is a root find
-    at one tau.
+    evaluates one barrier.bundle call per row, since C(tau) and C'(tau)
+    are taken at one tau.
     """
     p = barrier.outer.p
     d, g = p.d, p.gamma

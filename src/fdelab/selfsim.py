@@ -16,6 +16,12 @@ Evaluation reads the step table of that solution: step i on
 x = (s - ts[i]) / h[i], the state at ts[i] plus the step's collocation
 polynomial.  A point costs one sorted search and one Horner sum.
 
+The inverse reads the same table: log phibar0 = 2s + c Z(s) increases, so
+a bisection of its values at the breakpoints locates the step, and a
+safeguarded Newton iteration solves that step's cubic.  Below the table
+the core law inverts in closed form; above it the fitted tail is solved
+by a bracketed root search.
+
 Far field: phibar0(s) = (a0/(gamma*A)) s + c_log log s + K1 + o(1) with
 c_log = -(n-1) b2 / (gamma*A); the fitted (slope, c_log, K1) triple is the
 quantitative form used by the verification checks.
@@ -60,7 +66,8 @@ class SelfSimilarProfile:
       s > s_max          : fitted tail slope*s + c_log*log(s) + K1
 
     A float s in [s_min, s_max] with deriv=0 takes the same table through
-    Python floats (bisect and Horner), which is what root finders call.
+    Python floats (bisect and Horner).  inverse(y) is the s with
+    phibar0(s) = y on the same branches.
     """
 
     def __init__(self, p: ModelParams, table: numerics.StepTable, s_min: float, s_max: float):
@@ -71,6 +78,8 @@ class SelfSimilarProfile:
         self._h = table.h.tolist()
         self._zrows = table.coef[:, 0, ::-1].tolist()
         self._c = (1.0 - p.m) / p.m
+        # log phibar0 at the breakpoints, each from the step it belongs to
+        self._logs = (2.0 * table.ts + self._c * table(table.ts)[0]).tolist()
         self.s_min = float(s_min)
         self.s_max = float(s_max)
         self.slope_limit = p.d.a0 / (p.gamma * p.A)
@@ -157,6 +166,64 @@ class SelfSimilarProfile:
                 raise errors.InvalidParameter(f"deriv must be 0..2, got {deriv}")
         return float(out[0]) if scalar else out
 
+    def inverse(self, y: float) -> float:
+        """The s with phibar0(s) = y, for a finite y > 0.
+
+        Below the table the core law gives s in closed form.  In the table
+        a bisection of the breakpoint log-values picks the step, and Newton
+        on 2s + c Z(s) = log y, kept inside the step, solves its cubic.
+        Above the table the tail formula is solved by find_root_monotone;
+        a y in the small jump between the table's end value and the tail's
+        value at s_max maps to s_max.
+        """
+        if not 0.0 < y < math.inf:
+            raise errors.NonPositiveInput(f"phibar0 takes only finite values > 0, not {y}")
+        L = math.log(y)
+        logs = self._logs
+        if L < logs[0]:
+            return 0.5 * (L - (1.0 - self.p.m) * math.log(self.p.lam))
+        if L <= logs[-1]:
+            i = min(max(bisect_left(logs, L) - 1, 0), len(self._h) - 1)
+            return self._solve_step(i, L)
+        f = self.fit
+
+        def g(s):
+            return f.slope * s + f.c_log * math.log(s) + f.K1 - y
+
+        if g(self.s_max) >= 0.0:
+            return self.s_max
+        return numerics.find_root_monotone(g, self.s_max, 2.0 * self.s_max)
+
+    def _solve_step(self, i: int, L: float) -> float:
+        """The s in step i where 2s + c Z(s) = L: Newton from the linear
+        interpolation of the breakpoint log-values, bisecting whenever a
+        Newton step would leave the bracket that the signs keep."""
+        t0, h, zrow, c = self._ts[i], self._h[i], self._zrows[i], self._c
+        lo, hi = t0, self._ts[i + 1]
+        L0, L1 = self._logs[i], self._logs[i + 1]
+        s = t0 + h * min(max((L - L0) / (L1 - L0), 0.0), 1.0)
+        for _ in range(_INVERSE_ITERS):
+            x = (s - t0) / h
+            Z = dZ = 0.0
+            for coef in zrow:
+                dZ = dZ * x + Z
+                Z = Z * x + coef
+            F = 2.0 * s + c * Z - L
+            if F == 0.0:
+                return s
+            if F < 0.0:
+                lo = s
+            else:
+                hi = s
+            step = F / (2.0 + c * dZ / h)
+            s_new = s - step
+            if not lo < s_new < hi:
+                s_new = 0.5 * (lo + hi)
+            if abs(s_new - s) <= 4.0 * math.ulp(s):
+                return s_new
+            s = s_new
+        return s
+
     def stationary_residual(self, s):
         """Residual of the stationary inner equation at s (should be ~0)."""
         s = np.asarray(s, dtype=float)
@@ -167,6 +234,9 @@ class SelfSimilarProfile:
             raise errors.NonPositiveProfile("phibar0 <= 0 in residual evaluation")
         p = self.p
         return radial_diffusion(p, v, v1, v2) - (p.d.a0 - p.gamma * p.A * v1)
+
+
+_INVERSE_ITERS = 60  # rounds of the step inverse; bisection alone closes a step in 60
 
 
 def _p_equation(p: ModelParams):

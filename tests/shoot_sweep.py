@@ -1,7 +1,11 @@
 """Deterministic parameter sweep of the inner-profile shoot.
 
 Every case passes validate_params, so the shoot must either return a
-profile or raise an FdelabError.  Run the whole sweep (81 cases) with
+profile or raise an FdelabError.  Each profile also round-trips its
+inverse: phibar0(inverse(y)) against y on the core, the step table and the
+tail, in units of the resolution of phibar0 (ulp(2s) relative on the core
+and the table; the tail is solved to xtol 1e-10 in s, so it is reported
+as a relative error).  Run the whole sweep (81 cases) with
 
     PYTHONPATH=src python tests/shoot_sweep.py
 
@@ -9,9 +13,12 @@ tests/test_selfsim.py runs a subset of it.
 """
 
 import itertools
+import math
 import sys
 import time
 import warnings
+
+import numpy as np
 
 from fdelab import errors
 from fdelab.params import ModelParams
@@ -39,17 +46,44 @@ def shoot_or_error(p):
             return exc
 
 
+def inverse_round_trip(prof) -> tuple[float, float]:
+    """Worst |phibar0(inverse(y)) / y - 1| over core and table points in
+    units of ulp(2s), and over tail points as a relative error."""
+    rng = np.random.default_rng(0)
+    inner = np.concatenate([
+        rng.uniform(prof.s_min - 10.0, prof.s_min, 50),
+        rng.uniform(prof.s_min, prof.s_max, 500),
+        prof._table.ts[1:-1],
+    ])
+    worst_inner = worst_tail = 0.0
+    for s in inner.tolist():
+        y = prof.phibar0(s)
+        rel = abs(prof.phibar0(prof.inverse(y)) / y - 1.0)
+        worst_inner = max(worst_inner, rel / math.ulp(2.0 * max(abs(s), 1.0)))
+    for s in (prof.s_max + 1.0, 2.0 * prof.s_max, 1e4):
+        y = prof.phibar0(s)
+        worst_tail = max(worst_tail, abs(prof.phibar0(prof.inverse(y)) / y - 1.0))
+    return worst_inner, worst_tail
+
+
 def main() -> int:
     start = time.perf_counter()
     cases = list(sweep_params())
+    worst = [0.0, 0.0]
     for p in cases:
         t0 = time.perf_counter()
         res = shoot_or_error(p)
         took = time.perf_counter() - t0
-        what = (f"{type(res).__name__}: {res}" if isinstance(res, errors.FdelabError)
-                else f"{len(res._table.h)} steps, K1 {res.fit.K1:.10g}")
+        if isinstance(res, errors.FdelabError):
+            what = f"{type(res).__name__}: {res}"
+        else:
+            inner, tail = inverse_round_trip(res)
+            worst = [max(worst[0], inner), max(worst[1], tail)]
+            what = (f"{len(res._table.h)} steps, K1 {res.fit.K1:.10g}, inverse "
+                    f"{inner:.2f} ulp(2s), tail {tail:.1e}")
         print(f"n={p.n} m={p.m:.4f} gamma={p.gamma:g} A={p.A:g}: {what} ({took:.3f} s)")
-    print(f"{len(cases)} cases in {time.perf_counter() - start:.1f} s")
+    print(f"{len(cases)} cases in {time.perf_counter() - start:.1f} s; inverse round trip "
+          f"at most {worst[0]:.2f} ulp(2s) on core and table, {worst[1]:.1e} on the tail")
     return 0
 
 

@@ -135,8 +135,8 @@ def _run_cli(args):
     # the ladder doubles tau_start to 800, where xi0 e^(-gamma tau) is 0:
     # those rungs are infeasible and the verify report is written
     ({"tau_start": 100.0}, 1),
-    # the near-A band underflows on every rung; the matching edge then
-    # stands at gap 0
+    # the near-A band underflows on every rung; the matching edge gap then
+    # underflows too, and the error names it with gamma*tau
     ({"gamma": 50.0}, 2),
 ])
 def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_path):
@@ -150,7 +150,8 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
         (report,) = out.glob("verify-*.json")
         assert json.loads(report.read_text())["all_passed"] is False
     else:
-        assert "\nerror: eta must exceed A" in "\n" + proc.stderr
+        assert ("\nerror: matching edge gap xi1 e^(-gamma tau) underflows to 0 "
+                "at gamma tau = ") in "\n" + proc.stderr
 
 
 @pytest.mark.parametrize("extra, name", [

@@ -227,15 +227,34 @@ def test_wbar_value_equals_psi_bundle(request, solver_name, tau, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
 def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign):
+    # C meets the target (1 +/- eps) times the outer edge value to the
+    # resolution of phibar0 itself: its exponent 2s + c Z(s) carries
+    # rounding of about ulp(2s)
     shared = request.getfixturevalue(solver_name)
     solver = MatchingSolver(shared.profile, shared.outer, branch_variant(shared.outer.p.gamma))
     eps = 0.01
     edge_value, _ = solver.outer_edge(sign, tau)
     target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
-    want = numerics.find_root_monotone(
-        lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0
-    )
-    assert solver.solve_matching(sign, eps, tau) == want
+    s = XI1 + solver.solve_matching(sign, eps, tau)
+    assert abs(solver.profile.phibar0(s) / target - 1.0) <= 2.0 * math.ulp(2.0 * s)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name", ["solver_ref", "solver_low"])
+def test_c_from_the_table_matches_the_root_search(request, solver_name, sign):
+    # the table inverse and a bracketed brentq root of phibar0(xi1 + C) =
+    # target agree to well within brentq's own tolerance of 1e-10
+    solver = request.getfixturevalue(solver_name)
+    for tau in (10.0, 17.0, 25.0, 40.0):
+        for eps in (0.0, 0.02):
+            edge_value, _ = solver.outer_edge(sign, tau)
+            target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
+            if target <= 0.0:  # low's outer edge turns positive only later
+                continue
+            want = numerics.find_root_monotone(
+                lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0
+            )
+            assert abs(solver.solve_matching(sign, eps, tau) - want) <= 1e-10
 
 
 # points left of the corner, on it, and right of it

@@ -190,12 +190,16 @@ def test_sandwich_smoke(barrier_pair):
         assert fit["n_points"] == 0
         assert fit["decades"] == pytest.approx(0.6 / math.log(10.0), rel=1e-12)
     assert report.to_dict()["runs"] == {}
-    # solver counters per run: (Newton iterations, most in one step, rejections)
+    # solver counters per run: (Newton iterations, most in one step,
+    # rejections, cold retries)
     counters = {
-        kind: (run.newton_iters, run.newton_iters_max, run.step_rejections)
+        kind: (run.newton_iters, run.newton_iters_max, run.step_rejections,
+               run.cold_retries)
         for kind, run in report.runs.items()
     }
-    assert counters == {"lower": (256, 6, 0), "upper": (246, 5, 0), "mid": (252, 8, 0)}
+    assert counters == {
+        "lower": (132, 7, 0, 0), "upper": (129, 5, 0, 0), "mid": (133, 8, 0, 1),
+    }
 
 
 def test_extinction_rate_recovers_power_law():
@@ -254,6 +258,7 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
     monkeypatch.setattr(pde, "_jac_bands", singular_bands)
     (res,) = pde._step_rows(
         np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, [None],
+        np.ones((1, 9)),
     )
     assert isinstance(res, errors.NewtonDiverged)
 
@@ -288,9 +293,10 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         n = len(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            W_old = np.stack([r[0] for r in rows])
             return pde._step_rows(
-                np.stack([r[0] for r in rows]), [ds] * n, [dn] * n, [1.0] * n,
-                [r[1] for r in rows], 0.4, p_ref, [r[2] for r in rows],
+                W_old, [ds] * n, [dn] * n, [1.0] * n,
+                [r[1] for r in rows], 0.4, p_ref, [r[2] for r in rows], W_old,
             )
 
     # gtsv raises on the first Newton system of row 2 alone, and after
@@ -321,9 +327,8 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     singular.extend(calls[0])
     del calls[:]
     (dipped_alone,) = step([rows[3]])
-    X0 = dipped.copy()
-    X0[[0, -1]] = a0 * dn
-    assert np.min(X0 + solve(*calls[0])) < 0.0
+    # the Newton systems cover the interior points
+    assert np.min(dipped[1:-1] + solve(*calls[0])) < 0.0
     alone = [step([rows[0]])[0], step([rows[1]])[0], singular_alone, dipped_alone]
     n_nan_calls = len(nan_calls)
     together = step(rows)
@@ -443,7 +448,7 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     ], **kw)
     assert isinstance(failed, errors.PositivityLost)
     # one accepted step, then 13 rejections halve the warmup step 0.005
-    # below 1e-6
+    # below 1e-6; an end-value rejection is never retried cold
     assert len(calls) == 1 + 13
     (lone,) = pde._solve_rows(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)
     _assert_same_runs([steady], [lone])
@@ -487,7 +492,8 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
 
 def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
     """An end value of 0.0 rejects the step without a Newton solve, like
-    any other rejection, until the step underflows."""
+    any other rejection, until the step underflows.  No start changes an
+    end value, so such a rejection halves the step without a cold retry."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     calls, solves = [], []
@@ -564,3 +570,112 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
         comparison_sandwich(
             *barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=200, dtau=0.01
         )
+
+
+def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, monkeypatch):
+    """A rejected step that started from the predictor is tried again at
+    the same step from the last frame; only a rejected cold start halves
+    the step.  The row's first step has no predictor and starts cold."""
+    ds, de = math.exp(-10.0), math.exp(-10.1)
+    a0 = d_ref.a0
+    step_rows = pde._step_rows
+    tries, fail = [], set()
+
+    def flaky(W_old, *args):
+        start = args[-1]
+        tries.append((args[1][0], np.array_equal(start, W_old)))
+        if len(tries) in fail:
+            return [errors.NewtonDiverged("rejected by construction")]
+        return step_rows(W_old, *args)
+
+    def run():
+        del tries[:]
+        return solve_radial_fde(
+            p_ref, xi_window=(-10.0, 30.0), n_cells=100, delta_start=ds, delta_end=de,
+            dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
+            bc=lambda delta: (a0 * delta, a0 * delta),
+        )
+
+    monkeypatch.setattr(pde, "_step_rows", flaky)
+    plain = run()
+    assert [cold for _, cold in tries] == [True] + [False] * (len(tries) - 1)
+    assert (plain.step_rejections, plain.cold_retries) == (0, 0)
+    third = tries[2][0]
+
+    fail.add(3)  # the third step's predicted start fails; its cold retry passes
+    retried = run()
+    assert tries[2:4] == [(third, False), (third, True)]
+    assert (retried.step_rejections, retried.cold_retries) == (0, 1)
+    assert np.array_equal(retried.deltas, plain.deltas)
+
+    fail.add(4)  # the cold retry fails too: the step halves, predicted again
+    halved = run()
+    assert tries[2:4] == [(third, False), (third, True)]
+    assert tries[4][1] is False and third < tries[4][0] < plain.deltas[2]
+    assert (halved.step_rejections, halved.cold_retries) == (1, 1)
+
+
+def test_lagging_row_reuses_the_barrier_end_values(barrier_pair, p_ref, monkeypatch):
+    """The bc closures keep each barrier's end values at its last
+    _END_CACHE deltas: a mid row one round behind the upper row reads the
+    plus values the upper row evaluated, bit for bit."""
+    xi = np.linspace(-10.0, 40.0, 201)
+    rows = pde._sandwich_rows(*barrier_pair, xi, math.exp(-TAU0))
+    barrier_W = pde._barrier_W
+    evaluated = []
+
+    def counted(bar, x, delta, p):
+        evaluated.append((bar.sign, delta))
+        return barrier_W(bar, x, delta, p)
+
+    monkeypatch.setattr(pde, "_barrier_W", counted)
+    d1, d2 = math.exp(-10.01), math.exp(-10.02)
+    upper = [rows["upper"].bc(d1), rows["upper"].bc(d2)]
+    mid = rows["mid"].bc(d1)  # one round behind the upper row
+    assert evaluated == [("+", d1), ("+", d2), ("-", d1)]
+    wp = barrier_W(barrier_pair[0], xi[[0, -1]], d1, p_ref)
+    wm = barrier_W(barrier_pair[1], xi[[0, -1]], d1, p_ref)
+    assert upper[0] == tuple(wp.tolist())
+    assert mid == tuple(np.sqrt(wp * wm).tolist())
+    # once _END_CACHE newer deltas have been asked for, d1 is evaluated anew
+    for k in range(pde._END_CACHE - 1):
+        rows["upper"].bc(math.exp(-10.03 - 0.01 * k))
+    del evaluated[:]
+    assert rows["upper"].bc(d1) == upper[0]
+    assert evaluated == [("+", d1)]
+
+
+def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
+    """Every accepted frame of every row ends on the bc values of its delta,
+    bit for bit (with a full-size Newton system, gtsv's pivoting left the
+    lower row's left end up to 1e-13 off on this grid)."""
+    ds, de = math.exp(-TAU0), math.exp(-10.3)
+    xi = np.linspace(-10.0, 40.0, 401)
+    calibration, _ = pde._manufactured_row(p_ref, xi, ds)
+    runs = [calibration, *pde._sandwich_rows(*barrier_pair, xi, ds).values()]
+    given = [{} for _ in runs]
+
+    def recorded(bc, seen):
+        def wrapped(delta):
+            seen[delta] = bc(delta)
+            return seen[delta]
+        return wrapped
+
+    runs = [pde._Run(r.w0, recorded(r.bc, seen), r.source) for r, seen in zip(runs, given)]
+    trajs = pde._solve_rows(p_ref, xi, runs, delta_start=ds, delta_end=de, dtau=0.01)
+    for traj, seen in zip(trajs, given):
+        for delta, W in zip(traj.deltas[1:], traj.W[1:]):
+            assert (W[0], W[-1]) == tuple(seen[delta])
+
+
+def test_two_cells_step_one_interior_point(p_ref, d_ref):
+    """With two cells the Newton system has a single interior unknown."""
+    ds, de = math.exp(-10.0), math.exp(-10.2)
+    a0 = d_ref.a0
+    traj = solve_radial_fde(
+        p_ref, xi_window=(-10.0, 30.0), n_cells=2, delta_start=ds, delta_end=de,
+        dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
+        bc=lambda delta: (a0 * delta, a0 * delta),
+    )
+    rel = np.abs(traj.W / (a0 * traj.deltas[:, None]) - 1.0)
+    assert traj.W.shape[1] == 3 and np.max(rel) <= 1e-12

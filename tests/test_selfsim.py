@@ -1,5 +1,7 @@
 """First-order self-similar profile: shooting, tail fit, stationarity."""
 
+import copy
+import dataclasses
 import math
 import warnings
 
@@ -211,3 +213,55 @@ def test_shoot_sweep_subset_matches_tight_reference(p):
     s = np.linspace(prof.s_min, prof.s_max, 2001)
     want = _lsoda_phibar0(prof, s)
     assert np.max(np.abs(prof.phibar0(s) - want) / want) < 1e-8
+
+
+def test_inverse_round_trips_the_core_and_the_table(profile_all):
+    # phibar0(inverse(y)) = y to the resolution of phibar0 itself, whose
+    # exponent 2s + c Z(s) carries rounding of about ulp(2s)
+    prof = profile_all
+    rng = np.random.default_rng(11)
+    s = np.concatenate([
+        rng.uniform(prof.s_min - 10.0, prof.s_min, 200),  # core law
+        rng.uniform(prof.s_min, prof.s_max, 2000),  # step table
+        prof._table.ts[1:-1:25],  # breakpoints
+    ])
+    for x in s:
+        y = prof.phibar0(float(x))
+        back = prof.inverse(y)
+        assert abs(prof.phibar0(back) / y - 1.0) <= 2.0 * math.ulp(2.0 * max(abs(x), 1.0))
+        assert (back < prof.s_min) == (x < prof.s_min)
+    # the core law inverts in closed form
+    y = prof.phibar0(prof.s_min - 5.0)
+    want = 0.5 * (math.log(y) - (1.0 - prof.p.m) * math.log(prof.p.lam))
+    assert prof.inverse(y) == want
+
+
+def test_inverse_round_trips_the_tail(profile_all):
+    # beyond the table the tail formula is solved by a root search to
+    # xtol 1e-10 in s
+    prof = profile_all
+    for s in (prof.s_max + 0.5, 1e3, 1e5):
+        y = prof.phibar0(s)
+        assert prof.inverse(y) == pytest.approx(s, abs=1e-9)
+        assert prof.phibar0(prof.inverse(y)) == pytest.approx(y, rel=1e-12)
+
+
+def test_inverse_maps_the_seam_jump_to_s_max(profile_ref):
+    # the table's end value inverts to s_max; a tail lifted above it opens
+    # a jump at s_max, and every target inside that jump maps to s_max
+    prof = copy.copy(profile_ref)
+    top = prof.phibar0(prof.s_max)
+    assert prof.inverse(top) == prof.s_max
+    prof.fit = dataclasses.replace(prof.fit, K1=prof.fit.K1 + 0.01)
+    lifted = prof.phibar0(math.nextafter(prof.s_max, math.inf))
+    assert lifted > top
+    for y in (math.nextafter(top, math.inf), 0.5 * (top + lifted)):
+        assert prof.inverse(y) == prof.s_max
+    above = prof.inverse(math.nextafter(lifted, math.inf) + 1e-6)
+    assert above > prof.s_max
+
+
+@pytest.mark.parametrize("y", [0.0, -1.0, math.inf, math.nan])
+def test_inverse_needs_a_finite_positive_value(profile_ref, y):
+    with pytest.raises(errors.NonPositiveInput):
+        profile_ref.inverse(y)
