@@ -33,10 +33,6 @@ class NonFinite(FdelabError):
     """A function returned a non-finite value where finiteness is required."""
 
 
-class NoBracket(FdelabError):
-    """Root bracketing expansion exhausted its budget without a sign change."""
-
-
 class BlowupGuardTripped(FdelabError):
     """ODE state magnitude exceeded the configured blowup guard."""
 

@@ -1,12 +1,12 @@
-"""Root finding and the ODE stepper, on Python floats.
+"""The ODE stepper of the inner shoot and the step table it returns.
 
-Both are ports that load no scipy module.  The root polish is scipy's C
-brentq (Brent's zeroin, Brent 1973, ch. 4), step for step and bit for bit.
-The ODE stepper is Radau IIA of order 5 for a system of two states
-(Hairer & Wanner, Solving ODEs II, sec. IV.8), with scipy's error
-estimate, initial step and step controller; it returns the step table of
-the solution.  All routines are deterministic for fixed inputs and raise
-the error taxonomy of this package.
+The stepper is a port that loads no scipy module: Radau IIA of order 5
+for a system of two states on Python floats (Hairer & Wanner, Solving
+ODEs II, sec. IV.8), with scipy's error estimate, initial step and step
+controller.  It returns the StepTable of the solution, which evaluates
+the states at any t by one sorted search and one Horner sum.  Both are
+deterministic for fixed inputs and raise the error taxonomy of this
+package.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 
-__all__ = ["OdeSpec", "StepTable", "find_root_monotone", "solve_ode"]
+__all__ = ["OdeSpec", "StepTable", "solve_ode"]
 
 
 @dataclass(frozen=True)
@@ -28,114 +28,6 @@ class OdeSpec:
 
     rel_tol: float
     abs_tol: float
-
-
-_EXPAND_BUDGET = 60  # bracket expansions before NoBracket
-_ROOT_XTOL = 1e-10  # absolute tolerance of the brentq polish
-
-
-def find_root_monotone(g: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a monotone scalar function, expanding the bracket if needed.
-
-    The initial bracket [lo, hi] grows geometrically (factor 2 on width,
-    both directions as signs dictate) until g changes sign, at most
-    _EXPAND_BUDGET times, then brentq polishes to xtol = _ROOT_XTOL.
-    """
-    if not (lo < hi):
-        raise errors.InvalidParameter(f"need lo < hi, got [{lo}, {hi}]")
-    glo, ghi = g(lo), g(hi)
-    if not (np.isfinite(glo) and np.isfinite(ghi)):
-        raise errors.NonFinite("bracket endpoint evaluation not finite")
-    budget = _EXPAND_BUDGET
-    width = hi - lo
-    while glo * ghi > 0.0:
-        if budget <= 0:
-            raise errors.NoBracket(
-                f"no sign change in [{lo}, {hi}] after {_EXPAND_BUDGET} expansions"
-            )
-        budget -= 1
-        width *= 2.0
-        increasing = ghi > glo
-        want_higher = (ghi > 0.0) == (not increasing)
-        # monotone g: move the end that can still cross zero
-        if want_higher:
-            hi = hi + width
-            ghi = g(hi)
-        else:
-            lo = lo - width
-            glo = g(lo)
-        if not (np.isfinite(glo) and np.isfinite(ghi)):
-            raise errors.NonFinite("bracket expansion hit non-finite values")
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    return brentq(g, lo, hi, xtol=_ROOT_XTOL)
-
-
-_EPS = 2.220446049250313e-16  # float64 machine epsilon
-_BRENT_RTOL = 4.0 * _EPS  # scipy's default and least relative tolerance
-_BRENT_MAXITER = 100  # scipy's default
-
-
-def brentq(f, a: float, b: float, xtol: float) -> float:
-    """Zero of f in [a, b] by Brent's method: scipy.optimize.brentq(f, a,
-    b, xtol) with its default rtol and maxiter, step for step and bit for
-    bit.
-
-    f(a) and f(b) must not have the same sign.  A NaN value of f raises
-    NonFinite, and no convergence within 100 iterations raises
-    NonConvergent.
-    """
-
-    def fx(x):
-        y = float(f(x))
-        if y != y:
-            raise errors.NonFinite(f"root finder: f({x:.6g}) is NaN")
-        return y
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise errors.NoBracket(f"f has the same sign at {a!r} and {b!r}")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
-        ):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = fx(xcur)
-    raise errors.NonConvergent(f"root finder: no convergence in {_BRENT_MAXITER} iterations")
 
 
 # -- Radau IIA of order 5 on two states ------------------------------------------
@@ -346,7 +238,7 @@ def solve_ode(
         raise errors.NonFinite(f"ODE right-hand side overflows at t = {t:.6g}") from exc
     if not all(math.isfinite(v) for v in (*f, *J)):
         raise errors.NonFinite(f"ODE right-hand side not finite at t = {t:.6g}")
-    newton_tol = max(10.0 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    newton_tol = max(10.0 * math.ulp(1.0) / rtol, min(0.03, rtol ** 0.5))
     h_abs_old = error_norm_old = None
     current_jac = True
     inv_real = inv_complex = None

@@ -393,37 +393,42 @@ class OuterProfileSet:
         (n_tau, n_space); the decay factors come from math.exp one tau at a
         time (see _math_exp), so a column gives the same bits as one call
         per tau.
+
+        Gaps near e^(-gamma tau) at large gamma tau overflow some terms; the
+        evaluation runs under one np.errstate, so those points come back as
+        inf or NaN, which verify_sign_region counts as violations.
         """
-        pr = self._prims(gap)
-        p, d = self.p, self.p.d
-        n1, g = p.n - 1, p.gamma
-        th1 = theta(p, 1, sign)
-        th2 = theta(p, 2, sign)
-        f1, f2, f3 = self._f_sources(pr)
-        psi, dpsi, d2psi, _ = self._psi_sum(sign, tau, pr, True)
-        if np.any(psi <= 0.0):
-            raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
-        rat = dpsi / psi
-        pieces = [-th2 * f3, -n1 * d.b2 * rat]
-        if th2 != 0.0:
-            # eta as A + gap, which can differ from pr.eta in the last bit
-            pieces.append(-th2 * self.C10 * g * (p.A + pr.gap) ** (-1.0 - 1.0 / g))
-        e1 = _math_exp(-g, tau)
-        pieces.append(-e1 * (f1 + th1 * f2))
-        pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
-        for k, row in self._rows[sign].items():
-            pexp = k + 1.0 / g
-            sk = np.zeros_like(pr.gap)
-            for j, c in row.items():
-                if j:
-                    sk = sk + (g * j * c) * self._powlog_prims(pexp, j - 1, pr, False)[0]
-            pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
-        res = np.zeros_like(pr.gap)
-        scale = np.zeros_like(pr.gap)
-        for piece in pieces:
-            res = res + piece
-            scale = scale + np.abs(piece)
-        return res, scale
+        with np.errstate(all="ignore"):
+            pr = self._prims(gap)
+            p, d = self.p, self.p.d
+            n1, g = p.n - 1, p.gamma
+            th1 = theta(p, 1, sign)
+            th2 = theta(p, 2, sign)
+            f1, f2, f3 = self._f_sources(pr)
+            psi, dpsi, d2psi, _ = self._psi_sum(sign, tau, pr, True)
+            if np.any(psi <= 0.0):
+                raise errors.NonPositiveProfile("outer profile <= 0 inside L0")
+            rat = dpsi / psi
+            pieces = [-th2 * f3, -n1 * d.b2 * rat]
+            if th2 != 0.0:
+                # eta as A + gap, which can differ from pr.eta in the last bit
+                pieces.append(-th2 * self.C10 * g * (p.A + pr.gap) ** (-1.0 - 1.0 / g))
+            e1 = _math_exp(-g, tau)
+            pieces.append(-e1 * (f1 + th1 * f2))
+            pieces.append(-e1 * n1 * (d2psi / psi + d.b1 * rat ** 2))
+            for k, row in self._rows[sign].items():
+                pexp = k + 1.0 / g
+                sk = np.zeros_like(pr.gap)
+                for j, c in row.items():
+                    if j:
+                        sk = sk + (g * j * c) * self._powlog_prims(pexp, j - 1, pr, False)[0]
+                pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
+            res = np.zeros_like(pr.gap)
+            scale = np.zeros_like(pr.gap)
+            for piece in pieces:
+                res = res + piece
+                scale = scale + np.abs(piece)
+            return res, scale
 
     # -- table dump ----------------------------------------------------------
 

@@ -220,6 +220,15 @@ class ThresholdConfig:
             )
         if self.grid_eta < 8 or self.grid_tau < 4:
             raise errors.InvalidParameter("grid sizes too small to be meaningful")
+        # a negative atol or an inconclusive share of 1 inverts the verdict
+        if not (self.sign_atol_factor >= 0.0):
+            raise errors.InvalidParameter(
+                f"sign_atol_factor must be >= 0, got {self.sign_atol_factor}"
+            )
+        if not (0.0 <= self.inconclusive_frac < 1.0):
+            raise errors.InvalidParameter(
+                f"inconclusive_frac must lie in [0, 1), got {self.inconclusive_frac}"
+            )
         return self
 
 
@@ -294,7 +303,7 @@ def config_value(key: str, value):
 def load_config(path: str):
     """Read a JSON config into (ModelParams, ThresholdConfig, extras).
 
-    Accepts "lambda" as an alias for lam.  Every parameter and threshold
+    Accepts "lambda" as an alias for lam, but not both.  Every parameter and threshold
     key is type-checked by config_value before use.  Threshold keys not
     present fall back to defaults derived from the parameters, and
     parameters not present to the ModelParams defaults.  The simulate
@@ -306,7 +315,9 @@ def load_config(path: str):
     if not isinstance(raw, dict):
         raise errors.InvalidParameter(f"config must be a JSON object, got {raw!r}")
     if "lambda" in raw:
-        raw.setdefault("lam", raw.pop("lambda"))
+        if "lam" in raw:
+            raise errors.InvalidParameter('config gives both "lam" and "lambda"; give one')
+        raw["lam"] = raw.pop("lambda")
     unknown = set(raw) - _PARAM_KEYS - _THRESHOLD_KEYS - _WINDOW_KEYS
     if unknown:
         raise errors.InvalidParameter(f"unknown config keys: {sorted(unknown)}")

@@ -19,8 +19,8 @@ polynomial.  A point costs one sorted search and one Horner sum.
 The inverse reads the same table: log phibar0 = 2s + c Z(s) increases, so
 a bisection of its values at the breakpoints locates the step, and a
 safeguarded Newton iteration solves that step's cubic.  Below the table
-the core law inverts in closed form; above it the fitted tail is solved
-by a bracketed root search.
+the core law inverts in closed form; above it the same Newton iteration
+solves the fitted tail inside a doubled bracket.
 
 Far field: phibar0(s) = (a0/(gamma*A)) s + c_log log s + K1 + o(1) with
 c_log = -(n-1) b2 / (gamma*A); the fitted (slope, c_log, K1) triple is the
@@ -60,20 +60,18 @@ class TailFit:
 class SelfSimilarProfile:
     """Shot profile on a step table, with core and tail extensions.
 
-    Evaluation branches:
+    Evaluation branches, for a float or an array s alike:
       s < s_min          : core law  phibar0 = lambda^(1-m) e^{2s}
       s_min <= s <= s_max: Horner sums of the shoot's steps
       s > s_max          : fitted tail slope*s + c_log*log(s) + K1
 
-    A float s in [s_min, s_max] with deriv=0 takes the same table through
-    Python floats (bisect and Horner).  inverse(y) is the s with
-    phibar0(s) = y on the same branches.
+    inverse(y) is the s with phibar0(s) = y on the same branches.
     """
 
     def __init__(self, p: ModelParams, table: numerics.StepTable, s_min: float, s_max: float):
         self.p = p
         self._table = table
-        # scalar route: Z rows highest power first
+        # the inverse's step cubics on Python floats: Z rows highest power first
         self._ts = table.ts.tolist()
         self._h = table.h.tolist()
         self._zrows = table.coef[:, 0, ::-1].tolist()
@@ -118,13 +116,6 @@ class SelfSimilarProfile:
 
     def phibar0(self, s, deriv: int = 0):
         """phibar0(s) or its first/second s-derivative, any real s."""
-        if deriv == 0 and isinstance(s, float) and self.s_min <= s <= self.s_max:
-            i = min(max(bisect_left(self._ts, s) - 1, 0), len(self._h) - 1)
-            x = (s - self._ts[i]) / self._h[i]
-            Z = 0.0
-            for coef in self._zrows[i]:
-                Z = Z * x + coef
-            return math.exp(2.0 * s + self._c * Z)
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
@@ -170,11 +161,14 @@ class SelfSimilarProfile:
         """The s with phibar0(s) = y, for a finite y > 0.
 
         Below the table the core law gives s in closed form.  In the table
-        a bisection of the breakpoint log-values picks the step, and Newton
-        on 2s + c Z(s) = log y, kept inside the step, solves its cubic.
-        Above the table the tail formula is solved by find_root_monotone;
-        a y in the small jump between the table's end value and the tail's
-        value at s_max maps to s_max.
+        a bisection of the breakpoint log-values picks the step, and
+        _newton_in_bracket solves its cubic 2s + c Z(s) = log y, started
+        from the linear interpolation of the step's end log-values.  Above
+        the table it solves the tail formula g(s) = y from the upper end of
+        [s_max, hi], where hi doubles from 2 s_max until g(hi) >= y; a y
+        that g reaches only past the float range raises OutOfDomain, and a
+        y in the small jump between the table's end value and g(s_max)
+        maps to s_max.
         """
         if not 0.0 < y < math.inf:
             raise errors.NonPositiveInput(f"phibar0 takes only finite values > 0, not {y}")
@@ -184,45 +178,32 @@ class SelfSimilarProfile:
             return 0.5 * (L - (1.0 - self.p.m) * math.log(self.p.lam))
         if L <= logs[-1]:
             i = min(max(bisect_left(logs, L) - 1, 0), len(self._h) - 1)
-            return self._solve_step(i, L)
+            t0, h, zrow, c = self._ts[i], self._h[i], self._zrows[i], self._c
+
+            def step_cubic(s):
+                x = (s - t0) / h
+                Z = dZ = 0.0
+                for coef in zrow:
+                    dZ = dZ * x + Z
+                    Z = Z * x + coef
+                return 2.0 * s + c * Z - L, 2.0 + c * dZ / h
+
+            L0, L1 = logs[i], logs[i + 1]
+            start = t0 + h * min(max((L - L0) / (L1 - L0), 0.0), 1.0)
+            return _newton_in_bracket(step_cubic, start, t0, self._ts[i + 1])
         f = self.fit
 
-        def g(s):
-            return f.slope * s + f.c_log * math.log(s) + f.K1 - y
+        def tail(s):
+            return f.slope * s + f.c_log * math.log(s) + f.K1 - y, f.slope + f.c_log / s
 
-        if g(self.s_max) >= 0.0:
+        if tail(self.s_max)[0] >= 0.0:
             return self.s_max
-        return numerics.find_root_monotone(g, self.s_max, 2.0 * self.s_max)
-
-    def _solve_step(self, i: int, L: float) -> float:
-        """The s in step i where 2s + c Z(s) = L: Newton from the linear
-        interpolation of the breakpoint log-values, bisecting whenever a
-        Newton step would leave the bracket that the signs keep."""
-        t0, h, zrow, c = self._ts[i], self._h[i], self._zrows[i], self._c
-        lo, hi = t0, self._ts[i + 1]
-        L0, L1 = self._logs[i], self._logs[i + 1]
-        s = t0 + h * min(max((L - L0) / (L1 - L0), 0.0), 1.0)
-        for _ in range(_INVERSE_ITERS):
-            x = (s - t0) / h
-            Z = dZ = 0.0
-            for coef in zrow:
-                dZ = dZ * x + Z
-                Z = Z * x + coef
-            F = 2.0 * s + c * Z - L
-            if F == 0.0:
-                return s
-            if F < 0.0:
-                lo = s
-            else:
-                hi = s
-            step = F / (2.0 + c * dZ / h)
-            s_new = s - step
-            if not lo < s_new < hi:
-                s_new = 0.5 * (lo + hi)
-            if abs(s_new - s) <= 4.0 * math.ulp(s):
-                return s_new
-            s = s_new
-        return s
+        hi = 2.0 * self.s_max
+        while tail(hi)[0] < 0.0:
+            hi *= 2.0
+            if hi == math.inf:
+                raise errors.OutOfDomain(f"the phibar0 tail reaches {y!r} only past the float range")
+        return _newton_in_bracket(tail, hi, self.s_max, hi)
 
     def stationary_residual(self, s):
         """Residual of the stationary inner equation at s (should be ~0)."""
@@ -236,7 +217,31 @@ class SelfSimilarProfile:
         return radial_diffusion(p, v, v1, v2) - (p.d.a0 - p.gamma * p.A * v1)
 
 
-_INVERSE_ITERS = 60  # rounds of the step inverse; bisection alone closes a step in 60
+_NEWTON_ITERS = 60  # bisection alone closes a step, or a doubled tail bracket, in 60
+
+
+def _newton_in_bracket(fdf, s: float, lo: float, hi: float) -> float:
+    """Root of an increasing F in [lo, hi] by Newton from s, bisecting
+    whenever a step would leave the bracket that the signs of F keep;
+    fdf(s) returns (F(s), F'(s)).  Converged when a step moves s by at
+    most 4 ulp; raises NonConvergent after _NEWTON_ITERS rounds."""
+    for _ in range(_NEWTON_ITERS):
+        F, dF = fdf(s)
+        if F == 0.0:
+            return s
+        if F < 0.0:
+            lo = s
+        else:
+            hi = s
+        s_new = s - F / dF
+        if not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi)
+        if abs(s_new - s) <= 4.0 * math.ulp(s):
+            return s_new
+        s = s_new
+    raise errors.NonConvergent(
+        f"phibar0 inverse: no convergence in {_NEWTON_ITERS} rounds on [{lo!r}, {hi!r}]"
+    )
 
 
 def _p_equation(p: ModelParams):

@@ -26,6 +26,7 @@ KNOWN_MISSING = {
     "numerics.integrate_panels",
     "pde._implicit_step",
     "pde.calibrate_tolerance",
+    "numerics.find_root_monotone",
 }
 
 

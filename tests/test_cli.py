@@ -99,6 +99,12 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     ("verify", dict(SMOKE, epsilon=None)),
     ("verify", dict(SMOKE, theta1_minus=[-1.0])),
     ("verify", [SMOKE]),
+    # these inverted the verdict: a negative atol made correct-sign points
+    # near zero violations, and an inconclusive share of 1 passed a region
+    # where no point was conclusive
+    ("verify", dict(SMOKE, sign_atol_factor=-1.0)),
+    ("verify", dict(SMOKE, inconclusive_frac=1.0)),
+    ("verify", dict(SMOKE, inconclusive_frac=-0.5)),
 ])
 def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -123,12 +129,12 @@ def test_misspelt_config_key_is_rejected(tmp_path, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_cli(args):
+def _run_cli(args, python_flags=()):
     """The CLI in a fresh process, so a traceback shows on stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fdelab.cli", *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *python_flags, "-m", "fdelab.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("extra, rc", [
@@ -143,7 +149,10 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(SMOKE, grid_eta=16, grid_tau=4, **extra)))
     out = tmp_path / "runs"
-    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)])
+    # the outer L0 overflows of the tau_start case stay inside l0_terms; the
+    # gamma 50 case still warns on the matching path
+    flags = ("-W", "error::RuntimeWarning") if rc == 1 else ()
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)], flags)
     assert proc.returncode == rc, proc.stderr
     assert "Traceback" not in proc.stderr
     if rc == 1:

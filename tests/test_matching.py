@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from fdelab import errors, matching, numerics
+from fdelab import errors, matching
 from fdelab.matching import (
     GluedBarrier,
     MatchingSolver,
@@ -242,7 +243,7 @@ def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("solver_name", ["solver_ref", "solver_low"])
 def test_c_from_the_table_matches_the_root_search(request, solver_name, sign):
-    # the table inverse and a bracketed brentq root of phibar0(xi1 + C) =
+    # the table inverse and scipy's brentq root of phibar0(xi1 + C) =
     # target agree to well within brentq's own tolerance of 1e-10
     solver = request.getfixturevalue(solver_name)
     for tau in (10.0, 17.0, 25.0, 40.0):
@@ -251,8 +252,8 @@ def test_c_from_the_table_matches_the_root_search(request, solver_name, sign):
             target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
             if target <= 0.0:  # low's outer edge turns positive only later
                 continue
-            want = numerics.find_root_monotone(
-                lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0
+            want = scipy.optimize.brentq(
+                lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0, xtol=1e-10
             )
             assert abs(solver.solve_matching(sign, eps, tau) - want) <= 1e-10
 

@@ -1,76 +1,15 @@
-"""Root finding, ODE wrapper, and the finite-difference test helper."""
+"""The Radau ODE stepper, and the finite-difference test helper."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.optimize
 
 from fdelab import errors, numerics
 from numdiff import fd_derivative
 
 SPEC = numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)  # the shoot's tolerances
-
-
-def test_find_root_monotone_basic():
-    r = numerics.find_root_monotone(lambda x: x * x - 2.0, 0.0, 1.0)
-    assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-
-def test_find_root_monotone_expands_bracket():
-    # root at 1000; initial bracket far short of it
-    r = numerics.find_root_monotone(lambda x: x - 1000.0, 0.0, 1.0)
-    assert r == pytest.approx(1000.0, abs=1e-8)
-
-
-def test_find_root_monotone_no_bracket(monkeypatch):
-    monkeypatch.setattr(numerics, "_EXPAND_BUDGET", 8)
-    with pytest.raises(errors.NoBracket, match="after 8 expansions"):
-        numerics.find_root_monotone(lambda x: 1.0 + x * x, 0.0, 1.0)
-
-
-def test_find_root_monotone_nan_inside_bracket():
-    # finite at both ends, NaN where the polish lands
-    def g(x):
-        return math.nan if 0.2 < x < 0.8 else x - 0.5
-
-    with pytest.raises(errors.NonFinite):
-        numerics.find_root_monotone(g, 0.0, 1.0)
-
-
-def test_find_root_monotone_nonconvergent(monkeypatch):
-    # a jump at 0, where the relative tolerance vanishes, and an absolute
-    # tolerance that 100 halvings of the bracket do not reach
-    monkeypatch.setattr(numerics, "_ROOT_XTOL", 1e-300)
-    with pytest.raises(errors.NonConvergent):
-        numerics.find_root_monotone(lambda x: -1.0 if x < 0.0 else 1.0, -1.0, 2.0)
-
-
-def _bracketed_cases(rng, count):
-    """(f, a, b, xtol) with the one root c of f inside [a, b]."""
-    families = [
-        lambda c: (lambda x: x ** 3 - c ** 3),
-        lambda c: (lambda x: math.exp(x) - math.exp(c)),
-        lambda c: (lambda x: math.tanh(4.0 * (x - c))),
-        lambda c: (lambda x: math.log1p(x * x) * (x - c) + 1e-3 * (x - c)),
-    ]
-    for k in range(count):
-        c = float(rng.uniform(-2.0, 2.0))
-        a = c - float(rng.uniform(1e-3, 5.0))
-        b = c + float(rng.uniform(1e-3, 5.0))
-        xtol = (1e-12, 2e-12, 1e-6, 1e-3)[k % 4]
-        yield families[k % len(families)](c), a, b, xtol
-
-
-def test_brentq_port_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(11)
-    cases = list(_bracketed_cases(rng, 1200))
-    same = sum(
-        numerics.brentq(f, a, b, xtol=xtol) == scipy.optimize.brentq(f, a, b, xtol=xtol)
-        for f, a, b, xtol in cases
-    )
-    assert same == len(cases)
 
 
 def _linear(t, u, v):

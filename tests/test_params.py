@@ -109,6 +109,15 @@ def test_load_config_round_trip(tmp_path):
     assert blob["derived"]["a0"] == pytest.approx(p.d.a0)
 
 
+def test_load_config_takes_lam_or_lambda_not_both(tmp_path):
+    # "lambda" used to be dropped in silence when "lam" was given too
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0,
+                                   "lam": 1.0, "lambda": 3.0}))
+    with pytest.raises(errors.InvalidParameter, match='"lam" and "lambda"'):
+        load_config(str(cfgfile))
+
+
 def test_load_config_missing_keys(tmp_path):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text(json.dumps({"n": 3, "m": 0.1}))
@@ -121,6 +130,11 @@ def test_threshold_config_validation(p_ref, cfg_ref):
     bad = dataclasses.replace(cfg_ref, eta0=p_ref.A)
     with pytest.raises(errors.InvalidParameter):
         bad.validated(p_ref)
+    # the verdict knobs that would invert the verdict name their key
+    for key, value in (("sign_atol_factor", -1.0), ("inconclusive_frac", 1.0),
+                       ("inconclusive_frac", -0.5)):
+        with pytest.raises(errors.InvalidParameter, match=key):
+            dataclasses.replace(cfg_ref, **{key: value}).validated(p_ref)
 
 
 def test_params_check_themselves(p_ref):

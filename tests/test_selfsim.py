@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from fdelab import errors, numerics
+from fdelab import errors, numerics, selfsim
 from fdelab.selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 from numdiff import fd_derivative
-from shoot_sweep import shoot_or_error, sweep_params
+from shoot_sweep import inverse_round_trip, shoot_or_error, sweep_params
 
 # Frozen from the first converged shoot at each parameter set.  The tail
 # slope limit a0/(gamma A) and log power -b2/gamma are closed forms; the
@@ -166,15 +166,7 @@ def test_step_table_matches_scipy_radau_dense_output():
 
 
 def test_scalar_route_matches_array_route(profile_ref):
-    tab = profile_ref._table
-    assert tab.ts[0] == profile_ref.s_min and tab.ts[-1] == profile_ref.s_max
-    rng = np.random.default_rng(3)
-    s = np.concatenate(
-        [rng.uniform(profile_ref.s_min, profile_ref.s_max, 2000), tab.ts[::10]]
-    )
-    want = profile_ref.phibar0(s)
-    got = np.array([profile_ref.phibar0(float(x)) for x in s])
-    assert np.max(np.abs(got - want) / want) <= 4e-16
+    # a scalar s takes the array route and comes back as a float
     assert type(profile_ref.phibar0(1.0)) is float
 
 
@@ -213,6 +205,9 @@ def test_shoot_sweep_subset_matches_tight_reference(p):
     s = np.linspace(prof.s_min, prof.s_max, 2001)
     want = _lsoda_phibar0(prof, s)
     assert np.max(np.abs(prof.phibar0(s) - want) / want) < 1e-8
+    # the inverse round trips core, table and tail as on ref and low
+    inner, tail = inverse_round_trip(prof)
+    assert inner <= 2.0 and tail <= TAIL_ROUND_TRIP
 
 
 def test_inverse_round_trips_the_core_and_the_table(profile_all):
@@ -225,25 +220,42 @@ def test_inverse_round_trips_the_core_and_the_table(profile_all):
         rng.uniform(prof.s_min, prof.s_max, 2000),  # step table
         prof._table.ts[1:-1:25],  # breakpoints
     ])
-    for x in s:
-        y = prof.phibar0(float(x))
-        back = prof.inverse(y)
-        assert abs(prof.phibar0(back) / y - 1.0) <= 2.0 * math.ulp(2.0 * max(abs(x), 1.0))
-        assert (back < prof.s_min) == (x < prof.s_min)
+    y = prof.phibar0(s)
+    back = np.array([prof.inverse(v) for v in y.tolist()])
+    ulps = np.spacing(2.0 * np.maximum(np.abs(s), 1.0))
+    assert np.all(np.abs(prof.phibar0(back) / y - 1.0) <= 2.0 * ulps)
+    assert np.array_equal(back < prof.s_min, s < prof.s_min)
     # the core law inverts in closed form
     y = prof.phibar0(prof.s_min - 5.0)
     want = 0.5 * (math.log(y) - (1.0 - prof.p.m) * math.log(prof.p.lam))
     assert prof.inverse(y) == want
 
 
+# the tail inverse is Newton to 4 ulp in s on slope*s + c_log*log(s) + K1
+TAIL_ROUND_TRIP = 2e-15
+
+
 def test_inverse_round_trips_the_tail(profile_all):
-    # beyond the table the tail formula is solved by a root search to
-    # xtol 1e-10 in s
     prof = profile_all
-    for s in (prof.s_max + 0.5, 1e3, 1e5):
-        y = prof.phibar0(s)
-        assert prof.inverse(y) == pytest.approx(s, abs=1e-9)
-        assert prof.phibar0(prof.inverse(y)) == pytest.approx(y, rel=1e-12)
+    s = np.array([prof.s_max + 0.5, 1e3, 1e5])
+    y = prof.phibar0(s)
+    back = np.array([prof.inverse(v) for v in y.tolist()])
+    assert np.all(np.abs(back / s - 1.0) <= 1e-15)
+    assert np.all(np.abs(prof.phibar0(back) / y - 1.0) <= TAIL_ROUND_TRIP)
+
+
+def test_inverse_beyond_the_float_range_is_out_of_domain(profile_ref):
+    # slope 1.037 on ref: the tail reaches 1.7e308 only at s ~ 1.64e308,
+    # past the last doubling of the bracket that stays finite
+    with pytest.raises(errors.OutOfDomain, match="1.7e"):
+        profile_ref.inverse(1.7e308)
+
+
+def test_inverse_budget_runs_out_loudly(profile_ref, monkeypatch):
+    # an unconverged Newton iteration raises instead of returning its last s
+    monkeypatch.setattr(selfsim, "_NEWTON_ITERS", 1)
+    with pytest.raises(errors.NonConvergent, match="phibar0 inverse"):
+        profile_ref.inverse(profile_ref.phibar0(100.3))
 
 
 def test_inverse_maps_the_seam_jump_to_s_max(profile_ref):
