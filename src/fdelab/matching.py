@@ -9,9 +9,10 @@ so the glued profile
     wbar(xi, tau) = phibar0(xi + C(tau)) / (1 +/- eps)   for xi <= xi1
                   = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)  for xi > xi1
 
-is continuous at xi1.  The matching radius xi1 is the config's
-(outer.cfg.xi1), read once by MatchingSolver; the glued barriers and the
-epsilon search take it from their solver.  C is read from the profile's
+is continuous at xi1; GluedBarrier makes this split in one place for its
+values (wbar) and its derivatives (bundle) alike.  The matching radius xi1
+is the config's (outer.cfg.xi1), read once by MatchingSolver; the glued
+barriers and the epsilon search take it from their solver.  C is read from the profile's
 step table (SelfSimilarProfile.inverse of the target), so it depends on the
 target alone, and C'(tau) is closed-form by implicit differentiation:
 phibar0'(xi1 + C) C' = (1 +/- eps) w_tau(xi1+), the tau-derivative of the
@@ -122,7 +123,7 @@ class MatchingSolver:
         )
         wt = _outer_w_tau(self.outer.p.gamma, tau, self.xi1, psi, dpsi, dtau_psi)
         factor = 1.0 + _SIGN_FACTOR[sign] * eps
-        return float(factor * wt / self.profile.phibar0(self.xi1 + C, deriv=1))
+        return float(factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1])
 
     # -- quantitative matching limits ---------------------------------------
 
@@ -194,7 +195,7 @@ class GluedBarrier:
 
     wbar gives values only (the radial solver calls it at every step);
     bundle gives the values with their xi and tau derivatives, and is the
-    one derivative route for the glued profile.
+    one derivative route for the glued profile; both read _glued.
     """
 
     def __init__(self, solver: MatchingSolver, sign: str, eps: float):
@@ -220,56 +221,46 @@ class GluedBarrier:
     def C_prime(self, tau: float) -> float:
         return self.solver.C_prime(self.sign, self.eps, tau)
 
-    def wbar(self, xi, tau: float):
-        """Glued profile value in inner variables (see the module docstring)."""
-        xi = np.asarray(xi, dtype=float)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.empty_like(xi)
-        gamma = self.outer.p.gamma
-        left = xi <= self.xi1
-        if np.any(left):
-            out[left] = self.profile.phibar0(xi[left] + self.C(tau)) / self.factor
-        if np.any(~left):
-            gap = xi[~left] * math.exp(-gamma * tau)
-            out[~left] = math.exp(gamma * tau) * self.outer.psi_outer(self.sign, tau, gap=gap)
-        return float(out[0]) if scalar else out
-
-    def bundle(self, xi, tau: float):
-        """(w, w_xi, w_xixi, w_tau) of the glued profile on a 1-D xi array.
-
-        Left of xi1: phibar0 and its first two derivatives at xi + C(tau),
-        with w_tau = phibar0' C'(tau).  Right of xi1: one psi_bundle call,
-        mapped to inner variables by w = e^{gamma tau} psi.  w equals wbar
-        bit for bit.
-        """
-        xi = np.asarray(xi, dtype=float)
-        w, wx, wxx, wt = (np.empty_like(xi) for _ in range(4))
+    def _glued(self, xi, tau: float, derivs: bool):
+        """Rows (w,) or, with derivs, (w, w_xi, w_xixi, w_tau) on xi: left of
+        xi1 one phibar0 call at xi + C(tau), with w_tau = phibar0' C'(tau);
+        right of it one outer call, mapped by w = e^{gamma tau} psi."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        out = np.empty((4 if derivs else 1, *xi.shape))
         gamma = self.outer.p.gamma
         left = xi <= self.xi1
         if np.any(left):
             arg = xi[left] + self.C(tau)
-            d1 = self.profile.phibar0(arg, deriv=1)
-            w[left] = self.profile.phibar0(arg) / self.factor
-            wx[left] = d1 / self.factor
-            wxx[left] = self.profile.phibar0(arg, deriv=2) / self.factor
-            wt[left] = d1 * self.C_prime(tau) / self.factor
+            if derivs:
+                v, d1, d2 = self.profile.phibar0(arg, derivs=True)
+                out[:, left] = np.array((v, d1, d2, d1 * self.C_prime(tau))) / self.factor
+            else:
+                out[0, left] = self.profile.phibar0(arg) / self.factor
         if np.any(~left):
             right = xi[~left]
-            egt = math.exp(gamma * tau)
-            psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(
-                self.sign, tau, gap=right * math.exp(-gamma * tau)
-            )
-            w[~left] = egt * psi
-            wx[~left] = dpsi
-            wxx[~left] = math.exp(-gamma * tau) * d2psi
-            wt[~left] = _outer_w_tau(gamma, tau, right, psi, dpsi, dtau_psi)
-        return w, wx, wxx, wt
+            egt, emgt = math.exp(gamma * tau), math.exp(-gamma * tau)
+            gap = right * emgt
+            if derivs:
+                psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(self.sign, tau, gap=gap)
+                wt = _outer_w_tau(gamma, tau, right, psi, dpsi, dtau_psi)
+                out[:, ~left] = (egt * psi, dpsi, emgt * d2psi, wt)
+            else:
+                out[0, ~left] = egt * self.outer.psi_outer(self.sign, tau, gap=gap)
+        return out
+
+    def wbar(self, xi, tau: float):
+        """Glued profile value in inner variables (see the module docstring)."""
+        w = self._glued(xi, tau, False)[0]
+        return float(w[0]) if np.ndim(xi) == 0 else w
+
+    def bundle(self, xi, tau: float):
+        """(w, w_xi, w_xixi, w_tau) of the glued profile on a 1-D xi array;
+        w equals wbar bit for bit."""
+        return tuple(self._glued(xi, tau, True))
 
     def continuity_mismatch(self, tau: float) -> float:
-        lv = self.profile.phibar0(self.xi1 + self.C(tau)) / self.factor
-        rv = self.wbar(np.nextafter(self.xi1, np.inf), tau)
-        return abs(lv - float(rv)) / abs(lv)
+        lv, rv = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], tau)
+        return float(abs(lv - rv) / abs(lv))
 
     def corner_jump(self, tau: float) -> CornerReport:
         """One-sided slopes at xi1 and the sign-appropriate verdict.
@@ -277,7 +268,7 @@ class GluedBarrier:
         Supersolution (+) needs left >= right (concave kink); subsolution (-)
         needs left <= right.
         """
-        left = self.profile.phibar0(self.xi1 + self.C(tau), deriv=1) / self.factor
+        left = self.profile.phibar0(self.xi1 + self.C(tau), derivs=True)[1] / self.factor
         _, right = self.solver.outer_edge(self.sign, tau)
         if self.sign == "+":
             holds = left >= right

@@ -232,22 +232,19 @@ class OuterProfileSet:
         f3 = -(n - 1) / gamma * r
         return f1, f2, f3
 
-    # -- public profile API -----------------------------------------------
+    # -- public profile API: the value, or with derivs the triple --------
 
-    @staticmethod
-    def _order(parts, deriv: int):
-        if deriv not in (0, 1, 2):
-            raise errors.InvalidParameter(f"deriv must be 0, 1, or 2, got {deriv}")
-        return parts[deriv]
+    def phi0(self, gap, derivs: bool = False):
+        parts = self._phi0_prims(self._prims(gap), derivs)
+        return parts if derivs else parts[0]
 
-    def phi0(self, gap, deriv: int = 0):
-        return self._order(self._phi0_prims(self._prims(gap), deriv != 0), deriv)
+    def phi4(self, gap, derivs: bool = False):
+        parts = self._phi4_prims(self._prims(gap), derivs)
+        return parts if derivs else parts[0]
 
-    def phi4(self, gap, deriv: int = 0):
-        return self._order(self._phi4_prims(self._prims(gap), deriv != 0), deriv)
-
-    def h(self, gap, sign: str, deriv: int = 0):
-        return self._order(self._h_prims(self._prims(gap), sign, deriv != 0), deriv)
+    def h(self, gap, sign: str, derivs: bool = False):
+        parts = self._h_prims(self._prims(gap), sign, derivs)
+        return parts if derivs else parts[0]
 
     # -- distinguished constants -------------------------------------------
 
@@ -373,15 +370,20 @@ class OuterProfileSet:
         """Outer barrier profile psi; gap and tau broadcast together.
 
         The value alone, summed as psi_bundle sums it, so both give the
-        same bits; derivatives come from psi_bundle.
+        same bits; derivatives come from psi_bundle.  Like l0_terms, both
+        evaluate under one np.errstate: a term that overflows or divides by
+        zero at large gamma tau comes back as inf or NaN, which the matching
+        target and the sign verdicts reject.
         """
-        return self._psi_sum(sign, tau, self._prims(gap), False)[0]
+        with np.errstate(all="ignore"):
+            return self._psi_sum(sign, tau, self._prims(gap), False)[0]
 
     def psi_bundle(self, sign: str, tau, *, gap):
         """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms;
         the derivative route for psi outside l0_terms."""
-        pr = self._prims(gap)
-        vals = self._psi_sum(sign, tau, pr, True)
+        with np.errstate(all="ignore"):
+            pr = self._prims(gap)
+            vals = self._psi_sum(sign, tau, pr, True)
         shape = np.broadcast(pr.gap, np.asarray(tau, dtype=float)).shape
         return tuple(np.broadcast_to(v, shape).copy() for v in vals)
 

@@ -204,8 +204,6 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     for i, source in enumerate(sources):
         if source is not None:
             F_old[i] += source(W_old[i], delta_old[i])[1:-1]
-    lo = np.array([e[0] for e in ends], dtype=float)
-    hi = np.array([e[1] for e in ends], dtype=float)
     dt_col, theta_col = _column(dt), _column(theta)
     # the Newton matrix I - dt*theta*J_F takes these per-row factors
     jac_neg = _column([-h * t for h, t in zip(dt, theta)])
@@ -222,19 +220,18 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
            for w, h, f in zip(w_scale, dt, f_scale)]
 
     def residual(X, tried):
-        """G of every row of X and its stencil (D1, D2); sources on tried rows."""
+        """G on the interior points of every row of X and its stencil
+        (D1, D2); sources on tried rows.  The ends hold their Dirichlet
+        values exactly, so their residual is 0 and is not formed."""
         F_new, D1, D2 = _rhs(X, dxi, sigma_new, p)
         for i, source in enumerate(sources):
             if source is not None and tried[i]:
                 F_new[i] += source(X[i], delta_new[i])[1:-1]
-        G = np.empty_like(X)
-        G[:, 0] = X[:, 0] - lo
-        G[:, -1] = X[:, -1] - hi
-        G[:, 1:-1] = X[:, 1:-1] - W_old_in - dt_col * (theta_col * F_new + F_old_part)
+        G = X[:, 1:-1] - W_old_in - dt_col * (theta_col * F_new + F_old_part)
         return G, D1, D2
 
     X = np.array(start, dtype=float)
-    X[:, 0], X[:, -1] = lo, hi
+    X[:, [0, -1]] = ends
     G, D1, D2 = residual(X, [True] * k)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
@@ -269,7 +266,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
         for i in range(k):
             if lam[i]:
                 try:
-                    step[i, 1:-1] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i, 1:-1])
+                    step[i, 1:-1] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i])
                 except errors.NewtonDiverged as exc:
                     out[i], lam[i] = exc, 0.0
 

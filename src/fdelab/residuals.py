@@ -224,7 +224,9 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
     if broken.any():
         worst = int(np.argmax(broken))
     else:
-        worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
+        # at sign_atol_factor 0 the ratio overflows to +/-inf, keeping its sign
+        with np.errstate(over="ignore"):
+            worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
     i, j = np.unravel_index(worst, res.shape)
     report = ResidualReport(
         operator="L0" if region.kind in _OUTER_KINDS else "L1",

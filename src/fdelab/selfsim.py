@@ -15,6 +15,9 @@ Evaluation reads the step table of that solution: step i on
 [ts[i], ts[i+1]] contributes the cubic y(s) = sum_k coef[i,k] x^k in
 x = (s - ts[i]) / h[i], the state at ts[i] plus the step's collocation
 polynomial.  A point costs one sorted search and one Horner sum.
+phibar0(s, derivs=True) returns (phibar0, phibar0', phibar0'') from that
+one lookup: with c = (1-m)/m, phibar0' = phibar0 (2 + c P) and
+phibar0'' = phibar0 ((2 + c P)^2 + c P'), P' from the shoot's P-equation.
 
 The inverse reads the same table: log phibar0 = 2s + c Z(s) increases, so
 a bisection of its values at the breakpoints locates the step, and a
@@ -84,7 +87,7 @@ class SelfSimilarProfile:
         self.c_log_exact = -(p.n - 1) * p.d.b2 / (p.gamma * p.A)
         self.fit = self._fit_tail((s_max / 10.0, s_max))
         self.slope_converged = (
-            abs(self.phibar0(s_max, deriv=1) - self.slope_limit)
+            abs(self.phibar0(s_max, derivs=True)[1] - self.slope_limit)
             <= 1e-6 * self.slope_limit
         )
 
@@ -114,12 +117,13 @@ class SelfSimilarProfile:
 
     # -- evaluation ----------------------------------------------------------
 
-    def phibar0(self, s, deriv: int = 0):
-        """phibar0(s) or its first/second s-derivative, any real s."""
+    def phibar0(self, s, derivs: bool = False):
+        """phibar0(s) for any real s; with derivs, the triple (phibar0,
+        phibar0', phibar0'') from the same pass.  A float s gives floats."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        out = np.empty_like(s)
+        out = np.empty((3 if derivs else 1, *s.shape))
         p = self.p
         c = self._c
 
@@ -128,34 +132,28 @@ class SelfSimilarProfile:
         mid = ~(core | tail)
 
         if np.any(core):
-            logpb = (1.0 - p.m) * math.log(p.lam) + 2.0 * s[core]
-            val = np.exp(logpb)
-            out[core] = val * (2.0 ** deriv if deriv else 1.0)
+            val = np.exp((1.0 - p.m) * math.log(p.lam) + 2.0 * s[core])
+            out[0, core] = val
+            if derivs:
+                out[1, core], out[2, core] = val * 2.0, val * 4.0
         if np.any(mid):
             Z, P = self._table(s[mid])
-            logpb = 2.0 * s[mid] + c * Z
-            val = np.exp(logpb)
-            if deriv == 0:
-                out[mid] = val
-            elif deriv == 1:
-                out[mid] = val * (2.0 + c * P)
-            elif deriv == 2:
-                Pp = self._rhs_P(s[mid], Z, P)
-                out[mid] = val * ((2.0 + c * P) ** 2 + c * Pp)
-            else:
-                raise errors.InvalidParameter(f"deriv must be 0..2, got {deriv}")
+            val = np.exp(2.0 * s[mid] + c * Z)
+            out[0, mid] = val
+            if derivs:
+                g = 2.0 + c * P
+                out[1, mid] = val * g
+                out[2, mid] = val * (g ** 2 + c * self._rhs_P(s[mid], Z, P))
         if np.any(tail):
             st = s[tail]
             f = self.fit
-            if deriv == 0:
-                out[tail] = f.slope * st + f.c_log * np.log(st) + f.K1
-            elif deriv == 1:
-                out[tail] = f.slope + f.c_log / st
-            elif deriv == 2:
-                out[tail] = -f.c_log / st ** 2
-            else:
-                raise errors.InvalidParameter(f"deriv must be 0..2, got {deriv}")
-        return float(out[0]) if scalar else out
+            out[0, tail] = f.slope * st + f.c_log * np.log(st) + f.K1
+            if derivs:
+                out[1, tail] = f.slope + f.c_log / st
+                out[2, tail] = -f.c_log / st ** 2
+        if scalar:
+            out = [float(part[0]) for part in out]
+        return tuple(out) if derivs else out[0]
 
     def inverse(self, y: float) -> float:
         """The s with phibar0(s) = y, for a finite y > 0.
@@ -208,9 +206,7 @@ class SelfSimilarProfile:
     def stationary_residual(self, s):
         """Residual of the stationary inner equation at s (should be ~0)."""
         s = np.asarray(s, dtype=float)
-        v = self.phibar0(s)
-        v1 = self.phibar0(s, deriv=1)
-        v2 = self.phibar0(s, deriv=2)
+        v, v1, v2 = self.phibar0(s, derivs=True)
         if np.any(v <= 0.0):
             raise errors.NonPositiveProfile("phibar0 <= 0 in residual evaluation")
         p = self.p
@@ -291,7 +287,7 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
     table = numerics.solve_ode(rhs, jac, (s0, s_max), [Z0, P0], spec)
     prof = SelfSimilarProfile(p, table, s_min=s0, s_max=s_max)
     if not prof.slope_converged:
-        dev = abs(prof.phibar0(s_max, deriv=1) - prof.slope_limit)
+        dev = abs(prof.phibar0(s_max, derivs=True)[1] - prof.slope_limit)
         warnings.warn(
             f"endpoint slope off the limit by {dev:.3e} at s_max={s_max:g}; "
             "the fitted tail slope is the converged quantity",
@@ -317,7 +313,7 @@ def verify_tail_asymptotics(profile: SelfSimilarProfile) -> dict:
     k1_shift = abs(shifted.K1 - fit.K1)
 
     s_grid = np.linspace(max(profile.s_min, 0.0) + 1e-3, profile.s_max, 2000)
-    mono = bool(np.all(profile.phibar0(s_grid, deriv=1) > 0.0))
+    mono = bool(np.all(profile.phibar0(s_grid, derivs=True)[1] > 0.0))
 
     s_res = np.linspace(1.0, profile.s_max, 200)
     res = profile.stationary_residual(s_res)
@@ -357,8 +353,7 @@ def save_profile(profile: SelfSimilarProfile, path: str):
         "fit_K1": profile.fit.K1,
     }
     s = np.linspace(profile.s_min, profile.s_max, 2001)
-    v = profile.phibar0(s)
-    dv = profile.phibar0(s, deriv=1)
+    v, dv, _ = profile.phibar0(s, derivs=True)
     lines = ["# " + json.dumps(header, sort_keys=True), "s,phibar0,dphibar0"]
     lines.extend(",".join(repr(float(x)) for x in row) for row in zip(s, v, dv))
     atomic_write(path, "\n".join(lines) + "\n")

@@ -111,9 +111,7 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
     gap = np.asarray(gap, dtype=float)
     th1 = theta(p, 1, sign)
     th2 = theta(p, 2, sign)
-    phi0 = outer.phi0(gap)
-    dphi0 = outer.phi0(gap, deriv=1)
-    d2phi0 = outer.phi0(gap, deriv=2)
+    phi0, dphi0, d2phi0 = outer.phi0(gap, derivs=True)
     psi, dpsi, d2psi, _ = outer.psi_bundle(sign, tau, gap=gap)
     I1 = (d2phi0 / phi0 + th1 * (dphi0 / phi0) ** 2) - (
         d2psi / psi + d.b1 * (dpsi / psi) ** 2
@@ -134,8 +132,7 @@ def inner_residual_closed(barrier: GluedBarrier, xi, tau: float):
         raise errors.OutOfDomain("closed inner residual only applies at xi <= xi1")
     p = barrier.outer.p
     arg = xi + barrier.C(tau)
-    pb = barrier.profile.phibar0(arg)
-    dpb = barrier.profile.phibar0(arg, deriv=1)
+    pb, dpb, _ = barrier.profile.phibar0(arg, derivs=True)
     cp = barrier.C_prime(tau)
     s = 1.0 if barrier.sign == "+" else -1.0
     num = np.exp(-p.gamma * tau) * (dpb * cp - (1.0 + p.gamma) * pb) + (

@@ -115,8 +115,8 @@ def test_package_has_no_unused_parameters():
 
 # -- definitions without a caller ----------------------------------------------
 
-# the command-line entry point, and the single-run solver that the package
-# exports and the tests use as the lone-run reference for the row solver
+# the command-line entry point, and the single-run solver that the tests
+# use as the lone-run reference for the row solver
 ENTRY_POINTS = {"cli.main", "pde.solve_radial_fde"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -288,6 +288,25 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh_python(*args):
+    """Python on args in a fresh process that imports this package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_package_import_loads_no_submodule():
+    # each name has one import path, its defining submodule; the package
+    # itself re-exports nothing
+    proc = _fresh_python("-c", (
+        "import json, sys, fdelab\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fdelab.'))))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
     # a fresh process: importing the CLI and a 16x4 verify load no scipy
     # module at all; the simulate smoke run loads LAPACK for its Newton
@@ -300,12 +319,7 @@ def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
     simulate.write_text(json.dumps(dict(
         base, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,
     )))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(verify), str(simulate), str(tmp_path / "runs")],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _fresh_python("-c", _IMPORT_PROBE, str(verify), str(simulate), str(tmp_path / "runs"))
     assert proc.returncode == 0, proc.stderr
     after_import, after_verify, after_simulate = json.loads(proc.stdout.splitlines()[-1])
     assert after_import == []

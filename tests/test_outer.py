@@ -146,7 +146,7 @@ def test_phi0_ode(outer_all):
     p, ga = out.p, out.p.gamma
     eta = p.A + GAPS
     f = out.phi0(gap=GAPS)
-    f1 = out.phi0(gap=GAPS, deriv=1)
+    f1 = out.phi0(gap=GAPS, derivs=True)[1]
     r = _ode_residual([ga * eta * f1, f, -out.p.d.a0 * np.ones_like(f)])
     assert r < 1e-12
 
@@ -197,7 +197,7 @@ def test_phi4_ode(outer_all):
     eta = p.A + GAPS
     _, omx = _xparts(p, GAPS)
     f = out.phi4(gap=GAPS)
-    f1 = out.phi4(gap=GAPS, deriv=1)
+    f1 = out.phi4(gap=GAPS, derivs=True)[1]
     src = ga * b3q * eta ** (-1.0 - 1.0 / ga) / omx
     extra = out.C10 * ga * eta ** (-1.0 - 1.0 / ga)
     r = _ode_residual([ga * eta * f1, (1.0 + ga) * f, -src, -extra])
@@ -247,7 +247,7 @@ def test_h_is_phi1_plus_theta1_phi2(outer_all):
     for g in (1e-3, 1.0, 1e3):
         for sign, th1 in (("+", p.theta1_plus), ("-", p.theta1_minus)):
             for deriv in (0, 1, 2):
-                hv = out.h(sign=sign, deriv=deriv, gap=g)
+                hv = out.h(sign=sign, derivs=True, gap=g)[deriv]
                 comp = phi_correction(out, 1, g, deriv=deriv)
                 comp += th1 * phi_correction(out, 2, g, deriv=deriv)
                 assert math.isclose(float(hv), float(comp), rel_tol=1e-14)
@@ -350,10 +350,10 @@ def test_h_near_corner_laws(outer_all):
     g = 1e-5
     for sign, th1 in (("+", p.theta1_plus), ("-", p.theta1_minus)):
         assert g * out.h(sign=sign, gap=g) == pytest.approx(th1 * c_na, rel=1e-3)
-        assert g * g * out.h(sign=sign, deriv=1, gap=g) == pytest.approx(
+        assert g * g * out.h(sign=sign, derivs=True, gap=g)[1] == pytest.approx(
             -th1 * c_na, rel=1e-3
         )
-        assert g**3 * out.h(sign=sign, deriv=2, gap=g) == pytest.approx(
+        assert g**3 * out.h(sign=sign, derivs=True, gap=g)[2] == pytest.approx(
             2.0 * th1 * c_na, rel=1e-3
         )
 
@@ -512,7 +512,7 @@ def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
 def test_profile_derivatives_match_fd(outer_ref):
     out = outer_ref
     cases = [
-        (lambda g: float(out.phi0(gap=g)), lambda g: float(out.phi0(gap=g, deriv=1))),
+        (lambda g: float(out.phi0(gap=g)), lambda g: float(out.phi0(gap=g, derivs=True)[1])),
         (
             lambda g: float(phi_correction(out, 1, g)),
             lambda g: float(phi_correction(out, 1, g, deriv=1)),
@@ -521,10 +521,10 @@ def test_profile_derivatives_match_fd(outer_ref):
             lambda g: float(phi_correction(out, 3, g)),
             lambda g: float(phi_correction(out, 3, g, deriv=1)),
         ),
-        (lambda g: float(out.phi4(gap=g)), lambda g: float(out.phi4(gap=g, deriv=1))),
+        (lambda g: float(out.phi4(gap=g)), lambda g: float(out.phi4(gap=g, derivs=True)[1])),
         (
             lambda g: float(out.h(sign="-", gap=g)),
-            lambda g: float(out.h(sign="-", deriv=1, gap=g)),
+            lambda g: float(out.h(sign="-", derivs=True, gap=g)[1]),
         ),
     ]
     for g0 in (0.5, 10.0):
@@ -538,7 +538,7 @@ def test_second_derivatives_match_fd(outer_ref):
     for g0 in (0.5, 10.0):
         fd = fd_derivative(lambda g: float(out.phi4(gap=g)), g0, order=2,
                            scale=max(1.0, g0))
-        assert float(out.phi4(gap=g0, deriv=2)) == pytest.approx(fd, rel=1e-6)
+        assert float(out.phi4(gap=g0, derivs=True)[2]) == pytest.approx(fd, rel=1e-6)
 
 
 def test_psi_outer_derivatives_match_fd(outer_ref):

@@ -88,9 +88,28 @@ def test_v0_pin_through_phibar0(profile_ref):
 
 
 def test_phibar0_derivative_matches_fd(profile_ref):
-    for s0 in (-2.0, 1.0, 10.0):
-        fd = fd_derivative(profile_ref.phibar0, s0)
-        assert profile_ref.phibar0(s0, deriv=1) == pytest.approx(fd, rel=1e-6)
+    # core, table and tail points (s_max = 400); phibar0'' against the
+    # difference of phibar0', whose roundoff floor sits far below that of
+    # a second difference
+    def d1(s):
+        return profile_ref.phibar0(s, derivs=True)[1]
+
+    for s0 in (-2.0, 1.0, 10.0, 450.0, 1000.0):
+        _, v1, v2 = profile_ref.phibar0(s0, derivs=True)
+        scale = max(1.0, s0)
+        assert v1 == pytest.approx(fd_derivative(profile_ref.phibar0, s0, scale=scale), rel=1e-6)
+        assert v2 == pytest.approx(fd_derivative(d1, s0, scale=scale), rel=1e-5)
+
+
+def test_derivs_triple_carries_the_value_bit_for_bit(profile_ref):
+    s = np.array([-20.0, -2.0, 1.0, 10.0, 399.0, 450.0, 1000.0])
+    v, v1, v2 = profile_ref.phibar0(s, derivs=True)
+    assert np.array_equal(v, profile_ref.phibar0(s))
+    assert v.shape == v1.shape == v2.shape == s.shape
+    for x in s:
+        triple = profile_ref.phibar0(float(x), derivs=True)
+        assert [type(t) for t in triple] == [float, float, float]
+        assert triple[0] == profile_ref.phibar0(float(x))
 
 
 def test_tail_extension_continuous(profile_ref):
