@@ -105,6 +105,7 @@ def cmd_profile(args) -> int:
     payload["tau_snapshot"] = cfg.tau_start
     payload["C2"] = outer.C2
     payload["C10"] = outer.C10
+    payload["C10_star"] = outer.C10_star
     write_json(paths["derived"], payload)
     for v in paths.values():
         print(f"profile {h}: wrote {v}")
@@ -148,6 +149,7 @@ def cmd_verify(args) -> int:
     report["variant"] = variant
 
     outer = OuterProfileSet(p, cfg)
+    report["derived"].update(C10=outer.C10, C10_star=outer.C10_star)
     profile = shoot_v0(p)
     solver = MatchingSolver(profile, outer, variant)
 

@@ -41,10 +41,6 @@ class StepUnderflow(FdelabError):
     """ODE or PDE stepper could not make progress at the minimum step."""
 
 
-class PositivityUnattained(FdelabError):
-    """Doubling search for a positivity constant exhausted its budget."""
-
-
 class TargetBelowRange(FdelabError):
     """Matching target is not reachable by the inner profile (tau too small)."""
 
@@ -87,7 +83,3 @@ class InsufficientDecades(FdelabError):
 
 class InsufficientTail(FdelabError):
     """Self-similar profile tail too short for the asymptotic fit."""
-
-
-class SlopeNotConverged(UserWarning):
-    """Shoot reached s_max before the slope stabilized (warning, not error)."""

@@ -45,10 +45,21 @@ __all__ = [
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
 
 
+def _exp_gamma_tau(gamma: float, tau: float) -> float:
+    """e^{gamma tau}, the map of the outer side to inner variables;
+    OutOfDomain naming gamma*tau once it passes the float range."""
+    try:
+        return math.exp(gamma * tau)
+    except OverflowError:
+        raise errors.OutOfDomain(
+            f"e^(gamma tau) overflows at gamma tau = {gamma * tau:.6g}"
+        ) from None
+
+
 def _outer_w_tau(gamma: float, tau: float, xi, psi, dpsi, dtau_psi):
     """d/dtau of the outer side w = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)
     at fixed xi, from psi, psi_eta and psi_tau at the gap xi e^{-gamma tau}."""
-    egt = math.exp(gamma * tau)
+    egt = _exp_gamma_tau(gamma, tau)
     return gamma * egt * psi - gamma * xi * dpsi + egt * dtau_psi
 
 
@@ -89,7 +100,7 @@ class MatchingSolver:
         """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
         gamma = self.outer.p.gamma
         psi, dpsi, _, _ = self.outer.psi_bundle(sign, tau, gap=np.asarray(self._edge_gap(tau)))
-        return float(np.exp(gamma * tau) * psi), float(dpsi)
+        return float(_exp_gamma_tau(gamma, tau) * psi), float(dpsi)
 
     def solve_matching(self, sign: str, eps: float, tau: float) -> float:
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
@@ -103,7 +114,7 @@ class MatchingSolver:
             return self._memo[key]
         gamma = self.outer.p.gamma
         psi = self.outer.psi_outer(sign, tau=tau, gap=np.asarray(self._edge_gap(tau)))
-        target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(np.exp(gamma * tau) * psi)
+        target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(_exp_gamma_tau(gamma, tau) * psi)
         if not np.isfinite(target) or target <= 0.0:
             raise errors.TargetBelowRange(
                 f"matching target {target} not positive at tau={tau} "
@@ -238,7 +249,7 @@ class GluedBarrier:
                 out[0, left] = self.profile.phibar0(arg) / self.factor
         if np.any(~left):
             right = xi[~left]
-            egt, emgt = math.exp(gamma * tau), math.exp(-gamma * tau)
+            egt, emgt = _exp_gamma_tau(gamma, tau), math.exp(-gamma * tau)
             gap = right * emgt
             if derivs:
                 psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(self.sign, tau, gap=gap)

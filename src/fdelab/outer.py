@@ -28,9 +28,10 @@ and the correction rows T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma)
 (log eta)^j, 3 <= k <= 2N.  Rows exist exactly when 2N >= 3, that is when
 gamma <= 1; branch_variant labels the profile psi4 then and psi3 otherwise.
 The paper's psi1/psi2 are psi3/psi4 at C10 = 0 (phi4 = phi3 + 0 v, bit for
-bit), so a config with C10 = 0 gives them without a second profile path.
-Each term returns its value, or its value with both eta derivatives, from
-one evaluation; psi_outer and psi_bundle share one summation over the terms.
+bit), and C10 = 0 is the default, so the labels psi3/psi4 of a default
+config name the paper's psi1/psi2 without a second profile path.  Each
+term returns its value, or its value with both eta derivatives, from one
+evaluation; psi_outer and psi_bundle share one summation over the terms.
 
 l0_terms evaluates the outer operator L0 of residuals.py on psi.  Dropping
 the identically-zero phi0 group and folding each corrector through its
@@ -51,6 +52,28 @@ carries its own decay factor, so the roundoff floor tracks the local term
 scale instead of eps * a0; this is what makes sign verdicts meaningful after
 rescaling by e^{gamma tau}.  The scale returned beside the residual is the
 sum of the magnitudes of these terms.
+
+The admissible C10.  theta2^- = 0, so C10 enters psi^+ alone, through
+theta2^+ e^(-gamma tau) phi4.  Far out, x ~ A^(1/gamma) eta^(-1/gamma),
+r ~ A^(1/gamma) eta^(-1-1/gamma) and psi'/psi ~ phi0'/phi0 = r/gamma, and
+every term that carries a power of e^{-gamma tau} decays faster in eta, so
+
+    e^{gamma tau} L0(psi^+) = kappa eta^(-1-1/gamma) (1 + o(1)),
+    kappa = (n-1) A^(1/gamma) (theta2^+ - b2) / gamma - theta2^+ C10 gamma.
+
+The supersolution verdict needs kappa > 0 in the far field, that is
+
+    C10 < C10_star = (n-1) A^(1/gamma) (theta2^+ - b2) / (gamma^2 theta2^+)
+                   = -bq3 (theta2^+ - b2) / theta2^+,
+
+which is positive since theta2^+ > b2 > 0.  C10 needs no lower bound:
+psi^+ > 0 does not depend on it.  Near A, phi3 -> +inf (bq3 < 0 and
+I -> -inf) while the C10 term stays bounded, so phi4 -> +inf; far out
+phi0 -> a0 dominates every decaying term; and l0_terms raises
+NonPositiveProfile wherever psi <= 0 on a sampled band.  So the paper's
+C10 = 0 is admissible for every parameter set, and a configured
+C10 >= C10_star is rejected before the plus threshold search
+(residuals.find_thresholds).
 """
 
 from __future__ import annotations
@@ -68,7 +91,8 @@ __all__ = ["OuterProfileSet", "branch_variant"]
 
 def branch_variant(gamma: float) -> str:
     """Report label of the outer profile: psi3 for gamma > 1, else psi4,
-    the profile with correction rows (2N >= 3 exactly when gamma <= 1)."""
+    the profile with correction rows (2N >= 3 exactly when gamma <= 1).
+    At the default C10 = 0 they are the paper's psi1 and psi2."""
     return "psi3" if gamma > 1.0 else "psi4"
 
 
@@ -89,13 +113,13 @@ class _Primitives:
 class OuterProfileSet:
     """Profile family for one parameter set.
 
-    Fixes at construction the distinguished constant C2, the positivity
-    constant C10 (the configured value, else searched by doubling) and the
-    nonzero correction rows of each sign, which exist exactly when
-    2N >= 3 (gamma <= 1).  The profile psi of each sign is thereby one
-    expression; the configs with C10 = 0 give the paper's psi1/psi2.
-    cfg is checked against p; a constant beyond the float range raises
-    NonFinite naming gamma, A and eta0.
+    Fixes at construction the distinguished constant C2, the configured
+    C10 (default 0, the paper's psi1/psi2) with its closed-form bound
+    C10_star (module docstring), and the nonzero correction rows of each
+    sign, which exist exactly when 2N >= 3 (gamma <= 1).  The profile psi
+    of each sign is thereby one expression.  cfg is checked against p; a
+    constant beyond the float range raises NonFinite naming gamma, A and
+    eta0.
     """
 
     def __init__(self, p: ModelParams, cfg: ThresholdConfig):
@@ -121,7 +145,8 @@ class OuterProfileSet:
                 f"A = {A:g}, eta0 = {self.cfg.eta0:g}"
             ) from exc
         self.C2 = self._b2q * gamma * self.cfg.eta0 ** (-1.0 / gamma) / -math.expm1(-lg0)
-        self.C10 = float(self.cfg.C10) if self.cfg.C10 is not None else self._search_C10()
+        self.C10 = float(self.cfg.C10)
+        self.C10_star = -self._bq3 * (p.theta2_plus - p.d.b2) / p.theta2_plus
         self._rows = {sign: _nonzero_rows(self.correction_coeffs(sign)) for sign in ("+", "-")}
 
     # -- primitive layer -------------------------------------------------
@@ -245,24 +270,6 @@ class OuterProfileSet:
     def h(self, gap, sign: str, derivs: bool = False):
         parts = self._h_prims(self._prims(gap), sign, derivs)
         return parts if derivs else parts[0]
-
-    # -- distinguished constants -------------------------------------------
-
-    def _search_C10(self) -> float:
-        """Positivity constant of phi4 by doubling, for a config without C10."""
-        gaps = np.geomspace(1e-6, 1e4 * self.p.A - self.p.A, 400)
-        pr = self._prims(gaps)
-        (phi3,) = self._phi3_prims(pr, False)
-        (v,) = self._powlog_prims(self._p3, 1, pr, False)
-        c = 1.0
-        for _ in range(self.cfg.max_doublings):
-            # phi4 >= (c/2) v  <=>  phi3 >= -(c/2) v on the grid
-            if np.all(phi3 + 0.5 * c * v >= 0.0):
-                return c
-            c *= 2.0
-        raise errors.PositivityUnattained(
-            f"no C10 up to {c:g} makes phi4 dominate its log envelope"
-        )
 
     # -- far-field seeds and coefficient tables -----------------------------
 

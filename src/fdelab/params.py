@@ -177,9 +177,10 @@ def theta(p: ModelParams, which: int, sign: str) -> float:
 class ThresholdConfig:
     """Tunable thresholds and search controls.
 
-    C10 = None means: determine by doubling when OuterProfileSet is
-    constructed, which fixes C10 for the life of the set.  C10 = 0 gives
-    the paper's psi1/psi2 (phi4 = phi3).
+    C10 is the resonant constant of phi4 = phi3 + C10 eta^(-1-1/gamma)
+    log eta.  The default 0 gives the paper's psi1/psi2 (phi4 = phi3); the
+    plus thresholds need C10 below the closed-form bound C10_star of
+    OuterProfileSet (see the outer module), and no lower bound applies.
     seed_constants holds (k, value) pairs seeding the homogeneous part
     c_{k,0} of the correction coefficient rows.
     """
@@ -192,8 +193,7 @@ class ThresholdConfig:
     delta1: float = 20.0
     homog_C1: float = 0.0
     homog_C3: float = 0.0
-    C10: float | None = None
-    max_doublings: int = 24
+    C10: float = 0.0
     grid_eta: int = 200
     grid_tau: int = 40
     sign_atol_factor: float = 1e-9
@@ -245,18 +245,11 @@ def default_thresholds(p: ModelParams) -> ThresholdConfig:
 
 # -- config I/O ---------------------------------------------------------------
 
-_PARAM_KEYS = {
-    "n", "m", "gamma", "A", "T", "lam", "epsilon",
-    "theta1_minus", "theta1_plus", "theta2_minus", "theta2_plus",
-}
-_THRESHOLD_KEYS = {
-    "eta0", "xi0", "xi1", "tau_start", "delta0", "delta1",
-    "homog_C1", "homog_C3", "C10", "max_doublings", "grid_eta", "grid_tau",
-    "sign_atol_factor", "inconclusive_frac", "seed_constants",
-}
+_PARAM_KEYS = {f.name for f in fields(ModelParams)}
+_THRESHOLD_KEYS = {f.name for f in fields(ThresholdConfig)}
 # the simulate window, which the CLI checks where it reads it from extras
 _WINDOW_KEYS = {"tau0", "eps", "tau_end", "n_cells", "dtau"}
-_INTEGER_KEYS = {"n", "max_doublings", "grid_eta", "grid_tau", "n_cells"}
+_INTEGER_KEYS = {"n", "grid_eta", "grid_tau", "n_cells"}
 
 
 def _finite(value) -> bool:
@@ -272,14 +265,12 @@ def _finite(value) -> bool:
 def config_value(key: str, value):
     """A config value after the type check of its key.
 
-    An integer key takes an integral number and gives an int; C10 also
-    takes null; seed_constants takes a list of [k, value] pairs of an
-    integral k and a finite number and gives a tuple of pairs; every other
-    key takes a finite number, returned as given.  Anything else raises
+    An integer key takes an integral number and gives an int;
+    seed_constants takes a list of [k, value] pairs of an integral k and a
+    finite number and gives a tuple of pairs; every other key takes a
+    finite number, returned as given.  Anything else raises
     InvalidParameter naming the key.
     """
-    if key == "C10" and value is None:
-        return None
     if key == "seed_constants":
         if isinstance(value, list) and all(
             isinstance(pair, list) and len(pair) == 2

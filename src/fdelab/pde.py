@@ -198,9 +198,9 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     k, M = W_old.shape
     out = [None] * k
     dt = [a - b for a, b in zip(delta_old, delta_new)]
-    sigma_old = [_drift_speed(p, x) for x in delta_old]
+    sigma_old = _column([_drift_speed(p, x) for x in delta_old])
     sigma_new = _column([_drift_speed(p, x) for x in delta_new])
-    F_old, _, _ = _rhs(W_old, dxi, _column(sigma_old), p)
+    F_old, D1_old, _ = _rhs(W_old, dxi, sigma_old, p)
     for i, source in enumerate(sources):
         if source is not None:
             F_old[i] += source(W_old[i], delta_old[i])[1:-1]
@@ -213,11 +213,20 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     W_old_in = W_old[:, 1:-1]
 
     # the achievable residual is bounded below by rounding of the bracket
-    # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|
+    # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|, and
+    # by rounding inside F, whose stencil terms (the drift sigma*D1 against
+    # D2 and a0) cancel to a net |F| far below their raw size T
     w_scale = W_old.max(axis=1).tolist()
     f_scale = [p.d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
-    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f))
-           for w, h, f in zip(w_scale, dt, f_scale)]
+    Wm, W0, Wp = W_old[:, :-2], W_old_in, W_old[:, 2:]
+    M1 = (Wp + Wm) / (2.0 * dxi)
+    M2 = (Wp + 2.0 * W0 + Wm) / (dxi * dxi)
+    T = (p.n - 1) * (
+        M2 / W0 + 2.0 * abs(p.d.b1) * np.abs(D1_old) * M1 / W0 ** 2 + abs(p.d.b2) * M1 / W0
+    ) + p.d.a0 + sigma_old * M1
+    floor = (2.3e-16 * (2.0 * W0 + dt_col * T)).max(axis=1).tolist()
+    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f), g)
+           for w, h, f, g in zip(w_scale, dt, f_scale, floor)]
 
     def residual(X, tried):
         """G on the interior points of every row of X and its stencil

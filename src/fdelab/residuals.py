@@ -270,7 +270,10 @@ def find_thresholds(
     passing tuple is re-verified at tau_start + 5 (the verdict must be
     tau-monotone) and recorded.  Only an empty band (EmptyRegion) or a
     non-positive profile makes a rung infeasible; a bad sign or region
-    kind raises InvalidParameter before the ladder starts.  Raises
+    kind raises InvalidParameter before the ladder starts, and so does a
+    plus far-field search at C10 >= outer.C10_star, where the leading
+    far-field coefficient kappa of the plus residual is not positive (see
+    the outer module) and no rung can pass.  Raises
     ThresholdSearchExhausted when the ladder is exhausted.  The starting
     xi0 respects the lower bound sqrt((n-1)|theta1|/a0).
     """
@@ -281,6 +284,13 @@ def find_thresholds(
         )
 
     th1 = theta(p, 1, sign)
+    if sign == "+" and "far_field" in regions and outer.C10 >= outer.C10_star:
+        kappa = p.theta2_plus * p.gamma * (outer.C10_star - outer.C10)
+        raise errors.InvalidParameter(
+            f"C10 = {outer.C10:g} is not below C10* = {outer.C10_star:.6g}: the "
+            f"far-field coefficient kappa = {kappa:.6g} of the plus L0 residual "
+            "is not positive, so the supersolution verdict fails far out"
+        )
     variant = branch_variant(p.gamma)
 
     def ev(gap, tau):

@@ -6,11 +6,8 @@ it), the low-gamma set swaps gamma=0.5 to drive the psi4/coefficient
 branch.
 """
 
-import warnings
-
 import pytest
 
-from fdelab import errors
 from fdelab.matching import MatchingSolver, find_epsilon_bounds
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, default_thresholds
@@ -60,16 +57,12 @@ def outer_low(p_low, cfg_low):
 
 @pytest.fixture(scope="session")
 def profile_ref(p_ref):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", errors.SlopeNotConverged)
-        return shoot_v0(p_ref)
+    return shoot_v0(p_ref)
 
 
 @pytest.fixture(scope="session")
 def profile_low(p_low):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", errors.SlopeNotConverged)
-        return shoot_v0(p_low)
+    return shoot_v0(p_low)
 
 
 @pytest.fixture(scope="session")

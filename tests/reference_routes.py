@@ -57,10 +57,10 @@ def L1_residual(evaluator, xi, tau, p):
     )
 
 
-def at_C10_zero(outer: OuterProfileSet) -> OuterProfileSet:
-    """The same profile family at C10 = 0: the paper's psi1 (gamma > 1) or
-    psi2 (gamma <= 1), since phi4 = phi3 + C10 v."""
-    return OuterProfileSet(outer.p, dataclasses.replace(outer.cfg, C10=0.0))
+def at_C10(outer: OuterProfileSet, C10: float) -> OuterProfileSet:
+    """The same profile family at another C10 (phi4 = phi3 + C10 v); the
+    default C10 = 0 gives the paper's psi1 (gamma > 1) or psi2 (gamma <= 1)."""
+    return OuterProfileSet(outer.p, dataclasses.replace(outer.cfg, C10=C10))
 
 
 def outer_psi_evaluator(outer: OuterProfileSet, sign: str):
@@ -101,9 +101,9 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
 
     I1 = (phi0''/phi0 + theta1 phi0'^2/phi0^2) - (psi''/psi + b1 psi'^2/psi^2)
     I2 = theta2 phi0'/phi0 - b2 psi'/psi
-    Valid for psi1 (gamma > 1, so no correction rows, and C10 = 0; see
-    at_C10_zero) at every (eta, tau); serves as the independent second
-    route for the L0 implementation.
+    Valid for psi1 (gamma > 1, so no correction rows, and the default
+    C10 = 0) at every (eta, tau); serves as the independent second route
+    for the L0 implementation.
     """
     p, d = outer.p, outer.p.d
     if outer.C10 != 0.0 or outer.correction_coeffs(sign):

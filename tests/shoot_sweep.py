@@ -16,7 +16,6 @@ tests/test_selfsim.py runs a subset of it.
 import itertools
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -38,12 +37,10 @@ def sweep_params():
 
 def shoot_or_error(p):
     """The shot profile, or the FdelabError the shoot raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", errors.SlopeNotConverged)
-        try:
-            return shoot_v0(p)
-        except errors.FdelabError as exc:
-            return exc
+    try:
+        return shoot_v0(p)
+    except errors.FdelabError as exc:
+        return exc
 
 
 def inverse_round_trip(prof) -> tuple[float, float]:

@@ -88,7 +88,7 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     ("verify", dict(SMOKE, seed_constants=[[3]])),
     ("verify", dict(SMOKE, seed_constants=[[3.5, 1.0]])),
     ("verify", dict(SMOKE, grid_eta=50.5)),
-    ("verify", dict(SMOKE, max_doublings=True)),
+    ("verify", dict(SMOKE, grid_tau=True)),
     ("verify", dict(SMOKE, eta0=None)),
     ("verify", dict(SMOKE, sign_atol_factor="1e-9")),
     ("verify", dict(SMOKE, C10="0.5")),
@@ -105,6 +105,11 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     ("verify", dict(SMOKE, sign_atol_factor=-1.0)),
     ("verify", dict(SMOKE, inconclusive_frac=1.0)),
     ("verify", dict(SMOKE, inconclusive_frac=-0.5)),
+    # C10 is a number; null no longer asks for a search
+    ("verify", dict(SMOKE, C10=None)),
+    # C10 >= C10_star = 0.907 leaves the plus far-field coefficient kappa
+    # <= 0, so the plus threshold search refuses it before any rung
+    ("verify", dict(SMOKE, C10=4.0)),
 ])
 def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -137,15 +142,26 @@ def _run_cli(args, python_flags=()):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
+# the error each gamma below ends in, named with gamma*tau
+GAMMA_TAU_ERRORS = {
+    50.0: "matching edge gap xi1 e^(-gamma tau) underflows to 0 at gamma tau = ",
+    51.0: "e^(gamma tau) overflows at gamma tau = ",
+}
+
+
 @pytest.mark.parametrize("extra, rc", [
-    # the ladder doubles tau_start to 800, where xi0 e^(-gamma tau) is 0:
-    # those rungs are infeasible and the verify report is written
-    ({"tau_start": 100.0}, 1),
+    # at tau_start 100 the near-A bands reach gaps of ~1e-78; both ladders
+    # pass before the rungs where xi0 e^(-gamma tau) underflows to 0
+    ({"tau_start": 100.0}, 0),
     # the near-A band underflows on every rung; the matching edge gap then
     # underflows too, and the error names it with gamma*tau
     ({"gamma": 50.0}, 2),
-    # atol is 0, so the worst-point ratio residual / atol overflows to inf
-    ({"sign_atol_factor": 0}, 1),
+    # atol is 0, so the worst-point ratio residual / atol overflows to inf;
+    # no point is inconclusive, and every check passes
+    ({"sign_atol_factor": 0}, 0),
+    # gamma*tau passes 709.78 before the edge gap underflows: e^(gamma tau)
+    # overflows on the matching path
+    ({"gamma": 51.0}, 2),
 ])
 def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_path):
     config = tmp_path / "config.json"
@@ -157,12 +173,11 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
                     ("-W", "error::RuntimeWarning"))
     assert proc.returncode == rc, proc.stderr
     assert "Traceback" not in proc.stderr
-    if rc == 1:
-        (report,) = out.glob("verify-*.json")
-        assert json.loads(report.read_text())["all_passed"] is False
+    if rc == 2:
+        assert "\nerror: " + GAMMA_TAU_ERRORS[extra["gamma"]] in "\n" + proc.stderr
     else:
-        assert ("\nerror: matching edge gap xi1 e^(-gamma tau) underflows to 0 "
-                "at gamma tau = ") in "\n" + proc.stderr
+        (report,) = out.glob("verify-*.json")
+        assert json.loads(report.read_text())["all_passed"] is True
 
 
 @pytest.mark.parametrize("extra, name", [
@@ -231,7 +246,6 @@ def _csv_cells(text: str):
     return [header.split(",")] + [[float(v) for v in row.split(",")] for row in rows]
 
 
-@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
 def test_verify_end_to_end_is_reproducible(tmp_path):
     # small grids keep the whole checklist quick; a rerun rewrites the same
     # bytes, and both reports match the goldens (ref: psi3; low: gamma 0.5,
@@ -272,7 +286,6 @@ def profile_summary(out) -> dict:
     }
 
 
-@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
 @pytest.mark.parametrize("name, gamma", [("ref", 1.5), ("low", 0.5)])
 def test_profile_matches_golden(name, gamma, tmp_path):
     # ref tabulates psi3, low psi4 with its correction rows
@@ -284,7 +297,6 @@ def test_profile_matches_golden(name, gamma, tmp_path):
     assert_matches(profile_summary(out), want, f"profile-{name}")
 
 
-@pytest.mark.filterwarnings("ignore::fdelab.errors.SlopeNotConverged")
 def test_simulate_end_to_end_is_reproducible(tmp_path):
     # a 0.6-tau window passes the sandwich but spans too few decades for
     # the extinction-rate fit; a rerun rewrites the same bytes, and the

@@ -134,7 +134,7 @@ class _Scope:
     is_class: bool = False
     reads: set = field(default_factory=set)
     attrs: set = field(default_factory=set)
-    calls: set = field(default_factory=set)  # names called, or passed to warn
+    calls: set = field(default_factory=set)  # names called
 
 
 def _is_dunder(name):
@@ -170,9 +170,6 @@ def _scopes(module: str, source: str) -> list[_Scope]:
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             scope.calls.add(called)
-            if called == "warn":
-                for arg in node.args[1:]:
-                    scope.calls.add(getattr(arg, "attr", getattr(arg, "id", None)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -256,7 +253,7 @@ def test_every_definition_has_a_caller():
 
 def test_every_error_class_is_raised():
     # an error counts when live code outside errors.py constructs it (to
-    # raise it, or to store it for the caller to raise) or warns with it
+    # raise it, or to store it for the caller to raise)
     sources = _package_sources()
     live, _ = live_scopes(sources, ENTRY_POINTS)
     raised = set().union(*(s.calls for s in live if not s.qualname.startswith("errors")))
@@ -264,21 +261,18 @@ def test_every_error_class_is_raised():
         node.name for node in ast.parse(sources["errors"]).body
         if isinstance(node, ast.ClassDef)
     ]
-    exempt = {"FdelabError", "SlopeNotConverged"}
-    assert [name for name in classes if name not in raised | exempt] == []
+    assert [name for name in classes if name not in raised | {"FdelabError"}] == []
 
 
 # -- import graph -----------------------------------------------------------------
 
 _IMPORT_PROBE = """
-import json, sys, warnings
-from fdelab import errors
+import json, sys
 from fdelab.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-warnings.simplefilter("ignore", errors.SlopeNotConverged)
 loaded = [scipy_modules()]
 main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
 loaded.append(scipy_modules())

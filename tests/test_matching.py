@@ -19,12 +19,13 @@ from numdiff import fd_derivative
 
 XI1 = 10.0  # the matching radius of the default config
 
-# Frozen matching constants at the reference set (xi1 = 10, eps = 0).
+# Frozen matching constants at the reference set (xi1 = 10, eps = 0,
+# the default C10 = 0).
 C_PLUS_REF = {
-    8.0: 10.849035963515531,
-    10.0: 13.894178403042151,
-    16.0: 23.001624579361014,
-    40.0: 59.2561600567407,
+    8.0: 9.51782701318659,
+    10.0: 12.56550247808627,
+    16.0: 21.677892878902185,
+    40.0: 57.93950701212667,
 }
 C_MINUS_REF_16 = -0.4530757400619458
 C_MINUS_REF_40 = -0.45307573802160883
@@ -118,8 +119,8 @@ def test_corner_inequality_at_eps_zero(solver_ref):
     # subsolution needs the reverse
     plus = GluedBarrier(solver_ref, "+", 0.0).corner_jump(16.0)
     assert plus.holds
-    assert plus.left_slope == pytest.approx(1.0264555924767151, rel=1e-9)
-    assert plus.right_slope == pytest.approx(0.9266666656671204, rel=1e-9)
+    assert plus.left_slope == pytest.approx(1.0260448301474918, rel=1e-9)
+    assert plus.right_slope == pytest.approx(0.9266666656728635, rel=1e-9)
     assert plus.left_slope > plus.right_slope
 
     minus = GluedBarrier(solver_ref, "-", 0.0).corner_jump(16.0)

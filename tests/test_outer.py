@@ -13,7 +13,7 @@ from fdelab import errors
 from fdelab.outer import OuterProfileSet
 from fdelab.params import ModelParams, default_thresholds
 from numdiff import fd_derivative
-from reference_routes import at_C10_zero, phi_correction
+from reference_routes import at_C10, phi_correction
 
 # Distinguished constants at the reference parameters, frozen from the
 # closed forms b1q = (n-1)(gamma+1)A^(1/gamma)/gamma^3 and
@@ -21,10 +21,16 @@ from reference_routes import at_C10_zero, phi_correction
 B1Q_REF = 2.35170526217511
 B3Q_REF = -1.411023157305066
 C2_REF = 4.546251210146356
+# C10_star = (n-1) A^(1/gamma) (theta2+ - b2) / (gamma^2 theta2+)
+C10_STAR_REF = 0.9070863154103995
+C10_STAR_LOW = 20.57142857142857
+
+# a nonzero C10, so that phi4 carries its resonant log term
+RESONANT_C10 = 4.0
 
 # Correction tables of the low-gamma regime (N = 2), frozen from a
 # run of the recurrence at gamma = 0.5.  Row 4 is theta2-independent.
-# psi2 is psi4 at C10 = 0.
+# psi2 is psi4 at the default C10 = 0; LOW_PSI4_PLUS is psi4 at C10 = 64.
 LOW_PSI2_PLUS = {
     (3, 0): 0.0,
     (3, 1): -1066.0241583746804,
@@ -191,7 +197,7 @@ def test_phi3_ode(outer_all):
 def test_phi4_ode(outer_all):
     # phi4 solves the phi3 equation with the extra resonant source
     # C10 * gamma * eta^(-1-1/gamma)
-    out = outer_all
+    out = at_C10(outer_all, RESONANT_C10)
     p, ga = out.p, out.p.gamma
     _, b3q = _quotients(p)
     eta = p.A + GAPS
@@ -254,7 +260,7 @@ def test_h_is_phi1_plus_theta1_phi2(outer_all):
 
 
 def test_phi4_is_phi3_plus_resonant_log(outer_all):
-    out = outer_all
+    out = at_C10(outer_all, RESONANT_C10)
     ga = out.p.gamma
     g = 2.0
     eta = out.p.A + g
@@ -265,13 +271,36 @@ def test_phi4_is_phi3_plus_resonant_log(outer_all):
 
 
 def test_c10_values(outer_ref, outer_low):
-    assert outer_ref.C10 == pytest.approx(4.0, rel=1e-12)
-    assert outer_low.C10 == pytest.approx(64.0, rel=1e-12)
+    # the default C10 is the paper's 0; C10_star is the closed form
+    assert outer_ref.C10 == outer_low.C10 == 0.0
+    assert outer_ref.C10_star == pytest.approx(C10_STAR_REF, rel=1e-12)
+    assert outer_low.C10_star == pytest.approx(C10_STAR_LOW, rel=1e-12)
+    for out in (outer_ref, outer_low):
+        p = out.p
+        want = (p.n - 1) * p.A ** (1.0 / p.gamma) * (p.theta2_plus - p.d.b2) / (
+            p.gamma ** 2 * p.theta2_plus
+        )
+        assert out.C10_star == pytest.approx(want, rel=1e-14)
 
 
-def test_phi4_positive(outer_all):
-    gaps = np.logspace(-6, 4, 200) * outer_all.p.A
-    assert np.all(outer_all.phi4(gap=gaps) > 0.0)
+@pytest.mark.parametrize("kw", [
+    dict(n=3, m=0.1, gamma=1.5, A=2.0, theta1_minus=-1.0),
+    dict(n=3, m=0.1, gamma=0.5, A=2.0, theta1_minus=-1.0),
+    dict(n=4, m=0.2, gamma=1.0, A=3.0),
+    dict(n=5, m=0.05, gamma=0.3, A=1.2),
+    dict(n=6, m=0.4, gamma=3.0, A=5.0),
+    dict(n=3, m=0.19, gamma=0.7, A=1.05),
+], ids=["ref", "low", "n4", "n5", "n6", "n3-A1.05"])
+def test_psi_plus_positive_at_C10_zero(kw):
+    # psi+ > 0 needs no lower bound on C10: phi4 -> +inf near A whatever
+    # C10 is, and phi0 -> a0 dominates far out (the outer module docstring)
+    p = ModelParams(**kw)
+    cfg = default_thresholds(p)
+    out = OuterProfileSet(p, cfg)
+    assert out.C10 == 0.0
+    for tau in (cfg.tau_start, cfg.tau_start + 25.0):
+        gaps = np.geomspace(cfg.xi0 * math.exp(-p.gamma * tau), 1e6 * p.A, 400)
+        assert np.all(out.psi_outer("+", tau, gap=gaps) > 0.0), tau
 
 
 # -- correction tables -------------------------------------------------------
@@ -282,20 +311,20 @@ def test_reference_tables_empty(gamma):
     p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
     out = OuterProfileSet(p, default_thresholds(p))
     assert out.p.d.N == 1
-    for each in (out, at_C10_zero(out)):
+    for each in (out, at_C10(out, RESONANT_C10)):
         for sign in ("+", "-"):
             assert each.correction_coeffs(sign) == {}
 
 
 def test_low_gamma_psi2_table(outer_low):
-    table = at_C10_zero(outer_low).correction_coeffs("+")
+    table = outer_low.correction_coeffs("+")
     assert set(table) == set(LOW_PSI2_PLUS)
     for key, want in LOW_PSI2_PLUS.items():
         assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_low_gamma_psi4_table(outer_low):
-    table = outer_low.correction_coeffs("+")
+    table = at_C10(outer_low, 64.0).correction_coeffs("+")
     assert set(table) == set(LOW_PSI4_PLUS)
     for key, want in LOW_PSI4_PLUS.items():
         assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -303,7 +332,7 @@ def test_low_gamma_psi4_table(outer_low):
 
 def test_low_gamma_minus_row3_vanishes(outer_low):
     # theta2^- = 0 kills the third-order source on the subsolution side
-    for out in (at_C10_zero(outer_low), outer_low):
+    for out in (outer_low, at_C10(outer_low, 64.0)):
         table = out.correction_coeffs("-")
         for (k, j), val in table.items():
             if k == 3:
@@ -313,11 +342,11 @@ def test_low_gamma_minus_row3_vanishes(outer_low):
 def test_low_gamma_row4_shared(outer_low):
     ref_row = {
         key: val
-        for key, val in at_C10_zero(outer_low).correction_coeffs("+").items()
+        for key, val in outer_low.correction_coeffs("+").items()
         if key[0] == 4
     }
     assert ref_row
-    for out in (at_C10_zero(outer_low), outer_low):
+    for out in (outer_low, at_C10(outer_low, 64.0)):
         for sign in ("+", "-"):
             table = out.correction_coeffs(sign)
             for key, want in ref_row.items():
@@ -459,28 +488,30 @@ def test_phi4_far_field_limit(outer_all):
 def test_psi_outer_decays_to_phi0(outer_all):
     tau = 40.0 if outer_all.p.gamma > 1.0 else 80.0
     ph0 = float(outer_all.phi0(gap=1.0))
-    for out in (outer_all, at_C10_zero(outer_all)):
+    for out in (outer_all, at_C10(outer_all, RESONANT_C10)):
         for sign in ("+", "-"):
             ps = float(out.psi_outer(sign, tau, gap=1.0))
             assert abs(ps - ph0) <= 1e-10
 
 
 def test_psi_outer_decay_rate(outer_ref):
-    # |psi - phi0| contracts by e^(-gamma dtau) per unit of tau
+    # |psi - phi0| contracts by e^(-gamma dtau) per unit of tau; at gap 1
+    # (eta0) phi4 = 0 at C10 = 0, so the e^(-gamma tau) term is read at gap 3
     out = outer_ref
     ga = out.p.gamma
-    ph0 = float(out.phi0(gap=1.0))
-    r6 = abs(float(out.psi_outer("+", 6.0, gap=1.0)) - ph0)
-    r8 = abs(float(out.psi_outer("+", 8.0, gap=1.0)) - ph0)
+    assert float(out.phi4(gap=3.0)) != 0.0
+    ph0 = float(out.phi0(gap=3.0))
+    r6 = abs(float(out.psi_outer("+", 6.0, gap=3.0)) - ph0)
+    r8 = abs(float(out.psi_outer("+", 8.0, gap=3.0)) - ph0)
     assert r8 / r6 == pytest.approx(math.exp(-2.0 * ga), rel=0.1)
 
 
 def test_psi_bundle_matches_psi_outer(outer_ref, outer_low):
     # the value route sums the same terms in the same order: equal bits
-    # (psi3 and psi1 on ref, psi4 and psi2 on low)
+    # (psi1 and psi3 at C10 = 4 on ref, psi2 and psi4 at C10 = 4 on low)
     gaps = np.array([1e-4, 0.5, 2.0, 10.0, 1e3])
     for base in (outer_ref, outer_low):
-        for out in (base, at_C10_zero(base)):
+        for out in (base, at_C10(base, RESONANT_C10)):
             for sign in ("+", "-"):
                 for tau in (9.0, np.array([[9.0], [12.0]])):
                     psi = out.psi_bundle(sign, tau, gap=gaps)[0]
@@ -511,6 +542,7 @@ def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
 
 def test_profile_derivatives_match_fd(outer_ref):
     out = outer_ref
+    resonant = at_C10(out, RESONANT_C10)
     cases = [
         (lambda g: float(out.phi0(gap=g)), lambda g: float(out.phi0(gap=g, derivs=True)[1])),
         (
@@ -521,7 +553,10 @@ def test_profile_derivatives_match_fd(outer_ref):
             lambda g: float(phi_correction(out, 3, g)),
             lambda g: float(phi_correction(out, 3, g, deriv=1)),
         ),
-        (lambda g: float(out.phi4(gap=g)), lambda g: float(out.phi4(gap=g, derivs=True)[1])),
+        (
+            lambda g: float(resonant.phi4(gap=g)),
+            lambda g: float(resonant.phi4(gap=g, derivs=True)[1]),
+        ),
         (
             lambda g: float(out.h(sign="-", gap=g)),
             lambda g: float(out.h(sign="-", derivs=True, gap=g)[1]),
@@ -534,7 +569,7 @@ def test_profile_derivatives_match_fd(outer_ref):
 
 
 def test_second_derivatives_match_fd(outer_ref):
-    out = outer_ref
+    out = at_C10(outer_ref, RESONANT_C10)
     for g0 in (0.5, 10.0):
         fd = fd_derivative(lambda g: float(out.phi4(gap=g)), g0, order=2,
                            scale=max(1.0, g0))

@@ -198,7 +198,7 @@ def test_sandwich_smoke(barrier_pair):
         for kind, run in report.runs.items()
     }
     assert counters == {
-        "lower": (132, 7, 0, 0), "upper": (129, 5, 0, 0), "mid": (133, 8, 0, 1),
+        "lower": (132, 7, 0, 0), "upper": (130, 5, 0, 0), "mid": (140, 11, 0, 0),
     }
 
 

@@ -1,6 +1,7 @@
 """Residual operators: two-route identities, sign verdicts, threshold search."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from fdelab.residuals import (
 from reference_routes import (
     L0_residual,
     L1_residual,
-    at_C10_zero,
+    at_C10,
     inner_residual_closed,
     outer_as_inner_evaluator,
     outer_psi_evaluator,
@@ -38,8 +39,9 @@ INNER_DEFECT_XI5 = -4.062183213897597e-06
 
 def test_psi1_two_route_residual(outer_ref):
     # raw L0 against the exact decomposition; agreement is limited only by
-    # roundoff in the raw route (psi1 is the ref profile at C10 = 0)
-    out = at_C10_zero(outer_ref)
+    # roundoff in the raw route (psi1 is the ref profile at the default
+    # C10 = 0)
+    out = outer_ref
     gaps = np.logspace(-3, 3, 60)
     for sign in ("+", "-"):
         for tau in (6.0, 10.0):
@@ -71,13 +73,14 @@ def test_inner_outer_transform_identity(outer_ref):
 )
 def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     # e^{-gamma tau} times the rescaled decomposition must equal raw L0 to
-    # roundoff in the raw term sum, at every recurrence depth (N = 1, 2, 3)
+    # roundoff in the raw term sum, at every recurrence depth (N = 1, 2, 3),
+    # at the default C10 = 0 and with the resonant C10 term of F1
     p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
     assert branch_variant(gamma) == variant
-    out = OuterProfileSet(p, default_thresholds(p))
+    base = OuterProfileSet(p, default_thresholds(p))
     d = p.d
     xi0b = math.sqrt((p.n - 1) / d.a0)
-    for sign in ("+", "-"):
+    for out, sign in itertools.product((base, at_C10(base, 4.0)), ("+", "-")):
         lo = max(1e-3, 2.0 * xi0b * math.exp(-gamma * tau)) if sign == "-" else 1e-3
         gaps = np.geomspace(lo, 1e3, 60)
         res, _ = out.l0_terms(sign, tau, gap=gaps)
@@ -461,13 +464,36 @@ def test_plus_near_corner_passes_at_base_rung(outer_ref):
     assert th["ladder_steps"] == 1
 
 
-def test_plus_far_field_exhausts_ladder(outer_ref, monkeypatch):
-    # the supersolution verdict cannot hold in the far field; the ladder
-    # must exhaust instead of reporting a spurious pass
-    for name in ("_TAU_DOUBLINGS", "_XI_DOUBLINGS", "_DELTA_HALVINGS"):
-        monkeypatch.setattr(residuals, name, 1)
-    with pytest.raises(errors.ThresholdSearchExhausted):
-        find_thresholds(outer_ref, "+")
+@pytest.mark.parametrize("setup, grid", [("ref", (200, 40)), ("low", (100, 20))],
+                         ids=["ref-200x40", "low-100x20"])
+def test_c10_star_splits_the_plus_far_field_verdict(request, setup, grid):
+    # kappa = theta2+ gamma (C10_star - C10) is the leading far-field
+    # coefficient of the plus residual: the sampled verdict passes just
+    # below C10_star and fails just above it
+    base = request.getfixturevalue(f"outer_{setup}")
+    for factor, passed in ((0.98, True), (1.02, False)):
+        out = at_C10(base, factor * base.C10_star)
+        cfg = _grid(out.cfg, *grid)
+
+        def ev(gap, tau, out=out):
+            return out.l0_terms("+", tau, gap=gap)
+
+        for tau in (cfg.tau_start, cfg.tau_start + 5.0):
+            region = Region(kind="far_field", tau_lo=tau, tau_hi=tau + 20.0)
+            rep = verify_sign_region(ev, "+", region, out.p, cfg)
+            assert rep.passed is passed, (factor, tau)
+            assert (rep.n_violations == 0) is passed
+
+
+def test_plus_far_field_above_c10_star_fails_before_the_ladder(outer_ref, monkeypatch):
+    # at C10 >= C10_star kappa <= 0, so the supersolution verdict cannot
+    # hold far out: the search says so before any rung is sampled
+    sampled = []
+    monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
+    for C10 in (4.0, outer_ref.C10_star):
+        with pytest.raises(errors.InvalidParameter, match=r"C10\* = 0\.907086.*kappa"):
+            find_thresholds(at_C10(outer_ref, C10), "+")
+    assert sampled == []
 
 
 def test_threshold_arguments_checked_before_the_ladder(outer_ref):
@@ -481,9 +507,11 @@ def test_threshold_arguments_checked_before_the_ladder(outer_ref):
 
 def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
     # at low gamma the large-xi0 rungs leave no near-A band; those rungs are
-    # skipped and the search still ends in ThresholdSearchExhausted
+    # skipped, and with every sampled verdict made to fail the search still
+    # ends in ThresholdSearchExhausted
     empty = []
     grid = residuals._space_grid
+    verdict = residuals.verify_sign_region
 
     def counting_grid(*args):
         try:
@@ -492,7 +520,13 @@ def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
             empty.append(args[0])
             raise
 
+    def failing_verdict(*args):
+        report = verdict(*args)
+        report.passed = False
+        return report
+
     monkeypatch.setattr(residuals, "_space_grid", counting_grid)
+    monkeypatch.setattr(residuals, "verify_sign_region", failing_verdict)
     monkeypatch.setattr(residuals, "_TAU_DOUBLINGS", 0)
     with pytest.raises(errors.ThresholdSearchExhausted):
         find_thresholds(outer_low, "+")

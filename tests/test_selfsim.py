@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -121,15 +120,12 @@ def test_tail_extension_continuous(profile_ref):
     assert hi == pytest.approx(lo, rel=1e-4)
 
 
-def test_fresh_shoot_warns_slope_not_converged(p_ref):
-    from fdelab.selfsim import shoot_v0 as shoot
-    with pytest.warns(errors.SlopeNotConverged):
-        shoot(p_ref)
-
-
-def test_slope_converged_flag(profile_ref):
-    # finite s_max leaves the endpoint slope ~1e-3 off the limit
-    assert profile_ref.slope_converged is False
+def test_endpoint_slope_gap_is_the_c_log_term(profile_all):
+    # phibar0' = slope_limit + c_log/s + o(1/s), so the endpoint slope gap
+    # the tail check reports is the c_log/s term, not a defect
+    prof = profile_all
+    gap = verify_tail_asymptotics(prof)["endpoint_slope_gap"]
+    assert gap == pytest.approx(prof.c_log_exact / prof.s_max, rel=1e-2)
 
 
 def test_save_profile_deterministic(profile_ref, tmp_path):
