@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,22 @@ def test_endpoint_slope_gap_is_the_c_log_term(profile_all):
     prof = profile_all
     gap = verify_tail_asymptotics(prof)["endpoint_slope_gap"]
     assert gap == pytest.approx(prof.c_log_exact / prof.s_max, rel=1e-2)
+
+
+def test_fresh_shoot_warns_slope_not_converged(p_ref):
+    # a fresh shoot still ends with its slope off the limit, but says so in
+    # the selfsim-tail details and no longer through a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = shoot_v0(p_ref)
+    assert verify_tail_asymptotics(prof)["endpoint_slope_gap"] != 0.0
+
+
+def test_slope_converged_flag(profile_ref):
+    # finite s_max leaves the endpoint slope ~1e-3 off the limit
+    assert not hasattr(profile_ref, "slope_converged")
+    gap = verify_tail_asymptotics(profile_ref)["endpoint_slope_gap"]
+    assert 1e-4 < abs(gap) < 1e-2
 
 
 def test_save_profile_deterministic(profile_ref, tmp_path):
