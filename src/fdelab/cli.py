@@ -43,8 +43,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .residuals import Region, l1_terms_evaluator, verify_sign_region
-from .residuals import find_thresholds as search_thresholds
+from .residuals import Region, find_thresholds, l1_terms_evaluator, verify_sign_region
 from .selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 
 __all__ = ["main"]
@@ -165,33 +164,15 @@ def cmd_verify(args) -> int:
     checks.append(make_check("selfsim-tail", tail_ok, tail))
 
     # 2. outer sign thresholds for both signs of the branch variant
-    tau_lo = cfg.tau_start
-    thresholds = {}
-    for sign in ("+", "-"):
-        try:
-            th = search_thresholds(outer, sign)
-            ok = True
-        except errors.ThresholdSearchExhausted as exc:
-            th = {"error": str(exc)}
-            ok = False
-            # report which half of the region is actually attainable
-            try:
-                near = search_thresholds(outer, sign, regions=("near_A",))
-                th["near_A_only"] = {k: v for k, v in near.items()
-                                     if k != "reports"}
-            except errors.ThresholdSearchExhausted as exc2:
-                th["near_A_only"] = {"error": str(exc2)}
-        thresholds[sign] = th
-        detail = {k: v for k, v in th.items() if k != "reports"}
-        if "reports" in th:
-            detail["reports"] = {k: r.to_dict() for k, r in th["reports"].items()}
-            tau_lo = max(tau_lo, th["tau_start"])
-        checks.append(make_check(f"outer-thresholds-{'plus' if sign == '+' else 'minus'}",
-                                 ok, detail))
+    for sign, label in (("+", "plus"), ("-", "minus")):
+        th = find_thresholds(outer, sign)
+        detail = {k: v for k, v in th.items() if k not in ("passed", "reports")}
+        detail["reports"] = {k: r.to_dict() for k, r in th["reports"].items()}
+        checks.append(make_check(f"outer-thresholds-{label}", th["passed"], detail))
 
     # 3. admissible epsilon window; the corner inequality is asymptotic in
     # tau, so the window search escalates tau_match until one opens
-    tau_match = tau_lo
+    tau_match = cfg.tau_start
     eps_use = 0.0
     eps_detail = {}
     for _ in range(7):

@@ -57,10 +57,6 @@ class NonPositiveProfile(FdelabError):
     """Operator evaluation hit a profile value <= 0."""
 
 
-class ThresholdSearchExhausted(FdelabError):
-    """Threshold doubling search ran out of budget before a verdict passed."""
-
-
 class EpsilonOutOfRange(FdelabError):
     """Requested epsilon is outside the admissible range [0, 1/4)."""
 

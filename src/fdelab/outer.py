@@ -72,7 +72,7 @@ I -> -inf) while the C10 term stays bounded, so phi4 -> +inf; far out
 phi0 -> a0 dominates every decaying term; and l0_terms raises
 NonPositiveProfile wherever psi <= 0 on a sampled band.  So the paper's
 C10 = 0 is admissible for every parameter set, and a configured
-C10 >= C10_star is rejected before the plus threshold search
+C10 >= C10_star is rejected before the plus sign verdicts are sampled
 (residuals.find_thresholds).
 """
 

@@ -175,7 +175,10 @@ def theta(p: ModelParams, which: int, sign: str) -> float:
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Tunable thresholds and search controls.
+    """Tunable thresholds, verdict grids and verdict tolerances.
+
+    xi0 is a floor: residuals.find_thresholds raises the minus threshold
+    to its computed value, which also keeps psi^- positive.
 
     C10 is the resonant constant of phi4 = phi3 + C10 eta^(-1-1/gamma)
     log eta.  The default 0 gives the paper's psi1/psi2 (phi4 = phi3); the
@@ -233,14 +236,14 @@ class ThresholdConfig:
 
 
 def default_thresholds(p: ModelParams) -> ThresholdConfig:
-    """Starting thresholds; searches may enlarge tau_start and xi0.
+    """Default thresholds: the floor xi0 = 1, and a tau_start of at least
+    10 at which xi1 e^(-gamma tau_start) stays below delta0 / 4.
 
     Not checked here: load_config and OuterProfileSet check the config
     they use, so a config keyword can repair a default that fails.
     """
-    xi0 = max(1.0, math.sqrt((p.n - 1) * abs(p.theta1_minus) / p.d.a0))
     tau0 = max(10.0, (1.0 / p.gamma) * math.log(4.0 * 10.0 / 0.25) + 1.0)
-    return ThresholdConfig(eta0=p.A + 1.0, xi0=xi0, xi1=10.0, tau_start=tau0)
+    return ThresholdConfig(eta0=p.A + 1.0, xi0=1.0, xi1=10.0, tau_start=tau0)
 
 
 # -- config I/O ---------------------------------------------------------------

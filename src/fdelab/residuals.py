@@ -21,6 +21,34 @@ window; three kinds are sampled, near_A and far_field for L0 and
 inner_glued for L1, and the ends of each band come from the threshold
 config (xi0, xi1, delta0, delta1) or, where no config value applies, from
 the module constants _FAR_CUT and _XI_LO.
+
+Outer thresholds.  psi^sign passes its L0 verdict for eta >= A + xi0
+e^{-gamma tau}, tau >= tau_start, and find_thresholds computes xi0.  At
+gap = xi e^{-gamma tau} with xi fixed, phi0, the phi2 part of h and the log
+in phi3 (I ~ gamma log gap) give psi ~ e^{-gamma tau} F / (gamma A), and
+L0(psi) -> G, with ' = d/dxi and c fixed by A, gamma, eta0 and homog_C3:
+
+    F = a0 xi + (n-1) theta1/xi + (n-1) theta2 (gamma tau - log xi) + theta2 c,
+    G = (n-1) [theta2/xi + theta1/xi^2 - F''/F - b1 (F'/F)^2 - b2 F'/F].
+
+The next terms, led by the log in phi1, are smaller by a relative
+O(gamma tau e^{-gamma tau}).
+
+Minus sign: theta2^- = 0, so tau, gamma and A drop out, and
+xi^4 F^2 G / (n-1) is a quintic (_minus_quintic), negative at large xi as
+b2 > 0.  psi^- > 0 needs F > 0, for theta1^- < 0 xi > sqrt((n-1)
+|theta1^-|/a0), so G < 0 above xi*, the larger of that bound and the
+largest real root (1.79506097 at n = 3, m = 0.1, theta1^- = -1).
+xi0^- = max(cfg.xi0, 1.05 xi*): the smallest xi0 that passes the sampled
+verdict lies above xi* by 0.23 (gamma 1.5), 0.45 (gamma 0.5) and at most
+0.96 (eight parameter sets) times gamma tau_start e^{-gamma tau_start},
+which the default tau_start (gamma tau_start >= log 160) keeps below 3.2%.
+
+Plus sign: F gains (n-1) theta2^+ gamma tau while F' and F'' do not depend
+on tau, so G -> (n-1) (theta2^+/xi + theta1^+/xi^2) > 0, with no positive
+root.  At tau_start G < 0 only below xi = 0.0090 (gamma 1.5) and 0.0148
+(gamma 0.5), where the sampled verdict stops passing too, and that end
+falls as tau grows; so xi0^+ is the floor cfg.xi0 for tau >= tau_start.
 """
 
 from __future__ import annotations
@@ -89,7 +117,8 @@ _XI_LO = -7.0
 @dataclass(frozen=True)
 class Region:
     """Sampling region: a kind and a tau window.  The band ends come from
-    the config passed to verify_sign_region and the constants above.
+    the config passed to verify_sign_region and the constants above;
+    find_thresholds passes the config with its computed xi0.
 
     Outer regions of the L0 verdicts (space variable = gap = eta - A,
     log-spaced):
@@ -247,99 +276,84 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
     return report
 
 
-# rungs of the threshold ladder: doublings of tau_start and xi0, halvings
-# of delta0
-_TAU_DOUBLINGS = 3
-_XI_DOUBLINGS = 6
-_DELTA_HALVINGS = 3
+# relative margin of the minus threshold over its leading-order root xi*
+# (module docstring)
+_XI0_MARGIN = 0.05
 
 
-def find_thresholds(
-    outer: OuterProfileSet,
-    sign: str,
-    regions: tuple = ("near_A", "far_field"),
-) -> dict:
-    """Search thresholds making the outer sign verdicts of psi^sign pass.
+def _minus_quintic(p) -> list:
+    """Coefficients, highest power first, of the quintic P whose sign is the
+    sign of the leading-order minus residual G (module docstring)."""
+    d, th = p.d, p.theta1_minus
+    c1 = (p.n - 1) * th
+    return [
+        -d.b2 * d.a0 ** 2,
+        (th - d.b1) * d.a0 ** 2,
+        0.0,
+        2.0 * d.a0 * c1 * (th + d.b1 - 1.0),
+        d.b2 * c1 * c1,
+        (th - d.b1 - 2.0) * c1 * c1,
+    ]
 
-    The verdict wanted is the sign itself: a supersolution for "+", a
-    subsolution for "-".  Realizes the existential constants: starting
-    from the configured (tau_start, xi0, delta0), the ladder doubles
-    tau_start and xi0 and halves delta0 (preferring small tau, then small
-    xi0, then few delta halvings) until every requested region verdict
-    passes over the tau window [tau_start, tau_start + 20]; the first
-    passing tuple is re-verified at tau_start + 5 (the verdict must be
-    tau-monotone) and recorded.  Only an empty band (EmptyRegion) or a
-    non-positive profile makes a rung infeasible; a bad sign or region
-    kind raises InvalidParameter before the ladder starts, and so does a
-    plus far-field search at C10 >= outer.C10_star, where the leading
-    far-field coefficient kappa of the plus residual is not positive (see
-    the outer module) and no rung can pass.  Raises
-    ThresholdSearchExhausted when the ladder is exhausted.  The starting
-    xi0 respects the lower bound sqrt((n-1)|theta1|/a0).
+
+def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
+    """The outer thresholds of psi^sign and their sign verdicts (a
+    supersolution for "+", a subsolution for "-").
+
+    xi0 is computed as in the module docstring; tau_start and delta0 are
+    the config's.  Each band (near_A, far_field) is sampled over
+    [tau_start, tau_start + 20] and, if all pass, over [tau_start + 5,
+    tau_start + 25].  Returns the thresholds, "passed" and "reports" (by
+    kind, from the first window or from the one that failed).  An empty
+    band or a non-positive profile fails the verdict, with its message
+    under "error".  A bad sign, or for "+" C10 >= outer.C10_star (kappa
+    <= 0, see the outer module), raises InvalidParameter, and a quintic
+    that overflows raises NonFinite.
     """
     p, cfg = outer.p, outer.cfg
-    if not regions or any(kind not in _OUTER_KINDS for kind in regions):
-        raise errors.InvalidParameter(
-            f"regions must be outer kinds from {_OUTER_KINDS}, got {regions!r}"
-        )
-
     th1 = theta(p, 1, sign)
-    if sign == "+" and "far_field" in regions and outer.C10 >= outer.C10_star:
+    if sign == "+" and outer.C10 >= outer.C10_star:
         kappa = p.theta2_plus * p.gamma * (outer.C10_star - outer.C10)
         raise errors.InvalidParameter(
             f"C10 = {outer.C10:g} is not below C10* = {outer.C10_star:.6g}: the "
             f"far-field coefficient kappa = {kappa:.6g} of the plus L0 residual "
             "is not positive, so the supersolution verdict fails far out"
         )
-    variant = branch_variant(p.gamma)
+    xi0 = cfg.xi0
+    if sign == "-":
+        quintic = _minus_quintic(p)
+        if not np.all(np.isfinite(quintic)):
+            raise errors.NonFinite(f"minus threshold quintic overflows at theta1- = {th1:g}")
+        roots = np.roots(quintic)
+        real = roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]
+        xi_star = max(math.sqrt((p.n - 1) * max(-th1, 0.0) / p.d.a0), *real)
+        xi0 = max(xi0, (1.0 + _XI0_MARGIN) * xi_star)
+    band = replace(cfg, xi0=xi0)
 
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
-    xi0_base = max(cfg.xi0, math.sqrt((p.n - 1) * abs(th1) / p.d.a0))
-
-    def regions_pass(tau_start, xi0, delta0):
-        reports = {}
-        rung = replace(cfg, xi0=xi0, delta0=delta0)
-        for kind in regions:
-            region = Region(kind=kind, tau_lo=tau_start, tau_hi=tau_start + 20.0)
-            try:
-                rep = verify_sign_region(ev, sign, region, p, rung)
-            except (errors.EmptyRegion, errors.NonPositiveProfile):
-                # infeasible tuple (empty band / profile not yet positive)
-                return False, reports
-            reports[kind] = rep
-            if not rep.passed:
-                return False, reports
-        return True, reports
-
-    steps = 0
-    for k_tau in range(_TAU_DOUBLINGS + 1):
-        tau_start = cfg.tau_start * 2.0 ** k_tau
-        for k_xi in range(_XI_DOUBLINGS + 1):
-            xi0 = xi0_base * 2.0 ** k_xi
-            for k_delta in range(_DELTA_HALVINGS + 1):
-                delta0 = cfg.delta0 / 2.0 ** k_delta
-                steps += 1
-                ok, reports = regions_pass(tau_start, xi0, delta0)
-                if not ok:
-                    continue
-                ok5, reports5 = regions_pass(tau_start + 5.0, xi0, delta0)
-                if not ok5:
-                    continue
-                return {
-                    "variant": variant,
-                    "sign": sign,
-                    "tau_start": tau_start,
-                    "xi0": xi0,
-                    "delta0": delta0,
-                    "ladder_steps": steps,
-                    "reports": reports,
-                }
-    raise errors.ThresholdSearchExhausted(
-        f"no passing thresholds for {variant}{sign} on {'/'.join(regions)} "
-        f"after {steps} ladder steps (tau_start up to "
-        f"{cfg.tau_start * 2.0 ** _TAU_DOUBLINGS:g}, xi0 up to "
-        f"{xi0_base * 2.0 ** _XI_DOUBLINGS:g}, delta0 down to "
-        f"{cfg.delta0 / 2.0 ** _DELTA_HALVINGS:g})"
-    )
+    th = {
+        "variant": branch_variant(p.gamma),
+        "sign": sign,
+        "tau_start": cfg.tau_start,
+        "xi0": xi0,
+        "delta0": cfg.delta0,
+        "passed": False,
+        "reports": {},
+    }
+    try:
+        for tau in (cfg.tau_start, cfg.tau_start + 5.0):
+            reports = {
+                kind: verify_sign_region(ev, sign, Region(kind, tau, tau + 20.0), p, band)
+                for kind in _OUTER_KINDS
+            }
+            if not all(rep.passed for rep in reports.values()):
+                th["reports"] = reports
+                return th
+            th["reports"] = th["reports"] or reports
+    except (errors.EmptyRegion, errors.NonPositiveProfile) as exc:
+        th["error"] = str(exc)
+        return th
+    th["passed"] = True
+    return th

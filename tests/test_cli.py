@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fdelab import errors, residuals
 from fdelab.cli import main
 
 SMOKE = {
@@ -150,11 +151,11 @@ GAMMA_TAU_ERRORS = {
 
 
 @pytest.mark.parametrize("extra, rc", [
-    # at tau_start 100 the near-A bands reach gaps of ~1e-78; both ladders
-    # pass before the rungs where xi0 e^(-gamma tau) underflows to 0
+    # at tau_start 100 the near-A bands reach gaps of ~1e-78 and pass
     ({"tau_start": 100.0}, 0),
-    # the near-A band underflows on every rung; the matching edge gap then
-    # underflows too, and the error names it with gamma*tau
+    # the near-A band underflows, which fails the threshold checks; the
+    # matching edge gap then underflows too, and the error names it with
+    # gamma*tau
     ({"gamma": 50.0}, 2),
     # atol is 0, so the worst-point ratio residual / atol overflows to inf;
     # no point is inconclusive, and every check passes
@@ -180,11 +181,55 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
         assert json.loads(report.read_text())["all_passed"] is True
 
 
+def _threshold_checks(out):
+    (report,) = out.glob("verify-*.json")
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    return [checks[f"outer-thresholds-{label}"] for label in ("plus", "minus")]
+
+
+def test_failing_threshold_verdict_fails_its_check(tmp_path):
+    # an atol of twice the term scale leaves every sampled point
+    # inconclusive, so each threshold verdict fails and reports why
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, grid_eta=16, grid_tau=4, sign_atol_factor=2.0)))
+    out = tmp_path / "runs"
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "FAIL outer-thresholds-plus" in proc.stdout
+    for check in _threshold_checks(out):
+        details = check["details"]
+        assert check["passed"] is False and "error" not in details
+        assert sorted(details["reports"]) == ["far_field", "near_A"]
+        for rep in details["reports"].values():
+            assert rep["passed"] is False and rep["n_inconclusive"] == rep["n_points"]
+
+
+def test_empty_threshold_band_fails_its_check(smoke_config, tmp_path, monkeypatch, capsys):
+    # an empty near-A band fails both threshold checks with its reason
+    grid = residuals._space_grid
+
+    def empty_near_A(region, *args):
+        if region.kind == "near_A":
+            raise errors.EmptyRegion("near_A region empty at tau=10.0")
+        return grid(region, *args)
+
+    monkeypatch.setattr(residuals, "_space_grid", empty_near_A)
+    out = tmp_path / "runs"
+    assert main(["verify", "--config", smoke_config, "--out", str(out)]) == 1
+    assert "FAIL outer-thresholds-minus" in capsys.readouterr().out
+    for check in _threshold_checks(out):
+        assert check["passed"] is False
+        assert check["details"]["error"] == "near_A region empty at tau=10.0"
+        assert check["details"]["reports"] == {}
+
+
 @pytest.mark.parametrize("extra, name", [
     ({"gamma": 1e-300}, "gamma"),  # A^(1/gamma)
     ({"gamma": 1e300}, "gamma"),  # gamma^3
     ({"lambda": 1e300}, "lambda"),  # lambda^(2-m) in the series start
     ({"gamma": 1e-6, "A": 1.0001}, "gamma"),  # expm1 in the closed form of I
+    ({"theta1_minus": -1e160}, "theta1-"),  # theta1^2 in the minus threshold quintic
 ])
 def test_overflowing_parameters_exit_2(extra, name, tmp_path):
     config = tmp_path / "config.json"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import pytest
 
@@ -83,13 +82,13 @@ def test_invalid_parameters_rejected(bad):
 
 def test_default_thresholds_shape(p_ref, cfg_ref):
     assert cfg_ref.eta0 == pytest.approx(p_ref.A + 1.0)
-    # xi0 = max(1, sqrt((n-1)|theta1-|/a0)) = 1 at the reference thetas
+    # xi0 is the floor 1 whatever theta1-: residuals.find_thresholds owns
+    # the bound sqrt((n-1)|theta1-|/a0) (test_xi0_lower_bound_respected)
     assert cfg_ref.xi0 == pytest.approx(1.0)
     assert cfg_ref.xi1 == pytest.approx(10.0)
     assert cfg_ref.tau_start >= 0.0
     big = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
-    cfg_big = default_thresholds(big)
-    assert cfg_big.xi0 == pytest.approx(math.sqrt(2.0 * 30.0 / big.d.a0))
+    assert default_thresholds(big).xi0 == 1.0
 
 
 def test_load_config_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Residual operators: two-route identities, sign verdicts, threshold search."""
+"""Residual operators: two-route identities, sign verdicts, outer thresholds."""
 
 import dataclasses
 import itertools
@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier
@@ -433,16 +434,22 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
     assert got == want
 
 
-# -- threshold search ---------------------------------------------------------
+# -- outer thresholds ---------------------------------------------------------
+
+# largest root of the minus quintic at n = 3, m = 0.1, theta1- = -1
+# (any gamma and A), and the minus threshold 1.05 times it
+XI_STAR_REF = 1.795060974745561
+XI0_MINUS_REF = 1.8848140234828392
+
 
 def test_minus_thresholds_reference(thresholds_minus_ref):
     th = thresholds_minus_ref
     assert th["variant"] == "psi3"
     assert th["sign"] == "-"
     assert th["tau_start"] == 10.0
-    assert th["xi0"] == 2.0
+    assert th["xi0"] == pytest.approx(XI0_MINUS_REF, rel=1e-12)
     assert th["delta0"] == 0.25
-    assert th["ladder_steps"] == 5
+    assert th["passed"] and "error" not in th
     assert th["reports"]["near_A"].passed
     assert th["reports"]["far_field"].passed
 
@@ -451,17 +458,131 @@ def test_minus_thresholds_low_gamma(thresholds_minus_low):
     th = thresholds_minus_low
     assert th["variant"] == "psi4"
     assert th["tau_start"] == pytest.approx(11.150347630467653, rel=1e-12)
-    assert th["xi0"] == 2.0
+    assert th["xi0"] == pytest.approx(XI0_MINUS_REF, rel=1e-12)
     assert th["delta0"] == 0.25
-    assert th["ladder_steps"] == 5
+    assert th["passed"]
 
 
 def test_plus_near_corner_passes_at_base_rung(outer_ref):
-    th = find_thresholds(outer_ref, "+", regions=("near_A",))
+    # the plus threshold is the floor cfg.xi0 at the config's tau_start
+    th = find_thresholds(outer_ref, "+")
     assert th["tau_start"] == 10.0
     assert th["xi0"] == 1.0
     assert th["delta0"] == 0.25
-    assert th["ladder_steps"] == 1
+    assert th["passed"]
+    assert [rep.region.tau_lo for rep in th["reports"].values()] == [10.0, 10.0]
+
+
+def _leading_G(outer, sign, xi, tau):
+    """The leading-order near-A residual G of the residuals docstring."""
+    p, d = outer.p, outer.p.d
+    n1, g = p.n - 1, p.gamma
+    th1 = p.theta1_plus if sign == "+" else p.theta1_minus
+    th2 = p.theta2_plus if sign == "+" else p.theta2_minus
+    c = g * p.A ** (-1.0 / g) * outer.cfg.homog_C3 + n1 * (math.log(g * p.A) + outer._lexp0)
+    F = d.a0 * xi + n1 * th1 / xi + n1 * th2 * (g * tau - np.log(xi)) + th2 * c
+    F1 = d.a0 - n1 * th1 / xi ** 2 - n1 * th2 / xi
+    F2 = 2.0 * n1 * th1 / xi ** 3 + n1 * th2 / xi ** 2
+    return n1 * (th2 / xi + th1 / xi ** 2 - F2 / F - d.b1 * (F1 / F) ** 2 - d.b2 * F1 / F)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_leading_order_residual_is_the_near_a_limit(outer_all, sign):
+    # at gap = xi e^(-gamma tau), L0 = e^(-gamma tau) l0_terms tends to G;
+    # the next terms are O(gamma tau e^(-gamma tau)) relative
+    g = outer_all.p.gamma
+    tau = outer_all.cfg.tau_start + 40.0
+    xi = np.geomspace(0.01 if sign == "+" else 2.0, 1e3, 25)
+    res, _ = outer_all.l0_terms(sign, tau, gap=xi * math.exp(-g * tau))
+    np.testing.assert_allclose(res * math.exp(-g * tau), _leading_G(outer_all, sign, xi, tau),
+                               rtol=1e-8)
+
+
+def _near_A_passes(outer, sign, xi0, grid=(100, 20)):
+    """The sampled near-A verdict over both threshold windows at xi0."""
+    cfg = dataclasses.replace(_grid(outer.cfg, *grid), xi0=xi0)
+
+    def ev(gap, tau):
+        return outer.l0_terms(sign, tau, gap=gap)
+
+    for tau in (cfg.tau_start, cfg.tau_start + 5.0):
+        region = Region(kind="near_A", tau_lo=tau, tau_hi=tau + 20.0)
+        if not verify_sign_region(ev, sign, region, outer.p, cfg).passed:
+            return False
+    return True
+
+
+def _smallest_passing_xi0(outer, sign, lo, hi):
+    assert _near_A_passes(outer, sign, hi) and not _near_A_passes(outer, sign, lo)
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _near_A_passes(outer, sign, mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("setup", ["ref", "low"])
+@pytest.mark.parametrize("theta1", [-1.0, -0.9])  # b1 = -0.889
+def test_minus_xi0_bounds_the_sampled_verdict(request, setup, theta1):
+    # the sampled verdict's smallest passing xi0 lies between the
+    # leading-order root xi* and the computed xi0 = 1.05 xi*
+    base = request.getfixturevalue(f"outer_{setup}")
+    p = dataclasses.replace(base.p, theta1_minus=theta1)
+    outer = OuterProfileSet(p, base.cfg)
+    th = find_thresholds(outer, "-")
+    assert th["passed"]
+    xi_star = th["xi0"] / 1.05
+    if theta1 == -1.0:
+        assert xi_star == pytest.approx(XI_STAR_REF, rel=1e-12)
+    found = _smallest_passing_xi0(outer, "-", xi_star, th["xi0"])
+    assert xi_star < found < th["xi0"]
+    # found is 1.07e-6 (ref) and 0.95% (low) above xi*, inside the 5% margin
+    assert found / xi_star - 1.0 < 0.02
+
+
+def test_plus_near_a_limit_is_the_leading_order_crossing(outer_all):
+    # G+ at tau_start is negative only below a crossing two orders under
+    # the floor xi0 = 1, and the sampled verdict stops passing there too
+    tau = outer_all.cfg.tau_start
+    xi = np.geomspace(1e-4, 1e6, 200001)
+    negative = xi[_leading_G(outer_all, "+", xi, tau) < 0.0]
+    crossing = negative.max()
+    assert crossing < 0.02 * outer_all.cfg.xi0
+    assert _near_A_passes(outer_all, "+", 1.1 * crossing)
+    assert not _near_A_passes(outer_all, "+", 0.9 * crossing)
+
+
+def test_minus_quintic_is_the_leading_order_residual():
+    # xi^4 F^2 G / (n-1) from a symbolic G, against the coded coefficients
+    xi, a0, b1, b2, n, th1 = sp.symbols("xi a0 b1 b2 n theta1")
+    F = a0 * xi + (n - 1) * th1 / xi
+    G = (n - 1) * (th1 / xi ** 2 - sp.diff(F, xi, 2) / F - b1 * (sp.diff(F, xi) / F) ** 2
+                   - b2 * sp.diff(F, xi) / F)
+    P = sp.Poly(sp.cancel(G * xi ** 4 * F ** 2 / (n - 1)), xi)
+    assert P.degree() == 5
+    for p in (ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-1.0),
+              ModelParams(5, 0.05, 0.3, 1.2), ModelParams(8, 0.55, 1.0, 2.0)):
+        values = {a0: p.d.a0, b1: p.d.b1, b2: p.d.b2, n: p.n, th1: p.theta1_minus}
+        want = [float(c.subs(values)) for c in P.all_coeffs()]
+        np.testing.assert_allclose(residuals._minus_quintic(p), want, rtol=1e-12, atol=1e-12)
+    ref = {a0: 28.0 / 9.0, b1: -8.0 / 9.0, b2: 5.0 / 9.0, n: 3, th1: -1.0}
+    roots = sp.Poly(P.as_expr().subs(ref), xi).nroots()
+    assert max(float(r) for r in roots if r.is_real) == pytest.approx(XI_STAR_REF, rel=1e-12)
+
+
+def test_failed_recheck_window_is_reported(outer_ref, monkeypatch):
+    # a verdict that passes at tau_start but not over the window from
+    # tau_start + 5 fails the thresholds, and the failing window is reported
+    verdict = residuals.verify_sign_region
+
+    def late_fail(terms_fn, want, region, p, cfg):
+        report = verdict(terms_fn, want, region, p, cfg)
+        report.passed = report.passed and region.tau_lo == cfg.tau_start
+        return report
+
+    monkeypatch.setattr(residuals, "verify_sign_region", late_fail)
+    th = find_thresholds(outer_ref, "-")
+    assert th["passed"] is False and "error" not in th
+    assert [rep.region.tau_lo for rep in th["reports"].values()] == [15.0, 15.0]
 
 
 @pytest.mark.parametrize("setup, grid", [("ref", (200, 40)), ("low", (100, 20))],
@@ -487,7 +608,7 @@ def test_c10_star_splits_the_plus_far_field_verdict(request, setup, grid):
 
 def test_plus_far_field_above_c10_star_fails_before_the_ladder(outer_ref, monkeypatch):
     # at C10 >= C10_star kappa <= 0, so the supersolution verdict cannot
-    # hold far out: the search says so before any rung is sampled
+    # hold far out: find_thresholds says so before any band is sampled
     sampled = []
     monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
     for C10 in (4.0, outer_ref.C10_star):
@@ -496,48 +617,25 @@ def test_plus_far_field_above_c10_star_fails_before_the_ladder(outer_ref, monkey
     assert sampled == []
 
 
-def test_threshold_arguments_checked_before_the_ladder(outer_ref):
-    # argument errors must not be reported as an exhausted ladder
+def test_threshold_arguments_checked_before_the_ladder(outer_ref, monkeypatch):
+    # a bad sign is an argument error, raised before any band is sampled
+    sampled = []
+    monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
     with pytest.raises(errors.InvalidParameter, match="sign"):
         find_thresholds(outer_ref, "up")
-    for regions in (("nearA",), ("near_A", "inner"), ()):
-        with pytest.raises(errors.InvalidParameter, match="regions"):
-            find_thresholds(outer_ref, "-", regions=regions)
-
-
-def test_empty_band_rung_is_infeasible(outer_low, monkeypatch):
-    # at low gamma the large-xi0 rungs leave no near-A band; those rungs are
-    # skipped, and with every sampled verdict made to fail the search still
-    # ends in ThresholdSearchExhausted
-    empty = []
-    grid = residuals._space_grid
-    verdict = residuals.verify_sign_region
-
-    def counting_grid(*args):
-        try:
-            return grid(*args)
-        except errors.EmptyRegion:
-            empty.append(args[0])
-            raise
-
-    def failing_verdict(*args):
-        report = verdict(*args)
-        report.passed = False
-        return report
-
-    monkeypatch.setattr(residuals, "_space_grid", counting_grid)
-    monkeypatch.setattr(residuals, "verify_sign_region", failing_verdict)
-    monkeypatch.setattr(residuals, "_TAU_DOUBLINGS", 0)
-    with pytest.raises(errors.ThresholdSearchExhausted):
-        find_thresholds(outer_low, "+")
-    assert empty and all(region.kind == "near_A" for region in empty)
+    assert sampled == []
 
 
 def test_xi0_lower_bound_respected():
-    # strong theta1 forces the corner margin out to sqrt((n-1)|theta1|/a0)
-    p = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0)
-    out = OuterProfileSet(p, default_thresholds(p))
-    bound = math.sqrt((p.n - 1) * 30.0 / p.d.a0)
-    th = find_thresholds(out, "-", regions=("near_A",))
-    assert th["xi0"] >= bound
-    assert th["xi0"] == pytest.approx(2.0 * bound, rel=1e-12)
+    # F > 0 needs xi > sqrt((n-1)|theta1|/a0); xi* is the larger of that
+    # bound and the quintic's largest root, and xi0 = 1.05 xi*
+    for p, bound_binds in ((ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0), False),
+                           (ModelParams(8, 0.55, 1.0, 2.0, theta1_minus=-30.0), True)):
+        out = OuterProfileSet(p, default_thresholds(p))
+        bound = math.sqrt((p.n - 1) * 30.0 / p.d.a0)
+        roots = np.roots(residuals._minus_quintic(p))
+        largest = max(roots.real[np.abs(roots.imag) < 1e-9 * np.abs(roots)])
+        assert bool(largest < bound) is bound_binds
+        th = find_thresholds(out, "-")
+        assert th["xi0"] == pytest.approx(1.05 * max(bound, largest), rel=1e-12)
+        assert th["reports"]["near_A"].passed
