@@ -155,8 +155,7 @@ def cmd_verify(args) -> int:
     # 1. self-similar tail asymptotics
     tail = verify_tail_asymptotics(profile)
     tail_ok = (
-        tail["slope_rel_err"] < 1e-3
-        and tail["c_log_rel_err"] < 0.1
+        tail["tail_deviation_max"] < tail["tail_last_term"]
         and tail["monotone"]
         and tail["stationary_residual_max"] < 1e-6
         and tail["refinement_rel_diff"] < 1e-6

@@ -76,6 +76,3 @@ class NotBetweenBarriers(FdelabError):
 class InsufficientDecades(FdelabError):
     """Trajectory does not span enough decades of (T - t) for a rate fit."""
 
-
-class InsufficientTail(FdelabError):
-    """Self-similar profile tail too short for the asymptotic fit."""

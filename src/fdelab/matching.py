@@ -273,18 +273,21 @@ class GluedBarrier:
         lv, rv = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], tau)
         return float(abs(lv - rv) / abs(lv))
 
+    def corner_slopes(self, tau: float) -> tuple[float, float, float]:
+        """(edge value e^{gamma tau} psi, left slope, right slope) at xi1,
+        from one outer evaluation of the edge."""
+        edge, right = self.solver.outer_edge(self.sign, tau)
+        left = self.profile.phibar0(self.xi1 + self.C(tau), derivs=True)[1] / self.factor
+        return edge, left, right
+
     def corner_jump(self, tau: float) -> CornerReport:
         """One-sided slopes at xi1 and the sign-appropriate verdict.
 
         Supersolution (+) needs left >= right (concave kink); subsolution (-)
         needs left <= right.
         """
-        left = self.profile.phibar0(self.xi1 + self.C(tau), derivs=True)[1] / self.factor
-        _, right = self.solver.outer_edge(self.sign, tau)
-        if self.sign == "+":
-            holds = left >= right
-        else:
-            holds = left <= right
+        _, left, right = self.corner_slopes(tau)
+        holds = left >= right if self.sign == "+" else left <= right
         return CornerReport(tau=tau, left_slope=float(left), right_slope=float(right), holds=bool(holds))
 
 

@@ -825,8 +825,8 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
     for tau in taus:
         tau = float(tau)
         delta = math.exp(-tau)
-        rep = bar.corner_jump(tau)
-        jump = rep.right_slope - rep.left_slope
+        edge_value, left, right = bar.corner_slopes(tau)
+        jump = right - left
         if jump == 0.0:
             continue
         signs.append(math.copysign(1.0, jump))
@@ -834,7 +834,6 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
         # log E = log r1 + softplus(log(4 g^2 A^2) + (2g+2) tau + 2 log r1)/2
         q = math.log(4.0 * gamma * gamma * A * A) + (2.0 * gamma + 2.0) * tau + 2.0 * log_r1
         log_E = log_r1 + 0.5 * _softplus(q)
-        edge_value, _ = bar.solver.outer_edge(bar.sign, tau)
         log_psi = math.log(edge_value) - gamma * tau  # log of psi at the edge
         lt = (
             math.log(n - 1)

@@ -43,6 +43,7 @@ xi0^- = max(cfg.xi0, 1.05 xi*): the smallest xi0 that passes the sampled
 verdict lies above xi* by 0.23 (gamma 1.5), 0.45 (gamma 0.5) and at most
 0.96 (eight parameter sets) times gamma tau_start e^{-gamma tau_start},
 which the default tau_start (gamma tau_start >= log 160) keeps below 3.2%.
+An xi0^- above xi1 is refused: the verdict must reach the glue corner.
 
 Plus sign: F gains (n-1) theta2^+ gamma tau while F' and F'' do not depend
 on tau, so G -> (n-1) (theta2^+/xi + theta1^+/xi^2) > 0, with no positive
@@ -306,9 +307,9 @@ def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
     tau_start + 25].  Returns the thresholds, "passed" and "reports" (by
     kind, from the first window or from the one that failed).  An empty
     band or a non-positive profile fails the verdict, with its message
-    under "error".  A bad sign, or for "+" C10 >= outer.C10_star (kappa
-    <= 0, see the outer module), raises InvalidParameter, and a quintic
-    that overflows raises NonFinite.
+    under "error".  A bad sign, for "+" C10 >= outer.C10_star (kappa <= 0,
+    see the outer module), or for "-" a computed xi0 > xi1 raises
+    InvalidParameter, and a quintic that overflows raises NonFinite.
     """
     p, cfg = outer.p, outer.cfg
     th1 = theta(p, 1, sign)
@@ -328,6 +329,9 @@ def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
         real = roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]
         xi_star = max(math.sqrt((p.n - 1) * max(-th1, 0.0) / p.d.a0), *real)
         xi0 = max(xi0, (1.0 + _XI0_MARGIN) * xi_star)
+        if xi0 > cfg.xi1:
+            raise errors.InvalidParameter(f"minus threshold xi0 = {xi0:.6g} exceeds xi1 = "
+                                          f"{cfg.xi1:g}, so the verdict misses the glue corner")
     band = replace(cfg, xi0=xi0)
 
     def ev(gap, tau):

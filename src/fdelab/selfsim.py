@@ -23,11 +23,16 @@ The inverse reads the same table: log phibar0 = 2s + c Z(s) increases, so
 a bisection of its values at the breakpoints locates the step, and a
 safeguarded Newton iteration solves that step's cubic.  Below the table
 the core law inverts in closed form; above it the same Newton iteration
-solves the fitted tail inside a doubled bracket.
+solves the tail expansion inside a doubled bracket.
 
-Far field: phibar0(s) = (a0/(gamma*A)) s + c_log log s + K1 + o(1) with
-c_log = -(n-1) b2 / (gamma*A); the fitted (slope, c_log, K1) triple is the
-quantitative form used by the verification checks.
+Far field.  Put phibar0 = a s + c log s + K + (d log s + e)/s + f (log s)^2/s
+into the stationary equation times phibar0^2 and collect powers of s and
+log s: the s^2 terms give a = a0/(gamma A), the s terms c = -(n-1) b2/(gamma
+A), and the order-1 terms f = 0, d = c^2/a and e = e0 + e1 K, with
+e0 = (n-1) b1/(gamma A) and e1 = c/a.  So the tail has one free constant,
+K, matched to the table value at s_max (one linear equation, as e is
+linear in K), and past s_max the profile is this expansion.  Its remainder
+O((log s)^2/s^2) lies below its last retained term (d log s + e)/s.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class TailFit:
-    slope: float
-    c_log: float
-    K1: float
-    window: tuple[float, float]
-
-
 class SelfSimilarProfile:
     """Shot profile on a step table, with core and tail extensions.
 
     Evaluation branches, for a float or an array s alike:
       s < s_min          : core law  phibar0 = lambda^(1-m) e^{2s}
       s_min <= s <= s_max: Horner sums of the shoot's steps
-      s > s_max          : fitted tail slope*s + c_log*log(s) + K1
+      s > s_max          : far-field expansion a s + c log s + K + (d log s + e)/s
 
     inverse(y) is the s with phibar0(s) = y on the same branches.
     """
@@ -82,9 +78,12 @@ class SelfSimilarProfile:
         self._logs = (2.0 * table.ts + self._c * table(table.ts)[0]).tolist()
         self.s_min = float(s_min)
         self.s_max = float(s_max)
-        self.slope_limit = p.d.a0 / (p.gamma * p.A)
-        self.c_log_exact = -(p.n - 1) * p.d.b2 / (p.gamma * p.A)
-        self.fit = self._fit_tail((s_max / 10.0, s_max))
+        a, c, d, e0, e1 = _tail_constants(p)
+        self.slope_limit, self.c_log_exact = a, c
+        # K from phibar0(s_max) = a S + c log S + K + (d log S + e0 + e1 K)/S
+        S, log_S = self.s_max, math.log(self.s_max)
+        self.K = (self.phibar0(S) - a * S - c * log_S - (d * log_S + e0) / S) / (1.0 + e1 / S)
+        self._tail = (a, c, self.K, d, e0 + e1 * self.K)
 
     # -- internals ---------------------------------------------------------
 
@@ -93,22 +92,25 @@ class SelfSimilarProfile:
         E = np.exp(2.0 * s + q * Z)
         return -P * P - (self.p.n - 2) * P - k * E * (c1 + c2 * P)
 
-    def _fit_tail(self, window: tuple[float, float]) -> TailFit:
-        lo, hi = window
-        if hi <= lo or hi > self.s_max + 1e-9:
-            raise errors.InsufficientTail(
-                f"tail window ({lo}, {hi}) not inside the computed range"
-            )
-        s = np.geomspace(max(lo, 1.0), hi, 80)
-        y = self.phibar0(s)
-        cols = np.column_stack([s, np.log(s), np.ones_like(s)])
-        scale = np.max(np.abs(cols), axis=0)
-        coef, _, _, _ = np.linalg.lstsq(cols / scale, y, rcond=None)
-        coef = coef / scale
-        return TailFit(
-            slope=float(coef[0]), c_log=float(coef[1]), K1=float(coef[2]),
-            window=(float(lo), float(hi)),
+    def _expansion(self, s, log_s):
+        """The far-field expansion and its first two derivatives at s (float
+        or array), given log s; 1/s powers are powers of u = 1/s, never of s."""
+        a, c, K, d, e = self._tail
+        u = 1.0 / s
+        return (
+            a * s + c * log_s + K + u * (d * log_s + e),
+            a + u * (c + u * (d * (1.0 - log_s) - e)),
+            u * u * (u * (d * (2.0 * log_s - 3.0) + 2.0 * e) - c),
         )
+
+    def tail_deviation(self) -> tuple[float, float]:
+        """(largest |table - expansion| on [s_max/4, s_max], the last
+        retained term |d log s + e|/s at s_max/4)."""
+        lo = self.s_max / 4.0
+        s = np.linspace(lo, self.s_max, 301)
+        deviation = np.max(np.abs(self.phibar0(s) - self._expansion(s, np.log(s))[0]))
+        _, _, _, d, e = self._tail
+        return float(deviation), abs(d * math.log(lo) + e) / lo
 
     # -- evaluation ----------------------------------------------------------
 
@@ -141,11 +143,7 @@ class SelfSimilarProfile:
                 out[2, mid] = val * (g ** 2 + c * self._rhs_P(s[mid], Z, P))
         if np.any(tail):
             st = s[tail]
-            f = self.fit
-            out[0, tail] = f.slope * st + f.c_log * np.log(st) + f.K1
-            if derivs:
-                out[1, tail] = f.slope + f.c_log / st
-                out[2, tail] = -f.c_log / st ** 2
+            out[:, tail] = self._expansion(st, np.log(st))[: len(out)]
         if scalar:
             out = [float(part[0]) for part in out]
         return tuple(out) if derivs else out[0]
@@ -157,11 +155,11 @@ class SelfSimilarProfile:
         a bisection of the breakpoint log-values picks the step, and
         _newton_in_bracket solves its cubic 2s + c Z(s) = log y, started
         from the linear interpolation of the step's end log-values.  Above
-        the table it solves the tail formula g(s) = y from the upper end of
-        [s_max, hi], where hi doubles from 2 s_max until g(hi) >= y; a y
-        that g reaches only past the float range raises OutOfDomain, and a
-        y in the small jump between the table's end value and g(s_max)
-        maps to s_max.
+        the table it solves the tail expansion g(s) = y from the upper end
+        of [s_max, hi], where hi doubles from 2 s_max until g(hi) >= y; a y
+        that g reaches only past the float range raises OutOfDomain.  As K
+        matches g(s_max) to the table's end value, a y with g(s_max) >= y
+        is rounding at the seam and maps to s_max.
         """
         if not 0.0 < y < math.inf:
             raise errors.NonPositiveInput(f"phibar0 takes only finite values > 0, not {y}")
@@ -184,12 +182,12 @@ class SelfSimilarProfile:
             L0, L1 = logs[i], logs[i + 1]
             start = t0 + h * min(max((L - L0) / (L1 - L0), 0.0), 1.0)
             return _newton_in_bracket(step_cubic, start, t0, self._ts[i + 1])
-        f = self.fit
 
         def tail(s):
-            return f.slope * s + f.c_log * math.log(s) + f.K1 - y, f.slope + f.c_log / s
+            g, dg, _ = self._expansion(s, math.log(s))
+            return g - y, dg
 
-        if tail(self.s_max)[0] >= 0.0:
+        if tail(self.s_max)[0] >= 0.0:  # rounding at the seam
             return self.s_max
         hi = 2.0 * self.s_max
         while tail(hi)[0] < 0.0:
@@ -243,6 +241,14 @@ def _p_equation(p: ModelParams):
     return c1, c2, p.m / (p.n - 1), 1.0 / p.m - 1.0
 
 
+def _tail_constants(p: ModelParams):
+    """Constants (a, c, d, e0, e1) of the far-field expansion
+    phibar0 = a s + c log s + K + (d log s + e0 + e1 K)/s (module docstring)."""
+    a = p.d.a0 / (p.gamma * p.A)
+    c = -(p.n - 1) * p.d.b2 / (p.gamma * p.A)
+    return a, c, c * c / a, (p.n - 1) * p.d.b1 / (p.gamma * p.A), c / a
+
+
 def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:
     """Integrate the profile ODE from a series start at r0 = 1e-6 out to
     s_max = 400, to ode_spec (default: rel_tol 1e-10, abs_tol 1e-12).
@@ -281,47 +287,35 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
 
 
 def verify_tail_asymptotics(profile: SelfSimilarProfile) -> dict:
-    """Quantitative checks of the linear-growth tail law.
+    """Checks of the far-field expansion a s + c log s + K + (d log s + e)/s
+    (module docstring) and of the shoot.
 
-    Returns a dict with relative errors of the fitted slope and log
-    coefficient, K1 stability under a window shift, the endpoint slope gap
-    phibar0'(s_max) - slope_limit (the c_log/s term of the tail, not a
-    defect), monotonicity, the stationary residual on 200 points, and a
-    tolerance-refinement comparison of the shoot itself.
+    The expansion's remainder lies below its last retained term, so the
+    table must too: tail_deviation_max, the largest |table - expansion| on
+    [s_max/4, s_max], against tail_last_term, that term at s_max/4.  K
+    matches the values at s_max, and endpoint_slope_gap is phibar0'(s_max)
+    minus the expansion's derivative.  Also returns monotonicity, the
+    stationary residual on 200 points, and a tolerance-refinement
+    comparison of the shoot itself.
     """
-    p = profile.p
-    fit = profile.fit
-    slope_rel = abs(fit.slope - profile.slope_limit) / profile.slope_limit
-    clog_rel = abs(fit.c_log - profile.c_log_exact) / abs(profile.c_log_exact)
-
-    shifted = profile._fit_tail((profile.s_max / 8.0, 0.8 * profile.s_max))
-    k1_shift = abs(shifted.K1 - fit.K1)
-
-    s_grid = np.linspace(max(profile.s_min, 0.0) + 1e-3, profile.s_max, 2000)
-    mono = bool(np.all(profile.phibar0(s_grid, derivs=True)[1] > 0.0))
-
-    s_res = np.linspace(1.0, profile.s_max, 200)
-    res = profile.stationary_residual(s_res)
-    res_max = float(np.max(np.abs(res)))
-
+    S = profile.s_max
+    deviation, last_term = profile.tail_deviation()
+    s_grid = np.linspace(max(profile.s_min, 0.0) + 1e-3, S, 2000)
+    res = profile.stationary_residual(np.linspace(1.0, S, 200))
     out = {
-        "slope_fit": fit.slope,
         "slope_limit": profile.slope_limit,
-        "slope_rel_err": float(slope_rel),
-        "c_log_fit": fit.c_log,
         "c_log_exact": profile.c_log_exact,
-        "c_log_rel_err": float(clog_rel),
-        "K1": fit.K1,
-        "K1_window_shift": float(k1_shift),
-        "endpoint_slope_gap": profile.phibar0(profile.s_max, derivs=True)[1]
-        - profile.slope_limit,
-        "monotone": mono,
-        "stationary_residual_max": res_max,
+        "K": profile.K,
+        "tail_deviation_max": deviation,
+        "tail_last_term": last_term,
+        "endpoint_slope_gap": profile.phibar0(S, derivs=True)[1]
+        - profile._expansion(S, math.log(S))[1],
+        "monotone": bool(np.all(profile.phibar0(s_grid, derivs=True)[1] > 0.0)),
+        "stationary_residual_max": float(np.max(np.abs(res))),
     }
-    fine = shoot_v0(p, ode_spec=numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13))
-    s_chk = np.array([1.0, 10.0, 100.0, profile.s_max])
-    a = profile.phibar0(s_chk)
-    b = fine.phibar0(s_chk)
+    fine = shoot_v0(profile.p, ode_spec=numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13))
+    s_chk = np.array([1.0, 10.0, 100.0, S])
+    a, b = profile.phibar0(s_chk), fine.phibar0(s_chk)
     out["refinement_rel_diff"] = float(np.max(np.abs(a - b) / np.abs(b)))
     return out
 
@@ -332,9 +326,7 @@ def save_profile(profile: SelfSimilarProfile, path: str):
         "s_min": profile.s_min,
         "s_max": profile.s_max,
         "slope_limit": profile.slope_limit,
-        "fit_slope": profile.fit.slope,
-        "fit_c_log": profile.fit.c_log,
-        "fit_K1": profile.fit.K1,
+        "tail_K": profile.K,
     }
     s = np.linspace(profile.s_min, profile.s_max, 2001)
     v, dv, _ = profile.phibar0(s, derivs=True)

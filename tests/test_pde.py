@@ -147,6 +147,15 @@ def test_weak_corner_term_signs(solver_ref):
     assert jm["log10_abs"] < -1000.0
 
 
+def test_weak_corner_term_reads_each_edge_once(solver_ref, monkeypatch):
+    """The edge value and both slopes come from one outer evaluation per tau."""
+    calls = []
+    edge = solver_ref.outer_edge
+    monkeypatch.setattr(solver_ref, "outer_edge", lambda *a: calls.append(a) or edge(*a))
+    weak_corner_term(GluedBarrier(solver_ref, "+", EPS_SMOKE), (10.0, 12.0))
+    assert len(calls) == 48
+
+
 def test_pair_requires_sign_order(barrier_pair, monkeypatch):
     """The sandwich rejects barriers out of (plus, minus) order before any solve."""
     plus, minus = barrier_pair

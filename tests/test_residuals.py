@@ -617,6 +617,19 @@ def test_plus_far_field_above_c10_star_fails_before_the_ladder(outer_ref, monkey
     assert sampled == []
 
 
+def test_minus_threshold_beyond_xi1_fails_before_any_band(monkeypatch):
+    # at theta1- = -1e8 the F > 0 bound puts xi0- at 8.4e3, far past the
+    # glue corner xi1 = 10: the outer verdict could not reach the corner,
+    # so find_thresholds refuses the config before any band is sampled
+    p = ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-1e8)
+    out = OuterProfileSet(p, default_thresholds(p))
+    sampled = []
+    monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
+    with pytest.raises(errors.InvalidParameter, match=r"xi0 = 8419\.36 exceeds xi1 = 10"):
+        find_thresholds(out, "-")
+    assert sampled == []
+
+
 def test_threshold_arguments_checked_before_the_ladder(outer_ref, monkeypatch):
     # a bad sign is an argument error, raised before any band is sampled
     sampled = []

@@ -1,37 +1,35 @@
-"""First-order self-similar profile: shooting, tail fit, stationarity."""
+"""First-order self-similar profile: shooting, tail expansion, stationarity."""
 
-import copy
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+import sympy as sp
 
 from fdelab import errors, numerics, selfsim
+from fdelab.params import ModelParams
 from fdelab.selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 from numdiff import fd_derivative
 from shoot_sweep import inverse_round_trip, shoot_or_error, sweep_params
 
 # Frozen from the first converged shoot at each parameter set.  The tail
-# slope limit a0/(gamma A) and log power -b2/gamma are closed forms; the
-# fitted values carry the finite-window truncation of the fit.
-REF_SLOPE_FIT = 1.0369970662341002
-REF_K1 = 1.2597151915030282
-LOW_SLOPE_FIT = 3.1110242519169926
-LOW_K1 = 2.1197401677658836
+# constants a, c, d, e0 and e1 are closed forms; K is the one constant
+# matched to the table at s_max.
+REF_K = 1.3113855841796591
+LOW_K = 2.225201216467787
 
 
 def test_reference_tail_fit_frozen(profile_ref):
-    assert profile_ref.fit.slope == pytest.approx(REF_SLOPE_FIT, rel=1e-10)
-    assert profile_ref.fit.K1 == pytest.approx(REF_K1, rel=1e-6)
-    assert profile_ref.fit.window == (40.0, 400.0)
+    assert profile_ref.K == pytest.approx(REF_K, rel=1e-9)
+    a, c, d, e0, e1 = selfsim._tail_constants(profile_ref.p)
+    assert d == pytest.approx(0.1322751322751323, rel=1e-12)
+    assert profile_ref._tail == (a, c, profile_ref.K, d, e0 + e1 * profile_ref.K)
 
 
 def test_low_gamma_tail_fit_frozen(profile_low):
-    assert profile_low.fit.slope == pytest.approx(LOW_SLOPE_FIT, rel=1e-10)
-    assert profile_low.fit.K1 == pytest.approx(LOW_K1, rel=1e-6)
+    assert profile_low.K == pytest.approx(LOW_K, rel=1e-9)
 
 
 def test_slope_limit_closed_form(profile_ref, profile_low):
@@ -51,12 +49,53 @@ def test_log_power_closed_form(profile_ref, profile_low):
 
 def test_tail_asymptotics_report(profile_all):
     rep = verify_tail_asymptotics(profile_all)
+    assert list(rep) == [
+        "slope_limit", "c_log_exact", "K", "tail_deviation_max", "tail_last_term",
+        "endpoint_slope_gap", "monotone", "stationary_residual_max", "refinement_rel_diff",
+    ]
     assert rep["monotone"] is True
-    assert rep["slope_rel_err"] < 1e-4
-    assert rep["c_log_rel_err"] < 0.05
+    # the table stays within 1e-2 of the expansion's last retained term
+    # (1.85e-5 against 4.5e-3 on ref, 2.1e-5 against 7.5e-3 on low)
+    assert rep["tail_deviation_max"] < 1e-2 * rep["tail_last_term"]
+    assert rep["K"] == profile_all.K
     assert rep["stationary_residual_max"] < 1e-6
     assert rep["refinement_rel_diff"] < 1e-6
-    assert abs(rep["K1_window_shift"]) < 0.02
+
+
+def test_tail_constants_solve_the_stationary_equation():
+    # put phibar0 = a s + c log s + K + (d log s + e)/s + f (log s)^2/s
+    # into the stationary equation times phibar0^2, with s = 1/t and
+    # log s = ell: with a = a0/(gA) and c = -(n-1) b2/(gA) no negative
+    # power of t is left, and the order-1 part fixes f, d and e
+    t, ell, K, d, e, f = sp.symbols("t ell K d e f")
+    n, gA, a0, b1, b2 = sp.symbols("n gA a0 b1 b2", positive=True)
+    s = sp.symbols("s", positive=True)
+    a, c = a0 / gA, -(n - 1) * b2 / gA
+    phi = a * s + c * sp.log(s) + K + (d * sp.log(s) + e) / s + f * sp.log(s) ** 2 / s
+    p1, p2 = phi.diff(s), phi.diff(s, 2)
+    R = (n - 1) * (p2 * phi + b1 * p1 ** 2 + b2 * p1 * phi) - (a0 - gA * p1) * phi ** 2
+    R = sp.Poly(sp.expand(R.subs(sp.log(s), ell).subs(s, 1 / t)), t, ell)
+    order1 = [R.coeff_monomial(ell ** k) for k in (2, 1, 0)]
+    (sol,) = sp.solve(order1, [f, d, e], dict=True)
+    assert sol[f] == 0
+    assert sp.simplify(sol[d] - c ** 2 / a) == 0
+    assert sp.simplify(sol[e] - ((n - 1) * b1 / gA + c / a * K)) == 0
+    for p in (ModelParams(3, 0.1, 1.5, 2.0), ModelParams(3, 0.1, 0.5, 2.0), *SWEEP_SUBSET):
+        at = {n: p.n, gA: p.gamma * p.A, a0: p.d.a0, b1: p.d.b1, b2: p.d.b2}
+        want = [a, c, sol[d], sol[e].subs(K, 0), sol[e].diff(K)]
+        got = selfsim._tail_constants(p)
+        assert got == pytest.approx([float(w.subs(at)) for w in want], rel=1e-13)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_tail_check_catches_a_perturbed_p_equation(p_ref, monkeypatch, which):
+    # c1 or c2 of the P-equation 1e-4 off: the shoot's far field leaves the
+    # expansion by far more than its last retained term
+    consts = list(selfsim._p_equation(p_ref))
+    consts[which] *= 1.0 + 1e-4
+    monkeypatch.setattr(selfsim, "_p_equation", lambda p: tuple(consts))
+    deviation, last_term = shoot_v0(p_ref).tail_deviation()
+    assert deviation > 10.0 * last_term
 
 
 def test_stationary_residual_on_grid(profile_all):
@@ -113,20 +152,26 @@ def test_derivs_triple_carries_the_value_bit_for_bit(profile_ref):
 
 
 def test_tail_extension_continuous(profile_ref):
-    # beyond s_max the profile switches to the fitted tail law; the jump
-    # is bounded by the fit truncation, not machine precision
+    # beyond s_max the profile switches to the tail expansion, whose K is
+    # matched to the table's end value: the value is continuous up to
+    # rounding, the slope up to the endpoint slope gap
     smax = profile_ref.s_max
-    lo = profile_ref.phibar0(smax - 1e-9)
-    hi = profile_ref.phibar0(smax + 1e-9)
-    assert hi == pytest.approx(lo, rel=1e-4)
+    lo, dlo, _ = profile_ref.phibar0(smax, derivs=True)
+    hi, dhi, _ = profile_ref.phibar0(math.nextafter(smax, math.inf), derivs=True)
+    assert hi == pytest.approx(lo, rel=4e-16)
+    assert dhi == pytest.approx(dlo, rel=1e-9)
 
 
-def test_endpoint_slope_gap_is_the_c_log_term(profile_all):
-    # phibar0' = slope_limit + c_log/s + o(1/s), so the endpoint slope gap
-    # the tail check reports is the c_log/s term, not a defect
+def test_endpoint_slope_gap_meets_the_expansion(profile_all):
+    # phibar0' = a + c/s + O(log s / s^2): the slope is off the limit a by
+    # the c/s term at s_max, but meets the expansion's derivative there to
+    # far below that term
     prof = profile_all
+    S = prof.s_max
+    slope = prof.phibar0(S, derivs=True)[1]
+    assert slope - prof.slope_limit == pytest.approx(prof.c_log_exact / S, rel=1e-2)
     gap = verify_tail_asymptotics(prof)["endpoint_slope_gap"]
-    assert gap == pytest.approx(prof.c_log_exact / prof.s_max, rel=1e-2)
+    assert abs(gap) < 1e-4 * abs(prof.c_log_exact / S)
 
 
 def test_fresh_shoot_warns_slope_not_converged(p_ref):
@@ -139,10 +184,13 @@ def test_fresh_shoot_warns_slope_not_converged(p_ref):
 
 
 def test_slope_converged_flag(profile_ref):
-    # finite s_max leaves the endpoint slope ~1e-3 off the limit
+    # finite s_max leaves the endpoint slope ~1e-3 off the limit (the c/s
+    # term), and the tail check's gap is measured against the expansion
     assert not hasattr(profile_ref, "slope_converged")
+    off = profile_ref.phibar0(profile_ref.s_max, derivs=True)[1] - profile_ref.slope_limit
+    assert 1e-4 < abs(off) < 1e-2
     gap = verify_tail_asymptotics(profile_ref)["endpoint_slope_gap"]
-    assert 1e-4 < abs(gap) < 1e-2
+    assert abs(gap) < 1e-9
 
 
 def test_save_profile_deterministic(profile_ref, tmp_path):
@@ -240,6 +288,10 @@ def test_shoot_sweep_subset_matches_tight_reference(p):
     # the inverse round trips core, table and tail as on ref and low
     inner, tail = inverse_round_trip(prof)
     assert inner <= 2.0 and tail <= TAIL_ROUND_TRIP
+    # the table stays within the expansion's last retained term (at most
+    # 0.065 of it over the whole sweep)
+    deviation, last_term = prof.tail_deviation()
+    assert deviation < last_term
 
 
 def test_inverse_round_trips_the_core_and_the_table(profile_all):
@@ -263,7 +315,7 @@ def test_inverse_round_trips_the_core_and_the_table(profile_all):
     assert prof.inverse(y) == want
 
 
-# the tail inverse is Newton to 4 ulp in s on slope*s + c_log*log(s) + K1
+# the tail inverse is Newton to 4 ulp in s on a s + c log s + K + (d log s + e)/s
 TAIL_ROUND_TRIP = 2e-15
 
 
@@ -290,19 +342,21 @@ def test_inverse_budget_runs_out_loudly(profile_ref, monkeypatch):
         profile_ref.inverse(profile_ref.phibar0(100.3))
 
 
-def test_inverse_maps_the_seam_jump_to_s_max(profile_ref):
-    # the table's end value inverts to s_max; a tail lifted above it opens
-    # a jump at s_max, and every target inside that jump maps to s_max
-    prof = copy.copy(profile_ref)
+def test_inverse_meets_the_tail_at_s_max(profile_ref):
+    # K matches the tail to the table's end value, so no jump opens at
+    # s_max: targets just below, at and above the end value round trip,
+    # in order, to the table's resolution ulp(2s), and the end value maps
+    # to s_max
+    prof = profile_ref
     top = prof.phibar0(prof.s_max)
     assert prof.inverse(top) == prof.s_max
-    prof.fit = dataclasses.replace(prof.fit, K1=prof.fit.K1 + 0.01)
-    lifted = prof.phibar0(math.nextafter(prof.s_max, math.inf))
-    assert lifted > top
-    for y in (math.nextafter(top, math.inf), 0.5 * (top + lifted)):
-        assert prof.inverse(y) == prof.s_max
-    above = prof.inverse(math.nextafter(lifted, math.inf) + 1e-6)
-    assert above > prof.s_max
+    ys = [top * (1.0 - 1e-12), math.nextafter(top, 0.0), top,
+          math.nextafter(top, math.inf), top * (1.0 + 1e-12)]
+    back = [prof.inverse(y) for y in ys]
+    assert back == sorted(back)
+    assert back[0] < prof.s_max < back[-1]
+    for y, s in zip(ys, back):
+        assert abs(prof.phibar0(s) / y - 1.0) <= 2.0 * math.ulp(2.0 * prof.s_max)
 
 
 @pytest.mark.parametrize("y", [0.0, -1.0, math.inf, math.nan])
