@@ -189,8 +189,8 @@ def cmd_verify(args) -> int:
     taus = [tau_match, tau_match + 2.0, tau_match + 5.0]
 
     # 4. matching invariants at the working tau window
-    c_plus = [solver.solve_matching("+", 0.0, t) for t in taus]
-    c_minus = [solver.solve_matching("-", 0.0, t) for t in taus]
+    c_plus = solver.solve_matching("+", 0.0, taus).tolist()
+    c_minus = solver.solve_matching("-", 0.0, taus).tolist()
     order_ok = all(cp > cm for cp, cm in zip(c_plus, c_minus))
     checks.append(make_check("matching-order", order_ok, {
         "taus": taus, "C_plus": c_plus, "C_minus": c_minus,
@@ -207,8 +207,8 @@ def cmd_verify(args) -> int:
     # 5. corner verdicts and continuity at the working epsilon
     for sign, label in (("+", "plus"), ("-", "minus")):
         bar = GluedBarrier(solver, sign, eps_use)
-        jumps = [bar.corner_jump(t) for t in taus]
-        cont = max(bar.continuity_mismatch(t) for t in taus)
+        jumps = bar.corner_jump(taus)
+        cont = max(bar.continuity_mismatch(taus).tolist())
         ok = all(j.holds for j in jumps) and cont < 1e-9
         checks.append(make_check(f"corner-{label}", ok, {
             "continuity_max": cont,

@@ -21,6 +21,14 @@ underflows to 0 raises OutOfDomain naming gamma*tau.  The corner verdict
 compares one-sided slopes there; epsilon bounds are the largest weights
 keeping the corner verdicts (eps1) and the strict ordering
 psi+ > psi- > 0 (eps2).
+
+Every tau-dependent method takes a float or a 1-D tau array.  An array
+goes through one outer evaluation of the edge (psi_outer or psi_bundle)
+and, in the glued barrier, one phibar0 and one outer call on the (tau, xi)
+grid; a float gives floats, or the grid's one row.  Each value equals the
+one a float tau gives, bit for bit: e^{+/-gamma tau} comes from math.exp
+one tau at a time, and the inverse stays a loop over the targets.  An
+error is the one the first offending tau raises, in tau order.
 """
 
 from __future__ import annotations
@@ -56,11 +64,21 @@ def _exp_gamma_tau(gamma: float, tau: float) -> float:
         ) from None
 
 
-def _outer_w_tau(gamma: float, tau: float, xi, psi, dpsi, dtau_psi):
+def _outer_w_tau(gamma: float, egt, xi, psi, dpsi, dtau_psi):
     """d/dtau of the outer side w = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)
-    at fixed xi, from psi, psi_eta and psi_tau at the gap xi e^{-gamma tau}."""
-    egt = _exp_gamma_tau(gamma, tau)
+    at fixed xi, from egt = e^{gamma tau} and psi, psi_eta and psi_tau at the
+    gap xi e^{-gamma tau}."""
     return gamma * egt * psi - gamma * xi * dpsi + egt * dtau_psi
+
+
+def _taus(tau) -> list:
+    """A float or 1-D tau array as a list of floats."""
+    return np.atleast_1d(np.asarray(tau, dtype=float)).tolist()
+
+
+def _shaped(values, tau):
+    """values over _taus(tau) as a float for a float tau, else as an array."""
+    return float(values[0]) if np.ndim(tau) == 0 else np.asarray(values)
 
 
 class MatchingSolver:
@@ -96,45 +114,92 @@ class MatchingSolver:
             )
         return gap
 
-    def outer_edge(self, sign: str, tau: float):
-        """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
+    def _edge(self, taus: list):
+        """(edge gaps, e^{gamma tau}) as arrays over the taus before the first
+        one where either leaves the float range, and that tau's
+        OutOfDomain, or None when there is none."""
         gamma = self.outer.p.gamma
-        psi, dpsi, _, _ = self.outer.psi_bundle(sign, tau, gap=np.asarray(self._edge_gap(tau)))
-        return float(_exp_gamma_tau(gamma, tau) * psi), float(dpsi)
+        gaps, egts = [], []
+        for tau in taus:
+            try:
+                gap, egt = self._edge_gap(tau), _exp_gamma_tau(gamma, tau)
+            except errors.OutOfDomain as exc:
+                return np.array(gaps), np.array(egts), exc
+            gaps.append(gap)
+            egts.append(egt)
+        return np.array(gaps), np.array(egts), None
 
-    def solve_matching(self, sign: str, eps: float, tau: float) -> float:
+    def _edge_bundle(self, sign: str, taus: list):
+        """(e^{gamma tau}, psi_bundle at the edge gap) over taus, from one
+        outer call."""
+        gaps, egts, failure = self._edge(taus)
+        if failure is not None:
+            raise failure
+        return egts, self.outer.psi_bundle(sign, np.array(taus), gap=gaps)
+
+    def outer_edge(self, sign: str, tau):
+        """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
+        egt, (psi, dpsi, _, _) = self._edge_bundle(sign, _taus(tau))
+        return _shaped(egt * psi, tau), _shaped(dpsi, tau)
+
+    def _solve(self, sign: str, eps: float, taus: list):
+        """(C at the leading taus, error): C from the memo, or solved in order
+        from one psi_outer call at the edge gaps of the taus it lacks, up to
+        the first tau that fails; that tau's error, or None."""
+        keys = [(sign, round(float(eps), 15), round(t * 1e12)) for t in taus]
+        todo = {}  # key -> the first tau that asks for it
+        for key, t in zip(keys, taus):
+            if key not in self._memo:
+                todo.setdefault(key, t)
+        failure = None
+        if todo:
+            gaps, egts, failure = self._edge(list(todo.values()))
+            solved, targets = list(todo.items())[: len(gaps)], []
+            if solved:
+                psi = self.outer.psi_outer(sign, np.array([t for _, t in solved]), gap=gaps)
+                targets = ((1.0 + _SIGN_FACTOR[sign] * eps) * (egts * psi)).tolist()
+            for (key, t), target in zip(solved, targets):
+                if not (math.isfinite(target) and target > 0.0):
+                    failure = errors.TargetBelowRange(
+                        f"matching target {target} not positive at tau={t} "
+                        f"(outer profile not yet positive near A; increase tau)"
+                    )
+                    break
+                try:
+                    self._memo[key] = self.profile.inverse(target) - self.xi1
+                except errors.FdelabError as exc:
+                    failure = exc
+                    break
+        C = []
+        for key in keys:
+            if key not in self._memo:
+                break
+            C.append(self._memo[key])
+        return C, failure
+
+    def solve_matching(self, sign: str, eps: float, tau):
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
-        read from the profile's inverse."""
+        read from the profile's inverse; the taus before a failing one
+        stay in the memo."""
         if sign not in _SIGN_FACTOR:
             raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
         if not (0.0 <= eps < 0.25):
             raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
-        key = (sign, round(float(eps), 15), round(float(tau) * 1e12))
-        if key in self._memo:
-            return self._memo[key]
-        gamma = self.outer.p.gamma
-        psi = self.outer.psi_outer(sign, tau=tau, gap=np.asarray(self._edge_gap(tau)))
-        target = (1.0 + _SIGN_FACTOR[sign] * eps) * float(_exp_gamma_tau(gamma, tau) * psi)
-        if not np.isfinite(target) or target <= 0.0:
-            raise errors.TargetBelowRange(
-                f"matching target {target} not positive at tau={tau} "
-                f"(outer profile not yet positive near A; increase tau)"
-            )
-        C = self.profile.inverse(target) - self.xi1
-        self._memo[key] = C
-        return C
+        C, failure = self._solve(sign, eps, _taus(tau))
+        if failure is not None:
+            raise failure
+        return _shaped(C, tau)
 
-    def C_prime(self, sign: str, eps: float, tau: float) -> float:
+    def C_prime(self, sign: str, eps: float, tau):
         """dC/dtau = (1 +/- eps) w_tau(xi1+) / phibar0'(xi1 + C), the
         implicit derivative of the matching equation; w_tau is the outer
         side's tau-derivative at fixed xi (GluedBarrier.bundle's)."""
-        C = self.solve_matching(sign, eps, tau)
-        psi, dpsi, _, dtau_psi = self.outer.psi_bundle(
-            sign, tau, gap=np.asarray(self._edge_gap(tau))
-        )
-        wt = _outer_w_tau(self.outer.p.gamma, tau, self.xi1, psi, dpsi, dtau_psi)
+        taus = _taus(tau)
+        C = self.solve_matching(sign, eps, taus)
+        egt, (psi, dpsi, _, dtau_psi) = self._edge_bundle(sign, taus)
+        wt = _outer_w_tau(self.outer.p.gamma, egt, self.xi1, psi, dpsi, dtau_psi)
         factor = 1.0 + _SIGN_FACTOR[sign] * eps
-        return float(factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1])
+        return _shaped(factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1], tau)
 
     # -- quantitative matching limits ---------------------------------------
 
@@ -157,8 +222,7 @@ class MatchingSolver:
         taus = np.array([tau_ref - 10.0, tau_ref - 5.0, tau_ref])
 
         # plus edge value: increment slope over consecutive tau samples
-        vals = [self.outer_edge("+", t)[0] for t in taus]
-        inc = np.diff(vals) / np.diff(taus)
+        inc = np.diff(self.outer_edge("+", taus)[0]) / np.diff(taus)
         limit_plus = (n - 1) * p.theta2_plus / A
         if abs(inc[-1] - inc[0]) > 0.05 * abs(limit_plus):
             raise errors.ExtrapolationUnstable(
@@ -226,82 +290,112 @@ class GluedBarrier:
     def outer(self):
         return self.solver.outer
 
-    def C(self, tau: float) -> float:
+    def C(self, tau):
         return self.solver.solve_matching(self.sign, self.eps, tau)
 
-    def C_prime(self, tau: float) -> float:
+    def C_prime(self, tau):
         return self.solver.C_prime(self.sign, self.eps, tau)
 
-    def _glued(self, xi, tau: float, derivs: bool):
-        """Rows (w,) or, with derivs, (w, w_xi, w_xixi, w_tau) on xi: left of
-        xi1 one phibar0 call at xi + C(tau), with w_tau = phibar0' C'(tau);
-        right of it one outer call, mapped by w = e^{gamma tau} psi."""
+    def _glued(self, xi, tau, derivs: bool):
+        """Parts (w,) or, with derivs, (w, w_xi, w_xixi, w_tau) on the (tau,
+        xi) grid: xi is one row shared by every tau, or one row per tau,
+        and each part has the shape tau.shape + xi.shape, or xi's shape
+        for one row per tau.  Left of xi1 one phibar0 call at xi + C(tau),
+        with w_tau = phibar0' C'(tau); right of it one outer call, mapped
+        by w = e^{gamma tau} psi.  Each side takes its tau-dependent
+        factors only at the taus whose row reaches it."""
+        shape = np.shape(xi) if np.ndim(xi) == 2 else (*np.shape(tau), *np.shape(xi))
+        taus = np.atleast_1d(np.asarray(tau, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.empty((4 if derivs else 1, *xi.shape))
+        grid = np.broadcast_to(xi, (taus.size, xi.shape[-1]))
+        out = np.empty((4 if derivs else 1, *grid.shape))
         gamma = self.outer.p.gamma
-        left = xi <= self.xi1
+
+        def at(side, per_tau):
+            """per_tau over the taus whose row meets side, spread to side's points."""
+            rows = side.any(axis=1)
+            col = np.zeros((taus.size, 1))
+            col[rows, 0] = per_tau(taus[rows])
+            return np.broadcast_to(col, grid.shape)[side]
+
+        left = grid <= self.xi1
         if np.any(left):
-            arg = xi[left] + self.C(tau)
+            arg = grid[left] + at(left, self.C)
             if derivs:
                 v, d1, d2 = self.profile.phibar0(arg, derivs=True)
-                out[:, left] = np.array((v, d1, d2, d1 * self.C_prime(tau))) / self.factor
+                out[:, left] = np.array((v, d1, d2, d1 * at(left, self.C_prime))) / self.factor
             else:
-                out[0, left] = self.profile.phibar0(arg) / self.factor
-        if np.any(~left):
-            right = xi[~left]
-            egt, emgt = _exp_gamma_tau(gamma, tau), math.exp(-gamma * tau)
-            gap = right * emgt
+                out[0][left] = self.profile.phibar0(arg) / self.factor
+        right = ~left
+        if np.any(right):
+            x = grid[right]
+            tau_pts = np.broadcast_to(taus[:, None], grid.shape)[right]
+            egt = at(right, lambda t: [_exp_gamma_tau(gamma, s) for s in t.tolist()])
+            emgt = at(right, lambda t: [math.exp(-gamma * s) for s in t.tolist()])
+            gap = x * emgt
             if derivs:
-                psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(self.sign, tau, gap=gap)
-                wt = _outer_w_tau(gamma, tau, right, psi, dpsi, dtau_psi)
-                out[:, ~left] = (egt * psi, dpsi, emgt * d2psi, wt)
+                psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(self.sign, tau_pts, gap=gap)
+                wt = _outer_w_tau(gamma, egt, x, psi, dpsi, dtau_psi)
+                out[:, right] = (egt * psi, dpsi, emgt * d2psi, wt)
             else:
-                out[0, ~left] = egt * self.outer.psi_outer(self.sign, tau, gap=gap)
-        return out
+                out[0][right] = egt * self.outer.psi_outer(self.sign, tau_pts, gap=gap)
+        return out.reshape(len(out), *shape)
 
-    def wbar(self, xi, tau: float):
-        """Glued profile value in inner variables (see the module docstring)."""
+    def wbar(self, xi, tau):
+        """Glued profile value in inner variables (see the module docstring):
+        a float for float xi and tau, else an array of shape tau.shape +
+        xi.shape, or xi's shape for one xi row per tau."""
         w = self._glued(xi, tau, False)[0]
-        return float(w[0]) if np.ndim(xi) == 0 else w
+        return float(w) if w.ndim == 0 else w
 
-    def bundle(self, xi, tau: float):
-        """(w, w_xi, w_xixi, w_tau) of the glued profile on a 1-D xi array;
-        w equals wbar bit for bit."""
+    def bundle(self, xi, tau):
+        """(w, w_xi, w_xixi, w_tau) of the glued profile on xi (1-D, or one
+        row per tau) at a float tau or a 1-D tau array; w equals wbar bit
+        for bit."""
         return tuple(self._glued(xi, tau, True))
 
-    def continuity_mismatch(self, tau: float) -> float:
-        lv, rv = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], tau)
-        return float(abs(lv - rv) / abs(lv))
+    def continuity_mismatch(self, tau):
+        w = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], _taus(tau))
+        return _shaped(np.abs(w[:, 0] - w[:, 1]) / np.abs(w[:, 0]), tau)
 
-    def corner_slopes(self, tau: float) -> tuple[float, float, float]:
+    def corner_slopes(self, tau):
         """(edge value e^{gamma tau} psi, left slope, right slope) at xi1,
         from one outer evaluation of the edge."""
-        edge, right = self.solver.outer_edge(self.sign, tau)
-        left = self.profile.phibar0(self.xi1 + self.C(tau), derivs=True)[1] / self.factor
-        return edge, left, right
+        taus = _taus(tau)
+        left = self.profile.phibar0(self.xi1 + self.C(taus), derivs=True)[1] / self.factor
+        edge, right = self.solver.outer_edge(self.sign, taus)
+        return _shaped(edge, tau), _shaped(left, tau), _shaped(right, tau)
 
-    def corner_jump(self, tau: float) -> CornerReport:
-        """One-sided slopes at xi1 and the sign-appropriate verdict.
+    def corner_jump(self, tau):
+        """One-sided slopes at xi1 and the sign-appropriate verdict, as a
+        CornerReport for a float tau and as a list of them, one per tau,
+        for a sequence of taus.
 
         Supersolution (+) needs left >= right (concave kink); subsolution (-)
         needs left <= right.
         """
         _, left, right = self.corner_slopes(tau)
-        holds = left >= right if self.sign == "+" else left <= right
-        return CornerReport(tau=tau, left_slope=float(left), right_slope=float(right), holds=bool(holds))
+        reports = [
+            CornerReport(tau=t, left_slope=lo, right_slope=ro,
+                         holds=bool(lo >= ro if self.sign == "+" else lo <= ro))
+            for t, lo, ro in zip(
+                list(tau) if np.ndim(tau) else [tau],
+                np.atleast_1d(left).tolist(), np.atleast_1d(right).tolist(),
+            )
+        ]
+        return reports if np.ndim(tau) else reports[0]
 
 
 def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:
     """Strict ordering psi+ > psi- > 0 for each tau, on 200 points of the
-    glued window [-20, xi1 + 20]."""
+    glued window [-20, xi1 + 20], from one wbar call per barrier."""
     xi = np.linspace(-20.0, plus.xi1 + 20.0, 200)
-    worst_gapc = np.inf
-    worst_floor = np.inf
-    for tau in np.atleast_1d(taus):
-        wp = plus.wbar(xi, float(tau))
-        wm = minus.wbar(xi, float(tau))
-        worst_gapc = min(worst_gapc, float(np.min(wp - wm)))
-        worst_floor = min(worst_floor, float(np.min(wm)))
+    taus = np.atleast_1d(taus)
+    wp = plus.wbar(xi, taus)
+    wm = minus.wbar(xi, taus)
+    # folded tau by tau as min(worst, row) does, so a NaN row is passed over
+    worst_gapc = min([np.inf, *np.min(wp - wm, axis=1).tolist()])
+    worst_floor = min([np.inf, *np.min(wm, axis=1).tolist()])
     return {
         "min_gap": worst_gapc,
         "min_minus": worst_floor,
@@ -320,11 +414,15 @@ def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
 
     def corner_ok(eps: float) -> bool:
+        # as a loop over the taus goes: a verdict that fails decides before
+        # an error at a later tau is raised
         for sign in ("+", "-"):
-            bar = GluedBarrier(solver, sign, eps)
-            for tau in taus:
-                if not bar.corner_jump(float(tau)).holds:
-                    return False
+            C, failure = solver._solve(sign, eps, taus.tolist())
+            reports = GluedBarrier(solver, sign, eps).corner_jump(taus[: len(C)])
+            if not all(rep.holds for rep in reports):
+                return False
+            if failure is not None:
+                raise failure
         return True
 
     def ordering_ok(eps: float) -> bool:

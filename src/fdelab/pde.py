@@ -32,17 +32,25 @@ Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
 its own delta, with its own step size, theta, tolerance, Newton count and
 damping, and a rejected row halves its own step while the others go on.
-Every array stage of a Newton iteration runs elementwise on the whole
-array under a row mask, rows that are not iterating sit still with a zero
-step, and each row keeps its own gtsv call (a batched sweep without
+Every array stage of a Newton iteration runs elementwise, on the whole
+array under a row mask or, for the Jacobian bands, on the iterating rows
+alone; rows that are not iterating sit still with a zero step, and each
+row keeps its own gtsv call (a batched sweep without
 pivoting would change the bits), so a run gives the same bits alone or
 beside others.  Frames go into per-row buffers that grow as they fill.  A
 row that fails records its error and stops alone; comparison_sandwich
 solves its manufactured calibration run and its lower, upper and mid runs
 as four rows and raises their errors in that order, with
-NotBetweenBarriers after the calibration's.  The barrier rows share each
-barrier's end values at its last few deltas, so a row that falls a round
-behind another still reads values the other evaluated.
+NotBetweenBarriers after the calibration's.
+
+The barriers are evaluated on tau arrays, never one delta at a time.
+Before stepping, the sandwich evaluates both barriers' end values at every
+delta of the planned schedule (_planned_deltas: the deltas of a run that
+no step rejection halves), one wbar call per barrier and block of deltas;
+a row that leaves the schedule after a rejection evaluates its ends at
+its own delta.  After stepping, one pass over the mid run's deltas
+evaluates both barriers on the whole grid, again in blocks of at most
+_BLOCK_POINTS grid points per call, so memory does not grow with the run.
 """
 
 from __future__ import annotations
@@ -184,7 +192,8 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     each Newton system covers the interior points only, so the ends keep
     those values exactly.  Every per-row scalar (step, drift speed,
     tolerance, damping) is a Python float computed as for a lone run.  The
-    array stages (residual, Jacobian bands, trial iterate) run on the whole
+    Jacobian bands are built for the rows that take a Newton solve only;
+    the other array stages (residual, trial iterate) run on the whole
     array and each update writes only the rows it selects: a row that is
     not being tried keeps its positive iterate (damping 0, zero step), a
     trial row that is not positive falls back to its iterate before the
@@ -264,20 +273,22 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
             else:
                 its[i] += 1
                 lam[i] = 1.0
-        if not any(lam):
+        iterating = [i for i in range(k) if lam[i]]
+        if not iterating:
             return out
-        # the Newton system I - dt*theta*J_F on the interior points; the
-        # ends keep their Dirichlet values, so their step is exactly 0
-        dm, d0, dp = _jac_bands(X[:, 1:-1], D1, D2, dxi, sigma_new, p)
-        dl = jac_neg * dm[:, 1:]
-        diag = 1.0 - jac_pos * d0
-        du = jac_neg * dp[:, :-1]
-        for i in range(k):
-            if lam[i]:
-                try:
-                    step[i, 1:-1] = _tridiagonal_solve(dl[i], diag[i], du[i], -G[i])
-                except errors.NewtonDiverged as exc:
-                    out[i], lam[i] = exc, 0.0
+        # the Newton system I - dt*theta*J_F on the interior points of the
+        # iterating rows only; the ends keep their Dirichlet values, so
+        # their step is exactly 0
+        rows = slice(None) if len(iterating) == k else iterating
+        dm, d0, dp = _jac_bands(X[rows, 1:-1], D1[rows], D2[rows], dxi, sigma_new[rows], p)
+        dl = jac_neg[rows] * dm[:, 1:]
+        diag = 1.0 - jac_pos[rows] * d0
+        du = jac_neg[rows] * dp[:, :-1]
+        for r, i in enumerate(iterating):
+            try:
+                step[i, 1:-1] = _tridiagonal_solve(dl[r], diag[r], du[r], -G[i])
+            except errors.NewtonDiverged as exc:
+                out[i], lam[i] = exc, 0.0
 
         # damped line search, each row with its own lambda
         while any(lam):
@@ -325,6 +336,11 @@ _STEP_BUDGET = 200000
 _WARMUP_STEPS = 4  # backward-Euler steps that damp the initial transient
 
 
+def _finished(delta, delta_end) -> bool:
+    """A run at delta has reached delta_end, up to rounding of the steps."""
+    return not delta > delta_end * (1.0 + 1e-12)
+
+
 def _step_plan(step_idx, delta, delta_end, dtau):
     """(fraction of delta, theta) of the next step: backward Euler at half
     the step during the warmup, trapezoidal afterwards, and the final step
@@ -334,6 +350,19 @@ def _step_plan(step_idx, delta, delta_end, dtau):
     else:
         frac, theta = dtau, 0.5
     return min(frac, 1.0 - delta_end / delta), theta
+
+
+def _planned_deltas(delta_start, delta_end, dtau) -> list:
+    """delta_start and the deltas after each step of a run that no step
+    rejection halves, as _solve_rows computes them, for at most the step
+    budget; delta_start alone for a window _solve_rows rejects."""
+    deltas = [delta_start]
+    if not 0.0 < delta_end < delta_start:
+        return deltas
+    while not _finished(deltas[-1], delta_end) and len(deltas) <= _STEP_BUDGET + 1:
+        frac, _ = _step_plan(len(deltas) - 1, deltas[-1], delta_end, dtau)
+        deltas.append(deltas[-1] * (1.0 - frac))
+    return deltas
 
 
 def _predicted(W, W_prev, delta, delta_prev, delta_new):
@@ -391,7 +420,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         for i in live:
             delta, n = deltas[i][-1], len(deltas[i])
             if attempt[i] is None:
-                if not delta > delta_end * (1.0 + 1e-12):
+                if _finished(delta, delta_end):
                     out[i] = Trajectory(
                         p=p, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
                         newton_iters_max=iters_max[i], newton_iters=iters[i],
@@ -601,47 +630,65 @@ class SandwichReport:
         }
 
 
-def _barrier_W(bar: GluedBarrier, xi: np.ndarray, delta: float, p: ModelParams):
-    tau = -math.log(delta)
-    return delta ** (1.0 + p.gamma) * bar.wbar(xi, tau)
+def _barrier_W(bar: GluedBarrier, xi: np.ndarray, deltas, p: ModelParams):
+    """delta^{1+gamma} wbar(xi, -log delta) on the (deltas, xi) grid, from
+    one wbar call."""
+    deltas = [float(delta) for delta in deltas]
+    scale = np.array([delta ** (1.0 + p.gamma) for delta in deltas])
+    return scale[:, None] * bar.wbar(xi, np.array([-math.log(delta) for delta in deltas]))
 
 
-_END_CACHE = 4  # deltas whose barrier end values the sandwich rows share
+_BLOCK_POINTS = 1 << 15  # grid points per barrier evaluation of the sandwich
 
 
-def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, delta_start: float) -> dict:
+def _barrier_pairs(plus: GluedBarrier, minus: GluedBarrier, xi, deltas, p: ModelParams):
+    """(delta, W_plus, W_minus) per delta, both barriers from _barrier_W on
+    blocks of deltas of at most _BLOCK_POINTS grid points."""
+    block = max(1, _BLOCK_POINTS // len(xi))
+    for i in range(0, len(deltas), block):
+        part = deltas[i:i + block]
+        yield from zip(part, _barrier_W(plus, xi, part, p), _barrier_W(minus, xi, part, p))
+
+
+def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas) -> dict:
     """The lower, upper and mid runs as rows: data and Dirichlet values on
     the lower barrier, on the upper barrier, and on their pointwise
     geometric mean.
 
-    The bc closures share each barrier's end values at its last
-    _END_CACHE deltas, so rows that ask for the same barrier at the same
-    delta evaluate it once, also when one row has fallen a few rounds
-    behind another after a retry or a rejection.
+    deltas is the planned schedule, deltas[0] the start.  The end values
+    at every later planned delta are evaluated here, before any step, by
+    _barrier_pairs.  A bc closure reads them from that table and evaluates
+    a delta off the schedule (a row whose step a rejection halved) on its
+    own, with the same bits.  If the table's evaluation raises an
+    FdelabError, the table keeps the blocks before the failing one, and
+    the rows meet the error at the step whose delta raises it.
     """
     p = plus.outer.p
-    Wp0 = _barrier_W(plus, xi, delta_start, p)
-    Wm0 = _barrier_W(minus, xi, delta_start, p)
+    Wp0, Wm0 = (_barrier_W(bar, xi, deltas[:1], p)[0] for bar in (plus, minus))
     ends = xi[[0, -1]]
-    seen = {plus.sign: {}, minus.sign: {}}  # delta -> end values, oldest first
 
-    def ends_at(bar, delta):
-        cache = seen[bar.sign]
-        if delta not in cache:
-            if len(cache) == _END_CACHE:
-                del cache[next(iter(cache))]
-            cache[delta] = _barrier_W(bar, ends, delta, p)
-        return cache[delta]
+    def ends_at(kind, delta):
+        if kind == "mid":
+            return np.sqrt(ends_at("upper", delta) * ends_at("lower", delta))
+        return _barrier_W(plus if kind == "upper" else minus, ends, [delta], p)[0]
 
-    def bc_mid(delta):
-        wp = ends_at(plus, delta)
-        wm = ends_at(minus, delta)
-        return tuple(np.sqrt(wp * wm).tolist())
+    planned = {}
+    try:
+        for delta, wp, wm in _barrier_pairs(plus, minus, ends, deltas[1:], p):
+            planned[delta] = {"lower": wm, "upper": wp, "mid": np.sqrt(wp * wm)}
+    except errors.FdelabError:
+        pass  # the deltas past the table raise it again at their own step
+
+    def bc(kind):
+        def at(delta):
+            hit = planned.get(delta)
+            return tuple((hit[kind] if hit is not None else ends_at(kind, delta)).tolist())
+        return at
 
     return {
-        "lower": _Run(Wm0, lambda delta: tuple(ends_at(minus, delta).tolist())),
-        "upper": _Run(Wp0, lambda delta: tuple(ends_at(plus, delta).tolist())),
-        "mid": _Run(np.sqrt(Wp0 * Wm0), bc_mid),
+        "lower": _Run(Wm0, bc("lower")),
+        "upper": _Run(Wp0, bc("upper")),
+        "mid": _Run(np.sqrt(Wp0 * Wm0), bc("mid")),
     }
 
 
@@ -683,7 +730,7 @@ def comparison_sandwich(
 
     xi = np.linspace(-xi1, 4.0 * xi1, n_cells + 1)
     calibration, error = _manufactured_row(p, xi, delta_start)
-    rows = _sandwich_rows(plus, minus, xi, delta_start)
+    rows = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
     calib, *solved = _solve_rows(
         p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
@@ -708,8 +755,8 @@ def comparison_sandwich(
     # one pass over the mid run's frames evaluates both barriers once per
     # delta for the extinction fits and for every check frame at that
     # delta; check frames at other deltas (the lower run after a
-    # rejection) get their own evaluation.  No frame of barrier values is
-    # kept beyond its delta.
+    # rejection) get a pass of their own.  No block of barrier values is
+    # kept beyond its pass.
     report = SandwichReport(tol_rel=tol_rel)
     waiting = {}
     for kind, traj in trajs.items():
@@ -726,16 +773,12 @@ def comparison_sandwich(
 
     mid = trajs["mid"]
     peaks = {"upper_barrier": [], "lower_barrier": []}
-    for delta in mid.deltas:
-        Wp = _barrier_W(plus, xi, float(delta), p)
-        Wm = _barrier_W(minus, xi, float(delta), p)
+    for delta, Wp, Wm in _barrier_pairs(plus, minus, xi, mid.deltas.tolist(), p):
         peaks["upper_barrier"].append(np.max(Wp) ** (1.0 / (1.0 - p.m)))
         peaks["lower_barrier"].append(np.max(Wm) ** (1.0 / (1.0 - p.m)))
         check_frames(delta, Wp, Wm)
-    for delta in list(waiting):
-        check_frames(
-            delta, _barrier_W(plus, xi, delta, p), _barrier_W(minus, xi, delta, p)
-        )
+    for delta, Wp, Wm in _barrier_pairs(plus, minus, xi, list(waiting), p):
+        check_frames(delta, Wp, Wm)
     report.passed = (
         report.max_undershoot <= tol_rel and report.max_overshoot <= tol_rel
     )
@@ -803,7 +846,7 @@ def _softplus(q: float) -> float:
 
 def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict:
     """Sign and log10-magnitude of the corner boundary term J1, from 48
-    samples over tau_window.
+    samples over tau_window, read in one corner_slopes call.
 
     The integrand lives on the moving interface r1(t) = exp(xi1 + A
     (T-t)^(-gamma)); every factor is assembled in logarithms because r1 is
@@ -822,10 +865,9 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
     taus = np.linspace(tau_window[0], tau_window[1], 48)
     log_terms = []
     signs = []
-    for tau in taus:
-        tau = float(tau)
+    edges, lefts, rights = (part.tolist() for part in bar.corner_slopes(taus))
+    for tau, edge_value, left, right in zip(taus.tolist(), edges, lefts, rights):
         delta = math.exp(-tau)
-        edge_value, left, right = bar.corner_slopes(tau)
         jump = right - left
         if jump == 0.0:
             continue

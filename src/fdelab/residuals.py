@@ -78,15 +78,15 @@ def l1_terms_evaluator(barrier: GluedBarrier):
     a terms_fn for verify_sign_region.
 
     It takes xi of shape (n_tau, n_space) and the (n_tau, 1) tau column and
-    evaluates one barrier.bundle call per row, since C(tau) and C'(tau)
-    are taken at one tau.
+    evaluates the whole region in one barrier.bundle call on the (tau, xi)
+    grid, row i at tau[i]; each row equals a bundle call at its own tau,
+    bit for bit.
     """
     p = barrier.outer.p
     d, g = p.d, p.gamma
 
     def ev(xi, tau):
-        rows = [barrier.bundle(x, float(t)) for x, t in zip(xi, np.ravel(tau))]
-        w, wx, wxx, wt = (np.stack(part) for part in zip(*rows))
+        w, wx, wxx, wt = barrier.bundle(xi, np.ravel(tau))
         if np.any(w <= 0.0):
             raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
         e1 = np.exp(-g * tau)

@@ -15,7 +15,9 @@ from fdelab.matching import (
 )
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, default_thresholds
+from fdelab.selfsim import shoot_v0
 from numdiff import fd_derivative
+from shoot_sweep import shoot_or_error, sweep_params
 
 XI1 = 10.0  # the matching radius of the default config
 
@@ -288,3 +290,116 @@ def test_bundle_derivatives_match_fd(request, solver_name, tau, sign):
         assert abs(wx[k] - fx) <= 1e-7 * w[k], x
         assert abs(wxx[k] - fxx) <= 1e-5 * w[k], x
         assert abs(wt[k] - ft) <= 1e-7 * w[k], x
+
+
+# -- tau arrays ------------------------------------------------------------------
+
+
+def _fresh(solver):
+    """A solver on the same profile and outer set with an empty memo, so
+    each route solves C itself."""
+    return MatchingSolver(solver.profile, solver.outer, branch_variant(solver.outer.p.gamma))
+
+
+# both sides of the corner, the corner itself and its upper ulp neighbour
+GRID_XI = np.array([-20.0, -5.0, 0.0, 9.0, XI1, np.nextafter(XI1, np.inf), 11.0, 20.0, 40.0])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_grid_wbar_and_bundle_equal_per_tau_calls(request, solver_name, tau, sign):
+    shared = request.getfixturevalue(solver_name)
+    taus = tau + np.linspace(0.0, 6.0, 13)
+    grid = GluedBarrier(_fresh(shared), sign, 0.01)
+    w, parts = grid.wbar(GRID_XI, taus), grid.bundle(GRID_XI, taus)
+    assert w.shape == (13, GRID_XI.size) and all(part.shape == w.shape for part in parts)
+    one = GluedBarrier(_fresh(shared), sign, 0.01)
+    for i, t in enumerate(taus.tolist()):
+        assert np.array_equal(w[i], one.wbar(GRID_XI, t))
+        for part, row in zip(parts, one.bundle(GRID_XI, t)):
+            assert np.array_equal(part[i], row)
+        assert [grid.wbar(x, taus)[i] for x in GRID_XI] == one.wbar(GRID_XI, t).tolist()
+    # one xi row per tau reads each row at its own tau
+    rows = GRID_XI + np.arange(13)[:, None] * 0.5
+    for part, k in zip(grid.bundle(rows, taus), range(4)):
+        for i, t in enumerate(taus.tolist()):
+            assert np.array_equal(part[i], one.bundle(rows[i], t)[k])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_corner_readings_on_a_tau_array_equal_per_tau_calls(solver_ref, sign):
+    taus = [10.0, 12.0, 15.0, 16.0]
+    grid, one = (GluedBarrier(_fresh(solver_ref), sign, 0.01) for _ in range(2))
+    assert grid.corner_jump(taus) == [one.corner_jump(t) for t in taus]
+    slopes = grid.corner_slopes(np.array(taus))
+    for i, t in enumerate(taus):
+        assert tuple(part[i] for part in slopes) == one.corner_slopes(t)
+    assert grid.continuity_mismatch(taus).tolist() == [one.continuity_mismatch(t) for t in taus]
+    assert [part.tolist() for part in grid.solver.outer_edge(sign, taus)] == [
+        list(col) for col in zip(*(one.solver.outer_edge(sign, t) for t in taus))
+    ]
+
+
+SWEEP_SUBSET = list(sweep_params())[::16]
+
+
+@pytest.mark.parametrize(
+    "p", SWEEP_SUBSET, ids=[f"n{p.n}-m{p.m:.3f}-g{p.gamma:g}-A{p.A:g}" for p in SWEEP_SUBSET]
+)
+def test_matching_on_a_tau_array_equals_scalar_calls(p):
+    cfg = default_thresholds(p)
+    outer = OuterProfileSet(p, cfg)
+    profile = shoot_or_error(p)
+    taus = cfg.tau_start + np.arange(0.0, 30.0, 3.0)
+    for sign in ("+", "-"):
+        for eps in (0.0, 0.02):
+            grid, one = (MatchingSolver(profile, outer, branch_variant(p.gamma)) for _ in range(2))
+            C, Cp = grid.solve_matching(sign, eps, taus), grid.C_prime(sign, eps, taus)
+            assert C.tolist() == [one.solve_matching(sign, eps, t) for t in taus.tolist()]
+            assert Cp.tolist() == [one.C_prime(sign, eps, t) for t in taus.tolist()]
+            # C' from a fresh solver, whose own solve is the array's
+            assert _fresh(grid).C_prime(sign, eps, taus).tolist() == Cp.tolist()
+
+
+def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch):
+    # a negative outer edge at tau 12 and an overflowing e^(gamma tau) at
+    # tau 480 (gamma tau = 720): the array raises what the loop of scalar
+    # calls raises first, after solving the taus before it
+    psi_outer = OuterProfileSet.psi_outer
+
+    def negative_at_12(self, sign, tau, *, gap):
+        psi = psi_outer(self, sign, tau, gap=gap)
+        return np.where(np.asarray(tau) == 12.0, -psi, psi)
+
+    monkeypatch.setattr(OuterProfileSet, "psi_outer", negative_at_12)
+    taus = [10.0, 12.0, 480.0, 520.0]
+    one = _fresh(solver_ref)
+    with pytest.raises(errors.TargetBelowRange) as scalar:
+        for t in taus:
+            one.solve_matching("+", 0.0, t)
+    grid = _fresh(solver_ref)
+    with pytest.raises(errors.TargetBelowRange) as array:
+        grid.solve_matching("+", 0.0, taus)
+    assert str(array.value) == str(scalar.value)
+    assert grid.solve_matching("+", 0.0, 10.0) == one.solve_matching("+", 0.0, 10.0)
+    assert len(grid._memo) == 1
+    for rest in (taus[2:], taus[3:]):
+        with pytest.raises(errors.OutOfDomain) as scalar:
+            one.solve_matching("+", 0.0, rest[0])
+        with pytest.raises(errors.OutOfDomain) as array:
+            _fresh(solver_ref).solve_matching("+", 0.0, rest)
+        assert str(array.value) == str(scalar.value)
+
+
+def test_corner_verdict_that_fails_first_decides_before_a_later_error():
+    # at gamma = 51 the plus corner fails at tau 10 (its right slope is
+    # NaN) and the edge gap underflows at tau 15 (gamma tau = 765): the
+    # epsilon search meets the failing verdict first, as a loop over the
+    # taus does, while the corner readings themselves raise
+    p = ModelParams(3, 0.1, 51.0, 2.0, theta1_minus=-1.0)
+    solver = MatchingSolver(shoot_v0(p), OuterProfileSet(p, default_thresholds(p)), "psi3")
+    taus = [10.0, 12.0, 15.0]
+    with pytest.raises(errors.OutOfDomain, match="underflows"):
+        GluedBarrier(solver, "+", 0.0).corner_jump(taus)
+    with pytest.raises(errors.NoAdmissibleEpsilon):
+        find_epsilon_bounds(solver, taus)

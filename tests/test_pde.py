@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdelab import errors, pde
-from fdelab.matching import GluedBarrier
+from fdelab.matching import GluedBarrier, MatchingSolver
 from fdelab.pde import (
     comparison_sandwich,
     extinction_rate,
@@ -148,12 +148,14 @@ def test_weak_corner_term_signs(solver_ref):
 
 
 def test_weak_corner_term_reads_each_edge_once(solver_ref, monkeypatch):
-    """The edge value and both slopes come from one outer evaluation per tau."""
+    """The edge values and both slopes come from one outer evaluation of
+    the edge at all 48 taus."""
     calls = []
     edge = solver_ref.outer_edge
     monkeypatch.setattr(solver_ref, "outer_edge", lambda *a: calls.append(a) or edge(*a))
     weak_corner_term(GluedBarrier(solver_ref, "+", EPS_SMOKE), (10.0, 12.0))
-    assert len(calls) == 48
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][1], np.linspace(10.0, 12.0, 48))
 
 
 def test_pair_requires_sign_order(barrier_pair, monkeypatch):
@@ -371,7 +373,8 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
 
     def runs():
         calibration, _ = pde._manufactured_row(p_ref, xi, ds)
-        return [calibration, *pde._sandwich_rows(*barrier_pair, xi, ds).values()]
+        deltas = pde._planned_deltas(ds, de, 0.01)
+        return [calibration, *pde._sandwich_rows(*barrier_pair, xi, deltas).values()]
 
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     together = pde._solve_rows(p_ref, xi, runs(), **kw)
@@ -624,34 +627,104 @@ def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, mon
     assert (halved.step_rejections, halved.cold_retries) == (1, 1)
 
 
+def _end_values(barrier_pair, p, delta):
+    """Each row's end values at delta from two-point _barrier_W calls."""
+    plus, minus = barrier_pair
+    wp = pde._barrier_W(plus, np.array([-10.0, 40.0]), [delta], p)[0]
+    wm = pde._barrier_W(minus, np.array([-10.0, 40.0]), [delta], p)[0]
+    return {kind: tuple(w.tolist()) for kind, w in
+            (("lower", wm), ("upper", wp), ("mid", np.sqrt(wp * wm)))}
+
+
 def test_lagging_row_reuses_the_barrier_end_values(barrier_pair, p_ref, monkeypatch):
-    """The bc closures keep each barrier's end values at its last
-    _END_CACHE deltas: a mid row one round behind the upper row reads the
-    plus values the upper row evaluated, bit for bit."""
+    """The end values of every planned delta are evaluated before any step:
+    a mid row one round behind the upper row reads its values without a
+    barrier evaluation, bit for bit as two-point _barrier_W calls give them."""
     xi = np.linspace(-10.0, 40.0, 201)
-    rows = pde._sandwich_rows(*barrier_pair, xi, math.exp(-TAU0))
-    barrier_W = pde._barrier_W
+    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    rows = pde._sandwich_rows(*barrier_pair, xi, deltas)
     evaluated = []
-
-    def counted(bar, x, delta, p):
-        evaluated.append((bar.sign, delta))
-        return barrier_W(bar, x, delta, p)
-
-    monkeypatch.setattr(pde, "_barrier_W", counted)
-    d1, d2 = math.exp(-10.01), math.exp(-10.02)
+    barrier_W = pde._barrier_W
+    monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(a) or barrier_W(*a))
+    d1, d2 = deltas[1], deltas[2]
     upper = [rows["upper"].bc(d1), rows["upper"].bc(d2)]
     mid = rows["mid"].bc(d1)  # one round behind the upper row
-    assert evaluated == [("+", d1), ("+", d2), ("-", d1)]
-    wp = barrier_W(barrier_pair[0], xi[[0, -1]], d1, p_ref)
-    wm = barrier_W(barrier_pair[1], xi[[0, -1]], d1, p_ref)
-    assert upper[0] == tuple(wp.tolist())
-    assert mid == tuple(np.sqrt(wp * wm).tolist())
-    # once _END_CACHE newer deltas have been asked for, d1 is evaluated anew
-    for k in range(pde._END_CACHE - 1):
-        rows["upper"].bc(math.exp(-10.03 - 0.01 * k))
-    del evaluated[:]
-    assert rows["upper"].bc(d1) == upper[0]
-    assert evaluated == [("+", d1)]
+    assert evaluated == []
+    monkeypatch.setattr(pde, "_barrier_W", barrier_W)
+    want = _end_values(barrier_pair, p_ref, d1)
+    assert upper[0] == want["upper"] and mid == want["mid"]
+    assert upper[1] == _end_values(barrier_pair, p_ref, d2)["upper"]
+
+
+def test_end_table_equals_two_point_barrier_values(barrier_pair, p_ref):
+    """Every planned delta's end values, for every row, equal two-point
+    _barrier_W evaluations, bit for bit."""
+    xi = np.linspace(-10.0, 40.0, 201)
+    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    assert len(deltas) == 63
+    rows = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    for delta in deltas[1:]:
+        want = _end_values(barrier_pair, p_ref, delta)
+        assert {kind: run.bc(delta) for kind, run in rows.items()} == want
+
+
+def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref):
+    """A rejected step (a negative end value, as in
+    test_rejected_row_keeps_its_own_steps) takes the lower row off the
+    planned deltas; its end values there come from their own evaluation and
+    equal two-point _barrier_W values, and its frames hold them."""
+    ds, de = math.exp(-TAU0), math.exp(-10.1)
+    xi = np.linspace(-10.0, 40.0, 201)
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    lower = pde._sandwich_rows(*barrier_pair, xi, deltas)["lower"]
+    read = {}
+
+    def flaky(delta):
+        read[delta] = lower.bc(delta)
+        return (-1.0, read[delta][1]) if len(read) == 3 else read[delta]
+
+    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(lower.w0, flaky)],
+                              delta_start=ds, delta_end=de, dtau=0.01)
+    assert traj.step_rejections == 1
+    planned = set(deltas)
+    off = [d for d in traj.deltas[1:].tolist() if d not in planned]
+    assert len(off) >= 5
+    for delta in off:
+        assert read[delta] == _end_values(barrier_pair, p_ref, delta)["lower"]
+    for delta, W in zip(traj.deltas[1:].tolist(), traj.W[1:]):
+        assert (W[0], W[-1]) == read[delta]
+
+
+def test_sandwich_barrier_calls_grow_with_blocks_not_steps(solver_ref, monkeypatch):
+    """Doubling the smoke window doubles the steps but adds at most one
+    call per barrier and tau block to the outer and inner evaluators."""
+    from fdelab.outer import OuterProfileSet
+    from fdelab.selfsim import SelfSimilarProfile
+
+    counts = {}
+    for cls, name in ((OuterProfileSet, "psi_outer"), (OuterProfileSet, "psi_bundle"),
+                      (SelfSimilarProfile, "phibar0")):
+        def counted(*a, _fn=getattr(cls, name), _name=name, **k):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*a, **k)
+        monkeypatch.setattr(cls, name, counted)
+
+    def run(tau_end):
+        counts.clear()
+        solver = MatchingSolver(solver_ref.profile, solver_ref.outer, "psi3")
+        report = comparison_sandwich(
+            GluedBarrier(solver, "+", EPS_SMOKE), GluedBarrier(solver, "-", EPS_SMOKE),
+            tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01,
+        )
+        frames = len(report.runs["mid"].deltas)
+        return dict(counts), frames, -(-frames // (pde._BLOCK_POINTS // 401))
+
+    short, frames, blocks = run(10.6)
+    long, frames2, blocks2 = run(10.0 + 2 * 0.6)
+    assert frames >= 60 and frames2 - frames >= 55  # 60 more steps
+    for name in ("psi_outer", "phibar0"):
+        assert 0 < long[name] - short[name] <= 2 * (blocks2 - blocks), name
+    assert long.get("psi_bundle", 0) == short.get("psi_bundle", 0) == 0
 
 
 def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
@@ -661,7 +734,8 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
     ds, de = math.exp(-TAU0), math.exp(-10.3)
     xi = np.linspace(-10.0, 40.0, 401)
     calibration, _ = pde._manufactured_row(p_ref, xi, ds)
-    runs = [calibration, *pde._sandwich_rows(*barrier_pair, xi, ds).values()]
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    runs = [calibration, *pde._sandwich_rows(*barrier_pair, xi, deltas).values()]
     given = [{} for _ in runs]
 
     def recorded(bc, seen):
