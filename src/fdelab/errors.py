@@ -61,6 +61,10 @@ class EpsilonOutOfRange(FdelabError):
     """Requested epsilon is outside the admissible range [0, 1/4)."""
 
 
+class LapackUnavailable(FdelabError):
+    """No LAPACK tridiagonal solver can be loaded for the Newton systems."""
+
+
 class NewtonDiverged(FdelabError):
     """Damped Newton iteration for an implicit step failed to converge."""
 

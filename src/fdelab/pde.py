@@ -23,10 +23,14 @@ difference stencil only for iterates that take a Newton solve.  Each
 Newton system covers the interior points, so the Dirichlet ends keep
 their values exactly, and goes straight to LAPACK gtsv (Gaussian
 elimination with partial pivoting on the three diagonals); a singular
-matrix counts as a diverged Newton step.  scipy.linalg is imported on the
-first solve, so a process that never steps the PDE does not load it.  A
-Newton residual that is not finite stops the run at once with NonFinite,
-without halving the step.
+matrix counts as a diverged Newton step.  gtsv is the ILP64
+scipy_dgtsv_64_ of the OpenBLAS that numpy's wheel already loads, called
+through ctypes and looked up on the first solve, so a process that never
+steps the PDE does no extra work and none loads scipy.  Where numpy lacks
+that symbol (a numpy built on another BLAS), scipy's dgtsv is the
+fallback; where both exist, they give the same bits.  A Newton residual
+that is not finite stops the run at once with NonFinite, without halving
+the step.
 
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array: each round every unfinished row tries one step from
@@ -55,6 +59,7 @@ _BLOCK_POINTS grid points per call, so memory does not grow with the run.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -155,24 +160,92 @@ def _jac_bands(W0, D1, D2, dxi, sigma, p):
     return dF_dm, dF_d0, dF_dp
 
 
+_DOUBLE = np.dtype(np.float64)
+_gtsv = None  # the gtsv route, chosen on the first solve
+
+
+def _address(a):
+    """Pointer to a's data for a raw LAPACK call; None (null) for an empty
+    band, which gtsv does not read."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
+
+
+def _openblas_gtsv():
+    """dgtsv of the OpenBLAS that numpy's wheel loads, or None.
+
+    The symbol is the ILP64 build's scipy_dgtsv_64_ (64-bit N, NRHS, LDB
+    and INFO), looked up through the handle of numpy's linalg extension,
+    whose dependencies dlsym searches too.  The returned solve takes the
+    checked bands and writes x over b.
+    """
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
+    except (OSError, AttributeError):
+        return None
+    integer, band = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    fn.argtypes = [integer, integer, band, band, band, band, integer, integer]
+    fn.restype = None
+    nrhs = ctypes.c_int64(1)
+
+    def solve(dl, d, du, b):
+        n, info = ctypes.c_int64(len(d)), ctypes.c_int64()
+        fn(n, nrhs, _address(dl), _address(d), _address(du), _address(b), n, info)
+        return info.value
+
+    return solve
+
+
+def _scipy_gtsv():
+    """scipy's f2py-wrapped dgtsv on the checked bands, or None without
+    scipy.  The bands pass the wrapper's own checks, so it writes x over b."""
+    try:
+        from scipy.linalg.lapack import dgtsv
+    except ImportError:
+        return None
+
+    def solve(dl, d, du, b):
+        if len(d) == 1:  # the wrapper wants bands of at least one entry
+            dl, du = np.zeros(1), np.zeros(1)
+        return dgtsv(
+            dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+        )[4]
+
+    return solve
+
+
 def _tridiagonal_solve(dl, d, du, b):
     """LAPACK gtsv solve of the tridiagonal system (dl, d, du) x = b.
 
-    The inputs are overwritten.  A zero pivot raises NewtonDiverged, so
-    the caller's step halving applies.  LAPACK is imported on the first
-    solve, so only a PDE run loads scipy.linalg.
+    The solve overwrites all four arrays and returns b, which holds x.  The
+    first solve picks the route: the ILP64 dgtsv of the OpenBLAS that
+    numpy already loads, called through ctypes, else scipy's dgtsv; where
+    both exist, they give the same bits; with neither, LapackUnavailable
+    names both.  Bands that are not 1-D, C-contiguous, aligned, writeable
+    float64 arrays of lengths N - 1, N, N - 1 and N are refused with
+    ValueError, since raw pointers would misread them and scipy's wrapper
+    would solve a copy.  A zero pivot raises NewtonDiverged, so the
+    caller's step halving applies.
     """
-    from scipy.linalg.lapack import dgtsv
-
-    if len(d) == 1:  # the wrapper wants bands of at least one entry
-        dl, du = np.zeros(1), np.zeros(1)
-
-    _, _, _, x, info = dgtsv(
-        dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
-    )
+    global _gtsv
+    if _gtsv is None:
+        _gtsv = _openblas_gtsv() or _scipy_gtsv()
+        if _gtsv is None:
+            raise errors.LapackUnavailable(
+                "no LAPACK dgtsv: numpy's bundled OpenBLAS has no scipy_dgtsv_64_ "
+                "and scipy.linalg.lapack cannot be imported"
+            )
+    n = len(d)
+    if not (
+        dl.shape == du.shape == (n - 1,) and b.shape == d.shape == (n,)
+        and dl.dtype == d.dtype == du.dtype == b.dtype == _DOUBLE
+        and dl.flags.carray and d.flags.carray and du.flags.carray and b.flags.carray
+    ):
+        raise ValueError("gtsv takes 1-D C-contiguous, aligned, writeable float64 "
+                         "bands of lengths N - 1, N, N - 1 and N")
+    info = _gtsv(dl, d, du, b)
     if info != 0:
         raise errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
-    return x
+    return b
 
 
 def _column(values) -> np.ndarray:
@@ -198,8 +271,9 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     not being tried keeps its positive iterate (damping 0, zero step), a
     trial row that is not positive falls back to its iterate before the
     residual, and a row's source is called only when that row is tried.
-    The Newton systems go one row at a time to gtsv, so a row's bits do
-    not depend on the other rows.  A row whose residual is not finite
+    The Newton systems go one row at a time to _tridiagonal_solve (gtsv
+    of numpy's OpenBLAS, else scipy's, with the same bits), so a row's bits
+    do not depend on the other rows.  A row whose residual is not finite
     stops with NonFinite before its next solve.  Returns per row
     (W_new, iterations), or the NewtonDiverged, PositivityLost or
     NonFinite that rejected its step.

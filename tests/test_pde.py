@@ -1,6 +1,7 @@
 """Comoving solver, sandwich run, extinction fits, corner term."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -151,11 +152,20 @@ def test_weak_corner_term_reads_each_edge_once(solver_ref, monkeypatch):
     """The edge values and both slopes come from one outer evaluation of
     the edge at all 48 taus."""
     calls = []
-    edge = solver_ref.outer_edge
-    monkeypatch.setattr(solver_ref, "outer_edge", lambda *a: calls.append(a) or edge(*a))
+    edge = MatchingSolver.outer_edge
+
+    def spy(self, *a):
+        calls.append(a)
+        return edge(self, *a)
+
+    # on the class: undoing a patch of the session's solver instance would
+    # leave the bound method behind as an instance attribute
+    monkeypatch.setattr(MatchingSolver, "outer_edge", spy)
     weak_corner_term(GluedBarrier(solver_ref, "+", EPS_SMOKE), (10.0, 12.0))
+    monkeypatch.undo()
     assert len(calls) == 1
     assert np.array_equal(calls[0][1], np.linspace(10.0, 12.0, 48))
+    assert "outer_edge" not in vars(solver_ref)
 
 
 def test_pair_requires_sign_order(barrier_pair, monkeypatch):
@@ -253,6 +263,109 @@ def test_tridiagonal_solve_zero_pivot_is_newton_divergence():
         _tridiagonal_solve(
             np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 2.0])
         )
+
+
+@pytest.fixture(scope="module")
+def gtsv_routes():
+    """(numpy's OpenBLAS dgtsv through ctypes, scipy's dgtsv)."""
+    routes = pde._openblas_gtsv(), pde._scipy_gtsv()
+    if None in routes:
+        pytest.skip("needs both numpy's scipy_dgtsv_64_ and scipy")
+    return routes
+
+
+def _bands(rng, n):
+    """A random tridiagonal system whose diagonal is weighted by factors
+    from 0.1 to 10, so that gtsv both keeps and interchanges rows."""
+    d = rng.standard_normal(n) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    return rng.standard_normal(n - 1), d, rng.standard_normal(n - 1), rng.standard_normal(n)
+
+
+def test_gtsv_routes_give_equal_bits(gtsv_routes):
+    """Both routes return the same info and leave the same bits in all four
+    arrays, x in b, on 3000 systems of 399 unknowns and on N = 1 and 2."""
+    rng = np.random.default_rng(20)
+    for n, count in ((399, 3000), (1, 100), (2, 100)):
+        for _ in range(count):
+            bands = _bands(rng, n)
+            results = []
+            for solve in gtsv_routes:
+                work = [a.copy() for a in bands]
+                results.append((solve(*work), work))
+            (info_c, c), (info_s, s) = results
+            assert info_c == info_s == 0
+            assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(c, s))
+            # and x solves the system to rounding
+            dl, d, du, b = bands
+            x = c[3]
+            Ax = d * x + np.r_[0.0, dl * x[:-1]] + np.r_[du * x[1:], 0.0]
+            size = np.abs(d * x) + np.r_[0.0, np.abs(dl * x[:-1])] + np.r_[np.abs(du * x[1:]), 0.0]
+            assert np.all(np.abs(Ax - b) <= 1e-12 * size.max())
+
+
+def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeypatch):
+    """A singular matrix gives the same nonzero info on both routes, and
+    through the ctypes route _tridiagonal_solve raises NewtonDiverged."""
+    openblas, _ = gtsv_routes
+    singular = [  # (dl, d, du, b)
+        ([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]),
+        ([], [0.0], [], [1.0]),
+        ([1.0, 0.0, 1.0], [2.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0] * 4),  # row 2 is 0
+    ]
+    for bands in singular:
+        infos = [solve(*[np.array(a, dtype=float) for a in bands]) for solve in gtsv_routes]
+        assert infos[0] == infos[1] > 0
+    monkeypatch.setattr(pde, "_gtsv", openblas)
+    for bands in singular:
+        with pytest.raises(errors.NewtonDiverged, match="gtsv info"):
+            pde._tridiagonal_solve(*[np.array(a, dtype=float) for a in bands])
+
+
+def _refused_bands():
+    """(name, bands) that no route may solve: each breaks one requirement."""
+    ok = [np.array([1.0, 1.0]), np.full(3, 4.0), np.array([1.0, 1.0]), np.ones(3)]
+    read_only = np.ones(3)
+    read_only.flags.writeable = False
+    yield "strided b", ok[:3] + [np.ones(6)[::2]]
+    yield "read-only b", ok[:3] + [read_only]
+    yield "float32 d", [ok[0], ok[1].astype(np.float32), *ok[2:]]
+    yield "short du", [ok[0], ok[1], ok[2][:1], ok[3]]
+    yield "2-D b", ok[:3] + [np.ones((3, 1))]
+    yield "column d", [ok[0], np.ones((3, 2))[:, 0], *ok[2:]]
+
+
+def test_tridiagonal_solve_refuses_bands_it_cannot_point_at():
+    """An array that a raw pointer would misread, and that scipy's wrapper
+    would solve as a copy, is refused and left untouched."""
+    for name, bands in _refused_bands():
+        before = [a.copy() for a in bands]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            pde._tridiagonal_solve(*bands)
+            pytest.fail(name)
+        assert all(np.array_equal(a, b) for a, b in zip(bands, before)), name
+
+
+def test_openblas_lookup_falls_back_to_none(monkeypatch):
+    """A library that will not load or lacks the symbol gives no route."""
+    def no_library(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(pde.ctypes, "CDLL", no_library)
+    assert pde._openblas_gtsv() is None
+    monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
+    assert pde._openblas_gtsv() is None
+
+
+def test_no_lapack_route_is_one_error_naming_both(monkeypatch):
+    monkeypatch.setattr(pde, "_gtsv", None)
+    monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
+    with pytest.raises(errors.LapackUnavailable) as info:
+        pde._tridiagonal_solve(np.ones(1), np.full(2, 3.0), np.ones(1), np.ones(2))
+    assert "scipy_dgtsv_64_" in str(info.value)
+    assert "scipy.linalg.lapack" in str(info.value)
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    assert pde._gtsv is None  # the next solve looks again
 
 
 def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
