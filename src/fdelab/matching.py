@@ -9,12 +9,13 @@ so the glued profile
     wbar(xi, tau) = phibar0(xi + C(tau)) / (1 +/- eps)   for xi <= xi1
                   = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)  for xi > xi1
 
-is continuous at xi1; GluedBarrier makes this split in one place for its
-values (wbar) and its derivatives (bundle) alike.  The matching radius xi1
-is the config's (outer.cfg.xi1), read once by MatchingSolver; the glued
-barriers and the epsilon search take it from their solver.  C is read from the profile's
-step table (SelfSimilarProfile.inverse of the target), so it depends on the
-target alone, and C'(tau) is closed-form by implicit differentiation:
+is continuous at xi1; GluedBarrier.wbar makes this split in one place, and
+the residuals module takes L1 of it in closed form on each side.  The
+matching radius xi1 is the config's (outer.cfg.xi1), read once by
+MatchingSolver; the glued barriers and the epsilon search take it from
+their solver.  C is read from the profile's step table
+(SelfSimilarProfile.inverse of the target), so it depends on the target
+alone, and C'(tau) is closed-form by implicit differentiation:
 phibar0'(xi1 + C) C' = (1 +/- eps) w_tau(xi1+), the tau-derivative of the
 outer side at fixed xi.  A matching edge gap xi1 e^{-gamma tau} that
 underflows to 0 raises OutOfDomain naming gamma*tau.  The corner verdict
@@ -62,13 +63,6 @@ def _exp_gamma_tau(gamma: float, tau: float) -> float:
         raise errors.OutOfDomain(
             f"e^(gamma tau) overflows at gamma tau = {gamma * tau:.6g}"
         ) from None
-
-
-def _outer_w_tau(gamma: float, egt, xi, psi, dpsi, dtau_psi):
-    """d/dtau of the outer side w = e^{gamma tau} psi(A + xi e^{-gamma tau}, tau)
-    at fixed xi, from egt = e^{gamma tau} and psi, psi_eta and psi_tau at the
-    gap xi e^{-gamma tau}."""
-    return gamma * egt * psi - gamma * xi * dpsi + egt * dtau_psi
 
 
 def _taus(tau) -> list:
@@ -193,11 +187,13 @@ class MatchingSolver:
     def C_prime(self, sign: str, eps: float, tau):
         """dC/dtau = (1 +/- eps) w_tau(xi1+) / phibar0'(xi1 + C), the
         implicit derivative of the matching equation; w_tau is the outer
-        side's tau-derivative at fixed xi (GluedBarrier.bundle's)."""
+        side's tau-derivative at fixed xi, gamma w - gamma xi psi_eta +
+        e^{gamma tau} psi_tau."""
         taus = _taus(tau)
         C = self.solve_matching(sign, eps, taus)
         egt, (psi, dpsi, _, dtau_psi) = self._edge_bundle(sign, taus)
-        wt = _outer_w_tau(self.outer.p.gamma, egt, self.xi1, psi, dpsi, dtau_psi)
+        gamma = self.outer.p.gamma
+        wt = gamma * egt * psi - gamma * self.xi1 * dpsi + egt * dtau_psi
         factor = 1.0 + _SIGN_FACTOR[sign] * eps
         return _shaped(factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1], tau)
 
@@ -266,12 +262,7 @@ class CornerReport:
 
 class GluedBarrier:
     """One glued barrier (sign, eps) built on a matching solver, glued at
-    the solver's xi1.
-
-    wbar gives values only (the radial solver calls it at every step);
-    bundle gives the values with their xi and tau derivatives, and is the
-    one derivative route for the glued profile; both read _glued.
-    """
+    the solver's xi1; wbar gives its values."""
 
     def __init__(self, solver: MatchingSolver, sign: str, eps: float):
         if not (0.0 <= eps < 0.25):
@@ -296,19 +287,19 @@ class GluedBarrier:
     def C_prime(self, tau):
         return self.solver.C_prime(self.sign, self.eps, tau)
 
-    def _glued(self, xi, tau, derivs: bool):
-        """Parts (w,) or, with derivs, (w, w_xi, w_xixi, w_tau) on the (tau,
-        xi) grid: xi is one row shared by every tau, or one row per tau,
-        and each part has the shape tau.shape + xi.shape, or xi's shape
-        for one row per tau.  Left of xi1 one phibar0 call at xi + C(tau),
-        with w_tau = phibar0' C'(tau); right of it one outer call, mapped
-        by w = e^{gamma tau} psi.  Each side takes its tau-dependent
+    def wbar(self, xi, tau):
+        """Glued profile value in inner variables (see the module docstring)
+        on the (tau, xi) grid: xi is one row shared by every tau, or one
+        row per tau.  A float for float xi and tau, else an array of shape
+        tau.shape + xi.shape, or xi's shape for one xi row per tau.  Left
+        of xi1 one phibar0 call at xi + C(tau), right of it one outer call,
+        mapped by w = e^{gamma tau} psi; each side takes its tau-dependent
         factors only at the taus whose row reaches it."""
         shape = np.shape(xi) if np.ndim(xi) == 2 else (*np.shape(tau), *np.shape(xi))
         taus = np.atleast_1d(np.asarray(tau, dtype=float))
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         grid = np.broadcast_to(xi, (taus.size, xi.shape[-1]))
-        out = np.empty((4 if derivs else 1, *grid.shape))
+        out = np.empty(grid.shape)
         gamma = self.outer.p.gamma
 
         def at(side, per_tau):
@@ -321,11 +312,7 @@ class GluedBarrier:
         left = grid <= self.xi1
         if np.any(left):
             arg = grid[left] + at(left, self.C)
-            if derivs:
-                v, d1, d2 = self.profile.phibar0(arg, derivs=True)
-                out[:, left] = np.array((v, d1, d2, d1 * at(left, self.C_prime))) / self.factor
-            else:
-                out[0][left] = self.profile.phibar0(arg) / self.factor
+            out[left] = self.profile.phibar0(arg) / self.factor
         right = ~left
         if np.any(right):
             x = grid[right]
@@ -333,26 +320,9 @@ class GluedBarrier:
             egt = at(right, lambda t: [_exp_gamma_tau(gamma, s) for s in t.tolist()])
             emgt = at(right, lambda t: [math.exp(-gamma * s) for s in t.tolist()])
             gap = x * emgt
-            if derivs:
-                psi, dpsi, d2psi, dtau_psi = self.outer.psi_bundle(self.sign, tau_pts, gap=gap)
-                wt = _outer_w_tau(gamma, egt, x, psi, dpsi, dtau_psi)
-                out[:, right] = (egt * psi, dpsi, emgt * d2psi, wt)
-            else:
-                out[0][right] = egt * self.outer.psi_outer(self.sign, tau_pts, gap=gap)
-        return out.reshape(len(out), *shape)
-
-    def wbar(self, xi, tau):
-        """Glued profile value in inner variables (see the module docstring):
-        a float for float xi and tau, else an array of shape tau.shape +
-        xi.shape, or xi's shape for one xi row per tau."""
-        w = self._glued(xi, tau, False)[0]
+            out[right] = egt * self.outer.psi_outer(self.sign, tau_pts, gap=gap)
+        w = out.reshape(shape)
         return float(w) if w.ndim == 0 else w
-
-    def bundle(self, xi, tau):
-        """(w, w_xi, w_xixi, w_tau) of the glued profile on xi (1-D, or one
-        row per tau) at a float tau or a 1-D tau array; w equals wbar bit
-        for bit."""
-        return tuple(self._glued(xi, tau, True))
 
     def continuity_mismatch(self, tau):
         w = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], _taus(tau))

@@ -16,11 +16,33 @@ evaluator call, compares against a pointwise atol proportional to the local
 operator scale, and reports strict violations and the inconclusive fraction
 separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
 cancellation-free form derived in the outer module; the L1 evaluator is
-l1_terms_evaluator over a glued barrier.  A region is a kind plus a tau
-window; three kinds are sampled, near_A and far_field for L0 and
-inner_glued for L1, and the ends of each band come from the threshold
-config (xi0, xi1, delta0, delta1) or, where no config value applies, from
-the module constants _FAR_CUT and _XI_LO.
+l1_terms_evaluator over a glued barrier, from the closed forms below.  A
+region is a kind plus a tau window; three kinds are sampled, near_A and
+far_field for L0 and inner_glued for L1, and the ends of each band come
+from the threshold config (xi0, xi1, delta0, delta1) or, where no config
+value applies, from the module constants _FAR_CUT and _XI_LO.
+
+L1 of a glued barrier, in closed form on each side of the corner xi1.
+Left (xi <= xi1), w = phibar0(s)/(1 +/- eps) at s = xi + C(tau): w_x and
+w_tau are phibar0' and phibar0' C' over (1 +/- eps), the bracket of L1 does
+not change when w is scaled, and the stationary equation makes (n-1) times
+it at phibar0 equal a0 - gamma A phibar0'.  So
+
+    L1 = [e^{-gamma tau} (phibar0' C' - (1+gamma) phibar0)
+          +/- eps gamma A phibar0'] / (1 +/- eps),
+
+with no phibar0'' and no O(1) terms cancelling to an O(phibar0) residual;
+the scale, the three terms' magnitudes over (1 +/- eps), falls with phibar0,
+so the margin over it does not decay as xi falls.  This treats phibar0 as
+the exact solution; the table's gap to it is its stationary residual, which
+the selfsim-tail check bounds.  phibar0' is read on the P route, phibar0
+(2 + c P), not as the Z cubic's s-derivative (about 5e-8 relative apart):
+(Z, P) is the state that solves the stationary equation, and C' divides by
+the same phibar0' at xi1.  Right (xi > xi1), w = e^{gamma tau} psi(eta, tau)
+at eta = A + xi e^{-gamma tau} gives w_x = psi_eta, w_xx = e^{-gamma tau}
+psi_etaeta and e^{-gamma tau} (w_tau - (1+gamma) w) = psi_tau - gamma
+(eta - A) psi_eta - psi, so L1(w) = L0(psi) exactly: e^{-gamma tau} times
+l0_terms, residual and scale alike.
 
 Outer thresholds.  psi^sign passes its L0 verdict for eta >= A + xi0
 e^{-gamma tau}, tau >= tau_start, and find_thresholds computes xi0.  At
@@ -62,7 +84,7 @@ import numpy as np
 from . import errors
 from .matching import GluedBarrier
 from .outer import OuterProfileSet, branch_variant
-from .params import radial_diffusion, theta
+from .params import theta
 
 __all__ = [
     "l1_terms_evaluator",
@@ -75,29 +97,34 @@ __all__ = [
 
 def l1_terms_evaluator(barrier: GluedBarrier):
     """The L1 residual of a glued barrier with its term-magnitude scale, as
-    a terms_fn for verify_sign_region.
-
-    It takes xi of shape (n_tau, n_space) and the (n_tau, 1) tau column and
-    evaluates the whole region in one barrier.bundle call on the (tau, xi)
-    grid, row i at tau[i]; each row equals a bundle call at its own tau,
-    bit for bit.
-    """
-    p = barrier.outer.p
-    d, g = p.d, p.gamma
+    a terms_fn for verify_sign_region, from the closed forms of the module
+    docstring.  C and C' are read at the taus whose row reaches xi <= xi1,
+    and e^{-gamma tau} by math.exp one tau at a time, so each row equals a
+    call at its own tau, bit for bit."""
+    p, g = barrier.outer.p, barrier.outer.p.gamma
+    pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
 
     def ev(xi, tau):
-        w, wx, wxx, wt = barrier.bundle(xi, np.ravel(tau))
-        if np.any(w <= 0.0):
-            raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
-        e1 = np.exp(-g * tau)
-        terms = (
-            e1 * (wt - (1.0 + g) * w),
-            -radial_diffusion(p, w, wx, wxx),
-            np.full_like(w, d.a0),
-            -g * p.A * wx,
-        )
-        res = terms[0] + terms[1] + terms[2] + terms[3]
-        scale = sum(np.abs(t) for t in terms)
+        xi, taus = np.asarray(xi, dtype=float), np.ravel(tau)
+        col = np.array([math.exp(-g * t) for t in taus.tolist()])[:, None]
+        res, scale = np.empty(xi.shape), np.empty(xi.shape)
+        left = xi <= barrier.xi1
+        if np.any(left):
+            rows = left.any(axis=1)
+            shifts = np.zeros((2, taus.size, 1))
+            shifts[:, rows, 0] = barrier.C(taus[rows]), barrier.C_prime(taus[rows])
+            C, Cp, e = (np.broadcast_to(a, xi.shape)[left] for a in (*shifts, col))
+            v, dv, _ = barrier.profile.phibar0(xi[left] + C, derivs=True)
+            if np.any(v <= 0.0):
+                raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
+            terms = (e * dv * Cp, -e * (1.0 + g) * v, pm_eps * g * p.A * dv)
+            res[left] = (terms[0] + terms[1] + terms[2]) / barrier.factor
+            scale[left] = (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / barrier.factor
+        right = ~left
+        if np.any(right):
+            e, t = (np.broadcast_to(a, xi.shape)[right] for a in (col, taus[:, None]))
+            r, sc = barrier.outer.l0_terms(barrier.sign, t, gap=xi[right] * e)
+            res[right], scale[right] = e * r, e * sc
         return res, scale
 
     return ev
@@ -106,11 +133,10 @@ def l1_terms_evaluator(barrier: GluedBarrier):
 # -- region sweeps -------------------------------------------------------------
 
 
-# Ends of the bands that the config does not set.  The far-field band is
-# cut at gap 2e4.  The inner band starts at xi = -7 to respect the verdict
-# resolution: the "-" barrier's inner margin decays like e^{2(xi + C2)}
-# with C2 bounded, so below xi ~ -8 it falls under atol = 1e-9 * a0 at
-# every tau and the points can only ever be inconclusive.
+# Ends of the bands that the config does not set: gap 2e4 for the far
+# field, xi = -7 for the inner band.  -7 is no resolution limit (the inner
+# margin over its scale does not decay); where the band should start, the
+# table start with the core law below it, is open, so the grid stays put.
 _FAR_CUT = 2e4
 _XI_LO = -7.0
 

@@ -1,9 +1,10 @@
 """Independent reference routes for the barrier operators and profiles.
 
 The package evaluates the operators through the rescaled term evaluators
-(OuterProfileSet.l0_terms, l1_terms_evaluator); the raw residuals, the mapped
-outer evaluator, the exact decompositions and the single corrector profiles
-here are second routes that the tests compare those against.
+(OuterProfileSet.l0_terms, and l1_terms_evaluator from its closed forms);
+the raw residuals, the raw derivatives of the glued barrier, the mapped
+outer evaluator, the exact decompositions and the single corrector
+profiles here are second routes that the tests compare those against.
 """
 
 import dataclasses
@@ -42,19 +43,26 @@ def L0_residual(evaluator, gap, tau, p):
     return wt - (p.n - 1) * (visc + drift) - (g * eta * we + w - d.a0)
 
 
-def L1_residual(evaluator, xi, tau, p):
-    """L1 residual from an evaluator(xi, tau) -> (w, w_xi, w_xixi, w_tau)."""
+def L1_terms(evaluator, xi, tau, p):
+    """The four terms of the L1 residual, from an evaluator(xi, tau) ->
+    (w, w_xi, w_xixi, w_tau); their magnitudes sum to the raw scale."""
     xi = np.asarray(xi, dtype=float)
     w, wx, wxx, wt = evaluator(xi, tau)
     if np.any(w <= 0.0):
         raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
     d, g = p.d, p.gamma
     return (
-        np.exp(-g * tau) * (wt - (1.0 + g) * w)
-        - (p.n - 1) * (wxx / w + d.b1 * (wx / w) ** 2 + d.b2 * wx / w)
-        + d.a0
-        - g * p.A * wx
+        np.exp(-g * tau) * (wt - (1.0 + g) * w),
+        -(p.n - 1) * (wxx / w + d.b1 * (wx / w) ** 2 + d.b2 * wx / w),
+        np.full_like(w, d.a0),
+        -g * p.A * wx,
     )
+
+
+def L1_residual(evaluator, xi, tau, p):
+    """L1 residual from an evaluator(xi, tau) -> (w, w_xi, w_xixi, w_tau)."""
+    t = L1_terms(evaluator, xi, tau, p)
+    return t[0] + t[1] + t[2] + t[3]
 
 
 def at_C10(outer: OuterProfileSet, C10: float) -> OuterProfileSet:
@@ -121,21 +129,22 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
     return (p.n - 1) * (np.exp(-2.0 * g * tau) * I1 + np.exp(-g * tau) * I2)
 
 
-def inner_residual_closed(barrier: GluedBarrier, xi, tau: float):
-    """Closed form of L1 on the inner piece of a glued barrier:
+def glued_raw_evaluator(barrier: GluedBarrier):
+    """Adapter: the raw (w, w_xi, w_xixi, w_tau) of a glued barrier for L1
+    at a float tau.  Left of xi1 phibar0's triple at xi + C(tau), with
+    w_tau = phibar0' C'(tau), over (1 +/- eps); right of it
+    outer_as_inner_evaluator."""
+    outer_side = outer_as_inner_evaluator(barrier.outer, barrier.sign)
 
-    L1 = [ e^{-gt} (phibar0' C' - (1+gamma) phibar0) +/- eps gamma A phibar0' ]
-         / (1 +/- eps),   evaluated at xi + C(tau).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi > barrier.xi1):
-        raise errors.OutOfDomain("closed inner residual only applies at xi <= xi1")
-    p = barrier.outer.p
-    arg = xi + barrier.C(tau)
-    pb, dpb, _ = barrier.profile.phibar0(arg, derivs=True)
-    cp = barrier.C_prime(tau)
-    s = 1.0 if barrier.sign == "+" else -1.0
-    num = np.exp(-p.gamma * tau) * (dpb * cp - (1.0 + p.gamma) * pb) + (
-        s * barrier.eps * p.gamma * p.A * dpb
-    )
-    return num / barrier.factor
+    def ev(xi, tau):
+        xi = np.asarray(xi, dtype=float)
+        parts = np.empty((4, *xi.shape))
+        left = xi <= barrier.xi1
+        if np.any(left):
+            v, d1, d2 = barrier.profile.phibar0(xi[left] + barrier.C(tau), derivs=True)
+            parts[:, left] = np.array((v, d1, d2, d1 * barrier.C_prime(tau))) / barrier.factor
+        if np.any(~left):
+            parts[:, ~left] = outer_side(xi[~left], tau)
+        return tuple(parts)
+
+    return ev

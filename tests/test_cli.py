@@ -181,6 +181,21 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
         assert json.loads(report.read_text())["all_passed"] is True
 
 
+def test_inner_verdict_resolves_its_band_end(tmp_path):
+    # at theta1- = -30 L1 formed from the raw glued derivatives left 4 of
+    # the 64 minus points at xi = -7 inside atol, and verify exited 1; the
+    # closed form resolves every point of the band
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, theta1_minus=-30.0, grid_eta=16, grid_tau=4)))
+    out = tmp_path / "runs"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+    (report,) = out.glob("verify-*.json")
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert all(c["passed"] for c in checks.values()) and len(checks) == 12
+    for rep in checks["inner-signs"]["details"]["reports"].values():
+        assert rep["passed"] and rep["n_inconclusive"] == 0 and rep["n_violations"] == 0
+
+
 def _threshold_checks(out):
     (report,) = out.glob("verify-*.json")
     checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}

@@ -17,6 +17,7 @@ from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, default_thresholds
 from fdelab.selfsim import shoot_v0
 from numdiff import fd_derivative
+from reference_routes import glued_raw_evaluator
 from shoot_sweep import shoot_or_error, sweep_params
 
 XI1 = 10.0  # the matching radius of the default config
@@ -261,29 +262,21 @@ def test_c_from_the_table_matches_the_root_search(request, solver_name, sign):
             assert abs(solver.solve_matching(sign, eps, tau) - want) <= 1e-10
 
 
-# points left of the corner, on it, and right of it
-BUNDLE_XI = np.array([-5.0, 0.0, 9.0, XI1, 11.0, 20.0, 40.0])
+# points left of the corner and right of it
+OFF_CORNER_XI = np.array([-5.0, 0.0, 9.0, 11.0, 20.0, 40.0])
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
-def test_bundle_value_equals_wbar(request, solver_name, tau, sign):
+def test_reference_glued_derivatives_match_fd(request, solver_name, tau, sign):
+    # the raw derivatives that the L1 reference route reads, against
+    # differences of wbar, which stay on one side of xi1 at every point;
+    # the bounds are relative to w, since w_tau of the minus barrier is
+    # tiny left of the corner
     bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
-    w = bar.bundle(BUNDLE_XI, tau)[0]
-    assert np.all(w == bar.wbar(BUNDLE_XI, tau))
-    assert w[3] == bar.wbar(XI1, tau)
-
-
-@pytest.mark.parametrize("sign", ["+", "-"])
-@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
-def test_bundle_derivatives_match_fd(request, solver_name, tau, sign):
-    # differences of wbar stay on one side of xi1 at every point off the
-    # corner; the bounds are relative to w, since w_tau of the minus
-    # barrier is tiny left of the corner
-    bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
-    off_corner = BUNDLE_XI[BUNDLE_XI != XI1]
-    w, wx, wxx, wt = bar.bundle(off_corner, tau)
-    for k, x in enumerate(off_corner):
+    w, wx, wxx, wt = glued_raw_evaluator(bar)(OFF_CORNER_XI, tau)
+    assert np.all(w == bar.wbar(OFF_CORNER_XI, tau))
+    for k, x in enumerate(OFF_CORNER_XI):
         fx = fd_derivative(lambda z: bar.wbar(z, tau), x)
         fxx = fd_derivative(lambda z: bar.wbar(z, tau), x, order=2)
         ft = fd_derivative(lambda t: bar.wbar(x, t), tau)
@@ -307,23 +300,22 @@ GRID_XI = np.array([-20.0, -5.0, 0.0, 9.0, XI1, np.nextafter(XI1, np.inf), 11.0,
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
-def test_grid_wbar_and_bundle_equal_per_tau_calls(request, solver_name, tau, sign):
+def test_grid_wbar_equals_per_tau_calls(request, solver_name, tau, sign):
     shared = request.getfixturevalue(solver_name)
     taus = tau + np.linspace(0.0, 6.0, 13)
     grid = GluedBarrier(_fresh(shared), sign, 0.01)
-    w, parts = grid.wbar(GRID_XI, taus), grid.bundle(GRID_XI, taus)
-    assert w.shape == (13, GRID_XI.size) and all(part.shape == w.shape for part in parts)
+    w = grid.wbar(GRID_XI, taus)
+    assert w.shape == (13, GRID_XI.size)
     one = GluedBarrier(_fresh(shared), sign, 0.01)
     for i, t in enumerate(taus.tolist()):
         assert np.array_equal(w[i], one.wbar(GRID_XI, t))
-        for part, row in zip(parts, one.bundle(GRID_XI, t)):
-            assert np.array_equal(part[i], row)
         assert [grid.wbar(x, taus)[i] for x in GRID_XI] == one.wbar(GRID_XI, t).tolist()
     # one xi row per tau reads each row at its own tau
     rows = GRID_XI + np.arange(13)[:, None] * 0.5
-    for part, k in zip(grid.bundle(rows, taus), range(4)):
-        for i, t in enumerate(taus.tolist()):
-            assert np.array_equal(part[i], one.bundle(rows[i], t)[k])
+    w_rows = grid.wbar(rows, taus)
+    assert w_rows.shape == rows.shape
+    for i, t in enumerate(taus.tolist()):
+        assert np.array_equal(w_rows[i], one.wbar(rows[i], t))
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

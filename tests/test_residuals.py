@@ -23,12 +23,15 @@ from fdelab.residuals import (
 from reference_routes import (
     L0_residual,
     L1_residual,
+    L1_terms,
     at_C10,
-    inner_residual_closed,
+    glued_raw_evaluator,
     outer_as_inner_evaluator,
     outer_psi_evaluator,
     psi1_residual_decomposed,
 )
+
+XI1 = 10.0  # the matching radius of the default config
 
 # Frozen inner-side subsolution defect of the eps = 0 glued minus barrier
 # at the reference set (xi1 = 10).
@@ -101,11 +104,18 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
         assert np.max(diff / raw_scale) < 1e-13
 
 
+def _l1_at(bar, xi, tau):
+    """The evaluator's (residual, scale) on one xi row at a float tau."""
+    res, scale = l1_terms_evaluator(bar)(np.atleast_1d(xi)[None, :], np.array([[tau]]))
+    return res[0], scale[0]
+
+
 def test_inner_closed_form_matches_numeric_l1(solver_ref):
+    # the package's closed form against L1 of the raw glued derivatives
     bar = GluedBarrier(solver_ref, "-", 0.01)
     xis = np.linspace(-5.0, 9.5, 30)
-    num = L1_residual(bar.bundle, xis, 12.0, bar.outer.p)
-    closed = inner_residual_closed(bar, xis, 12.0)
+    num = L1_residual(glued_raw_evaluator(bar), xis, 12.0, bar.outer.p)
+    closed, _ = _l1_at(bar, xis, 12.0)
     assert np.max(np.abs(num - closed)) < 1e-12
 
 
@@ -113,8 +123,7 @@ def test_inner_defect_frozen(solver_ref):
     # eps = 0 leaves the pure e^{-gamma tau} transport defect; negative is
     # the correct direction for the subsolution
     bar = GluedBarrier(solver_ref, "-", 0.0)
-    d0 = float(inner_residual_closed(bar, 0.0, 10.0))
-    d5 = float(inner_residual_closed(bar, 5.0, 10.0))
+    d0, d5 = _l1_at(bar, [0.0, 5.0], 10.0)[0].tolist()
     assert d0 == pytest.approx(INNER_DEFECT_XI0, rel=1e-6)
     assert d5 == pytest.approx(INNER_DEFECT_XI5, rel=1e-6)
     assert d0 < 0.0 and d5 < 0.0
@@ -127,9 +136,48 @@ def test_l1_terms_evaluator_consistent(solver_ref):
     xis = np.linspace(-3.0, 8.0, 20)
     res, scale = ev(np.stack([xis, xis + 0.5]), np.array([[12.0], [14.0]]))
     for row, x, tau in zip(res, (xis, xis + 0.5), (12.0, 14.0)):
-        want = L1_residual(bar.bundle, x, tau, bar.outer.p)
+        want = L1_residual(glued_raw_evaluator(bar), x, tau, bar.outer.p)
         assert np.allclose(row, want, rtol=1e-10, atol=1e-14)
     assert np.all(scale > 0.0)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("setup,tau_lo", [("ref", 10.0), ("low", 15.150347630467653)])
+def test_l1_evaluator_matches_raw_l1_on_the_band(request, setup, tau_lo, sign):
+    # on the verdict's band [-7, xi1 + delta1], both sides of the corner,
+    # the closed forms agree with L1 of the raw glued derivatives to
+    # 1e-12 of the raw terms' magnitude
+    bar = GluedBarrier(request.getfixturevalue(f"solver_{setup}"), sign, 0.018)
+    cfg = bar.outer.cfg
+    taus = np.linspace(tau_lo, tau_lo + 6.0, 4)
+    xi = _space_grid(Region("inner_glued", tau_lo, tau_lo + 6.0), taus, cfg, bar.outer.p.gamma)
+    assert xi[0, 0] == -7.0 and xi[0, -1] == cfg.xi1 + cfg.delta1
+    res, _ = l1_terms_evaluator(bar)(xi, taus[:, None])
+    raw = glued_raw_evaluator(bar)
+    for i, tau in enumerate(taus.tolist()):
+        terms = L1_terms(raw, xi[i], tau, bar.outer.p)
+        raw_scale = sum(np.abs(t) for t in terms)
+        assert np.max(np.abs(res[i] - sum(terms)) / raw_scale) < 1e-12
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_inner_margin_stays_away_from_zero_below_the_band(solver_ref, eps_ref, sign):
+    # the raw route's margin over its scale decays like phibar0 ~ e^{2 xi}
+    # to rounding; the closed form's stays bounded away from 0: at tau = 10
+    # and the weight verify recommends, eps1/2, it is at least 0.9998 (+)
+    # and 0.99999 (-) on [-25, -7]
+    bar = GluedBarrier(solver_ref, sign, 0.5 * eps_ref[0])
+    res, scale = _l1_at(bar, np.linspace(-25.0, -7.0, 181), 10.0)
+    signed = res if sign == "+" else -res
+    assert np.min(signed / scale) > 0.5
+
+
+def test_far_left_underflow_is_a_nonpositive_profile(solver_ref):
+    # phibar0 at xi = -400 underflows to 0, which L1 cannot divide by
+    bar = GluedBarrier(solver_ref, "-", 0.01)
+    assert bar.wbar(-400.0, 10.0) == 0.0
+    with pytest.raises(errors.NonPositiveProfile):
+        _l1_at(bar, [-400.0, 0.0], 10.0)
 
 
 # -- domain guards ------------------------------------------------------------
@@ -150,9 +198,17 @@ def test_mapped_evaluator_needs_positive_xi(outer_ref):
 
 
 def test_inner_closed_form_domain(solver_ref):
+    # the inner closed form covers xi <= xi1, the corner included; right
+    # of it the residual is e^{-gamma tau} l0_terms at the mapped gap, bit
+    # for bit
     bar = GluedBarrier(solver_ref, "-", 0.0)
-    with pytest.raises(errors.OutOfDomain):
-        inner_residual_closed(bar, 10.5, 10.0)
+    tau, right = 10.0, np.nextafter(XI1, np.inf)
+    res, scale = _l1_at(bar, [XI1, right], tau)
+    raw = L1_residual(glued_raw_evaluator(bar), np.array([XI1]), tau, bar.outer.p)
+    assert abs(res[0] - raw[0]) < 1e-12
+    e = math.exp(-bar.outer.p.gamma * tau)
+    l0, l0_scale = bar.outer.l0_terms("-", tau, gap=np.array([right * e]))
+    assert (res[1], scale[1]) == (e * l0[0], e * l0_scale[0])
 
 
 # -- verdict classification ---------------------------------------------------
