@@ -56,8 +56,6 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--config", required=True,
                     help="JSON config with model parameters and options")
     sp.add_argument("--out", default="runs", help="artifact directory")
-    sp.add_argument("--force", action="store_true",
-                    help="skip gating preconditions")
     sp.add_argument("--dry-run", action="store_true",
                     help="print the plan without computing or writing")
 
@@ -240,11 +238,7 @@ def cmd_verify(args) -> int:
             wct, ok = {"error": str(exc)}, False
         checks.append(make_check(f"weak-corner-{label}", ok, wct))
 
-    report["recommended"] = {
-        "tau0": tau0,
-        "eps": eps_use,
-        "variant": variant,
-    }
+    report["recommended"] = {"tau0": tau0, "eps": eps_use}
     report["all_passed"] = all(c["passed"] for c in checks)
     report["artifacts"] = [out_json]
     write_json(out_json, report)
@@ -285,7 +279,7 @@ def cmd_simulate(args) -> int:
         return 2
 
     tau0 = float(config_value("tau0", extras.get("tau0", recommended.get("tau0", cfg.tau_start))))
-    eps = float(config_value("eps", extras.get("eps", recommended.get("eps", p.epsilon))))
+    eps = float(config_value("eps", extras.get("eps", recommended.get("eps", 0.0))))
     tau_end = float(config_value("tau_end", extras.get("tau_end", tau0 + 2.2 * math.log(10.0))))
     n_cells = config_value("n_cells", extras.get("n_cells", 400))
     dtau = float(config_value("dtau", extras.get("dtau", 0.01)))
@@ -382,6 +376,8 @@ def main(argv=None) -> int:
 
     ss = sub.add_parser("simulate", help="evolve data between the barriers")
     _add_common(ss)
+    ss.add_argument("--force", action="store_true",
+                    help="run without a passing verification report")
     ss.set_defaults(func=cmd_simulate)
 
     sr = sub.add_parser("report", help="merge stage artifacts into a summary")

@@ -6,9 +6,9 @@ x = (A/eta)^(1/gamma) the primitives are
 
     phi0 = a0 (1 - x)
     I(eta) = int_{eta0}^eta rho^{-1} (1-x(rho))^{-1} drho
-    phi1 = eta^(-2-1/gamma) (C1 + bq1 I)
+    phi1 = eta^(-2-1/gamma) bq1 I
     phi2 = (n-1) A^(2/gamma) gamma^{-2} eta^(-2-2/gamma) / (1-x)
-    phi3 = eta^(-1-1/gamma) (C3 + bq3 I)
+    phi3 = eta^(-1-1/gamma) bq3 I
     phi4 = phi3 + C10 eta^(-1-1/gamma) log eta
     h    = phi1 + theta1 phi2
 
@@ -21,12 +21,16 @@ with l = log1p(gap/A)/gamma and l0 its value at eta0,
     C2 = b2q int_{eta0}^inf rho^(-1-1/gamma) (1-x)^(-2) drho
        = b2q gamma eta0^(-1/gamma) / (1 - x0),
 
-exact at every gap.
+exact at every gap.  The free constants of phi1 and phi3, the multiples of
+their homogeneous solutions eta^(-2-1/gamma) and eta^(-1-1/gamma), are 0,
+so both vanish at eta0, where I does.
 
 psi = sum_k e^(-k gamma tau) T_k with T_0 = phi0, T_1 = theta2 phi4, T_2 = h
 and the correction rows T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma)
-(log eta)^j, 3 <= k <= 2N.  Rows exist exactly when 2N >= 3, that is when
-gamma <= 1; branch_variant labels the profile psi4 then and psi3 otherwise.
+(log eta)^j, 3 <= k <= 2N, and c_{k,0} = 0 in every row (the recurrence
+of correction_coeffs fixes c_kj for j >= 1).  Rows exist exactly when
+2N >= 3, that is when gamma <= 1; branch_variant labels the profile psi4
+then and psi3 otherwise.
 The paper's psi1/psi2 are psi3/psi4 at C10 = 0 (phi4 = phi3 + 0 v, bit for
 bit), and C10 = 0 is the default, so the labels psi3/psi4 of a default
 config name the paper's psi1/psi2 without a second profile path.  Each
@@ -183,9 +187,9 @@ class OuterProfileSet:
         d2 = -a0 * pr.x * (1.0 + gamma) / (gamma ** 2 * pr.eta ** 2)
         return value, d1, d2
 
-    def _profile_CI(self, pexp: float, C: float, b: float, pr: _Primitives, derivs: bool):
+    def _profile_CI(self, pexp: float, b: float, pr: _Primitives, derivs: bool):
         E = np.exp(-pexp * pr.logeta)
-        value = E * (C + b * pr.I)
+        value = E * (b * pr.I)
         if not derivs:
             return (value,)
         d1 = -pexp * value / pr.eta + b * E * pr.I1
@@ -197,10 +201,10 @@ class OuterProfileSet:
         return value, d1, d2
 
     def _phi1_prims(self, pr, derivs):
-        return self._profile_CI(self._p1, self.cfg.homog_C1, self._bq1, pr, derivs)
+        return self._profile_CI(self._p1, self._bq1, pr, derivs)
 
     def _phi3_prims(self, pr, derivs):
-        return self._profile_CI(self._p3, self.cfg.homog_C3, self._bq3, pr, derivs)
+        return self._profile_CI(self._p3, self._bq3, pr, derivs)
 
     def _phi2_prims(self, pr, derivs):
         gamma = self.p.gamma
@@ -277,17 +281,17 @@ class OuterProfileSet:
         """(c1, c0) with profile * eta^p = c1 log(eta) + c0 + O(x) far afield.
 
         which = "h-part" gives phi1 (the eta^(-2-1/gamma) block of h);
-        which = "p-part" gives phi3.  For profile = eta^(-p) (C + bq I),
+        which = "p-part" gives phi3.  For profile = eta^(-p) bq I,
         I = log(eta) - log(A) - gamma log expm1(l0) + gamma log(1 - x), and
         gamma log(1 - x) = O(x).
         """
         if which == "h-part":
-            C, bq = self.cfg.homog_C1, self._bq1
+            bq = self._bq1
         elif which == "p-part":
-            C, bq = self.cfg.homog_C3, self._bq3
+            bq = self._bq3
         else:
             raise errors.InvalidParameter(f"unknown far-field part {which!r}")
-        return bq, C - bq * (math.log(self.p.A) + self.p.gamma * self._lexp0)
+        return bq, -bq * (math.log(self.p.A) + self.p.gamma * self._lexp0)
 
     @staticmethod
     def _d2coeff(row: dict, P: float, i: int) -> float:
@@ -304,14 +308,13 @@ class OuterProfileSet:
 
         Rows are generated by the far-field cancellation recurrence along
         each parity chain; the chain is seeded by the far-field expansions
-        of h (even) and theta2 * phi4 (odd).  Seeds c_{k,0} come from the
-        config; absent seeds are zero.
+        of h (even) and theta2 * phi4 (odd).  The recurrence fixes c_kj for
+        j >= 1 and leaves c_{k,0} free; every row takes c_{k,0} = 0.
         """
         n, gamma = self.p.n, self.p.gamma
         a0 = self.p.d.a0
         N = self.p.d.N
         th2 = theta(self.p, 2, sign)
-        seeds = dict(self.cfg.seed_constants)
 
         c1h, c0h = self._farfield("h-part")
         c1p, c0p = self._farfield("p-part")
@@ -323,7 +326,7 @@ class OuterProfileSet:
         for k in range(3, 2 * N + 1):
             prev = rows[k - 2]
             P = (k - 2) + 1.0 / gamma
-            row = {0: float(seeds.get(k, 0.0))}
+            row = {0: 0.0}
             jmax = int(math.ceil(k / 2))
             for i in range(0, jmax):
                 num = self._d2coeff(prev, P, i)

@@ -3,15 +3,16 @@
 Parameter conventions match the fast diffusion setting
     u_t = ((n-1)/m) Delta u^m,  n >= 3,  0 < m < (n-2)/(n+2),
 with extinction time T, anisotropy amplitude A, rate parameter gamma,
-and corrector weights theta1/theta2 per sign.  The weights obey strict
-inequalities against b1 and b2; a weight left unset takes the margin of 1
-on its inequality (theta1_minus = b1 - 1, theta1_plus = max(0, b1) + 1,
-theta2_plus = b2 + 1), and theta2_minus is 0.  A ModelParams checks
+and corrector weights theta1/theta2 per sign.  theta2^- is 0 in the
+construction, so it is no field: theta(p, 2, "-") returns 0.  The other
+three weights obey strict inequalities against b1 and b2; a weight left
+unset takes the margin of 1 on its inequality (theta1_minus = b1 - 1,
+theta1_plus = max(0, b1) + 1, theta2_plus = b2 + 1).  A ModelParams checks
 itself when it is built (validate_params) and holds its derived constants
 as the attribute d, so every parameter set in the package is admissible
-and carries its own a0, b1, b2, N and exponent rate.  Config values are
-type-checked where they enter (config_value), and a config key that
-nothing reads is rejected.
+and carries its own a0, b1, b2, N and exponent rate.  Every config value
+is a number, type-checked where it enters (config_value), and a config key
+that nothing reads is rejected.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ModelParams:
     as a float and runs validate_params, which gives a theta left as None
     its margin default and raises InvalidParameter on the first violated
     condition.  The derived constants are the attribute d, which is not a
-    field: asdict, ==, hash and repr see the eleven fields only.
+    field: asdict, ==, hash and repr see the nine fields only.
     """
 
     n: int
@@ -56,9 +57,7 @@ class ModelParams:
     lam: float = 1.0
     theta1_minus: float | None = None
     theta1_plus: float | None = None
-    theta2_minus: float = 0.0
     theta2_plus: float | None = None
-    epsilon: float = 0.0
 
     def __post_init__(self):
         for f in fields(self)[1:]:  # every field after n is real
@@ -129,10 +128,6 @@ def validate_params(p: ModelParams) -> DerivedConstants:
         raise errors.InvalidParameter(f"T must be positive, got {p.T}")
     if not (p.lam > 0.0):
         raise errors.InvalidParameter(f"lambda must be positive, got {p.lam}")
-    if not (0.0 <= p.epsilon < 0.25):
-        raise errors.InvalidParameter(
-            f"epsilon must lie in [0, 1/4), got {p.epsilon}"
-        )
     d = _derived(p.n, p.m, p.gamma)
     margins = {
         "theta1_minus": d.b1 - 1.0,
@@ -142,10 +137,6 @@ def validate_params(p: ModelParams) -> DerivedConstants:
     for name, margin in margins.items():
         if getattr(p, name) is None:
             object.__setattr__(p, name, margin)
-    if p.theta2_minus != 0.0:
-        raise errors.InvalidParameter(
-            f"theta2_minus must equal 0, got {p.theta2_minus}"
-        )
     if not (p.theta1_minus < d.b1):
         raise errors.InvalidParameter(
             f"theta1_minus must be < b1 = {d.b1}, got {p.theta1_minus}"
@@ -163,13 +154,13 @@ def validate_params(p: ModelParams) -> DerivedConstants:
 
 
 def theta(p: ModelParams, which: int, sign: str) -> float:
-    """theta1 or theta2 for sign '+' or '-'."""
+    """theta1 or theta2 for sign '+' or '-'; theta2^- is 0."""
     if sign not in ("+", "-"):
         raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
     if which == 1:
         return p.theta1_plus if sign == "+" else p.theta1_minus
     if which == 2:
-        return p.theta2_plus if sign == "+" else p.theta2_minus
+        return p.theta2_plus if sign == "+" else 0.0
     raise errors.InvalidParameter(f"which must be 1 or 2, got {which}")
 
 
@@ -184,8 +175,9 @@ class ThresholdConfig:
     log eta.  The default 0 gives the paper's psi1/psi2 (phi4 = phi3); the
     plus thresholds need C10 below the closed-form bound C10_star of
     OuterProfileSet (see the outer module), and no lower bound applies.
-    seed_constants holds (k, value) pairs seeding the homogeneous part
-    c_{k,0} of the correction coefficient rows.
+    C10 is the one free constant of the outer profiles that the config
+    sets: phi1, phi3 and the correction rows carry none (see the outer
+    module).
     """
 
     eta0: float
@@ -194,14 +186,11 @@ class ThresholdConfig:
     tau_start: float
     delta0: float = 0.25
     delta1: float = 20.0
-    homog_C1: float = 0.0
-    homog_C3: float = 0.0
     C10: float = 0.0
     grid_eta: int = 200
     grid_tau: int = 40
     sign_atol_factor: float = 1e-9
     inconclusive_frac: float = 1e-3
-    seed_constants: tuple = ()
 
     def validated(self, p: ModelParams) -> "ThresholdConfig":
         if not (self.eta0 > p.A):
@@ -268,23 +257,11 @@ def _finite(value) -> bool:
 def config_value(key: str, value):
     """A config value after the type check of its key.
 
-    An integer key takes an integral number and gives an int;
-    seed_constants takes a list of [k, value] pairs of an integral k and a
-    finite number and gives a tuple of pairs; every other key takes a
-    finite number, returned as given.  Anything else raises
-    InvalidParameter naming the key.
+    Every config value is a number.  An integer key takes an integral
+    number and gives an int; every other key takes a finite number,
+    returned as given.  Anything else raises InvalidParameter naming the
+    key.
     """
-    if key == "seed_constants":
-        if isinstance(value, list) and all(
-            isinstance(pair, list) and len(pair) == 2
-            and _finite(pair[0]) and float(pair[0]).is_integer() and _finite(pair[1])
-            for pair in value
-        ):
-            return tuple(tuple(pair) for pair in value)
-        raise errors.InvalidParameter(
-            f"seed_constants must be a list of [k, value] pairs with an integer k "
-            f"and a finite value, got {value!r}"
-        )
     if not _finite(value):
         raise errors.InvalidParameter(f"{key} must be a finite number, got {value!r}")
     if key in _INTEGER_KEYS:

@@ -700,7 +700,6 @@ class SandwichReport:
             "max_overshoot": self.max_overshoot,
             "passed": self.passed,
             "fits": self.fits,
-            "runs": {k: v for k, v in self.runs.items() if not hasattr(v, "W")},
         }
 
 

@@ -48,7 +48,7 @@ Outer thresholds.  psi^sign passes its L0 verdict for eta >= A + xi0
 e^{-gamma tau}, tau >= tau_start, and find_thresholds computes xi0.  At
 gap = xi e^{-gamma tau} with xi fixed, phi0, the phi2 part of h and the log
 in phi3 (I ~ gamma log gap) give psi ~ e^{-gamma tau} F / (gamma A), and
-L0(psi) -> G, with ' = d/dxi and c fixed by A, gamma, eta0 and homog_C3:
+L0(psi) -> G, with ' = d/dxi and c fixed by A, gamma and eta0:
 
     F = a0 xi + (n-1) theta1/xi + (n-1) theta2 (gamma tau - log xi) + theta2 c,
     G = (n-1) [theta2/xi + theta1/xi^2 - F''/F - b1 (F'/F)^2 - b2 F'/F].
@@ -83,7 +83,7 @@ import numpy as np
 
 from . import errors
 from .matching import GluedBarrier
-from .outer import OuterProfileSet, branch_variant
+from .outer import OuterProfileSet
 from .params import theta
 
 __all__ = [
@@ -364,7 +364,6 @@ def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
         return outer.l0_terms(sign, tau, gap=gap)
 
     th = {
-        "variant": branch_variant(p.gamma),
         "sign": sign,
         "tau_start": cfg.tau_start,
         "xi0": xi0,

@@ -86,8 +86,9 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     ("simulate", dict(SMOKE, tau0=[1])),
     ("simulate", dict(SMOKE, eps="0.01")),
     ("verify", dict(SMOKE, tau_start=math.nan)),
-    ("verify", dict(SMOKE, seed_constants=[[3]])),
-    ("verify", dict(SMOKE, seed_constants=[[3.5, 1.0]])),
+    # every config value is a number: a list of [k, value] pairs is refused
+    ("verify", dict(SMOKE, C10=[[3, 1.0]])),
+    ("verify", dict(SMOKE, delta0=[])),
     ("verify", dict(SMOKE, grid_eta=50.5)),
     ("verify", dict(SMOKE, grid_tau=True)),
     ("verify", dict(SMOKE, eta0=None)),
@@ -97,7 +98,8 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     ("verify", dict(SMOKE, m=1.0)),
     ("verify", dict(SMOKE, gamma="1.5")),
     ("verify", dict(SMOKE, T=math.inf)),
-    ("verify", dict(SMOKE, epsilon=None)),
+    # ModelParams fills a theta given as None; the config takes numbers only
+    ("verify", dict(SMOKE, theta2_plus=None)),
     ("verify", dict(SMOKE, theta1_minus=[-1.0])),
     ("verify", [SMOKE]),
     # these inverted the verdict: a negative atol made correct-sign points
@@ -115,20 +117,36 @@ def test_config_must_name_required_keys(tmp_path, capsys):
 def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
-    rc = main([command, "--force", "--config", str(path), "--out", str(tmp_path / "runs")])
+    force = ["--force"] if command == "simulate" else []
+    rc = main([command, *force, "--config", str(path), "--out", str(tmp_path / "runs")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "runs").exists()
 
 
 def test_misspelt_config_key_is_rejected(tmp_path, capsys):
-    # a misspelt key used to run the default grids under a new config hash
+    # a misspelt key used to run the default grids under a new config hash;
+    # the keys of the constants the construction fixes (theta2- = 0, the
+    # free constants of phi1, phi3 and the correction rows) are refused the
+    # same way, and so is epsilon, which simulate reads as the window key eps
     path = tmp_path / "typo.json"
-    path.write_text(json.dumps(dict(SMOKE, grid_etaa=50)))
-    rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "runs")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "grid_etaa" in err
+    for key, value in (("grid_etaa", 50), ("theta2_minus", 0.0), ("epsilon", 0.0),
+                       ("homog_C1", 0.0), ("homog_C3", 0.0), ("seed_constants", [])):
+        path.write_text(json.dumps(dict(SMOKE, **{key: value})))
+        rc = main(["verify", "--config", str(path), "--out", str(tmp_path / "runs")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys") and f"'{key}'" in err
+        assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "verify", "report"])
+def test_force_is_a_simulate_flag(command, smoke_config, tmp_path, capsys):
+    # only simulate reads --force; the other commands refuse it as usage
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--force", "--config", smoke_config, "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

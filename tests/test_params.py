@@ -12,6 +12,7 @@ from fdelab.params import (
     default_thresholds,
     load_config,
     params_to_dict,
+    theta,
 )
 
 
@@ -37,8 +38,9 @@ def test_theta_defaults():
     assert p.d.b1 == pytest.approx(0.5) and p.d.b2 == pytest.approx(2.0)
     assert p.theta1_minus == pytest.approx(-0.5)
     assert p.theta1_plus == pytest.approx(1.5)
-    assert p.theta2_minus == 0.0
     assert p.theta2_plus == pytest.approx(3.0)
+    # theta2- is no field: the construction fixes it at 0
+    assert theta(p, 2, "-") == 0.0 and not hasattr(p, "theta2_minus")
 
 
 def test_theta_overrides_pass_through():
@@ -52,7 +54,7 @@ def test_model_params_fill_default_weights():
     # every real field is stored as a float, so an int A hashes as 2.0
     p = ModelParams(3, 0.1, 1.5, 2.0)
     d = p.d
-    assert (p.theta1_minus, p.theta1_plus, p.theta2_minus, p.theta2_plus) == (
+    assert (p.theta1_minus, p.theta1_plus, theta(p, 2, "-"), p.theta2_plus) == (
         d.b1 - 1.0, max(0.0, d.b1) + 1.0, 0.0, d.b2 + 1.0
     )
     same = ModelParams(3, 0.1, 1.5, 2)
@@ -141,9 +143,14 @@ def test_params_check_themselves(p_ref):
     # derived constants ride along without being a field
     with pytest.raises(errors.InvalidParameter, match="m must satisfy"):
         dataclasses.replace(p_ref, m=0.5)
-    with pytest.raises(errors.InvalidParameter, match="theta2_minus"):
-        dataclasses.replace(p_ref, theta2_minus=0.1)
+    # theta2- and epsilon are no fields, so replace refuses them
+    for key in ("theta2_minus", "epsilon"):
+        with pytest.raises(TypeError, match=key):
+            dataclasses.replace(p_ref, **{key: 0.0})
     same = dataclasses.replace(p_ref)
     assert same == p_ref and hash(same) == hash(p_ref)
     assert same.d == p_ref.d
-    assert len(dataclasses.asdict(p_ref)) == 11 and "d" not in dataclasses.asdict(p_ref)
+    assert [f.name for f in dataclasses.fields(p_ref)] == [
+        "n", "m", "gamma", "A", "T", "lam", "theta1_minus", "theta1_plus", "theta2_plus",
+    ]
+    assert "d" not in dataclasses.asdict(p_ref)

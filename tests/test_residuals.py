@@ -11,7 +11,7 @@ import sympy as sp
 from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier
 from fdelab.outer import OuterProfileSet, branch_variant
-from fdelab.params import ModelParams, ThresholdConfig, default_thresholds
+from fdelab.params import ModelParams, ThresholdConfig, default_thresholds, theta
 from fdelab.residuals import (
     Region,
     ResidualReport,
@@ -498,9 +498,9 @@ XI_STAR_REF = 1.795060974745561
 XI0_MINUS_REF = 1.8848140234828392
 
 
-def test_minus_thresholds_reference(thresholds_minus_ref):
+def test_minus_thresholds_reference(thresholds_minus_ref, outer_ref):
     th = thresholds_minus_ref
-    assert th["variant"] == "psi3"
+    assert branch_variant(outer_ref.p.gamma) == "psi3"
     assert th["sign"] == "-"
     assert th["tau_start"] == 10.0
     assert th["xi0"] == pytest.approx(XI0_MINUS_REF, rel=1e-12)
@@ -510,9 +510,9 @@ def test_minus_thresholds_reference(thresholds_minus_ref):
     assert th["reports"]["far_field"].passed
 
 
-def test_minus_thresholds_low_gamma(thresholds_minus_low):
+def test_minus_thresholds_low_gamma(thresholds_minus_low, outer_low):
     th = thresholds_minus_low
-    assert th["variant"] == "psi4"
+    assert branch_variant(outer_low.p.gamma) == "psi4"
     assert th["tau_start"] == pytest.approx(11.150347630467653, rel=1e-12)
     assert th["xi0"] == pytest.approx(XI0_MINUS_REF, rel=1e-12)
     assert th["delta0"] == 0.25
@@ -533,9 +533,8 @@ def _leading_G(outer, sign, xi, tau):
     """The leading-order near-A residual G of the residuals docstring."""
     p, d = outer.p, outer.p.d
     n1, g = p.n - 1, p.gamma
-    th1 = p.theta1_plus if sign == "+" else p.theta1_minus
-    th2 = p.theta2_plus if sign == "+" else p.theta2_minus
-    c = g * p.A ** (-1.0 / g) * outer.cfg.homog_C3 + n1 * (math.log(g * p.A) + outer._lexp0)
+    th1, th2 = theta(p, 1, sign), theta(p, 2, sign)
+    c = n1 * (math.log(g * p.A) + outer._lexp0)
     F = d.a0 * xi + n1 * th1 / xi + n1 * th2 * (g * tau - np.log(xi)) + th2 * c
     F1 = d.a0 - n1 * th1 / xi ** 2 - n1 * th2 / xi
     F2 = 2.0 * n1 * th1 / xi ** 3 + n1 * th2 / xi ** 2
