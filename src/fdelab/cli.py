@@ -293,7 +293,7 @@ def cmd_simulate(args) -> int:
     sandwich = comparison_sandwich(
         plus, minus, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
     )
-    sandwich.runs["mid"].to_csv(out_csv)
+    sandwich.to_csv(out_csv)
 
     payload = base_report(p, cfg)
     payload["variant"] = variant
@@ -337,7 +337,13 @@ def cmd_report(args) -> int:
         print(f"report {h}: would write {out_json}")
         return 0
 
-    merged = {"config_hash": h, "params": dataclasses.asdict(p)}
+    # the config blocks once, at the root; each stage keeps the rest of its
+    # report, its derived values included (verify adds C10 and C10_star)
+    merged = {
+        "config_hash": h,
+        "params": dataclasses.asdict(p),
+        "thresholds": dataclasses.asdict(cfg),
+    }
     all_passed = True
     found = False
     for stem in ("verify", "simulate"):
@@ -345,6 +351,8 @@ def cmd_report(args) -> int:
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 merged[stem] = json.load(fh)
+            for key in ("params", "thresholds"):
+                merged[stem].pop(key, None)
             found = True
             all_passed = all_passed and merged[stem].get("all_passed", False)
     if not found:

@@ -14,52 +14,32 @@ uniform xi grid with central second-order differences; steps are implicit
 (theta = 1/2 after a short backward-Euler warmup that damps the stiff
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
-Newton starts from the geometric predictor W_n (W_n / W_{n-1})^r,
-r = log(delta_new / delta_n) / log(delta_n / delta_{n-1}), of the last two
-frames.  A run's first step starts cold from W_n, and so does the retry
-of a step whose predicted start was rejected; only a rejected cold start
-halves the time step.  The Jacobian bands are built from the residual's
-difference stencil only for iterates that take a Newton solve.  Each
-Newton system covers the interior points, so the Dirichlet ends keep
-their values exactly, and goes straight to LAPACK gtsv (Gaussian
-elimination with partial pivoting on the three diagonals); a singular
-matrix counts as a diverged Newton step.  gtsv is the ILP64
-scipy_dgtsv_64_ of the OpenBLAS that numpy's wheel already loads, called
-through ctypes and looked up on the first solve, so a process that never
-steps the PDE does no extra work and none loads scipy.  Where numpy lacks
-that symbol (a numpy built on another BLAS), scipy's dgtsv is the
-fallback; where both exist, they give the same bits.  A Newton residual
-that is not finite stops the run at once with NonFinite, without halving
-the step.
+Newton starts from a geometric predictor of the last two frames
+(_predicted); a rejected predicted start is retried cold, and only a
+rejected cold start halves the step.  Each Newton system covers the
+interior points, so the Dirichlet ends keep their values exactly, and
+goes to LAPACK gtsv (_tridiagonal_solve).
 
 Independent runs on one grid are stepped together as the rows of one
-(runs, points) array: each round every unfinished row tries one step from
-its own delta, with its own step size, theta, tolerance, Newton count and
-damping, and a rejected row halves its own step while the others go on.
-Every array stage of a Newton iteration runs elementwise, on the whole
-array under a row mask or, for the Jacobian bands, on the iterating rows
-alone; rows that are not iterating sit still with a zero step, and each
-row keeps its own gtsv call (a batched sweep without
-pivoting would change the bits), so a run gives the same bits alone or
-beside others.  Frames go into per-row buffers that grow as they fill.  A
-row that fails records its error and stops alone; comparison_sandwich
-solves its manufactured calibration run and its lower, upper and mid runs
-as four rows and raises their errors in that order, with
-NotBetweenBarriers after the calibration's.
+(runs, points) array (_solve_rows), each with its own step, theta,
+tolerance and damping and its own gtsv solves, so a run gives the same
+bits alone or beside others.  A row keeps only its last two frames and
+hands every accepted frame, the initial one included, to its run's
+consumer; a run without one keeps every frame.
 
-The barriers are evaluated on tau arrays, never one delta at a time.
-Before stepping, the sandwich evaluates both barriers' end values at every
-delta of the planned schedule (_planned_deltas: the deltas of a run that
-no step rejection halves), one wbar call per barrier and block of deltas;
-a row that leaves the schedule after a rejection evaluates its ends at
-its own delta.  After stepping, one pass over the mid run's deltas
-evaluates both barriers on the whole grid, again in blocks of at most
-_BLOCK_POINTS grid points per call, so memory does not grow with the run.
+The sandwich (comparison_sandwich) evaluates both barriers on the whole
+grid, one wbar call per barrier and block of planned deltas of at most
+_BLOCK_POINTS points, when the first row reaches the block; a row off the
+plan evaluates its own delta once per barrier and step.  Each frame is
+reduced when it is accepted, so memory grows by a few scalars per step,
+never by grid rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -85,38 +65,18 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """Saved frames of a comoving run."""
+    """A comoving run: its frame count and solver counters and, for a run
+    without a consumer, its deltas and frames (else both are None)."""
 
     p: ModelParams
     xi: np.ndarray
-    deltas: np.ndarray
-    W: np.ndarray  # shape (frames, len(xi))
+    deltas: np.ndarray | None = None
+    W: np.ndarray | None = None  # shape (frames, len(xi))
+    frames: int = 0  # accepted frames, the initial one included
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
     step_rejections: int = 0  # rejected step attempts, each halving the step
     cold_retries: int = 0  # predicted starts rejected and retried from the last frame
-
-    def amplitude(self) -> np.ndarray:
-        """sup_xi W^{1/(1-m)} per frame (the weighted amplitude observable)."""
-        return np.max(self.W, axis=1) ** (1.0 / (1.0 - self.p.m))
-
-    def to_csv(self, path: str):
-        """Rows (t, s, xi, w, u, log10_u) on every 10th frame and every 8th
-        grid point."""
-        p = self.p
-        rows = []
-        for k in range(0, len(self.deltas), 10):
-            delta = self.deltas[k]
-            t = p.T - delta
-            shift = p.A * delta ** (-p.gamma)
-            for j in range(0, len(self.xi), 8):
-                xi = self.xi[j]
-                w = self.W[k, j]
-                s = xi + shift
-                log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
-                u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
-                rows.append((t, s, xi, w, u, log10_u))
-        write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
 
 
 def _drift_speed(p: ModelParams, delta: float) -> float:
@@ -164,19 +124,14 @@ _DOUBLE = np.dtype(np.float64)
 _gtsv = None  # the gtsv route, chosen on the first solve
 
 
-def _address(a):
-    """Pointer to a's data for a raw LAPACK call; None (null) for an empty
-    band, which gtsv does not read."""
-    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.size else None
-
-
 def _openblas_gtsv():
     """dgtsv of the OpenBLAS that numpy's wheel loads, or None.
 
     The symbol is the ILP64 build's scipy_dgtsv_64_ (64-bit N, NRHS, LDB
     and INFO), looked up through the handle of numpy's linalg extension,
-    whose dependencies dlsym searches too.  The returned solve takes the
-    checked bands and writes x over b.
+    whose dependencies dlsym searches too.  The returned solve writes x
+    over b and returns gtsv's info, one per row for a stack, whose rows it
+    finds at offsets from each band's address.
     """
     try:
         fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
@@ -188,22 +143,30 @@ def _openblas_gtsv():
     nrhs = ctypes.c_int64(1)
 
     def solve(dl, d, du, b):
-        n, info = ctypes.c_int64(len(d)), ctypes.c_int64()
-        fn(n, nrhs, _address(dl), _address(d), _address(du), _address(b), n, info)
-        return info.value
+        n = d.shape[-1]
+        lower, diag, upper, rhs = (a.ctypes.data for a in (dl, d, du, b))
+        offdiag_row, row = 8 * (n - 1), 8 * n  # bytes per row of a band
+        size, info, infos = ctypes.c_int64(n), ctypes.c_int64(), []
+        for r in range(len(d) if d.ndim == 2 else 1):
+            fn(size, nrhs, lower + r * offdiag_row, diag + r * row,
+               upper + r * offdiag_row, rhs + r * row, size, info)
+            infos.append(info.value)
+        return infos if d.ndim == 2 else infos[0]
 
     return solve
 
 
 def _scipy_gtsv():
-    """scipy's f2py-wrapped dgtsv on the checked bands, or None without
-    scipy.  The bands pass the wrapper's own checks, so it writes x over b."""
+    """scipy's f2py-wrapped dgtsv in the same form, or None without scipy.
+    The bands pass the wrapper's own checks, so it writes x over b."""
     try:
         from scipy.linalg.lapack import dgtsv
     except ImportError:
         return None
 
     def solve(dl, d, du, b):
+        if d.ndim == 2:
+            return [solve(*row) for row in zip(dl, d, du, b)]
         if len(d) == 1:  # the wrapper wants bands of at least one entry
             dl, du = np.zeros(1), np.zeros(1)
         return dgtsv(
@@ -213,18 +176,21 @@ def _scipy_gtsv():
     return solve
 
 
-def _tridiagonal_solve(dl, d, du, b):
-    """LAPACK gtsv solve of the tridiagonal system (dl, d, du) x = b.
+def _singular(info):
+    return errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
 
-    The solve overwrites all four arrays and returns b, which holds x.  The
-    first solve picks the route: the ILP64 dgtsv of the OpenBLAS that
-    numpy already loads, called through ctypes, else scipy's dgtsv; where
-    both exist, they give the same bits; with neither, LapackUnavailable
-    names both.  Bands that are not 1-D, C-contiguous, aligned, writeable
-    float64 arrays of lengths N - 1, N, N - 1 and N are refused with
-    ValueError, since raw pointers would misread them and scipy's wrapper
-    would solve a copy.  A zero pivot raises NewtonDiverged, so the
-    caller's step halving applies.
+
+def _tridiagonal_solve(dl, d, du, b):
+    """LAPACK gtsv solve of (dl, d, du) x = b, overwriting all four.
+
+    1-D bands: returns b, which holds x; a zero pivot raises
+    NewtonDiverged.  2-D bands, one system per row: returns per row x or
+    its NewtonDiverged.  The first solve picks the route, numpy's bundled
+    OpenBLAS through ctypes, else scipy's dgtsv (same bits); with neither,
+    LapackUnavailable names both.  Bands that are not C-contiguous,
+    aligned, writeable float64 arrays of lengths N - 1, N, N - 1 and N are
+    refused with ValueError: raw pointers would misread them and scipy's
+    wrapper would solve a copy.
     """
     global _gtsv
     if _gtsv is None:
@@ -234,17 +200,20 @@ def _tridiagonal_solve(dl, d, du, b):
                 "no LAPACK dgtsv: numpy's bundled OpenBLAS has no scipy_dgtsv_64_ "
                 "and scipy.linalg.lapack cannot be imported"
             )
-    n = len(d)
+    shape = d.shape
     if not (
-        dl.shape == du.shape == (n - 1,) and b.shape == d.shape == (n,)
+        d.ndim in (1, 2) and b.shape == shape
+        and dl.shape == du.shape == shape[:-1] + (shape[-1] - 1,)
         and dl.dtype == d.dtype == du.dtype == b.dtype == _DOUBLE
         and dl.flags.carray and d.flags.carray and du.flags.carray and b.flags.carray
     ):
-        raise ValueError("gtsv takes 1-D C-contiguous, aligned, writeable float64 "
-                         "bands of lengths N - 1, N, N - 1 and N")
+        raise ValueError("gtsv takes C-contiguous, aligned, writeable float64 bands "
+                         "of lengths N - 1, N, N - 1 and N, 1-D or one system per row")
     info = _gtsv(dl, d, du, b)
+    if d.ndim == 2:
+        return [x if i == 0 else _singular(i) for x, i in zip(b, info)]
     if info != 0:
-        raise errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
+        raise _singular(info)
     return b
 
 
@@ -271,12 +240,11 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     not being tried keeps its positive iterate (damping 0, zero step), a
     trial row that is not positive falls back to its iterate before the
     residual, and a row's source is called only when that row is tried.
-    The Newton systems go one row at a time to _tridiagonal_solve (gtsv
-    of numpy's OpenBLAS, else scipy's, with the same bits), so a row's bits
-    do not depend on the other rows.  A row whose residual is not finite
-    stops with NonFinite before its next solve.  Returns per row
-    (W_new, iterations), or the NewtonDiverged, PositivityLost or
-    NonFinite that rejected its step.
+    The Newton systems of a round go to _tridiagonal_solve as one stack,
+    one gtsv solve per row, so a row's bits do not depend on the others.  A
+    row whose residual is not finite stops with NonFinite before its next
+    solve.  Returns per row (W_new, iterations), or the NewtonDiverged,
+    PositivityLost or NonFinite that rejected its step.
     """
     k, M = W_old.shape
     out = [None] * k
@@ -358,11 +326,11 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
         dl = jac_neg[rows] * dm[:, 1:]
         diag = 1.0 - jac_pos[rows] * d0
         du = jac_neg[rows] * dp[:, :-1]
-        for r, i in enumerate(iterating):
-            try:
-                step[i, 1:-1] = _tridiagonal_solve(dl[r], diag[r], du[r], -G[i])
-            except errors.NewtonDiverged as exc:
-                out[i], lam[i] = exc, 0.0
+        for i, x in zip(iterating, _tridiagonal_solve(dl, diag, du, -G[rows])):
+            if isinstance(x, errors.NewtonDiverged):
+                out[i], lam[i] = x, 0.0
+            else:
+                step[i, 1:-1] = x
 
         # damped line search, each row with its own lambda
         while any(lam):
@@ -396,14 +364,29 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
                     np.copyto(a, a_try, where=taken)
 
 
+class _Kept:
+    """The consumer given to a run without one: it keeps every delta and a
+    copy of every frame, for the run's Trajectory."""
+
+    def __init__(self):
+        self.deltas, self.W = [], []
+
+    def __call__(self, delta, W):
+        self.deltas.append(delta)
+        self.W.append(W.copy())
+
+
 @dataclass
 class _Run:
     """One row of a joint solve: initial data on the grid, bc(delta) ->
-    (W_lo, W_hi), and an optional extra right-hand side source(W, delta)."""
+    (W_lo, W_hi), an optional extra right-hand side source(W, delta), and
+    an optional consume(delta, W) of each accepted frame (the initial one
+    too; W is overwritten two frames later, so copy what is kept)."""
 
     w0: np.ndarray
     bc: object
     source: object = None
+    consume: object = None
 
 
 _STEP_BUDGET = 200000
@@ -456,23 +439,23 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
 
     Each round, every unfinished row tries one step from its own delta.
     Newton starts from the geometric predictor of the row's last two
-    frames; the row's first step, and the retry after a predicted start
+    frames, the only ones it keeps (each accepted frame goes to its run's
+    consumer); the row's first step, and the retry after a predicted start
     is rejected, start cold from the last frame.  A row whose cold step is
     rejected halves its own step and retries in the next round while the
     other rows go on; so does a row whose end values are not finite and
     positive, since no start changes those.  It stops with the rejection
     once the step falls below 1e-6 of delta, with StepUnderflow once the
     step budget is spent, with any FdelabError its bc raises, or at once
-    with a NonFinite step result.  Frames go straight into one buffer per
-    row, which starts at 16 frames and grows by an eighth plus 16 whenever
-    it is full.
+    with a NonFinite step result.
     """
     if not (0.0 < delta_end < delta_start):
         raise errors.InvalidParameter("need 0 < delta_end < delta_start")
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    frames = [None] * R
+    consume = [_Kept() if run.consume is None else run.consume for run in runs]
+    frames = np.empty((R, 2, M))  # frame n of row i at frames[i, n % 2]
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
         if w0.shape != xi.shape:
@@ -480,9 +463,10 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         elif np.any(w0 <= 0.0):
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
-            frames[i] = np.empty((16, M))
-            frames[i][0] = w0
-    # row i stands at deltas[i][-1] with its latest frame at len(deltas[i]) - 1
+            frames[i, 0] = w0
+            consume[i](delta_start, frames[i, 0])
+    # row i: n[i] frames so far; deltas[i] holds its last one or two deltas
+    n = [1] * R
     deltas = [[delta_start] for _ in range(R)]
     delta_new, ends = [0.0] * R, [None] * R
     attempt = [None] * R  # None: the row starts a new step
@@ -492,16 +476,19 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     live = [i for i in range(R) if out[i] is None]
     while True:
         for i in live:
-            delta, n = deltas[i][-1], len(deltas[i])
+            delta = deltas[i][-1]
             if attempt[i] is None:
                 if _finished(delta, delta_end):
+                    kept = consume[i] if isinstance(consume[i], _Kept) else None
                     out[i] = Trajectory(
-                        p=p, xi=xi, deltas=np.asarray(deltas[i]), W=frames[i][:n],
+                        p=p, xi=xi, frames=n[i],
+                        deltas=None if kept is None else np.array(kept.deltas),
+                        W=None if kept is None else np.array(kept.W),
                         newton_iters_max=iters_max[i], newton_iters=iters[i],
                         step_rejections=rejections[i], cold_retries=retries[i],
                     )
                     continue
-                attempt[i], theta[i] = _step_plan(n - 1, delta, delta_end, dtau)
+                attempt[i], theta[i] = _step_plan(n[i] - 1, delta, delta_end, dtau)
             delta_new[i] = delta * (1.0 - attempt[i])
             try:
                 ends[i] = runs[i].bc(delta_new[i])
@@ -522,11 +509,10 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         bad_ends = set(results)
         stepped = [i for i in live if i not in results]
         if stepped:
-            # copies, so no view keeps a frame buffer alive once it grows
-            last = np.stack([frames[i][len(deltas[i]) - 1] for i in stepped])
+            last = np.stack([frames[i, (n[i] - 1) % 2] for i in stepped])
             start = np.stack([
                 W if cold[i] else _predicted(
-                    W, frames[i][len(deltas[i]) - 2], deltas[i][-1], deltas[i][-2],
+                    W, frames[i, n[i] % 2], deltas[i][-1], deltas[i][-2],
                     delta_new[i],
                 )
                 for i, W in zip(stepped, last)
@@ -545,7 +531,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
                     continue
                 rejections[i] += 1
                 attempt[i] *= 0.5
-                cold[i] = len(deltas[i]) == 1
+                cold[i] = n[i] == 1
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
@@ -553,14 +539,11 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             attempt[i], cold[i] = None, False
             iters_max[i] = max(iters_max[i], its)
             iters[i] += its
-            n = len(deltas[i])  # the new frame's index
-            if n == len(frames[i]):
-                grown = np.empty((n + n // 8 + 16, M))
-                grown[:n] = frames[i]
-                frames[i] = grown
-            frames[i][n] = W_new
-            deltas[i].append(delta_new[i])
-            if n > _STEP_BUDGET:
+            frames[i, n[i] % 2] = W_new
+            deltas[i] = [deltas[i][-1], delta_new[i]]
+            consume[i](delta_new[i], frames[i, n[i] % 2])
+            n[i] += 1
+            if n[i] > _STEP_BUDGET + 1:
                 out[i] = errors.StepUnderflow("step budget exhausted")
         live = [i for i in live if out[i] is None]
 
@@ -601,7 +584,8 @@ def solve_radial_fde(
     n_cells < 2 or a dtau that is not a finite step > 0 raises
     InvalidParameter before the grid is built.  This is the one-row case
     of the joint solve that comparison_sandwich uses, so a run gives the
-    same bits alone or as a row beside others.
+    same bits alone or as a row beside others; the Trajectory keeps every
+    delta and frame.
     """
     _check_window(n_cells, dtau)
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
@@ -654,27 +638,26 @@ def make_manufactured(p: ModelParams):
 
 
 def _manufactured_row(p: ModelParams, xi, delta_start: float):
-    """The manufactured calibration run on grid xi as a row, and the
-    reduction of its trajectory to the normalized error max |W_num -
-    W_true| / delta^{1+gamma} over all frames."""
+    """The manufactured calibration run on grid xi as a row, and a reader
+    of its normalized error max |W_num - W_true| / delta^{1+gamma} over
+    the frames accepted so far, which its consumer keeps."""
     W_exact, bind = make_manufactured(p)
+    worst = 0.0
+
+    def consume(delta, W):
+        nonlocal worst
+        scale = delta ** (1.0 + p.gamma)
+        worst = max(worst, float(np.max(np.abs(W - W_exact(xi, delta)))) / scale)
+
     run = _Run(
         w0=W_exact(xi, delta_start),
         bc=lambda delta: (
             float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
         ),
         source=bind(xi),
+        consume=consume,
     )
-
-    def error(traj: Trajectory) -> float:
-        err = 0.0
-        for idx in range(len(traj.deltas)):
-            delta = traj.deltas[idx]
-            scale = delta ** (1.0 + p.gamma)
-            err = max(err, float(np.max(np.abs(traj.W[idx] - W_exact(xi, delta)))) / scale)
-        return err
-
-    return run, error
+    return run, lambda: worst
 
 
 _SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
@@ -692,6 +675,7 @@ class SandwichReport:
     max_overshoot: float = 0.0   # worst (W - W_upbar)/scale
     passed: bool = False
     fits: dict = field(default_factory=dict)
+    samples: list = field(default_factory=list)  # (delta, W[::8]) per 10th mid frame
 
     def to_dict(self) -> dict:
         return {
@@ -702,6 +686,22 @@ class SandwichReport:
             "fits": self.fits,
         }
 
+    def to_csv(self, path: str):
+        """Rows (t, s, xi, w, u, log10_u) of the mid run on every 10th frame
+        and every 8th grid point."""
+        mid = self.runs["mid"]
+        p, xi = mid.p, mid.xi[::8]
+        rows = []
+        for delta, W in self.samples:
+            t = p.T - delta
+            shift = p.A * delta ** (-p.gamma)
+            for x, w in zip(xi, W):
+                s = x + shift
+                log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
+                u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
+                rows.append((t, s, x, w, u, log10_u))
+        write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
+
 
 def _barrier_W(bar: GluedBarrier, xi: np.ndarray, deltas, p: ModelParams):
     """delta^{1+gamma} wbar(xi, -log delta) on the (deltas, xi) grid, from
@@ -711,58 +711,126 @@ def _barrier_W(bar: GluedBarrier, xi: np.ndarray, deltas, p: ModelParams):
     return scale[:, None] * bar.wbar(xi, np.array([-math.log(delta) for delta in deltas]))
 
 
-_BLOCK_POINTS = 1 << 15  # grid points per barrier evaluation of the sandwich
+_BLOCK_POINTS = 1 << 13  # grid points per barrier block of the sandwich
 
 
-def _barrier_pairs(plus: GluedBarrier, minus: GluedBarrier, xi, deltas, p: ModelParams):
-    """(delta, W_plus, W_minus) per delta, both barriers from _barrier_W on
-    blocks of deltas of at most _BLOCK_POINTS grid points."""
-    block = max(1, _BLOCK_POINTS // len(xi))
-    for i in range(0, len(deltas), block):
-        part = deltas[i:i + block]
-        yield from zip(part, _barrier_W(plus, xi, part, p), _barrier_W(minus, xi, part, p))
+class _BarrierBlocks:
+    """Both barriers (_barrier_W) on the whole grid at the deltas the
+    sandwich rows reach.
+
+    Planned deltas are evaluated a block of at most _BLOCK_POINTS points
+    at a time, when a row first reaches the block; the block before stays,
+    so a row one round behind needs no second evaluation.  A delta off the
+    plan, or in a block whose evaluation raised, is evaluated alone and
+    kept as its row's latest, for the row's bc and consumer.  C(tau) of
+    all planned deltas is solved first, so a block takes one inner and one
+    outer call per barrier.
+    """
+
+    def __init__(self, plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
+        taus = np.array([-math.log(delta) for delta in deltas])
+        for bar in (plus, minus):
+            try:
+                for i in range(0, len(taus), _BLOCK_POINTS):
+                    bar.C(taus[i:i + _BLOCK_POINTS])
+            except errors.FdelabError:
+                pass  # the taus before the failing one stay solved
+        self.bars, self.xi, self.deltas = (plus, minus), xi, deltas
+        self.size = max(1, _BLOCK_POINTS // len(xi))  # deltas per block
+        self.blocks = {}  # number -> (W_plus, W_minus), or None if it raised
+        self.own = {}  # row -> (delta, (W_plus, W_minus))
+
+    def _evaluate(self, deltas):
+        p = self.bars[0].outer.p
+        return tuple(_barrier_W(bar, self.xi, deltas, p) for bar in self.bars)
+
+    def at(self, delta, row):
+        """(W_plus, W_minus) on the grid at delta, as row reads them."""
+        j = bisect.bisect_left(self.deltas, -delta, key=lambda planned: -planned)
+        if j < len(self.deltas) and self.deltas[j] == delta:
+            k, r = divmod(j, self.size)
+            if k not in self.blocks:
+                while len(self.blocks) > 1:
+                    del self.blocks[next(iter(self.blocks))]
+                try:
+                    self.blocks[k] = self._evaluate(self.deltas[k * self.size:(k + 1) * self.size])
+                except errors.FdelabError:
+                    self.blocks[k] = None
+            block = self.blocks[k]
+            if block is not None:
+                return block[0][r], block[1][r]
+        hit = self.own.get(row)
+        if hit is None or hit[0] != delta:
+            hit = self.own[row] = delta, tuple(W[0] for W in self._evaluate([delta]))
+        return hit[1]
 
 
-def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas) -> dict:
-    """The lower, upper and mid runs as rows: data and Dirichlet values on
-    the lower barrier, on the upper barrier, and on their pointwise
-    geometric mean.
+@dataclass
+class _Tally:
+    """What the sandwich keeps of its frames: the worst under- and
+    overshoot, per mid frame its delta, max W and the barrier peaks, and
+    the CSV samples."""
 
-    deltas is the planned schedule, deltas[0] the start.  The end values
-    at every later planned delta are evaluated here, before any step, by
-    _barrier_pairs.  A bc closure reads them from that table and evaluates
-    a delta off the schedule (a row whose step a rejection halved) on its
-    own, with the same bits.  If the table's evaluation raises an
-    FdelabError, the table keeps the blocks before the failing one, and
-    the rows meet the error at the step whose delta raises it.
+    undershoot: float = 0.0
+    overshoot: float = 0.0
+    deltas: list = field(default_factory=list)
+    solution: list = field(default_factory=list)
+    upper_barrier: list = field(default_factory=list)
+    lower_barrier: list = field(default_factory=list)
+    samples: list = field(default_factory=list)
+
+
+def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
+    """The lower, upper and mid runs as rows (on the lower barrier, the
+    upper one and their geometric mean) over the planned deltas, and the
+    _Tally that their consumers fill.  bc reads the end columns of one
+    _BarrierBlocks; a consumer checks every 5th frame and keeps, per mid
+    frame, max W, the barrier peaks and every 10th frame's CSV sample.
     """
     p = plus.outer.p
-    Wp0, Wm0 = (_barrier_W(bar, xi, deltas[:1], p)[0] for bar in (plus, minus))
-    ends = xi[[0, -1]]
+    blocks = _BarrierBlocks(plus, minus, xi, deltas)
+    tally = _Tally()
+    power = 1.0 / (1.0 - p.m)
 
-    def ends_at(kind, delta):
+    def on(kind, Wp, Wm):
         if kind == "mid":
-            return np.sqrt(ends_at("upper", delta) * ends_at("lower", delta))
-        return _barrier_W(plus if kind == "upper" else minus, ends, [delta], p)[0]
-
-    planned = {}
-    try:
-        for delta, wp, wm in _barrier_pairs(plus, minus, ends, deltas[1:], p):
-            planned[delta] = {"lower": wm, "upper": wp, "mid": np.sqrt(wp * wm)}
-    except errors.FdelabError:
-        pass  # the deltas past the table raise it again at their own step
+            return np.sqrt(Wp * Wm)
+        return Wm if kind == "lower" else Wp
 
     def bc(kind):
         def at(delta):
-            hit = planned.get(delta)
-            return tuple((hit[kind] if hit is not None else ends_at(kind, delta)).tolist())
+            Wp, Wm = blocks.at(delta, kind)
+            return tuple(on(kind, Wp[[0, -1]], Wm[[0, -1]]).tolist())
         return at
 
-    return {
-        "lower": _Run(Wm0, bc("lower")),
-        "upper": _Run(Wp0, bc("upper")),
-        "mid": _Run(np.sqrt(Wp0 * Wm0), bc("mid")),
+    def consume(kind):
+        frame = itertools.count()
+
+        def reduce(delta, W):
+            n = next(frame)
+            if n % 5 and kind != "mid":
+                return
+            Wp, Wm = blocks.at(delta, kind)
+            if n % 5 == 0:
+                scale = delta ** (1.0 + p.gamma)
+                tally.undershoot = max(tally.undershoot, float(np.max((Wm - W) / scale)))
+                tally.overshoot = max(tally.overshoot, float(np.max((W - Wp) / scale)))
+            if kind == "mid":
+                tally.deltas.append(delta)
+                tally.solution.append(float(np.max(W)))
+                tally.upper_barrier.append(float(np.max(Wp) ** power))
+                tally.lower_barrier.append(float(np.max(Wm) ** power))
+                if n % 10 == 0:
+                    tally.samples.append((delta, W[::8].copy()))
+
+        return reduce
+
+    Wp0, Wm0 = blocks.at(deltas[0], None)
+    rows = {
+        kind: _Run(np.array(on(kind, Wp0, Wm0)), bc(kind), consume=consume(kind))
+        for kind in ("lower", "upper", "mid")
     }
+    return rows, tally
 
 
 def comparison_sandwich(
@@ -787,11 +855,10 @@ def comparison_sandwich(
     precondition check).  Every 5th frame of each run is checked against
     the calibrated grid tolerance in units of delta^{1+gamma}.
 
-    The manufactured calibration run and the three runs are solved as four
-    rows of one joint solve.  A row that fails does not stop the others;
-    the errors are raised in the order of the old sequential runs: the
-    calibration's, then NotBetweenBarriers (it needs tol_rel), then the
-    lower, upper and mid runs'.
+    The calibration run and the three runs are four rows of one joint
+    solve whose frames are reduced as they are accepted (_sandwich_rows).
+    Errors are raised in row order, with NotBetweenBarriers (it needs
+    tol_rel) after the calibration's.
     """
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
@@ -802,16 +869,15 @@ def comparison_sandwich(
     delta_end = math.exp(-tau_end)
 
     xi = np.linspace(-xi1, 4.0 * xi1, n_cells + 1)
-    calibration, error = _manufactured_row(p, xi, delta_start)
-    rows = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
+    calibration, calibration_error = _manufactured_row(p, xi, delta_start)
+    rows, tally = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
     calib, *solved = _solve_rows(
         p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
     )
     if isinstance(calib, errors.FdelabError):
         raise calib
-    tol_rel = _SAFETY * error(calib)
-    del calib  # its frames are not needed for the barrier pass
+    tol_rel = _SAFETY * calibration_error()
 
     W0 = rows["mid"].w0
     Wm0, Wp0 = rows["lower"].w0, rows["upper"].w0
@@ -823,48 +889,26 @@ def comparison_sandwich(
     for res in solved:
         if isinstance(res, errors.FdelabError):
             raise res
-    trajs = dict(zip(rows, solved))
-
-    # one pass over the mid run's frames evaluates both barriers once per
-    # delta for the extinction fits and for every check frame at that
-    # delta; check frames at other deltas (the lower run after a
-    # rejection) get a pass of their own.  No block of barrier values is
-    # kept beyond its pass.
-    report = SandwichReport(tol_rel=tol_rel)
-    waiting = {}
-    for kind, traj in trajs.items():
-        for idx in range(0, len(traj.deltas), 5):
-            waiting.setdefault(traj.deltas[idx], []).append(traj.W[idx])
-
-    def check_frames(delta, Wp, Wm):
-        scale = delta ** (1.0 + p.gamma)
-        for W in waiting.pop(delta, ()):
-            under = float(np.max((Wm - W) / scale))
-            over = float(np.max((W - Wp) / scale))
-            report.max_undershoot = max(report.max_undershoot, under)
-            report.max_overshoot = max(report.max_overshoot, over)
-
-    mid = trajs["mid"]
-    peaks = {"upper_barrier": [], "lower_barrier": []}
-    for delta, Wp, Wm in _barrier_pairs(plus, minus, xi, mid.deltas.tolist(), p):
-        peaks["upper_barrier"].append(np.max(Wp) ** (1.0 / (1.0 - p.m)))
-        peaks["lower_barrier"].append(np.max(Wm) ** (1.0 / (1.0 - p.m)))
-        check_frames(delta, Wp, Wm)
-    for delta, Wp, Wm in _barrier_pairs(plus, minus, xi, list(waiting), p):
-        check_frames(delta, Wp, Wm)
-    report.passed = (
-        report.max_undershoot <= tol_rel and report.max_overshoot <= tol_rel
+    report = SandwichReport(
+        tol_rel=tol_rel,
+        runs=dict(zip(rows, solved)),
+        max_undershoot=tally.undershoot,
+        max_overshoot=tally.overshoot,
+        passed=tally.undershoot <= tol_rel and tally.overshoot <= tol_rel,
+        samples=tally.samples,
     )
-    report.runs = trajs
 
-    # extinction fits: barriers from their formulas on the same frames
-    amps = {"solution": mid.amplitude()}
-    for name, vals in peaks.items():
-        amps[name] = np.asarray(vals)
-    span = math.log10(float(mid.deltas.max() / mid.deltas.min()))
+    # extinction fits; sup W^{1/(1-m)} is raised as one array
+    deltas = np.array(tally.deltas)
+    amps = {
+        "solution": np.array(tally.solution) ** (1.0 / (1.0 - p.m)),
+        "upper_barrier": np.array(tally.upper_barrier),
+        "lower_barrier": np.array(tally.lower_barrier),
+    }
+    span = math.log10(float(deltas.max() / deltas.min()))
     for name, amp in amps.items():
         try:
-            report.fits[name] = extinction_rate(mid.deltas, amp)
+            report.fits[name] = extinction_rate(deltas, amp)
         except errors.InsufficientDecades:
             report.fits[name] = {
                 "exponent": math.nan,

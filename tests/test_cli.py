@@ -375,6 +375,44 @@ def test_profile_matches_golden(name, gamma, tmp_path):
     assert_matches(profile_summary(out), want, f"profile-{name}")
 
 
+def _key_count(node, key) -> int:
+    """How often key names an entry of a dict anywhere in a JSON tree."""
+    if isinstance(node, dict):
+        return (key in node) + sum(_key_count(v, key) for v in node.values())
+    if isinstance(node, list):
+        return sum(_key_count(v, key) for v in node)
+    return 0
+
+
+def test_report_writes_each_config_block_once(tmp_path):
+    # params and thresholds sit at the root of the merged report only;
+    # each stage block keeps the rest of its report, and verify's derived
+    # values add C10 and C10_star to simulate's
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        SMOKE, grid_eta=16, grid_tau=4, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01,
+        eps=0.018,
+    )))
+    out = tmp_path / "runs"
+    common = ["--config", str(config), "--out", str(out)]
+    assert main(["verify", *common]) == 0
+    assert main(["simulate", *common]) == 1  # the window is too short for the rate fit
+    assert main(["report", *common]) == 1
+    (merged_path,) = out.glob("report-*.json")
+    merged = json.loads(merged_path.read_text())
+    assert _key_count(merged, "params") == _key_count(merged, "thresholds") == 1
+    for stem in ("verify", "simulate"):
+        (path,) = out.glob(f"{stem}-*.json")
+        stage = json.loads(path.read_text())
+        assert merged["params"] == stage["params"]
+        assert merged["thresholds"] == stage["thresholds"]
+        assert merged[stem] == {
+            k: v for k, v in stage.items() if k not in ("params", "thresholds")
+        }
+    derived = merged["verify"]["derived"], merged["simulate"]["derived"]
+    assert set(derived[0]) - set(derived[1]) == {"C10", "C10_star"}
+
+
 def test_simulate_end_to_end_is_reproducible(tmp_path):
     # a 0.6-tau window passes the sandwich but spans too few decades for
     # the extinction-rate fit; a rerun rewrites the same bytes, and the

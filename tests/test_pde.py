@@ -1,7 +1,9 @@
 """Comoving solver, sandwich run, extinction fits, corner term."""
 
+import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +31,25 @@ def barrier_pair(solver_ref):
 
 
 @pytest.fixture(scope="module")
+def smoke_report(barrier_pair):
+    """The sandwich on the smoke window: 63 frames of 401 points."""
+    return comparison_sandwich(
+        *barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01
+    )
+
+
+def _lone_mid_run(barrier_pair, p, xi, tau_end):
+    """The sandwich's mid run solved alone, keeping every frame."""
+    ds, de = math.exp(-TAU0), math.exp(-tau_end)
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, pde._planned_deltas(ds, de, 0.01))
+    mid = rows["mid"]
+    (traj,) = pde._solve_rows(
+        p, xi, [pde._Run(mid.w0, mid.bc)], delta_start=ds, delta_end=de, dtau=0.01
+    )
+    return traj
+
+
+@pytest.fixture(scope="module")
 def uniform_traj(p_ref, d_ref):
     # w = a0 * delta solves the flow exactly: F(const) = -a0 and w_t = -a0
     ds, de = math.exp(-10.0), math.exp(-12.0)
@@ -48,29 +69,52 @@ def test_uniform_profile_reproduced_to_rounding(uniform_traj, d_ref):
     assert uniform_traj.deltas[-1] == pytest.approx(math.exp(-12.0), rel=1e-12)
 
 
-def test_amplitude_observable(uniform_traj, p_ref, d_ref):
-    want = (d_ref.a0 * uniform_traj.deltas) ** (1.0 / (1.0 - p_ref.m))
-    np.testing.assert_allclose(uniform_traj.amplitude(), want, rtol=1e-12)
+def test_amplitude_observable(barrier_pair, p_ref, monkeypatch):
+    """The fits read sup_xi W^{1/(1-m)} of every mid frame, raised as one
+    array, and each barrier's peak per frame, bit for bit as the kept
+    frames of the mid run solved alone give them (a fit window of 0.2
+    decades lets the smoke window fit)."""
+    monkeypatch.setattr(pde, "_FIT_DECADES", 0.2)
+    report = comparison_sandwich(
+        *barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=200, dtau=0.01
+    )
+    xi = np.linspace(-10.0, 40.0, 201)
+    traj = _lone_mid_run(barrier_pair, p_ref, xi, 10.6)
+    power = 1.0 / (1.0 - p_ref.m)
+    want = {"solution": np.max(traj.W, axis=1) ** power}
+    for name, bar in zip(("upper_barrier", "lower_barrier"), barrier_pair):
+        W = pde._barrier_W(bar, xi, traj.deltas, p_ref)
+        want[name] = np.array([np.max(row) ** power for row in W])
+    assert report.runs["mid"].frames == len(traj.deltas)
+    for name, amp in want.items():
+        assert report.fits[name] == extinction_rate(traj.deltas, amp), name
+        assert report.fits[name]["n_points"] > 2
 
 
-def test_trajectory_csv_layout(uniform_traj, tmp_path):
+def test_trajectory_csv_layout(smoke_report, barrier_pair, p_ref, tmp_path):
+    """The CSV holds every 8th point of every 10th mid frame: its w column
+    is those values of the kept frames of the mid run solved alone."""
     path = tmp_path / "traj.csv"
-    uniform_traj.to_csv(str(path))
+    smoke_report.to_csv(str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,s,xi,w,u,log10_u"
-    n_frames = len(range(0, len(uniform_traj.deltas), 10))
-    n_cols = len(range(0, len(uniform_traj.xi), 8))
+    mid = smoke_report.runs["mid"]
+    n_frames = len(range(0, mid.frames, 10))
+    n_cols = len(range(0, len(mid.xi), 8))
     assert len(lines) == 1 + n_frames * n_cols
+    traj = _lone_mid_run(barrier_pair, p_ref, mid.xi, 10.6)
+    w = [float(line.split(",")[3]) for line in lines[1:]]
+    assert w == traj.W[::10, ::8].ravel().tolist()
     first = path.read_bytes()
-    uniform_traj.to_csv(str(path))
+    smoke_report.to_csv(str(path))
     assert path.read_bytes() == first
 
 
-def test_trajectory_csv_creates_missing_directory(uniform_traj, tmp_path):
+def test_trajectory_csv_creates_missing_directory(smoke_report, tmp_path):
     # a fresh --out directory must not lose the artifact after the solve
     path = tmp_path / "fresh" / "traj.csv"
-    uniform_traj.to_csv(str(path))
-    uniform_traj.to_csv(str(tmp_path / "traj.csv"))
+    smoke_report.to_csv(str(path))
+    smoke_report.to_csv(str(tmp_path / "traj.csv"))
     assert path.read_bytes() == (tmp_path / "traj.csv").read_bytes()
 
 
@@ -103,18 +147,25 @@ def test_manufactured_convergence_second_order(p_ref):
 
 def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     """The sandwich tolerance is the safety factor 5 times the normalized
-    error of the manufactured calibration run on the sandwich grid."""
+    error of the manufactured calibration run on the sandwich grid, its
+    maximum over every frame, reduced as each frame is accepted."""
     report = comparison_sandwich(
         *barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=200, dtau=0.01
     )
     ds = math.exp(-TAU0)
     xi = np.linspace(-10.0, 40.0, 201)
+    kw = dict(delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01)
     run, error = pde._manufactured_row(p_ref, xi, ds)
-    (traj,) = pde._solve_rows(
-        p_ref, xi, [run], delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01
+    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(run.w0, run.bc, run.source)], **kw)
+    W_exact, _ = make_manufactured(p_ref)
+    worst = max(
+        float(np.max(np.abs(W - W_exact(xi, delta)))) / delta ** (1.0 + p_ref.gamma)
+        for delta, W in zip(traj.deltas, traj.W)
     )
-    assert error(traj) > 0.0
-    assert report.tol_rel == 5.0 * error(traj)
+    assert worst > 0.0
+    assert report.tol_rel == 5.0 * worst
+    pde._solve_rows(p_ref, xi, [run], **kw)
+    assert error() == worst
 
 
 def test_solver_input_guards(p_ref):
@@ -195,17 +246,18 @@ def test_log_u_core_limit(barrier_pair, p_ref):
     assert core_law_error(minus, -20.0) < 1e-12
 
 
-def test_sandwich_smoke(barrier_pair):
+def test_sandwich_smoke(smoke_report):
     """Short window: ordering holds; fits degrade to NaN below two decades."""
-    report = comparison_sandwich(
-        *barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01
-    )
+    report = smoke_report
     assert report.passed
     assert report.tol_rel > 0.0
     assert report.max_overshoot <= report.tol_rel
     assert report.max_undershoot <= report.tol_rel
     assert sorted(report.runs) == ["lower", "mid", "upper"]
-    assert report.runs["mid"].W.shape[1] == 401
+    # the runs are on 401 points and keep no deltas and no frames
+    assert report.runs["mid"].xi.shape == (401,)
+    assert all(run.W is None and run.deltas is None for run in report.runs.values())
+    assert [run.frames for run in report.runs.values()] == [63] * 3
     for fit in report.fits.values():
         assert math.isnan(fit["exponent"])
         assert fit["n_points"] == 0
@@ -320,6 +372,30 @@ def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeyp
             pde._tridiagonal_solve(*[np.array(a, dtype=float) for a in bands])
 
 
+def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
+    """A Newton round passes its systems as one stack, one per row: each
+    route gives every row the bits and info of its lone solve, and
+    _tridiagonal_solve answers a singular row with its NewtonDiverged and
+    the other rows with their x."""
+    rng = np.random.default_rng(24)
+    rows = [_bands(rng, 399) for _ in range(5)]
+    rows[2][1][:] = 0.0  # no pivot in the diagonal, sub- or superdiagonal
+    rows[2][0][:] = rows[2][2][:] = 0.0
+    for solve in gtsv_routes:
+        stack = [np.array(band) for band in zip(*rows)]
+        lone = [[a.copy() for a in bands] for bands in rows]
+        infos = solve(*stack)
+        assert infos == [solve(*bands) for bands in lone]
+        assert infos[2] > 0 and infos.count(0) == 4
+        for r in (0, 1, 3, 4):
+            assert all(np.array_equal(a[r], b) for a, b in zip(stack, lone[r]))
+        monkeypatch.setattr(pde, "_gtsv", solve)
+        stack = [np.array(band) for band in zip(*rows)]
+        out = pde._tridiagonal_solve(*stack)
+        assert isinstance(out[2], errors.NewtonDiverged)
+        assert all(np.array_equal(out[r], lone[r][3]) for r in (0, 1, 3, 4))
+
+
 def _refused_bands():
     """(name, bands) that no route may solve: each breaks one requirement."""
     ok = [np.array([1.0, 1.0]), np.full(3, 4.0), np.array([1.0, 1.0]), np.ones(3)]
@@ -424,14 +500,19 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
 
     # gtsv raises on the first Newton system of row 2 alone, and after
     # that on exactly that system; the NaN row stops before any solve
+    # (a round's systems come as one stack, one system per row)
     solve, calls, singular = pde._tridiagonal_solve, [], []
 
     def spy(dl, d, du, b):
         assert np.all(np.isfinite(b))
-        calls.append([a.copy() for a in (dl, d, du, b)])
-        if not singular or all(map(np.array_equal, calls[-1], singular)):
-            raise errors.NewtonDiverged("singular by construction")
-        return solve(dl, d, du, b)
+        results = []
+        for bands in zip(dl, d, du, b):
+            calls.append([a.copy() for a in bands])
+            if not singular or all(map(np.array_equal, calls[-1], singular)):
+                results.append(errors.NewtonDiverged("singular by construction"))
+            else:
+                results.append(solve(*bands))
+        return results
 
     rhs, bands = pde._rhs, pde._jac_bands
 
@@ -484,9 +565,11 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
     xi = np.linspace(-10.0, 40.0, 201)
 
     def runs():
+        # the rows without their consumers, so that every frame is kept
         calibration, _ = pde._manufactured_row(p_ref, xi, ds)
         deltas = pde._planned_deltas(ds, de, 0.01)
-        return [calibration, *pde._sandwich_rows(*barrier_pair, xi, deltas).values()]
+        rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
+        return [pde._Run(r.w0, r.bc, r.source) for r in (calibration, *rows.values())]
 
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     together = pde._solve_rows(p_ref, xi, runs(), **kw)
@@ -684,8 +767,8 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
     def patched(p, xi, runs, **kw):
         runs = list(runs)
         for row, n_call in ((late, 12), (early, 2)):
-            runs[row] = pde._Run(
-                runs[row].w0, failing(runs[row].bc, names[row], n_call), runs[row].source
+            runs[row] = dataclasses.replace(
+                runs[row], bc=failing(runs[row].bc, names[row], n_call)
             )
         return solve_rows(p, xi, runs, **kw)
 
@@ -749,19 +832,23 @@ def _end_values(barrier_pair, p, delta):
 
 
 def test_lagging_row_reuses_the_barrier_end_values(barrier_pair, p_ref, monkeypatch):
-    """The end values of every planned delta are evaluated before any step:
-    a mid row one round behind the upper row reads its values without a
-    barrier evaluation, bit for bit as two-point _barrier_W calls give them."""
-    xi = np.linspace(-10.0, 40.0, 201)
+    """A block of planned deltas is evaluated once, when the first row
+    reaches it: a mid row one round behind the upper row, which has
+    entered the next block, reads the last delta of the block before
+    without a barrier evaluation, bit for bit as two-point _barrier_W
+    calls give the values."""
+    xi = np.linspace(-10.0, 40.0, 401)
     deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
-    rows = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    size = pde._BLOCK_POINTS // len(xi)  # planned deltas per block
+    assert len(deltas) > size
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
     evaluated = []
     barrier_W = pde._barrier_W
     monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(a) or barrier_W(*a))
-    d1, d2 = deltas[1], deltas[2]
+    d1, d2 = deltas[size - 1], deltas[size]  # the last of block 0, the first of block 1
     upper = [rows["upper"].bc(d1), rows["upper"].bc(d2)]
     mid = rows["mid"].bc(d1)  # one round behind the upper row
-    assert evaluated == []
+    assert [list(a[2]) for a in evaluated] == [deltas[size:2 * size]] * 2  # block 1, per barrier
     monkeypatch.setattr(pde, "_barrier_W", barrier_W)
     want = _end_values(barrier_pair, p_ref, d1)
     assert upper[0] == want["upper"] and mid == want["mid"]
@@ -769,38 +856,52 @@ def test_lagging_row_reuses_the_barrier_end_values(barrier_pair, p_ref, monkeypa
 
 
 def test_end_table_equals_two_point_barrier_values(barrier_pair, p_ref):
-    """Every planned delta's end values, for every row, equal two-point
-    _barrier_W evaluations, bit for bit."""
+    """Every planned delta's end values, for every row, read from the end
+    columns of the barrier blocks, equal two-point _barrier_W evaluations,
+    bit for bit."""
     xi = np.linspace(-10.0, 40.0, 201)
     deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
-    assert len(deltas) == 63
-    rows = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    assert len(deltas) == 63 > pde._BLOCK_POINTS // len(xi)  # more than one block
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
     for delta in deltas[1:]:
         want = _end_values(barrier_pair, p_ref, delta)
         assert {kind: run.bc(delta) for kind, run in rows.items()} == want
 
 
-def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref):
+def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monkeypatch):
     """A rejected step (a negative end value, as in
     test_rejected_row_keeps_its_own_steps) takes the lower row off the
-    planned deltas; its end values there come from their own evaluation and
-    equal two-point _barrier_W values, and its frames hold them."""
+    planned deltas; its end values there come from their own evaluation,
+    once per barrier and delta, and equal two-point _barrier_W values, and
+    its frames hold them."""
     ds, de = math.exp(-TAU0), math.exp(-10.1)
     xi = np.linspace(-10.0, 40.0, 201)
     deltas = pde._planned_deltas(ds, de, 0.01)
-    lower = pde._sandwich_rows(*barrier_pair, xi, deltas)["lower"]
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    lower = rows["lower"]
     read = {}
 
     def flaky(delta):
         read[delta] = lower.bc(delta)
         return (-1.0, read[delta][1]) if len(read) == 3 else read[delta]
 
+    own = []  # the deltas of evaluations at a single delta
+    barrier_W = pde._barrier_W
+
+    def counted(bar, x, at, p):
+        if len(at) == 1:
+            own.append(at[0])
+        return barrier_W(bar, x, at, p)
+
+    monkeypatch.setattr(pde, "_barrier_W", counted)
     (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(lower.w0, flaky)],
                               delta_start=ds, delta_end=de, dtau=0.01)
+    monkeypatch.setattr(pde, "_barrier_W", barrier_W)
     assert traj.step_rejections == 1
     planned = set(deltas)
     off = [d for d in traj.deltas[1:].tolist() if d not in planned]
     assert len(off) >= 5
+    assert own == [d for d in read if d not in planned for _ in range(2)]
     for delta in off:
         assert read[delta] == _end_values(barrier_pair, p_ref, delta)["lower"]
     for delta, W in zip(traj.deltas[1:].tolist(), traj.W[1:]):
@@ -828,7 +929,7 @@ def test_sandwich_barrier_calls_grow_with_blocks_not_steps(solver_ref, monkeypat
             GluedBarrier(solver, "+", EPS_SMOKE), GluedBarrier(solver, "-", EPS_SMOKE),
             tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01,
         )
-        frames = len(report.runs["mid"].deltas)
+        frames = report.runs["mid"].frames
         return dict(counts), frames, -(-frames // (pde._BLOCK_POINTS // 401))
 
     short, frames, blocks = run(10.6)
@@ -847,7 +948,8 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
     xi = np.linspace(-10.0, 40.0, 401)
     calibration, _ = pde._manufactured_row(p_ref, xi, ds)
     deltas = pde._planned_deltas(ds, de, 0.01)
-    runs = [calibration, *pde._sandwich_rows(*barrier_pair, xi, deltas).values()]
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    runs = [calibration, *rows.values()]
     given = [{} for _ in runs]
 
     def recorded(bc, seen):
@@ -861,6 +963,31 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
     for traj, seen in zip(trajs, given):
         for delta, W in zip(traj.deltas[1:], traj.W[1:]):
             assert (W[0], W[-1]) == tuple(seen[delta])
+
+
+def test_sandwich_memory_grows_by_scalars_not_grid_rows(solver_ref):
+    """Every frame is reduced when it is accepted, so from 63 to 242
+    frames the traced peak of a sandwich run grows by less than a quarter
+    of a grid row (401 points) per added frame; a store of every frame
+    grows by four rows.  Both windows span more than two barrier blocks,
+    so both runs peak while a block is evaluated with one block kept."""
+    def peak(tau_end):
+        solver = MatchingSolver(solver_ref.profile, solver_ref.outer, "psi3")
+        pair = GluedBarrier(solver, "+", EPS_SMOKE), GluedBarrier(solver, "-", EPS_SMOKE)
+        tracemalloc.start()
+        try:
+            report = comparison_sandwich(
+                *pair, tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01
+            )
+            return tracemalloc.get_traced_memory()[1], report.runs["mid"].frames
+        finally:
+            tracemalloc.stop()
+
+    peak(10.6)  # one-time allocations (the gtsv lookup, caches) are not growth
+    (short, n_short), (long, n_long) = peak(10.6), peak(12.4)
+    assert (n_short, n_long) == (63, 242)
+    assert n_short > 2 * (pde._BLOCK_POINTS // 401)
+    assert long - short < (n_long - n_short) * 401 * 8 / 4
 
 
 def test_two_cells_step_one_interior_point(p_ref, d_ref):
