@@ -17,14 +17,15 @@ iteration with an analytic tridiagonal Jacobian and positivity rejection.
 Newton starts from a geometric predictor of the last two frames
 (_predicted); a rejected predicted start is retried cold, and only a
 rejected cold start halves the step.  Each Newton system covers the
-interior points, so the Dirichlet ends keep their values exactly, and
-goes to LAPACK gtsv (_tridiagonal_solve).
+interior points, so the Dirichlet ends keep their values exactly.
 
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array (_solve_rows), each with its own step, theta,
-tolerance and damping and its own gtsv solves, so a run gives the same
-bits alone or beside others.  A row keeps only its last two frames and
-hands every accepted frame, the initial one included, to its run's
+tolerance and damping.  A Newton round passes its rows' systems to LAPACK
+gtsv in one call, as one block-diagonal system with zero couplings
+(_Bands), so a run gives the same bits alone or beside others.  A row
+keeps its last two frames, and F and D1 of the last for its next step,
+and hands every accepted frame, the initial one too, to its run's
 consumer; a run without one keeps every frame.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
@@ -37,7 +38,6 @@ never by grid rows.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import itertools
 import math
@@ -90,9 +90,7 @@ def _rhs(W, dxi, sigma, p):
     sigma is a column of per-row drift speeds.  Returns F with the
     difference stencil (D1, D2) that the Jacobian bands are built from.
     """
-    Wm = W[:, :-2]
-    W0 = W[:, 1:-1]
-    Wp = W[:, 2:]
+    Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
     D1 = (Wp - Wm) / (2.0 * dxi)
     D2 = (Wp - 2.0 * W0 + Wm) / (dxi * dxi)
     F = radial_diffusion(p, W0, D1, D2) - p.d.a0 + sigma * D1
@@ -120,8 +118,16 @@ def _jac_bands(W0, D1, D2, dxi, sigma, p):
     return dF_dm, dF_d0, dF_dp
 
 
-_DOUBLE = np.dtype(np.float64)
 _gtsv = None  # the gtsv route, chosen on the first solve
+
+
+def _route(bind):
+    """A gtsv route route(dl, d, du, b) -> info from bind(dl, d, du, b) ->
+    solve(n) of the leading n unknowns, which it keeps as route.bind."""
+    def route(dl, d, du, b):
+        return bind(dl, d, du, b)(len(d))
+    route.bind = bind
+    return route
 
 
 def _openblas_gtsv():
@@ -129,10 +135,8 @@ def _openblas_gtsv():
 
     The symbol is the ILP64 build's scipy_dgtsv_64_ (64-bit N, NRHS, LDB
     and INFO), looked up through the handle of numpy's linalg extension,
-    whose dependencies dlsym searches too.  The returned solve writes x
-    over b and returns gtsv's info, one per row for a stack, whose rows it
-    finds at offsets from each band's address.
-    """
+    whose dependencies dlsym searches too.  A bound solve keeps the bands'
+    addresses and writes x over b."""
     try:
         fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
     except (OSError, AttributeError):
@@ -142,56 +146,41 @@ def _openblas_gtsv():
     fn.restype = None
     nrhs = ctypes.c_int64(1)
 
-    def solve(dl, d, du, b):
-        n = d.shape[-1]
-        lower, diag, upper, rhs = (a.ctypes.data for a in (dl, d, du, b))
-        offdiag_row, row = 8 * (n - 1), 8 * n  # bytes per row of a band
-        size, info, infos = ctypes.c_int64(n), ctypes.c_int64(), []
-        for r in range(len(d) if d.ndim == 2 else 1):
-            fn(size, nrhs, lower + r * offdiag_row, diag + r * row,
-               upper + r * offdiag_row, rhs + r * row, size, info)
-            infos.append(info.value)
-        return infos if d.ndim == 2 else infos[0]
+    def bind(dl, d, du, b):
+        bands, info = [band(a.ctypes.data) for a in (dl, d, du, b)], ctypes.c_int64()
 
-    return solve
+        def solve(n):
+            size = ctypes.c_int64(n)
+            fn(size, nrhs, *bands, size, info)
+            return info.value
+
+        return solve
+
+    return _route(bind)
 
 
 def _scipy_gtsv():
     """scipy's f2py-wrapped dgtsv in the same form, or None without scipy.
-    The bands pass the wrapper's own checks, so it writes x over b."""
+    The leading bands pass the wrapper's own checks, so it writes x over b."""
     try:
         from scipy.linalg.lapack import dgtsv
     except ImportError:
         return None
 
-    def solve(dl, d, du, b):
-        if d.ndim == 2:
-            return [solve(*row) for row in zip(dl, d, du, b)]
-        if len(d) == 1:  # the wrapper wants bands of at least one entry
-            dl, du = np.zeros(1), np.zeros(1)
-        return dgtsv(
-            dl, d, du, b, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
-        )[4]
+    def bind(dl, d, du, b):
+        def solve(n):  # the wrapper wants off-diagonal bands of at least one entry
+            lower, upper = (dl[:n - 1], du[:n - 1]) if n > 1 else (np.zeros(1), np.zeros(1))
+            return dgtsv(lower, d[:n], upper, b[:n], overwrite_dl=1, overwrite_d=1,
+                         overwrite_du=1, overwrite_b=1)[4]
+        return solve
 
-    return solve
+    return _route(bind)
 
 
-def _singular(info):
-    return errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
-
-
-def _tridiagonal_solve(dl, d, du, b):
-    """LAPACK gtsv solve of (dl, d, du) x = b, overwriting all four.
-
-    1-D bands: returns b, which holds x; a zero pivot raises
-    NewtonDiverged.  2-D bands, one system per row: returns per row x or
-    its NewtonDiverged.  The first solve picks the route, numpy's bundled
-    OpenBLAS through ctypes, else scipy's dgtsv (same bits); with neither,
-    LapackUnavailable names both.  Bands that are not C-contiguous,
-    aligned, writeable float64 arrays of lengths N - 1, N, N - 1 and N are
-    refused with ValueError: raw pointers would misread them and scipy's
-    wrapper would solve a copy.
-    """
+def _lapack():
+    """The gtsv route, picked on the first call: numpy's bundled OpenBLAS
+    through ctypes, else scipy's dgtsv (same bits); with neither,
+    LapackUnavailable names both."""
     global _gtsv
     if _gtsv is None:
         _gtsv = _openblas_gtsv() or _scipy_gtsv()
@@ -200,21 +189,57 @@ def _tridiagonal_solve(dl, d, du, b):
                 "no LAPACK dgtsv: numpy's bundled OpenBLAS has no scipy_dgtsv_64_ "
                 "and scipy.linalg.lapack cannot be imported"
             )
-    shape = d.shape
+    return _gtsv
+
+
+def _tridiagonal_solve(dl, d, du, b):
+    """LAPACK gtsv solve of (dl, d, du) x = b, overwriting all four; returns
+    b, which holds x, and raises NewtonDiverged on a zero pivot.  Bands that
+    are not C-contiguous, aligned, writeable float64 1-D arrays of lengths
+    N - 1, N, N - 1 and N are refused with ValueError: raw pointers would
+    misread them and scipy's wrapper would solve a copy.
+    """
+    solve = _lapack()
     if not (
-        d.ndim in (1, 2) and b.shape == shape
-        and dl.shape == du.shape == shape[:-1] + (shape[-1] - 1,)
-        and dl.dtype == d.dtype == du.dtype == b.dtype == _DOUBLE
+        d.ndim == 1 and b.shape == d.shape and dl.shape == du.shape == (len(d) - 1,)
+        and dl.dtype == d.dtype == du.dtype == b.dtype == np.float64
         and dl.flags.carray and d.flags.carray and du.flags.carray and b.flags.carray
     ):
-        raise ValueError("gtsv takes C-contiguous, aligned, writeable float64 bands "
-                         "of lengths N - 1, N, N - 1 and N, 1-D or one system per row")
-    info = _gtsv(dl, d, du, b)
-    if d.ndim == 2:
-        return [x if i == 0 else _singular(i) for x, i in zip(b, info)]
+        raise ValueError("gtsv takes C-contiguous, aligned, writeable float64 1-D bands "
+                         "of lengths N - 1, N, N - 1 and N")
+    info = solve(dl, d, du, b)
     if info != 0:
-        raise _singular(info)
+        raise errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
     return b
+
+
+class _Bands:
+    """Newton systems of up to `rows` rows of n unknowns as one block-diagonal
+    system with gtsv bound to it: row j's bands are dl[j, :-1], d[j],
+    du[j, :-1] and b[j], and the couplings dl[j, -1], du[j, -1] are exactly
+    zero, so each row gets the bits of its lone solve, up to signs of 0."""
+
+    def __init__(self, rows, n):
+        self.dl, self.d, self.du, self.b = (np.zeros((rows, n)) for _ in range(4))
+        self.gtsv = _lapack().bind(*(a.reshape(-1) for a in (self.dl, self.d, self.du, self.b)))
+
+    def solve(self, r, fill):
+        """x of the leading r systems, which fill(dl, d, du, b) writes, from
+        one gtsv call; after a zero pivot (gtsv stops there) or a non-finite
+        x (it crosses the couplings), each row's lone x or NewtonDiverged."""
+        bands = self.dl[:r, :-1], self.d[:r], self.du[:r, :-1], self.b[:r]
+        fill(*bands)
+        if self.gtsv(r * self.d.shape[1]) == 0 and np.isfinite(bands[3]).all():
+            return bands[3]
+        fill(*bands)
+        self.dl[:, -1] = self.du[:, -1] = 0.0
+        out = []
+        for row in zip(*bands):
+            try:
+                out.append(_tridiagonal_solve(*row))
+            except errors.NewtonDiverged as exc:
+                out.append(exc)
+        return out
 
 
 def _column(values) -> np.ndarray:
@@ -224,37 +249,32 @@ def _column(values) -> np.ndarray:
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
-def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start):
+def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, bands, start):
     """One theta-weighted implicit step for every row of W_old.
 
     Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
-    Dirichlet values ends[i] = (W_lo, W_hi) at delta_new[i] and the optional
-    extra right-hand side sources[i].  Its Newton iteration starts from the
-    positive row start[i] with the Dirichlet values put at its ends, and
-    each Newton system covers the interior points only, so the ends keep
-    those values exactly.  Every per-row scalar (step, drift speed,
-    tolerance, damping) is a Python float computed as for a lone run.  The
-    Jacobian bands are built for the rows that take a Newton solve only;
-    the other array stages (residual, trial iterate) run on the whole
-    array and each update writes only the rows it selects: a row that is
-    not being tried keeps its positive iterate (damping 0, zero step), a
-    trial row that is not positive falls back to its iterate before the
-    residual, and a row's source is called only when that row is tried.
-    The Newton systems of a round go to _tridiagonal_solve as one stack,
-    one gtsv solve per row, so a row's bits do not depend on the others.  A
-    row whose residual is not finite stops with NonFinite before its next
-    solve.  Returns per row (W_new, iterations), or the NewtonDiverged,
-    PositivityLost or NonFinite that rejected its step.
+    Dirichlet values ends[i] = (W_lo, W_hi) and the optional extra
+    right-hand side sources[i](delta_new[i]), called once.  old = (F_old,
+    D1_old) are F, sources added, and D1 of W_old.  Newton starts from the
+    positive start[i] with the Dirichlet values at its ends; its systems
+    cover the interior points only.  Every per-row scalar (step, drift
+    speed, tolerance, damping) is a Python float computed as for a lone
+    run.  The array stages run on all rows and each update writes only the
+    rows it selects: a row not being tried keeps its positive iterate, and
+    a trial row that is not positive falls back to its iterate.  A round's
+    Newton systems go to gtsv as one system in bands (a _Bands).  A row
+    whose residual is not finite stops with NonFinite before its next
+    solve.  Returns per row (W_new, iterations, F_new, D1_new), the next
+    step's old, or the error that rejected its step.
     """
     k, M = W_old.shape
     out = [None] * k
     dt = [a - b for a, b in zip(delta_old, delta_new)]
     sigma_old = _column([_drift_speed(p, x) for x in delta_old])
     sigma_new = _column([_drift_speed(p, x) for x in delta_new])
-    F_old, D1_old, _ = _rhs(W_old, dxi, sigma_old, p)
-    for i, source in enumerate(sources):
-        if source is not None:
-            F_old[i] += source(W_old[i], delta_old[i])[1:-1]
+    F_old, D1_old = old
+    sourced = [(i, source(x)[1:-1])
+               for i, (source, x) in enumerate(zip(sources, delta_new)) if source is not None]
     dt_col, theta_col = _column(dt), _column(theta)
     # the Newton matrix I - dt*theta*J_F takes these per-row factors
     jac_neg = _column([-h * t for h, t in zip(dt, theta)])
@@ -279,20 +299,18 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
     tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f), g)
            for w, h, f, g in zip(w_scale, dt, f_scale, floor)]
 
-    def residual(X, tried):
-        """G on the interior points of every row of X and its stencil
-        (D1, D2); sources on tried rows.  The ends hold their Dirichlet
-        values exactly, so their residual is 0 and is not formed."""
-        F_new, D1, D2 = _rhs(X, dxi, sigma_new, p)
-        for i, source in enumerate(sources):
-            if source is not None and tried[i]:
-                F_new[i] += source(X[i], delta_new[i])[1:-1]
-        G = X[:, 1:-1] - W_old_in - dt_col * (theta_col * F_new + F_old_part)
-        return G, D1, D2
+    def residual(X):
+        """G on the interior points of every row of X, its F and stencil
+        (D1, D2).  The ends hold their Dirichlet values exactly, so their
+        residual is 0 and is not formed."""
+        F, D1, D2 = _rhs(X, dxi, sigma_new, p)
+        for i, S in sourced:
+            F[i] += S
+        return X[:, 1:-1] - W_old_in - dt_col * (theta_col * F + F_old_part), F, D1, D2
 
     X = np.array(start, dtype=float)
     X[:, [0, -1]] = ends
-    G, D1, D2 = residual(X, [True] * k)
+    G, F, D1, D2 = residual(X)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
     step = np.zeros_like(X)  # nonzero only on rows in a line search
@@ -302,11 +320,10 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
             if out[i] is not None:
                 continue
             if G_norm[i] <= tol[i]:
-                out[i] = (X[i], its[i])
+                out[i] = (X[i], its[i], F[i], D1[i])
             elif not math.isfinite(G_norm[i]):
                 out[i] = errors.NonFinite(
-                    f"Newton residual not finite at delta = {delta_new[i]:.6e}"
-                )
+                    f"Newton residual not finite at delta = {delta_new[i]:.6e}")
             elif its[i] >= _NEWTON_MAX:
                 out[i] = errors.NewtonDiverged(
                     f"Newton stalled at |G| = {G_norm[i]:.3e} "
@@ -322,11 +339,15 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
         # iterating rows only; the ends keep their Dirichlet values, so
         # their step is exactly 0
         rows = slice(None) if len(iterating) == k else iterating
-        dm, d0, dp = _jac_bands(X[rows, 1:-1], D1[rows], D2[rows], dxi, sigma_new[rows], p)
-        dl = jac_neg[rows] * dm[:, 1:]
-        diag = 1.0 - jac_pos[rows] * d0
-        du = jac_neg[rows] * dp[:, :-1]
-        for i, x in zip(iterating, _tridiagonal_solve(dl, diag, du, -G[rows])):
+
+        def fill(dl, diag, du, b):
+            dm, d0, dp = _jac_bands(X[rows, 1:-1], D1[rows], D2[rows], dxi, sigma_new[rows], p)
+            np.multiply(jac_neg[rows], dm[:, 1:], out=dl)
+            np.subtract(1.0, np.multiply(jac_pos[rows], d0, out=diag), out=diag)
+            np.multiply(jac_neg[rows], dp[:, :-1], out=du)
+            np.negative(G[rows], out=b)
+
+        for i, x in zip(iterating, bands.solve(len(iterating), fill)):
             if isinstance(x, errors.NewtonDiverged):
                 out[i], lam[i] = x, 0.0
             else:
@@ -340,8 +361,8 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
                 np.copyto(X_try, X, where=~np.array(positive)[:, None])
             tried = [ok and t > 0.0 for ok, t in zip(positive, lam)]
             if any(tried):
-                G_try, D1_try, D2_try = residual(X_try, tried)
-                G_try_norm = np.abs(G_try).max(axis=1).tolist()
+                trial = residual(X_try)
+                G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
             taken = [False] * k
             for i in range(k):
                 if not lam[i]:
@@ -357,10 +378,10 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, start)
                     ), 0.0
                 step[i] = 0.0  # the row leaves the line search
             if all(taken):  # no row has finished, so no result views the old X
-                X, G, D1, D2 = X_try, G_try, D1_try, D2_try
+                X, (G, F, D1, D2) = X_try, trial
             elif any(taken):
                 taken = np.array(taken)[:, None]
-                for a, a_try in ((X, X_try), (G, G_try), (D1, D1_try), (D2, D2_try)):
+                for a, a_try in zip((X, G, F, D1, D2), (X_try, *trial)):
                     np.copyto(a, a_try, where=taken)
 
 
@@ -379,9 +400,10 @@ class _Kept:
 @dataclass
 class _Run:
     """One row of a joint solve: initial data on the grid, bc(delta) ->
-    (W_lo, W_hi), an optional extra right-hand side source(W, delta), and
-    an optional consume(delta, W) of each accepted frame (the initial one
-    too; W is overwritten two frames later, so copy what is kept)."""
+    (W_lo, W_hi), an optional extra right-hand side source(delta) on the
+    grid, evaluated once per step attempt and once for the initial frame,
+    and an optional consume(delta, W) of each accepted frame (the initial
+    one too; W is overwritten two frames later, so copy what is kept)."""
 
     w0: np.ndarray
     bc: object
@@ -422,14 +444,18 @@ def _planned_deltas(delta_start, delta_end, dtau) -> list:
     return deltas
 
 
-def _predicted(W, W_prev, delta, delta_prev, delta_new):
-    """The geometric predictor W (W / W_prev)^r of the row at delta_new,
-    r = log(delta_new / delta) / log(delta / delta_prev), or W itself where
-    that is not finite and positive."""
-    r = math.log(delta_new / delta) / math.log(delta / delta_prev)
+def _predicted(W, W_prev, r):
+    """The geometric predictor W (W / W_prev)^r of each row at its next
+    delta, r = log(delta_new / delta) / log(delta / delta_prev) per row, or
+    the row of W where that is not finite and positive.  r = 0 gives W."""
     with np.errstate(over="ignore"):
-        guess = W * (W / W_prev) ** r
-    return guess if np.all((guess > 0.0) & (guess < math.inf)) else W
+        ratio = W / W_prev
+        guess = W * ratio ** _column(r)
+        for j, x in enumerate(r):
+            if x in (0.5, 2.0):  # numpy takes a lone row's power as sqrt, square
+                guess[j] = W[j] * ratio[j] ** x
+    np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
+    return guess
 
 
 def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
@@ -440,14 +466,16 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     Each round, every unfinished row tries one step from its own delta.
     Newton starts from the geometric predictor of the row's last two
     frames, the only ones it keeps (each accepted frame goes to its run's
-    consumer); the row's first step, and the retry after a predicted start
-    is rejected, start cold from the last frame.  A row whose cold step is
-    rejected halves its own step and retries in the next round while the
-    other rows go on; so does a row whose end values are not finite and
-    positive, since no start changes those.  It stops with the rejection
-    once the step falls below 1e-6 of delta, with StepUnderflow once the
-    step budget is spent, with any FdelabError its bc raises, or at once
-    with a NonFinite step result.
+    consumer), formed for all rows at once; the row's first step, and the
+    retry after a predicted start is rejected, start cold from the last
+    frame (r = 0).  F and D1 of a row's last frame, which the step that
+    accepted it handed back, serve every attempt from it.  A row whose
+    cold step is rejected halves its own step and retries in the next
+    round while the other rows go on; so does a row whose end values are
+    not finite and positive, since no start changes those.  It stops with
+    the rejection once the step falls below 1e-6 of delta, with
+    StepUnderflow once the step budget is spent, with any FdelabError its
+    bc raises, or at once with a NonFinite step result.
     """
     if not (0.0 < delta_end < delta_start):
         raise errors.InvalidParameter("need 0 < delta_end < delta_start")
@@ -455,7 +483,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     R, M = len(runs), len(xi)
     out = [None] * R
     consume = [_Kept() if run.consume is None else run.consume for run in runs]
-    frames = np.empty((R, 2, M))  # frame n of row i at frames[i, n % 2]
+    frames = np.ones((R, 2, M))  # frame n of row i at frames[i, n % 2]; unset slots stay finite
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
         if w0.shape != xi.shape:
@@ -465,6 +493,13 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         else:
             frames[i, 0] = w0
             consume[i](delta_start, frames[i, 0])
+    live = [i for i in range(R) if out[i] is None]
+    # F, sources added, and D1 of row i's last frame
+    old = np.stack(_rhs(frames[:, 0], dxi, _column([_drift_speed(p, delta_start)] * R), p)[:2], 1)
+    for i in live:
+        if runs[i].source is not None:
+            old[i, 0] += runs[i].source(delta_start)[1:-1]
+    bands = _Bands(R, M - 2)
     # row i: n[i] frames so far; deltas[i] holds its last one or two deltas
     n = [1] * R
     deltas = [[delta_start] for _ in range(R)]
@@ -473,7 +508,6 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     cold = [True] * R  # the row's next attempt starts from its last frame
     theta = [0.0] * R
     iters_max, iters, rejections, retries = [0] * R, [0] * R, [0] * R, [0] * R
-    live = [i for i in range(R) if out[i] is None]
     while True:
         for i in live:
             delta = deltas[i][-1]
@@ -499,28 +533,20 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             return out
         # an end value that is not a finite positive number rejects the
         # step before Newton, which could leave a nearby positive value
-        results = {
-            i: errors.PositivityLost(
-                f"end values {ends[i]} not finite and positive at delta = {delta_new[i]:.6e}"
-            )
-            for i in live
-            if not all(0.0 < e < math.inf for e in ends[i])
-        }
+        results = {i: errors.PositivityLost(
+            f"end values {ends[i]} not finite and positive at delta = {delta_new[i]:.6e}"
+        ) for i in live if not all(0.0 < e < math.inf for e in ends[i])}
         bad_ends = set(results)
         stepped = [i for i in live if i not in results]
         if stepped:
-            last = np.stack([frames[i, (n[i] - 1) % 2] for i in stepped])
-            start = np.stack([
-                W if cold[i] else _predicted(
-                    W, frames[i, n[i] % 2], deltas[i][-1], deltas[i][-2],
-                    delta_new[i],
-                )
-                for i, W in zip(stepped, last)
-            ])
+            last = frames[stepped, [(n[i] - 1) % 2 for i in stepped]]
+            r = [0.0 if cold[i] else math.log(delta_new[i] / deltas[i][-1])
+                 / math.log(deltas[i][-1] / deltas[i][-2]) for i in stepped]
             results.update(zip(stepped, _step_rows(
                 last, [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
                 [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
-                [runs[i].source for i in stepped], start,
+                [runs[i].source for i in stepped], (old[stepped, 0], old[stepped, 1]), bands,
+                _predicted(last, frames[stepped, [n[i] % 2 for i in stepped]], r),
             )))
         for i in live:
             res = results[i]
@@ -535,17 +561,17 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
-            W_new, its = res
+            frames[i, n[i] % 2], its, old[i, 0], old[i, 1] = res
             attempt[i], cold[i] = None, False
             iters_max[i] = max(iters_max[i], its)
             iters[i] += its
-            frames[i, n[i] % 2] = W_new
             deltas[i] = [deltas[i][-1], delta_new[i]]
             consume[i](delta_new[i], frames[i, n[i] % 2])
             n[i] += 1
             if n[i] > _STEP_BUDGET + 1:
                 out[i] = errors.StepUnderflow("step budget exhausted")
         live = [i for i in live if out[i] is None]
+        del results, res  # their views would keep this round's arrays alive
 
 
 def _check_window(n_cells, dtau):
@@ -572,20 +598,18 @@ def solve_radial_fde(
     """Integrate the comoving equation from delta_start down to delta_end.
 
     w0(xi) gives initial data, bc(delta) -> (W_lo, W_hi) the Dirichlet
-    values, source(W, delta) an optional extra right-hand side on the grid.
-    The first four steps use backward Euler at half the step to damp the
+    values, source(delta) an optional extra right-hand side on the grid,
+    evaluated once per step attempt, so it cannot depend on W.  The first
+    four steps use backward Euler at half the step to damp the
     non-equilibrium transient; afterwards the scheme is trapezoidal.
-    Newton starts from the predictor of the last two frames.  Newton
-    failures (no convergence in 12 iterations) and positivity failures of
-    a predicted start retry the step cold from the last frame; those of a
-    cold start halve the step before giving up, and so does an end value
-    that is not finite and > 0, before any Newton iteration.  A
-    Newton residual that is not finite raises NonFinite at once.
-    n_cells < 2 or a dtau that is not a finite step > 0 raises
-    InvalidParameter before the grid is built.  This is the one-row case
-    of the joint solve that comparison_sandwich uses, so a run gives the
-    same bits alone or as a row beside others; the Trajectory keeps every
-    delta and frame.
+    Newton failures (no convergence in 12 iterations) and positivity
+    failures of a predicted start retry the step cold; those of a cold
+    start halve the step before giving up, and so does an end value that
+    is not finite and > 0.  A Newton residual that is not finite raises
+    NonFinite at once.  n_cells < 2 or a dtau that is not a finite step > 0
+    raises InvalidParameter before the grid is built.  This is the one-row
+    case of the joint solve (_solve_rows) that comparison_sandwich uses;
+    the Trajectory keeps every delta and frame.
     """
     _check_window(n_cells, dtau)
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
@@ -622,7 +646,7 @@ def make_manufactured(p: ModelParams):
         dprof = c2 * k * cos
         d2prof = -c2 * k * k * sin
 
-        def S(_W, delta):
+        def S(delta):
             amp = delta ** (1.0 + p.gamma)
             W = amp * prof
             Wx = amp * dprof
@@ -649,15 +673,10 @@ def _manufactured_row(p: ModelParams, xi, delta_start: float):
         scale = delta ** (1.0 + p.gamma)
         worst = max(worst, float(np.max(np.abs(W - W_exact(xi, delta)))) / scale)
 
-    run = _Run(
-        w0=W_exact(xi, delta_start),
-        bc=lambda delta: (
-            float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
-        ),
-        source=bind(xi),
-        consume=consume,
-    )
-    return run, lambda: worst
+    def bc(delta):
+        return float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
+
+    return _Run(W_exact(xi, delta_start), bc, bind(xi), consume), lambda: worst
 
 
 _SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
@@ -678,13 +697,8 @@ class SandwichReport:
     samples: list = field(default_factory=list)  # (delta, W[::8]) per 10th mid frame
 
     def to_dict(self) -> dict:
-        return {
-            "tol_rel": self.tol_rel,
-            "max_undershoot": self.max_undershoot,
-            "max_overshoot": self.max_overshoot,
-            "passed": self.passed,
-            "fits": self.fits,
-        }
+        keys = ("tol_rel", "max_undershoot", "max_overshoot", "passed", "fits")
+        return {key: getattr(self, key) for key in keys}
 
     def to_csv(self, path: str):
         """Rows (t, s, xi, w, u, log10_u) of the mid run on every 10th frame
@@ -736,6 +750,7 @@ class _BarrierBlocks:
             except errors.FdelabError:
                 pass  # the taus before the failing one stay solved
         self.bars, self.xi, self.deltas = (plus, minus), xi, deltas
+        self.index = {delta: j for j, delta in enumerate(deltas)}
         self.size = max(1, _BLOCK_POINTS // len(xi))  # deltas per block
         self.blocks = {}  # number -> (W_plus, W_minus), or None if it raised
         self.own = {}  # row -> (delta, (W_plus, W_minus))
@@ -746,8 +761,8 @@ class _BarrierBlocks:
 
     def at(self, delta, row):
         """(W_plus, W_minus) on the grid at delta, as row reads them."""
-        j = bisect.bisect_left(self.deltas, -delta, key=lambda planned: -planned)
-        if j < len(self.deltas) and self.deltas[j] == delta:
+        j = self.index.get(delta)
+        if j is not None:
             k, r = divmod(j, self.size)
             if k not in self.blocks:
                 while len(self.blocks) > 1:
@@ -864,11 +879,9 @@ def comparison_sandwich(
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
     _check_window(n_cells, dtau)
     p = plus.outer.p
-    xi1 = plus.xi1
     delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)
-
-    xi = np.linspace(-xi1, 4.0 * xi1, n_cells + 1)
+    xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
     rows, tally = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
     calib, *solved = _solve_rows(
@@ -883,9 +896,7 @@ def comparison_sandwich(
     Wm0, Wp0 = rows["lower"].w0, rows["upper"].w0
     slack = tol_rel * delta_start ** (1.0 + p.gamma)
     if np.any(W0 < Wm0 - slack) or np.any(W0 > Wp0 + slack):
-        raise errors.NotBetweenBarriers(
-            "initial data leaves the barrier sandwich at tau0"
-        )
+        raise errors.NotBetweenBarriers("initial data leaves the barrier sandwich at tau0")
     for res in solved:
         if isinstance(res, errors.FdelabError):
             raise res
@@ -910,13 +921,8 @@ def comparison_sandwich(
         try:
             report.fits[name] = extinction_rate(deltas, amp)
         except errors.InsufficientDecades:
-            report.fits[name] = {
-                "exponent": math.nan,
-                "prefactor_log": math.nan,
-                "stderr": math.inf,
-                "n_points": 0,
-                "decades": span,
-            }
+            report.fits[name] = {"exponent": math.nan, "prefactor_log": math.nan,
+                                 "stderr": math.inf, "n_points": 0, "decades": span}
     return report
 
 
@@ -932,8 +938,7 @@ def extinction_rate(deltas, amplitudes) -> dict:
         raise errors.InsufficientDecades(
             f"trajectory spans {span:.2f} decades of T - t, need {_FIT_DECADES}"
         )
-    cut = deltas.min() * 10.0 ** _FIT_DECADES
-    mask = deltas <= cut
+    mask = deltas <= deltas.min() * 10.0 ** _FIT_DECADES
     x = np.log(deltas[mask])
     y = np.log(amps[mask])
     A = np.column_stack([x, np.ones_like(x)])
@@ -944,13 +949,8 @@ def extinction_rate(deltas, amplitudes) -> dict:
     sigma2 = float(resid @ resid) / dof
     sx2 = float(np.sum((x - x.mean()) ** 2))
     stderr = math.sqrt(sigma2 / sx2) if sx2 > 0 else math.inf
-    return {
-        "exponent": float(coef[0]),
-        "prefactor_log": float(coef[1]),
-        "stderr": stderr,
-        "n_points": n_pts,
-        "decades": span,
-    }
+    return {"exponent": float(coef[0]), "prefactor_log": float(coef[1]), "stderr": stderr,
+            "n_points": n_pts, "decades": span}
 
 
 # -- weak corner term ----------------------------------------------------------

@@ -373,27 +373,53 @@ def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeyp
 
 
 def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
-    """A Newton round passes its systems as one stack, one per row: each
-    route gives every row the bits and info of its lone solve, and
-    _tridiagonal_solve answers a singular row with its NewtonDiverged and
-    the other rows with their x."""
+    """A Newton round passes its systems to gtsv as one block-diagonal
+    system with zero couplings, in one call: on each route, every row
+    gets the bits of its lone solve, on rows that pivot.  A zero pivot in
+    a middle row stops gtsv in that row's block, and a NaN in one row's
+    diagonal spreads over the couplings to every x (and into the couplings
+    themselves); either sends every row to its lone solve, so each row
+    still gets its lone x, or the NewtonDiverged of its lone info, and the
+    couplings are zero again for the next round."""
     rng = np.random.default_rng(24)
-    rows = [_bands(rng, 399) for _ in range(5)]
-    rows[2][1][:] = 0.0  # no pivot in the diagonal, sub- or superdiagonal
-    rows[2][0][:] = rows[2][2][:] = 0.0
-    for solve in gtsv_routes:
-        stack = [np.array(band) for band in zip(*rows)]
-        lone = [[a.copy() for a in bands] for bands in rows]
-        infos = solve(*stack)
-        assert infos == [solve(*bands) for bands in lone]
-        assert infos[2] > 0 and infos.count(0) == 4
-        for r in (0, 1, 3, 4):
-            assert all(np.array_equal(a[r], b) for a, b in zip(stack, lone[r]))
-        monkeypatch.setattr(pde, "_gtsv", solve)
-        stack = [np.array(band) for band in zip(*rows)]
-        out = pde._tridiagonal_solve(*stack)
-        assert isinstance(out[2], errors.NewtonDiverged)
-        assert all(np.array_equal(out[r], lone[r][3]) for r in (0, 1, 3, 4))
+    n = 399
+    regular = [_bands(rng, n) for _ in range(5)]
+    singular = list(regular)  # no pivot in the diagonal, sub- or superdiagonal
+    singular[2] = [np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), regular[2][3]]
+    spread = list(regular)
+    spread[1] = [regular[1][0], regular[1][1].copy(), *regular[1][2:]]
+    spread[1][1][200] = math.nan
+    for route in gtsv_routes:
+        monkeypatch.setattr(pde, "_gtsv", route)
+        for case, first_info in ((regular, 0), (singular, None), (spread, 0)):
+            lone = []
+            for bands in case:
+                work = [a.copy() for a in bands]
+                info = route(*work)
+                lone.append(work[3] if info == 0 else info)
+            if first_info is None:
+                assert lone[2] > 0 and all(isinstance(x, np.ndarray) for x in lone[:2] + lone[3:])
+                first_info = 2 * n + lone[2]  # the zero pivot, counted from row 0
+            block, infos = pde._Bands(5, n), []
+            gtsv = block.gtsv
+            block.gtsv = lambda size: infos.append((size, gtsv(size))) or infos[-1][1]
+
+            def fill(dl, d, du, b):
+                for j, bands in enumerate(case):
+                    for band, a in zip((dl[j], d[j], du[j], b[j]), bands):
+                        band[:] = a
+
+            out = block.solve(5, fill)
+            assert infos == [(5 * n, first_info)]
+            if case is spread:
+                assert np.isnan(lone[1]).any() and not np.isnan(lone[0]).any()
+            for x, want in zip(out, lone):
+                if isinstance(want, int):
+                    assert isinstance(x, errors.NewtonDiverged), x
+                    assert str(x).endswith(f"(gtsv info {want})")
+                else:
+                    assert np.array_equal(x, want, equal_nan=True)
+            assert not block.dl[:, -1].any() and not block.du[:, -1].any()
 
 
 def _refused_bands():
@@ -457,7 +483,7 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
     monkeypatch.setattr(pde, "_jac_bands", singular_bands)
     (res,) = pde._step_rows(
         np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, [None],
-        np.ones((1, 9)),
+        (np.ones((1, 7)), np.zeros((1, 7))), pde._Bands(1, 7), np.ones((1, 9)),
     )
     assert isinstance(res, errors.NewtonDiverged)
 
@@ -467,9 +493,10 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
 def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     """A healthy row, a NaN source, a singular Newton system and a full
     Newton step that leaves positivity, stepped in one call: each row ends
-    as it does alone, its source is called as often, only finite positive
-    iterates reach the shared array stages, the NaN row stops with
-    NonFinite before any solve, and no warning escapes."""
+    as it does alone, its source is called as often (once per step, and
+    once here for the F it carries in), only finite positive iterates
+    reach the shared array stages, the NaN row stops with NonFinite before
+    any solve, and no warning escapes."""
     a0, ds = d_ref.a0, math.exp(-10.0)
     dn = ds * (1.0 - 0.005)
     uniform = a0 * ds * np.ones(101)
@@ -477,9 +504,9 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     dipped[50] *= 3e-4  # the full Newton step overshoots below zero here
     nan_calls = []
 
-    def nan_source(W, delta):
+    def nan_source(delta):
         nan_calls.append(delta)
-        return np.full_like(W, math.nan)
+        return np.full(101, math.nan)
 
     rows = [  # (W_old, ends, source)
         (uniform, (a0 * dn, a0 * dn), None),
@@ -493,26 +520,37 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             W_old = np.stack([r[0] for r in rows])
+            sources = [r[2] for r in rows]
+            # F (sources added) and D1 of W_old, as a solve carries them in
+            F, D1, _ = pde._rhs(W_old, 0.4, np.full((n, 1), pde._drift_speed(p_ref, ds)), p_ref)
+            for i, source in enumerate(sources):
+                if source is not None:
+                    F[i] += source(ds)[1:-1]
             return pde._step_rows(
                 W_old, [ds] * n, [dn] * n, [1.0] * n,
-                [r[1] for r in rows], 0.4, p_ref, [r[2] for r in rows], W_old,
+                [r[1] for r in rows], 0.4, p_ref, sources, (F, D1), pde._Bands(n, 99), W_old,
             )
 
-    # gtsv raises on the first Newton system of row 2 alone, and after
-    # that on exactly that system; the NaN row stops before any solve
-    # (a round's systems come as one stack, one system per row)
-    solve, calls, singular = pde._tridiagonal_solve, [], []
+    # gtsv finds the first Newton system of row 2 alone singular, and after
+    # that exactly that system, wherever it sits in a round's block of
+    # systems (99 interior points per row); the NaN row stops before any
+    # solve
+    route, solve, calls, singular = pde._lapack(), pde._tridiagonal_solve, [], []
 
-    def spy(dl, d, du, b):
-        assert np.all(np.isfinite(b))
-        results = []
-        for bands in zip(dl, d, du, b):
-            calls.append([a.copy() for a in bands])
-            if not singular or all(map(np.array_equal, calls[-1], singular)):
-                results.append(errors.NewtonDiverged("singular by construction"))
-            else:
-                results.append(solve(*bands))
-        return results
+    def spy_bind(dl, d, du, b):
+        gtsv = route.bind(dl, d, du, b)
+
+        def spied(size):
+            assert np.all(np.isfinite(b[:size]))
+            for j in range(0, size, 99):
+                calls.append([dl[j:j + 98].copy(), d[j:j + 99].copy(),
+                              du[j:j + 98].copy(), b[j:j + 99].copy()])
+                if not singular or all(map(np.array_equal, calls[-1], singular)):
+                    for band, length in ((dl, 98), (d, 99), (du, 98)):
+                        band[j:j + length] = 0.0
+            return gtsv(size)
+
+        return spied
 
     rhs, bands = pde._rhs, pde._jac_bands
 
@@ -524,7 +562,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         assert all(np.all(np.isfinite(a)) for a in (W0, D1, D2)) and np.all(W0 > 0.0)
         return bands(W0, D1, D2, *args)
 
-    monkeypatch.setattr(pde, "_tridiagonal_solve", spy)
+    monkeypatch.setattr(pde, "_gtsv", pde._route(spy_bind))
     monkeypatch.setattr(pde, "_rhs", checked_rhs)
     monkeypatch.setattr(pde, "_jac_bands", checked_bands)
     (singular_alone,) = step([rows[2]])
@@ -680,9 +718,9 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
         attempts.append(args[2])
         return step_rows(*args)
 
-    def nan_source(W, delta):
+    def nan_source(delta):
         sources.append(delta)
-        return np.full_like(W, math.nan)
+        return np.full(101, math.nan)
 
     monkeypatch.setattr(pde, "_step_rows", counted)
     with pytest.raises(errors.NonFinite, match="not finite"):
@@ -691,8 +729,8 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
             dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
             bc=lambda delta: (a0 * delta, a0 * delta), source=nan_source,
         )
-    # one attempt, at the warmup step 0.005: the source at the old delta
-    # and at the new one
+    # one attempt, at the warmup step 0.005: the source at the initial
+    # frame, for the F it carries in, and once at the new delta
     assert attempts == [[ds * (1.0 - 0.005)]]
     assert sources == [ds, ds * (1.0 - 0.005)]
 
@@ -779,6 +817,23 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
         )
 
 
+def test_predictor_gives_each_row_its_lone_bits():
+    """The predictor of all rows at once gives each row the bits of its
+    lone W (W / W_prev)^r with r a Python float, including the exponents
+    0.5 and 2.0 that numpy takes as sqrt and square; r = 0 gives W, and so
+    does a guess that overflows."""
+    rng = np.random.default_rng(7)
+    W = np.exp(rng.uniform(-30.0, -20.0, (6, 401)))
+    W_prev = W * np.exp(rng.uniform(-0.05, 0.05, (6, 401)))
+    W_prev[5, 3] = 1e-300  # (W / W_prev)^r overflows
+    r = [1.0, 2.0, 0.5, 2.005, 0.0, 40.0]
+    guess = pde._predicted(W, W_prev, r)
+    for j, x in enumerate(r[:4]):
+        lone = W[j] * (W[j] / W_prev[j]) ** x
+        assert np.array_equal(guess[j].view(np.int64), lone.view(np.int64))
+    assert np.array_equal(guess[4:], W[4:])
+
+
 def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, monkeypatch):
     """A rejected step that started from the predictor is tried again at
     the same step from the last frame; only a rejected cold start halves
@@ -820,6 +875,105 @@ def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, mon
     assert tries[2:4] == [(third, False), (third, True)]
     assert tries[4][1] is False and third < tries[4][0] < plain.deltas[2]
     assert (halved.step_rejections, halved.cold_retries) == (1, 1)
+
+
+def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
+    """The F (source added) and D1 that a row carries into each attempt
+    equal a fresh _rhs of its last frame plus its source there, bit for
+    bit: after an accepted step, after a step that a negative end value
+    rejected and halved, and on the cold retry of a rejected predicted
+    start."""
+    ds, de = math.exp(-10.0), math.exp(-10.1)
+    xi = np.linspace(-5.0, 5.0, 101)
+    run, _ = pde._manufactured_row(p_ref, xi, ds)
+    bc_calls, step_calls, fresh = [], [], []
+    step_rows = pde._step_rows
+
+    def bc(delta):  # a negative left end on the third call, as _bc_failing_at
+        bc_calls.append(delta)
+        lo, hi = run.bc(delta)
+        return (-lo if len(bc_calls) == 3 else lo), hi
+
+    def checked(W_old, delta_old, *args):
+        step_calls.append(delta_old[0])
+        sigma = np.array([[pde._drift_speed(p_ref, delta_old[0])]])
+        F, D1, _ = pde._rhs(W_old, xi[1] - xi[0], sigma, p_ref)
+        F += run.source(delta_old[0])[1:-1]
+        fresh.append(all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                         for a, b in zip((F, D1), args[-3])))
+        if len(step_calls) == 5:  # a predicted start: its cold retry follows
+            return [errors.NewtonDiverged("rejected by construction")]
+        return step_rows(W_old, delta_old, *args)
+
+    monkeypatch.setattr(pde, "_step_rows", checked)
+    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(run.w0, bc, run.source)],
+                              delta_start=ds, delta_end=de, dtau=0.01)
+    assert (traj.step_rejections, traj.cold_retries) == (1, 1)
+    # bc call 3 rejects the third step before Newton: its halved retry is
+    # step call 3; step call 6 retries call 5 cold, from the same frame
+    assert step_calls[:3] == traj.deltas[:3].tolist()
+    assert step_calls[4] == step_calls[5] == traj.deltas[4]
+    assert len(fresh) == len(traj.deltas) and all(fresh)
+
+
+def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeypatch):
+    """On the smoke window, a Newton round calls gtsv once for all its
+    rows, a step attempt evaluates _rhs once for its start and once per
+    trial iterate (the old frame's F is carried in), and the calibration
+    source runs once per attempt of its row and once for the initial
+    frame."""
+    counts = dict(gtsv=0, rhs=0, source=0, attempts=0, calibration=0, rounds=0)
+    route, rhs, step_rows = pde._lapack(), pde._rhs, pde._step_rows
+    manufactured = pde.make_manufactured
+
+    def counting_bind(*bands):
+        gtsv = route.bind(*bands)
+
+        def solve(size):
+            counts["gtsv"] += 1
+            return gtsv(size)
+
+        return solve
+
+    def counted_rhs(*args):
+        counts["rhs"] += 1
+        return rhs(*args)
+
+    def counted_step_rows(*args):
+        counts["attempts"] += 1
+        counts["calibration"] += args[7][0] is not None
+        results = step_rows(*args)
+        counts["rounds"] += max(res[1] for res in results)
+        return results
+
+    def counted_manufactured(p):
+        W_exact, bind = manufactured(p)
+
+        def counted_bind(xi):
+            source = bind(xi)
+
+            def counted_source(delta):
+                counts["source"] += 1
+                return source(delta)
+
+            return counted_source
+
+        return W_exact, counted_bind
+
+    monkeypatch.setattr(pde, "_gtsv", pde._route(counting_bind))
+    monkeypatch.setattr(pde, "_rhs", counted_rhs)
+    monkeypatch.setattr(pde, "_step_rows", counted_step_rows)
+    monkeypatch.setattr(pde, "make_manufactured", counted_manufactured)
+    report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01)
+    assert all(t.step_rejections == t.cold_retries == 0 for t in report.runs.values())
+    assert counts["attempts"] == report.runs["mid"].frames - 1 == counts["calibration"]
+    assert counts["gtsv"] == counts["rounds"]
+    assert (counts["attempts"], counts["rounds"]) == (62, 140)
+    # one call for the initial frames, then per attempt one for its start
+    # and one per trial iterate (140 rounds, 6 halved line-search trials);
+    # evaluating the old frame in every attempt as well made it 270
+    assert counts["rhs"] == 1 + 62 + 140 + 6
+    assert counts["source"] == counts["calibration"] + 1
 
 
 def _end_values(barrier_pair, p, delta):
