@@ -32,10 +32,10 @@ from .matching import (
     MatchingSolver,
     check_ordering,
     find_epsilon_bounds,
+    weak_corner_term,
 )
 from .outer import OuterProfileSet, branch_variant
 from .params import config_value, load_config, params_to_dict
-from .pde import comparison_sandwich, weak_corner_term
 from .reporting import (
     base_report,
     config_hash,
@@ -283,6 +283,8 @@ def cmd_simulate(args) -> int:
     tau_end = float(config_value("tau_end", extras.get("tau_end", tau0 + 2.2 * math.log(10.0))))
     n_cells = config_value("n_cells", extras.get("n_cells", 400))
     dtau = float(config_value("dtau", extras.get("dtau", 0.01)))
+
+    from .pde import comparison_sandwich  # only simulate loads the PDE solver
 
     variant = branch_variant(p.gamma)
     outer = OuterProfileSet(p, cfg)

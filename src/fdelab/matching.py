@@ -19,9 +19,10 @@ alone, and C'(tau) is closed-form by implicit differentiation:
 phibar0'(xi1 + C) C' = (1 +/- eps) w_tau(xi1+), the tau-derivative of the
 outer side at fixed xi.  A matching edge gap xi1 e^{-gamma tau} that
 underflows to 0 raises OutOfDomain naming gamma*tau.  The corner verdict
-compares one-sided slopes there; epsilon bounds are the largest weights
-keeping the corner verdicts (eps1) and the strict ordering
-psi+ > psi- > 0 (eps2).
+compares one-sided slopes there, and weak_corner_term turns the same
+slopes into the sign and size of the corner boundary term of the weak
+comparison argument; epsilon bounds are the largest weights keeping the
+corner verdicts (eps1) and the strict ordering psi+ > psi- > 0 (eps2).
 
 Every tau-dependent method takes a float or a 1-D tau array.  An array
 goes through one outer evaluation of the edge (psi_outer or psi_bundle)
@@ -49,6 +50,7 @@ __all__ = [
     "GluedBarrier",
     "find_epsilon_bounds",
     "check_ordering",
+    "weak_corner_term",
 ]
 
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
@@ -354,6 +356,73 @@ class GluedBarrier:
             )
         ]
         return reports if np.ndim(tau) else reports[0]
+
+
+def _softplus(q: float) -> float:
+    if q > 0.0:
+        return q + math.log1p(math.exp(-q))
+    return math.log1p(math.exp(q))
+
+
+def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict:
+    """Sign and log10-magnitude of the corner boundary term J1, from 48
+    samples over tau_window, read in one corner_slopes call.
+
+    The integrand lives on the moving interface r1(t) = exp(xi1 + A
+    (T-t)^(-gamma)); every factor is assembled in logarithms because r1 is
+    astronomically large while the product is astronomically small.  The
+    slope jump (right - left) carries the sign: nonpositive for the plus
+    barrier, nonnegative for the minus barrier, which is what the weak
+    comparison argument needs.
+    """
+    p = bar.outer.p
+    m, gamma, A, n = p.m, p.gamma, p.A, p.n
+    xi1 = bar.xi1
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    c_m = (1.0 + gamma) * m / (1.0 - m)
+    b1 = p.d.b1
+
+    taus = np.linspace(tau_window[0], tau_window[1], 48)
+    log_terms = []
+    signs = []
+    edges, lefts, rights = (part.tolist() for part in bar.corner_slopes(taus))
+    for tau, edge_value, left, right in zip(taus.tolist(), edges, lefts, rights):
+        delta = math.exp(-tau)
+        jump = right - left
+        if jump == 0.0:
+            continue
+        signs.append(math.copysign(1.0, jump))
+        log_r1 = xi1 + A * math.exp(gamma * tau)
+        # log E = log r1 + softplus(log(4 g^2 A^2) + (2g+2) tau + 2 log r1)/2
+        q = math.log(4.0 * gamma * gamma * A * A) + (2.0 * gamma + 2.0) * tau + 2.0 * log_r1
+        log_E = log_r1 + 0.5 * _softplus(q)
+        log_psi = math.log(edge_value) - gamma * tau  # log of psi at the edge
+        lt = (
+            math.log(n - 1)
+            - math.log(1.0 - m)
+            + math.log(omega)
+            + c_m * math.log(delta)
+            + (n - 1) * log_r1
+            - 2.0 * log_r1
+            - log_E
+            + b1 * (log_psi - 2.0 * log_r1)
+            + math.log(abs(jump))
+            + math.log(delta)  # dt = delta dtau
+        )
+        log_terms.append(lt)
+    if not log_terms:
+        raise errors.NonConvergent("corner term vanished identically on the window")
+    sign_set = set(signs)
+    sign = signs[0] if len(sign_set) == 1 else 0.0
+    arr = np.asarray(log_terms)
+    peak = float(np.max(arr))
+    total = peak + math.log(np.sum(np.exp(arr - peak)) * (taus[1] - taus[0]))
+    return {
+        "sign": sign,
+        "log10_abs": total / math.log(10.0),
+        "sign_consistent": len(sign_set) == 1,
+        "n_samples": len(log_terms),
+    }
 
 
 def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:

@@ -1,4 +1,4 @@
-"""Radial PDE laboratory: comoving solver, sandwich runs, corner term.
+"""Radial PDE laboratory: comoving solver and sandwich runs.
 
 The evolution is posed for W(xi, t) = w(s, t) in the comoving frame
 xi = s - A (T-t)^(-gamma), where the w-equation gains a drift:
@@ -19,14 +19,57 @@ Newton starts from a geometric predictor of the last two frames
 rejected cold start halves the step.  Each Newton system covers the
 interior points, so the Dirichlet ends keep their values exactly.
 
+The Newton kernel reads everything from one stencil pass per iterate
+(_stencil).  At an interior point with value W, neighbours W+ and W-
+and spacing h, D1 = (W+ - W-)/(2h), D2 = (W+ - 2W + W-)/h^2, and the
+quotients r1 = D1/W, q = D2/W give
+
+    F = (n-1) (q + b1 r1^2 + b2 r1) + sigma D1 - a0.
+
+The stencil keeps them scaled by h: e = ((W+ - W) + (W- - W))/W = h^2 q,
+whose two differences are exact for neighbours within a factor 2 of W,
+and rho = (W+ - W-)/W = 2h r1.  With
+t = e + rho (b1 rho/4 + b2 h/2) = h^2 (q + b1 r1^2 + b2 r1),
+F = (n-1) t/h^2 + sigma (W+ - W-)/(2h) - a0 (_rhs).  Differentiating,
+
+    dF/dW+- = (n-1)/(h^2 W) (1 +- g) +- sigma/(2h),   g = h (b1 r1 + b2/2),
+    dF/dW   = -(n-1)/(h^2 W) (2 + h^2 q + h^2 r1 (2 b1 r1 + b2)),
+
+that is g = (b1 rho + b2 h)/2 and a diagonal bracket 2 + e + rho g.
+With E = -dt theta (n-1)/(h^2 W) and alpha = dt theta sigma/(2h), the
+Newton matrix I - dt theta J_F has the sub-, main and superdiagonals
+E(1 - g) + alpha, 1 - E(2 + e + rho g) and E(1 + g) - alpha
+(_newton_bands), written straight into the gtsv bands.  The residual
+G = X - W_old - dt (theta F(X) + (1 - theta) F_old) of an iterate X is
+X - C - K t - alpha (X+ - X-) with K = dt theta (n-1)/h^2 and the step's
+constant C = W_old + dt (1 - theta) F_old - dt theta (a0 - S), S a run's
+extra source at the new delta, formed once per step.
+
+Newton stops at the step's tolerance, which is never below a bound on
+the rounding of G: 2.3e-16 (2 W + dt T) on the old frame, where T bounds
+the raw size of the terms of F, whose drift sigma D1 cancels against the
+diffusion and a0 to a net |F| far below it:
+
+    T = (n-1) (M2/W + 2 |b1| |D1| M1/W^2 + |b2| M1/W) + a0 + sigma M1,
+
+M1 = (W+ + W-)/(2h) and M2 = (W+ + 2W + W-)/h^2.  With S = W+ + W- and
+s = S/W = 2 + e in the old frame, M2/W = (s + 2)/h^2,
+|D1| M1/W^2 = |rho| s/(4h^2) and M1/W = s/(2h), so
+
+    dt T = dt (n-1)/h^2 (s (1 + |b1| |rho|/2 + |b2| h/2) + 2) + dt a0
+           + dt sigma s W/(2h),
+
+the same terms bounded the same way, from the e and rho that a row
+carries out of the step that accepted its frame.
+
 Independent runs on one grid are stepped together as the rows of one
 (runs, points) array (_solve_rows), each with its own step, theta,
 tolerance and damping.  A Newton round passes its rows' systems to LAPACK
 gtsv in one call, as one block-diagonal system with zero couplings
 (_Bands), so a run gives the same bits alone or beside others.  A row
-keeps its last two frames, and F and D1 of the last for its next step,
-and hands every accepted frame, the initial one too, to its run's
-consumer; a run without one keeps every frame.
+keeps its last two frames, and F, e and rho of the last for its next
+step, and hands every accepted frame, the initial one too, to its run's
+consumer.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
@@ -52,11 +95,9 @@ from .reporting import write_csv
 
 __all__ = [
     "Trajectory",
-    "solve_radial_fde",
     "make_manufactured",
     "comparison_sandwich",
     "extinction_rate",
-    "weak_corner_term",
 ]
 
 
@@ -65,13 +106,10 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """A comoving run: its frame count and solver counters and, for a run
-    without a consumer, its deltas and frames (else both are None)."""
+    """A comoving run: its frame count and solver counters."""
 
     p: ModelParams
     xi: np.ndarray
-    deltas: np.ndarray | None = None
-    W: np.ndarray | None = None  # shape (frames, len(xi))
     frames: int = 0  # accepted frames, the initial one included
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
@@ -84,38 +122,53 @@ def _drift_speed(p: ModelParams, delta: float) -> float:
     return p.A * p.gamma * delta ** (-p.gamma - 1.0)
 
 
-def _rhs(W, dxi, sigma, p):
-    """F(W) + sigma W_xi on the interior points of each row of W.
-
-    sigma is a column of per-row drift speeds.  Returns F with the
-    difference stencil (D1, D2) that the Jacobian bands are built from.
-    """
+def _stencil(W, dxi, p):
+    """The stencil of the interior points of each row of W as quotients:
+    d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W and
+    t = e + rho (b1 rho/4 + b2 dxi/2), from which _rhs forms F and
+    _newton_bands the Newton matrix (module docstring)."""
     Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
-    D1 = (Wp - Wm) / (2.0 * dxi)
-    D2 = (Wp - 2.0 * W0 + Wm) / (dxi * dxi)
-    F = radial_diffusion(p, W0, D1, D2) - p.d.a0 + sigma * D1
-    return F, D1, D2
+    up = Wp - W0
+    down = Wm - W0
+    d = up - down
+    up += down
+    e = np.divide(up, W0, out=up)
+    rho = d / W0
+    t = rho * (0.25 * p.d.b1)
+    t += 0.5 * p.d.b2 * dxi
+    t *= rho
+    t += e
+    return d, e, rho, t
 
 
-def _jac_bands(W0, D1, D2, dxi, sigma, p):
-    """Bands (dF/dW_{j-1}, dF/dW_j, dF/dW_{j+1}) of _rhs from its stencil."""
-    d = p.d
-    n1 = p.n - 1
-    h2W = dxi * dxi * W0
-    W0sq = W0 * W0
-    curv = 1.0 / h2W
-    grad = d.b1 * D1 / (dxi * W0 * W0)
-    drift = d.b2 / (2.0 * dxi * W0)
-    adv = sigma / (2.0 * dxi)
-    dF_dp = n1 * (curv + grad + drift) + adv
-    dF_dm = n1 * (curv - grad - drift) - adv
-    dF_d0 = n1 * (
-        -2.0 / h2W
-        - D2 / W0sq
-        - 2.0 * d.b1 * D1 * D1 / (W0 ** 3)
-        - d.b2 * D1 / W0sq
-    )
-    return dF_dm, dF_d0, dF_dp
+def _rhs(d, t, sigma, dxi, p):
+    """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is a
+    column of per-row drift speeds."""
+    F = t * ((p.n - 1) / (dxi * dxi))
+    F += (sigma / (2.0 * dxi)) * d
+    F -= p.d.a0
+    return F
+
+
+def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
+    """Write the Newton matrix I - dt theta J_F of each row into its bands:
+    the subdiagonal dl (points 1..), the diagonal and the superdiagonal du
+    (points ..-2), from the interior values W and the quotients (e, rho)
+    of _stencil.  kappa = -dt theta (n-1)/dxi^2 and alpha =
+    dt theta sigma/(2 dxi) are columns of per-row factors."""
+    E = kappa / W
+    g = rho * (0.5 * p.d.b1)
+    g += 0.5 * p.d.b2 * dxi
+    np.multiply(rho, g, out=diag)
+    diag += e
+    diag += 2.0
+    diag *= E
+    np.subtract(1.0, diag, out=diag)
+    g *= E
+    np.add(E[:, :-1], g[:, :-1], out=du)
+    du -= alpha
+    np.subtract(E[:, 1:], g[:, 1:], out=dl)
+    dl += alpha
 
 
 _gtsv = None  # the gtsv route, chosen on the first solve
@@ -242,8 +295,9 @@ class _Bands:
         return out
 
 
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float)[:, None]
+def _columns(*values) -> list:
+    """Each sequence of per-row floats as a column, from one array."""
+    return list(np.array(values, dtype=float)[:, :, None])
 
 
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
@@ -254,73 +308,97 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
 
     Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
     Dirichlet values ends[i] = (W_lo, W_hi) and the optional extra
-    right-hand side sources[i](delta_new[i]), called once.  old = (F_old,
-    D1_old) are F, sources added, and D1 of W_old.  Newton starts from the
-    positive start[i] with the Dirichlet values at its ends; its systems
-    cover the interior points only.  Every per-row scalar (step, drift
-    speed, tolerance, damping) is a Python float computed as for a lone
-    run.  The array stages run on all rows and each update writes only the
-    rows it selects: a row not being tried keeps its positive iterate, and
-    a trial row that is not positive falls back to its iterate.  A round's
-    Newton systems go to gtsv as one system in bands (a _Bands).  A row
-    whose residual is not finite stops with NonFinite before its next
-    solve.  Returns per row (W_new, iterations, F_new, D1_new), the next
-    step's old, or the error that rejected its step.
+    right-hand side sources[i](delta_new[i]), called once.  old holds per
+    row (F_old, e_old, rho_old): F, sources added, and the quotients e and
+    rho of W_old (_stencil).  Newton starts from the positive start[i]
+    with the Dirichlet values at its ends; its systems cover the interior
+    points only.  Every per-row scalar (step, drift speed, tolerance,
+    damping) is a Python float computed as for a lone run.  The array
+    stages run on all rows and each update writes only the rows it
+    selects: a row not being tried keeps its positive iterate, and a trial
+    row that is not positive falls back to its iterate.  A round's Newton
+    systems go to gtsv as one system in bands (a _Bands).  A row whose
+    residual is not finite stops with NonFinite before its next solve.
+    Returns per row (W_new, iterations, carried), carried being the next
+    step's old row (F, e, rho) of W_new, or the error that rejected its
+    step.
     """
-    k, M = W_old.shape
+    k = len(W_old)
     out = [None] * k
+    n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
     dt = [a - b for a, b in zip(delta_old, delta_new)]
-    sigma_old = _column([_drift_speed(p, x) for x in delta_old])
-    sigma_new = _column([_drift_speed(p, x) for x in delta_new])
-    F_old, D1_old = old
-    sourced = [(i, source(x)[1:-1])
-               for i, (source, x) in enumerate(zip(sources, delta_new)) if source is not None]
-    dt_col, theta_col = _column(dt), _column(theta)
-    # the Newton matrix I - dt*theta*J_F takes these per-row factors
-    jac_neg = _column([-h * t for h, t in zip(dt, theta)])
-    jac_pos = _column([h * t for h, t in zip(dt, theta)])
-    # F_old enters every residual of the step through the same product
-    F_old_part = _column([1.0 - t for t in theta]) * F_old
-    W_old_in = W_old[:, 1:-1]
+    sigma_old = [_drift_speed(p, x) for x in delta_old]
+    sigma_new = [_drift_speed(p, x) for x in delta_new]
+    implicit = [h * t for h, t in zip(dt, theta)]  # dt theta
+    K = [x * n1 / h2 for x in implicit]
+    # per-row factors (module docstring): the residual's K and alpha, the
+    # Newton matrix's kappa = -K, F's sigma, the step constant's weight of
+    # F_old and its shift, and the floor's factors of dt T
+    K_col, kappa, alpha, sigma_col, weight, shift, curv, base, drift = _columns(
+        K, [-x for x in K], [x * s / (2.0 * dxi) for x, s in zip(implicit, sigma_new)],
+        sigma_new, [h * (1.0 - t) for h, t in zip(dt, theta)], [-x * a0 for x in implicit],
+        [h * n1 / h2 for h in dt], [h * (2.0 * n1 / h2 + a0) for h in dt],
+        [h * s / (2.0 * dxi) for h, s in zip(dt, sigma_old)],
+    )
+    F_old, e_old, rho_old = old.swapaxes(0, 1)
+    W_in = W_old[:, 1:-1]
 
     # the achievable residual is bounded below by rounding of the bracket
     # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|, and
-    # by rounding inside F, whose stencil terms (the drift sigma*D1 against
-    # D2 and a0) cancel to a net |F| far below their raw size T
+    # by rounding inside F, whose stencil terms cancel to a net |F| far
+    # below their raw size T
     w_scale = W_old.max(axis=1).tolist()
-    f_scale = [p.d.a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
-    Wm, W0, Wp = W_old[:, :-2], W_old_in, W_old[:, 2:]
-    M1 = (Wp + Wm) / (2.0 * dxi)
-    M2 = (Wp + 2.0 * W0 + Wm) / (dxi * dxi)
-    T = (p.n - 1) * (
-        M2 / W0 + 2.0 * abs(p.d.b1) * np.abs(D1_old) * M1 / W0 ** 2 + abs(p.d.b2) * M1 / W0
-    ) + p.d.a0 + sigma_old * M1
-    floor = (2.3e-16 * (2.0 * W0 + dt_col * T)).max(axis=1).tolist()
-    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f), g)
+    f_scale = [a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
+    s_old = e_old + 2.0
+    size = np.abs(rho_old)  # becomes 2W + dt T
+    size *= 0.5 * abs(p.d.b1)
+    size += 1.0 + 0.5 * abs(p.d.b2) * dxi
+    size *= s_old
+    size *= curv
+    size += base
+    near = np.multiply(drift, s_old, out=s_old)  # the terms that scale with W
+    near += 2.0
+    near *= W_in
+    size += near
+    floor = size.max(axis=1).tolist()
+    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f), 2.3e-16 * g)
            for w, h, f, g in zip(w_scale, dt, f_scale, floor)]
 
+    # G = X - C - K t - alpha d with the step's constant C (module docstring)
+    C = weight * F_old
+    C += W_in
+    C += shift
+    sourced = [(i, source(x)[1:-1])
+               for i, (source, x) in enumerate(zip(sources, delta_new)) if source is not None]
+    for i, S in sourced:
+        C[i] += implicit[i] * S
+
     def residual(X):
-        """G on the interior points of every row of X, its F and stencil
-        (D1, D2).  The ends hold their Dirichlet values exactly, so their
+        """G on the interior points of every row of X and the stencil of
+        X.  The ends hold their Dirichlet values exactly, so their
         residual is 0 and is not formed."""
-        F, D1, D2 = _rhs(X, dxi, sigma_new, p)
-        for i, S in sourced:
-            F[i] += S
-        return X[:, 1:-1] - W_old_in - dt_col * (theta_col * F + F_old_part), F, D1, D2
+        d, e, rho, t = _stencil(X, dxi, p)
+        G = X[:, 1:-1] - C
+        part = K_col * t
+        G -= part
+        np.multiply(alpha, d, out=part)
+        G -= part
+        return G, d, e, rho, t
 
     X = np.array(start, dtype=float)
     X[:, [0, -1]] = ends
-    G, F, D1, D2 = residual(X)
+    G, d, e, rho, t = residual(X)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
+    converged = [False] * k
     step = np.zeros_like(X)  # nonzero only on rows in a line search
     while True:
         lam = [0.0] * k  # line-search damping; 0 on rows that sit still
         for i in range(k):
-            if out[i] is not None:
+            if converged[i] or out[i] is not None:
                 continue
             if G_norm[i] <= tol[i]:
-                out[i] = (X[i], its[i], F[i], D1[i])
+                converged[i] = True
             elif not math.isfinite(G_norm[i]):
                 out[i] = errors.NonFinite(
                     f"Newton residual not finite at delta = {delta_new[i]:.6e}")
@@ -334,17 +412,15 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
                 lam[i] = 1.0
         iterating = [i for i in range(k) if lam[i]]
         if not iterating:
-            return out
+            break
         # the Newton system I - dt*theta*J_F on the interior points of the
         # iterating rows only; the ends keep their Dirichlet values, so
         # their step is exactly 0
         rows = slice(None) if len(iterating) == k else iterating
 
         def fill(dl, diag, du, b):
-            dm, d0, dp = _jac_bands(X[rows, 1:-1], D1[rows], D2[rows], dxi, sigma_new[rows], p)
-            np.multiply(jac_neg[rows], dm[:, 1:], out=dl)
-            np.subtract(1.0, np.multiply(jac_pos[rows], d0, out=diag), out=diag)
-            np.multiply(jac_neg[rows], dp[:, :-1], out=du)
+            _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows],
+                          kappa[rows], alpha[rows], dxi, p)
             np.negative(G[rows], out=b)
 
         for i, x in zip(iterating, bands.solve(len(iterating), fill)):
@@ -353,13 +429,15 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
             else:
                 step[i, 1:-1] = x
 
-        # damped line search, each row with its own lambda
+        # damped line search, each row with its own lambda; step holds
+        # lambda times the Newton step, halved with lambda (exactly, as
+        # lambda is a power of 2)
         while any(lam):
-            X_try = X + _column(lam) * step
+            X_try = X + step
             positive = (X_try > 0.0).all(axis=1).tolist()
             if not all(positive):  # only trial rows can leave positivity
                 np.copyto(X_try, X, where=~np.array(positive)[:, None])
-            tried = [ok and t > 0.0 for ok, t in zip(positive, lam)]
+            tried = [ok and x > 0.0 for ok, x in zip(positive, lam)]
             if any(tried):
                 trial = residual(X_try)
                 G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
@@ -372,43 +450,43 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
                 else:
                     lam[i] *= 0.5
                     if lam[i] >= 1e-4:
+                        step[i] *= 0.5
                         continue
                     out[i], lam[i] = errors.PositivityLost(
                         f"no positive damped Newton step at delta = {delta_new[i]:.6e}"
                     ), 0.0
                 step[i] = 0.0  # the row leaves the line search
-            if all(taken):  # no row has finished, so no result views the old X
-                X, (G, F, D1, D2) = X_try, trial
+            if all(taken):  # no row has stopped, so no kept iterate is replaced
+                X, (G, d, e, rho, t) = X_try, trial
             elif any(taken):
                 taken = np.array(taken)[:, None]
-                for a, a_try in zip((X, G, F, D1, D2), (X_try, *trial)):
+                for a, a_try in zip((X, G, d, e, rho, t), (X_try, *trial)):
                     np.copyto(a, a_try, where=taken)
 
-
-class _Kept:
-    """The consumer given to a run without one: it keeps every delta and a
-    copy of every frame, for the run's Trajectory."""
-
-    def __init__(self):
-        self.deltas, self.W = [], []
-
-    def __call__(self, delta, W):
-        self.deltas.append(delta)
-        self.W.append(W.copy())
+    # a row that stopped is never taken again, so X and its stencil still
+    # hold every converged row's last iterate
+    F = _rhs(d, t, sigma_col, dxi, p)
+    for i, S in sourced:
+        F[i] += S
+    carried = np.stack((F, e, rho), 1)
+    for i in range(k):
+        if converged[i]:
+            out[i] = (X[i], its[i], carried[i])
+    return out
 
 
 @dataclass
 class _Run:
     """One row of a joint solve: initial data on the grid, bc(delta) ->
-    (W_lo, W_hi), an optional extra right-hand side source(delta) on the
-    grid, evaluated once per step attempt and once for the initial frame,
-    and an optional consume(delta, W) of each accepted frame (the initial
-    one too; W is overwritten two frames later, so copy what is kept)."""
+    (W_lo, W_hi), consume(delta, W) of each accepted frame (the initial
+    one too; W is overwritten two frames later, so copy what is kept) and
+    an optional extra right-hand side source(delta) on the grid, evaluated
+    once per step attempt and once for the initial frame."""
 
     w0: np.ndarray
     bc: object
+    consume: object
     source: object = None
-    consume: object = None
 
 
 _STEP_BUDGET = 200000
@@ -450,7 +528,7 @@ def _predicted(W, W_prev, r):
     the row of W where that is not finite and positive.  r = 0 gives W."""
     with np.errstate(over="ignore"):
         ratio = W / W_prev
-        guess = W * ratio ** _column(r)
+        guess = W * ratio ** _columns(r)[0]
         for j, x in enumerate(r):
             if x in (0.5, 2.0):  # numpy takes a lone row's power as sqrt, square
                 guess[j] = W[j] * ratio[j] ** x
@@ -468,8 +546,8 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     frames, the only ones it keeps (each accepted frame goes to its run's
     consumer), formed for all rows at once; the row's first step, and the
     retry after a predicted start is rejected, start cold from the last
-    frame (r = 0).  F and D1 of a row's last frame, which the step that
-    accepted it handed back, serve every attempt from it.  A row whose
+    frame (r = 0).  F, e and rho of a row's last frame, which the step
+    that accepted it handed back, serve every attempt from it.  A row whose
     cold step is rejected halves its own step and retries in the next
     round while the other rows go on; so does a row whose end values are
     not finite and positive, since no start changes those.  It stops with
@@ -482,7 +560,6 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    consume = [_Kept() if run.consume is None else run.consume for run in runs]
     frames = np.ones((R, 2, M))  # frame n of row i at frames[i, n % 2]; unset slots stay finite
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
@@ -492,13 +569,15 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
             frames[i, 0] = w0
-            consume[i](delta_start, frames[i, 0])
+            run.consume(delta_start, frames[i, 0])
     live = [i for i in range(R) if out[i] is None]
-    # F, sources added, and D1 of row i's last frame
-    old = np.stack(_rhs(frames[:, 0], dxi, _column([_drift_speed(p, delta_start)] * R), p)[:2], 1)
+    # F, sources added, e and rho of row i's last frame
+    d, e, rho, t = _stencil(frames[:, 0], dxi, p)
+    F = _rhs(d, t, _columns([_drift_speed(p, delta_start)] * R)[0], dxi, p)
     for i in live:
         if runs[i].source is not None:
-            old[i, 0] += runs[i].source(delta_start)[1:-1]
+            F[i] += runs[i].source(delta_start)[1:-1]
+    old = np.stack((F, e, rho), 1)
     bands = _Bands(R, M - 2)
     # row i: n[i] frames so far; deltas[i] holds its last one or two deltas
     n = [1] * R
@@ -513,12 +592,8 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             delta = deltas[i][-1]
             if attempt[i] is None:
                 if _finished(delta, delta_end):
-                    kept = consume[i] if isinstance(consume[i], _Kept) else None
                     out[i] = Trajectory(
-                        p=p, xi=xi, frames=n[i],
-                        deltas=None if kept is None else np.array(kept.deltas),
-                        W=None if kept is None else np.array(kept.W),
-                        newton_iters_max=iters_max[i], newton_iters=iters[i],
+                        p=p, xi=xi, frames=n[i], newton_iters_max=iters_max[i], newton_iters=iters[i],
                         step_rejections=rejections[i], cold_retries=retries[i],
                     )
                     continue
@@ -545,7 +620,7 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             results.update(zip(stepped, _step_rows(
                 last, [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
                 [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
-                [runs[i].source for i in stepped], (old[stepped, 0], old[stepped, 1]), bands,
+                [runs[i].source for i in stepped], old[stepped], bands,
                 _predicted(last, frames[stepped, [n[i] % 2 for i in stepped]], r),
             )))
         for i in live:
@@ -561,12 +636,12 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
-            frames[i, n[i] % 2], its, old[i, 0], old[i, 1] = res
+            frames[i, n[i] % 2], its, old[i] = res
             attempt[i], cold[i] = None, False
             iters_max[i] = max(iters_max[i], its)
             iters[i] += its
             deltas[i] = [deltas[i][-1], delta_new[i]]
-            consume[i](delta_new[i], frames[i, n[i] % 2])
+            runs[i].consume(delta_new[i], frames[i, n[i] % 2])
             n[i] += 1
             if n[i] > _STEP_BUDGET + 1:
                 out[i] = errors.StepUnderflow("step budget exhausted")
@@ -583,45 +658,6 @@ def _check_window(n_cells, dtau):
         raise errors.InvalidParameter(f"need a finite dtau > 0, got {dtau}")
 
 
-def solve_radial_fde(
-    p: ModelParams,
-    *,
-    xi_window: tuple[float, float],
-    n_cells: int,
-    delta_start: float,
-    delta_end: float,
-    dtau: float,
-    w0,
-    bc,
-    source=None,
-) -> Trajectory:
-    """Integrate the comoving equation from delta_start down to delta_end.
-
-    w0(xi) gives initial data, bc(delta) -> (W_lo, W_hi) the Dirichlet
-    values, source(delta) an optional extra right-hand side on the grid,
-    evaluated once per step attempt, so it cannot depend on W.  The first
-    four steps use backward Euler at half the step to damp the
-    non-equilibrium transient; afterwards the scheme is trapezoidal.
-    Newton failures (no convergence in 12 iterations) and positivity
-    failures of a predicted start retry the step cold; those of a cold
-    start halve the step before giving up, and so does an end value that
-    is not finite and > 0.  A Newton residual that is not finite raises
-    NonFinite at once.  n_cells < 2 or a dtau that is not a finite step > 0
-    raises InvalidParameter before the grid is built.  This is the one-row
-    case of the joint solve (_solve_rows) that comparison_sandwich uses;
-    the Trajectory keeps every delta and frame.
-    """
-    _check_window(n_cells, dtau)
-    xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
-    (res,) = _solve_rows(
-        p, xi, [_Run(w0(xi), bc, source)], delta_start=delta_start,
-        delta_end=delta_end, dtau=dtau,
-    )
-    if isinstance(res, errors.FdelabError):
-        raise res
-    return res
-
-
 # -- manufactured solution and tolerance calibration ---------------------------
 
 
@@ -632,7 +668,9 @@ def make_manufactured(p: ModelParams):
     """Exact solution W = delta^{1+gamma} (c1 + c2 sin(k xi)) and its source.
 
     The source S = W_t - F(W) - sigma W_xi is analytic; feeding it to the
-    solver makes W an exact solution for convergence studies.
+    solver makes W an exact solution for convergence studies.  F(W) is
+    the same at every delta, since radial_diffusion is invariant under
+    scaling W and its derivatives by one factor, so bind forms it once.
     """
     c1, c2, k = _MANUFACTURED
 
@@ -641,20 +679,15 @@ def make_manufactured(p: ModelParams):
 
     def bind(xi):
         sin = np.sin(k * xi)
-        cos = np.cos(k * xi)
         prof = c1 + c2 * sin
-        dprof = c2 * k * cos
-        d2prof = -c2 * k * k * sin
+        dprof = c2 * k * np.cos(k * xi)
+        F = radial_diffusion(p, prof, dprof, -c2 * k * k * sin) - p.d.a0
 
         def S(delta):
-            amp = delta ** (1.0 + p.gamma)
-            W = amp * prof
-            Wx = amp * dprof
-            Wxx = amp * d2prof
-            Wt = -(1.0 + p.gamma) * delta ** p.gamma * prof
-            sigma = _drift_speed(p, delta)
-            F = radial_diffusion(p, W, Wx, Wxx) - p.d.a0
-            return Wt - F - sigma * Wx
+            out = (-(1.0 + p.gamma) * delta ** p.gamma) * prof
+            out -= F
+            out -= (_drift_speed(p, delta) * delta ** (1.0 + p.gamma)) * dprof
+            return out
 
         return S
 
@@ -666,17 +699,18 @@ def _manufactured_row(p: ModelParams, xi, delta_start: float):
     of its normalized error max |W_num - W_true| / delta^{1+gamma} over
     the frames accepted so far, which its consumer keeps."""
     W_exact, bind = make_manufactured(p)
+    profile = W_exact(xi, 1.0)  # W_exact(xi, delta) is delta^{1+gamma} times this
     worst = 0.0
 
     def consume(delta, W):
         nonlocal worst
         scale = delta ** (1.0 + p.gamma)
-        worst = max(worst, float(np.max(np.abs(W - W_exact(xi, delta)))) / scale)
+        worst = max(worst, float(np.max(np.abs(W - scale * profile))) / scale)
 
     def bc(delta):
         return float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
 
-    return _Run(W_exact(xi, delta_start), bc, bind(xi), consume), lambda: worst
+    return _Run(W_exact(xi, delta_start), bc, consume, bind(xi)), lambda: worst
 
 
 _SAFETY = 5.0  # factor on the manufactured error that gives tol_rel
@@ -951,72 +985,3 @@ def extinction_rate(deltas, amplitudes) -> dict:
     stderr = math.sqrt(sigma2 / sx2) if sx2 > 0 else math.inf
     return {"exponent": float(coef[0]), "prefactor_log": float(coef[1]), "stderr": stderr,
             "n_points": n_pts, "decades": span}
-
-
-# -- weak corner term ----------------------------------------------------------
-
-def _softplus(q: float) -> float:
-    if q > 0.0:
-        return q + math.log1p(math.exp(-q))
-    return math.log1p(math.exp(q))
-
-
-def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict:
-    """Sign and log10-magnitude of the corner boundary term J1, from 48
-    samples over tau_window, read in one corner_slopes call.
-
-    The integrand lives on the moving interface r1(t) = exp(xi1 + A
-    (T-t)^(-gamma)); every factor is assembled in logarithms because r1 is
-    astronomically large while the product is astronomically small.  The
-    slope jump (right - left) carries the sign: nonpositive for the plus
-    barrier, nonnegative for the minus barrier, which is what the weak
-    comparison argument needs.
-    """
-    p = bar.outer.p
-    m, gamma, A, n = p.m, p.gamma, p.A, p.n
-    xi1 = bar.xi1
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    c_m = (1.0 + gamma) * m / (1.0 - m)
-    b1 = p.d.b1
-
-    taus = np.linspace(tau_window[0], tau_window[1], 48)
-    log_terms = []
-    signs = []
-    edges, lefts, rights = (part.tolist() for part in bar.corner_slopes(taus))
-    for tau, edge_value, left, right in zip(taus.tolist(), edges, lefts, rights):
-        delta = math.exp(-tau)
-        jump = right - left
-        if jump == 0.0:
-            continue
-        signs.append(math.copysign(1.0, jump))
-        log_r1 = xi1 + A * math.exp(gamma * tau)
-        # log E = log r1 + softplus(log(4 g^2 A^2) + (2g+2) tau + 2 log r1)/2
-        q = math.log(4.0 * gamma * gamma * A * A) + (2.0 * gamma + 2.0) * tau + 2.0 * log_r1
-        log_E = log_r1 + 0.5 * _softplus(q)
-        log_psi = math.log(edge_value) - gamma * tau  # log of psi at the edge
-        lt = (
-            math.log(n - 1)
-            - math.log(1.0 - m)
-            + math.log(omega)
-            + c_m * math.log(delta)
-            + (n - 1) * log_r1
-            - 2.0 * log_r1
-            - log_E
-            + b1 * (log_psi - 2.0 * log_r1)
-            + math.log(abs(jump))
-            + math.log(delta)  # dt = delta dtau
-        )
-        log_terms.append(lt)
-    if not log_terms:
-        raise errors.NonConvergent("corner term vanished identically on the window")
-    sign_set = set(signs)
-    sign = signs[0] if len(sign_set) == 1 else 0.0
-    arr = np.asarray(log_terms)
-    peak = float(np.max(arr))
-    total = peak + math.log(np.sum(np.exp(arr - peak)) * (taus[1] - taus[0]))
-    return {
-        "sign": sign,
-        "log10_abs": total / math.log(10.0),
-        "sign_consistent": len(sign_set) == 1,
-        "n_samples": len(log_terms),
-    }

@@ -1,10 +1,14 @@
-"""Independent reference routes for the barrier operators and profiles.
+"""Independent reference routes for the barrier operators, profiles and
+the comoving solver.
 
 The package evaluates the operators through the rescaled term evaluators
 (OuterProfileSet.l0_terms, and l1_terms_evaluator from its closed forms);
 the raw residuals, the raw derivatives of the glued barrier, the mapped
 outer evaluator, the exact decompositions and the single corrector
 profiles here are second routes that the tests compare those against.
+The comoving solver builds its Newton bands from stencil quotients
+(pde._newton_bands) and reduces every frame as it is accepted; the raw
+Jacobian bands and the solves that keep every frame are here.
 """
 
 import dataclasses
@@ -12,7 +16,7 @@ import math
 
 import numpy as np
 
-from fdelab import errors
+from fdelab import errors, pde
 from fdelab.matching import GluedBarrier
 from fdelab.outer import OuterProfileSet
 from fdelab.params import theta
@@ -148,3 +152,80 @@ def glued_raw_evaluator(barrier: GluedBarrier):
         return tuple(parts)
 
     return ev
+
+
+# -- comoving solver -------------------------------------------------------------
+
+
+def jac_bands(W0, D1, D2, dxi, sigma, p):
+    """Bands (dF/dW_{j-1}, dF/dW_j, dF/dW_{j+1}) of F(W) + sigma W_xi on
+    the interior points, from the raw stencil D1 = (W+ - W-)/(2 dxi),
+    D2 = (W+ - 2W + W-)/dxi^2 at the interior values W0."""
+    d = p.d
+    n1 = p.n - 1
+    h2W = dxi * dxi * W0
+    W0sq = W0 * W0
+    curv = 1.0 / h2W
+    grad = d.b1 * D1 / (dxi * W0 * W0)
+    drift = d.b2 / (2.0 * dxi * W0)
+    adv = sigma / (2.0 * dxi)
+    dF_dp = n1 * (curv + grad + drift) + adv
+    dF_dm = n1 * (curv - grad - drift) - adv
+    dF_d0 = n1 * (
+        -2.0 / h2W
+        - D2 / W0sq
+        - 2.0 * d.b1 * D1 * D1 / (W0 ** 3)
+        - d.b2 * D1 / W0sq
+    )
+    return dF_dm, dF_d0, dF_dp
+
+
+class _Kept:
+    """A run's consumer that keeps every delta and a copy of every frame."""
+
+    def __init__(self):
+        self.deltas, self.W = [], []
+
+    def __call__(self, delta, W):
+        self.deltas.append(delta)
+        self.W.append(W.copy())
+
+
+@dataclasses.dataclass
+class KeptTrajectory(pde.Trajectory):
+    """A Trajectory with its accepted deltas and frames, shape (frames, points)."""
+
+    deltas: np.ndarray = None
+    W: np.ndarray = None
+
+
+def solve_kept(p, xi, runs, **window):
+    """pde._solve_rows with each run's consumer replaced by one that keeps
+    every frame: per run its KeptTrajectory or the FdelabError that
+    stopped it."""
+    kept = [_Kept() for _ in runs]
+    results = pde._solve_rows(
+        p, xi, [dataclasses.replace(run, consume=k) for run, k in zip(runs, kept)], **window
+    )
+    return [
+        res if isinstance(res, errors.FdelabError)
+        else KeptTrajectory(**vars(res), deltas=np.array(k.deltas), W=np.array(k.W))
+        for res, k in zip(results, kept)
+    ]
+
+
+def solve_radial_fde(p, *, xi_window, n_cells, delta_start, delta_end, dtau, w0, bc,
+                     source=None):
+    """One comoving run from delta_start down to delta_end on n_cells
+    cells of xi_window, keeping every frame: w0(xi) gives initial data,
+    bc(delta) -> (W_lo, W_hi) the Dirichlet values and source(delta) an
+    optional extra right-hand side on the grid.  The one-row case of the
+    joint solve; a bad window raises InvalidParameter before the grid is
+    built, and a run's error is raised."""
+    pde._check_window(n_cells, dtau)
+    xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
+    (res,) = solve_kept(p, xi, [pde._Run(w0(xi), bc, None, source)],
+                        delta_start=delta_start, delta_end=delta_end, dtau=dtau)
+    if isinstance(res, errors.FdelabError):
+        raise res
+    return res

@@ -116,9 +116,9 @@ def test_package_has_no_unused_parameters():
 
 # -- definitions without a caller ----------------------------------------------
 
-# the command-line entry point, and the single-run solver that the tests
-# use as the lone-run reference for the row solver
-ENTRY_POINTS = {"cli.main", "pde.solve_radial_fde"}
+# the command-line entry point; the lone-run solver that the tests use as
+# the reference for the row solver lives in tests/reference_routes.py
+ENTRY_POINTS = {"cli.main"}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -276,6 +276,7 @@ def scipy_modules():
 
 loaded = [scipy_modules()]
 main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
+assert "fdelab.pde" not in sys.modules, "verify loaded the PDE solver"
 loaded.append(scipy_modules())
 main(["simulate", "--force", "--config", sys.argv[2], "--out", sys.argv[3]])
 loaded.append(scipy_modules())
@@ -304,7 +305,8 @@ def test_package_import_loads_no_submodule():
 
 def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
     # a fresh process: importing the CLI and a 16x4 verify load no scipy
-    # module at all, and neither does the simulate smoke run when numpy's
+    # module at all, and verify loads no fdelab.pde (the probe asserts it
+    # in the process), nor does the simulate smoke run load scipy when numpy's
     # OpenBLAS has the gtsv symbol; only without it may the Newton solves
     # load scipy's LAPACK, and still neither scipy.integrate nor
     # scipy.optimize

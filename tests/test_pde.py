@@ -5,19 +5,15 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fdelab import errors, pde
-from fdelab.matching import GluedBarrier, MatchingSolver
-from fdelab.pde import (
-    comparison_sandwich,
-    extinction_rate,
-    make_manufactured,
-    solve_radial_fde,
-    weak_corner_term,
-)
+from fdelab.matching import GluedBarrier, MatchingSolver, weak_corner_term
+from fdelab.pde import comparison_sandwich, extinction_rate, make_manufactured
+from reference_routes import jac_bands, solve_kept, solve_radial_fde
 
 TAU0 = 10.0
 EPS_SMOKE = 0.018  # below the admissible ceiling eps1 ~ 0.036 at xi1 = 10
@@ -43,9 +39,7 @@ def _lone_mid_run(barrier_pair, p, xi, tau_end):
     ds, de = math.exp(-TAU0), math.exp(-tau_end)
     rows, _ = pde._sandwich_rows(*barrier_pair, xi, pde._planned_deltas(ds, de, 0.01))
     mid = rows["mid"]
-    (traj,) = pde._solve_rows(
-        p, xi, [pde._Run(mid.w0, mid.bc)], delta_start=ds, delta_end=de, dtau=0.01
-    )
+    (traj,) = solve_kept(p, xi, [mid], delta_start=ds, delta_end=de, dtau=0.01)
     return traj
 
 
@@ -156,7 +150,7 @@ def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     xi = np.linspace(-10.0, 40.0, 201)
     kw = dict(delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01)
     run, error = pde._manufactured_row(p_ref, xi, ds)
-    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(run.w0, run.bc, run.source)], **kw)
+    (traj,) = solve_kept(p_ref, xi, [run], **kw)
     W_exact, _ = make_manufactured(p_ref)
     worst = max(
         float(np.max(np.abs(W - W_exact(xi, delta)))) / delta ** (1.0 + p_ref.gamma)
@@ -256,7 +250,8 @@ def test_sandwich_smoke(smoke_report):
     assert sorted(report.runs) == ["lower", "mid", "upper"]
     # the runs are on 401 points and keep no deltas and no frames
     assert report.runs["mid"].xi.shape == (401,)
-    assert all(run.W is None and run.deltas is None for run in report.runs.values())
+    assert all(type(run) is pde.Trajectory for run in report.runs.values())
+    assert {"W", "deltas"}.isdisjoint(f.name for f in dataclasses.fields(pde.Trajectory))
     assert [run.frames for run in report.runs.values()] == [63] * 3
     for fit in report.fits.values():
         assert math.isnan(fit["exponent"])
@@ -470,22 +465,91 @@ def test_no_lapack_route_is_one_error_naming_both(monkeypatch):
 
 
 def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
-    # bands with d0 = 1/(dt theta) and no off-diagonals: every interior
-    # row of I - dt theta J_F is exactly zero
-    def flat_rhs(W, dxi, sigma, p):
-        F = np.ones((W.shape[0], W.shape[1] - 2))
-        return F, np.zeros_like(F), np.zeros_like(F)
+    # a flat row, whose residual dt*theta*a0 is far above its tolerance,
+    # and a Newton matrix whose interior rows are all exactly zero
+    written = []
 
-    def singular_bands(W0, D1, D2, dxi, sigma, p):
-        return np.zeros_like(W0), np.full_like(W0, 2.0), np.zeros_like(W0)
+    def singular_bands(dl, diag, du, *args):
+        written.append(len(diag))
+        for band in (dl, diag, du):
+            band[...] = 0.0
 
-    monkeypatch.setattr(pde, "_rhs", flat_rhs)
-    monkeypatch.setattr(pde, "_jac_bands", singular_bands)
+    monkeypatch.setattr(pde, "_newton_bands", singular_bands)
+    old = np.stack((np.ones((1, 7)), np.zeros((1, 7)), np.zeros((1, 7))), 1)
     (res,) = pde._step_rows(
         np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, [None],
-        (np.ones((1, 7)), np.zeros((1, 7))), pde._Bands(1, 7), np.ones((1, 9)),
+        old, pde._Bands(1, 7), np.ones((1, 9)),
     )
     assert isinstance(res, errors.NewtonDiverged)
+    # the patched bands were the ones solved: once as the round's block,
+    # once more for the lone solve that follows a zero pivot
+    assert written == [1, 1]
+
+
+def _newton_matrix_rows(rng, p, k, M, dxi):
+    """k random positive rows of M points, each with its own step, theta
+    and drift speed near the sandwich's, and the bands (dl, diag, du)
+    that _newton_bands writes for them."""
+    delta = np.exp(-rng.uniform(10.0, 13.0, k))
+    W = p.d.a0 * delta[:, None] * np.exp(rng.uniform(-0.3, 0.3, (k, M)))
+    dt = delta * rng.uniform(0.001, 0.01, k)
+    theta = rng.choice([0.5, 1.0], k)
+    sigma = np.array([pde._drift_speed(p, x) for x in delta])
+    _, e, rho, _ = pde._stencil(W, dxi, p)
+    kappa = (-dt * theta * (p.n - 1) / dxi ** 2)[:, None]
+    alpha = (dt * theta * sigma / (2.0 * dxi))[:, None]
+    bands = np.zeros((k, M - 3)), np.zeros((k, M - 2)), np.zeros((k, M - 3))
+    pde._newton_bands(*bands, W[:, 1:-1], e, rho, kappa, alpha, dxi, p)
+    return W, dt * theta, sigma, bands
+
+
+def test_newton_bands_match_the_raw_jacobian(p_ref):
+    """The Newton matrix I - dt theta J_F that _newton_bands writes from the
+    stencil quotients matches the one from the raw stencil's Jacobian
+    bands (reference_routes.jac_bands) to 1e-12 relative, entry by entry,
+    on random positive rows."""
+    rng = np.random.default_rng(26)
+    dxi = 0.125
+    W, implicit, sigma, (dl, diag, du) = _newton_matrix_rows(rng, p_ref, 200, 401, dxi)
+    Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
+    dm, d0, dp = jac_bands(W0, (Wp - Wm) / (2.0 * dxi), (Wp - 2.0 * W0 + Wm) / dxi ** 2,
+                           dxi, sigma[:, None], p_ref)
+    k = implicit[:, None]
+    for new, ref in ((dl, -k * dm[:, 1:]), (diag, 1.0 - k * d0), (du, -k * dp[:, :-1])):
+        assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_newton_bands_match_an_exact_finite_difference(p_ref):
+    """Each entry of the Newton matrix equals the central difference of
+    the residual G_j = X_j - C_j - dt theta F_j(X) in X_{j-1}, X_j and
+    X_{j+1}, taken in exact rational arithmetic with a step of 2^-40 of
+    X, to 1e-12 relative; F is the raw form (n-1)(D2/W + b1 (D1/W)^2 +
+    b2 D1/W) + sigma D1 - a0."""
+    rng = np.random.default_rng(27)
+    dxi = 0.125
+    W, implicit, sigma, bands = _newton_matrix_rows(rng, p_ref, 3, 12, dxi)
+    h, b1, b2 = Fraction(dxi), Fraction(p_ref.d.b1), Fraction(p_ref.d.b2)
+
+    def G(X, j, row):  # C_j drops out of the difference
+        D1 = (X[j + 1] - X[j - 1]) / (2 * h)
+        D2 = (X[j + 1] - 2 * X[j] + X[j - 1]) / (h * h)
+        F = (p_ref.n - 1) * (D2 / X[j] + b1 * (D1 / X[j]) ** 2 + b2 * D1 / X[j])
+        F += Fraction(sigma[row]) * D1 - Fraction(p_ref.d.a0)
+        return X[j] - Fraction(implicit[row]) * F
+
+    for row in range(3):
+        X = [Fraction(x) for x in W[row]]
+        for j in range(1, len(X) - 1):
+            for band, col, l in ((bands[0], j - 2, j - 1), (bands[1], j - 1, j),
+                                 (bands[2], j - 1, j + 1)):
+                if not 0 <= col < band.shape[1]:
+                    continue  # the ends are Dirichlet values, not unknowns
+                step = X[l] / 2 ** 40
+                up, down = list(X), list(X)
+                up[l] += step
+                down[l] -= step
+                exact = float((G(up, j, row) - G(down, j, row)) / (2 * step))
+                assert abs(band[row, col] - exact) <= 1e-12 * abs(exact), (row, j, l)
 
 
 # -- runs as rows of one joint solve -------------------------------------------
@@ -521,14 +585,15 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
             warnings.simplefilter("error")
             W_old = np.stack([r[0] for r in rows])
             sources = [r[2] for r in rows]
-            # F (sources added) and D1 of W_old, as a solve carries them in
-            F, D1, _ = pde._rhs(W_old, 0.4, np.full((n, 1), pde._drift_speed(p_ref, ds)), p_ref)
+            # F (sources added), e and rho of W_old, as a solve carries them in
+            d, e, rho, t = pde._stencil(W_old, 0.4, p_ref)
+            F = pde._rhs(d, t, np.full((n, 1), pde._drift_speed(p_ref, ds)), 0.4, p_ref)
             for i, source in enumerate(sources):
                 if source is not None:
                     F[i] += source(ds)[1:-1]
             return pde._step_rows(
-                W_old, [ds] * n, [dn] * n, [1.0] * n,
-                [r[1] for r in rows], 0.4, p_ref, sources, (F, D1), pde._Bands(n, 99), W_old,
+                W_old, [ds] * n, [dn] * n, [1.0] * n, [r[1] for r in rows], 0.4, p_ref,
+                sources, np.stack((F, e, rho), 1), pde._Bands(n, 99), W_old,
             )
 
     # gtsv finds the first Newton system of row 2 alone singular, and after
@@ -552,19 +617,21 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
 
         return spied
 
-    rhs, bands = pde._rhs, pde._jac_bands
+    stencil, bands, checked = pde._stencil, pde._newton_bands, dict(stencil=0, bands=0)
 
-    def checked_rhs(W, *args):
+    def checked_stencil(W, *args):
+        checked["stencil"] += 1
         assert np.all(np.isfinite(W)) and np.all(W > 0.0)
-        return rhs(W, *args)
+        return stencil(W, *args)
 
-    def checked_bands(W0, D1, D2, *args):
-        assert all(np.all(np.isfinite(a)) for a in (W0, D1, D2)) and np.all(W0 > 0.0)
-        return bands(W0, D1, D2, *args)
+    def checked_bands(dl, diag, du, W, e, rho, *args):
+        checked["bands"] += 1
+        assert all(np.all(np.isfinite(a)) for a in (W, e, rho)) and np.all(W > 0.0)
+        return bands(dl, diag, du, W, e, rho, *args)
 
     monkeypatch.setattr(pde, "_gtsv", pde._route(spy_bind))
-    monkeypatch.setattr(pde, "_rhs", checked_rhs)
-    monkeypatch.setattr(pde, "_jac_bands", checked_bands)
+    monkeypatch.setattr(pde, "_stencil", checked_stencil)
+    monkeypatch.setattr(pde, "_newton_bands", checked_bands)
     (singular_alone,) = step([rows[2]])
     singular.extend(calls[0])
     del calls[:]
@@ -582,8 +649,11 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         if isinstance(b, errors.FdelabError):
             assert type(a) is type(b)
         else:
-            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
     assert len(nan_calls) == 2 * n_nan_calls
+    # the checks above ran: every step evaluates the stencil, and every
+    # step but the NaN row's solves a Newton system
+    assert checked["stencil"] > 0 and checked["bands"] > 0
 
 
 def _assert_same_runs(together, alone):
@@ -603,21 +673,21 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
     xi = np.linspace(-10.0, 40.0, 201)
 
     def runs():
-        # the rows without their consumers, so that every frame is kept
+        # solve_kept swaps each row's consumer for one that keeps every frame
         calibration, _ = pde._manufactured_row(p_ref, xi, ds)
         deltas = pde._planned_deltas(ds, de, 0.01)
         rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
-        return [pde._Run(r.w0, r.bc, r.source) for r in (calibration, *rows.values())]
+        return [calibration, *rows.values()]
 
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
-    together = pde._solve_rows(p_ref, xi, runs(), **kw)
-    alone = [pde._solve_rows(p_ref, xi, [run], **kw)[0] for run in runs()]
+    together = solve_kept(p_ref, xi, runs(), **kw)
+    alone = [solve_kept(p_ref, xi, [run], **kw)[0] for run in runs()]
     _assert_same_runs(together, alone)
     assert len(together[0].deltas) == 63
 
 
 def _uniform_run(a0, ds, bc):
-    return pde._Run(a0 * ds * np.ones(101), bc)
+    return pde._Run(a0 * ds * np.ones(101), bc, None)  # solve_kept gives it a consumer
 
 
 def _bc_failing_at(a0, calls, n_bad):
@@ -639,13 +709,13 @@ def test_rejected_row_keeps_its_own_steps(p_ref, d_ref):
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls_together, calls_alone = [], []
-    together = pde._solve_rows(p_ref, xi, [
+    together = solve_kept(p_ref, xi, [
         _uniform_run(a0, ds, good),
         _uniform_run(a0, ds, _bc_failing_at(a0, calls_together, {3})),
     ], **kw)
     alone = [
-        pde._solve_rows(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
-        pde._solve_rows(p_ref, xi, [
+        solve_kept(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
+        solve_kept(p_ref, xi, [
             _uniform_run(a0, ds, _bc_failing_at(a0, calls_alone, {3}))
         ], **kw)[0],
     ]
@@ -687,7 +757,7 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls = []
-    steady, failed = pde._solve_rows(p_ref, xi, [
+    steady, failed = solve_kept(p_ref, xi, [
         _uniform_run(a0, ds, good),
         _uniform_run(a0, ds, _bc_failing_at(a0, calls, range(2, 10 ** 6))),
     ], **kw)
@@ -695,7 +765,7 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     # one accepted step, then 13 rejections halve the warmup step 0.005
     # below 1e-6; an end-value rejection is never retried cold
     assert len(calls) == 1 + 13
-    (lone,) = pde._solve_rows(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)
+    (lone,) = solve_kept(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)
     _assert_same_runs([steady], [lone])
     with pytest.raises(errors.PositivityLost):
         solve_radial_fde(
@@ -878,9 +948,9 @@ def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, mon
 
 
 def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
-    """The F (source added) and D1 that a row carries into each attempt
-    equal a fresh _rhs of its last frame plus its source there, bit for
-    bit: after an accepted step, after a step that a negative end value
+    """The F (source added), e and rho that a row carries into each
+    attempt equal a fresh _stencil and _rhs of its last frame plus its
+    source there, bit for bit: after an accepted step, after a step that a negative end value
     rejected and halved, and on the cold retry of a rejected predicted
     start."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
@@ -897,17 +967,18 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
     def checked(W_old, delta_old, *args):
         step_calls.append(delta_old[0])
         sigma = np.array([[pde._drift_speed(p_ref, delta_old[0])]])
-        F, D1, _ = pde._rhs(W_old, xi[1] - xi[0], sigma, p_ref)
+        d, e, rho, t = pde._stencil(W_old, xi[1] - xi[0], p_ref)
+        F = pde._rhs(d, t, sigma, xi[1] - xi[0], p_ref)
         F += run.source(delta_old[0])[1:-1]
-        fresh.append(all(np.array_equal(a.view(np.int64), b.view(np.int64))
-                         for a, b in zip((F, D1), args[-3])))
+        fresh.append(np.array_equal(np.stack((F, e, rho), 1).view(np.int64),
+                                     args[-3].view(np.int64)))
         if len(step_calls) == 5:  # a predicted start: its cold retry follows
             return [errors.NewtonDiverged("rejected by construction")]
         return step_rows(W_old, delta_old, *args)
 
     monkeypatch.setattr(pde, "_step_rows", checked)
-    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(run.w0, bc, run.source)],
-                              delta_start=ds, delta_end=de, dtau=0.01)
+    (traj,) = solve_kept(p_ref, xi, [dataclasses.replace(run, bc=bc)],
+                         delta_start=ds, delta_end=de, dtau=0.01)
     assert (traj.step_rejections, traj.cold_retries) == (1, 1)
     # bc call 3 rejects the third step before Newton: its halved retry is
     # step call 3; step call 6 retries call 5 cold, from the same frame
@@ -918,12 +989,12 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
 
 def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeypatch):
     """On the smoke window, a Newton round calls gtsv once for all its
-    rows, a step attempt evaluates _rhs once for its start and once per
-    trial iterate (the old frame's F is carried in), and the calibration
-    source runs once per attempt of its row and once for the initial
-    frame."""
-    counts = dict(gtsv=0, rhs=0, source=0, attempts=0, calibration=0, rounds=0)
-    route, rhs, step_rows = pde._lapack(), pde._rhs, pde._step_rows
+    rows, a step attempt evaluates the stencil once for its start and once
+    per trial iterate (the old frame's F is carried in), and the
+    calibration source runs once per attempt of its row and once for the
+    initial frame."""
+    counts = dict(gtsv=0, stencil=0, source=0, attempts=0, calibration=0, rounds=0)
+    route, stencil, step_rows = pde._lapack(), pde._stencil, pde._step_rows
     manufactured = pde.make_manufactured
 
     def counting_bind(*bands):
@@ -935,9 +1006,9 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
 
         return solve
 
-    def counted_rhs(*args):
-        counts["rhs"] += 1
-        return rhs(*args)
+    def counted_stencil(*args):
+        counts["stencil"] += 1
+        return stencil(*args)
 
     def counted_step_rows(*args):
         counts["attempts"] += 1
@@ -961,7 +1032,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
         return W_exact, counted_bind
 
     monkeypatch.setattr(pde, "_gtsv", pde._route(counting_bind))
-    monkeypatch.setattr(pde, "_rhs", counted_rhs)
+    monkeypatch.setattr(pde, "_stencil", counted_stencil)
     monkeypatch.setattr(pde, "_step_rows", counted_step_rows)
     monkeypatch.setattr(pde, "make_manufactured", counted_manufactured)
     report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01)
@@ -972,7 +1043,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     # one call for the initial frames, then per attempt one for its start
     # and one per trial iterate (140 rounds, 6 halved line-search trials);
     # evaluating the old frame in every attempt as well made it 270
-    assert counts["rhs"] == 1 + 62 + 140 + 6
+    assert counts["stencil"] == 1 + 62 + 140 + 6
     assert counts["source"] == counts["calibration"] + 1
 
 
@@ -1048,8 +1119,8 @@ def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monke
         return barrier_W(bar, x, at, p)
 
     monkeypatch.setattr(pde, "_barrier_W", counted)
-    (traj,) = pde._solve_rows(p_ref, xi, [pde._Run(lower.w0, flaky)],
-                              delta_start=ds, delta_end=de, dtau=0.01)
+    (traj,) = solve_kept(p_ref, xi, [dataclasses.replace(lower, bc=flaky)],
+                         delta_start=ds, delta_end=de, dtau=0.01)
     monkeypatch.setattr(pde, "_barrier_W", barrier_W)
     assert traj.step_rejections == 1
     planned = set(deltas)
@@ -1112,8 +1183,8 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
             return seen[delta]
         return wrapped
 
-    runs = [pde._Run(r.w0, recorded(r.bc, seen), r.source) for r, seen in zip(runs, given)]
-    trajs = pde._solve_rows(p_ref, xi, runs, delta_start=ds, delta_end=de, dtau=0.01)
+    runs = [dataclasses.replace(r, bc=recorded(r.bc, seen)) for r, seen in zip(runs, given)]
+    trajs = solve_kept(p_ref, xi, runs, delta_start=ds, delta_end=de, dtau=0.01)
     for traj, seen in zip(trajs, given):
         for delta, W in zip(traj.deltas[1:], traj.W[1:]):
             assert (W[0], W[-1]) == tuple(seen[delta])

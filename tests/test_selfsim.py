@@ -363,3 +363,20 @@ def test_inverse_meets_the_tail_at_s_max(profile_ref):
 def test_inverse_needs_a_finite_positive_value(profile_ref, y):
     with pytest.raises(errors.NonPositiveInput):
         profile_ref.inverse(y)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.2, 2.0])
+def test_shoot_completes_away_from_lambda_one(p_ref, profile_ref, lam):
+    """Away from lambda = 1 the series start Z0 = m log(lambda) is of size
+    1 with a slope near 0, so the first step's probe spans the whole
+    interval, where the right-hand side overflows; the probe is shrunk and
+    the shoot completes.  The stationary equation is autonomous in s and
+    the core law fixes lambda^(1-m) e^(2s), so the profile is the
+    lambda = 1 profile shifted by k = (1-m)/2 log(lambda), to the shoot's
+    tolerance."""
+    p = ModelParams(p_ref.n, p_ref.m, p_ref.gamma, p_ref.A, lam=lam,
+                    theta1_minus=p_ref.theta1_minus)
+    prof = shoot_v0(p)
+    s = np.linspace(-10.0, 300.0, 401)
+    k = 0.5 * (1.0 - p.m) * math.log(lam)
+    assert np.max(np.abs(prof.phibar0(s) / profile_ref.phibar0(s + k) - 1.0)) < 2e-8
