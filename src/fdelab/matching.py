@@ -56,6 +56,15 @@ __all__ = [
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
 
 
+def _check_barrier(sign: str, eps: float):
+    """InvalidParameter for a sign other than '+' or '-', EpsilonOutOfRange
+    for eps outside [0, 1/4)."""
+    if sign not in _SIGN_FACTOR:
+        raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
+    if not (0.0 <= eps < 0.25):
+        raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
+
+
 def _exp_gamma_tau(gamma: float, tau: float) -> float:
     """e^{gamma tau}, the map of the outer side to inner variables;
     OutOfDomain naming gamma*tau once it passes the float range."""
@@ -78,8 +87,8 @@ def _shaped(values, tau):
 
 
 class MatchingSolver:
-    """Shift-constant solver at the config's matching radius xi1, with
-    tau-memoization (tau rounded to 1e-12).
+    """Shift-constant solver at the config's matching radius xi1; every
+    call solves C at each tau it is given and keeps nothing.
 
     variant declares the outer profile the caller expects; it must be
     branch_variant(gamma), the label of the one profile the outer set
@@ -96,7 +105,6 @@ class MatchingSolver:
         self.profile = profile
         self.outer = outer_set
         self.xi1 = outer_set.cfg.xi1
-        self._memo: dict = {}
 
     def _edge_gap(self, tau: float) -> float:
         """The matching edge gap xi1 e^{-gamma tau}; OutOfDomain once it
@@ -139,48 +147,30 @@ class MatchingSolver:
         return _shaped(egt * psi, tau), _shaped(dpsi, tau)
 
     def _solve(self, sign: str, eps: float, taus: list):
-        """(C at the leading taus, error): C from the memo, or solved in order
-        from one psi_outer call at the edge gaps of the taus it lacks, up to
-        the first tau that fails; that tau's error, or None."""
-        keys = [(sign, round(float(eps), 15), round(t * 1e12)) for t in taus]
-        todo = {}  # key -> the first tau that asks for it
-        for key, t in zip(keys, taus):
-            if key not in self._memo:
-                todo.setdefault(key, t)
-        failure = None
-        if todo:
-            gaps, egts, failure = self._edge(list(todo.values()))
-            solved, targets = list(todo.items())[: len(gaps)], []
-            if solved:
-                psi = self.outer.psi_outer(sign, np.array([t for _, t in solved]), gap=gaps)
-                targets = ((1.0 + _SIGN_FACTOR[sign] * eps) * (egts * psi)).tolist()
-            for (key, t), target in zip(solved, targets):
+        """(C at the leading taus, error): C solved in tau order from one
+        psi_outer call at the edge gaps, up to the first tau that fails;
+        that tau's error, or None."""
+        gaps, egts, failure = self._edge(taus)
+        C = []
+        if len(gaps):
+            psi = self.outer.psi_outer(sign, np.array(taus[: len(gaps)]), gap=gaps)
+            targets = ((1.0 + _SIGN_FACTOR[sign] * eps) * (egts * psi)).tolist()
+            for t, target in zip(taus, targets):
                 if not (math.isfinite(target) and target > 0.0):
-                    failure = errors.TargetBelowRange(
+                    return C, errors.TargetBelowRange(
                         f"matching target {target} not positive at tau={t} "
                         f"(outer profile not yet positive near A; increase tau)"
                     )
-                    break
                 try:
-                    self._memo[key] = self.profile.inverse(target) - self.xi1
+                    C.append(self.profile.inverse(target) - self.xi1)
                 except errors.FdelabError as exc:
-                    failure = exc
-                    break
-        C = []
-        for key in keys:
-            if key not in self._memo:
-                break
-            C.append(self._memo[key])
+                    return C, exc
         return C, failure
 
     def solve_matching(self, sign: str, eps: float, tau):
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
-        read from the profile's inverse; the taus before a failing one
-        stay in the memo."""
-        if sign not in _SIGN_FACTOR:
-            raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
-        if not (0.0 <= eps < 0.25):
-            raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
+        read from the profile's inverse."""
+        _check_barrier(sign, eps)
         C, failure = self._solve(sign, eps, _taus(tau))
         if failure is not None:
             raise failure
@@ -267,8 +257,7 @@ class GluedBarrier:
     the solver's xi1; wbar gives its values."""
 
     def __init__(self, solver: MatchingSolver, sign: str, eps: float):
-        if not (0.0 <= eps < 0.25):
-            raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
+        _check_barrier(sign, eps)
         self.solver = solver
         self.sign = sign
         self.eps = float(eps)

@@ -75,8 +75,8 @@ The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
 _BLOCK_POINTS points, when the first row reaches the block; a row off the
 plan evaluates its own delta once per barrier and step.  Each frame is
-reduced when it is accepted, so memory grows by a few scalars per step,
-never by grid rows.
+reduced when it is accepted, so what a run keeps grows by a few scalars
+per step, never by grid rows.
 """
 
 from __future__ import annotations
@@ -649,13 +649,23 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         del results, res  # their views would keep this round's arrays alive
 
 
-def _check_window(n_cells, dtau):
-    """InvalidParameter unless the grid has at least two cells and dtau is
-    a finite step > 0; checked before any grid is built."""
+def _check_window(n_cells, dtau, tau0, tau_end):
+    """InvalidParameter unless the grid has at least two cells, dtau is a
+    finite step > 0, and tau0 < tau_end with both delta = e^{-tau} finite
+    and > 0; checked before any grid or barrier is built."""
     if not n_cells >= 2:
         raise errors.InvalidParameter(f"need n_cells >= 2, got {n_cells}")
     if not 0.0 < dtau < math.inf:
         raise errors.InvalidParameter(f"need a finite dtau > 0, got {dtau}")
+    try:  # with tau0 < tau_end the other two bounds follow
+        ok = tau0 < tau_end and math.exp(-tau0) < math.inf and math.exp(-tau_end) > 0.0
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise errors.InvalidParameter(
+            f"need tau0 < tau_end with e^(-tau) finite and > 0 at both, "
+            f"got tau0 = {tau0}, tau_end = {tau_end}"
+        )
 
 
 # -- manufactured solution and tolerance calibration ---------------------------
@@ -770,19 +780,12 @@ class _BarrierBlocks:
     at a time, when a row first reaches the block; the block before stays,
     so a row one round behind needs no second evaluation.  A delta off the
     plan, or in a block whose evaluation raised, is evaluated alone and
-    kept as its row's latest, for the row's bc and consumer.  C(tau) of
-    all planned deltas is solved first, so a block takes one inner and one
-    outer call per barrier.
+    kept as its row's latest, for the row's bc and consumer.  A block
+    takes one inner and two outer calls per barrier: the matching edge
+    that C(tau) is solved from, and the grid.
     """
 
     def __init__(self, plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
-        taus = np.array([-math.log(delta) for delta in deltas])
-        for bar in (plus, minus):
-            try:
-                for i in range(0, len(taus), _BLOCK_POINTS):
-                    bar.C(taus[i:i + _BLOCK_POINTS])
-            except errors.FdelabError:
-                pass  # the taus before the failing one stay solved
         self.bars, self.xi, self.deltas = (plus, minus), xi, deltas
         self.index = {delta: j for j, delta in enumerate(deltas)}
         self.size = max(1, _BLOCK_POINTS // len(xi))  # deltas per block
@@ -894,10 +897,11 @@ def comparison_sandwich(
     """Evolve data between the barriers from tau0 to tau_end and verify it
     stays sandwiched.
 
-    The pair must come in sign order (plus, minus), n_cells >= 2 and dtau a
-    finite step > 0; anything else raises InvalidParameter before any
-    solve.  The grid is xi in [-xi1, 4 xi1] with n_cells cells, and dtau
-    is the step as a fraction of delta (the CLI's simulate window).
+    The pair must come in sign order (plus, minus), n_cells >= 2, dtau a
+    finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
+    anything else raises InvalidParameter before any solve.  The grid is
+    xi in [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a
+    fraction of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
     the pointwise geometric mean ("mid", the reported solution).  Initial
     data outside the barriers is rejected (this covers the doubled-data
@@ -911,7 +915,7 @@ def comparison_sandwich(
     """
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
-    _check_window(n_cells, dtau)
+    _check_window(n_cells, dtau, tau0, tau_end)
     p = plus.outer.p
     delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)

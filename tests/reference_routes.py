@@ -222,7 +222,7 @@ def solve_radial_fde(p, *, xi_window, n_cells, delta_start, delta_end, dtau, w0,
     optional extra right-hand side on the grid.  The one-row case of the
     joint solve; a bad window raises InvalidParameter before the grid is
     built, and a run's error is raised."""
-    pde._check_window(n_cells, dtau)
+    pde._check_window(n_cells, dtau, -math.log(delta_start), -math.log(delta_end))
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
     (res,) = solve_kept(p, xi, [pde._Run(w0(xi), bc, None, source)],
                         delta_start=delta_start, delta_end=delta_end, dtau=dtau)

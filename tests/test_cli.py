@@ -113,6 +113,10 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     # C10 >= C10_star = 0.907 leaves the plus far-field coefficient kappa
     # <= 0, so the plus threshold search refuses it before any rung
     ("verify", dict(SMOKE, C10=4.0)),
+    # delta = e^(-tau) leaves the float range: a bare OverflowError at
+    # tau0 -1000, a math domain error at tau 800
+    ("simulate", dict(SMOKE, tau0=-1000)),
+    ("simulate", dict(SMOKE, tau0=800, tau_end=801)),
 ])
 def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Matching layer: C(tau) solves, corner inequalities, epsilon windows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,32 @@ def test_epsilon_out_of_range(solver_ref):
         solver_ref.solve_matching("+", -0.01, 16.0)
 
 
+def test_sign_other_than_plus_or_minus_is_refused(solver_ref):
+    # the barrier used to fail on a bare KeyError from its sign factor
+    for sign in ("x", "", None, "+-"):
+        with pytest.raises(errors.InvalidParameter, match="sign must be"):
+            GluedBarrier(solver_ref, sign, 0.0)
+        with pytest.raises(errors.InvalidParameter, match="sign must be"):
+            solver_ref.solve_matching(sign, 0.0, 16.0)
+
+
+def test_solver_keeps_nothing_per_tau(solver_ref):
+    """C at 20,000 distinct taus (10 x 1,000 per sign) leaves less than
+    64 KB behind, about 3 bytes a tau; a store of every C kept more than
+    3 MB."""
+    solver_ref.solve_matching("+", 0.018, 10.0)  # one-time allocations are not growth
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sign in ("+", "-"):
+            for k in range(10):
+                solver_ref.solve_matching(sign, 0.018, 10.0 + k + np.arange(1000) / 1000.0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+
+
 def test_ordering_of_glued_pair(solver_ref, eps_ref):
     eps = 0.5 * min(eps_ref)
     plus = GluedBarrier(solver_ref, "+", eps)
@@ -235,8 +262,7 @@ def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign
     # C meets the target (1 +/- eps) times the outer edge value to the
     # resolution of phibar0 itself: its exponent 2s + c Z(s) carries
     # rounding of about ulp(2s)
-    shared = request.getfixturevalue(solver_name)
-    solver = MatchingSolver(shared.profile, shared.outer, branch_variant(shared.outer.p.gamma))
+    solver = request.getfixturevalue(solver_name)
     eps = 0.01
     edge_value, _ = solver.outer_edge(sign, tau)
     target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
@@ -288,12 +314,6 @@ def test_reference_glued_derivatives_match_fd(request, solver_name, tau, sign):
 # -- tau arrays ------------------------------------------------------------------
 
 
-def _fresh(solver):
-    """A solver on the same profile and outer set with an empty memo, so
-    each route solves C itself."""
-    return MatchingSolver(solver.profile, solver.outer, branch_variant(solver.outer.p.gamma))
-
-
 # both sides of the corner, the corner itself and its upper ulp neighbour
 GRID_XI = np.array([-20.0, -5.0, 0.0, 9.0, XI1, np.nextafter(XI1, np.inf), 11.0, 20.0, 40.0])
 
@@ -301,34 +321,32 @@ GRID_XI = np.array([-20.0, -5.0, 0.0, 9.0, XI1, np.nextafter(XI1, np.inf), 11.0,
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
 def test_grid_wbar_equals_per_tau_calls(request, solver_name, tau, sign):
-    shared = request.getfixturevalue(solver_name)
     taus = tau + np.linspace(0.0, 6.0, 13)
-    grid = GluedBarrier(_fresh(shared), sign, 0.01)
-    w = grid.wbar(GRID_XI, taus)
+    bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
+    w = bar.wbar(GRID_XI, taus)
     assert w.shape == (13, GRID_XI.size)
-    one = GluedBarrier(_fresh(shared), sign, 0.01)
     for i, t in enumerate(taus.tolist()):
-        assert np.array_equal(w[i], one.wbar(GRID_XI, t))
-        assert [grid.wbar(x, taus)[i] for x in GRID_XI] == one.wbar(GRID_XI, t).tolist()
+        assert np.array_equal(w[i], bar.wbar(GRID_XI, t))
+        assert [bar.wbar(x, taus)[i] for x in GRID_XI] == bar.wbar(GRID_XI, t).tolist()
     # one xi row per tau reads each row at its own tau
     rows = GRID_XI + np.arange(13)[:, None] * 0.5
-    w_rows = grid.wbar(rows, taus)
+    w_rows = bar.wbar(rows, taus)
     assert w_rows.shape == rows.shape
     for i, t in enumerate(taus.tolist()):
-        assert np.array_equal(w_rows[i], one.wbar(rows[i], t))
+        assert np.array_equal(w_rows[i], bar.wbar(rows[i], t))
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_corner_readings_on_a_tau_array_equal_per_tau_calls(solver_ref, sign):
     taus = [10.0, 12.0, 15.0, 16.0]
-    grid, one = (GluedBarrier(_fresh(solver_ref), sign, 0.01) for _ in range(2))
-    assert grid.corner_jump(taus) == [one.corner_jump(t) for t in taus]
-    slopes = grid.corner_slopes(np.array(taus))
+    bar = GluedBarrier(solver_ref, sign, 0.01)
+    assert bar.corner_jump(taus) == [bar.corner_jump(t) for t in taus]
+    slopes = bar.corner_slopes(np.array(taus))
     for i, t in enumerate(taus):
-        assert tuple(part[i] for part in slopes) == one.corner_slopes(t)
-    assert grid.continuity_mismatch(taus).tolist() == [one.continuity_mismatch(t) for t in taus]
-    assert [part.tolist() for part in grid.solver.outer_edge(sign, taus)] == [
-        list(col) for col in zip(*(one.solver.outer_edge(sign, t) for t in taus))
+        assert tuple(part[i] for part in slopes) == bar.corner_slopes(t)
+    assert bar.continuity_mismatch(taus).tolist() == [bar.continuity_mismatch(t) for t in taus]
+    assert [part.tolist() for part in bar.solver.outer_edge(sign, taus)] == [
+        list(col) for col in zip(*(bar.solver.outer_edge(sign, t) for t in taus))
     ]
 
 
@@ -343,14 +361,12 @@ def test_matching_on_a_tau_array_equals_scalar_calls(p):
     outer = OuterProfileSet(p, cfg)
     profile = shoot_or_error(p)
     taus = cfg.tau_start + np.arange(0.0, 30.0, 3.0)
+    solver = MatchingSolver(profile, outer, branch_variant(p.gamma))
     for sign in ("+", "-"):
         for eps in (0.0, 0.02):
-            grid, one = (MatchingSolver(profile, outer, branch_variant(p.gamma)) for _ in range(2))
-            C, Cp = grid.solve_matching(sign, eps, taus), grid.C_prime(sign, eps, taus)
-            assert C.tolist() == [one.solve_matching(sign, eps, t) for t in taus.tolist()]
-            assert Cp.tolist() == [one.C_prime(sign, eps, t) for t in taus.tolist()]
-            # C' from a fresh solver, whose own solve is the array's
-            assert _fresh(grid).C_prime(sign, eps, taus).tolist() == Cp.tolist()
+            C, Cp = solver.solve_matching(sign, eps, taus), solver.C_prime(sign, eps, taus)
+            assert C.tolist() == [solver.solve_matching(sign, eps, t) for t in taus.tolist()]
+            assert Cp.tolist() == [solver.C_prime(sign, eps, t) for t in taus.tolist()]
 
 
 def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch):
@@ -365,21 +381,18 @@ def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch
 
     monkeypatch.setattr(OuterProfileSet, "psi_outer", negative_at_12)
     taus = [10.0, 12.0, 480.0, 520.0]
-    one = _fresh(solver_ref)
     with pytest.raises(errors.TargetBelowRange) as scalar:
         for t in taus:
-            one.solve_matching("+", 0.0, t)
-    grid = _fresh(solver_ref)
+            solver_ref.solve_matching("+", 0.0, t)
     with pytest.raises(errors.TargetBelowRange) as array:
-        grid.solve_matching("+", 0.0, taus)
+        solver_ref.solve_matching("+", 0.0, taus)
     assert str(array.value) == str(scalar.value)
-    assert grid.solve_matching("+", 0.0, 10.0) == one.solve_matching("+", 0.0, 10.0)
-    assert len(grid._memo) == 1
+    assert solver_ref._solve("+", 0.0, taus)[0] == [solver_ref.solve_matching("+", 0.0, 10.0)]
     for rest in (taus[2:], taus[3:]):
         with pytest.raises(errors.OutOfDomain) as scalar:
-            one.solve_matching("+", 0.0, rest[0])
+            solver_ref.solve_matching("+", 0.0, rest[0])
         with pytest.raises(errors.OutOfDomain) as array:
-            _fresh(solver_ref).solve_matching("+", 0.0, rest)
+            solver_ref.solve_matching("+", 0.0, rest)
         assert str(array.value) == str(scalar.value)
 
 

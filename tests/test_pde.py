@@ -1133,9 +1133,10 @@ def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monke
         assert (W[0], W[-1]) == read[delta]
 
 
-def test_sandwich_barrier_calls_grow_with_blocks_not_steps(solver_ref, monkeypatch):
-    """Doubling the smoke window doubles the steps but adds at most one
-    call per barrier and tau block to the outer and inner evaluators."""
+def test_sandwich_barrier_calls_grow_with_blocks_not_steps(barrier_pair, monkeypatch):
+    """Doubling the smoke window doubles the steps but adds, per barrier
+    and tau block, at most one call to the inner evaluator and two to the
+    outer one: the matching edge and the grid."""
     from fdelab.outer import OuterProfileSet
     from fdelab.selfsim import SelfSimilarProfile
 
@@ -1149,10 +1150,8 @@ def test_sandwich_barrier_calls_grow_with_blocks_not_steps(solver_ref, monkeypat
 
     def run(tau_end):
         counts.clear()
-        solver = MatchingSolver(solver_ref.profile, solver_ref.outer, "psi3")
         report = comparison_sandwich(
-            GluedBarrier(solver, "+", EPS_SMOKE), GluedBarrier(solver, "-", EPS_SMOKE),
-            tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01,
+            *barrier_pair, tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01
         )
         frames = report.runs["mid"].frames
         return dict(counts), frames, -(-frames // (pde._BLOCK_POINTS // 401))
@@ -1160,8 +1159,8 @@ def test_sandwich_barrier_calls_grow_with_blocks_not_steps(solver_ref, monkeypat
     short, frames, blocks = run(10.6)
     long, frames2, blocks2 = run(10.0 + 2 * 0.6)
     assert frames >= 60 and frames2 - frames >= 55  # 60 more steps
-    for name in ("psi_outer", "phibar0"):
-        assert 0 < long[name] - short[name] <= 2 * (blocks2 - blocks), name
+    for name, per_block in (("psi_outer", 2), ("phibar0", 1)):
+        assert 0 < long[name] - short[name] <= 2 * per_block * (blocks2 - blocks), name
     assert long.get("psi_bundle", 0) == short.get("psi_bundle", 0) == 0
 
 
@@ -1190,19 +1189,17 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
             assert (W[0], W[-1]) == tuple(seen[delta])
 
 
-def test_sandwich_memory_grows_by_scalars_not_grid_rows(solver_ref):
+def test_sandwich_memory_grows_by_scalars_not_grid_rows(barrier_pair):
     """Every frame is reduced when it is accepted, so from 63 to 242
     frames the traced peak of a sandwich run grows by less than a quarter
     of a grid row (401 points) per added frame; a store of every frame
     grows by four rows.  Both windows span more than two barrier blocks,
     so both runs peak while a block is evaluated with one block kept."""
     def peak(tau_end):
-        solver = MatchingSolver(solver_ref.profile, solver_ref.outer, "psi3")
-        pair = GluedBarrier(solver, "+", EPS_SMOKE), GluedBarrier(solver, "-", EPS_SMOKE)
         tracemalloc.start()
         try:
             report = comparison_sandwich(
-                *pair, tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01
+                *barrier_pair, tau0=TAU0, tau_end=tau_end, n_cells=400, dtau=0.01
             )
             return tracemalloc.get_traced_memory()[1], report.runs["mid"].frames
         finally:
