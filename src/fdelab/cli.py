@@ -112,22 +112,16 @@ def cmd_profile(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _search_inner_start(solver, eps: float, tau_lo: float):
-    """Smallest tau (8 steps of 2 from tau_lo) where both glued barriers
-    pass the inner sign verdict; returns (tau, reports) or (None, reports)."""
-    p, cfg = solver.outer.p, solver.outer.cfg
+def _search_inner_start(bars, tau_lo: float):
+    """Smallest tau (8 steps of 2 from tau_lo) where the (plus, minus) pair
+    bars passes the inner sign verdict; returns (tau, reports) or (None, reports)."""
+    p, cfg = bars[0].outer.p, bars[0].outer.cfg
     tau = tau_lo
-    reports = {}
     for _ in range(8):
-        ok = True
-        reports = {}
-        for sign in ("+", "-"):
-            bar = GluedBarrier(solver, sign, eps)
-            region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0)
-            rep = verify_sign_region(l1_terms_evaluator(bar), sign, region, p, cfg)
-            reports[sign] = rep
-            ok = ok and rep.passed
-        if ok:
+        region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0)
+        reports = {bar.sign: verify_sign_region(l1_terms_evaluator(bar), bar.sign, region, p, cfg)
+                   for bar in bars}
+        if all(rep.passed for rep in reports.values()):
             return tau, reports
         tau += 2.0
     return None, reports
@@ -203,8 +197,8 @@ def cmd_verify(args) -> int:
     checks.append(make_check("matching-limits", lim_ok, limits))
 
     # 5. corner verdicts and continuity at the working epsilon
-    for sign, label in (("+", "plus"), ("-", "minus")):
-        bar = GluedBarrier(solver, sign, eps_use)
+    bars = GluedBarrier(solver, "+", eps_use), GluedBarrier(solver, "-", eps_use)
+    for bar, label in zip(bars, ("plus", "minus")):
         jumps = bar.corner_jump(taus)
         cont = max(bar.continuity_mismatch(taus).tolist())
         ok = all(j.holds for j in jumps) and cont < 1e-9
@@ -214,13 +208,11 @@ def cmd_verify(args) -> int:
         }))
 
     # 6. strict ordering of the glued pair
-    bp = GluedBarrier(solver, "+", eps_use)
-    bm = GluedBarrier(solver, "-", eps_use)
-    ordering = check_ordering(bp, bm, taus)
+    ordering = check_ordering(*bars, taus)
     checks.append(make_check("barrier-ordering", ordering["ordered"], ordering))
 
     # 7. inner sign verdicts on the glued barriers
-    tau3, inner_reports = _search_inner_start(solver, eps_use, tau_match)
+    tau3, inner_reports = _search_inner_start(bars, tau_match)
     inner_ok = tau3 is not None
     checks.append(make_check("inner-signs", inner_ok, {
         "tau3": tau3,
@@ -229,12 +221,11 @@ def cmd_verify(args) -> int:
     tau0 = tau3 if tau3 is not None else tau_match
 
     # 8. weak corner boundary term: sign must match the comparison direction
-    for sign, label, want in (("+", "plus", -1.0), ("-", "minus", 1.0)):
-        bar = GluedBarrier(solver, sign, eps_use)
+    for bar, label, want in zip(bars, ("plus", "minus"), (-1.0, 1.0)):
         try:
             wct = weak_corner_term(bar, (tau0, tau0 + 6.0))
             ok = wct["sign_consistent"] and wct["sign"] == want
-        except errors.NonConvergent as exc:
+        except (errors.NonConvergent, errors.OutOfDomain) as exc:
             wct, ok = {"error": str(exc)}, False
         checks.append(make_check(f"weak-corner-{label}", ok, wct))
 
@@ -290,10 +281,9 @@ def cmd_simulate(args) -> int:
     outer = OuterProfileSet(p, cfg)
     profile = shoot_v0(p)
     solver = MatchingSolver(profile, outer, variant)
-    plus = GluedBarrier(solver, "+", eps)
-    minus = GluedBarrier(solver, "-", eps)
+    bars = GluedBarrier(solver, "+", eps), GluedBarrier(solver, "-", eps)
     sandwich = comparison_sandwich(
-        plus, minus, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
+        *bars, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=dtau,
     )
     sandwich.to_csv(out_csv)
 

@@ -13,29 +13,34 @@ is continuous at xi1; GluedBarrier.wbar makes this split in one place, and
 the residuals module takes L1 of it in closed form on each side.  The
 matching radius xi1 is the config's (outer.cfg.xi1), read once by
 MatchingSolver; the glued barriers and the epsilon search take it from
-their solver.  C is read from the profile's step table
-(SelfSimilarProfile.inverse of the target), so it depends on the target
-alone, and C'(tau) is closed-form by implicit differentiation:
-phibar0'(xi1 + C) C' = (1 +/- eps) w_tau(xi1+), the tau-derivative of the
-outer side at fixed xi.  A matching edge gap xi1 e^{-gamma tau} that
-underflows to 0 raises OutOfDomain naming gamma*tau.  The corner verdict
-compares one-sided slopes there, and weak_corner_term turns the same
-slopes into the sign and size of the corner boundary term of the weak
-comparison argument; epsilon bounds are the largest weights keeping the
-corner verdicts (eps1) and the strict ordering psi+ > psi- > 0 (eps2).
+their solver.  The corner verdict compares one-sided slopes there, and
+weak_corner_term turns the same slopes into the sign and size of the
+corner boundary term of the weak comparison argument; epsilon bounds are
+the largest weights keeping the corner verdicts (eps1) and the strict
+ordering psi+ > psi- > 0 (eps2).
 
-Every tau-dependent method takes a float or a 1-D tau array.  An array
-goes through one outer evaluation of the edge (psi_outer or psi_bundle)
-and, in the glued barrier, one phibar0 and one outer call on the (tau, xi)
-grid; a float gives floats, or the grid's one row.  Each value equals the
-one a float tau gives, bit for bit: e^{+/-gamma tau} comes from math.exp
-one tau at a time, and the inverse stays a loop over the targets.  An
-error is the one the first offending tau raises, in tau order.
+Only the inverse depends on eps, so C comes in two steps: an edge reading
+(MatchingSolver._read_edge: e^{gamma tau} and one psi_bundle call at the
+edge gaps xi1 e^{-gamma tau}, no eps) and a shift solve (_shift: the
+inverse of each target, in tau order).  C' is closed-form by implicit
+differentiation of the same reading, phibar0'(xi1 + C) C' = (1 +/- eps)
+w_tau(xi1+).  C, C', the corner slopes and the outer edge each take one
+reading; the epsilon search reads each sign's edge once for all its steps.
+A reading stops at the first tau whose edge gap underflows to 0 or whose
+e^{gamma tau} overflows, with that tau's OutOfDomain.
+
+Every tau-dependent method takes a float or a 1-D tau array; a float
+gives floats, or the glued grid's one row.  Each value equals the one a
+float tau gives, bit for bit: e^{+/-gamma tau} comes from math.exp one
+tau at a time, and the inverse is a loop over the targets.  An error is
+the one the first offending tau raises, in tau order; in the epsilon
+search a corner verdict that fails decides before a later tau's error.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,15 +59,9 @@ __all__ = [
 ]
 
 _SIGN_FACTOR = {"+": 1.0, "-": -1.0}
-
-
-def _check_barrier(sign: str, eps: float):
-    """InvalidParameter for a sign other than '+' or '-', EpsilonOutOfRange
-    for eps outside [0, 1/4)."""
-    if sign not in _SIGN_FACTOR:
-        raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
-    if not (0.0 <= eps < 0.25):
-        raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
+# the corner verdict: the supersolution (+) needs left >= right (a concave
+# kink), the subsolution (-) left <= right
+_HOLDS = {"+": np.greater_equal, "-": np.less_equal}
 
 
 def _exp_gamma_tau(gamma: float, tau: float) -> float:
@@ -86,6 +85,11 @@ def _shaped(values, tau):
     return float(values[0]) if np.ndim(tau) == 0 else np.asarray(values)
 
 
+# an edge reading (module docstring): e^{gamma tau} and psi_bundle's four arrays
+# at the taus read, and the OutOfDomain of the tau it stopped at, or None
+_Edge = namedtuple("_Edge", "sign taus egt psi dpsi d2psi dtau_psi failure")
+
+
 class MatchingSolver:
     """Shift-constant solver at the config's matching radius xi1; every
     call solves C at each tau it is given and keeps nothing.
@@ -106,88 +110,55 @@ class MatchingSolver:
         self.outer = outer_set
         self.xi1 = outer_set.cfg.xi1
 
-    def _edge_gap(self, tau: float) -> float:
-        """The matching edge gap xi1 e^{-gamma tau}; OutOfDomain once it
-        underflows to 0."""
+    def _read_edge(self, sign: str, taus: list) -> _Edge:
+        """The edge reading of sign over taus (module docstring)."""
         gamma = self.outer.p.gamma
-        gap = self.xi1 * math.exp(-gamma * tau)
-        if gap == 0.0:
-            raise errors.OutOfDomain(
-                f"matching edge gap xi1 e^(-gamma tau) underflows to 0 at "
-                f"gamma tau = {gamma * tau:.6g}"
-            )
-        return gap
-
-    def _edge(self, taus: list):
-        """(edge gaps, e^{gamma tau}) as arrays over the taus before the first
-        one where either leaves the float range, and that tau's
-        OutOfDomain, or None when there is none."""
-        gamma = self.outer.p.gamma
-        gaps, egts = [], []
+        gaps, egts, failure = [], [], None
         for tau in taus:
+            gap = self.xi1 * math.exp(-gamma * tau)
             try:
-                gap, egt = self._edge_gap(tau), _exp_gamma_tau(gamma, tau)
+                if gap == 0.0:
+                    raise errors.OutOfDomain(
+                        f"matching edge gap xi1 e^(-gamma tau) underflows to 0 at "
+                        f"gamma tau = {gamma * tau:.6g}"
+                    )
+                egts.append(_exp_gamma_tau(gamma, tau))
             except errors.OutOfDomain as exc:
-                return np.array(gaps), np.array(egts), exc
+                failure = exc
+                break
             gaps.append(gap)
-            egts.append(egt)
-        return np.array(gaps), np.array(egts), None
+        read = taus[: len(gaps)]
+        bundle = self.outer.psi_bundle(sign, np.array(read), gap=np.array(gaps))
+        return _Edge(sign, read, np.array(egts), *bundle, failure)
 
-    def _edge_bundle(self, sign: str, taus: list):
-        """(e^{gamma tau}, psi_bundle at the edge gap) over taus, from one
-        outer call."""
-        gaps, egts, failure = self._edge(taus)
-        if failure is not None:
-            raise failure
-        return egts, self.outer.psi_bundle(sign, np.array(taus), gap=gaps)
+    def _shift(self, edge: _Edge, eps: float):
+        """(C, error): the shift solve of an edge reading up to the first
+        target that fails; that target's error, else the reading's, or None."""
+        targets = ((1.0 + _SIGN_FACTOR[edge.sign] * eps) * (edge.egt * edge.psi)).tolist()
+        C = []
+        for t, target in zip(edge.taus, targets):
+            if not (math.isfinite(target) and target > 0.0):
+                return C, errors.TargetBelowRange(
+                    f"matching target {target} not positive at tau={t} "
+                    f"(outer profile not yet positive near A; increase tau)"
+                )
+            try:
+                C.append(self.profile.inverse(target) - self.xi1)
+            except errors.FdelabError as exc:
+                return C, exc
+        return C, edge.failure
 
     def outer_edge(self, sign: str, tau):
         """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
-        egt, (psi, dpsi, _, _) = self._edge_bundle(sign, _taus(tau))
-        return _shaped(egt * psi, tau), _shaped(dpsi, tau)
-
-    def _solve(self, sign: str, eps: float, taus: list):
-        """(C at the leading taus, error): C solved in tau order from one
-        psi_outer call at the edge gaps, up to the first tau that fails;
-        that tau's error, or None."""
-        gaps, egts, failure = self._edge(taus)
-        C = []
-        if len(gaps):
-            psi = self.outer.psi_outer(sign, np.array(taus[: len(gaps)]), gap=gaps)
-            targets = ((1.0 + _SIGN_FACTOR[sign] * eps) * (egts * psi)).tolist()
-            for t, target in zip(taus, targets):
-                if not (math.isfinite(target) and target > 0.0):
-                    return C, errors.TargetBelowRange(
-                        f"matching target {target} not positive at tau={t} "
-                        f"(outer profile not yet positive near A; increase tau)"
-                    )
-                try:
-                    C.append(self.profile.inverse(target) - self.xi1)
-                except errors.FdelabError as exc:
-                    return C, exc
-        return C, failure
+        edge = self._read_edge(sign, _taus(tau))
+        if edge.failure is not None:
+            raise edge.failure
+        return _shaped(edge.egt * edge.psi, tau), _shaped(edge.dpsi, tau)
 
     def solve_matching(self, sign: str, eps: float, tau):
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
         read from the profile's inverse."""
-        _check_barrier(sign, eps)
-        C, failure = self._solve(sign, eps, _taus(tau))
-        if failure is not None:
-            raise failure
-        return _shaped(C, tau)
-
-    def C_prime(self, sign: str, eps: float, tau):
-        """dC/dtau = (1 +/- eps) w_tau(xi1+) / phibar0'(xi1 + C), the
-        implicit derivative of the matching equation; w_tau is the outer
-        side's tau-derivative at fixed xi, gamma w - gamma xi psi_eta +
-        e^{gamma tau} psi_tau."""
-        taus = _taus(tau)
-        C = self.solve_matching(sign, eps, taus)
-        egt, (psi, dpsi, _, dtau_psi) = self._edge_bundle(sign, taus)
-        gamma = self.outer.p.gamma
-        wt = gamma * egt * psi - gamma * self.xi1 * dpsi + egt * dtau_psi
-        factor = 1.0 + _SIGN_FACTOR[sign] * eps
-        return _shaped(factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1], tau)
+        return GluedBarrier(self, sign, eps).C(tau)
 
     # -- quantitative matching limits ---------------------------------------
 
@@ -208,9 +179,10 @@ class MatchingSolver:
         out = {}
         tau_ref = 40.0
         taus = np.array([tau_ref - 10.0, tau_ref - 5.0, tau_ref])
+        edges = {sign: self.outer_edge(sign, taus) for sign in _SIGN_FACTOR}
 
         # plus edge value: increment slope over consecutive tau samples
-        inc = np.diff(self.outer_edge("+", taus)[0]) / np.diff(taus)
+        inc = np.diff(edges["+"][0]) / np.diff(taus)
         limit_plus = (n - 1) * p.theta2_plus / A
         if abs(inc[-1] - inc[0]) > 0.05 * abs(limit_plus):
             raise errors.ExtrapolationUnstable(
@@ -221,7 +193,7 @@ class MatchingSolver:
         out["plus_increment_rel_err"] = float(abs(inc[-1] - limit_plus) / abs(limit_plus))
 
         # minus edge value converges outright
-        vminus = self.outer_edge("-", tau_ref)[0]
+        vminus = edges["-"][0][-1]
         limit_minus = d.a0 * xi1 / (gamma * A) + (n - 1) * p.theta1_minus / (gamma * A * xi1)
         out["minus_edge_value"] = float(vminus)
         out["minus_edge_limit"] = limit_minus
@@ -231,7 +203,7 @@ class MatchingSolver:
         for sign in ("+", "-"):
             th1 = theta(p, 1, sign)
             th2 = theta(p, 2, sign)
-            slope = self.outer_edge(sign, tau_ref)[1]
+            slope = edges[sign][1][-1]
             limit = (
                 d.a0 / (gamma * A)
                 - (n - 1) * th2 / (gamma * A * xi1)
@@ -257,7 +229,10 @@ class GluedBarrier:
     the solver's xi1; wbar gives its values."""
 
     def __init__(self, solver: MatchingSolver, sign: str, eps: float):
-        _check_barrier(sign, eps)
+        if sign not in _SIGN_FACTOR:
+            raise errors.InvalidParameter(f"sign must be '+' or '-', got {sign!r}")
+        if not (0.0 <= eps < 0.25):
+            raise errors.EpsilonOutOfRange(f"eps must be in [0, 1/4), got {eps}")
         self.solver = solver
         self.sign = sign
         self.eps = float(eps)
@@ -273,10 +248,24 @@ class GluedBarrier:
         return self.solver.outer
 
     def C(self, tau):
-        return self.solver.solve_matching(self.sign, self.eps, tau)
+        return _shaped(self._solved(tau)[1], tau)
 
-    def C_prime(self, tau):
-        return self.solver.C_prime(self.sign, self.eps, tau)
+    def _solved(self, tau):
+        """(edge reading, C) over _taus(tau); raises the first offending tau's error."""
+        edge = self.solver._read_edge(self.sign, _taus(tau))
+        C, failure = self.solver._shift(edge, self.eps)
+        if failure is not None:
+            raise failure
+        return edge, np.asarray(C)
+
+    def C_and_C_prime(self, tau):
+        """(C, dC/dtau) from one edge reading; C' by implicit differentiation
+        (module docstring), w_tau = gamma w - gamma xi psi_eta + e^{gamma tau} psi_tau."""
+        edge, C = self._solved(tau)
+        gamma = self.outer.p.gamma
+        wt = gamma * edge.egt * edge.psi - gamma * self.xi1 * edge.dpsi + edge.egt * edge.dtau_psi
+        Cp = self.factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1]
+        return _shaped(C, tau), _shaped(Cp, tau)
 
     def wbar(self, xi, tau):
         """Glued profile value in inner variables (see the module docstring)
@@ -322,23 +311,16 @@ class GluedBarrier:
     def corner_slopes(self, tau):
         """(edge value e^{gamma tau} psi, left slope, right slope) at xi1,
         from one outer evaluation of the edge."""
-        taus = _taus(tau)
-        left = self.profile.phibar0(self.xi1 + self.C(taus), derivs=True)[1] / self.factor
-        edge, right = self.solver.outer_edge(self.sign, taus)
-        return _shaped(edge, tau), _shaped(left, tau), _shaped(right, tau)
+        edge, C = self._solved(tau)
+        left = self.profile.phibar0(self.xi1 + C, derivs=True)[1] / self.factor
+        return _shaped(edge.egt * edge.psi, tau), _shaped(left, tau), _shaped(edge.dpsi, tau)
 
     def corner_jump(self, tau):
-        """One-sided slopes at xi1 and the sign-appropriate verdict, as a
-        CornerReport for a float tau and as a list of them, one per tau,
-        for a sequence of taus.
-
-        Supersolution (+) needs left >= right (concave kink); subsolution (-)
-        needs left <= right.
-        """
+        """One-sided slopes at xi1 and the sign's verdict (_HOLDS), as a
+        CornerReport for a float tau, and one per tau for a sequence."""
         _, left, right = self.corner_slopes(tau)
         reports = [
-            CornerReport(tau=t, left_slope=lo, right_slope=ro,
-                         holds=bool(lo >= ro if self.sign == "+" else lo <= ro))
+            CornerReport(tau=t, left_slope=lo, right_slope=ro, holds=bool(_HOLDS[self.sign](lo, ro)))
             for t, lo, ro in zip(
                 list(tau) if np.ndim(tau) else [tau],
                 np.atleast_1d(left).tolist(), np.atleast_1d(right).tolist(),
@@ -362,7 +344,7 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
     astronomically large while the product is astronomically small.  The
     slope jump (right - left) carries the sign: nonpositive for the plus
     barrier, nonnegative for the minus barrier, which is what the weak
-    comparison argument needs.
+    comparison argument needs.  An underflowing delta = e^{-tau} raises OutOfDomain.
     """
     p = bar.outer.p
     m, gamma, A, n = p.m, p.gamma, p.A, p.n
@@ -377,6 +359,8 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
     edges, lefts, rights = (part.tolist() for part in bar.corner_slopes(taus))
     for tau, edge_value, left, right in zip(taus.tolist(), edges, lefts, rights):
         delta = math.exp(-tau)
+        if delta == 0.0:
+            raise errors.OutOfDomain(f"delta = e^(-tau) underflows to 0 at tau = {tau:.6g}")
         jump = right - left
         if jump == 0.0:
             continue
@@ -417,10 +401,16 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
 def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:
     """Strict ordering psi+ > psi- > 0 for each tau, on 200 points of the
     glued window [-20, xi1 + 20], from one wbar call per barrier."""
-    xi = np.linspace(-20.0, plus.xi1 + 20.0, 200)
-    taus = np.atleast_1d(taus)
-    wp = plus.wbar(xi, taus)
-    wm = minus.wbar(xi, taus)
+    xi, taus = _ordering_window(plus.xi1), np.atleast_1d(taus)
+    return _ordering(plus.wbar(xi, taus), minus.wbar(xi, taus))
+
+
+def _ordering_window(xi1: float):
+    return np.linspace(-20.0, xi1 + 20.0, 200)
+
+
+def _ordering(wp, wm) -> dict:
+    """check_ordering's verdict from the plus and minus values on its window."""
     # folded tau by tau as min(worst, row) does, so a NaN row is passed over
     worst_gapc = min([np.inf, *np.min(wp - wm, axis=1).tolist()])
     worst_floor = min([np.inf, *np.min(wm, axis=1).tolist()])
@@ -440,23 +430,35 @@ def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]
     eps = 0 fails (xi1 too small).
     """
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
+    edges = [solver._read_edge(sign, taus.tolist()) for sign in _SIGN_FACTOR]
+    xi1 = float(solver.xi1)
+
+    def shifted(eps: float):
+        """Per sign, plus first: (edge reading, 1 +/- eps, C, error) at eps."""
+        for edge in edges:
+            yield edge, 1.0 + _SIGN_FACTOR[edge.sign] * eps, *solver._shift(edge, eps)
 
     def corner_ok(eps: float) -> bool:
         # as a loop over the taus goes: a verdict that fails decides before
         # an error at a later tau is raised
-        for sign in ("+", "-"):
-            C, failure = solver._solve(sign, eps, taus.tolist())
-            reports = GluedBarrier(solver, sign, eps).corner_jump(taus[: len(C)])
-            if not all(rep.holds for rep in reports):
+        for edge, factor, C, failure in shifted(eps):
+            left = solver.profile.phibar0(xi1 + np.asarray(C), derivs=True)[1] / factor
+            if not np.all(_HOLDS[edge.sign](left, edge.dpsi[: len(C)])):
                 return False
             if failure is not None:
                 raise failure
         return True
 
     def ordering_ok(eps: float) -> bool:
-        bp = GluedBarrier(solver, "+", eps)
-        bm = GluedBarrier(solver, "-", eps)
-        return check_ordering(bp, bm, taus)["ordered"]
+        # check_ordering's wbar on its window: left of xi1 as wbar takes it,
+        # right of it the eps-free outer side
+        w = []
+        for edge, factor, C, failure in shifted(eps):
+            if failure is not None:
+                raise failure
+            inner = solver.profile.phibar0(xi[xi <= xi1] + np.asarray(C)[:, None]) / factor
+            w.append(np.hstack([inner, outer_side[edge.sign]]))
+        return _ordering(*w)["ordered"]
 
     def largest(pred) -> float:
         if not pred(0.0):
@@ -475,4 +477,7 @@ def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]
                 hi = mid
         return lo
 
-    return largest(corner_ok), largest(ordering_ok)
+    eps1 = largest(corner_ok)
+    xi = _ordering_window(xi1)
+    outer_side = {s: GluedBarrier(solver, s, 0.0).wbar(xi[xi > xi1], taus) for s in _SIGN_FACTOR}
+    return eps1, largest(ordering_ok)

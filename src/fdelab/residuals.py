@@ -99,8 +99,8 @@ def l1_terms_evaluator(barrier: GluedBarrier):
     """The L1 residual of a glued barrier with its term-magnitude scale, as
     a terms_fn for verify_sign_region, from the closed forms of the module
     docstring.  C and C' are read at the taus whose row reaches xi <= xi1,
-    and e^{-gamma tau} by math.exp one tau at a time, so each row equals a
-    call at its own tau, bit for bit."""
+    from one edge reading, and e^{-gamma tau} by math.exp one tau at a
+    time, so each row equals a call at its own tau, bit for bit."""
     p, g = barrier.outer.p, barrier.outer.p.gamma
     pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
 
@@ -112,7 +112,7 @@ def l1_terms_evaluator(barrier: GluedBarrier):
         if np.any(left):
             rows = left.any(axis=1)
             shifts = np.zeros((2, taus.size, 1))
-            shifts[:, rows, 0] = barrier.C(taus[rows]), barrier.C_prime(taus[rows])
+            shifts[:, rows, 0] = barrier.C_and_C_prime(taus[rows])
             C, Cp, e = (np.broadcast_to(a, xi.shape)[left] for a in (*shifts, col))
             v, dv, _ = barrier.profile.phibar0(xi[left] + C, derivs=True)
             if np.any(v <= 0.0):

@@ -145,8 +145,9 @@ def glued_raw_evaluator(barrier: GluedBarrier):
         parts = np.empty((4, *xi.shape))
         left = xi <= barrier.xi1
         if np.any(left):
-            v, d1, d2 = barrier.profile.phibar0(xi[left] + barrier.C(tau), derivs=True)
-            parts[:, left] = np.array((v, d1, d2, d1 * barrier.C_prime(tau))) / barrier.factor
+            C, C_prime = barrier.C_and_C_prime(tau)
+            v, d1, d2 = barrier.profile.phibar0(xi[left] + C, derivs=True)
+            parts[:, left] = np.array((v, d1, d2, d1 * C_prime)) / barrier.factor
         if np.any(~left):
             parts[:, ~left] = outer_side(xi[~left], tau)
         return tuple(parts)

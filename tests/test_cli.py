@@ -203,6 +203,50 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
         assert json.loads(report.read_text())["all_passed"] is True
 
 
+def test_underflowing_weak_corner_window_fails_its_checks(tmp_path):
+    # at tau_start 760 the weak corner term's delta = e^(-tau) underflows
+    # to 0; its log ended verify in a bare ValueError and wrote no report
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, gamma=0.5, grid_eta=16, grid_tau=4,
+                                      tau_start=760.0)))
+    out = tmp_path / "runs"
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    (report,) = out.glob("verify-*.json")
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    for label in ("plus", "minus"):
+        check = checks[f"weak-corner-{label}"]
+        assert check["passed"] is False
+        assert check["details"]["error"].startswith("delta = e^(-tau) underflows to 0 at tau = ")
+
+
+def test_verify_does_not_depend_on_lambda(tmp_path):
+    # phibar0 at lambda is phibar0 at 1 shifted by k = (1-m)/2 log lambda,
+    # which C absorbs: every check passes with lambda = 1's recommendation,
+    # and C moves by -k up to the shoot's tolerance
+    def verify(lam):
+        config = tmp_path / f"lambda-{lam}.json"
+        config.write_text(json.dumps(dict(SMOKE, grid_eta=16, grid_tau=4, **{"lambda": lam})))
+        out = tmp_path / f"runs-{lam}"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        (report,) = out.glob("verify-*.json")
+        return json.loads(report.read_text())
+
+    def c_minus(report):
+        (order,) = [c for c in report["checks"] if c["name"] == "matching-order"]
+        return order["details"]["C_minus"]
+
+    base = verify(1.0)
+    for lam in (0.5, 1.2, 3.0):
+        report = verify(lam)
+        assert [c["passed"] for c in report["checks"]] == [True] * 12
+        assert report["recommended"] == base["recommended"]
+        k = 0.5 * (1.0 - SMOKE["m"]) * math.log(lam)
+        for got, want in zip(c_minus(report), c_minus(base), strict=True):
+            assert abs(got + k - want) <= 1e-8
+
+
 def test_inner_verdict_resolves_its_band_end(tmp_path):
     # at theta1- = -30 L1 formed from the raw glued derivatives left 4 of
     # the 64 minus points at xi = -7 inside atol, and verify exited 1; the

@@ -153,7 +153,9 @@ def test_c_prime_matches_fd(solver_ref):
     bar = GluedBarrier(solver_ref, "+", 0.0)
     for tau in (10.0, 16.0):
         fd = (bar.C(tau + 1e-3) - bar.C(tau - 1e-3)) / 2e-3
-        assert bar.C_prime(tau) == pytest.approx(fd, rel=1e-5)
+        C, C_prime = bar.C_and_C_prime(tau)
+        assert C == bar.C(tau)
+        assert C_prime == pytest.approx(fd, rel=1e-5)
 
 
 def test_epsilon_bounds_reference(eps_ref):
@@ -364,22 +366,24 @@ def test_matching_on_a_tau_array_equals_scalar_calls(p):
     solver = MatchingSolver(profile, outer, branch_variant(p.gamma))
     for sign in ("+", "-"):
         for eps in (0.0, 0.02):
-            C, Cp = solver.solve_matching(sign, eps, taus), solver.C_prime(sign, eps, taus)
+            bar = GluedBarrier(solver, sign, eps)
+            C, Cp = bar.C_and_C_prime(taus)
             assert C.tolist() == [solver.solve_matching(sign, eps, t) for t in taus.tolist()]
-            assert Cp.tolist() == [solver.C_prime(sign, eps, t) for t in taus.tolist()]
+            assert Cp.tolist() == [bar.C_and_C_prime(t)[1] for t in taus.tolist()]
 
 
 def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch):
     # a negative outer edge at tau 12 and an overflowing e^(gamma tau) at
     # tau 480 (gamma tau = 720): the array raises what the loop of scalar
     # calls raises first, after solving the taus before it
-    psi_outer = OuterProfileSet.psi_outer
+    psi_bundle = OuterProfileSet.psi_bundle
 
     def negative_at_12(self, sign, tau, *, gap):
-        psi = psi_outer(self, sign, tau, gap=gap)
-        return np.where(np.asarray(tau) == 12.0, -psi, psi)
+        psi, *derivs = psi_bundle(self, sign, tau, gap=gap)
+        return (np.where(np.asarray(tau) == 12.0, -psi, psi), *derivs)
 
-    monkeypatch.setattr(OuterProfileSet, "psi_outer", negative_at_12)
+    # the edge reading's psi: C is solved from it alone
+    monkeypatch.setattr(OuterProfileSet, "psi_bundle", negative_at_12)
     taus = [10.0, 12.0, 480.0, 520.0]
     with pytest.raises(errors.TargetBelowRange) as scalar:
         for t in taus:
@@ -387,13 +391,53 @@ def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch
     with pytest.raises(errors.TargetBelowRange) as array:
         solver_ref.solve_matching("+", 0.0, taus)
     assert str(array.value) == str(scalar.value)
-    assert solver_ref._solve("+", 0.0, taus)[0] == [solver_ref.solve_matching("+", 0.0, 10.0)]
+    leading, _ = solver_ref._shift(solver_ref._read_edge("+", taus), 0.0)
+    assert leading == [solver_ref.solve_matching("+", 0.0, 10.0)]
     for rest in (taus[2:], taus[3:]):
         with pytest.raises(errors.OutOfDomain) as scalar:
             solver_ref.solve_matching("+", 0.0, rest[0])
         with pytest.raises(errors.OutOfDomain) as array:
             solver_ref.solve_matching("+", 0.0, rest)
         assert str(array.value) == str(scalar.value)
+
+
+def test_epsilon_search_reads_each_edge_once(solver_ref, monkeypatch):
+    """Both bisections solve C from one edge reading per sign, made before
+    they start, however many steps they take."""
+    signs, shifts = [], []
+    psi_bundle, shift = OuterProfileSet.psi_bundle, MatchingSolver._shift
+
+    def spied_bundle(self, sign, tau, *, gap):
+        signs.append(sign)
+        return psi_bundle(self, sign, tau, gap=gap)
+
+    def spied_shift(self, edge, eps):
+        shifts.append(eps)
+        return shift(self, edge, eps)
+
+    monkeypatch.setattr(OuterProfileSet, "psi_bundle", spied_bundle)
+    monkeypatch.setattr(MatchingSolver, "_shift", spied_shift)
+    eps1, _ = find_epsilon_bounds(solver_ref, [10.0, 12.0, 15.0])
+    assert eps1 == EPS1_REF
+    assert signs == ["+", "-"]
+    # eps1's bisection from 1/4 down to 1e-3 alone takes 8 steps
+    assert len(shifts) > 2 * 8
+
+
+def test_corner_slopes_read_the_edge_once(solver_ref, monkeypatch):
+    reads = []
+    read_edge = MatchingSolver._read_edge
+
+    def spied_read(self, sign, taus):
+        reads.append(list(taus))
+        return read_edge(self, sign, taus)
+
+    bar = GluedBarrier(solver_ref, "-", 0.01)
+    want = bar.corner_slopes([10.0, 12.0, 15.0])
+    monkeypatch.setattr(MatchingSolver, "_read_edge", spied_read)
+    got = bar.corner_slopes([10.0, 12.0, 15.0])
+    assert reads == [[10.0, 12.0, 15.0]]
+    assert [part.tolist() for part in got] == [part.tolist() for part in want]
 
 
 def test_corner_verdict_that_fails_first_decides_before_a_later_error():

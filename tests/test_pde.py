@@ -194,10 +194,10 @@ def test_weak_corner_term_signs(solver_ref):
 
 
 def test_weak_corner_term_reads_each_edge_once(solver_ref, monkeypatch):
-    """The edge values and both slopes come from one outer evaluation of
-    the edge at all 48 taus."""
+    """The edge values and both slopes come from one reading of the edge
+    at all 48 taus."""
     calls = []
-    edge = MatchingSolver.outer_edge
+    edge = MatchingSolver._read_edge
 
     def spy(self, *a):
         calls.append(a)
@@ -205,12 +205,18 @@ def test_weak_corner_term_reads_each_edge_once(solver_ref, monkeypatch):
 
     # on the class: undoing a patch of the session's solver instance would
     # leave the bound method behind as an instance attribute
-    monkeypatch.setattr(MatchingSolver, "outer_edge", spy)
+    monkeypatch.setattr(MatchingSolver, "_read_edge", spy)
     weak_corner_term(GluedBarrier(solver_ref, "+", EPS_SMOKE), (10.0, 12.0))
     monkeypatch.undo()
     assert len(calls) == 1
     assert np.array_equal(calls[0][1], np.linspace(10.0, 12.0, 48))
-    assert "outer_edge" not in vars(solver_ref)
+    assert "_read_edge" not in vars(solver_ref)
+
+
+def test_weak_corner_term_refuses_an_underflowing_delta(solver_low):
+    # e^(-tau) is 0 past tau = 745: its log would end in a bare ValueError
+    with pytest.raises(errors.OutOfDomain, match="underflows to 0 at tau = 760"):
+        weak_corner_term(GluedBarrier(solver_low, "+", EPS_SMOKE), (760.0, 766.0))
 
 
 def test_pair_requires_sign_order(barrier_pair, monkeypatch):
@@ -1136,7 +1142,7 @@ def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monke
 def test_sandwich_barrier_calls_grow_with_blocks_not_steps(barrier_pair, monkeypatch):
     """Doubling the smoke window doubles the steps but adds, per barrier
     and tau block, at most one call to the inner evaluator and two to the
-    outer one: the matching edge and the grid."""
+    outer one: the matching edge (psi_bundle) and the grid (psi_outer)."""
     from fdelab.outer import OuterProfileSet
     from fdelab.selfsim import SelfSimilarProfile
 
@@ -1159,9 +1165,8 @@ def test_sandwich_barrier_calls_grow_with_blocks_not_steps(barrier_pair, monkeyp
     short, frames, blocks = run(10.6)
     long, frames2, blocks2 = run(10.0 + 2 * 0.6)
     assert frames >= 60 and frames2 - frames >= 55  # 60 more steps
-    for name, per_block in (("psi_outer", 2), ("phibar0", 1)):
-        assert 0 < long[name] - short[name] <= 2 * per_block * (blocks2 - blocks), name
-    assert long.get("psi_bundle", 0) == short.get("psi_bundle", 0) == 0
+    for name in ("psi_bundle", "psi_outer", "phibar0"):
+        assert 0 < long[name] - short[name] <= 2 * (blocks2 - blocks), name
 
 
 def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):

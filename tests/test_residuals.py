@@ -9,9 +9,10 @@ import pytest
 import sympy as sp
 
 from fdelab import errors, residuals
-from fdelab.matching import GluedBarrier
+from fdelab.matching import GluedBarrier, MatchingSolver
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, ThresholdConfig, default_thresholds, theta
+from fdelab.selfsim import SelfSimilarProfile
 from fdelab.residuals import (
     Region,
     ResidualReport,
@@ -488,6 +489,34 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
     got = verify_sign_region(ev, sign, region, p, cfg)
     want = _verify_per_tau("L1", one_tau, sign, region, p, cfg)
     assert got == want
+
+
+def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
+    """C and C' of every tau row come from one edge reading, and C from one
+    inverse per row that reaches xi <= xi1."""
+    bar = GluedBarrier(solver_ref, "+", 0.01)
+    reads, inverses = [], []
+    read_edge, inverse = MatchingSolver._read_edge, SelfSimilarProfile.inverse
+
+    def spied_read(self, sign, taus):
+        reads.append(list(taus))
+        return read_edge(self, sign, taus)
+
+    def spied_inverse(self, y):
+        inverses.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(MatchingSolver, "_read_edge", spied_read)
+    monkeypatch.setattr(SelfSimilarProfile, "inverse", spied_inverse)
+    region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0)
+    verify_sign_region(l1_terms_evaluator(bar), "+", region, bar.outer.p,
+                       _grid(bar.outer.cfg, 81, 5))
+    assert (len(reads), len(reads[0]), len(inverses)) == (1, 5, 5)
+    # rows 1 and 3 lie right of xi1: only rows 0 and 2 solve C
+    reads.clear(), inverses.clear()
+    xi = np.array([np.linspace(lo, lo + 9.0, 7) for lo in (-7.0, 11.0, 0.0, 12.0)])
+    l1_terms_evaluator(bar)(xi, np.array([[12.0], [13.0], [14.0], [15.0]]))
+    assert (reads, len(inverses)) == ([[12.0, 14.0]], 2)
 
 
 # -- outer thresholds ---------------------------------------------------------
