@@ -7,7 +7,9 @@ tail, in units of the resolution of phibar0 (ulp(2s) relative on the core
 and the table, whose exponent 2s + c Z(s) carries rounding of about
 ulp(2s); a plain relative error on the tail), and its table stays within
 the last retained term of the far-field expansion (the tail margin,
-deviation over last term, below 1).  Run the whole sweep (81 cases) with
+deviation over last term, below 1).  Each line ends with the shoot's
+accepted steps, rejected step attempts, Newton iterations and time.  Run
+the whole sweep (81 cases) with
 
     PYTHONPATH=src python tests/shoot_sweep.py
 
@@ -73,15 +75,18 @@ def main() -> int:
         res = shoot_or_error(p)
         took = time.perf_counter() - t0
         if isinstance(res, errors.FdelabError):
-            what = f"{type(res).__name__}: {res}"
+            what, solver = f"{type(res).__name__}: {res}", ""
         else:
             inner, tail = inverse_round_trip(res)
             deviation, last_term = res.tail_deviation()
             margin = deviation / last_term
             worst = [max(worst[0], inner), max(worst[1], tail), max(worst[2], margin)]
-            what = (f"{len(res._table.h)} steps, K {res.K:.10g}, tail margin {margin:.3f}, "
+            what = (f"K {res.K:.10g}, tail margin {margin:.3f}, "
                     f"inverse {inner:.2f} ulp(2s), tail {tail:.1e}")
-        print(f"n={p.n} m={p.m:.4f} gamma={p.gamma:g} A={p.A:g}: {what} ({took:.3f} s)")
+            tab = res._table
+            solver = (f"{len(tab.h)} steps, {tab.attempts - len(tab.h)} rejected, "
+                      f"{tab.newton_iters} Newton, ")
+        print(f"n={p.n} m={p.m:.4f} gamma={p.gamma:g} A={p.A:g}: {what} ({solver}{took:.3f} s)")
     print(f"{len(cases)} cases in {time.perf_counter() - start:.1f} s; inverse round trip "
           f"at most {worst[0]:.2f} ulp(2s) on core and table, {worst[1]:.1e} on the tail; "
           f"tail margin at most {worst[2]:.3f}")

@@ -86,6 +86,76 @@ def test_solve_ode_overflow_halves_the_step(where, times):
     assert np.all(np.abs(tab(s) - clean(s)) <= 1e-8 * clean(s) + 1e-11)  # abs_tol 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("times", [1, 2])
+def test_solve_ode_nonfinite_stage_retries_then_halves(bad, times):
+    # the first stage values past t = 1 are not finite: the Newton
+    # iteration fails and is retried once with a fresh Jacobian at the
+    # step's start, which takes the step when only one call failed and
+    # halves it when both did; the solution is unharmed
+    hits, jac_ts, clean_jac_ts = [], [], []
+
+    def rhs(t, u, v):
+        if t > 1.0 and len(hits) < times:
+            hits.append(t)
+            return -u, bad
+        return _decay(t, u, v)
+
+    def jac(t, u, v):
+        jac_ts.append(t)
+        return _decay_jac(t, u, v)
+
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    assert len(hits) == times
+    clean = numerics.solve_ode(
+        _decay, lambda t, u, v: clean_jac_ts.append(t) or _decay_jac(t, u, v),
+        (0.0, 20.0), [1.0, 1.0], SPEC,
+    )
+    k = int(np.searchsorted(clean.ts, hits[0])) - 1  # the step that failed
+    assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
+    assert clean.ts[k] in jac_ts and clean.ts[k] not in clean_jac_ts
+    if times == 1:
+        assert tab.ts[k + 1] == clean.ts[k + 1]
+    else:
+        assert tab.h[k] == pytest.approx(0.5 * clean.h[k], rel=1e-12)
+    s = np.linspace(0.0, 20.0, 1001)
+    assert np.all(np.abs(tab(s) - clean(s)) <= 1e-8 * clean(s) + 1e-11)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["rhs", "jac"])
+def test_solve_ode_nonfinite_at_step_close_halves_the_step(where, bad):
+    # rhs at the new state, or the Jacobian recomputed there, is not
+    # finite at the first step close past t = 1: that step is halved and
+    # the solution is unharmed
+    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    # the state at each breakpoint past t = 1, where a step closes
+    ends = zip(clean.ts[1:-1].tolist(), clean.coef[1:, :, 0].tolist())
+    closes = {(t, u, v) for t, (u, v) in ends if t > 1.0}
+    hits = []
+
+    def rhs(t, u, v):
+        if where == "rhs" and not hits and (t, u, v) in closes:
+            hits.append(t)
+            return -u, bad
+        return _decay(t, u, v)
+
+    def jac(t, u, v):
+        if where == "jac" and not hits and (t, u, v) in closes:
+            hits.append(t)
+            return -1.0, 0.0, 0.0, bad
+        return _decay_jac(t, u, v)
+
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    assert len(hits) == 1
+    k = int(np.searchsorted(clean.ts, hits[0])) - 1  # the step that closes there
+    assert clean.ts[k + 1] == hits[0]
+    assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
+    assert tab.h[k] == pytest.approx(0.5 * clean.h[k], rel=1e-12)
+    s = np.linspace(0.0, 20.0, 1001)
+    assert np.all(np.abs(tab(s) - clean(s)) <= 1e-8 * clean(s) + 1e-11)
+
+
 def test_solve_ode_step_underflow():
     # every evaluation past t = 1 overflows, so the steps shrink onto t = 1
     def rhs(t, u, v):

@@ -1,5 +1,6 @@
 """First-order self-similar profile: shooting, tail expansion, stationarity."""
 
+import hashlib
 import math
 import warnings
 
@@ -243,6 +244,31 @@ def test_step_table_matches_scipy_radau_dense_output():
     start = tab.coef[1:, :, 0].T
     assert np.max(np.abs(tab(tab.ts[1:-1]) - start) / np.abs(start)) < 1e-14
     assert tab(3.0) == pytest.approx(ref.sol(3.0), rel=1e-11)
+
+
+# sha256 of ts.tobytes() and coef.tobytes() (first 16 hex digits) and the
+# solver counters (accepted steps, attempts, Newton iterations, Jacobian
+# evaluations) of the shoot on ref and low, at the default tolerances and
+# at the refinement shoot's.  The stepper must reproduce its tables bit
+# for bit; the hashes hold for one libm, whose exp may round differently
+# on another platform.
+_FINE = numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13)
+SHOOT_PINS = [
+    ("ref", None, "efc59055ddd75e18", "42c2e6e2d3e5f586", (1077, 1096, 2593, 266)),
+    ("ref", _FINE, "584737162e088c17", "3f3310da8a042a2a", (1492, 1513, 3360, 289)),
+    ("low", None, "575d298a51d17e92", "1b00689278853a68", (1077, 1097, 2595, 266)),
+    ("low", _FINE, "78fc643a5ceaf158", "7c13a951f98b0bff", (1507, 1528, 3391, 289)),
+]
+
+
+@pytest.mark.parametrize("which,spec,ts_sha,coef_sha,counts", SHOOT_PINS,
+                         ids=["ref", "ref-fine", "low", "low-fine"])
+def test_shoot_step_table_pinned_bit_for_bit(request, which, spec, ts_sha, coef_sha, counts):
+    prof = request.getfixturevalue(f"profile_{which}")
+    tab = prof._table if spec is None else shoot_v0(prof.p, ode_spec=spec)._table
+    assert hashlib.sha256(tab.ts.tobytes()).hexdigest()[:16] == ts_sha
+    assert hashlib.sha256(tab.coef.tobytes()).hexdigest()[:16] == coef_sha
+    assert (len(tab.h), tab.attempts, tab.newton_iters, tab.jac_evals) == counts
 
 
 def test_scalar_route_matches_array_route(profile_ref):
