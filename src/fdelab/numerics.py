@@ -120,12 +120,7 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old) -> float:
 
 def _initial_step(rhs, t0, y, t_bound, f0, rtol, atol) -> float:
     """Initial step for an error estimate of order 3 (Hairer, Norsett &
-    Wanner, Solving ODEs I, sec. II.4), as scipy selects it.
-
-    The Euler probe at t0 + h0 is shrunk tenfold, down to 1e-6, while rhs
-    overflows there or is not finite: a state of size 1 with a tiny slope
-    makes h0 the whole interval, which can reach past the range where rhs
-    is finite.  A probe that is finite at once is not moved."""
+    Wanner, Solving ODEs I, sec. II.4), as scipy selects it."""
     interval = t_bound - t0
     s0, s1 = atol + abs(y[0]) * rtol, atol + abs(y[1]) * rtol
     a, b, c, d = y[0] / s0, y[1] / s1, f0[0] / s0, f0[1] / s1
@@ -133,15 +128,7 @@ def _initial_step(rhs, t0, y, t_bound, f0, rtol, atol) -> float:
     d1 = math.sqrt(c * c + d * d) / 2.0 ** 0.5
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    while True:
-        try:
-            f1 = rhs(t0 + h0, y[0] + h0 * f0[0], y[1] + h0 * f0[1])
-            if h0 <= 1e-6 or all(math.isfinite(v) for v in f1):
-                break
-        except OverflowError:
-            if h0 <= 1e-6:
-                raise
-        h0 = max(0.1 * h0, 1e-6)
+    f1 = rhs(t0 + h0, y[0] + h0 * f0[0], y[1] + h0 * f0[1])
     a, b = (f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1
     d2 = math.sqrt(a * a + b * b) / 2.0 ** 0.5 / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -668,6 +668,24 @@ def _check_window(n_cells, dtau, tau0, tau_end):
         )
 
 
+def _check_drift(p: ModelParams, *deltas):
+    """OutOfDomain unless the drift speed A gamma delta^(-gamma-1) and
+    delta^(1+gamma) are finite and > 0 at the window's ends, and so on all
+    of it: the speed overflows once (1+gamma) tau = -(1+gamma) log delta
+    passes 709.78 - log(A gamma), delta^(1+gamma) once it falls below
+    -709.78.  Checked before any barrier is evaluated."""
+    for delta in deltas:
+        try:
+            ok = _drift_speed(p, delta) < math.inf and delta ** (1.0 + p.gamma) > 0.0
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise errors.OutOfDomain(
+                "the drift speed or delta^(1+gamma) leaves the float range at "
+                f"(1+gamma) tau = {-(1.0 + p.gamma) * math.log(delta):.6g}"
+            )
+
+
 # -- manufactured solution and tolerance calibration ---------------------------
 
 
@@ -899,7 +917,8 @@ def comparison_sandwich(
 
     The pair must come in sign order (plus, minus), n_cells >= 2, dtau a
     finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
-    anything else raises InvalidParameter before any solve.  The grid is
+    anything else raises InvalidParameter before any solve, and a window
+    whose drift speed leaves the float range raises OutOfDomain.  The grid is
     xi in [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a
     fraction of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
@@ -919,6 +938,7 @@ def comparison_sandwich(
     p = plus.outer.p
     delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)
+    _check_drift(p, delta_start, delta_end)
     xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
     rows, tally = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))

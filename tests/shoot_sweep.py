@@ -7,22 +7,25 @@ tail, in units of the resolution of phibar0 (ulp(2s) relative on the core
 and the table, whose exponent 2s + c Z(s) carries rounding of about
 ulp(2s); a plain relative error on the tail), and its table stays within
 the last retained term of the far-field expansion (the tail margin,
-deviation over last term, below 1).  Each line ends with the shoot's
-accepted steps, rejected step attempts, Newton iterations and time.  Run
-the whole sweep (81 cases) with
+deviation over last term, below 1).  Each line also gives the most rounds
+that one safeguarded Newton solve of the inverse took in the round trip
+(selfsim._newton_in_bracket, wrapped here to count them; it allows 60),
+and ends with the shoot's accepted steps, rejected step attempts, Newton
+iterations and time.  Run the whole sweep (81 cases) with
 
     PYTHONPATH=src python tests/shoot_sweep.py
 
 tests/test_selfsim.py runs a subset of it.
 """
 
+import contextlib
 import itertools
 import sys
 import time
 
 import numpy as np
 
-from fdelab import errors
+from fdelab import errors, selfsim
 from fdelab.params import ModelParams
 from fdelab.selfsim import shoot_v0
 
@@ -66,10 +69,37 @@ def inverse_round_trip(prof) -> tuple[float, float]:
     return float(np.max(worst[0] / ulps)), float(np.max(worst[1]))
 
 
+@contextlib.contextmanager
+def newton_rounds():
+    """Count the rounds of selfsim._newton_in_bracket while active: yields
+    a one-item list that holds the most rounds (evaluations of F) that one
+    call took."""
+    most, solve = [0], selfsim._newton_in_bracket
+
+    def counted(fdf, s, lo, hi):
+        rounds = 0
+
+        def fdf_counted(x):
+            nonlocal rounds
+            rounds += 1
+            return fdf(x)
+
+        try:
+            return solve(fdf_counted, s, lo, hi)
+        finally:
+            most[0] = max(most[0], rounds)
+
+    selfsim._newton_in_bracket = counted
+    try:
+        yield most
+    finally:
+        selfsim._newton_in_bracket = solve
+
+
 def main() -> int:
     start = time.perf_counter()
     cases = list(sweep_params())
-    worst = [0.0, 0.0, 0.0]
+    worst = [0.0, 0.0, 0.0, 0]
     for p in cases:
         t0 = time.perf_counter()
         res = shoot_or_error(p)
@@ -77,19 +107,22 @@ def main() -> int:
         if isinstance(res, errors.FdelabError):
             what, solver = f"{type(res).__name__}: {res}", ""
         else:
-            inner, tail = inverse_round_trip(res)
+            with newton_rounds() as rounds:
+                inner, tail = inverse_round_trip(res)
             deviation, last_term = res.tail_deviation()
             margin = deviation / last_term
-            worst = [max(worst[0], inner), max(worst[1], tail), max(worst[2], margin)]
+            worst = [max(worst[0], inner), max(worst[1], tail), max(worst[2], margin),
+                     max(worst[3], rounds[0])]
             what = (f"K {res.K:.10g}, tail margin {margin:.3f}, "
-                    f"inverse {inner:.2f} ulp(2s), tail {tail:.1e}")
+                    f"inverse {inner:.2f} ulp(2s), tail {tail:.1e}, "
+                    f"at most {rounds[0]} Newton rounds")
             tab = res._table
             solver = (f"{len(tab.h)} steps, {tab.attempts - len(tab.h)} rejected, "
                       f"{tab.newton_iters} Newton, ")
         print(f"n={p.n} m={p.m:.4f} gamma={p.gamma:g} A={p.A:g}: {what} ({solver}{took:.3f} s)")
     print(f"{len(cases)} cases in {time.perf_counter() - start:.1f} s; inverse round trip "
           f"at most {worst[0]:.2f} ulp(2s) on core and table, {worst[1]:.1e} on the tail; "
-          f"tail margin at most {worst[2]:.3f}")
+          f"tail margin at most {worst[2]:.3f}; at most {worst[3]} Newton rounds in one inverse")
     return 0
 
 

@@ -860,6 +860,22 @@ def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, monkeypatch
     assert solves == []
 
 
+@pytest.mark.parametrize("tau0, tau_end, named", [
+    (300.0, 301.0, "750"), (283.0, 283.5, "708.75"), (-300.0, -299.0, "-750"),
+])
+def test_window_whose_drift_leaves_the_float_range_is_refused(
+        barrier_pair, monkeypatch, tau0, tau_end, named):
+    """On ref (A gamma = 3) the drift speed A gamma delta^(-gamma-1)
+    overflows once (1+gamma) tau passes 709.78 - log 3 = 708.68, and
+    delta^(1+gamma) once (1+gamma) tau0 falls below -709.78: either raises
+    OutOfDomain naming (1+gamma) tau before any barrier row is built."""
+    built = []
+    monkeypatch.setattr(pde, "_sandwich_rows", lambda *a: built.append(a))
+    with pytest.raises(errors.OutOfDomain, match=rf"\(1\+gamma\) tau = {named}$"):
+        comparison_sandwich(*barrier_pair, tau0=tau0, tau_end=tau_end, n_cells=40, dtau=0.01)
+    assert built == []
+
+
 @pytest.mark.parametrize("late, early", [(0, 2), (1, 3), (2, 3)])
 def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, early):
     """Rows 0..3 are calibration, lower, upper, mid: the earlier row's error

@@ -101,7 +101,7 @@ def test_tail_check_catches_a_perturbed_p_equation(p_ref, monkeypatch, which):
 
 def test_stationary_residual_on_grid(profile_all):
     ss = np.linspace(-8.0, 40.0, 500)
-    res = profile_all.stationary_residual(ss)
+    res = profile_all._stationary_residual(ss)
     assert np.max(np.abs(res)) < 1e-6
 
 
@@ -391,18 +391,33 @@ def test_inverse_needs_a_finite_positive_value(profile_ref, y):
         profile_ref.inverse(y)
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.2, 2.0])
+@pytest.mark.parametrize("lam", [0.5, 1.2, 2.0, 3.0, 1e-300, 1e300])
 def test_shoot_completes_away_from_lambda_one(p_ref, profile_ref, lam):
-    """Away from lambda = 1 the series start Z0 = m log(lambda) is of size
-    1 with a slope near 0, so the first step's probe spans the whole
-    interval, where the right-hand side overflows; the probe is shrunk and
-    the shoot completes.  The stationary equation is autonomous in s and
-    the core law fixes lambda^(1-m) e^(2s), so the profile is the
-    lambda = 1 profile shifted by k = (1-m)/2 log(lambda), to the shoot's
-    tolerance."""
+    """lambda is a gauge (selfsim docstring): the shoot seeds v0(0) = 1
+    whatever lambda is, so its step table is lambda = 1's bit for bit, and
+    phibar0_lambda(s) = phibar0_1(s + k) with k = (1-m)/2 log(lambda), on
+    the core, the step table and the tail alike, while the inverse at
+    lambda is lambda = 1's minus k.  Both hold to rounding, out to the
+    ends of the float range."""
     p = ModelParams(p_ref.n, p_ref.m, p_ref.gamma, p_ref.A, lam=lam,
                     theta1_minus=p_ref.theta1_minus)
     prof = shoot_v0(p)
-    s = np.linspace(-10.0, 300.0, 401)
+    for name in ("ts", "h", "coef"):
+        assert getattr(prof._table, name).tobytes() == getattr(profile_ref._table, name).tobytes()
     k = 0.5 * (1.0 - p.m) * math.log(lam)
-    assert np.max(np.abs(prof.phibar0(s) / profile_ref.phibar0(s + k) - 1.0)) < 2e-8
+    assert prof.s_min == profile_ref.s_min - k and prof.s_max == profile_ref.s_max - k
+    rng = np.random.default_rng(5)
+    s = np.concatenate([
+        rng.uniform(prof.s_min - 10.0, prof.s_min, 50),  # core law
+        rng.uniform(prof.s_min, prof.s_max, 500),  # step table
+        [prof.s_max + 1.0, prof.s_max + 400.0, 1e4],  # tail
+    ])
+    for got, want in zip(prof.phibar0(s, derivs=True), profile_ref.phibar0(s + k, derivs=True)):
+        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+    y = prof.phibar0(s)
+    back = np.array([prof.inverse(v) for v in y.tolist()])
+    want = np.array([profile_ref.inverse(v) for v in y.tolist()]) - k
+    assert np.max(np.abs(back - want) / np.maximum(np.abs(want), 1.0)) < 1e-13
+    # to the resolution of phibar0 at s, whose exponent carries ulp(2s) and ulp(2u)
+    ulps = np.spacing(2.0 * np.maximum(np.maximum(np.abs(s), np.abs(s + k)), 1.0))
+    assert np.all(np.abs(prof.phibar0(back) / y - 1.0) <= 2.0 * ulps)
