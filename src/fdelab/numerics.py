@@ -27,15 +27,7 @@ import numpy as np
 
 from . import errors
 
-__all__ = ["OdeSpec", "StepTable", "solve_ode"]
-
-
-@dataclass(frozen=True)
-class OdeSpec:
-    """Tolerances of solve_ode, set by its caller (shoot_v0 the shoot's)."""
-
-    rel_tol: float
-    abs_tol: float
+__all__ = ["StepTable", "solve_ode"]
 
 
 # -- Radau IIA of order 5 on two states ------------------------------------------
@@ -143,9 +135,10 @@ def solve_ode(
     jac: Callable,
     t_span: tuple[float, float],
     y0: Sequence[float],
-    spec: OdeSpec,
+    rel_tol: float,
+    abs_tol: float,
 ) -> StepTable:
-    """Radau IIA of order 5 to the tolerances of spec for a system of two
+    """Radau IIA of order 5 to rel_tol and abs_tol for a system of two
     states on an ascending t_span, on Python floats; returns the StepTable.
 
     rhs(t, u, v) returns the derivatives (u', v') and jac(t, u, v) the
@@ -160,7 +153,7 @@ def solve_ode(
     _BLOWUP_GUARD, and NonFinite when rhs or jac is not finite at the
     start.
     """
-    rtol, atol = spec.rel_tol, spec.abs_tol
+    rtol, atol = rel_tol, abs_tol
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t < t_bound:
         raise errors.InvalidParameter(f"need an ascending t_span, got {t_span}")

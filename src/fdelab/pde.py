@@ -66,17 +66,20 @@ Independent runs on one grid are stepped together as the rows of one
 (runs, points) array (_solve_rows), each with its own step, theta,
 tolerance and damping.  A Newton round passes its rows' systems to LAPACK
 gtsv in one call, as one block-diagonal system with zero couplings
-(_Bands), so a run gives the same bits alone or beside others.  A row
-keeps its last two frames, and F, e and rho of the last for its next
-step, and hands every accepted frame, the initial one too, to its run's
-consumer.
+(_Bands), so a run gives the same bits alone or beside others.  _Bands is
+the only holder of gtsv bindings: it binds the stacked system once and
+each row once, on bands it allocates itself, and after a zero pivot or a
+non-finite x solves each row through that row's binding.  A row keeps
+its last two frames, and F, e and rho of the last for its next step,
+hands every accepted frame, the initial one too, to its run's consumer,
+and counts its frames and solver work in its Trajectory as it goes.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
 _BLOCK_POINTS points, when the first row reaches the block; a row off the
 plan evaluates its own delta once per barrier and step.  Each frame is
-reduced when it is accepted, so what a run keeps grows by a few scalars
-per step, never by grid rows.
+reduced into the one SandwichReport when it is accepted, so what a run
+keeps grows by a few scalars per step, never by grid rows.
 """
 
 from __future__ import annotations
@@ -108,9 +111,7 @@ __all__ = [
 class Trajectory:
     """A comoving run: its frame count and solver counters."""
 
-    p: ModelParams
-    xi: np.ndarray
-    frames: int = 0  # accepted frames, the initial one included
+    frames: int = 1  # accepted frames, the initial one included
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
     step_rejections: int = 0  # rejected step attempts, each halving the step
@@ -171,25 +172,17 @@ def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
     dl += alpha
 
 
-_gtsv = None  # the gtsv route, chosen on the first solve
-
-
-def _route(bind):
-    """A gtsv route route(dl, d, du, b) -> info from bind(dl, d, du, b) ->
-    solve(n) of the leading n unknowns, which it keeps as route.bind."""
-    def route(dl, d, du, b):
-        return bind(dl, d, du, b)(len(d))
-    route.bind = bind
-    return route
+_gtsv = None  # bind(dl, d, du, b) -> solve(n) of the gtsv route, chosen on the first solve
 
 
 def _openblas_gtsv():
-    """dgtsv of the OpenBLAS that numpy's wheel loads, or None.
+    """bind(dl, d, du, b) -> solve(n) of the leading n unknowns through the
+    dgtsv of the OpenBLAS that numpy's wheel loads, or None.
 
     The symbol is the ILP64 build's scipy_dgtsv_64_ (64-bit N, NRHS, LDB
     and INFO), looked up through the handle of numpy's linalg extension,
     whose dependencies dlsym searches too.  A bound solve keeps the bands'
-    addresses and writes x over b."""
+    addresses, writes x over b and returns gtsv's info."""
     try:
         fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
     except (OSError, AttributeError):
@@ -209,7 +202,7 @@ def _openblas_gtsv():
 
         return solve
 
-    return _route(bind)
+    return bind
 
 
 def _scipy_gtsv():
@@ -227,11 +220,11 @@ def _scipy_gtsv():
                          overwrite_du=1, overwrite_b=1)[4]
         return solve
 
-    return _route(bind)
+    return bind
 
 
 def _lapack():
-    """The gtsv route, picked on the first call: numpy's bundled OpenBLAS
+    """The gtsv binder, picked on the first call: numpy's bundled OpenBLAS
     through ctypes, else scipy's dgtsv (same bits); with neither,
     LapackUnavailable names both."""
     global _gtsv
@@ -245,36 +238,20 @@ def _lapack():
     return _gtsv
 
 
-def _tridiagonal_solve(dl, d, du, b):
-    """LAPACK gtsv solve of (dl, d, du) x = b, overwriting all four; returns
-    b, which holds x, and raises NewtonDiverged on a zero pivot.  Bands that
-    are not C-contiguous, aligned, writeable float64 1-D arrays of lengths
-    N - 1, N, N - 1 and N are refused with ValueError: raw pointers would
-    misread them and scipy's wrapper would solve a copy.
-    """
-    solve = _lapack()
-    if not (
-        d.ndim == 1 and b.shape == d.shape and dl.shape == du.shape == (len(d) - 1,)
-        and dl.dtype == d.dtype == du.dtype == b.dtype == np.float64
-        and dl.flags.carray and d.flags.carray and du.flags.carray and b.flags.carray
-    ):
-        raise ValueError("gtsv takes C-contiguous, aligned, writeable float64 1-D bands "
-                         "of lengths N - 1, N, N - 1 and N")
-    info = solve(dl, d, du, b)
-    if info != 0:
-        raise errors.NewtonDiverged(f"tridiagonal Newton matrix singular (gtsv info {info})")
-    return b
-
-
 class _Bands:
     """Newton systems of up to `rows` rows of n unknowns as one block-diagonal
-    system with gtsv bound to it: row j's bands are dl[j, :-1], d[j],
-    du[j, :-1] and b[j], and the couplings dl[j, -1], du[j, -1] are exactly
-    zero, so each row gets the bits of its lone solve, up to signs of 0."""
+    system, the one owner of gtsv bindings: row j's bands are dl[j, :-1],
+    d[j], du[j, :-1] and b[j], and the couplings dl[j, -1], du[j, -1] are
+    exactly zero, so each row gets the bits of its lone solve, up to signs
+    of 0.  gtsv is bound once to the stacked system and once to each row,
+    on C-contiguous float64 bands that this class allocates, so no raw
+    pointer can misread a caller's array."""
 
     def __init__(self, rows, n):
-        self.dl, self.d, self.du, self.b = (np.zeros((rows, n)) for _ in range(4))
-        self.gtsv = _lapack().bind(*(a.reshape(-1) for a in (self.dl, self.d, self.du, self.b)))
+        self.dl, self.d, self.du, self.b = bands = [np.zeros((rows, n)) for _ in range(4)]
+        bind = _lapack()
+        self.gtsv = bind(*(a.reshape(-1) for a in bands))
+        self.lone = [bind(*row) for row in zip(*bands)]
 
     def solve(self, r, fill):
         """x of the leading r systems, which fill(dl, d, du, b) writes, from
@@ -282,16 +259,15 @@ class _Bands:
         x (it crosses the couplings), each row's lone x or NewtonDiverged."""
         bands = self.dl[:r, :-1], self.d[:r], self.du[:r, :-1], self.b[:r]
         fill(*bands)
-        if self.gtsv(r * self.d.shape[1]) == 0 and np.isfinite(bands[3]).all():
+        if self.gtsv(bands[3].size) == 0 and np.isfinite(bands[3]).all():
             return bands[3]
         fill(*bands)
         self.dl[:, -1] = self.du[:, -1] = 0.0
         out = []
-        for row in zip(*bands):
-            try:
-                out.append(_tridiagonal_solve(*row))
-            except errors.NewtonDiverged as exc:
-                out.append(exc)
+        for solve, x in zip(self.lone, bands[3]):
+            info = solve(len(x))
+            out.append(x if info == 0 else errors.NewtonDiverged(
+                f"tridiagonal Newton matrix singular (gtsv info {info})"))
         return out
 
 
@@ -579,25 +555,22 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             F[i] += runs[i].source(delta_start)[1:-1]
     old = np.stack((F, e, rho), 1)
     bands = _Bands(R, M - 2)
-    # row i: n[i] frames so far; deltas[i] holds its last one or two deltas
-    n = [1] * R
+    # row i: trajs[i] counts its frames and solver work so far; deltas[i]
+    # holds its last one or two deltas
+    trajs = [Trajectory() for _ in range(R)]
     deltas = [[delta_start] for _ in range(R)]
     delta_new, ends = [0.0] * R, [None] * R
     attempt = [None] * R  # None: the row starts a new step
     cold = [True] * R  # the row's next attempt starts from its last frame
     theta = [0.0] * R
-    iters_max, iters, rejections, retries = [0] * R, [0] * R, [0] * R, [0] * R
     while True:
         for i in live:
             delta = deltas[i][-1]
             if attempt[i] is None:
                 if _finished(delta, delta_end):
-                    out[i] = Trajectory(
-                        p=p, xi=xi, frames=n[i], newton_iters_max=iters_max[i], newton_iters=iters[i],
-                        step_rejections=rejections[i], cold_retries=retries[i],
-                    )
+                    out[i] = trajs[i]
                     continue
-                attempt[i], theta[i] = _step_plan(n[i] - 1, delta, delta_end, dtau)
+                attempt[i], theta[i] = _step_plan(trajs[i].frames - 1, delta, delta_end, dtau)
             delta_new[i] = delta * (1.0 - attempt[i])
             try:
                 ends[i] = runs[i].bc(delta_new[i])
@@ -614,36 +587,38 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
         bad_ends = set(results)
         stepped = [i for i in live if i not in results]
         if stepped:
-            last = frames[stepped, [(n[i] - 1) % 2 for i in stepped]]
+            n = [trajs[i].frames for i in stepped]
+            last = frames[stepped, [(k - 1) % 2 for k in n]]
             r = [0.0 if cold[i] else math.log(delta_new[i] / deltas[i][-1])
                  / math.log(deltas[i][-1] / deltas[i][-2]) for i in stepped]
             results.update(zip(stepped, _step_rows(
                 last, [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
                 [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
                 [runs[i].source for i in stepped], old[stepped], bands,
-                _predicted(last, frames[stepped, [n[i] % 2 for i in stepped]], r),
+                _predicted(last, frames[stepped, [k % 2 for k in n]], r),
             )))
         for i in live:
-            res = results[i]
+            res, traj = results[i], trajs[i]
             if isinstance(res, errors.FdelabError):
                 if not (cold[i] or i in bad_ends or isinstance(res, errors.NonFinite)):
                     cold[i] = True  # the same step again, from the last frame
-                    retries[i] += 1
+                    traj.cold_retries += 1
                     continue
-                rejections[i] += 1
+                traj.step_rejections += 1
                 attempt[i] *= 0.5
-                cold[i] = n[i] == 1
+                cold[i] = traj.frames == 1
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
-            frames[i, n[i] % 2], its, old[i] = res
+            slot = traj.frames % 2
+            frames[i, slot], its, old[i] = res
             attempt[i], cold[i] = None, False
-            iters_max[i] = max(iters_max[i], its)
-            iters[i] += its
+            traj.newton_iters_max = max(traj.newton_iters_max, its)
+            traj.newton_iters += its
             deltas[i] = [deltas[i][-1], delta_new[i]]
-            runs[i].consume(delta_new[i], frames[i, n[i] % 2])
-            n[i] += 1
-            if n[i] > _STEP_BUDGET + 1:
+            runs[i].consume(delta_new[i], frames[i, slot])
+            traj.frames += 1
+            if traj.frames > _STEP_BUDGET + 1:
                 out[i] = errors.StepUnderflow("step budget exhausted")
         live = [i for i in live if out[i] is None]
         del results, res  # their views would keep this round's arrays alive
@@ -750,12 +725,28 @@ _FIT_DECADES = 2.0  # decades of T - t that the extinction fit spans
 
 @dataclass
 class SandwichReport:
-    tol_rel: float
+    """The sandwich's one result record, on grid xi.
+
+    The consumers of _sandwich_rows fill it as frames are accepted: the
+    worst under- and overshoot over all runs, in units of delta^{1+gamma},
+    and per mid frame its delta, max W, the peaks of the barriers' u =
+    W^{1/(1-m)} and, every 10th frame, the CSV sample.
+    comparison_sandwich then sets tol_rel, runs (a Trajectory per run),
+    passed and fits.
+    """
+
+    p: ModelParams
+    xi: np.ndarray
+    tol_rel: float = math.nan
     runs: dict = field(default_factory=dict)
     max_undershoot: float = 0.0  # worst (W_lowbar - W)/scale over all runs
     max_overshoot: float = 0.0   # worst (W - W_upbar)/scale
     passed: bool = False
     fits: dict = field(default_factory=dict)
+    deltas: list = field(default_factory=list)  # per mid frame
+    solution: list = field(default_factory=list)  # max W per mid frame
+    upper_barrier: list = field(default_factory=list)  # max u of each barrier per mid frame
+    lower_barrier: list = field(default_factory=list)
     samples: list = field(default_factory=list)  # (delta, W[::8]) per 10th mid frame
 
     def to_dict(self) -> dict:
@@ -765,8 +756,7 @@ class SandwichReport:
     def to_csv(self, path: str):
         """Rows (t, s, xi, w, u, log10_u) of the mid run on every 10th frame
         and every 8th grid point."""
-        mid = self.runs["mid"]
-        p, xi = mid.p, mid.xi[::8]
+        p, xi = self.p, self.xi[::8]
         rows = []
         for delta, W in self.samples:
             t = p.T - delta
@@ -835,31 +825,16 @@ class _BarrierBlocks:
         return hit[1]
 
 
-@dataclass
-class _Tally:
-    """What the sandwich keeps of its frames: the worst under- and
-    overshoot, per mid frame its delta, max W and the barrier peaks, and
-    the CSV samples."""
-
-    undershoot: float = 0.0
-    overshoot: float = 0.0
-    deltas: list = field(default_factory=list)
-    solution: list = field(default_factory=list)
-    upper_barrier: list = field(default_factory=list)
-    lower_barrier: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
-
-
 def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
     """The lower, upper and mid runs as rows (on the lower barrier, the
     upper one and their geometric mean) over the planned deltas, and the
-    _Tally that their consumers fill.  bc reads the end columns of one
-    _BarrierBlocks; a consumer checks every 5th frame and keeps, per mid
-    frame, max W, the barrier peaks and every 10th frame's CSV sample.
+    SandwichReport that their consumers fill.  bc reads the end columns of
+    one _BarrierBlocks; a consumer checks every 5th frame and keeps, per
+    mid frame, max W, the barrier peaks and every 10th frame's CSV sample.
     """
     p = plus.outer.p
     blocks = _BarrierBlocks(plus, minus, xi, deltas)
-    tally = _Tally()
+    report = SandwichReport(p, xi)
     power = 1.0 / (1.0 - p.m)
 
     def on(kind, Wp, Wm):
@@ -883,15 +858,15 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
             Wp, Wm = blocks.at(delta, kind)
             if n % 5 == 0:
                 scale = delta ** (1.0 + p.gamma)
-                tally.undershoot = max(tally.undershoot, float(np.max((Wm - W) / scale)))
-                tally.overshoot = max(tally.overshoot, float(np.max((W - Wp) / scale)))
+                report.max_undershoot = max(report.max_undershoot, float(np.max((Wm - W) / scale)))
+                report.max_overshoot = max(report.max_overshoot, float(np.max((W - Wp) / scale)))
             if kind == "mid":
-                tally.deltas.append(delta)
-                tally.solution.append(float(np.max(W)))
-                tally.upper_barrier.append(float(np.max(Wp) ** power))
-                tally.lower_barrier.append(float(np.max(Wm) ** power))
+                report.deltas.append(delta)
+                report.solution.append(float(np.max(W)))
+                report.upper_barrier.append(float(np.max(Wp) ** power))
+                report.lower_barrier.append(float(np.max(Wm) ** power))
                 if n % 10 == 0:
-                    tally.samples.append((delta, W[::8].copy()))
+                    report.samples.append((delta, W[::8].copy()))
 
         return reduce
 
@@ -900,7 +875,7 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
         kind: _Run(np.array(on(kind, Wp0, Wm0)), bc(kind), consume=consume(kind))
         for kind in ("lower", "upper", "mid")
     }
-    return rows, tally
+    return rows, report
 
 
 def comparison_sandwich(
@@ -930,7 +905,9 @@ def comparison_sandwich(
     The calibration run and the three runs are four rows of one joint
     solve whose frames are reduced as they are accepted (_sandwich_rows).
     Errors are raised in row order, with NotBetweenBarriers (it needs
-    tol_rel) after the calibration's.
+    tol_rel) after the calibration's.  A run's error is raised as its own
+    class, its message prefixed with the run (calibration, lower, upper
+    or mid), n_cells and tau0.
     """
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
@@ -941,38 +918,34 @@ def comparison_sandwich(
     _check_drift(p, delta_start, delta_end)
     xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
-    rows, tally = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
-    calib, *solved = _solve_rows(
+    rows, report = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
+    solved = dict(zip(("calibration", *rows), _solve_rows(
         p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,
-    )
-    if isinstance(calib, errors.FdelabError):
-        raise calib
-    tol_rel = _SAFETY * calibration_error()
+    )))
 
+    def run(name):
+        res = solved[name]
+        if isinstance(res, errors.FdelabError):
+            raise type(res)(f"{name} run (n_cells {n_cells}, tau0 {tau0}): {res}") from res
+        return res
+
+    run("calibration")
+    report.tol_rel = tol_rel = _SAFETY * calibration_error()
     W0 = rows["mid"].w0
     Wm0, Wp0 = rows["lower"].w0, rows["upper"].w0
     slack = tol_rel * delta_start ** (1.0 + p.gamma)
     if np.any(W0 < Wm0 - slack) or np.any(W0 > Wp0 + slack):
         raise errors.NotBetweenBarriers("initial data leaves the barrier sandwich at tau0")
-    for res in solved:
-        if isinstance(res, errors.FdelabError):
-            raise res
-    report = SandwichReport(
-        tol_rel=tol_rel,
-        runs=dict(zip(rows, solved)),
-        max_undershoot=tally.undershoot,
-        max_overshoot=tally.overshoot,
-        passed=tally.undershoot <= tol_rel and tally.overshoot <= tol_rel,
-        samples=tally.samples,
-    )
+    report.runs = {name: run(name) for name in rows}
+    report.passed = report.max_undershoot <= tol_rel and report.max_overshoot <= tol_rel
 
     # extinction fits; sup W^{1/(1-m)} is raised as one array
-    deltas = np.array(tally.deltas)
+    deltas = np.array(report.deltas)
     amps = {
-        "solution": np.array(tally.solution) ** (1.0 / (1.0 - p.m)),
-        "upper_barrier": np.array(tally.upper_barrier),
-        "lower_barrier": np.array(tally.lower_barrier),
+        "solution": np.array(report.solution) ** (1.0 / (1.0 - p.m)),
+        "upper_barrier": np.array(report.upper_barrier),
+        "lower_barrier": np.array(report.lower_barrier),
     }
     span = math.log10(float(deltas.max() / deltas.min()))
     for name, amp in amps.items():

@@ -276,15 +276,14 @@ def _tail_constants(p: ModelParams):
     return a, c, c * c / a, (p.n - 1) * p.d.b1 / (p.gamma * p.A), c / a
 
 
-def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSimilarProfile:
+def shoot_v0(p: ModelParams, rel_tol: float = 1e-10) -> SelfSimilarProfile:
     """Integrate the profile ODE of phibar0_1 from a series start at
-    r0 = 1e-6 out to u = 400, to ode_spec (default: rel_tol 1e-10,
-    abs_tol 1e-12).
+    r0 = 1e-6 out to u = 400, to rel_tol and abs_tol = rel_tol/100.
 
     The quadratic series v0 = 1 + v2 r^2 + O(r^4) with
     v2 = -gamma A / (n (n-1) (1-m)) seeds (Z, P) at u0 = log r0.
     """
-    spec = ode_spec or numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)
+    abs_tol = rel_tol / 100.0
     n, m, gamma, A = p.n, p.m, p.gamma, p.A
     r0, u_max = 1e-6, 400.0
     v2 = -gamma * A / (n * (n - 1) * (1.0 - m))
@@ -304,7 +303,7 @@ def shoot_v0(p: ModelParams, ode_spec: numerics.OdeSpec | None = None) -> SelfSi
         kE = k * exp(2.0 * u + q * Z)
         return 0.0, 1.0, -kE * q * (c1 + c2 * P), -2.0 * P - n2 - kE * c2
 
-    table = numerics.solve_ode(rhs, jac, (math.log(r0), u_max), [Z0, P0], spec)
+    table = numerics.solve_ode(rhs, jac, (math.log(r0), u_max), [Z0, P0], rel_tol, abs_tol)
     return SelfSimilarProfile(p, table)
 
 
@@ -336,7 +335,7 @@ def verify_tail_asymptotics(profile: SelfSimilarProfile) -> dict:
         "monotone": bool(np.all(profile._at(u_grid, derivs=True)[1] > 0.0)),
         "stationary_residual_max": float(np.max(np.abs(res))),
     }
-    fine = shoot_v0(profile.p, ode_spec=numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13))
+    fine = shoot_v0(profile.p, rel_tol=2.5e-11)
     u_chk = np.array([1.0, 10.0, 100.0, U])
     a, b = profile._at(u_chk), fine._at(u_chk)
     out["refinement_rel_diff"] = float(np.max(np.abs(a - b) / np.abs(b)))

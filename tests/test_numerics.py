@@ -9,7 +9,7 @@ import scipy.integrate
 from fdelab import errors, numerics
 from numdiff import fd_derivative
 
-SPEC = numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12)  # the shoot's tolerances
+SPEC = (1e-10, 1e-12)  # the shoot's (rel_tol, abs_tol)
 
 
 def _linear(t, u, v):
@@ -22,7 +22,7 @@ def _linear_jac(t, u, v):
 
 
 def test_solve_ode_exponential():
-    tab = numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], SPEC)
+    tab = numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], *SPEC)
     ref = scipy.integrate.solve_ivp(
         lambda t, y: _linear(t, *y), (0.0, 5.0), [1.0, 0.0], method="Radau",
         jac=lambda t, y: np.reshape(_linear_jac(t, *y), (2, 2)),
@@ -41,7 +41,7 @@ def test_solve_ode_blowup_guard(monkeypatch):
     monkeypatch.setattr(numerics, "_BLOWUP_GUARD", 1e6)
     with pytest.raises(errors.BlowupGuardTripped, match="1e\\+06"):
         numerics.solve_ode(lambda t, u, v: (u * u, u), lambda t, u, v: (2.0 * u, 0.0, 1.0, 0.0),
-                           (0.0, 2.0), [1.0, 0.0], SPEC)
+                           (0.0, 2.0), [1.0, 0.0], *SPEC)
 
 
 def _decay(t, u, v):
@@ -76,9 +76,9 @@ def test_solve_ode_overflow_halves_the_step(where, times):
             overflow(t)
         return _decay_jac(t, u, v)
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], *SPEC)
     assert len(overflowed) == times
-    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], *SPEC)
     k = int(np.searchsorted(clean.ts, overflowed[0])) - 1  # the step that failed
     assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
     assert tab.h[k] <= 0.5 * clean.h[k]
@@ -105,11 +105,11 @@ def test_solve_ode_nonfinite_stage_retries_then_halves(bad, times):
         jac_ts.append(t)
         return _decay_jac(t, u, v)
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], *SPEC)
     assert len(hits) == times
     clean = numerics.solve_ode(
         _decay, lambda t, u, v: clean_jac_ts.append(t) or _decay_jac(t, u, v),
-        (0.0, 20.0), [1.0, 1.0], SPEC,
+        (0.0, 20.0), [1.0, 1.0], *SPEC,
     )
     k = int(np.searchsorted(clean.ts, hits[0])) - 1  # the step that failed
     assert np.array_equal(tab.ts[: k + 1], clean.ts[: k + 1])
@@ -128,7 +128,7 @@ def test_solve_ode_nonfinite_at_step_close_halves_the_step(where, bad):
     # rhs at the new state, or the Jacobian recomputed there, is not
     # finite at the first step close past t = 1: that step is halved and
     # the solution is unharmed
-    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    clean = numerics.solve_ode(_decay, _decay_jac, (0.0, 20.0), [1.0, 1.0], *SPEC)
     # the state at each breakpoint past t = 1, where a step closes
     ends = zip(clean.ts[1:-1].tolist(), clean.coef[1:, :, 0].tolist())
     closes = {(t, u, v) for t, (u, v) in ends if t > 1.0}
@@ -146,7 +146,7 @@ def test_solve_ode_nonfinite_at_step_close_halves_the_step(where, bad):
             return -1.0, 0.0, 0.0, bad
         return _decay_jac(t, u, v)
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], SPEC)
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], *SPEC)
     assert len(hits) == 1
     k = int(np.searchsorted(clean.ts, hits[0])) - 1  # the step that closes there
     assert clean.ts[k + 1] == hits[0]
@@ -164,14 +164,14 @@ def test_solve_ode_step_underflow():
         return _linear(t, u, v)
 
     with pytest.raises(errors.StepUnderflow):
-        numerics.solve_ode(rhs, _linear_jac, (0.0, 2.0), [1.0, 0.0], SPEC)
+        numerics.solve_ode(rhs, _linear_jac, (0.0, 2.0), [1.0, 0.0], *SPEC)
 
 
 def test_solve_ode_step_budget(monkeypatch):
     # the linear system takes 646 steps on [0, 5]
     monkeypatch.setattr(numerics, "_ODE_STEP_BUDGET", 10)
     with pytest.raises(errors.StepUnderflow, match="budget"):
-        numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], SPEC)
+        numerics.solve_ode(_linear, _linear_jac, (0.0, 5.0), [1.0, 0.0], *SPEC)
 
 
 def test_fd_derivative_orders():

@@ -92,11 +92,10 @@ def test_trajectory_csv_layout(smoke_report, barrier_pair, p_ref, tmp_path):
     smoke_report.to_csv(str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,s,xi,w,u,log10_u"
-    mid = smoke_report.runs["mid"]
-    n_frames = len(range(0, mid.frames, 10))
-    n_cols = len(range(0, len(mid.xi), 8))
+    n_frames = len(range(0, smoke_report.runs["mid"].frames, 10))
+    n_cols = len(range(0, len(smoke_report.xi), 8))
     assert len(lines) == 1 + n_frames * n_cols
-    traj = _lone_mid_run(barrier_pair, p_ref, mid.xi, 10.6)
+    traj = _lone_mid_run(barrier_pair, p_ref, smoke_report.xi, 10.6)
     w = [float(line.split(",")[3]) for line in lines[1:]]
     assert w == traj.W[::10, ::8].ravel().tolist()
     first = path.read_bytes()
@@ -254,10 +253,12 @@ def test_sandwich_smoke(smoke_report):
     assert report.max_overshoot <= report.tol_rel
     assert report.max_undershoot <= report.tol_rel
     assert sorted(report.runs) == ["lower", "mid", "upper"]
-    # the runs are on 401 points and keep no deltas and no frames
-    assert report.runs["mid"].xi.shape == (401,)
+    # the grid has 401 points, which the report carries; the runs keep no
+    # grid, no deltas and no frames
+    assert report.xi.shape == (401,)
     assert all(type(run) is pde.Trajectory for run in report.runs.values())
-    assert {"W", "deltas"}.isdisjoint(f.name for f in dataclasses.fields(pde.Trajectory))
+    assert {"W", "deltas", "p", "xi"}.isdisjoint(
+        f.name for f in dataclasses.fields(pde.Trajectory))
     assert [run.frames for run in report.runs.values()] == [63] * 3
     for fit in report.fits.values():
         assert math.isnan(fit["exponent"])
@@ -303,23 +304,30 @@ def test_extinction_rate_guards():
         extinction_rate(deltas, 0.0 * amps)
 
 
-def test_tridiagonal_solve_zero_pivot_is_newton_divergence():
-    from fdelab.pde import _tridiagonal_solve
+def _lone_solve(bands):
+    """x of one system (dl, d, du, b) from a one-row _Bands, or the
+    NewtonDiverged of its zero pivot."""
+    block = pde._Bands(1, len(bands[1]))
 
-    x = _tridiagonal_solve(
-        np.array([1.0]), np.array([2.0, 2.0]), np.array([1.0]), np.array([3.0, 3.0])
-    )
+    def fill(*rows):
+        for row, a in zip(rows, bands):
+            row[0] = a
+
+    (x,) = block.solve(1, fill)
+    return x
+
+
+def test_lone_gtsv_zero_pivot_is_newton_divergence():
+    x = _lone_solve(([1.0], [2.0, 2.0], [1.0], [3.0, 3.0]))
     assert x == pytest.approx([1.0, 1.0], rel=1e-15)
     # [[1, 1], [1, 1]] eliminates to a zero second pivot
-    with pytest.raises(errors.NewtonDiverged):
-        _tridiagonal_solve(
-            np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 2.0])
-        )
+    assert isinstance(_lone_solve(([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])), errors.NewtonDiverged)
 
 
 @pytest.fixture(scope="module")
 def gtsv_routes():
-    """(numpy's OpenBLAS dgtsv through ctypes, scipy's dgtsv)."""
+    """The binders bind(dl, d, du, b) -> solve(n) of numpy's OpenBLAS dgtsv
+    through ctypes and of scipy's dgtsv."""
     routes = pde._openblas_gtsv(), pde._scipy_gtsv()
     if None in routes:
         pytest.skip("needs both numpy's scipy_dgtsv_64_ and scipy")
@@ -341,9 +349,9 @@ def test_gtsv_routes_give_equal_bits(gtsv_routes):
         for _ in range(count):
             bands = _bands(rng, n)
             results = []
-            for solve in gtsv_routes:
+            for bind in gtsv_routes:
                 work = [a.copy() for a in bands]
-                results.append((solve(*work), work))
+                results.append((bind(*work)(n), work))
             (info_c, c), (info_s, s) = results
             assert info_c == info_s == 0
             assert all(np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(c, s))
@@ -357,7 +365,7 @@ def test_gtsv_routes_give_equal_bits(gtsv_routes):
 
 def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeypatch):
     """A singular matrix gives the same nonzero info on both routes, and
-    through the ctypes route _tridiagonal_solve raises NewtonDiverged."""
+    through the ctypes route a _Bands solve gives NewtonDiverged."""
     openblas, _ = gtsv_routes
     singular = [  # (dl, d, du, b)
         ([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]),
@@ -365,12 +373,13 @@ def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeyp
         ([1.0, 0.0, 1.0], [2.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0] * 4),  # row 2 is 0
     ]
     for bands in singular:
-        infos = [solve(*[np.array(a, dtype=float) for a in bands]) for solve in gtsv_routes]
+        infos = [bind(*[np.array(a, dtype=float) for a in bands])(len(bands[1]))
+                 for bind in gtsv_routes]
         assert infos[0] == infos[1] > 0
     monkeypatch.setattr(pde, "_gtsv", openblas)
     for bands in singular:
-        with pytest.raises(errors.NewtonDiverged, match="gtsv info"):
-            pde._tridiagonal_solve(*[np.array(a, dtype=float) for a in bands])
+        x = _lone_solve(bands)
+        assert isinstance(x, errors.NewtonDiverged) and "gtsv info" in str(x)
 
 
 def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
@@ -396,7 +405,7 @@ def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
             lone = []
             for bands in case:
                 work = [a.copy() for a in bands]
-                info = route(*work)
+                info = route(*work)(n)
                 lone.append(work[3] if info == 0 else info)
             if first_info is None:
                 assert lone[2] > 0 and all(isinstance(x, np.ndarray) for x in lone[:2] + lone[3:])
@@ -423,30 +432,6 @@ def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
             assert not block.dl[:, -1].any() and not block.du[:, -1].any()
 
 
-def _refused_bands():
-    """(name, bands) that no route may solve: each breaks one requirement."""
-    ok = [np.array([1.0, 1.0]), np.full(3, 4.0), np.array([1.0, 1.0]), np.ones(3)]
-    read_only = np.ones(3)
-    read_only.flags.writeable = False
-    yield "strided b", ok[:3] + [np.ones(6)[::2]]
-    yield "read-only b", ok[:3] + [read_only]
-    yield "float32 d", [ok[0], ok[1].astype(np.float32), *ok[2:]]
-    yield "short du", [ok[0], ok[1], ok[2][:1], ok[3]]
-    yield "2-D b", ok[:3] + [np.ones((3, 1))]
-    yield "column d", [ok[0], np.ones((3, 2))[:, 0], *ok[2:]]
-
-
-def test_tridiagonal_solve_refuses_bands_it_cannot_point_at():
-    """An array that a raw pointer would misread, and that scipy's wrapper
-    would solve as a copy, is refused and left untouched."""
-    for name, bands in _refused_bands():
-        before = [a.copy() for a in bands]
-        with pytest.raises(ValueError, match="C-contiguous"):
-            pde._tridiagonal_solve(*bands)
-            pytest.fail(name)
-        assert all(np.array_equal(a, b) for a, b in zip(bands, before)), name
-
-
 def test_openblas_lookup_falls_back_to_none(monkeypatch):
     """A library that will not load or lacks the symbol gives no route."""
     def no_library(path):
@@ -463,7 +448,7 @@ def test_no_lapack_route_is_one_error_naming_both(monkeypatch):
     monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
     monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
     with pytest.raises(errors.LapackUnavailable) as info:
-        pde._tridiagonal_solve(np.ones(1), np.full(2, 3.0), np.ones(1), np.ones(2))
+        pde._Bands(1, 2)
     assert "scipy_dgtsv_64_" in str(info.value)
     assert "scipy.linalg.lapack" in str(info.value)
     assert info.value.__context__ is None and info.value.__cause__ is None
@@ -606,10 +591,10 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     # that exactly that system, wherever it sits in a round's block of
     # systems (99 interior points per row); the NaN row stops before any
     # solve
-    route, solve, calls, singular = pde._lapack(), pde._tridiagonal_solve, [], []
+    route, calls, singular = pde._lapack(), [], []
 
     def spy_bind(dl, d, du, b):
-        gtsv = route.bind(dl, d, du, b)
+        gtsv = route(dl, d, du, b)
 
         def spied(size):
             assert np.all(np.isfinite(b[:size]))
@@ -635,7 +620,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         assert all(np.all(np.isfinite(a)) for a in (W, e, rho)) and np.all(W > 0.0)
         return bands(dl, diag, du, W, e, rho, *args)
 
-    monkeypatch.setattr(pde, "_gtsv", pde._route(spy_bind))
+    monkeypatch.setattr(pde, "_gtsv", spy_bind)
     monkeypatch.setattr(pde, "_stencil", checked_stencil)
     monkeypatch.setattr(pde, "_newton_bands", checked_bands)
     (singular_alone,) = step([rows[2]])
@@ -643,7 +628,8 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     del calls[:]
     (dipped_alone,) = step([rows[3]])
     # the Newton systems cover the interior points
-    assert np.min(dipped[1:-1] + solve(*calls[0])) < 0.0
+    dl, d, du, x = calls[0]
+    assert route(dl, d, du, x)(99) == 0 and np.min(dipped[1:-1] + x) < 0.0
     alone = [step([rows[0]])[0], step([rows[1]])[0], singular_alone, dipped_alone]
     n_nan_calls = len(nan_calls)
     together = step(rows)
@@ -903,10 +889,26 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
         return solve_rows(p, xi, runs, **kw)
 
     monkeypatch.setattr(pde, "_solve_rows", patched)
-    with pytest.raises(errors.TargetBelowRange, match=f"^{names[late]} bc failed$"):
+    prefix = rf"{names[late]} run \(n_cells 200, tau0 10\.0\): "
+    with pytest.raises(errors.TargetBelowRange, match=f"^{prefix}{names[late]} bc failed$"):
         comparison_sandwich(
             *barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=200, dtau=0.01
         )
+
+
+@pytest.mark.parametrize("eps, tau0, tau_end, n_cells, row", [
+    (0.0, 20.0, 20.5, 400, "mid"), (EPS_SMOKE, TAU0, 10.6, 100, "lower"),
+])
+def test_sandwich_error_names_the_failing_run(solver_ref, eps, tau0, tau_end, n_cells, row):
+    """A run that cannot step raises its own error class, named by run,
+    n_cells and tau0: on ref from tau0 = 20 at 400 cells only the mid run
+    stalls, and on the 100-cell smoke window the lower and mid runs do,
+    the lower run's error being raised."""
+    bars = GluedBarrier(solver_ref, "+", eps), GluedBarrier(solver_ref, "-", eps)
+    prefix = rf"^{row} run \(n_cells {n_cells}, tau0 {tau0}\): Newton stalled at "
+    with pytest.raises(errors.NewtonDiverged, match=prefix) as info:
+        comparison_sandwich(*bars, tau0=tau0, tau_end=tau_end, n_cells=n_cells, dtau=0.01)
+    assert type(info.value.__cause__) is errors.NewtonDiverged
 
 
 def test_predictor_gives_each_row_its_lone_bits():
@@ -1020,7 +1022,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     manufactured = pde.make_manufactured
 
     def counting_bind(*bands):
-        gtsv = route.bind(*bands)
+        gtsv = route(*bands)
 
         def solve(size):
             counts["gtsv"] += 1
@@ -1053,7 +1055,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
 
         return W_exact, counted_bind
 
-    monkeypatch.setattr(pde, "_gtsv", pde._route(counting_bind))
+    monkeypatch.setattr(pde, "_gtsv", counting_bind)
     monkeypatch.setattr(pde, "_stencil", counted_stencil)
     monkeypatch.setattr(pde, "_step_rows", counted_step_rows)
     monkeypatch.setattr(pde, "make_manufactured", counted_manufactured)

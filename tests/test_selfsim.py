@@ -224,8 +224,7 @@ def test_step_table_matches_scipy_radau_dense_output():
     def jac(t, u, v):
         return -1.0, 0.0, 0.0, -2.0 * v
 
-    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0],
-                             numerics.OdeSpec(rel_tol=1e-10, abs_tol=1e-12))
+    tab = numerics.solve_ode(rhs, jac, (0.0, 20.0), [1.0, 1.0], 1e-10, 1e-12)
     ref = scipy.integrate.solve_ivp(
         lambda t, y: rhs(t, *y), (0.0, 20.0), [1.0, 1.0], method="Radau",
         jac=lambda t, y: np.reshape(jac(t, *y), (2, 2)), rtol=1e-10, atol=1e-12,
@@ -252,7 +251,7 @@ def test_step_table_matches_scipy_radau_dense_output():
 # at the refinement shoot's.  The stepper must reproduce its tables bit
 # for bit; the hashes hold for one libm, whose exp may round differently
 # on another platform.
-_FINE = numerics.OdeSpec(rel_tol=2.5e-11, abs_tol=2.5e-13)
+_FINE = 2.5e-11  # rel_tol of the refinement shoot
 SHOOT_PINS = [
     ("ref", None, "efc59055ddd75e18", "42c2e6e2d3e5f586", (1077, 1096, 2593, 266)),
     ("ref", _FINE, "584737162e088c17", "3f3310da8a042a2a", (1492, 1513, 3360, 289)),
@@ -261,11 +260,11 @@ SHOOT_PINS = [
 ]
 
 
-@pytest.mark.parametrize("which,spec,ts_sha,coef_sha,counts", SHOOT_PINS,
+@pytest.mark.parametrize("which,rel_tol,ts_sha,coef_sha,counts", SHOOT_PINS,
                          ids=["ref", "ref-fine", "low", "low-fine"])
-def test_shoot_step_table_pinned_bit_for_bit(request, which, spec, ts_sha, coef_sha, counts):
+def test_shoot_step_table_pinned_bit_for_bit(request, which, rel_tol, ts_sha, coef_sha, counts):
     prof = request.getfixturevalue(f"profile_{which}")
-    tab = prof._table if spec is None else shoot_v0(prof.p, ode_spec=spec)._table
+    tab = prof._table if rel_tol is None else shoot_v0(prof.p, rel_tol=rel_tol)._table
     assert hashlib.sha256(tab.ts.tobytes()).hexdigest()[:16] == ts_sha
     assert hashlib.sha256(tab.coef.tobytes()).hexdigest()[:16] == coef_sha
     assert (len(tab.h), tab.attempts, tab.newton_iters, tab.jac_evals) == counts
