@@ -157,8 +157,7 @@ def cmd_verify(args) -> int:
     # 2. outer sign thresholds for both signs of the branch variant
     for sign, label in (("+", "plus"), ("-", "minus")):
         th = find_thresholds(outer, sign)
-        detail = {k: v for k, v in th.items() if k not in ("passed", "reports")}
-        detail["reports"] = {k: r.to_dict() for k, r in th["reports"].items()}
+        detail = {k: v for k, v in th.items() if k != "passed"}
         checks.append(make_check(f"outer-thresholds-{label}", th["passed"], detail))
 
     # 3. admissible epsilon window; the corner inequality is asymptotic in
@@ -187,13 +186,16 @@ def cmd_verify(args) -> int:
     checks.append(make_check("matching-order", order_ok, {
         "taus": taus, "C_plus": c_plus, "C_minus": c_minus,
     }))
-    limits = solver.matching_limits()
-    lim_ok = (
-        limits["plus_increment_rel_err"] < 5e-2
-        and limits["minus_edge_rel_err"] < 1e-6
-        and limits["plus_edge_slope_rel_err"] < 5e-3
-        and limits["minus_edge_slope_rel_err"] < 5e-3
-    )
+    try:
+        limits = solver.matching_limits()
+        lim_ok = (
+            limits["plus_increment_rel_err"] < 5e-2
+            and limits["minus_edge_rel_err"] < 1e-6
+            and limits["plus_edge_slope_rel_err"] < 5e-3
+            and limits["minus_edge_slope_rel_err"] < 5e-3
+        )
+    except (errors.ExtrapolationUnstable, errors.OutOfDomain) as exc:
+        limits, lim_ok = {"error": str(exc)}, False
     checks.append(make_check("matching-limits", lim_ok, limits))
 
     # 5. corner verdicts and continuity at the working epsilon
@@ -204,7 +206,7 @@ def cmd_verify(args) -> int:
         ok = all(j.holds for j in jumps) and cont < 1e-9
         checks.append(make_check(f"corner-{label}", ok, {
             "continuity_max": cont,
-            "jumps": [dataclasses.asdict(j) for j in jumps],
+            "jumps": jumps,
         }))
 
     # 6. strict ordering of the glued pair
@@ -216,7 +218,7 @@ def cmd_verify(args) -> int:
     inner_ok = tau3 is not None
     checks.append(make_check("inner-signs", inner_ok, {
         "tau3": tau3,
-        "reports": {k: r.to_dict() for k, r in inner_reports.items()},
+        "reports": inner_reports,
     }))
     tau0 = tau3 if tau3 is not None else tau_match
 

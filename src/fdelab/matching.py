@@ -163,8 +163,10 @@ class MatchingSolver:
     # -- quantitative matching limits ---------------------------------------
 
     def matching_limits(self) -> dict:
-        """Edge-value and edge-slope limits at large tau (tau_ref = 40) for
-        both signs.
+        """Edge-value and edge-slope limits at large tau for both signs,
+        read at tau_ref = max(40, 20/gamma) and the two taus 5 and 10 below.
+        The edge values carry an O(gamma tau e^(-gamma tau)) remainder, so
+        gamma tau_ref >= 20 keeps it at most about 20 e^(-20) = 4e-8.
 
         plus : the edge value grows linearly in tau; its increment slope
                tends to (n-1) theta2_plus / A.
@@ -177,7 +179,7 @@ class MatchingSolver:
         d = p.d
         gamma, A, n = p.gamma, p.A, p.n
         out = {}
-        tau_ref = 40.0
+        tau_ref = max(40.0, 20.0 / gamma)
         taus = np.array([tau_ref - 10.0, tau_ref - 5.0, tau_ref])
         edges = {sign: self.outer_edge(sign, taus) for sign in _SIGN_FACTOR}
 

@@ -27,15 +27,18 @@ so both vanish at eta0, where I does.
 
 psi = sum_k e^(-k gamma tau) T_k with T_0 = phi0, T_1 = theta2 phi4, T_2 = h
 and the correction rows T_k = sum_j c_kj v_{k,j}, v_{k,j} = eta^(-k-1/gamma)
-(log eta)^j, 3 <= k <= 2N, and c_{k,0} = 0 in every row (the recurrence
-of correction_coeffs fixes c_kj for j >= 1).  Rows exist exactly when
-2N >= 3, that is when gamma <= 1; branch_variant labels the profile psi4
-then and psi3 otherwise.
+(log eta)^j, 3 <= k <= 2N.  The recurrence of correction_coeffs fixes c_kj
+for j >= 1, with c_{k,0} = 0 in every row.  The rows are stored once, as
+{k: {j: c_kj}} holding only the nonzero c_kj: a zero entry (c_{k,0} among
+them) and a row without a nonzero entry are absent.  Rows exist exactly
+when 2N >= 3, that is when gamma <= 1; branch_variant labels the profile
+psi4 then and psi3 otherwise.
 The paper's psi1/psi2 are psi3/psi4 at C10 = 0 (phi4 = phi3 + 0 v, bit for
 bit), and C10 = 0 is the default, so the labels psi3/psi4 of a default
 config name the paper's psi1/psi2 without a second profile path.  Each
 term returns its value, or its value with both eta derivatives, from one
-evaluation; psi_outer and psi_bundle share one summation over the terms.
+evaluation; _psi_sum lists the terms once, and psi_outer and psi_bundle
+share it.
 
 l0_terms evaluates the outer operator L0 of residuals.py on psi.  Dropping
 the identically-zero phi0 group and folding each corrector through its
@@ -151,7 +154,7 @@ class OuterProfileSet:
         self.C2 = self._b2q * gamma * self.cfg.eta0 ** (-1.0 / gamma) / -math.expm1(-lg0)
         self.C10 = float(self.cfg.C10)
         self.C10_star = -self._bq3 * (p.theta2_plus - p.d.b2) / p.theta2_plus
-        self._rows = {sign: _nonzero_rows(self.correction_coeffs(sign)) for sign in ("+", "-")}
+        self._rows = {sign: self.correction_coeffs(sign) for sign in ("+", "-")}
 
     # -- primitive layer -------------------------------------------------
 
@@ -277,20 +280,12 @@ class OuterProfileSet:
 
     # -- far-field seeds and coefficient tables -----------------------------
 
-    def _farfield(self, which: str) -> tuple[float, float]:
-        """(c1, c0) with profile * eta^p = c1 log(eta) + c0 + O(x) far afield.
-
-        which = "h-part" gives phi1 (the eta^(-2-1/gamma) block of h);
-        which = "p-part" gives phi3.  For profile = eta^(-p) bq I,
-        I = log(eta) - log(A) - gamma log expm1(l0) + gamma log(1 - x), and
-        gamma log(1 - x) = O(x).
+    def _farfield(self, bq: float) -> tuple[float, float]:
+        """(c1, c0) with profile * eta^p = c1 log(eta) + c0 + O(x) far afield,
+        for profile = eta^(-p) bq I: phi1 (the eta^(-2-1/gamma) block of h)
+        with bq1, phi3 with bq3.  I = log(eta) - log(A) - gamma log expm1(l0)
+        + gamma log(1 - x), and gamma log(1 - x) = O(x).
         """
-        if which == "h-part":
-            bq = self._bq1
-        elif which == "p-part":
-            bq = self._bq3
-        else:
-            raise errors.InvalidParameter(f"unknown far-field part {which!r}")
         return bq, -bq * (math.log(self.p.A) + self.p.gamma * self._lexp0)
 
     @staticmethod
@@ -302,78 +297,61 @@ class OuterProfileSet:
             + (i + 1.0) * (i + 2.0) * row.get(i + 2, 0.0)
         )
 
-    def correction_coeffs(self, sign: str) -> dict:
-        """Coefficient table {(k, j): c_kj} for 3 <= k <= 2N, empty for
-        N = 1 (gamma > 1).
+    def correction_coeffs(self, sign: str) -> dict[int, dict[int, float]]:
+        """The nonzero correction rows {k: {j: c_kj}}, 3 <= k <= 2N, in k
+        then j order; empty for N = 1 (gamma > 1).
 
         Rows are generated by the far-field cancellation recurrence along
         each parity chain; the chain is seeded by the far-field expansions
         of h (even) and theta2 * phi4 (odd).  The recurrence fixes c_kj for
-        j >= 1 and leaves c_{k,0} free; every row takes c_{k,0} = 0.
+        j >= 1 and leaves c_{k,0} free; every row takes c_{k,0} = 0.  Zero
+        entries are absent, and so is a row without a nonzero entry (row 3
+        of the minus sign, where theta2^- = 0).
         """
         n, gamma = self.p.n, self.p.gamma
         a0 = self.p.d.a0
-        N = self.p.d.N
         th2 = theta(self.p, 2, sign)
 
-        c1h, c0h = self._farfield("h-part")
-        c1p, c0p = self._farfield("p-part")
+        c1h, c0h = self._farfield(self._bq1)
+        c1p, c0p = self._farfield(self._bq3)
         # phi4 adds C10 * eta^(-1-1/gamma) L to the odd seed profile
         c1p = c1p + self.C10
-        rows: dict[int, dict] = {2: {0: c0h, 1: c1h}, 1: {0: th2 * c0p, 1: th2 * c1p}}
-
-        table: dict[tuple[int, int], float] = {}
-        for k in range(3, 2 * N + 1):
-            prev = rows[k - 2]
+        rows = {2: {0: c0h, 1: c1h}, 1: {0: th2 * c0p, 1: th2 * c1p}}
+        for k in range(3, 2 * self.p.d.N + 1):
             P = (k - 2) + 1.0 / gamma
-            row = {0: 0.0}
-            jmax = int(math.ceil(k / 2))
-            for i in range(0, jmax):
-                num = self._d2coeff(prev, P, i)
-                row[i + 1] = -(n - 1) * num / (a0 * gamma * (i + 1.0))
+            row = {}
+            for i in range((k + 1) // 2):
+                c = -(n - 1) * self._d2coeff(rows[k - 2], P, i) / (a0 * gamma * (i + 1.0))
+                if c != 0.0:
+                    row[i + 1] = c
             rows[k] = row
-            for j in range(0, jmax + 1):
-                table[(k, j)] = row.get(j, 0.0)
-        return table
+        return {k: row for k, row in rows.items() if k >= 3 and row}
 
     # -- psi assembly --------------------------------------------------------
 
-    def _psi_terms(self, sign: str):
-        """List of (k, term(pr, derivs)) pairs: psi = sum_k e^(-k gamma tau) T_k."""
-        th2 = theta(self.p, 2, sign)
-        terms = [
-            (0, self._phi0_prims),
-            (1, lambda pr, derivs: tuple(th2 * b for b in self._phi4_prims(pr, derivs))),
-            (2, lambda pr, derivs: self._h_prims(pr, sign, derivs)),
-        ]
-
-        def make_row(k, row):
-            pexp = k + 1.0 / self.p.gamma
-
-            def trow(pr, derivs):
-                acc = (np.zeros_like(pr.gap),) * (3 if derivs else 1)
-                for j, c in row.items():
-                    acc = _plus(acc, c, self._powlog_prims(pexp, j, pr, derivs))
-                return acc
-
-            return trow
-
-        terms.extend((k, make_row(k, row)) for k, row in self._rows[sign].items())
-        return terms
-
     def _psi_sum(self, sign: str, tau, pr: _Primitives, derivs: bool):
         """(psi,) or, with derivs, (psi, psi_eta, psi_etaeta, psi_tau): one
-        call per term, each weighted by e^(-k gamma tau), so the tau
-        derivative is analytic."""
+        evaluation per term T_k, each weighted by e^(-k gamma tau), so the
+        tau derivative is analytic."""
         tau = np.asarray(tau, dtype=float)
         gamma = self.p.gamma
-        acc, dtau = (0.0,) * (3 if derivs else 1), 0.0
-        for k, term in self._psi_terms(sign):
-            w = np.exp(-k * gamma * tau) if k else 1.0
-            parts = term(pr, derivs)
-            acc = _plus(acc, w, parts)
-            if derivs and k:
-                dtau = dtau + (-k * gamma) * w * parts[0]
+        th2 = theta(self.p, 2, sign)
+        zero = (0.0,) * (3 if derivs else 1)
+        terms = [
+            (1, tuple(th2 * b for b in self._phi4_prims(pr, derivs))),
+            (2, self._h_prims(pr, sign, derivs)),
+        ]
+        for k, row in self._rows[sign].items():
+            T = zero
+            for j, c in row.items():
+                T = _plus(T, c, self._powlog_prims(k + 1.0 / gamma, j, pr, derivs))
+            terms.append((k, T))
+        acc, dtau = _plus(zero, 1.0, self._phi0_prims(pr, derivs)), 0.0
+        for k, T in terms:
+            w = np.exp(-k * gamma * tau)
+            acc = _plus(acc, w, T)
+            if derivs:
+                dtau = dtau + (-k * gamma) * w * T[0]
         return (*acc, dtau) if derivs else acc
 
     def psi_outer(self, sign: str, tau, *, gap):
@@ -432,8 +410,7 @@ class OuterProfileSet:
                 pexp = k + 1.0 / g
                 sk = np.zeros_like(pr.gap)
                 for j, c in row.items():
-                    if j:
-                        sk = sk + (g * j * c) * self._powlog_prims(pexp, j - 1, pr, False)[0]
+                    sk = sk + (g * j * c) * self._powlog_prims(pexp, j - 1, pr, False)[0]
                 pieces.append(-_math_exp(-(k - 1) * g, tau) * sk)
             res = np.zeros_like(pr.gap)
             scale = np.zeros_like(pr.gap)
@@ -464,16 +441,6 @@ class OuterProfileSet:
             d2psi,
         ]
         return np.column_stack(cols)
-
-
-def _nonzero_rows(table: dict) -> dict[int, dict[int, float]]:
-    """Nonzero coefficients {k: {j: c_kj}} of a correction table, sorted by
-    k then j."""
-    rows: dict[int, dict[int, float]] = {}
-    for (k, j), c in sorted(table.items()):
-        if c != 0.0:
-            rows.setdefault(k, {})[j] = c
-    return rows
 
 
 def _plus(a_parts, c, b_parts):

@@ -165,9 +165,15 @@ _OUTER_KINDS = ("near_A", "far_field")
 
 @dataclass
 class ResidualReport:
+    """One sign verdict, in the layout of the report: its fields are the
+    keys the report writes, and the report serializes it as it stands, so
+    a field added here appears in the report.  kind and tau_window are
+    those of the sampled Region; worst_point is (space, tau, residual)."""
+
     operator: str
-    region: Region
+    kind: str
     want: str
+    tau_window: tuple
     n_points: int = 0
     n_violations: int = 0
     n_inconclusive: int = 0
@@ -176,23 +182,6 @@ class ResidualReport:
     worst_point: tuple = ()
     passed: bool = False
     inconclusive_frac: float = 0.0
-
-    def to_dict(self) -> dict:
-        out = {
-            "operator": self.operator,
-            "kind": self.region.kind,
-            "want": self.want,
-            "tau_window": [self.region.tau_lo, self.region.tau_hi],
-            "n_points": self.n_points,
-            "n_violations": self.n_violations,
-            "n_inconclusive": self.n_inconclusive,
-            "inconclusive_frac": self.inconclusive_frac,
-            "min_residual": self.min_residual,
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point),
-            "passed": self.passed,
-        }
-        return out
 
 
 def _space_grid(region: Region, taus, cfg, gamma: float):
@@ -284,23 +273,23 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
         with np.errstate(over="ignore"):
             worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
     i, j = np.unravel_index(worst, res.shape)
-    report = ResidualReport(
+    n_violations = int(np.count_nonzero((signed < -atol) | broken))
+    n_inconclusive = int(np.count_nonzero((np.abs(res) <= atol) & ~broken))
+    frac = n_inconclusive / res.size
+    return ResidualReport(
         operator="L0" if region.kind in _OUTER_KINDS else "L1",
-        region=region,
+        kind=region.kind,
         want=want,
+        tau_window=(region.tau_lo, region.tau_hi),
         n_points=res.size,
-        n_violations=int(np.count_nonzero((signed < -atol) | broken)),
-        n_inconclusive=int(np.count_nonzero((np.abs(res) <= atol) & ~broken)),
+        n_violations=n_violations,
+        n_inconclusive=n_inconclusive,
         min_residual=float(np.min(res)),
         max_residual=float(np.max(res)),
         worst_point=(float(space[i, j]), float(taus[i]), float(res[i, j])),
+        passed=n_violations == 0 and frac <= cfg.inconclusive_frac,
+        inconclusive_frac=frac,
     )
-    report.inconclusive_frac = report.n_inconclusive / report.n_points
-    report.passed = (
-        report.n_violations == 0
-        and report.inconclusive_frac <= cfg.inconclusive_frac
-    )
-    return report
 
 
 # relative margin of the minus threshold over its leading-order root xi*

@@ -206,6 +206,31 @@ def test_underflowing_near_a_band_ends_in_a_report_or_an_error(extra, rc, tmp_pa
         assert json.loads(report.read_text())["all_passed"] is True
 
 
+@pytest.mark.parametrize("gamma, error", [
+    # the limits settle at tau_ref = max(40, 20/gamma); read at tau 40 the
+    # plus increment slope had not settled, and verify wrote no report
+    (0.15, None),
+    # the edge gap underflows at tau_ref = 40: the check fails and names it,
+    # where verify ended with the error and wrote no report
+    (20.0, "matching edge gap xi1 e^(-gamma tau) underflows to 0 at gamma tau = 800"),
+])
+def test_matching_limits_check_at_small_and_large_gamma(gamma, error, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, gamma=gamma, grid_eta=16, grid_tau=4)))
+    out = tmp_path / "runs"
+    proc = _run_cli(["verify", "--config", str(config), "--out", str(out)])
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr
+    (report,) = out.glob("verify-*.json")
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    check = checks["matching-limits"]
+    if error is None:
+        assert check["passed"] is True
+    else:
+        assert check["passed"] is False
+        assert check["details"] == {"error": error}
+
+
 def test_underflowing_weak_corner_window_fails_its_checks(tmp_path):
     # at tau_start 760 the weak corner term's delta = e^(-tau) underflows
     # to 0; its log ended verify in a bare ValueError and wrote no report

@@ -44,6 +44,19 @@ def test_branch_variant_selection():
     assert branch_variant(0.3) == "psi4"
 
 
+def test_matching_limits_meet_their_bars_at_gamma_03():
+    # the edge values carry an O(gamma tau e^(-gamma tau)) remainder: read
+    # at tau 40, the minus edge value missed its 1e-6 bar by 7.45e-5 at
+    # gamma 0.3; tau_ref = max(40, 20/gamma) puts gamma tau_ref at 20
+    p = ModelParams(3, 0.1, 0.3, 2.0, theta1_minus=-1.0)
+    out = OuterProfileSet(p, default_thresholds(p))
+    limits = MatchingSolver(shoot_v0(p), out, branch_variant(p.gamma)).matching_limits()
+    assert limits["plus_increment_rel_err"] < 5e-2
+    assert limits["minus_edge_rel_err"] < 1e-6
+    assert limits["plus_edge_slope_rel_err"] < 5e-3
+    assert limits["minus_edge_slope_rel_err"] < 5e-3
+
+
 @pytest.mark.parametrize(
     "gamma", [0.3, 0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5, 3.0]
 )
@@ -54,7 +67,9 @@ def test_correction_rows_exist_exactly_under_the_psi4_label(gamma, profile_ref):
     out = OuterProfileSet(p, default_thresholds(p))
     label = branch_variant(gamma)
     for sign in ("+", "-"):
-        has_rows = any(c != 0.0 for c in out.correction_coeffs(sign).values())
+        rows = out.correction_coeffs(sign)
+        assert all(c != 0.0 for row in rows.values() for c in row.values())
+        has_rows = bool(rows)
         assert has_rows == (label == "psi4")
     MatchingSolver(profile_ref, out, label)
     other = "psi3" if label == "psi4" else "psi4"

@@ -28,24 +28,17 @@ C10_STAR_LOW = 20.57142857142857
 # a nonzero C10, so that phi4 carries its resonant log term
 RESONANT_C10 = 4.0
 
-# Correction tables of the low-gamma regime (N = 2), frozen from a
-# run of the recurrence at gamma = 0.5.  Row 4 is theta2-independent.
+# Correction rows {k: {j: c_kj}} of the low-gamma regime (N = 2), frozen
+# from a run of the recurrence at gamma = 0.5; c_{k,0} = 0, so j = 0 is
+# absent.  Row 4 is theta2-independent.
 # psi2 is psi4 at the default C10 = 0; LOW_PSI4_PLUS is psi4 at C10 = 64.
 LOW_PSI2_PLUS = {
-    (3, 0): 0.0,
-    (3, 1): -1066.0241583746804,
-    (3, 2): 384.0,
-    (4, 0): 0.0,
-    (4, 1): 3097.363366204352,
-    (4, 2): -8640.0 / 7.0,
+    3: {1: -1066.0241583746804, 2: 384.0},
+    4: {1: 3097.363366204352, 2: -8640.0 / 7.0},
 }
 LOW_PSI4_PLUS = {
-    (3, 0): 0.0,
-    (3, 1): -170.0241583746801,
-    (3, 2): -384.0,
-    (4, 0): 0.0,
-    (4, 1): 3097.363366204352,
-    (4, 2): -8640.0 / 7.0,
+    3: {1: -170.0241583746801, 2: -384.0},
+    4: {1: 3097.363366204352, 2: -8640.0 / 7.0},
 }
 
 
@@ -316,56 +309,52 @@ def test_reference_tables_empty(gamma):
             assert each.correction_coeffs(sign) == {}
 
 
+def _assert_rows(table, want, rel, abs=0.0):
+    # the same rows and, within each, the same log powers j, in k then j
+    # order, with every stored entry nonzero
+    assert list(table) == list(want)
+    for k, row in want.items():
+        assert list(table[k]) == list(row), k
+        assert all(c != 0.0 for c in table[k].values()), k
+        for j, c in row.items():
+            assert table[k][j] == pytest.approx(c, rel=rel, abs=abs), (k, j)
+
+
 def test_low_gamma_psi2_table(outer_low):
-    table = outer_low.correction_coeffs("+")
-    assert set(table) == set(LOW_PSI2_PLUS)
-    for key, want in LOW_PSI2_PLUS.items():
-        assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    _assert_rows(outer_low.correction_coeffs("+"), LOW_PSI2_PLUS, rel=1e-9, abs=1e-12)
 
 
 def test_low_gamma_psi4_table(outer_low):
-    table = at_C10(outer_low, 64.0).correction_coeffs("+")
-    assert set(table) == set(LOW_PSI4_PLUS)
-    for key, want in LOW_PSI4_PLUS.items():
-        assert table[key] == pytest.approx(want, rel=1e-9, abs=1e-12)
+    _assert_rows(at_C10(outer_low, 64.0).correction_coeffs("+"), LOW_PSI4_PLUS,
+                 rel=1e-9, abs=1e-12)
 
 
 def test_low_gamma_minus_row3_vanishes(outer_low):
-    # theta2^- = 0 kills the third-order source on the subsolution side
+    # theta2^- = 0 kills the third-order source on the subsolution side,
+    # so row 3 is absent and row 4 stays
     for out in (outer_low, at_C10(outer_low, 64.0)):
-        table = out.correction_coeffs("-")
-        for (k, j), val in table.items():
-            if k == 3:
-                assert val == 0.0
+        assert list(out.correction_coeffs("-")) == [4]
 
 
 def test_low_gamma_row4_shared(outer_low):
-    ref_row = {
-        key: val
-        for key, val in outer_low.correction_coeffs("+").items()
-        if key[0] == 4
-    }
+    ref_row = outer_low.correction_coeffs("+")[4]
     assert ref_row
     for out in (outer_low, at_C10(outer_low, 64.0)):
         for sign in ("+", "-"):
-            table = out.correction_coeffs(sign)
-            for key, want in ref_row.items():
-                assert table[key] == pytest.approx(want, rel=1e-12)
+            _assert_rows({4: out.correction_coeffs(sign)[4]}, {4: ref_row}, rel=1e-12)
 
 
 def test_gamma_03_table_shape():
-    # N = 3 regime: rows k = 3..6 with log powers up to 3
+    # N = 3 regime: rows k = 3..6 with log powers up to 3; c_{k,0} = 0 is
+    # not stored
     p = ModelParams(3, 0.1, 0.3, 2.0)
     out = OuterProfileSet(p, default_thresholds(p))
     assert out.p.d.N == 3
     table = out.correction_coeffs("+")
-    assert set(table) == {
-        (3, 0), (3, 1), (3, 2),
-        (4, 0), (4, 1), (4, 2),
-        (5, 0), (5, 1), (5, 2), (5, 3),
-        (6, 0), (6, 1), (6, 2), (6, 3),
+    assert {k: list(row) for k, row in table.items()} == {
+        3: [1, 2], 4: [1, 2], 5: [1, 2, 3], 6: [1, 2, 3],
     }
-    assert all(math.isfinite(v) for v in table.values())
+    assert all(math.isfinite(c) and c != 0.0 for row in table.values() for c in row.values())
 
 
 # -- near-A laws -------------------------------------------------------------
@@ -454,15 +443,15 @@ def test_far_field_seeds(outer_gamma):
     etas = np.logspace(4.0, 24.0, 6)
     x, _ = _xparts(p, etas - p.A)
     L = np.log(etas)
-    for which, i, pexp, bq in (
-        ("h-part", 1, 2.0 + 1.0 / p.gamma, b1q),
-        ("p-part", 3, 1.0 + 1.0 / p.gamma, b3q),
+    for seed, i, pexp, bq in (
+        (out._bq1, 1, 2.0 + 1.0 / p.gamma, b1q),
+        (out._bq3, 3, 1.0 + 1.0 / p.gamma, b3q),
     ):
-        c1, c0 = out._farfield(which)
+        c1, c0 = out._farfield(seed)
         assert c1 == pytest.approx(bq, rel=1e-14)
         resid = phi_correction(out, i, etas - p.A) * etas**pexp - (c1 * L + c0)
         bound = 2.0 * p.gamma * abs(bq) * x + 1e-12 * (abs(c1) * L + abs(c0))
-        assert np.all(np.abs(resid) <= bound), which
+        assert np.all(np.abs(resid) <= bound), i
 
 
 def test_phi4_far_field_limit(outer_all):

@@ -12,6 +12,7 @@ from fdelab import errors, residuals
 from fdelab.matching import GluedBarrier, MatchingSolver
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, ThresholdConfig, default_thresholds, theta
+from fdelab.reporting import make_check
 from fdelab.selfsim import SelfSimilarProfile
 from fdelab.residuals import (
     Region,
@@ -307,17 +308,28 @@ def test_verdict_rejects_bad_want(p_ref, cfg_ref):
         verify_sign_region(_const_terms(1.0), "up", REGION, p_ref, cfg_ref)
 
 
-def test_report_to_dict_keys(p_ref, cfg_ref):
+def test_report_serializes_as_its_fields(p_ref, cfg_ref):
+    # a verdict goes into a check as it stands, with the keys and values of
+    # the report layout
     rep = verify_sign_region(
         _const_terms(1.0), "+", REGION, p_ref, _grid(cfg_ref, 10, 2)
     )
-    out = rep.to_dict()
-    for key in ("operator", "kind", "want", "tau_window", "n_points",
-                "n_violations", "n_inconclusive", "inconclusive_frac",
-                "min_residual", "max_residual", "worst_point", "passed"):
-        assert key in out
+    out = make_check("verdict", rep.passed, {"report": rep})["details"]["report"]
+    assert out == {
+        "operator": "L1",
+        "kind": "inner_glued",
+        "want": "+",
+        "tau_window": [1.0, 2.0],
+        "n_points": 20,
+        "n_violations": 0,
+        "n_inconclusive": 0,
+        "inconclusive_frac": 0.0,
+        "min_residual": 1.0,
+        "max_residual": 1.0,
+        "worst_point": [-7.0, 1.0, 1.0],
+        "passed": True,
+    }
     # the region kind names the operator
-    assert out["operator"] == "L1"
     far = Region(kind="far_field", tau_lo=1.0, tau_hi=2.0)
     assert verify_sign_region(
         _const_terms(1.0), "+", far, p_ref, _grid(cfg_ref, 10, 2)
@@ -416,7 +428,8 @@ def _space_row(region, cfg, tau, gamma):
 def _verify_per_tau(operator, terms_fn, want, region, p, cfg,
                     atol_factor=1e-9, inconclusive_frac=1e-3):
     """Reference sweep: one terms_fn call per tau row with a scalar tau."""
-    report = ResidualReport(operator=operator, region=region, want=want)
+    report = ResidualReport(operator=operator, kind=region.kind, want=want,
+                            tau_window=(region.tau_lo, region.tau_hi))
     taus = np.linspace(region.tau_lo, region.tau_hi, cfg.grid_tau)
     worst = None
     for tau in taus:
@@ -555,7 +568,7 @@ def test_plus_near_corner_passes_at_base_rung(outer_ref):
     assert th["xi0"] == 1.0
     assert th["delta0"] == 0.25
     assert th["passed"]
-    assert [rep.region.tau_lo for rep in th["reports"].values()] == [10.0, 10.0]
+    assert [rep.tau_window[0] for rep in th["reports"].values()] == [10.0, 10.0]
 
 
 def _leading_G(outer, sign, xi, tau):
@@ -666,7 +679,7 @@ def test_failed_recheck_window_is_reported(outer_ref, monkeypatch):
     monkeypatch.setattr(residuals, "verify_sign_region", late_fail)
     th = find_thresholds(outer_ref, "-")
     assert th["passed"] is False and "error" not in th
-    assert [rep.region.tau_lo for rep in th["reports"].values()] == [15.0, 15.0]
+    assert [rep.tau_window[0] for rep in th["reports"].values()] == [15.0, 15.0]
 
 
 @pytest.mark.parametrize("setup, grid", [("ref", (200, 40)), ("low", (100, 20))],
