@@ -29,12 +29,13 @@ reading; the epsilon search reads each sign's edge once for all its steps.
 A reading stops at the first tau whose edge gap underflows to 0 or whose
 e^{gamma tau} overflows, with that tau's OutOfDomain.
 
-Every tau-dependent method takes a float or a 1-D tau array; a float
-gives floats, or the glued grid's one row.  Each value equals the one a
-float tau gives, bit for bit: e^{+/-gamma tau} comes from math.exp one
-tau at a time, and the inverse is a loop over the targets.  An error is
-the one the first offending tau raises, in tau order; in the epsilon
-search a corner verdict that fails decides before a later tau's error.
+Every tau-dependent method takes a 1-D sequence of taus and gives one
+value per tau, or, for wbar, one xi row per tau.  Each value equals the
+one a one-element sequence gives, bit for bit: e^{+/-gamma tau} comes
+from math.exp one tau at a time (_exp_gamma_tau, outer._math_exp), and
+the inverse is a loop over the targets.  An error is the one the first
+offending tau raises, in tau order; in the epsilon search a corner
+verdict that fails decides before a later tau's error.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .outer import OuterProfileSet, branch_variant
+from .outer import OuterProfileSet, _math_exp, branch_variant
 from .params import theta
 from .selfsim import SelfSimilarProfile
 
@@ -75,16 +76,6 @@ def _exp_gamma_tau(gamma: float, tau: float) -> float:
         ) from None
 
 
-def _taus(tau) -> list:
-    """A float or 1-D tau array as a list of floats."""
-    return np.atleast_1d(np.asarray(tau, dtype=float)).tolist()
-
-
-def _shaped(values, tau):
-    """values over _taus(tau) as a float for a float tau, else as an array."""
-    return float(values[0]) if np.ndim(tau) == 0 else np.asarray(values)
-
-
 # an edge reading (module docstring): e^{gamma tau} and psi_bundle's four arrays
 # at the taus read, and the OutOfDomain of the tau it stopped at, or None
 _Edge = namedtuple("_Edge", "sign taus egt psi dpsi d2psi dtau_psi failure")
@@ -110,9 +101,10 @@ class MatchingSolver:
         self.outer = outer_set
         self.xi1 = outer_set.cfg.xi1
 
-    def _read_edge(self, sign: str, taus: list) -> _Edge:
+    def _read_edge(self, sign: str, taus) -> _Edge:
         """The edge reading of sign over taus (module docstring)."""
         gamma = self.outer.p.gamma
+        taus = np.asarray(taus, dtype=float).tolist()
         gaps, egts, failure = [], [], None
         for tau in taus:
             gap = self.xi1 * math.exp(-gamma * tau)
@@ -148,12 +140,12 @@ class MatchingSolver:
                 return C, exc
         return C, edge.failure
 
-    def outer_edge(self, sign: str, tau):
+    def outer_edge(self, sign: str, taus):
         """(e^{gamma tau} psi, psi_eta) at the matching edge gap xi1 e^{-gamma tau}."""
-        edge = self._read_edge(sign, _taus(tau))
+        edge = self._read_edge(sign, taus)
         if edge.failure is not None:
             raise edge.failure
-        return _shaped(edge.egt * edge.psi, tau), _shaped(edge.dpsi, tau)
+        return edge.egt * edge.psi, edge.dpsi
 
     def solve_matching(self, sign: str, eps: float, tau):
         """Shift C with phibar0(xi1 + C) = (1 +/- eps) * outer edge value,
@@ -249,86 +241,64 @@ class GluedBarrier:
     def outer(self):
         return self.solver.outer
 
-    def C(self, tau):
-        return _shaped(self._solved(tau)[1], tau)
+    def C(self, taus):
+        return self._solved(taus)[1]
 
-    def _solved(self, tau):
-        """(edge reading, C) over _taus(tau); raises the first offending tau's error."""
-        edge = self.solver._read_edge(self.sign, _taus(tau))
+    def _solved(self, taus):
+        """(edge reading, C) over taus; raises the first offending tau's error."""
+        edge = self.solver._read_edge(self.sign, taus)
         C, failure = self.solver._shift(edge, self.eps)
         if failure is not None:
             raise failure
         return edge, np.asarray(C)
 
-    def C_and_C_prime(self, tau):
+    def C_and_C_prime(self, taus):
         """(C, dC/dtau) from one edge reading; C' by implicit differentiation
         (module docstring), w_tau = gamma w - gamma xi psi_eta + e^{gamma tau} psi_tau."""
-        edge, C = self._solved(tau)
+        edge, C = self._solved(taus)
         gamma = self.outer.p.gamma
         wt = gamma * edge.egt * edge.psi - gamma * self.xi1 * edge.dpsi + edge.egt * edge.dtau_psi
         Cp = self.factor * wt / self.profile.phibar0(self.xi1 + C, derivs=True)[1]
-        return _shaped(C, tau), _shaped(Cp, tau)
+        return C, Cp
 
     def wbar(self, xi, tau):
         """Glued profile value in inner variables (see the module docstring)
-        on the (tau, xi) grid: xi is one row shared by every tau, or one
-        row per tau.  A float for float xi and tau, else an array of shape
-        tau.shape + xi.shape, or xi's shape for one xi row per tau.  Left
-        of xi1 one phibar0 call at xi + C(tau), right of it one outer call,
-        mapped by w = e^{gamma tau} psi; each side takes its tau-dependent
-        factors only at the taus whose row reaches it."""
-        shape = np.shape(xi) if np.ndim(xi) == 2 else (*np.shape(tau), *np.shape(xi))
-        taus = np.atleast_1d(np.asarray(tau, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        grid = np.broadcast_to(xi, (taus.size, xi.shape[-1]))
-        out = np.empty(grid.shape)
-        gamma = self.outer.p.gamma
-
-        def at(side, per_tau):
-            """per_tau over the taus whose row meets side, spread to side's points."""
-            rows = side.any(axis=1)
-            col = np.zeros((taus.size, 1))
-            col[rows, 0] = per_tau(taus[rows])
-            return np.broadcast_to(col, grid.shape)[side]
-
-        left = grid <= self.xi1
+        on the (tau, xi) grid: one xi row shared by every tau, an array of
+        shape (len(tau), len(xi)).  Left of xi1 one phibar0 call at
+        xi + C(tau), right of it one outer call, mapped by
+        w = e^{gamma tau} psi; a side that no xi reaches takes no
+        tau-dependent factor, so a row right of xi1 solves no C."""
+        xi, taus = np.asarray(xi, dtype=float), np.asarray(tau, dtype=float)
+        out = np.empty((taus.size, xi.size))
+        left = xi <= self.xi1
         if np.any(left):
-            arg = grid[left] + at(left, self.C)
-            out[left] = self.profile.phibar0(arg) / self.factor
-        right = ~left
-        if np.any(right):
-            x = grid[right]
-            tau_pts = np.broadcast_to(taus[:, None], grid.shape)[right]
-            egt = at(right, lambda t: [_exp_gamma_tau(gamma, s) for s in t.tolist()])
-            emgt = at(right, lambda t: [math.exp(-gamma * s) for s in t.tolist()])
-            gap = x * emgt
-            out[right] = egt * self.outer.psi_outer(self.sign, tau_pts, gap=gap)
-        w = out.reshape(shape)
-        return float(w) if w.ndim == 0 else w
+            out[:, left] = self.profile.phibar0(xi[left] + self.C(taus)[:, None]) / self.factor
+        if not np.all(left):
+            gamma = self.outer.p.gamma
+            egt = np.array([_exp_gamma_tau(gamma, t) for t in taus.tolist()])[:, None]
+            gap = xi[~left] * _math_exp(-gamma, taus)[:, None]
+            out[:, ~left] = egt * self.outer.psi_outer(self.sign, taus[:, None], gap=gap)
+        return out
 
-    def continuity_mismatch(self, tau):
-        w = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], _taus(tau))
-        return _shaped(np.abs(w[:, 0] - w[:, 1]) / np.abs(w[:, 0]), tau)
+    def continuity_mismatch(self, taus):
+        w = self.wbar([self.xi1, np.nextafter(self.xi1, np.inf)], taus)
+        return np.abs(w[:, 0] - w[:, 1]) / np.abs(w[:, 0])
 
-    def corner_slopes(self, tau):
+    def corner_slopes(self, taus):
         """(edge value e^{gamma tau} psi, left slope, right slope) at xi1,
         from one outer evaluation of the edge."""
-        edge, C = self._solved(tau)
+        edge, C = self._solved(taus)
         left = self.profile.phibar0(self.xi1 + C, derivs=True)[1] / self.factor
-        return _shaped(edge.egt * edge.psi, tau), _shaped(left, tau), _shaped(edge.dpsi, tau)
+        return edge.egt * edge.psi, left, edge.dpsi
 
-    def corner_jump(self, tau):
-        """One-sided slopes at xi1 and the sign's verdict (_HOLDS), as a
-        CornerReport for a float tau, and one per tau for a sequence."""
-        _, left, right = self.corner_slopes(tau)
-        reports = [
+    def corner_jump(self, taus) -> list:
+        """One-sided slopes at xi1 and the sign's verdict (_HOLDS), one
+        CornerReport per tau."""
+        _, left, right = self.corner_slopes(taus)
+        return [
             CornerReport(tau=t, left_slope=lo, right_slope=ro, holds=bool(_HOLDS[self.sign](lo, ro)))
-            for t, lo, ro in zip(
-                list(tau) if np.ndim(tau) else [tau],
-                np.atleast_1d(left).tolist(), np.atleast_1d(right).tolist(),
-            )
+            for t, lo, ro in zip(taus, left.tolist(), right.tolist())
         ]
-        return reports if np.ndim(tau) else reports[0]
 
 
 def _softplus(q: float) -> float:
@@ -403,7 +373,7 @@ def weak_corner_term(bar: GluedBarrier, tau_window: tuple[float, float]) -> dict
 def check_ordering(plus: GluedBarrier, minus: GluedBarrier, taus) -> dict:
     """Strict ordering psi+ > psi- > 0 for each tau, on 200 points of the
     glued window [-20, xi1 + 20], from one wbar call per barrier."""
-    xi, taus = _ordering_window(plus.xi1), np.atleast_1d(taus)
+    xi = _ordering_window(plus.xi1)
     return _ordering(plus.wbar(xi, taus), minus.wbar(xi, taus))
 
 
@@ -431,8 +401,7 @@ def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]
     admissible range is capped at 1/4.  Raises NoAdmissibleEpsilon when even
     eps = 0 fails (xi1 too small).
     """
-    taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    edges = [solver._read_edge(sign, taus.tolist()) for sign in _SIGN_FACTOR]
+    edges = [solver._read_edge(sign, tau_grid) for sign in _SIGN_FACTOR]
     xi1 = float(solver.xi1)
 
     def shifted(eps: float):
@@ -481,5 +450,5 @@ def find_epsilon_bounds(solver: MatchingSolver, tau_grid) -> tuple[float, float]
 
     eps1 = largest(corner_ok)
     xi = _ordering_window(xi1)
-    outer_side = {s: GluedBarrier(solver, s, 0.0).wbar(xi[xi > xi1], taus) for s in _SIGN_FACTOR}
+    outer_side = {s: GluedBarrier(solver, s, 0.0).wbar(xi[xi > xi1], tau_grid) for s in _SIGN_FACTOR}
     return eps1, largest(ordering_ok)

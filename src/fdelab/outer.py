@@ -367,22 +367,20 @@ class OuterProfileSet:
             return self._psi_sum(sign, tau, self._prims(gap), False)[0]
 
     def psi_bundle(self, sign: str, tau, *, gap):
-        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms;
-        the derivative route for psi outside l0_terms."""
+        """(psi, psi_eta, psi_etaeta, psi_tau) in one pass over the terms,
+        each of the shape gap and tau broadcast to; the derivative route
+        for psi outside l0_terms."""
         with np.errstate(all="ignore"):
-            pr = self._prims(gap)
-            vals = self._psi_sum(sign, tau, pr, True)
-        shape = np.broadcast(pr.gap, np.asarray(tau, dtype=float)).shape
-        return tuple(np.broadcast_to(v, shape).copy() for v in vals)
+            return self._psi_sum(sign, tau, self._prims(gap), True)
 
     def l0_terms(self, sign: str, tau, *, gap):
         """(e^{gamma tau} L0(psi), sum of its term magnitudes) in the folded
         form of the module docstring, all from one _prims build.
 
-        tau is a scalar, or an (n_tau, 1) column against a gap grid of shape
-        (n_tau, n_space); the decay factors come from math.exp one tau at a
-        time (see _math_exp), so a column gives the same bits as one call
-        per tau.
+        tau is an (n_tau, 1) column against a gap grid of shape
+        (n_tau, n_space), or a tau array of gap's shape, one tau per point;
+        the decay factors come from _math_exp, so a point gives the same
+        bits whatever else is evaluated with it.
 
         Gaps near e^(-gamma tau) at large gamma tau overflow some terms; the
         evaluation runs under one np.errstate, so those points come back as
@@ -449,10 +447,11 @@ def _plus(a_parts, c, b_parts):
 
 
 def _math_exp(rate: float, tau):
-    """e^(rate tau) by math.exp, for a scalar tau or elementwise over a
-    tau column.  np.exp can differ from math.exp in the last bit, which
-    would move report fields that sit at roundoff level."""
-    if np.ndim(tau) == 0:
-        return math.exp(rate * tau)
-    tau = np.asarray(tau)
-    return np.array([math.exp(rate * t) for t in tau.ravel()]).reshape(tau.shape)
+    """e^(rate tau) by math.exp, elementwise over a tau array of any shape.
+    np.exp can differ from math.exp in the last bit, which would move
+    report fields that sit at roundoff level.  The one home of the per-tau
+    decay factors: l0_terms, the glued barrier's outer side
+    (matching.GluedBarrier.wbar), the L1 evaluator and the near_A band
+    (residuals) all take theirs from here."""
+    tau = np.asarray(tau, dtype=float)
+    return np.array([math.exp(rate * t) for t in tau.ravel().tolist()]).reshape(tau.shape)

@@ -892,10 +892,12 @@ def comparison_sandwich(
 
     The pair must come in sign order (plus, minus), n_cells >= 2, dtau a
     finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
-    anything else raises InvalidParameter before any solve, and a window
-    whose drift speed leaves the float range raises OutOfDomain.  The grid is
-    xi in [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a
-    fraction of delta (the CLI's simulate window).
+    anything else raises InvalidParameter before any solve.  A window
+    whose drift speed leaves the float range raises OutOfDomain, and one
+    that the step budget cannot cover even with no step rejected raises
+    StepUnderflow, both before any row is stepped.  The grid is xi in
+    [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a fraction
+    of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
     the pointwise geometric mean ("mid", the reported solution).  Initial
     data outside the barriers is rejected (this covers the doubled-data
@@ -916,9 +918,13 @@ def comparison_sandwich(
     delta_start = math.exp(-float(tau0))
     delta_end = math.exp(-tau_end)
     _check_drift(p, delta_start, delta_end)
+    deltas = _planned_deltas(delta_start, delta_end, dtau)
+    if not _finished(deltas[-1], delta_end):
+        raise errors.StepUnderflow(f"step budget exhausted: {_STEP_BUDGET} steps of dtau {dtau} "
+                                   f"do not reach tau_end {tau_end} from tau0 {tau0}")
     xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
-    rows, report = _sandwich_rows(plus, minus, xi, _planned_deltas(delta_start, delta_end, dtau))
+    rows, report = _sandwich_rows(plus, minus, xi, deltas)
     solved = dict(zip(("calibration", *rows), _solve_rows(
         p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,

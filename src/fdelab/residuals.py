@@ -83,7 +83,7 @@ import numpy as np
 
 from . import errors
 from .matching import GluedBarrier
-from .outer import OuterProfileSet
+from .outer import OuterProfileSet, _math_exp
 from .params import theta
 
 __all__ = [
@@ -99,14 +99,14 @@ def l1_terms_evaluator(barrier: GluedBarrier):
     """The L1 residual of a glued barrier with its term-magnitude scale, as
     a terms_fn for verify_sign_region, from the closed forms of the module
     docstring.  C and C' are read at the taus whose row reaches xi <= xi1,
-    from one edge reading, and e^{-gamma tau} by math.exp one tau at a
-    time, so each row equals a call at its own tau, bit for bit."""
+    from one edge reading, and e^{-gamma tau} from outer._math_exp, so
+    each row equals a call at its own tau, bit for bit."""
     p, g = barrier.outer.p, barrier.outer.p.gamma
     pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
 
     def ev(xi, tau):
         xi, taus = np.asarray(xi, dtype=float), np.ravel(tau)
-        col = np.array([math.exp(-g * t) for t in taus.tolist()])[:, None]
+        col = _math_exp(-g, taus)[:, None]
         res, scale = np.empty(xi.shape), np.empty(xi.shape)
         left = xi <= barrier.xi1
         if np.any(left):
@@ -195,7 +195,7 @@ def _space_grid(region: Region, taus, cfg, gamma: float):
     taus = np.asarray(taus, dtype=float)
     n_space = cfg.grid_eta
     if region.kind == "near_A":
-        lo = np.array([cfg.xi0 * math.exp(-gamma * float(t)) for t in taus])
+        lo = cfg.xi0 * _math_exp(-gamma, taus)
         empty = lo >= cfg.delta0
         if np.any(empty):
             tau = float(taus[np.argmax(empty)])

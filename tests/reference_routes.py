@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from fdelab import errors, pde
-from fdelab.matching import GluedBarrier
+from fdelab.matching import GluedBarrier, _exp_gamma_tau
 from fdelab.outer import OuterProfileSet
 from fdelab.params import theta
 
@@ -133,9 +133,40 @@ def psi1_residual_decomposed(outer: OuterProfileSet, sign: str, gap, tau):
     return (p.n - 1) * (np.exp(-2.0 * g * tau) * I1 + np.exp(-g * tau) * I2)
 
 
+def masked_wbar(barrier: GluedBarrier, xi, taus):
+    """The glued profile on the (tau, xi) grid by masked points: xi is one
+    row shared by every tau or one row per tau, every point carries its
+    own tau, and each side of xi1 takes its per-tau factors (C left of
+    it, e^{+/-gamma tau} right of it) only at the taus whose row reaches
+    it, spread over that side's points.  The second route for
+    GluedBarrier.wbar, which forms them once per tau on a shared row."""
+    taus = np.asarray(taus, dtype=float)
+    grid = np.broadcast_to(np.asarray(xi, dtype=float), (taus.size, np.shape(xi)[-1]))
+    out = np.empty(grid.shape)
+    gamma = barrier.outer.p.gamma
+
+    def at(side, per_tau):
+        """per_tau over the taus whose row meets side, spread to side's points."""
+        rows = side.any(axis=1)
+        col = np.zeros((taus.size, 1))
+        col[rows, 0] = per_tau(taus[rows])
+        return np.broadcast_to(col, grid.shape)[side]
+
+    left = grid <= barrier.xi1
+    if np.any(left):
+        out[left] = barrier.profile.phibar0(grid[left] + at(left, barrier.C)) / barrier.factor
+    right = ~left
+    if np.any(right):
+        tau_pts = np.broadcast_to(taus[:, None], grid.shape)[right]
+        egt = at(right, lambda t: [_exp_gamma_tau(gamma, s) for s in t.tolist()])
+        emgt = at(right, lambda t: [math.exp(-gamma * s) for s in t.tolist()])
+        out[right] = egt * barrier.outer.psi_outer(barrier.sign, tau_pts, gap=grid[right] * emgt)
+    return out
+
+
 def glued_raw_evaluator(barrier: GluedBarrier):
     """Adapter: the raw (w, w_xi, w_xixi, w_tau) of a glued barrier for L1
-    at a float tau.  Left of xi1 phibar0's triple at xi + C(tau), with
+    at one tau.  Left of xi1 phibar0's triple at xi + C(tau), with
     w_tau = phibar0' C'(tau), over (1 +/- eps); right of it
     outer_as_inner_evaluator."""
     outer_side = outer_as_inner_evaluator(barrier.outer, barrier.sign)
@@ -145,7 +176,7 @@ def glued_raw_evaluator(barrier: GluedBarrier):
         parts = np.empty((4, *xi.shape))
         left = xi <= barrier.xi1
         if np.any(left):
-            C, C_prime = barrier.C_and_C_prime(tau)
+            (C,), (C_prime,) = barrier.C_and_C_prime([tau])
             v, d1, d2 = barrier.profile.phibar0(xi[left] + C, derivs=True)
             parts[:, left] = np.array((v, d1, d2, d1 * C_prime)) / barrier.factor
         if np.any(~left):

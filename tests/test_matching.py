@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from fdelab import errors, matching
+from fdelab import errors, matching, pde
 from fdelab.matching import (
     GluedBarrier,
     MatchingSolver,
@@ -18,7 +18,7 @@ from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, default_thresholds
 from fdelab.selfsim import shoot_v0
 from numdiff import fd_derivative
-from reference_routes import glued_raw_evaluator
+from reference_routes import glued_raw_evaluator, masked_wbar
 from shoot_sweep import shoot_or_error, sweep_params
 
 XI1 = 10.0  # the matching radius of the default config
@@ -86,18 +86,18 @@ def test_solver_reads_xi1_from_config(solver_ref, solver_low, cfg_ref, cfg_low):
 
 def test_c_plus_frozen(solver_ref):
     for tau, want in C_PLUS_REF.items():
-        got = solver_ref.solve_matching("+", 0.0, tau)
+        got = solver_ref.solve_matching("+", 0.0, [tau])[0]
         assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_c_minus_frozen_and_saturating(solver_ref):
-    c16 = solver_ref.solve_matching("-", 0.0, 16.0)
-    c40 = solver_ref.solve_matching("-", 0.0, 40.0)
+    c16 = solver_ref.solve_matching("-", 0.0, [16.0])[0]
+    c40 = solver_ref.solve_matching("-", 0.0, [40.0])[0]
     assert c16 == pytest.approx(C_MINUS_REF_16, rel=1e-10)
     assert c40 == pytest.approx(C_MINUS_REF_40, rel=1e-10)
     # the subsolution constant saturates while C+ grows like e^(gamma tau)
     assert abs(c40 - c16) < 1e-8
-    assert solver_ref.solve_matching("+", 0.0, 40.0) > 2.0 * C_PLUS_REF[16.0]
+    assert solver_ref.solve_matching("+", 0.0, [40.0])[0] > 2.0 * C_PLUS_REF[16.0]
 
 
 def test_c_plus_growth_rate(solver_ref, p_ref):
@@ -105,9 +105,8 @@ def test_c_plus_growth_rate(solver_ref, p_ref):
     # a constant times e^(gamma tau) only through the edge value; check the
     # tau-16 -> tau-40 increment against the frozen values for coherence
     got = C_PLUS_REF[40.0] - C_PLUS_REF[16.0]
-    inc = solver_ref.solve_matching("+", 0.0, 40.0) - solver_ref.solve_matching(
-        "+", 0.0, 16.0
-    )
+    inc = (solver_ref.solve_matching("+", 0.0, [40.0])[0]
+           - solver_ref.solve_matching("+", 0.0, [16.0])[0])
     assert inc == pytest.approx(got, rel=1e-9)
 
 
@@ -136,13 +135,13 @@ def test_matching_limits_closed_forms(solver_ref, p_ref, d_ref):
 def test_corner_inequality_at_eps_zero(solver_ref):
     # supersolution needs left slope >= right slope at the corner;
     # subsolution needs the reverse
-    plus = GluedBarrier(solver_ref, "+", 0.0).corner_jump(16.0)
+    (plus,) = GluedBarrier(solver_ref, "+", 0.0).corner_jump([16.0])
     assert plus.holds
     assert plus.left_slope == pytest.approx(1.0260448301474918, rel=1e-9)
     assert plus.right_slope == pytest.approx(0.9266666656728635, rel=1e-9)
     assert plus.left_slope > plus.right_slope
 
-    minus = GluedBarrier(solver_ref, "-", 0.0).corner_jump(16.0)
+    (minus,) = GluedBarrier(solver_ref, "-", 0.0).corner_jump([16.0])
     assert minus.holds
     assert minus.left_slope == pytest.approx(1.0063602355826702, rel=1e-9)
     assert minus.right_slope == pytest.approx(1.0437037033795549, rel=1e-9)
@@ -152,7 +151,7 @@ def test_corner_inequality_at_eps_zero(solver_ref):
 def test_corner_inequality_fails_at_large_eps(solver_ref):
     # eps steepens the inner side; past the admissible window the
     # subsolution corner flips
-    bad = GluedBarrier(solver_ref, "-", 0.05).corner_jump(16.0)
+    (bad,) = GluedBarrier(solver_ref, "-", 0.05).corner_jump([16.0])
     assert not bad.holds
     assert bad.left_slope == pytest.approx(1.0579771008713095, rel=1e-9)
     assert bad.left_slope > bad.right_slope
@@ -161,15 +160,15 @@ def test_corner_inequality_fails_at_large_eps(solver_ref):
 def test_continuity_at_corner(solver_ref):
     for sign in ("+", "-"):
         bar = GluedBarrier(solver_ref, sign, 0.01)
-        assert abs(bar.continuity_mismatch(16.0)) < 1e-9
+        assert abs(bar.continuity_mismatch([16.0])[0]) < 1e-9
 
 
 def test_c_prime_matches_fd(solver_ref):
     bar = GluedBarrier(solver_ref, "+", 0.0)
     for tau in (10.0, 16.0):
-        fd = (bar.C(tau + 1e-3) - bar.C(tau - 1e-3)) / 2e-3
-        C, C_prime = bar.C_and_C_prime(tau)
-        assert C == bar.C(tau)
+        fd = (bar.C([tau + 1e-3])[0] - bar.C([tau - 1e-3])[0]) / 2e-3
+        (C,), (C_prime,) = bar.C_and_C_prime([tau])
+        assert C == bar.C([tau])[0]
         assert C_prime == pytest.approx(fd, rel=1e-5)
 
 
@@ -191,8 +190,8 @@ def test_epsilon_bounds_low_gamma_needs_later_tau(solver_low):
 
 def test_epsilon_widens_barriers(solver_ref):
     # C+ grows and C- falls as eps increases: the pair separates
-    cp = [solver_ref.solve_matching("+", e, 16.0) for e in (0.0, 0.01, 0.03)]
-    cm = [solver_ref.solve_matching("-", e, 16.0) for e in (0.0, 0.01, 0.03)]
+    cp = [solver_ref.solve_matching("+", e, [16.0])[0] for e in (0.0, 0.01, 0.03)]
+    cm = [solver_ref.solve_matching("-", e, [16.0])[0] for e in (0.0, 0.01, 0.03)]
     assert cp[0] < cp[1] < cp[2]
     assert cm[0] > cm[1] > cm[2]
 
@@ -201,7 +200,7 @@ def test_epsilon_out_of_range(solver_ref):
     with pytest.raises(errors.EpsilonOutOfRange):
         GluedBarrier(solver_ref, "+", 0.3)
     with pytest.raises(errors.EpsilonOutOfRange):
-        solver_ref.solve_matching("+", -0.01, 16.0)
+        solver_ref.solve_matching("+", -0.01, [16.0])
 
 
 def test_sign_other_than_plus_or_minus_is_refused(solver_ref):
@@ -210,14 +209,14 @@ def test_sign_other_than_plus_or_minus_is_refused(solver_ref):
         with pytest.raises(errors.InvalidParameter, match="sign must be"):
             GluedBarrier(solver_ref, sign, 0.0)
         with pytest.raises(errors.InvalidParameter, match="sign must be"):
-            solver_ref.solve_matching(sign, 0.0, 16.0)
+            solver_ref.solve_matching(sign, 0.0, [16.0])
 
 
 def test_solver_keeps_nothing_per_tau(solver_ref):
     """C at 20,000 distinct taus (10 x 1,000 per sign) leaves less than
     64 KB behind, about 3 bytes a tau; a store of every C kept more than
     3 MB."""
-    solver_ref.solve_matching("+", 0.018, 10.0)  # one-time allocations are not growth
+    solver_ref.solve_matching("+", 0.018, [10.0])  # one-time allocations are not growth
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -243,17 +242,17 @@ def test_ordering_of_glued_pair(solver_ref, eps_ref):
 def test_wbar_continuous_across_corner(solver_ref):
     bar = GluedBarrier(solver_ref, "-", 0.01)
     tau = 14.0
-    lo = bar.wbar(XI1 - 1e-8, tau)
-    hi = bar.wbar(XI1 + 1e-8, tau)
+    lo = bar.wbar([XI1 - 1e-8], [tau])[0, 0]
+    hi = bar.wbar([XI1 + 1e-8], [tau])[0, 0]
     assert hi == pytest.approx(lo, rel=1e-6)
 
 
 def test_outer_edge_consistent_with_corner(solver_ref):
-    val, slope = solver_ref.outer_edge("+", 16.0)
-    rep = GluedBarrier(solver_ref, "+", 0.0).corner_jump(16.0)
+    (val,), (slope,) = solver_ref.outer_edge("+", [16.0])
+    (rep,) = GluedBarrier(solver_ref, "+", 0.0).corner_jump([16.0])
     assert slope == pytest.approx(rep.right_slope, rel=1e-12)
     assert val == pytest.approx(
-        GluedBarrier(solver_ref, "+", 0.0).wbar(XI1 + 1e-12, 16.0), rel=1e-9
+        GluedBarrier(solver_ref, "+", 0.0).wbar([XI1 + 1e-12], [16.0])[0, 0], rel=1e-9
     )
 
 
@@ -270,7 +269,7 @@ def test_wbar_value_equals_psi_bundle(request, solver_name, tau, sign):
     xi = np.linspace(XI1 + 1e-3, 5.0 * XI1, 41)
     gamma = solver.outer.p.gamma
     psi = solver.outer.psi_bundle(sign, tau, gap=xi * math.exp(-gamma * tau))[0]
-    assert np.all(bar.wbar(xi, tau) == math.exp(gamma * tau) * psi)
+    assert np.all(bar.wbar(xi, [tau])[0] == math.exp(gamma * tau) * psi)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -281,9 +280,9 @@ def test_solve_matching_target_equals_outer_edge(request, solver_name, tau, sign
     # rounding of about ulp(2s)
     solver = request.getfixturevalue(solver_name)
     eps = 0.01
-    edge_value, _ = solver.outer_edge(sign, tau)
+    (edge_value,), _ = solver.outer_edge(sign, [tau])
     target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
-    s = XI1 + solver.solve_matching(sign, eps, tau)
+    s = XI1 + solver.solve_matching(sign, eps, [tau])[0]
     assert abs(solver.profile.phibar0(s) / target - 1.0) <= 2.0 * math.ulp(2.0 * s)
 
 
@@ -295,14 +294,14 @@ def test_c_from_the_table_matches_the_root_search(request, solver_name, sign):
     solver = request.getfixturevalue(solver_name)
     for tau in (10.0, 17.0, 25.0, 40.0):
         for eps in (0.0, 0.02):
-            edge_value, _ = solver.outer_edge(sign, tau)
+            (edge_value,), _ = solver.outer_edge(sign, [tau])
             target = (1.0 + (eps if sign == "+" else -eps)) * edge_value
             if target <= 0.0:  # low's outer edge turns positive only later
                 continue
             want = scipy.optimize.brentq(
                 lambda C: solver.profile.phibar0(XI1 + C) - target, -60.0, 380.0, xtol=1e-10
             )
-            assert abs(solver.solve_matching(sign, eps, tau) - want) <= 1e-10
+            assert abs(solver.solve_matching(sign, eps, [tau])[0] - want) <= 1e-10
 
 
 # points left of the corner and right of it
@@ -318,17 +317,19 @@ def test_reference_glued_derivatives_match_fd(request, solver_name, tau, sign):
     # tiny left of the corner
     bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
     w, wx, wxx, wt = glued_raw_evaluator(bar)(OFF_CORNER_XI, tau)
-    assert np.all(w == bar.wbar(OFF_CORNER_XI, tau))
+    assert np.all(w == bar.wbar(OFF_CORNER_XI, [tau])[0])
     for k, x in enumerate(OFF_CORNER_XI):
-        fx = fd_derivative(lambda z: bar.wbar(z, tau), x)
-        fxx = fd_derivative(lambda z: bar.wbar(z, tau), x, order=2)
-        ft = fd_derivative(lambda t: bar.wbar(x, t), tau)
+        fx = fd_derivative(lambda z: bar.wbar([z], [tau])[0, 0], x)
+        fxx = fd_derivative(lambda z: bar.wbar([z], [tau])[0, 0], x, order=2)
+        ft = fd_derivative(lambda t: bar.wbar([x], [t])[0, 0], tau)
         assert abs(wx[k] - fx) <= 1e-7 * w[k], x
         assert abs(wxx[k] - fxx) <= 1e-5 * w[k], x
         assert abs(wt[k] - ft) <= 1e-7 * w[k], x
 
 
 # -- tau arrays ------------------------------------------------------------------
+#
+# A tau array equals one-element calls, bit for bit.
 
 
 # both sides of the corner, the corner itself and its upper ulp neighbour
@@ -343,28 +344,55 @@ def test_grid_wbar_equals_per_tau_calls(request, solver_name, tau, sign):
     w = bar.wbar(GRID_XI, taus)
     assert w.shape == (13, GRID_XI.size)
     for i, t in enumerate(taus.tolist()):
-        assert np.array_equal(w[i], bar.wbar(GRID_XI, t))
-        assert [bar.wbar(x, taus)[i] for x in GRID_XI] == bar.wbar(GRID_XI, t).tolist()
-    # one xi row per tau reads each row at its own tau
-    rows = GRID_XI + np.arange(13)[:, None] * 0.5
-    w_rows = bar.wbar(rows, taus)
-    assert w_rows.shape == rows.shape
-    for i, t in enumerate(taus.tolist()):
-        assert np.array_equal(w_rows[i], bar.wbar(rows[i], t))
+        assert np.array_equal(w[i], bar.wbar(GRID_XI, [t])[0])
+        assert [bar.wbar([x], taus)[i, 0] for x in GRID_XI] == bar.wbar(GRID_XI, [t])[0].tolist()
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_corner_readings_on_a_tau_array_equal_per_tau_calls(solver_ref, sign):
     taus = [10.0, 12.0, 15.0, 16.0]
     bar = GluedBarrier(solver_ref, sign, 0.01)
-    assert bar.corner_jump(taus) == [bar.corner_jump(t) for t in taus]
+    assert bar.corner_jump(taus) == [bar.corner_jump([t])[0] for t in taus]
     slopes = bar.corner_slopes(np.array(taus))
     for i, t in enumerate(taus):
-        assert tuple(part[i] for part in slopes) == bar.corner_slopes(t)
-    assert bar.continuity_mismatch(taus).tolist() == [bar.continuity_mismatch(t) for t in taus]
+        assert tuple(part[i] for part in slopes) == tuple(part[0] for part in bar.corner_slopes([t]))
+    assert bar.continuity_mismatch(taus).tolist() == [bar.continuity_mismatch([t])[0] for t in taus]
     assert [part.tolist() for part in bar.solver.outer_edge(sign, taus)] == [
-        list(col) for col in zip(*(bar.solver.outer_edge(sign, t) for t in taus))
+        [bar.solver.outer_edge(sign, [t])[k][0] for t in taus] for k in (0, 1)
     ]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("solver_name,tau", VALUE_ROUTE_CASES)
+def test_wbar_equals_the_masked_per_point_route(request, solver_name, tau, sign, monkeypatch):
+    # wbar's two rectangular sides against a route that gives every grid
+    # point its own tau, on the rows its callers read: a sandwich block (20
+    # planned taus x 401 xi on [-xi1, 4 xi1]), check_ordering's window, the
+    # continuity row at xi1 and a row right of xi1, which reads no matching
+    # edge (the epsilon search's outer side relies on that)
+    reads = []
+    read_edge = MatchingSolver._read_edge
+
+    def counted(self, sign, taus):
+        reads.append(list(taus))
+        return read_edge(self, sign, taus)
+
+    bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
+    deltas = pde._planned_deltas(math.exp(-tau), math.exp(-tau - 0.6), 0.01)[:20]
+    window = [tau, tau + 2.0, tau + 5.0]
+    cases = [
+        (np.linspace(-XI1, 4.0 * XI1, 401), [-math.log(d) for d in deltas], 1),
+        (matching._ordering_window(XI1), window, 1),
+        ([XI1, np.nextafter(XI1, np.inf)], window, 1),
+        (np.linspace(XI1 + 1e-3, 5.0 * XI1, 41), window, 0),
+    ]
+    monkeypatch.setattr(MatchingSolver, "_read_edge", counted)
+    for xi, taus, n_reads in cases:
+        reads.clear()
+        w = bar.wbar(xi, taus)
+        assert len(reads) == n_reads
+        assert w.shape == (len(taus), len(xi))
+        assert np.array_equal(w, masked_wbar(bar, xi, taus))
 
 
 SWEEP_SUBSET = list(sweep_params())[::16]
@@ -383,14 +411,14 @@ def test_matching_on_a_tau_array_equals_scalar_calls(p):
         for eps in (0.0, 0.02):
             bar = GluedBarrier(solver, sign, eps)
             C, Cp = bar.C_and_C_prime(taus)
-            assert C.tolist() == [solver.solve_matching(sign, eps, t) for t in taus.tolist()]
-            assert Cp.tolist() == [bar.C_and_C_prime(t)[1] for t in taus.tolist()]
+            assert C.tolist() == [solver.solve_matching(sign, eps, [t])[0] for t in taus.tolist()]
+            assert Cp.tolist() == [bar.C_and_C_prime([t])[1][0] for t in taus.tolist()]
 
 
 def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch):
     # a negative outer edge at tau 12 and an overflowing e^(gamma tau) at
-    # tau 480 (gamma tau = 720): the array raises what the loop of scalar
-    # calls raises first, after solving the taus before it
+    # tau 480 (gamma tau = 720): the array raises what the loop of
+    # one-element calls raises first, after solving the taus before it
     psi_bundle = OuterProfileSet.psi_bundle
 
     def negative_at_12(self, sign, tau, *, gap):
@@ -402,15 +430,15 @@ def test_tau_array_raises_the_first_offending_taus_error(solver_ref, monkeypatch
     taus = [10.0, 12.0, 480.0, 520.0]
     with pytest.raises(errors.TargetBelowRange) as scalar:
         for t in taus:
-            solver_ref.solve_matching("+", 0.0, t)
+            solver_ref.solve_matching("+", 0.0, [t])
     with pytest.raises(errors.TargetBelowRange) as array:
         solver_ref.solve_matching("+", 0.0, taus)
     assert str(array.value) == str(scalar.value)
     leading, _ = solver_ref._shift(solver_ref._read_edge("+", taus), 0.0)
-    assert leading == [solver_ref.solve_matching("+", 0.0, 10.0)]
+    assert leading == solver_ref.solve_matching("+", 0.0, [10.0]).tolist()
     for rest in (taus[2:], taus[3:]):
         with pytest.raises(errors.OutOfDomain) as scalar:
-            solver_ref.solve_matching("+", 0.0, rest[0])
+            solver_ref.solve_matching("+", 0.0, rest[:1])
         with pytest.raises(errors.OutOfDomain) as array:
             solver_ref.solve_matching("+", 0.0, rest)
         assert str(array.value) == str(scalar.value)

@@ -520,7 +520,7 @@ def test_one_pass_per_outer_evaluation(outer_low, monkeypatch):
     gaps = np.geomspace(1e-3, 1e3, 50)
     # psi4 at gamma = 0.5 carries the rows k = 3, 4; phi1 and phi3 are the
     # two _profile_CI terms
-    outer_low.l0_terms("+", 12.0, gap=gaps)
+    outer_low.l0_terms("+", np.array([[12.0]]), gap=gaps[None, :])
     assert calls == {"_prims": 1, "_profile_CI": 2}
     calls.clear()
     outer_low.psi_bundle("+", 12.0, gap=gaps)

@@ -229,13 +229,26 @@ def test_pair_requires_sign_order(barrier_pair, monkeypatch):
     assert solves == []
 
 
+def test_a_window_past_the_step_budget_is_refused_before_any_row_steps(barrier_pair, monkeypatch):
+    """tau 10 -> 10.5 at dtau 1e-6 needs about 5e5 steps with no step
+    rejected, past the budget of 2e5: StepUnderflow from the plan, before
+    any row is stepped."""
+
+    def stepped(*args, **kwargs):
+        raise AssertionError("_solve_rows entered")
+
+    monkeypatch.setattr(pde, "_solve_rows", stepped)
+    with pytest.raises(errors.StepUnderflow, match="budget"):
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.5, n_cells=40, dtau=1e-6)
+
+
 def test_log_u_core_limit(barrier_pair, p_ref):
     """Deep in the core wbar follows the law lam^(1-m) e^{2(xi + C(tau))},
     reached through the shift constant C(tau)."""
 
     def core_law_error(bar, xi):
-        law = p_ref.lam ** (1.0 - p_ref.m) * math.exp(2.0 * (xi + bar.C(TAU0)))
-        return abs(bar.wbar(xi, TAU0) * bar.factor / law - 1.0)
+        law = p_ref.lam ** (1.0 - p_ref.m) * math.exp(2.0 * (xi + bar.C([TAU0])[0]))
+        return abs(bar.wbar([xi], [TAU0])[0, 0] * bar.factor / law - 1.0)
 
     for bar in barrier_pair:
         assert core_law_error(bar, -20.0) < 1e-4

@@ -89,7 +89,7 @@ def test_decomposed_terms_match_raw_l0(gamma, variant, tau):
     for out, sign in itertools.product((base, at_C10(base, 4.0)), ("+", "-")):
         lo = max(1e-3, 2.0 * xi0b * math.exp(-gamma * tau)) if sign == "-" else 1e-3
         gaps = np.geomspace(lo, 1e3, 60)
-        res, _ = out.l0_terms(sign, tau, gap=gaps)
+        (res,), _ = out.l0_terms(sign, np.array([[tau]]), gap=gaps[None, :])
         raw = L0_residual(outer_psi_evaluator(out, sign), gaps, tau, p)
         w, we, wee, wt = out.psi_bundle(sign, tau, gap=gaps)
         eta = p.A + gaps
@@ -177,7 +177,7 @@ def test_inner_margin_stays_away_from_zero_below_the_band(solver_ref, eps_ref, s
 def test_far_left_underflow_is_a_nonpositive_profile(solver_ref):
     # phibar0 at xi = -400 underflows to 0, which L1 cannot divide by
     bar = GluedBarrier(solver_ref, "-", 0.01)
-    assert bar.wbar(-400.0, 10.0) == 0.0
+    assert bar.wbar([-400.0], [10.0])[0, 0] == 0.0
     with pytest.raises(errors.NonPositiveProfile):
         _l1_at(bar, [-400.0, 0.0], 10.0)
 
@@ -209,8 +209,8 @@ def test_inner_closed_form_domain(solver_ref):
     raw = L1_residual(glued_raw_evaluator(bar), np.array([XI1]), tau, bar.outer.p)
     assert abs(res[0] - raw[0]) < 1e-12
     e = math.exp(-bar.outer.p.gamma * tau)
-    l0, l0_scale = bar.outer.l0_terms("-", tau, gap=np.array([right * e]))
-    assert (res[1], scale[1]) == (e * l0[0], e * l0_scale[0])
+    l0, l0_scale = bar.outer.l0_terms("-", np.array([[tau]]), gap=np.array([[right * e]]))
+    assert (res[1], scale[1]) == (e * l0[0, 0], e * l0_scale[0, 0])
 
 
 # -- verdict classification ---------------------------------------------------
@@ -590,7 +590,7 @@ def test_leading_order_residual_is_the_near_a_limit(outer_all, sign):
     g = outer_all.p.gamma
     tau = outer_all.cfg.tau_start + 40.0
     xi = np.geomspace(0.01 if sign == "+" else 2.0, 1e3, 25)
-    res, _ = outer_all.l0_terms(sign, tau, gap=xi * math.exp(-g * tau))
+    (res,), _ = outer_all.l0_terms(sign, np.array([[tau]]), gap=xi[None, :] * math.exp(-g * tau))
     np.testing.assert_allclose(res * math.exp(-g * tau), _leading_G(outer_all, sign, xi, tau),
                                rtol=1e-8)
 
