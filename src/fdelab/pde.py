@@ -62,24 +62,31 @@ s = S/W = 2 + e in the old frame, M2/W = (s + 2)/h^2,
 the same terms bounded the same way, from the e and rho that a row
 carries out of the step that accepted its frame.
 
-Independent runs on one grid are stepped together as the rows of one
-(runs, points) array (_solve_rows), each with its own step, theta,
-tolerance and damping.  A Newton round passes its rows' systems to LAPACK
-gtsv in one call, as one block-diagonal system with zero couplings
-(_Bands), so a run gives the same bits alone or beside others.  _Bands is
-the only holder of gtsv bindings: it binds the stacked system once and
-each row once, on bands it allocates itself, and after a zero pivot or a
-non-finite x solves each row through that row's binding.  A row keeps
-its last two frames, and F, e and rho of the last for its next step,
-hands every accepted frame, the initial one too, to its run's consumer,
-and counts its frames and solver work in its Trajectory as it goes.
+Independent runs on one grid are the rows of one (runs, points) array
+(_solve_rows).  Each round, the rows that take the same step (the same
+delta, new delta, theta, predictor exponent and frame slot) are stepped
+together as a step group, in one _step_rows call whose step factors are
+Python floats; each row keeps its own tolerance and damping.  When no row
+rejects a step, as on the sandwich's windows, every round is one group of
+all rows.  A Newton round passes its rows' systems to LAPACK gtsv in one
+call, as one block-diagonal system with zero couplings (_Bands), and every
+factor is the float a lone run computes, so a run gives the same bits
+alone or beside others.  _Bands is the only holder of gtsv bindings: it
+binds the stacked system once and each row once, on bands it allocates
+itself, and after a zero pivot or a non-finite x solves each row through
+that row's binding.  A row keeps its last two frames, and F, e and rho of
+the last for its next step, hands every accepted frame, the initial one
+too, to its run's consumer, and counts its frames and solver work in its
+Trajectory as it goes.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
 _BLOCK_POINTS points, when the first row reaches the block; a row off the
-plan evaluates its own delta once per barrier and step.  Each frame is
-reduced into the one SandwichReport when it is accepted, so what a run
-keeps grows by a few scalars per step, never by grid rows.
+plan evaluates its own delta once per barrier and step.  Each evaluation
+also forms every run's end values and both barriers' peaks as floats, so
+a step reads them without touching the grid.  Each frame is reduced into
+the one SandwichReport when it is accepted, so what a run keeps grows by
+a few scalars per step, never by grid rows.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +151,8 @@ def _stencil(W, dxi, p):
 
 
 def _rhs(d, t, sigma, dxi, p):
-    """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is a
-    column of per-row drift speeds."""
+    """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is the
+    drift speed, a float for a step group or a column of per-row speeds."""
     F = t * ((p.n - 1) / (dxi * dxi))
     F += (sigma / (2.0 * dxi)) * d
     F -= p.d.a0
@@ -156,7 +164,8 @@ def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
     the subdiagonal dl (points 1..), the diagonal and the superdiagonal du
     (points ..-2), from the interior values W and the quotients (e, rho)
     of _stencil.  kappa = -dt theta (n-1)/dxi^2 and alpha =
-    dt theta sigma/(2 dxi) are columns of per-row factors."""
+    dt theta sigma/(2 dxi) are a step group's floats, or columns of
+    per-row factors."""
     E = kappa / W
     g = rho * (0.5 * p.d.b1)
     g += 0.5 * p.d.b2 * dxi
@@ -271,51 +280,46 @@ class _Bands:
         return out
 
 
-def _columns(*values) -> list:
-    """Each sequence of per-row floats as a column, from one array."""
-    return list(np.array(values, dtype=float)[:, :, None])
-
-
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
 def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, bands, start):
-    """One theta-weighted implicit step for every row of W_old.
+    """One theta-weighted implicit step, from delta_old to delta_new with
+    weight theta, for every row of W_old: a step group.
 
-    Row i steps from delta_old[i] to delta_new[i] with weight theta[i], the
+    The step's factors (dt, both drift speeds, K, alpha, the step
+    constant's weight and shift, the floor's factors of dt T) are Python
+    floats shared by the rows, computed as for a lone run.  Row i has the
     Dirichlet values ends[i] = (W_lo, W_hi) and the optional extra
-    right-hand side sources[i](delta_new[i]), called once.  old holds per
-    row (F_old, e_old, rho_old): F, sources added, and the quotients e and
-    rho of W_old (_stencil).  Newton starts from the positive start[i]
-    with the Dirichlet values at its ends; its systems cover the interior
-    points only.  Every per-row scalar (step, drift speed, tolerance,
-    damping) is a Python float computed as for a lone run.  The array
-    stages run on all rows and each update writes only the rows it
-    selects: a row not being tried keeps its positive iterate, and a trial
-    row that is not positive falls back to its iterate.  A round's Newton
-    systems go to gtsv as one system in bands (a _Bands).  A row whose
-    residual is not finite stops with NonFinite before its next solve.
-    Returns per row (W_new, iterations, carried), carried being the next
-    step's old row (F, e, rho) of W_new, or the error that rejected its
-    step.
+    right-hand side sources[i](delta_new), called once.  old holds per row
+    (F_old, e_old, rho_old): F, sources added, and the quotients e and rho
+    of W_old (_stencil).  Newton starts from the positive start[i] with
+    the Dirichlet values at its ends; its systems cover the interior points
+    only.  Each row has its own tolerance and damping.  The array stages
+    run on all rows and each update writes only the rows it selects: a row
+    not being tried keeps its positive iterate, and a trial row that is not
+    positive falls back to its iterate.  A round's Newton systems go to
+    gtsv as one system in bands (a _Bands).  A row whose residual is not
+    finite stops with NonFinite before its next solve.
+
+    Returns (out, X, carried): out[i] is row i's Newton iterations or the
+    error that rejected its step; the accepted rows of X are their new
+    frames, and those of carried the next step's old rows (F, e, rho).
     """
     k = len(W_old)
     out = [None] * k
     n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
-    dt = [a - b for a, b in zip(delta_old, delta_new)]
-    sigma_old = [_drift_speed(p, x) for x in delta_old]
-    sigma_new = [_drift_speed(p, x) for x in delta_new]
-    implicit = [h * t for h, t in zip(dt, theta)]  # dt theta
-    K = [x * n1 / h2 for x in implicit]
-    # per-row factors (module docstring): the residual's K and alpha, the
-    # Newton matrix's kappa = -K, F's sigma, the step constant's weight of
-    # F_old and its shift, and the floor's factors of dt T
-    K_col, kappa, alpha, sigma_col, weight, shift, curv, base, drift = _columns(
-        K, [-x for x in K], [x * s / (2.0 * dxi) for x, s in zip(implicit, sigma_new)],
-        sigma_new, [h * (1.0 - t) for h, t in zip(dt, theta)], [-x * a0 for x in implicit],
-        [h * n1 / h2 for h in dt], [h * (2.0 * n1 / h2 + a0) for h in dt],
-        [h * s / (2.0 * dxi) for h, s in zip(dt, sigma_old)],
-    )
+    dt = delta_old - delta_new
+    sigma_old, sigma_new = _drift_speed(p, delta_old), _drift_speed(p, delta_new)
+    implicit = dt * theta
+    # the residual's K and alpha (the Newton matrix's kappa is -K), the step
+    # constant's weight of F_old and its shift, and the floor's factors of
+    # dt T (module docstring)
+    K = implicit * n1 / h2
+    alpha = implicit * sigma_new / (2.0 * dxi)
+    weight, shift = dt * (1.0 - theta), -implicit * a0
+    curv, base = dt * n1 / h2, dt * (2.0 * n1 / h2 + a0)
+    drift = dt * sigma_old / (2.0 * dxi)
     F_old, e_old, rho_old = old.swapaxes(0, 1)
     W_in = W_old[:, 1:-1]
 
@@ -337,17 +341,17 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
     near *= W_in
     size += near
     floor = size.max(axis=1).tolist()
-    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + h * f), 2.3e-16 * g)
-           for w, h, f, g in zip(w_scale, dt, f_scale, floor)]
+    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + dt * f), 2.3e-16 * g)
+           for w, f, g in zip(w_scale, f_scale, floor)]
 
     # G = X - C - K t - alpha d with the step's constant C (module docstring)
     C = weight * F_old
     C += W_in
     C += shift
-    sourced = [(i, source(x)[1:-1])
-               for i, (source, x) in enumerate(zip(sources, delta_new)) if source is not None]
+    sourced = [(i, source(delta_new)[1:-1]) for i, source in enumerate(sources)
+               if source is not None]
     for i, S in sourced:
-        C[i] += implicit[i] * S
+        C[i] += implicit * S
 
     def residual(X):
         """G on the interior points of every row of X and the stencil of
@@ -355,7 +359,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
         residual is 0 and is not formed."""
         d, e, rho, t = _stencil(X, dxi, p)
         G = X[:, 1:-1] - C
-        part = K_col * t
+        part = K * t
         G -= part
         np.multiply(alpha, d, out=part)
         G -= part
@@ -376,12 +380,11 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
             if G_norm[i] <= tol[i]:
                 converged[i] = True
             elif not math.isfinite(G_norm[i]):
-                out[i] = errors.NonFinite(
-                    f"Newton residual not finite at delta = {delta_new[i]:.6e}")
+                out[i] = errors.NonFinite(f"Newton residual not finite at delta = {delta_new:.6e}")
             elif its[i] >= _NEWTON_MAX:
                 out[i] = errors.NewtonDiverged(
                     f"Newton stalled at |G| = {G_norm[i]:.3e} "
-                    f"(tol {tol[i]:.3e}) at delta = {delta_new[i]:.6e}"
+                    f"(tol {tol[i]:.3e}) at delta = {delta_new:.6e}"
                 )
             else:
                 its[i] += 1
@@ -395,8 +398,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
         rows = slice(None) if len(iterating) == k else iterating
 
         def fill(dl, diag, du, b):
-            _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows],
-                          kappa[rows], alpha[rows], dxi, p)
+            _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows], -K, alpha, dxi, p)
             np.negative(G[rows], out=b)
 
         for i, x in zip(iterating, bands.solve(len(iterating), fill)):
@@ -409,6 +411,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
         # lambda times the Newton step, halved with lambda (exactly, as
         # lambda is a power of 2)
         while any(lam):
+            searching = [i for i in range(k) if lam[i]]
             X_try = X + step
             positive = (X_try > 0.0).all(axis=1).tolist()
             if not all(positive):  # only trial rows can leave positivity
@@ -418,9 +421,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
                 trial = residual(X_try)
                 G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
             taken = [False] * k
-            for i in range(k):
-                if not lam[i]:
-                    continue
+            for i in searching:
                 if tried[i] and (G_try_norm[i] < G_norm[i] or lam[i] < 0.1):
                     taken[i], G_norm[i], lam[i] = True, G_try_norm[i], 0.0
                 else:
@@ -429,26 +430,29 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
                         step[i] *= 0.5
                         continue
                     out[i], lam[i] = errors.PositivityLost(
-                        f"no positive damped Newton step at delta = {delta_new[i]:.6e}"
+                        f"no positive damped Newton step at delta = {delta_new:.6e}"
                     ), 0.0
                 step[i] = 0.0  # the row leaves the line search
-            if all(taken):  # no row has stopped, so no kept iterate is replaced
+            # a row outside the line search evaluated its own unchanged
+            # iterate, so once every searching row took its step the trial
+            # is swapped in whole
+            if all(taken[i] for i in searching):
                 X, (G, d, e, rho, t) = X_try, trial
             elif any(taken):
                 taken = np.array(taken)[:, None]
                 for a, a_try in zip((X, G, d, e, rho, t), (X_try, *trial)):
                     np.copyto(a, a_try, where=taken)
+            trial = None  # a refused trial is not held through the next one
 
     # a row that stopped is never taken again, so X and its stencil still
     # hold every converged row's last iterate
-    F = _rhs(d, t, sigma_col, dxi, p)
+    F = _rhs(d, t, sigma_new, dxi, p)
     for i, S in sourced:
         F[i] += S
-    carried = np.stack((F, e, rho), 1)
     for i in range(k):
         if converged[i]:
-            out[i] = (X[i], its[i], carried[i])
-    return out
+            out[i] = its[i]
+    return out, X, np.stack((F, e, rho), 1)
 
 
 @dataclass
@@ -499,15 +503,13 @@ def _planned_deltas(delta_start, delta_end, dtau) -> list:
 
 
 def _predicted(W, W_prev, r):
-    """The geometric predictor W (W / W_prev)^r of each row at its next
-    delta, r = log(delta_new / delta) / log(delta / delta_prev) per row, or
-    the row of W where that is not finite and positive.  r = 0 gives W."""
+    """The geometric predictor W (W / W_prev)^r of each row at the step
+    group's next delta, r = log(delta_new / delta) / log(delta / delta_prev)
+    a float shared by the rows, or the row of W where that is not finite
+    and positive.  A float r takes numpy's scalar power path, the one a lone
+    row takes (sqrt at 0.5, square at 2).  r = 0 gives W."""
     with np.errstate(over="ignore"):
-        ratio = W / W_prev
-        guess = W * ratio ** _columns(r)[0]
-        for j, x in enumerate(r):
-            if x in (0.5, 2.0):  # numpy takes a lone row's power as sqrt, square
-                guess[j] = W[j] * ratio[j] ** x
+        guess = W * (W / W_prev) ** r
     np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
     return guess
 
@@ -518,9 +520,12 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     FdelabError that stopped it.
 
     Each round, every unfinished row tries one step from its own delta.
-    Newton starts from the geometric predictor of the row's last two
-    frames, the only ones it keeps (each accepted frame goes to its run's
-    consumer), formed for all rows at once; the row's first step, and the
+    The rows that share a step (delta, new delta, theta, predictor
+    exponent and frame slot) take it as one step group, in one _step_rows
+    call; when no row rejects a step, every round is one group.  Newton
+    starts from the geometric predictor of the row's last two frames, the
+    only ones it keeps (each accepted frame goes to its run's consumer),
+    formed for the whole group at once; the row's first step, and the
     retry after a predicted start is rejected, start cold from the last
     frame (r = 0).  F, e and rho of a row's last frame, which the step
     that accepted it handed back, serve every attempt from it.  A row whose
@@ -549,11 +554,12 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     live = [i for i in range(R) if out[i] is None]
     # F, sources added, e and rho of row i's last frame
     d, e, rho, t = _stencil(frames[:, 0], dxi, p)
-    F = _rhs(d, t, _columns([_drift_speed(p, delta_start)] * R)[0], dxi, p)
+    F = _rhs(d, t, _drift_speed(p, delta_start), dxi, p)
     for i in live:
         if runs[i].source is not None:
             F[i] += runs[i].source(delta_start)[1:-1]
     old = np.stack((F, e, rho), 1)
+    del d, e, rho, t, F
     bands = _Bands(R, M - 2)
     # row i: trajs[i] counts its frames and solver work so far; deltas[i]
     # holds its last one or two deltas
@@ -585,18 +591,27 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             f"end values {ends[i]} not finite and positive at delta = {delta_new[i]:.6e}"
         ) for i in live if not all(0.0 < e < math.inf for e in ends[i])}
         bad_ends = set(results)
-        stepped = [i for i in live if i not in results]
-        if stepped:
-            n = [trajs[i].frames for i in stepped]
-            last = frames[stepped, [(k - 1) % 2 for k in n]]
-            r = [0.0 if cold[i] else math.log(delta_new[i] / deltas[i][-1])
-                 / math.log(deltas[i][-1] / deltas[i][-2]) for i in stepped]
-            results.update(zip(stepped, _step_rows(
-                last, [deltas[i][-1] for i in stepped], [delta_new[i] for i in stepped],
-                [theta[i] for i in stepped], [ends[i] for i in stepped], dxi, p,
-                [runs[i].source for i in stepped], old[stepped], bands,
-                _predicted(last, frames[stepped, [k % 2 for k in n]], r),
-            )))
+        groups = {}  # (delta, delta_new, theta, r, slot of the new frame) -> rows
+        for i in live:
+            if i not in bad_ends:
+                delta = deltas[i][-1]
+                r = 0.0 if cold[i] else (math.log(delta_new[i] / delta)
+                                         / math.log(delta / deltas[i][-2]))
+                key = delta, delta_new[i], theta[i], r, trajs[i].frames % 2
+                groups.setdefault(key, []).append(i)
+        for (delta, new, th, r, slot), group in groups.items():
+            last = frames[group, 1 - slot]
+            res, X, carried = _step_rows(
+                last, delta, new, th, [ends[i] for i in group], dxi, p,
+                [runs[i].source for i in group], old[group], bands,
+                _predicted(last, frames[group, slot], r),
+            )
+            accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
+            if accepted:
+                kept = [group[j] for j in accepted]
+                frames[kept, slot], old[kept] = X[accepted], carried[accepted]
+            results.update(zip(group, res))
+            del last, X, carried  # not held through the next group's step
         for i in live:
             res, traj = results[i], trajs[i]
             if isinstance(res, errors.FdelabError):
@@ -610,26 +625,48 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
                 if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
                     out[i] = res
                 continue
-            slot = traj.frames % 2
-            frames[i, slot], its, old[i] = res
             attempt[i], cold[i] = None, False
-            traj.newton_iters_max = max(traj.newton_iters_max, its)
-            traj.newton_iters += its
+            traj.newton_iters_max = max(traj.newton_iters_max, res)
+            traj.newton_iters += res
             deltas[i] = [deltas[i][-1], delta_new[i]]
-            runs[i].consume(delta_new[i], frames[i, slot])
+            runs[i].consume(delta_new[i], frames[i, traj.frames % 2])
             traj.frames += 1
             if traj.frames > _STEP_BUDGET + 1:
                 out[i] = errors.StepUnderflow("step budget exhausted")
         live = [i for i in live if out[i] is None]
-        del results, res  # their views would keep this round's arrays alive
+
+
+# Bytes per grid point that the sandwich's joint solve holds at its peak:
+# float64 values for its 4 rows.  _solve_rows keeps 2 frames and the 3
+# carried rows (F, e, rho) per row (20 values), and copies the group's
+# last frame and carried rows for _step_rows and forms the predicted start
+# (20); _Bands keeps 4 bands per row (16); _step_rows holds X, step and
+# X_try (12), G and the 4 stencil arrays of the iterate and of the trial
+# (40), the step constant C and the floor's size and s_old (12), the
+# stencil's and the residual's temporaries (8), and at its end F and the
+# carried stack (16).  The runs add xi, 4 initial rows and the
+# manufactured profile and source arrays (12).  That is 156 values; a
+# traced sandwich at 20,000 cells peaks at 1,174 bytes per point.  The mid
+# run's CSV samples (W[::8] of every 10th frame) come on top and are
+# checked against the same budget once the steps are planned.
+_POINT_BYTES = 8 * (40 + 16 + 88 + 12)
+_MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 
 def _check_window(n_cells, dtau, tau0, tau_end):
-    """InvalidParameter unless the grid has at least two cells, dtau is a
-    finite step > 0, and tau0 < tau_end with both delta = e^{-tau} finite
-    and > 0; checked before any grid or barrier is built."""
+    """InvalidParameter unless the grid has at least two cells and no more
+    than the joint solve can hold within _MEMORY_BUDGET, dtau is a finite
+    step > 0, and tau0 < tau_end with both delta = e^{-tau} finite and > 0;
+    checked before any grid or barrier is built."""
     if not n_cells >= 2:
         raise errors.InvalidParameter(f"need n_cells >= 2, got {n_cells}")
+    most = _MEMORY_BUDGET // _POINT_BYTES - 1
+    if n_cells > most:
+        raise errors.InvalidParameter(
+            f"need n_cells <= {most}, got {n_cells}: the joint solve would hold about "
+            f"{(n_cells + 1) * _POINT_BYTES / 2**30:.3g} GiB, over its budget of "
+            f"{_MEMORY_BUDGET / 2**30:g} GiB"
+        )
     if not 0.0 < dtau < math.inf:
         raise errors.InvalidParameter(f"need a finite dtau > 0, got {dtau}")
     try:  # with tau0 < tau_end the other two bounds follow
@@ -778,11 +815,31 @@ def _barrier_W(bar: GluedBarrier, xi: np.ndarray, deltas, p: ModelParams):
 
 
 _BLOCK_POINTS = 1 << 13  # grid points per barrier block of the sandwich
+_KINDS = ("lower", "upper", "mid")  # the sandwich's runs on the barriers
+
+
+def _on(kind, Wp, Wm):
+    """The barrier values that a run of this kind starts from and keeps
+    at its ends: the lower barrier, the upper one, or their geometric mean."""
+    if kind == "mid":
+        return np.sqrt(Wp * Wm)
+    return Wm if kind == "lower" else Wp
+
+
+class _Reading(NamedTuple):
+    """Both barriers at one delta: on the grid, each run's Dirichlet ends
+    (kind -> (W_lo, W_hi)), and the peaks of the barriers' u = W^{1/(1-m)}
+    as floats (plus, minus)."""
+
+    W_plus: np.ndarray
+    W_minus: np.ndarray
+    ends: dict
+    peaks: tuple
 
 
 class _BarrierBlocks:
-    """Both barriers (_barrier_W) on the whole grid at the deltas the
-    sandwich rows reach.
+    """Both barriers (_barrier_W) at the deltas the sandwich rows reach,
+    as _Readings.
 
     Planned deltas are evaluated a block of at most _BLOCK_POINTS points
     at a time, when a row first reaches the block; the block before stays,
@@ -790,22 +847,30 @@ class _BarrierBlocks:
     plan, or in a block whose evaluation raised, is evaluated alone and
     kept as its row's latest, for the row's bc and consumer.  A block
     takes one inner and two outer calls per barrier: the matching edge
-    that C(tau) is solved from, and the grid.
+    that C(tau) is solved from, and the grid.  Each evaluation forms every
+    run's Dirichlet ends and both barriers' peaks once, for all its
+    deltas, so a step's bc and the mid consumer read floats and never
+    slice or reduce the grid.
     """
 
     def __init__(self, plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
         self.bars, self.xi, self.deltas = (plus, minus), xi, deltas
+        self.p = plus.outer.p
         self.index = {delta: j for j, delta in enumerate(deltas)}
         self.size = max(1, _BLOCK_POINTS // len(xi))  # deltas per block
-        self.blocks = {}  # number -> (W_plus, W_minus), or None if it raised
-        self.own = {}  # row -> (delta, (W_plus, W_minus))
+        self.blocks = {}  # number -> list of _Readings, or None if it raised
+        self.own = {}  # row -> (delta, _Reading)
 
-    def _evaluate(self, deltas):
-        p = self.bars[0].outer.p
-        return tuple(_barrier_W(bar, self.xi, deltas, p) for bar in self.bars)
+    def _evaluate(self, deltas) -> list:
+        Wp, Wm = (_barrier_W(bar, self.xi, deltas, self.p) for bar in self.bars)
+        ends = {kind: _on(kind, Wp[:, [0, -1]], Wm[:, [0, -1]]).tolist() for kind in _KINDS}
+        power = 1.0 / (1.0 - self.p.m)
+        peaks = [[float(x ** power) for x in W.max(axis=1)] for W in (Wp, Wm)]
+        return [_Reading(Wp[r], Wm[r], {kind: tuple(ends[kind][r]) for kind in _KINDS},
+                         (peaks[0][r], peaks[1][r])) for r in range(len(deltas))]
 
-    def at(self, delta, row):
-        """(W_plus, W_minus) on the grid at delta, as row reads them."""
+    def at(self, delta, row) -> _Reading:
+        """Both barriers at delta, as row reads them."""
         j = self.index.get(delta)
         if j is not None:
             k, r = divmod(j, self.size)
@@ -818,34 +883,28 @@ class _BarrierBlocks:
                     self.blocks[k] = None
             block = self.blocks[k]
             if block is not None:
-                return block[0][r], block[1][r]
+                return block[r]
         hit = self.own.get(row)
         if hit is None or hit[0] != delta:
-            hit = self.own[row] = delta, tuple(W[0] for W in self._evaluate([delta]))
+            hit = self.own[row] = delta, self._evaluate([delta])[0]
         return hit[1]
 
 
 def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
     """The lower, upper and mid runs as rows (on the lower barrier, the
     upper one and their geometric mean) over the planned deltas, and the
-    SandwichReport that their consumers fill.  bc reads the end columns of
-    one _BarrierBlocks; a consumer checks every 5th frame and keeps, per
-    mid frame, max W, the barrier peaks and every 10th frame's CSV sample.
+    SandwichReport that their consumers fill.  bc reads its run's ends
+    from one _BarrierBlocks; a consumer checks every 5th frame against the
+    barriers on the grid and keeps, per mid frame, max W, the barrier
+    peaks and every 10th frame's CSV sample.
     """
     p = plus.outer.p
     blocks = _BarrierBlocks(plus, minus, xi, deltas)
     report = SandwichReport(p, xi)
-    power = 1.0 / (1.0 - p.m)
-
-    def on(kind, Wp, Wm):
-        if kind == "mid":
-            return np.sqrt(Wp * Wm)
-        return Wm if kind == "lower" else Wp
 
     def bc(kind):
         def at(delta):
-            Wp, Wm = blocks.at(delta, kind)
-            return tuple(on(kind, Wp[[0, -1]], Wm[[0, -1]]).tolist())
+            return blocks.at(delta, kind).ends[kind]
         return at
 
     def consume(kind):
@@ -855,25 +914,28 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
             n = next(frame)
             if n % 5 and kind != "mid":
                 return
-            Wp, Wm = blocks.at(delta, kind)
+            bars = blocks.at(delta, kind)
             if n % 5 == 0:
                 scale = delta ** (1.0 + p.gamma)
-                report.max_undershoot = max(report.max_undershoot, float(np.max((Wm - W) / scale)))
-                report.max_overshoot = max(report.max_overshoot, float(np.max((W - Wp) / scale)))
+                report.max_undershoot = max(report.max_undershoot,
+                                            float(np.max((bars.W_minus - W) / scale)))
+                report.max_overshoot = max(report.max_overshoot,
+                                           float(np.max((W - bars.W_plus) / scale)))
             if kind == "mid":
                 report.deltas.append(delta)
                 report.solution.append(float(np.max(W)))
-                report.upper_barrier.append(float(np.max(Wp) ** power))
-                report.lower_barrier.append(float(np.max(Wm) ** power))
+                report.upper_barrier.append(bars.peaks[0])
+                report.lower_barrier.append(bars.peaks[1])
                 if n % 10 == 0:
                     report.samples.append((delta, W[::8].copy()))
 
         return reduce
 
-    Wp0, Wm0 = blocks.at(deltas[0], None)
+    first = blocks.at(deltas[0], None)
     rows = {
-        kind: _Run(np.array(on(kind, Wp0, Wm0)), bc(kind), consume=consume(kind))
-        for kind in ("lower", "upper", "mid")
+        kind: _Run(np.array(_on(kind, first.W_plus, first.W_minus)), bc(kind),
+                   consume=consume(kind))
+        for kind in _KINDS
     }
     return rows, report
 
@@ -892,7 +954,9 @@ def comparison_sandwich(
 
     The pair must come in sign order (plus, minus), n_cells >= 2, dtau a
     finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
-    anything else raises InvalidParameter before any solve.  A window
+    anything else raises InvalidParameter before any solve, as does a grid
+    whose solve and mid-run samples over the planned frames would hold
+    more than _MEMORY_BUDGET.  A window
     whose drift speed leaves the float range raises OutOfDomain, and one
     that the step budget cannot cover even with no step rejected raises
     StepUnderflow, both before any row is stepped.  The grid is xi in
@@ -922,6 +986,13 @@ def comparison_sandwich(
     if not _finished(deltas[-1], delta_end):
         raise errors.StepUnderflow(f"step budget exhausted: {_STEP_BUDGET} steps of dtau {dtau} "
                                    f"do not reach tau_end {tau_end} from tau0 {tau0}")
+    held = (n_cells + 1) * _POINT_BYTES + 8 * (n_cells // 8 + 1) * ((len(deltas) + 9) // 10)
+    if held > _MEMORY_BUDGET:  # the solve and the samples of the planned frames
+        raise errors.InvalidParameter(
+            f"n_cells {n_cells} over {len(deltas)} planned frames would hold about "
+            f"{held / 2**30:.3g} GiB with the mid run's samples, over the budget of "
+            f"{_MEMORY_BUDGET / 2**30:g} GiB"
+        )
     xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
     rows, report = _sandwich_rows(plus, minus, xi, deltas)

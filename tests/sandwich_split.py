@@ -1,0 +1,89 @@
+"""Where the time of a simulate run goes, measured in process.
+
+    PYTHONPATH=src python tests/sandwich_split.py [--runs N]
+
+Runs the simulate-ref workload of perfbench/run.py (`simulate --force` on
+the reference config) N times (default 5) through fdelab.cli.main in this
+process, into a temporary directory, with timers around the command and
+around pde._solve_rows, pde._step_rows, pde._barrier_W, pde._predicted
+and pde.SandwichReport.to_csv.  Each line gives a name's median wall time
+per run, inclusive of what it calls, and its calls per run.  The first
+run also compiles and imports fdelab.pde.  The exit status is 2 if one of
+the wrapped names is missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WORKLOADS  # noqa: E402
+
+from fdelab import cli, pde  # noqa: E402
+
+WRAPPED = {  # printed name -> (owner, attribute)
+    "_solve_rows": (pde, "_solve_rows"),
+    "_step_rows": (pde, "_step_rows"),
+    "_barrier_W": (pde, "_barrier_W"),
+    "_predicted": (pde, "_predicted"),
+    "to_csv": (pde.SandwichReport, "to_csv"),
+}
+
+
+def timed(fn, seconds: list, calls: list):
+    """fn with each call's wall time added to seconds[0] and counted in calls[0]."""
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[0] += time.perf_counter() - start
+            calls[0] += 1
+
+    return wrapper
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=5, help="simulate runs (default 5)")
+    args = parser.parse_args(argv)
+    missing = [name for name, (owner, attr) in WRAPPED.items() if not hasattr(owner, attr)]
+    if missing:
+        print(f"missing: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    totals = {name: ([0.0], [0]) for name in ("command", *WRAPPED)}
+    for name, (owner, attr) in WRAPPED.items():
+        setattr(owner, attr, timed(getattr(owner, attr), *totals[name]))
+    wl = WORKLOADS["simulate-ref"]
+    per_run = {name: [] for name in totals}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(wl.config, sort_keys=True))
+        command = timed(cli.main, *totals["command"])
+        for _ in range(args.runs):
+            before = {name: (s[0], c[0]) for name, (s, c) in totals.items()}
+            with contextlib.redirect_stdout(io.StringIO()):  # the command's own report line
+                rc = command([*wl.args, "--config", str(config), "--out", str(Path(tmp) / "out")])
+            if rc not in (0, 1):
+                print(f"simulate exited {rc}", file=sys.stderr)
+                return rc
+            for name, (s, c) in totals.items():
+                per_run[name].append((s[0] - before[name][0], c[0] - before[name][1]))
+    print(f"simulate-ref, median of {args.runs} in-process runs")
+    for name, runs in per_run.items():
+        ms = statistics.median(s for s, _ in runs) * 1e3
+        print(f"  {name:<12} {ms:8.1f} ms  {statistics.median(c for _, c in runs):7.0f} calls")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -289,6 +289,32 @@ def test_sandwich_smoke(smoke_report):
     }
 
 
+def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatch):
+    """The window of the benchmark's simulate-ref workload (ref at verify's
+    eps, 400 cells, tau 10 to 10 + 2.2 ln 10, dtau 0.01) takes a pinned
+    Newton path: per run its frames, summed and most Newton iterations,
+    and no step rejection or cold retry.  The mid run's first step
+    converges at iteration 11 of 12, 2.4% inside its tolerance, so a
+    rounding change in G, the Newton bands, the tolerance floor or the
+    predictor can show here."""
+    eps = 0.018066406177734376
+    bars = GluedBarrier(solver_ref, "+", eps), GluedBarrier(solver_ref, "-", eps)
+    solve_rows, solved = pde._solve_rows, []
+
+    def recorded(*args, **kwargs):
+        solved.extend(solve_rows(*args, **kwargs))
+        return solved
+
+    monkeypatch.setattr(pde, "_solve_rows", recorded)
+    report = comparison_sandwich(*bars, tau0=TAU0, tau_end=TAU0 + 2.2 * math.log(10.0),
+                                 n_cells=400, dtau=0.01)
+    path = [(t.frames, t.newton_iters, t.newton_iters_max, t.step_rejections, t.cold_retries)
+            for t in solved]  # calibration, lower, upper, mid
+    assert path == [(508, 510, 3, 0, 0), (508, 1022, 7, 0, 0), (508, 1020, 5, 0, 0),
+                    (508, 1030, 11, 0, 0)]
+    assert report.passed
+
+
 def test_extinction_rate_recovers_power_law():
     deltas = np.exp(-np.linspace(4.0, 10.0, 60))
     amps = 3.7 * deltas ** 2.5
@@ -480,8 +506,8 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
 
     monkeypatch.setattr(pde, "_newton_bands", singular_bands)
     old = np.stack((np.ones((1, 7)), np.zeros((1, 7)), np.zeros((1, 7))), 1)
-    (res,) = pde._step_rows(
-        np.ones((1, 9)), [1.0], [0.5], [1.0], [(1.0, 1.0)], 0.1, p_ref, [None],
+    (res,), _, _ = pde._step_rows(
+        np.ones((1, 9)), 1.0, 0.5, 1.0, [(1.0, 1.0)], 0.1, p_ref, [None],
         old, pde._Bands(1, 7), np.ones((1, 9)),
     )
     assert isinstance(res, errors.NewtonDiverged)
@@ -595,10 +621,13 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
             for i, source in enumerate(sources):
                 if source is not None:
                     F[i] += source(ds)[1:-1]
-            return pde._step_rows(
-                W_old, [ds] * n, [dn] * n, [1.0] * n, [r[1] for r in rows], 0.4, p_ref,
+            out, X, carried = pde._step_rows(
+                W_old, ds, dn, 1.0, [r[1] for r in rows], 0.4, p_ref,
                 sources, np.stack((F, e, rho), 1), pde._Bands(n, 99), W_old,
             )
+            # each accepted row as (new frame, iterations, carried row)
+            return [res if isinstance(res, errors.FdelabError) else (X[j], res, carried[j])
+                    for j, res in enumerate(out)]
 
     # gtsv finds the first Newton system of row 2 alone singular, and after
     # that exactly that system, wherever it sits in a round's block of
@@ -735,6 +764,37 @@ def test_rejected_row_keeps_its_own_steps(p_ref, d_ref):
     assert flaky.deltas[-1] == steady.deltas[-1]
 
 
+def test_a_row_that_fails_inside_its_step_group_leaves_the_others_alone(p_ref, d_ref):
+    """Three rows take each step as one group until the middle row's
+    source turns NaN at its second step and stops it with NonFinite; from
+    then on the first and last rows step as the group (0, 2).  Both keep
+    the bits of their lone runs, frame by frame."""
+    ds, de = math.exp(-10.0), math.exp(-10.1)
+    xi = np.linspace(-5.0, 5.0, 101)
+    a0 = d_ref.a0
+
+    def runs():
+        calibration, _ = pde._manufactured_row(p_ref, xi, ds)
+        calls = []
+
+        def nan_at_second_step(delta):  # call 1 is the initial frame's
+            calls.append(delta)
+            return np.full(101, math.nan if len(calls) == 3 else 0.0)
+
+        failing = pde._Run(a0 * ds * np.ones(101), lambda delta: (a0 * delta, a0 * delta),
+                           None, nan_at_second_step)
+        doubled = pde._Run(2.0 * a0 * ds * np.ones(101),
+                           lambda delta: (2.0 * a0 * delta, 2.0 * a0 * delta), None)
+        return [calibration, failing, doubled]
+
+    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
+    first, failed, last = solve_kept(p_ref, xi, runs(), **kw)
+    assert isinstance(failed, errors.NonFinite)
+    lone = [solve_kept(p_ref, xi, [run], **kw)[0] for j, run in enumerate(runs()) if j != 1]
+    _assert_same_runs([first, last], lone)
+    assert len(first.deltas) == 13
+
+
 def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
     """A NaN end value is a rejected step, never a NaN frame."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
@@ -806,7 +866,7 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
         )
     # one attempt, at the warmup step 0.005: the source at the initial
     # frame, for the F it carries in, and once at the new delta
-    assert attempts == [[ds * (1.0 - 0.005)]]
+    assert attempts == [ds * (1.0 - 0.005)]
     assert sources == [ds, ds * (1.0 - 0.005)]
 
 
@@ -857,6 +917,44 @@ def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, monkeypatch
             w0=np.ones_like, bc=lambda delta: (1.0, 1.0), dtau=dtau,
         )
     assert solves == []
+
+
+def test_a_grid_past_the_memory_budget_is_refused_before_planning(barrier_pair, monkeypatch):
+    """n_cells = 10^9 would make the joint solve hold about 1 TB; the
+    window check refuses it with InvalidParameter before the steps are
+    planned or any grid is allocated.  The largest grid within the budget
+    passes the check, and one cell more does not."""
+    def unreachable(*args):
+        raise AssertionError("a grid past the memory budget reached the step plan")
+
+    monkeypatch.setattr(pde, "_planned_deltas", unreachable)
+    with pytest.raises(errors.InvalidParameter, match=r"^need n_cells <= \d+, got 1000000000"):
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=10 ** 9, dtau=0.01)
+    most = pde._MEMORY_BUDGET // pde._POINT_BYTES - 1
+    pde._check_window(most, 0.01, TAU0, 10.2)
+    with pytest.raises(errors.InvalidParameter, match="GiB"):
+        pde._check_window(most + 1, 0.01, TAU0, 10.2)
+
+
+def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair, monkeypatch):
+    """Half the largest grid the joint solve may hold, over tau 10 -> 10.5
+    at dtau 1e-5 (50,003 planned frames), would add about 2 GiB of the mid
+    run's samples (W[::8] of every 10th frame) to 0.5 GiB of solve:
+    InvalidParameter once the steps are planned, before the rows are
+    built.  Over tau 10 -> 10.2 at dtau 0.01 (23 frames) the samples fit
+    and the same grid reaches the rows."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(pde, "_manufactured_row", reached)
+    half = (pde._MEMORY_BUDGET // pde._POINT_BYTES - 1) // 2
+    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 2\.5 GiB"):
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.5, n_cells=half, dtau=1e-5)
+    with pytest.raises(Reached):
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=half, dtau=0.01)
 
 
 @pytest.mark.parametrize("tau0, tau_end, named", [
@@ -925,20 +1023,23 @@ def test_sandwich_error_names_the_failing_run(solver_ref, eps, tau0, tau_end, n_
 
 
 def test_predictor_gives_each_row_its_lone_bits():
-    """The predictor of all rows at once gives each row the bits of its
-    lone W (W / W_prev)^r with r a Python float, including the exponents
-    0.5 and 2.0 that numpy takes as sqrt and square; r = 0 gives W, and so
-    does a guess that overflows."""
+    """The predictor of a step group, with its float exponent r, gives
+    each row the bits of its lone W (W / W_prev)^r, including the
+    exponents 0.5 and 2.0 that numpy takes as sqrt and square; r = 0 gives
+    W, and so does the row of a guess that overflows."""
     rng = np.random.default_rng(7)
     W = np.exp(rng.uniform(-30.0, -20.0, (6, 401)))
     W_prev = W * np.exp(rng.uniform(-0.05, 0.05, (6, 401)))
     W_prev[5, 3] = 1e-300  # (W / W_prev)^r overflows
-    r = [1.0, 2.0, 0.5, 2.005, 0.0, 40.0]
-    guess = pde._predicted(W, W_prev, r)
-    for j, x in enumerate(r[:4]):
-        lone = W[j] * (W[j] / W_prev[j]) ** x
-        assert np.array_equal(guess[j].view(np.int64), lone.view(np.int64))
-    assert np.array_equal(guess[4:], W[4:])
+    for r in (1.0, 2.0, 0.5, 2.005):
+        guess = pde._predicted(W[:5], W_prev[:5], r)
+        for j in range(5):
+            lone = W[j] * (W[j] / W_prev[j]) ** r
+            assert np.array_equal(guess[j].view(np.int64), lone.view(np.int64))
+    assert np.array_equal(pde._predicted(W, W_prev, 0.0), W)
+    guess = pde._predicted(W, W_prev, 40.0)
+    assert np.array_equal(guess[5], W[5])
+    assert np.all(guess[:5] > 0.0) and np.all(guess[:5] < math.inf)
 
 
 def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, monkeypatch):
@@ -952,9 +1053,9 @@ def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, mon
 
     def flaky(W_old, *args):
         start = args[-1]
-        tries.append((args[1][0], np.array_equal(start, W_old)))
+        tries.append((args[1], np.array_equal(start, W_old)))
         if len(tries) in fail:
-            return [errors.NewtonDiverged("rejected by construction")]
+            return [errors.NewtonDiverged("rejected by construction")], None, None
         return step_rows(W_old, *args)
 
     def run():
@@ -1002,15 +1103,15 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
         return (-lo if len(bc_calls) == 3 else lo), hi
 
     def checked(W_old, delta_old, *args):
-        step_calls.append(delta_old[0])
-        sigma = np.array([[pde._drift_speed(p_ref, delta_old[0])]])
+        step_calls.append(delta_old)
+        sigma = pde._drift_speed(p_ref, delta_old)
         d, e, rho, t = pde._stencil(W_old, xi[1] - xi[0], p_ref)
         F = pde._rhs(d, t, sigma, xi[1] - xi[0], p_ref)
-        F += run.source(delta_old[0])[1:-1]
+        F += run.source(delta_old)[1:-1]
         fresh.append(np.array_equal(np.stack((F, e, rho), 1).view(np.int64),
                                      args[-3].view(np.int64)))
         if len(step_calls) == 5:  # a predicted start: its cold retry follows
-            return [errors.NewtonDiverged("rejected by construction")]
+            return [errors.NewtonDiverged("rejected by construction")], None, None
         return step_rows(W_old, delta_old, *args)
 
     monkeypatch.setattr(pde, "_step_rows", checked)
@@ -1051,7 +1152,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
         counts["attempts"] += 1
         counts["calibration"] += args[7][0] is not None
         results = step_rows(*args)
-        counts["rounds"] += max(res[1] for res in results)
+        counts["rounds"] += max(results[0])  # each row's Newton iterations
         return results
 
     def counted_manufactured(p):
@@ -1168,6 +1269,28 @@ def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monke
         assert read[delta] == _end_values(barrier_pair, p_ref, delta)["lower"]
     for delta, W in zip(traj.deltas[1:].tolist(), traj.W[1:]):
         assert (W[0], W[-1]) == read[delta]
+
+
+@pytest.mark.parametrize("planned", [True, False])
+def test_block_reads_equal_grid_reads(barrier_pair, p_ref, planned):
+    """What a run reads from the barrier blocks equals what the barriers
+    give on the grid at that delta (_barrier_W), bit for bit, at a planned
+    delta (a block) and off the plan (the row's own evaluation): each
+    run's bc ends are on(kind, Wp[[0, -1]], Wm[[0, -1]]), and the mid
+    consumer's barrier peaks are max W^{1/(1-m)} of each barrier."""
+    xi = np.linspace(-10.0, 40.0, 201)
+    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    delta = deltas[30] if planned else deltas[30] * (1.0 - 1e-3)
+    assert (delta in deltas) is planned
+    rows, report = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    Wp, Wm = (pde._barrier_W(bar, xi, [delta], p_ref)[0] for bar in barrier_pair)
+    for kind, run in rows.items():
+        want = pde._on(kind, Wp[[0, -1]], Wm[[0, -1]]).tolist()
+        assert [x.hex() for x in run.bc(delta)] == [x.hex() for x in want], kind
+    rows["mid"].consume(delta, np.sqrt(Wp * Wm))  # the mid run's first frame
+    power = 1.0 / (1.0 - p_ref.m)
+    assert [x.hex() for x in report.upper_barrier] == [float(np.max(Wp) ** power).hex()]
+    assert [x.hex() for x in report.lower_barrier] == [float(np.max(Wm) ** power).hex()]
 
 
 def test_sandwich_barrier_calls_grow_with_blocks_not_steps(barrier_pair, monkeypatch):
