@@ -70,6 +70,18 @@ def _artifact(args, stem: str, h: str, ext: str) -> str:
     return os.path.join(args.out, f"{stem}-{h}.{ext}")
 
 
+def _read_report(path: str) -> dict:
+    """A stage report as written by verify or simulate; InvalidParameter
+    naming path when it, or its "recommended" entry, is not an object."""
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    if not isinstance(report, dict) or not isinstance(report.get("recommended", {}), dict):
+        raise errors.InvalidParameter(
+            f"{path}: a stage report must be a JSON object, with an object as 'recommended'"
+        )
+    return report
+
+
 # -- profile -------------------------------------------------------------------
 
 
@@ -259,8 +271,7 @@ def cmd_simulate(args) -> int:
 
     recommended = {}
     if os.path.exists(verify_path):
-        with open(verify_path, encoding="utf-8") as fh:
-            verify_report = json.load(fh)
+        verify_report = _read_report(verify_path)
         if not verify_report.get("all_passed") and not args.force:
             print(f"simulate {h}: verification failed for this config; "
                   "rerun verify or pass --force", file=sys.stderr)
@@ -343,8 +354,7 @@ def cmd_report(args) -> int:
     for stem in ("verify", "simulate"):
         path = _artifact(args, stem, h, "json")
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                merged[stem] = json.load(fh)
+            merged[stem] = _read_report(path)
             for key in ("params", "thresholds"):
                 merged[stem].pop(key, None)
             found = True

@@ -377,10 +377,12 @@ class OuterProfileSet:
         """(e^{gamma tau} L0(psi), sum of its term magnitudes) in the folded
         form of the module docstring, all from one _prims build.
 
-        tau is an (n_tau, 1) column against a gap grid of shape
-        (n_tau, n_space), or a tau array of gap's shape, one tau per point;
-        the decay factors come from _math_exp, so a point gives the same
-        bits whatever else is evaluated with it.
+        tau is an (n_tau, 1) column, and gap a (1, n_space) row that every
+        tau shares or an (n_tau, n_space) grid with a row per tau; both
+        results have the shape they broadcast to.  The sources and psi's
+        terms are built once per gap, and the decay factors come from
+        _math_exp once per tau, so a point gives the same bits whatever
+        else is evaluated with it.
 
         Gaps near e^(-gamma tau) at large gamma tau overflow some terms; the
         evaluation runs under one np.errstate, so those points come back as
@@ -447,11 +449,12 @@ def _plus(a_parts, c, b_parts):
 
 
 def _math_exp(rate: float, tau):
-    """e^(rate tau) by math.exp, elementwise over a tau array of any shape.
+    """e^(rate tau) by math.exp, elementwise over a tau sequence or column.
     np.exp can differ from math.exp in the last bit, which would move
     report fields that sit at roundoff level.  The one home of the per-tau
     decay factors: l0_terms, the glued barrier's outer side
     (matching.GluedBarrier.wbar), the L1 evaluator and the near_A band
-    (residuals) all take theirs from here."""
+    (residuals) all take theirs from here, one call per tau, never per
+    space point."""
     tau = np.asarray(tau, dtype=float)
     return np.array([math.exp(rate * t) for t in tau.ravel().tolist()]).reshape(tau.shape)

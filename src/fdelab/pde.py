@@ -492,10 +492,8 @@ def _step_plan(step_idx, delta, delta_end, dtau):
 def _planned_deltas(delta_start, delta_end, dtau) -> list:
     """delta_start and the deltas after each step of a run that no step
     rejection halves, as _solve_rows computes them, for at most the step
-    budget; delta_start alone for a window _solve_rows rejects."""
+    budget, for a window that _check_window passed."""
     deltas = [delta_start]
-    if not 0.0 < delta_end < delta_start:
-        return deltas
     while not _finished(deltas[-1], delta_end) and len(deltas) <= _STEP_BUDGET + 1:
         frac, _ = _step_plan(len(deltas) - 1, deltas[-1], delta_end, dtau)
         deltas.append(deltas[-1] * (1.0 - frac))
@@ -534,10 +532,9 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
     not finite and positive, since no start changes those.  It stops with
     the rejection once the step falls below 1e-6 of delta, with
     StepUnderflow once the step budget is spent, with any FdelabError its
-    bc raises, or at once with a NonFinite step result.
+    bc raises, or at once with a NonFinite step result.  The window is
+    one that _check_window passed.
     """
-    if not (0.0 < delta_end < delta_start):
-        raise errors.InvalidParameter("need 0 < delta_end < delta_start")
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
@@ -647,26 +644,21 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
 # carried stack (16).  The runs add xi, 4 initial rows and the
 # manufactured profile and source arrays (12).  That is 156 values; a
 # traced sandwich at 20,000 cells peaks at 1,174 bytes per point.  The mid
-# run's CSV samples (W[::8] of every 10th frame) come on top and are
-# checked against the same budget once the steps are planned.
+# run's CSV samples (W[::8] of every 10th frame) come on top;
+# comparison_sandwich checks the two together against _MEMORY_BUDGET once
+# the steps are planned, before it allocates anything per cell.
 _POINT_BYTES = 8 * (40 + 16 + 88 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 
 def _check_window(n_cells, dtau, tau0, tau_end):
-    """InvalidParameter unless the grid has at least two cells and no more
-    than the joint solve can hold within _MEMORY_BUDGET, dtau is a finite
-    step > 0, and tau0 < tau_end with both delta = e^{-tau} finite and > 0;
-    checked before any grid or barrier is built."""
+    """InvalidParameter unless the grid has at least two cells, dtau is a
+    finite step > 0, and tau0 < tau_end with both delta = e^{-tau} finite
+    and > 0; checked before any grid or barrier is built.  The grid's size
+    is checked against _MEMORY_BUDGET once the steps are planned
+    (comparison_sandwich)."""
     if not n_cells >= 2:
         raise errors.InvalidParameter(f"need n_cells >= 2, got {n_cells}")
-    most = _MEMORY_BUDGET // _POINT_BYTES - 1
-    if n_cells > most:
-        raise errors.InvalidParameter(
-            f"need n_cells <= {most}, got {n_cells}: the joint solve would hold about "
-            f"{(n_cells + 1) * _POINT_BYTES / 2**30:.3g} GiB, over its budget of "
-            f"{_MEMORY_BUDGET / 2**30:g} GiB"
-        )
     if not 0.0 < dtau < math.inf:
         raise errors.InvalidParameter(f"need a finite dtau > 0, got {dtau}")
     try:  # with tau0 < tau_end the other two bounds follow
@@ -954,12 +946,13 @@ def comparison_sandwich(
 
     The pair must come in sign order (plus, minus), n_cells >= 2, dtau a
     finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
-    anything else raises InvalidParameter before any solve, as does a grid
-    whose solve and mid-run samples over the planned frames would hold
-    more than _MEMORY_BUDGET.  A window
+    anything else raises InvalidParameter before any solve.  A window
     whose drift speed leaves the float range raises OutOfDomain, and one
     that the step budget cannot cover even with no step rejected raises
-    StepUnderflow, both before any row is stepped.  The grid is xi in
+    StepUnderflow.  Once the steps are planned, a grid whose solve and
+    mid-run samples over the planned frames would hold more than
+    _MEMORY_BUDGET raises InvalidParameter; all of these come before the
+    grid is built or any row is stepped.  The grid is xi in
     [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a fraction
     of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on

@@ -11,9 +11,11 @@ Inner operator (xi, tau variables; profile wbar):
             - (n-1) { w_xx/w + b1 w_x^2/w^2 + b2 w_x/w } + a0 - gamma A w_x
 
 A supersolution has residual >= 0, a subsolution <= 0.  Verification
-samples a region grid of shape (n_tau, n_space), one row per tau, in one
-evaluator call, compares against a pointwise atol proportional to the local
-operator scale, and reports strict violations and the inconclusive fraction
+samples a region in one evaluator call, its space samples against one tau
+column: one space row that every tau shares where the band does not depend
+on tau, a row per tau for near_A, whose lower end moves with tau.  It
+compares against a pointwise atol proportional to the local operator
+scale, and reports strict violations and the inconclusive fraction
 separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
 cancellation-free form derived in the outer module; the L1 evaluator is
 l1_terms_evaluator over a glued barrier, from the closed forms below.  A
@@ -98,33 +100,32 @@ __all__ = [
 def l1_terms_evaluator(barrier: GluedBarrier):
     """The L1 residual of a glued barrier with its term-magnitude scale, as
     a terms_fn for verify_sign_region, from the closed forms of the module
-    docstring.  C and C' are read at the taus whose row reaches xi <= xi1,
-    from one edge reading, and e^{-gamma tau} from outer._math_exp, so
-    each row equals a call at its own tau, bit for bit."""
+    docstring.  Like GluedBarrier.wbar it takes one xi row that every tau
+    shares, here against a tau column, and returns arrays of shape
+    (n_tau, n_xi).  Left of xi1, C and C' at every tau come from one edge
+    reading and feed one phibar0 call; right of it, one l0_terms call at
+    the mapped gaps.  e^{-gamma tau} comes from outer._math_exp, once per
+    tau, so each row equals a call at its own tau, bit for bit, and a side
+    that no xi reaches reads nothing."""
     p, g = barrier.outer.p, barrier.outer.p.gamma
     pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
 
     def ev(xi, tau):
-        xi, taus = np.asarray(xi, dtype=float), np.ravel(tau)
+        xi, taus = np.ravel(np.asarray(xi, dtype=float)), np.ravel(tau)
         col = _math_exp(-g, taus)[:, None]
-        res, scale = np.empty(xi.shape), np.empty(xi.shape)
+        res, scale = np.empty((taus.size, xi.size)), np.empty((taus.size, xi.size))
         left = xi <= barrier.xi1
         if np.any(left):
-            rows = left.any(axis=1)
-            shifts = np.zeros((2, taus.size, 1))
-            shifts[:, rows, 0] = barrier.C_and_C_prime(taus[rows])
-            C, Cp, e = (np.broadcast_to(a, xi.shape)[left] for a in (*shifts, col))
-            v, dv, _ = barrier.profile.phibar0(xi[left] + C, derivs=True)
+            C, Cp = barrier.C_and_C_prime(taus)
+            v, dv, _ = barrier.profile.phibar0(xi[left] + C[:, None], derivs=True)
             if np.any(v <= 0.0):
                 raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
-            terms = (e * dv * Cp, -e * (1.0 + g) * v, pm_eps * g * p.A * dv)
-            res[left] = (terms[0] + terms[1] + terms[2]) / barrier.factor
-            scale[left] = (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / barrier.factor
-        right = ~left
-        if np.any(right):
-            e, t = (np.broadcast_to(a, xi.shape)[right] for a in (col, taus[:, None]))
-            r, sc = barrier.outer.l0_terms(barrier.sign, t, gap=xi[right] * e)
-            res[right], scale[right] = e * r, e * sc
+            terms = (col * dv * Cp[:, None], -col * (1.0 + g) * v, pm_eps * g * p.A * dv)
+            res[:, left] = (terms[0] + terms[1] + terms[2]) / barrier.factor
+            scale[:, left] = (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / barrier.factor
+        if not np.all(left):
+            r, sc = barrier.outer.l0_terms(barrier.sign, taus[:, None], gap=xi[~left] * col)
+            res[:, ~left], scale[:, ~left] = col * r, col * sc
         return res, scale
 
     return ev
@@ -149,10 +150,11 @@ class Region:
 
     Outer regions of the L0 verdicts (space variable = gap = eta - A,
     log-spaced):
-      kind = "near_A":    gap in [xi0 e^{-gamma tau}, delta0], per tau.
-      kind = "far_field": gap in [delta0, _FAR_CUT], tau-independent.
+      kind = "near_A":    gap in [xi0 e^{-gamma tau}, delta0], a row per tau.
+      kind = "far_field": gap in [delta0, _FAR_CUT], one row for every tau.
     Inner region of the L1 verdict (space variable = xi, linear):
-      kind = "inner_glued": xi in [_XI_LO, xi1 + delta1], corner skipped.
+      kind = "inner_glued": xi in [_XI_LO, xi1 + delta1], corner skipped,
+                            one row for every tau.
     """
 
     kind: str
@@ -185,12 +187,12 @@ class ResidualReport:
 
 
 def _space_grid(region: Region, taus, cfg, gamma: float):
-    """Space grid of shape (len(taus), cfg.grid_eta); row i belongs to
-    taus[i], and the band ends come from cfg.
-
-    Kinds that do not depend on tau repeat one row.  Raises EmptyRegion
-    when a band or the corner-masked row has no points, or when the lower
-    end of a near_A row underflows to 0.
+    """Space samples of the region, with the band ends from cfg: for
+    near_A, whose lower end xi0 e^{-gamma tau} moves with tau, a grid of
+    shape (len(taus), cfg.grid_eta) with row i at taus[i]; for far_field
+    and inner_glued, which do not depend on tau, one (1, n) row that every
+    tau shares.  Raises EmptyRegion when a band or the corner-masked row
+    has no points, or when the lower end of a near_A row underflows to 0.
     """
     taus = np.asarray(taus, dtype=float)
     n_space = cfg.grid_eta
@@ -220,7 +222,7 @@ def _space_grid(region: Region, taus, cfg, gamma: float):
             )
     else:
         raise errors.InvalidParameter(f"unknown region kind {region.kind!r}")
-    return np.tile(row, (taus.size, 1))
+    return row[None, :]
 
 
 def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualReport:
@@ -232,10 +234,11 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
     ends (see _space_grid).  terms_fn(space, tau) -> (residual, scale)
     supplies the residual together with its local term-magnitude scale;
     use OuterProfileSet.l0_terms (rescaled L0, as find_thresholds binds
-    it) or l1_terms_evaluator.  It is called
-    once, with space the whole grid of shape (n_tau, n_space) and tau an
-    (n_tau, 1) column (row i of space belongs to tau[i, 0]), and must
-    return arrays of the grid's shape.
+    it) or l1_terms_evaluator.  It is called once, with tau an (n_tau, 1)
+    column and space what _space_grid gives: one (1, n_space) row shared by
+    every tau, or for near_A an (n_tau, n_space) grid whose row i belongs
+    to tau[i, 0].  It must return arrays of the shape the two broadcast
+    to, (n_tau, n_space), one value per point the report counts.
 
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
@@ -256,13 +259,14 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
         )
     taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
     space = _space_grid(region, taus, cfg, p.gamma)
+    shape = (n_tau, space.shape[1])
     res, scale = terms_fn(space, taus[:, None])
     res = np.asarray(res, dtype=float)
     atol = cfg.sign_atol_factor * np.asarray(scale, dtype=float)
-    if res.shape != space.shape or atol.shape != space.shape:
+    if res.shape != shape or atol.shape != shape:
         raise errors.InvalidParameter(
             f"terms_fn returned shapes {res.shape} and {atol.shape} "
-            f"for a grid of shape {space.shape}"
+            f"for a grid of shape {shape}"
         )
     signed = res if want == "+" else -res
     broken = ~(np.isfinite(res) & np.isfinite(atol))
@@ -286,7 +290,7 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
         n_inconclusive=n_inconclusive,
         min_residual=float(np.min(res)),
         max_residual=float(np.max(res)),
-        worst_point=(float(space[i, j]), float(taus[i]), float(res[i, j])),
+        worst_point=(float(np.broadcast_to(space, shape)[i, j]), float(taus[i]), float(res[i, j])),
         passed=n_violations == 0 and frac <= cfg.inconclusive_frac,
         inconclusive_frac=frac,
     )

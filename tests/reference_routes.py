@@ -6,6 +6,9 @@ The package evaluates the operators through the rescaled term evaluators
 the raw residuals, the raw derivatives of the glued barrier, the mapped
 outer evaluator, the exact decompositions and the single corrector
 profiles here are second routes that the tests compare those against.
+The L1 evaluator takes one xi row that every tau shares; the evaluator
+of the same closed forms over any (tau, xi) grid, one tau per point, is
+here.
 The comoving solver builds its Newton bands from stencil quotients
 (pde._newton_bands) and reduces every frame as it is accepted; the raw
 Jacobian bands and the solves that keep every frame are here.
@@ -18,7 +21,7 @@ import numpy as np
 
 from fdelab import errors, pde
 from fdelab.matching import GluedBarrier, _exp_gamma_tau
-from fdelab.outer import OuterProfileSet
+from fdelab.outer import OuterProfileSet, _math_exp
 from fdelab.params import theta
 
 
@@ -182,6 +185,40 @@ def glued_raw_evaluator(barrier: GluedBarrier):
         if np.any(~left):
             parts[:, ~left] = outer_side(xi[~left], tau)
         return tuple(parts)
+
+    return ev
+
+
+def l1_terms_on_grid(barrier: GluedBarrier):
+    """The closed-form L1 terms_fn over a grid of shape (n_tau, n_xi), row
+    i at tau[i, 0], whose rows may differ: each point takes its own tau's
+    factors, spread over the masked points, and l0_terms gets one tau per
+    point.  C and C' are read at the taus whose row reaches xi <= xi1."""
+    p, g = barrier.outer.p, barrier.outer.p.gamma
+    pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
+
+    def ev(xi, tau):
+        xi, taus = np.asarray(xi, dtype=float), np.ravel(tau)
+        col = _math_exp(-g, taus)[:, None]
+        res, scale = np.empty(xi.shape), np.empty(xi.shape)
+        left = xi <= barrier.xi1
+        if np.any(left):
+            rows = left.any(axis=1)
+            shifts = np.zeros((2, taus.size, 1))
+            shifts[:, rows, 0] = barrier.C_and_C_prime(taus[rows])
+            C, Cp, e = (np.broadcast_to(a, xi.shape)[left] for a in (*shifts, col))
+            v, dv, _ = barrier.profile.phibar0(xi[left] + C, derivs=True)
+            if np.any(v <= 0.0):
+                raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
+            terms = (e * dv * Cp, -e * (1.0 + g) * v, pm_eps * g * p.A * dv)
+            res[left] = (terms[0] + terms[1] + terms[2]) / barrier.factor
+            scale[left] = (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / barrier.factor
+        right = ~left
+        if np.any(right):
+            e, t = (np.broadcast_to(a, xi.shape)[right] for a in (col, taus[:, None]))
+            r, sc = barrier.outer.l0_terms(barrier.sign, t, gap=xi[right] * e)
+            res[right], scale[right] = e * r, e * sc
+        return res, scale
 
     return ev
 

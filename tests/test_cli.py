@@ -11,6 +11,8 @@ import pytest
 
 from fdelab import errors, residuals
 from fdelab.cli import main
+from fdelab.params import load_config
+from fdelab.reporting import config_hash
 
 SMOKE = {
     "n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0,
@@ -166,6 +168,25 @@ def _run_cli(args, python_flags=()):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *python_flags, "-m", "fdelab.cli", *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command, stem, text", [
+    ("simulate", "verify", "[]"),
+    ("simulate", "verify", '{"all_passed": true, "recommended": 5}'),
+    ("report", "verify", "[]"),
+])
+def test_stage_report_that_is_not_an_object_is_an_error(smoke_config, tmp_path,
+                                                         command, stem, text):
+    # a stage report, or its recommended entry, that is not a JSON object
+    # exits 2 with an error naming the file, not with a traceback
+    out = tmp_path / "runs"
+    out.mkdir()
+    path = out / f"{stem}-{config_hash(*load_config(smoke_config))}.json"
+    path.write_text(text)
+    proc = _run_cli([command, "--config", smoke_config, "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # the error each gamma below ends in, named with gamma*tau

@@ -919,21 +919,16 @@ def test_bad_window_is_rejected_before_the_grid(barrier_pair, p_ref, monkeypatch
     assert solves == []
 
 
-def test_a_grid_past_the_memory_budget_is_refused_before_planning(barrier_pair, monkeypatch):
+def test_a_grid_past_the_memory_budget_is_refused_before_the_grid(barrier_pair, monkeypatch):
     """n_cells = 10^9 would make the joint solve hold about 1 TB; the
-    window check refuses it with InvalidParameter before the steps are
-    planned or any grid is allocated.  The largest grid within the budget
-    passes the check, and one cell more does not."""
+    sandwich refuses it with InvalidParameter once the steps are planned,
+    before the manufactured row or any other grid is built."""
     def unreachable(*args):
-        raise AssertionError("a grid past the memory budget reached the step plan")
+        raise AssertionError("a grid past the memory budget reached the grid")
 
-    monkeypatch.setattr(pde, "_planned_deltas", unreachable)
-    with pytest.raises(errors.InvalidParameter, match=r"^need n_cells <= \d+, got 1000000000"):
-        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=10 ** 9, dtau=0.01)
-    most = pde._MEMORY_BUDGET // pde._POINT_BYTES - 1
-    pde._check_window(most, 0.01, TAU0, 10.2)
+    monkeypatch.setattr(pde, "_manufactured_row", unreachable)
     with pytest.raises(errors.InvalidParameter, match="GiB"):
-        pde._check_window(most + 1, 0.01, TAU0, 10.2)
+        comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=10 ** 9, dtau=0.01)
 
 
 def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair, monkeypatch):

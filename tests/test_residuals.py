@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 
 from fdelab import errors, residuals
+from fdelab import outer as outer_mod
 from fdelab.matching import GluedBarrier, MatchingSolver
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, ThresholdConfig, default_thresholds, theta
@@ -28,6 +29,7 @@ from reference_routes import (
     L1_terms,
     at_C10,
     glued_raw_evaluator,
+    l1_terms_on_grid,
     outer_as_inner_evaluator,
     outer_psi_evaluator,
     psi1_residual_decomposed,
@@ -136,11 +138,13 @@ def test_l1_terms_evaluator_consistent(solver_ref):
     bar = GluedBarrier(solver_ref, "-", 0.01)
     ev = l1_terms_evaluator(bar)
     xis = np.linspace(-3.0, 8.0, 20)
-    res, scale = ev(np.stack([xis, xis + 0.5]), np.array([[12.0], [14.0]]))
-    for row, x, tau in zip(res, (xis, xis + 0.5), (12.0, 14.0)):
-        want = L1_residual(glued_raw_evaluator(bar), x, tau, bar.outer.p)
-        assert np.allclose(row, want, rtol=1e-10, atol=1e-14)
-    assert np.all(scale > 0.0)
+    for x in (xis, xis + 0.5):
+        res, scale = ev(x, np.array([[12.0], [14.0]]))
+        assert res.shape == scale.shape == (2, 20)
+        for row, tau in zip(res, (12.0, 14.0)):
+            want = L1_residual(glued_raw_evaluator(bar), x, tau, bar.outer.p)
+            assert np.allclose(row, want, rtol=1e-10, atol=1e-14)
+        assert np.all(scale > 0.0)
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
@@ -157,7 +161,7 @@ def test_l1_evaluator_matches_raw_l1_on_the_band(request, setup, tau_lo, sign):
     res, _ = l1_terms_evaluator(bar)(xi, taus[:, None])
     raw = glued_raw_evaluator(bar)
     for i, tau in enumerate(taus.tolist()):
-        terms = L1_terms(raw, xi[i], tau, bar.outer.p)
+        terms = L1_terms(raw, xi[0], tau, bar.outer.p)
         raw_scale = sum(np.abs(t) for t in terms)
         assert np.max(np.abs(res[i] - sum(terms)) / raw_scale) < 1e-12
 
@@ -224,10 +228,14 @@ def _grid(cfg, n_space, n_tau):
     return dataclasses.replace(cfg, grid_eta=n_space, grid_tau=n_tau)
 
 
+def _ones(space, tau):
+    """Ones over the points of a verdict: space against the tau column."""
+    return np.ones(np.broadcast_shapes(np.shape(space), np.shape(tau)))
+
+
 def _const_terms(value):
     def terms(space, tau):
-        r = np.full_like(space, value)
-        return r, np.ones_like(space)
+        return value * _ones(space, tau), _ones(space, tau)
 
     return terms
 
@@ -249,9 +257,9 @@ def test_verdict_passes_on_clean_sign(p_ref, cfg_ref):
 
 def test_verdict_counts_violations(p_ref, cfg_ref):
     def terms(space, tau):
-        r = np.ones_like(space)
+        r = _ones(space, tau)
         r[..., 3] = -1e-3
-        return r, np.ones_like(space)
+        return r, _ones(space, tau)
 
     rep = verify_sign_region(
         terms, "+", REGION, p_ref, _grid(cfg_ref, 50, 2)
@@ -275,10 +283,10 @@ def test_verdict_fails_on_nan_everywhere(p_ref, want, cfg_ref):
 
 def test_verdict_worst_point_is_first_non_finite(p_ref, cfg_ref):
     def terms(space, tau):
-        r = np.ones_like(space)
+        r = _ones(space, tau)
         r[0, 7] = -1.0  # a finite violation before the broken point
         r[1, 4] = math.nan
-        scale = np.ones_like(space)
+        scale = _ones(space, tau)
         scale[2, 2] = math.inf  # a non-finite scale also counts
         return r, scale
 
@@ -357,11 +365,12 @@ def test_region_grid_construction(p_ref, cfg_ref):
 
     def record(space, tau):
         seen.setdefault("grids", []).append(np.asarray(space))
-        return np.ones_like(space), np.ones_like(space)
+        return _ones(space, tau), _ones(space, tau)
 
     glued = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0)
     verify_sign_region(record, "+", glued, p_ref, _grid(cfg_ref, 101, 2))
     for grid in seen["grids"]:
+        assert grid.shape == (1, 101)
         assert grid.min() >= -7.0
         assert grid.max() <= 30.0
         assert np.all(np.abs(grid - 10.0) > 1e-10)  # corner excluded
@@ -465,7 +474,9 @@ def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
                           delta0=0.25 if gamma > 1.0 else 4.0, grid_eta=n_space)
     taus = np.linspace(region.tau_lo, region.tau_hi, 40)
     grid = _space_grid(region, taus, cfg, gamma)
-    for tau, row in zip(taus, grid):
+    # near_A moves with tau; the other bands are one row that every tau shares
+    assert grid.shape == ((40 if kind == "near_A" else 1), n_space)
+    for tau, row in zip(taus, np.broadcast_to(grid, (40, n_space))):
         assert np.array_equal(row, _space_row(region, cfg, float(tau), gamma))
 
 
@@ -505,8 +516,8 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
 
 
 def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
-    """C and C' of every tau row come from one edge reading, and C from one
-    inverse per row that reaches xi <= xi1."""
+    """C and C' of every tau come from one edge reading, and C from one
+    inverse per tau, when the xi row reaches xi <= xi1."""
     bar = GluedBarrier(solver_ref, "+", 0.01)
     reads, inverses = [], []
     read_edge, inverse = MatchingSolver._read_edge, SelfSimilarProfile.inverse
@@ -525,11 +536,81 @@ def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
     verify_sign_region(l1_terms_evaluator(bar), "+", region, bar.outer.p,
                        _grid(bar.outer.cfg, 81, 5))
     assert (len(reads), len(reads[0]), len(inverses)) == (1, 5, 5)
-    # rows 1 and 3 lie right of xi1: only rows 0 and 2 solve C
+    # a row right of xi1 reaches no xi <= xi1, so it solves no C
     reads.clear(), inverses.clear()
-    xi = np.array([np.linspace(lo, lo + 9.0, 7) for lo in (-7.0, 11.0, 0.0, 12.0)])
-    l1_terms_evaluator(bar)(xi, np.array([[12.0], [13.0], [14.0], [15.0]]))
-    assert (reads, len(inverses)) == ([[12.0, 14.0]], 2)
+    l1_terms_evaluator(bar)(np.linspace(11.0, 20.0, 7), np.array([[12.0], [13.0], [14.0]]))
+    assert (reads, inverses) == ([], [])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("setup,tau_lo", [("ref", 10.0), ("low", 15.150347630467653)])
+def test_l1_evaluator_row_equals_the_grid_route(request, setup, tau_lo, sign):
+    # one xi row against the tau column gives the bits of the same closed
+    # forms over the tiled grid, one tau per point
+    bar = GluedBarrier(request.getfixturevalue(f"solver_{setup}"), sign, 0.018)
+    cfg = bar.outer.cfg
+    taus = np.linspace(tau_lo, tau_lo + 6.0, cfg.grid_tau)
+    row = _space_grid(Region("inner_glued", tau_lo, tau_lo + 6.0), taus, cfg, bar.outer.p.gamma)
+    assert row.shape == (1, cfg.grid_eta) and np.any(row < XI1) and np.any(row > XI1)
+    res, scale = l1_terms_evaluator(bar)(row, taus[:, None])
+    want_res, want_scale = l1_terms_on_grid(bar)(np.tile(row, (taus.size, 1)), taus[:, None])
+    assert np.array_equal(res, want_res) and np.array_equal(scale, want_scale)
+
+
+@pytest.mark.parametrize("setup", ["ref", "low"])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_far_field_verdict_equals_the_tiled_grid(request, monkeypatch, setup, sign):
+    # the far-field band's one gap row against the tau column reports what
+    # the tiled (grid_tau, grid_eta) grid reports, field for field
+    outer = request.getfixturevalue(f"outer_{setup}")
+    cfg = outer.cfg
+    region = Region("far_field", cfg.tau_start, cfg.tau_start + 20.0)
+
+    def ev(gap, tau):
+        return outer.l0_terms(sign, tau, gap=gap)
+
+    got = verify_sign_region(ev, sign, region, outer.p, cfg)
+    row = residuals._space_grid
+    monkeypatch.setattr(residuals, "_space_grid",
+                        lambda *a: np.tile(row(*a), (cfg.grid_tau, 1)))
+    want = verify_sign_region(ev, sign, region, outer.p, cfg)
+    assert got == want
+    assert got.n_points == cfg.grid_tau * cfg.grid_eta
+
+
+def test_tau_independent_bands_build_one_row(outer_low, monkeypatch):
+    """A far-field verdict builds the primitives of its grid_eta gaps once
+    and takes the decay factors once per tau; near_A builds every point of
+    its moving grid."""
+    outer, cfg = outer_low, outer_low.cfg
+    gaps, factors = [], []
+    prims, math_exp = OuterProfileSet._prims, outer_mod._math_exp
+
+    def spied_prims(self, gap):
+        gaps.append(np.shape(gap))
+        return prims(self, gap)
+
+    def spied_exp(rate, tau):
+        factors.append(np.shape(tau))
+        return math_exp(rate, tau)
+
+    monkeypatch.setattr(OuterProfileSet, "_prims", spied_prims)
+    monkeypatch.setattr(outer_mod, "_math_exp", spied_exp)
+    monkeypatch.setattr(residuals, "_math_exp", spied_exp)
+
+    def ev(gap, tau):
+        return outer.l0_terms("+", tau, gap=gap)
+
+    region = Region("far_field", cfg.tau_start, cfg.tau_start + 20.0)
+    assert verify_sign_region(ev, "+", region, outer.p, cfg).passed
+    # psi4 on low: e^{-gamma tau} and the rows k = 3, 4
+    assert gaps == [(1, cfg.grid_eta)]
+    assert factors == [(cfg.grid_tau, 1)] * 3
+    gaps.clear(), factors.clear()
+    region = Region("near_A", cfg.tau_start, cfg.tau_start + 20.0)
+    assert verify_sign_region(ev, "+", region, outer.p, cfg).passed
+    assert gaps == [(cfg.grid_tau, cfg.grid_eta)]
+    assert factors == [(cfg.grid_tau,)] + [(cfg.grid_tau, 1)] * 3
 
 
 # -- outer thresholds ---------------------------------------------------------
