@@ -43,7 +43,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .residuals import Region, find_thresholds, l1_terms_evaluator, verify_sign_region
+from .residuals import find_thresholds, verify_inner
 from .selfsim import save_profile, shoot_v0, verify_tail_asymptotics
 
 __all__ = ["main"]
@@ -124,21 +124,6 @@ def cmd_profile(args) -> int:
 # -- verify --------------------------------------------------------------------
 
 
-def _search_inner_start(bars, tau_lo: float):
-    """Smallest tau (8 steps of 2 from tau_lo) where the (plus, minus) pair
-    bars passes the inner sign verdict; returns (tau, reports) or (None, reports)."""
-    p, cfg = bars[0].outer.p, bars[0].outer.cfg
-    tau = tau_lo
-    for _ in range(8):
-        region = Region(kind="inner_glued", tau_lo=tau, tau_hi=tau + 6.0)
-        reports = {bar.sign: verify_sign_region(l1_terms_evaluator(bar), bar.sign, region, p, cfg)
-                   for bar in bars}
-        if all(rep.passed for rep in reports.values()):
-            return tau, reports
-        tau += 2.0
-    return None, reports
-
-
 def cmd_verify(args) -> int:
     p, cfg, extras, h = _load(args)
     out_json = _artifact(args, "verify", h, "json")
@@ -169,8 +154,7 @@ def cmd_verify(args) -> int:
     # 2. outer sign thresholds for both signs of the branch variant
     for sign, label in (("+", "plus"), ("-", "minus")):
         th = find_thresholds(outer, sign)
-        detail = {k: v for k, v in th.items() if k != "passed"}
-        checks.append(make_check(f"outer-thresholds-{label}", th["passed"], detail))
+        checks.append(make_check(f"outer-thresholds-{label}", th.pop("passed"), th))
 
     # 3. admissible epsilon window; the corner inequality is asymptotic in
     # tau, so the window search escalates tau_match until one opens
@@ -225,14 +209,10 @@ def cmd_verify(args) -> int:
     ordering = check_ordering(*bars, taus)
     checks.append(make_check("barrier-ordering", ordering["ordered"], ordering))
 
-    # 7. inner sign verdicts on the glued barriers
-    tau3, inner_reports = _search_inner_start(bars, tau_match)
-    inner_ok = tau3 is not None
-    checks.append(make_check("inner-signs", inner_ok, {
-        "tau3": tau3,
-        "reports": inner_reports,
-    }))
-    tau0 = tau3 if tau3 is not None else tau_match
+    # 7. inner sign verdicts on the glued barriers, from their start tau3
+    inner = verify_inner(bars, tau_match)
+    checks.append(make_check("inner-signs", inner.pop("passed"), inner))
+    tau0 = tau_match if inner["tau3"] is None else inner["tau3"]
 
     # 8. weak corner boundary term: sign must match the comparison direction
     for bar, label, want in zip(bars, ("plus", "minus"), (-1.0, 1.0)):

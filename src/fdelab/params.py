@@ -201,8 +201,9 @@ class ThresholdConfig:
             raise errors.InvalidParameter(
                 f"need 0 < xi0 <= xi1, got xi0={self.xi0}, xi1={self.xi1}"
             )
-        if not (self.delta0 > 0.0):
-            raise errors.InvalidParameter(f"delta0 must be positive, got {self.delta0}")
+        # delta1 <= 0 would put the sampled inner band left of the corner xi1
+        if not (self.delta0 > 0.0 and self.delta1 > 0.0):
+            raise errors.InvalidParameter(f"need delta0, delta1 > 0: {self.delta0}, {self.delta1}")
         # near-A band must fit below the far-field split at tau_start
         if self.xi1 * math.exp(-p.gamma * self.tau_start) > self.delta0:
             raise errors.InvalidParameter(

@@ -952,7 +952,11 @@ def comparison_sandwich(
     StepUnderflow.  Once the steps are planned, a grid whose solve and
     mid-run samples over the planned frames would hold more than
     _MEMORY_BUDGET raises InvalidParameter; all of these come before the
-    grid is built or any row is stepped.  The grid is xi in
+    grid is built or any row is stepped.  A run whose start is not
+    positive, as delta^{1+gamma} times the barriers or the product under
+    the mid run's geometric mean underflows (from (1+gamma) tau0 near 365
+    on ref at 400 cells), raises OutOfDomain naming (1+gamma) tau0, after
+    the grid is built and before any row is stepped.  The grid is xi in
     [-xi1, 4 xi1] with n_cells cells, and dtau is the step as a fraction
     of delta (the CLI's simulate window).
     Three runs: data/BC on the lower barrier, on the upper barrier, and on
@@ -989,6 +993,10 @@ def comparison_sandwich(
     xi = np.linspace(-plus.xi1, 4.0 * plus.xi1, n_cells + 1)
     calibration, calibration_error = _manufactured_row(p, xi, delta_start)
     rows, report = _sandwich_rows(plus, minus, xi, deltas)
+    for name, row in rows.items():  # delta^{1+gamma} wbar, or the mean's product, underflows
+        if not np.all(row.w0 > 0.0):
+            raise errors.OutOfDomain(f"{name} run (n_cells {n_cells}, tau0 {tau0}): start is not"
+                                     f" positive at (1+gamma) tau0 = {(1 + p.gamma) * tau0:.6g}")
     solved = dict(zip(("calibration", *rows), _solve_rows(
         p, xi, [calibration, *rows.values()], delta_start=delta_start,
         delta_end=delta_end, dtau=dtau,

@@ -18,13 +18,18 @@ compares against a pointwise atol proportional to the local operator
 scale, and reports strict violations and the inconclusive fraction
 separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
 cancellation-free form derived in the outer module; the L1 evaluator is
-l1_terms_evaluator over a glued barrier, from the closed forms below.  A
-region is a kind plus a tau window; three kinds are sampled, near_A and
-far_field for L0 and inner_glued for L1, and the ends of each band come
-from the threshold config (xi0, xi1, delta0, delta1) or, where no config
-value applies, from the module constants _FAR_CUT and _XI_LO.
+l1_terms_evaluator, right of the glue corner xi1, and left of it
+verify_inner decides L1's sign in closed form (below).  A region is a kind
+plus a tau window; three kinds are sampled, near_A and far_field for L0
+and inner_glued for L1, and the ends of each band come from the threshold
+config (xi0, xi1, delta0, delta1), the far field's outer end from the
+module constant _FAR_CUT.
 
-L1 of a glued barrier, in closed form on each side of the corner xi1.
+L1 of a glued barrier, on each side of the corner xi1.  Right (xi > xi1),
+w = e^{gamma tau} psi(eta, tau) at eta = A + xi e^{-gamma tau} gives
+w_x = psi_eta, w_xx = e^{-gamma tau} psi_etaeta and e^{-gamma tau} (w_tau
+- (1+gamma) w) = psi_tau - gamma (eta - A) psi_eta - psi, so L1(w) =
+L0(psi) exactly: e^{-gamma tau} times l0_terms, residual and scale alike.
 Left (xi <= xi1), w = phibar0(s)/(1 +/- eps) at s = xi + C(tau): w_x and
 w_tau are phibar0' and phibar0' C' over (1 +/- eps), the bracket of L1 does
 not change when w is scaled, and the stationary equation makes (n-1) times
@@ -33,18 +38,43 @@ it at phibar0 equal a0 - gamma A phibar0'.  So
     L1 = [e^{-gamma tau} (phibar0' C' - (1+gamma) phibar0)
           +/- eps gamma A phibar0'] / (1 +/- eps),
 
-with no phibar0'' and no O(1) terms cancelling to an O(phibar0) residual;
-the scale, the three terms' magnitudes over (1 +/- eps), falls with phibar0,
-so the margin over it does not decay as xi falls.  This treats phibar0 as
-the exact solution; the table's gap to it is its stationary residual, which
-the selfsim-tail check bounds.  phibar0' is read on the P route, phibar0
-(2 + c P), not as the Z cubic's s-derivative (about 5e-8 relative apart):
-(Z, P) is the state that solves the stationary equation, and C' divides by
-the same phibar0' at xi1.  Right (xi > xi1), w = e^{gamma tau} psi(eta, tau)
-at eta = A + xi e^{-gamma tau} gives w_x = psi_eta, w_xx = e^{-gamma tau}
-psi_etaeta and e^{-gamma tau} (w_tau - (1+gamma) w) = psi_tau - gamma
-(eta - A) psi_eta - psi, so L1(w) = L0(psi) exactly: e^{-gamma tau} times
-l0_terms, residual and scale alike.
+and, divided by phibar0'/(1 +/- eps) > 0, L1 has the sign of the margin
+
+    m(tau, s) = e^{-gamma tau} (C' - (1+gamma) h(s)) +/- eps gamma A,
+    h = phibar0/phibar0'.
+
+h is 1/2 on the core law (phibar0' = 2 phibar0), 1/(2 + c P) on the table
+(phibar0' = phibar0 (2 + c P), selfsim) and g/g' on the tail expansion g.
+So h is nondecreasing in s from 1/2 when P starts at or below 0 and does
+not increase over the table's steps, h does not step down where the tail
+takes over, and g/g' does not decrease on the tail;
+SelfSimilarProfile.ratio_nondecreasing checks that on the s range the
+margins read.  Then, at each tau and over every xi <= xi1, xi ->
+-infinity included, the plus margin is smallest at the corner, h =
+h(xi1 + C+(tau)), and the minus margin is largest on the core, h = 1/2:
+left_margin gives these two scalars per tau, over the scale e^{-gamma tau}
+(|C'| + (1+gamma) h) + eps gamma A, the three terms' magnitudes.  This
+treats phibar0 as the exact solution; the table's gap to it is its
+stationary residual, which the selfsim-tail check bounds.  phibar0' is read
+on the P route, phibar0 (2 + c P), not as the Z cubic's s-derivative (about
+5e-8 relative apart): (Z, P) is the state that solves the stationary
+equation, and C' divides by the same phibar0' at xi1.
+
+Start of the inner verdict.  verify_inner reads both margins on one tau
+column from tau_match, at the sampled verdict's tau step 6/(grid_tau - 1).
+Each margin is the constant +/- eps gamma A plus e^{-gamma tau} B(tau),
+where B is bounded for the minus sign (C-' -> 0 as C- converges) and
+grows at most linearly for the plus sign (C+' tends to a constant slope,
+and h(s) ~ s on the tail).  So the sign settles once e^{-gamma tau} |B|
+falls below eps gamma A, and over 12/gamma e^{-gamma tau} B falls by
+e^{-12} = 6e-6 times B's linear growth.  The column spans 6 + 12/gamma:
+a start within twelve e-folds of e^{-gamma tau} past tau_match, and the
+sampled window of 6 after it.  tau*+/- is the first column tau from which
+the margin keeps the barrier's sign, beyond sign_atol_factor times its
+scale, to the column's end; a start that leaves less than 6 before the end
+counts as none.  tau3 = max(tau_match, tau*+, tau*-), and the right half
+(xi1, xi1 + delta1] is sampled over [tau3, tau3 + 6].  The margins say
+nothing of tau past the column's end.
 
 Outer thresholds.  psi^sign passes its L0 verdict for eta >= A + xi0
 e^{-gamma tau}, tau >= tau_start, and find_thresholds computes xi0.  At
@@ -84,12 +114,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .matching import GluedBarrier
+from .matching import _SIGN_FACTOR, GluedBarrier
 from .outer import OuterProfileSet, _math_exp
 from .params import theta
 
 __all__ = [
     "l1_terms_evaluator",
+    "left_margin",
+    "verify_inner",
     "Region",
     "ResidualReport",
     "verify_sign_region",
@@ -98,54 +130,98 @@ __all__ = [
 
 
 def l1_terms_evaluator(barrier: GluedBarrier):
-    """The L1 residual of a glued barrier with its term-magnitude scale, as
-    a terms_fn for verify_sign_region, from the closed forms of the module
-    docstring.  Like GluedBarrier.wbar it takes one xi row that every tau
-    shares, here against a tau column, and returns arrays of shape
-    (n_tau, n_xi).  Left of xi1, C and C' at every tau come from one edge
-    reading and feed one phibar0 call; right of it, one l0_terms call at
-    the mapped gaps.  e^{-gamma tau} comes from outer._math_exp, once per
-    tau, so each row equals a call at its own tau, bit for bit, and a side
-    that no xi reaches reads nothing."""
-    p, g = barrier.outer.p, barrier.outer.p.gamma
-    pm_eps = barrier.eps if barrier.sign == "+" else -barrier.eps
+    """The L1 residual of a glued barrier right of its corner xi1, with its
+    term-magnitude scale, as a terms_fn for verify_sign_region: e^{-gamma
+    tau} times l0_terms at the mapped gaps xi e^{-gamma tau} (module
+    docstring).  Like GluedBarrier.wbar it takes one xi row that every tau
+    shares, here against a tau column, and returns arrays of shape (n_tau,
+    n_xi); every xi must lie right of xi1, where the left side's closed form
+    is left_margin.  e^{-gamma tau} comes from outer._math_exp, once per
+    tau, so each row equals a call at its own tau, bit for bit."""
+    g = barrier.outer.p.gamma
 
     def ev(xi, tau):
-        xi, taus = np.ravel(np.asarray(xi, dtype=float)), np.ravel(tau)
+        taus = np.ravel(tau)
         col = _math_exp(-g, taus)[:, None]
-        res, scale = np.empty((taus.size, xi.size)), np.empty((taus.size, xi.size))
-        left = xi <= barrier.xi1
-        if np.any(left):
-            C, Cp = barrier.C_and_C_prime(taus)
-            v, dv, _ = barrier.profile.phibar0(xi[left] + C[:, None], derivs=True)
-            if np.any(v <= 0.0):
-                raise errors.NonPositiveProfile("inner profile <= 0 inside L1")
-            terms = (col * dv * Cp[:, None], -col * (1.0 + g) * v, pm_eps * g * p.A * dv)
-            res[:, left] = (terms[0] + terms[1] + terms[2]) / barrier.factor
-            scale[:, left] = (np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])) / barrier.factor
-        if not np.all(left):
-            r, sc = barrier.outer.l0_terms(barrier.sign, taus[:, None], gap=xi[~left] * col)
-            res[:, ~left], scale[:, ~left] = col * r, col * sc
-        return res, scale
+        r, sc = barrier.outer.l0_terms(barrier.sign, taus[:, None], gap=np.ravel(xi) * col)
+        return col * r, col * sc
 
     return ev
+
+
+def left_margin(barrier: GluedBarrier, taus):
+    """(margin, scale, corner) per tau: the margin m of L1 left of xi1 that
+    decides its sign on every xi <= xi1 (module docstring), at the corner
+    h = h(xi1 + C) for the plus sign and on the core h = 1/2 for the minus
+    sign; the sum of its three terms' magnitudes; and the corner's
+    s = xi1 + C.  One C_and_C_prime reading, and for the plus sign one
+    phibar0 call."""
+    p = barrier.outer.p
+    C, Cp = barrier.C_and_C_prime(taus)
+    corner = barrier.xi1 + C
+    h = np.divide(*barrier.profile.phibar0(corner, derivs=True)[:2]) if barrier.sign == "+" else 0.5
+    e = _math_exp(-p.gamma, taus)
+    terms = (e * Cp, -e * (1.0 + p.gamma) * h,
+             _SIGN_FACTOR[barrier.sign] * barrier.eps * p.gamma * p.A)
+    scale = np.abs(terms[0]) + np.abs(terms[1]) + abs(terms[2])
+    return terms[0] + terms[1] + terms[2], scale, corner
+
+
+# the left margins' tau column: the sampled window of 6 past a start within
+# twelve e-folds of e^{-gamma tau} (module docstring)
+_COLUMN_EFOLDS = 12.0
+
+
+def verify_inner(bars, tau_match: float) -> dict:
+    """The inner sign verdict of the glued pair bars = (plus, minus) from
+    its start tau3 (module docstring): "passed", tau3, the tau column read,
+    per sign tau* and the smallest left margin over its scale from tau3
+    (with its tau), the h check, and the right half's sampled reports over
+    [tau3, tau3 + 6].  A sign whose margin finds no start on the column,
+    or an h that is not nondecreasing on the s range read, fails the
+    verdict before any sampling, with tau3 None and the reason under
+    "error"."""
+    p, cfg = bars[0].outer.p, bars[0].outer.cfg
+    step = 6.0 / (cfg.grid_tau - 1)
+    taus = tau_match + step * np.arange(math.ceil((6.0 + _COLUMN_EFOLDS / p.gamma) / step) + 1)
+    out = {"passed": False, "tau3": None, "tau_column": [tau_match, float(taus[-1])],
+           "tau_star": {}, "left_margin": {}, "reports": {}}
+    margins = {bar.sign: left_margin(bar, taus) for bar in bars}
+    for sign, (m, scale, _) in margins.items():
+        keeps = _SIGN_FACTOR[sign] * m > cfg.sign_atol_factor * scale
+        start = np.logical_and.accumulate(keeps[::-1])[::-1] & (taus + 6.0 <= taus[-1])
+        out["tau_star"][sign] = float(taus[start][0]) if start.any() else None
+    s_hi = max(float(np.max(corner)) for _, _, corner in margins.values())
+    out["h_nondecreasing"] = bars[0].profile.ratio_nondecreasing(s_hi)
+    missing = [{"+": "plus", "-": "minus"}[s] for s, tau in out["tau_star"].items() if tau is None]
+    if missing or not out["h_nondecreasing"]:
+        out["error"] = (f"the {' and '.join(missing)} left margin finds no start on the tau column"
+                        if missing else f"h = phibar0/phibar0' falls on s <= {s_hi:.6g}")
+        return out
+    out["tau3"] = tau3 = max(out["tau_star"].values())
+    j = int(np.searchsorted(taus, tau3))
+    for sign, (m, scale, _) in margins.items():
+        ratio = _SIGN_FACTOR[sign] * m[j:] / scale[j:]
+        out["left_margin"][sign] = {"min_over_scale": float(ratio.min()),
+                                    "tau": float(taus[j + int(ratio.argmin())])}
+    region = Region("inner_glued", tau3, tau3 + 6.0)
+    out["reports"] = {b.sign: verify_sign_region(l1_terms_evaluator(b), b.sign, region, p, cfg)
+                      for b in bars}
+    out["passed"] = all(rep.passed for rep in out["reports"].values())
+    return out
 
 
 # -- region sweeps -------------------------------------------------------------
 
 
-# Ends of the bands that the config does not set: gap 2e4 for the far
-# field, xi = -7 for the inner band.  -7 is no resolution limit (the inner
-# margin over its scale does not decay); where the band should start, the
-# table start with the core law below it, is open, so the grid stays put.
+# The far field's outer end, gap 2e4.
 _FAR_CUT = 2e4
-_XI_LO = -7.0
 
 
 @dataclass(frozen=True)
 class Region:
     """Sampling region: a kind and a tau window.  The band ends come from
-    the config passed to verify_sign_region and the constants above;
+    the config passed to verify_sign_region and from _FAR_CUT;
     find_thresholds passes the config with its computed xi0.
 
     Outer regions of the L0 verdicts (space variable = gap = eta - A,
@@ -153,8 +229,9 @@ class Region:
       kind = "near_A":    gap in [xi0 e^{-gamma tau}, delta0], a row per tau.
       kind = "far_field": gap in [delta0, _FAR_CUT], one row for every tau.
     Inner region of the L1 verdict (space variable = xi, linear):
-      kind = "inner_glued": xi in [_XI_LO, xi1 + delta1], corner skipped,
-                            one row for every tau.
+      kind = "inner_glued": xi in (xi1, xi1 + delta1], the corner left
+                            out, one row for every tau; left of xi1 the
+                            margins of verify_inner decide L1's sign.
     """
 
     kind: str
@@ -191,8 +268,9 @@ def _space_grid(region: Region, taus, cfg, gamma: float):
     near_A, whose lower end xi0 e^{-gamma tau} moves with tau, a grid of
     shape (len(taus), cfg.grid_eta) with row i at taus[i]; for far_field
     and inner_glued, which do not depend on tau, one (1, n) row that every
-    tau shares.  Raises EmptyRegion when a band or the corner-masked row
-    has no points, or when the lower end of a near_A row underflows to 0.
+    tau shares; inner_glued's row is the n points of (xi1, xi1 + delta1]
+    after xi1 on an even grid.  Raises EmptyRegion when a near_A band is
+    empty or its lower end underflows to 0.
     """
     taus = np.asarray(taus, dtype=float)
     n_space = cfg.grid_eta
@@ -214,12 +292,7 @@ def _space_grid(region: Region, taus, cfg, gamma: float):
     if region.kind == "far_field":
         row = np.geomspace(cfg.delta0, _FAR_CUT, n_space)
     elif region.kind == "inner_glued":
-        row = np.linspace(_XI_LO, cfg.xi1 + cfg.delta1, n_space)
-        row = row[np.abs(row - cfg.xi1) > 1e-9]
-        if row.size == 0:
-            raise errors.EmptyRegion(
-                "inner_glued region empty: every point sits on the corner xi1"
-            )
+        row = np.linspace(cfg.xi1, cfg.xi1 + cfg.delta1, n_space + 1)[1:]
     else:
         raise errors.InvalidParameter(f"unknown region kind {region.kind!r}")
     return row[None, :]

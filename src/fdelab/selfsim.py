@@ -130,6 +130,19 @@ class SelfSimilarProfile:
         _, _, _, d, e = self._tail
         return float(deviation), abs(d * math.log(lo) + e) / lo
 
+    def ratio_nondecreasing(self, s_hi: float) -> bool:
+        """Whether h = phibar0/phibar0' is nondecreasing from 1/2 on s <=
+        s_hi: 1/2 on the core law, 1/(2 + c P) at every breakpoint of the
+        table (so P starts at or below 0 and does not increase over its
+        steps), then g/g' of the tail expansion g on 200 points from u_max
+        to s_hi, if s_hi lies past the table.  The margins of the residuals
+        module read h through this order."""
+        h = np.append(0.5, 1.0 / (2.0 + self._c * self._table(self._table.ts)[1]))
+        if s_hi + self._k > self._u_max:
+            u = np.linspace(self._u_max, s_hi + self._k, 200)
+            h = np.append(h, np.divide(*self._expansion(u, np.log(u))[:2]))
+        return bool(np.all(np.diff(h) >= 0.0))
+
     def _at(self, u, derivs: bool = False):
         """phibar0_1(u), or with derivs the triple of it and its first two
         derivatives; a float u gives floats."""

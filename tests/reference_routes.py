@@ -6,9 +6,12 @@ The package evaluates the operators through the rescaled term evaluators
 the raw residuals, the raw derivatives of the glued barrier, the mapped
 outer evaluator, the exact decompositions and the single corrector
 profiles here are second routes that the tests compare those against.
-The L1 evaluator takes one xi row that every tau shares; the evaluator
-of the same closed forms over any (tau, xi) grid, one tau per point, is
-here.
+The L1 evaluator takes one xi row right of the corner xi1 that every tau
+shares, and left of xi1 residuals.left_margin decides L1's sign from two
+scalars per tau.  The closed forms of both sides over any (tau, xi) grid,
+one tau per point, are here (l1_terms_on_grid, whose left branch is the
+package's former left side), and with them the former full-band inner
+verdict on [-7, xi1 + delta1] (full_band_verdict).
 The comoving solver builds its Newton bands from stencil quotients
 (pde._newton_bands) and reduces every frame as it is accepted; the raw
 Jacobian bands and the solves that keep every frame are here.
@@ -16,10 +19,11 @@ Jacobian bands and the solves that keep every frame are here.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 
-from fdelab import errors, pde
+from fdelab import errors, pde, residuals
 from fdelab.matching import GluedBarrier, _exp_gamma_tau
 from fdelab.outer import OuterProfileSet, _math_exp
 from fdelab.params import theta
@@ -221,6 +225,24 @@ def l1_terms_on_grid(barrier: GluedBarrier):
         return res, scale
 
     return ev
+
+
+def full_band_verdict(barrier: GluedBarrier, tau_lo: float, cfg=None):
+    """The former inner verdict of barrier over [tau_lo, tau_lo + 6]:
+    verify_sign_region on grid_eta points of [-7, xi1 + delta1], the corner
+    xi1 skipped, one row shared by every tau, with L1 in closed form on both
+    sides of xi1 (l1_terms_on_grid on the tiled row)."""
+    cfg = cfg or barrier.outer.cfg
+    row = np.linspace(-7.0, cfg.xi1 + cfg.delta1, cfg.grid_eta)
+    row = row[np.abs(row - cfg.xi1) > 1e-9][None, :]
+    ev = l1_terms_on_grid(barrier)
+
+    def terms(xi, tau):
+        return ev(np.broadcast_to(xi, (tau.shape[0], xi.shape[1])), tau)
+
+    region = residuals.Region("inner_glued", tau_lo, tau_lo + 6.0)
+    with mock.patch.object(residuals, "_space_grid", lambda *args: row):
+        return residuals.verify_sign_region(terms, barrier.sign, region, barrier.outer.p, cfg)
 
 
 # -- comoving solver -------------------------------------------------------------

@@ -122,6 +122,8 @@ def test_config_must_name_required_keys(tmp_path, capsys):
     # the drift speed delta^(-gamma-1) = e^((1+gamma) tau) overflows once
     # (1+gamma) tau passes ~709.8: a bare OverflowError at tau 300
     ("simulate", dict(SMOKE, tau0=300, tau_end=301)),
+    # the inner band (xi1, xi1 + delta1] would lie left of the corner
+    ("verify", dict(SMOKE, delta1=0.0)),
 ])
 def test_malformed_config_values_exit_2(command, config, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -296,10 +298,46 @@ def test_verify_does_not_depend_on_lambda(tmp_path):
             assert abs(got + k - want) <= 1e-12
 
 
+def test_simulate_from_an_underflowing_start_names_gamma_tau0(tmp_path):
+    # from tau0 160 on ref the mid run's start underflows to 0 although the
+    # barriers stay ordered: simulate exits 2 naming (1+gamma) tau0, not
+    # the sandwich
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, tau0=160.0, eps=0.018066406177734376)))
+    out = tmp_path / "runs"
+    proc = _run_cli(["simulate", "--force", "--config", str(config), "--out", str(out)])
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: mid run (n_cells 400, tau0 160.0): ")
+    assert "(1+gamma) tau0 = 400" in proc.stderr and "sandwich" not in proc.stderr
+
+
+# gamma -> the checks verify fails at 16x4 grids (n 3, m 0.1, A 2,
+# theta1- -1); at gamma 0.1 the minus threshold's 5% margin is too small
+GAMMA_SWEEP_FAILURES = {0.1: ["outer-thresholds-minus"], 0.15: [], 0.2: [], 0.3: [], 0.7: [],
+                        3.0: []}
+
+
+@pytest.mark.parametrize("gamma", sorted(GAMMA_SWEEP_FAILURES))
+def test_verify_across_the_gamma_range(gamma, tmp_path):
+    # the inner verdict starts at tau3, computed from its left margins
+    # however far past tau_match it lies (tau_match + 26 at gamma 0.1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SMOKE, gamma=gamma, grid_eta=16, grid_tau=4)))
+    out = tmp_path / "runs"
+    rc = main(["verify", "--config", str(config), "--out", str(out)])
+    (report,) = out.glob("verify-*.json")
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == GAMMA_SWEEP_FAILURES[gamma]
+    assert rc == (1 if GAMMA_SWEEP_FAILURES[gamma] else 0)
+    (inner,) = [c["details"] for c in checks if c["name"] == "inner-signs"]
+    assert inner["h_nondecreasing"] and inner["tau3"] == max(inner["tau_star"].values())
+
+
 def test_inner_verdict_resolves_its_band_end(tmp_path):
     # at theta1- = -30 L1 formed from the raw glued derivatives left 4 of
     # the 64 minus points at xi = -7 inside atol, and verify exited 1; the
-    # closed form resolves every point of the band
+    # left margins now close xi <= xi1 without sampling it, and the sampled
+    # right half resolves every point
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(SMOKE, theta1_minus=-30.0, grid_eta=16, grid_tau=4)))
     out = tmp_path / "runs"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -136,6 +137,17 @@ def test_threshold_config_validation(p_ref, cfg_ref):
                        ("inconclusive_frac", -0.5)):
         with pytest.raises(errors.InvalidParameter, match=key):
             dataclasses.replace(cfg_ref, **{key: value}).validated(p_ref)
+
+
+@pytest.mark.parametrize("key", ["delta0", "delta1"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_band_widths_must_be_positive(p_ref, cfg_ref, key, value):
+    # delta1 <= 0 would put the sampled inner band (xi1, xi1 + delta1]
+    # left of the corner, where left_margin decides L1's sign
+    cfg = dataclasses.replace(cfg_ref, **{key: value})
+    with pytest.raises(errors.InvalidParameter, match=rf"^need delta0, delta1 > 0: "
+                                                     rf"{cfg.delta0}, {cfg.delta1}$"):
+        cfg.validated(p_ref)
 
 
 def test_params_check_themselves(p_ref):

@@ -1017,6 +1017,24 @@ def test_sandwich_error_names_the_failing_run(solver_ref, eps, tau0, tau_end, n_
     assert type(info.value.__cause__) is errors.NewtonDiverged
 
 
+def test_underflowing_start_is_out_of_domain(solver_ref, monkeypatch):
+    """From tau0 = 160 on ref, delta^(1+gamma) = e^(-400) makes the product
+    under the mid run's geometric mean underflow to 0 at every point,
+    although the barriers stay ordered; the sandwich refuses that start as
+    OutOfDomain naming (1+gamma) tau0, before any row steps, where it used
+    to report the data as leaving the sandwich."""
+    eps = 0.018066406177734376
+    bars = GluedBarrier(solver_ref, "+", eps), GluedBarrier(solver_ref, "-", eps)
+    xi = np.linspace(-10.0, 40.0, 401)
+    assert np.all(np.diff(np.vstack([bar.wbar(xi, [160.0]) for bar in bars[::-1]]), axis=0) > 0.0)
+    stepped = []
+    monkeypatch.setattr(pde, "_solve_rows", lambda *a, **kw: stepped.append(a))
+    with pytest.raises(errors.OutOfDomain, match=r"^mid run \(n_cells 400, tau0 160\.0\): start "
+                       r"is not positive at \(1\+gamma\) tau0 = 400$"):
+        comparison_sandwich(*bars, tau0=160.0, tau_end=160.5, n_cells=400, dtau=0.01)
+    assert stepped == []
+
+
 def test_predictor_gives_each_row_its_lone_bits():
     """The predictor of a step group, with its float exponent r, gives
     each row the bits of its lone W (W / W_prev)^r, including the

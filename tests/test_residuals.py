@@ -10,17 +10,19 @@ import sympy as sp
 
 from fdelab import errors, residuals
 from fdelab import outer as outer_mod
-from fdelab.matching import GluedBarrier, MatchingSolver
+from fdelab.matching import GluedBarrier, MatchingSolver, find_epsilon_bounds
 from fdelab.outer import OuterProfileSet, branch_variant
 from fdelab.params import ModelParams, ThresholdConfig, default_thresholds, theta
 from fdelab.reporting import make_check
-from fdelab.selfsim import SelfSimilarProfile
+from fdelab.selfsim import SelfSimilarProfile, shoot_v0
 from fdelab.residuals import (
     Region,
     ResidualReport,
     _space_grid,
     find_thresholds,
     l1_terms_evaluator,
+    left_margin,
+    verify_inner,
     verify_sign_region,
 )
 from reference_routes import (
@@ -28,6 +30,7 @@ from reference_routes import (
     L1_residual,
     L1_terms,
     at_C10,
+    full_band_verdict,
     glued_raw_evaluator,
     l1_terms_on_grid,
     outer_as_inner_evaluator,
@@ -114,30 +117,55 @@ def _l1_at(bar, xi, tau):
     return res[0], scale[0]
 
 
+def _closed_l1_at(bar, xi, tau):
+    """L1 in closed form on both sides of xi1 (the reference route) on one
+    xi row at a float tau: (residual, scale)."""
+    res, scale = l1_terms_on_grid(bar)(np.atleast_1d(xi)[None, :], np.array([[tau]]))
+    return res[0], scale[0]
+
+
+# a point on the core law for both signs at the ref config: s = xi + C
+# lies below the table start s_min = log 1e-6 for tau in [10, 20]
+XI_CORE = -25.0
+
+
 def test_inner_closed_form_matches_numeric_l1(solver_ref):
-    # the package's closed form against L1 of the raw glued derivatives
-    bar = GluedBarrier(solver_ref, "-", 0.01)
-    xis = np.linspace(-5.0, 9.5, 30)
-    num = L1_residual(glued_raw_evaluator(bar), xis, 12.0, bar.outer.p)
-    closed, _ = _l1_at(bar, xis, 12.0)
-    assert np.max(np.abs(num - closed)) < 1e-12
+    # left of xi1 the package decides L1's sign from left_margin: the plus
+    # margin is L1 at the corner, the minus margin L1 on the core, each
+    # over phibar0'/(1 +/- eps).  Both have the sign of L1 of the raw glued
+    # derivatives there, and the margin over its scale equals the closed
+    # form's L1 over its scale
+    taus = np.array([10.0, 12.0, 16.0])
+    for sign, xi in (("+", XI1), ("-", XI_CORE)):
+        bar = GluedBarrier(solver_ref, sign, 0.01)
+        margin, scale, corner = left_margin(bar, taus)
+        np.testing.assert_array_equal(corner, XI1 + bar.C(taus))
+        for i, tau in enumerate(taus.tolist()):
+            raw = L1_residual(glued_raw_evaluator(bar), np.array([xi]), tau, bar.outer.p)[0]
+            res, res_scale = _closed_l1_at(bar, [xi], tau)
+            assert np.sign(margin[i]) == np.sign(raw) == np.sign(res[0]) != 0.0
+            assert margin[i] / scale[i] == pytest.approx(res[0] / res_scale[0], rel=1e-12)
 
 
 def test_inner_defect_frozen(solver_ref):
     # eps = 0 leaves the pure e^{-gamma tau} transport defect; negative is
-    # the correct direction for the subsolution
+    # the correct direction for the subsolution.  The minus margin is the
+    # largest L1 over phibar0' left of xi1, so it lies above both
     bar = GluedBarrier(solver_ref, "-", 0.0)
-    d0, d5 = _l1_at(bar, [0.0, 5.0], 10.0)[0].tolist()
+    d0, d5 = _closed_l1_at(bar, [0.0, 5.0], 10.0)[0].tolist()
     assert d0 == pytest.approx(INNER_DEFECT_XI0, rel=1e-6)
     assert d5 == pytest.approx(INNER_DEFECT_XI5, rel=1e-6)
     assert d0 < 0.0 and d5 < 0.0
+    (C,), (margin,) = bar.C([10.0]), left_margin(bar, [10.0])[0]
+    dv = bar.profile.phibar0(np.array([0.0, 5.0]) + C, derivs=True)[1]
+    assert margin < 0.0 and np.all(np.array([d0, d5]) / dv < margin)
 
 
 def test_l1_terms_evaluator_consistent(solver_ref):
     # one row per tau of the column, each against the raw residual
     bar = GluedBarrier(solver_ref, "-", 0.01)
     ev = l1_terms_evaluator(bar)
-    xis = np.linspace(-3.0, 8.0, 20)
+    xis = np.linspace(10.5, 29.0, 20)
     for x in (xis, xis + 0.5):
         res, scale = ev(x, np.array([[12.0], [14.0]]))
         assert res.shape == scale.shape == (2, 20)
@@ -150,14 +178,16 @@ def test_l1_terms_evaluator_consistent(solver_ref):
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("setup,tau_lo", [("ref", 10.0), ("low", 15.150347630467653)])
 def test_l1_evaluator_matches_raw_l1_on_the_band(request, setup, tau_lo, sign):
-    # on the verdict's band [-7, xi1 + delta1], both sides of the corner,
-    # the closed forms agree with L1 of the raw glued derivatives to
-    # 1e-12 of the raw terms' magnitude
+    # on the verdict's band (xi1, xi1 + delta1], right of the corner, the
+    # closed form agrees with L1 of the raw glued derivatives to 1e-12 of
+    # the raw terms' magnitude
     bar = GluedBarrier(request.getfixturevalue(f"solver_{setup}"), sign, 0.018)
     cfg = bar.outer.cfg
     taus = np.linspace(tau_lo, tau_lo + 6.0, 4)
     xi = _space_grid(Region("inner_glued", tau_lo, tau_lo + 6.0), taus, cfg, bar.outer.p.gamma)
-    assert xi[0, 0] == -7.0 and xi[0, -1] == cfg.xi1 + cfg.delta1
+    step = cfg.delta1 / cfg.grid_eta
+    assert xi[0, 0] == pytest.approx(cfg.xi1 + step, rel=1e-15)
+    assert xi[0, -1] == cfg.xi1 + cfg.delta1
     res, _ = l1_terms_evaluator(bar)(xi, taus[:, None])
     raw = glued_raw_evaluator(bar)
     for i, tau in enumerate(taus.tolist()):
@@ -169,21 +199,29 @@ def test_l1_evaluator_matches_raw_l1_on_the_band(request, setup, tau_lo, sign):
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_inner_margin_stays_away_from_zero_below_the_band(solver_ref, eps_ref, sign):
     # the raw route's margin over its scale decays like phibar0 ~ e^{2 xi}
-    # to rounding; the closed form's stays bounded away from 0: at tau = 10
-    # and the weight verify recommends, eps1/2, it is at least 0.9998 (+)
-    # and 0.99999 (-) on [-25, -7]
+    # to rounding; the closed form's stays bounded away from 0.  At tau =
+    # 10 and the weight verify recommends, eps1/2, the left margin over its
+    # scale is 0.9993 (+) and 0.99999 (-), and the closed form's L1 over
+    # its scale on [-25, -7] lies at or above it, as h >= 1/2 and h <= h
+    # at the corner make it (residuals docstring)
     bar = GluedBarrier(solver_ref, sign, 0.5 * eps_ref[0])
-    res, scale = _l1_at(bar, np.linspace(-25.0, -7.0, 181), 10.0)
-    signed = res if sign == "+" else -res
-    assert np.min(signed / scale) > 0.5
+    factor = 1.0 if sign == "+" else -1.0
+    margin, scale, _ = left_margin(bar, [10.0])
+    bound = factor * margin[0] / scale[0]
+    res, res_scale = _closed_l1_at(bar, np.linspace(-25.0, -7.0, 181), 10.0)
+    assert bound > 0.5
+    assert np.min(factor * res / res_scale) >= bound * (1.0 - 1e-12)
 
 
 def test_far_left_underflow_is_a_nonpositive_profile(solver_ref):
-    # phibar0 at xi = -400 underflows to 0, which L1 cannot divide by
+    # phibar0 at xi = -400 underflows to 0, which L1 formed pointwise
+    # cannot divide by; the left margin covers it without evaluating it
     bar = GluedBarrier(solver_ref, "-", 0.01)
     assert bar.wbar([-400.0], [10.0])[0, 0] == 0.0
     with pytest.raises(errors.NonPositiveProfile):
-        _l1_at(bar, [-400.0, 0.0], 10.0)
+        _closed_l1_at(bar, [-400.0, 0.0], 10.0)
+    margin, scale, _ = left_margin(bar, [10.0])
+    assert -margin[0] / scale[0] > 0.5
 
 
 # -- domain guards ------------------------------------------------------------
@@ -209,18 +247,18 @@ def test_inner_closed_form_domain(solver_ref):
     # for bit
     bar = GluedBarrier(solver_ref, "-", 0.0)
     tau, right = 10.0, np.nextafter(XI1, np.inf)
-    res, scale = _l1_at(bar, [XI1, right], tau)
+    res, scale = _closed_l1_at(bar, [XI1], tau)
     raw = L1_residual(glued_raw_evaluator(bar), np.array([XI1]), tau, bar.outer.p)
     assert abs(res[0] - raw[0]) < 1e-12
+    res, scale = _l1_at(bar, [right], tau)
     e = math.exp(-bar.outer.p.gamma * tau)
     l0, l0_scale = bar.outer.l0_terms("-", np.array([[tau]]), gap=np.array([[right * e]]))
-    assert (res[1], scale[1]) == (e * l0[0, 0], e * l0_scale[0, 0])
+    assert (res[0], scale[0]) == (e * l0[0, 0], e * l0_scale[0, 0])
 
 
 # -- verdict classification ---------------------------------------------------
 
-# on the config's band [-7, xi1 + delta1] = [-7, 30], no grid point of the
-# verdict tests falls on the skipped corner xi1 = 10
+# on the config's band (xi1, xi1 + delta1] = (10, 30]
 REGION = Region(kind="inner_glued", tau_lo=1.0, tau_hi=2.0)
 
 
@@ -334,7 +372,7 @@ def test_report_serializes_as_its_fields(p_ref, cfg_ref):
         "inconclusive_frac": 0.0,
         "min_residual": 1.0,
         "max_residual": 1.0,
-        "worst_point": [-7.0, 1.0, 1.0],
+        "worst_point": [12.0, 1.0, 1.0],
         "passed": True,
     }
     # the region kind names the operator
@@ -345,10 +383,11 @@ def test_report_serializes_as_its_fields(p_ref, cfg_ref):
 
 
 def test_region_is_a_kind_and_a_tau_window(p_ref, cfg_ref):
-    # the band ends come from the config, or from the module constants
-    # where the config has none
+    # the band ends come from the config, or from the module constant
+    # _FAR_CUT where the config has none; the inner band starts right of
+    # the corner xi1, whatever its points
     assert [f.name for f in dataclasses.fields(Region)] == ["kind", "tau_lo", "tau_hi"]
-    assert (residuals._XI_LO, residuals._FAR_CUT) == (-7.0, 2e4)
+    assert residuals._FAR_CUT == 2e4 and not hasattr(residuals, "_XI_LO")
     cfg = dataclasses.replace(cfg_ref, xi0=0.5, xi1=4.0, delta0=0.125, delta1=2.0, grid_eta=9)
     taus = np.array([10.0, 11.0])
     near = _space_grid(Region("near_A", 10.0, 11.0), taus, cfg, p_ref.gamma)
@@ -357,7 +396,11 @@ def test_region_is_a_kind_and_a_tau_window(p_ref, cfg_ref):
     far = _space_grid(Region("far_field", 10.0, 11.0), taus, cfg, p_ref.gamma)
     assert far[0, 0] == 0.125 and far[0, -1] == pytest.approx(2e4, rel=1e-15)
     inner = _space_grid(Region("inner_glued", 10.0, 11.0), taus, cfg, p_ref.gamma)
-    assert inner[0, 0] == -7.0 and inner[0, -1] == 6.0
+    assert inner.shape == (1, 9) and inner[0, 0] == pytest.approx(4.0 + 2.0 / 9.0, rel=1e-15)
+    assert inner[0, -1] == 6.0
+    one = dataclasses.replace(cfg, grid_eta=1)
+    inner = _space_grid(Region("inner_glued", 10.0, 11.0), taus, one, p_ref.gamma)
+    assert inner.tolist() == [[6.0]]
 
 
 def test_region_grid_construction(p_ref, cfg_ref):
@@ -371,9 +414,8 @@ def test_region_grid_construction(p_ref, cfg_ref):
     verify_sign_region(record, "+", glued, p_ref, _grid(cfg_ref, 101, 2))
     for grid in seen["grids"]:
         assert grid.shape == (1, 101)
-        assert grid.min() >= -7.0
-        assert grid.max() <= 30.0
-        assert np.all(np.abs(grid - 10.0) > 1e-10)  # corner excluded
+        assert grid.min() > 10.0  # corner excluded
+        assert grid.max() == 30.0
 
 
 def test_empty_near_a_band_rejected(p_ref, cfg_ref):
@@ -405,14 +447,6 @@ def test_grid_without_points_rejected(p_ref, n_space, n_tau, cfg_ref):
                            _grid(cfg_ref, n_space, n_tau))
 
 
-def test_corner_masked_row_without_points_rejected(p_ref, cfg_ref, monkeypatch):
-    # one sample, and it sits on the corner xi1 that inner_glued skips
-    monkeypatch.setattr(residuals, "_XI_LO", cfg_ref.xi1)
-    region = Region(kind="inner_glued", tau_lo=10.0, tau_hi=12.0)
-    with pytest.raises(errors.EmptyRegion):
-        verify_sign_region(_const_terms(1.0), "+", region, p_ref, _grid(cfg_ref, 1, 4))
-
-
 def test_terms_fn_of_wrong_shape_rejected(p_ref, cfg_ref):
     def one_row(space, tau):
         return np.ones(space.shape[-1]), np.ones(space.shape[-1])
@@ -430,8 +464,7 @@ def _space_row(region, cfg, tau, gamma):
         return np.geomspace(cfg.xi0 * math.exp(-gamma * tau), cfg.delta0, n_space)
     if region.kind == "far_field":
         return np.geomspace(cfg.delta0, residuals._FAR_CUT, n_space)
-    grid = np.linspace(residuals._XI_LO, cfg.xi1 + cfg.delta1, n_space)
-    return grid[np.abs(grid - cfg.xi1) > 1e-9]
+    return np.linspace(cfg.xi1, cfg.xi1 + cfg.delta1, n_space + 1)[1:]
 
 
 def _verify_per_tau(operator, terms_fn, want, region, p, cfg,
@@ -516,8 +549,9 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
 
 
 def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
-    """C and C' of every tau come from one edge reading, and C from one
-    inverse per tau, when the xi row reaches xi <= xi1."""
+    """Left of xi1, C and C' of every tau of the column come from one edge
+    reading, and C from one inverse per tau; the sampled right half reads
+    no edge and solves no C."""
     bar = GluedBarrier(solver_ref, "+", 0.01)
     reads, inverses = [], []
     read_edge, inverse = MatchingSolver._read_edge, SelfSimilarProfile.inverse
@@ -532,13 +566,12 @@ def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
 
     monkeypatch.setattr(MatchingSolver, "_read_edge", spied_read)
     monkeypatch.setattr(SelfSimilarProfile, "inverse", spied_inverse)
+    left_margin(bar, np.linspace(12.0, 18.0, 5))
+    assert (len(reads), len(reads[0]), len(inverses)) == (1, 5, 5)
+    reads.clear(), inverses.clear()
     region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0)
     verify_sign_region(l1_terms_evaluator(bar), "+", region, bar.outer.p,
                        _grid(bar.outer.cfg, 81, 5))
-    assert (len(reads), len(reads[0]), len(inverses)) == (1, 5, 5)
-    # a row right of xi1 reaches no xi <= xi1, so it solves no C
-    reads.clear(), inverses.clear()
-    l1_terms_evaluator(bar)(np.linspace(11.0, 20.0, 7), np.array([[12.0], [13.0], [14.0]]))
     assert (reads, inverses) == ([], [])
 
 
@@ -551,7 +584,7 @@ def test_l1_evaluator_row_equals_the_grid_route(request, setup, tau_lo, sign):
     cfg = bar.outer.cfg
     taus = np.linspace(tau_lo, tau_lo + 6.0, cfg.grid_tau)
     row = _space_grid(Region("inner_glued", tau_lo, tau_lo + 6.0), taus, cfg, bar.outer.p.gamma)
-    assert row.shape == (1, cfg.grid_eta) and np.any(row < XI1) and np.any(row > XI1)
+    assert row.shape == (1, cfg.grid_eta) and np.all(row > XI1)
     res, scale = l1_terms_evaluator(bar)(row, taus[:, None])
     want_res, want_scale = l1_terms_on_grid(bar)(np.tile(row, (taus.size, 1)), taus[:, None])
     assert np.array_equal(res, want_res) and np.array_equal(scale, want_scale)
@@ -611,6 +644,92 @@ def test_tau_independent_bands_build_one_row(outer_low, monkeypatch):
     assert verify_sign_region(ev, "+", region, outer.p, cfg).passed
     assert gaps == [(cfg.grid_tau, cfg.grid_eta)]
     assert factors == [(cfg.grid_tau,)] + [(cfg.grid_tau, 1)] * 3
+
+
+# -- inner verdict: left margins and the start tau3 ----------------------------
+
+def _verified_pair(gamma):
+    """The glued pair at gamma (ref otherwise, default grids) with verify's
+    weight eps1/2 and its tau_match: the eps window read from tau_start,
+    escalated by 4 until one opens."""
+    p = ModelParams(3, 0.1, gamma, 2.0, theta1_minus=-1.0)
+    outer = OuterProfileSet(p, default_thresholds(p))
+    solver = MatchingSolver(shoot_v0(p), outer, branch_variant(gamma))
+    tau_match = outer.cfg.tau_start
+    for _ in range(7):
+        try:
+            eps1, eps2 = find_epsilon_bounds(solver, [tau_match, tau_match + 2.0, tau_match + 5.0])
+            break
+        except errors.NoAdmissibleEpsilon:
+            tau_match += 4.0
+    else:
+        pytest.fail(f"no eps window opens up to tau_match {tau_match} at gamma {gamma}")
+    eps = 0.5 * min(eps1, eps2)
+    return (GluedBarrier(solver, "+", eps), GluedBarrier(solver, "-", eps)), tau_match
+
+
+@pytest.mark.parametrize("gamma", [1.5, 0.5, 0.15, 0.2, 0.7])
+def test_former_full_band_verdict_passes_from_tau3(gamma):
+    # the former sampled verdict on [-7, xi1 + delta1], both sides of the
+    # corner, passes over [tau3, tau3 + 6] for both signs; on ref and low
+    # tau3 is tau_match (10 and 15.150347630467653), as the ladder found it
+    bars, tau_match = _verified_pair(gamma)
+    inner = verify_inner(bars, tau_match)
+    assert inner["passed"] and inner["h_nondecreasing"] and "error" not in inner
+    tau3 = inner["tau3"]
+    assert tau3 == max(tau_match, *inner["tau_star"].values())
+    if gamma in (1.5, 0.5):
+        assert tau3 == tau_match == {1.5: 10.0, 0.5: 15.150347630467653}[gamma]
+    for bar in bars:
+        assert full_band_verdict(bar, tau3).passed
+        assert inner["left_margin"][bar.sign]["min_over_scale"] > 0.0
+
+
+def test_plus_start_at_gamma_0_3_is_where_the_full_band_verdict_passes():
+    # at gamma 0.3 the plus margin sets tau3 = tau*+ = 31.148 past tau_match
+    # 21.917; the former full-band plus verdict fails half a tau earlier
+    # (23 violations at 30.648) and passes from tau3
+    bars, tau_match = _verified_pair(0.3)
+    inner = verify_inner(bars, tau_match)
+    assert inner["passed"]
+    tau3 = inner["tau3"]
+    assert tau3 == inner["tau_star"]["+"] > inner["tau_star"]["-"] == tau_match
+    assert tau3 == pytest.approx(31.148015281548652, rel=1e-12)
+    early = full_band_verdict(bars[0], tau3 - 0.5)
+    assert not early.passed and early.n_violations == 23
+    for bar in bars:
+        assert full_band_verdict(bar, tau3).passed
+
+
+def test_inner_verdict_without_a_start_names_the_sign(solver_ref, monkeypatch):
+    # at eps = 0 the plus margin e^(-gamma tau) (C+' - (1+gamma) h) keeps
+    # the wrong sign on the whole column: the verdict fails before any
+    # sampling and names the plus margin; the minus margin still starts
+    sampled = []
+    monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
+    bars = GluedBarrier(solver_ref, "+", 0.0), GluedBarrier(solver_ref, "-", 0.0)
+    out = verify_inner(bars, 10.0)
+    assert (out["passed"], out["tau3"], out["reports"], sampled) == (False, None, {}, [])
+    assert out["tau_star"] == {"+": None, "-": 10.0} and out["tau_column"] == [10.0, 24.0]
+    assert out["error"] == "the plus left margin finds no start on the tau column"
+
+
+def test_inner_verdict_fails_when_h_falls(solver_ref, eps_ref, monkeypatch):
+    # the margins bound L1 left of xi1 only while h = phibar0/phibar0' is
+    # nondecreasing from 1/2 on the s range they read; when the check says
+    # otherwise the verdict fails with the reason, before any sampling
+    sampled, read = [], []
+    monkeypatch.setattr(residuals, "verify_sign_region", lambda *a: sampled.append(a))
+    monkeypatch.setattr(SelfSimilarProfile, "ratio_nondecreasing",
+                        lambda self, s_hi: read.append(s_hi) or False)
+    bars = tuple(GluedBarrier(solver_ref, sign, 0.5 * eps_ref[0]) for sign in "+-")
+    out = verify_inner(bars, 10.0)
+    assert (out["passed"], out["tau3"], out["h_nondecreasing"], sampled) == (False, None, False, [])
+    assert out["tau_star"] == {"+": 10.0, "-": 10.0}
+    # the largest s read is the plus corner at the column's end
+    (s_hi,) = read
+    assert s_hi == max(XI1 + bars[0].C(10.0 + 6.0 / 39.0 * np.arange(92)))
+    assert out["error"] == f"h = phibar0/phibar0' falls on s <= {s_hi:.6g}"
 
 
 # -- outer thresholds ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """First-order self-similar profile: shooting, tail expansion, stationarity."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -109,6 +110,36 @@ def test_monotone_increasing(profile_ref):
     ss = np.linspace(profile_ref.s_min + 1.0, 50.0, 400)
     vals = profile_ref.phibar0(ss)
     assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 0.5, 0.25])
+def test_ratio_nondecreasing_from_one_half(gamma):
+    # h = phibar0/phibar0' is 1/2 on the core law and does not fall over
+    # the table: the check at the breakpoints agrees with h read on
+    # 200,001 points of [s_min - 5, s_max]
+    prof = shoot_v0(ModelParams(3, 0.1, gamma, 2.0))
+    assert prof.ratio_nondecreasing(prof.s_min - 5.0) and prof.ratio_nondecreasing(prof.s_max)
+    v, dv, _ = prof.phibar0(np.linspace(prof.s_min - 5.0, prof.s_max, 200001), derivs=True)
+    assert (v / dv).min() == 0.5 and np.all(np.diff(v / dv) >= 0.0)
+
+
+def test_ratio_check_sees_a_rising_p_and_the_tail_seam(p_ref, profile_ref):
+    # a P that rises at one breakpoint fails the table check
+    table = profile_ref._table
+    coef = table.coef.copy()
+    coef[500, 1, 0] = coef[499, 1, 0] + 1e-3
+    bent = selfsim.SelfSimilarProfile(p_ref, dataclasses.replace(table, coef=coef))
+    assert not bent.ratio_nondecreasing(profile_ref.s_min)
+    # past the table h is g/g' of the tail expansion g, which rises; read
+    # from u_max on, so the check also sees the seam, where h steps from
+    # 1/(2 + c P) of the table to g/g' (down, by 1.6e-7, on ref)
+    U, c = profile_ref._u_max, profile_ref._c
+    u = np.linspace(U, U + 5000.0, 2001)
+    g, dg, _ = profile_ref._expansion(u, np.log(u))
+    assert np.all(np.diff(g / dg) > 0.0)
+    step = g[0] / dg[0] - 1.0 / (2.0 + c * table(U)[1])
+    assert step == pytest.approx(-1.6e-7, rel=0.05)
+    assert not profile_ref.ratio_nondecreasing(profile_ref.s_max + 50.0)
 
 
 def test_flat_core_limit(profile_all):
