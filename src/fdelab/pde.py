@@ -15,9 +15,9 @@ uniform xi grid with central second-order differences; steps are implicit
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
 Newton starts from a geometric predictor of the last two frames
-(_predicted); a rejected predicted start is retried cold, and only a
-rejected cold start halves the step.  Each Newton system covers the
-interior points, so the Dirichlet ends keep their values exactly.
+(_predicted); a rejected predicted start is retried cold, and a rejected
+cold start stops the run.  Each Newton system covers the interior points,
+so the Dirichlet ends keep their values exactly.
 
 The Newton kernel reads everything from one stencil pass per iterate
 (_stencil).  At an interior point with value W, neighbours W+ and W-
@@ -63,15 +63,14 @@ the same terms bounded the same way, from the e and rho that a row
 carries out of the step that accepted its frame.
 
 Independent runs on one grid are the rows of one (runs, points) array
-(_solve_rows).  Each round, the rows that take the same step (the same
-delta, new delta, theta, predictor exponent and frame slot) are stepped
-together as a step group, in one _step_rows call whose step factors are
-Python floats; each row keeps its own tolerance and damping.  When no row
-rejects a step, as on the sandwich's windows, every round is one group of
-all rows.  A Newton round passes its rows' systems to LAPACK gtsv in one
-call, as one block-diagonal system with zero couplings (_Bands), and every
-factor is the float a lone run computes, so a run gives the same bits
-alone or beside others.  _Bands is the only holder of gtsv bindings: it
+(_solve_rows), stepped through one schedule of planned deltas
+(_planned_deltas).  Each planned step is one _step_rows call of every
+live row, whose step factors are Python floats; each row keeps its own
+tolerance and damping.  The rows whose predicted start is rejected retry
+the step cold, together, in a second call.  A Newton round passes its
+rows' systems to LAPACK gtsv in one call, as one block-diagonal system
+with zero couplings (_Bands), and every factor is the float a lone run
+computes, so a run gives the same bits alone or beside others.  _Bands is the only holder of gtsv bindings: it
 binds the stacked system once and each row once, on bands it allocates
 itself, and after a zero pivot or a non-finite x solves each row through
 that row's binding.  A row keeps its last two frames, and F, e and rho of
@@ -81,8 +80,7 @@ Trajectory as it goes.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
-_BLOCK_POINTS points, when the first row reaches the block; a row off the
-plan evaluates its own delta once per barrier and step.  Each evaluation
+_BLOCK_POINTS points, when the rows reach the block.  Each evaluation
 also forms every run's end values and both barriers' peaks as floats, so
 a step reads them without touching the grid.  Each frame is reduced into
 the one SandwichReport when it is accepted, so what a run keeps grows by
@@ -117,12 +115,12 @@ __all__ = [
 
 @dataclass
 class Trajectory:
-    """A comoving run: its frame count and solver counters."""
+    """A comoving run that took every planned step: its frame count and
+    solver counters."""
 
     frames: int = 1  # accepted frames, the initial one included
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
-    step_rejections: int = 0  # rejected step attempts, each halving the step
     cold_retries: int = 0  # predicted starts rejected and retried from the last frame
 
 
@@ -152,7 +150,8 @@ def _stencil(W, dxi, p):
 
 def _rhs(d, t, sigma, dxi, p):
     """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is the
-    drift speed, a float for a step group or a column of per-row speeds."""
+    drift speed, a float for the rows of one step or a column of per-row
+    speeds."""
     F = t * ((p.n - 1) / (dxi * dxi))
     F += (sigma / (2.0 * dxi)) * d
     F -= p.d.a0
@@ -164,7 +163,7 @@ def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
     the subdiagonal dl (points 1..), the diagonal and the superdiagonal du
     (points ..-2), from the interior values W and the quotients (e, rho)
     of _stencil.  kappa = -dt theta (n-1)/dxi^2 and alpha =
-    dt theta sigma/(2 dxi) are a step group's floats, or columns of
+    dt theta sigma/(2 dxi) are the floats of one step, or columns of
     per-row factors."""
     E = kappa / W
     g = rho * (0.5 * p.d.b1)
@@ -285,7 +284,7 @@ _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, bands, start):
     """One theta-weighted implicit step, from delta_old to delta_new with
-    weight theta, for every row of W_old: a step group.
+    weight theta, for every row of W_old.
 
     The step's factors (dt, both drift speeds, K, alpha, the step
     constant's weight and shift, the floor's factors of dt T) are Python
@@ -478,33 +477,24 @@ def _finished(delta, delta_end) -> bool:
     return not delta > delta_end * (1.0 + 1e-12)
 
 
-def _step_plan(step_idx, delta, delta_end, dtau):
-    """(fraction of delta, theta) of the next step: backward Euler at half
-    the step during the warmup, trapezoidal afterwards, and the final step
-    lands exactly on delta_end."""
-    if step_idx < _WARMUP_STEPS:
-        frac, theta = 0.5 * dtau, 1.0
-    else:
-        frac, theta = dtau, 0.5
-    return min(frac, 1.0 - delta_end / delta), theta
-
-
 def _planned_deltas(delta_start, delta_end, dtau) -> list:
-    """delta_start and the deltas after each step of a run that no step
-    rejection halves, as _solve_rows computes them, for at most the step
-    budget, for a window that _check_window passed."""
+    """The joint solve's one step schedule: delta_start and the delta after
+    each step, for at most the step budget, for a window that _check_window
+    passed.  The first _WARMUP_STEPS steps take 0.5 dtau of delta and are
+    backward Euler (theta 1), the later ones take dtau and are trapezoidal
+    (theta 1/2), and the final step lands exactly on delta_end."""
     deltas = [delta_start]
     while not _finished(deltas[-1], delta_end) and len(deltas) <= _STEP_BUDGET + 1:
-        frac, _ = _step_plan(len(deltas) - 1, deltas[-1], delta_end, dtau)
-        deltas.append(deltas[-1] * (1.0 - frac))
+        frac = 0.5 * dtau if len(deltas) <= _WARMUP_STEPS else dtau
+        deltas.append(deltas[-1] * (1.0 - min(frac, 1.0 - delta_end / deltas[-1])))
     return deltas
 
 
 def _predicted(W, W_prev, r):
-    """The geometric predictor W (W / W_prev)^r of each row at the step
-    group's next delta, r = log(delta_new / delta) / log(delta / delta_prev)
-    a float shared by the rows, or the row of W where that is not finite
-    and positive.  A float r takes numpy's scalar power path, the one a lone
+    """The geometric predictor W (W / W_prev)^r of each row at the next
+    planned delta, r = log(delta_new / delta) / log(delta / delta_prev) a
+    float shared by the rows, or the row of W where that is not finite and
+    positive.  A float r takes numpy's scalar power path, the one a lone
     row takes (sqrt at 0.5, square at 2).  r = 0 gives W."""
     with np.errstate(over="ignore"):
         guess = W * (W / W_prev) ** r
@@ -512,33 +502,27 @@ def _predicted(W, W_prev, r):
     return guess
 
 
-def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
-    """Step every run from delta_start down to delta_end as one row of a
-    shared implicit solve; returns per run its Trajectory or the
+def _solve_rows(p, xi, runs, deltas) -> list:
+    """Step every run through the planned deltas (_planned_deltas) as one
+    row of a shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
 
-    Each round, every unfinished row tries one step from its own delta.
-    The rows that share a step (delta, new delta, theta, predictor
-    exponent and frame slot) take it as one step group, in one _step_rows
-    call; when no row rejects a step, every round is one group.  Newton
-    starts from the geometric predictor of the row's last two frames, the
-    only ones it keeps (each accepted frame goes to its run's consumer),
-    formed for the whole group at once; the row's first step, and the
-    retry after a predicted start is rejected, start cold from the last
-    frame (r = 0).  F, e and rho of a row's last frame, which the step
-    that accepted it handed back, serve every attempt from it.  A row whose
-    cold step is rejected halves its own step and retries in the next
-    round while the other rows go on; so does a row whose end values are
-    not finite and positive, since no start changes those.  It stops with
-    the rejection once the step falls below 1e-6 of delta, with
-    StepUnderflow once the step budget is spent, with any FdelabError its
-    bc raises, or at once with a NonFinite step result.  The window is
-    one that _check_window passed.
+    Each planned step is one _step_rows call of every live row, from the
+    geometric predictor of the rows' last two frames, the only ones kept
+    (each accepted frame goes to its run's consumer); the first step starts
+    cold from the last frame.  The rows whose predicted start is rejected
+    retry the same step cold, together, in a second call.  F, e and rho of
+    a row's last frame, which the step that accepted it handed back, serve
+    both attempts.  A row stops with its error on a rejected cold step, a
+    NonFinite result, end values that are not finite and positive (no
+    start changes those), or an FdelabError from its bc; the other rows go
+    on.  The steps run with numpy's overflow and invalid-value warnings
+    off, so that the checks for a non-finite residual or solve decide.
     """
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    frames = np.ones((R, 2, M))  # frame n of row i at frames[i, n % 2]; unset slots stay finite
+    frames = np.ones((R, 2, M))  # row i after step k at frames[i, k % 2]; unset slots stay finite
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
         if w0.shape != xi.shape:
@@ -547,103 +531,82 @@ def _solve_rows(p, xi, runs, *, delta_start, delta_end, dtau) -> list:
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
             frames[i, 0] = w0
-            run.consume(delta_start, frames[i, 0])
+            run.consume(deltas[0], frames[i, 0])
     live = [i for i in range(R) if out[i] is None]
     # F, sources added, e and rho of row i's last frame
     d, e, rho, t = _stencil(frames[:, 0], dxi, p)
-    F = _rhs(d, t, _drift_speed(p, delta_start), dxi, p)
+    F = _rhs(d, t, _drift_speed(p, deltas[0]), dxi, p)
     for i in live:
         if runs[i].source is not None:
-            F[i] += runs[i].source(delta_start)[1:-1]
+            F[i] += runs[i].source(deltas[0])[1:-1]
     old = np.stack((F, e, rho), 1)
     del d, e, rho, t, F
     bands = _Bands(R, M - 2)
-    # row i: trajs[i] counts its frames and solver work so far; deltas[i]
-    # holds its last one or two deltas
     trajs = [Trajectory() for _ in range(R)]
-    deltas = [[delta_start] for _ in range(R)]
-    delta_new, ends = [0.0] * R, [None] * R
-    attempt = [None] * R  # None: the row starts a new step
-    cold = [True] * R  # the row's next attempt starts from its last frame
-    theta = [0.0] * R
-    while True:
+    for k in range(1, len(deltas)):
+        if not live:
+            break
+        delta, new, slot = deltas[k - 1], deltas[k], k % 2
+        theta = 1.0 if k <= _WARMUP_STEPS else 0.5
+        ends = {}
         for i in live:
-            delta = deltas[i][-1]
-            if attempt[i] is None:
-                if _finished(delta, delta_end):
-                    out[i] = trajs[i]
-                    continue
-                attempt[i], theta[i] = _step_plan(trajs[i].frames - 1, delta, delta_end, dtau)
-            delta_new[i] = delta * (1.0 - attempt[i])
             try:
-                ends[i] = runs[i].bc(delta_new[i])
+                ends[i] = runs[i].bc(new)
             except errors.FdelabError as exc:
                 out[i] = exc
-        live = [i for i in live if out[i] is None]
-        if not live:
-            return out
-        # an end value that is not a finite positive number rejects the
-        # step before Newton, which could leave a nearby positive value
-        results = {i: errors.PositivityLost(
-            f"end values {ends[i]} not finite and positive at delta = {delta_new[i]:.6e}"
-        ) for i in live if not all(0.0 < e < math.inf for e in ends[i])}
-        bad_ends = set(results)
-        groups = {}  # (delta, delta_new, theta, r, slot of the new frame) -> rows
-        for i in live:
-            if i not in bad_ends:
-                delta = deltas[i][-1]
-                r = 0.0 if cold[i] else (math.log(delta_new[i] / delta)
-                                         / math.log(delta / deltas[i][-2]))
-                key = delta, delta_new[i], theta[i], r, trajs[i].frames % 2
-                groups.setdefault(key, []).append(i)
-        for (delta, new, th, r, slot), group in groups.items():
-            last = frames[group, 1 - slot]
-            res, X, carried = _step_rows(
-                last, delta, new, th, [ends[i] for i in group], dxi, p,
-                [runs[i].source for i in group], old[group], bands,
-                _predicted(last, frames[group, slot], r),
-            )
+                continue
+            # an end value that is not a finite positive number stops the
+            # row before Newton, which could leave a nearby positive value
+            if not all(0.0 < e < math.inf for e in ends[i]):
+                out[i] = errors.PositivityLost(
+                    f"end values {ends[i]} not finite and positive at delta = {new:.6e}")
+        rows, cold = [i for i in live if out[i] is None], k == 1
+        while rows:
+            last = frames[rows, 1 - slot]
+            start = last if cold else _predicted(
+                last, frames[rows, slot], math.log(new / delta) / math.log(delta / deltas[k - 2]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                res, X, carried = _step_rows(
+                    last, delta, new, theta, [ends[i] for i in rows], dxi, p,
+                    [runs[i].source for i in rows], old[rows], bands, start,
+                )
             accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
             if accepted:
-                kept = [group[j] for j in accepted]
+                kept = [rows[j] for j in accepted]
                 frames[kept, slot], old[kept] = X[accepted], carried[accepted]
-            results.update(zip(group, res))
-            del last, X, carried  # not held through the next group's step
-        for i in live:
-            res, traj = results[i], trajs[i]
-            if isinstance(res, errors.FdelabError):
-                if not (cold[i] or i in bad_ends or isinstance(res, errors.NonFinite)):
-                    cold[i] = True  # the same step again, from the last frame
+            del last, start, X, carried  # not held through the retry
+            retry = []
+            for i, x in zip(rows, res):
+                traj = trajs[i]
+                if not isinstance(x, errors.FdelabError):
+                    traj.newton_iters_max = max(traj.newton_iters_max, x)
+                    traj.newton_iters += x
+                    runs[i].consume(new, frames[i, slot])
+                    traj.frames += 1
+                elif cold or isinstance(x, errors.NonFinite):
+                    out[i] = x
+                else:  # the same step again, from the last frame
                     traj.cold_retries += 1
-                    continue
-                traj.step_rejections += 1
-                attempt[i] *= 0.5
-                cold[i] = traj.frames == 1
-                if attempt[i] < 1e-6 or isinstance(res, errors.NonFinite):
-                    out[i] = res
-                continue
-            attempt[i], cold[i] = None, False
-            traj.newton_iters_max = max(traj.newton_iters_max, res)
-            traj.newton_iters += res
-            deltas[i] = [deltas[i][-1], delta_new[i]]
-            runs[i].consume(delta_new[i], frames[i, traj.frames % 2])
-            traj.frames += 1
-            if traj.frames > _STEP_BUDGET + 1:
-                out[i] = errors.StepUnderflow("step budget exhausted")
+                    retry.append(i)
+            rows, cold = retry, True
         live = [i for i in live if out[i] is None]
+    for i in live:
+        out[i] = trajs[i]
+    return out
 
 
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
 # float64 values for its 4 rows.  _solve_rows keeps 2 frames and the 3
-# carried rows (F, e, rho) per row (20 values), and copies the group's
-# last frame and carried rows for _step_rows and forms the predicted start
-# (20); _Bands keeps 4 bands per row (16); _step_rows holds X, step and
-# X_try (12), G and the 4 stencil arrays of the iterate and of the trial
+# carried rows (F, e, rho) per row (20 values), and copies the stepped
+# rows' last frame and carried rows for _step_rows and forms the predicted
+# start (20); _Bands keeps 4 bands per row (16); _step_rows holds X, step
+# and X_try (12), G and the 4 stencil arrays of the iterate and of the trial
 # (40), the step constant C and the floor's size and s_old (12), the
 # stencil's and the residual's temporaries (8), and at its end F and the
 # carried stack (16).  The runs add xi, 4 initial rows and the
 # manufactured profile and source arrays (12).  That is 156 values; a
-# traced sandwich at 20,000 cells peaks at 1,174 bytes per point.  The mid
+# traced sandwich at 20,000 cells (ref, tau 10 to 10.05) peaks at 1,154
+# bytes per point.  The mid
 # run's CSV samples (W[::8] of every 10th frame) come on top;
 # comparison_sandwich checks the two together against _MEMORY_BUDGET once
 # the steps are planned, before it allocates anything per cell.
@@ -830,19 +793,17 @@ class _Reading(NamedTuple):
 
 
 class _BarrierBlocks:
-    """Both barriers (_barrier_W) at the deltas the sandwich rows reach,
-    as _Readings.
+    """Both barriers (_barrier_W) at the planned deltas, as _Readings.
 
-    Planned deltas are evaluated a block of at most _BLOCK_POINTS points
-    at a time, when a row first reaches the block; the block before stays,
-    so a row one round behind needs no second evaluation.  A delta off the
-    plan, or in a block whose evaluation raised, is evaluated alone and
-    kept as its row's latest, for the row's bc and consumer.  A block
-    takes one inner and two outer calls per barrier: the matching edge
-    that C(tau) is solved from, and the grid.  Each evaluation forms every
-    run's Dirichlet ends and both barriers' peaks once, for all its
-    deltas, so a step's bc and the mid consumer read floats and never
-    slice or reduce the grid.
+    The deltas are evaluated a block of at most _BLOCK_POINTS points at a
+    time, when the rows reach the block, and since every row steps the
+    same planned deltas only that block is kept.  In a block whose
+    evaluation raised, each delta is evaluated alone as it is read.  A
+    block takes one inner and two outer calls per barrier: the matching
+    edge that C(tau) is solved from, and the grid.  Each evaluation forms
+    every run's Dirichlet ends and both barriers' peaks once, for all its
+    deltas, so a step's bc and the mid consumer read floats and never slice
+    or reduce the grid.
     """
 
     def __init__(self, plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
@@ -850,8 +811,7 @@ class _BarrierBlocks:
         self.p = plus.outer.p
         self.index = {delta: j for j, delta in enumerate(deltas)}
         self.size = max(1, _BLOCK_POINTS // len(xi))  # deltas per block
-        self.blocks = {}  # number -> list of _Readings, or None if it raised
-        self.own = {}  # row -> (delta, _Reading)
+        self.block = None, None  # (number, its _Readings, or None if it raised)
 
     def _evaluate(self, deltas) -> list:
         Wp, Wm = (_barrier_W(bar, self.xi, deltas, self.p) for bar in self.bars)
@@ -861,25 +821,17 @@ class _BarrierBlocks:
         return [_Reading(Wp[r], Wm[r], {kind: tuple(ends[kind][r]) for kind in _KINDS},
                          (peaks[0][r], peaks[1][r])) for r in range(len(deltas))]
 
-    def at(self, delta, row) -> _Reading:
-        """Both barriers at delta, as row reads them."""
-        j = self.index.get(delta)
-        if j is not None:
-            k, r = divmod(j, self.size)
-            if k not in self.blocks:
-                while len(self.blocks) > 1:
-                    del self.blocks[next(iter(self.blocks))]
-                try:
-                    self.blocks[k] = self._evaluate(self.deltas[k * self.size:(k + 1) * self.size])
-                except errors.FdelabError:
-                    self.blocks[k] = None
-            block = self.blocks[k]
-            if block is not None:
-                return block[r]
-        hit = self.own.get(row)
-        if hit is None or hit[0] != delta:
-            hit = self.own[row] = delta, self._evaluate([delta])[0]
-        return hit[1]
+    def at(self, delta) -> _Reading:
+        """Both barriers at a planned delta."""
+        k, r = divmod(self.index[delta], self.size)
+        if self.block[0] != k:
+            self.block = k, None  # the last block is not held through the evaluation
+            try:
+                self.block = k, self._evaluate(self.deltas[k * self.size:(k + 1) * self.size])
+            except errors.FdelabError:
+                pass
+        readings = self.block[1]
+        return self._evaluate([delta])[0] if readings is None else readings[r]
 
 
 def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
@@ -896,7 +848,7 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
 
     def bc(kind):
         def at(delta):
-            return blocks.at(delta, kind).ends[kind]
+            return blocks.at(delta).ends[kind]
         return at
 
     def consume(kind):
@@ -906,7 +858,7 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
             n = next(frame)
             if n % 5 and kind != "mid":
                 return
-            bars = blocks.at(delta, kind)
+            bars = blocks.at(delta)
             if n % 5 == 0:
                 scale = delta ** (1.0 + p.gamma)
                 report.max_undershoot = max(report.max_undershoot,
@@ -923,7 +875,7 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
 
         return reduce
 
-    first = blocks.at(deltas[0], None)
+    first = blocks.at(deltas[0])
     rows = {
         kind: _Run(np.array(_on(kind, first.W_plus, first.W_minus)), bc(kind),
                    consume=consume(kind))
@@ -948,8 +900,8 @@ def comparison_sandwich(
     finite step > 0 and tau0 < tau_end with both e^{-tau} finite and > 0;
     anything else raises InvalidParameter before any solve.  A window
     whose drift speed leaves the float range raises OutOfDomain, and one
-    that the step budget cannot cover even with no step rejected raises
-    StepUnderflow.  Once the steps are planned, a grid whose solve and
+    whose planned steps (_planned_deltas) the step budget cannot cover
+    raises StepUnderflow.  Once the steps are planned, a grid whose solve and
     mid-run samples over the planned frames would hold more than
     _MEMORY_BUDGET raises InvalidParameter; all of these come before the
     grid is built or any row is stepped.  A run whose start is not
@@ -966,11 +918,13 @@ def comparison_sandwich(
     the calibrated grid tolerance in units of delta^{1+gamma}.
 
     The calibration run and the three runs are four rows of one joint
-    solve whose frames are reduced as they are accepted (_sandwich_rows).
-    Errors are raised in row order, with NotBetweenBarriers (it needs
-    tol_rel) after the calibration's.  A run's error is raised as its own
-    class, its message prefixed with the run (calibration, lower, upper
-    or mid), n_cells and tau0.
+    solve that steps them all through the planned deltas (_solve_rows),
+    whose frames are reduced as they are accepted (_sandwich_rows).  A run
+    that cannot take a planned step stops there with its error.  Errors
+    are raised in row order, with NotBetweenBarriers (it needs tol_rel)
+    after the calibration's.  A run's error is raised as its own class,
+    its message prefixed with the run (calibration, lower, upper or mid),
+    n_cells and tau0.
     """
     if plus.sign != "+" or minus.sign != "-":
         raise errors.InvalidParameter("pass (plus, minus) barriers in order")
@@ -997,10 +951,8 @@ def comparison_sandwich(
         if not np.all(row.w0 > 0.0):
             raise errors.OutOfDomain(f"{name} run (n_cells {n_cells}, tau0 {tau0}): start is not"
                                      f" positive at (1+gamma) tau0 = {(1 + p.gamma) * tau0:.6g}")
-    solved = dict(zip(("calibration", *rows), _solve_rows(
-        p, xi, [calibration, *rows.values()], delta_start=delta_start,
-        delta_end=delta_end, dtau=dtau,
-    )))
+    solved = dict(zip(("calibration", *rows),
+                      _solve_rows(p, xi, [calibration, *rows.values()], deltas)))
 
     def run(name):
         res = solved[name]

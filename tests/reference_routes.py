@@ -290,13 +290,13 @@ class KeptTrajectory(pde.Trajectory):
     W: np.ndarray = None
 
 
-def solve_kept(p, xi, runs, **window):
-    """pde._solve_rows with each run's consumer replaced by one that keeps
-    every frame: per run its KeptTrajectory or the FdelabError that
-    stopped it."""
+def solve_kept(p, xi, runs, deltas):
+    """pde._solve_rows through the planned deltas with each run's consumer
+    replaced by one that keeps every frame: per run its KeptTrajectory or
+    the FdelabError that stopped it."""
     kept = [_Kept() for _ in runs]
     results = pde._solve_rows(
-        p, xi, [dataclasses.replace(run, consume=k) for run, k in zip(runs, kept)], **window
+        p, xi, [dataclasses.replace(run, consume=k) for run, k in zip(runs, kept)], deltas
     )
     return [
         res if isinstance(res, errors.FdelabError)
@@ -311,12 +311,13 @@ def solve_radial_fde(p, *, xi_window, n_cells, delta_start, delta_end, dtau, w0,
     cells of xi_window, keeping every frame: w0(xi) gives initial data,
     bc(delta) -> (W_lo, W_hi) the Dirichlet values and source(delta) an
     optional extra right-hand side on the grid.  The one-row case of the
-    joint solve; a bad window raises InvalidParameter before the grid is
-    built, and a run's error is raised."""
+    joint solve, through the planned deltas of the window; a bad window
+    raises InvalidParameter before the grid is built, and a run's error is
+    raised."""
     pde._check_window(n_cells, dtau, -math.log(delta_start), -math.log(delta_end))
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
     (res,) = solve_kept(p, xi, [pde._Run(w0(xi), bc, None, source)],
-                        delta_start=delta_start, delta_end=delta_end, dtau=dtau)
+                        pde._planned_deltas(delta_start, delta_end, dtau))
     if isinstance(res, errors.FdelabError):
         raise res
     return res

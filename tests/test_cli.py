@@ -574,3 +574,35 @@ def test_simulate_end_to_end_is_reproducible(tmp_path):
         _csv_cells((GOLDEN / "trajectory-smoke.csv").read_text()),
         "trajectory",
     )
+
+
+def test_simulate_smoke_steps_all_rows_through_one_plan(tmp_path, monkeypatch):
+    # the smoke window is 62 planned steps, each one _step_rows call of all
+    # four rows; the mid run's rejected predicted start at the second step
+    # (its first predicted one) adds one cold retry of that row alone in
+    # the same step, 63 calls in all, and the report and trajectory still
+    # match the goldens
+    from fdelab import pde
+
+    rows, step_rows = [], pde._step_rows
+
+    def counted(W_old, *args):
+        rows.append(len(W_old))
+        return step_rows(W_old, *args)
+
+    monkeypatch.setattr(pde, "_step_rows", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        SMOKE, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,
+    )))
+    out = tmp_path / "runs"
+    assert main(["simulate", "--force", "--config", str(config), "--out", str(out)]) == 1
+    assert rows == [4, 4, 1] + [4] * 60
+    (report_path,) = out.glob("simulate-*.json")
+    (csv_path,) = out.glob("trajectory-*.csv")
+    assert_report_matches(report_path, out, "simulate-smoke.json")
+    assert_matches(
+        _csv_cells(csv_path.read_text()),
+        _csv_cells((GOLDEN / "trajectory-smoke.csv").read_text()),
+        "trajectory",
+    )

@@ -14,6 +14,7 @@ from fdelab import errors, pde
 from fdelab.matching import GluedBarrier, MatchingSolver, weak_corner_term
 from fdelab.pde import comparison_sandwich, extinction_rate, make_manufactured
 from reference_routes import jac_bands, solve_kept, solve_radial_fde
+from sandwich_sweep import Window, run_window
 
 TAU0 = 10.0
 EPS_SMOKE = 0.018  # below the admissible ceiling eps1 ~ 0.036 at xi1 = 10
@@ -36,10 +37,9 @@ def smoke_report(barrier_pair):
 
 def _lone_mid_run(barrier_pair, p, xi, tau_end):
     """The sandwich's mid run solved alone, keeping every frame."""
-    ds, de = math.exp(-TAU0), math.exp(-tau_end)
-    rows, _ = pde._sandwich_rows(*barrier_pair, xi, pde._planned_deltas(ds, de, 0.01))
-    mid = rows["mid"]
-    (traj,) = solve_kept(p, xi, [mid], delta_start=ds, delta_end=de, dtau=0.01)
+    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-tau_end), 0.01)
+    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    (traj,) = solve_kept(p, xi, [rows["mid"]], deltas)
     return traj
 
 
@@ -147,9 +147,9 @@ def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     )
     ds = math.exp(-TAU0)
     xi = np.linspace(-10.0, 40.0, 201)
-    kw = dict(delta_start=ds, delta_end=math.exp(-10.2), dtau=0.01)
+    deltas = pde._planned_deltas(ds, math.exp(-10.2), 0.01)
     run, error = pde._manufactured_row(p_ref, xi, ds)
-    (traj,) = solve_kept(p_ref, xi, [run], **kw)
+    (traj,) = solve_kept(p_ref, xi, [run], deltas)
     W_exact, _ = make_manufactured(p_ref)
     worst = max(
         float(np.max(np.abs(W - W_exact(xi, delta)))) / delta ** (1.0 + p_ref.gamma)
@@ -157,7 +157,7 @@ def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     )
     assert worst > 0.0
     assert report.tol_rel == 5.0 * worst
-    pde._solve_rows(p_ref, xi, [run], **kw)
+    pde._solve_rows(p_ref, xi, [run], deltas)
     assert error() == worst
 
 
@@ -230,9 +230,9 @@ def test_pair_requires_sign_order(barrier_pair, monkeypatch):
 
 
 def test_a_window_past_the_step_budget_is_refused_before_any_row_steps(barrier_pair, monkeypatch):
-    """tau 10 -> 10.5 at dtau 1e-6 needs about 5e5 steps with no step
-    rejected, past the budget of 2e5: StepUnderflow from the plan, before
-    any row is stepped."""
+    """tau 10 -> 10.5 at dtau 1e-6 needs about 5e5 planned steps, past the
+    budget of 2e5: StepUnderflow from the plan, before any row is
+    stepped."""
 
     def stepped(*args, **kwargs):
         raise AssertionError("_solve_rows entered")
@@ -278,14 +278,13 @@ def test_sandwich_smoke(smoke_report):
         assert fit["n_points"] == 0
         assert fit["decades"] == pytest.approx(0.6 / math.log(10.0), rel=1e-12)
     # solver counters per run: (Newton iterations, most in one step,
-    # rejections, cold retries)
+    # cold retries)
     counters = {
-        kind: (run.newton_iters, run.newton_iters_max, run.step_rejections,
-               run.cold_retries)
+        kind: (run.newton_iters, run.newton_iters_max, run.cold_retries)
         for kind, run in report.runs.items()
     }
     assert counters == {
-        "lower": (132, 7, 0, 0), "upper": (130, 5, 0, 0), "mid": (140, 11, 0, 0),
+        "lower": (132, 7, 0), "upper": (130, 5, 0), "mid": (140, 11, 0),
     }
 
 
@@ -293,7 +292,7 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
     """The window of the benchmark's simulate-ref workload (ref at verify's
     eps, 400 cells, tau 10 to 10 + 2.2 ln 10, dtau 0.01) takes a pinned
     Newton path: per run its frames, summed and most Newton iterations,
-    and no step rejection or cold retry.  The mid run's first step
+    and no cold retry.  The mid run's first step
     converges at iteration 11 of 12, 2.4% inside its tolerance, so a
     rounding change in G, the Newton bands, the tolerance floor or the
     predictor can show here."""
@@ -308,10 +307,10 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
     monkeypatch.setattr(pde, "_solve_rows", recorded)
     report = comparison_sandwich(*bars, tau0=TAU0, tau_end=TAU0 + 2.2 * math.log(10.0),
                                  n_cells=400, dtau=0.01)
-    path = [(t.frames, t.newton_iters, t.newton_iters_max, t.step_rejections, t.cold_retries)
+    path = [(t.frames, t.newton_iters, t.newton_iters_max, t.cold_retries)
             for t in solved]  # calibration, lower, upper, mid
-    assert path == [(508, 510, 3, 0, 0), (508, 1022, 7, 0, 0), (508, 1020, 5, 0, 0),
-                    (508, 1030, 11, 0, 0)]
+    assert path == [(508, 510, 3, 0), (508, 1022, 7, 0), (508, 1020, 5, 0),
+                    (508, 1030, 11, 0)]
     assert report.passed
 
 
@@ -698,7 +697,7 @@ def _assert_same_runs(together, alone):
         assert np.array_equal(a.deltas, b.deltas)
         assert a.newton_iters_max == b.newton_iters_max
         assert a.newton_iters == b.newton_iters
-        assert a.step_rejections == b.step_rejections
+        assert a.cold_retries == b.cold_retries
 
 
 def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
@@ -706,16 +705,16 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
     ds, de = math.exp(-TAU0), math.exp(-10.6)
     xi = np.linspace(-10.0, 40.0, 201)
 
+    deltas = pde._planned_deltas(ds, de, 0.01)
+
     def runs():
         # solve_kept swaps each row's consumer for one that keeps every frame
         calibration, _ = pde._manufactured_row(p_ref, xi, ds)
-        deltas = pde._planned_deltas(ds, de, 0.01)
         rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
         return [calibration, *rows.values()]
 
-    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
-    together = solve_kept(p_ref, xi, runs(), **kw)
-    alone = [solve_kept(p_ref, xi, [run], **kw)[0] for run in runs()]
+    together = solve_kept(p_ref, xi, runs(), deltas)
+    alone = [solve_kept(p_ref, xi, [run], deltas)[0] for run in runs()]
     _assert_same_runs(together, alone)
     assert len(together[0].deltas) == 63
 
@@ -735,40 +734,11 @@ def _bc_failing_at(a0, calls, n_bad):
     return bc
 
 
-def test_rejected_row_keeps_its_own_steps(p_ref, d_ref):
-    """One PositivityLost rejection in a row changes only that row's deltas."""
-    ds, de = math.exp(-10.0), math.exp(-12.0)
-    a0 = d_ref.a0
-    xi = np.linspace(-10.0, 30.0, 101)
-    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
-    good = lambda delta: (a0 * delta, a0 * delta)
-    calls_together, calls_alone = [], []
-    together = solve_kept(p_ref, xi, [
-        _uniform_run(a0, ds, good),
-        _uniform_run(a0, ds, _bc_failing_at(a0, calls_together, {3})),
-    ], **kw)
-    alone = [
-        solve_kept(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)[0],
-        solve_kept(p_ref, xi, [
-            _uniform_run(a0, ds, _bc_failing_at(a0, calls_alone, {3}))
-        ], **kw)[0],
-    ]
-    _assert_same_runs(together, alone)
-    steady, flaky = together
-    assert steady.step_rejections == 0
-    assert flaky.step_rejections == 1
-    assert len(steady.deltas) - 1 == 202
-    # one bc call per accepted step plus the rejected one
-    assert len(calls_together) == len(flaky.deltas) == len(calls_alone)
-    assert not np.array_equal(flaky.deltas, steady.deltas)
-    assert flaky.deltas[-1] == steady.deltas[-1]
-
-
 def test_a_row_that_fails_inside_its_step_group_leaves_the_others_alone(p_ref, d_ref):
-    """Three rows take each step as one group until the middle row's
-    source turns NaN at its second step and stops it with NonFinite; from
-    then on the first and last rows step as the group (0, 2).  Both keep
-    the bits of their lone runs, frame by frame."""
+    """Three rows take each planned step in one _step_rows call until the
+    middle row's source turns NaN at its second step and stops it with
+    NonFinite; from then on the first and last rows take the steps
+    together.  Both keep the bits of their lone runs, frame by frame."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     xi = np.linspace(-5.0, 5.0, 101)
     a0 = d_ref.a0
@@ -787,50 +757,93 @@ def test_a_row_that_fails_inside_its_step_group_leaves_the_others_alone(p_ref, d
                            lambda delta: (2.0 * a0 * delta, 2.0 * a0 * delta), None)
         return [calibration, failing, doubled]
 
-    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
-    first, failed, last = solve_kept(p_ref, xi, runs(), **kw)
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    first, failed, last = solve_kept(p_ref, xi, runs(), deltas)
     assert isinstance(failed, errors.NonFinite)
-    lone = [solve_kept(p_ref, xi, [run], **kw)[0] for j, run in enumerate(runs()) if j != 1]
+    lone = [solve_kept(p_ref, xi, [run], deltas)[0] for j, run in enumerate(runs()) if j != 1]
     _assert_same_runs([first, last], lone)
     assert len(first.deltas) == 13
 
 
+def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, monkeypatch):
+    """Three rows take the planned steps together.  At the third step the
+    doubled row's predicted start and then its cold retry are rejected (by
+    construction), so it stops with that error after exactly two attempts
+    of the step, the retry a call of that row alone from its last frame.
+    The other two rows reach delta_end with the bits of their lone runs."""
+    ds, de = math.exp(-10.0), math.exp(-10.1)
+    xi = np.linspace(-5.0, 5.0, 101)
+    a0 = d_ref.a0
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    step_rows, attempts = pde._step_rows, []
+
+    def runs():
+        calibration, _ = pde._manufactured_row(p_ref, xi, ds)
+        doubled = pde._Run(2.0 * a0 * ds * np.ones(101),
+                           lambda delta: (2.0 * a0 * delta, 2.0 * a0 * delta), None)
+        return [calibration, doubled, _uniform_run(a0, ds, lambda delta: (a0 * delta, a0 * delta))]
+
+    def rejecting(W_old, delta_old, delta_new, theta, ends, *args):
+        out, X, carried = step_rows(W_old, delta_old, delta_new, theta, ends, *args)
+        for j, end in enumerate(ends):
+            if end[0] == 2.0 * a0 * delta_new:  # the doubled row
+                attempts.append((delta_new, len(ends), np.array_equal(args[-1][j], W_old[j])))
+                if delta_new == deltas[3]:
+                    out[j] = errors.NewtonDiverged("rejected by construction")
+        return out, X, carried
+
+    monkeypatch.setattr(pde, "_step_rows", rejecting)
+    first, failed, last = solve_kept(p_ref, xi, runs(), deltas)
+    monkeypatch.undo()
+    assert isinstance(failed, errors.NewtonDiverged)
+    # (delta, rows in the call, cold start) of each attempt of the doubled row
+    assert attempts == [(deltas[1], 3, True), (deltas[2], 3, False), (deltas[3], 3, False),
+                        (deltas[3], 1, True)]
+    lone = [solve_kept(p_ref, xi, [run], deltas)[0] for j, run in enumerate(runs()) if j != 1]
+    _assert_same_runs([first, last], lone)
+    assert first.deltas.tolist() == last.deltas.tolist() == deltas
+
+
 def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
-    """A NaN end value is a rejected step, never a NaN frame."""
+    """A NaN end value rejects the step before Newton and stops the run
+    with PositivityLost at that planned delta, never a NaN frame."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
-    calls = []
+    xi = np.linspace(-10.0, 30.0, 101)
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    calls, frames = [], []
 
     def bc(delta):
         calls.append(delta)
         return (math.nan if len(calls) == 3 else a0 * delta), a0 * delta
 
-    traj = solve_radial_fde(
-        p_ref, xi_window=(-10.0, 30.0), n_cells=100,
-        delta_start=ds, delta_end=de, dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
-    )
-    assert traj.step_rejections == 1
-    assert np.all(np.isfinite(traj.W))
-    assert len(calls) == len(traj.deltas)
+    run = pde._Run(a0 * ds * np.ones(101), bc, lambda delta, W: frames.append(W.copy()))
+    (res,) = pde._solve_rows(p_ref, xi, [run], deltas)
+    assert isinstance(res, errors.PositivityLost)
+    assert str(res) == (f"end values (nan, {a0 * deltas[3]!r}) not finite and positive "
+                        f"at delta = {deltas[3]:.6e}")
+    assert calls == deltas[1:4]
+    assert len(frames) == 3 and np.all(np.isfinite(frames))
 
 
 def test_failed_row_stops_alone(p_ref, d_ref):
-    """A row that keeps failing records its error; the other row finishes."""
+    """A row whose end value turns negative stops at that planned delta
+    and records its error; the other row finishes."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     xi = np.linspace(-10.0, 30.0, 101)
-    kw = dict(delta_start=ds, delta_end=de, dtau=0.01)
+    deltas = pde._planned_deltas(ds, de, 0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls = []
     steady, failed = solve_kept(p_ref, xi, [
         _uniform_run(a0, ds, good),
         _uniform_run(a0, ds, _bc_failing_at(a0, calls, range(2, 10 ** 6))),
-    ], **kw)
+    ], deltas)
     assert isinstance(failed, errors.PositivityLost)
-    # one accepted step, then 13 rejections halve the warmup step 0.005
-    # below 1e-6; an end-value rejection is never retried cold
-    assert len(calls) == 1 + 13
-    (lone,) = solve_kept(p_ref, xi, [_uniform_run(a0, ds, good)], **kw)
+    # one accepted step, then the second planned step's end values stop
+    # the row; an end-value rejection is never retried cold
+    assert calls == deltas[1:3]
+    (lone,) = solve_kept(p_ref, xi, [_uniform_run(a0, ds, good)], deltas)
     _assert_same_runs([steady], [lone])
     with pytest.raises(errors.PositivityLost):
         solve_radial_fde(
@@ -842,8 +855,8 @@ def test_failed_row_stops_alone(p_ref, d_ref):
 
 def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
     """A source that is NaN at every delta makes the first step's residual
-    non-finite; a smaller step cannot repair that, so the run stops after
-    one attempt instead of halving the step 12 more times."""
+    non-finite; no start repairs that, so the run stops after one
+    attempt."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     sources, attempts = [], []
@@ -871,9 +884,9 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
 
 
 def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
-    """An end value of 0.0 rejects the step without a Newton solve, like
-    any other rejection, until the step underflows.  No start changes an
-    end value, so such a rejection halves the step without a cold retry."""
+    """An end value of 0.0 rejects the step without a Newton solve and
+    stops the run at that planned delta.  No start changes an end value,
+    so such a rejection is not retried cold."""
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     calls, solves = [], []
@@ -893,9 +906,9 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
             p_ref, xi_window=(-10.0, 30.0), n_cells=100,
             delta_start=ds, delta_end=de, dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x), bc=bc,
         )
-    # one accepted step, then 13 rejections halve the warmup step 0.005
-    # below 1e-6; only the accepted step reached Newton
-    assert len(calls) == 1 + 13
+    # one accepted step, then the second planned step's end values stop
+    # the run; only the accepted step reached Newton
+    assert calls == pde._planned_deltas(ds, de, 0.01)[1:3]
     assert len(solves) == 1
 
 
@@ -986,13 +999,13 @@ def test_sandwich_raises_the_first_row_error(barrier_pair, monkeypatch, late, ea
 
         return wrapped
 
-    def patched(p, xi, runs, **kw):
+    def patched(p, xi, runs, deltas):
         runs = list(runs)
         for row, n_call in ((late, 12), (early, 2)):
             runs[row] = dataclasses.replace(
                 runs[row], bc=failing(runs[row].bc, names[row], n_call)
             )
-        return solve_rows(p, xi, runs, **kw)
+        return solve_rows(p, xi, runs, deltas)
 
     monkeypatch.setattr(pde, "_solve_rows", patched)
     prefix = rf"{names[late]} run \(n_cells 200, tau0 10\.0\): "
@@ -1036,8 +1049,8 @@ def test_underflowing_start_is_out_of_domain(solver_ref, monkeypatch):
 
 
 def test_predictor_gives_each_row_its_lone_bits():
-    """The predictor of a step group, with its float exponent r, gives
-    each row the bits of its lone W (W / W_prev)^r, including the
+    """The predictor of the rows of one step, with its float exponent r,
+    gives each row the bits of its lone W (W / W_prev)^r, including the
     exponents 0.5 and 2.0 that numpy takes as sqrt and square; r = 0 gives
     W, and so does the row of a guess that overflows."""
     rng = np.random.default_rng(7)
@@ -1055,10 +1068,11 @@ def test_predictor_gives_each_row_its_lone_bits():
     assert np.all(guess[:5] > 0.0) and np.all(guess[:5] < math.inf)
 
 
-def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, monkeypatch):
+def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypatch):
     """A rejected step that started from the predictor is tried again at
-    the same step from the last frame; only a rejected cold start halves
-    the step.  The row's first step has no predictor and starts cold."""
+    the same step from the last frame; a rejected cold start stops the
+    run with its error after exactly these two attempts.  The row's first
+    step has no predictor and starts cold."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     a0 = d_ref.a0
     step_rows = pde._step_rows
@@ -1082,38 +1096,31 @@ def test_rejected_predicted_step_retries_cold_before_it_halves(p_ref, d_ref, mon
     monkeypatch.setattr(pde, "_step_rows", flaky)
     plain = run()
     assert [cold for _, cold in tries] == [True] + [False] * (len(tries) - 1)
-    assert (plain.step_rejections, plain.cold_retries) == (0, 0)
+    assert plain.cold_retries == 0
     third = tries[2][0]
 
     fail.add(3)  # the third step's predicted start fails; its cold retry passes
     retried = run()
     assert tries[2:4] == [(third, False), (third, True)]
-    assert (retried.step_rejections, retried.cold_retries) == (0, 1)
+    assert retried.cold_retries == 1
     assert np.array_equal(retried.deltas, plain.deltas)
 
-    fail.add(4)  # the cold retry fails too: the step halves, predicted again
-    halved = run()
-    assert tries[2:4] == [(third, False), (third, True)]
-    assert tries[4][1] is False and third < tries[4][0] < plain.deltas[2]
-    assert (halved.step_rejections, halved.cold_retries) == (1, 1)
+    fail.add(4)  # the cold retry fails too: the run stops at that step
+    with pytest.raises(errors.NewtonDiverged, match="by construction"):
+        run()
+    assert tries[2:] == [(third, False), (third, True)]
 
 
 def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
     """The F (source added), e and rho that a row carries into each
     attempt equal a fresh _stencil and _rhs of its last frame plus its
-    source there, bit for bit: after an accepted step, after a step that a negative end value
-    rejected and halved, and on the cold retry of a rejected predicted
-    start."""
+    source there, bit for bit: after an accepted step, and on the cold
+    retry of a rejected predicted start."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     xi = np.linspace(-5.0, 5.0, 101)
     run, _ = pde._manufactured_row(p_ref, xi, ds)
-    bc_calls, step_calls, fresh = [], [], []
+    step_calls, fresh = [], []
     step_rows = pde._step_rows
-
-    def bc(delta):  # a negative left end on the third call, as _bc_failing_at
-        bc_calls.append(delta)
-        lo, hi = run.bc(delta)
-        return (-lo if len(bc_calls) == 3 else lo), hi
 
     def checked(W_old, delta_old, *args):
         step_calls.append(delta_old)
@@ -1123,18 +1130,17 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
         F += run.source(delta_old)[1:-1]
         fresh.append(np.array_equal(np.stack((F, e, rho), 1).view(np.int64),
                                      args[-3].view(np.int64)))
-        if len(step_calls) == 5:  # a predicted start: its cold retry follows
+        if len(step_calls) == 4:  # a predicted start: its cold retry follows
             return [errors.NewtonDiverged("rejected by construction")], None, None
         return step_rows(W_old, delta_old, *args)
 
     monkeypatch.setattr(pde, "_step_rows", checked)
-    (traj,) = solve_kept(p_ref, xi, [dataclasses.replace(run, bc=bc)],
-                         delta_start=ds, delta_end=de, dtau=0.01)
-    assert (traj.step_rejections, traj.cold_retries) == (1, 1)
-    # bc call 3 rejects the third step before Newton: its halved retry is
-    # step call 3; step call 6 retries call 5 cold, from the same frame
-    assert step_calls[:3] == traj.deltas[:3].tolist()
-    assert step_calls[4] == step_calls[5] == traj.deltas[4]
+    (traj,) = solve_kept(p_ref, xi, [run], pde._planned_deltas(ds, de, 0.01))
+    assert traj.cold_retries == 1
+    # step call 5 retries call 4 cold, from the same frame
+    assert step_calls[:4] == traj.deltas[:4].tolist()
+    assert step_calls[3] == step_calls[4] == traj.deltas[3]
+    assert step_calls[5:] == traj.deltas[4:-1].tolist()
     assert len(fresh) == len(traj.deltas) and all(fresh)
 
 
@@ -1187,7 +1193,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     monkeypatch.setattr(pde, "_step_rows", counted_step_rows)
     monkeypatch.setattr(pde, "make_manufactured", counted_manufactured)
     report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01)
-    assert all(t.step_rejections == t.cold_retries == 0 for t in report.runs.values())
+    assert all(t.cold_retries == 0 for t in report.runs.values())
     assert counts["attempts"] == report.runs["mid"].frames - 1 == counts["calibration"]
     assert counts["gtsv"] == counts["rounds"]
     assert (counts["attempts"], counts["rounds"]) == (62, 140)
@@ -1207,30 +1213,6 @@ def _end_values(barrier_pair, p, delta):
             (("lower", wm), ("upper", wp), ("mid", np.sqrt(wp * wm)))}
 
 
-def test_lagging_row_reuses_the_barrier_end_values(barrier_pair, p_ref, monkeypatch):
-    """A block of planned deltas is evaluated once, when the first row
-    reaches it: a mid row one round behind the upper row, which has
-    entered the next block, reads the last delta of the block before
-    without a barrier evaluation, bit for bit as two-point _barrier_W
-    calls give the values."""
-    xi = np.linspace(-10.0, 40.0, 401)
-    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
-    size = pde._BLOCK_POINTS // len(xi)  # planned deltas per block
-    assert len(deltas) > size
-    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
-    evaluated = []
-    barrier_W = pde._barrier_W
-    monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(a) or barrier_W(*a))
-    d1, d2 = deltas[size - 1], deltas[size]  # the last of block 0, the first of block 1
-    upper = [rows["upper"].bc(d1), rows["upper"].bc(d2)]
-    mid = rows["mid"].bc(d1)  # one round behind the upper row
-    assert [list(a[2]) for a in evaluated] == [deltas[size:2 * size]] * 2  # block 1, per barrier
-    monkeypatch.setattr(pde, "_barrier_W", barrier_W)
-    want = _end_values(barrier_pair, p_ref, d1)
-    assert upper[0] == want["upper"] and mid == want["mid"]
-    assert upper[1] == _end_values(barrier_pair, p_ref, d2)["upper"]
-
-
 def test_end_table_equals_two_point_barrier_values(barrier_pair, p_ref):
     """Every planned delta's end values, for every row, read from the end
     columns of the barrier blocks, equal two-point _barrier_W evaluations,
@@ -1244,66 +1226,61 @@ def test_end_table_equals_two_point_barrier_values(barrier_pair, p_ref):
         assert {kind: run.bc(delta) for kind, run in rows.items()} == want
 
 
-def test_off_schedule_delta_reads_a_direct_evaluation(barrier_pair, p_ref, monkeypatch):
-    """A rejected step (a negative end value, as in
-    test_rejected_row_keeps_its_own_steps) takes the lower row off the
-    planned deltas; its end values there come from their own evaluation,
-    once per barrier and delta, and equal two-point _barrier_W values, and
-    its frames hold them."""
-    ds, de = math.exp(-TAU0), math.exp(-10.1)
-    xi = np.linspace(-10.0, 40.0, 201)
-    deltas = pde._planned_deltas(ds, de, 0.01)
-    rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
-    lower = rows["lower"]
-    read = {}
-
-    def flaky(delta):
-        read[delta] = lower.bc(delta)
-        return (-1.0, read[delta][1]) if len(read) == 3 else read[delta]
-
-    own = []  # the deltas of evaluations at a single delta
-    barrier_W = pde._barrier_W
-
-    def counted(bar, x, at, p):
-        if len(at) == 1:
-            own.append(at[0])
-        return barrier_W(bar, x, at, p)
-
-    monkeypatch.setattr(pde, "_barrier_W", counted)
-    (traj,) = solve_kept(p_ref, xi, [dataclasses.replace(lower, bc=flaky)],
-                         delta_start=ds, delta_end=de, dtau=0.01)
-    monkeypatch.setattr(pde, "_barrier_W", barrier_W)
-    assert traj.step_rejections == 1
-    planned = set(deltas)
-    off = [d for d in traj.deltas[1:].tolist() if d not in planned]
-    assert len(off) >= 5
-    assert own == [d for d in read if d not in planned for _ in range(2)]
-    for delta in off:
-        assert read[delta] == _end_values(barrier_pair, p_ref, delta)["lower"]
-    for delta, W in zip(traj.deltas[1:].tolist(), traj.W[1:]):
-        assert (W[0], W[-1]) == read[delta]
-
-
-@pytest.mark.parametrize("planned", [True, False])
-def test_block_reads_equal_grid_reads(barrier_pair, p_ref, planned):
+@pytest.mark.parametrize("block", [True, False])
+def test_block_reads_equal_grid_reads(barrier_pair, p_ref, monkeypatch, block):
     """What a run reads from the barrier blocks equals what the barriers
-    give on the grid at that delta (_barrier_W), bit for bit, at a planned
-    delta (a block) and off the plan (the row's own evaluation): each
-    run's bc ends are on(kind, Wp[[0, -1]], Wm[[0, -1]]), and the mid
-    consumer's barrier peaks are max W^{1/(1-m)} of each barrier."""
+    give on the grid at that delta (_barrier_W), bit for bit, from a block
+    and, where the block's evaluation raised, from the delta evaluated
+    alone: each run's bc ends are on(kind, Wp[[0, -1]], Wm[[0, -1]]), and
+    the mid consumer's barrier peaks are max W^{1/(1-m)} of each barrier."""
     xi = np.linspace(-10.0, 40.0, 201)
     deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
-    delta = deltas[30] if planned else deltas[30] * (1.0 - 1e-3)
-    assert (delta in deltas) is planned
-    rows, report = pde._sandwich_rows(*barrier_pair, xi, deltas)
+    delta = deltas[30]
     Wp, Wm = (pde._barrier_W(bar, xi, [delta], p_ref)[0] for bar in barrier_pair)
+    evaluated, barrier_W = [], pde._barrier_W
+
+    def blocks_raise(bar, x, at, p):
+        evaluated.append(len(at))
+        if len(at) > 1 and not block:
+            raise errors.OutOfDomain("block raised by construction")
+        return barrier_W(bar, x, at, p)
+
+    monkeypatch.setattr(pde, "_barrier_W", blocks_raise)
+    rows, report = pde._sandwich_rows(*barrier_pair, xi, deltas)
     for kind, run in rows.items():
         want = pde._on(kind, Wp[[0, -1]], Wm[[0, -1]]).tolist()
         assert [x.hex() for x in run.bc(delta)] == [x.hex() for x in want], kind
     rows["mid"].consume(delta, np.sqrt(Wp * Wm))  # the mid run's first frame
+    # block 0 (40 deltas) once per barrier; or, once its first evaluation
+    # raised, per barrier each read: the first frame's, three bc ends and
+    # the consumer's
+    assert evaluated == ([40, 40] if block else [40] + [1, 1] * 5)
     power = 1.0 / (1.0 - p_ref.m)
     assert [x.hex() for x in report.upper_barrier] == [float(np.max(Wp) ** power).hex()]
     assert [x.hex() for x in report.lower_barrier] == [float(np.max(Wm) ** power).hex()]
+
+
+def test_barrier_blocks_are_read_at_planned_deltas_only(barrier_pair, monkeypatch):
+    """On the 200-cell smoke window, where the mid run retries a step
+    cold, the rows read the barriers at the planned deltas only, every one
+    of them, in order, and each block of planned deltas is evaluated once
+    per barrier."""
+    asked, at = [], pde._BarrierBlocks.at
+    evaluated, barrier_W = [], pde._barrier_W
+
+    def spy(self, delta):
+        asked.append(delta)
+        return at(self, delta)
+
+    monkeypatch.setattr(pde._BarrierBlocks, "at", spy)
+    monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(list(a[2])) or barrier_W(*a))
+    report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=200, dtau=0.01)
+    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    assert [t.cold_retries for t in report.runs.values()] == [0, 0, 1]
+    assert set(asked) == set(deltas)
+    assert asked == sorted(asked, reverse=True)
+    size = pde._BLOCK_POINTS // 201
+    assert evaluated == [deltas[k:k + size] for k in range(0, len(deltas), size) for _ in range(2)]
 
 
 def test_sandwich_barrier_calls_grow_with_blocks_not_steps(barrier_pair, monkeypatch):
@@ -1355,7 +1332,7 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
         return wrapped
 
     runs = [dataclasses.replace(r, bc=recorded(r.bc, seen)) for r, seen in zip(runs, given)]
-    trajs = solve_kept(p_ref, xi, runs, delta_start=ds, delta_end=de, dtau=0.01)
+    trajs = solve_kept(p_ref, xi, runs, deltas)
     for traj, seen in zip(trajs, given):
         for delta, W in zip(traj.deltas[1:], traj.W[1:]):
             assert (W[0], W[-1]) == tuple(seen[delta])
@@ -1366,7 +1343,7 @@ def test_sandwich_memory_grows_by_scalars_not_grid_rows(barrier_pair):
     frames the traced peak of a sandwich run grows by less than a quarter
     of a grid row (401 points) per added frame; a store of every frame
     grows by four rows.  Both windows span more than two barrier blocks,
-    so both runs peak while a block is evaluated with one block kept."""
+    so both runs peak while a block is evaluated."""
     def peak(tau_end):
         tracemalloc.start()
         try:
@@ -1395,3 +1372,33 @@ def test_two_cells_step_one_interior_point(p_ref, d_ref):
     )
     rel = np.abs(traj.W / (a0 * traj.deltas[:, None]) - 1.0)
     assert traj.W.shape[1] == 3 and np.max(rel) <= 1e-12
+
+
+@pytest.mark.parametrize("window, outcome, frames", [
+    # the smoke window: every row completes, the mid row after one cold retry
+    (Window("ref", EPS_SMOKE, TAU0, 200, 0.01), [0, 0, 0, 1], [63] * 4),
+    # the smoke window on 100 cells: the lower and mid rows stall at once
+    (Window("ref", EPS_SMOKE, TAU0, 100, 0.01), ("NewtonDiverged", "lower"), [63, 1, 63, 1]),
+    # the Newton kernel overflows on these windows: no RuntimeWarning
+    # escapes, and the checks of a non-finite residual or solve decide
+    (Window("low", 0.0, 17.0, 100, 0.01), ("NewtonDiverged", "lower"), [63, 1, 1, 1]),
+    (Window("low", 0.0, 17.0, 100, 0.05), ("NewtonDiverged", "lower"), [15, 1, 1, 1]),
+    # a smaller step fails first: the mid run's first step stalls at dtau
+    # 0.005, and the window completes at 0.01
+    (Window("ref", EPS_SMOKE, 14.0, 400, 0.005), ("NewtonDiverged", "mid"), [123, 123, 123, 1]),
+    (Window("ref", EPS_SMOKE, 14.0, 400, 0.01), [0, 0, 0, 1], [63] * 4),
+], ids=["ref-200", "ref-100", "low-overflow-0.01", "low-overflow-0.05", "ref-tau0-14-0.005",
+        "ref-tau0-14-0.01"])
+def test_sandwich_sweep_subset(request, window, outcome, frames):
+    """Windows of tests/sandwich_sweep.py with their pinned outcome: a
+    passing report with each run's cold retries, or the error class and
+    the run it names; and each row's accepted frames."""
+    out = run_window(request.getfixturevalue(f"solver_{window.config}"), window)
+    res = out.result
+    if isinstance(outcome, list):
+        assert isinstance(res, pde.SandwichReport) and res.passed, res
+        assert [t.cold_retries for t in out.trajs] == outcome
+    else:
+        assert type(res).__name__ == outcome[0] and isinstance(res, errors.FdelabError), res
+        assert str(res).startswith(f"{outcome[1]} run (n_cells {window.n_cells}, ")
+    assert out.frames == frames
