@@ -606,10 +606,11 @@ def _solve_rows(p, xi, runs, deltas) -> list:
 # carried stack (16).  The runs add xi, 4 initial rows and the
 # manufactured profile and source arrays (12).  That is 156 values; a
 # traced sandwich at 20,000 cells (ref, tau 10 to 10.05) peaks at 1,154
-# bytes per point.  The mid
-# run's CSV samples (W[::8] of every 10th frame) come on top;
-# comparison_sandwich checks the two together against _MEMORY_BUDGET once
-# the steps are planned, before it allocates anything per cell.
+# bytes per point.  The mid run's CSV samples (W[::8] of every 10th frame)
+# come on top, and SandwichReport.to_csv streams its rows from them without
+# a list of its own; comparison_sandwich checks solve and samples together
+# against _MEMORY_BUDGET once the steps are planned, before it allocates
+# anything per cell.
 _POINT_BYTES = 8 * (40 + 16 + 88 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
@@ -747,18 +748,22 @@ class SandwichReport:
 
     def to_csv(self, path: str):
         """Rows (t, s, xi, w, u, log10_u) of the mid run on every 10th frame
-        and every 8th grid point."""
-        p, xi = self.p, self.xi[::8]
-        rows = []
-        for delta, W in self.samples:
-            t = p.T - delta
-            shift = p.A * delta ** (-p.gamma)
-            for x, w in zip(xi, W):
-                s = x + shift
-                log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
-                u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
-                rows.append((t, s, x, w, u, log10_u))
-        write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows)
+        and every 8th grid point, streamed: write_csv writes each row as
+        this generator forms it, from Python floats, and no list of the
+        rows is built."""
+        p, xi = self.p, self.xi[::8].tolist()
+
+        def rows():
+            for delta, W in self.samples:
+                t = p.T - delta
+                shift = p.A * delta ** (-p.gamma)
+                for x, w in zip(xi, W.tolist()):
+                    s = x + shift
+                    log10_u = (math.log10(w) - 2.0 * s / math.log(10.0)) / (1.0 - p.m)
+                    u = 10.0 ** log10_u if log10_u > -300.0 else 0.0
+                    yield t, s, x, w, u, log10_u
+
+        write_csv(path, ["t", "s", "xi", "w", "u", "log10_u"], rows())
 
 
 def _barrier_W(bar: GluedBarrier, xi: np.ndarray, deltas, p: ModelParams):
@@ -989,10 +994,14 @@ def comparison_sandwich(
 
 def extinction_rate(deltas, amplitudes) -> dict:
     """Least-squares exponent of amplitude ~ delta^rate over the final
-    _FIT_DECADES decades."""
+    _FIT_DECADES decades, in closed form: in log-log coordinates the slope
+    is Sxy/Sxx from sums about the means, and stderr is the residual
+    standard error over sqrt(Sxx).  NonPositiveInput unless every delta and
+    amplitude is > 0 (NaN is not); InsufficientDecades unless the deltas
+    span _FIT_DECADES decades and the window holds two distinct ones."""
     deltas = np.asarray(deltas, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
-    if np.any(amps <= 0.0) or np.any(deltas <= 0.0):
+    if not (np.all(amps > 0.0) and np.all(deltas > 0.0)):  # NaN is not positive
         raise errors.NonPositiveInput("extinction fit needs positive series")
     span = math.log10(deltas.max() / deltas.min())
     if span < _FIT_DECADES:
@@ -1002,13 +1011,17 @@ def extinction_rate(deltas, amplitudes) -> dict:
     mask = deltas <= deltas.min() * 10.0 ** _FIT_DECADES
     x = np.log(deltas[mask])
     y = np.log(amps[mask])
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    n_pts = int(np.count_nonzero(mask))
-    dof = max(n_pts - 2, 1)
-    resid = y - A @ coef
-    sigma2 = float(resid @ resid) / dof
-    sx2 = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(sigma2 / sx2) if sx2 > 0 else math.inf
-    return {"exponent": float(coef[0]), "prefactor_log": float(coef[1]), "stderr": stderr,
-            "n_points": n_pts, "decades": span}
+    n_pts = x.size
+    if not x.max() > x.min():  # Sxx would be 0
+        raise errors.InsufficientDecades(
+            f"the final {_FIT_DECADES} decades hold {n_pts} point(s) at one delta, "
+            "need two distinct deltas"
+        )
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    dx, dy = x - x_mean, y - y_mean
+    sxx = float(np.sum(dx * dx))
+    slope = float(np.sum(dx * dy)) / sxx
+    resid = dy - slope * dx
+    stderr = math.sqrt(float(np.sum(resid * resid)) / max(n_pts - 2, 1) / sxx)
+    return {"exponent": slope, "prefactor_log": y_mean - slope * x_mean,
+            "stderr": stderr, "n_points": n_pts, "decades": span}

@@ -5,15 +5,29 @@ keys, floats keep their shortest round-trip repr, nothing carries a
 timestamp, and files are written atomically (temp + rename).  Runs are
 addressed by a hash of the canonical config so reruns of the same config
 land on the same paths.
+
+The hash is SHA-256 from the interpreter's built-in module (`_sha256`, or
+`_sha2` from Python 3.12), as the standard library's `random` takes
+`_sha512`: `hashlib` loads OpenSSL's binding, about 3.6 MB of every
+command's peak memory for one digest.  `hashlib` serves only where
+neither module exists, with the same digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import itertools
 import json
 import os
 import tempfile
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .params import ModelParams, ThresholdConfig, params_to_dict
 
@@ -62,12 +76,13 @@ def config_hash(p: ModelParams, cfg: ThresholdConfig, extras: dict) -> str:
         "thresholds": dataclasses.asdict(cfg),
         "extras": extras,
     }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    digest = sha256(canonical_json(payload).encode("utf-8")).hexdigest()
     return digest[:12]
 
 
-def atomic_write(path: str, text: str):
-    """Write text to path through a temp file and a rename.
+def atomic_write(path: str, text):
+    """Write text, a string or an iterable of strings written in order, to
+    path through a temp file and a rename.
 
     mkstemp creates the temp file with mode 0600, which the rename would
     keep; the file gets the mode a plain open() would give it instead,
@@ -78,7 +93,7 @@ def atomic_write(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -94,10 +109,10 @@ def write_json(path: str, obj):
 
 
 def write_csv(path: str, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Header and rows as CSV lines, each value the repr of its float.
+    Rows may be a generator: each line is written as it is formed."""
+    lines = (",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    atomic_write(path, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def make_check(name: str, passed: bool, details: dict) -> dict:

@@ -1,5 +1,7 @@
 """Command-line plumbing: dry runs, gating, and error exits."""
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from fdelab import errors, residuals
 from fdelab.cli import main
 from fdelab.params import load_config
-from fdelab.reporting import config_hash
+from fdelab.reporting import canonical_json, config_hash
 
 SMOKE = {
     "n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0,
@@ -25,6 +27,22 @@ def smoke_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMOKE))
     return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    {}, {"grid_eta": 16, "grid_tau": 4},
+    {"tau0": 10.0, "tau_end": 10.6, "n_cells": 200, "dtau": 0.01, "eps": 0.018},
+], ids=["smoke", "verify-16x4", "simulate-smoke"])
+def test_config_hash_is_the_sha256_of_the_canonical_config(tmp_path, extra):
+    # the built-in sha256 that config_hash uses gives hashlib's digest, so
+    # artifact names do not depend on which module computed it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMOKE, **extra)))
+    p, cfg, extras = load_config(str(path))
+    payload = {"params": dataclasses.asdict(p), "thresholds": dataclasses.asdict(cfg),
+               "extras": extras}
+    want = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:12]
+    assert config_hash(p, cfg, extras) == want
 
 
 @pytest.mark.parametrize("command", ["profile", "verify", "simulate", "report"])

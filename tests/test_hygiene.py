@@ -1,14 +1,17 @@
 """Source hygiene: every import is used, every definition has a caller,
 every error class is raised, and the commands load no scipy module where
-numpy's own LAPACK serves the Newton solves."""
+numpy's own LAPACK serves the Newton solves, nor OpenSSL's binding."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import pytest
 
 import fdelab
 from fdelab import pde
@@ -271,16 +274,17 @@ _IMPORT_PROBE = """
 import json, sys
 from fdelab.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return {"scipy": scipy, "openssl": "_hashlib" in sys.modules}
 
-loaded = [scipy_modules()]
+after = [loaded()]
 main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
 assert "fdelab.pde" not in sys.modules, "verify loaded the PDE solver"
-loaded.append(scipy_modules())
+after.append(loaded())
 main(["simulate", "--force", "--config", sys.argv[2], "--out", sys.argv[3]])
-loaded.append(scipy_modules())
-print(json.dumps(loaded))
+after.append(loaded())
+print(json.dumps(after))
 """
 
 
@@ -303,13 +307,12 @@ def test_package_import_loads_no_submodule():
     assert json.loads(proc.stdout) == []
 
 
-def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
-    # a fresh process: importing the CLI and a 16x4 verify load no scipy
-    # module at all, and verify loads no fdelab.pde (the probe asserts it
-    # in the process), nor does the simulate smoke run load scipy when numpy's
-    # OpenBLAS has the gtsv symbol; only without it may the Newton solves
-    # load scipy's LAPACK, and still neither scipy.integrate nor
-    # scipy.optimize
+@pytest.fixture(scope="module")
+def commands_loaded(tmp_path_factory):
+    """What a fresh process has loaded after importing the CLI, after a
+    16x4 verify and after the simulate smoke run: per point, the scipy
+    modules and whether OpenSSL's binding (_hashlib) is loaded."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     base = {"n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0, "T": 1.0, "lambda": 1.0,
             "theta1_minus": -1.0}
     verify = tmp_path / "verify.json"
@@ -320,7 +323,16 @@ def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
     )))
     proc = _fresh_python("-c", _IMPORT_PROBE, str(verify), str(simulate), str(tmp_path / "runs"))
     assert proc.returncode == 0, proc.stderr
-    after_import, after_verify, after_simulate = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_load_no_scipy_integrate_or_optimize(commands_loaded):
+    # importing the CLI and a 16x4 verify load no scipy module at all, and
+    # verify loads no fdelab.pde (the probe asserts it in the process), nor
+    # does the simulate smoke run load scipy when numpy's OpenBLAS has the
+    # gtsv symbol; only without it may the Newton solves load scipy's
+    # LAPACK, and still neither scipy.integrate nor scipy.optimize
+    after_import, after_verify, after_simulate = (at["scipy"] for at in commands_loaded)
     assert after_import == []
     assert after_verify == []
     if pde._openblas_gtsv() is not None:
@@ -329,3 +341,13 @@ def test_commands_load_no_scipy_integrate_or_optimize(tmp_path):
         assert "scipy.linalg.lapack" in after_simulate
         assert [m for m in after_simulate
                 if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="no built-in sha256 module: config_hash falls back to hashlib",
+)
+def test_commands_load_no_openssl(commands_loaded):
+    # config_hash takes sha256 from the built-in module, so no command
+    # loads hashlib's OpenSSL binding
+    assert [at["openssl"] for at in commands_loaded] == [False, False, False]

@@ -342,6 +342,48 @@ def test_extinction_rate_guards():
         extinction_rate(deltas, 0.0 * amps)
 
 
+def test_extinction_rate_needs_two_distinct_deltas_in_its_window():
+    # three decades, but the final two hold one point (or two at one
+    # delta): there is no line to fit, and no exponent is reported
+    with pytest.raises(errors.InsufficientDecades, match="hold 1 point"):
+        extinction_rate([1.0, 1e-3], [1.0, 1e-6])
+    with pytest.raises(errors.InsufficientDecades, match="hold 2 point"):
+        extinction_rate([1.0, 1e-3, 1e-3], [1.0, 1e-6, 1e-6])
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_extinction_rate_refuses_nan(at):
+    # a NaN delta or amplitude is not positive: no bare numpy error from an
+    # empty window, and no NaN fit
+    deltas, amps = [1.0, 1e-3, 1e-4], [1.0, 1e-6, 1e-7]
+    for series in (deltas, amps):
+        bad = list(series)
+        bad[at] = math.nan
+        with pytest.raises(errors.NonPositiveInput):
+            extinction_rate(*((bad, amps) if series is deltas else (deltas, bad)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extinction_rate_closed_form_matches_least_squares(seed):
+    # noisy power laws over irregular deltas, against a least-squares
+    # solve of the same window
+    rng = np.random.default_rng(seed)
+    deltas = np.exp(-np.sort(rng.uniform(8.0, 20.0, 40 + 50 * seed)))
+    noise = rng.normal(0.0, 10.0 ** -(1 + seed % 3), deltas.size)
+    amps = 3.7 * deltas ** 2.78 * np.exp(noise)
+    fit = extinction_rate(deltas, amps)
+    window = deltas <= deltas.min() * 10.0 ** pde._FIT_DECADES
+    x, y = np.log(deltas[window]), np.log(amps[window])
+    A = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    stderr = math.sqrt(float(resid @ resid) / (x.size - 2) / float(np.sum((x - x.mean()) ** 2)))
+    assert fit["n_points"] == x.size
+    assert fit["exponent"] == pytest.approx(coef[0], rel=1e-12, abs=0.0)
+    assert fit["prefactor_log"] == pytest.approx(coef[1], rel=1e-12, abs=0.0)
+    assert fit["stderr"] == pytest.approx(stderr, rel=1e-9, abs=0.0)
+
+
 def _lone_solve(bands):
     """x of one system (dl, d, du, b) from a one-row _Bands, or the
     NewtonDiverged of its zero pivot."""
