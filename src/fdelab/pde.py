@@ -14,10 +14,22 @@ uniform xi grid with central second-order differences; steps are implicit
 (theta = 1/2 after a short backward-Euler warmup that damps the stiff
 transient of non-equilibrium initial data), solved by a damped Newton
 iteration with an analytic tridiagonal Jacobian and positivity rejection.
-Newton starts from a geometric predictor of the last two frames
-(_predicted); a rejected predicted start is retried cold, and a rejected
-cold start stops the run.  Each Newton system covers the interior points,
-so the Dirichlet ends keep their values exactly.
+Each Newton system covers the interior points, so the Dirichlet ends keep
+their values exactly.
+
+Newton starts from an extrapolation of the last frames.  The trapezoidal
+rule does not damp the stiff modes, so each row's frames carry a time
+error that flips sign every step: log W is smooth in the step index k
+plus a sawtooth c (-1)^k, so its 4th difference in k changes sign every
+step (on simulate-ref up to 2.3e-5 over the grid on the lower and mid
+rows, 2.6e-6 on the upper one).  No smooth extrapolant follows that, so once five frames lie a full step
+apart Newton starts from exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4), L0..L4 =
+log W of the last five frames, newest first, which is exact for a cubic
+in k plus a constant sawtooth (_extrapolated), and takes one Newton round
+per step.  The warm-up steps and the short last step start from the
+geometric predictor of the last two frames (_predicted), and the first
+step cold.  A rejected start is retried cold, and a rejected cold start
+stops the run.
 
 The Newton kernel reads everything from one stencil pass per iterate
 (_stencil).  At an interior point with value W, neighbours W+ and W-
@@ -66,16 +78,17 @@ Independent runs on one grid are the rows of one (runs, points) array
 (_solve_rows), stepped through one schedule of planned deltas
 (_planned_deltas).  Each planned step is one _step_rows call of every
 live row, whose step factors are Python floats; each row keeps its own
-tolerance and damping.  The rows whose predicted start is rejected retry
-the step cold, together, in a second call.  A Newton round passes its
+tolerance and damping.  The rows whose extrapolated or predicted start is
+rejected retry the step cold, together, in a second call.  A Newton round passes its
 rows' systems to LAPACK gtsv in one call, as one block-diagonal system
 with zero couplings (_Bands), and every factor is the float a lone run
 computes, so a run gives the same bits alone or beside others.  _Bands is the only holder of gtsv bindings: it
 binds the stacked system once and each row once, on bands it allocates
 itself, and after a zero pivot or a non-finite x solves each row through
-that row's binding.  A row keeps its last two frames, and F, e and rho of
-the last for its next step, hands every accepted frame, the initial one
-too, to its run's consumer, and counts its frames and solver work in its
+that row's binding.  A row keeps its last two frames, the log growth rates
+log(W_k / W_(k-1)) of its last four steps, and F, e and rho of the last
+frame for its next step, hands every accepted frame, the initial one too,
+to its run's consumer, and counts its frames and solver work in its
 Trajectory as it goes.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
@@ -298,12 +311,14 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
     run on all rows and each update writes only the rows it selects: a row
     not being tried keeps its positive iterate, and a trial row that is not
     positive falls back to its iterate.  A round's Newton systems go to
-    gtsv as one system in bands (a _Bands).  A row whose residual is not
-    finite stops with NonFinite before its next solve.
+    gtsv as one system in bands (a _Bands); a first round that every row
+    takes runs on whole arrays, with no per-row lists.  A row whose
+    residual is not finite stops with NonFinite before its next solve.
 
-    Returns (out, X, carried): out[i] is row i's Newton iterations or the
+    Returns (out, X, old): out[i] is row i's Newton iterations or the
     error that rejected its step; the accepted rows of X are their new
-    frames, and those of carried the next step's old rows (F, e, rho).
+    frames, and those of old now hold the next step's (F, e, rho), written
+    in place; the other rows of old are left as they came.
     """
     k = len(W_old)
     out = [None] * k
@@ -365,60 +380,59 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
         return G, d, e, rho, t
 
     X = np.array(start, dtype=float)
-    X[:, [0, -1]] = ends
+    X[:, ::X.shape[1] - 1] = ends
     G, d, e, rho, t = residual(X)
     G_norm = np.abs(G).max(axis=1).tolist()
-    its = [0] * k
-    converged = [False] * k
-    step = np.zeros_like(X)  # nonzero only on rows in a line search
-    while True:
-        lam = [0.0] * k  # line-search damping; 0 on rows that sit still
-        for i in range(k):
-            if converged[i] or out[i] is not None:
-                continue
-            if G_norm[i] <= tol[i]:
-                converged[i] = True
-            elif not math.isfinite(G_norm[i]):
-                out[i] = errors.NonFinite(f"Newton residual not finite at delta = {delta_new:.6e}")
-            elif its[i] >= _NEWTON_MAX:
-                out[i] = errors.NewtonDiverged(
-                    f"Newton stalled at |G| = {G_norm[i]:.3e} "
-                    f"(tol {tol[i]:.3e}) at delta = {delta_new:.6e}"
-                )
-            else:
-                its[i] += 1
-                lam[i] = 1.0
-        iterating = [i for i in range(k) if lam[i]]
-        if not iterating:
-            break
-        # the Newton system I - dt*theta*J_F on the interior points of the
-        # iterating rows only; the ends keep their Dirichlet values, so
-        # their step is exactly 0
+    step = np.zeros_like(X)  # lambda times the Newton step on rows in a line search, else 0
+
+    def newton(iterating, lam):
+        """Put the Newton steps of the iterating rows into step, from one
+        gtsv call of their systems I - dt*theta*J_F on the interior points
+        (the ends keep their Dirichlet values, so their step is exactly 0);
+        a row whose lone solve is singular stops with lam 0.  True when one
+        call solved every row."""
         rows = slice(None) if len(iterating) == k else iterating
 
         def fill(dl, diag, du, b):
             _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows], -K, alpha, dxi, p)
             np.negative(G[rows], out=b)
 
-        for i, x in zip(iterating, bands.solve(len(iterating), fill)):
+        xs = bands.solve(len(iterating), fill)
+        if len(iterating) == k and isinstance(xs, np.ndarray):
+            step[:, 1:-1] = xs
+            return True
+        step[...] = 0.0
+        for i, x in zip(iterating, xs):
             if isinstance(x, errors.NewtonDiverged):
                 out[i], lam[i] = x, 0.0
             else:
                 step[i, 1:-1] = x
+        return False
 
-        # damped line search, each row with its own lambda; step holds
-        # lambda times the Newton step, halved with lambda (exactly, as
-        # lambda is a power of 2)
+    def search(lam, first=None):
+        """Damped line search, each row with its own lambda; step holds
+        lambda times the Newton step, halved with lambda (exactly, as
+        lambda is a power of 2).  first is the trial of every row's full
+        step, (X + step, its residual and stencil, their norms), formed
+        already; when it lowers every row's residual it is taken whole."""
+        nonlocal X, G, d, e, rho, t
+        if first is not None and all(a < b for a, b in zip(first[2], G_norm)):
+            X, (G, d, e, rho, t), G_norm[:] = first
+            return
         while any(lam):
             searching = [i for i in range(k) if lam[i]]
-            X_try = X + step
-            positive = (X_try > 0.0).all(axis=1).tolist()
-            if not all(positive):  # only trial rows can leave positivity
-                np.copyto(X_try, X, where=~np.array(positive)[:, None])
-            tried = [ok and x > 0.0 for ok, x in zip(positive, lam)]
-            if any(tried):
-                trial = residual(X_try)
-                G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
+            if first is None:
+                X_try = X + step
+                positive = (X_try > 0.0).all(axis=1).tolist()
+                if not all(positive):  # only trial rows can leave positivity
+                    np.copyto(X_try, X, where=~np.array(positive)[:, None])
+                tried = [ok and x > 0.0 for ok, x in zip(positive, lam)]
+                if any(tried):
+                    trial = residual(X_try)
+                    G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
+            else:
+                (X_try, trial, G_try_norm), first = first, None
+                tried = [True] * k
             taken = [False] * k
             for i in searching:
                 if tried[i] and (G_try_norm[i] < G_norm[i] or lam[i] < 0.1):
@@ -443,15 +457,56 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
                     np.copyto(a, a_try, where=taken)
             trial = None  # a refused trial is not held through the next one
 
+    # the first round, when every row takes it, needs no per-row lists: its
+    # systems go to gtsv in one call, and when every full step stays
+    # positive the trial is formed at once, and taken whole if it lowers
+    # every row's residual
+    its = [0] * k
+    if all(a < g < math.inf for a, g in zip(tol, G_norm)):
+        its, lam, first = [1] * k, [1.0] * k, None
+        if newton(range(k), lam):
+            X_try = X + step
+            if X_try.min() > 0.0:
+                trial = residual(X_try)
+                first = X_try, trial, np.abs(trial[0]).max(axis=1).tolist()
+        search(lam, first)
+        X_try = trial = first = None  # not held through the next round
+
+    converged = [False] * k
+    while True:
+        lam = [0.0] * k  # line-search damping; 0 on rows that sit still
+        for i in range(k):
+            if converged[i] or out[i] is not None:
+                continue
+            if G_norm[i] <= tol[i]:
+                converged[i] = True
+            elif not math.isfinite(G_norm[i]):
+                out[i] = errors.NonFinite(f"Newton residual not finite at delta = {delta_new:.6e}")
+            elif its[i] >= _NEWTON_MAX:
+                out[i] = errors.NewtonDiverged(
+                    f"Newton stalled at |G| = {G_norm[i]:.3e} "
+                    f"(tol {tol[i]:.3e}) at delta = {delta_new:.6e}"
+                )
+            else:
+                its[i] += 1
+                lam[i] = 1.0
+        iterating = [i for i in range(k) if lam[i]]
+        if not iterating:
+            break
+        newton(iterating, lam)
+        search(lam)
+
     # a row that stopped is never taken again, so X and its stencil still
     # hold every converged row's last iterate
     F = _rhs(d, t, sigma_new, dxi, p)
     for i, S in sourced:
         F[i] += S
-    for i in range(k):
-        if converged[i]:
-            out[i] = its[i]
-    return out, X, np.stack((F, e, rho), 1)
+    done = [i for i in range(k) if converged[i]]
+    for i in done:
+        out[i] = its[i]
+    rows = slice(None) if len(done) == k else done
+    old[rows, 0], old[rows, 1], old[rows, 2] = F[rows], e[rows], rho[rows]
+    return out, X, old
 
 
 @dataclass
@@ -502,16 +557,52 @@ def _predicted(W, W_prev, r):
     return guess
 
 
+_RATES = 4  # steps whose log growth rates the extrapolated start reads
+
+
+def _extrapolated(W, rates):
+    """The start exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4) of each row, L0..L4
+    the logs of its last five frames, newest first, or the row of W (its
+    last frame, exp L0) where that is not finite and positive.
+
+    The trapezoidal steps leave the stiff modes undamped, so log W of each
+    row is smooth in the step index k plus a sawtooth c (-1)^k, which no
+    smooth extrapolant follows.  These integer weights make the start exact
+    for a cubic in k plus a constant sawtooth.  It is formed as
+    W exp(2 r0 - 2 r2 + r3) from rates = (r0, r1, r2, r3), the log growth
+    rates log(W_j / W_(j-1)) of the row's last four steps, newest first (r1
+    has weight 0).  A rate is the log of a ratio near 1, rounded to about
+    1e-16, where log W itself (near -25 on ref) is rounded to about 4e-15,
+    which the weights would add up to 1e-14 in a start that Newton may
+    accept unchanged."""
+    r0, _, r2, r3 = rates
+    x = r0 - r2
+    x *= 2.0
+    x += r3
+    with np.errstate(over="ignore"):
+        guess = np.exp(x, out=x)
+    guess *= W
+    if not (guess.min() > 0.0 and guess.max() < math.inf):
+        np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
+    return guess
+
+
 def _solve_rows(p, xi, runs, deltas) -> list:
     """Step every run through the planned deltas (_planned_deltas) as one
     row of a shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
 
-    Each planned step is one _step_rows call of every live row, from the
-    geometric predictor of the rows' last two frames, the only ones kept
-    (each accepted frame goes to its run's consumer); the first step starts
-    cold from the last frame.  The rows whose predicted start is rejected
-    retry the same step cold, together, in a second call.  F, e and rho of
+    Each planned step is one _step_rows call of every live row.  The
+    first step starts cold from the last frame, and the next ones from the
+    geometric predictor of the rows' last two frames (_predicted), the only
+    frames kept (each accepted frame goes to its run's consumer).  Once the
+    last five frames lie a full step apart, every step but the short last
+    one starts from _extrapolated, which follows the sawtooth the
+    trapezoidal steps leave in log W, from the log growth rates of the last
+    four steps; a rate is formed from each accepted frame and the one
+    before it.  When every row steps, the frames, the rates and the carried
+    rows are read and written as whole arrays.  The rows whose start is
+    rejected retry the same step cold, together, in a second call.  F, e and rho of
     a row's last frame, which the step that accepted it handed back, serve
     both attempts.  A row stops with its error on a rejected cold step, a
     NonFinite result, end values that are not finite and positive (no
@@ -522,7 +613,11 @@ def _solve_rows(p, xi, runs, deltas) -> list:
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    frames = np.ones((R, 2, M))  # row i after step k at frames[i, k % 2]; unset slots stay finite
+    # every row after step k at frames[k % 2], and its log growth rate
+    # log(W_k / W_(k-1)) over step k at rates[k % _RATES]; rows that never
+    # step stay finite
+    frames = [np.ones((R, M)), np.ones((R, M))]
+    rates = np.zeros((_RATES, R, M))
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
         if w0.shape != xi.shape:
@@ -530,11 +625,11 @@ def _solve_rows(p, xi, runs, deltas) -> list:
         elif np.any(w0 <= 0.0):
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
-            frames[i, 0] = w0
-            run.consume(deltas[0], frames[i, 0])
+            frames[0][i] = w0
+            run.consume(deltas[0], frames[0][i])
     live = [i for i in range(R) if out[i] is None]
     # F, sources added, e and rho of row i's last frame
-    d, e, rho, t = _stencil(frames[:, 0], dxi, p)
+    d, e, rho, t = _stencil(frames[0], dxi, p)
     F = _rhs(d, t, _drift_speed(p, deltas[0]), dxi, p)
     for i in live:
         if runs[i].source is not None:
@@ -562,26 +657,43 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                     f"end values {ends[i]} not finite and positive at delta = {new:.6e}")
         rows, cold = [i for i in live if out[i] is None], k == 1
         while rows:
-            last = frames[rows, 1 - slot]
-            start = last if cold else _predicted(
-                last, frames[rows, slot], math.log(new / delta) / math.log(delta / deltas[k - 2]))
+            # every row steps as a slice, so its arrays are views; a subset
+            # steps on copies, and writes its carried rows back
+            whole = len(rows) == R
+            sel = slice(None) if whole else rows
+            last = frames[1 - slot][sel]
+            if cold:
+                start = last
+            elif _WARMUP_STEPS + _RATES < k < len(deltas) - 1:
+                start = _extrapolated(last, [rates[(k - j) % _RATES][sel]
+                                             for j in range(1, _RATES + 1)])
+            else:
+                start = _predicted(last, frames[slot][sel],
+                                   math.log(new / delta) / math.log(delta / deltas[k - 2]))
+            held = old[sel]
             with np.errstate(over="ignore", invalid="ignore"):
-                res, X, carried = _step_rows(
+                res, X, _ = _step_rows(
                     last, delta, new, theta, [ends[i] for i in rows], dxi, p,
-                    [runs[i].source for i in rows], old[rows], bands, start,
+                    [runs[i].source for i in rows], held, bands, start,
                 )
+            if not whole:
+                old[rows] = held
             accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
-            if accepted:
+            if len(accepted) == R:  # X becomes the frame, and last stays the one before
+                np.log(np.divide(X, last, out=rates[k % _RATES]), out=rates[k % _RATES])
+                frames[slot] = X
+            elif accepted:
                 kept = [rows[j] for j in accepted]
-                frames[kept, slot], old[kept] = X[accepted], carried[accepted]
-            del last, start, X, carried  # not held through the retry
+                frames[slot][kept] = X[accepted]
+                rates[k % _RATES, kept] = np.log(X[accepted] / frames[1 - slot][kept])
+            del last, start, held, X  # not held through the retry
             retry = []
             for i, x in zip(rows, res):
                 traj = trajs[i]
                 if not isinstance(x, errors.FdelabError):
                     traj.newton_iters_max = max(traj.newton_iters_max, x)
                     traj.newton_iters += x
-                    runs[i].consume(new, frames[i, slot])
+                    runs[i].consume(new, frames[slot][i])
                     traj.frames += 1
                 elif cold or isinstance(x, errors.NonFinite):
                     out[i] = x
@@ -596,22 +708,23 @@ def _solve_rows(p, xi, runs, deltas) -> list:
 
 
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
-# float64 values for its 4 rows.  _solve_rows keeps 2 frames and the 3
-# carried rows (F, e, rho) per row (20 values), and copies the stepped
-# rows' last frame and carried rows for _step_rows and forms the predicted
-# start (20); _Bands keeps 4 bands per row (16); _step_rows holds X, step
-# and X_try (12), G and the 4 stencil arrays of the iterate and of the trial
-# (40), the step constant C and the floor's size and s_old (12), the
-# stencil's and the residual's temporaries (8), and at its end F and the
-# carried stack (16).  The runs add xi, 4 initial rows and the
-# manufactured profile and source arrays (12).  That is 156 values; a
-# traced sandwich at 20,000 cells (ref, tau 10 to 10.05) peaks at 1,154
-# bytes per point.  The mid run's CSV samples (W[::8] of every 10th frame)
+# float64 values for its 4 rows.  _solve_rows keeps 2 frames, the 3
+# carried rows (F, e, rho) and the log growth rates of the last 4 steps per
+# row (36 values), and for a step of only some rows copies their last
+# frame and carried rows, and forms the start (20); _Bands keeps 4 bands
+# per row (16); _step_rows holds X, step and X_try (12), G and the 4
+# stencil arrays of the iterate and of the trial (40), the step constant C
+# and the floor's size and s_old (12), the stencil's and the residual's
+# temporaries (8), and at its end F and the carried rows it writes (16).
+# The runs add xi, 4 initial rows and the manufactured profile and source
+# arrays (12).  That is 172 values; a traced sandwich at 20,000 cells (ref,
+# tau 10 to 10.15, past the first extrapolated start) peaks at 1,154 bytes
+# per point.  The mid run's CSV samples (W[::8] of every 10th frame)
 # come on top, and SandwichReport.to_csv streams its rows from them without
 # a list of its own; comparison_sandwich checks solve and samples together
 # against _MEMORY_BUDGET once the steps are planned, before it allocates
 # anything per cell.
-_POINT_BYTES = 8 * (40 + 16 + 88 + 12)
+_POINT_BYTES = 8 * (56 + 16 + 88 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 
@@ -701,10 +814,14 @@ def _manufactured_row(p: ModelParams, xi, delta_start: float):
     def consume(delta, W):
         nonlocal worst
         scale = delta ** (1.0 + p.gamma)
-        worst = max(worst, float(np.max(np.abs(W - scale * profile))) / scale)
+        worst = max(worst, float(np.abs(W - scale * profile).max()) / scale)
+
+    # W_exact(x, delta) is delta^{1+gamma} times W_exact(x, 1.0), bit for bit
+    lo, hi = float(W_exact(xi[0], 1.0)), float(W_exact(xi[-1], 1.0))
 
     def bc(delta):
-        return float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
+        scale = delta ** (1.0 + p.gamma)
+        return scale * lo, scale * hi
 
     return _Run(W_exact(xi, delta_start), bc, consume, bind(xi)), lambda: worst
 
@@ -867,12 +984,12 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
             if n % 5 == 0:
                 scale = delta ** (1.0 + p.gamma)
                 report.max_undershoot = max(report.max_undershoot,
-                                            float(np.max((bars.W_minus - W) / scale)))
+                                            float(((bars.W_minus - W) / scale).max()))
                 report.max_overshoot = max(report.max_overshoot,
-                                           float(np.max((W - bars.W_plus) / scale)))
+                                           float(((W - bars.W_plus) / scale).max()))
             if kind == "mid":
                 report.deltas.append(delta)
-                report.solution.append(float(np.max(W)))
+                report.solution.append(float(W.max()))
                 report.upper_barrier.append(bars.peaks[0])
                 report.lower_barrier.append(bars.peaks[1])
                 if n % 10 == 0:

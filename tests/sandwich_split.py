@@ -5,11 +5,13 @@
 Runs the simulate-ref workload of perfbench/run.py (`simulate --force` on
 the reference config) N times (default 5) through fdelab.cli.main in this
 process, into a temporary directory, with timers around the command and
-around pde._solve_rows, pde._step_rows, pde._barrier_W, pde._predicted
-and pde.SandwichReport.to_csv.  Each line gives a name's median wall time
-per run, inclusive of what it calls, and its calls per run.  The first
-run also compiles and imports fdelab.pde.  The exit status is 2 if one of
-the wrapped names is missing.
+around pde._solve_rows, pde._step_rows, pde._barrier_W, the two Newton
+starts pde._predicted and pde._extrapolated, and
+pde.SandwichReport.to_csv.  Each line gives a name's median wall time per
+run, inclusive of what it calls, and its calls per run.  The last lines
+give each row's Newton iterations (summed and most in one step) in the
+last run.  The first run also compiles and imports fdelab.pde.  The exit
+status is 2 if one of the wrapped names is missing.
 """
 
 from __future__ import annotations
@@ -35,16 +37,24 @@ WRAPPED = {  # printed name -> (owner, attribute)
     "_step_rows": (pde, "_step_rows"),
     "_barrier_W": (pde, "_barrier_W"),
     "_predicted": (pde, "_predicted"),
+    "_extrapolated": (pde, "_extrapolated"),
     "to_csv": (pde.SandwichReport, "to_csv"),
 }
 
 
-def timed(fn, seconds: list, calls: list):
-    """fn with each call's wall time added to seconds[0] and counted in calls[0]."""
+ROWS = ("calibration", "lower", "upper", "mid")  # the rows of the joint solve
+
+
+def timed(fn, seconds: list, calls: list, results: list | None = None):
+    """fn with each call's wall time added to seconds[0] and counted in
+    calls[0]; with results, its last return value kept in results[0]."""
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
         try:
-            return fn(*args, **kwargs)
+            value = fn(*args, **kwargs)
+            if results is not None:
+                results[:] = [value]
+            return value
         finally:
             seconds[0] += time.perf_counter() - start
             calls[0] += 1
@@ -61,8 +71,10 @@ def main(argv=None) -> int:
         print(f"missing: {', '.join(missing)}", file=sys.stderr)
         return 2
     totals = {name: ([0.0], [0]) for name in ("command", *WRAPPED)}
+    solved = []  # the last _solve_rows result: per row its Trajectory or error
     for name, (owner, attr) in WRAPPED.items():
-        setattr(owner, attr, timed(getattr(owner, attr), *totals[name]))
+        setattr(owner, attr, timed(getattr(owner, attr), *totals[name],
+                                   solved if name == "_solve_rows" else None))
     wl = WORKLOADS["simulate-ref"]
     per_run = {name: [] for name in totals}
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,7 +93,12 @@ def main(argv=None) -> int:
     print(f"simulate-ref, median of {args.runs} in-process runs")
     for name, runs in per_run.items():
         ms = statistics.median(s for s, _ in runs) * 1e3
-        print(f"  {name:<12} {ms:8.1f} ms  {statistics.median(c for _, c in runs):7.0f} calls")
+        print(f"  {name:<13} {ms:8.1f} ms  {statistics.median(c for _, c in runs):7.0f} calls")
+    print("Newton iterations per row (summed, most in one step)")
+    for row, traj in zip(ROWS, solved[0]):
+        iters = (f"{traj.newton_iters:7d} {traj.newton_iters_max:4d}"
+                 if isinstance(traj, pde.Trajectory) else type(traj).__name__)
+        print(f"  {row:<13} {iters}")
     return 0
 
 

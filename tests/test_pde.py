@@ -284,7 +284,7 @@ def test_sandwich_smoke(smoke_report):
         for kind, run in report.runs.items()
     }
     assert counters == {
-        "lower": (132, 7, 0), "upper": (130, 5, 0), "mid": (140, 11, 0),
+        "lower": (79, 7, 0), "upper": (77, 5, 0), "mid": (87, 11, 0),
     }
 
 
@@ -292,10 +292,11 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
     """The window of the benchmark's simulate-ref workload (ref at verify's
     eps, 400 cells, tau 10 to 10 + 2.2 ln 10, dtau 0.01) takes a pinned
     Newton path: per run its frames, summed and most Newton iterations,
-    and no cold retry.  The mid run's first step
-    converges at iteration 11 of 12, 2.4% inside its tolerance, so a
-    rounding change in G, the Newton bands, the tolerance floor or the
-    predictor can show here."""
+    and no cold retry.  From the extrapolated start (_extrapolated) a run
+    takes at most 1.1 Newton iterations per step.  The mid run's first
+    step converges at iteration 11 of 12, 2.4% inside its tolerance, so a
+    rounding change in G, the Newton bands, the tolerance floor or either
+    start can show here."""
     eps = 0.018066406177734376
     bars = GluedBarrier(solver_ref, "+", eps), GluedBarrier(solver_ref, "-", eps)
     solve_rows, solved = pde._solve_rows, []
@@ -309,8 +310,9 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
                                  n_cells=400, dtau=0.01)
     path = [(t.frames, t.newton_iters, t.newton_iters_max, t.cold_retries)
             for t in solved]  # calibration, lower, upper, mid
-    assert path == [(508, 510, 3, 0), (508, 1022, 7, 0), (508, 1020, 5, 0),
-                    (508, 1030, 11, 0)]
+    assert path == [(508, 510, 3, 0), (508, 524, 7, 0), (508, 522, 5, 0),
+                    (508, 532, 11, 0)]
+    assert all(iters <= 1.1 * (frames - 1) for frames, iters, _, _ in path)
     assert report.passed
 
 
@@ -988,8 +990,8 @@ def test_a_grid_past_the_memory_budget_is_refused_before_the_grid(barrier_pair, 
 
 def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair, monkeypatch):
     """Half the largest grid the joint solve may hold, over tau 10 -> 10.5
-    at dtau 1e-5 (50,003 planned frames), would add about 2 GiB of the mid
-    run's samples (W[::8] of every 10th frame) to 0.5 GiB of solve:
+    at dtau 1e-5 (50,003 planned frames), would add about 1.82 GiB of the
+    mid run's samples (W[::8] of every 10th frame) to 0.5 GiB of solve:
     InvalidParameter once the steps are planned, before the rows are
     built.  Over tau 10 -> 10.2 at dtau 0.01 (23 frames) the samples fit
     and the same grid reaches the rows."""
@@ -1001,7 +1003,7 @@ def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair
 
     monkeypatch.setattr(pde, "_manufactured_row", reached)
     half = (pde._MEMORY_BUDGET // pde._POINT_BYTES - 1) // 2
-    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 2\.5 GiB"):
+    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 2\.32 GiB"):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.5, n_cells=half, dtau=1e-5)
     with pytest.raises(Reached):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=half, dtau=0.01)
@@ -1108,6 +1110,100 @@ def test_predictor_gives_each_row_its_lone_bits():
     guess = pde._predicted(W, W_prev, 40.0)
     assert np.array_equal(guess[5], W[5])
     assert np.all(guess[:5] > 0.0) and np.all(guess[:5] < math.inf)
+
+
+def _growth_rates(W):
+    """The log growth rates log(W_k / W_(k-1)) of frames W[k] as the solve
+    keeps them, newest first."""
+    return [np.log(W[k] / W[k - 1]) for k in range(len(W) - 1, 0, -1)]
+
+
+def test_extrapolated_start_follows_a_cubic_plus_sawtooth():
+    """log W that is a cubic in the step index plus a constant sawtooth
+    c (-1)^k, the shape the trapezoidal steps leave, is extrapolated to
+    rounding from the last five frames; the geometric predictor misses it
+    by about the sawtooth."""
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1.0, 1.0, (4, 3, 1)) * np.array([1e-2, 1e-5, 1e-8, 1.0])[:, None, None]
+    c = rng.uniform(-2e-6, 2e-6, (3, 1))
+    base = np.log(rng.uniform(1e-12, 1e-10, (3, 401)))
+
+    def W(k):  # frame k of three rows
+        return np.exp(base + a[0] * k + a[1] * k ** 2 + a[2] * k ** 3 + a[3] + c * (-1) ** k)
+
+    for k in (5, 40, 200):
+        frames = [W(j) for j in range(k - 5, k)]
+        start = pde._extrapolated(frames[-1], _growth_rates(frames))
+        assert np.max(np.abs(start / W(k) - 1.0)) < 1e-13
+        geometric = pde._predicted(frames[-1], frames[-2], 1.0)
+        assert np.max(np.abs(geometric / W(k) - 1.0)) > 1e-7
+
+
+def test_extrapolated_start_gives_each_row_its_lone_bits():
+    """The start of the rows of one step gives each row the bits of its
+    lone evaluation."""
+    rng = np.random.default_rng(12)
+    W = np.exp(rng.uniform(-30.0, -20.0, (4, 401)))
+    rates = [rng.uniform(-0.05, 0.05, (4, 401)) for _ in range(4)]
+    start = pde._extrapolated(W, rates)
+    for j in range(4):
+        lone = pde._extrapolated(W[j:j + 1], [r[j:j + 1] for r in rates])
+        assert np.array_equal(start[j].view(np.int64), lone[0].view(np.int64))
+
+
+def test_extrapolated_start_falls_back_to_the_last_frame():
+    """A row whose start overflows, underflows to 0 or is NaN starts from
+    its last frame instead, without a warning; the other rows keep their
+    extrapolated start."""
+    rng = np.random.default_rng(13)
+    W = np.exp(rng.uniform(-30.0, -20.0, (4, 401)))
+    rates = [rng.uniform(-0.05, 0.05, (4, 401)) for _ in range(4)]
+    fine = pde._extrapolated(W, rates)
+    rates[3][0, 7] = 800.0  # e^800 overflows
+    rates[3][1, 9] = -800.0  # e^-800 underflows to 0
+    rates[0][2, 11] = math.nan
+    start = pde._extrapolated(W, rates)
+    assert np.array_equal(start[:3], W[:3])
+    assert np.array_equal(start[3], fine[3])
+
+
+def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, monkeypatch):
+    """The first step starts cold, the next ones from the geometric
+    predictor until five frames lie a full step apart, every later step
+    from the extrapolated start, and the short last step from the
+    geometric predictor again."""
+    ds, de = math.exp(-10.0), math.exp(-10.2)
+    deltas = pde._planned_deltas(ds, de, 0.01)
+    assert deltas[-1] / deltas[-2] > deltas[-2] / deltas[-3]  # the last step is short
+    starts = []
+    predicted, extrapolated, step_rows = pde._predicted, pde._extrapolated, pde._step_rows
+
+    def step(*args):
+        starts.append(None)
+        return step_rows(*args)
+
+    def start(kind, fn):
+        def wrapped(*args):
+            starts.append(kind)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(pde, "_predicted", start("geometric", predicted))
+    monkeypatch.setattr(pde, "_extrapolated", start("extrapolated", extrapolated))
+    monkeypatch.setattr(pde, "_step_rows", step)
+    a0 = d_ref.a0
+    traj = solve_radial_fde(
+        p_ref, xi_window=(-10.0, 30.0), n_cells=100, delta_start=ds, delta_end=de,
+        dtau=0.01, w0=lambda x: a0 * ds * np.ones_like(x),
+        bc=lambda delta: (a0 * delta, a0 * delta),
+    )
+    assert traj.cold_retries == 0
+    per_step = [starts[j - 1] if j and starts[j - 1] else "cold"
+                for j, s in enumerate(starts) if s is None]
+    n = len(deltas) - 1
+    assert per_step == (["cold"] + ["geometric"] * (pde._WARMUP_STEPS + pde._RATES - 1)
+                        + ["extrapolated"] * (n - pde._WARMUP_STEPS - pde._RATES - 1)
+                        + ["geometric"])
 
 
 def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypatch):
@@ -1238,11 +1334,11 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     assert all(t.cold_retries == 0 for t in report.runs.values())
     assert counts["attempts"] == report.runs["mid"].frames - 1 == counts["calibration"]
     assert counts["gtsv"] == counts["rounds"]
-    assert (counts["attempts"], counts["rounds"]) == (62, 140)
+    assert (counts["attempts"], counts["rounds"]) == (62, 87)
     # one call for the initial frames, then per attempt one for its start
-    # and one per trial iterate (140 rounds, 6 halved line-search trials);
-    # evaluating the old frame in every attempt as well made it 270
-    assert counts["stencil"] == 1 + 62 + 140 + 6
+    # and one per trial iterate (87 rounds, 6 halved line-search trials);
+    # evaluating the old frame in every attempt as well would make it 218
+    assert counts["stencil"] == 1 + 62 + 87 + 6
     assert counts["source"] == counts["calibration"] + 1
 
 
