@@ -1,95 +1,6 @@
-"""Radial PDE laboratory: comoving solver and sandwich runs.
-
-The evolution is posed for W(xi, t) = w(s, t) in the comoving frame
-xi = s - A (T-t)^(-gamma), where the w-equation gains a drift:
-
-    W_t = F(W) + sigma(t) W_xi,
-    F(W) = (n-1) [W_xixi/W + b1 W_xi^2/W^2 + b2 W_xi/W] - a0,
-    sigma(t) = A gamma (T-t)^(-gamma-1).
-
-Time is tracked through delta = T - t with the exact geometric update
-delta_{k+1} = delta_k (1 - dtau), so the uniform-in-w profile a0*delta is
-reproduced to rounding accuracy by the trapezoidal stepper.  Space is a
-uniform xi grid with central second-order differences; steps are implicit
-(theta = 1/2 after a short backward-Euler warmup that damps the stiff
-transient of non-equilibrium initial data), solved by a damped Newton
-iteration with an analytic tridiagonal Jacobian and positivity rejection.
-Each Newton system covers the interior points, so the Dirichlet ends keep
-their values exactly.
-
-Newton starts from an extrapolation of the last frames.  The trapezoidal
-rule does not damp the stiff modes, so each row's frames carry a time
-error that flips sign every step: log W is smooth in the step index k
-plus a sawtooth c (-1)^k, so its 4th difference in k changes sign every
-step (on simulate-ref up to 2.3e-5 over the grid on the lower and mid
-rows, 2.6e-6 on the upper one).  No smooth extrapolant follows that, so once five frames lie a full step
-apart Newton starts from exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4), L0..L4 =
-log W of the last five frames, newest first, which is exact for a cubic
-in k plus a constant sawtooth (_extrapolated), and takes one Newton round
-per step.  The warm-up steps and the short last step start from the
-geometric predictor of the last two frames (_predicted), and the first
-step cold.  A rejected start is retried cold, and a rejected cold start
-stops the run.
-
-The Newton kernel reads everything from one stencil pass per iterate
-(_stencil).  At an interior point with value W, neighbours W+ and W-
-and spacing h, D1 = (W+ - W-)/(2h), D2 = (W+ - 2W + W-)/h^2, and the
-quotients r1 = D1/W, q = D2/W give
-
-    F = (n-1) (q + b1 r1^2 + b2 r1) + sigma D1 - a0.
-
-The stencil keeps them scaled by h: e = ((W+ - W) + (W- - W))/W = h^2 q,
-whose two differences are exact for neighbours within a factor 2 of W,
-and rho = (W+ - W-)/W = 2h r1.  With
-t = e + rho (b1 rho/4 + b2 h/2) = h^2 (q + b1 r1^2 + b2 r1),
-F = (n-1) t/h^2 + sigma (W+ - W-)/(2h) - a0 (_rhs).  Differentiating,
-
-    dF/dW+- = (n-1)/(h^2 W) (1 +- g) +- sigma/(2h),   g = h (b1 r1 + b2/2),
-    dF/dW   = -(n-1)/(h^2 W) (2 + h^2 q + h^2 r1 (2 b1 r1 + b2)),
-
-that is g = (b1 rho + b2 h)/2 and a diagonal bracket 2 + e + rho g.
-With E = -dt theta (n-1)/(h^2 W) and alpha = dt theta sigma/(2h), the
-Newton matrix I - dt theta J_F has the sub-, main and superdiagonals
-E(1 - g) + alpha, 1 - E(2 + e + rho g) and E(1 + g) - alpha
-(_newton_bands), written straight into the gtsv bands.  The residual
-G = X - W_old - dt (theta F(X) + (1 - theta) F_old) of an iterate X is
-X - C - K t - alpha (X+ - X-) with K = dt theta (n-1)/h^2 and the step's
-constant C = W_old + dt (1 - theta) F_old - dt theta (a0 - S), S a run's
-extra source at the new delta, formed once per step.
-
-Newton stops at the step's tolerance, which is never below a bound on
-the rounding of G: 2.3e-16 (2 W + dt T) on the old frame, where T bounds
-the raw size of the terms of F, whose drift sigma D1 cancels against the
-diffusion and a0 to a net |F| far below it:
-
-    T = (n-1) (M2/W + 2 |b1| |D1| M1/W^2 + |b2| M1/W) + a0 + sigma M1,
-
-M1 = (W+ + W-)/(2h) and M2 = (W+ + 2W + W-)/h^2.  With S = W+ + W- and
-s = S/W = 2 + e in the old frame, M2/W = (s + 2)/h^2,
-|D1| M1/W^2 = |rho| s/(4h^2) and M1/W = s/(2h), so
-
-    dt T = dt (n-1)/h^2 (s (1 + |b1| |rho|/2 + |b2| h/2) + 2) + dt a0
-           + dt sigma s W/(2h),
-
-the same terms bounded the same way, from the e and rho that a row
-carries out of the step that accepted its frame.
-
-Independent runs on one grid are the rows of one (runs, points) array
-(_solve_rows), stepped through one schedule of planned deltas
-(_planned_deltas).  Each planned step is one _step_rows call of every
-live row, whose step factors are Python floats; each row keeps its own
-tolerance and damping.  The rows whose extrapolated or predicted start is
-rejected retry the step cold, together, in a second call.  A Newton round passes its
-rows' systems to LAPACK gtsv in one call, as one block-diagonal system
-with zero couplings (_Bands), and every factor is the float a lone run
-computes, so a run gives the same bits alone or beside others.  _Bands is the only holder of gtsv bindings: it
-binds the stacked system once and each row once, on bands it allocates
-itself, and after a zero pivot or a non-finite x solves each row through
-that row's binding.  A row keeps its last two frames, the log growth rates
-log(W_k / W_(k-1)) of its last four steps, and F, e and rho of the last
-frame for its next step, hands every accepted frame, the initial one too,
-to its run's consumer, and counts its frames and solver work in its
-Trajectory as it goes.
+"""Radial PDE laboratory: sandwich runs of the comoving solver
+(fdelab.comoving) between the glued barriers, the manufactured run that
+calibrates their tolerance, and the extinction-rate fits.
 
 The sandwich (comparison_sandwich) evaluates both barriers on the whole
 grid, one wbar call per barrier and block of planned deltas of at most
@@ -102,7 +13,6 @@ a few scalars per step, never by grid rows.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -111,6 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
+from .comoving import (
+    _STEP_BUDGET, Trajectory, _drift_speed, _finished, _planned_deltas, _Run, _solve_rows,
+)
 from .matching import GluedBarrier
 from .params import ModelParams, radial_diffusion
 from .reporting import write_csv
@@ -123,605 +36,21 @@ __all__ = [
 ]
 
 
-# -- solver --------------------------------------------------------------------
-
-
-@dataclass
-class Trajectory:
-    """A comoving run that took every planned step: its frame count and
-    solver counters."""
-
-    frames: int = 1  # accepted frames, the initial one included
-    newton_iters_max: int = 0  # most Newton iterations of one accepted step
-    newton_iters: int = 0  # Newton iterations summed over accepted steps
-    cold_retries: int = 0  # predicted starts rejected and retried from the last frame
-
-
-def _drift_speed(p: ModelParams, delta: float) -> float:
-    """sigma = A gamma delta^(-gamma-1), the speed of the comoving frame."""
-    return p.A * p.gamma * delta ** (-p.gamma - 1.0)
-
-
-def _stencil(W, dxi, p):
-    """The stencil of the interior points of each row of W as quotients:
-    d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W and
-    t = e + rho (b1 rho/4 + b2 dxi/2), from which _rhs forms F and
-    _newton_bands the Newton matrix (module docstring)."""
-    Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
-    up = Wp - W0
-    down = Wm - W0
-    d = up - down
-    up += down
-    e = np.divide(up, W0, out=up)
-    rho = d / W0
-    t = rho * (0.25 * p.d.b1)
-    t += 0.5 * p.d.b2 * dxi
-    t *= rho
-    t += e
-    return d, e, rho, t
-
-
-def _rhs(d, t, sigma, dxi, p):
-    """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is the
-    drift speed, a float for the rows of one step or a column of per-row
-    speeds."""
-    F = t * ((p.n - 1) / (dxi * dxi))
-    F += (sigma / (2.0 * dxi)) * d
-    F -= p.d.a0
-    return F
-
-
-def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
-    """Write the Newton matrix I - dt theta J_F of each row into its bands:
-    the subdiagonal dl (points 1..), the diagonal and the superdiagonal du
-    (points ..-2), from the interior values W and the quotients (e, rho)
-    of _stencil.  kappa = -dt theta (n-1)/dxi^2 and alpha =
-    dt theta sigma/(2 dxi) are the floats of one step, or columns of
-    per-row factors."""
-    E = kappa / W
-    g = rho * (0.5 * p.d.b1)
-    g += 0.5 * p.d.b2 * dxi
-    np.multiply(rho, g, out=diag)
-    diag += e
-    diag += 2.0
-    diag *= E
-    np.subtract(1.0, diag, out=diag)
-    g *= E
-    np.add(E[:, :-1], g[:, :-1], out=du)
-    du -= alpha
-    np.subtract(E[:, 1:], g[:, 1:], out=dl)
-    dl += alpha
-
-
-_gtsv = None  # bind(dl, d, du, b) -> solve(n) of the gtsv route, chosen on the first solve
-
-
-def _openblas_gtsv():
-    """bind(dl, d, du, b) -> solve(n) of the leading n unknowns through the
-    dgtsv of the OpenBLAS that numpy's wheel loads, or None.
-
-    The symbol is the ILP64 build's scipy_dgtsv_64_ (64-bit N, NRHS, LDB
-    and INFO), looked up through the handle of numpy's linalg extension,
-    whose dependencies dlsym searches too.  A bound solve keeps the bands'
-    addresses, writes x over b and returns gtsv's info."""
-    try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgtsv_64_
-    except (OSError, AttributeError):
-        return None
-    integer, band = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    fn.argtypes = [integer, integer, band, band, band, band, integer, integer]
-    fn.restype = None
-    nrhs = ctypes.c_int64(1)
-
-    def bind(dl, d, du, b):
-        bands, info = [band(a.ctypes.data) for a in (dl, d, du, b)], ctypes.c_int64()
-
-        def solve(n):
-            size = ctypes.c_int64(n)
-            fn(size, nrhs, *bands, size, info)
-            return info.value
-
-        return solve
-
-    return bind
-
-
-def _scipy_gtsv():
-    """scipy's f2py-wrapped dgtsv in the same form, or None without scipy.
-    The leading bands pass the wrapper's own checks, so it writes x over b."""
-    try:
-        from scipy.linalg.lapack import dgtsv
-    except ImportError:
-        return None
-
-    def bind(dl, d, du, b):
-        def solve(n):  # the wrapper wants off-diagonal bands of at least one entry
-            lower, upper = (dl[:n - 1], du[:n - 1]) if n > 1 else (np.zeros(1), np.zeros(1))
-            return dgtsv(lower, d[:n], upper, b[:n], overwrite_dl=1, overwrite_d=1,
-                         overwrite_du=1, overwrite_b=1)[4]
-        return solve
-
-    return bind
-
-
-def _lapack():
-    """The gtsv binder, picked on the first call: numpy's bundled OpenBLAS
-    through ctypes, else scipy's dgtsv (same bits); with neither,
-    LapackUnavailable names both."""
-    global _gtsv
-    if _gtsv is None:
-        _gtsv = _openblas_gtsv() or _scipy_gtsv()
-        if _gtsv is None:
-            raise errors.LapackUnavailable(
-                "no LAPACK dgtsv: numpy's bundled OpenBLAS has no scipy_dgtsv_64_ "
-                "and scipy.linalg.lapack cannot be imported"
-            )
-    return _gtsv
-
-
-class _Bands:
-    """Newton systems of up to `rows` rows of n unknowns as one block-diagonal
-    system, the one owner of gtsv bindings: row j's bands are dl[j, :-1],
-    d[j], du[j, :-1] and b[j], and the couplings dl[j, -1], du[j, -1] are
-    exactly zero, so each row gets the bits of its lone solve, up to signs
-    of 0.  gtsv is bound once to the stacked system and once to each row,
-    on C-contiguous float64 bands that this class allocates, so no raw
-    pointer can misread a caller's array."""
-
-    def __init__(self, rows, n):
-        self.dl, self.d, self.du, self.b = bands = [np.zeros((rows, n)) for _ in range(4)]
-        bind = _lapack()
-        self.gtsv = bind(*(a.reshape(-1) for a in bands))
-        self.lone = [bind(*row) for row in zip(*bands)]
-
-    def solve(self, r, fill):
-        """x of the leading r systems, which fill(dl, d, du, b) writes, from
-        one gtsv call; after a zero pivot (gtsv stops there) or a non-finite
-        x (it crosses the couplings), each row's lone x or NewtonDiverged."""
-        bands = self.dl[:r, :-1], self.d[:r], self.du[:r, :-1], self.b[:r]
-        fill(*bands)
-        if self.gtsv(bands[3].size) == 0 and np.isfinite(bands[3]).all():
-            return bands[3]
-        fill(*bands)
-        self.dl[:, -1] = self.du[:, -1] = 0.0
-        out = []
-        for solve, x in zip(self.lone, bands[3]):
-            info = solve(len(x))
-            out.append(x if info == 0 else errors.NewtonDiverged(
-                f"tridiagonal Newton matrix singular (gtsv info {info})"))
-        return out
-
-
-_NEWTON_MAX = 12  # Newton iterations before a step is rejected
-
-
-def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, bands, start):
-    """One theta-weighted implicit step, from delta_old to delta_new with
-    weight theta, for every row of W_old.
-
-    The step's factors (dt, both drift speeds, K, alpha, the step
-    constant's weight and shift, the floor's factors of dt T) are Python
-    floats shared by the rows, computed as for a lone run.  Row i has the
-    Dirichlet values ends[i] = (W_lo, W_hi) and the optional extra
-    right-hand side sources[i](delta_new), called once.  old holds per row
-    (F_old, e_old, rho_old): F, sources added, and the quotients e and rho
-    of W_old (_stencil).  Newton starts from the positive start[i] with
-    the Dirichlet values at its ends; its systems cover the interior points
-    only.  Each row has its own tolerance and damping.  The array stages
-    run on all rows and each update writes only the rows it selects: a row
-    not being tried keeps its positive iterate, and a trial row that is not
-    positive falls back to its iterate.  A round's Newton systems go to
-    gtsv as one system in bands (a _Bands); a first round that every row
-    takes runs on whole arrays, with no per-row lists.  A row whose
-    residual is not finite stops with NonFinite before its next solve.
-
-    Returns (out, X, old): out[i] is row i's Newton iterations or the
-    error that rejected its step; the accepted rows of X are their new
-    frames, and those of old now hold the next step's (F, e, rho), written
-    in place; the other rows of old are left as they came.
-    """
-    k = len(W_old)
-    out = [None] * k
-    n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
-    dt = delta_old - delta_new
-    sigma_old, sigma_new = _drift_speed(p, delta_old), _drift_speed(p, delta_new)
-    implicit = dt * theta
-    # the residual's K and alpha (the Newton matrix's kappa is -K), the step
-    # constant's weight of F_old and its shift, and the floor's factors of
-    # dt T (module docstring)
-    K = implicit * n1 / h2
-    alpha = implicit * sigma_new / (2.0 * dxi)
-    weight, shift = dt * (1.0 - theta), -implicit * a0
-    curv, base = dt * n1 / h2, dt * (2.0 * n1 / h2 + a0)
-    drift = dt * sigma_old / (2.0 * dxi)
-    F_old, e_old, rho_old = old.swapaxes(0, 1)
-    W_in = W_old[:, 1:-1]
-
-    # the achievable residual is bounded below by rounding of the bracket
-    # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|, and
-    # by rounding inside F, whose stencil terms cancel to a net |F| far
-    # below their raw size T
-    w_scale = W_old.max(axis=1).tolist()
-    f_scale = [a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
-    s_old = e_old + 2.0
-    size = np.abs(rho_old)  # becomes 2W + dt T
-    size *= 0.5 * abs(p.d.b1)
-    size += 1.0 + 0.5 * abs(p.d.b2) * dxi
-    size *= s_old
-    size *= curv
-    size += base
-    near = np.multiply(drift, s_old, out=s_old)  # the terms that scale with W
-    near += 2.0
-    near *= W_in
-    size += near
-    floor = size.max(axis=1).tolist()
-    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + dt * f), 2.3e-16 * g)
-           for w, f, g in zip(w_scale, f_scale, floor)]
-
-    # G = X - C - K t - alpha d with the step's constant C (module docstring)
-    C = weight * F_old
-    C += W_in
-    C += shift
-    sourced = [(i, source(delta_new)[1:-1]) for i, source in enumerate(sources)
-               if source is not None]
-    for i, S in sourced:
-        C[i] += implicit * S
-
-    def residual(X):
-        """G on the interior points of every row of X and the stencil of
-        X.  The ends hold their Dirichlet values exactly, so their
-        residual is 0 and is not formed."""
-        d, e, rho, t = _stencil(X, dxi, p)
-        G = X[:, 1:-1] - C
-        part = K * t
-        G -= part
-        np.multiply(alpha, d, out=part)
-        G -= part
-        return G, d, e, rho, t
-
-    X = np.array(start, dtype=float)
-    X[:, ::X.shape[1] - 1] = ends
-    G, d, e, rho, t = residual(X)
-    G_norm = np.abs(G).max(axis=1).tolist()
-    step = np.zeros_like(X)  # lambda times the Newton step on rows in a line search, else 0
-
-    def newton(iterating, lam):
-        """Put the Newton steps of the iterating rows into step, from one
-        gtsv call of their systems I - dt*theta*J_F on the interior points
-        (the ends keep their Dirichlet values, so their step is exactly 0);
-        a row whose lone solve is singular stops with lam 0.  True when one
-        call solved every row."""
-        rows = slice(None) if len(iterating) == k else iterating
-
-        def fill(dl, diag, du, b):
-            _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows], -K, alpha, dxi, p)
-            np.negative(G[rows], out=b)
-
-        xs = bands.solve(len(iterating), fill)
-        if len(iterating) == k and isinstance(xs, np.ndarray):
-            step[:, 1:-1] = xs
-            return True
-        step[...] = 0.0
-        for i, x in zip(iterating, xs):
-            if isinstance(x, errors.NewtonDiverged):
-                out[i], lam[i] = x, 0.0
-            else:
-                step[i, 1:-1] = x
-        return False
-
-    def search(lam, first=None):
-        """Damped line search, each row with its own lambda; step holds
-        lambda times the Newton step, halved with lambda (exactly, as
-        lambda is a power of 2).  first is the trial of every row's full
-        step, (X + step, its residual and stencil, their norms), formed
-        already; when it lowers every row's residual it is taken whole."""
-        nonlocal X, G, d, e, rho, t
-        if first is not None and all(a < b for a, b in zip(first[2], G_norm)):
-            X, (G, d, e, rho, t), G_norm[:] = first
-            return
-        while any(lam):
-            searching = [i for i in range(k) if lam[i]]
-            if first is None:
-                X_try = X + step
-                positive = (X_try > 0.0).all(axis=1).tolist()
-                if not all(positive):  # only trial rows can leave positivity
-                    np.copyto(X_try, X, where=~np.array(positive)[:, None])
-                tried = [ok and x > 0.0 for ok, x in zip(positive, lam)]
-                if any(tried):
-                    trial = residual(X_try)
-                    G_try_norm = np.abs(trial[0]).max(axis=1).tolist()
-            else:
-                (X_try, trial, G_try_norm), first = first, None
-                tried = [True] * k
-            taken = [False] * k
-            for i in searching:
-                if tried[i] and (G_try_norm[i] < G_norm[i] or lam[i] < 0.1):
-                    taken[i], G_norm[i], lam[i] = True, G_try_norm[i], 0.0
-                else:
-                    lam[i] *= 0.5
-                    if lam[i] >= 1e-4:
-                        step[i] *= 0.5
-                        continue
-                    out[i], lam[i] = errors.PositivityLost(
-                        f"no positive damped Newton step at delta = {delta_new:.6e}"
-                    ), 0.0
-                step[i] = 0.0  # the row leaves the line search
-            # a row outside the line search evaluated its own unchanged
-            # iterate, so once every searching row took its step the trial
-            # is swapped in whole
-            if all(taken[i] for i in searching):
-                X, (G, d, e, rho, t) = X_try, trial
-            elif any(taken):
-                taken = np.array(taken)[:, None]
-                for a, a_try in zip((X, G, d, e, rho, t), (X_try, *trial)):
-                    np.copyto(a, a_try, where=taken)
-            trial = None  # a refused trial is not held through the next one
-
-    # the first round, when every row takes it, needs no per-row lists: its
-    # systems go to gtsv in one call, and when every full step stays
-    # positive the trial is formed at once, and taken whole if it lowers
-    # every row's residual
-    its = [0] * k
-    if all(a < g < math.inf for a, g in zip(tol, G_norm)):
-        its, lam, first = [1] * k, [1.0] * k, None
-        if newton(range(k), lam):
-            X_try = X + step
-            if X_try.min() > 0.0:
-                trial = residual(X_try)
-                first = X_try, trial, np.abs(trial[0]).max(axis=1).tolist()
-        search(lam, first)
-        X_try = trial = first = None  # not held through the next round
-
-    converged = [False] * k
-    while True:
-        lam = [0.0] * k  # line-search damping; 0 on rows that sit still
-        for i in range(k):
-            if converged[i] or out[i] is not None:
-                continue
-            if G_norm[i] <= tol[i]:
-                converged[i] = True
-            elif not math.isfinite(G_norm[i]):
-                out[i] = errors.NonFinite(f"Newton residual not finite at delta = {delta_new:.6e}")
-            elif its[i] >= _NEWTON_MAX:
-                out[i] = errors.NewtonDiverged(
-                    f"Newton stalled at |G| = {G_norm[i]:.3e} "
-                    f"(tol {tol[i]:.3e}) at delta = {delta_new:.6e}"
-                )
-            else:
-                its[i] += 1
-                lam[i] = 1.0
-        iterating = [i for i in range(k) if lam[i]]
-        if not iterating:
-            break
-        newton(iterating, lam)
-        search(lam)
-
-    # a row that stopped is never taken again, so X and its stencil still
-    # hold every converged row's last iterate
-    F = _rhs(d, t, sigma_new, dxi, p)
-    for i, S in sourced:
-        F[i] += S
-    done = [i for i in range(k) if converged[i]]
-    for i in done:
-        out[i] = its[i]
-    rows = slice(None) if len(done) == k else done
-    old[rows, 0], old[rows, 1], old[rows, 2] = F[rows], e[rows], rho[rows]
-    return out, X, old
-
-
-@dataclass
-class _Run:
-    """One row of a joint solve: initial data on the grid, bc(delta) ->
-    (W_lo, W_hi), consume(delta, W) of each accepted frame (the initial
-    one too; W is overwritten two frames later, so copy what is kept) and
-    an optional extra right-hand side source(delta) on the grid, evaluated
-    once per step attempt and once for the initial frame."""
-
-    w0: np.ndarray
-    bc: object
-    consume: object
-    source: object = None
-
-
-_STEP_BUDGET = 200000
-_WARMUP_STEPS = 4  # backward-Euler steps that damp the initial transient
-
-
-def _finished(delta, delta_end) -> bool:
-    """A run at delta has reached delta_end, up to rounding of the steps."""
-    return not delta > delta_end * (1.0 + 1e-12)
-
-
-def _planned_deltas(delta_start, delta_end, dtau) -> list:
-    """The joint solve's one step schedule: delta_start and the delta after
-    each step, for at most the step budget, for a window that _check_window
-    passed.  The first _WARMUP_STEPS steps take 0.5 dtau of delta and are
-    backward Euler (theta 1), the later ones take dtau and are trapezoidal
-    (theta 1/2), and the final step lands exactly on delta_end."""
-    deltas = [delta_start]
-    while not _finished(deltas[-1], delta_end) and len(deltas) <= _STEP_BUDGET + 1:
-        frac = 0.5 * dtau if len(deltas) <= _WARMUP_STEPS else dtau
-        deltas.append(deltas[-1] * (1.0 - min(frac, 1.0 - delta_end / deltas[-1])))
-    return deltas
-
-
-def _predicted(W, W_prev, r):
-    """The geometric predictor W (W / W_prev)^r of each row at the next
-    planned delta, r = log(delta_new / delta) / log(delta / delta_prev) a
-    float shared by the rows, or the row of W where that is not finite and
-    positive.  A float r takes numpy's scalar power path, the one a lone
-    row takes (sqrt at 0.5, square at 2).  r = 0 gives W."""
-    with np.errstate(over="ignore"):
-        guess = W * (W / W_prev) ** r
-    np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
-    return guess
-
-
-_RATES = 4  # steps whose log growth rates the extrapolated start reads
-
-
-def _extrapolated(W, rates):
-    """The start exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4) of each row, L0..L4
-    the logs of its last five frames, newest first, or the row of W (its
-    last frame, exp L0) where that is not finite and positive.
-
-    The trapezoidal steps leave the stiff modes undamped, so log W of each
-    row is smooth in the step index k plus a sawtooth c (-1)^k, which no
-    smooth extrapolant follows.  These integer weights make the start exact
-    for a cubic in k plus a constant sawtooth.  It is formed as
-    W exp(2 r0 - 2 r2 + r3) from rates = (r0, r1, r2, r3), the log growth
-    rates log(W_j / W_(j-1)) of the row's last four steps, newest first (r1
-    has weight 0).  A rate is the log of a ratio near 1, rounded to about
-    1e-16, where log W itself (near -25 on ref) is rounded to about 4e-15,
-    which the weights would add up to 1e-14 in a start that Newton may
-    accept unchanged."""
-    r0, _, r2, r3 = rates
-    x = r0 - r2
-    x *= 2.0
-    x += r3
-    with np.errstate(over="ignore"):
-        guess = np.exp(x, out=x)
-    guess *= W
-    if not (guess.min() > 0.0 and guess.max() < math.inf):
-        np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
-    return guess
-
-
-def _solve_rows(p, xi, runs, deltas) -> list:
-    """Step every run through the planned deltas (_planned_deltas) as one
-    row of a shared implicit solve; returns per run its Trajectory or the
-    FdelabError that stopped it.
-
-    Each planned step is one _step_rows call of every live row.  The
-    first step starts cold from the last frame, and the next ones from the
-    geometric predictor of the rows' last two frames (_predicted), the only
-    frames kept (each accepted frame goes to its run's consumer).  Once the
-    last five frames lie a full step apart, every step but the short last
-    one starts from _extrapolated, which follows the sawtooth the
-    trapezoidal steps leave in log W, from the log growth rates of the last
-    four steps; a rate is formed from each accepted frame and the one
-    before it.  When every row steps, the frames, the rates and the carried
-    rows are read and written as whole arrays.  The rows whose start is
-    rejected retry the same step cold, together, in a second call.  F, e and rho of
-    a row's last frame, which the step that accepted it handed back, serve
-    both attempts.  A row stops with its error on a rejected cold step, a
-    NonFinite result, end values that are not finite and positive (no
-    start changes those), or an FdelabError from its bc; the other rows go
-    on.  The steps run with numpy's overflow and invalid-value warnings
-    off, so that the checks for a non-finite residual or solve decide.
-    """
-    dxi = xi[1] - xi[0]
-    R, M = len(runs), len(xi)
-    out = [None] * R
-    # every row after step k at frames[k % 2], and its log growth rate
-    # log(W_k / W_(k-1)) over step k at rates[k % _RATES]; rows that never
-    # step stay finite
-    frames = [np.ones((R, M)), np.ones((R, M))]
-    rates = np.zeros((_RATES, R, M))
-    for i, run in enumerate(runs):
-        w0 = np.asarray(run.w0, dtype=float)
-        if w0.shape != xi.shape:
-            out[i] = errors.InvalidParameter("w0 must return one value per grid point")
-        elif np.any(w0 <= 0.0):
-            out[i] = errors.PositivityLost("initial data not strictly positive")
-        else:
-            frames[0][i] = w0
-            run.consume(deltas[0], frames[0][i])
-    live = [i for i in range(R) if out[i] is None]
-    # F, sources added, e and rho of row i's last frame
-    d, e, rho, t = _stencil(frames[0], dxi, p)
-    F = _rhs(d, t, _drift_speed(p, deltas[0]), dxi, p)
-    for i in live:
-        if runs[i].source is not None:
-            F[i] += runs[i].source(deltas[0])[1:-1]
-    old = np.stack((F, e, rho), 1)
-    del d, e, rho, t, F
-    bands = _Bands(R, M - 2)
-    trajs = [Trajectory() for _ in range(R)]
-    for k in range(1, len(deltas)):
-        if not live:
-            break
-        delta, new, slot = deltas[k - 1], deltas[k], k % 2
-        theta = 1.0 if k <= _WARMUP_STEPS else 0.5
-        ends = {}
-        for i in live:
-            try:
-                ends[i] = runs[i].bc(new)
-            except errors.FdelabError as exc:
-                out[i] = exc
-                continue
-            # an end value that is not a finite positive number stops the
-            # row before Newton, which could leave a nearby positive value
-            if not all(0.0 < e < math.inf for e in ends[i]):
-                out[i] = errors.PositivityLost(
-                    f"end values {ends[i]} not finite and positive at delta = {new:.6e}")
-        rows, cold = [i for i in live if out[i] is None], k == 1
-        while rows:
-            # every row steps as a slice, so its arrays are views; a subset
-            # steps on copies, and writes its carried rows back
-            whole = len(rows) == R
-            sel = slice(None) if whole else rows
-            last = frames[1 - slot][sel]
-            if cold:
-                start = last
-            elif _WARMUP_STEPS + _RATES < k < len(deltas) - 1:
-                start = _extrapolated(last, [rates[(k - j) % _RATES][sel]
-                                             for j in range(1, _RATES + 1)])
-            else:
-                start = _predicted(last, frames[slot][sel],
-                                   math.log(new / delta) / math.log(delta / deltas[k - 2]))
-            held = old[sel]
-            with np.errstate(over="ignore", invalid="ignore"):
-                res, X, _ = _step_rows(
-                    last, delta, new, theta, [ends[i] for i in rows], dxi, p,
-                    [runs[i].source for i in rows], held, bands, start,
-                )
-            if not whole:
-                old[rows] = held
-            accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
-            if len(accepted) == R:  # X becomes the frame, and last stays the one before
-                np.log(np.divide(X, last, out=rates[k % _RATES]), out=rates[k % _RATES])
-                frames[slot] = X
-            elif accepted:
-                kept = [rows[j] for j in accepted]
-                frames[slot][kept] = X[accepted]
-                rates[k % _RATES, kept] = np.log(X[accepted] / frames[1 - slot][kept])
-            del last, start, held, X  # not held through the retry
-            retry = []
-            for i, x in zip(rows, res):
-                traj = trajs[i]
-                if not isinstance(x, errors.FdelabError):
-                    traj.newton_iters_max = max(traj.newton_iters_max, x)
-                    traj.newton_iters += x
-                    runs[i].consume(new, frames[slot][i])
-                    traj.frames += 1
-                elif cold or isinstance(x, errors.NonFinite):
-                    out[i] = x
-                else:  # the same step again, from the last frame
-                    traj.cold_retries += 1
-                    retry.append(i)
-            rows, cold = retry, True
-        live = [i for i in live if out[i] is None]
-    for i in live:
-        out[i] = trajs[i]
-    return out
-
-
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
-# float64 values for its 4 rows.  _solve_rows keeps 2 frames, the 3
-# carried rows (F, e, rho) and the log growth rates of the last 4 steps per
-# row (36 values), and for a step of only some rows copies their last
-# frame and carried rows, and forms the start (20); _Bands keeps 4 bands
-# per row (16); _step_rows holds X, step and X_try (12), G and the 4
-# stencil arrays of the iterate and of the trial (40), the step constant C
-# and the floor's size and s_old (12), the stencil's and the residual's
-# temporaries (8), and at its end F and the carried rows it writes (16).
-# The runs add xi, 4 initial rows and the manufactured profile and source
-# arrays (12).  That is 172 values; a traced sandwich at 20,000 cells (ref,
-# tau 10 to 10.15, past the first extrapolated start) peaks at 1,154 bytes
-# per point.  The mid run's CSV samples (W[::8] of every 10th frame)
-# come on top, and SandwichReport.to_csv streams its rows from them without
-# a list of its own; comparison_sandwich checks solve and samples together
+# float64 values for its 4 rows.  comoving._solve_rows keeps 2 frames, the
+# 3 carried rows (F, e, rho) and the log growth rates of the last 4 steps
+# per row (36 values), and copies the stepped rows' last frame and carried
+# rows for _step_rows and forms the start (20); _Bands keeps 4 bands per
+# row (16); _step_rows holds X, step and X_try (12), G and the 4 stencil
+# arrays of the iterate and of the trial (40), the step constant C and the
+# floor's size and s_old (12), the stencil's and the residual's
+# temporaries (8), and at its end F and the carried stack (16).  The runs
+# add xi, 4 initial rows and the manufactured profile and source arrays
+# (12).  That is 172 values; a traced sandwich at 20,000 cells (ref, tau
+# 10 to 10.15, past the first extrapolated start) peaks at 1,282 bytes per
+# point.  The mid run's CSV samples (W[::8] of every 10th frame) come on
+# top, and SandwichReport.to_csv streams its rows from them without a list
+# of its own; comparison_sandwich checks solve and samples together
 # against _MEMORY_BUDGET once the steps are planned, before it allocates
 # anything per cell.
 _POINT_BYTES = 8 * (56 + 16 + 88 + 12)
@@ -814,14 +143,10 @@ def _manufactured_row(p: ModelParams, xi, delta_start: float):
     def consume(delta, W):
         nonlocal worst
         scale = delta ** (1.0 + p.gamma)
-        worst = max(worst, float(np.abs(W - scale * profile).max()) / scale)
-
-    # W_exact(x, delta) is delta^{1+gamma} times W_exact(x, 1.0), bit for bit
-    lo, hi = float(W_exact(xi[0], 1.0)), float(W_exact(xi[-1], 1.0))
+        worst = max(worst, float(np.max(np.abs(W - scale * profile))) / scale)
 
     def bc(delta):
-        scale = delta ** (1.0 + p.gamma)
-        return scale * lo, scale * hi
+        return float(W_exact(xi[0], delta)), float(W_exact(xi[-1], delta))
 
     return _Run(W_exact(xi, delta_start), bc, consume, bind(xi)), lambda: worst
 
@@ -984,12 +309,12 @@ def _sandwich_rows(plus: GluedBarrier, minus: GluedBarrier, xi, deltas):
             if n % 5 == 0:
                 scale = delta ** (1.0 + p.gamma)
                 report.max_undershoot = max(report.max_undershoot,
-                                            float(((bars.W_minus - W) / scale).max()))
+                                            float(np.max((bars.W_minus - W) / scale)))
                 report.max_overshoot = max(report.max_overshoot,
-                                           float(((W - bars.W_plus) / scale).max()))
+                                           float(np.max((W - bars.W_plus) / scale)))
             if kind == "mid":
                 report.deltas.append(delta)
-                report.solution.append(float(W.max()))
+                report.solution.append(float(np.max(W)))
                 report.upper_barrier.append(bars.peaks[0])
                 report.lower_barrier.append(bars.peaks[1])
                 if n % 10 == 0:

@@ -13,7 +13,7 @@ one tau per point, are here (l1_terms_on_grid, whose left branch is the
 package's former left side), and with them the former full-band inner
 verdict on [-7, xi1 + delta1] (full_band_verdict).
 The comoving solver builds its Newton bands from stencil quotients
-(pde._newton_bands) and reduces every frame as it is accepted; the raw
+(comoving._newton_bands) and reduces every frame as it is accepted; the raw
 Jacobian bands and the solves that keep every frame are here.
 """
 
@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 
-from fdelab import errors, pde, residuals
+from fdelab import comoving, errors, pde, residuals
 from fdelab.matching import GluedBarrier, _exp_gamma_tau
 from fdelab.outer import OuterProfileSet, _math_exp
 from fdelab.params import theta
@@ -316,8 +316,8 @@ def solve_radial_fde(p, *, xi_window, n_cells, delta_start, delta_end, dtau, w0,
     raised."""
     pde._check_window(n_cells, dtau, -math.log(delta_start), -math.log(delta_end))
     xi = np.linspace(xi_window[0], xi_window[1], n_cells + 1)
-    (res,) = solve_kept(p, xi, [pde._Run(w0(xi), bc, None, source)],
-                        pde._planned_deltas(delta_start, delta_end, dtau))
+    (res,) = solve_kept(p, xi, [comoving._Run(w0(xi), bc, None, source)],
+                        comoving._planned_deltas(delta_start, delta_end, dtau))
     if isinstance(res, errors.FdelabError):
         raise res
     return res

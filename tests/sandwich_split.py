@@ -5,13 +5,14 @@
 Runs the simulate-ref workload of perfbench/run.py (`simulate --force` on
 the reference config) N times (default 5) through fdelab.cli.main in this
 process, into a temporary directory, with timers around the command and
-around pde._solve_rows, pde._step_rows, pde._barrier_W, the two Newton
-starts pde._predicted and pde._extrapolated, and
+around pde._solve_rows, comoving._step_rows, pde._barrier_W, the two Newton
+starts comoving._predicted and comoving._extrapolated, and
 pde.SandwichReport.to_csv.  Each line gives a name's median wall time per
 run, inclusive of what it calls, and its calls per run.  The last lines
 give each row's Newton iterations (summed and most in one step) in the
-last run.  The first run also compiles and imports fdelab.pde.  The exit
-status is 2 if one of the wrapped names is missing.
+last run.  The first run also compiles and imports fdelab.pde and
+fdelab.comoving.  The exit status is 2 if one of the wrapped names is
+missing.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS  # noqa: E402
 
-from fdelab import cli, pde  # noqa: E402
+from fdelab import cli, comoving, pde  # noqa: E402
 
 WRAPPED = {  # printed name -> (owner, attribute)
     "_solve_rows": (pde, "_solve_rows"),
-    "_step_rows": (pde, "_step_rows"),
+    "_step_rows": (comoving, "_step_rows"),
     "_barrier_W": (pde, "_barrier_W"),
-    "_predicted": (pde, "_predicted"),
-    "_extrapolated": (pde, "_extrapolated"),
+    "_predicted": (comoving, "_predicted"),
+    "_extrapolated": (comoving, "_extrapolated"),
     "to_csv": (pde.SandwichReport, "to_csv"),
 }
 

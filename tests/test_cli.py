@@ -600,15 +600,15 @@ def test_simulate_smoke_steps_all_rows_through_one_plan(tmp_path, monkeypatch):
     # (its first predicted one) adds one cold retry of that row alone in
     # the same step, 63 calls in all, and the report and trajectory still
     # match the goldens
-    from fdelab import pde
+    from fdelab import comoving
 
-    rows, step_rows = [], pde._step_rows
+    rows, step_rows = [], comoving._step_rows
 
     def counted(W_old, *args):
         rows.append(len(W_old))
         return step_rows(W_old, *args)
 
-    monkeypatch.setattr(pde, "_step_rows", counted)
+    monkeypatch.setattr(comoving, "_step_rows", counted)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(
         SMOKE, tau0=10.0, tau_end=10.6, n_cells=200, dtau=0.01, eps=0.018,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fdelab
-from fdelab import pde
+from fdelab import comoving
 
 PACKAGE = Path(fdelab.__file__).resolve().parent
 
@@ -280,7 +280,7 @@ def loaded():
 
 after = [loaded()]
 main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
-assert "fdelab.pde" not in sys.modules, "verify loaded the PDE solver"
+assert not {"fdelab.pde", "fdelab.comoving"} & set(sys.modules), "verify loaded the PDE solver"
 after.append(loaded())
 main(["simulate", "--force", "--config", sys.argv[2], "--out", sys.argv[3]])
 after.append(loaded())
@@ -335,7 +335,7 @@ def test_commands_load_no_scipy_integrate_or_optimize(commands_loaded):
     after_import, after_verify, after_simulate = (at["scipy"] for at in commands_loaded)
     assert after_import == []
     assert after_verify == []
-    if pde._openblas_gtsv() is not None:
+    if comoving._openblas_gtsv() is not None:
         assert after_simulate == []
     else:
         assert "scipy.linalg.lapack" in after_simulate

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from fdelab import errors, matching, pde
+from fdelab import comoving, errors, matching
 from fdelab.matching import (
     GluedBarrier,
     MatchingSolver,
@@ -378,7 +378,7 @@ def test_wbar_equals_the_masked_per_point_route(request, solver_name, tau, sign,
         return read_edge(self, sign, taus)
 
     bar = GluedBarrier(request.getfixturevalue(solver_name), sign, 0.01)
-    deltas = pde._planned_deltas(math.exp(-tau), math.exp(-tau - 0.6), 0.01)[:20]
+    deltas = comoving._planned_deltas(math.exp(-tau), math.exp(-tau - 0.6), 0.01)[:20]
     window = [tau, tau + 2.0, tau + 5.0]
     cases = [
         (np.linspace(-XI1, 4.0 * XI1, 401), [-math.log(d) for d in deltas], 1),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fdelab import errors, pde
+from fdelab import comoving, errors, pde
 from fdelab.matching import GluedBarrier, MatchingSolver, weak_corner_term
 from fdelab.pde import comparison_sandwich, extinction_rate, make_manufactured
 from reference_routes import jac_bands, solve_kept, solve_radial_fde
@@ -37,7 +37,7 @@ def smoke_report(barrier_pair):
 
 def _lone_mid_run(barrier_pair, p, xi, tau_end):
     """The sandwich's mid run solved alone, keeping every frame."""
-    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-tau_end), 0.01)
+    deltas = comoving._planned_deltas(math.exp(-TAU0), math.exp(-tau_end), 0.01)
     rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
     (traj,) = solve_kept(p, xi, [rows["mid"]], deltas)
     return traj
@@ -147,7 +147,7 @@ def test_calibrated_tolerance_scales_with_safety(barrier_pair, p_ref):
     )
     ds = math.exp(-TAU0)
     xi = np.linspace(-10.0, 40.0, 201)
-    deltas = pde._planned_deltas(ds, math.exp(-10.2), 0.01)
+    deltas = comoving._planned_deltas(ds, math.exp(-10.2), 0.01)
     run, error = pde._manufactured_row(p_ref, xi, ds)
     (traj,) = solve_kept(p_ref, xi, [run], deltas)
     W_exact, _ = make_manufactured(p_ref)
@@ -389,7 +389,7 @@ def test_extinction_rate_closed_form_matches_least_squares(seed):
 def _lone_solve(bands):
     """x of one system (dl, d, du, b) from a one-row _Bands, or the
     NewtonDiverged of its zero pivot."""
-    block = pde._Bands(1, len(bands[1]))
+    block = comoving._Bands(1, len(bands[1]))
 
     def fill(*rows):
         for row, a in zip(rows, bands):
@@ -410,7 +410,7 @@ def test_lone_gtsv_zero_pivot_is_newton_divergence():
 def gtsv_routes():
     """The binders bind(dl, d, du, b) -> solve(n) of numpy's OpenBLAS dgtsv
     through ctypes and of scipy's dgtsv."""
-    routes = pde._openblas_gtsv(), pde._scipy_gtsv()
+    routes = comoving._openblas_gtsv(), comoving._scipy_gtsv()
     if None in routes:
         pytest.skip("needs both numpy's scipy_dgtsv_64_ and scipy")
     return routes
@@ -458,7 +458,7 @@ def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeyp
         infos = [bind(*[np.array(a, dtype=float) for a in bands])(len(bands[1]))
                  for bind in gtsv_routes]
         assert infos[0] == infos[1] > 0
-    monkeypatch.setattr(pde, "_gtsv", openblas)
+    monkeypatch.setattr(comoving, "_gtsv", openblas)
     for bands in singular:
         x = _lone_solve(bands)
         assert isinstance(x, errors.NewtonDiverged) and "gtsv info" in str(x)
@@ -482,7 +482,7 @@ def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
     spread[1] = [regular[1][0], regular[1][1].copy(), *regular[1][2:]]
     spread[1][1][200] = math.nan
     for route in gtsv_routes:
-        monkeypatch.setattr(pde, "_gtsv", route)
+        monkeypatch.setattr(comoving, "_gtsv", route)
         for case, first_info in ((regular, 0), (singular, None), (spread, 0)):
             lone = []
             for bands in case:
@@ -492,7 +492,7 @@ def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
             if first_info is None:
                 assert lone[2] > 0 and all(isinstance(x, np.ndarray) for x in lone[:2] + lone[3:])
                 first_info = 2 * n + lone[2]  # the zero pivot, counted from row 0
-            block, infos = pde._Bands(5, n), []
+            block, infos = comoving._Bands(5, n), []
             gtsv = block.gtsv
             block.gtsv = lambda size: infos.append((size, gtsv(size))) or infos[-1][1]
 
@@ -519,22 +519,22 @@ def test_openblas_lookup_falls_back_to_none(monkeypatch):
     def no_library(path):
         raise OSError(path)
 
-    monkeypatch.setattr(pde.ctypes, "CDLL", no_library)
-    assert pde._openblas_gtsv() is None
-    monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
-    assert pde._openblas_gtsv() is None
+    monkeypatch.setattr(comoving.ctypes, "CDLL", no_library)
+    assert comoving._openblas_gtsv() is None
+    monkeypatch.setattr(comoving.ctypes, "CDLL", lambda path: object())
+    assert comoving._openblas_gtsv() is None
 
 
 def test_no_lapack_route_is_one_error_naming_both(monkeypatch):
-    monkeypatch.setattr(pde, "_gtsv", None)
-    monkeypatch.setattr(pde.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(comoving, "_gtsv", None)
+    monkeypatch.setattr(comoving.ctypes, "CDLL", lambda path: object())
     monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
     with pytest.raises(errors.LapackUnavailable) as info:
-        pde._Bands(1, 2)
+        comoving._Bands(1, 2)
     assert "scipy_dgtsv_64_" in str(info.value)
     assert "scipy.linalg.lapack" in str(info.value)
     assert info.value.__context__ is None and info.value.__cause__ is None
-    assert pde._gtsv is None  # the next solve looks again
+    assert comoving._gtsv is None  # the next solve looks again
 
 
 def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
@@ -547,11 +547,11 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
         for band in (dl, diag, du):
             band[...] = 0.0
 
-    monkeypatch.setattr(pde, "_newton_bands", singular_bands)
+    monkeypatch.setattr(comoving, "_newton_bands", singular_bands)
     old = np.stack((np.ones((1, 7)), np.zeros((1, 7)), np.zeros((1, 7))), 1)
-    (res,), _, _ = pde._step_rows(
+    (res,), _, _ = comoving._step_rows(
         np.ones((1, 9)), 1.0, 0.5, 1.0, [(1.0, 1.0)], 0.1, p_ref, [None],
-        old, pde._Bands(1, 7), np.ones((1, 9)),
+        old, comoving._Bands(1, 7), np.ones((1, 9)),
     )
     assert isinstance(res, errors.NewtonDiverged)
     # the patched bands were the ones solved: once as the round's block,
@@ -567,12 +567,12 @@ def _newton_matrix_rows(rng, p, k, M, dxi):
     W = p.d.a0 * delta[:, None] * np.exp(rng.uniform(-0.3, 0.3, (k, M)))
     dt = delta * rng.uniform(0.001, 0.01, k)
     theta = rng.choice([0.5, 1.0], k)
-    sigma = np.array([pde._drift_speed(p, x) for x in delta])
-    _, e, rho, _ = pde._stencil(W, dxi, p)
+    sigma = np.array([comoving._drift_speed(p, x) for x in delta])
+    _, e, rho, _ = comoving._stencil(W, dxi, p)
     kappa = (-dt * theta * (p.n - 1) / dxi ** 2)[:, None]
     alpha = (dt * theta * sigma / (2.0 * dxi))[:, None]
     bands = np.zeros((k, M - 3)), np.zeros((k, M - 2)), np.zeros((k, M - 3))
-    pde._newton_bands(*bands, W[:, 1:-1], e, rho, kappa, alpha, dxi, p)
+    comoving._newton_bands(*bands, W[:, 1:-1], e, rho, kappa, alpha, dxi, p)
     return W, dt * theta, sigma, bands
 
 
@@ -659,14 +659,14 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
             W_old = np.stack([r[0] for r in rows])
             sources = [r[2] for r in rows]
             # F (sources added), e and rho of W_old, as a solve carries them in
-            d, e, rho, t = pde._stencil(W_old, 0.4, p_ref)
-            F = pde._rhs(d, t, np.full((n, 1), pde._drift_speed(p_ref, ds)), 0.4, p_ref)
+            d, e, rho, t = comoving._stencil(W_old, 0.4, p_ref)
+            F = comoving._rhs(d, t, np.full((n, 1), comoving._drift_speed(p_ref, ds)), 0.4, p_ref)
             for i, source in enumerate(sources):
                 if source is not None:
                     F[i] += source(ds)[1:-1]
-            out, X, carried = pde._step_rows(
+            out, X, carried = comoving._step_rows(
                 W_old, ds, dn, 1.0, [r[1] for r in rows], 0.4, p_ref,
-                sources, np.stack((F, e, rho), 1), pde._Bands(n, 99), W_old,
+                sources, np.stack((F, e, rho), 1), comoving._Bands(n, 99), W_old,
             )
             # each accepted row as (new frame, iterations, carried row)
             return [res if isinstance(res, errors.FdelabError) else (X[j], res, carried[j])
@@ -676,7 +676,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
     # that exactly that system, wherever it sits in a round's block of
     # systems (99 interior points per row); the NaN row stops before any
     # solve
-    route, calls, singular = pde._lapack(), [], []
+    route, calls, singular = comoving._lapack(), [], []
 
     def spy_bind(dl, d, du, b):
         gtsv = route(dl, d, du, b)
@@ -693,7 +693,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
 
         return spied
 
-    stencil, bands, checked = pde._stencil, pde._newton_bands, dict(stencil=0, bands=0)
+    stencil, bands, checked = comoving._stencil, comoving._newton_bands, dict(stencil=0, bands=0)
 
     def checked_stencil(W, *args):
         checked["stencil"] += 1
@@ -705,9 +705,9 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
         assert all(np.all(np.isfinite(a)) for a in (W, e, rho)) and np.all(W > 0.0)
         return bands(dl, diag, du, W, e, rho, *args)
 
-    monkeypatch.setattr(pde, "_gtsv", spy_bind)
-    monkeypatch.setattr(pde, "_stencil", checked_stencil)
-    monkeypatch.setattr(pde, "_newton_bands", checked_bands)
+    monkeypatch.setattr(comoving, "_gtsv", spy_bind)
+    monkeypatch.setattr(comoving, "_stencil", checked_stencil)
+    monkeypatch.setattr(comoving, "_newton_bands", checked_bands)
     (singular_alone,) = step([rows[2]])
     singular.extend(calls[0])
     del calls[:]
@@ -749,7 +749,7 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
     ds, de = math.exp(-TAU0), math.exp(-10.6)
     xi = np.linspace(-10.0, 40.0, 201)
 
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
 
     def runs():
         # solve_kept swaps each row's consumer for one that keeps every frame
@@ -764,7 +764,7 @@ def test_sandwich_rows_match_lone_runs(barrier_pair, p_ref):
 
 
 def _uniform_run(a0, ds, bc):
-    return pde._Run(a0 * ds * np.ones(101), bc, None)  # solve_kept gives it a consumer
+    return comoving._Run(a0 * ds * np.ones(101), bc, None)  # solve_kept gives it a consumer
 
 
 def _bc_failing_at(a0, calls, n_bad):
@@ -795,13 +795,13 @@ def test_a_row_that_fails_inside_its_step_group_leaves_the_others_alone(p_ref, d
             calls.append(delta)
             return np.full(101, math.nan if len(calls) == 3 else 0.0)
 
-        failing = pde._Run(a0 * ds * np.ones(101), lambda delta: (a0 * delta, a0 * delta),
+        failing = comoving._Run(a0 * ds * np.ones(101), lambda delta: (a0 * delta, a0 * delta),
                            None, nan_at_second_step)
-        doubled = pde._Run(2.0 * a0 * ds * np.ones(101),
+        doubled = comoving._Run(2.0 * a0 * ds * np.ones(101),
                            lambda delta: (2.0 * a0 * delta, 2.0 * a0 * delta), None)
         return [calibration, failing, doubled]
 
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
     first, failed, last = solve_kept(p_ref, xi, runs(), deltas)
     assert isinstance(failed, errors.NonFinite)
     lone = [solve_kept(p_ref, xi, [run], deltas)[0] for j, run in enumerate(runs()) if j != 1]
@@ -818,12 +818,12 @@ def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, mon
     ds, de = math.exp(-10.0), math.exp(-10.1)
     xi = np.linspace(-5.0, 5.0, 101)
     a0 = d_ref.a0
-    deltas = pde._planned_deltas(ds, de, 0.01)
-    step_rows, attempts = pde._step_rows, []
+    deltas = comoving._planned_deltas(ds, de, 0.01)
+    step_rows, attempts = comoving._step_rows, []
 
     def runs():
         calibration, _ = pde._manufactured_row(p_ref, xi, ds)
-        doubled = pde._Run(2.0 * a0 * ds * np.ones(101),
+        doubled = comoving._Run(2.0 * a0 * ds * np.ones(101),
                            lambda delta: (2.0 * a0 * delta, 2.0 * a0 * delta), None)
         return [calibration, doubled, _uniform_run(a0, ds, lambda delta: (a0 * delta, a0 * delta))]
 
@@ -836,7 +836,7 @@ def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, mon
                     out[j] = errors.NewtonDiverged("rejected by construction")
         return out, X, carried
 
-    monkeypatch.setattr(pde, "_step_rows", rejecting)
+    monkeypatch.setattr(comoving, "_step_rows", rejecting)
     first, failed, last = solve_kept(p_ref, xi, runs(), deltas)
     monkeypatch.undo()
     assert isinstance(failed, errors.NewtonDiverged)
@@ -854,14 +854,14 @@ def test_nan_boundary_value_rejects_the_step(p_ref, d_ref):
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     xi = np.linspace(-10.0, 30.0, 101)
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
     calls, frames = [], []
 
     def bc(delta):
         calls.append(delta)
         return (math.nan if len(calls) == 3 else a0 * delta), a0 * delta
 
-    run = pde._Run(a0 * ds * np.ones(101), bc, lambda delta, W: frames.append(W.copy()))
+    run = comoving._Run(a0 * ds * np.ones(101), bc, lambda delta, W: frames.append(W.copy()))
     (res,) = pde._solve_rows(p_ref, xi, [run], deltas)
     assert isinstance(res, errors.PositivityLost)
     assert str(res) == (f"end values (nan, {a0 * deltas[3]!r}) not finite and positive "
@@ -876,7 +876,7 @@ def test_failed_row_stops_alone(p_ref, d_ref):
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     xi = np.linspace(-10.0, 30.0, 101)
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
     good = lambda delta: (a0 * delta, a0 * delta)
     calls = []
     steady, failed = solve_kept(p_ref, xi, [
@@ -904,7 +904,7 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     sources, attempts = [], []
-    step_rows = pde._step_rows
+    step_rows = comoving._step_rows
 
     def counted(*args):
         attempts.append(args[2])
@@ -914,7 +914,7 @@ def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
         sources.append(delta)
         return np.full(101, math.nan)
 
-    monkeypatch.setattr(pde, "_step_rows", counted)
+    monkeypatch.setattr(comoving, "_step_rows", counted)
     with pytest.raises(errors.NonFinite, match="not finite"):
         solve_radial_fde(
             p_ref, xi_window=(-10.0, 30.0), n_cells=100, delta_start=ds, delta_end=de,
@@ -934,7 +934,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
     ds, de = math.exp(-10.0), math.exp(-10.5)
     a0 = d_ref.a0
     calls, solves = [], []
-    step_rows = pde._step_rows
+    step_rows = comoving._step_rows
 
     def counted(*args):
         solves.append(args[1])
@@ -944,7 +944,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
         calls.append(delta)
         return (0.0 if len(calls) >= 2 else a0 * delta), a0 * delta
 
-    monkeypatch.setattr(pde, "_step_rows", counted)
+    monkeypatch.setattr(comoving, "_step_rows", counted)
     with pytest.raises(errors.PositivityLost, match="end values"):
         solve_radial_fde(
             p_ref, xi_window=(-10.0, 30.0), n_cells=100,
@@ -952,7 +952,7 @@ def test_zero_end_value_rejects_before_newton(p_ref, d_ref, monkeypatch):
         )
     # one accepted step, then the second planned step's end values stop
     # the run; only the accepted step reached Newton
-    assert calls == pde._planned_deltas(ds, de, 0.01)[1:3]
+    assert calls == comoving._planned_deltas(ds, de, 0.01)[1:3]
     assert len(solves) == 1
 
 
@@ -1102,12 +1102,12 @@ def test_predictor_gives_each_row_its_lone_bits():
     W_prev = W * np.exp(rng.uniform(-0.05, 0.05, (6, 401)))
     W_prev[5, 3] = 1e-300  # (W / W_prev)^r overflows
     for r in (1.0, 2.0, 0.5, 2.005):
-        guess = pde._predicted(W[:5], W_prev[:5], r)
+        guess = comoving._predicted(W[:5], W_prev[:5], r)
         for j in range(5):
             lone = W[j] * (W[j] / W_prev[j]) ** r
             assert np.array_equal(guess[j].view(np.int64), lone.view(np.int64))
-    assert np.array_equal(pde._predicted(W, W_prev, 0.0), W)
-    guess = pde._predicted(W, W_prev, 40.0)
+    assert np.array_equal(comoving._predicted(W, W_prev, 0.0), W)
+    guess = comoving._predicted(W, W_prev, 40.0)
     assert np.array_equal(guess[5], W[5])
     assert np.all(guess[:5] > 0.0) and np.all(guess[:5] < math.inf)
 
@@ -1133,9 +1133,9 @@ def test_extrapolated_start_follows_a_cubic_plus_sawtooth():
 
     for k in (5, 40, 200):
         frames = [W(j) for j in range(k - 5, k)]
-        start = pde._extrapolated(frames[-1], _growth_rates(frames))
+        start = comoving._extrapolated(frames[-1], _growth_rates(frames))
         assert np.max(np.abs(start / W(k) - 1.0)) < 1e-13
-        geometric = pde._predicted(frames[-1], frames[-2], 1.0)
+        geometric = comoving._predicted(frames[-1], frames[-2], 1.0)
         assert np.max(np.abs(geometric / W(k) - 1.0)) > 1e-7
 
 
@@ -1145,9 +1145,9 @@ def test_extrapolated_start_gives_each_row_its_lone_bits():
     rng = np.random.default_rng(12)
     W = np.exp(rng.uniform(-30.0, -20.0, (4, 401)))
     rates = [rng.uniform(-0.05, 0.05, (4, 401)) for _ in range(4)]
-    start = pde._extrapolated(W, rates)
+    start = comoving._extrapolated(W, rates)
     for j in range(4):
-        lone = pde._extrapolated(W[j:j + 1], [r[j:j + 1] for r in rates])
+        lone = comoving._extrapolated(W[j:j + 1], [r[j:j + 1] for r in rates])
         assert np.array_equal(start[j].view(np.int64), lone[0].view(np.int64))
 
 
@@ -1158,13 +1158,30 @@ def test_extrapolated_start_falls_back_to_the_last_frame():
     rng = np.random.default_rng(13)
     W = np.exp(rng.uniform(-30.0, -20.0, (4, 401)))
     rates = [rng.uniform(-0.05, 0.05, (4, 401)) for _ in range(4)]
-    fine = pde._extrapolated(W, rates)
+    fine = comoving._extrapolated(W, rates)
     rates[3][0, 7] = 800.0  # e^800 overflows
     rates[3][1, 9] = -800.0  # e^-800 underflows to 0
     rates[0][2, 11] = math.nan
-    start = pde._extrapolated(W, rates)
+    start = comoving._extrapolated(W, rates)
     assert np.array_equal(start[:3], W[:3])
     assert np.array_equal(start[3], fine[3])
+
+
+def test_extrapolated_start_falls_back_without_a_warning_anywhere():
+    """The fallback also covers a difference of rates that overflows or is
+    inf - inf, and a finite exponential whose product with W overflows,
+    each without a warning."""
+    W = np.full((4, 5), 1e300)
+    W[:3] = 1e-10
+    rates = [np.zeros((4, 5)) for _ in range(4)]
+    rates[0][0, 1], rates[2][0, 1] = 1e308, -1e308  # r0 - r2 overflows
+    rates[0][1, 2] = rates[2][1, 2] = math.inf  # r0 - r2 is inf - inf
+    rates[3][3, 3] = 100.0  # e^100 is finite, 1e300 e^100 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = comoving._extrapolated(W, rates)
+    assert np.array_equal(start[[0, 1, 3]], W[[0, 1, 3]])
+    assert np.array_equal(start[2], W[2])  # rates of 0 give the last frame itself
 
 
 def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, monkeypatch):
@@ -1173,10 +1190,11 @@ def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, 
     from the extrapolated start, and the short last step from the
     geometric predictor again."""
     ds, de = math.exp(-10.0), math.exp(-10.2)
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
     assert deltas[-1] / deltas[-2] > deltas[-2] / deltas[-3]  # the last step is short
     starts = []
-    predicted, extrapolated, step_rows = pde._predicted, pde._extrapolated, pde._step_rows
+    predicted, extrapolated = comoving._predicted, comoving._extrapolated
+    step_rows = comoving._step_rows
 
     def step(*args):
         starts.append(None)
@@ -1188,9 +1206,9 @@ def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, 
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(pde, "_predicted", start("geometric", predicted))
-    monkeypatch.setattr(pde, "_extrapolated", start("extrapolated", extrapolated))
-    monkeypatch.setattr(pde, "_step_rows", step)
+    monkeypatch.setattr(comoving, "_predicted", start("geometric", predicted))
+    monkeypatch.setattr(comoving, "_extrapolated", start("extrapolated", extrapolated))
+    monkeypatch.setattr(comoving, "_step_rows", step)
     a0 = d_ref.a0
     traj = solve_radial_fde(
         p_ref, xi_window=(-10.0, 30.0), n_cells=100, delta_start=ds, delta_end=de,
@@ -1201,8 +1219,8 @@ def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, 
     per_step = [starts[j - 1] if j and starts[j - 1] else "cold"
                 for j, s in enumerate(starts) if s is None]
     n = len(deltas) - 1
-    assert per_step == (["cold"] + ["geometric"] * (pde._WARMUP_STEPS + pde._RATES - 1)
-                        + ["extrapolated"] * (n - pde._WARMUP_STEPS - pde._RATES - 1)
+    assert per_step == (["cold"] + ["geometric"] * (comoving._WARMUP_STEPS + comoving._RATES - 1)
+                        + ["extrapolated"] * (n - comoving._WARMUP_STEPS - comoving._RATES - 1)
                         + ["geometric"])
 
 
@@ -1213,7 +1231,7 @@ def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypat
     step has no predictor and starts cold."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     a0 = d_ref.a0
-    step_rows = pde._step_rows
+    step_rows = comoving._step_rows
     tries, fail = [], set()
 
     def flaky(W_old, *args):
@@ -1231,7 +1249,7 @@ def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypat
             bc=lambda delta: (a0 * delta, a0 * delta),
         )
 
-    monkeypatch.setattr(pde, "_step_rows", flaky)
+    monkeypatch.setattr(comoving, "_step_rows", flaky)
     plain = run()
     assert [cold for _, cold in tries] == [True] + [False] * (len(tries) - 1)
     assert plain.cold_retries == 0
@@ -1258,13 +1276,13 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
     xi = np.linspace(-5.0, 5.0, 101)
     run, _ = pde._manufactured_row(p_ref, xi, ds)
     step_calls, fresh = [], []
-    step_rows = pde._step_rows
+    step_rows = comoving._step_rows
 
     def checked(W_old, delta_old, *args):
         step_calls.append(delta_old)
-        sigma = pde._drift_speed(p_ref, delta_old)
-        d, e, rho, t = pde._stencil(W_old, xi[1] - xi[0], p_ref)
-        F = pde._rhs(d, t, sigma, xi[1] - xi[0], p_ref)
+        sigma = comoving._drift_speed(p_ref, delta_old)
+        d, e, rho, t = comoving._stencil(W_old, xi[1] - xi[0], p_ref)
+        F = comoving._rhs(d, t, sigma, xi[1] - xi[0], p_ref)
         F += run.source(delta_old)[1:-1]
         fresh.append(np.array_equal(np.stack((F, e, rho), 1).view(np.int64),
                                      args[-3].view(np.int64)))
@@ -1272,14 +1290,78 @@ def test_carried_rhs_equals_a_fresh_one(p_ref, monkeypatch):
             return [errors.NewtonDiverged("rejected by construction")], None, None
         return step_rows(W_old, delta_old, *args)
 
-    monkeypatch.setattr(pde, "_step_rows", checked)
-    (traj,) = solve_kept(p_ref, xi, [run], pde._planned_deltas(ds, de, 0.01))
+    monkeypatch.setattr(comoving, "_step_rows", checked)
+    (traj,) = solve_kept(p_ref, xi, [run], comoving._planned_deltas(ds, de, 0.01))
     assert traj.cold_retries == 1
     # step call 5 retries call 4 cold, from the same frame
     assert step_calls[:4] == traj.deltas[:4].tolist()
     assert step_calls[3] == step_calls[4] == traj.deltas[3]
     assert step_calls[5:] == traj.deltas[4:-1].tolist()
     assert len(fresh) == len(traj.deltas) and all(fresh)
+
+
+def test_a_row_rejected_beside_another_keeps_its_lone_bits(p_ref, d_ref, monkeypatch):
+    """Two rows step together and, at step 12, one row's extrapolated start
+    is rejected while the other's is accepted: the rejected row retries the
+    step cold alone.  Every attempt's carried F (source added), e and rho
+    equal a fresh _stencil and _rhs of the row's last frame; every
+    extrapolated start reads each row's last frame and the log growth rates
+    of its last four frames, the rate over the retried step included; and
+    each row's frames and Newton work equal its lone run with the same
+    rejection."""
+    ds, de = math.exp(-10.0), math.exp(-10.2)
+    xi = np.linspace(-5.0, 5.0, 101)
+    dxi = xi[1] - xi[0]
+    deltas = comoving._planned_deltas(ds, de, 0.01)
+    first = comoving._WARMUP_STEPS + comoving._RATES + 1  # the first extrapolated step
+    assert first < 12 < len(deltas) - 1
+    a0 = d_ref.a0
+    made, _ = pde._manufactured_row(p_ref, xi, ds)
+    uniform = comoving._Run(a0 * ds * np.ones_like(xi),
+                            lambda delta: (a0 * delta, a0 * delta), None)
+    step_rows, extrapolated = comoving._step_rows, comoving._extrapolated
+    fresh, rejected, starts = [], [], []
+
+    def rejecting(W_old, delta_old, *args):
+        sources, old, start = args[-4], args[-3], args[-1]
+        sigma = comoving._drift_speed(p_ref, delta_old)
+        for W, source, carried in zip(W_old, sources, old):
+            d, e, rho, t = comoving._stencil(W[None], dxi, p_ref)
+            F = comoving._rhs(d, t, sigma, dxi, p_ref)[0]
+            if source is not None:
+                F += source(delta_old)[1:-1]
+            fresh.append(np.array_equal(np.stack((F, e[0], rho[0])).view(np.int64),
+                                        carried.view(np.int64)))
+        out, X, carried = step_rows(W_old, delta_old, *args)
+        if delta_old == deltas[11] and start is not W_old:  # the manufactured row's try
+            out = [errors.NewtonDiverged("rejected by construction") if source is not None
+                   else x for x, source in zip(out, sources)]
+            rejected.append([source is not None for source in sources])
+        return out, X, carried
+
+    def recorded(W, rates):
+        starts.append((W.copy(), [r.copy() for r in rates]))
+        return extrapolated(W, rates)
+
+    monkeypatch.setattr(comoving, "_step_rows", rejecting)
+    monkeypatch.setattr(comoving, "_extrapolated", recorded)
+    both = solve_kept(p_ref, xi, [made, uniform], deltas)
+    steps = range(first, len(deltas) - 1)
+    assert len(starts) == len(steps)
+    for k, (W, rates) in zip(steps, starts):
+        for i, traj in enumerate(both):
+            assert np.array_equal(W[i], traj.W[k - 1])
+            for j, rate in enumerate(rates, 1):
+                assert np.array_equal(rate[i], np.log(traj.W[k - j] / traj.W[k - j - 1]))
+    alone = [solve_kept(p_ref, xi, [run], deltas)[0] for run in (made, uniform)]
+    # beside the uniform row, and alone; the uniform row alone takes that
+    # step from its extrapolated start as well
+    assert rejected == [[True, False], [True], [False]]
+    assert [t.cold_retries for t in both] == [1, 0] == [t.cold_retries for t in alone]
+    for joint, lone in zip(both, alone):
+        assert np.array_equal(joint.W.view(np.int64), lone.W.view(np.int64))
+        assert (joint.frames, joint.newton_iters) == (lone.frames, lone.newton_iters)
+    assert len(fresh) > 2 * len(deltas) and all(fresh)
 
 
 def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeypatch):
@@ -1289,7 +1371,7 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     calibration source runs once per attempt of its row and once for the
     initial frame."""
     counts = dict(gtsv=0, stencil=0, source=0, attempts=0, calibration=0, rounds=0)
-    route, stencil, step_rows = pde._lapack(), pde._stencil, pde._step_rows
+    route, stencil, step_rows = comoving._lapack(), comoving._stencil, comoving._step_rows
     manufactured = pde.make_manufactured
 
     def counting_bind(*bands):
@@ -1326,9 +1408,9 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
 
         return W_exact, counted_bind
 
-    monkeypatch.setattr(pde, "_gtsv", counting_bind)
-    monkeypatch.setattr(pde, "_stencil", counted_stencil)
-    monkeypatch.setattr(pde, "_step_rows", counted_step_rows)
+    monkeypatch.setattr(comoving, "_gtsv", counting_bind)
+    monkeypatch.setattr(comoving, "_stencil", counted_stencil)
+    monkeypatch.setattr(comoving, "_step_rows", counted_step_rows)
     monkeypatch.setattr(pde, "make_manufactured", counted_manufactured)
     report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=400, dtau=0.01)
     assert all(t.cold_retries == 0 for t in report.runs.values())
@@ -1356,7 +1438,7 @@ def test_end_table_equals_two_point_barrier_values(barrier_pair, p_ref):
     columns of the barrier blocks, equal two-point _barrier_W evaluations,
     bit for bit."""
     xi = np.linspace(-10.0, 40.0, 201)
-    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    deltas = comoving._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
     assert len(deltas) == 63 > pde._BLOCK_POINTS // len(xi)  # more than one block
     rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
     for delta in deltas[1:]:
@@ -1372,7 +1454,7 @@ def test_block_reads_equal_grid_reads(barrier_pair, p_ref, monkeypatch, block):
     alone: each run's bc ends are on(kind, Wp[[0, -1]], Wm[[0, -1]]), and
     the mid consumer's barrier peaks are max W^{1/(1-m)} of each barrier."""
     xi = np.linspace(-10.0, 40.0, 201)
-    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    deltas = comoving._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
     delta = deltas[30]
     Wp, Wm = (pde._barrier_W(bar, xi, [delta], p_ref)[0] for bar in barrier_pair)
     evaluated, barrier_W = [], pde._barrier_W
@@ -1413,7 +1495,7 @@ def test_barrier_blocks_are_read_at_planned_deltas_only(barrier_pair, monkeypatc
     monkeypatch.setattr(pde._BarrierBlocks, "at", spy)
     monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(list(a[2])) or barrier_W(*a))
     report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=200, dtau=0.01)
-    deltas = pde._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
+    deltas = comoving._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
     assert [t.cold_retries for t in report.runs.values()] == [0, 0, 1]
     assert set(asked) == set(deltas)
     assert asked == sorted(asked, reverse=True)
@@ -1458,7 +1540,7 @@ def test_accepted_frames_hold_the_dirichlet_values_exactly(barrier_pair, p_ref):
     ds, de = math.exp(-TAU0), math.exp(-10.3)
     xi = np.linspace(-10.0, 40.0, 401)
     calibration, _ = pde._manufactured_row(p_ref, xi, ds)
-    deltas = pde._planned_deltas(ds, de, 0.01)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
     rows, _ = pde._sandwich_rows(*barrier_pair, xi, deltas)
     runs = [calibration, *rows.values()]
     given = [{} for _ in runs]
