@@ -10,27 +10,24 @@ xi = s - A (T-t)^(-gamma), where the w-equation gains a drift:
 
 Time is tracked through delta = T - t with the exact geometric update
 delta_{k+1} = delta_k (1 - dtau), so the uniform-in-w profile a0*delta is
-reproduced to rounding accuracy by the trapezoidal stepper.  Space is a
-uniform xi grid with central second-order differences; steps are implicit
-(theta = 1/2 after a short backward-Euler warmup that damps the stiff
-transient of non-equilibrium initial data), solved by a damped Newton
-iteration with an analytic tridiagonal Jacobian and positivity rejection.
-Each Newton system covers the interior points, so the Dirichlet ends keep
-their values exactly.
+reproduced to rounding accuracy by the implicit stepper.  Space is a
+uniform xi grid with central second-order differences.  Every step is
+backward Euler, solved by a damped Newton iteration with an analytic
+tridiagonal Jacobian and positivity rejection.  Backward Euler is
+L-stable, so it damps the stiff modes that the trapezoidal rule leaves as
+a sawtooth (-1)^k in the step index k, and no theta-method is both
+positivity-preserving for every step size and second order (Bolley and
+Crouzeix, RAIRO Anal. Numer. 12, 1978).  Each Newton system covers the
+interior points, so the Dirichlet ends keep their values exactly.
 
-Newton starts from an extrapolation of the last frames.  The trapezoidal
-rule does not damp the stiff modes, so each row's frames carry a time
-error that flips sign every step: log W is smooth in the step index k
-plus a sawtooth c (-1)^k, and its 4th difference in k changes sign every
-step (on simulate-ref up to 2.3e-5 over the grid on the lower and mid
-rows, 2.6e-6 on the upper one).  No smooth extrapolant follows that, so
-once five frames lie a full step apart Newton starts from
-exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4), L0..L4 = log W of the last five
-frames, newest first, which is exact for a cubic in k plus a constant
-sawtooth (_extrapolated), and takes about one Newton round per step.  The
-warm-up steps and the short last step start from the geometric predictor
-of the last two frames (_predicted), and the first step cold.  A rejected
-start is retried cold, and a rejected cold start stops the run.
+Newton starts from an extrapolation of the last frames.  log W of each row
+is smooth in k, so once four frames lie a full step apart Newton starts
+from exp(4 L0 - 6 L1 + 4 L2 - L3), L0..L3 = log W of the last four frames,
+newest first, which is exact for a cubic in k (_extrapolated), and takes
+about one Newton round per step.  The warm-up half steps and the short
+last step start from the geometric predictor of the last two frames
+(_predicted), and the first step cold.  A rejected start is retried cold,
+and a rejected cold start stops the run.
 
 The Newton kernel reads everything from one stencil pass per iterate
 (_stencil).  At an interior point with value W, neighbours W+ and W-
@@ -43,25 +40,24 @@ The stencil keeps them scaled by h: e = ((W+ - W) + (W- - W))/W = h^2 q,
 whose two differences are exact for neighbours within a factor 2 of W,
 and rho = (W+ - W-)/W = 2h r1.  With
 t = e + rho (b1 rho/4 + b2 h/2) = h^2 (q + b1 r1^2 + b2 r1),
-F = (n-1) t/h^2 + sigma (W+ - W-)/(2h) - a0 (_rhs).  Differentiating,
+F = (n-1) t/h^2 + sigma (W+ - W-)/(2h) - a0.  Differentiating,
 
     dF/dW+- = (n-1)/(h^2 W) (1 +- g) +- sigma/(2h),   g = h (b1 r1 + b2/2),
     dF/dW   = -(n-1)/(h^2 W) (2 + h^2 q + h^2 r1 (2 b1 r1 + b2)),
 
 that is g = (b1 rho + b2 h)/2 and a diagonal bracket 2 + e + rho g.
-With E = -dt theta (n-1)/(h^2 W) and alpha = dt theta sigma/(2h), the
-Newton matrix I - dt theta J_F has the sub-, main and superdiagonals
-E(1 - g) + alpha, 1 - E(2 + e + rho g) and E(1 + g) - alpha
-(_newton_bands), written straight into the gtsv bands.  The residual
-G = X - W_old - dt (theta F(X) + (1 - theta) F_old) of an iterate X is
-X - C - K t - alpha (X+ - X-) with K = dt theta (n-1)/h^2 and the step's
-constant C = W_old + dt (1 - theta) F_old - dt theta (a0 - S), S a run's
-extra source at the new delta, formed once per step.
+With E = -dt (n-1)/(h^2 W) and alpha = dt sigma/(2h), the Newton matrix
+I - dt J_F has the sub-, main and superdiagonals E(1 - g) + alpha,
+1 - E(2 + e + rho g) and E(1 + g) - alpha (_newton_bands), written
+straight into the gtsv bands.  The residual G = X - W_old - dt (F(X) + S)
+of an iterate X, S a run's extra source at the new delta, is
+X - C - K t - alpha (X+ - X-) with K = dt (n-1)/h^2 and the step's
+constant C = W_old - dt (a0 - S), formed once per step.
 
-Newton stops at the step's tolerance, which is never below a bound on
-the rounding of G: 2.3e-16 (2 W + dt T) on the old frame, where T bounds
-the raw size of the terms of F, whose drift sigma D1 cancels against the
-diffusion and a0 to a net |F| far below it:
+Newton stops at the step's tolerance (_tolerances), which is never below a
+bound on the rounding of G: 2.3e-16 (2 W + dt T) on the old frame, where T
+bounds the raw size of the terms of F, whose drift sigma D1 cancels
+against the diffusion and a0 to a net |F| far below it:
 
     T = (n-1) (M2/W + 2 |b1| |D1| M1/W^2 + |b2| M1/W) + a0 + sigma M1,
 
@@ -72,8 +68,11 @@ s = S/W = 2 + e in the old frame, M2/W = (s + 2)/h^2,
     dt T = dt (n-1)/h^2 (s (1 + |b1| |rho|/2 + |b2| h/2) + 2) + dt a0
            + dt sigma s W/(2h),
 
-the same terms bounded the same way, from the e and rho that a row
-carries out of the step that accepted its frame.
+the same terms bounded the same way, from the e and rho of one stencil
+pass over the old frame.  Backward Euler evaluates F at the iterate only,
+so outside F the bracket adds just W_old, X and the constant's dt a0: the
+tolerance's middle term is 150 roundings of W + dt a0, W the row's
+largest value.  (On simulate-ref the floor binds at every row-step.)
 
 Independent runs on one grid are the rows of one (runs, points) array
 (_solve_rows), stepped through one schedule of planned deltas
@@ -87,9 +86,9 @@ the float a lone run computes, so a run gives the same bits alone or
 beside others.  _Bands is the only holder of gtsv bindings: it binds the
 stacked system once and each row once, on bands it allocates itself, and
 after a zero pivot or a non-finite x solves each row through that row's
-binding.  A row keeps its last two frames, the log growth rates
-log(W_k / W_(k-1)) of its last four steps, and F, e and rho of the last
-frame for its next step, hands every accepted frame, the initial one too,
+binding.  A row keeps only its last two frames and the log growth rates
+log(W_k / W_(k-1)) of its last three steps: a step reads nothing else of
+the steps before it.  It hands every accepted frame, the initial one too,
 to its run's consumer, and counts its frames and solver work in its
 Trajectory as it goes.
 
@@ -136,8 +135,8 @@ def _drift_speed(p: ModelParams, delta: float) -> float:
 def _stencil(W, dxi, p):
     """The stencil of the interior points of each row of W as quotients:
     d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W and
-    t = e + rho (b1 rho/4 + b2 dxi/2), from which _rhs forms F and
-    _newton_bands the Newton matrix (module docstring)."""
+    t = e + rho (b1 rho/4 + b2 dxi/2), from which _step_rows forms the
+    residual and _newton_bands the Newton matrix (module docstring)."""
     Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
     up = Wp - W0
     down = Wm - W0
@@ -152,23 +151,12 @@ def _stencil(W, dxi, p):
     return d, e, rho, t
 
 
-def _rhs(d, t, sigma, dxi, p):
-    """F(W) + sigma W_xi of each row from its stencil (d, t); sigma is the
-    drift speed, a float for the rows of one step or a column of per-row
-    speeds."""
-    F = t * ((p.n - 1) / (dxi * dxi))
-    F += (sigma / (2.0 * dxi)) * d
-    F -= p.d.a0
-    return F
-
-
 def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
-    """Write the Newton matrix I - dt theta J_F of each row into its bands:
-    the subdiagonal dl (points 1..), the diagonal and the superdiagonal du
+    """Write the Newton matrix I - dt J_F of each row into its bands: the
+    subdiagonal dl (points 1..), the diagonal and the superdiagonal du
     (points ..-2), from the interior values W and the quotients (e, rho)
-    of _stencil.  kappa = -dt theta (n-1)/dxi^2 and alpha =
-    dt theta sigma/(2 dxi) are the floats of one step, or columns of
-    per-row factors."""
+    of _stencil.  kappa = -dt (n-1)/dxi^2 and alpha = dt sigma/(2 dxi)
+    are the floats of one step, or columns of per-row factors."""
     E = kappa / W
     g = rho * (0.5 * p.d.b1)
     g += 0.5 * p.d.b2 * dxi
@@ -286,91 +274,77 @@ class _Bands:
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
 
 
-def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, bands, start):
-    """One theta-weighted implicit step, from delta_old to delta_new with
-    weight theta, for every row of W_old.
+def _tolerances(W_old, dt, sigma_old, dxi, p):
+    """Each row's Newton tolerance for a step of dt from W_old:
+    max(5e-14 W, 150 * 2.3e-16 (W + dt a0), 2.3e-16 (2 W + dt T)), W the
+    row's largest value and 2 W + dt T the floor of the module docstring,
+    formed from one stencil pass over W_old."""
+    n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
+    _, s, size, _ = _stencil(W_old, dxi, p)  # e and rho of W_old, made s = e + 2 and |rho|
+    s += 2.0
+    np.abs(size, out=size)  # becomes 2W + dt T
+    size *= 0.5 * abs(p.d.b1)
+    size += 1.0 + 0.5 * abs(p.d.b2) * dxi
+    size *= s
+    size *= dt * n1 / h2
+    size += dt * (2.0 * n1 / h2 + a0)
+    s *= dt * sigma_old / (2.0 * dxi)  # the terms that scale with W
+    s += 2.0
+    s *= W_old[:, 1:-1]
+    size += s
+    return [max(5e-14 * w, 150.0 * 2.3e-16 * (w + dt * a0), 2.3e-16 * g)
+            for w, g in zip(W_old.max(axis=1).tolist(), size.max(axis=1).tolist())]
+
+
+def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start):
+    """One backward-Euler step from delta_old to delta_new for every row of
+    W_old.
 
     The step's factors (dt, both drift speeds, K, alpha, the step
-    constant's weight and shift, the floor's factors of dt T) are Python
-    floats shared by the rows, computed as for a lone run.  Row i has the
-    Dirichlet values ends[i] = (W_lo, W_hi) and the optional extra
-    right-hand side sources[i](delta_new), called once.  old holds per row
-    (F_old, e_old, rho_old): F, sources added, and the quotients e and rho
-    of W_old (_stencil).  Newton starts from the positive start[i] with
-    the Dirichlet values at its ends; its systems cover the interior points
-    only.  Each row has its own tolerance and damping.  The array stages
-    run on all rows and each update writes only the rows it selects: a row
-    not being tried keeps its positive iterate, and a trial row that is not
-    positive falls back to its iterate.  A round's Newton systems go to
-    gtsv as one system in bands (a _Bands).  A row whose residual is not
-    finite stops with NonFinite before its next solve.
+    constant's shift and the tolerances' factors) are Python floats shared
+    by the rows, computed as for a lone run.  Row i has the Dirichlet
+    values ends[i] = (W_lo, W_hi) and the optional extra right-hand side
+    sources[i](delta_new), called once.  Newton starts from the positive
+    start[i] with the Dirichlet values at its ends; its systems cover the
+    interior points only.  Each row has its own tolerance (_tolerances, from
+    W_old) and damping; nothing else of the earlier steps is read.  The
+    array stages run on all rows and each update writes only the rows it
+    selects: a row not being tried keeps its positive iterate, and a trial
+    row that is not positive falls back to its iterate.  A round's Newton
+    systems go to gtsv as one system in bands (a _Bands).  A row whose
+    residual is not finite stops with NonFinite before its next solve.
 
-    Returns (out, X, carried): out[i] is row i's Newton iterations or the
-    error that rejected its step; the accepted rows of X are their new
-    frames, and those of carried the next step's old rows (F, e, rho).
+    Returns (out, X): out[i] is row i's Newton iterations or the error that
+    rejected its step, and the accepted rows of X are their new frames.
     """
     k = len(W_old)
     out = [None] * k
-    n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
     dt = delta_old - delta_new
-    sigma_old, sigma_new = _drift_speed(p, delta_old), _drift_speed(p, delta_new)
-    implicit = dt * theta
-    # the residual's K and alpha (the Newton matrix's kappa is -K), the step
-    # constant's weight of F_old and its shift, and the floor's factors of
-    # dt T (module docstring)
-    K = implicit * n1 / h2
-    alpha = implicit * sigma_new / (2.0 * dxi)
-    weight, shift = dt * (1.0 - theta), -implicit * a0
-    curv, base = dt * n1 / h2, dt * (2.0 * n1 / h2 + a0)
-    drift = dt * sigma_old / (2.0 * dxi)
-    F_old, e_old, rho_old = old.swapaxes(0, 1)
-    W_in = W_old[:, 1:-1]
-
-    # the achievable residual is bounded below by rounding of the bracket
-    # X - W_old - dt*(...), whose raw terms are of size W and dt*|F|, and
-    # by rounding inside F, whose stencil terms cancel to a net |F| far
-    # below their raw size T
-    w_scale = W_old.max(axis=1).tolist()
-    f_scale = [a0 + f for f in np.abs(F_old).max(axis=1).tolist()]
-    s_old = e_old + 2.0
-    size = np.abs(rho_old)  # becomes 2W + dt T
-    size *= 0.5 * abs(p.d.b1)
-    size += 1.0 + 0.5 * abs(p.d.b2) * dxi
-    size *= s_old
-    size *= curv
-    size += base
-    near = np.multiply(drift, s_old, out=s_old)  # the terms that scale with W
-    near += 2.0
-    near *= W_in
-    size += near
-    floor = size.max(axis=1).tolist()
-    tol = [max(5e-14 * w, 150.0 * 2.3e-16 * (w + dt * f), 2.3e-16 * g)
-           for w, f, g in zip(w_scale, f_scale, floor)]
-
+    tol = _tolerances(W_old, dt, _drift_speed(p, delta_old), dxi, p)
+    # the residual's K and alpha (the Newton matrix's kappa is -K) and
     # G = X - C - K t - alpha d with the step's constant C (module docstring)
-    C = weight * F_old
-    C += W_in
-    C += shift
-    sourced = [(i, source(delta_new)[1:-1]) for i, source in enumerate(sources)
-               if source is not None]
-    for i, S in sourced:
-        C[i] += implicit * S
+    K = dt * (p.n - 1) / (dxi * dxi)
+    alpha = dt * _drift_speed(p, delta_new) / (2.0 * dxi)
+    C = W_old[:, 1:-1] - dt * p.d.a0
+    for i, source in enumerate(sources):
+        if source is not None:
+            C[i] += dt * source(delta_new)[1:-1]
 
     def residual(X):
-        """G on the interior points of every row of X and the stencil of
-        X.  The ends hold their Dirichlet values exactly, so their
-        residual is 0 and is not formed."""
+        """G on the interior points of every row of X, and the quotients e
+        and rho of X.  The ends hold their Dirichlet values exactly, so
+        their residual is 0 and is not formed."""
         d, e, rho, t = _stencil(X, dxi, p)
         G = X[:, 1:-1] - C
-        part = K * t
-        G -= part
-        np.multiply(alpha, d, out=part)
-        G -= part
-        return G, d, e, rho, t
+        t *= K
+        G -= t
+        d *= alpha
+        G -= d
+        return G, e, rho
 
     X = np.array(start, dtype=float)
     X[:, [0, -1]] = ends
-    G, d, e, rho, t = residual(X)
+    G, e, rho = residual(X)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
     converged = [False] * k
@@ -395,7 +369,7 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
         iterating = [i for i in range(k) if lam[i]]
         if not iterating:
             break
-        # the Newton system I - dt*theta*J_F on the interior points of the
+        # the Newton system I - dt*J_F on the interior points of the
         # iterating rows only; the ends keep their Dirichlet values, so
         # their step is exactly 0
         rows = slice(None) if len(iterating) == k else iterating
@@ -440,22 +414,19 @@ def _step_rows(W_old, delta_old, delta_new, theta, ends, dxi, p, sources, old, b
             # iterate, so once every searching row took its step the trial
             # is swapped in whole
             if all(taken[i] for i in searching):
-                X, (G, d, e, rho, t) = X_try, trial
+                X, (G, e, rho) = X_try, trial
             elif any(taken):
                 taken = np.array(taken)[:, None]
-                for a, a_try in zip((X, G, d, e, rho, t), (X_try, *trial)):
+                for a, a_try in zip((X, G, e, rho), (X_try, *trial)):
                     np.copyto(a, a_try, where=taken)
-            trial = None  # a refused trial is not held through the next one
+            trial = a_try = None  # no part of a refused trial is held through the next one
 
-    # a row that stopped is never taken again, so X and its stencil still
-    # hold every converged row's last iterate
-    F = _rhs(d, t, sigma_new, dxi, p)
-    for i, S in sourced:
-        F[i] += S
+    # a row that stopped is never taken again, so X still holds every
+    # converged row's last iterate
     for i in range(k):
         if converged[i]:
             out[i] = its[i]
-    return out, X, np.stack((F, e, rho), 1)
+    return out, X
 
 
 @dataclass
@@ -464,7 +435,7 @@ class _Run:
     (W_lo, W_hi), consume(delta, W) of each accepted frame (the initial
     one too; W is overwritten two frames later, so copy what is kept) and
     an optional extra right-hand side source(delta) on the grid, evaluated
-    once per step attempt and once for the initial frame."""
+    once per step attempt."""
 
     w0: np.ndarray
     bc: object
@@ -473,7 +444,7 @@ class _Run:
 
 
 _STEP_BUDGET = 200000
-_WARMUP_STEPS = 4  # backward-Euler steps that damp the initial transient
+_WARMUP_STEPS = 4  # half steps that ease Newton through the initial transient
 
 
 def _finished(delta, delta_end) -> bool:
@@ -484,9 +455,8 @@ def _finished(delta, delta_end) -> bool:
 def _planned_deltas(delta_start, delta_end, dtau) -> list:
     """The joint solve's one step schedule: delta_start and the delta after
     each step, for at most the step budget, for a window that _check_window
-    passed.  The first _WARMUP_STEPS steps take 0.5 dtau of delta and are
-    backward Euler (theta 1), the later ones take dtau and are trapezoidal
-    (theta 1/2), and the final step lands exactly on delta_end."""
+    passed.  The first _WARMUP_STEPS steps take 0.5 dtau of delta, the
+    later ones dtau, and the final step lands exactly on delta_end."""
     deltas = [delta_start]
     while not _finished(deltas[-1], delta_end) and len(deltas) <= _STEP_BUDGET + 1:
         frac = 0.5 * dtau if len(deltas) <= _WARMUP_STEPS else dtau
@@ -506,27 +476,24 @@ def _predicted(W, W_prev, r):
     return guess
 
 
-_RATES = 4  # steps whose log growth rates the extrapolated start reads
+_RATES = 3  # steps whose log growth rates the extrapolated start reads
 
 
 def _extrapolated(W, rates):
-    """The start exp(3 L0 - 2 L1 - 2 L2 + 3 L3 - L4) of each row, L0..L4
-    the logs of its last five frames, newest first, or the row of W (its
-    last frame, exp L0) where that is not finite and positive.
+    """The start exp(4 L0 - 6 L1 + 4 L2 - L3) of each row, L0..L3 the logs
+    of its last four frames, newest first, which is exact for a cubic in
+    the step index, or the row of W (its last frame, exp L0) where that is
+    not finite and positive.
 
-    The trapezoidal steps leave the stiff modes undamped, so log W of each
-    row is smooth in the step index k plus a sawtooth c (-1)^k, which no
-    smooth extrapolant follows.  These integer weights make the start exact
-    for a cubic in k plus a constant sawtooth.  It is formed as
-    W exp(2 (r0 - r2) + r3) from rates = (r0, r1, r2, r3), the log growth
-    rates log(W_j / W_(j-1)) of the row's last four steps, newest first (r1
-    has weight 0).  A rate is the log of a ratio near 1, rounded to about
+    It is formed as W exp(3 (r0 - r1) + r2) from rates = (r0, r1, r2), the
+    log growth rates log(W_j / W_(j-1)) of the row's last three steps,
+    newest first.  A rate is the log of a ratio near 1, rounded to about
     1e-16, where log W itself (near -25 on ref) is rounded to about 4e-15,
-    which the weights would add up to 1e-14 in a start that Newton may
+    which the weights would add up to 6e-14 in a start that Newton may
     accept unchanged."""
-    r0, _, r2, r3 = rates
+    r0, r1, r2 = rates
     with np.errstate(over="ignore", invalid="ignore"):
-        guess = np.exp(2.0 * (r0 - r2) + r3) * W
+        guess = np.exp(3.0 * (r0 - r1) + r2) * W
     np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
     return guess
 
@@ -540,15 +507,13 @@ def _solve_rows(p, xi, runs, deltas) -> list:
     step starts cold from the last frame, and the next ones from the
     geometric predictor of the rows' last two frames (_predicted), the only
     frames kept (each accepted frame goes to its run's consumer).  Once the
-    last five frames lie a full step apart, every step but the short last
-    one starts from _extrapolated, which follows the sawtooth the
-    trapezoidal steps leave in log W, from the log growth rates of the last
-    four steps: formed for every row from views of the rates, and read for
-    the rows that step.  After each step every row's rate over it is formed
-    from its last two frames.  The rows whose start is rejected retry the
-    same step cold, together, in a second call.  F, e and rho of a row's
-    last frame, which the step that accepted it handed back, serve both
-    attempts.  A row stops with its error on a rejected cold step, a
+    last four frames lie a full step apart, every step but the short last
+    one starts from _extrapolated, the smooth extrapolant of log W from the
+    log growth rates of the last three steps: formed for every row from
+    views of the rates, and read for the rows that step.  After each step
+    every row's rate over it is formed from its last two frames.  The rows
+    whose start is rejected retry the same step cold, together, in a second
+    call.  A row stops with its error on a rejected cold step, a
     NonFinite result, end values that are not finite and positive (no
     start changes those), or an FdelabError from its bc; the other rows go
     on.  The steps run with numpy's overflow and invalid-value warnings
@@ -569,21 +534,12 @@ def _solve_rows(p, xi, runs, deltas) -> list:
             frames[i, 0] = w0
             run.consume(deltas[0], frames[i, 0])
     live = [i for i in range(R) if out[i] is None]
-    # F, sources added, e and rho of row i's last frame
-    d, e, rho, t = _stencil(frames[:, 0], dxi, p)
-    F = _rhs(d, t, _drift_speed(p, deltas[0]), dxi, p)
-    for i in live:
-        if runs[i].source is not None:
-            F[i] += runs[i].source(deltas[0])[1:-1]
-    old = np.stack((F, e, rho), 1)
-    del d, e, rho, t, F
     bands = _Bands(R, M - 2)
     trajs = [Trajectory() for _ in range(R)]
     for k in range(1, len(deltas)):
         if not live:
             break
         delta, new, slot = deltas[k - 1], deltas[k], k % 2
-        theta = 1.0 if k <= _WARMUP_STEPS else 0.5
         ends = {}
         for i in live:
             try:
@@ -608,15 +564,12 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                 start = _predicted(last, frames[rows, slot],
                                    math.log(new / delta) / math.log(delta / deltas[k - 2]))
             with np.errstate(over="ignore", invalid="ignore"):
-                res, X, carried = _step_rows(
-                    last, delta, new, theta, [ends[i] for i in rows], dxi, p,
-                    [runs[i].source for i in rows], old[rows], bands, start,
-                )
+                res, X = _step_rows(last, delta, new, [ends[i] for i in rows], dxi, p,
+                                    [runs[i].source for i in rows], bands, start)
             accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
             if accepted:
-                kept = [rows[j] for j in accepted]
-                frames[kept, slot], old[kept] = X[accepted], carried[accepted]
-            del last, start, X, carried  # not held through the retry
+                frames[[rows[j] for j in accepted], slot] = X[accepted]
+            del last, start, X  # not held through the retry
             retry = []
             for i, x in zip(rows, res):
                 traj = trajs[i]

@@ -37,23 +37,21 @@ __all__ = [
 
 
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
-# float64 values for its 4 rows.  comoving._solve_rows keeps 2 frames, the
-# 3 carried rows (F, e, rho) and the log growth rates of the last 4 steps
-# per row (36 values), and copies the stepped rows' last frame and carried
-# rows for _step_rows and forms the start (20); _Bands keeps 4 bands per
-# row (16); _step_rows holds X, step and X_try (12), G and the 4 stencil
-# arrays of the iterate and of the trial (40), the step constant C and the
-# floor's size and s_old (12), the stencil's and the residual's
-# temporaries (8), and at its end F and the carried stack (16).  The runs
-# add xi, 4 initial rows and the manufactured profile and source arrays
-# (12).  That is 172 values; a traced sandwich at 20,000 cells (ref, tau
-# 10 to 10.15, past the first extrapolated start) peaks at 1,282 bytes per
-# point.  The mid run's CSV samples (W[::8] of every 10th frame) come on
-# top, and SandwichReport.to_csv streams its rows from them without a list
-# of its own; comparison_sandwich checks solve and samples together
-# against _MEMORY_BUDGET once the steps are planned, before it allocates
-# anything per cell.
-_POINT_BYTES = 8 * (56 + 16 + 88 + 12)
+# float64 values for its 4 rows.  comoving._solve_rows keeps 2 frames and
+# the log growth rates of the last 3 steps per row (20 values), and copies
+# the stepped rows' last frame and forms the start (8); _Bands keeps 4
+# bands per row (16); _step_rows holds the step constant C, X, step and
+# X_try (16), G, e and rho of the iterate (12), the trial's stencil while
+# it is formed (20), and up to 4 more after a round in which only some rows
+# took their trial.  The runs add xi, 4 initial rows and the manufactured
+# profile and source arrays (12).  That is 108 values; a traced sandwich at
+# 20,000 cells (ref, tau 10 to 10.15, past the first extrapolated start)
+# peaks at 858 bytes per point.  The mid run's CSV samples (W[::8] of every
+# 10th frame) come on top, and SandwichReport.to_csv streams its rows from
+# them without a list of its own; comparison_sandwich checks solve and
+# samples together against _MEMORY_BUDGET once the steps are planned,
+# before it allocates anything per cell.
+_POINT_BYTES = 8 * (28 + 16 + 52 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 

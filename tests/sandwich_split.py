@@ -5,10 +5,12 @@
 Runs the simulate-ref workload of perfbench/run.py (`simulate --force` on
 the reference config) N times (default 5) through fdelab.cli.main in this
 process, into a temporary directory, with timers around the command and
-around pde._solve_rows, comoving._step_rows, pde._barrier_W, the two Newton
-starts comoving._predicted and comoving._extrapolated, and
-pde.SandwichReport.to_csv.  Each line gives a name's median wall time per
-run, inclusive of what it calls, and its calls per run.  The last lines
+around pde._solve_rows, comoving._step_rows (one backward-Euler step of
+all rows), pde._barrier_W, the two Newton starts (comoving._predicted,
+the geometric predictor of the first steps and the short last one, and
+comoving._extrapolated, the smooth four-frame extrapolant of the others)
+and pde.SandwichReport.to_csv.  Each line gives a name's median wall time
+per run, inclusive of what it calls, and its calls per run.  The last lines
 give each row's Newton iterations (summed and most in one step) in the
 last run.  The first run also compiles and imports fdelab.pde and
 fdelab.comoving.  The exit status is 2 if one of the wrapped names is
