@@ -74,23 +74,42 @@ so outside F the bracket adds just W_old, X and the constant's dt a0: the
 tolerance's middle term is 150 roundings of W + dt a0, W the row's
 largest value.  (On simulate-ref the floor binds at every row-step.)
 
-Independent runs on one grid are the rows of one (runs, points) array
-(_solve_rows), stepped through one schedule of planned deltas
-(_planned_deltas).  Each planned step is one _step_rows call of every
-live row, whose step factors are Python floats; each row keeps its own
-tolerance and damping.  The rows whose extrapolated or predicted start
-is rejected retry the step cold, together, in a second call.  A Newton
-round passes its rows' systems to LAPACK gtsv in one call, as one
-block-diagonal system with zero couplings (_Bands), and every factor is
-the float a lone run computes, so a run gives the same bits alone or
-beside others.  _Bands is the only holder of gtsv bindings: it binds the
-stacked system once and each row once, on bands it allocates itself, and
-after a zero pivot or a non-finite x solves each row through that row's
-binding.  A row keeps only its last two frames and the log growth rates
+Independent runs on one grid are the rows of one C-contiguous (runs,
+points) array (_solve_rows), stepped through one schedule of planned
+deltas (_planned_deltas).  Each planned step is one _step_rows call of
+every live row, whose step factors are Python floats; each row keeps its
+own tolerance and damping.  The rows whose extrapolated or predicted start
+is rejected retry the step cold, together, in a second call.  Every factor
+is the float a lone run computes, so a run gives the same bits alone or
+beside others.
+
+The array passes of a step (_stencil, the residual, _tolerances and
+_newton_bands) treat the rows as one flat vector: they read
+W.reshape(-1)[:-2], [1:-1] and [2:], the flat interior (_flat) and its
+neighbours.  The first and last point of each row are its Dirichlet ends,
+where the flat stencil reaches into the next or the previous row; those
+2 (rows - 1) seam positions are computed and discarded.  The residual and
+the tolerances' floor are zeroed there before each row's largest value is
+read from a (rows, points) reshape, and in the Newton system they are
+identity rows, d = 1 and b = 0 with zero couplings (_Bands), so that one
+gtsv call solves the stacked rows with each row's lone bits.  A step
+costs its count of numpy calls more than its count of rows, and a call on
+the contiguous flat vector costs less than on strided (rows, points - 2)
+interior views: one subtraction on 4 rows of 401 points took 1.0 us
+against 2.7 us, and one simulate-ref step of all four rows 150 us against
+175 us (timeit; numpy 2.4, Python 3.11, a 2-core x86-64 host).
+
+_Bands is the only holder of gtsv bindings: it binds the stacked system
+once and each row once, on bands it allocates itself, and after a zero
+pivot or a non-finite x solves each row through that row's binding.  A
+row keeps only its last two frames and the log growth rates
 log(W_k / W_(k-1)) of its last three steps: a step reads nothing else of
-the steps before it.  It hands every accepted frame, the initial one too,
-to its run's consumer, and counts its frames and solver work in its
-Trajectory as it goes.
+the steps before it.  The all-rows step (every step of the sandwich,
+unless a row stopped or retries) reads and writes those as whole
+contiguous slices; a subset of rows is gathered and scattered by index.
+A row hands every accepted frame, the initial one too, to its run's
+consumer, and counts its frames and solver work in its Trajectory as it
+goes.
 
 fdelab.pde runs the comparison sandwich on this solver.  The two are
 separate modules because every command compiles its modules from source
@@ -132,12 +151,22 @@ def _drift_speed(p: ModelParams, delta: float) -> float:
     return p.A * p.gamma * delta ** (-p.gamma - 1.0)
 
 
+def _flat(a):
+    """The flat interior of a C-contiguous (rows, points) array a: every
+    point of a.reshape(-1) but its first and last, the positions q = 0, 1,
+    ... of the flat kernel (point q + 1 of the stack)."""
+    return a.reshape(-1)[1:-1]
+
+
 def _stencil(W, dxi, p):
-    """The stencil of the interior points of each row of W as quotients:
-    d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W and
-    t = e + rho (b1 rho/4 + b2 dxi/2), from which _step_rows forms the
-    residual and _newton_bands the Newton matrix (module docstring)."""
-    Wm, W0, Wp = W[:, :-2], W[:, 1:-1], W[:, 2:]
+    """The stencil of the flat interior of W (_flat) as quotients, flat
+    arrays like it: d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W
+    and t = e + rho (b1 rho/4 + b2 dxi/2), from which _step_rows forms the
+    residual and _newton_bands the Newton matrix (module docstring).  At
+    the first and last point of each row, the seams, the neighbours lie in
+    two rows; what is formed there is never read."""
+    flat = W.reshape(-1)
+    Wm, W0, Wp = flat[:-2], flat[1:-1], flat[2:]
     up = Wp - W0
     down = Wm - W0
     d = up - down
@@ -152,11 +181,12 @@ def _stencil(W, dxi, p):
 
 
 def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
-    """Write the Newton matrix I - dt J_F of each row into its bands: the
-    subdiagonal dl (points 1..), the diagonal and the superdiagonal du
-    (points ..-2), from the interior values W and the quotients (e, rho)
-    of _stencil.  kappa = -dt (n-1)/dxi^2 and alpha = dt sigma/(2 dxi)
-    are the floats of one step, or columns of per-row factors."""
+    """Write the Newton matrix I - dt J_F of the flat interior into gtsv's
+    bands: the subdiagonal dl (positions 1..), the diagonal and the
+    superdiagonal du (positions ..-2), from the flat interior values W and
+    quotients (e, rho) of _stencil.  kappa = -dt (n-1)/dxi^2 and
+    alpha = dt sigma/(2 dxi) are the floats of one step.  What is written
+    at the seams (the ends of the rows) is overwritten by _Bands."""
     E = kappa / W
     g = rho * (0.5 * p.d.b1)
     g += 0.5 * p.d.b2 * dxi
@@ -166,9 +196,9 @@ def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
     diag *= E
     np.subtract(1.0, diag, out=diag)
     g *= E
-    np.add(E[:, :-1], g[:, :-1], out=du)
+    np.add(E[:-1], g[:-1], out=du)
     du -= alpha
-    np.subtract(E[:, 1:], g[:, 1:], out=dl)
+    np.subtract(E[1:], g[1:], out=dl)
     dl += alpha
 
 
@@ -238,37 +268,69 @@ def _lapack():
     return _gtsv
 
 
+_IDENTITY = np.array([0.0, 1.0, 0.0, 0.0])[:, None, None]  # (dl, d, du, b) of an identity row
+
+
 class _Bands:
-    """Newton systems of up to `rows` rows of n unknowns as one block-diagonal
-    system, the one owner of gtsv bindings: row j's bands are dl[j, :-1],
-    d[j], du[j, :-1] and b[j], and the couplings dl[j, -1], du[j, -1] are
-    exactly zero, so each row gets the bits of its lone solve, up to signs
-    of 0.  gtsv is bound once to the stacked system and once to each row,
-    on C-contiguous float64 bands that this class allocates, so no raw
-    pointer can misread a caller's array."""
+    """Newton systems of up to `rows` rows of n unknowns as one flat
+    tridiagonal system, the one owner of gtsv bindings.
+
+    The bands tri = (dl, d, du, b) are (rows, n + 2) arrays laid out like
+    the rows' frames, and gtsv solves the flat interior of the stack
+    (_flat): row j's unknowns, its interior points, are one run of it, and
+    between the last unknown of a row and the first of the next sit the
+    ends of both rows.  Those seams are identity rows, d = 1 and b = 0,
+    with zero couplings, so gtsv never pivots across them and each row
+    gets the bits of its lone solve, up to signs of 0 (LAPACK dgtsv: a zero
+    subdiagonal entry takes no row interchange and subtracts exact zeros).
+    Column c of a row holds d and b of point c, and dl and du the
+    couplings of points c and c + 1 below and above the diagonal.  gtsv is
+    bound once to the stacked system and once to each row, on C-contiguous
+    float64 bands that this class allocates, so no raw pointer can misread
+    a caller's array."""
 
     def __init__(self, rows, n):
-        self.dl, self.d, self.du, self.b = bands = [np.zeros((rows, n)) for _ in range(4)]
+        self.tri = np.zeros((4, rows, n + 2))
         bind = _lapack()
-        self.gtsv = bind(*(a.reshape(-1) for a in bands))
-        self.lone = [bind(*row) for row in zip(*bands)]
+        flat = self.tri.reshape(4, -1)
+        self.gtsv = bind(*flat[:, 1:])
+        self.lone = [bind(*flat[:, j * (n + 2) + 1:]) for j in range(rows)]
 
-    def solve(self, r, fill):
-        """x of the leading r systems, which fill(dl, d, du, b) writes, from
-        one gtsv call; after a zero pivot (gtsv stops there) or a non-finite
-        x (it crosses the couplings), each row's lone x or NewtonDiverged."""
-        bands = self.dl[:r, :-1], self.d[:r], self.du[:r, :-1], self.b[:r]
-        fill(*bands)
-        if self.gtsv(bands[3].size) == 0 and np.isfinite(bands[3]).all():
-            return bands[3]
-        fill(*bands)
-        self.dl[:, -1] = self.du[:, -1] = 0.0
-        out = []
-        for solve, x in zip(self.lone, bands[3]):
-            info = solve(len(x))
-            out.append(x if info == 0 else errors.NewtonDiverged(
-                f"tridiagonal Newton matrix singular (gtsv info {info})"))
-        return out
+    def solve(self, r, fill, idle=()):
+        """The Newton steps of the leading r rows as their (r, n + 2) block
+        of b, with exact zeros at each row's ends: fill(dl, d, du, b) writes
+        gtsv's bands of the flat system, the ends of every row and each row
+        in idle become identity rows (step 0), and one gtsv call solves it.
+        After a zero pivot (gtsv stops there) or a non-finite x (it crosses
+        the seams), the system is written again and each row not in idle
+        is solved alone.  Returns (step, failed): failed maps each row whose
+        lone system is singular to its NewtonDiverged, and its step is 0."""
+        tri = self.tri[:, :r]
+        m = tri.shape[2]
+        size = r * m - 2
+        flat = self.tri.reshape(4, -1)[:, :r * m]
+        bands = flat[0, 1:size], flat[1, 1:-1], flat[2, 1:size], flat[3, 1:-1]
+
+        def write():
+            fill(*bands)
+            tri[:, :, ::m - 1] = _IDENTITY
+            tri[::2, :, -2] = 0.0
+            for j in idle:
+                tri[:, j] = _IDENTITY[:, 0]
+
+        write()
+        step = tri[3]
+        if self.gtsv(size) == 0 and np.isfinite(step).all():
+            return step, {}
+        write()
+        failed = {}
+        for j, solve in enumerate(self.lone[:r]):
+            info = 0 if j in idle else solve(m - 2)
+            if info:
+                failed[j] = errors.NewtonDiverged(
+                    f"tridiagonal Newton matrix singular (gtsv info {info})")
+                step[j] = 0.0
+        return step, failed
 
 
 _NEWTON_MAX = 12  # Newton iterations before a step is rejected
@@ -278,11 +340,13 @@ def _tolerances(W_old, dt, sigma_old, dxi, p):
     """Each row's Newton tolerance for a step of dt from W_old:
     max(5e-14 W, 150 * 2.3e-16 (W + dt a0), 2.3e-16 (2 W + dt T)), W the
     row's largest value and 2 W + dt T the floor of the module docstring,
-    formed from one stencil pass over W_old."""
+    formed from one stencil pass over W_old and zeroed at the seams before
+    each row's largest value is read."""
     n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
-    _, s, size, _ = _stencil(W_old, dxi, p)  # e and rho of W_old, made s = e + 2 and |rho|
+    _, s, rho, _ = _stencil(W_old, dxi, p)  # e of W_old, made s = e + 2
     s += 2.0
-    np.abs(size, out=size)  # becomes 2W + dt T
+    floor = np.empty_like(W_old)  # 2W + dt T on the flat interior, from |rho|
+    size = np.abs(rho, out=_flat(floor))
     size *= 0.5 * abs(p.d.b1)
     size += 1.0 + 0.5 * abs(p.d.b2) * dxi
     size *= s
@@ -290,15 +354,16 @@ def _tolerances(W_old, dt, sigma_old, dxi, p):
     size += dt * (2.0 * n1 / h2 + a0)
     s *= dt * sigma_old / (2.0 * dxi)  # the terms that scale with W
     s += 2.0
-    s *= W_old[:, 1:-1]
+    s *= _flat(W_old)
     size += s
+    floor[:, ::floor.shape[1] - 1] = 0.0
     return [max(5e-14 * w, 150.0 * 2.3e-16 * (w + dt * a0), 2.3e-16 * g)
-            for w, g in zip(W_old.max(axis=1).tolist(), size.max(axis=1).tolist())]
+            for w, g in zip(W_old.max(axis=1).tolist(), floor.max(axis=1).tolist())]
 
 
 def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start):
     """One backward-Euler step from delta_old to delta_new for every row of
-    W_old.
+    the C-contiguous (rows, points) array W_old.
 
     The step's factors (dt, both drift speeds, K, alpha, the step
     constant's shift and the tolerances' factors) are Python floats shared
@@ -308,16 +373,18 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
     start[i] with the Dirichlet values at its ends; its systems cover the
     interior points only.  Each row has its own tolerance (_tolerances, from
     W_old) and damping; nothing else of the earlier steps is read.  The
-    array stages run on all rows and each update writes only the rows it
-    selects: a row not being tried keeps its positive iterate, and a trial
-    row that is not positive falls back to its iterate.  A round's Newton
-    systems go to gtsv as one system in bands (a _Bands).  A row whose
-    residual is not finite stops with NonFinite before its next solve.
+    array stages run on the flat interior of all rows (_flat) and each
+    update writes only the rows it selects: a row not being tried keeps
+    its positive iterate, and a trial row that is not positive falls back
+    to its iterate.  A round's Newton systems go to gtsv as one system in
+    bands (a _Bands), where the rows that do not iterate are identity
+    rows.  A row whose residual is not finite stops with NonFinite before
+    its next solve.
 
     Returns (out, X): out[i] is row i's Newton iterations or the error that
     rejected its step, and the accepted rows of X are their new frames.
     """
-    k = len(W_old)
+    k, M = W_old.shape
     out = [None] * k
     dt = delta_old - delta_new
     tol = _tolerances(W_old, dt, _drift_speed(p, delta_old), dxi, p)
@@ -325,30 +392,32 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
     # G = X - C - K t - alpha d with the step's constant C (module docstring)
     K = dt * (p.n - 1) / (dxi * dxi)
     alpha = dt * _drift_speed(p, delta_new) / (2.0 * dxi)
-    C = W_old[:, 1:-1] - dt * p.d.a0
+    C = W_old - dt * p.d.a0  # whole rows: its ends are finite and never read
     for i, source in enumerate(sources):
         if source is not None:
-            C[i] += dt * source(delta_new)[1:-1]
+            C[i, 1:-1] += dt * source(delta_new)[1:-1]
 
     def residual(X):
-        """G on the interior points of every row of X, and the quotients e
-        and rho of X.  The ends hold their Dirichlet values exactly, so
-        their residual is 0 and is not formed."""
+        """G of every row of X, shaped like X, and the flat quotients e and
+        rho of X.  The ends hold their Dirichlet values exactly, so their
+        residual is 0: G is formed on whole rows and set to 0 at the ends,
+        which also drops what the seams formed."""
         d, e, rho, t = _stencil(X, dxi, p)
-        G = X[:, 1:-1] - C
+        G = X - C
+        g = _flat(G)
         t *= K
-        G -= t
+        g -= t
         d *= alpha
-        G -= d
+        g -= d
+        G[:, ::M - 1] = 0.0
         return G, e, rho
 
     X = np.array(start, dtype=float)
-    X[:, [0, -1]] = ends
+    X[:, ::M - 1] = ends
     G, e, rho = residual(X)
     G_norm = np.abs(G).max(axis=1).tolist()
     its = [0] * k
     converged = [False] * k
-    step = np.zeros_like(X)  # nonzero only on rows in a line search
     while True:
         lam = [0.0] * k  # line-search damping; 0 on rows that sit still
         for i in range(k):
@@ -366,27 +435,23 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
             else:
                 its[i] += 1
                 lam[i] = 1.0
-        iterating = [i for i in range(k) if lam[i]]
-        if not iterating:
+        if not any(lam):
             break
-        # the Newton system I - dt*J_F on the interior points of the
-        # iterating rows only; the ends keep their Dirichlet values, so
-        # their step is exactly 0
-        rows = slice(None) if len(iterating) == k else iterating
 
+        # the Newton system I - dt*J_F on the interior points; the ends and
+        # the rows that sit still are identity rows, so their step is 0
         def fill(dl, diag, du, b):
-            _newton_bands(dl, diag, du, X[rows, 1:-1], e[rows], rho[rows], -K, alpha, dxi, p)
-            np.negative(G[rows], out=b)
+            _newton_bands(dl, diag, du, _flat(X), e, rho, -K, alpha, dxi, p)
+            np.negative(_flat(G), out=b)
 
-        for i, x in zip(iterating, bands.solve(len(iterating), fill)):
-            if isinstance(x, errors.NewtonDiverged):
-                out[i], lam[i] = x, 0.0
-            else:
-                step[i, 1:-1] = x
+        # step is the bands' b: lambda times the Newton step, halved with
+        # lambda (exactly, as lambda is a power of 2), 0 on rows outside the
+        # line search
+        step, failed = bands.solve(k, fill, [i for i in range(k) if not lam[i]])
+        for i, x in failed.items():
+            out[i], lam[i] = x, 0.0
 
-        # damped line search, each row with its own lambda; step holds
-        # lambda times the Newton step, halved with lambda (exactly, as
-        # lambda is a power of 2)
+        # damped line search, each row with its own lambda
         while any(lam):
             searching = [i for i in range(k) if lam[i]]
             X_try = X + step
@@ -416,9 +481,11 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
             if all(taken[i] for i in searching):
                 X, (G, e, rho) = X_try, trial
             elif any(taken):
-                taken = np.array(taken)[:, None]
-                for a, a_try in zip((X, G, e, rho), (X_try, *trial)):
-                    np.copyto(a, a_try, where=taken)
+                where = np.repeat(taken, M).reshape(k, M)  # the points of the rows taken
+                np.copyto(X, X_try, where=where)
+                np.copyto(G, trial[0], where=where)
+                for a, a_try in zip((e, rho), trial[1:]):
+                    np.copyto(a, a_try, where=_flat(where))
             trial = a_try = None  # no part of a refused trial is held through the next one
 
     # a row that stopped is never taken again, so X still holds every
@@ -509,11 +576,14 @@ def _solve_rows(p, xi, runs, deltas) -> list:
     frames kept (each accepted frame goes to its run's consumer).  Once the
     last four frames lie a full step apart, every step but the short last
     one starts from _extrapolated, the smooth extrapolant of log W from the
-    log growth rates of the last three steps: formed for every row from
-    views of the rates, and read for the rows that step.  After each step
-    every row's rate over it is formed from its last two frames.  The rows
-    whose start is rejected retry the same step cold, together, in a second
-    call.  A row stops with its error on a rejected cold step, a
+    log growth rates of the last three steps, formed for every row.  After
+    each step every row's rate over it is formed from its last two frames.
+    The frames are stored as (2, rows, points), so that when every row
+    steps, the last frame, the start and the new frame are whole contiguous
+    slices; a subset of rows (a cold retry, or beside a row that stopped)
+    is gathered and scattered by index.  The rows whose start is rejected
+    retry the same step cold, together, in a second call.  A row stops
+    with its error on a rejected cold step, a
     NonFinite result, end values that are not finite and positive (no
     start changes those), or an FdelabError from its bc; the other rows go
     on.  The steps run with numpy's overflow and invalid-value warnings
@@ -522,7 +592,7 @@ def _solve_rows(p, xi, runs, deltas) -> list:
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    frames = np.ones((R, 2, M))  # row i after step k at frames[i, k % 2]; unset slots stay finite
+    frames = np.ones((2, R, M))  # row i after step k at frames[k % 2, i]; unset rows stay finite
     rates = np.zeros((_RATES, R, M))  # log(W_k / W_(k-1)) of every row at rates[k % _RATES]
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
@@ -531,8 +601,8 @@ def _solve_rows(p, xi, runs, deltas) -> list:
         elif np.any(w0 <= 0.0):
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
-            frames[i, 0] = w0
-            run.consume(deltas[0], frames[i, 0])
+            frames[0, i] = w0
+            run.consume(deltas[0], frames[0, i])
     live = [i for i in range(R) if out[i] is None]
     bands = _Bands(R, M - 2)
     trajs = [Trajectory() for _ in range(R)]
@@ -554,21 +624,24 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                     f"end values {ends[i]} not finite and positive at delta = {new:.6e}")
         rows, cold = [i for i in live if out[i] is None], k == 1
         while rows:
-            last = frames[rows, 1 - slot]
+            pick = slice(None) if len(rows) == R else rows  # all rows as views, or gathered
+            last = frames[1 - slot, pick]
             if cold:
                 start = last
             elif _WARMUP_STEPS + _RATES < k < len(deltas) - 1:
                 ring = [rates[(k - j) % _RATES] for j in range(1, _RATES + 1)]  # newest first
-                start = _extrapolated(frames[:, 1 - slot], ring)[rows]
+                start = _extrapolated(frames[1 - slot], ring)[pick]
             else:
-                start = _predicted(last, frames[rows, slot],
+                start = _predicted(last, frames[slot, pick],
                                    math.log(new / delta) / math.log(delta / deltas[k - 2]))
             with np.errstate(over="ignore", invalid="ignore"):
                 res, X = _step_rows(last, delta, new, [ends[i] for i in rows], dxi, p,
                                     [runs[i].source for i in rows], bands, start)
             accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
-            if accepted:
-                frames[[rows[j] for j in accepted], slot] = X[accepted]
+            if len(accepted) == len(rows):
+                frames[slot, pick] = X
+            elif accepted:
+                frames[slot, [rows[j] for j in accepted]] = X[accepted]
             del last, start, X  # not held through the retry
             retry = []
             for i, x in zip(rows, res):
@@ -576,7 +649,7 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                 if not isinstance(x, errors.FdelabError):
                     traj.newton_iters_max = max(traj.newton_iters_max, x)
                     traj.newton_iters += x
-                    runs[i].consume(new, frames[i, slot])
+                    runs[i].consume(new, frames[slot, i])
                     traj.frames += 1
                 elif cold or isinstance(x, errors.NonFinite):
                     out[i] = x
@@ -588,7 +661,7 @@ def _solve_rows(p, xi, runs, deltas) -> list:
         # which no start reads; a quotient past the float range gives an
         # infinite rate, and _extrapolated the last frame
         with np.errstate(over="ignore", divide="ignore"):
-            np.log(frames[:, slot] / frames[:, 1 - slot], out=rates[k % _RATES])
+            np.log(frames[slot] / frames[1 - slot], out=rates[k % _RATES])
         live = [i for i in live if out[i] is None]
     for i in live:
         out[i] = trajs[i]

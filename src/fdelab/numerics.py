@@ -87,12 +87,14 @@ class StepTable:
     newton_iters: int  # Newton iterations begun, failed ones included
     jac_evals: int  # calls of jac
 
-    def __call__(self, t) -> np.ndarray:
-        """States at t, shape (states,) + t.shape, like OdeSolution."""
+    def __call__(self, t, states=slice(None)) -> np.ndarray:
+        """States at t, shape (states,) + t.shape, like OdeSolution; a
+        slice of states evaluates those alone, gathering only their
+        coefficients, with the same bits."""
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
         x = ((t - self.ts[i]) / self.h[i])[..., None]
-        c = self.coef[i]
+        c = self.coef[:, states][i]
         y = c[..., -1]
         for k in range(c.shape[-1] - 2, -1, -1):
             y = y * x + c[..., k]

@@ -38,20 +38,21 @@ __all__ = [
 
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
 # float64 values for its 4 rows.  comoving._solve_rows keeps 2 frames and
-# the log growth rates of the last 3 steps per row (20 values), and copies
-# the stepped rows' last frame and forms the start (8); _Bands keeps 4
-# bands per row (16); _step_rows holds the step constant C, X, step and
-# X_try (16), G, e and rho of the iterate (12), the trial's stencil while
-# it is formed (20), and up to 4 more after a round in which only some rows
-# took their trial.  The runs add xi, 4 initial rows and the manufactured
-# profile and source arrays (12).  That is 108 values; a traced sandwich at
-# 20,000 cells (ref, tau 10 to 10.15, past the first extrapolated start)
-# peaks at 858 bytes per point.  The mid run's CSV samples (W[::8] of every
-# 10th frame) come on top, and SandwichReport.to_csv streams its rows from
-# them without a list of its own; comparison_sandwich checks solve and
-# samples together against _MEMORY_BUDGET once the steps are planned,
-# before it allocates anything per cell.
-_POINT_BYTES = 8 * (28 + 16 + 52 + 12)
+# the log growth rates of the last 3 steps per row (20 values) and forms
+# the start (4); the last frame of a step of every row is a view of its
+# frames.  _Bands keeps 4 bands per row (16), whose b is also the Newton
+# step; _step_rows holds the step constant C, X and X_try (12), G, e and
+# rho of the iterate (12), the trial's stencil while it is formed (20),
+# and up to 4 more after a round in which only some rows took their trial.
+# The runs add xi, 4 initial rows and the manufactured profile and source
+# arrays (12).  That is 100 values; a traced sandwich at 20,000 cells (ref,
+# tau 10 to 10.15, past the first extrapolated start) peaks at 798 bytes
+# per point.  The mid run's CSV samples (W[::8] of every 10th frame) come
+# on top, and SandwichReport.to_csv streams its rows from them without a
+# list of its own; comparison_sandwich checks solve and samples together
+# against _MEMORY_BUDGET once the steps are planned, before it allocates
+# anything per cell.
+_POINT_BYTES = 8 * (24 + 16 + 48 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 

@@ -145,12 +145,16 @@ class SelfSimilarProfile:
 
     def _at(self, u, derivs: bool = False):
         """phibar0_1(u), or with derivs the triple of it and its first two
-        derivatives; a float u gives floats."""
+        derivatives; a float u gives floats.  The value alone of u inside
+        the table reads only the table's Z state, with no branch masks."""
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        out = np.empty((3 if derivs else 1, *u.shape))
         c = self._c
+        if not derivs and u.size and self._u_min <= u.min() and u.max() <= self._u_max:
+            val = np.exp(2.0 * u + c * self._table(u, slice(1))[0])
+            return float(val[0]) if scalar else val
+        out = np.empty((3 if derivs else 1, *u.shape))
 
         core = u < self._u_min
         tail = u > self._u_max

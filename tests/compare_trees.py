@@ -4,10 +4,12 @@ workloads.
     python tests/compare_trees.py OLD_SRC NEW_SRC [--reference REF_SRC] [--out DIR]
 
 Each *_SRC is the `src` directory of a checkout.  The jobs are the
-workloads of perfbench/run.py (verify-ref, verify-low, simulate-ref) and
-`profile` on ref and low.  Each job runs once per tree, one CLI process
-at a time, into the same --out directory, since reports embed that path;
-the artifacts are moved aside after each run.
+workloads of perfbench/run.py (verify-ref, verify-low, simulate-ref),
+`profile` on ref and low, and simulate-smoke, the CLI smoke window of
+tests/test_cli.py (200 cells, tau 10 to 10.6), a second sandwich grid.
+Each job runs once per tree, one CLI process at a time, into the same
+--out directory, since reports embed that path; the artifacts are moved
+aside after each run.
 
 For each artifact the script prints whether the two trees wrote identical
 bytes.  For a JSON report it lists the fields that differ at all, and
@@ -43,6 +45,10 @@ JOBS = {
     **WORKLOADS,
     "profile-ref": Workload(("profile",), WORKLOADS["verify-ref"].config),
     "profile-low": Workload(("profile",), WORKLOADS["verify-low"].config),
+    "simulate-smoke": Workload(("simulate", "--force"), {
+        **WORKLOADS["verify-ref"].config,
+        "tau0": 10.0, "tau_end": 10.6, "n_cells": 200, "dtau": 0.01, "eps": 0.018,
+    }),
 }
 
 

@@ -411,12 +411,12 @@ def _lone_solve(bands):
     NewtonDiverged of its zero pivot."""
     block = comoving._Bands(1, len(bands[1]))
 
-    def fill(*rows):
-        for row, a in zip(rows, bands):
-            row[0] = a
+    def fill(*flat):
+        for band, a in zip(flat, bands):
+            band[:] = a
 
-    (x,) = block.solve(1, fill)
-    return x
+    step, failed = block.solve(1, fill)
+    return failed[0] if failed else step[0, 1:-1]
 
 
 def test_lone_gtsv_zero_pivot_is_newton_divergence():
@@ -485,14 +485,15 @@ def test_singular_gtsv_gives_one_info_and_newton_divergence(gtsv_routes, monkeyp
 
 
 def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
-    """A Newton round passes its systems to gtsv as one block-diagonal
-    system with zero couplings, in one call: on each route, every row
-    gets the bits of its lone solve, on rows that pivot.  A zero pivot in
-    a middle row stops gtsv in that row's block, and a NaN in one row's
-    diagonal spreads over the couplings to every x (and into the couplings
+    """A Newton round passes its systems to gtsv as one flat system, in
+    one call, whose rows are joined by two identity rows with zero
+    couplings: on each route, every row gets the bits of its lone solve,
+    on rows that pivot, and a step of exactly 0 at its ends.  A zero pivot
+    in a middle row stops gtsv in that row's block, and a NaN in one row's
+    diagonal spreads over the seams to every x (and into the couplings
     themselves); either sends every row to its lone solve, so each row
     still gets its lone x, or the NewtonDiverged of its lone info, and the
-    couplings are zero again for the next round."""
+    seams are identity rows again."""
     rng = np.random.default_rng(24)
     n = 399
     regular = [_bands(rng, n) for _ in range(5)]
@@ -511,27 +512,33 @@ def test_stacked_gtsv_solves_each_row_as_alone(gtsv_routes, monkeypatch):
                 lone.append(work[3] if info == 0 else info)
             if first_info is None:
                 assert lone[2] > 0 and all(isinstance(x, np.ndarray) for x in lone[:2] + lone[3:])
-                first_info = 2 * n + lone[2]  # the zero pivot, counted from row 0
+                first_info = 2 * (n + 2) + lone[2]  # the zero pivot, counted from row 0
             block, infos = comoving._Bands(5, n), []
             gtsv = block.gtsv
             block.gtsv = lambda size: infos.append((size, gtsv(size))) or infos[-1][1]
 
-            def fill(dl, d, du, b):
+            def fill(*flat):  # row j's unknowns start at flat position j (n + 2)
                 for j, bands in enumerate(case):
-                    for band, a in zip((dl[j], d[j], du[j], b[j]), bands):
-                        band[:] = a
+                    for band, a in zip(flat, bands):
+                        band[j * (n + 2):j * (n + 2) + len(a)] = a
 
-            out = block.solve(5, fill)
-            assert infos == [(5 * n, first_info)]
+            step, failed = block.solve(5, fill)
+            assert infos == [(5 * (n + 2) - 2, first_info)]
             if case is spread:
                 assert np.isnan(lone[1]).any() and not np.isnan(lone[0]).any()
-            for x, want in zip(out, lone):
+            assert set(failed) == {j for j, want in enumerate(lone) if isinstance(want, int)}
+            for j, want in enumerate(lone):
                 if isinstance(want, int):
-                    assert isinstance(x, errors.NewtonDiverged), x
-                    assert str(x).endswith(f"(gtsv info {want})")
+                    assert isinstance(failed[j], errors.NewtonDiverged), failed[j]
+                    assert str(failed[j]).endswith(f"(gtsv info {want})")
+                    assert not step[j].any()
                 else:
-                    assert np.array_equal(x, want, equal_nan=True)
-            assert not block.dl[:, -1].any() and not block.du[:, -1].any()
+                    assert np.array_equal(step[j, 1:-1], want, equal_nan=True)
+                    assert not step[j, ::n + 1].any()
+            dl, d, du, _ = block.tri
+            for band in (dl, du):  # the couplings of points c and c + 1 at the seams
+                assert not band[:, ::n + 1].any() and not band[:, -2].any()
+            assert np.all(d[:, ::n + 1] == 1.0)
 
 
 def test_openblas_lookup_falls_back_to_none(monkeypatch):
@@ -573,7 +580,7 @@ def test_singular_newton_matrix_rejects_the_step(p_ref, monkeypatch):
     assert isinstance(res, errors.NewtonDiverged)
     # the patched bands were the ones solved: once as the round's block,
     # once more for the lone solve that follows a zero pivot
-    assert written == [1, 1]
+    assert written == [7, 7]
 
 
 def _newton_matrix_rows(rng, p, k, M, dxi):
@@ -585,10 +592,13 @@ def _newton_matrix_rows(rng, p, k, M, dxi):
     dt = delta * rng.uniform(0.001, 0.01, k)
     sigma = np.array([comoving._drift_speed(p, x) for x in delta])
     _, e, rho, _ = comoving._stencil(W, dxi, p)
-    kappa = (-dt * (p.n - 1) / dxi ** 2)[:, None]
-    alpha = (dt * sigma / (2.0 * dxi))[:, None]
+    kappa = -dt * (p.n - 1) / dxi ** 2
+    alpha = dt * sigma / (2.0 * dxi)
     bands = np.zeros((k, M - 3)), np.zeros((k, M - 2)), np.zeros((k, M - 3))
-    comoving._newton_bands(*bands, W[:, 1:-1], e, rho, kappa, alpha, dxi, p)
+    for j in range(k):  # each row alone, with its own floats; row j's interior is flat j M ..
+        interior = slice(j * M, j * M + M - 2)
+        comoving._newton_bands(*(band[j] for band in bands), W[j, 1:-1], e[interior],
+                               rho[interior], float(kappa[j]), float(alpha[j]), dxi, p)
     return W, dt, sigma, bands
 
 
@@ -679,9 +689,9 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
                     for j, res in enumerate(out)]
 
     # gtsv finds the first Newton system of row 2 alone singular, and after
-    # that exactly that system, wherever it sits in a round's block of
-    # systems (99 interior points per row); the NaN row stops before any
-    # solve
+    # that exactly that system, wherever it sits in a round's flat system
+    # (99 interior points per row, each row's starting 101 positions after
+    # the last); the NaN row stops before any solve
     route, calls, singular = comoving._lapack(), [], []
 
     def spy_bind(dl, d, du, b):
@@ -689,7 +699,7 @@ def test_mixed_row_failures_in_one_round(p_ref, d_ref, monkeypatch):
 
         def spied(size):
             assert np.all(np.isfinite(b[:size]))
-            for j in range(0, size, 99):
+            for j in range(0, size, 101):
                 calls.append([dl[j:j + 98].copy(), d[j:j + 99].copy(),
                               du[j:j + 98].copy(), b[j:j + 99].copy()])
                 if not singular or all(map(np.array_equal, calls[-1], singular)):
@@ -903,6 +913,54 @@ def test_failed_row_stops_alone(p_ref, d_ref):
         )
 
 
+def test_rows_keep_their_lone_bits_across_the_seams(p_ref, d_ref, monkeypatch):
+    """A step's rows are one flat vector, and the first and last point of
+    each row, the seams, read two rows at once.  Beside a row 1e300 above
+    them the seam quotients overflow to inf.  A row whose damped line
+    search cannot stay positive stops on the first step beside a row that
+    took its full Newton step and iterates on from that trial's quotients,
+    and keeps its last frame while the others step on, gathered.  Every
+    other row gets the bits of its lone run, the one that halves its line
+    search too, none ends in NonFinite, and no RuntimeWarning escapes."""
+    ds, de = math.exp(-10.0), math.exp(-10.1)
+    a0 = d_ref.a0
+    xi = np.linspace(-5.0, 5.0, 101)
+    deltas = comoving._planned_deltas(ds, de, 0.01)
+    far = 1e300 * a0 * ds * np.ones(101)  # a0 dt is below its rounding: it stays put
+    dipped, sunk = a0 * ds * np.ones(101), a0 * ds * np.ones(101)
+    dipped[50] *= 3e-4  # the full Newton step overshoots below zero here
+    sunk[50] *= 1e-20  # and here every step of lambda >= 1e-4
+    uniform = lambda delta: (a0 * delta, a0 * delta)
+
+    def runs():
+        made, _ = pde._manufactured_row(p_ref, xi, ds)
+        return [made, comoving._Run(far, lambda delta: (far[0], far[-1]), None),
+                comoving._Run(sunk, uniform, None), comoving._Run(dipped, uniform, None)]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the premise: inf at the seams
+        t = comoving._stencil(np.stack([run.w0 for run in runs()]), 0.1, p_ref)[3]
+    # flat position q is point q + 1: the last point of row 0 and the first
+    # of row 2 each have a neighbour in the far row 1
+    assert np.isinf(t[[99, 201]]).all()
+    step_rows, calls = comoving._step_rows, []
+
+    def recorded(W_old, *args):
+        calls.append(len(W_old))
+        return step_rows(W_old, *args)
+
+    monkeypatch.setattr(comoving, "_step_rows", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = solve_kept(p_ref, xi, runs(), deltas)
+        assert calls == [4] + [3] * (len(deltas) - 2)  # row 2 is not gathered
+        alone = [solve_kept(p_ref, xi, [run], deltas)[0] for run in runs()]
+    assert isinstance(together[2], errors.PositivityLost)
+    assert type(alone[2]) is type(together[2]) and str(alone[2]) == str(together[2])
+    assert not any(isinstance(x, errors.NonFinite) for x in together)
+    _assert_same_runs([together[j] for j in (0, 1, 3)], [alone[j] for j in (0, 1, 3)])
+    assert together[0].frames == together[1].frames == together[3].frames == len(deltas)
+
+
 def test_non_finite_residual_stops_the_run_at_once(p_ref, d_ref, monkeypatch):
     """A source that is NaN at every delta makes the first step's residual
     non-finite; no start repairs that, so the run stops after one
@@ -996,7 +1054,7 @@ def test_a_grid_past_the_memory_budget_is_refused_before_the_grid(barrier_pair, 
 
 def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair, monkeypatch):
     """Half the largest grid the joint solve may hold, over tau 10 -> 10.5
-    at dtau 1e-5 (50,003 planned frames), would add about 2.89 GiB of the
+    at dtau 1e-5 (50,003 planned frames), would add about 3.13 GiB of the
     mid run's samples (W[::8] of every 10th frame) to 0.5 GiB of solve:
     InvalidParameter once the steps are planned, before the rows are
     built.  Over tau 10 -> 10.2 at dtau 0.01 (23 frames) the samples fit
@@ -1009,7 +1067,7 @@ def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair
 
     monkeypatch.setattr(pde, "_manufactured_row", reached)
     half = (pde._MEMORY_BUDGET // pde._POINT_BYTES - 1) // 2
-    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 3\.39 GiB"):
+    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 3\.63 GiB"):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.5, n_cells=half, dtau=1e-5)
     with pytest.raises(Reached):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=half, dtau=0.01)

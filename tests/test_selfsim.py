@@ -183,6 +183,22 @@ def test_derivs_triple_carries_the_value_bit_for_bit(profile_ref):
         assert triple[0] == profile_ref.phibar0(float(x))
 
 
+def test_value_alone_reads_the_z_state_bit_for_bit(profile_ref):
+    """The value alone, on a (tau, xi)-like grid inside the table (no branch
+    masks) and on a grid across the core, the table and the tail, has the
+    bits of the triple's value, which reads both states of the table; and
+    StepTable(t, states) has the bits of those rows of StepTable(t), at
+    the breakpoints too."""
+    prof, tab = profile_ref, profile_ref._table
+    inside = np.linspace(prof.s_min + 1.0, prof.s_max - 1.0, 20 * 161).reshape(20, 161)
+    across = np.linspace(prof.s_min - 5.0, prof.s_max + 5.0, 20 * 161).reshape(20, 161)
+    for s in (inside, across):
+        assert np.array_equal(prof.phibar0(s), prof.phibar0(s, derivs=True)[0])
+    t = np.concatenate([tab.ts, np.linspace(tab.ts[0], tab.ts[-1], 1001)])
+    for states in (slice(1), slice(1, 2), slice(None)):
+        assert np.array_equal(tab(t, states), tab(t)[states])
+
+
 def test_tail_extension_continuous(profile_ref):
     # beyond s_max the profile switches to the tail expansion, whose K is
     # matched to the table's end value: the value is continuous up to
