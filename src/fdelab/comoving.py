@@ -158,12 +158,12 @@ def _flat(a):
     return a.reshape(-1)[1:-1]
 
 
-def _stencil(W, dxi, p):
+def _stencil(W):
     """The stencil of the flat interior of W (_flat) as quotients, flat
-    arrays like it: d = W+ - W-, e = ((W+ - W) + (W- - W))/W, rho = d/W
-    and t = e + rho (b1 rho/4 + b2 dxi/2), from which _step_rows forms the
-    residual and _newton_bands the Newton matrix (module docstring).  At
-    the first and last point of each row, the seams, the neighbours lie in
+    arrays like it: d = W+ - W-, e = ((W+ - W) + (W- - W))/W and
+    rho = d/W, from which _step_rows forms the residual, _newton_bands the
+    Newton matrix and _tolerances the floor (module docstring).  At the
+    first and last point of each row, the seams, the neighbours lie in
     two rows; what is formed there is never read."""
     flat = W.reshape(-1)
     Wm, W0, Wp = flat[:-2], flat[1:-1], flat[2:]
@@ -172,12 +172,7 @@ def _stencil(W, dxi, p):
     d = up - down
     up += down
     e = np.divide(up, W0, out=up)
-    rho = d / W0
-    t = rho * (0.25 * p.d.b1)
-    t += 0.5 * p.d.b2 * dxi
-    t *= rho
-    t += e
-    return d, e, rho, t
+    return d, e, d / W0
 
 
 def _newton_bands(dl, diag, du, W, e, rho, kappa, alpha, dxi, p):
@@ -343,7 +338,7 @@ def _tolerances(W_old, dt, sigma_old, dxi, p):
     formed from one stencil pass over W_old and zeroed at the seams before
     each row's largest value is read."""
     n1, h2, a0 = p.n - 1, dxi * dxi, p.d.a0
-    _, s, rho, _ = _stencil(W_old, dxi, p)  # e of W_old, made s = e + 2
+    _, s, rho = _stencil(W_old)  # e of W_old, made s = e + 2
     s += 2.0
     floor = np.empty_like(W_old)  # 2W + dt T on the flat interior, from |rho|
     size = np.abs(rho, out=_flat(floor))
@@ -402,10 +397,14 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
         rho of X.  The ends hold their Dirichlet values exactly, so their
         residual is 0: G is formed on whole rows and set to 0 at the ends,
         which also drops what the seams formed."""
-        d, e, rho, t = _stencil(X, dxi, p)
+        d, e, rho = _stencil(X)
+        t = rho * (0.25 * p.d.b1)  # t = e + rho (b1 rho/4 + b2 dxi/2), times K
+        t += 0.5 * p.d.b2 * dxi
+        t *= rho
+        t += e
+        t *= K
         G = X - C
         g = _flat(G)
-        t *= K
         g -= t
         d *= alpha
         g -= d

@@ -11,13 +11,15 @@ Inner operator (xi, tau variables; profile wbar):
             - (n-1) { w_xx/w + b1 w_x^2/w^2 + b2 w_x/w } + a0 - gamma A w_x
 
 A supersolution has residual >= 0, a subsolution <= 0.  Verification
-samples a region in one evaluator call, its space samples against one tau
-column: one space row that every tau shares where the band does not depend
-on tau, a row per tau for near_A, whose lower end moves with tau.  It
-compares against a pointwise atol proportional to the local operator
-scale, and reports strict violations and the inconclusive fraction
-separately.  The L0 evaluator is OuterProfileSet.l0_terms, the rescaled
-cancellation-free form derived in the outer module; the L1 evaluator is
+samples a region in chunks of consecutive taus, at most _CHUNK_POINTS
+points each, one evaluator call per chunk, its space samples against the
+chunk's tau column: one space row that every tau shares where the band
+does not depend on tau, the chunk's row per tau for near_A, whose lower
+end moves with tau.  It compares against a pointwise atol proportional to
+the local operator scale, folds each chunk's counts, extremes and worst
+point into the verdict as it arrives, and reports strict violations and
+the inconclusive fraction separately.  The L0 evaluator is
+OuterProfileSet.l0_terms, the rescaled cancellation-free form derived in the outer module; the L1 evaluator is
 l1_terms_evaluator, right of the glue corner xi1, and left of it
 verify_inner decides L1's sign in closed form (below).  A region is a kind
 plus a tau window; three kinds are sampled, near_A and far_field for L0
@@ -92,7 +94,11 @@ Minus sign: theta2^- = 0, so tau, gamma and A drop out, and
 xi^4 F^2 G / (n-1) is a quintic (_minus_quintic), negative at large xi as
 b2 > 0.  psi^- > 0 needs F > 0, for theta1^- < 0 xi > sqrt((n-1)
 |theta1^-|/a0), so G < 0 above xi*, the larger of that bound and the
-largest real root (1.79506097 at n = 3, m = 0.1, theta1^- = -1).
+largest real root (1.79506097 at n = 3, m = 0.1, theta1^- = -1).  That
+root is isolated between the real roots of the derivatives and bisected
+with signs taken in exact integer arithmetic (polyroot), so it
+is the float nearest the root of the quintic's float coefficients, with
+no LAPACK call.
 xi0^- = max(cfg.xi0, 1.05 xi*): the smallest xi0 that passes the sampled
 verdict lies above xi* by 0.23 (gamma 1.5), 0.45 (gamma 0.5) and at most
 0.96 (eight parameter sets) times gamma tau_start e^{-gamma tau_start},
@@ -298,6 +304,19 @@ def _space_grid(region: Region, taus, cfg, gamma: float):
     return row[None, :]
 
 
+def _chunk_point(space, taus, res, at):
+    """(space, tau, residual) at the flat index at of a chunk's residual."""
+    i, j = np.unravel_index(at, res.shape)
+    return float(np.broadcast_to(space, res.shape)[i, j]), float(taus[i]), float(res[i, j])
+
+
+# Points of one verdict chunk.  l0_terms holds about 190-250 B per point at
+# its peak (tracemalloc), so a chunk's working set is 0.4-0.5 MB, below the
+# 0.54 MB that one wbar call on a barrier block of the sandwich holds
+# (pde._BLOCK_POINTS); one pass over verify's 200 x 40 grid held 1.5 MB.
+_CHUNK_POINTS = 2048
+
+
 def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualReport:
     """Sample the residual over the region and classify the sign verdict.
 
@@ -307,11 +326,16 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
     ends (see _space_grid).  terms_fn(space, tau) -> (residual, scale)
     supplies the residual together with its local term-magnitude scale;
     use OuterProfileSet.l0_terms (rescaled L0, as find_thresholds binds
-    it) or l1_terms_evaluator.  It is called once, with tau an (n_tau, 1)
-    column and space what _space_grid gives: one (1, n_space) row shared by
-    every tau, or for near_A an (n_tau, n_space) grid whose row i belongs
-    to tau[i, 0].  It must return arrays of the shape the two broadcast
-    to, (n_tau, n_space), one value per point the report counts.
+    it) or l1_terms_evaluator.  It is called once per chunk of
+    max(1, _CHUNK_POINTS // grid_eta) consecutive taus, with tau the
+    chunk's (n_chunk, 1) column and space what _space_grid gives: the one
+    (1, n_space) row that every tau shares, built once per verdict, or for
+    near_A the chunk's (n_chunk, n_space) grid, whose row i belongs to
+    tau[i, 0].  It must return arrays of the shape the two broadcast to,
+    (n_chunk, n_space), one value per point the report counts.  So no
+    (n_tau, n_space) array is ever built: the verdict's working set is one
+    chunk's (see _CHUNK_POINTS for the budget's measured derivation), or
+    one space row's when grid_eta exceeds the budget.
 
     want: "+" for supersolution (residual >= 0), "-" for subsolution.
     A point is a strict violation when the residual crosses beyond
@@ -321,7 +345,11 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
     and an inconclusive fraction at most cfg.inconclusive_frac.  The worst
     point is the first non-finite point if there is one, else the first
     minimum of signed residual / atol, in tau order, then in space order.
-    A grid with no points raises InvalidParameter.
+    Each chunk's counts, np.minimum/np.maximum extremes (a NaN carries
+    through) and worst candidate are folded in as it arrives, so the
+    report is the one a single pass over the whole grid gives.  A grid
+    with no points raises InvalidParameter; a band that is empty or
+    underflows raises EmptyRegion at the first chunk that holds such a tau.
     """
     n_space, n_tau = cfg.grid_eta, cfg.grid_tau
     if want not in ("+", "-"):
@@ -331,39 +359,52 @@ def verify_sign_region(terms_fn, want: str, region: Region, p, cfg) -> ResidualR
             f"sampling grid has no points: n_space={n_space}, n_tau={n_tau}"
         )
     taus = np.linspace(region.tau_lo, region.tau_hi, n_tau)
-    space = _space_grid(region, taus, cfg, p.gamma)
-    shape = (n_tau, space.shape[1])
-    res, scale = terms_fn(space, taus[:, None])
-    res = np.asarray(res, dtype=float)
-    atol = cfg.sign_atol_factor * np.asarray(scale, dtype=float)
-    if res.shape != shape or atol.shape != shape:
-        raise errors.InvalidParameter(
-            f"terms_fn returned shapes {res.shape} and {atol.shape} "
-            f"for a grid of shape {shape}"
-        )
-    signed = res if want == "+" else -res
-    broken = ~(np.isfinite(res) & np.isfinite(atol))
-    if broken.any():
-        worst = int(np.argmax(broken))
-    else:
+    step = max(1, _CHUNK_POINTS // n_space)
+    shared = None if region.kind == "near_A" else _space_grid(region, taus, cfg, p.gamma)
+    n_violations = n_inconclusive = 0
+    lo, hi = math.inf, -math.inf
+    broken_at = best = None  # the first non-finite point; (ratio, point) of the first minimum
+    for k in range(0, n_tau, step):
+        tau = taus[k:k + step]
+        space = _space_grid(region, tau, cfg, p.gamma) if shared is None else shared
+        shape = (tau.size, space.shape[1])
+        res, scale = terms_fn(space, tau[:, None])
+        res = np.asarray(res, dtype=float)
+        atol = cfg.sign_atol_factor * np.asarray(scale, dtype=float)
+        if res.shape != shape or atol.shape != shape:
+            raise errors.InvalidParameter(
+                f"terms_fn returned shapes {res.shape} and {atol.shape} "
+                f"for a chunk of shape {shape}"
+            )
+        signed = res if want == "+" else -res
+        broken = ~(np.isfinite(res) & np.isfinite(atol))
+        n_violations += int(np.count_nonzero((signed < -atol) | broken))
+        n_inconclusive += int(np.count_nonzero((np.abs(res) <= atol) & ~broken))
+        lo, hi = float(np.minimum(lo, np.min(res))), float(np.maximum(hi, np.max(res)))
+        if broken_at is not None:
+            continue
+        if broken.any():
+            broken_at = _chunk_point(space, tau, res, int(np.argmax(broken)))
+            continue
         # at sign_atol_factor 0 the ratio overflows to +/-inf, keeping its sign
         with np.errstate(over="ignore"):
-            worst = int(np.argmin(signed / np.maximum(atol, 1e-300)))
-    i, j = np.unravel_index(worst, res.shape)
-    n_violations = int(np.count_nonzero((signed < -atol) | broken))
-    n_inconclusive = int(np.count_nonzero((np.abs(res) <= atol) & ~broken))
-    frac = n_inconclusive / res.size
+            ratio = signed / np.maximum(atol, 1e-300)
+        at = int(np.argmin(ratio))
+        if best is None or ratio.flat[at] < best[0]:
+            best = (ratio.flat[at], _chunk_point(space, tau, res, at))
+    n_points = n_tau * n_space
+    frac = n_inconclusive / n_points
     return ResidualReport(
         operator="L0" if region.kind in _OUTER_KINDS else "L1",
         kind=region.kind,
         want=want,
         tau_window=(region.tau_lo, region.tau_hi),
-        n_points=res.size,
+        n_points=n_points,
         n_violations=n_violations,
         n_inconclusive=n_inconclusive,
-        min_residual=float(np.min(res)),
-        max_residual=float(np.max(res)),
-        worst_point=(float(np.broadcast_to(space, shape)[i, j]), float(taus[i]), float(res[i, j])),
+        min_residual=lo,
+        max_residual=hi,
+        worst_point=broken_at or best[1],
         passed=n_violations == 0 and frac <= cfg.inconclusive_frac,
         inconclusive_frac=frac,
     )
@@ -401,7 +442,8 @@ def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
     band or a non-positive profile fails the verdict, with its message
     under "error".  A bad sign, for "+" C10 >= outer.C10_star (kappa <= 0,
     see the outer module), or for "-" a computed xi0 > xi1 raises
-    InvalidParameter, and a quintic that overflows raises NonFinite.
+    InvalidParameter, a quintic that overflows raises NonFinite and one
+    without a real root NonConvergent.
     """
     p, cfg = outer.p, outer.cfg
     th1 = theta(p, 1, sign)
@@ -417,9 +459,12 @@ def find_thresholds(outer: OuterProfileSet, sign: str) -> dict:
         quintic = _minus_quintic(p)
         if not np.all(np.isfinite(quintic)):
             raise errors.NonFinite(f"minus threshold quintic overflows at theta1- = {th1:g}")
-        roots = np.roots(quintic)
-        real = roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]
-        xi_star = max(math.sqrt((p.n - 1) * max(-th1, 0.0) / p.d.a0), *real)
+        # imported here, so that simulate, which imports this module but finds
+        # no thresholds, does not compile polyroot
+        from .polyroot import largest_real_root
+
+        xi_star = max(math.sqrt((p.n - 1) * max(-th1, 0.0) / p.d.a0),
+                      largest_real_root(quintic))
         xi0 = max(xi0, (1.0 + _XI0_MARGIN) * xi_star)
         if xi0 > cfg.xi1:
             raise errors.InvalidParameter(f"minus threshold xi0 = {xi0:.6g} exceeds xi1 = "

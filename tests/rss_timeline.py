@@ -1,12 +1,16 @@
 """Which stage of a command holds its peak memory, measured in a fresh process.
 
     PYTHONPATH=src python tests/rss_timeline.py [--workload NAME ...]
+    PYTHONPATH=src python tests/rss_timeline.py --config PATH [--command ARGS]
 
 Runs each named workload of perfbench/run.py (default: all of them) once,
-in a fresh Python process that calls fdelab.cli.main with the command's
-report lines sent to os.devnull.  The process reads its ru_maxrss after
-the imports and after each stage returns: shoot (selfsim.shoot_v0), tail
-check (verify_tail_asymptotics), thresholds (find_thresholds), inner
+or with --config the command ARGS (default "verify", or say "simulate
+--force") once on the JSON config at PATH, such as a verify at refined
+grids.  Each run is a fresh Python process that calls fdelab.cli.main
+with the command's report lines sent to os.devnull.  The process reads
+its ru_maxrss after the imports and after each stage returns: shoot
+(selfsim.shoot_v0), tail check (verify_tail_asymptotics), thresholds
+(find_thresholds), inner
 verdict (verify_inner), sandwich rows (pde._solve_rows), fits
 (pde.extinction_rate), CSV (SandwichReport.to_csv) and report
 (reporting.write_json).  verify runs the first four stages, simulate the
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -116,10 +121,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
                         help="workload to run (repeatable; default all)")
+    parser.add_argument("--config", type=Path, help="JSON config to run instead of the workloads")
+    parser.add_argument("--command", default="verify",
+                        help='CLI arguments before --config, with --config (default "verify")')
     args = parser.parse_args(argv)
-    for name in args.workload or WORKLOADS:
-        wl = WORKLOADS[name]
-        rc, marks, peak = timeline(wl.args, wl.config)
+    if args.config is not None and args.workload:
+        parser.error("--config and --workload exclude each other")
+    if args.config is not None:
+        command = tuple(shlex.split(args.command))
+        if not command or command[0] not in STAGES:
+            parser.error(f"--command must start with one of {sorted(STAGES)}")
+        runs = [(str(args.config), command, json.loads(args.config.read_text()))]
+    else:
+        runs = [(name, WORKLOADS[name].args, WORKLOADS[name].config)
+                for name in args.workload or WORKLOADS]
+    for name, command, config in runs:
+        rc, marks, peak = timeline(command, config)
         if rc not in (0, 1):
             print(f"{name}: exited {rc}", file=sys.stderr)
             return 2

@@ -1,6 +1,7 @@
 """Source hygiene: every import is used, every definition has a caller,
-every error class is raised, and the commands load no scipy module where
-numpy's own LAPACK serves the Newton solves, nor OpenSSL's binding."""
+every error class is raised, the commands load no scipy module where
+numpy's own LAPACK serves the Newton solves, nor OpenSSL's binding, and
+verify calls nothing in numpy.linalg."""
 
 import ast
 import importlib.util
@@ -271,15 +272,25 @@ def test_every_error_class_is_raised():
 # -- import graph -----------------------------------------------------------------
 
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
+import numpy.linalg
 from fdelab.cli import main
+
+LINALG = os.path.dirname(numpy.linalg.__file__) + os.sep
+linalg_calls = set()
+
+def spy(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(LINALG):
+        linalg_calls.add(frame.f_code.co_name)
 
 def loaded():
     scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    return {"scipy": scipy, "openssl": "_hashlib" in sys.modules}
+    return {"scipy": scipy, "openssl": "_hashlib" in sys.modules, "linalg": sorted(linalg_calls)}
 
 after = [loaded()]
+sys.setprofile(spy)
 main(["verify", "--config", sys.argv[1], "--out", sys.argv[3]])
+sys.setprofile(None)
 assert not {"fdelab.pde", "fdelab.comoving"} & set(sys.modules), "verify loaded the PDE solver"
 after.append(loaded())
 main(["simulate", "--force", "--config", sys.argv[2], "--out", sys.argv[3]])
@@ -311,7 +322,8 @@ def test_package_import_loads_no_submodule():
 def commands_loaded(tmp_path_factory):
     """What a fresh process has loaded after importing the CLI, after a
     16x4 verify and after the simulate smoke run: per point, the scipy
-    modules and whether OpenSSL's binding (_hashlib) is loaded."""
+    modules, whether OpenSSL's binding (_hashlib) is loaded, and the
+    numpy.linalg functions called so far, traced during verify only."""
     tmp_path = tmp_path_factory.mktemp("commands")
     base = {"n": 3, "m": 0.1, "gamma": 1.5, "A": 2.0, "T": 1.0, "lambda": 1.0,
             "theta1_minus": -1.0}
@@ -341,6 +353,12 @@ def test_commands_load_no_scipy_integrate_or_optimize(commands_loaded):
         assert "scipy.linalg.lapack" in after_simulate
         assert [m for m in after_simulate
                 if m.startswith(("scipy.integrate", "scipy.optimize"))] == []
+
+
+def test_verify_calls_nothing_in_numpy_linalg(commands_loaded):
+    # the minus threshold's quintic root is bisected in integer arithmetic,
+    # so a 16x4 verify makes no LAPACK call (np.roots would call eigvals)
+    assert [at["linalg"] for at in commands_loaded[:2]] == [[], []]
 
 
 @pytest.mark.skipif(

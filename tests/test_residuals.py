@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from fdelab import errors, residuals
+from fdelab import errors, polyroot, residuals
 from fdelab import outer as outer_mod
 from fdelab.matching import GluedBarrier, MatchingSolver, find_epsilon_bounds
 from fdelab.outer import OuterProfileSet, branch_variant
@@ -513,11 +515,18 @@ def test_space_grid_rows_match_per_tau_grids(kind, gamma, tau_lo, n_space):
         assert np.array_equal(row, _space_row(region, cfg, float(tau), gamma))
 
 
+def _chunk_rows(monkeypatch, rows, n_space):
+    """Set the verdict's chunk budget to rows tau rows of n_space points
+    and a few points more, which still makes chunks of rows taus."""
+    monkeypatch.setattr(residuals, "_CHUNK_POINTS", rows * n_space + n_space // 2)
+
+
 @pytest.mark.parametrize("setup", ["ref", "low"])
 @pytest.mark.parametrize("kind", ["near_A", "far_field"])
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
-    # psi3 on ref; psi4 on low carries the correction rows k = 3, 4
+def test_batched_l0_sweep_equals_per_tau_loop(request, monkeypatch, setup, kind, sign):
+    # psi3 on ref; psi4 on low carries the correction rows k = 3, 4; the
+    # 12 taus go in chunks of one tau, and in ragged ones of 5, 5 and 2
     outer = request.getfixturevalue(f"outer_{setup}")
     tau_lo = outer.cfg.tau_start
     region = Region(kind=kind, tau_lo=tau_lo, tau_hi=tau_lo + 20.0)
@@ -526,18 +535,21 @@ def test_batched_l0_sweep_equals_per_tau_loop(request, setup, kind, sign):
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
-    got = verify_sign_region(ev, sign, region, outer.p, cfg)
     want = _verify_per_tau("L0", ev, sign, region, outer.p, cfg)
-    assert got == want
+    for rows in (1, 5):
+        _chunk_rows(monkeypatch, rows, 120)
+        assert verify_sign_region(ev, sign, region, outer.p, cfg) == want, rows
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
+def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, monkeypatch, sign):
+    # the 5 taus go in ragged chunks of 2, 2 and 1
     bar = GluedBarrier(solver_ref, sign, 0.01)
     p = bar.outer.p
     ev = l1_terms_evaluator(bar)
     region = Region(kind="inner_glued", tau_lo=12.0, tau_hi=18.0)
     cfg = _grid(bar.outer.cfg, 81, 5)
+    _chunk_rows(monkeypatch, 2, 81)
 
     def one_tau(xi, tau):
         res, scale = ev(xi[None, :], np.array([[tau]]))
@@ -546,6 +558,99 @@ def test_batched_l1_sweep_equals_per_tau_loop(solver_ref, sign):
     got = verify_sign_region(ev, sign, region, p, cfg)
     want = _verify_per_tau("L1", one_tau, sign, region, p, cfg)
     assert got == want
+
+
+def _marked_terms(n_tau, marks):
+    """A terms_fn over REGION's grid of n_tau taus: residual 1 and scale 1,
+    but residual v at tau sample i and space point j for (i, j): v in
+    marks, whatever chunk holds it."""
+    taus = np.linspace(REGION.tau_lo, REGION.tau_hi, n_tau)
+
+    def terms(space, tau):
+        r = _ones(space, tau)
+        for (i, j), v in marks.items():
+            r[tau[:, 0] == taus[i], j] = v
+        return r, _ones(space, tau)
+
+    return terms
+
+
+def _one_pass(monkeypatch, *args):
+    """The verdict in one chunk of the whole grid, the fold's reference."""
+    with monkeypatch.context() as m:
+        m.setattr(residuals, "_CHUNK_POINTS", 10 ** 9)
+        return verify_sign_region(*args)
+
+
+def test_fold_worst_point_is_the_first_non_finite_in_a_later_chunk(p_ref, cfg_ref, monkeypatch):
+    # chunks of 4, 4 and 1 taus: a finite violation in the first, a NaN in
+    # the second and an inf in the third; the NaN is the worst point
+    marks = {(0, 7): -1.0, (5, 4): math.nan, (8, 2): math.inf}
+    args = (_marked_terms(9, marks), "+", REGION, p_ref, _grid(cfg_ref, 10, 9))
+    _chunk_rows(monkeypatch, 4, 10)
+    rep = verify_sign_region(*args)
+    assert repr(rep) == repr(_one_pass(monkeypatch, *args))
+    taus = np.linspace(REGION.tau_lo, REGION.tau_hi, 9)
+    assert rep.n_violations == 3 and rep.worst_point[1] == taus[5]
+    assert math.isnan(rep.worst_point[2]) and math.isnan(rep.min_residual)
+
+
+def test_fold_carries_nan_extremes_from_a_later_chunk(solver_ref, monkeypatch):
+    # the ref inner verdict over [150, 250] is finite for its first 4 taus,
+    # +-inf from the fifth and NaN over the last 5 (l0_terms overflows at
+    # large gamma tau): the NaN of the last chunks reaches min and max, and
+    # the worst point is the first inf
+    bar = GluedBarrier(solver_ref, "+", 0.018)
+    cfg = bar.outer.cfg
+    args = (l1_terms_evaluator(bar), "+", Region("inner_glued", 150.0, 250.0), bar.outer.p, cfg)
+    _chunk_rows(monkeypatch, 3, cfg.grid_eta)
+    rep = verify_sign_region(*args)
+    assert repr(rep) == repr(_one_pass(monkeypatch, *args))
+    assert math.isnan(rep.min_residual) and math.isnan(rep.max_residual)
+    taus = np.linspace(150.0, 250.0, cfg.grid_tau)
+    assert rep.worst_point[1] == taus[4] and rep.worst_point[2] == -math.inf
+    assert rep.n_violations == rep.n_points - 4 * cfg.grid_eta
+
+
+def test_fold_keeps_the_first_of_a_minimum_tied_across_chunks(p_ref, cfg_ref, monkeypatch):
+    # chunks of 3 taus: one minimum at the last point of the first chunk,
+    # the same at the first point of the second and inside it
+    marks = {(2, 9): -1.0, (3, 0): -1.0, (4, 5): -1.0}
+    args = (_marked_terms(6, marks), "+", REGION, p_ref, _grid(cfg_ref, 10, 6))
+    _chunk_rows(monkeypatch, 3, 10)
+    rep = verify_sign_region(*args)
+    assert rep == _one_pass(monkeypatch, *args)
+    row = np.linspace(XI1, XI1 + cfg_ref.delta1, 11)[1:]
+    assert rep.worst_point == (row[9], np.linspace(1.0, 2.0, 6)[2], -1.0)
+    assert (rep.n_violations, rep.min_residual, rep.max_residual) == (3, -1.0, 1.0)
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_near_a_verdict_memory_is_one_chunk(outer_ref, thresholds_minus_ref):
+    # at 800 x 160 points a near_A verdict holds one chunk's working set,
+    # below 1 MB of traced peak (22.5 MB as one pass over the whole grid),
+    # and four times the taus do not raise it (3.8 times as one pass)
+    def ev(gap, tau):
+        return outer_ref.l0_terms("-", tau, gap=gap)
+
+    base = dataclasses.replace(outer_ref.cfg, xi0=thresholds_minus_ref["xi0"], grid_eta=800)
+    region = Region("near_A", base.tau_start, base.tau_start + 20.0)
+    peaks = {}
+    for n_tau in (40, 160):
+        cfg = dataclasses.replace(base, grid_tau=n_tau)
+        verify_sign_region(ev, "-", region, outer_ref.p, cfg)  # first-call allocations aside
+        peaks[n_tau] = _traced_peak(verify_sign_region, ev, "-", region, outer_ref.p, cfg)
+    assert peaks[160] < 2 ** 20
+    assert peaks[160] < 1.25 * peaks[40]
 
 
 def test_l1_evaluator_reads_the_edge_once(solver_ref, monkeypatch):
@@ -592,9 +697,9 @@ def test_l1_evaluator_row_equals_the_grid_route(request, setup, tau_lo, sign):
 
 @pytest.mark.parametrize("setup", ["ref", "low"])
 @pytest.mark.parametrize("sign", ["+", "-"])
-def test_far_field_verdict_equals_the_tiled_grid(request, monkeypatch, setup, sign):
-    # the far-field band's one gap row against the tau column reports what
-    # the tiled (grid_tau, grid_eta) grid reports, field for field
+def test_far_field_verdict_equals_the_tiled_grid(request, setup, sign):
+    # the far-field band's one gap row against each chunk's tau column
+    # reports what the tiled (n_chunk, grid_eta) grids report, field for field
     outer = request.getfixturevalue(f"outer_{setup}")
     cfg = outer.cfg
     region = Region("far_field", cfg.tau_start, cfg.tau_start + 20.0)
@@ -602,20 +707,24 @@ def test_far_field_verdict_equals_the_tiled_grid(request, monkeypatch, setup, si
     def ev(gap, tau):
         return outer.l0_terms(sign, tau, gap=gap)
 
+    def tiled(gap, tau):
+        return ev(np.tile(gap, (len(tau), 1)), tau)
+
     got = verify_sign_region(ev, sign, region, outer.p, cfg)
-    row = residuals._space_grid
-    monkeypatch.setattr(residuals, "_space_grid",
-                        lambda *a: np.tile(row(*a), (cfg.grid_tau, 1)))
-    want = verify_sign_region(ev, sign, region, outer.p, cfg)
+    want = verify_sign_region(tiled, sign, region, outer.p, cfg)
     assert got == want
     assert got.n_points == cfg.grid_tau * cfg.grid_eta
 
 
 def test_tau_independent_bands_build_one_row(outer_low, monkeypatch):
-    """A far-field verdict builds the primitives of its grid_eta gaps once
-    and takes the decay factors once per tau; near_A builds every point of
-    its moving grid."""
+    """A far-field verdict builds the primitives of one row of grid_eta
+    gaps per tau chunk, never a gap grid, and takes the decay factors once
+    per tau of the chunk; near_A builds every point of its moving grid, a
+    chunk at a time.  A budget of seven rows and a bit leaves a ragged last
+    chunk."""
     outer, cfg = outer_low, outer_low.cfg
+    monkeypatch.setattr(residuals, "_CHUNK_POINTS", 7 * cfg.grid_eta + 3)
+    chunks = [7] * (cfg.grid_tau // 7) + [cfg.grid_tau % 7]
     gaps, factors = [], []
     prims, math_exp = OuterProfileSet._prims, outer_mod._math_exp
 
@@ -634,16 +743,17 @@ def test_tau_independent_bands_build_one_row(outer_low, monkeypatch):
     def ev(gap, tau):
         return outer.l0_terms("+", tau, gap=gap)
 
+    assert cfg.grid_tau % 7 and sum(chunks) == cfg.grid_tau
     region = Region("far_field", cfg.tau_start, cfg.tau_start + 20.0)
     assert verify_sign_region(ev, "+", region, outer.p, cfg).passed
     # psi4 on low: e^{-gamma tau} and the rows k = 3, 4
-    assert gaps == [(1, cfg.grid_eta)]
-    assert factors == [(cfg.grid_tau, 1)] * 3
+    assert gaps == [(1, cfg.grid_eta)] * len(chunks)
+    assert factors == [(n, 1) for n in chunks for _ in range(3)]
     gaps.clear(), factors.clear()
     region = Region("near_A", cfg.tau_start, cfg.tau_start + 20.0)
     assert verify_sign_region(ev, "+", region, outer.p, cfg).passed
-    assert gaps == [(cfg.grid_tau, cfg.grid_eta)]
-    assert factors == [(cfg.grid_tau,)] + [(cfg.grid_tau, 1)] * 3
+    assert gaps == [(n, cfg.grid_eta) for n in chunks]
+    assert factors == [shape for n in chunks for shape in [(n,)] + [(n, 1)] * 3]
 
 
 # -- inner verdict: left margins and the start tau3 ----------------------------
@@ -735,9 +845,10 @@ def test_inner_verdict_fails_when_h_falls(solver_ref, eps_ref, monkeypatch):
 # -- outer thresholds ---------------------------------------------------------
 
 # largest root of the minus quintic at n = 3, m = 0.1, theta1- = -1
-# (any gamma and A), and the minus threshold 1.05 times it
-XI_STAR_REF = 1.795060974745561
-XI0_MINUS_REF = 1.8848140234828392
+# (any gamma and A), the float nearest it, and the minus threshold 1.05
+# times it
+XI_STAR_REF = 1.7950609747455597
+XI0_MINUS_REF = 1.8848140234828377
 
 
 def test_minus_thresholds_reference(thresholds_minus_ref, outer_ref):
@@ -949,3 +1060,66 @@ def test_xi0_lower_bound_respected():
         th = find_thresholds(out, "-")
         assert th["xi0"] == pytest.approx(1.05 * max(bound, largest), rel=1e-12)
         assert th["reports"]["near_A"].passed
+
+
+def _np_largest_root(coeffs):
+    """The reference root: the largest of np.roots's roots (the companion
+    matrix's eigenvalues) whose imaginary part is below 1e-9 of their
+    modulus."""
+    roots = np.roots(coeffs)
+    return float(max(roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]))
+
+
+def _mp_largest_root(coeffs):
+    """The largest real root of the exact float coefficients, to 30 digits."""
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=50, extraprec=100)
+        return max(mpmath.re(r) for r in roots if abs(mpmath.im(r)) <= 1e-20 * abs(r))
+
+
+def _quintic_cases():
+    """Minus quintics over n 3..8, m across (0, (n-2)/(n+2)) and theta1-
+    from just below b1 to -1e8, whose coefficients span 30 decades, with
+    the two cases of test_xi0_lower_bound_respected."""
+    cases = [ModelParams(3, 0.1, 1.5, 2.0, theta1_minus=-30.0),
+             ModelParams(8, 0.55, 1.0, 2.0, theta1_minus=-30.0)]
+    for n in range(3, 9):
+        m_crit = (n - 2) / (n + 2)
+        for m in (0.05 * m_crit, 0.5 * m_crit, 0.95 * m_crit):
+            b1 = ModelParams(n, m, 1.5, 2.0).d.b1
+            for th in (b1 - 0.05, b1 - 1.0, -30.0, -1e8):
+                cases.append(ModelParams(n, m, 1.5, 2.0, theta1_minus=min(th, b1 - 0.05)))
+    return cases
+
+
+def test_largest_quintic_root_is_nearest_the_exact_root():
+    # the bisected root agrees with np.roots and lies at least as close as
+    # it to the exact root of the float coefficients, within half an ulp
+    for p in _quintic_cases():
+        coeffs = residuals._minus_quintic(p)
+        got, ref, exact = polyroot.largest_real_root(coeffs), _np_largest_root(coeffs), \
+            _mp_largest_root(coeffs)
+        assert got == pytest.approx(ref, rel=1e-9), p
+        assert abs(got - exact) <= abs(ref - exact), p
+        assert abs(got - exact) <= 0.5 * math.ulp(got), p
+
+
+def test_largest_root_of_simple_polynomials():
+    # exact roots come back exactly, a triple root included; a polynomial
+    # without a real root, or whose root 1e600 is no float, raises
+    # NonConvergent
+    assert polyroot.largest_real_root([1.0, 0.0, -2.0]) == math.sqrt(2.0)
+    assert polyroot.largest_real_root([1.0, -3.0, 3.0, -1.0]) == 1.0
+    assert polyroot.largest_real_root([0.0, -2.0, 0.0, 6.0]) == math.sqrt(3.0)
+    assert polyroot.largest_real_root([1.0, 0.0, 0.0]) == 0.0
+    for coeffs in ([1.0, 0.0, 1.0], [1e-300, -1e300]):
+        with pytest.raises(errors.NonConvergent, match="no real root"):
+            polyroot.largest_real_root(coeffs)
+
+
+def test_float_keys_order_the_floats():
+    floats = [-math.inf, -1e308, -1.0, -5e-324, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 1e308]
+    keys = [polyroot._float_key(x) for x in floats]
+    assert keys == sorted(keys) and polyroot._float_key(-0.0) == 0
+    assert [polyroot._key_float(k) for k in keys] == floats
+    assert keys[-2] - keys[-3] == 1 and keys[3:6] == [-1, 0, 1]
