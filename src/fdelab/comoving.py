@@ -20,14 +20,14 @@ positivity-preserving for every step size and second order (Bolley and
 Crouzeix, RAIRO Anal. Numer. 12, 1978).  Each Newton system covers the
 interior points, so the Dirichlet ends keep their values exactly.
 
-Newton starts from an extrapolation of the last frames.  log W of each row
-is smooth in k, so once four frames lie a full step apart Newton starts
-from exp(4 L0 - 6 L1 + 4 L2 - L3), L0..L3 = log W of the last four frames,
+Newton starts in one of two ways.  log W of each row is smooth in k, so
+once four frames lie a full step apart Newton starts from
+exp(4 L0 - 6 L1 + 4 L2 - L3), L0..L3 = log W of the last four frames,
 newest first, which is exact for a cubic in k (_extrapolated), and takes
-about one Newton round per step.  The warm-up half steps and the short
-last step start from the geometric predictor of the last two frames
-(_predicted), and the first step cold.  A rejected start is retried cold,
-and a rejected cold start stops the run.
+about one Newton round per step.  Every other step (the warm-up half
+steps, the first full steps and the short last step) starts cold, from
+the row's last frame.  A rejected extrapolated start is retried cold, and
+a rejected cold start stops the run.
 
 The Newton kernel reads everything from one stencil pass per iterate
 (_stencil).  At an interior point with value W, neighbours W+ and W-
@@ -78,8 +78,8 @@ Independent runs on one grid are the rows of one C-contiguous (runs,
 points) array (_solve_rows), stepped through one schedule of planned
 deltas (_planned_deltas).  Each planned step is one _step_rows call of
 every live row, whose step factors are Python floats; each row keeps its
-own tolerance and damping.  The rows whose extrapolated or predicted start
-is rejected retry the step cold, together, in a second call.  Every factor
+own tolerance and damping.  The rows whose extrapolated start is
+rejected retry the step cold, together, in a second call.  Every factor
 is the float a lone run computes, so a run gives the same bits alone or
 beside others.
 
@@ -102,11 +102,12 @@ against 2.7 us, and one simulate-ref step of all four rows 150 us against
 _Bands is the only holder of gtsv bindings: it binds the stacked system
 once and each row once, on bands it allocates itself, and after a zero
 pivot or a non-finite x solves each row through that row's binding.  A
-row keeps only its last two frames and the log growth rates
-log(W_k / W_(k-1)) of its last three steps: a step reads nothing else of
-the steps before it.  The all-rows step (every step of the sandwich,
-unless a row stopped or retries) reads and writes those as whole
-contiguous slices; a subset of rows is gathered and scattered by index.
+row keeps only its last frame and the log growth rates log(W_k / W_(k-1))
+of its last three steps, each formed from the new frame and the last one
+when its step is accepted: a step reads nothing else of the steps before
+it.  The all-rows step (every step of the sandwich, unless a row stopped
+or retries) reads and writes those as whole contiguous slices; a subset
+of rows is gathered and scattered by index.
 A row hands every accepted frame, the initial one too, to its run's
 consumer, and counts its frames and solver work in its Trajectory as it
 goes.
@@ -143,7 +144,7 @@ class Trajectory:
     frames: int = 1  # accepted frames, the initial one included
     newton_iters_max: int = 0  # most Newton iterations of one accepted step
     newton_iters: int = 0  # Newton iterations summed over accepted steps
-    cold_retries: int = 0  # predicted starts rejected and retried from the last frame
+    cold_retries: int = 0  # extrapolated starts rejected and retried from the last frame
 
 
 def _drift_speed(p: ModelParams, delta: float) -> float:
@@ -499,7 +500,8 @@ def _step_rows(W_old, delta_old, delta_new, ends, dxi, p, sources, bands, start)
 class _Run:
     """One row of a joint solve: initial data on the grid, bc(delta) ->
     (W_lo, W_hi), consume(delta, W) of each accepted frame (the initial
-    one too; W is overwritten two frames later, so copy what is kept) and
+    one too; W is overwritten by the row's next accepted frame, so copy
+    what is kept) and
     an optional extra right-hand side source(delta) on the grid, evaluated
     once per step attempt."""
 
@@ -530,18 +532,6 @@ def _planned_deltas(delta_start, delta_end, dtau) -> list:
     return deltas
 
 
-def _predicted(W, W_prev, r):
-    """The geometric predictor W (W / W_prev)^r of each row at the next
-    planned delta, r = log(delta_new / delta) / log(delta / delta_prev) a
-    float shared by the rows, or the row of W where that is not finite and
-    positive.  A float r takes numpy's scalar power path, the one a lone
-    row takes (sqrt at 0.5, square at 2).  r = 0 gives W."""
-    with np.errstate(over="ignore"):
-        guess = W * (W / W_prev) ** r
-    np.copyto(guess, W, where=~((guess > 0.0) & (guess < math.inf)).all(axis=1)[:, None])
-    return guess
-
-
 _RATES = 3  # steps whose log growth rates the extrapolated start reads
 
 
@@ -569,29 +559,30 @@ def _solve_rows(p, xi, runs, deltas) -> list:
     row of a shared implicit solve; returns per run its Trajectory or the
     FdelabError that stopped it.
 
-    Each planned step is one _step_rows call of every live row.  The first
-    step starts cold from the last frame, and the next ones from the
-    geometric predictor of the rows' last two frames (_predicted), the only
-    frames kept (each accepted frame goes to its run's consumer).  Once the
+    Each planned step is one _step_rows call of every live row.  Once the
     last four frames lie a full step apart, every step but the short last
     one starts from _extrapolated, the smooth extrapolant of log W from the
-    log growth rates of the last three steps, formed for every row.  After
-    each step every row's rate over it is formed from its last two frames.
-    The frames are stored as (2, rows, points), so that when every row
-    steps, the last frame, the start and the new frame are whole contiguous
-    slices; a subset of rows (a cold retry, or beside a row that stopped)
-    is gathered and scattered by index.  The rows whose start is rejected
+    log growth rates of the last three steps, formed for every row; every
+    other step starts cold from the row's last frame.  A row's state is
+    that frame, the only one kept (each accepted frame goes to its run's
+    consumer), and its rates: when a row's step is accepted, its rate over
+    the step is formed from the new frame and the last one, and the new
+    frame then overwrites the last.  The frames are stored as one
+    (rows, points) array, so that when every row steps, the last frame,
+    the start and the new frame are whole contiguous slices; a subset of
+    rows (a cold retry, or beside a row that stopped) is gathered and
+    scattered by index.  The rows whose extrapolated start is rejected
     retry the same step cold, together, in a second call.  A row stops
-    with its error on a rejected cold step, a
-    NonFinite result, end values that are not finite and positive (no
-    start changes those), or an FdelabError from its bc; the other rows go
-    on.  The steps run with numpy's overflow and invalid-value warnings
-    off, so that the checks for a non-finite residual or solve decide.
+    with its error on a rejected cold step, a NonFinite result, end values
+    that are not finite and positive (no start changes those), or an
+    FdelabError from its bc; the other rows go on.  The steps run with
+    numpy's overflow and invalid-value warnings off, so that the checks for
+    a non-finite residual or solve decide.
     """
     dxi = xi[1] - xi[0]
     R, M = len(runs), len(xi)
     out = [None] * R
-    frames = np.ones((2, R, M))  # row i after step k at frames[k % 2, i]; unset rows stay finite
+    frames = np.ones((R, M))  # every row's last accepted frame; unset rows stay finite
     rates = np.zeros((_RATES, R, M))  # log(W_k / W_(k-1)) of every row at rates[k % _RATES]
     for i, run in enumerate(runs):
         w0 = np.asarray(run.w0, dtype=float)
@@ -600,15 +591,15 @@ def _solve_rows(p, xi, runs, deltas) -> list:
         elif np.any(w0 <= 0.0):
             out[i] = errors.PositivityLost("initial data not strictly positive")
         else:
-            frames[0, i] = w0
-            run.consume(deltas[0], frames[0, i])
+            frames[i] = w0
+            run.consume(deltas[0], frames[i])
     live = [i for i in range(R) if out[i] is None]
     bands = _Bands(R, M - 2)
     trajs = [Trajectory() for _ in range(R)]
     for k in range(1, len(deltas)):
         if not live:
             break
-        delta, new, slot = deltas[k - 1], deltas[k], k % 2
+        delta, new = deltas[k - 1], deltas[k]
         ends = {}
         for i in live:
             try:
@@ -621,26 +612,28 @@ def _solve_rows(p, xi, runs, deltas) -> list:
             if not all(0.0 < e < math.inf for e in ends[i]):
                 out[i] = errors.PositivityLost(
                     f"end values {ends[i]} not finite and positive at delta = {new:.6e}")
-        rows, cold = [i for i in live if out[i] is None], k == 1
+        rows = [i for i in live if out[i] is None]
+        cold = not _WARMUP_STEPS + _RATES < k < len(deltas) - 1
         while rows:
             pick = slice(None) if len(rows) == R else rows  # all rows as views, or gathered
-            last = frames[1 - slot, pick]
+            last = frames[pick]
             if cold:
                 start = last
-            elif _WARMUP_STEPS + _RATES < k < len(deltas) - 1:
-                ring = [rates[(k - j) % _RATES] for j in range(1, _RATES + 1)]  # newest first
-                start = _extrapolated(frames[1 - slot], ring)[pick]
             else:
-                start = _predicted(last, frames[slot, pick],
-                                   math.log(new / delta) / math.log(delta / deltas[k - 2]))
+                ring = [rates[(k - j) % _RATES] for j in range(1, _RATES + 1)]  # newest first
+                start = _extrapolated(frames, ring)[pick]
             with np.errstate(over="ignore", invalid="ignore"):
                 res, X = _step_rows(last, delta, new, [ends[i] for i in rows], dxi, p,
                                     [runs[i].source for i in rows], bands, start)
             accepted = [j for j, x in enumerate(res) if not isinstance(x, errors.FdelabError)]
-            if len(accepted) == len(rows):
-                frames[slot, pick] = X
-            elif accepted:
-                frames[slot, [rows[j] for j in accepted]] = X[accepted]
+            if accepted:
+                if len(accepted) < len(rows):
+                    pick, last, X = [rows[j] for j in accepted], last[accepted], X[accepted]
+                # a quotient past the float range gives an infinite rate,
+                # and _extrapolated the last frame
+                with np.errstate(over="ignore", divide="ignore"):
+                    rates[k % _RATES, pick] = np.log(X / last)
+                frames[pick] = X
             del last, start, X  # not held through the retry
             retry = []
             for i, x in zip(rows, res):
@@ -648,7 +641,7 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                 if not isinstance(x, errors.FdelabError):
                     traj.newton_iters_max = max(traj.newton_iters_max, x)
                     traj.newton_iters += x
-                    runs[i].consume(new, frames[slot, i])
+                    runs[i].consume(new, frames[i])
                     traj.frames += 1
                 elif cold or isinstance(x, errors.NonFinite):
                     out[i] = x
@@ -656,11 +649,6 @@ def _solve_rows(p, xi, runs, deltas) -> list:
                     traj.cold_retries += 1
                     retry.append(i)
             rows, cold = retry, True
-        # a row that stopped gets the rate of two of its positive frames,
-        # which no start reads; a quotient past the float range gives an
-        # infinite rate, and _extrapolated the last frame
-        with np.errstate(over="ignore", divide="ignore"):
-            np.log(frames[slot] / frames[1 - slot], out=rates[k % _RATES])
         live = [i for i in live if out[i] is None]
     for i in live:
         out[i] = trajs[i]

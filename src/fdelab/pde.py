@@ -37,22 +37,22 @@ __all__ = [
 
 
 # Bytes per grid point that the sandwich's joint solve holds at its peak:
-# float64 values for its 4 rows.  comoving._solve_rows keeps 2 frames and
-# the log growth rates of the last 3 steps per row (20 values) and forms
-# the start (4); the last frame of a step of every row is a view of its
-# frames.  _Bands keeps 4 bands per row (16), whose b is also the Newton
-# step; _step_rows holds the step constant C, X and X_try (12), G, e and
-# rho of the iterate (12), the trial's stencil while it is formed (20),
-# and up to 4 more after a round in which only some rows took their trial.
-# The runs add xi, 4 initial rows and the manufactured profile and source
-# arrays (12).  That is 100 values; a traced sandwich at 20,000 cells (ref,
-# tau 10 to 10.15, past the first extrapolated start) peaks at 798 bytes
-# per point.  The mid run's CSV samples (W[::8] of every 10th frame) come
-# on top, and SandwichReport.to_csv streams its rows from them without a
-# list of its own; comparison_sandwich checks solve and samples together
-# against _MEMORY_BUDGET once the steps are planned, before it allocates
-# anything per cell.
-_POINT_BYTES = 8 * (24 + 16 + 48 + 12)
+# float64 values for its 4 rows.  comoving._solve_rows keeps a frame and
+# the log growth rates of the last 3 steps per row (16 values) and forms
+# the extrapolated start (4); a cold start and the last frame of a step of
+# every row are views of its frames.  _Bands keeps 4 bands per row (16),
+# whose b is also the Newton step; _step_rows holds the step constant C,
+# X and X_try (12), G, e and rho of the iterate (12), the trial's stencil
+# while it is formed (20), and up to 4 more after a round in which only
+# some rows took their trial.  The runs add xi, 4 initial rows and the
+# manufactured profile and source arrays (12).  That is 96 values; traced
+# sandwiches at 20,000 cells (ref, tau0 10 to 14, 0.15 in tau) peak at up
+# to 737 bytes per point.  The mid run's CSV samples (W[::8] of every 10th
+# frame) come on top, and SandwichReport.to_csv streams its rows from them
+# without a list of its own; comparison_sandwich checks solve and samples
+# together against _MEMORY_BUDGET once the steps are planned, before it
+# allocates anything per cell.
+_POINT_BYTES = 8 * (20 + 16 + 48 + 12)
 _MEMORY_BUDGET = 1 << 30  # bytes the sandwich's grid arrays may hold
 
 

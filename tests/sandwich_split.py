@@ -6,9 +6,8 @@ Runs the simulate-ref workload of perfbench/run.py (`simulate --force` on
 the reference config) N times (default 5) through fdelab.cli.main in this
 process, into a temporary directory, with timers around the command and
 around pde._solve_rows, comoving._step_rows (one backward-Euler step of
-all rows), pde._barrier_W, the two Newton starts (comoving._predicted,
-the geometric predictor of the first steps and the short last one, and
-comoving._extrapolated, the smooth four-frame extrapolant of the others)
+all rows), pde._barrier_W, the Newton start comoving._extrapolated (the
+smooth four-frame extrapolant; the other steps start from the last frame)
 and pde.SandwichReport.to_csv.  Each line gives a name's median wall time
 per run, inclusive of what it calls, and its calls per run.  The last lines
 give each row's Newton iterations (summed and most in one step) in the
@@ -39,7 +38,6 @@ WRAPPED = {  # printed name -> (owner, attribute)
     "_solve_rows": (pde, "_solve_rows"),
     "_step_rows": (comoving, "_step_rows"),
     "_barrier_W": (pde, "_barrier_W"),
-    "_predicted": (comoving, "_predicted"),
     "_extrapolated": (comoving, "_extrapolated"),
     "to_csv": (pde.SandwichReport, "to_csv"),
 }

@@ -10,7 +10,9 @@ dtau 0.005, 0.01, 0.02, 0.05 and 0.1.  Each line gives the outcome (the
 report's check, tolerance and worst under- and overshoot, or the error
 class and the run it names), then per row (calibration, lower, upper,
 mid) its accepted frames, and for a row that finished its most Newton
-iterations in one step and its cold retries, and the time.  Run it with
+iterations in one step and its cold retries, and the time.  The last
+line counts the outcomes, and over the rows that finished, the cold
+retries and the most Newton iterations of any step.  Run it with
 
     PYTHONPATH=src python -W error::RuntimeWarning tests/sandwich_sweep.py [--json PATH]
 
@@ -147,10 +149,14 @@ def main() -> int:
     start = time.perf_counter()
     solvers = {config: make_solver(config) for config in CONFIGS}
     counts, took_failing, record = dict(report=0, error=0, bare=0), 0.0, []
+    cold, most = 0, 0  # over the rows that finished
     for window in sweep_windows():
         t0 = time.perf_counter()
         outcome = run_window(solvers[window.config], window)
         took = time.perf_counter() - t0
+        finished = [traj for traj in outcome.trajs if traj]
+        cold += sum(traj.cold_retries for traj in finished)
+        most = max([most, *(traj.newton_iters_max for traj in finished)])
         res = outcome.result
         if isinstance(res, pde.SandwichReport):
             counts["report"] += 1
@@ -163,7 +169,8 @@ def main() -> int:
               f"dtau={window.dtau:g}: {describe(outcome)} ({took:.3f} s)")
     print(f"{len(record)} windows in {time.perf_counter() - start:.1f} s: {counts['report']} "
           f"reports, {counts['error']} FdelabErrors ({took_failing:.1f} s), "
-          f"{counts['bare']} bare exceptions")
+          f"{counts['bare']} bare exceptions; finished rows: {cold} cold retries, "
+          f"at most {most} Newton iterations in one step")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=0)

@@ -596,9 +596,7 @@ def test_simulate_end_to_end_is_reproducible(tmp_path):
 
 def test_simulate_smoke_steps_all_rows_through_one_plan(tmp_path, monkeypatch):
     # the smoke window is 62 planned steps, each one _step_rows call of all
-    # four rows; the mid run's rejected predicted start at the second step
-    # (its first predicted one) adds one cold retry of that row alone in
-    # the same step, 63 calls in all, and the report and trajectory still
+    # four rows with no cold retry, and the report and trajectory still
     # match the goldens
     from fdelab import comoving
 
@@ -615,7 +613,7 @@ def test_simulate_smoke_steps_all_rows_through_one_plan(tmp_path, monkeypatch):
     )))
     out = tmp_path / "runs"
     assert main(["simulate", "--force", "--config", str(config), "--out", str(out)]) == 1
-    assert rows == [4, 4, 1] + [4] * 60
+    assert rows == [4] * 62
     (report_path,) = out.glob("simulate-*.json")
     (csv_path,) = out.glob("trajectory-*.csv")
     assert_report_matches(report_path, out, "simulate-smoke.json")

@@ -284,7 +284,7 @@ def test_sandwich_smoke(smoke_report):
         for kind, run in report.runs.items()
     }
     assert counters == {
-        "lower": (77, 7, 0), "upper": (77, 5, 0), "mid": (87, 11, 0),
+        "lower": (89, 6, 0), "upper": (85, 5, 0), "mid": (91, 8, 0),
     }
 
 
@@ -293,10 +293,9 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
     eps, 400 cells, tau 10 to 10 + 2.2 ln 10, dtau 0.01) takes a pinned
     Newton path: per run its frames, summed and most Newton iterations,
     and no cold retry.  From the extrapolated start (_extrapolated) a run
-    takes at most 1.1 Newton iterations per step.  The mid run's first
-    step converges at iteration 11 of 12, 2.4% inside its tolerance, so a
-    rounding change in G, the Newton bands, the tolerance floor or either
-    start can show here."""
+    takes at most 1.1 Newton iterations per step.  Each row's worst step is
+    cold: the mid run's first step converges at iteration 8 of 12, at 0.29
+    of its tolerance, and the calibration's fifth at iteration 4."""
     eps = 0.018066406177734376
     bars = GluedBarrier(solver_ref, "+", eps), GluedBarrier(solver_ref, "-", eps)
     solve_rows, solved = pde._solve_rows, []
@@ -310,8 +309,8 @@ def test_simulate_ref_window_takes_the_pinned_newton_path(solver_ref, monkeypatc
                                  n_cells=400, dtau=0.01)
     path = [(t.frames, t.newton_iters, t.newton_iters_max, t.cold_retries)
             for t in solved]  # calibration, lower, upper, mid
-    assert path == [(508, 510, 3, 0), (508, 522, 7, 0), (508, 521, 5, 0),
-                    (508, 532, 11, 0)]
+    assert path == [(508, 526, 4, 0), (508, 533, 6, 0), (508, 529, 5, 0),
+                    (508, 535, 8, 0)]
     assert all(iters <= 1.1 * (frames - 1) for frames, iters, _, _ in path)
     assert report.passed
 
@@ -826,9 +825,9 @@ def test_a_row_that_fails_inside_its_step_group_leaves_the_others_alone(p_ref, d
 
 
 def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, monkeypatch):
-    """Three rows take the planned steps together.  At the third step the
-    doubled row's predicted start and then its cold retry are rejected (by
-    construction), so it stops with that error after exactly two attempts
+    """Three rows take the planned steps together.  At the eighth step the
+    doubled row's extrapolated start and then its cold retry are rejected
+    (by construction), so it stops with that error after exactly two attempts
     of the step, the retry a call of that row alone from its last frame.
     The other two rows reach delta_end with the bits of their lone runs."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
@@ -848,7 +847,7 @@ def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, mon
         for j, end in enumerate(ends):
             if end[0] == 2.0 * a0 * delta_new:  # the doubled row
                 attempts.append((delta_new, len(ends), np.array_equal(args[-1][j], W_old[j])))
-                if delta_new == deltas[3]:
+                if delta_new == deltas[8]:
                     out[j] = errors.NewtonDiverged("rejected by construction")
         return out, X
 
@@ -857,8 +856,8 @@ def test_a_row_whose_cold_retry_fails_stops_after_two_attempts(p_ref, d_ref, mon
     monkeypatch.undo()
     assert isinstance(failed, errors.NewtonDiverged)
     # (delta, rows in the call, cold start) of each attempt of the doubled row
-    assert attempts == [(deltas[1], 3, True), (deltas[2], 3, False), (deltas[3], 3, False),
-                        (deltas[3], 1, True)]
+    assert attempts == [(deltas[k], 3, True) for k in range(1, 8)] + [
+        (deltas[8], 3, False), (deltas[8], 1, True)]
     lone = [solve_kept(p_ref, xi, [run], deltas)[0] for j, run in enumerate(runs()) if j != 1]
     _assert_same_runs([first, last], lone)
     assert first.deltas.tolist() == last.deltas.tolist() == deltas
@@ -1055,7 +1054,7 @@ def test_a_grid_past_the_memory_budget_is_refused_before_the_grid(barrier_pair, 
 
 def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair, monkeypatch):
     """Half the largest grid the joint solve may hold, over tau 10 -> 10.5
-    at dtau 1e-5 (50,003 planned frames), would add about 3.13 GiB of the
+    at dtau 1e-5 (50,003 planned frames), would add about 3.26 GiB of the
     mid run's samples (W[::8] of every 10th frame) to 0.5 GiB of solve:
     InvalidParameter once the steps are planned, before the rows are
     built.  Over tau 10 -> 10.2 at dtau 0.01 (23 frames) the samples fit
@@ -1068,7 +1067,7 @@ def test_samples_past_the_memory_budget_are_refused_before_the_grid(barrier_pair
 
     monkeypatch.setattr(pde, "_manufactured_row", reached)
     half = (pde._MEMORY_BUDGET // pde._POINT_BYTES - 1) // 2
-    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 3\.63 GiB"):
+    with pytest.raises(errors.InvalidParameter, match=r"over 50003 planned frames .* 3\.76 GiB"):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.5, n_cells=half, dtau=1e-5)
     with pytest.raises(Reached):
         comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.2, n_cells=half, dtau=0.01)
@@ -1157,26 +1156,6 @@ def test_underflowing_start_is_out_of_domain(solver_ref, monkeypatch):
     assert stepped == []
 
 
-def test_predictor_gives_each_row_its_lone_bits():
-    """The predictor of the rows of one step, with its float exponent r,
-    gives each row the bits of its lone W (W / W_prev)^r, including the
-    exponents 0.5 and 2.0 that numpy takes as sqrt and square; r = 0 gives
-    W, and so does the row of a guess that overflows."""
-    rng = np.random.default_rng(7)
-    W = np.exp(rng.uniform(-30.0, -20.0, (6, 401)))
-    W_prev = W * np.exp(rng.uniform(-0.05, 0.05, (6, 401)))
-    W_prev[5, 3] = 1e-300  # (W / W_prev)^r overflows
-    for r in (1.0, 2.0, 0.5, 2.005):
-        guess = comoving._predicted(W[:5], W_prev[:5], r)
-        for j in range(5):
-            lone = W[j] * (W[j] / W_prev[j]) ** r
-            assert np.array_equal(guess[j].view(np.int64), lone.view(np.int64))
-    assert np.array_equal(comoving._predicted(W, W_prev, 0.0), W)
-    guess = comoving._predicted(W, W_prev, 40.0)
-    assert np.array_equal(guess[5], W[5])
-    assert np.all(guess[:5] > 0.0) and np.all(guess[:5] < math.inf)
-
-
 def _growth_rates(W):
     """The log growth rates log(W_k / W_(k-1)) of frames W[k] as the solve
     keeps them, newest first."""
@@ -1185,8 +1164,8 @@ def _growth_rates(W):
 
 def test_extrapolated_start_follows_a_cubic():
     """log W that is a cubic in the step index is extrapolated to rounding
-    from the last four frames; the geometric predictor misses it by about
-    its second difference."""
+    from the last four frames; the last frame, the cold start, misses it by
+    about its first difference."""
     rng = np.random.default_rng(11)
     a = rng.uniform(-1.0, 1.0, (4, 3, 1)) * np.array([1e-2, 1e-5, 1e-8, 1.0])[:, None, None]
     base = np.log(rng.uniform(1e-12, 1e-10, (3, 401)))
@@ -1198,8 +1177,7 @@ def test_extrapolated_start_follows_a_cubic():
         frames = [W(j) for j in range(k - 4, k)]
         start = comoving._extrapolated(frames[-1], _growth_rates(frames))
         assert np.max(np.abs(start / W(k) - 1.0)) < 1e-13
-        geometric = comoving._predicted(frames[-1], frames[-2], 1.0)
-        assert np.max(np.abs(geometric / W(k) - 1.0)) > 1e-7
+        assert np.max(np.abs(frames[-1] / W(k) - 1.0)) > 1e-3
 
 
 def test_extrapolated_start_gives_each_row_its_lone_bits():
@@ -1249,31 +1227,26 @@ def test_extrapolated_start_falls_back_without_a_warning_anywhere():
     assert np.array_equal(start[2], W[2])  # rates of 0 give the last frame itself
 
 
-def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, monkeypatch):
-    """The first step starts cold, the next ones from the geometric
-    predictor until four frames lie a full step apart, every later step
-    from the extrapolated start, and the short last step from the
-    geometric predictor again.  Steps 1 to 4 are half steps and 5 to 7 full
+def test_warmup_and_last_steps_start_cold(p_ref, d_ref, monkeypatch):
+    """Every step starts cold from the last frame until four frames lie a
+    full step apart, every later step from the extrapolated start, and the
+    short last step cold again.  Steps 1 to 4 are half steps and 5 to 7 full
     ones, so step 8 is the first to start from the extrapolant."""
     ds, de = math.exp(-10.0), math.exp(-10.2)
     deltas = comoving._planned_deltas(ds, de, 0.01)
     assert deltas[-1] / deltas[-2] > deltas[-2] / deltas[-3]  # the last step is short
-    starts = []
-    predicted, extrapolated = comoving._predicted, comoving._extrapolated
-    step_rows = comoving._step_rows
+    starts, formed = [], []
+    extrapolated, step_rows = comoving._extrapolated, comoving._step_rows
 
     def step(*args):
-        starts.append(None)
+        starts.append("cold" if np.array_equal(args[-1], args[0]) else "extrapolated")
         return step_rows(*args)
 
-    def start(kind, fn):
-        def wrapped(*args):
-            starts.append(kind)
-            return fn(*args)
-        return wrapped
+    def wrapped(*args):
+        formed.append(len(starts))  # the index of the step it starts
+        return extrapolated(*args)
 
-    monkeypatch.setattr(comoving, "_predicted", start("geometric", predicted))
-    monkeypatch.setattr(comoving, "_extrapolated", start("extrapolated", extrapolated))
+    monkeypatch.setattr(comoving, "_extrapolated", wrapped)
     monkeypatch.setattr(comoving, "_step_rows", step)
     a0 = d_ref.a0
     traj = solve_radial_fde(
@@ -1282,17 +1255,16 @@ def test_warmup_and_last_steps_start_from_the_geometric_predictor(p_ref, d_ref, 
         bc=lambda delta: (a0 * delta, a0 * delta),
     )
     assert traj.cold_retries == 0
-    per_step = [starts[j - 1] if j and starts[j - 1] else "cold"
-                for j, s in enumerate(starts) if s is None]
     n = len(deltas) - 1
-    assert per_step == ["cold"] + ["geometric"] * 6 + ["extrapolated"] * (n - 8) + ["geometric"]
+    assert starts == ["cold"] * 7 + ["extrapolated"] * (n - 8) + ["cold"]
+    assert formed == list(range(7, n - 1))
 
 
-def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypatch):
-    """A rejected step that started from the predictor is tried again at
+def test_rejected_extrapolated_step_retries_cold_then_stops(p_ref, d_ref, monkeypatch):
+    """A rejected step that started from the extrapolant is tried again at
     the same step from the last frame; a rejected cold start stops the
-    run with its error after exactly these two attempts.  The row's first
-    step has no predictor and starts cold."""
+    run with its error after exactly these two attempts.  A step that
+    started cold, such as a warm-up step, is not retried."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     a0 = d_ref.a0
     step_rows = comoving._step_rows
@@ -1315,28 +1287,34 @@ def test_rejected_predicted_step_retries_cold_then_stops(p_ref, d_ref, monkeypat
 
     monkeypatch.setattr(comoving, "_step_rows", flaky)
     plain = run()
-    assert [cold for _, cold in tries] == [True] + [False] * (len(tries) - 1)
+    assert [cold for _, cold in tries] == [True] * 7 + [False] * (len(tries) - 8) + [True]
     assert plain.cold_retries == 0
-    third = tries[2][0]
+    third, eighth = tries[2][0], tries[7][0]
 
-    fail.add(3)  # the third step's predicted start fails; its cold retry passes
+    fail.add(8)  # the eighth step's extrapolated start fails; its cold retry passes
     retried = run()
-    assert tries[2:4] == [(third, False), (third, True)]
+    assert tries[7:9] == [(eighth, False), (eighth, True)]
     assert retried.cold_retries == 1
     assert np.array_equal(retried.deltas, plain.deltas)
 
-    fail.add(4)  # the cold retry fails too: the run stops at that step
+    fail.add(9)  # the cold retry fails too: the run stops at that step
     with pytest.raises(errors.NewtonDiverged, match="by construction"):
         run()
-    assert tries[2:] == [(third, False), (third, True)]
+    assert tries[7:] == [(eighth, False), (eighth, True)]
+
+    fail.clear()
+    fail.add(3)  # the third step starts cold: its rejection stops the run
+    with pytest.raises(errors.NewtonDiverged, match="by construction"):
+        run()
+    assert tries[2:] == [(third, True)]
 
 
 def test_a_step_depends_on_its_frame_and_start_alone(p_ref, monkeypatch):
     """No per-row state passes from one step to the next: every step
     attempt of a manufactured run, replayed as a lone _step_rows call on
     fresh bands from the same last frame and start, gives its iterations
-    and new frame bit for bit, the cold retry of a rejected predicted start
-    included."""
+    and new frame bit for bit, the cold retry of a rejected extrapolated
+    start included."""
     ds, de = math.exp(-10.0), math.exp(-10.1)
     xi = np.linspace(-5.0, 5.0, 101)
     run, _ = pde._manufactured_row(p_ref, xi, ds)
@@ -1344,7 +1322,7 @@ def test_a_step_depends_on_its_frame_and_start_alone(p_ref, monkeypatch):
     step_rows = comoving._step_rows
 
     def recorded(W_old, delta_old, *args):
-        if len(calls) == 3:  # a predicted start: its cold retry follows
+        if len(calls) == 7:  # the first extrapolated start: its cold retry follows
             calls.append(None)
             return [errors.NewtonDiverged("rejected by construction")], None
         out, X = step_rows(W_old, delta_old, *args)
@@ -1354,8 +1332,8 @@ def test_a_step_depends_on_its_frame_and_start_alone(p_ref, monkeypatch):
     monkeypatch.setattr(comoving, "_step_rows", recorded)
     (traj,) = solve_kept(p_ref, xi, [run], comoving._planned_deltas(ds, de, 0.01))
     monkeypatch.undo()
-    assert traj.cold_retries == 1 and calls[3] is None and len(calls) == len(traj.deltas)
-    for call in calls[:3] + calls[4:]:
+    assert traj.cold_retries == 1 and calls[7] is None and len(calls) == len(traj.deltas)
+    for call in calls[:7] + calls[8:]:
         (*args, start), out, X = call
         replay, X_replay = comoving._step_rows(*args, comoving._Bands(1, 99), start)
         assert replay == out
@@ -1465,11 +1443,11 @@ def test_newton_rounds_take_one_gtsv_call_and_one_residual(barrier_pair, monkeyp
     assert all(t.cold_retries == 0 for t in report.runs.values())
     assert counts["attempts"] == report.runs["mid"].frames - 1 == counts["calibration"]
     assert counts["gtsv"] == counts["rounds"]
-    assert (counts["attempts"], counts["rounds"]) == (62, 87)
+    assert (counts["attempts"], counts["rounds"]) == (62, 91)
     # per attempt one call for the floor on the old frame, one for its
-    # start and one per trial iterate (87 rounds, 6 halved line-search
-    # trials)
-    assert counts["stencil"] == 62 + 62 + 87 + 6
+    # start and one per trial iterate (91 rounds, no halved line-search
+    # trial)
+    assert counts["stencil"] == 62 + 62 + 91
     assert counts["source"] == counts["calibration"]
 
 
@@ -1545,7 +1523,7 @@ def test_barrier_blocks_are_read_at_planned_deltas_only(barrier_pair, monkeypatc
     monkeypatch.setattr(pde, "_barrier_W", lambda *a: evaluated.append(list(a[2])) or barrier_W(*a))
     report = comparison_sandwich(*barrier_pair, tau0=TAU0, tau_end=10.6, n_cells=200, dtau=0.01)
     deltas = comoving._planned_deltas(math.exp(-TAU0), math.exp(-10.6), 0.01)
-    assert [t.cold_retries for t in report.runs.values()] == [0, 0, 1]
+    assert [t.cold_retries for t in report.runs.values()] == [0, 0, 0]
     assert set(asked) == set(deltas)
     assert asked == sorted(asked, reverse=True)
     size = pde._BLOCK_POINTS // 201
@@ -1644,8 +1622,8 @@ def test_two_cells_step_one_interior_point(p_ref, d_ref):
 
 
 @pytest.mark.parametrize("window, outcome, frames", [
-    # the smoke window: every row completes, the mid row after one cold retry
-    (Window("ref", EPS_SMOKE, TAU0, 200, 0.01), [0, 0, 0, 1], [63] * 4),
+    # the smoke window: every row completes without a cold retry
+    (Window("ref", EPS_SMOKE, TAU0, 200, 0.01), [0, 0, 0, 0], [63] * 4),
     # the smoke window on 100 cells: the lower and mid rows stall at once
     (Window("ref", EPS_SMOKE, TAU0, 100, 0.01), ("NewtonDiverged", "lower"), [63, 1, 63, 1]),
     # the Newton kernel overflows on these windows: no RuntimeWarning
@@ -1655,7 +1633,7 @@ def test_two_cells_step_one_interior_point(p_ref, d_ref):
     # a smaller step fails first: the mid run's first step stalls at dtau
     # 0.005, and the window completes at 0.01
     (Window("ref", EPS_SMOKE, 14.0, 400, 0.005), ("NewtonDiverged", "mid"), [123, 123, 123, 1]),
-    (Window("ref", EPS_SMOKE, 14.0, 400, 0.01), [0, 0, 0, 1], [63] * 4),
+    (Window("ref", EPS_SMOKE, 14.0, 400, 0.01), [0, 0, 0, 0], [63] * 4),
 ], ids=["ref-200", "ref-100", "low-overflow-0.01", "low-overflow-0.05", "ref-tau0-14-0.005",
         "ref-tau0-14-0.01"])
 def test_sandwich_sweep_subset(request, window, outcome, frames):
